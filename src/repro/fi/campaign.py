@@ -69,10 +69,11 @@ from repro.fi.fault_models import FaultModel
 from repro.fi.injector import inject
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
-from repro.generation.batched import BatchedDecoder, decode_batching_safe
+from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
+from repro.generation.round import count_plan, decode_plan
 from repro.generation.spec_batched import BatchedSpeculativeDecoder
-from repro.generation.speculative import SpeculativeDecoder, decode_speculation_safe
+from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.metrics.evaluate import score_generative
 from repro.model.params import arena_nbytes
@@ -767,7 +768,8 @@ class FICampaign:
         reference path, e.g. for equivalence benchmarking)."""
         self.decode_strategy = decode_strategy
         """Decode routing passed to :func:`generate_ids` (``auto``
-        batches whenever :func:`decode_batching_safe` allows it —
+        batches whenever :func:`~repro.generation.round.decode_plan`
+        allows it —
         fault-free baselines batch across examples, faulty trials batch
         only under row-scoped hooks; set ``serial`` to force the exact
         per-sequence reference loop everywhere)."""
@@ -789,8 +791,8 @@ class FICampaign:
         decoding.  Fault-free generative work — the baseline sweep and
         any trial whose fault machinery is not armed — drafts
         ``speculation_depth`` tokens per verify round; injected trials
-        fail the :func:`~repro.generation.speculative.decode_speculation_safe`
-        gate and run the exact serial reference path automatically."""
+        fail the :func:`~repro.generation.round.decode_plan` gate and
+        drop to the batched or serial path automatically."""
         self.speculation_depth = speculation_depth
         if spec_fault_side is not None:
             if spec_fault_side not in ("draft", "target"):
@@ -1025,19 +1027,17 @@ class FICampaign:
         if self.generation.num_beams != 1:
             self._serve_fallback("beam_search")
             return None
-        if self.draft_model is not None:
+        if self.draft_model is not None and server.draft is not self.draft_model:
             # Speculative baselines route through the server only when
             # it speculates with the *same* draft — otherwise served
             # and local perf shapes would silently diverge.
-            if server.draft is not self.draft_model:
-                self._serve_fallback("speculation_unsupported")
-                return None
-            if not decode_speculation_safe(self.engine, self.draft_model):
-                self._serve_fallback("fault_machinery")
-                return None
-        if not decode_batching_safe(self.engine):
+            self._serve_fallback("speculation_unsupported")
+            return None
+        path, reason = decode_plan(self.engine, self.draft_model)
+        if path != ("batched" if self.draft_model is None else "composed"):
             self._serve_fallback("fault_machinery")
             return None
+        count_plan(path, reason)
         handles = [
             server.submit(
                 prompt,

@@ -1,7 +1,7 @@
 """Decoding strategies: greedy / beam search / option scoring /
 continuous batching / speculative draft-and-verify."""
 
-from repro.generation.batched import BatchedDecoder, decode_batching_safe
+from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import (
     GenerationConfig,
     beam_search_decode,
@@ -11,21 +11,19 @@ from repro.generation.decode import (
     score_continuation,
     score_options,
 )
+from repro.generation.round import DecodeRound, decode_plan
 from repro.generation.spec_batched import BatchedSpeculativeDecoder
-from repro.generation.speculative import (
-    SpeculativeDecoder,
-    decode_speculation_safe,
-)
+from repro.generation.speculative import SpeculativeDecoder
 
 __all__ = [
     "BatchedDecoder",
     "BatchedSpeculativeDecoder",
+    "DecodeRound",
     "GenerationConfig",
     "SpeculativeDecoder",
     "beam_search_decode",
     "choose_option",
-    "decode_batching_safe",
-    "decode_speculation_safe",
+    "decode_plan",
     "generate_ids",
     "greedy_decode",
     "score_continuation",

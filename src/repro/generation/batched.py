@@ -21,93 +21,44 @@ engines do:
   (:meth:`PooledKVCache.copy_slot`), replacing per-beam
   ``Session.fork`` deep copies.
 
-**FI-safety gate** (:func:`decode_batching_safe`): batching changes
-tensor shapes only in ways hooks can observe per row, so it stays
-enabled under armed *row-scoped* fault hooks (the one-shot
-computational injectors) — each hook invocation receives one row's
-``(1, features)`` slice and corrupts exactly one sequence.  Unscoped
-hooks (detectors, probes), armed weight faults and activation capture
-force the exact serial reference path, mirroring PR 2's option-scoring
-gate.  ``B == 1`` batched decoding is bit-identical to the serial path
-by construction (same-shaped operations throughout); ``B > 1`` agrees
-up to float associativity and is asserted identical at the
-decoded-token level by the equivalence tests.
+**FI-safety gate**: :func:`~repro.generation.round.decode_plan` decides
+once per entry whether batching preserves exact fault semantics (armed
+row-scoped hooks and sequence-scoped KV / accumulator faults do; weight
+faults, capture and unscoped hooks force the serial reference loop).
+``B == 1`` batched decoding is bit-identical to the serial path by
+construction (same-shaped operations throughout); ``B > 1`` agrees up
+to float associativity and is asserted identical at the decoded-token
+level by the equivalence tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.autograd.functional import log_softmax_np
-from repro.generation.decode import GenerationConfig
+from repro.generation.decode import (
+    GenerationConfig,
+    beam_search_decode,
+    greedy_decode,
+)
+from repro.generation.round import (
+    DecodeRound,
+    count_plan,
+    decode_plan,
+    decode_to_completion,
+)
 from repro.inference.engine import InferenceEngine, Session
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["BatchedDecoder", "decode_batching_safe"]
-
-
-def decode_batching_safe(engine: InferenceEngine) -> bool:
-    """Whether batched decoding preserves exact fault/capture semantics.
-
-    True when nothing is armed, or when every armed fault scopes itself
-    to a single sequence under batching:
-
-    * *row-scoped hooks* (the one-shot computational injectors) — per-row
-      hook application observes the exact serial tensor shapes and
-      corrupts exactly one sequence;
-    * *KV faults* — sequence-scoped by cache identity: the strike lands
-      in one sequence's own cache row (the batched step appends per row
-      to per-row caches, and the injector latches on the first append
-      reaching its iteration — the same sequence the serial loop would
-      strike), and corruption in one slot's K/V is never read by any
-      other row's attention;
-    * *accumulator faults* — applied per flattened GEMM row with per-row
-      iteration matching, so the one-shot strike corrupts exactly one
-      sequence's output element.
-
-    Weight faults and activation capture always force the serial path —
-    corrupted weights amplify float-associativity differences, and
-    capture records per-sequence tensors.  For ``B == 1`` every batched
-    operation is shape-identical to serial, so armed KV/accumulator
-    faults produce bit-identical trial records either way.
-    """
-    if engine.capture is not None:
-        return False
-    if engine.weight_fault_depth > 0:
-        return False
-    if len(engine.hooks) == 0:
-        return True
-    return engine.hooks.all_row_scoped()
-
-
-def _pick(logits: np.ndarray) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
+__all__ = ["BatchedDecoder"]
 
 
 def _normalized(tokens: list[int], score: float, length_penalty: float) -> float:
     length = max(1, len(tokens))
     return score / length**length_penalty
-
-
-@dataclass
-class _Seq:
-    """One active greedy sequence (a pool slot's occupant)."""
-
-    index: int
-    slot: int | None
-    caches: list[KVCache]
-    position: int
-    iteration: int
-    last_token: int
-    out: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -129,7 +80,8 @@ class BatchedDecoder:
     One decoder owns one arena; reuse it across calls (campaigns keep
     one per run) so admissions never allocate.  All entry points fall
     back to the exact serial reference path whenever
-    :func:`decode_batching_safe` says batching could change results.
+    :func:`~repro.generation.round.decode_plan` says batching could
+    change results.
     """
 
     def __init__(
@@ -165,10 +117,7 @@ class BatchedDecoder:
         (the beams are the batch).  ``sessions`` optionally supplies
         already-prefilled sessions (consumed) aligned with ``prompts``.
         """
-        if sessions is None:
-            sessions = [None] * len(prompts)
-        if len(sessions) != len(prompts):
-            raise ValueError("sessions must align with prompts")
+        sessions = self._aligned(prompts, sessions)
         if self.config.num_beams > 1:
             return [
                 self.beam_decode(p, session=s) for p, s in zip(prompts, sessions)
@@ -196,135 +145,34 @@ class BatchedDecoder:
         Per-sequence outputs are identical to serial ``greedy_decode``
         (bit-identical at ``B == 1``; argmax-identical above).
         """
+        sessions = self._aligned(prompts, sessions)
+        path, reason = decode_plan(self.engine)
+        count_plan(path, reason)
+        return self._decode_on(path, prompts, sessions)
+
+    @staticmethod
+    def _aligned(prompts: list, sessions: "list | None") -> list:
         if sessions is None:
-            sessions = [None] * len(prompts)
+            return [None] * len(prompts)
         if len(sessions) != len(prompts):
             raise ValueError("sessions must align with prompts")
-        if not decode_batching_safe(self.engine):
-            from repro.generation.decode import greedy_decode
+        return sessions
 
+    def _decode_on(
+        self, path: str, prompts: list[list[int]], sessions: list
+    ) -> list[list[int]]:
+        """Run an already-planned ``batched`` or ``serial`` decode."""
+        if path == "serial":
             return [
                 greedy_decode(self.engine, p, self.config, session=s,
                               strategy="serial")
                 for p, s in zip(prompts, sessions)
             ]
-        tel = _telemetry()
-        if not tel.active:
-            return self._decode_many_impl(prompts, sessions, tel)
-        with tel.span(
-            "decode.batch",
-            prompts=len(prompts),
-            max_batch=self.max_batch,
-        ) as span:
-            results = self._decode_many_impl(prompts, sessions, tel)
-            span.set(new_tokens=sum(len(r) for r in results))
-        return results
-
-    def _decode_many_impl(
-        self, prompts: list[list[int]], sessions: list, tel
-    ) -> list[list[int]]:
-        engine = self.engine
-        eos = self.config.eos_id
-        max_new = self.config.max_new_tokens
-        results: list[list[int]] = [[] for _ in prompts]
-        pending: deque[int] = deque(range(len(prompts)))
         pool = self._ensure_pool(min(self.max_batch, max(1, len(prompts))))
-        active: list[_Seq] = []
-        traced = tel.active
-
-        def finish(seq: _Seq) -> None:
-            results[seq.index] = seq.out
-            if seq.slot is not None:
-                pool.release(seq.slot)
-            if traced:
-                # Real admissible capacity, *after* the eager release —
-                # the serving loop admits against this gauge.
-                tel.metrics.gauge("decode.free_slots").set(pool.n_free)
-
-        def admit(refill: bool) -> None:
-            """Prefill the next pending prompt into a free slot; may
-            retire it immediately (EOS-first or 1-token budgets)."""
-            idx = pending.popleft()
-            session = sessions[idx]
-            if session is not None:
-                seq = _Seq(
-                    index=idx,
-                    slot=None,
-                    caches=session.caches,
-                    position=session.position,
-                    iteration=session.iteration,
-                    last_token=-1,
-                )
-                logits = session.last_logits
-            else:
-                prompt = prompts[idx]
-                if not prompt:
-                    raise ValueError("prompt must contain at least one token")
-                slot = pool.acquire()
-                caches = pool.caches(slot)
-                logits = engine.forward(
-                    prompt, caches, start_pos=0, iteration=0
-                )[-1]
-                seq = _Seq(
-                    index=idx,
-                    slot=slot,
-                    caches=caches,
-                    position=len(prompt),
-                    iteration=0,
-                    last_token=-1,
-                )
-            if traced and refill:
-                tel.metrics.counter("decode.slot_refills").add()
-            token = _pick(logits)
-            if token == eos:
-                finish(seq)
-                return
-            seq.out.append(token)
-            if len(seq.out) >= max_new:
-                finish(seq)
-                return
-            seq.last_token = token
-            active.append(seq)
-
-        def fill(refill: bool) -> None:
-            while pending and len(active) < self.max_batch:
-                admit(refill)
-            if traced:
-                tel.metrics.gauge("decode.free_slots").set(pool.n_free)
-
-        fill(refill=False)
-        while active:
-            if traced:
-                tel.metrics.histogram("decode.batch_occupancy").observe(
-                    len(active)
-                )
-            logits = engine.forward_step_batch(
-                [seq.last_token for seq in active],
-                [seq.caches for seq in active],
-                [seq.position for seq in active],
-                [seq.iteration + 1 for seq in active],
-            )
-            still: list[_Seq] = []
-            for i, seq in enumerate(active):
-                seq.iteration += 1
-                seq.position += 1
-                token = _pick(logits[i])
-                if token == eos:
-                    finish(seq)
-                    continue
-                seq.out.append(token)
-                if len(seq.out) >= max_new:
-                    # The serial loop would run one final forward whose
-                    # logits are discarded; skip it — fault sites are
-                    # sampled strictly below max_new_tokens, so no
-                    # injection can target the skipped step.
-                    finish(seq)
-                    continue
-                seq.last_token = token
-                still.append(seq)
-            active = still
-            fill(refill=True)
-        return results
+        return decode_to_completion(
+            DecodeRound(self.engine, pool, self.config.eos_id),
+            prompts, sessions, self.config.max_new_tokens, self.max_batch,
+        )
 
     # -- batched beam search ---------------------------------------------------
 
@@ -338,9 +186,9 @@ class BatchedDecoder:
         unfinished beams in one batched forward and forks via bounded
         prefix copies inside the pool instead of full cache clones.
         """
-        if not decode_batching_safe(self.engine):
-            from repro.generation.decode import beam_search_decode
-
+        path, reason = decode_plan(self.engine)
+        count_plan(path, reason)
+        if path == "serial":
             return beam_search_decode(
                 self.engine, prompt_ids, self.config, session=session,
                 strategy="serial",
@@ -375,29 +223,17 @@ class BatchedDecoder:
         root_slot = acquire()
         if session is not None:
             pool.load(root_slot, session.caches)
-            root = _BeamRow(
-                slot=root_slot,
-                tokens=[],
-                score=0.0,
-                finished=False,
-                logits=session.last_logits,
-                position=session.position,
-                iteration=session.iteration,
-            )
+            logits, position = session.last_logits, session.position
+            iteration = session.iteration
         else:
-            caches = pool.caches(root_slot)
             logits = engine.forward(
-                prompt_ids, caches, start_pos=0, iteration=0
+                prompt_ids, pool.caches(root_slot), start_pos=0, iteration=0
             )[-1]
-            root = _BeamRow(
-                slot=root_slot,
-                tokens=[],
-                score=0.0,
-                finished=False,
-                logits=logits,
-                position=len(prompt_ids),
-                iteration=0,
-            )
+            position, iteration = len(prompt_ids), 0
+        root = _BeamRow(
+            slot=root_slot, tokens=[], score=0.0, finished=False,
+            logits=logits, position=position, iteration=iteration,
+        )
         prompt_len = root.position
         beams = [root]
         for _ in range(config.max_new_tokens):

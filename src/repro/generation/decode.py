@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.autograd.functional import log_softmax_np
+from repro.generation.round import count_plan, decode_plan
 from repro.inference.engine import InferenceEngine, Session
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -55,25 +56,17 @@ def _resolve_decode_strategy(
     strategy: str,
     draft: InferenceEngine | None = None,
 ) -> str:
-    """Map ``auto`` to the fastest decode path that cannot change results.
-
-    ``auto`` prefers speculative decoding when a draft engine is
-    supplied and speculation is FI-safe (both engines pristine — see
-    :func:`~repro.generation.speculative.decode_speculation_safe`),
-    then the batched decoder whenever batching is FI-safe — nothing
-    armed, or only row-scoped fault hooks — and falls back to the
-    serial reference loop otherwise, mirroring the option-scoring gate.
-    Explicit ``speculative`` requires a draft engine.
-    """
+    """Validate ``strategy``; ``auto`` becomes the path
+    :func:`~repro.generation.round.decode_plan` picks (``composed`` is
+    spelled ``speculative`` here).  Explicit ``speculative`` requires a
+    draft engine."""
     if strategy == "auto":
-        if draft is not None:
-            from repro.generation.speculative import decode_speculation_safe
-
-            if decode_speculation_safe(engine, draft):
-                return "speculative"
-        from repro.generation.batched import decode_batching_safe
-
-        return "batched" if decode_batching_safe(engine) else "serial"
+        path, reason = decode_plan(engine, draft)
+        if path == "serial":
+            # The callers' own reference loops run; the batched and
+            # speculative decoders count their plan where they ask it.
+            count_plan(path, reason)
+        return "speculative" if path == "composed" else path
     if strategy == "speculative" and draft is None:
         raise ValueError(
             "strategy='speculative' requires a draft engine"
@@ -105,8 +98,9 @@ def greedy_decode(
     ``speculation_depth`` tokens per round with ``draft`` and verifies
     them in one chunked target forward
     (:class:`~repro.generation.speculative.SpeculativeDecoder`);
-    ``auto`` picks ``speculative`` when a safe draft is available, then
-    ``batched``, unless fault machinery demands the serial path.
+    ``auto`` follows :func:`~repro.generation.round.decode_plan`:
+    ``speculative`` when a safe draft is available, then ``batched``,
+    unless fault machinery demands the serial path.
     """
     resolved = _resolve_decode_strategy(engine, strategy, draft=draft)
     if resolved == "speculative":
@@ -121,6 +115,8 @@ def greedy_decode(
         return BatchedDecoder(engine, config, max_batch=1).decode_one(
             prompt_ids, session=session
         )
+    # The serial reference loop — kept on purpose: it is what the
+    # differential oracle and every equivalence test compare against.
     if session is None:
         session = engine.start_session(prompt_ids)
     out: list[int] = []

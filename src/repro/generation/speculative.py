@@ -26,15 +26,20 @@ contract as PR 3's batched decoder — and the differential suite plus
 the benchmark's pre-timing equivalence gate hold the decoded tokens to
 bit-identity with the serial reference.
 
-**FI-safety gate** (:func:`decode_speculation_safe`): speculation
-changes the *target's* iteration↔forward mapping (one verify forward
-covers several generation iterations, with a scalar iteration tag), so
-target-side fault machinery is never safe — an iteration-pinned
-computational hook would see the wrong tensor, a weight/KV/accumulator
-fault corrupts draft-shaped work the serial path never runs, and
-capture records per-forward outputs.  Target-side hooks, faults or
-capture force the exact serial reference path, so injected trial
-records never depend on the decode strategy.
+**Why this class stays** beside the batched
+:class:`~repro.generation.round.DecodeRound`: it is the reference the
+composed path is tested against (width 1 must reduce to exactly this
+schedule), and it is the only speculative schedule that honours armed
+accumulator faults and perturbing hooks — it runs on the 1-D
+``engine.forward``, where ``forward_chunk_batch`` rejects them — which
+the ``spec_fault_side`` masking study needs.  It shares the per-row
+rules (:func:`~repro.generation.round.pick`, the accept walk, the
+draft-keep length) with the stepper instead of keeping copies.
+
+**FI-safety gate**: :func:`~repro.generation.round.decode_plan` —
+anything armed on either engine but pure observers forces the exact
+serial reference path, so injected trial records never depend on the
+decode strategy.
 
 Draft corruption, by contrast, is masked *by construction*: every
 emitted token is an argmax of **target** logits over the true emitted
@@ -52,62 +57,19 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from repro.generation.decode import GenerationConfig
+from repro.generation.decode import GenerationConfig, greedy_decode
+from repro.generation.round import (
+    accept,
+    check_draft,
+    count_plan,
+    decode_plan,
+    draft_keep,
+    pick,
+)
 from repro.inference.engine import InferenceEngine, Session
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["SpeculativeDecoder", "decode_speculation_safe"]
-
-
-def decode_speculation_safe(
-    engine: InferenceEngine, draft: InferenceEngine
-) -> bool:
-    """Whether speculative decoding preserves exact fault/capture semantics.
-
-    **Target side** — stricter than
-    :func:`~repro.generation.batched.decode_batching_safe`: even
-    row-scoped computational hooks disqualify, because a verify chunk
-    runs several generation iterations inside one forward whose
-    iteration tag is the round's first position — an iteration-pinned
-    hook would fire on the wrong tensor (or not at all).  Armed KV and
-    accumulator faults disqualify for the same reason: the chunked
-    forward visits different (iteration, tensor) pairs than the serial
-    loop, so strike timing — and therefore the trial record — would
-    depend on the decode strategy.  The single exception is hooks
-    registered ``observer=True`` (pure probes such as layer timing):
-    they never alter tensors, so the reshuffled iteration → forward
-    mapping cannot change results and traced runs keep speculating.
-
-    **Draft side** — held to the same bar, even though draft corruption
-    is masked by construction (emitted tokens are always argmaxes of
-    *target* logits over the true emitted prefix, so a corrupted
-    proposal can only lower the accept rate, never change the output).
-    The serial fallback runs *without* the draft entirely, so a
-    draft-armed fault would silently become a no-op there — whether the
-    fault even fires would depend on the decode strategy.  Studies that
-    want faults live inside the speculative schedule (draft-side
-    masking, target-side interaction) therefore bypass this gate
-    explicitly with ``decode_one(..., force=True)`` instead of the gate
-    guessing which side is being studied.
-    """
-    for e in (engine, draft):
-        if e.capture is not None or e.weight_fault_depth > 0:
-            return False
-        if e.kv_fault is not None or e.acc_fault is not None:
-            return False
-        if len(e.hooks) > 0 and not e.hooks.all_observers():
-            return False
-    return True
-
-
-def _pick(logits) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
+__all__ = ["SpeculativeDecoder"]
 
 
 class SpeculativeDecoder:
@@ -128,15 +90,7 @@ class SpeculativeDecoder:
         config: GenerationConfig,
         speculation_depth: int = 4,
     ) -> None:
-        if speculation_depth < 1:
-            raise ValueError("speculation_depth must be >= 1")
-        if draft.config.vocab_size != engine.config.vocab_size:
-            raise ValueError(
-                "draft/target vocabulary mismatch:"
-                f" draft has {draft.config.vocab_size} tokens,"
-                f" target has {engine.config.vocab_size};"
-                " speculative decoding needs a same-tokenizer pair"
-            )
+        check_draft(engine, draft, speculation_depth)
         self.engine = engine
         self.draft = draft
         self.config = config
@@ -152,21 +106,22 @@ class SpeculativeDecoder:
 
         ``session`` optionally supplies an already-prefilled target
         session for ``prompt_ids`` (consumed).  Falls back to the exact
-        serial reference loop whenever :func:`decode_speculation_safe`
-        says speculation could change results; ``force=True`` skips the
-        gate (the target-side speculation study, which *wants* to
-        measure how faults interact with the speculative schedule).
+        serial reference loop unless :func:`decode_plan` allows
+        speculation; ``force=True`` skips the gate (the speculation-side
+        study, which *wants* to measure how faults interact with the
+        speculative schedule).
         """
-        if not force and not decode_speculation_safe(self.engine, self.draft):
-            from repro.generation.decode import greedy_decode
-
-            return greedy_decode(
-                self.engine, prompt_ids, self.config, session=session,
-                strategy="serial",
-            )
+        if not force:
+            path, reason = decode_plan(self.engine, self.draft)
+            if path != "composed":
+                # One sequence: "batched" has nothing to batch.
+                count_plan("serial", reason)
+                return greedy_decode(
+                    self.engine, prompt_ids, self.config, session=session,
+                    strategy="serial",
+                )
+            count_plan(path, reason)
         tel = _telemetry()
-        if not tel.active:
-            return self._decode_impl(prompt_ids, session, tel)
         t0 = time.perf_counter()
         with tel.span(
             "decode.speculate",
@@ -176,9 +131,10 @@ class SpeculativeDecoder:
         ) as span:
             out = self._decode_impl(prompt_ids, session, tel)
             span.set(new_tokens=len(out))
-        tel.metrics.histogram("decode.speculate_ms").observe(
-            (time.perf_counter() - t0) * 1e3
-        )
+        if tel.active:
+            tel.metrics.histogram("decode.speculate_ms").observe(
+                (time.perf_counter() - t0) * 1e3
+            )
         return out
 
     def _decode_impl(
@@ -189,7 +145,7 @@ class SpeculativeDecoder:
         if session is None:
             session = engine.start_session(prompt_ids)
         caches = session.caches
-        first = _pick(session.last_logits)
+        first = pick(session.last_logits)
         if first == eos:
             return []
         out = [first]
@@ -203,7 +159,6 @@ class SpeculativeDecoder:
         d_caches = draft.new_caches()
         draft.forward(prompt_ids, d_caches, start_pos=0, iteration=0)
         d_len = len(prompt_ids)
-        traced = tel.active
         while len(out) < max_new:
             # Never propose past the token budget: the chunk emits at
             # most gamma + 1 tokens, and the serial loop never runs a
@@ -220,7 +175,7 @@ class SpeculativeDecoder:
                 )[-1]
                 d_len += len(feed)
                 for i in range(gamma):
-                    token = _pick(d_logits)
+                    token = pick(d_logits)
                     proposals.append(token)
                     if i < gamma - 1:
                         d_logits = draft.forward(
@@ -233,21 +188,8 @@ class SpeculativeDecoder:
             logits = engine.forward(
                 chunk, caches, start_pos=target_len, iteration=len(out)
             )
-            accepted = 0
-            stop = False
-            for j in range(len(chunk)):
-                token = _pick(logits[j])
-                if token == eos:
-                    stop = True
-                    break
-                out.append(token)
-                if j < len(proposals) and token == proposals[j]:
-                    accepted += 1
-                    continue
-                # Mismatch correction or the bonus token after a fully
-                # accepted proposal: either way the round ends here.
-                break
-            if traced:
+            accepted, stop = accept(logits, proposals, eos, out)
+            if tel.active:
                 tel.metrics.counter("decode.spec_rounds").add()
                 tel.metrics.counter("decode.spec_rejected").add(
                     gamma - accepted
@@ -263,8 +205,7 @@ class SpeculativeDecoder:
                 cache.truncate(target_len + 1 + accepted)
             if stop:
                 break
-            keep = d_len - max(0, (gamma - 1) - min(accepted, gamma - 1))
+            d_len = draft_keep(d_len, gamma, accepted)
             for cache in d_caches:
-                cache.truncate(keep)
-            d_len = keep
+                cache.truncate(d_len)
         return out

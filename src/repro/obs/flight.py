@@ -15,10 +15,9 @@ The recorder is a **pure observer** by construction:
 * it is off by default and costs exactly one attribute check
   (``flight_recorder().active``) on every instrumented hot path;
 * its corruption-front hooks register ``row_scoped=True,
-  observer=True`` on the engine's :class:`HookManager`, so the batched
-  and speculative decode gates (``decode_batching_safe`` /
-  ``decode_speculation_safe``) see the same answers as a recorder-off
-  run — arming it must never change which execution strategy runs;
+  observer=True`` on the engine's :class:`HookManager`, so
+  ``decode_plan`` picks the same path as in a recorder-off run —
+  arming it must never change which execution strategy runs;
 * the fault-free reference for the corruption front comes from a
   *replay* forward executed after the injector has restored the
   weights, never from perturbing the faulty run itself.

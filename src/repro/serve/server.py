@@ -4,18 +4,18 @@
 long-running serving loop, the end-to-end setting the paper studies:
 
 * **Mid-flight admission** — a single pump thread owns the engine and
-  runs one continuous batch.  Every scheduling round it first admits
-  waiting requests into free :class:`~repro.inference.kvcache.PooledKVCache`
-  slots (prefill, first token), then advances all active rows with one
-  :meth:`~repro.inference.engine.InferenceEngine.forward_step_batch`.
+  drives one :class:`~repro.generation.round.DecodeRound`.  Every
+  scheduling round it first admits waiting requests into free
+  :class:`~repro.inference.kvcache.PooledKVCache` slots (prefill, first
+  token), then calls the round's ``step()`` once for all active rows.
   New prompts join *between steps* — there is no drain-and-refill
   barrier, so a long request never holds the batch hostage.
 * **Streaming** — ``submit`` returns a :class:`StreamHandle`
-  immediately; the pump pushes each generated token into the handle's
-  queue as it is decoded, so clients iterate tokens with time-to-first-
-  token independent of other requests' lengths.
+  immediately; the pump pushes each round's tokens into the handle's
+  queue, so clients iterate tokens with time-to-first-token independent
+  of other requests' lengths.
 * **Eager retirement** — a row that hits EOS, its token budget or a
-  client cancellation is retired at step granularity and its KV slot
+  client cancellation is retired at round granularity and its KV slot
   released immediately, back-filling the batch from the tenant queues.
 * **Admission control + fairness** — per-tenant bounded queues (shed
   with typed :class:`~repro.serve.admission.ServeRejected`), per-tenant
@@ -23,24 +23,18 @@ long-running serving loop, the end-to-end setting the paper studies:
   tenants (:class:`~repro.serve.admission.WeightedScheduler`), so a
   saturating tenant cannot starve a light one's TTFT.
 * **Speculative serving** — constructed with a same-tokenizer ``draft``
-  engine, the pump replaces the single-token step with a batched
-  draft-and-verify round (the
-  :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
-  schedule): the draft proposes up to ``speculation_depth`` tokens for
-  every decoding row while newly admitted prompts prefill in the same
-  scheduling round, the target verifies all proposals in grouped
-  chunked batched forwards, and ragged accept lengths retire/back-fill
-  rows at round granularity.  Emitted tokens remain argmaxes of target
-  logits, so streams stay token-identical to serial greedy decode.
+  engine, the same round runs at ``speculation_depth``; ragged accept
+  lengths retire and back-fill rows at round granularity.
 
-**Equivalence contract**: rows decode greedily via the same
-``forward_step_batch`` the :class:`~repro.generation.batched.BatchedDecoder`
-uses, with the same NaN-safe argmax rule — each served request's
-tokens are identical to a serial ``greedy_decode`` of its prompt
-(bit-identical at batch width 1, argmax-identical above; asserted
-token-for-token by the load generator's equivalence gate and the serve
-tests).  The server is a *fault-free* serving plane: campaigns attach
-as a tenant for their fault-free generative baselines
+What stays here is what only a server has: tenant queues and the
+weighted dequeue, cancellation, arming a request's KV fault before its
+prompt forward, pushing tokens to handles with one timestamp per round,
+and SLO telemetry.  The decode schedule and its equivalence contract —
+every served stream is token-identical to a serial ``greedy_decode`` of
+its prompt, whatever the admission timing — live in
+:mod:`repro.generation.round`, shared with the offline decoders.  The
+server is a *fault-free* serving plane: campaigns attach as a tenant
+for their fault-free generative baselines
 (:meth:`~repro.fi.campaign.FICampaign.attach_server`) while injected
 trials keep their exact local path.
 
@@ -54,16 +48,15 @@ admits against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue as _queue
 import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.generation.decode import GenerationConfig
-from repro.generation.spec_batched import _by_length
+from repro.generation.round import DecodeRound, check_draft
 from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
@@ -78,14 +71,6 @@ __all__ = ["InferenceServer", "StreamHandle", "ServeRejected", "TenantConfig"]
 
 _DONE = object()
 """Stream sentinel: pushed exactly once when a request finishes."""
-
-
-def _pick(logits: np.ndarray) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
 
 
 class StreamHandle:
@@ -166,7 +151,8 @@ class StreamHandle:
 
 @dataclass
 class _Request:
-    """Pump-side request state: queue entry, then active batch row."""
+    """Pump-side request state: queue entry, then the ``key`` of its
+    :class:`~repro.generation.round.Row`."""
 
     id: int
     tenant: str
@@ -175,16 +161,6 @@ class _Request:
     t_submit: float
     handle: StreamHandle = field(init=False)
     cancelled: bool = False
-    # Batch-row state, populated at admission.
-    slot: int | None = None
-    caches: list[KVCache] | None = None
-    position: int = 0
-    iteration: int = 0
-    last_token: int = -1
-    # Draft-side state (speculative serving only).
-    d_slot: int | None = None
-    d_caches: list[KVCache] | None = None
-    d_len: int = 0
     kv_fault: "object | None" = None
     """Optional :class:`~repro.fi.sites.FaultSite` (a KV fault model):
     armed against this request's pool slot at prefill, disarmed and
@@ -222,29 +198,25 @@ class InferenceServer:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if draft is not None:
-            if speculation_depth < 1:
-                raise ValueError("speculation_depth must be >= 1")
-            if draft.config.vocab_size != engine.config.vocab_size:
-                raise ValueError(
-                    "draft/target vocabulary mismatch:"
-                    f" draft has {draft.config.vocab_size} tokens,"
-                    f" target has {engine.config.vocab_size};"
-                    " speculative serving needs a same-tokenizer pair"
-                )
+            check_draft(engine, draft, speculation_depth)
         self.engine = engine
         self.config = config
         self.pool = pool if pool is not None else engine.new_pool(max_batch)
         self.max_batch = min(max_batch, self.pool.n_slots)
         self.draft = draft
         self.speculation_depth = speculation_depth
-        self.draft_pool = (
-            None
-            if draft is None
-            else (
-                draft_pool
-                if draft_pool is not None
+        self.draft_pool = None
+        if draft is not None:
+            self.draft_pool = (
+                draft_pool if draft_pool is not None
                 else draft.new_pool(self.max_batch)
             )
+            # A row holds a slot in each pool: the narrower one caps
+            # the batch.
+            self.max_batch = min(self.max_batch, self.draft_pool.n_slots)
+        self._round = DecodeRound(
+            engine, self.pool, config.eos_id,
+            draft=draft, draft_pool=self.draft_pool, depth=speculation_depth,
         )
         self.default_tenant = default_tenant
         self._sched = WeightedScheduler()
@@ -255,7 +227,6 @@ class InferenceServer:
         # discovered inside `_dequeue`).
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._active: list[_Request] = []
         self._ids = itertools.count()
         self._thread: threading.Thread | None = None
         self._stop = False
@@ -428,13 +399,13 @@ class InferenceServer:
                 with self._work:
                     while (
                         not self._stop
-                        and not self._active
+                        and not self._round.rows
                         and self._sched.queued() == 0
                     ):
                         self._work.wait(self._idle_wait_s)
                     if self._stop and (
                         not self._drain
-                        or (not self._active and self._sched.queued() == 0)
+                        or (not self._round.rows and self._sched.queued() == 0)
                     ):
                         break
                     tel = _telemetry()
@@ -443,11 +414,13 @@ class InferenceServer:
                             self._sched.queued()
                         )
                 self._admit()
-                if self._active:
-                    self._step()
+                self._step()
         finally:
             # Never strand a stream: whatever remains (abrupt stop,
-            # engine exception) terminates with a clean sentinel.
+            # engine exception) terminates with a clean sentinel, and a
+            # dead pump refuses new work instead of queueing it forever.
+            with self._lock:
+                self._stop = True
             self._finalize_pending("shutdown")
 
     def _dequeue(self) -> _Request | None:
@@ -468,255 +441,92 @@ class InferenceServer:
     def _admit(self) -> None:
         """Back-fill the batch from the tenant queues (mid-flight).
 
-        Admission is capped by batch width *and real KV capacity*
-        (``pool.n_free``) — a slot freed by an eager retirement this
-        step is immediately admissible against.
+        Admission is capped by batch width *and real KV capacity* in
+        both pools — a slot freed by an eager retirement this round is
+        immediately admissible against.
         """
-        tel = _telemetry()
-        while len(self._active) < self.max_batch and self.pool.n_free > 0:
+        rnd = self._round
+        while len(rnd.rows) < self.max_batch and rnd.has_room():
             with self._lock:
                 request = self._dequeue()
             if request is None:
                 break
-            self._prefill(request)
+            arm = None
+            if request.kv_fault is not None:
+                arm = functools.partial(self._arm_kv_fault, request)
+            try:
+                event = rnd.admit(
+                    request, request.prompt, request.max_new,
+                    before_prefill=arm,
+                )
+            except BaseException:
+                # Dequeued but not yet a row: nothing else would finish
+                # this handle.  The round already released its slots.
+                self._finish(request, "shutdown")
+                raise
+            self._deliver([event])
+        tel = _telemetry()
         if tel.active:
             tel.metrics.gauge("decode.free_slots").set(self.pool.n_free)
 
-    def _prefill(self, request: _Request) -> None:
-        """Run the prompt forward and emit the first token (the TTFT
-        token).  EOS-as-first-token and one-token budgets retire here —
-        the row never occupies a batch slot across a step."""
-        slot = self.pool.acquire()
-        request.slot = slot
-        request.caches = self.pool.caches(slot)
-        if request.kv_fault is not None:
-            # Lazy import: the serving layer is usable without the FI
-            # package, and fi imports the engine this module wraps.
-            from repro.fi.injector import KVFaultInjector
+    def _arm_kv_fault(self, request: _Request, caches: list[KVCache]) -> None:
+        """Arm ``request``'s KV fault on its slot, before its prompt
+        forward so iteration-0 sites corrupt prefill K/V.  Pinning to
+        the slot's cache views scopes the strike to this one sequence."""
+        # Lazy import: the serving layer is usable without the FI
+        # package, and fi imports the engine this module wraps.
+        from repro.fi.injector import KVFaultInjector
 
-            # Pinning to this request's slot views scopes the strike to
-            # this one sequence; arming before the prompt forward lets
-            # iteration-0 sites corrupt prefill K/V.
-            request.kv_injector = KVFaultInjector(
-                self.engine, request.kv_fault, caches=request.caches
-            ).__enter__()
-        logits = self.engine.forward(
-            request.prompt, request.caches, start_pos=0, iteration=0
-        )[-1]
-        request.position = len(request.prompt)
-        request.iteration = 0
-        if request.cancelled:
-            self._finish(request, "cancelled")
-            return
-        token = _pick(logits)
-        now = time.perf_counter()
-        if token == self.config.eos_id:
-            self._finish(request, "eos")
-            return
-        request.handle._push(token, now)
-        if len(request.handle.tokens) >= request.max_new:
-            self._finish(request, "length")
-            return
-        request.last_token = token
-        if self.draft is not None:
-            # The draft side joins only once the row survives to a real
-            # decode round — EOS-first and one-token budgets retired
-            # above without ever touching the draft pool.
-            request.d_slot = self.draft_pool.acquire()
-            request.d_caches = self.draft_pool.caches(request.d_slot)
-            self.draft.forward(
-                request.prompt, request.d_caches, start_pos=0, iteration=0
-            )
-            request.d_len = len(request.prompt)
-        self._active.append(request)
+        request.kv_injector = KVFaultInjector(
+            self.engine, request.kv_fault, caches=caches
+        ).__enter__()
 
     def _step(self) -> None:
-        """Advance every active row one token (or, with a draft engine
-        attached, one speculative round); retire eagerly."""
-        # Cancellations observed at step granularity: drop the row (and
-        # its slot) before paying for its forward.
-        still: list[_Request] = []
-        for request in self._active:
-            if request.cancelled:
-                self._finish(request, "cancelled")
-            else:
-                still.append(request)
-        self._active = still
-        if not self._active:
+        """Advance every active row one round; retire eagerly."""
+        rnd = self._round
+        # Cancellations observed at round granularity: drop the row (and
+        # its slots) before paying for its forward.
+        for row in [row for row in rnd.rows if row.key.cancelled]:
+            rnd.drop(row)
+            self._finish(row.key, "cancelled")
+        if not rnd.rows:
             return
         tel = _telemetry()
         if tel.active:
             tel.metrics.histogram("serve.batch_occupancy").observe(
-                len(self._active)
+                len(rnd.rows)
             )
-        if self.draft is not None:
-            self._spec_round(tel)
-            return
-        logits = self.engine.forward_step_batch(
-            [r.last_token for r in self._active],
-            [r.caches for r in self._active],
-            [r.position for r in self._active],
-            [r.iteration + 1 for r in self._active],
-        )
+        events = rnd.step()
+        if tel.active and self.draft is not None:
+            for row, _, _ in events:
+                tel.metrics.histogram(
+                    f"serve.tenant.{row.key.tenant}.spec_accept_len"
+                ).observe(row.accepted)
+        self._deliver(events)
+
+    def _deliver(self, events: list) -> None:
+        """Stream a round's tokens (one timestamp for the round) and
+        retire the rows it finished.  The round has already released a
+        finished row's slots; nothing can acquire them before this
+        returns (one pump thread), so disarming a KV injector here still
+        restores the bits before the next tenant sees the slot."""
         now = time.perf_counter()
-        still = []
-        for i, request in enumerate(self._active):
-            request.iteration += 1
-            request.position += 1
-            token = _pick(logits[i])
-            if token == self.config.eos_id:
-                self._finish(request, "eos")
-                continue
-            request.handle._push(token, now)
-            if len(request.handle.tokens) >= request.max_new:
-                self._finish(request, "length")
-                continue
-            request.last_token = token
-            still.append(request)
-        self._active = still
-
-    def _spec_round(self, tel) -> None:
-        """One draft-and-verify round over every active row.
-
-        The same round schedule as
-        :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
-        — grouped draft catch-up chunks, batched proposal steps, one
-        target ``forward_chunk_batch`` per distinct chunk length, then
-        per-row commit/rollback — except tokens stream into the handles
-        as they commit and EOS / budget / cancellation retire rows at
-        round granularity.  Per-slot truncation on rollback fires the
-        cache watchers, so a request's pinned KV-fault injector restores
-        its bits and re-arms without disturbing sibling streams.
-
-        Every emitted token is an argmax of target logits over the true
-        emitted prefix, so served streams stay token-identical to serial
-        ``greedy_decode`` regardless of what the draft proposes.
-        """
-        engine, draft = self.engine, self.draft
-        eos = self.config.eos_id
-        active = self._active
-        traced = tel.active
-        depth = self.speculation_depth
-        # Budget rule per row: never propose past max_new (the verify
-        # chunk emits at most gamma + 1 tokens), so "length" lands
-        # exactly, never mid-chunk.
-        gammas = [
-            min(depth, r.max_new - len(r.handle.tokens) - 1) for r in active
-        ]
-        proposals: list[list[int]] = [[] for _ in active]
-        prop = [i for i, g in enumerate(gammas) if g > 0]
-        d_logits: dict[int, np.ndarray] = {}
-        if prop:
-            feeds = {
-                i: active[i].handle.tokens[
-                    active[i].d_len - len(active[i].prompt):
-                ]
-                for i in prop
-            }
-            for group in _by_length(prop, lambda i: len(feeds[i])):
-                logits = draft.forward_chunk_batch(
-                    [feeds[i] for i in group],
-                    [active[i].d_caches for i in group],
-                    [active[i].d_len for i in group],
-                    [len(active[i].handle.tokens) for i in group],
-                )
-                for j, i in enumerate(group):
-                    d_logits[i] = logits[j][-1]
-                    active[i].d_len += len(feeds[i])
-            for step in range(max(gammas)):
-                alive = [i for i in prop if gammas[i] > step]
-                for i in alive:
-                    proposals[i].append(_pick(d_logits[i]))
-                feed = [i for i in alive if gammas[i] > step + 1]
-                if feed:
-                    logits = draft.forward_step_batch(
-                        [proposals[i][-1] for i in feed],
-                        [active[i].d_caches for i in feed],
-                        [active[i].d_len for i in feed],
-                        [
-                            len(active[i].handle.tokens) + step + 1
-                            for i in feed
-                        ],
-                    )
-                    for j, i in enumerate(feed):
-                        d_logits[i] = logits[j]
-                        active[i].d_len += 1
-        target_lens = [r.caches[0].length for r in active]
-        chunks = [
-            [active[i].last_token, *proposals[i]] for i in range(len(active))
-        ]
-        v_logits: dict[int, np.ndarray] = {}
-        for group in _by_length(
-            list(range(len(active))), lambda i: len(chunks[i])
-        ):
-            logits = engine.forward_chunk_batch(
-                [chunks[i] for i in group],
-                [active[i].caches for i in group],
-                [target_lens[i] for i in group],
-                [len(active[i].handle.tokens) for i in group],
-            )
-            for j, i in enumerate(group):
-                v_logits[i] = logits[j]
-        now = time.perf_counter()
-        still: list[_Request] = []
-        for i, request in enumerate(active):
-            chunk, logits = chunks[i], v_logits[i]
-            accepted = 0
-            stop = False
-            for j in range(len(chunk)):
-                token = _pick(logits[j])
-                if token == eos:
-                    stop = True
-                    break
+        for row, tokens, reason in events:
+            request = row.key
+            for token in tokens:
                 request.handle._push(token, now)
-                if j < len(proposals[i]) and token == proposals[i][j]:
-                    accepted += 1
-                    continue
-                break
-            if traced:
-                metrics = tel.metrics
-                metrics.counter("decode.spec_rounds").add()
-                metrics.counter("decode.spec_rejected").add(
-                    gammas[i] - accepted
-                )
-                metrics.histogram("decode.spec_accept_len").observe(accepted)
-                metrics.histogram(
-                    f"serve.tenant.{request.tenant}.spec_accept_len"
-                ).observe(accepted)
-            # Commit the accepted prefix, roll back the rejects: the
-            # per-slot truncation fires KV-cache watchers (pinned fault
-            # injectors restore + re-arm) and leaves sibling slots
-            # untouched.
-            for cache in request.caches:
-                cache.truncate(target_lens[i] + 1 + accepted)
-            request.position = request.caches[0].length
-            request.iteration = len(request.handle.tokens)
-            if stop:
-                self._finish(request, "eos")
-                continue
-            if len(request.handle.tokens) >= request.max_new:
-                self._finish(request, "length")
-                continue
-            request.last_token = request.handle.tokens[-1]
-            keep = request.d_len - max(
-                0, (gammas[i] - 1) - min(accepted, gammas[i] - 1)
-            )
-            for cache in request.d_caches:
-                cache.truncate(keep)
-            request.d_len = keep
-            still.append(request)
-        self._active = still
+            if reason is not None:
+                self._finish(request, reason)
 
     def _finish(
         self, request: _Request, reason: str, admitted: bool = True
     ) -> None:
-        """Retire a request: release its KV slot, terminate its stream,
-        record SLO telemetry."""
+        """Retire a request whose slots the round has released: disarm
+        its KV fault, terminate its stream, record SLO telemetry."""
         if request.kv_injector is not None:
-            # Disarm before the slot goes back to the pool: __exit__
-            # restores the flipped bits so the next tenant inherits a
-            # clean cache, and clears engine.kv_fault for the next
-            # fault-carrying request.
+            # __exit__ restores the flipped bits so the next tenant
+            # inherits a clean cache, and clears engine.kv_fault for the
+            # next fault-carrying request.
             request.handle.kv_fired = bool(request.kv_injector.fired)
             request.kv_injector.__exit__(None, None, None)
             request.kv_injector = None
@@ -724,14 +534,6 @@ class InferenceServer:
             with self._lock:
                 self._kv_fault_inflight -= 1
             request.kv_fault = None
-        if request.slot is not None:
-            self.pool.release(request.slot)
-            request.slot = None
-            request.caches = None
-        if request.d_slot is not None:
-            self.draft_pool.release(request.d_slot)
-            request.d_slot = None
-            request.d_caches = None
         now = time.perf_counter()
         handle = request.handle
         handle._finish(reason, now)
@@ -768,11 +570,12 @@ class InferenceServer:
 
     def _finalize_pending(self, reason: str) -> None:
         """Terminate every queued and active request (pump exit path)."""
+        rnd = self._round
         with self._lock:
-            leftovers: list[tuple[_Request, bool]] = [
-                (r, True) for r in self._active
-            ]
-            self._active = []
+            leftovers: list[tuple[_Request, bool]] = []
+            for row in list(rnd.rows):
+                rnd.drop(row)
+                leftovers.append((row.key, True))
             for state in self._sched.tenants():
                 while state.queue:
                     leftovers.append((state.queue.popleft(), False))

@@ -9,8 +9,9 @@ reference loop:
   ``Session.step`` and agrees at the argmax level for ragged ``B > 1``;
 * greedy and beam decoding produce token-for-token serial outputs,
   including when slots retire and refill mid-run;
-* the FI-safety gate batches exactly when results cannot change —
-  row-scoped injector hooks keep batching, everything else falls back.
+* under an armed row-scoped injector the batched path stays
+  bit-identical to serial (the ``decode_plan`` gate table itself lives
+  in ``test_decode_round.py``).
 
 Campaign-level ``decode_strategy`` bit-identity sweeps are consolidated
 in ``test_differential.py`` behind ``repro.fi.assert_records_equal``.
@@ -23,13 +24,11 @@ from repro.fi import (
     ComputationalFaultInjector,
     FaultModel,
     FaultSite,
-    MemoryFaultInjector,
 )
 from repro.generation import (
     BatchedDecoder,
     GenerationConfig,
     beam_search_decode,
-    decode_batching_safe,
     generate_ids,
     greedy_decode,
 )
@@ -293,42 +292,6 @@ class TestDecodeEquivalence:
 
 
 class TestBatchingSafety:
-    def test_fault_free_is_safe(self, untrained_engine):
-        assert decode_batching_safe(untrained_engine)
-
-    def test_memory_fault_forces_serial(self, untrained_engine):
-        site = FaultSite(
-            FaultModel.MEM_2BIT, "blocks.0.up_proj", 2, 3, bits=(30, 22)
-        )
-        with MemoryFaultInjector(untrained_engine, site):
-            assert not decode_batching_safe(untrained_engine)
-        assert decode_batching_safe(untrained_engine)
-
-    def test_capture_forces_serial(self, untrained_engine):
-        untrained_engine.capture = CaptureState()
-        try:
-            assert not decode_batching_safe(untrained_engine)
-        finally:
-            untrained_engine.capture = None
-
-    def test_unscoped_hook_forces_serial(self, untrained_engine):
-        remove = untrained_engine.hooks.register(
-            "blocks.0.up_proj", lambda out, ctx: None
-        )
-        try:
-            assert not decode_batching_safe(untrained_engine)
-        finally:
-            remove()
-        assert decode_batching_safe(untrained_engine)
-
-    def test_row_scoped_injector_keeps_batching(self, untrained_engine):
-        site = FaultSite(
-            FaultModel.COMP_2BIT, "blocks.0.up_proj", 0, 3, bits=(30, 22),
-            iteration=1,
-        )
-        with ComputationalFaultInjector(untrained_engine, site):
-            assert decode_batching_safe(untrained_engine)
-
     def test_injected_decode_bitwise_matches_serial(self, untrained_engine):
         """B=1 batched decode under an armed one-shot == serial decode."""
         config = _config()

@@ -1,0 +1,281 @@
+"""The one decode round and the one decode plan.
+
+* ``decode_plan``'s gate matrix as a single table: every kind of armed
+  machinery x {armed on the target, armed on the draft} with the
+  expected ``(path, reason)``, and the gate re-opening after disarm.
+* ``DecodeRound`` as a thread-free state machine — admit / step /
+  drop-row with and without a draft, ragged budgets down to 1 — holding
+  slot conservation in both pools after every rule and every retired
+  row to the serial ``greedy_decode`` reference.
+* the offline driver releases its slots when the engine raises.
+"""
+
+from contextlib import contextmanager, nullcontext
+from functools import lru_cache
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.fi import (
+    AccumulatorFaultInjector,
+    ComputationalFaultInjector,
+    FaultModel,
+    FaultSite,
+    KVFaultInjector,
+    MemoryFaultInjector,
+)
+from repro.generation import (
+    BatchedDecoder,
+    DecodeRound,
+    GenerationConfig,
+    decode_plan,
+    greedy_decode,
+)
+from repro.inference import InferenceEngine
+from repro.inference.engine import CaptureState
+from repro.model import ModelConfig, TransformerLM
+from repro.obs.instrument import attach_layer_timing
+
+VOCAB = 64
+PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
+
+
+@lru_cache(maxsize=None)
+def _store(d_model: int, n_blocks: int, seed: int):
+    config = ModelConfig(
+        vocab_size=VOCAB, d_model=d_model, n_heads=2, n_blocks=n_blocks,
+        d_ff=24, max_seq=64,
+    )
+    return TransformerLM(config, seed=seed).to_store()
+
+
+def _target() -> InferenceEngine:
+    return InferenceEngine(_store(24, 2, 5))
+
+
+def _draft() -> InferenceEngine:
+    return InferenceEngine(_store(16, 1, 23))
+
+
+# -- decode_plan: the gate matrix ------------------------------------------------
+
+
+@contextmanager
+def _hook(engine, **scope):
+    remove = engine.hooks.register("blocks.0.up_proj", lambda out, ctx: None, **scope)
+    try:
+        yield
+    finally:
+        remove()
+
+
+@contextmanager
+def _observer(engine):
+    detach = attach_layer_timing(engine)
+    try:
+        yield
+    finally:
+        detach()
+
+
+@contextmanager
+def _capture(engine):
+    engine.capture = CaptureState()
+    try:
+        yield
+    finally:
+        engine.capture = None
+
+
+def _site(model: FaultModel, layer: str = "blocks.0.up_proj") -> FaultSite:
+    bits = (30, 22)[: model.n_bits]
+    return FaultSite(model, layer, 1, 2, bits=bits, iteration=1, row_frac=0.5)
+
+
+ARM = {
+    "clean": lambda e: nullcontext(),
+    "observer_hooks": _observer,
+    "row_scoped_hooks": lambda e: ComputationalFaultInjector(
+        e, _site(FaultModel.COMP_1BIT)
+    ),
+    "kv_fault": lambda e: KVFaultInjector(
+        e, _site(FaultModel.KV_1BIT, "blocks.0.kv")
+    ),
+    "acc_fault": lambda e: AccumulatorFaultInjector(
+        e, _site(FaultModel.ACC_1BIT)
+    ),
+    "capture": _capture,
+    "weight_fault": lambda e: MemoryFaultInjector(
+        e, _site(FaultModel.MEM_2BIT)
+    ),
+    "unscoped_hooks": _hook,
+}
+
+# armed -> (path on the target with a clean draft, path with no draft,
+#           path when it is the *draft* that is armed and the target is clean)
+GATE_MATRIX = {
+    "clean": ("composed", "batched", "composed"),
+    "observer_hooks": ("composed", "batched", "composed"),
+    "row_scoped_hooks": ("batched", "batched", "batched"),
+    "kv_fault": ("batched", "batched", "batched"),
+    "acc_fault": ("batched", "batched", "batched"),
+    "capture": ("serial", "serial", "batched"),
+    "weight_fault": ("serial", "serial", "batched"),
+    "unscoped_hooks": ("serial", "serial", "batched"),
+}
+
+
+@pytest.mark.parametrize("armed", GATE_MATRIX)
+@pytest.mark.parametrize("side", ("target", "draft"))
+def test_gate_matrix(armed, side):
+    engine, draft = _target(), _draft()
+    with_draft, no_draft, draft_armed = GATE_MATRIX[armed]
+    with ARM[armed](engine if side == "target" else draft):
+        if side == "target":
+            assert decode_plan(engine, draft) == (with_draft, armed)
+            assert decode_plan(engine) == (no_draft, armed)
+        else:
+            # Observers on the draft change nothing; anything else names
+            # the draft as the reason and leaves the target's own path.
+            reason = "clean" if draft_armed == "composed" else "draft_" + armed
+            assert decode_plan(engine, draft) == (draft_armed, reason)
+            assert decode_plan(engine) == ("batched", "clean")
+    # Disarming re-opens the gate.
+    assert decode_plan(engine, draft) == ("composed", "clean")
+    assert decode_plan(engine) == ("batched", "clean")
+
+
+def test_unscoped_hook_outranks_sequence_scoped_faults():
+    """A KV fault alone batches; next to an unscoped hook nothing may."""
+    engine = _target()
+    with ARM["kv_fault"](engine), _hook(engine):
+        assert decode_plan(engine, _draft()) == ("serial", "unscoped_hooks")
+
+
+# -- DecodeRound as a state machine ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _eos() -> int:
+    """A token some prompts emit early and others never, so both finish
+    reasons occur."""
+    free = GenerationConfig(max_new_tokens=7, eos_id=-1)
+    outs = [greedy_decode(_target(), p, free, strategy="serial") for p in PROMPTS]
+    return outs[0][3]
+
+
+@lru_cache(maxsize=None)
+def _serial(prompt: tuple, budget: int) -> list[int]:
+    config = GenerationConfig(max_new_tokens=budget, eos_id=_eos())
+    return greedy_decode(_target(), list(prompt), config, strategy="serial")
+
+
+class RoundMachine(RuleBasedStateMachine):
+    @initialize(
+        with_draft=st.booleans(),
+        slots=st.integers(1, 3),
+        draft_slots=st.integers(1, 3),
+        depth=st.integers(1, 4),
+    )
+    def build(self, with_draft, slots, draft_slots, depth):
+        engine = _target()
+        self.pool = engine.new_pool(slots)
+        self.draft_pool = None
+        draft = None
+        if with_draft:
+            draft = _draft()
+            self.draft_pool = draft.new_pool(draft_slots)
+        self.rnd = DecodeRound(
+            engine, self.pool, _eos(),
+            draft=draft, draft_pool=self.draft_pool,
+            depth=depth if with_draft else 0,
+        )
+
+    def _retired(self, row, reason):
+        serial = _serial(tuple(row.prompt), row.budget)
+        assert row.out == serial
+        assert reason == ("length" if len(serial) == row.budget else "eos")
+        assert row not in self.rnd.rows
+
+    @precondition(lambda self: self.rnd.has_room())
+    @rule(prompt=st.sampled_from(PROMPTS), budget=st.integers(1, 7))
+    def admit(self, prompt, budget):
+        row, tokens, reason = self.rnd.admit(object(), prompt, budget)
+        assert tokens == row.out and len(tokens) <= 1
+        if reason is None:
+            assert self.rnd.rows[-1] is row
+        else:
+            self._retired(row, reason)
+
+    @precondition(lambda self: self.rnd.rows)
+    @rule()
+    def step(self):
+        live = list(self.rnd.rows)
+        before = [len(row.out) for row in live]
+        events = self.rnd.step()
+        assert [row for row, _, _ in events] == live
+        for (row, new, reason), n in zip(events, before):
+            assert row.out[n:] == new
+            assert new or reason == "eos"
+            if reason is None:
+                assert row in self.rnd.rows
+            else:
+                self._retired(row, reason)
+
+    @precondition(lambda self: self.rnd.rows)
+    @rule(data=st.data())
+    def drop(self, data):
+        row = data.draw(st.sampled_from(self.rnd.rows))
+        self.rnd.drop(row)
+        serial = _serial(tuple(row.prompt), row.budget)
+        assert row.out == serial[: len(row.out)]
+
+    @invariant()
+    def slots_conserved(self):
+        live = len(self.rnd.rows)
+        assert live + self.pool.n_free == self.pool.n_slots
+        if self.draft_pool is not None:
+            assert live + self.draft_pool.n_free == self.draft_pool.n_slots
+
+
+TestRoundMachine = RoundMachine.TestCase
+TestRoundMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+# -- the offline driver ----------------------------------------------------------
+
+
+def test_driver_releases_slots_when_the_engine_raises():
+    engine = _target()
+    decoder = BatchedDecoder(
+        engine, GenerationConfig(max_new_tokens=6, eos_id=-1), max_batch=2
+    )
+    decoder.decode_many(PROMPTS[:2])  # sizes the pool
+    real = engine.forward_step_batch
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(*args)
+
+    engine.forward_step_batch = failing
+    with pytest.raises(RuntimeError, match="boom"):
+        decoder.decode_many(PROMPTS[:3])
+    del engine.forward_step_batch
+    assert decoder._pool.n_free == decoder._pool.n_slots
+    config = GenerationConfig(max_new_tokens=6, eos_id=-1)
+    assert decoder.decode_many(PROMPTS[:3]) == [
+        greedy_decode(engine, p, config, strategy="serial") for p in PROMPTS[:3]
+    ]

@@ -18,9 +18,7 @@ import pytest
 
 from repro.fi import FaultModel, FICampaign
 from repro.fi.differential import assert_records_equal
-from repro.generation import GenerationConfig
-from repro.generation.batched import decode_batching_safe
-from repro.generation.speculative import decode_speculation_safe
+from repro.generation import GenerationConfig, decode_plan
 from repro.inference import InferenceEngine
 from repro.obs import (
     WatchState,
@@ -135,10 +133,10 @@ class TestPureObserver:
         detach = recorder.attach_front(untrained_engine, iteration=0)
         try:
             assert len(untrained_engine.hooks) > 0
-            assert decode_batching_safe(untrained_engine)
-            assert decode_speculation_safe(
+            assert decode_plan(untrained_engine)[0] == "batched"
+            assert decode_plan(
                 untrained_engine, untrained_engine
-            )
+            )[0] == "composed"
         finally:
             detach()
         assert len(untrained_engine.hooks) == 0

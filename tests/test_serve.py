@@ -21,7 +21,7 @@ Covers the multi-tenant streaming server end to end:
 import numpy as np
 import pytest
 
-from repro.fi import FaultModel
+from repro.fi import FaultModel, FaultSite
 from repro.fi.campaign import FICampaign
 from repro.generation import (
     BatchedDecoder,
@@ -296,6 +296,49 @@ class TestStreamTerminationEdges:
         assert server.pool.n_free == server.pool.n_slots
 
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_engine_raising_during_admission_strands_no_handle(
+        self, untrained_engine
+    ):
+        """A request the pump has dequeued but not yet made a row is in
+        neither the queues nor the batch; when its prompt forward raises
+        it must still finish, give back its slot and its tenant's
+        in-flight count, and disarm its KV fault."""
+        site = FaultSite(
+            FaultModel.KV_1BIT, "blocks.0.kv", 1, 2, bits=(30,),
+            iteration=2, row_frac=0.5, plane="v",
+        )
+        real, calls = untrained_engine.forward, []
+
+        def second_prefill_fails(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args, **kw)
+
+        untrained_engine.forward = second_prefill_fails
+        server = InferenceServer(untrained_engine, _config(), max_batch=2)
+        handles = [
+            server.submit(PROMPTS[0]),
+            server.submit(PROMPTS[1], kv_fault=site),
+            server.submit(PROMPTS[2]),
+        ]
+        server.start()
+        for handle in handles:
+            handle.result(timeout=30)
+            assert handle.finish_reason == "shutdown"
+        assert server.pool.n_free == server.pool.n_slots
+        assert untrained_engine.kv_fault is None
+        assert server.tenant_stats()["default"]["in_flight"] == 0
+        # A dead pump refuses work instead of queueing it forever.
+        with pytest.raises(ServeRejected) as exc_info:
+            server.submit(PROMPTS[3])
+        assert exc_info.value.reason == "shutdown"
+        server.stop()
+
+
 class TestServedSpeculation:
     """The composed fast path live: the pump speculates on decoding rows
     while newly admitted prompts prefill in the same round.  Exactness
@@ -321,6 +364,26 @@ class TestServedSpeculation:
         with self._server(untrained_engine, config) as server:
             handles = [server.submit(p) for p in PROMPTS]
             assert [h.result(timeout=60) for h in handles] == serial
+            self._assert_slots_free(server)
+
+    def test_narrow_draft_pool_caps_admission(self, untrained_engine):
+        """A row needs a slot in *both* pools: a one-slot draft pool
+        under ``max_batch=4`` serves one stream at a time instead of
+        exhausting the draft pool mid-admission."""
+        config = _config(max_new_tokens=10)
+        draft = _draft_for(untrained_engine)
+        serial = [
+            greedy_decode(untrained_engine, p, config, strategy="serial")
+            for p in PROMPTS[:3]
+        ]
+        with InferenceServer(
+            untrained_engine, config, max_batch=4,
+            draft=draft, draft_pool=draft.new_pool(1),
+        ) as server:
+            assert server.max_batch == 1
+            handles = [server.submit(p) for p in PROMPTS[:3]]
+            assert [h.result(timeout=60) for h in handles] == serial
+            assert server.running
             self._assert_slots_free(server)
 
     def test_eos_as_first_token(self, untrained_engine):

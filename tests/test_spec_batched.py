@@ -196,8 +196,9 @@ class TestValidation:
 
 
 class TestGateMatrix:
-    """decode_many picks the fastest path that preserves exact fault
-    semantics; the composed round counter tells which leg actually ran."""
+    """decode_many runs the leg ``decode_plan`` names (the table itself
+    is ``test_decode_round.py::test_gate_matrix``): the plan counter
+    says which leg was chosen, the round counters which one ran."""
 
     def _decode(self, untrained_engine, draft_engine, tel):
         tel.reset()
@@ -227,6 +228,7 @@ class TestGateMatrix:
             untrained_engine, PROMPTS[:3], _config(max_new_tokens=8)
         )
         assert snap["counters"].get("decode.spec_rounds", 0) > 0
+        assert snap["counters"]["decode.plan.composed.observer_hooks"] == 1
 
     def test_row_scoped_hook_routes_batched(
         self, untrained_engine, draft_engine, clean_telemetry
@@ -246,6 +248,7 @@ class TestGateMatrix:
         # Batched leg: occupancy is observed, speculation never runs.
         assert snap["counters"].get("decode.spec_rounds", 0) == 0
         assert "decode.batch_occupancy" in snap["histograms"]
+        assert snap["counters"]["decode.plan.batched.row_scoped_hooks"] == 1
 
     def test_kv_fault_routes_batched(
         self, untrained_engine, draft_engine, clean_telemetry
@@ -261,6 +264,7 @@ class TestGateMatrix:
             )
         assert snap["counters"].get("decode.spec_rounds", 0) == 0
         assert "decode.batch_occupancy" in snap["histograms"]
+        assert snap["counters"]["decode.plan.batched.kv_fault"] == 1
 
     def test_weight_fault_forces_serial(
         self, untrained_engine, draft_engine, clean_telemetry
@@ -277,6 +281,11 @@ class TestGateMatrix:
         )
         assert snap["counters"].get("decode.spec_rounds", 0) == 0
         assert "decode.batch_occupancy" not in snap["histograms"]
+        # One counter per decode entry — the serial loop it falls back
+        # to does not count again.
+        plans = {k: v for k, v in snap["counters"].items()
+                 if k.startswith("decode.plan.")}
+        assert plans == {"decode.plan.serial.weight_fault": 1}
 
 
 class TestComposedTelemetry:

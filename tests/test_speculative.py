@@ -20,7 +20,7 @@ from repro.fi.sites import FaultSite
 from repro.generation import (
     GenerationConfig,
     SpeculativeDecoder,
-    decode_speculation_safe,
+    decode_plan,
     generate_ids,
     greedy_decode,
 )
@@ -174,22 +174,28 @@ class TestConstructionAndGate:
             )
 
     def test_gate_rejects_armed_machinery(self, untrained_engine, draft_engine):
-        assert decode_speculation_safe(untrained_engine, draft_engine)
+        """Arm / disarm sequences on a live pair (the static table is
+        ``test_decode_round.py::test_gate_matrix``)."""
+        assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
         site = FaultSite(
             FaultModel.COMP_2BIT, "blocks.0.up_proj", 0, 1,
             bits=(3, 17), iteration=2,
         )
         with ComputationalFaultInjector(untrained_engine, site):
             # Row-scoped hooks keep *batching* safe but must still
-            # force speculation serial: the iteration<->forward mapping
+            # stand speculation down: the iteration<->forward mapping
             # changes under draft-and-verify.
-            assert not decode_speculation_safe(untrained_engine, draft_engine)
-        assert decode_speculation_safe(untrained_engine, draft_engine)
+            assert decode_plan(untrained_engine, draft_engine) == (
+                "batched", "row_scoped_hooks"
+            )
+        assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
         untrained_engine.capture = CaptureState()
-        assert not decode_speculation_safe(untrained_engine, draft_engine)
+        assert decode_plan(untrained_engine, draft_engine)[0] == "serial"
         untrained_engine.capture = None
         draft_engine.weight_fault_depth = 1
-        assert not decode_speculation_safe(untrained_engine, draft_engine)
+        assert decode_plan(untrained_engine, draft_engine) == (
+            "batched", "draft_weight_fault"
+        )
         draft_engine.weight_fault_depth = 0
 
     def test_gate_admits_pure_observer_hooks(
@@ -208,14 +214,16 @@ class TestConstructionAndGate:
         try:
             assert untrained_engine.fi_active()  # hooks are registered...
             assert untrained_engine.hooks.all_observers()
-            assert decode_speculation_safe(untrained_engine, draft_engine)
+            assert decode_plan(untrained_engine, draft_engine) == (
+                "composed", "observer_hooks"
+            )
             # ...but mixing in one perturbing hook closes the gate.
             remove = untrained_engine.hooks.register(
                 "blocks.0.up_proj", lambda out, ctx: None, row_scoped=True
             )
-            assert not decode_speculation_safe(untrained_engine, draft_engine)
+            assert decode_plan(untrained_engine, draft_engine)[0] == "batched"
             remove()
-            assert decode_speculation_safe(untrained_engine, draft_engine)
+            assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
         finally:
             detach()
 
