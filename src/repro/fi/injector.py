@@ -104,7 +104,7 @@ class ComputationalFaultInjector:
     element of whatever tensor slice it is handed, so batched decoding
     stays enabled while it is armed — under a batched decode step the
     engine applies hooks once per batch row on that row's own
-    ``(1, features)`` slice, and the one-shot strikes exactly one
+    ``(t, features)`` slice, and the one-shot strikes exactly one
     sequence (the first row reaching the target iteration, which is the
     same hypothesis the serial loop would have struck).  ``batch_row``
     optionally pins the strike to a specific batch row instead.

@@ -236,69 +236,51 @@ class InferenceEngine:
     def _linear(
         self,
         x: np.ndarray,
-        layer_name: str,
-        iteration=None,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``x @ W`` for ``(t, D)`` or batched ``(B, t, D)`` input.
-
-        Batched input is flattened to one ``(B*t, D)`` GEMM so all batch
-        elements amortize a single large matmul (and one dispatch)
-        instead of ``B`` stacked ones.
-
-        ``iteration``/``rows`` identify *when* this GEMM runs (scalar
-        generation iteration, or the per-row iteration array plus
-        batch-row ids under the batched decode step) so an armed
-        accumulator fault can strike its sampled reduction mid-GEMM.
-        """
-        w = self._w(layer_name)
-        flat = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
-        out = flat @ w
-        if self.acc_fault is not None:
-            self.acc_fault.maybe_strike(out, flat, w, layer_name, iteration, rows)
-        if x.ndim == 2:
-            return out
-        return out.reshape(*x.shape[:-1], w.shape[1])
-
-    def _emit(
-        self,
-        output: np.ndarray,
         block: int,
         layer: str,
         iteration,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Capture + hook a layer output.
+        """One faultable linear layer over flat ``(N, D)`` input: a
+        single GEMM for every token of every batch row, then the fault
+        surfaces that ride on its output (accumulator strike, hooks,
+        capture).
 
-        ``rows`` is ``None`` for every single-sequence forward.  Under
-        the batched decode step it carries the batch-row index of each
-        leading-axis slice of ``output`` (and ``iteration`` is the
-        aligned per-row iteration array): hooks then run once per row
-        on that row's ``(1, features)`` view — the exact serial shape —
-        with :attr:`HookContext.batch_row` identifying the sequence, so
-        a row-scoped fault strikes exactly one sequence of the batch.
+        ``rows`` is ``None`` on the serial entry.  On the batched
+        entries it carries the (ascending) batch-row index of each
+        token and ``iteration`` is the aligned per-token iteration
+        array: an armed accumulator fault can then strike its sampled
+        reduction in the right row, and hooks run once per sequence on
+        that sequence's contiguous ``(t, features)`` token slice — the
+        exact serial shape — with :attr:`HookContext.batch_row`
+        identifying the sequence, so a row-scoped fault strikes exactly
+        one sequence of the batch.
         """
         full = f"blocks.{block}.{layer}"
+        w = self._w(full)
+        output = x @ w
+        if self.acc_fault is not None:
+            self.acc_fault.maybe_strike(output, x, w, full, iteration, rows)
         if self.hooks.has(full):
             if rows is None:
                 output = self.hooks.apply(
                     output, HookContext(block, layer, iteration, full)
                 )
             else:
-                for i, row in enumerate(rows):
-                    view = output[i : i + 1]
-                    result = self.hooks.apply(
-                        view,
-                        HookContext(
-                            block,
-                            layer,
-                            int(iteration[i]),
-                            full,
-                            batch_row=int(row),
-                        ),
+                # Plain-Python run detection: cheaper than np.diff at
+                # decode sizes (N = B*t is a few dozen tokens at most).
+                ids, start = rows.tolist(), 0
+                for stop in range(1, len(ids) + 1):
+                    if stop < len(ids) and ids[stop] == ids[start]:
+                        continue
+                    view = output[start:stop]
+                    ctx = HookContext(
+                        block, layer, int(iteration[start]), full, batch_row=ids[start]
                     )
+                    result = self.hooks.apply(view, ctx)
                     if result is not view:
-                        output[i : i + 1] = result
+                        output[start:stop] = result
+                    start = stop
         if self.capture is not None:
             # Captured after hooks so propagation traces see injected
             # computational faults in the injected layer's own output.
@@ -309,82 +291,82 @@ class InferenceEngine:
         self,
         x: np.ndarray,
         block: int,
-        cache: KVCache,
-        start_pos: int,
-        iteration: int,
-        allowed: np.ndarray | None,
+        row_caches: list[list[KVCache]],
+        cos: np.ndarray,
+        sin: np.ndarray,
+        masks,
+        iteration,
+        rows: np.ndarray | None,
+        shared: bool,
     ) -> np.ndarray:
-        """Causal attention for one block.
+        """Causal attention for one block over flat ``(B*t, D)`` input.
 
-        ``x`` is ``(t, D)`` for the incremental/prefill path (new K/V
-        are appended to ``cache``) or ``(B, t, D)`` for the batched
-        path, where every batch element attends to the *shared*,
-        read-only prefix in ``cache`` plus its own chunk — the cache is
-        not advanced.  ``allowed`` is the causal mask precomputed once
-        per forward (``None`` when ``t == 1``): over all positions for
-        the 2D path, over the chunk only for the batched path (the
-        prefix is fully visible).
+        Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
+        shared GEMMs / broadcasts; the core has two legs:
+
+        * **own cache** — per row, append the row's new K/V to
+          ``row_caches[i][block]``, let an armed KV fault latch, then
+          score against that cache (prefix + chunk) under ``masks[i]``
+          (``masks`` is ``None`` when ``t == 1``).  Rows are ragged, so
+          this is a loop; each row's slices have the strides of a
+          single-sequence forward, so a batch of width 1 is
+          bit-identical to it.
+        * **shared prefix** (``shared``) — every row attends to the one
+          read-only cache ``row_caches[0][block]`` plus its own chunk
+          (``masks`` is the ``(t, t)`` chunk mask; the prefix is fully
+          visible) in one split softmax vectorised across rows; the
+          cache is not advanced.
         """
         cfg = self.config
-        prefix = f"blocks.{block}."
-        batched = x.ndim == 3
-        t = x.shape[-2]
         heads, hd = cfg.n_heads, cfg.head_dim
-
-        q = self._emit(
-            self._linear(x, prefix + "q_proj", iteration), block, "q_proj", iteration
-        )
-        k = self._emit(
-            self._linear(x, prefix + "k_proj", iteration), block, "k_proj", iteration
-        )
-        v = self._emit(
-            self._linear(x, prefix + "v_proj", iteration), block, "v_proj", iteration
-        )
-
-        # (..., t, D) -> (..., heads, t, hd)
-        split = (*x.shape[:-1], heads, hd)
-        q = q.reshape(split).swapaxes(-3, -2)
-        k = k.reshape(split).swapaxes(-3, -2)
-        v = v.reshape(split).swapaxes(-3, -2)
-
-        cos = self._cos[start_pos : start_pos + t]
-        sin = self._sin[start_pos : start_pos + t]
+        batch, t = cos.shape[0], cos.shape[2]
+        half = hd // 2
 
         def rot(a: np.ndarray) -> np.ndarray:
-            half = hd // 2
             rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
             return a * cos + rotated * sin
 
-        q, k = rot(q), rot(k)
+        # (B*t, D) -> (B, heads, t, hd)
+        split = (batch, t, heads, hd)
+        q = self._linear(x, block, "q_proj", iteration, rows)
+        k = self._linear(x, block, "k_proj", iteration, rows)
+        v = self._linear(x, block, "v_proj", iteration, rows)
+        q = rot(q.reshape(split).swapaxes(1, 2))
+        k = rot(k.reshape(split).swapaxes(1, 2))
+        v = v.reshape(split).swapaxes(1, 2)
         scale = np.float32(hd**-0.5)
-        if not batched:
-            cache.append(k, v)
-            if self.kv_fault is not None:
-                self.kv_fault.on_append(block, cache, iteration)
-            keys, values = cache.keys(), cache.values()
-            scores = (q @ keys.swapaxes(-1, -2)) * scale
-            if allowed is not None:
-                scores = np.where(allowed[None], scores, np.float32(-1e9))
-            attn = softmax_np(scores, axis=-1)
-            ctx = (attn @ values).transpose(1, 0, 2).reshape(t, cfg.d_model)
-        else:
-            pk, pv = cache.keys(), cache.values()  # (heads, P, hd), shared
+        if shared:
+            cache = row_caches[0][block]
+            pk, pv = cache.keys(), cache.values()  # (heads, P, hd)
             scores_prefix = (q @ pk.swapaxes(-1, -2)) * scale  # (B, heads, t, P)
             scores_self = (q @ k.swapaxes(-1, -2)) * scale  # (B, heads, t, t)
-            if allowed is not None:
+            if masks is not None:
                 scores_self = np.where(
-                    allowed[None, None], scores_self, np.float32(-1e9)
+                    masks[None, None], scores_self, np.float32(-1e9)
                 )
             scores = np.concatenate([scores_prefix, scores_self], axis=-1)
             attn = softmax_np(scores, axis=-1)
             p = cache.length
-            ctx = attn[..., :p] @ pv + attn[..., p:] @ v
-            ctx = ctx.swapaxes(-3, -2).reshape(x.shape[0], t, cfg.d_model)
-        return self._emit(
-            self._linear(ctx, prefix + "out_proj", iteration),
-            block,
-            "out_proj",
-            iteration,
+            ctx = (attn[..., :p] @ pv + attn[..., p:] @ v).swapaxes(1, 2)
+        else:
+            ctx = np.empty(split, dtype=np.float32)
+            for i in range(batch):
+                cache = row_caches[i][block]
+                cache.append(k[i], v[i])
+                if self.kv_fault is not None:
+                    self.kv_fault.on_append(
+                        block,
+                        cache,
+                        iteration if rows is None else int(iteration[i * t]),
+                    )
+                keys, values = cache.keys(), cache.values()
+                scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
+                if masks is not None:
+                    scores = np.where(masks[i][None], scores, np.float32(-1e9))
+                attn = softmax_np(scores, axis=-1)
+                ctx[i] = (attn @ values).swapaxes(0, 1)
+        return self._linear(
+            ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows
         )
 
     def _mlp(
@@ -395,29 +377,11 @@ class InferenceEngine:
         expert: int | None = None,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        prefix = f"blocks.{block}."
         tag = "" if expert is None else f"experts.{expert}."
-        gate = self._emit(
-            self._linear(h, prefix + tag + "gate_proj", iteration, rows),
-            block,
-            tag + "gate_proj",
-            iteration,
-            rows,
-        )
-        up = self._emit(
-            self._linear(h, prefix + tag + "up_proj", iteration, rows),
-            block,
-            tag + "up_proj",
-            iteration,
-            rows,
-        )
-        out = silu_np(gate) * up
-        return self._emit(
-            self._linear(out, prefix + tag + "down_proj", iteration, rows),
-            block,
-            tag + "down_proj",
-            iteration,
-            rows,
+        gate = self._linear(h, block, tag + "gate_proj", iteration, rows)
+        up = self._linear(h, block, tag + "up_proj", iteration, rows)
+        return self._linear(
+            silu_np(gate) * up, block, tag + "down_proj", iteration, rows
         )
 
     def _moe(
@@ -427,24 +391,12 @@ class InferenceEngine:
         iteration,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Token-wise expert routing over flat ``(N, D)`` input (so
+        expert-selection capture records ``(N, top_k)`` rows,
+        batch-major); each expert sees only its tokens, with their
+        per-token ``iteration``/``rows`` on the batched entries."""
         cfg = self.config
-        if h.ndim == 3:
-            # Expert routing is token-wise, so the batched path flattens
-            # the leading axes (expert-selection capture then records
-            # (B*t, top_k) rows, batch-major).
-            batch, t, d = h.shape
-            return self._moe(h.reshape(batch * t, d), block, iteration).reshape(
-                batch, t, d
-            )
-        prefix = f"blocks.{block}."
-        router_logits = self._emit(
-            self._linear(h, prefix + "router", iteration, rows),
-            block,
-            "router",
-            iteration,
-            rows,
-        )
-        t = h.shape[0]
+        router_logits = self._linear(h, block, "router", iteration, rows)
         k = cfg.top_k
         top = np.argpartition(router_logits, -k, axis=-1)[:, -k:]
         # Order selected experts by descending logit for stable records.
@@ -474,6 +426,92 @@ class InferenceEngine:
             out[sel] += expert_out * weight
         return out
 
+    def _forward_rows(
+        self,
+        ids: np.ndarray,
+        row_caches: list[list[KVCache]],
+        positions,
+        iteration,
+        rows: np.ndarray | None,
+        shared: bool = False,
+    ) -> np.ndarray:
+        """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
+        starting at ``positions[i]`` and appending to its own
+        ``row_caches[i]`` (or, under ``shared``, every row reading the
+        single cache list ``row_caches[0]``; see :meth:`_attention`).
+
+        ``iteration``/``rows`` are the caller's scalar and ``None`` for
+        the serial entry, or the per-row iterations and ``arange(B)``
+        for the batched entries (expanded per token here,
+        since activations stay flat ``(B*t, D)`` outside attention).
+        Returns flat ``(B*t, vocab)`` logits.
+        """
+        cfg = self.config
+        batch, t = ids.shape
+        positions = np.asarray(positions, dtype=np.int64)
+        # Checked before any cache, hook or GEMM is touched, so a full
+        # cache fails the same way on every entry and corrupts nothing.
+        if batch and int(positions.max()) + t > cfg.max_seq:
+            raise ValueError(
+                f"KV cache overflow: {int(positions.max())} + {t} > {cfg.max_seq}"
+            )
+        tel = _telemetry()
+        t0 = None
+        if tel.active:
+            t0 = tel.marks["forward_start"] = time.perf_counter()
+        offs = np.arange(t)
+        # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
+        gather = positions[:, None] + offs
+        cos = self._cos[gather][:, None]  # (B, 1, t, hd)
+        sin = self._sin[gather][:, None]
+        # The causal masks only depend on (positions, t), so build them
+        # once per forward instead of once per block: the prefix is
+        # fully visible, the chunk is causal within itself.
+        masks = None
+        if t > 1 and shared:
+            masks = offs[None, :] <= offs[:, None]
+        elif t > 1:
+            masks = [
+                np.arange(int(p) + t)[None, :] <= (int(p) + offs)[:, None]
+                for p in positions
+            ]
+        if rows is not None:
+            iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
+        # Corrupted weights legitimately overflow float32 (an MSB
+        # exponent flip scales a value by ~2^128); inf/nan propagation
+        # *is* the studied behaviour, so silence the warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = self._plain["embed.weight"][ids.reshape(-1)]
+            for b in range(cfg.n_blocks):
+                prefix = f"blocks.{b}."
+                h = rms_norm_np(
+                    x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
+                )
+                x = x + self._attention(
+                    h, b, row_caches, cos, sin, masks, iteration, rows, shared
+                )
+                h = rms_norm_np(
+                    x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
+                )
+                if cfg.is_moe:
+                    x = x + self._moe(h, b, iteration, rows)
+                else:
+                    x = x + self._mlp(h, b, iteration, rows=rows)
+            x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
+            logits = x @ self._plain["lm_head.weight"]
+        if t0 is not None:
+            metrics = tel.metrics
+            metrics.histogram("engine.forward_ms").observe(
+                (time.perf_counter() - t0) * 1e3
+            )
+            metrics.counter("engine.forward_calls").add()
+            metrics.counter("engine.tokens").add(ids.size)
+            metrics.gauge("engine.kv_occupancy").set(
+                max((c[0].length for c in row_caches if c), default=0)
+                / cfg.max_seq
+            )
+        return logits
+
     def forward(
         self,
         tokens: np.ndarray | list[int],
@@ -490,73 +528,19 @@ class InferenceEngine:
         already in ``caches`` (one large matmul per linear layer instead
         of ``B`` small ones), the caches are left untouched, and logits
         come back as ``(B, t, vocab)``.  Hooks and capture observe the
-        batched ``(B, t, ...)`` tensors in that mode — callers that need
-        exact single-sequence fault semantics must check
-        :meth:`fi_active` first and use the unbatched path.
+        flattened batch-major ``(B*t, ...)`` tensors in that mode —
+        callers that need exact single-sequence fault semantics must
+        check :meth:`fi_active` first and use the unbatched path.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim not in (1, 2):
             raise ValueError(f"tokens must be 1-D or rectangular 2-D, got {ids.shape}")
-        # Corrupted weights legitimately overflow float32 (an MSB
-        # exponent flip scales a value by ~2^128); inf/nan propagation
-        # *is* the studied behaviour, so silence the warnings.
-        tel = _telemetry()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if not tel.active:
-                return self._forward_impl(ids, caches, start_pos, iteration)
-            t0 = time.perf_counter()
-            tel.marks["forward_start"] = t0
-            out = self._forward_impl(ids, caches, start_pos, iteration)
-            metrics = tel.metrics
-            metrics.histogram("engine.forward_ms").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
-            metrics.counter("engine.forward_calls").add()
-            metrics.counter("engine.tokens").add(ids.size)
-            if caches:
-                metrics.gauge("engine.kv_occupancy").set(
-                    caches[0].length / caches[0].max_seq
-                )
-            return out
-
-    def _forward_impl(
-        self,
-        ids: np.ndarray,
-        caches: list[KVCache],
-        start_pos: int,
-        iteration: int,
-    ) -> np.ndarray:
-        cfg = self.config
-        x = self._plain["embed.weight"][ids]
-        t = ids.shape[-1]
-        # The causal mask only depends on (start_pos, t), so build it
-        # once per forward instead of once per block.  Batched chunks
-        # mask within the chunk only — the shared prefix is fully
-        # visible to every row.
-        allowed: np.ndarray | None = None
-        if t > 1:
-            new = np.arange(t)
-            if ids.ndim == 1:
-                pos = np.arange(start_pos + t)
-                allowed = pos[None, :] <= (start_pos + new)[:, None]
-            else:
-                allowed = new[None, :] <= new[:, None]
-        for b in range(cfg.n_blocks):
-            prefix = f"blocks.{b}."
-            h = rms_norm_np(
-                x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
-            )
-            x = x + self._attention(h, b, caches[b], start_pos, iteration, allowed)
-            h = rms_norm_np(x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps)
-            if cfg.is_moe:
-                x = x + self._moe(h, b, iteration)
-            else:
-                x = x + self._mlp(h, b, iteration)
-        x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-        if x.ndim == 2:
-            return x @ self._plain["lm_head.weight"]
-        head = self._plain["lm_head.weight"]
-        return (x.reshape(-1, x.shape[-1]) @ head).reshape(*x.shape[:-1], -1)
+        if ids.ndim == 1:
+            return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
+        batch, t = ids.shape
+        return self._forward_rows(
+            ids, [caches], [start_pos] * batch, iteration, None, shared=True
+        ).reshape(batch, t, -1)
 
     def forward_step_batch(
         self,
@@ -578,7 +562,7 @@ class InferenceEngine:
         ``Session.step`` path shape-for-shape, so results are
         bit-identical and fault hooks observe identical tensors.
 
-        Hooks are applied per row (see :meth:`_emit`); activation
+        Hooks are applied per row (see :meth:`_linear`); activation
         capture is not supported on this path — use the serial forward.
         Returns logits of shape ``(B, vocab)``.
         """
@@ -594,116 +578,8 @@ class InferenceEngine:
             raise ValueError(
                 f"{ids.shape[0]} tokens but {len(row_caches)} cache rows"
             )
-        pos = np.asarray(positions, dtype=np.int64)
-        its = np.asarray(iterations, dtype=np.int64)
-        tel = _telemetry()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if not tel.active:
-                return self._step_batch_impl(ids, row_caches, pos, its)
-            t0 = time.perf_counter()
-            out = self._step_batch_impl(ids, row_caches, pos, its)
-            metrics = tel.metrics
-            metrics.histogram("engine.forward_ms").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
-            metrics.counter("engine.forward_calls").add()
-            metrics.counter("engine.tokens").add(ids.size)
-            return out
-
-    def _step_batch_impl(
-        self,
-        ids: np.ndarray,
-        row_caches: list[list[KVCache]],
-        positions: np.ndarray,
-        iterations: np.ndarray,
-    ) -> np.ndarray:
-        cfg = self.config
-        rows = np.arange(ids.shape[0])
-        x = self._plain["embed.weight"][ids]  # (B, D)
-        cos = self._cos[positions][:, None, :]  # (B, 1, hd)
-        sin = self._sin[positions][:, None, :]
-        for b in range(cfg.n_blocks):
-            prefix = f"blocks.{b}."
-            h = rms_norm_np(
-                x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
-            )
-            x = x + self._attention_step(
-                h, b, row_caches, cos, sin, iterations, rows
-            )
-            h = rms_norm_np(x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps)
-            if cfg.is_moe:
-                x = x + self._moe(h, b, iterations, rows=rows)
-            else:
-                x = x + self._mlp(h, b, iterations, rows=rows)
-        x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-        return x @ self._plain["lm_head.weight"]
-
-    def _attention_step(
-        self,
-        x: np.ndarray,
-        block: int,
-        row_caches: list[list[KVCache]],
-        cos: np.ndarray,
-        sin: np.ndarray,
-        iterations: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Attention for one batched decode step: shared projections,
-        per-row cache append + score/softmax/context (rows are ragged —
-        each attends to its own cache's filled prefix plus itself)."""
-        cfg = self.config
-        prefix = f"blocks.{block}."
-        heads, hd = cfg.n_heads, cfg.head_dim
-        batch = x.shape[0]
-
-        q = self._emit(
-            self._linear(x, prefix + "q_proj", iterations, rows),
-            block,
-            "q_proj",
-            iterations,
-            rows,
-        )
-        k = self._emit(
-            self._linear(x, prefix + "k_proj", iterations, rows),
-            block,
-            "k_proj",
-            iterations,
-            rows,
-        )
-        v = self._emit(
-            self._linear(x, prefix + "v_proj", iterations, rows),
-            block,
-            "v_proj",
-            iterations,
-            rows,
-        )
-        q = q.reshape(batch, heads, hd)
-        k = k.reshape(batch, heads, hd)
-        v = v.reshape(batch, heads, hd)
-        half = hd // 2
-
-        def rot(a: np.ndarray) -> np.ndarray:
-            rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
-            return a * cos + rotated * sin
-
-        q, k = rot(q), rot(k)
-        scale = np.float32(hd**-0.5)
-        ctx = np.empty((batch, cfg.d_model), dtype=np.float32)
-        for i in range(batch):
-            cache = row_caches[i][block]
-            cache.append(k[i][:, None, :], v[i][:, None, :])
-            if self.kv_fault is not None:
-                self.kv_fault.on_append(block, cache, int(iterations[i]))
-            keys, values = cache.keys(), cache.values()
-            scores = (q[i][:, None, :] @ keys.swapaxes(-1, -2)) * scale
-            attn = softmax_np(scores, axis=-1)
-            ctx[i] = (attn @ values).transpose(1, 0, 2).reshape(cfg.d_model)
-        return self._emit(
-            self._linear(ctx, prefix + "out_proj", iterations, rows),
-            block,
-            "out_proj",
-            iterations,
-            rows,
+        return self._forward_rows(
+            ids[:, None], row_caches, positions, iterations, np.arange(ids.shape[0])
         )
 
     def forward_chunk_batch(
@@ -739,11 +615,12 @@ class InferenceEngine:
         receives per-row ``on_append`` callbacks against per-row
         caches, so slot-pinned injectors latch exactly as they would on
         that row's serial decode.  Hooks observe per-row
-        ``(1, t, features)`` views (only *observer* hooks are admitted
-        here by the FI gates); activation capture is rejected and an
-        armed accumulator fault never strikes on this path — the
-        composed-decode gate matrix routes capture/acc/non-observer
-        machinery to the batched or serial paths instead.
+        ``(t, features)`` views — the serial chunk shape (only
+        *observer* hooks are admitted here by the FI gates); activation
+        capture and an armed accumulator fault are rejected on this
+        path — the composed-decode gate matrix routes
+        capture/acc/non-observer machinery to the batched or serial
+        paths instead.
 
         Returns logits of shape ``(B, t, vocab)``.
         """
@@ -768,126 +645,9 @@ class InferenceEngine:
             raise ValueError(
                 f"{ids.shape[0]} chunk rows but {len(row_caches)} cache rows"
             )
-        pos = np.asarray(positions, dtype=np.int64)
-        its = np.asarray(iterations, dtype=np.int64)
-        tel = _telemetry()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if not tel.active:
-                return self._chunk_batch_impl(ids, row_caches, pos, its)
-            t0 = time.perf_counter()
-            out = self._chunk_batch_impl(ids, row_caches, pos, its)
-            metrics = tel.metrics
-            metrics.histogram("engine.forward_ms").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
-            metrics.counter("engine.forward_calls").add()
-            metrics.counter("engine.tokens").add(ids.size)
-            return out
-
-    def _chunk_batch_impl(
-        self,
-        ids: np.ndarray,
-        row_caches: list[list[KVCache]],
-        positions: np.ndarray,
-        iterations: np.ndarray,
-    ) -> np.ndarray:
-        cfg = self.config
-        batch, t = ids.shape
-        rows = np.arange(batch)
-        offs = np.arange(t)
-        x = self._plain["embed.weight"][ids]  # (B, t, D)
-        # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
-        gather = positions[:, None] + offs[None, :]
-        cos = self._cos[gather][:, None, :, :]  # (B, 1, t, hd)
-        sin = self._sin[gather][:, None, :, :]
-        # Ragged prefix lengths make the causal masks per-row: the
-        # prefix is fully visible, the chunk is causal within itself —
-        # the same mask the 1-D chunked forward builds from start_pos.
-        masks: list[np.ndarray | None]
-        if t > 1:
-            masks = [
-                np.arange(int(p) + t)[None, :] <= (int(p) + offs)[:, None]
-                for p in positions
-            ]
-        else:
-            masks = [None] * batch
-        for b in range(cfg.n_blocks):
-            prefix = f"blocks.{b}."
-            h = rms_norm_np(
-                x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
-            )
-            x = x + self._attention_chunk(
-                h, b, row_caches, cos, sin, masks, iterations, rows
-            )
-            h = rms_norm_np(x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps)
-            if cfg.is_moe:
-                x = x + self._moe(h, b, iterations, rows=rows)
-            else:
-                x = x + self._mlp(h, b, iterations, rows=rows)
-        x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-        head = self._plain["lm_head.weight"]
-        return (x.reshape(-1, x.shape[-1]) @ head).reshape(batch, t, -1)
-
-    def _attention_chunk(
-        self,
-        x: np.ndarray,
-        block: int,
-        row_caches: list[list[KVCache]],
-        cos: np.ndarray,
-        sin: np.ndarray,
-        masks: "list[np.ndarray | None]",
-        iterations: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Attention for one batched multi-token chunk: shared
-        projections, per-row cache append + masked score/softmax/context
-        (rows are ragged — each attends to its own cache's filled prefix
-        plus its own chunk)."""
-        cfg = self.config
-        prefix = f"blocks.{block}."
-        heads, hd = cfg.n_heads, cfg.head_dim
-        batch, t, _ = x.shape
-
-        q = self._emit(
-            self._linear(x, prefix + "q_proj"), block, "q_proj", iterations, rows
-        )
-        k = self._emit(
-            self._linear(x, prefix + "k_proj"), block, "k_proj", iterations, rows
-        )
-        v = self._emit(
-            self._linear(x, prefix + "v_proj"), block, "v_proj", iterations, rows
-        )
-        split = (batch, t, heads, hd)
-        q = q.reshape(split).swapaxes(1, 2)  # (B, heads, t, hd)
-        k = k.reshape(split).swapaxes(1, 2)
-        v = v.reshape(split).swapaxes(1, 2)
-        half = hd // 2
-
-        def rot(a: np.ndarray) -> np.ndarray:
-            rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
-            return a * cos + rotated * sin
-
-        q, k = rot(q), rot(k)
-        scale = np.float32(hd**-0.5)
-        ctx = np.empty((batch, t, cfg.d_model), dtype=np.float32)
-        for i in range(batch):
-            cache = row_caches[i][block]
-            cache.append(k[i], v[i])
-            if self.kv_fault is not None:
-                self.kv_fault.on_append(block, cache, int(iterations[i]))
-            keys, values = cache.keys(), cache.values()
-            scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
-            if masks[i] is not None:
-                scores = np.where(masks[i][None], scores, np.float32(-1e9))
-            attn = softmax_np(scores, axis=-1)
-            ctx[i] = (attn @ values).transpose(1, 0, 2).reshape(t, cfg.d_model)
-        return self._emit(
-            self._linear(ctx, prefix + "out_proj"),
-            block,
-            "out_proj",
-            iterations,
-            rows,
-        )
+        return self._forward_rows(
+            ids, row_caches, positions, iterations, np.arange(ids.shape[0])
+        ).reshape(*ids.shape, -1)
 
     def new_caches(self) -> list[KVCache]:
         cfg = self.config

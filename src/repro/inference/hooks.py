@@ -26,21 +26,26 @@ class HookContext:
     increments it — the granularity at which the paper samples
     computational-fault timing.
 
-    The hooked output is normally ``(t, features)``.  Under the
-    engine's batched forward (shared-prefix option scoring) it carries
-    a leading batch axis — ``(B, t, features)`` — with one slice per
-    scored option/hypothesis; batched forwards are only taken when
-    ``InferenceEngine.fi_active()`` is false, so fault-injection hooks
-    never observe batched tensors unless registered mid-flight.
+    The hooked output is ``(t, features)`` — one sequence's tokens — on
+    every entry that decodes sequences.  On the serial
+    :meth:`InferenceEngine.forward` that is the whole layer output and
+    ``batch_row`` is ``None``.  On the batched entries
+    (:meth:`InferenceEngine.forward_step_batch`, ``t == 1``, and
+    :meth:`InferenceEngine.forward_chunk_batch`) hooks are applied once
+    per batch row, each invocation receiving that row's contiguous
+    ``(t, features)`` token slice — exactly the serial shape — with
+    ``batch_row`` set to the row index and ``iteration`` to the row's
+    own generation-iteration count (an ``int``; MoE router and expert
+    hooks included, each seeing only that row's routed tokens).  A hook
+    that targets one sequence of a batch can therefore filter on
+    ``batch_row`` (the continuous-batching FI gate).
 
-    Under the engine's *batched decode step*
-    (:meth:`InferenceEngine.forward_step_batch`) hooks are instead
-    applied once per batch row, each invocation receiving that row's
-    ``(1, features)`` slice — exactly the serial single-token shape —
-    with ``batch_row`` set to the row index and ``iteration`` to the
-    row's own generation-iteration count.  ``batch_row`` is ``None`` on
-    every unbatched forward, so a hook that targets one sequence of a
-    batch can filter on it (the continuous-batching FI gate).
+    Only the shared-prefix mode of ``forward`` (2-D ids, option
+    scoring) hands hooks more than one sequence: the flattened
+    batch-major ``(B*t, features)`` output with ``batch_row`` ``None``.
+    It is only taken when ``InferenceEngine.fi_active()`` is false, so
+    fault-injection hooks never observe it unless registered
+    mid-flight.
     """
 
     block: int

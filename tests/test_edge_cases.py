@@ -37,9 +37,23 @@ class TestSequenceLimits:
         session = engine.start_session([1, 2, 3, 4])
         for token in (5, 6, 7, 8):
             session.step(token)
-        # Cache is now full; one more step must fail loudly, not corrupt.
-        with pytest.raises(ValueError):
-            session.step(9)
+        # Cache is now full; one more token through any entry must fail
+        # loudly and the same way, before a hook fires or a cache moves.
+        fired = []
+        for name in engine.linear_layer_names():
+            engine.hooks.register(name, lambda out, ctx: fired.append(ctx.full_name))
+        overflows = (
+            lambda: session.step(9),
+            lambda: engine.forward([9, 10], session.caches, 7, 5),
+            lambda: engine.forward(np.array([[9], [10]]), session.caches, 8, 5),
+            lambda: engine.forward_step_batch([9], [session.caches], [8], [5]),
+            lambda: engine.forward_chunk_batch([[9, 10]], [session.caches], [7], [5]),
+        )
+        for overflow in overflows:
+            with pytest.raises(ValueError, match="KV cache overflow"):
+                overflow()
+        assert [c.length for c in session.caches] == [8]
+        assert fired == []
 
     def test_option_scoring_near_limit(self, untrained_engine):
         max_seq = untrained_engine.config.max_seq

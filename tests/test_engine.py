@@ -126,6 +126,178 @@ class TestHooks:
         assert top.max() < 4
 
 
+def feed(engine, entry, chunk, caches, start, iteration):
+    """One sequence's ``chunk`` through a public entry at batch width 1;
+    logits come back ``(len(chunk), vocab)`` whichever entry ran."""
+    if entry == "forward":
+        return engine.forward(chunk, caches, start, iteration)
+    if entry == "step":
+        return engine.forward_step_batch(chunk, [caches], [start], [iteration])
+    return engine.forward_chunk_batch([chunk], [caches], [start], [iteration])[0]
+
+
+def run_chunks(engine, entry, chunks):
+    """Feed ``chunks`` in order into fresh caches with a recording hook
+    on every linear layer: ``(logits per chunk, caches, hook trace)``."""
+    trace = []
+
+    def record(out, ctx):
+        trace.append(
+            (ctx.full_name, ctx.iteration, ctx.batch_row, out.shape, out.copy())
+        )
+
+    removes = [
+        engine.hooks.register(name, record) for name in engine.linear_layer_names()
+    ]
+    caches, logits, start = engine.new_caches(), [], 0
+    try:
+        for iteration, chunk in enumerate(chunks):
+            logits.append(feed(engine, entry, chunk, caches, start, iteration))
+            start += len(chunk)
+    finally:
+        for remove in removes:
+            remove()
+    return logits, caches, trace
+
+
+def assert_caches_equal(caches, reference):
+    for cache, ref in zip(caches, reference):
+        assert cache.length == ref.length
+        np.testing.assert_array_equal(cache.keys(), ref.keys())
+        np.testing.assert_array_equal(cache.values(), ref.values())
+
+
+class TestOneForward:
+    """The three public entries are adapters over one rows kernel."""
+
+    @pytest.mark.parametrize("engine_fixture", ["untrained_engine", "moe_engine"])
+    @pytest.mark.parametrize(
+        "entry,t",
+        [("step", 1), ("chunk", 1), ("chunk", 3), ("chunk", len(TOKENS))],
+    )
+    def test_width_one_is_the_serial_forward(
+        self, request, engine_fixture, entry, t
+    ):
+        engine = request.getfixturevalue(engine_fixture)
+        chunks = [TOKENS[i : i + t] for i in range(0, len(TOKENS), t)]
+        ref_logits, ref_caches, ref_trace = run_chunks(engine, "forward", chunks)
+        logits, caches, trace = run_chunks(engine, entry, chunks)
+        for got, want in zip(logits, ref_logits):
+            np.testing.assert_array_equal(got, want)
+        assert_caches_equal(caches, ref_caches)
+        # Same hooks, in the same order, on the same (t, features)
+        # tensors; only batch_row tells the entries apart.
+        assert len(trace) == len(ref_trace)
+        for (name, it, row, shape, out), ref in zip(trace, ref_trace):
+            assert (name, it, shape) == (ref[0], ref[1], ref[3])
+            assert row == 0 and ref[2] is None
+            np.testing.assert_array_equal(out, ref[4])
+
+    @pytest.mark.parametrize("entry,t", [("step", 1), ("chunk", 1), ("chunk", 3)])
+    def test_ragged_batch_matches_serial(self, untrained_engine, entry, t):
+        engine = untrained_engine
+        sessions = [
+            engine.start_session(p)
+            for p in ([3, 5, 7], [11, 13, 17, 19, 4], [23, 29])
+        ]
+        rows = [s.fork() for s in sessions]
+        chunks = [c[:t] for c in ([4, 8, 15], [16, 23, 42], [9, 2, 6])]
+        positions = [s.position for s in sessions]
+        serial = [
+            engine.forward(c, s.caches, s.position, 1)
+            for s, c in zip(sessions, chunks)
+        ]
+        row_caches = [r.caches for r in rows]
+        if entry == "step":
+            batched = engine.forward_step_batch(
+                [c[0] for c in chunks], row_caches, positions, [1, 1, 1]
+            )[:, None]
+        else:
+            batched = engine.forward_chunk_batch(
+                chunks, row_caches, positions, [1, 1, 1]
+            )
+        for row, ref in enumerate(serial):
+            np.testing.assert_allclose(batched[row], ref, rtol=2e-5, atol=1e-5)
+            np.testing.assert_array_equal(
+                batched[row].argmax(axis=-1), ref.argmax(axis=-1)
+            )
+            assert [c.length for c in row_caches[row]] == [
+                c.length for c in sessions[row].caches
+            ]
+
+    def test_moe_chunk_hooks_are_per_sequence(self, moe_engine):
+        """Router and expert hooks on a MoE chunk batch get an int
+        iteration, the row's batch_row and only that row's tokens (an
+        ``attach_front``-style probe compares ``ctx.iteration``)."""
+        seen = []
+
+        def probe(out, ctx):
+            if ctx.iteration == 2:
+                seen.append((ctx.full_name, ctx.batch_row, out.copy()))
+
+        for name in moe_engine.linear_layer_names():
+            moe_engine.hooks.register(name, probe, row_scoped=True, observer=True)
+        prompts, chunks = ([3, 5, 7], [11, 13]), ([4, 8], [15, 16])
+        rows = [moe_engine.start_session(p) for p in prompts]
+        moe_engine.forward_chunk_batch(
+            chunks, [r.caches for r in rows], [r.position for r in rows], [1, 2]
+        )
+        batched, seen[:] = list(seen), []
+        serial = moe_engine.start_session(prompts[1])
+        moe_engine.forward(chunks[1], serial.caches, serial.position, 2)
+        assert [(n, r) for n, r, _ in batched] == [(n, 1) for n, _, _ in seen]
+        for (_, _, got), (_, _, want) in zip(batched, seen):
+            np.testing.assert_allclose(got, want, rtol=2e-5, atol=1e-5)
+
+    def test_replacing_hook_reaches_one_row(self, untrained_engine):
+        """A hook that returns a new tensor (rather than mutating its
+        view) replaces exactly its own sequence's slice of the batch."""
+        engine = untrained_engine
+        chunks, positions = [[4, 8], [15, 16]], [3, 5]
+
+        def run():
+            rows = [engine.start_session(p) for p in ([3, 5, 7], [11, 13, 17, 19, 4])]
+            return engine.forward_chunk_batch(
+                chunks, [r.caches for r in rows], positions, [1, 1]
+            )
+
+        clean = run()
+        remove = engine.hooks.register(
+            "blocks.0.up_proj",
+            lambda out, ctx: np.zeros_like(out) if ctx.batch_row == 1 else None,
+            row_scoped=True,
+        )
+        struck = run()
+        remove()
+        np.testing.assert_array_equal(struck[0], clean[0])
+        assert not np.allclose(struck[1], clean[1])
+
+    def test_chunk_entry_rejections(self, untrained_engine):
+        from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
+
+        engine = untrained_engine
+        caches = engine.new_caches()
+        with pytest.raises(ValueError, match="rectangular"):
+            engine.forward_chunk_batch([4, 5], [caches], [0], [0])
+        with pytest.raises(ValueError, match="cache rows"):
+            engine.forward_chunk_batch([[4, 5], [6, 7]], [caches], [0, 0], [0, 0])
+        engine.capture = CaptureState()
+        try:
+            with pytest.raises(RuntimeError, match="capture"):
+                engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
+        finally:
+            engine.capture = None
+        site = FaultSite(
+            fault_model=FaultModel.ACC_1BIT,
+            layer_name="blocks.0.up_proj",
+            row=0, col=1, bits=(30,), iteration=0, row_frac=0.0,
+        )
+        with AccumulatorFaultInjector(engine, site):
+            with pytest.raises(RuntimeError, match="accumulator"):
+                engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
+        assert [c.length for c in caches] == [0, 0]
+
+
 class TestStoragePolicies:
     def test_weight_store_lookup(self, untrained_engine):
         store = untrained_engine.weight_store("blocks.0.q_proj")

@@ -1,6 +1,7 @@
 """Tests for the repro.obs telemetry subsystem."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -450,6 +451,36 @@ class TestEngineInstrumentation:
         traced = untrained_engine.forward_full([1, 2, 3])
         detach()
         np.testing.assert_array_equal(baseline, traced)
+
+    def test_layer_timing_tiles_batched_forwards(
+        self, untrained_engine, clean_telemetry
+    ):
+        """Every entry marks ``forward_start``, so time spent *between*
+        batched steps is charged to no layer."""
+        tel = clean_telemetry
+        tel.enable()
+        engine = untrained_engine
+        pool = engine.new_pool(2)
+        rows = [pool.caches(pool.acquire()) for _ in range(2)]
+        for caches in rows:
+            engine.forward([1, 2, 3], caches, 0, 0)
+        detach = attach_layer_timing(engine, tel)
+        before = tel.metrics.histograms["engine.forward_ms"].total
+        for k in range(3):
+            time.sleep(0.02)
+            engine.forward_step_batch([4, 5], rows, [3 + k] * 2, [1 + k] * 2)
+        engine.forward_chunk_batch([[6, 7]] * 2, rows, [6, 6], [4, 4])
+        detach()
+        histograms = tel.metrics.histograms
+        layers = sum(
+            h.total for n, h in histograms.items() if n.startswith("engine.layer_ms.")
+        )
+        assert layers <= histograms["engine.forward_ms"].total - before
+        assert tel.metrics.counters["engine.forward_calls"].value == 6
+        assert tel.metrics.counters["engine.tokens"].value == 16
+        assert tel.metrics.gauges["engine.kv_occupancy"].value == pytest.approx(
+            8 / engine.config.max_seq
+        )
 
 
 class TestReport:

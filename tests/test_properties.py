@@ -10,6 +10,7 @@ from repro.generation import GenerationConfig, greedy_decode
 from repro.inference import InferenceEngine, KVCache
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
+from tests.test_engine import assert_caches_equal, feed
 
 VOCAB = 40
 
@@ -40,9 +41,12 @@ _prompts = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(_prompts)
-def test_property_incremental_equals_full(prompt):
-    """KV-cached decoding matches the full recompute for any prompt."""
+@given(_prompts, st.data())
+def test_property_incremental_equals_full(prompt, data):
+    """KV-cached decoding matches the full recompute for any prompt,
+    and any split of the sequence fed chunk by chunk through any mix of
+    the public entries is bit-identical to the serial entry fed the
+    same split."""
     config = ModelConfig(
         vocab_size=VOCAB, d_model=32, n_heads=4, n_blocks=2, d_ff=48, max_seq=64
     )
@@ -51,9 +55,24 @@ def test_property_incremental_equals_full(prompt):
     stepped = [session.last_logits.copy()]
     for token in [3, 7]:
         stepped.append(session.step(token).copy())
-    full = engine.forward_full([*prompt, 3, 7])
+    tokens = [*prompt, 3, 7]
+    full = engine.forward_full(tokens)
     np.testing.assert_allclose(stepped[0], full[len(prompt) - 1], atol=2e-4)
     np.testing.assert_allclose(stepped[2], full[-1], atol=2e-4)
+
+    cuts = data.draw(
+        st.lists(st.integers(1, len(tokens) - 1), unique=True, max_size=4)
+    )
+    bounds = [0, *sorted(cuts), len(tokens)]
+    serial, mixed = engine.new_caches(), engine.new_caches()
+    for iteration, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        entries = ["forward", "chunk"] + (["step"] if hi - lo == 1 else [])
+        entry = data.draw(st.sampled_from(entries))
+        want = feed(engine, "forward", tokens[lo:hi], serial, lo, iteration)
+        got = feed(engine, entry, tokens[lo:hi], mixed, lo, iteration)
+        np.testing.assert_array_equal(got, want)
+    assert_caches_equal(mixed, serial)
+    np.testing.assert_allclose(want[-1], full[-1], atol=2e-4)
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,6 +29,7 @@ from repro.generation import (
 from repro.inference import InferenceEngine
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
+from repro.obs.flight import FlightRecorder
 from repro.obs.instrument import attach_layer_timing
 
 PROMPTS = [
@@ -229,6 +230,22 @@ class TestGateMatrix:
         )
         assert snap["counters"].get("decode.spec_rounds", 0) > 0
         assert snap["counters"]["decode.plan.composed.observer_hooks"] == 1
+
+    def test_front_probe_on_moe_keeps_composed(
+        self, moe_engine, draft_engine, clean_telemetry
+    ):
+        """The flight recorder's probe compares ``ctx.iteration`` to an
+        int: on a MoE target the verify chunks must hand router/expert
+        hooks per-row scalars, not the batch's iteration array."""
+        recorder = FlightRecorder()
+        detach = recorder.attach_front(moe_engine, iteration=3)
+        try:
+            out, snap = self._decode(moe_engine, draft_engine, clean_telemetry)
+        finally:
+            detach()
+        assert out == _serial(moe_engine, PROMPTS[:3], _config(max_new_tokens=8))
+        assert snap["counters"]["decode.plan.composed.observer_hooks"] == 1
+        assert recorder.has_front
 
     def test_row_scoped_hook_routes_batched(
         self, untrained_engine, draft_engine, clean_telemetry
