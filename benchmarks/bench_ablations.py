@@ -38,7 +38,7 @@ def _campaign(ctx, engine, task_name, fault_model, num_beams=1, seed=None):
     )
 
 
-def test_bench_ablation_activation_format(benchmark, ctx, emit):
+def test_bench_ablation_activation_format(ctx, emit):
     store = load_model("qwenlike-base", verbose=False)
 
     def run():
@@ -59,13 +59,13 @@ def test_bench_ablation_activation_format(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     by_fmt = {r["activation_format"]: r["normalized"] for r in result.rows}
     assert by_fmt["FP16"] >= by_fmt["BF16"] - 0.05
 
 
-def test_bench_ablation_router_topk(benchmark, ctx, emit):
+def test_bench_ablation_router_topk(ctx, emit):
     base = load_model("moelike-base", verbose=False)
 
     def run():
@@ -88,12 +88,12 @@ def test_bench_ablation_router_topk(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     assert len(result.rows) == 2
 
 
-def test_bench_ablation_beam_length_penalty(benchmark, ctx, emit):
+def test_bench_ablation_beam_length_penalty(ctx, emit):
     store = load_model("alma-base", verbose=False)
 
     def run():
@@ -118,12 +118,12 @@ def test_bench_ablation_beam_length_penalty(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     assert len(result.rows) == 2
 
 
-def test_bench_ablation_trial_count_ci(benchmark, ctx, emit):
+def test_bench_ablation_trial_count_ci(ctx, emit):
     store = load_model("qwenlike-base", verbose=False)
 
     def run():
@@ -147,7 +147,7 @@ def test_bench_ablation_trial_count_ci(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     widths = [r["ci_width"] for r in result.rows if np.isfinite(r["ci_width"])]
     if len(widths) == 4 and all(w > 0 for w in widths):

@@ -9,10 +9,8 @@ import numpy as np
 from repro.harness.experiments import fig03_overall, fig04_fault_models, fig11_per_task
 
 
-def test_bench_fig03_fig04_fig11(benchmark, ctx, emit):
-    overall = benchmark.pedantic(
-        fig03_overall, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig03_fig04_fig11(ctx, emit):
+    overall = fig03_overall(ctx)
     emit(overall)
     fig04 = emit(fig04_fault_models(ctx, overall))
     fig11 = emit(fig11_per_task(ctx, overall))

@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig05_memory_propagation
 
 
-def test_bench_fig05(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig05_memory_propagation, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig05(ctx, emit):
+    result = fig05_memory_propagation(ctx)
     emit(result)
     injected, downstream = result.rows
     # Column-shaped corruption in the injected layer...

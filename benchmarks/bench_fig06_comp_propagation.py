@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig06_computational_propagation
 
 
-def test_bench_fig06(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig06_computational_propagation, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig06(ctx, emit):
+    result = fig06_computational_propagation(ctx)
     emit(result)
     injected = result.rows[0]
     next_layer = result.rows[1]

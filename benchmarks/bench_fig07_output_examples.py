@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig07_output_examples
 
 
-def test_bench_fig07(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig07_output_examples, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig07(ctx, emit):
+    result = fig07_output_examples(ctx)
     emit(result)
     # At least one SDC example should surface from a memory campaign.
     assert len(result.rows) >= 1

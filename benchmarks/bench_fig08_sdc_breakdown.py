@@ -8,14 +8,12 @@ import numpy as np
 from repro.harness.experiments import fig08_sdc_breakdown
 
 
-def test_bench_fig08(benchmark, ctx, emit):
+def test_bench_fig08(ctx, emit):
     # Breakdown rates need more trials than the default cell budget.
     boosted = dataclasses.replace(
         ctx, n_trials=int(os.environ.get("REPRO_BENCH_BIT_TRIALS", 90))
     )
-    result = benchmark.pedantic(
-        fig08_sdc_breakdown, args=(boosted,), rounds=1, iterations=1
-    )
+    result = fig08_sdc_breakdown(boosted)
     emit(result)
     mem = [r for r in result.rows if r["fault"] == "2bits-mem"]
     comp = [r for r in result.rows if r["fault"] != "2bits-mem"]

@@ -5,14 +5,9 @@ import os
 from repro.harness.experiments import fig09_bit_positions_subtle
 
 
-def test_bench_fig09(benchmark, ctx, emit):
+def test_bench_fig09(ctx, emit):
     n_trials = int(os.environ.get("REPRO_BENCH_BIT_TRIALS", 90))
-    result = benchmark.pedantic(
-        fig09_bit_positions_subtle,
-        kwargs={"ctx": ctx, "n_trials": n_trials},
-        rounds=1,
-        iterations=1,
-    )
+    result = fig09_bit_positions_subtle(ctx=ctx, n_trials=n_trials)
     emit(result)
     # SDC-producing bits should skew high: the weighted-mean bit of
     # subtle SDCs exceeds the middle of the fp32 bit range rarely hit

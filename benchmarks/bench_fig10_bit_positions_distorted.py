@@ -5,14 +5,9 @@ import os
 from repro.harness.experiments import fig10_bit_positions_distorted
 
 
-def test_bench_fig10(benchmark, ctx, emit):
+def test_bench_fig10(ctx, emit):
     n_trials = int(os.environ.get("REPRO_BENCH_BIT_TRIALS", 90))
-    result = benchmark.pedantic(
-        fig10_bit_positions_distorted,
-        kwargs={"ctx": ctx, "n_trials": n_trials},
-        rounds=1,
-        iterations=1,
-    )
+    result = fig10_bit_positions_distorted(ctx=ctx, n_trials=n_trials)
     emit(result)
     # Paper: the proportion is 0 for mantissa bits — low-bit flips can
     # never distort output structure.  BF16 mantissa = bits 0..6.

@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig13_weight_distributions
 
 
-def test_bench_fig13(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig13_weight_distributions, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig13(ctx, emit):
+    result = fig13_weight_distributions(ctx)
     emit(result)
     # The three families were built with distinct init gains; after
     # training, weight spreads partly converge but the *neuron*

@@ -5,10 +5,8 @@ import numpy as np
 from repro.harness.experiments import fig14_moe_vs_dense
 
 
-def test_bench_fig14(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig14_moe_vs_dense, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig14(ctx, emit):
+    result = fig14_moe_vs_dense(ctx)
     emit(result)
     assert len(result.rows) == 8  # 4 tasks x {moe, dense}
     normalized = [r["normalized"] for r in result.rows]

@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig15_gate_faults
 
 
-def test_bench_fig15(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig15_gate_faults, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig15(ctx, emit):
+    result = fig15_gate_faults(ctx)
     emit(result)
     row = result.rows[0]
     # Router faults frequently flip expert selections (paper: 78.6%) -

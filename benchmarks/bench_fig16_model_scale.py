@@ -5,10 +5,8 @@ import numpy as np
 from repro.harness.experiments import fig16_model_scale
 
 
-def test_bench_fig16(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig16_model_scale, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig16(ctx, emit):
+    result = fig16_model_scale(ctx)
     emit(result)
     # Obs #7: model scale is not a major resilience factor — the
     # normalized performance spread across sizes stays bounded and

@@ -5,10 +5,8 @@ import numpy as np
 from repro.harness.experiments import fig17_quantization
 
 
-def test_bench_fig17(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig17_quantization, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig17(ctx, emit):
+    result = fig17_quantization(ctx)
     emit(result)
 
     def mean_norm(variant: str) -> float:

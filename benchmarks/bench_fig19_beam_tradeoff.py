@@ -3,10 +3,8 @@
 from repro.harness.experiments import fig19_beam_tradeoff
 
 
-def test_bench_fig19(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig19_beam_tradeoff, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig19(ctx, emit):
+    result = fig19_beam_tradeoff(ctx)
     emit(result)
     by_beams = {r["num_beams"]: r for r in result.rows}
     # Runtime grows with beam count (the trade-off's cost side).

@@ -5,10 +5,8 @@ import numpy as np
 from repro.harness.experiments import fig20_chain_of_thought
 
 
-def test_bench_fig20(benchmark, ctx, emit):
-    result = benchmark.pedantic(
-        fig20_chain_of_thought, args=(ctx,), rounds=1, iterations=1
-    )
+def test_bench_fig20(ctx, emit):
+    result = fig20_chain_of_thought(ctx)
     emit(result)
     # Observation #10 shape: with computational faults confined to the
     # reasoning segment, CoT accuracy stays near the fault-free level.

@@ -8,15 +8,13 @@ import numpy as np
 from repro.harness.experiments import fig21_dtypes
 
 
-def test_bench_fig21(benchmark, ctx, emit):
+def test_bench_fig21(ctx, emit):
     # Resolving the FP16 < FP32 < BF16 vulnerability ordering needs a
     # larger sample than the per-cell default.
     boosted = dataclasses.replace(
         ctx, n_trials=int(os.environ.get("REPRO_BENCH_BIT_TRIALS", 90))
     )
-    result = benchmark.pedantic(
-        fig21_dtypes, args=(boosted,), rounds=1, iterations=1
-    )
+    result = fig21_dtypes(boosted)
     emit(result)
 
     def mean_norm(dtype: str) -> float:

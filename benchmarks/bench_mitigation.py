@@ -32,7 +32,7 @@ def _campaign(ctx, engine, task_name, fault_model, **kw):
     )
 
 
-def test_bench_mitigation_range_restriction(benchmark, ctx, emit):
+def test_bench_mitigation_range_restriction(ctx, emit):
     store = load_model("qwenlike-base", verbose=False)
 
     def run():
@@ -64,7 +64,7 @@ def test_bench_mitigation_range_restriction(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     by_variant = {r["variant"]: r for r in result.rows}
     # Range restriction must not hurt, and should cut distorted outputs.
@@ -74,7 +74,7 @@ def test_bench_mitigation_range_restriction(benchmark, ctx, emit):
     )
 
 
-def test_bench_mitigation_router_protection(benchmark, ctx, emit):
+def test_bench_mitigation_router_protection(ctx, emit):
     store = load_model("moelike-base", verbose=False)
 
     def router_only(name: str) -> bool:
@@ -111,7 +111,7 @@ def test_bench_mitigation_router_protection(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     by_variant = {r["variant"]: r for r in result.rows}
     # With verify/restore before every inference, gate faults are
@@ -120,7 +120,7 @@ def test_bench_mitigation_router_protection(benchmark, ctx, emit):
     assert by_variant["protected"]["normalized_bleu"] >= 0.999
 
 
-def test_bench_mitigation_detector_coverage(benchmark, ctx, emit):
+def test_bench_mitigation_detector_coverage(ctx, emit):
     store = load_model("qwenlike-base", verbose=False)
 
     def run():
@@ -149,7 +149,7 @@ def test_bench_mitigation_detector_coverage(benchmark, ctx, emit):
             )
         return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     emit(result)
     rows = {r["outcome"]: r for r in result.rows}
     # Structural detection catches distorted outputs...

@@ -24,32 +24,6 @@ from repro.harness import ExperimentContext, ExperimentResult, format_table
 from repro.obs import MetricsRegistry, build_manifest
 from repro.zoo import artifacts_dir
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def write_bench_json(
-    bench_id: str, payload: dict, out: str | Path | None = None
-) -> tuple[Path, Path]:
-    """Archive a standalone bench's JSON payload, plus a repo-root copy.
-
-    The canonical artifact lands at ``artifacts/results/BENCH_<id>.json``
-    (or ``out`` when given); a copy named ``BENCH_<id>.json`` is kept at
-    the repo root so the headline numbers ship with the tree.  Returns
-    ``(out_path, root_copy_path)``.  Shared by the standalone benches
-    (``bench_engine_throughput``/``bench_decode_throughput``/
-    ``bench_speculative``), which previously each carried their own
-    copy of this logic.
-    """
-    out = Path(
-        out or REPO_ROOT / "artifacts" / "results" / f"BENCH_{bench_id}.json"
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    out.write_text(text)
-    root_copy = REPO_ROOT / f"BENCH_{bench_id}.json"
-    root_copy.write_text(text)
-    return out, root_copy
-
 
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:

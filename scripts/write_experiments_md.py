@@ -1,8 +1,8 @@
 """Generate EXPERIMENTS.md from archived bench results.
 
-Run after ``pytest benchmarks/ --benchmark-only``: reads the tables in
-``artifacts/results/`` and interleaves them with the paper-vs-measured
-commentary below.
+Run after ``pytest benchmarks/ --ignore=benchmarks/ledger``: reads the
+tables in ``artifacts/results/`` and interleaves them with the
+paper-vs-measured commentary below.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ HEADER = """\
 
 Every table and figure of the paper's evaluation, the *shape* it
 claims, and what this reproduction measures.  The tables below are the
-verbatim output of `pytest benchmarks/ --benchmark-only` (also archived
-under `artifacts/results/`), run at bench scale — 8 standardized
+verbatim output of `pytest benchmarks/ --ignore=benchmarks/ledger`
+(also archived under `artifacts/results/`), run at bench scale — 8 standardized
 examples and 36 trials per cell (90 for the breakdown / bit-position /
 dtype studies).  The paper uses 100 examples and 500–3000 trials per
 cell; `REPRO_BENCH_TRIALS` / `REPRO_BENCH_EXAMPLES` scale the harness
@@ -339,7 +339,7 @@ def main() -> None:
         else:
             parts.append(
                 "*(no archived result — run `pytest benchmarks/"
-                " --benchmark-only`)*\n"
+                " --ignore=benchmarks/ledger`)*\n"
             )
     parts.append("\n" + OBSERVATIONS)
     out = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"

@@ -183,6 +183,11 @@ class CampaignResult:
         return table
 
 
+_DECODE_BATCH = 8
+"""Continuous-batching width of the fault-free generative baseline sweep
+(injected trials decode one sequence at a time)."""
+
+
 # ----------------------------------------------------------------------------
 # Runner-level fault injection (chaos testing the campaign driver).
 # ----------------------------------------------------------------------------
@@ -729,10 +734,7 @@ class FICampaign:
         layer_filter: LayerFilter | None = None,
         track_expert_selection: bool = False,
         max_fault_iterations: int | None = None,
-        prefill_cache: bool = True,
-        mc_scoring: str = "auto",
         decode_strategy: str = "auto",
-        decode_batch_size: int = 8,
         draft_model: InferenceEngine | None = None,
         speculation_depth: int = 4,
         spec_fault_side: str | None = None,
@@ -755,27 +757,23 @@ class FICampaign:
         """Restrict computational-fault timing to iterations below this
         bound (the paper's CoT study injects only during reasoning-token
         generation)."""
-        self.prefill_cache = prefill_cache
-        """Reuse one fault-free prefilled session per example for
-        generative trials whose fault strikes at iteration >= 1 (the
-        iteration-0 forward is then bit-identical to the baseline's).
-        Memory faults and iteration-0 computational faults always
-        re-prefill — their prompt forward differs from the baseline."""
-        self.mc_scoring = mc_scoring
-        """Option-scoring strategy passed to :func:`choose_option`
-        (``auto`` shares the prompt prefill across options whenever no
-        fault machinery is armed; set ``full`` to force the unshared
-        reference path, e.g. for equivalence benchmarking)."""
+        if decode_strategy not in ("auto", "serial"):
+            raise ValueError(
+                f"decode_strategy must be 'auto' or 'serial',"
+                f" got {decode_strategy!r}"
+            )
         self.decode_strategy = decode_strategy
-        """Decode routing passed to :func:`generate_ids` (``auto``
-        batches whenever :func:`~repro.generation.round.decode_plan`
-        allows it —
-        fault-free baselines batch across examples, faulty trials batch
-        only under row-scoped hooks; set ``serial`` to force the exact
-        per-sequence reference loop everywhere)."""
-        self.decode_batch_size = decode_batch_size
-        """Continuous-batching width for the fault-free generative
-        baseline sweep (faulty trials decode one sequence at a time)."""
+        """The one execution switch.  ``auto`` takes every fast path
+        :func:`~repro.generation.round.decode_plan` allows: fault-free
+        baselines batch (and speculate) across examples, injected
+        generative trials decode as a width-1 batch under row-scoped
+        faults, option scoring shares the prompt prefill when nothing
+        but observers is armed, and generative trials whose transient
+        fault strikes at iteration >= 1 rewind one cached fault-free
+        prefill per example instead of re-running the prompt forward.
+        ``serial`` is the whole reference, as the differential oracle
+        runs it: per-sequence decode loops, one full forward per option,
+        a fresh prefill per trial."""
         if draft_model is not None and (
             draft_model.config.vocab_size != engine.config.vocab_size
         ):
@@ -784,8 +782,6 @@ class FICampaign:
                 f" draft has {draft_model.config.vocab_size} tokens,"
                 f" target has {engine.config.vocab_size}"
             )
-        if decode_strategy == "speculative" and draft_model is None:
-            raise ValueError("decode_strategy='speculative' needs a draft_model")
         self.draft_model = draft_model
         """Optional same-tokenizer draft engine for speculative greedy
         decoding.  Fault-free generative work — the baseline sweep and
@@ -809,9 +805,10 @@ class FICampaign:
         self.spec_fault_side = spec_fault_side
         """Speculation-side masking study: inject every trial's fault
         into the named engine of the draft/verify pair *while decoding
-        speculatively* (``decode_one(force=True)``).  ``"draft"`` sites
-        are sampled against the draft engine's geometry; the
-        verification step should mask them all (the masking theorem in
+        speculatively* (:meth:`SpeculativeDecoder.speculate`, the
+        ungated schedule).  ``"draft"`` sites are sampled against the
+        draft engine's geometry; the verification step should mask them
+        all (the masking theorem in
         :mod:`repro.generation.speculative`).  ``None`` (default) keeps
         the standard single-engine trial path."""
         self.chaos = chaos
@@ -878,8 +875,7 @@ class FICampaign:
     def fingerprint(self) -> dict:
         """Result-determining configuration, hashed into checkpoints.
 
-        Perf knobs (``prefill_cache``, ``mc_scoring``,
-        ``decode_strategy``, ``decode_batch_size``, ``draft_model``,
+        Perf knobs (``decode_strategy``, ``draft_model``,
         ``speculation_depth``) are excluded on purpose: they cannot
         change TrialRecords (the differential suite holds them to
         that), so a journal written under one execution strategy may be
@@ -925,7 +921,8 @@ class FICampaign:
     def _eval_mc(self, ex: MCExample) -> int:
         prompt, options = self._encode_mc(ex)
         return choose_option(
-            self.engine, prompt, options, strategy=self.mc_scoring
+            self.engine, prompt, options,
+            strategy="full" if self.decode_strategy == "serial" else "auto",
         )
 
     def _eval_gen(self, ex: GenExample, session=None) -> str:
@@ -1063,33 +1060,27 @@ class FICampaign:
             served = self._serve_baseline(prompts)
             if served is not None:
                 preds = served
-            elif self.draft_model is not None and self.generation.num_beams == 1:
-                # Fault-free greedy sweep with a draft available: this
-                # is the dominant campaign cost, so speculate over a
-                # continuous batch (the decoder's gate matrix drops to
-                # plain batching or the serial reference if anything is
-                # armed).
-                decoder = BatchedSpeculativeDecoder(
-                    self.engine,
-                    self.draft_model,
-                    self.generation,
-                    speculation_depth=self.speculation_depth,
-                    max_batch=self.decode_batch_size,
-                )
+            else:
+                # Fault-free sweep — the dominant campaign cost — over a
+                # continuous batch, speculating when a draft is given.
+                # The decoder still plans: if anything is armed it drops
+                # to plain batching or the serial reference.
+                if self.draft_model is None:
+                    decoder = BatchedDecoder(
+                        self.engine, self.generation, max_batch=_DECODE_BATCH
+                    )
+                else:
+                    decoder = BatchedSpeculativeDecoder(
+                        self.engine,
+                        self.draft_model,
+                        self.generation,
+                        speculation_depth=self.speculation_depth,
+                        max_batch=_DECODE_BATCH,
+                    )
                 preds = [
                     self.tokenizer.decode(ids)
-                    for ids in decoder.decode_many(prompts)
+                    for ids in decoder.generate_many(prompts)
                 ]
-            else:
-                # Fault-free sweep: nothing is armed, so the continuous
-                # batcher decodes all examples together (it still falls
-                # back to the serial reference path if anything is).
-                decoder = BatchedDecoder(
-                    self.engine, self.generation,
-                    max_batch=self.decode_batch_size,
-                )
-                preds = [self.tokenizer.decode(ids) for ids in
-                         decoder.generate_many(prompts)]
             selections: list = [None] * len(preds)
         else:
             preds = []
@@ -1116,6 +1107,13 @@ class FICampaign:
         return self._baseline_metrics
 
     # -- one trial ---------------------------------------------------------------
+
+    def _max_fault_iter(self) -> int:
+        """Exclusive bound on the iteration a trial's fault may strike."""
+        max_iter = 1 if self.is_mc else self.generation.max_new_tokens
+        if self.max_fault_iterations is not None:
+            max_iter = min(max_iter, self.max_fault_iterations)
+        return max_iter
 
     def _trial_site(self, trial: int, max_iterations: int) -> FaultSite:
         # Draft-side sites must be sampled against the *draft* engine's
@@ -1195,7 +1193,7 @@ class FICampaign:
             or site.fault_model.is_accumulator
         )
         if (
-            not self.prefill_cache
+            self.decode_strategy == "serial"
             or self.is_mc
             or self.track_expert_selection
             or self.spec_fault_side is not None
@@ -1232,10 +1230,7 @@ class FICampaign:
             )
         idx = trial % len(self.examples)
         ex = self.examples[idx]
-        max_iter = 1 if self.is_mc else self.generation.max_new_tokens
-        if self.max_fault_iterations is not None:
-            max_iter = min(max_iter, self.max_fault_iterations)
-        site = self._trial_site(trial, max_iter)
+        site = self._trial_site(trial, self._max_fault_iter())
         recorder = _flight()
         if recorder.active:
             recorder.begin_trial(
@@ -1253,11 +1248,11 @@ class FICampaign:
         try:
             if self.spec_fault_side is not None:
                 # Speculation-side study: arm the sampled engine of the
-                # draft/verify pair and decode speculatively regardless
-                # of the safety gate (force=True) — measuring how the
-                # speculative schedule interacts with the fault is the
-                # point.  No corruption-front probes: the iteration ↔
-                # forward mapping differs from the serial reference.
+                # draft/verify pair and run the speculative schedule
+                # itself, ungated — measuring how it interacts with the
+                # fault is the point.  No corruption-front probes: the
+                # iteration ↔ forward mapping differs from the serial
+                # reference.
                 side_engine = (
                     self.draft_model
                     if self.spec_fault_side == "draft"
@@ -1272,7 +1267,7 @@ class FICampaign:
                 prompt = self.tokenizer.encode(ex.prompt)
                 with inject(side_engine, site) as injector:
                     text = self.tokenizer.decode(
-                        spec.decode_one(prompt, force=True)
+                        spec.speculate(prompt)
                     )
                 fired = getattr(injector, "fired", True)
             elif (
@@ -1458,16 +1453,13 @@ class FICampaign:
         ``exc`` is the exception itself (serial path) or its already
         formatted ``"Type: message"`` string (shipped across the pool's
         result queue — exceptions themselves stay worker-side)."""
-        max_iter = 1 if self.is_mc else self.generation.max_new_tokens
-        if self.max_fault_iterations is not None:
-            max_iter = min(max_iter, self.max_fault_iterations)
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.trials").add()
             tel.metrics.counter("campaign.quarantined").add()
             tel.metrics.counter("campaign.outcome.failed").add()
         return TrialRecord(
-            site=self._trial_site(trial, max_iter),
+            site=self._trial_site(trial, self._max_fault_iter()),
             example_index=trial % len(self.examples),
             prediction="",
             outcome=Outcome.FAILED,

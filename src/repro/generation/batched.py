@@ -84,6 +84,10 @@ class BatchedDecoder:
     change results.
     """
 
+    draft: InferenceEngine | None = None
+    """Only :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
+    has one; :meth:`decode_many` plans with it."""
+
     def __init__(
         self,
         engine: InferenceEngine,
@@ -146,9 +150,9 @@ class BatchedDecoder:
         (bit-identical at ``B == 1``; argmax-identical above).
         """
         sessions = self._aligned(prompts, sessions)
-        path, reason = decode_plan(self.engine)
+        path, reason = decode_plan(self.engine, self.draft)
         count_plan(path, reason)
-        return self._decode_on(path, prompts, sessions)
+        return self.decode_planned(path, prompts, sessions)
 
     @staticmethod
     def _aligned(prompts: list, sessions: "list | None") -> list:
@@ -158,10 +162,12 @@ class BatchedDecoder:
             raise ValueError("sessions must align with prompts")
         return sessions
 
-    def _decode_on(
+    def decode_planned(
         self, path: str, prompts: list[list[int]], sessions: list
     ) -> list[list[int]]:
-        """Run an already-planned ``batched`` or ``serial`` decode."""
+        """Run the greedy decode a caller already planned (and counted)
+        — ``path`` is :func:`decode_plan`'s; :meth:`decode_many` is the
+        plan plus this."""
         if path == "serial":
             return [
                 greedy_decode(self.engine, p, self.config, session=s,
@@ -193,6 +199,14 @@ class BatchedDecoder:
                 self.engine, prompt_ids, self.config, session=session,
                 strategy="serial",
             )
+        return self.beam_batched(prompt_ids, session=session)
+
+    def beam_batched(
+        self, prompt_ids: list[int], session: Session | None = None
+    ) -> list[int]:
+        """The batched beam search itself, for a caller whose plan
+        already said ``batched``; :meth:`beam_decode` is the plan plus
+        this."""
         k = self.config.num_beams
         pool = self._ensure_pool(max(2 * k, 1))
         tel = _telemetry()

@@ -51,31 +51,6 @@ class GenerationConfig:
             raise ValueError("num_beams must be >= 1")
 
 
-def _resolve_decode_strategy(
-    engine: InferenceEngine,
-    strategy: str,
-    draft: InferenceEngine | None = None,
-) -> str:
-    """Validate ``strategy``; ``auto`` becomes the path
-    :func:`~repro.generation.round.decode_plan` picks (``composed`` is
-    spelled ``speculative`` here).  Explicit ``speculative`` requires a
-    draft engine."""
-    if strategy == "auto":
-        path, reason = decode_plan(engine, draft)
-        if path == "serial":
-            # The callers' own reference loops run; the batched and
-            # speculative decoders count their plan where they ask it.
-            count_plan(path, reason)
-        return "speculative" if path == "composed" else path
-    if strategy == "speculative" and draft is None:
-        raise ValueError(
-            "strategy='speculative' requires a draft engine"
-        )
-    if strategy not in ("serial", "batched", "speculative"):
-        raise ValueError(f"unknown decode strategy {strategy!r}")
-    return strategy
-
-
 def greedy_decode(
     engine: InferenceEngine,
     prompt_ids: list[int],
@@ -91,30 +66,33 @@ def greedy_decode(
     ``prompt_ids`` (e.g. a clone of a cached fault-free prefill); it is
     consumed — the caller must not reuse it afterwards.
 
-    ``strategy`` selects the implementation: ``serial`` is the original
-    per-token reference loop below; ``batched`` runs the same decode as
-    a width-1 batch through :class:`~repro.generation.batched.BatchedDecoder`
-    (bit-identical by construction); ``speculative`` drafts
-    ``speculation_depth`` tokens per round with ``draft`` and verifies
-    them in one chunked target forward
-    (:class:`~repro.generation.speculative.SpeculativeDecoder`);
-    ``auto`` follows :func:`~repro.generation.round.decode_plan`:
-    ``speculative`` when a safe draft is available, then ``batched``,
-    unless fault machinery demands the serial path.
+    ``strategy`` is ``auto`` or ``serial``.  ``serial`` is the per-token
+    reference loop below.  ``auto`` asks
+    :func:`~repro.generation.round.decode_plan` once and runs what it
+    names: draft-and-verify rounds of ``speculation_depth`` proposals
+    when a ``draft`` is given and nothing but observers is armed
+    (:class:`~repro.generation.speculative.SpeculativeDecoder`), else a
+    width-1 batch through
+    :class:`~repro.generation.batched.BatchedDecoder` (bit-identical to
+    the reference by construction), else the reference loop.
     """
-    resolved = _resolve_decode_strategy(engine, strategy, draft=draft)
-    if resolved == "speculative":
-        from repro.generation.speculative import SpeculativeDecoder
+    if strategy == "auto":
+        path, reason = decode_plan(engine, draft)
+        count_plan(path, reason)
+        if path == "composed":
+            from repro.generation.speculative import SpeculativeDecoder
 
-        return SpeculativeDecoder(
-            engine, draft, config, speculation_depth=speculation_depth
-        ).decode_one(prompt_ids, session=session)
-    if resolved == "batched":
-        from repro.generation.batched import BatchedDecoder
+            return SpeculativeDecoder(
+                engine, draft, config, speculation_depth=speculation_depth
+            ).speculate(prompt_ids, session=session)
+        if path == "batched":
+            from repro.generation.batched import BatchedDecoder
 
-        return BatchedDecoder(engine, config, max_batch=1).decode_one(
-            prompt_ids, session=session
-        )
+            return BatchedDecoder(engine, config, max_batch=1).decode_planned(
+                path, [prompt_ids], [session]
+            )[0]
+    elif strategy != "serial":
+        raise ValueError(f"unknown decode strategy {strategy!r}")
     # The serial reference loop — kept on purpose: it is what the
     # differential oracle and every equivalence test compare against.
     if session is None:
@@ -161,17 +139,23 @@ def beam_search_decode(
     ``session`` optionally supplies a pre-built prefill for
     ``prompt_ids`` (consumed, like :func:`greedy_decode`).
 
-    ``strategy='batched'`` (the ``auto`` default when FI-safe) runs the
-    ``k`` beams as batch rows over a pooled KV cache — one batched
-    forward per round, copy-on-fork instead of per-beam cache clones;
-    ``serial`` is the per-session reference loop below.
+    ``strategy='auto'`` runs the ``k`` beams as batch rows over a pooled
+    KV cache whenever :func:`~repro.generation.round.decode_plan` allows
+    batching — one batched forward per round, copy-on-fork instead of
+    per-beam cache clones; ``serial`` is the per-session reference loop
+    below.
     """
-    if _resolve_decode_strategy(engine, strategy) == "batched":
-        from repro.generation.batched import BatchedDecoder
+    if strategy == "auto":
+        path, reason = decode_plan(engine)
+        count_plan(path, reason)
+        if path == "batched":
+            from repro.generation.batched import BatchedDecoder
 
-        return BatchedDecoder(engine, config).beam_decode(
-            prompt_ids, session=session
-        )
+            return BatchedDecoder(engine, config).beam_batched(
+                prompt_ids, session=session
+            )
+    elif strategy != "serial":
+        raise ValueError(f"unknown decode strategy {strategy!r}")
     k = config.num_beams
     root = session if session is not None else engine.start_session(prompt_ids)
     beams = [_Beam(root, [], 0.0, False)]
@@ -243,12 +227,12 @@ def generate_ids(
     """Dispatch to greedy or beam decoding based on ``num_beams``.
 
     ``session``, when given, must be a prefilled session for
-    ``prompt_ids`` (it is consumed); campaigns pass clones of a cached
-    fault-free prefill here to skip redundant prompt forwards.
-    ``strategy`` is forwarded to the decoder (``auto``/``batched``/
-    ``serial``/``speculative``, see :func:`greedy_decode`).  ``draft``
-    and ``speculation_depth`` enable draft-and-verify greedy decoding;
-    beam search ignores the draft (speculation is greedy-only).
+    ``prompt_ids`` (it is consumed); campaigns pass their cached
+    fault-free prefill, rewound in place, to skip redundant prompt
+    forwards.  ``strategy`` is forwarded to the decoder (``auto`` or
+    ``serial``, see :func:`greedy_decode`).  ``draft`` and
+    ``speculation_depth`` enable draft-and-verify greedy decoding; beam
+    search ignores the draft (speculation is greedy-only).
     """
     if config.num_beams == 1:
         def decode(**kw):
@@ -288,9 +272,8 @@ def score_continuation(
     This is the unshared reference path: one full forward over
     ``prompt + option``.  It is exact under any active fault injection
     (a one-shot computational fault strikes exactly one option's
-    forward, as on real hardware) and is what the shared-prefix fast
-    paths below fall back to whenever :meth:`InferenceEngine.fi_active`
-    reports armed fault machinery.
+    forward, as on real hardware) and is what :func:`score_options`
+    runs per option whenever anything but pure observers is armed.
     """
     if not option_ids:
         raise ValueError("option must contain at least one token")
@@ -310,23 +293,6 @@ def _clean_logp(logits: np.ndarray) -> np.ndarray:
     )
 
 
-def _resolve_strategy(engine: InferenceEngine, strategy: str) -> str:
-    """Map ``auto`` to the fastest *FI-safe* scoring strategy.
-
-    The shared-prefix strategies prefill the prompt once, so an armed
-    fault (hook or flipped weight) or an active capture would observe a
-    different computation than the per-option reference path — ``auto``
-    therefore falls back to ``full`` in those cases.
-    """
-    if strategy == "auto":
-        if engine.fi_active() or engine.capture is not None:
-            return "full"
-        return "batched"
-    if strategy not in ("full", "incremental", "batched"):
-        raise ValueError(f"unknown option-scoring strategy {strategy!r}")
-    return strategy
-
-
 def score_options(
     engine: InferenceEngine,
     prompt_ids: list[int],
@@ -335,29 +301,37 @@ def score_options(
 ) -> list[float]:
     """Per-option summed log-likelihood of each option after the prompt.
 
-    Strategies:
+    ``strategy`` is ``auto`` or ``full``:
 
     * ``full`` — the reference path: one ``forward_full(prompt+option)``
       per option (pays the prompt FLOPs once *per option*).
-    * ``incremental`` — prefill the prompt once, then score each option
-      by appending its tokens to the shared KV cache and truncating
-      back (prompt FLOPs paid once; no cache copies).
-    * ``batched`` — like ``incremental`` but all options run as one
-      ``(B, t)`` batched forward against the shared read-only prefix.
-    * ``auto`` — ``batched`` when no fault machinery or capture is
-      active, else ``full``.
+    * ``auto`` — prefill the prompt once and run all options as one
+      ``(B, t)`` forward against the shared read-only prefix, whenever
+      :func:`~repro.generation.round.decode_plan` finds nothing but
+      pure observers armed (reason ``clean`` or ``observer_hooks`` — the
+      speculation bar: sharing the prompt forward changes which
+      computation a fault or a capture would see); else ``full``.  The
+      choice is counted as ``decode.plan.shared_prefix.<reason>`` or
+      ``decode.plan.per_option.<reason>``.
 
-    All strategies agree on fault-free engines up to float-associativity
-    (chunked vs. full matmuls); the argmax option is stable in practice
-    and asserted identical by the equivalence tests.
+    Both agree on fault-free engines up to float-associativity (chunked
+    vs. full matmuls); the argmax option is stable in practice and
+    asserted identical by the equivalence tests.
     """
     if not options_ids:
         raise ValueError("need at least one option to score")
     for option in options_ids:
         if not option:
             raise ValueError("option must contain at least one token")
-    resolved = _resolve_strategy(engine, strategy)
-    if resolved == "full":
+    if strategy == "auto":
+        reason = decode_plan(engine)[1]
+        shared = reason in ("clean", "observer_hooks")
+        count_plan("shared_prefix" if shared else "per_option", reason)
+    elif strategy == "full":
+        shared = False
+    else:
+        raise ValueError(f"unknown option-scoring strategy {strategy!r}")
+    if not shared:
         return [
             score_continuation(engine, prompt_ids, option)
             for option in options_ids
@@ -374,20 +348,7 @@ def score_options(
     if longest == 0:
         return scores
 
-    if resolved == "incremental":
-        for i, (option, tail) in enumerate(zip(options_ids, tails)):
-            if not tail:
-                continue
-            logits = engine.forward(
-                tail, session.caches, start_pos=prompt_len, iteration=0
-            )
-            logp = _clean_logp(logits)
-            scores[i] += float(logp[np.arange(len(tail)), option[1:]].sum())
-            for cache in session.caches:
-                cache.truncate(prompt_len)
-        return scores
-
-    # Batched: rectangular chunk, right-padded.  Padded rows are causal
+    # Rectangular chunk, right-padded.  Padded rows are causal
     # successors of every real row, so they never influence the scored
     # positions; their outputs are simply ignored.
     chunk = np.zeros((len(options_ids), longest), dtype=np.int64)

@@ -113,7 +113,14 @@ def decode_plan(
 
 def count_plan(path: str, reason: str) -> None:
     """Record one decode entry's plan (``decode.plan.<path>.<reason>``),
-    so a silently serialised run shows up in ``repro obs report``."""
+    so a silently serialised run shows up in ``repro obs report``.
+
+    ``path`` is the path the entry *runs*, which two entries spell
+    differently from :func:`decode_plan`:
+    ``SpeculativeDecoder.decode_one`` counts a ``batched`` plan as
+    ``serial`` (one sequence has nothing to batch, so it runs the
+    reference loop), and ``score_options`` counts ``shared_prefix``
+    (reason ``clean`` / ``observer_hooks``) or ``per_option``."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()

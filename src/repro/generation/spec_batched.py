@@ -2,12 +2,13 @@
 
 The repo's two biggest decode speedups were mutually exclusive:
 :class:`~repro.generation.speculative.SpeculativeDecoder` cuts target
-forwards per sequence but runs one sequence at a time (BENCH_spec.json:
-1.69× vs serial, **0.68× vs batched**), while
+forwards per sequence but runs one sequence at a time, while
 :class:`~repro.generation.batched.BatchedDecoder` amortizes dispatch
 across sequences but still pays one target forward per token.
-:class:`BatchedSpeculativeDecoder` composes them so the speedups
-multiply instead of competing: it drives a
+:class:`BatchedSpeculativeDecoder` composes them (whether that pays on
+a given draft/target pair is the ledger's
+``generation.composed_tok_per_s.b8d4`` against
+``generation.batched_tok_per_s.b8``): it drives a
 :class:`~repro.generation.round.DecodeRound` with the draft attached —
 grouped draft propose, grouped batched target verify, per-row commit and
 per-slot ``truncate`` rollback, round-granularity retire and back-fill
@@ -16,8 +17,8 @@ contract and the FI gate matrix).  At batch width 1 the round schedule
 reduces exactly to :class:`~repro.generation.speculative.SpeculativeDecoder`.
 
 The ``spec_fault_side`` studies, which *want* faults inside the
-speculative schedule, keep bypassing the gate through the 1-D decoder's
-``decode_one(force=True)``.
+speculative schedule, call the 1-D decoder's ungated
+:meth:`~repro.generation.speculative.SpeculativeDecoder.speculate`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from repro.generation.decode import GenerationConfig
 from repro.generation.round import (
     DecodeRound,
     check_draft,
-    count_plan,
-    decode_plan,
     decode_to_completion,
 )
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 
 __all__ = ["BatchedSpeculativeDecoder"]
@@ -61,26 +60,14 @@ class BatchedSpeculativeDecoder(BatchedDecoder):
         self.depth = speculation_depth
         self._draft_pool = draft_pool
 
-    def decode_many(
-        self,
-        prompts: list[list[int]],
-        sessions: "list[Session | None] | None" = None,
+    def decode_planned(
+        self, path: str, prompts: list[list[int]], sessions: list
     ) -> list[list[int]]:
-        """Greedy-decode every prompt; same contract as ``greedy_decode``
-        applied prompt-by-prompt.
-
-        ``sessions`` optionally supplies already-prefilled target
-        sessions (consumed), aligned with ``prompts``; the draft side
-        always prefills into its own pool.  :func:`decode_plan` picks
-        the fastest path that preserves exact fault semantics: composed
-        when nothing but observers is armed on either engine, else the
-        target's own batched or serial path.
-        """
-        sessions = self._aligned(prompts, sessions)
-        path, reason = decode_plan(self.engine, self.draft)
-        count_plan(path, reason)
+        """``composed`` speculates over the batch (the draft side always
+        prefills into its own pool); any other plan is the target's own
+        batched or serial path."""
         if path != "composed":
-            return self._decode_on(path, prompts, sessions)
+            return super().decode_planned(path, prompts, sessions)
         width = min(self.max_batch, max(1, len(prompts)))
         if self._draft_pool is None or self._draft_pool.n_slots < width:
             self._draft_pool = self.draft.new_pool(width)

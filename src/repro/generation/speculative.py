@@ -47,10 +47,10 @@ prefix, so a corrupted proposal can only lower the accept rate — it
 can never change the output.  The draft-vs-target masking study
 measures exactly that, and both its sides must decode through the
 speculative schedule regardless of what is armed, so the campaign's
-speculation-side trials bypass the gate explicitly with
-``decode_one(..., force=True)`` rather than the gate special-casing
-the draft engine (a draft fault under the gate's serial fallback would
-silently never fire).
+speculation-side trials call the ungated schedule by name
+(:meth:`SpeculativeDecoder.speculate`) rather than the gate
+special-casing the draft engine (a draft fault under the gate's serial
+fallback would silently never fire).
 """
 
 from __future__ import annotations
@@ -100,27 +100,36 @@ class SpeculativeDecoder:
         self,
         prompt_ids: list[int],
         session: Session | None = None,
-        force: bool = False,
     ) -> list[int]:
         """Greedy-decode one prompt; same contract as ``greedy_decode``.
 
         ``session`` optionally supplies an already-prefilled target
         session for ``prompt_ids`` (consumed).  Falls back to the exact
         serial reference loop unless :func:`decode_plan` allows
-        speculation; ``force=True`` skips the gate (the speculation-side
-        study, which *wants* to measure how faults interact with the
-        speculative schedule).
+        speculation; otherwise :meth:`speculate`.
         """
-        if not force:
-            path, reason = decode_plan(self.engine, self.draft)
-            if path != "composed":
-                # One sequence: "batched" has nothing to batch.
-                count_plan("serial", reason)
-                return greedy_decode(
-                    self.engine, prompt_ids, self.config, session=session,
-                    strategy="serial",
-                )
-            count_plan(path, reason)
+        path, reason = decode_plan(self.engine, self.draft)
+        if path != "composed":
+            # One sequence: "batched" has nothing to batch.
+            count_plan("serial", reason)
+            return greedy_decode(
+                self.engine, prompt_ids, self.config, session=session,
+                strategy="serial",
+            )
+        count_plan(path, reason)
+        return self.speculate(prompt_ids, session=session)
+
+    def speculate(
+        self,
+        prompt_ids: list[int],
+        session: Session | None = None,
+    ) -> list[int]:
+        """The draft-and-verify schedule itself, whatever is armed.
+
+        For callers that already hold a ``composed`` plan, and for the
+        speculation-side study, which *wants* to measure how faults
+        interact with the speculative schedule.
+        """
         tel = _telemetry()
         t0 = time.perf_counter()
         with tel.span(

@@ -210,27 +210,6 @@ class InferenceEngine:
     def _w(self, layer_name: str) -> np.ndarray:
         return self._stores[layer_name].array
 
-    # -- fault-injection introspection ------------------------------------------
-
-    def fi_active(self) -> bool:
-        """Whether any fault machinery could perturb the next forward.
-
-        True when forward hooks are registered (computational-fault
-        injectors, Ranger-style detectors, timing probes) or a memory
-        fault is armed (:attr:`weight_fault_depth` > 0,
-        :attr:`kv_fault`, :attr:`acc_fault`).  Redundant-compute
-        optimizations (shared-prefix option scoring, trial prefill
-        caching) must check this and fall back to the exact unshared
-        path so injected corruption propagates exactly as it would have
-        without the optimization.
-        """
-        return (
-            len(self.hooks) > 0
-            or self.weight_fault_depth > 0
-            or self.kv_fault is not None
-            or self.acc_fault is not None
-        )
-
     # -- forward ----------------------------------------------------------------
 
     def _linear(
@@ -530,7 +509,8 @@ class InferenceEngine:
         come back as ``(B, t, vocab)``.  Hooks and capture observe the
         flattened batch-major ``(B*t, ...)`` tensors in that mode —
         callers that need exact single-sequence fault semantics must
-        check :meth:`fi_active` first and use the unbatched path.
+        ask :func:`~repro.generation.round.decode_plan` first and use
+        the unbatched path unless it finds nothing but observers armed.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim not in (1, 2):

@@ -43,9 +43,10 @@ class HookContext:
     Only the shared-prefix mode of ``forward`` (2-D ids, option
     scoring) hands hooks more than one sequence: the flattened
     batch-major ``(B*t, features)`` output with ``batch_row`` ``None``.
-    It is only taken when ``InferenceEngine.fi_active()`` is false, so
-    fault-injection hooks never observe it unless registered
-    mid-flight.
+    ``score_options`` only takes it when
+    :func:`~repro.generation.round.decode_plan` finds nothing but pure
+    observers armed, so fault-injection hooks never observe it unless
+    registered mid-flight.
     """
 
     block: int

@@ -171,21 +171,17 @@ def load_model(
     directory: Path | None = None,
     verbose: bool = True,
     rebuild: bool = False,
-    prefer_shared: bool = True,
 ) -> ParamStore:
     """Load the named model from cache, building (and caching) on miss.
 
     Warm loads prefer the mmap arena sidecar (zero-copy attach, no
     decompression); a cache written before the sidecar existed — or
     with a torn sidecar from an interrupted write — regenerates it
-    from the ``.npz`` once and notes the repair.  ``prefer_shared=False``
-    forces the legacy decompressed load (private writable arrays).
+    from the ``.npz`` once and notes the repair.
     """
     path = cache_path(name, directory)
     sidecar = path.with_suffix(".arena")
     if path.exists() and not rebuild:
-        if not prefer_shared:
-            return ParamStore.load(path)
         if arena_valid(sidecar):
             return ParamStore.open_shared(sidecar)
         store = ParamStore.load(path).to_shared(sidecar)
@@ -199,6 +195,4 @@ def load_model(
         return store
     store = build_model(name, directory=directory, verbose=verbose)
     store.save(path)
-    if prefer_shared:
-        return store.to_shared(sidecar)
-    return store
+    return store.to_shared(sidecar)

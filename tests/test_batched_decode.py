@@ -273,7 +273,7 @@ class TestDecodeEquivalence:
     def test_strategy_knob(self, untrained_engine):
         config = _config()
         assert greedy_decode(
-            untrained_engine, PROMPT, config, strategy="batched"
+            untrained_engine, PROMPT, config, strategy="auto"
         ) == greedy_decode(untrained_engine, PROMPT, config, strategy="serial")
         with pytest.raises(ValueError, match="strategy"):
             greedy_decode(untrained_engine, PROMPT, config, strategy="turbo")
@@ -304,9 +304,9 @@ class TestBatchingSafety:
                 untrained_engine, PROMPT, config, strategy="serial"
             )
         with ComputationalFaultInjector(untrained_engine, site):
-            batched = greedy_decode(
-                untrained_engine, PROMPT, config, strategy="batched"
-            )
+            batched = BatchedDecoder(
+                untrained_engine, config, max_batch=1
+            ).decode_one(PROMPT)
         clean = greedy_decode(untrained_engine, PROMPT, config, strategy="serial")
         assert batched == serial
         assert serial != clean  # the fault actually landed

@@ -3,6 +3,9 @@
 * ``decode_plan``'s gate matrix as a single table: every kind of armed
   machinery x {armed on the target, armed on the draft} with the
   expected ``(path, reason)``, and the gate re-opening after disarm.
+* the decode / scoring entries and ``FICampaign`` take ``auto`` or the
+  reference and nothing else, and ``auto`` evaluates the plan exactly
+  once per call and counts the path it then runs.
 * ``DecodeRound`` as a thread-free state machine — admit / step /
   drop-row with and without a draft, ragged budgets down to 1 — holding
   slot conservation in both pools after every rule and every retired
@@ -29,6 +32,7 @@ from repro.fi import (
     ComputationalFaultInjector,
     FaultModel,
     FaultSite,
+    FICampaign,
     KVFaultInjector,
     MemoryFaultInjector,
 )
@@ -36,13 +40,19 @@ from repro.generation import (
     BatchedDecoder,
     DecodeRound,
     GenerationConfig,
+    beam_search_decode,
+    choose_option,
     decode_plan,
+    generate_ids,
     greedy_decode,
+    score_options,
 )
 from repro.inference import InferenceEngine
 from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
+from repro.obs import telemetry
 from repro.obs.instrument import attach_layer_timing
+from repro.tasks import TranslationTask, standardized_subset
 
 VOCAB = 64
 PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
@@ -158,6 +168,109 @@ def test_unscoped_hook_outranks_sequence_scoped_faults():
     engine = _target()
     with ARM["kv_fault"](engine), _hook(engine):
         assert decode_plan(engine, _draft()) == ("serial", "unscoped_hooks")
+
+
+# -- the entries: two routes, one plan per call ----------------------------------
+
+OPTIONS = [[11, 13], [17], [19, 23, 29]]
+
+
+def _entries(engine, draft=None):
+    """Every public decode / scoring entry as ``call(**strategy_kw)``."""
+    greedy = GenerationConfig(max_new_tokens=4, eos_id=-1)
+    beam = GenerationConfig(max_new_tokens=4, num_beams=2, eos_id=-1)
+    prompt = PROMPTS[0]
+    return {
+        "greedy_decode": lambda **kw: greedy_decode(
+            engine, prompt, greedy, draft=draft, **kw
+        ),
+        "beam_search_decode": lambda **kw: beam_search_decode(
+            engine, prompt, beam, **kw
+        ),
+        "generate_ids": lambda **kw: generate_ids(
+            engine, prompt, greedy, draft=draft, **kw
+        ),
+        "score_options": lambda **kw: score_options(
+            engine, prompt, OPTIONS, **kw
+        ),
+        "choose_option": lambda **kw: choose_option(
+            engine, prompt, OPTIONS, **kw
+        ),
+    }
+
+
+ENTRIES = tuple(_entries(None))
+
+
+@pytest.mark.parametrize("value", ("batched", "speculative", "incremental", "turbo"))
+@pytest.mark.parametrize("entry", (*ENTRIES, "FICampaign"))
+def test_only_auto_and_the_reference_are_strategies(
+    entry, value, tokenizer, world
+):
+    """Anything else raises at the call — for a campaign, in the
+    constructor, not when a run first reaches the decoder."""
+    if entry == "FICampaign":
+        task = TranslationTask(world)
+
+        def call(strategy):
+            FICampaign(
+                _target(), tokenizer, task.name, task.metrics,
+                standardized_subset(task, 1), FaultModel.COMP_1BIT,
+                decode_strategy=strategy,
+            )
+    else:
+        call = _entries(_target(), _draft())[entry]
+    with pytest.raises(ValueError, match="strategy"):
+        call(strategy=value)
+
+
+@pytest.fixture()
+def plan_calls(monkeypatch):
+    """Every ``decode_plan`` evaluation the generation modules make."""
+    from repro.generation import batched, decode, speculative
+
+    calls = []
+
+    def counting(engine, draft=None):
+        calls.append((engine, draft))
+        return decode_plan(engine, draft)
+
+    for module in (decode, batched, speculative):
+        monkeypatch.setattr(module, "decode_plan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("armed", ("clean", "row_scoped_hooks", "weight_fault"))
+@pytest.mark.parametrize("with_draft", (False, True), ids=("no_draft", "draft"))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_auto_plans_once_per_entry(entry, with_draft, armed, plan_calls):
+    engine = _target()
+    call = _entries(engine, _draft() if with_draft else None)[entry]
+    with ARM[armed](engine):
+        call()
+    assert len(plan_calls) == 1
+    del plan_calls[:]
+    with ARM[armed](engine):
+        call(strategy="full" if "option" in entry else "serial")
+    assert plan_calls == []  # the reference asks nothing
+
+
+def test_single_plan_remembers_the_draft():
+    """An armed draft keeps the target on its own batched path, and the
+    one counted plan says the draft is why."""
+    tel = telemetry()
+    tel.reset()
+    tel.enable()
+    try:
+        engine, draft = _target(), _draft()
+        with ARM["weight_fault"](draft):
+            _entries(engine, draft)["greedy_decode"]()
+        counters = tel.metrics.snapshot()["counters"]
+    finally:
+        tel.reset()
+        tel.disable()
+    plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
+    assert plans == {"decode.plan.batched.draft_weight_fault": 1}
 
 
 # -- DecodeRound as a state machine ----------------------------------------------

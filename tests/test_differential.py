@@ -10,8 +10,8 @@ three fault models.  Future perf PRs add one variant entry here
 instead of scattering ad-hoc comparisons.
 
 The *reference* configuration turns every optimization off
-(``prefill_cache=False, mc_scoring="full", decode_strategy="serial"``);
-the *optimized* configuration is the default ``auto`` everything.
+(``decode_strategy="serial"``); the *optimized* configuration is the
+default ``auto``.
 """
 
 import pytest
@@ -32,9 +32,7 @@ from repro.inference import InferenceEngine
 from repro.obs import telemetry
 from repro.tasks import MMLUTask, TranslationTask, standardized_subset
 
-REFERENCE = dict(
-    prefill_cache=False, mc_scoring="full", decode_strategy="serial"
-)
+REFERENCE = dict(decode_strategy="serial")
 
 
 @pytest.fixture(autouse=True)

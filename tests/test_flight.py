@@ -1,5 +1,5 @@
 """Tests for the fault-forensics stack: flight recorder, Chrome trace
-export, live campaign watch, and the bench-artifact checker.
+export and live campaign watch.
 
 The load-bearing guarantee is *pure observation*: arming the flight
 recorder must not change a single trial record (the recorder's whole
@@ -10,9 +10,7 @@ speculation fast paths.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +34,6 @@ from repro.obs import (
     watch,
 )
 from repro.tasks import MMLUTask, TranslationTask, standardized_subset
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -407,57 +403,3 @@ class TestReaderAndComparison:
         # Three-run comparison drops the delta column.
         three = render_comparison([("a", run_a), ("b", run_b), ("c", run_a)])
         assert "delta" not in three
-
-
-# ----------------------------------------------------------------------------
-# Bench artifact checker
-# ----------------------------------------------------------------------------
-
-
-def _load_check_bench():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench", REPO_ROOT / "scripts" / "check_bench.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestCheckBench:
-    def test_committed_artifacts_pass(self, capsys):
-        check_bench = _load_check_bench()
-        assert check_bench.main([]) == 0
-        assert "artifacts valid" in capsys.readouterr().out
-
-    def test_malformed_artifacts_fail(self, tmp_path, capsys):
-        check_bench = _load_check_bench()
-        good = json.loads(
-            (REPO_ROOT / "BENCH_engine.json").read_text()
-        )
-        # Filename / bench_id mismatch.
-        mismatch = tmp_path / "BENCH_wrong.json"
-        mismatch.write_text(json.dumps(good))
-        # Manifest stripped.
-        bare = dict(good)
-        del bare["manifest"]
-        no_manifest = tmp_path / "BENCH_engine.json"
-        no_manifest.write_text(json.dumps(bare))
-        assert check_bench.main([str(mismatch), str(no_manifest)]) == 1
-        err = capsys.readouterr().err
-        assert "filename does not match bench_id" in err
-        assert "manifest" in err
-
-    def test_no_numeric_payload_fails(self, tmp_path):
-        check_bench = _load_check_bench()
-        good = json.loads(
-            (REPO_ROOT / "BENCH_engine.json").read_text()
-        )
-        hollow = {
-            "bench_id": "hollow",
-            "manifest": good["manifest"],
-            "notes": "text only",
-        }
-        path = tmp_path / "BENCH_hollow.json"
-        path.write_text(json.dumps(hollow))
-        problems = check_bench.check_bench_file(path)
-        assert any("numeric" in p for p in problems)

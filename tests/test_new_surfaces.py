@@ -407,9 +407,7 @@ class TestSpeculationSide:
                 draft, model, rng, max_iterations=6, engine_side="draft"
             )
             with inject(draft, site):
-                faulted = self._spec(target, draft).decode_one(
-                    prompt, force=True
-                )
+                faulted = self._spec(target, draft).speculate(prompt)
             assert faulted == clean, f"draft-side {model.value} leaked"
 
     def test_target_kv_fault_rolls_back_across_rejections(
@@ -425,9 +423,7 @@ class TestSpeculationSide:
         runs = []
         for _ in range(2):
             with inject(target, site):
-                runs.append(
-                    self._spec(target, draft).decode_one(prompt, force=True)
-                )
+                runs.append(self._spec(target, draft).speculate(prompt))
         assert runs[0] == runs[1]  # rollback bookkeeping is deterministic
         assert target.kv_fault is None
         assert self._spec(target, draft).decode_one(prompt) == clean

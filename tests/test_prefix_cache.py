@@ -3,9 +3,9 @@
 Three layers of optimization must leave results indistinguishable from
 the reference path:
 
-* shared-prefix (batched/incremental) option scoring vs. per-option
-  ``forward_full`` — same argmax, same scores up to float associativity,
-  and *exactly* the reference path whenever fault machinery is armed;
+* shared-prefix option scoring vs. per-option ``forward_full`` — same
+  argmax, same scores up to float associativity, and *exactly* the
+  reference path whenever anything but pure observers is armed;
 * session/KV machinery the above lean on — fork independence after
   further steps, snapshot/restore round-trips, decoding from a
   pre-built session.
@@ -28,6 +28,7 @@ from repro.generation import (
     GenerationConfig,
     beam_search_decode,
     choose_option,
+    decode_plan,
     generate_ids,
     greedy_decode,
     score_continuation,
@@ -52,7 +53,7 @@ def clean_telemetry():
 
 
 class TestOptionScoringEquivalence:
-    @pytest.mark.parametrize("strategy", ["incremental", "batched", "auto"])
+    @pytest.mark.parametrize("strategy", ["auto"])
     def test_matches_reference_fault_free(self, untrained_engine, strategy):
         reference = score_options(
             untrained_engine, PROMPT, OPTIONS, strategy="full"
@@ -63,8 +64,8 @@ class TestOptionScoringEquivalence:
 
     def test_matches_reference_moe(self, moe_engine):
         reference = score_options(moe_engine, PROMPT, OPTIONS, strategy="full")
-        batched = score_options(moe_engine, PROMPT, OPTIONS, strategy="batched")
-        np.testing.assert_allclose(batched, reference, rtol=2e-5, atol=1e-5)
+        shared = score_options(moe_engine, PROMPT, OPTIONS, strategy="auto")
+        np.testing.assert_allclose(shared, reference, rtol=2e-5, atol=1e-5)
 
     def test_single_token_options_prefill_only(self, untrained_engine):
         options = [[11], [13], [17]]
@@ -72,7 +73,7 @@ class TestOptionScoringEquivalence:
             score_continuation(untrained_engine, PROMPT, o) for o in options
         ]
         scores = score_options(
-            untrained_engine, PROMPT, options, strategy="batched"
+            untrained_engine, PROMPT, options, strategy="auto"
         )
         np.testing.assert_allclose(scores, reference, rtol=2e-5, atol=1e-5)
 
@@ -90,7 +91,7 @@ class TestOptionScoringEquivalence:
 
     def test_empty_option_rejected(self, untrained_engine):
         with pytest.raises(ValueError):
-            score_options(untrained_engine, PROMPT, [[1], []], strategy="batched")
+            score_options(untrained_engine, PROMPT, [[1], []], strategy="auto")
         with pytest.raises(ValueError):
             score_options(untrained_engine, PROMPT, [], strategy="auto")
 
@@ -119,15 +120,54 @@ class TestFISafetyGate:
             FaultModel.MEM_2BIT, "blocks.0.up_proj", 2, 3, bits=(30, 22)
         )
         with MemoryFaultInjector(untrained_engine, site):
-            assert untrained_engine.fi_active()
+            assert decode_plan(untrained_engine)[1] == "weight_fault"
             injected_auto = score_options(
                 untrained_engine, PROMPT, OPTIONS, strategy="auto"
             )
             injected_full = score_options(
                 untrained_engine, PROMPT, OPTIONS, strategy="full"
             )
-        assert not untrained_engine.fi_active()
+        assert decode_plan(untrained_engine)[1] == "clean"
         assert injected_auto == injected_full
+
+    def test_observers_do_not_move_the_baseline_off_the_shared_prefix(
+        self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
+    ):
+        """Telemetry around ``FICampaign.run`` attaches layer-timing
+        hooks — pure observers — so a traced MC campaign must score its
+        fault-free baseline on the same path as an untraced one, and
+        say so in the plan counters."""
+        from repro.fi import assert_results_equal
+        from repro.generation import decode
+        from tests.test_differential import make_campaign
+
+        calls = []
+        reference = decode.score_continuation
+
+        def counting(*args):
+            calls.append(1)
+            return reference(*args)
+
+        monkeypatch.setattr(decode, "score_continuation", counting)
+
+        def run():
+            del calls[:]
+            result = make_campaign(
+                untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+            ).run(2)
+            return result, len(calls)
+
+        untraced, n_untraced = run()
+        clean_telemetry.enable()
+        traced, n_traced = run()
+        assert n_traced == n_untraced
+        assert_results_equal(traced, untraced, "traced", "untraced")
+        counters = clean_telemetry.metrics.snapshot()["counters"]
+        plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
+        assert plans == {
+            "decode.plan.shared_prefix.observer_hooks": 3,  # one per example
+            "decode.plan.per_option.weight_fault": 2,  # one per trial
+        }
 
     def test_weight_fault_depth_restored(self, untrained_engine):
         site = FaultSite(
@@ -206,16 +246,26 @@ class TestSessionMachinery:
         assert cache.length == 0
 
     def test_truncate_then_rescore_is_clean(self, untrained_engine):
-        """Append + truncate (incremental scoring) leaves no residue."""
+        """Append + truncate on a shared prefix leaves no residue: each
+        option scores as it would on a fresh prefill, and the prefix
+        bytes survive."""
         session = untrained_engine.start_session(PROMPT)
         before = [c.snapshot() for c in session.caches]
-        score_options(
-            untrained_engine, PROMPT, OPTIONS, strategy="incremental"
-        )
-        after = untrained_engine.start_session(PROMPT)
-        for snap, cache in zip(before, after.caches):
+        for option in OPTIONS:
+            fresh = untrained_engine.start_session(PROMPT)
+            expected = untrained_engine.forward(
+                option, fresh.caches, start_pos=len(PROMPT), iteration=0
+            )
+            rescored = untrained_engine.forward(
+                option, session.caches, start_pos=len(PROMPT), iteration=0
+            )
+            np.testing.assert_array_equal(rescored, expected)
+            for cache in session.caches:
+                cache.truncate(len(PROMPT))
+        for snap, cache in zip(before, session.caches):
             assert cache.length == snap[2]
             np.testing.assert_array_equal(cache.keys(), snap[0])
+            np.testing.assert_array_equal(cache.values(), snap[1])
 
     def test_greedy_from_prebuilt_session(self, trained_engine, tokenizer):
         prompt = tokenizer.encode("translate : de kato visas un hundo =")

@@ -275,12 +275,3 @@ class TestZooSidecar:
         regen = zoo_build.load_model("tiny")
         assert arena_valid(sidecar)
         assert regen.fingerprint() == untrained_store.fingerprint()
-
-    def test_prefer_shared_false_gives_private_arrays(
-        self, monkeypatch, tmp_path, untrained_store
-    ):
-        zoo_build, npz = self._patch_zoo(monkeypatch, tmp_path, untrained_store)
-        zoo_build.load_model("tiny")
-        legacy = zoo_build.load_model("tiny", prefer_shared=False)
-        assert legacy.fingerprint() == untrained_store.fingerprint()
-        assert all(a.flags.writeable for _n, a in legacy.items())

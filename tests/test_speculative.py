@@ -24,7 +24,6 @@ from repro.generation import (
     generate_ids,
     greedy_decode,
 )
-from repro.generation.decode import _resolve_decode_strategy
 from repro.inference import InferenceEngine
 from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
@@ -212,7 +211,7 @@ class TestConstructionAndGate:
 
         detach = attach_layer_timing(untrained_engine)
         try:
-            assert untrained_engine.fi_active()  # hooks are registered...
+            assert len(untrained_engine.hooks) > 0  # hooks are registered...
             assert untrained_engine.hooks.all_observers()
             assert decode_plan(untrained_engine, draft_engine) == (
                 "composed", "observer_hooks"
@@ -248,23 +247,35 @@ class TestConstructionAndGate:
         assert injected_spec == injected_serial
 
     def test_strategy_resolution(self, untrained_engine, draft_engine):
-        assert (
-            _resolve_decode_strategy(
-                untrained_engine, "auto", draft=draft_engine
-            )
-            == "speculative"
-        )
-        assert _resolve_decode_strategy(untrained_engine, "auto") == "batched"
+        """``auto`` runs the path ``decode_plan`` names: the plan counter
+        says which, the spec-round counter says whether it speculated."""
+        tel = telemetry()
+        tel.enable()
+        config = GenerationConfig(max_new_tokens=6)
+        prompt = _prompts(n=1)[0]
+
+        def run(**kw):
+            tel.metrics.reset()
+            greedy_decode(untrained_engine, prompt, config, **kw)
+            counters = tel.metrics.snapshot()["counters"]
+            plans = {
+                k[len("decode.plan."):]: v for k, v in counters.items()
+                if k.startswith("decode.plan.")
+            }
+            return plans, counters.get("decode.spec_rounds", 0) > 0
+
+        assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
+        assert run(draft=draft_engine) == ({"composed.clean": 1}, True)
+        assert decode_plan(untrained_engine)[0] == "batched"
+        assert run() == ({"batched.clean": 1}, False)
         untrained_engine.weight_fault_depth = 1
-        assert (
-            _resolve_decode_strategy(
-                untrained_engine, "auto", draft=draft_engine
+        try:
+            assert decode_plan(untrained_engine, draft_engine)[0] == "serial"
+            assert run(draft=draft_engine) == (
+                {"serial.weight_fault": 1}, False
             )
-            == "serial"
-        )
-        untrained_engine.weight_fault_depth = 0
-        with pytest.raises(ValueError, match="requires a draft"):
-            _resolve_decode_strategy(untrained_engine, "speculative")
+        finally:
+            untrained_engine.weight_fault_depth = 0
 
     def test_generate_ids_routes_draft(self, untrained_engine, draft_engine):
         config = GenerationConfig(max_new_tokens=10)
@@ -272,16 +283,14 @@ class TestConstructionAndGate:
         serial = generate_ids(
             untrained_engine, prompt, config, strategy="serial"
         )
+        tel = telemetry()
+        tel.enable()
         spec = generate_ids(
             untrained_engine, prompt, config, draft=draft_engine,
             speculation_depth=3,
         )
-        explicit = generate_ids(
-            untrained_engine, prompt, config, strategy="speculative",
-            draft=draft_engine, speculation_depth=3,
-        )
         assert spec == serial
-        assert explicit == serial
+        assert tel.metrics.snapshot()["counters"]["decode.spec_rounds"] > 0
 
 
 class TestTelemetry:
@@ -348,6 +357,9 @@ def _make_campaign(store, draft_store, tokenizer, world, fault_model, **kw):
     )
 
 
+REFERENCE = dict(decode_strategy="serial")
+
+
 class TestCampaignEquivalence:
     """Speculative campaigns replay the serial reference bit-for-bit."""
 
@@ -361,7 +373,7 @@ class TestCampaignEquivalence:
         ).run(8)
         reference = _make_campaign(
             untrained_store, None, tokenizer, world, fault_model,
-            prefill_cache=False, mc_scoring="full", decode_strategy="serial",
+            **REFERENCE,
         ).run(8)
         assert_results_equal(speculative, reference, "speculative", "reference")
 
@@ -375,7 +387,7 @@ class TestCampaignEquivalence:
         ).run(6, n_workers=2)
         serial = _make_campaign(
             untrained_store, None, tokenizer, world, fault_model,
-            prefill_cache=False, mc_scoring="full", decode_strategy="serial",
+            **REFERENCE,
         ).run(6, n_workers=0)
         assert_results_equal(pooled, serial, "pooled", "serial")
 
@@ -391,15 +403,6 @@ class TestCampaignEquivalence:
             _make_campaign(
                 untrained_store, bad_draft, tokenizer, world,
                 FaultModel.COMP_2BIT,
-            )
-
-    def test_explicit_speculative_needs_draft(
-        self, untrained_store, tokenizer, world
-    ):
-        with pytest.raises(ValueError, match="draft_model"):
-            _make_campaign(
-                untrained_store, None, tokenizer, world,
-                FaultModel.COMP_2BIT, decode_strategy="speculative",
             )
 
 
