@@ -66,12 +66,13 @@ import numpy as np
 
 from repro.fi.checkpoint import CampaignCheckpoint, site_to_dict
 from repro.fi.fault_models import FaultModel
+from repro.fi.golden import GoldenRun
 from repro.fi.injector import inject
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
-from repro.generation.round import count_plan, decode_plan
+from repro.generation.round import count_plan, decode_plan, pick
 from repro.generation.spec_batched import BatchedSpeculativeDecoder
 from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
@@ -301,10 +302,10 @@ def _attach_worker_campaign(arena_root: Path, campaign_state: dict) -> "FICampai
     campaign.draft_model = (
         InferenceEngine.open_shared(draft_dir) if draft_dir.exists() else None
     )
-    # Each worker builds its own prefill-session cache: sessions wrap
-    # the worker-local engine and are deliberately never shared.  The
-    # cache persists across every trial this worker serves.
-    campaign._prefill_sessions = {}
+    # Each worker builds its own golden runs: their sessions wrap the
+    # worker-local engine and are deliberately never shared.  The cache
+    # persists across every trial this worker serves.
+    campaign._golden = {}
     campaign._pool = None
     campaign._arena = None
     # Serving is a parent-process concern: a worker's engine is its own
@@ -769,11 +770,13 @@ class FICampaign:
         generative trials decode as a width-1 batch under row-scoped
         faults, option scoring shares the prompt prefill when nothing
         but observers is armed, and generative trials whose transient
-        fault strikes at iteration >= 1 rewind one cached fault-free
-        prefill per example instead of re-running the prompt forward.
-        ``serial`` is the whole reference, as the differential oracle
-        runs it: per-sequence decode loops, one full forward per option,
-        a fresh prefill per trial."""
+        fault strikes at iteration ``k >= 1`` resume their example's
+        golden run (:mod:`repro.fi.golden`) at iteration ``k - 1``
+        instead of re-decoding the fault-free prefix — without a single
+        forward when the golden run ended before ``k``.  ``serial`` is
+        the whole reference, as the differential oracle runs it:
+        per-sequence decode loops, one full forward per option, a fresh
+        prefill and a full decode per trial."""
         if draft_model is not None and (
             draft_model.config.vocab_size != engine.config.vocab_size
         ):
@@ -816,10 +819,10 @@ class FICampaign:
         self._example_ids = [self._stable_example_id(ex) for ex in self.examples]
         self._baseline_preds: list | None = None
         self._baseline_selections: list | None = None
-        self._prefill_sessions: dict[int, tuple] = {}
-        """Per-example ``(session, cache snapshots, last_logits,
-        position)`` entries for fault-free prefill reuse (never pickled
-        to workers — each worker rebuilds its own lazily)."""
+        self._golden: dict[int, GoldenRun | None] = {}
+        """Per-example golden runs, built on first use; ``None`` marks
+        an example whose golden run disagreed with the baseline (never
+        pickled to workers — each worker builds its own lazily)."""
         self._metric_baseline_memo: dict[tuple[str, int], float] = {}
         self._arena: _SharedArena | None = None
         """Lazily exported shared weight arena (one per campaign —
@@ -925,18 +928,22 @@ class FICampaign:
             strategy="full" if self.decode_strategy == "serial" else "auto",
         )
 
-    def _eval_gen(self, ex: GenExample, session=None) -> str:
-        prompt = self.tokenizer.encode(ex.prompt)
+    def _eval_gen(self, ex: GenExample, golden: GoldenRun | None = None,
+                  k: int = 0) -> str:
+        """Decode ``ex``; with ``golden``, only from iteration ``k`` on."""
+        session, prefix, config = (
+            golden.resume(k) if golden else (None, [], self.generation)
+        )
         ids = generate_ids(
             self.engine,
-            prompt,
-            self.generation,
+            self.tokenizer.encode(ex.prompt),
+            config,
             session=session,
             strategy=self.decode_strategy,
             draft=self.draft_model,
             speculation_depth=self.speculation_depth,
         )
-        return self.tokenizer.decode(ids)
+        return self.tokenizer.decode(prefix + ids)
 
     def _capture_selections(self) -> dict | None:
         if not self.track_expert_selection:
@@ -1166,62 +1173,45 @@ class FICampaign:
         metrics.counter(f"campaign.outcome.{record.outcome.name.lower()}").add()
         return record
 
-    def _cached_prefill(self, site: FaultSite, idx: int, ex) -> "object | None":
-        """The example's fault-free prefilled session, rewound, when safe.
+    def _golden_run(self, site: FaultSite, idx: int, ex) -> GoldenRun | None:
+        """The example's golden run, when the trial may resume from it.
 
-        Safe exactly when the trial's iteration-0 forward is guaranteed
-        bit-identical to the baseline's: a transient fault
-        (computational, KV-cache or accumulator) timed at iteration
-        >= 1 on a generative task — none of those can perturb the
-        prompt forward before their sampled iteration.  Memory faults
-        corrupt the weights the prefill reads, iteration-0 faults
-        strike the prefill itself, speculation-side and served-fault
-        trials decode through a different schedule entirely, and
-        expert-selection tracking must capture the prefill's routing —
-        all of those re-prefill.
-
-        One session per example is kept and *rewound in place* between
-        trials via :meth:`KVCache.restore` — a bounded prefix write
-        into the session's existing K/V buffers — instead of the old
-        ``fork()``, which allocated fresh full-``max_seq`` buffers for
-        every trial.  The snapshot bytes are exactly the prefill's, so
-        a rewound trial is bit-identical to a freshly prefilled one.
+        Safe exactly when everything before the trial's strike is
+        guaranteed bit-identical to the fault-free run: a transient
+        fault (computational, KV-cache or accumulator) timed at
+        iteration >= 1 on a generative task.  Memory faults corrupt the
+        weights every forward reads, iteration-0 faults strike the
+        prefill itself, speculation-side and served-fault trials decode
+        through a different schedule entirely, and expert-selection
+        tracking must capture every forward's routing — all of those
+        re-prefill and decode in full, as ``serial`` always does.
         """
-        transient = (
-            site.fault_model.is_computational
-            or site.fault_model.is_kv
-            or site.fault_model.is_accumulator
-        )
+        model = site.fault_model
         if (
             self.decode_strategy == "serial"
             or self.is_mc
             or self.track_expert_selection
             or self.spec_fault_side is not None
             or (self._serve is not None and self._serve_faults)
-            or not transient
+            or not (model.is_computational or model.is_kv or model.is_accumulator)
             or site.iteration == 0
         ):
             return None
-        entry = self._prefill_sessions.get(idx)
-        if entry is None:
-            prompt = self.tokenizer.encode(ex.prompt)
-            base = self.engine.start_session(prompt)
-            self._prefill_sessions[idx] = (
-                base,
-                [cache.snapshot() for cache in base.caches],
-                base.last_logits.copy(),
-                base.position,
+        if idx not in self._golden:
+            run = GoldenRun.decode(
+                self.engine, self.tokenizer.encode(ex.prompt), self.generation
             )
-            # Fresh prefill is already in the pristine state; the next
-            # trial for this example rewinds from the snapshots.
-            return base
-        session, snaps, logits, position = entry
-        for cache, snap in zip(session.caches, snaps):
-            cache.restore(snap)
-        session.iteration = 0
-        session.position = position
-        session.last_logits = logits.copy()
-        return session
+            if (
+                self.generation.num_beams == 1
+                and self.tokenizer.decode(run.ids) != self._baseline_preds[idx]
+            ):
+                # Never mix two references: this example decodes in full.
+                run = None
+                tel = _telemetry()
+                if tel.active:
+                    tel.metrics.counter("campaign.golden.baseline_mismatch").add()
+            self._golden[idx] = run
+        return self._golden[idx]
 
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
         if self.chaos is not None:
@@ -1236,10 +1226,10 @@ class FICampaign:
             recorder.begin_trial(
                 trial, self.trial_key(trial), site_to_dict(site), idx
             )
-        session = self._cached_prefill(site, idx, ex)
+        golden = self._golden_run(site, idx, ex)
         tel = _telemetry()
         if tel.active and not self.is_mc:
-            name = "hits" if session is not None else "misses"
+            name = "hits" if golden is not None else "misses"
             tel.metrics.counter(f"engine.prefill_cache_{name}").add()
         if self.track_expert_selection:
             self.engine.capture = CaptureState()
@@ -1302,7 +1292,7 @@ class FICampaign:
                     if self.is_mc:
                         pred_idx = self._eval_mc(ex)
                     else:
-                        text = self._eval_gen(ex, session=session)
+                        text = self._eval_gen(ex, golden, site.iteration)
                 fired = getattr(injector, "fired", True)
         finally:
             if detach_front is not None:
@@ -1404,10 +1394,7 @@ class FICampaign:
             session = self.engine.start_session(prompt)
             logits = session.last_logits
             for step in range(strike):
-                try:
-                    token = int(np.nanargmax(logits))
-                except ValueError:  # all-NaN logits (cannot happen fault-free)
-                    token = 0
+                token = pick(logits)
                 if token == self.generation.eos_id:
                     return None  # baseline ended before the strike
                 if step == strike - 1:
@@ -1700,10 +1687,10 @@ class FICampaign:
         """Campaign state inherited by forked workers.
 
         Engines are excluded — workers attach to the shared arena
-        instead — as are prefill sessions (rebuilt worker-side) and
-        the pool/arena handles themselves.
+        instead — as are golden runs (rebuilt worker-side) and the
+        pool/arena handles themselves.
         """
-        drop = {"engine", "draft_model", "_prefill_sessions", "_pool",
+        drop = {"engine", "draft_model", "_golden", "_pool",
                 "_arena", "_serve"}
         return {k: v for k, v in self.__dict__.items() if k not in drop}
 

@@ -227,10 +227,16 @@ def generate_ids(
     """Dispatch to greedy or beam decoding based on ``num_beams``.
 
     ``session``, when given, must be a prefilled session for
-    ``prompt_ids`` (it is consumed); campaigns pass their cached
-    fault-free prefill, rewound in place, to skip redundant prompt
-    forwards.  ``strategy`` is forwarded to the decoder (``auto`` or
-    ``serial``, see :func:`greedy_decode`).  ``draft`` and
+    ``prompt_ids`` (it is consumed).  Where no draft proposes (the
+    width-1 round and the serial loop, all an injected trial takes) a
+    greedy session may already be ``session.iteration`` steps past the
+    prompt: decoding continues
+    from there, ``config.max_new_tokens`` is the budget that is left
+    and only the new ids are returned — how campaigns resume a trial
+    from its example's golden run (:mod:`repro.fi.golden`) instead of
+    re-decoding the fault-free prefix.  ``strategy`` is forwarded to
+    the decoder (``auto`` or ``serial``, see :func:`greedy_decode`).
+    ``draft`` and
     ``speculation_depth`` enable draft-and-verify greedy decoding; beam
     search ignores the draft (speculation is greedy-only).
     """

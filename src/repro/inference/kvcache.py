@@ -88,7 +88,11 @@ class KVCache:
         """
         return self.keys().copy(), self.values().copy(), self.length
 
-    def restore(self, snap: tuple[np.ndarray, np.ndarray, int]) -> None:
+    def restore(
+        self,
+        snap: tuple[np.ndarray, np.ndarray, int],
+        length: int | None = None,
+    ) -> None:
         """Rewind to a :meth:`snapshot`, reusing the existing buffers.
 
         In-place prefix write — never reallocates ``k``/``v`` (which
@@ -96,8 +100,20 @@ class KVCache:
         so speculation rollback and beam inner loops can restore per
         round at slice-copy cost.  The snapshot must fit the buffers:
         same head/dim geometry, ``length <= max_seq``.
+
+        ``length`` restores only the snapshot's first ``length``
+        positions — the state ``restore(snap)`` then ``truncate(length)``
+        leaves, in one bounded write (the golden-run rewind: one
+        full-length snapshot serves every earlier decode state).
         """
-        k, v, length = snap
+        k, v, snap_length = snap
+        if length is None:
+            length = snap_length
+        elif not 0 <= length <= snap_length:
+            raise ValueError(
+                f"cannot restore {length} positions of a snapshot of"
+                f" {snap_length}"
+            )
         if length > self.max_seq:
             raise ValueError(
                 f"snapshot length {length} exceeds cache capacity {self.max_seq}"
@@ -111,8 +127,8 @@ class KVCache:
         # restored prefix must be rolled back just like under truncate.
         for watcher in self.watchers:
             watcher.on_truncate(self, length)
-        self.k[:, :length] = k
-        self.v[:, :length] = v
+        self.k[:, :length] = k[:, :length]
+        self.v[:, :length] = v[:, :length]
         self.length = length
 
     def clone(self) -> "KVCache":

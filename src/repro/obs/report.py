@@ -113,7 +113,8 @@ def _scalar_section(run: RunData) -> list[str]:
 
 
 def _derived_section(run: RunData) -> list[str]:
-    """Headline rates the raw instruments imply (tokens/sec, SDC rate)."""
+    """Headline figures the raw instruments imply: tokens/sec and, for a
+    campaign, its SDC rate and how many trials resumed a golden run."""
     lines = []
     counters = run.metrics.counters
     tokens = counters.get("decode.tokens")
@@ -129,6 +130,21 @@ def _derived_section(run: RunData) -> list[str]:
         if total > 0:
             sdc = total - (masked.value if masked else 0.0)
             lines.append(f"SDC rate: {sdc / total:.3f} over {int(total)} trials")
+    if "campaign.golden.builds" in counters:
+        # Which path each generative trial took (repro.fi.golden): resumed
+        # from its example's golden run, or prefilled and decoded in full.
+        def count(name: str) -> int:
+            return int(counters[name].value) if name in counters else 0
+
+        resumed = count("engine.prefill_cache_hits")
+        trials = resumed + count("engine.prefill_cache_misses")
+        lines.append(
+            f"golden runs: {resumed} of {trials} generative trials resumed"
+            f" ({count('campaign.golden.replayed_tokens')} decode steps"
+            f" replayed, {count('campaign.golden.unreached')} strikes never"
+            f" reached, {count('campaign.golden.builds')} runs built,"
+            f" {count('campaign.golden.baseline_mismatch')} off the baseline)"
+        )
     if lines:
         lines = ["", "== derived =="] + lines
     return lines

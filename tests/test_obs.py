@@ -496,8 +496,21 @@ class TestReport:
         tel.metrics.counter("decode.tokens").add(40)
         tel.metrics.histogram("decode.generate_ms").observe(20.0)
         tel.metrics.histogram("engine.layer_ms.blocks.0.q_proj").observe(0.5)
+        for name, value in {
+            "engine.prefill_cache_hits": 3,
+            "engine.prefill_cache_misses": 1,
+            "campaign.golden.builds": 2,
+            "campaign.golden.replayed_tokens": 17,
+            "campaign.golden.unreached": 1,
+        }.items():
+            tel.metrics.counter(name).add(value)
         path = tel.flush(tmp_path / "run.jsonl", seed=3, command="test")
         text = report_path(path)
+        assert (
+            "golden runs: 3 of 4 generative trials resumed (17 decode steps"
+            " replayed, 1 strikes never reached, 2 runs built, 0 off the"
+            " baseline)"
+        ) in text
         assert "campaign.trial" in text
         assert "engine.layer_ms.blocks.0.q_proj" in text
         assert "tokens/sec" in text

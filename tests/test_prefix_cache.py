@@ -34,7 +34,7 @@ from repro.generation import (
     score_continuation,
     score_options,
 )
-from repro.inference import KVCache
+from repro.inference import KVCache, PooledKVCache
 from repro.obs import telemetry
 from repro.tasks import MMLUTask, standardized_subset
 
@@ -234,6 +234,61 @@ class TestSessionMachinery:
         cache.restore(snap)
         assert cache.length == 2
         np.testing.assert_array_equal(cache.keys(), snap[0])
+
+    def test_kvcache_partial_restore_equals_restore_then_truncate(self):
+        """``restore(snap, length)`` is one bounded prefix write."""
+        rng = np.random.default_rng(6)
+        cache, twin = KVCache(2, 8, 4), KVCache(2, 8, 4)
+        k, v = rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4))
+        cache.append(k, v)
+        snap = cache.snapshot()
+        for length in (5, 3, 0):
+            for c in (cache, twin):
+                c.truncate(0)
+                c.append(rng.normal(size=(2, 7, 4)), rng.normal(size=(2, 7, 4)))
+            dirty = cache.k[:, length:].copy()
+            cache.restore(snap, length)
+            twin.restore(snap)
+            twin.truncate(length)
+            assert cache.length == twin.length == length
+            np.testing.assert_array_equal(cache.keys(), twin.keys())
+            np.testing.assert_array_equal(cache.values(), twin.values())
+            # Bounded: nothing beyond the restored prefix was written.
+            np.testing.assert_array_equal(cache.k[:, length:], dirty)
+
+    def test_kvcache_partial_restore_checks_bounds_and_geometry(self):
+        cache = KVCache(2, 8, 4)
+        cache.append(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
+        snap = cache.snapshot()
+        for bad in (4, -1):
+            with pytest.raises(ValueError):
+                cache.restore(snap, bad)
+        with pytest.raises(ValueError):
+            KVCache(3, 8, 4).restore(snap, 2)
+        with pytest.raises(ValueError):
+            KVCache(2, 2, 4).restore(snap, 3)
+        assert cache.length == 3
+
+    def test_partial_restore_into_a_pool_slot_stays_in_the_arena(self):
+        """A ``_SlotView`` keeps its arena rows: the write lands in the
+        pool's storage and no sibling slot is touched."""
+        rng = np.random.default_rng(7)
+        pool = PooledKVCache(n_layers=1, n_slots=2, n_heads=2, max_seq=8, head_dim=4)
+        slots = [pool.acquire(), pool.acquire()]
+        view, sibling = (pool.caches(slot)[0] for slot in slots)
+        for c in (view, sibling):
+            c.append(rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4)))
+        snap = view.snapshot()
+        before = sibling.keys().copy()
+        view.truncate(1)
+        view.append(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+        buffers = (view.k, view.v)
+        view.restore(snap, 4)
+        assert view.k is buffers[0] and view.v is buffers[1]
+        assert view.length == 4
+        np.testing.assert_array_equal(view.keys(), snap[0][:, :4])
+        np.testing.assert_array_equal(pool._k[0][slots[0], :, :4], snap[0][:, :4])
+        np.testing.assert_array_equal(sibling.keys(), before)
 
     def test_kvcache_truncate_bounds(self):
         cache = KVCache(1, 4, 2)

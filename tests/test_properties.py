@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fi import FaultModel, FaultSite, inject, sample_site
+from repro.fi.golden import GoldenRun
 from repro.generation import GenerationConfig, greedy_decode
 from repro.inference import InferenceEngine, KVCache
 from repro.inference.kvcache import PooledKVCache
@@ -128,6 +129,35 @@ def test_property_greedy_prefix_stability(prompt, n_tokens):
         engine, prompt, GenerationConfig(max_new_tokens=n_tokens + 1, eos_id=2)
     )
     assert longer[: len(short)] == short
+
+
+@settings(max_examples=25, deadline=None)
+@given(_prompts, st.integers(min_value=0, max_value=VOCAB - 1), st.data())
+def test_property_golden_rewind_equals_fresh_steps(prompt, eos, data):
+    """The state a golden run restores at ``j`` is, byte for byte, the
+    state of a fresh session stepped ``j`` times — whatever an earlier
+    trial left in the shared session."""
+    engine = _prop_engine()
+    run = GoldenRun.decode(
+        engine, prompt, GenerationConfig(max_new_tokens=6, eos_id=eos)
+    )
+    states = st.integers(min_value=0, max_value=len(run.logits) - 1)
+    # An earlier trial: resumed somewhere, decoded something else.
+    dirty = run.rewind(data.draw(states))
+    for token in data.draw(st.lists(st.integers(0, VOCAB - 1), max_size=4)):
+        dirty.step(token)
+    j = data.draw(states)
+    restored = run.rewind(j)
+    fresh = engine.start_session(prompt)
+    for token in run.ids[:j]:
+        fresh.step(token)
+    for cache, ref in zip(restored.caches, fresh.caches, strict=True):
+        assert cache.length == ref.length
+        assert cache.keys().tobytes() == ref.keys().tobytes()
+        assert cache.values().tobytes() == ref.values().tobytes()
+    assert restored.last_logits.tobytes() == fresh.last_logits.tobytes()
+    assert (restored.position, restored.iteration) == (len(prompt) + j, j)
+    assert (fresh.position, fresh.iteration) == (len(prompt) + j, j)
 
 
 @settings(max_examples=15, deadline=None)
