@@ -54,8 +54,12 @@ def silu_np(x: np.ndarray) -> np.ndarray:
 
 
 def rms_norm_np(x: np.ndarray, weight: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Root-mean-square layer normalization (pure NumPy)."""
-    ms = np.mean(x * x, axis=-1, keepdims=True)
+    """Root-mean-square layer normalization (pure NumPy).
+
+    The mean square is spelled as its reduction — the same bits as
+    ``np.mean`` at under half its call overhead, nine times a forward.
+    """
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     return x / np.sqrt(ms + eps) * weight
 
 

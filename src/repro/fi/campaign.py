@@ -14,6 +14,12 @@ parallel, and restartable: the optional process pool partitions trials
 without changing any sampled site, and a resumed run replays exactly
 the sites an uninterrupted run would have drawn.
 
+In-process, trials that can share forwards do: the engine's batched
+forward is bit-identical per row to the serial one, so greedy
+computational-fault trials decode as *waves* — ``_DECODE_BATCH`` rows of
+one decode round, each resumed from its example's golden run with its
+own budget and its own row-pinned injector (:meth:`FICampaign._run_wave`).
+
 The runner itself is fault-tolerant (the execution layer must survive
 the same paper-scale campaigns it measures):
 
@@ -67,15 +73,16 @@ import numpy as np
 from repro.fi.checkpoint import CampaignCheckpoint, site_to_dict
 from repro.fi.fault_models import FaultModel
 from repro.fi.golden import GoldenRun
-from repro.fi.injector import inject
+from repro.fi.injector import ComputationalFaultInjector, inject
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
-from repro.generation.round import count_plan, decode_plan, pick
+from repro.generation.round import DecodeRound, count_plan, decode_plan, pick
 from repro.generation.spec_batched import BatchedSpeculativeDecoder
 from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
+from repro.inference.kvcache import PooledKVCache
 from repro.metrics.evaluate import score_generative
 from repro.model.params import arena_nbytes
 from repro.obs.flight import flight_recorder as _flight
@@ -185,8 +192,16 @@ class CampaignResult:
 
 
 _DECODE_BATCH = 8
-"""Continuous-batching width of the fault-free generative baseline sweep
-(injected trials decode one sequence at a time)."""
+"""Continuous-batching width of a campaign's decode rounds: the
+fault-free baseline sweep, the golden-run builds and the waves injected
+trials decode in."""
+
+_WAVE_TRIALS = 8 * _DECODE_BATCH
+"""Most trials one wave takes.  Long enough that back-filled rows keep
+the round near its full width; short enough that the journal — written
+wave by wave — trails the decode by a fraction of a second, and that a
+wave fits the time one trial is allowed (``trial_timeout`` bounds each
+wave as a whole)."""
 
 
 # ----------------------------------------------------------------------------
@@ -767,16 +782,20 @@ class FICampaign:
         """The one execution switch.  ``auto`` takes every fast path
         :func:`~repro.generation.round.decode_plan` allows: fault-free
         baselines batch (and speculate) across examples, injected
-        generative trials decode as a width-1 batch under row-scoped
+        generative trials decode in a batch round under row-scoped
         faults, option scoring shares the prompt prefill when nothing
         but observers is armed, and generative trials whose transient
         fault strikes at iteration ``k >= 1`` resume their example's
         golden run (:mod:`repro.fi.golden`) at iteration ``k - 1``
         instead of re-decoding the fault-free prefix — without a single
-        forward when the golden run ended before ``k``.  ``serial`` is
-        the whole reference, as the differential oracle runs it:
-        per-sequence decode loops, one full forward per option, a fresh
-        prefill and a full decode per trial."""
+        forward when the golden run ended before ``k``.  Greedy
+        computational-fault trials that resume run as *waves*
+        (:meth:`_run_wave`): up to ``_DECODE_BATCH`` of them share each
+        forward, every row bit-identical to the trial decoded alone.
+        ``serial`` is the whole reference, as the differential oracle
+        runs it: per-sequence decode loops, one full forward per option,
+        a fresh prefill and a full decode per trial, one trial at a
+        time."""
         if draft_model is not None and (
             draft_model.config.vocab_size != engine.config.vocab_size
         ):
@@ -823,6 +842,10 @@ class FICampaign:
         """Per-example golden runs, built on first use; ``None`` marks
         an example whose golden run disagreed with the baseline (never
         pickled to workers — each worker builds its own lazily)."""
+        self._kv_pool: PooledKVCache | None = None
+        """The ``_DECODE_BATCH`` KV slots this campaign's own rounds
+        decode in (baseline sweep, golden builds, waves), one after the
+        other."""
         self._metric_baseline_memo: dict[tuple[str, int], float] = {}
         self._arena: _SharedArena | None = None
         """Lazily exported shared weight arena (one per campaign —
@@ -1074,7 +1097,8 @@ class FICampaign:
                 # to plain batching or the serial reference.
                 if self.draft_model is None:
                     decoder = BatchedDecoder(
-                        self.engine, self.generation, max_batch=_DECODE_BATCH
+                        self.engine, self.generation, max_batch=_DECODE_BATCH,
+                        pool=self._kv_slots(),
                     )
                 else:
                     decoder = BatchedSpeculativeDecoder(
@@ -1173,8 +1197,13 @@ class FICampaign:
         metrics.counter(f"campaign.outcome.{record.outcome.name.lower()}").add()
         return record
 
-    def _golden_run(self, site: FaultSite, idx: int, ex) -> GoldenRun | None:
-        """The example's golden run, when the trial may resume from it.
+    def _kv_slots(self) -> PooledKVCache:
+        if self._kv_pool is None:
+            self._kv_pool = self.engine.new_pool(_DECODE_BATCH)
+        return self._kv_pool
+
+    def _golden_eligible(self, site: FaultSite) -> bool:
+        """Whether a trial struck at ``site`` may resume a golden run.
 
         Safe exactly when everything before the trial's strike is
         guaranteed bit-identical to the fault-free run: a transient
@@ -1187,7 +1216,7 @@ class FICampaign:
         re-prefill and decode in full, as ``serial`` always does.
         """
         model = site.fault_model
-        if (
+        return not (
             self.decode_strategy == "serial"
             or self.is_mc
             or self.track_expert_selection
@@ -1195,12 +1224,21 @@ class FICampaign:
             or (self._serve is not None and self._serve_faults)
             or not (model.is_computational or model.is_kv or model.is_accumulator)
             or site.iteration == 0
-        ):
-            return None
-        if idx not in self._golden:
-            run = GoldenRun.decode(
-                self.engine, self.tokenizer.encode(ex.prompt), self.generation
-            )
+        )
+
+    def _build_golden(self, indices) -> None:
+        """Decode, in one batched round, the golden runs of the examples
+        in ``indices`` that have none yet."""
+        missing = [i for i in dict.fromkeys(indices) if i not in self._golden]
+        if not missing:
+            return
+        runs = GoldenRun.decode_many(
+            self.engine,
+            [self.tokenizer.encode(self.examples[i].prompt) for i in missing],
+            self.generation,
+            self._kv_slots(),
+        )
+        for idx, run in zip(missing, runs):
             if (
                 self.generation.num_beams == 1
                 and self.tokenizer.decode(run.ids) != self._baseline_preds[idx]
@@ -1211,6 +1249,16 @@ class FICampaign:
                 if tel.active:
                     tel.metrics.counter("campaign.golden.baseline_mismatch").add()
             self._golden[idx] = run
+
+    def _golden_run(self, site: FaultSite, idx: int) -> GoldenRun | None:
+        """The example's golden run, when the trial may resume from it
+        (:meth:`_golden_eligible`).  Trials visit the examples round
+        robin, so a missing run is built together with those the next
+        trials will ask for."""
+        if not self._golden_eligible(site):
+            return None
+        n = len(self.examples)
+        self._build_golden((idx + ahead) % n for ahead in range(_DECODE_BATCH))
         return self._golden[idx]
 
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
@@ -1226,7 +1274,7 @@ class FICampaign:
             recorder.begin_trial(
                 trial, self.trial_key(trial), site_to_dict(site), idx
             )
-        golden = self._golden_run(site, idx, ex)
+        golden = self._golden_run(site, idx)
         tel = _telemetry()
         if tel.active and not self.is_mc:
             name = "hits" if golden is not None else "misses"
@@ -1316,25 +1364,7 @@ class FICampaign:
                 fired=fired,
             )
         else:
-            trial_metrics = score_generative(self.metrics, [text], [ex])
-            if "accuracy" in self.metrics:
-                outcome = classify_direct_answer(
-                    extract_final_answer(text),
-                    ex.meta.get("final_answer", ""),
-                    text,
-                )
-            else:
-                outcome = classify_generative(text, base_pred, ex.reference)
-            record = TrialRecord(
-                site=site,
-                example_index=idx,
-                prediction=text,
-                outcome=outcome,
-                metrics=trial_metrics,
-                changed=text != base_pred,
-                selection_changed=self._selection_changed(idx, selections),
-                fired=fired,
-            )
+            record = self._gen_record(site, idx, text, fired, selections)
         if recorder.active:
             reference = (
                 self._flight_reference(site, ex)
@@ -1350,6 +1380,37 @@ class FICampaign:
                 reference=reference,
             )
         return record
+
+    def _gen_record(
+        self,
+        site: FaultSite,
+        idx: int,
+        text: str,
+        fired: bool,
+        selections: dict | None = None,
+    ) -> TrialRecord:
+        """Score and classify one generative trial's prediction."""
+        ex = self.examples[idx]
+        base_pred = self._baseline_preds[idx]
+        trial_metrics = score_generative(self.metrics, [text], [ex])
+        if "accuracy" in self.metrics:
+            outcome = classify_direct_answer(
+                extract_final_answer(text),
+                ex.meta.get("final_answer", ""),
+                text,
+            )
+        else:
+            outcome = classify_generative(text, base_pred, ex.reference)
+        return TrialRecord(
+            site=site,
+            example_index=idx,
+            prediction=text,
+            outcome=outcome,
+            metrics=trial_metrics,
+            changed=text != base_pred,
+            selection_changed=self._selection_changed(idx, selections),
+            fired=fired,
+        )
 
     def _flight_reference(self, site: FaultSite, ex) -> dict | None:
         """Fault-free layer outputs of the struck forward (flight replay).
@@ -1425,6 +1486,9 @@ class FICampaign:
         if len(self.engine.hooks):
             self.engine.hooks.clear()
         self.engine.capture = None
+        # A wave interrupted between acquiring a slot and owning it
+        # would leak the slot: start the next round on a fresh pool.
+        self._kv_pool = None
         recorder = _flight()
         if recorder.active:
             # A crashed trial's partial forensic record would describe a
@@ -1483,6 +1547,142 @@ class FICampaign:
                     tel.metrics.counter("campaign.retries").add()
                 if sup.retry_backoff:
                     time.sleep(sup.retry_backoff * (2 ** (failures - 1)))
+
+    # -- waves ---------------------------------------------------------------------
+
+    def _wave_capable(self) -> bool:
+        """Whether this campaign's trials may share forwards at all:
+        greedy computational-fault trials, and nothing that wants a
+        trial to itself — chaos strikes, a flight recorder, or machinery
+        on the engine that :func:`decode_plan` does not batch under.
+        Computational injectors are hooks, one per row; KV-cache and
+        accumulator faults arm the engine's single slot, so they keep
+        the one-trial path."""
+        return (
+            self.decode_strategy == "auto"
+            and self.fault_model.is_computational
+            and self.generation.num_beams == 1
+            and self.chaos is None
+            and not _flight().active
+            and decode_plan(self.engine)[0] == "batched"
+        )
+
+    def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
+        """Decode those of ``trials`` that resume a golden run as rows
+        of one :class:`DecodeRound`; the rest (iteration-0 strikes, an
+        example off its baseline) are left out of the returned records,
+        for the one-trial path.
+
+        Each row starts in a pool slot holding a copy of its example's
+        golden state ``S_(k-1)`` (two trials of one example may be in
+        flight, so neither may own the golden run's session), with the
+        budget the golden prefix left and its own injector pinned to the
+        row's id; a retiring row disarms its injector and frees its
+        slot for the next pending trial.  The engine's batched forward
+        is row-exact and every injector is row-scoped, so each row
+        computes exactly what the trial computes decoded alone.
+        """
+        tel = _telemetry()
+        traced = tel.active
+        n = len(self.examples)
+        max_iter = self._max_fault_iter()
+        wave = [
+            (trial, site)
+            for trial in trials
+            if self._golden_eligible(site := self._trial_site(trial, max_iter))
+        ]
+        self._build_golden(trial % n for trial, _ in wave)
+        pending = deque(
+            (trial, site) for trial, site in wave if self._golden[trial % n] is not None
+        )
+        records: dict[int, TrialRecord] = {}
+        if not pending:
+            return records
+        # row key (trial) -> (site, golden prefix, slot, armed injector, t0)
+        live: dict[int, tuple] = {}
+
+        def finish(trial, site, ids: list[int], fired: bool, t0: float) -> None:
+            record = self._gen_record(
+                site, trial % n, self.tokenizer.decode(ids), fired
+            )
+            records[trial] = record
+            if traced:
+                # What _run_trial tallies; the latency is the trial's
+                # time in flight, beside its siblings.
+                metrics = tel.metrics
+                metrics.histogram("campaign.trial_ms").observe(
+                    (time.perf_counter() - t0) * 1e3
+                )
+                metrics.counter("engine.prefill_cache_hits").add()
+                metrics.counter("campaign.trials").add()
+                metrics.counter("campaign.injections").add()
+                metrics.counter(
+                    f"campaign.outcome.{record.outcome.name.lower()}"
+                ).add()
+
+        with tel.span("campaign.wave", task=self.task_name, trials=len(pending)):
+            count_plan("batched", "row_scoped_hooks")
+            pool = self._kv_slots()
+            rnd = DecodeRound(self.engine, pool, self.generation.eos_id)
+            try:
+                while pending or rnd.rows:
+                    while pending and pool.n_free:
+                        trial, site = pending.popleft()
+                        golden = self._golden[trial % n]
+                        t0 = time.perf_counter()
+                        slot = pool.acquire()
+                        session, prefix, config = golden.resume(
+                            site.iteration, pool.caches(slot)
+                        )
+                        row, _, reason = rnd.admit(
+                            trial, golden.prompt, config.max_new_tokens, session
+                        )
+                        if reason is not None:
+                            # Unreached strike: the golden run over again.
+                            pool.release(slot)
+                            finish(trial, site, prefix + row.out, False, t0)
+                            continue
+                        injector = ComputationalFaultInjector(
+                            self.engine, site, batch_row=row.id
+                        )
+                        injector.__enter__()
+                        live[trial] = (site, prefix, slot, injector, t0)
+                    if traced and rnd.rows:
+                        tel.metrics.histogram("campaign.wave.width").observe(
+                            len(rnd.rows)
+                        )
+                    for row, _, reason in rnd.step():
+                        if reason is not None:
+                            site, prefix, slot, injector, t0 = live.pop(row.key)
+                            injector.__exit__(None, None, None)
+                            pool.release(slot)
+                            finish(
+                                row.key, site, prefix + row.out, injector.fired, t0
+                            )
+            finally:
+                for _, _, slot, injector, _ in live.values():
+                    injector.__exit__(None, None, None)
+                    pool.release(slot)
+        return records
+
+    def _supervise_wave(
+        self, trials: list[int], sup: _Supervision
+    ) -> dict[int, tuple[TrialRecord, int]]:
+        """``{trial: (record, attempts_used)}`` of the trials a wave
+        decoded.  A wave that raises, or outlasts the time one trial is
+        allowed, is repaired and yields nothing: all of ``trials`` are
+        then the one-trial path's, where a deterministic failure is
+        retried and quarantined alone, as ever."""
+        try:
+            with _trial_alarm(sup.trial_timeout):
+                records = self._run_wave(trials)
+        except Exception:  # noqa: BLE001 — the one-trial path owns failures
+            self._post_failure_repair()
+            tel = _telemetry()
+            if tel.active:
+                tel.metrics.counter("campaign.wave.fallbacks").add()
+            return {}
+        return {trial: (record, 1) for trial, record in records.items()}
 
     # -- aggregation ---------------------------------------------------------------
 
@@ -1560,7 +1760,9 @@ class FICampaign:
     ) -> CampaignResult:
         """Execute ``n_trials`` fault injections (optionally in parallel).
 
-        ``n_workers=0`` runs serially; otherwise a pre-forked
+        ``n_workers=0`` runs in this process — one trial at a time, or,
+        for the trials that can share forwards, a wave at a time
+        (:meth:`_run_wave`); otherwise a pre-forked
         persistent pool executes trials individually.  Workers share
         one memory-mapped copy of the weights (per-worker incremental
         memory is KV caches + Python overhead, not the model), pull
@@ -1574,7 +1776,9 @@ class FICampaign:
         ``checkpoint`` journals every completed trial to a JSONL file;
         with ``resume=True`` an existing journal's trials are loaded
         and skipped (see :meth:`resume`).  ``trial_timeout`` bounds one
-        trial's wall clock; trials that raise are retried up to
+        trial's wall clock (and, where trials share forwards, one wave's:
+        a wave that exceeds it is re-run trial by trial, each under its
+        own bound); trials that raise are retried up to
         ``max_retries`` times with exponential ``retry_backoff`` before
         being quarantined as :attr:`Outcome.FAILED`; a dead or stuck
         worker is killed and respawned against the existing shared
@@ -1660,13 +1864,24 @@ class FICampaign:
         todo = [t for t in range(n_trials) if t not in results]
         try:
             if n_workers <= 1 or len(todo) <= 1:
-                for trial in todo:
-                    record, attempts = self._supervise_serial_trial(trial, sup)
-                    results[trial] = record
-                    if journal is not None:
-                        journal.write(
-                            trial, self.trial_key(trial), record, attempts
-                        )
+                queue = deque(todo)
+                while queue:
+                    # A campaign whose trials can share forwards takes
+                    # them a wave at a time; what the wave leaves (and
+                    # every trial of any other campaign) runs alone.
+                    waves = self._wave_capable()
+                    take = min(_WAVE_TRIALS if waves else 1, len(queue))
+                    trials = [queue.popleft() for _ in range(take)]
+                    done = self._supervise_wave(trials, sup) if waves else {}
+                    for trial in trials:
+                        if trial not in done:
+                            done[trial] = self._supervise_serial_trial(trial, sup)
+                        results[trial], attempts = done[trial]
+                        if journal is not None:
+                            journal.write(
+                                trial, self.trial_key(trial), results[trial],
+                                attempts,
+                            )
             else:
                 self._run_pool(todo, n_workers, tel, sup, journal, results)
         finally:
@@ -1688,7 +1903,9 @@ class FICampaign:
 
         Engines are excluded — workers attach to the shared arena
         instead — as are golden runs (rebuilt worker-side) and the
-        pool/arena handles themselves.
+        pool/arena handles themselves.  The KV slots stay: all free
+        between rounds, and a forked worker writing its copy-on-write
+        pages costs less than allocating a second pool beside them.
         """
         drop = {"engine", "draft_model", "_golden", "_pool",
                 "_arena", "_serve"}

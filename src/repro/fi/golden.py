@@ -16,11 +16,12 @@ forward ``j``'s output.  A strike at iteration ``k`` resumes at
 ``S_(k-1)``: the first forward the trial runs is the one tagged ``k``,
 over the inputs the full decode would have fed it.
 
-**Width 1.**  The run is decoded with ``Session.step``, which is
-bit-identical to the width-1 batch round injected trials decode through.
-The campaign baseline is *not* reusable: it batches eight examples per
-forward and agrees with width 1 only up to float associativity — the
-same tokens, different K/V bits.
+**Any width.**  The runs a campaign needs are decoded together, as rows
+of one :class:`~repro.generation.round.DecodeRound`.  The engine's
+batched entries are row-exact, so each row's logits and K/V are the bits
+a ``Session.step`` loop over that prompt alone produces — and the bits
+of the round an injected trial continues in, whatever else shares its
+forwards.
 
 **Unreached strikes.**  When the run ended at EOS after ``n`` tokens the
 forwards tagged ``1..n`` exist and no other; a strike at ``k > n`` never
@@ -34,8 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.generation.decode import GenerationConfig
-from repro.generation.round import pick
+from repro.generation.round import DecodeRound, decode_to_completion
 from repro.inference.engine import InferenceEngine, Session
+from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.flight import flight_recorder as _flight
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -44,50 +46,86 @@ __all__ = ["GoldenRun"]
 
 @dataclass(eq=False)
 class GoldenRun:
-    """One example's fault-free width-1 run, rewindable to any ``S_j``."""
+    """One example's fault-free run, restorable at any ``S_j``."""
 
-    session: Session
-    """The one session trials of this example decode in, rewound in
-    place (never forked: a fork allocates full ``max_seq`` buffers)."""
+    engine: InferenceEngine
     config: GenerationConfig
-    prompt_len: int
+    prompt: list[int]
     ids: list[int]
     logits: list[np.ndarray]
     """``logits[j]`` is forward ``j``'s output; ``len(ids)`` entries,
     plus the EOS-producing one when the run ended at EOS."""
     snaps: list[tuple[np.ndarray, np.ndarray, int]]
+    session: Session | None = None
+    """Where :meth:`rewind` restores when it is given no caches: one
+    session per run, allocated on first use and rewound in place (never
+    forked: a fork allocates full ``max_seq`` buffers)."""
+
+    @classmethod
+    def decode_many(
+        cls,
+        engine: InferenceEngine,
+        prompts: list[list[int]],
+        config: GenerationConfig,
+        pool: PooledKVCache | None = None,
+    ) -> "list[GoldenRun]":
+        """Prefill every prompt and, for a greedy ``config``, decode it
+        to the end as a ``DecodeRound`` row: EOS is not emitted and a
+        full budget retires without a final forward.  Beam-search trials
+        resume at ``S_0`` only, so theirs stop at the prompt forward.
+
+        The rows share forwards, as many at a time as ``pool`` (default:
+        one slot) has free slots; freed slots are back-filled.
+        """
+        greedy = config.num_beams == 1
+        if pool is None:
+            pool = engine.new_pool(1)
+        logits: list[list[np.ndarray]] = [[] for _ in prompts]
+        runs: list = [None] * len(prompts)
+
+        def keep(row, reason) -> None:
+            logits[row.key].append(row.logits[-1])
+            if reason is not None:
+                # The round has released the slot, but nothing acquires
+                # one before this returns: its views still hold the run.
+                runs[row.key] = cls(
+                    engine, config, row.prompt, row.out if greedy else [],
+                    logits[row.key], [c.snapshot() for c in row.caches],
+                )
+
+        decode_to_completion(
+            DecodeRound(engine, pool, config.eos_id),
+            prompts,
+            [None] * len(prompts),
+            config.max_new_tokens if greedy else 1,
+            pool.n_slots,
+            on_event=keep,
+        )
+        tel = _telemetry()
+        if tel.active:
+            tel.metrics.counter("campaign.golden.builds").add(len(runs))
+        return runs
 
     @classmethod
     def decode(
         cls, engine: InferenceEngine, prompt: list[int], config: GenerationConfig
     ) -> "GoldenRun":
-        """Prefill ``prompt`` and, for a greedy ``config``, decode it to
-        the end exactly as a ``DecodeRound`` row does: EOS is not
-        emitted and a full budget retires without a final forward.
-        Beam-search trials resume at ``S_0`` only, so theirs stops at
-        the prompt forward."""
-        session = engine.start_session(prompt)
-        ids: list[int] = []
-        logits = [session.last_logits]
-        while config.num_beams == 1:
-            token = pick(logits[-1])
-            if token == config.eos_id:
-                break
-            ids.append(token)
-            if len(ids) == config.max_new_tokens:
-                break
-            logits.append(session.step(token))
-        tel = _telemetry()
-        if tel.active:
-            tel.metrics.counter("campaign.golden.builds").add()
-        snaps = [cache.snapshot() for cache in session.caches]
-        return cls(session, config, len(prompt), ids, logits, snaps)
+        """:meth:`decode_many` of one prompt."""
+        return cls.decode_many(engine, [prompt], config)[0]
 
-    def rewind(self, j: int) -> Session:
-        """The session, rewound in place to ``S_j`` (consumed by the
-        decode it is handed to; the next rewind reclaims it)."""
-        session = self.session
-        length = self.prompt_len + j
+    def rewind(self, j: int, caches: list[KVCache] | None = None) -> Session:
+        """A session at ``S_j`` over ``caches`` — a wave row's pool slot,
+        several trials of one example being in flight at once — or, by
+        default, the run's own :attr:`session`, rewound in place
+        (consumed by the decode it is handed to; the next rewind
+        reclaims it)."""
+        if caches is None:
+            if self.session is None:
+                self.session = _blank_session(self.engine, self.engine.new_caches())
+            session = self.session
+        else:
+            session = _blank_session(self.engine, caches)
+        length = len(self.prompt) + j
         for cache, snap in zip(session.caches, self.snaps):
             cache.restore(snap, length)
         session.iteration = j
@@ -95,10 +133,13 @@ class GoldenRun:
         session.last_logits = self.logits[j].copy()
         return session
 
-    def resume(self, k: int) -> tuple[Session, list[int], GenerationConfig]:
+    def resume(
+        self, k: int, caches: list[KVCache] | None = None
+    ) -> tuple[Session, list[int], GenerationConfig]:
         """What a trial struck at iteration ``k >= 1`` still has to do:
-        decode the returned session under the returned config (the
-        budget left after ``prefix``) and prepend ``prefix``.
+        decode the returned session (see :meth:`rewind` for ``caches``)
+        under the returned config (the budget left after ``prefix``) and
+        prepend ``prefix``.
 
         An unreached strike (``k > len(ids)``) resumes at the run's last
         state, whose logits pick EOS: the decode returns at once and
@@ -115,7 +156,16 @@ class GoldenRun:
             recorder.annotate(resumed_at=j)
         budget = self.config.max_new_tokens - j
         return (
-            self.rewind(j),
+            self.rewind(j, caches),
             self.ids[:j],
             replace(self.config, max_new_tokens=budget),
         )
+
+
+def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
+    """A :class:`Session` over ``caches`` with no forward run: its
+    decode state is whatever the caller restores into it."""
+    session = Session.__new__(Session)
+    session.engine = engine
+    session.caches = caches
+    return session

@@ -107,7 +107,11 @@ class ComputationalFaultInjector:
     ``(t, features)`` slice, and the one-shot strikes exactly one
     sequence (the first row reaching the target iteration, which is the
     same hypothesis the serial loop would have struck).  ``batch_row``
-    optionally pins the strike to a specific batch row instead.
+    pins the strike to the row carrying that id instead
+    (:attr:`HookContext.batch_row`) — required wherever several rows
+    can reach the target layer and iteration, as when trials share a
+    round: pin to ``Row.id``, which does not move when a sibling
+    retires, and disarm when the row does.
     """
 
     def __init__(

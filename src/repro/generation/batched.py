@@ -25,10 +25,10 @@ engines do:
 once per entry whether batching preserves exact fault semantics (armed
 row-scoped hooks and sequence-scoped KV / accumulator faults do; weight
 faults, capture and unscoped hooks force the serial reference loop).
-``B == 1`` batched decoding is bit-identical to the serial path by
-construction (same-shaped operations throughout); ``B > 1`` agrees up
-to float associativity and is asserted identical at the decoded-token
-level by the equivalence tests.
+Batched decoding is bit-identical to the serial path per row at any
+width: the engine's batched entries run every operation on a row in the
+shape its serial forward does (row-exact products, see
+``InferenceEngine._linear``).
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class BatchedDecoder:
         batched forward per token, retired on EOS/length, and retired
         slots are immediately back-filled from the pending queue.
         Per-sequence outputs are identical to serial ``greedy_decode``
-        (bit-identical at ``B == 1``; argmax-identical above).
+        (bit-identical logits per row at any width).
         """
         sessions = self._aligned(prompts, sessions)
         path, reason = decode_plan(self.engine, self.draft)

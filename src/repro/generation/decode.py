@@ -74,7 +74,7 @@ def greedy_decode(
     (:class:`~repro.generation.speculative.SpeculativeDecoder`), else a
     width-1 batch through
     :class:`~repro.generation.batched.BatchedDecoder` (bit-identical to
-    the reference by construction), else the reference loop.
+    the reference, as every row of a batch is), else the reference loop.
     """
     if strategy == "auto":
         path, reason = decode_plan(engine, draft)

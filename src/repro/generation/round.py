@@ -8,9 +8,13 @@ same scheduler seen at different depths, so there is exactly one copy:
   that cannot change results, and why.
 * :class:`DecodeRound` — admit → propose → verify → commit / rollback →
   retire over pooled KV slots.  Without a draft the proposal depth is 0
-  and the verify *is* one ``forward_step_batch`` over all rows (for one
-  row, shape-identical to the serial ``Session.step``, so armed
-  row-scoped faults strike bit-identically).  With a draft, the draft
+  and the verify *is* one ``forward_step_batch`` over all rows (each
+  row shape-identical to its serial ``Session.step``, so armed
+  row-scoped faults strike bit-identically at any width).  Every target
+  forward tags row ``i`` with ``Row.id`` — its admission number, which
+  unlike its position never shifts when a sibling retires — as
+  ``HookContext.batch_row``, so an injector pinned to one sequence
+  stays on it.  With a draft, the draft
   proposes up to ``depth`` tokens per row (a grouped catch-up chunk plus
   ``depth - 1`` batched steps over its own pool), the target verifies
   each row's ``pending + proposals`` chunk in one
@@ -25,8 +29,14 @@ same scheduler seen at different depths, so there is exactly one copy:
 **Equivalence contract**: every emitted token is an argmax of *target*
 logits over the true emitted prefix, so no schedule can change which
 tokens are greedy-optimal — rows are token-identical to serial
-``greedy_decode`` at any depth, width and admission timing
-(bit-identical logits at width 1, argmax-identical above).
+``greedy_decode`` at any depth, width and admission timing.  Without a
+draft the contract is stronger: the engine's batched entries are
+*row-exact* (one product per sequence, see
+``InferenceEngine._linear``), so each row's logits and K/V are
+**bit-identical to serial at any width** — which is what lets a campaign
+decode injected trials side by side: an injected error is amplified, not
+averaged out, so trials may share a forward only if every row's bits are
+exactly the serial ones.
 
 **Gate matrix** — the truth table of :func:`decode_plan`:
 
@@ -47,9 +57,12 @@ Speculation is gated strictly: a verify chunk covers several generation
 iterations under one iteration tag, so anything iteration-pinned would
 mis-fire, and a chunked forward visits different (iteration, tensor)
 pairs than the serial loop.  Batching only needs faults that scope
-themselves to one sequence.  Weight faults amplify float-associativity
-differences and capture records per-sequence tensors, so both force the
-serial reference loop.  The *draft* is held to the speculation bar too
+themselves to one sequence.  Capture records per-sequence tensors, so
+it forces the serial reference loop; so do weight faults, whose gate was
+set when a batched GEMM differed from the serial one in the last bits (a
+corrupted weight amplifies such differences) — with row-exact products
+that rationale no longer holds, and relaxing the gate is left to a later
+change.  The *draft* is held to the speculation bar too
 (``draft_<reason>``, path = the target's no-draft path): its corruption
 is masked by construction, but the non-speculative paths run without
 it, so whether a draft fault even fires would depend on the path.
@@ -145,7 +158,13 @@ def check_draft(
 
 
 def pick(logits: np.ndarray) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
+    """NaN-safe argmax, identical to the serial greedy rule
+    (``np.nanargmax``, 0 for all-NaN logits).  ``argmax`` ranks NaN
+    highest, so the NaN-skipping scan — thirty times its cost on a
+    few-hundred-token vocabulary — only runs when the winner is NaN."""
+    token = int(logits.argmax())
+    if logits[token] == logits[token]:
+        return token
     try:
         return int(np.nanargmax(logits))
     except ValueError:  # all-NaN logits
@@ -210,6 +229,12 @@ class Row:
     d_len: int = 0
     accepted: int = 0
     """Proposals the latest round accepted (composed rounds only)."""
+    id: int = 0
+    """Admission number within the round: what the row's target forwards
+    carry as ``row_ids`` / ``HookContext.batch_row``."""
+    logits: "np.ndarray | None" = None
+    """Target logits ``(n, vocab)`` the latest event's tokens (or its
+    EOS) were picked from."""
 
 
 def _finish_reason(row: Row, hit_eos: bool) -> str | None:
@@ -240,6 +265,7 @@ class DecodeRound:
     draft_pool: PooledKVCache | None = None
     depth: int = 0
     rows: list[Row] = field(default_factory=list)
+    _admitted: int = field(default=0, init=False)
 
     def has_room(self) -> bool:
         """Whether one more row fits — a free slot in *both* pools."""
@@ -267,7 +293,8 @@ class DecodeRound:
         """
         if session is None and not prompt:
             raise ValueError("prompt must contain at least one token")
-        row = Row(key, prompt, budget)
+        row = Row(key, prompt, budget, id=self._admitted)
+        self._admitted += 1
         try:
             if session is not None:
                 row.caches, row.iter0 = session.caches, session.iteration
@@ -280,6 +307,7 @@ class DecodeRound:
                 logits = self.engine.forward(
                     prompt, row.caches, start_pos=0, iteration=0
                 )[-1:]
+            row.logits = logits
             reason = _finish_reason(row, accept(logits, (), self.eos_id, row.out)[1])
             if reason is None and self.draft is not None:
                 # Slot only: the draft's prompt forward waits for the
@@ -328,6 +356,7 @@ class DecodeRound:
                 [row.caches for row in rows],
                 [row.caches[0].length for row in rows],
                 [row.iter0 + len(row.out) for row in rows],
+                [row.id for row in rows],
             )
             verdicts = [logits[i : i + 1] for i in range(len(rows))]
         eos = self.eos_id
@@ -335,6 +364,7 @@ class DecodeRound:
         still: list[Row] = []
         for i, row in enumerate(rows):
             before = len(row.out)
+            row.logits = verdicts[i]
             accepted, hit_eos = accept(verdicts[i], proposals[i], eos, row.out)
             if composed:
                 row.accepted = accepted
@@ -425,6 +455,7 @@ class DecodeRound:
                 [rows[i].caches for i in group],
                 [base[i] for i in group],
                 [rows[i].iter0 + len(rows[i].out) for i in group],
+                [rows[i].id for i in group],
             )
             for j, i in enumerate(group):
                 verdicts[i] = logits[j]
@@ -440,9 +471,13 @@ def decode_to_completion(
     sessions: "list[Session | None]",
     budget: int,
     max_batch: int,
+    on_event: "Callable[[Row, str | None], None] | None" = None,
 ) -> list[list[int]]:
     """Decode every prompt through ``rnd``: admit up to ``max_batch``
-    rows, step until all retire, back-filling freed slots each round."""
+    rows, step until all retire, back-filling freed slots each round.
+    ``on_event(row, finish_reason)`` sees every admit and step event as
+    it happens — for a retiring row, after its slot was released but
+    before any other row can acquire it."""
     tel = _telemetry()
     traced = tel.active
     composed = rnd.draft is not None
@@ -465,6 +500,8 @@ def decode_to_completion(
                     row, _, reason = rnd.admit(
                         pending, prompts[pending], budget, sessions[pending]
                     )
+                    if on_event is not None:
+                        on_event(row, reason)
                     if reason is not None:
                         results[pending] = row.out
                     if traced and refill:
@@ -481,6 +518,8 @@ def decode_to_completion(
                         len(rnd.rows)
                     )
                 for row, _, reason in rnd.step():
+                    if on_event is not None:
+                        on_event(row, reason)
                     if reason is not None:
                         results[row.key] = row.out
         except BaseException:

@@ -49,6 +49,35 @@ class CaptureState:
     """Maps ``(iteration, block)`` -> ``(tokens, top_k)`` expert indices."""
 
 
+def _runs(rows: np.ndarray, t: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` of each sequence's tokens in the flat batch:
+    every ``t`` tokens, or for ``t == 0`` each run of equal ids in
+    ``rows``.  Plain Python: cheaper than ``np.diff`` at decode sizes (a
+    few dozen tokens at most)."""
+    if t:
+        return [(start, start + t) for start in range(0, len(rows), t)]
+    ids, start, runs = rows.tolist(), 0, []
+    for stop in range(1, len(ids) + 1):
+        if stop == len(ids) or ids[stop] != ids[start]:
+            runs.append((start, stop))
+            start = stop
+    return runs
+
+
+def _row_ids(row_ids, batch: int) -> np.ndarray:
+    """The batched entries' per-row ids: ``arange(batch)`` by default,
+    else the caller's, which must name each row exactly once (runs of
+    equal id are what the kernel takes for one sequence)."""
+    if row_ids is None:
+        return np.arange(batch)
+    ids = np.asarray(row_ids, dtype=np.int64)
+    if ids.shape != (batch,) or len(set(ids.tolist())) != batch:
+        raise ValueError(
+            f"row_ids must be {batch} distinct ints, got {ids.tolist()}"
+        )
+    return ids
+
+
 class InferenceEngine:
     """Decoder-only transformer forward pass over faultable weights."""
 
@@ -219,25 +248,38 @@ class InferenceEngine:
         layer: str,
         iteration,
         rows: np.ndarray | None = None,
+        t: int = 0,
     ) -> np.ndarray:
-        """One faultable linear layer over flat ``(N, D)`` input: a
-        single GEMM for every token of every batch row, then the fault
-        surfaces that ride on its output (accumulator strike, hooks,
-        capture).
+        """One faultable linear layer over flat ``(N, D)`` input, then
+        the fault surfaces that ride on its output (accumulator strike,
+        hooks, capture).
 
-        ``rows`` is ``None`` on the serial entry.  On the batched
-        entries it carries the (ascending) batch-row index of each
-        token and ``iteration`` is the aligned per-token iteration
-        array: an armed accumulator fault can then strike its sampled
-        reduction in the right row, and hooks run once per sequence on
-        that sequence's contiguous ``(t, features)`` token slice — the
-        exact serial shape — with :attr:`HookContext.batch_row`
-        identifying the sequence, so a row-scoped fault strikes exactly
-        one sequence of the batch.
+        ``rows`` is ``None`` on the serial entry: one GEMM over every
+        token.  On the batched entries it carries the id of the batch
+        row each token belongs to (tokens of one row are contiguous) and
+        ``iteration`` is the aligned per-token iteration array.  The
+        product is then **row-exact**: one BLAS call per sequence — the
+        ``(t, D) @ W`` the serial forward of that row runs, so its bits
+        do not depend on what else is in the batch — issued from a
+        single stacked NumPy matmul when every row has ``t`` tokens,
+        or one product per run of equal row id when ``t == 0`` (an MoE
+        expert's ragged subset).  An armed accumulator fault strikes its
+        sampled reduction in the right row, and hooks run once per
+        sequence on that sequence's contiguous ``(t, features)`` token
+        slice — the exact serial shape — with
+        :attr:`HookContext.batch_row` identifying the sequence, so a
+        row-scoped fault strikes exactly one sequence of the batch.
         """
         full = f"blocks.{block}.{layer}"
         w = self._w(full)
-        output = x @ w
+        if rows is None:
+            output = x @ w
+        elif t:
+            output = (x.reshape(-1, t, x.shape[1]) @ w).reshape(x.shape[0], -1)
+        else:
+            output = np.concatenate(
+                [x[start:stop] @ w for start, stop in _runs(rows, 0)]
+            )
         if self.acc_fault is not None:
             self.acc_fault.maybe_strike(output, x, w, full, iteration, rows)
         if self.hooks.has(full):
@@ -246,20 +288,15 @@ class InferenceEngine:
                     output, HookContext(block, layer, iteration, full)
                 )
             else:
-                # Plain-Python run detection: cheaper than np.diff at
-                # decode sizes (N = B*t is a few dozen tokens at most).
-                ids, start = rows.tolist(), 0
-                for stop in range(1, len(ids) + 1):
-                    if stop < len(ids) and ids[stop] == ids[start]:
-                        continue
+                for start, stop in _runs(rows, t):
                     view = output[start:stop]
                     ctx = HookContext(
-                        block, layer, int(iteration[start]), full, batch_row=ids[start]
+                        block, layer, int(iteration[start]), full,
+                        batch_row=int(rows[start]),
                     )
                     result = self.hooks.apply(view, ctx)
                     if result is not view:
                         output[start:stop] = result
-                    start = stop
         if self.capture is not None:
             # Captured after hooks so propagation traces see injected
             # computational faults in the injected layer's own output.
@@ -281,15 +318,14 @@ class InferenceEngine:
         """Causal attention for one block over flat ``(B*t, D)`` input.
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
-        shared GEMMs / broadcasts; the core has two legs:
+        shared :meth:`_linear` calls / broadcasts; the core has two legs:
 
         * **own cache** — per row, append the row's new K/V to
           ``row_caches[i][block]``, let an armed KV fault latch, then
           score against that cache (prefix + chunk) under ``masks[i]``
           (``masks`` is ``None`` when ``t == 1``).  Rows are ragged, so
           this is a loop; each row's slices have the strides of a
-          single-sequence forward, so a batch of width 1 is
-          bit-identical to it.
+          single-sequence forward, so every row is bit-identical to it.
         * **shared prefix** (``shared``) — every row attends to the one
           read-only cache ``row_caches[0][block]`` plus its own chunk
           (``masks`` is the ``(t, t)`` chunk mask; the prefix is fully
@@ -307,9 +343,9 @@ class InferenceEngine:
 
         # (B*t, D) -> (B, heads, t, hd)
         split = (batch, t, heads, hd)
-        q = self._linear(x, block, "q_proj", iteration, rows)
-        k = self._linear(x, block, "k_proj", iteration, rows)
-        v = self._linear(x, block, "v_proj", iteration, rows)
+        q = self._linear(x, block, "q_proj", iteration, rows, t)
+        k = self._linear(x, block, "k_proj", iteration, rows, t)
+        v = self._linear(x, block, "v_proj", iteration, rows, t)
         q = rot(q.reshape(split).swapaxes(1, 2))
         k = rot(k.reshape(split).swapaxes(1, 2))
         v = v.reshape(split).swapaxes(1, 2)
@@ -345,7 +381,7 @@ class InferenceEngine:
                 attn = softmax_np(scores, axis=-1)
                 ctx[i] = (attn @ values).swapaxes(0, 1)
         return self._linear(
-            ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows
+            ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
         )
 
     def _mlp(
@@ -355,12 +391,13 @@ class InferenceEngine:
         iteration,
         expert: int | None = None,
         rows: np.ndarray | None = None,
+        t: int = 0,
     ) -> np.ndarray:
         tag = "" if expert is None else f"experts.{expert}."
-        gate = self._linear(h, block, tag + "gate_proj", iteration, rows)
-        up = self._linear(h, block, tag + "up_proj", iteration, rows)
+        gate = self._linear(h, block, tag + "gate_proj", iteration, rows, t)
+        up = self._linear(h, block, tag + "up_proj", iteration, rows, t)
         return self._linear(
-            silu_np(gate) * up, block, tag + "down_proj", iteration, rows
+            silu_np(gate) * up, block, tag + "down_proj", iteration, rows, t
         )
 
     def _moe(
@@ -369,13 +406,15 @@ class InferenceEngine:
         block: int,
         iteration,
         rows: np.ndarray | None = None,
+        t: int = 0,
     ) -> np.ndarray:
         """Token-wise expert routing over flat ``(N, D)`` input (so
         expert-selection capture records ``(N, top_k)`` rows,
         batch-major); each expert sees only its tokens, with their
-        per-token ``iteration``/``rows`` on the batched entries."""
+        per-token ``iteration``/``rows`` on the batched entries (a
+        ragged subset of each row, so its products run per row run)."""
         cfg = self.config
-        router_logits = self._linear(h, block, "router", iteration, rows)
+        router_logits = self._linear(h, block, "router", iteration, rows, t)
         k = cfg.top_k
         top = np.argpartition(router_logits, -k, axis=-1)[:, -k:]
         # Order selected experts by descending logit for stable records.
@@ -420,10 +459,13 @@ class InferenceEngine:
         single cache list ``row_caches[0]``; see :meth:`_attention`).
 
         ``iteration``/``rows`` are the caller's scalar and ``None`` for
-        the serial entry, or the per-row iterations and ``arange(B)``
-        for the batched entries (expanded per token here,
-        since activations stay flat ``(B*t, D)`` outside attention).
-        Returns flat ``(B*t, vocab)`` logits.
+        the serial entry, or the per-row iterations and row ids for the
+        batched entries (expanded per token here, since activations
+        stay flat ``(B*t, D)`` outside attention).  With ``rows`` every
+        product is issued per sequence (see :meth:`_linear`), which
+        makes each row bit-identical to its own serial forward; the
+        serial entry — the 2-D shared-prefix mode included — keeps one
+        flat GEMM.  Returns flat ``(B*t, vocab)`` logits.
         """
         cfg = self.config
         batch, t = ids.shape
@@ -473,11 +515,16 @@ class InferenceEngine:
                     x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
                 )
                 if cfg.is_moe:
-                    x = x + self._moe(h, b, iteration, rows)
+                    x = x + self._moe(h, b, iteration, rows, t)
                 else:
-                    x = x + self._mlp(h, b, iteration, rows=rows)
+                    x = x + self._mlp(h, b, iteration, rows=rows, t=t)
             x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-            logits = x @ self._plain["lm_head.weight"]
+            head = self._plain["lm_head.weight"]
+            if rows is None:
+                logits = x @ head
+            else:
+                # Row-exact like every _linear: one product per sequence.
+                logits = (x.reshape(batch, t, -1) @ head).reshape(batch * t, -1)
         if t0 is not None:
             metrics = tel.metrics
             metrics.histogram("engine.forward_ms").observe(
@@ -528,6 +575,7 @@ class InferenceEngine:
         row_caches: list[list[KVCache]],
         positions: np.ndarray | list[int],
         iterations: np.ndarray | list[int],
+        row_ids: np.ndarray | list[int] | None = None,
     ) -> np.ndarray:
         """One single-token decode step for ``B`` independent sequences.
 
@@ -536,15 +584,21 @@ class InferenceEngine:
         per-block list — typically :class:`PooledKVCache` slot views)
         and its K/V **is appended**; per-row positions and iteration
         counts may be ragged, which is what continuous batching needs.
-        The linear layers run as single flattened ``(B, D)`` GEMMs while
-        the attention core runs per row against that row's own cache —
-        for ``B == 1`` every operation matches the serial
-        ``Session.step`` path shape-for-shape, so results are
-        bit-identical and fault hooks observe identical tensors.
+        The linear layers run one ``(1, D) @ W`` product per row inside
+        one stacked NumPy matmul and the attention core runs per row
+        against that row's own cache — every operation on a row matches
+        the serial ``Session.step`` shape-for-shape, so **each row's
+        logits and appended K/V are bit-identical to its serial step at
+        any width**, and fault hooks observe identical tensors.
 
-        Hooks are applied per row (see :meth:`_linear`); activation
-        capture is not supported on this path — use the serial forward.
-        Returns logits of shape ``(B, vocab)``.
+        Hooks are applied per row (see :meth:`_linear`) with
+        :attr:`HookContext.batch_row` set to ``row_ids[i]`` — distinct
+        ints, default ``arange(B)``.  A caller whose rows come and go
+        between steps passes ids that stay with the sequence, so a hook
+        pinned to one sequence cannot land on whichever sibling inherits
+        its position.  Activation capture is not supported on this path
+        — use the serial forward.  Returns logits of shape
+        ``(B, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
@@ -559,7 +613,8 @@ class InferenceEngine:
                 f"{ids.shape[0]} tokens but {len(row_caches)} cache rows"
             )
         return self._forward_rows(
-            ids[:, None], row_caches, positions, iterations, np.arange(ids.shape[0])
+            ids[:, None], row_caches, positions, iterations,
+            _row_ids(row_ids, ids.shape[0]),
         )
 
     def forward_chunk_batch(
@@ -568,6 +623,7 @@ class InferenceEngine:
         row_caches: list[list[KVCache]],
         positions: np.ndarray | list[int],
         iterations: np.ndarray | list[int],
+        row_ids: np.ndarray | list[int] | None = None,
     ) -> np.ndarray:
         """Multi-token decode chunks for ``B`` independent sequences.
 
@@ -581,13 +637,14 @@ class InferenceEngine:
         verification needs both raggedness *and* chunk width, which is
         exactly this.
 
-        Linear layers run as single flattened ``(B*t, D)`` GEMMs; RoPE
-        tables are gathered per row from the ragged positions; the
-        attention core runs per row against that row's own cache
-        (which, after the append, holds prefix + chunk) under the
-        standard causal mask.  For ``B == 1`` every operation is
-        shape-identical to the 1-D chunked :meth:`forward`, so logits
-        are bit-identical to the serial speculative verify path.
+        Linear layers run one ``(t, D) @ W`` product per row inside one
+        stacked NumPy matmul; RoPE tables are gathered per row from the
+        ragged positions; the attention core runs per row against that
+        row's own cache (which, after the append, holds prefix + chunk)
+        under the standard causal mask.  Every operation on a row is
+        shape-identical to the 1-D chunked :meth:`forward`, so each
+        row's logits and K/V are bit-identical to the serial speculative
+        verify path at any width.
 
         ``iterations[i]`` tags row ``i``'s chunk with its generation
         iteration (the round's first emitted-token index, matching the
@@ -595,8 +652,9 @@ class InferenceEngine:
         receives per-row ``on_append`` callbacks against per-row
         caches, so slot-pinned injectors latch exactly as they would on
         that row's serial decode.  Hooks observe per-row
-        ``(t, features)`` views — the serial chunk shape (only
-        *observer* hooks are admitted here by the FI gates); activation
+        ``(t, features)`` views — the serial chunk shape, tagged with
+        ``row_ids[i]`` as in :meth:`forward_step_batch` (only *observer*
+        hooks are admitted here by the FI gates); activation
         capture and an armed accumulator fault are rejected on this
         path — the composed-decode gate matrix routes
         capture/acc/non-observer machinery to the batched or serial
@@ -626,7 +684,8 @@ class InferenceEngine:
                 f"{ids.shape[0]} chunk rows but {len(row_caches)} cache rows"
             )
         return self._forward_rows(
-            ids, row_caches, positions, iterations, np.arange(ids.shape[0])
+            ids, row_caches, positions, iterations,
+            _row_ids(row_ids, ids.shape[0]),
         ).reshape(*ids.shape, -1)
 
     def new_caches(self) -> list[KVCache]:

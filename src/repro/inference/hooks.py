@@ -34,11 +34,15 @@ class HookContext:
     :meth:`InferenceEngine.forward_chunk_batch`) hooks are applied once
     per batch row, each invocation receiving that row's contiguous
     ``(t, features)`` token slice — exactly the serial shape — with
-    ``batch_row`` set to the row index and ``iteration`` to the row's
+    ``batch_row`` set to the row's id and ``iteration`` to the row's
     own generation-iteration count (an ``int``; MoE router and expert
-    hooks included, each seeing only that row's routed tokens).  A hook
-    that targets one sequence of a batch can therefore filter on
-    ``batch_row`` (the continuous-batching FI gate).
+    hooks included, each seeing only that row's routed tokens).  The id
+    is the row's index unless the caller passes ``row_ids``;
+    :class:`~repro.generation.round.DecodeRound` passes each row's
+    admission number, which stays with the sequence while siblings
+    retire around it.  A hook that targets one sequence of a batch can
+    therefore filter on ``batch_row`` (the continuous-batching FI
+    gate).
 
     Only the shared-prefix mode of ``forward`` (2-D ids, option
     scoring) hands hooks more than one sequence: the flattened

@@ -114,7 +114,8 @@ def _scalar_section(run: RunData) -> list[str]:
 
 def _derived_section(run: RunData) -> list[str]:
     """Headline figures the raw instruments imply: tokens/sec and, for a
-    campaign, its SDC rate and how many trials resumed a golden run."""
+    campaign, its SDC rate, how many trials resumed a golden run and how
+    wide its waves ran."""
     lines = []
     counters = run.metrics.counters
     tokens = counters.get("decode.tokens")
@@ -144,6 +145,18 @@ def _derived_section(run: RunData) -> list[str]:
             f" replayed, {count('campaign.golden.unreached')} strikes never"
             f" reached, {count('campaign.golden.builds')} runs built,"
             f" {count('campaign.golden.baseline_mismatch')} off the baseline)"
+        )
+    waves = [span for span in run.spans if span.name == "campaign.wave"]
+    if waves:
+        # How wide injected trials actually shared forwards.
+        width = run.metrics.histogram("campaign.wave.width")
+        fallbacks = counters.get("campaign.wave.fallbacks")
+        lines.append(
+            f"waves: {sum(int(s.attrs.get('trials', 0)) for s in waves)} trials"
+            f" in {len(waves)} waves, {width.count} shared forwards at mean"
+            f" width {width.mean:.1f},"
+            f" {int(fallbacks.value) if fallbacks else 0} waves re-run one"
+            f" trial at a time"
         )
     if lines:
         lines = ["", "== derived =="] + lines

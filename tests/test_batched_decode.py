@@ -162,9 +162,12 @@ class TestForwardStepBatch:
             [s.position - 1 for s in sessions],
             [s.iteration for s in sessions],
         )
-        for row, ref in enumerate(serial):
-            np.testing.assert_allclose(batched[row], ref, rtol=2e-5, atol=1e-5)
-            assert int(np.argmax(batched[row])) == int(np.argmax(ref))
+        # Row-exact batching: every bit of every row, caches included.
+        for row, (ref, session) in enumerate(zip(serial, sessions)):
+            np.testing.assert_array_equal(batched[row], ref)
+            for cache, want in zip(pool.caches(slots[row]), session.caches):
+                np.testing.assert_array_equal(cache.keys(), want.keys())
+                np.testing.assert_array_equal(cache.values(), want.values())
 
     def test_rejects_capture(self, untrained_engine):
         pool = untrained_engine.new_pool(1)

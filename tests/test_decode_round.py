@@ -365,6 +365,36 @@ TestRoundMachine.settings = settings(
 )
 
 
+def test_a_pinned_injector_stays_with_its_row_when_a_sibling_retires():
+    """``batch_row`` is the row's admission number, not its position: a
+    row that retires before its strike iteration leaves ``fired=False``,
+    and the sibling that slides into its position and later reaches the
+    same layer and iteration decodes untouched."""
+    engine = _target()
+    config = GenerationConfig(max_new_tokens=6, eos_id=-1)
+    rnd = DecodeRound(engine, engine.new_pool(2), config.eos_id)
+    short, _, _ = rnd.admit("short", PROMPTS[0], 2)  # gone after iteration 1
+    long, _, _ = rnd.admit("long", PROMPTS[1], config.max_new_tokens)
+    assert (short.id, long.id) == (0, 1)
+    site = FaultSite(
+        FaultModel.COMP_2BIT, "blocks.0.up_proj", 1, 2, bits=(30, 22),
+        iteration=3, row_frac=0.5,
+    )
+    with ComputationalFaultInjector(engine, site, batch_row=short.id) as injector:
+        while rnd.rows:
+            rnd.step()
+    assert not injector.fired
+    assert long.out == greedy_decode(engine, PROMPTS[1], config, strategy="serial")
+    # The same strike pinned to the survivor does land.
+    rnd = DecodeRound(engine, engine.new_pool(2), config.eos_id)
+    rnd.admit("short", PROMPTS[0], 2)
+    long, _, _ = rnd.admit("long", PROMPTS[1], config.max_new_tokens)
+    with ComputationalFaultInjector(engine, site, batch_row=long.id) as injector:
+        while rnd.rows:
+            rnd.step()
+    assert injector.fired
+
+
 # -- the offline driver ----------------------------------------------------------
 
 

@@ -216,14 +216,39 @@ class TestOneForward:
             batched = engine.forward_chunk_batch(
                 chunks, row_caches, positions, [1, 1, 1]
             )
+        # Row-exact: one product per sequence, so width changes no bit.
         for row, ref in enumerate(serial):
-            np.testing.assert_allclose(batched[row], ref, rtol=2e-5, atol=1e-5)
-            np.testing.assert_array_equal(
-                batched[row].argmax(axis=-1), ref.argmax(axis=-1)
+            np.testing.assert_array_equal(batched[row], ref)
+            assert_caches_equal(row_caches[row], sessions[row].caches)
+
+    def test_row_ids_tag_hooks_and_must_be_distinct(self, untrained_engine):
+        engine = untrained_engine
+        seen = []
+        engine.hooks.register(
+            "blocks.0.up_proj",
+            lambda out, ctx: seen.append(ctx.batch_row),
+            row_scoped=True,
+            observer=True,
+        )
+
+        def run(entry, **kw):
+            rows = [engine.start_session(p) for p in ([3, 5, 7], [11, 13])]
+            caches, positions = [r.caches for r in rows], [r.position for r in rows]
+            if entry == "step":
+                return engine.forward_step_batch([4, 8], caches, positions, [1, 1], **kw)
+            return engine.forward_chunk_batch(
+                [[4, 8], [15, 16]], caches, positions, [1, 1], **kw
             )
-            assert [c.length for c in row_caches[row]] == [
-                c.length for c in sessions[row].caches
-            ]
+
+        for entry in ("step", "chunk"):
+            seen.clear()
+            default = run(entry)
+            tagged = run(entry, row_ids=[7, 3])
+            assert seen == [None, None, 0, 1, None, None, 7, 3]  # None: prefills
+            np.testing.assert_array_equal(tagged, default)
+            for bad in ([5, 5], [1], [[0, 1]]):
+                with pytest.raises(ValueError, match="distinct"):
+                    run(entry, row_ids=bad)
 
     def test_moe_chunk_hooks_are_per_sequence(self, moe_engine):
         """Router and expert hooks on a MoE chunk batch get an int

@@ -69,6 +69,31 @@ class TestNumpyPrimitives:
         out = rms_norm_np(x, np.ones(16, np.float32))
         assert np.abs(out).max() <= np.sqrt(16) + 1e-3
 
+    def test_rms_norm_is_the_np_mean_expression_bit_for_bit(self):
+        """The reduction spelling must not move a bit of any forward:
+        equal to ``np.mean`` across scales, widths and row counts, and
+        where the square overflows to inf."""
+
+        def reference(x, weight, eps=1e-5):
+            ms = np.mean(x * x, axis=-1, keepdims=True)
+            return x / np.sqrt(ms + eps) * weight
+
+        rng = np.random.default_rng(3)
+        cases = [
+            (rng.normal(size=(t, d)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+            for t in (1, 3, 8, 29)
+            for d in (16, 64, 100)
+            for _ in range(20)
+        ]
+        huge = np.ones((1, 16), np.float32)
+        huge[0, 3] = 1e20
+        for x in [*cases, huge]:
+            weight = rng.normal(size=x.shape[-1]).astype(np.float32)
+            with np.errstate(over="ignore"):
+                got, want = rms_norm_np(x, weight), reference(x, weight)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
 
 class TestDifferentiable:
     def test_softmax_grad(self):

@@ -1,7 +1,7 @@
 """Golden-run fast-forward: an injected trial resumes at its fault iteration.
 
-``decode_strategy="auto"`` decodes each example once fault-free at width
-1 (:mod:`repro.fi.golden`) and starts every eligible trial at the state
+``decode_strategy="auto"`` decodes each example once fault-free
+(:mod:`repro.fi.golden`) and starts every eligible trial at the state
 just before its strike; ``"serial"`` re-prefills and re-decodes in full.
 Every test here holds the two to bit-identical records through
 :mod:`repro.fi.differential`, then pins *which* path ran by its exact
@@ -363,8 +363,45 @@ class TestGoldenRun:
         )
         assert clipped.ids == full.ids[: n - 1]
         assert len(clipped.logits) == n - 1
-        assert clipped.session.position == len(prompt) + n - 2
+        assert {snap[2] for snap in clipped.snaps} == {len(prompt) + n - 2}
         for config in (full.config, clipped.config):
             assert GoldenRun.decode(engine, prompt, config).ids == greedy_decode(
                 engine, prompt, config, strategy="serial"
             )
+
+    @pytest.mark.parametrize("num_beams", [1, 3])
+    def test_a_batched_build_is_every_run_decoded_alone(
+        self, trained_store, tokenizer, world, num_beams
+    ):
+        """Five runs through three slots (so two are back-filled next to
+        rows mid-decode): ids, every iteration's logits and the K/V
+        snapshots equal ``decode`` of each prompt, which equals a
+        ``Session.step`` loop."""
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        prompts = [tokenizer.encode(ex.prompt) for ex in standardized_subset(task, 5)]
+        config = GenerationConfig(
+            max_new_tokens=9, num_beams=num_beams, eos_id=tokenizer.vocab.eos_id
+        )
+        pool = engine.new_pool(3)
+        together = GoldenRun.decode_many(engine, prompts, config, pool)
+        assert pool.n_free == pool.n_slots
+        for prompt, run in zip(prompts, together):
+            alone = GoldenRun.decode(engine, prompt, config)
+            session = engine.start_session(prompt)
+            stepped = [session.last_logits]
+            for token in alone.ids[: len(alone.logits) - 1]:
+                stepped.append(session.step(token))
+            assert run.prompt == prompt and run.ids == alone.ids
+            if num_beams == 1:
+                assert run.ids == greedy_decode(engine, prompt, config, strategy="serial")
+            assert len(run.logits) == len(alone.logits) == len(stepped)
+            for got, want, ref in zip(run.logits, alone.logits, stepped):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, ref)
+            for got, want, cache in zip(run.snaps, alone.snaps, session.caches):
+                assert got[2] == want[2] == cache.length
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[0], cache.keys())
+                np.testing.assert_array_equal(got[1], cache.values())

@@ -504,12 +504,22 @@ class TestReport:
             "campaign.golden.unreached": 1,
         }.items():
             tel.metrics.counter(name).add(value)
+        for trials in (8, 5):
+            with tel.span("campaign.wave", trials=trials):
+                pass
+        for live_rows in (8, 6, 1):
+            tel.metrics.histogram("campaign.wave.width").observe(live_rows)
+        tel.metrics.counter("campaign.wave.fallbacks").add()
         path = tel.flush(tmp_path / "run.jsonl", seed=3, command="test")
         text = report_path(path)
         assert (
             "golden runs: 3 of 4 generative trials resumed (17 decode steps"
             " replayed, 1 strikes never reached, 2 runs built, 0 off the"
             " baseline)"
+        ) in text
+        assert (
+            "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"
+            " 1 waves re-run one trial at a time"
         ) in text
         assert "campaign.trial" in text
         assert "engine.layer_ms.blocks.0.q_proj" in text

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.fi import FaultModel, FaultSite, inject, sample_site
 from repro.fi.golden import GoldenRun
 from repro.generation import GenerationConfig, greedy_decode
+from repro.generation.round import pick
 from repro.inference import InferenceEngine, KVCache
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
@@ -74,6 +75,81 @@ def test_property_incremental_equals_full(prompt, data):
         np.testing.assert_array_equal(got, want)
     assert_caches_equal(mixed, serial)
     np.testing.assert_allclose(want[-1], full[-1], atol=2e-4)
+
+
+_ROW_EXACT_ENGINES: dict[bool, InferenceEngine] = {}
+
+
+def _row_exact_engine(moe: bool) -> InferenceEngine:
+    if moe not in _ROW_EXACT_ENGINES:
+        extra = dict(d_ff=32, n_experts=4, top_k=2) if moe else dict(d_ff=48)
+        config = ModelConfig(
+            vocab_size=VOCAB, d_model=32, n_heads=4, n_blocks=2, max_seq=64, **extra
+        )
+        _ROW_EXACT_ENGINES[moe] = InferenceEngine(
+            TransformerLM(config, seed=17).to_store()
+        )
+    return _ROW_EXACT_ENGINES[moe]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(_prompts, min_size=1, max_size=8),
+    st.sampled_from(["step", "chunk-1", "chunk-3", "prefill"]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_batched_rows_are_bit_identical_to_serial(moe, prompts, shape, seed):
+    """Row-exact batching: at any width, over ragged positions and on
+    both batched entries — single steps, chunks, whole prompts — every
+    row's logits and appended K/V are ``array_equal`` to the serial
+    forward of that row alone, dense and MoE."""
+    engine = _row_exact_engine(moe)
+    rng = np.random.default_rng(seed)
+    if shape == "prefill":
+        t = min(len(p) for p in prompts)
+        chunks = [p[:t] for p in prompts]
+        serial = [engine.new_caches() for _ in prompts]
+    else:
+        t = 3 if shape == "chunk-3" else 1
+        chunks = rng.integers(5, VOCAB, size=(len(prompts), t)).tolist()
+        serial = [engine.start_session(p).caches for p in prompts]
+    batched = [[c.clone() for c in caches] for caches in serial]
+    positions = [caches[0].length for caches in serial]
+    iterations = rng.integers(0, 9, size=len(prompts)).tolist()
+    want = [
+        engine.forward(chunk, caches, position, iteration)
+        for chunk, caches, position, iteration in zip(
+            chunks, serial, positions, iterations
+        )
+    ]
+    if shape == "step":
+        got = engine.forward_step_batch(
+            [c[0] for c in chunks], batched, positions, iterations
+        )[:, None]
+    else:
+        got = engine.forward_chunk_batch(chunks, batched, positions, iterations)
+    for row, ref in enumerate(want):
+        np.testing.assert_array_equal(got[row], ref)
+        assert_caches_equal(batched[row], serial[row])
+
+
+_logit_values = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1.5, -2.25, 3.0e38]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_logit_values, min_size=1, max_size=12))
+def test_property_pick_is_nanargmax(values):
+    """``pick`` is ``np.nanargmax`` — first of tied maxima, NaNs skipped,
+    infinities ranked — and 0 where that raises (all NaN)."""
+    logits = np.asarray(values, dtype=np.float32)
+    try:
+        expected = int(np.nanargmax(logits))
+    except ValueError:
+        expected = 0
+    assert pick(logits) == expected
 
 
 @settings(max_examples=30, deadline=None)

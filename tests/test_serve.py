@@ -18,6 +18,8 @@ Covers the multi-tenant streaming server end to end:
   report section.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,20 @@ def _config(**kw):
     kw.setdefault("max_new_tokens", 8)
     kw.setdefault("eos_id", -1)
     return GenerationConfig(**kw)
+
+
+def _paced(engine: InferenceEngine) -> InferenceEngine:
+    """``engine`` with an observer that yields the GIL on every forward.
+    The tests that cancel or stop mid-generation need the pump to still
+    be decoding when this thread acts; unpaced, it can finish all 64
+    tokens of the tiny model inside one switch interval."""
+    engine.hooks.register(
+        "blocks.0.q_proj",
+        lambda out, ctx: time.sleep(0.001),
+        row_scoped=True,
+        observer=True,
+    )
+    return engine
 
 
 def _stock(scheduler: WeightedScheduler, name: str, n: int) -> None:
@@ -237,7 +253,7 @@ class TestStreamTerminationEdges:
 
     def test_client_abandons_stream_mid_generation(self, untrained_engine):
         config = _config(max_new_tokens=64)
-        with InferenceServer(untrained_engine, config, max_batch=2) as server:
+        with InferenceServer(_paced(untrained_engine), config, max_batch=2) as server:
             handle = server.submit(PROMPTS[0], max_new_tokens=64)
             stream = iter(handle)
             next(stream)
@@ -285,7 +301,9 @@ class TestStreamTerminationEdges:
 
     def test_hard_stop_terminates_streams(self, untrained_engine):
         config = _config(max_new_tokens=64)
-        server = InferenceServer(untrained_engine, config, max_batch=1).start()
+        server = InferenceServer(
+            _paced(untrained_engine), config, max_batch=1
+        ).start()
         active = server.submit(PROMPTS[0], max_new_tokens=64)
         queued = server.submit(PROMPTS[1], max_new_tokens=64)
         next(iter(active))
@@ -436,7 +454,7 @@ class TestServedSpeculation:
 
     def test_cancel_while_speculating(self, untrained_engine):
         config = _config(max_new_tokens=64)
-        with self._server(untrained_engine, config) as server:
+        with self._server(_paced(untrained_engine), config) as server:
             handle = server.submit(PROMPTS[0], max_new_tokens=64)
             stream = iter(handle)
             next(stream)
@@ -456,7 +474,7 @@ class TestServedSpeculation:
         """A client that walks away without ever reading: the stream is
         cancelled unread, the pump keeps serving, no slot leaks."""
         config = _config(max_new_tokens=64)
-        with self._server(untrained_engine, config) as server:
+        with self._server(_paced(untrained_engine), config) as server:
             abandoned = server.submit(PROMPTS[0], max_new_tokens=64)
             live = server.submit(PROMPTS[1], max_new_tokens=8)
             abandoned.cancel()

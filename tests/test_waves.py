@@ -1,0 +1,267 @@
+"""Waves: injected trials that share forwards, eight to a round.
+
+Under ``decode_strategy="auto"`` the greedy computational-fault trials
+that resume a golden run decode as rows of one ``DecodeRound`` — each in
+its own pool slot, with its own budget and its own row-pinned injector.
+The engine's batched forward is row-exact, so every record must equal
+the one-trial-at-a-time reference bit for bit
+(:mod:`repro.fi.differential`); the tests below also pin *that* waves
+ran, from the counters, and what happens at their edges: a journal cut
+mid-wave, a trial that raises inside one, a wave that times out, and
+everything that must keep a trial to itself.
+"""
+
+import time
+from collections import Counter
+
+import pytest
+
+from repro.fi import (
+    CampaignChaos,
+    FaultModel,
+    Outcome,
+    assert_records_equal,
+    assert_results_equal,
+    load_checkpoint,
+)
+from repro.obs import flight_recorder, telemetry
+from repro.tasks import GSM8kTask, SquadTask, SummarizationTask, TranslationTask
+
+from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
+
+TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
+COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
+N_TRIALS = 21
+"""Not a multiple of the round's width, and seven trials per example on
+the helper's three examples: trials of one example share a round."""
+
+
+def run_traced(camp, n_trials, **kw):
+    """``(result, counters, wave spans, width histogram)`` of one run
+    under telemetry; ``counters`` also holds the observation count of
+    the ``campaign.trial_ms`` histogram under that name."""
+    tel = telemetry()
+    tel.reset()
+    tel.enable()
+    try:
+        result = camp.run(n_trials, **kw)
+        counters = Counter(
+            {k: int(v) for k, v in tel.metrics.snapshot()["counters"].items()}
+        )
+        counters["campaign.trial_ms"] = tel.metrics.histogram("campaign.trial_ms").count
+        waves = [r for r in tel.tracer.records if r.name == "campaign.wave"]
+        width = tel.metrics.histogram("campaign.wave.width").summary()
+    finally:
+        tel.disable()
+        tel.reset()
+    return result, counters, waves, width
+
+
+class TestWavesMatchTheReference:
+    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    @pytest.mark.parametrize("task_cls", TASKS, ids=lambda t: t.__name__)
+    def test_auto_equals_serial(
+        self, trained_store, tokenizer, world, task_cls, fault_model
+    ):
+        task = task_cls(world)
+        camp = campaign(trained_store, tokenizer, task, fault_model)
+        fast, counters, waves, width = run_traced(camp, N_TRIALS)
+        reference = campaign(
+            trained_store, tokenizer, task, fault_model, decode_strategy="serial"
+        ).run(N_TRIALS)
+        assert_results_equal(fast, reference, "waves", "serial")
+        # Not vacuous: trials did share forwards ...
+        in_waves = sum(span.attrs["trials"] for span in waves)
+        assert in_waves > N_TRIALS // 2
+        assert width["count"] > 0 and width["max"] > 1
+        assert counters["campaign.wave.fallbacks"] == 0
+        # ... the per-trial tallies kept their totals ...
+        assert counters["campaign.trials"] == counters["campaign.trial_ms"] == N_TRIALS
+        assert counters["campaign.injections"] == N_TRIALS
+        assert sum(
+            v for k, v in counters.items() if k.startswith("campaign.outcome.")
+        ) == N_TRIALS
+        assert (
+            counters["engine.prefill_cache_hits"]
+            + counters["engine.prefill_cache_misses"]
+        ) == N_TRIALS
+        # ... the plan is counted once per wave, once per lone trial ...
+        assert counters["decode.plan.batched.row_scoped_hooks"] == len(waves) + (
+            N_TRIALS - in_waves
+        )
+        # ... and a finished run leaves nothing armed and no slot held.
+        assert len(camp.engine.hooks) == 0
+        assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+
+    def test_telemetry_is_a_pure_observer(self, trained_store, tokenizer, world):
+        task = TranslationTask(world)
+        traced, *_ = run_traced(
+            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT), N_TRIALS
+        )
+        plain = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT).run(
+            N_TRIALS
+        )
+        assert_results_equal(traced, plain, "telemetry on", "telemetry off")
+
+    def test_moe_expert_strikes(self, moe_store, tokenizer, world):
+        """Expert layers see a ragged subset of each row's tokens, and
+        an unrouted expert's injector retires unfired."""
+        task = TranslationTask(world)
+        fast, _, waves, _ = run_traced(
+            campaign(moe_store, tokenizer, task, FaultModel.COMP_2BIT), N_TRIALS
+        )
+        reference = campaign(
+            moe_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(N_TRIALS)
+        assert_results_equal(fast, reference, "waves", "serial")
+        assert waves
+
+
+class TestWhatKeepsATrialToItself:
+    def test_the_serial_reference_forms_no_wave(
+        self, trained_store, tokenizer, world
+    ):
+        _, counters, waves, width = run_traced(
+            campaign(
+                trained_store, tokenizer, TranslationTask(world),
+                FaultModel.COMP_2BIT, decode_strategy="serial",
+            ),
+            9,
+        )
+        assert not waves and width["count"] == 0
+        assert counters["campaign.trials"] == 9
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(fault_model=FaultModel.KV_2BIT),
+            dict(fault_model=FaultModel.ACC_2BIT),
+            dict(fault_model=FaultModel.MEM_2BIT),
+            dict(generation={"num_beams": 2, "max_new_tokens": 5}),
+            dict(chaos=CampaignChaos()),
+            dict(track_expert_selection=True),
+        ],
+        ids=["kv", "acc", "mem", "beams", "chaos", "expert-tracking"],
+    )
+    def test_one_trial_path(self, trained_store, tokenizer, world, kw):
+        kw = {"fault_model": FaultModel.COMP_2BIT, **kw}
+        camp = campaign(
+            trained_store, tokenizer, TranslationTask(world),
+            kw.pop("fault_model"), **kw,
+        )
+        _, counters, waves, _ = run_traced(camp, 9)
+        assert not waves
+        assert counters["campaign.trials"] == 9
+
+    def test_an_armed_flight_recorder(self, trained_store, tokenizer, world):
+        recorder = flight_recorder()
+        recorder.arm()
+        _, _, waves, _ = run_traced(
+            campaign(
+                trained_store, tokenizer, TranslationTask(world), FaultModel.COMP_2BIT
+            ),
+            9,
+        )
+        assert not waves
+        assert len(recorder.drain()) == 9
+
+    def test_an_unscoped_hook_on_the_engine(self, trained_store, tokenizer, world):
+        """``decode_plan`` says serial, so no wave — and still the
+        reference's records."""
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+        fast, _, waves, _ = run_traced(camp, 9)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(9)
+        assert not waves
+        assert_records_equal(fast, reference, "hooked auto", "serial")
+
+
+class TestWaveEdges:
+    def test_resume_from_a_journal_cut_mid_wave(
+        self, trained_store, tokenizer, world, tmp_path
+    ):
+        task = TranslationTask(world)
+        ck = tmp_path / "campaign.jsonl"
+        full = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT).run(
+            N_TRIALS, checkpoint=ck
+        )
+        assert sorted(load_checkpoint(ck)[1]) == list(range(N_TRIALS))
+        # Header + five records: inside the first wave, mid-example.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(ck.read_text().splitlines(keepends=True)[:6]))
+        assert sorted(load_checkpoint(cut)[1]) == list(range(5))
+        resumed, counters, waves, _ = run_traced(
+            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT),
+            N_TRIALS, checkpoint=cut, resume=True,
+        )
+        assert_results_equal(resumed, full, "resumed", "uninterrupted")
+        assert counters["campaign.resume_skipped"] == 5
+        assert waves and sum(s.attrs["trials"] for s in waves) <= N_TRIALS - 5
+        assert sorted(load_checkpoint(cut)[1]) == list(range(N_TRIALS))
+
+    def test_a_raising_trial_is_quarantined_alone(
+        self, trained_store, tokenizer, world
+    ):
+        task = TranslationTask(world)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(N_TRIALS)
+        victim = next(
+            i for i, t in enumerate(reference.trials) if t.site.iteration >= 1
+        )
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        score = camp._gen_record
+
+        def failing(site, *args):
+            if site == reference.trials[victim].site:
+                raise RuntimeError("boom")
+            return score(site, *args)
+
+        camp._gen_record = failing
+        result, counters, waves, _ = run_traced(
+            camp, N_TRIALS, max_retries=1, retry_backoff=0.0
+        )
+        assert [t.outcome is Outcome.FAILED for t in result.trials] == [
+            i == victim for i in range(N_TRIALS)
+        ]
+        assert "boom" in result.trials[victim].error
+        others = [i for i in range(N_TRIALS) if i != victim]
+        assert_records_equal(
+            [result.trials[i] for i in others],
+            [reference.trials[i] for i in others],
+            "beside the failure", "serial",
+        )
+        # The victim's wave fell back, once; the waves after it ran.
+        assert counters["campaign.wave.fallbacks"] == 1
+        assert counters["campaign.quarantined"] == 1
+        assert counters["campaign.trials"] == N_TRIALS
+        assert len(camp.engine.hooks) == 0
+
+    def test_a_wave_that_times_out_is_rerun_trial_by_trial(
+        self, trained_store, tokenizer, world
+    ):
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        run_wave, stalled = camp._run_wave, []
+
+        def stalling(wave):
+            if not stalled:
+                stalled.append(len(wave))
+                time.sleep(30.0)
+            return run_wave(wave)
+
+        camp._run_wave = stalling
+        result, counters, _, _ = run_traced(camp, 9, trial_timeout=0.5)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(9)
+        assert stalled
+        assert_results_equal(result, reference, "after the timeout", "serial")
+        assert counters["campaign.wave.fallbacks"] == 1
