@@ -95,9 +95,9 @@ def test_bench_mitigation_router_protection(ctx, emit):
                 protection = SelectiveProtection(engine, router_layers(engine))
                 original = campaign._eval_gen
 
-                def guarded_eval(ex, _orig=original, _p=protection):
+                def guarded_eval(*args, _orig=original, _p=protection):
                     _p.verify_and_restore()
-                    return _orig(ex)
+                    return _orig(*args)
 
                 campaign._eval_gen = guarded_eval
             cell = campaign.run(ctx.n_trials)

@@ -100,8 +100,8 @@ def router_protection(tokenizer, world) -> None:
         if protect:
             protection = SelectiveProtection(engine, router_layers(engine))
             original = campaign._eval_gen
-            campaign._eval_gen = lambda ex: protection.guarded(
-                lambda: original(ex)
+            campaign._eval_gen = lambda *args: protection.guarded(
+                lambda: original(*args)
             )
         result = campaign.run(N_TRIALS)
         changed = float(np.mean([t.changed for t in result.trials]))

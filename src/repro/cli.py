@@ -83,8 +83,12 @@ _EXPERIMENTS = {
 
 
 def _workers_arg(value: str) -> int:
-    """``--workers`` parser: an int, or ``auto`` for one per core."""
+    """``--workers`` parser: an int, or ``auto`` for one per CPU this
+    process may run on — a container or an affinity mask can confine it
+    to fewer than the machine has."""
     if value.strip().lower() == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return int(value)
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default=0,
         metavar="N|auto",
-        help="persistent-pool size (0 = serial; 'auto' = one per core)",
+        help="persistent-pool size (0 = serial; 'auto' = one per usable CPU)",
     )
     campaign.add_argument(
         "--checkpoint",

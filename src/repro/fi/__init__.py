@@ -10,14 +10,7 @@ from repro.fi.analysis import (
     most_vulnerable,
     speculation_masking,
 )
-from repro.fi.campaign import (
-    CampaignChaos,
-    CampaignResult,
-    ChaosError,
-    FICampaign,
-    TrialRecord,
-    TrialTimeoutError,
-)
+from repro.fi.campaign import CampaignResult, FICampaign, TrialRecord
 from repro.fi.checkpoint import (
     CampaignCheckpoint,
     CheckpointError,
@@ -30,6 +23,7 @@ from repro.fi.differential import (
     record_signature,
     result_signatures,
 )
+from repro.fi.executor import CampaignChaos, ChaosError, TrialTimeoutError
 from repro.fi.fault_models import FaultModel
 from repro.fi.injector import (
     AccumulatorFaultInjector,

@@ -14,63 +14,47 @@ parallel, and restartable: the optional process pool partitions trials
 without changing any sampled site, and a resumed run replays exactly
 the sites an uninterrupted run would have drawn.
 
-In-process, trials that can share forwards do: the engine's batched
-forward is bit-identical per row to the serial one, so greedy
-computational-fault trials decode as *waves* — ``_DECODE_BATCH`` rows of
-one decode round, each resumed from its example's golden run with its
-own budget and its own row-pinned injector (:meth:`FICampaign._run_wave`).
+Trials that can share forwards do: the engine's batched forward is
+bit-identical per row to the serial one, so greedy computational-fault
+trials decode as *waves* — ``_DECODE_BATCH`` rows of one decode round,
+each resumed from its example's golden run with its own budget and its
+own row-pinned injector (:meth:`FICampaign._run_wave`).
 
-The runner itself is fault-tolerant (the execution layer must survive
-the same paper-scale campaigns it measures):
-
-* ``checkpoint=`` journals each completed trial to a crash-durable
-  JSONL file (:mod:`repro.fi.checkpoint`); :meth:`FICampaign.resume`
-  skips already-recorded trial keys and reproduces the same aggregate
-  results as one uninterrupted run;
-* trials that raise are retried with exponential backoff
-  (``max_retries``) and quarantined as :attr:`Outcome.FAILED` records
-  when they fail deterministically — the campaign completes instead of
-  crashing;
-* a dead worker is respawned (it re-attaches to the campaign's shared
-  weight arena — weights are never re-shipped); ``trial_timeout``
-  bounds each trial (a stuck worker is killed and replaced); after
-  ``max_pool_rebuilds`` replacements the campaign degrades gracefully
-  to serial execution.
-
-Scale-out: parallel execution uses a *pre-forked persistent pool*
-built once per campaign.  The target (and draft) engines export their
-weight planes into a memory-mapped read-only arena; every worker
-attaches zero-copy, so N workers share one physical copy of the model
-through the page cache.  Weight-fault trials copy-on-write only the
-targeted tensor (see ``WeightStore._ensure_writable``).  Work is
-distributed dynamically — the parent hands the next pending trial to
-whichever worker frees up first (work stealing without a shared lock),
-which keeps all workers busy under skewed trial durations.  The pool
-survives across ``run()``/``resume()`` calls on the same campaign.
+This module is what a trial *is*: its identity and sampling, the
+one-trial path, the wave, the baseline, the aggregation.  *How* trials
+get run is :mod:`repro.fi.executor` (over :mod:`repro.fi.pool`), the
+same batch function in this process and in every pool worker — and
+fault-tolerant, because the execution layer must survive the
+paper-scale campaigns it measures: ``checkpoint=`` journals completed
+trials to a crash-durable JSONL file (:mod:`repro.fi.checkpoint`) that
+:meth:`FICampaign.resume` picks up; trials that raise are retried with
+exponential backoff and quarantined as :attr:`Outcome.FAILED` records
+when they fail deterministically; a dead or stuck worker is replaced
+against the once-exported shared weight arena and what it held
+re-queued, and after ``max_pool_rebuilds`` replacements the campaign
+degrades gracefully to this process.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import math
-import multiprocessing as mp
-import os
-import shutil
-import signal
-import tempfile
-import threading
 import time
-import weakref
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 
 import numpy as np
 
-from repro.fi.checkpoint import CampaignCheckpoint, site_to_dict
+from repro.fi.checkpoint import site_to_dict
+from repro.fi.executor import (
+    CampaignChaos,
+    ChaosError,
+    Executor,
+    TrialTimeoutError,
+    _Supervision,
+)
 from repro.fi.fault_models import FaultModel
 from repro.fi.golden import GoldenRun
 from repro.fi.injector import ComputationalFaultInjector, inject
@@ -84,12 +68,10 @@ from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 from repro.metrics.evaluate import score_generative
-from repro.model.params import arena_nbytes
 from repro.obs.flight import flight_recorder as _flight
 from repro.obs.instrument import attach_layer_timing
 from repro.obs.manifest import config_hash
 from repro.obs.runtime import telemetry as _telemetry
-from repro.obs.trace import SpanRecord
 from repro.numerics.stats import (
     RatioCI,
     log_ratio_ci_means,
@@ -195,543 +177,6 @@ _DECODE_BATCH = 8
 """Continuous-batching width of a campaign's decode rounds: the
 fault-free baseline sweep, the golden-run builds and the waves injected
 trials decode in."""
-
-_WAVE_TRIALS = 8 * _DECODE_BATCH
-"""Most trials one wave takes.  Long enough that back-filled rows keep
-the round near its full width; short enough that the journal — written
-wave by wave — trails the decode by a fraction of a second, and that a
-wave fits the time one trial is allowed (``trial_timeout`` bounds each
-wave as a whole)."""
-
-
-# ----------------------------------------------------------------------------
-# Runner-level fault injection (chaos testing the campaign driver).
-# ----------------------------------------------------------------------------
-
-
-class ChaosError(RuntimeError):
-    """Raised by :class:`CampaignChaos` strikes (transient or sticky)."""
-
-
-class TrialTimeoutError(RuntimeError):
-    """A trial exceeded ``trial_timeout`` and was abandoned."""
-
-
-@dataclass(frozen=True)
-class CampaignChaos:
-    """Deliberate faults in the campaign *runner* for resilience tests.
-
-    The repo injects bit flips into models; this injects failures into
-    the execution layer itself, so the supervisor's retry, quarantine,
-    timeout and pool-rebuild paths can be exercised deterministically.
-    All strikes key on the trial index; except for ``fail_always`` they
-    fire only on a trial's first attempt, so a correct supervisor
-    always recovers.
-    """
-
-    fail_transient: frozenset = frozenset()
-    """Trials that raise on their first attempt only."""
-    fail_always: frozenset = frozenset()
-    """Trials that raise on every attempt (deterministic failures)."""
-    die_in_worker: frozenset = frozenset()
-    """Trials that kill their worker process (first attempt, pool only)."""
-    hang: frozenset = frozenset()
-    """Trials that sleep ``hang_seconds`` on their first attempt."""
-    hang_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        for name in ("fail_transient", "fail_always", "die_in_worker", "hang"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-
-    def strike(self, trial: int, attempt: int, in_worker: bool) -> None:
-        if trial in self.fail_always:
-            raise ChaosError(f"chaos: deterministic failure in trial {trial}")
-        if attempt > 0:
-            return
-        if trial in self.fail_transient:
-            raise ChaosError(f"chaos: transient failure in trial {trial}")
-        if trial in self.die_in_worker and in_worker:
-            os._exit(13)
-        if trial in self.hang:
-            time.sleep(self.hang_seconds)
-
-
-@dataclass(frozen=True)
-class _Supervision:
-    """Resolved fault-tolerance knobs for one ``run()`` invocation."""
-
-    trial_timeout: float | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-    max_pool_rebuilds: int = 2
-
-
-@contextmanager
-def _trial_alarm(seconds: float | None):
-    """Best-effort serial trial timeout via ``SIGALRM``.
-
-    Active only on platforms with ``SIGALRM`` and from the main thread;
-    elsewhere serial trials run unbounded (pool execution enforces the
-    timeout in the parent instead).
-    """
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise TrialTimeoutError(f"trial exceeded {seconds:g}s")
-
-    previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-# ----------------------------------------------------------------------------
-# Worker-side state for the persistent pool.
-# ----------------------------------------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _attach_worker_campaign(arena_root: Path, campaign_state: dict) -> "FICampaign":
-    """Rebuild a worker-local campaign over the shared weight arena.
-
-    Nothing heavyweight crosses the process boundary: the campaign
-    state dict is inherited through ``fork`` and the engines attach
-    zero-copy to the parent's exported mmap planes, so every worker
-    (including ones respawned after a death) shares one physical copy
-    of the weights through the page cache.
-    """
-    campaign = FICampaign.__new__(FICampaign)
-    campaign.__dict__.update(campaign_state)
-    campaign.engine = InferenceEngine.open_shared(arena_root / "target")
-    draft_dir = arena_root / "draft"
-    campaign.draft_model = (
-        InferenceEngine.open_shared(draft_dir) if draft_dir.exists() else None
-    )
-    # Each worker builds its own golden runs: their sessions wrap the
-    # worker-local engine and are deliberately never shared.  The cache
-    # persists across every trial this worker serves.
-    campaign._golden = {}
-    campaign._pool = None
-    campaign._arena = None
-    # Serving is a parent-process concern: a worker's engine is its own
-    # arena attachment, so server handles never cross the fork.
-    campaign._serve = None
-    campaign._serve_faults = False
-    return campaign
-
-
-def _pool_worker_main(
-    arena_root: str,
-    campaign_state: dict,
-    telemetry_active: bool,
-    flight_active: bool,
-    task_q,
-    result_conn,
-) -> None:
-    """Persistent pool worker: attach to the arena, then serve trials.
-
-    Messages on ``result_conn`` are ``(kind, pid, trial, body)``:
-
-    * ``("ready", pid, None, None)`` — attached and idle;
-    * ``("start", pid, trial, None)`` — began executing ``trial`` (the
-      supervisor arms the trial deadline here, so queue latency and
-      attach time never count against ``trial_timeout``);
-    * ``("ok", pid, trial, (record, payload))`` — trial finished;
-    * ``("err", pid, trial, "Type: msg")`` — trial raised (the worker
-      already ran ``_post_failure_repair`` and is reusable).
-
-    ``result_conn`` is this worker's *private* pipe to the supervisor.
-    A shared results queue would serialize all workers through one
-    write lock — and a worker SIGKILLed (deadline) or ``os._exit``ed
-    (crash) while holding it would orphan the lock and wedge every
-    surviving sibling mid-``put``, deadlocking the whole pool.  With
-    one single-writer pipe per worker, a death can corrupt at most its
-    own channel, which the supervisor detects as EOF and discards.
-
-    The loop exits on a ``None`` sentinel or a closed task queue.
-    """
-    campaign = _attach_worker_campaign(Path(arena_root), campaign_state)
-    _WORKER["campaign"] = campaign
-    _WORKER["in_pool"] = True
-    if telemetry_active:
-        # Workers collect into their own process-local telemetry; the
-        # parent merges the returned snapshots in trial order, so the
-        # merged stream is deterministic w.r.t. worker scheduling.
-        tel = _telemetry()
-        tel.reset()
-        tel.enable()
-        attach_layer_timing(campaign.engine, tel)
-    if flight_active:
-        # The flight recorder is likewise per-process: each worker arms
-        # its own and ships drained records back with the result.
-        recorder = _flight()
-        recorder.reset()
-        recorder.arm()
-    pid = os.getpid()
-    try:
-        result_conn.send(("ready", pid, None, None))
-    except (BrokenPipeError, OSError):
-        return
-    while True:
-        try:
-            task = task_q.get()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if task is None:
-            return
-        trial, attempt = task
-        try:
-            result_conn.send(("start", pid, trial, None))
-            try:
-                record, payload = _worker_run_one((trial, attempt))
-            except Exception as exc:  # noqa: BLE001 — shipped to supervisor
-                result_conn.send(
-                    ("err", pid, trial, f"{type(exc).__name__}: {exc}")
-                )
-            else:
-                result_conn.send(("ok", pid, trial, (record, payload)))
-        except (BrokenPipeError, OSError, KeyboardInterrupt):
-            return
-
-
-def _worker_run_one(args: tuple[int, int]) -> tuple[TrialRecord, dict | None]:
-    """Run one trial in a pool worker; returns (record, telemetry)."""
-    trial, attempt = args
-    campaign: FICampaign = _WORKER["campaign"]
-    tel = _telemetry()
-    recorder = _flight()
-    if tel.active:
-        # Drop residue from a previously failed attempt on this worker.
-        tel.tracer.reset()
-        tel.metrics.reset()
-    if recorder.active:
-        recorder.reset()
-    try:
-        record = campaign._run_trial(trial, attempt)
-    except Exception:
-        campaign._post_failure_repair()
-        raise
-    if not tel.active and not recorder.active:
-        return record, None
-    payload: dict = {
-        # Clock anchor pairing this worker's perf_counter epoch with
-        # wall time, so the parent can rebase span starts onto its own
-        # monotonic timeline at adoption.
-        "clock": {"perf": time.perf_counter(), "unix": time.time()},
-        "pid": os.getpid(),
-    }
-    if tel.active:
-        payload["spans"] = [span.to_dict() for span in tel.tracer.records]
-        payload["metrics"] = tel.metrics.snapshot()
-        tel.tracer.reset()
-        tel.metrics.reset()
-    if recorder.active:
-        payload["flight"] = recorder.drain()
-    return record, payload
-
-
-# ----------------------------------------------------------------------------
-# Shared weight arena + pre-forked persistent pool (parent side).
-# ----------------------------------------------------------------------------
-
-
-class _SharedArena:
-    """One campaign's exported weight planes on disk (target + draft).
-
-    Exported exactly once per campaign into a temp directory of
-    ``.npy``-layout mmap arenas; every pool worker — initial or
-    respawned — attaches to the same files, so weights are shipped
-    zero times regardless of how often the pool rebuilds.  The
-    directory is removed when the campaign is garbage collected
-    (workers keep their mappings alive through the open inodes).
-    """
-
-    def __init__(self, engine: InferenceEngine, draft: InferenceEngine | None):
-        self.root = Path(tempfile.mkdtemp(prefix="repro-arena-"))
-        engine.export_shared(self.root / "target")
-        self.nbytes = arena_nbytes(self.root / "target")
-        if draft is not None:
-            draft.export_shared(self.root / "draft")
-            self.nbytes += arena_nbytes(self.root / "draft")
-        self._finalizer = weakref.finalize(
-            self, shutil.rmtree, str(self.root), True
-        )
-
-    def close(self) -> None:
-        self._finalizer()
-
-
-def _terminate_procs(workers: dict) -> None:
-    """GC-time backstop: SIGTERM any pool worker still alive."""
-    for proc, _task_q in list(workers.values()):
-        if proc.is_alive():
-            proc.terminate()
-
-
-class CampaignPool:
-    """Pre-forked persistent worker pool with parent-side dispatch.
-
-    Workers are forked once (inheriting the campaign state; attaching
-    to the shared arena for weights) and then serve trials until the
-    campaign ends.  The parent assigns the next pending trial to
-    whichever worker reports free first — dynamic dispatch is the
-    work-stealing behaviour (an idle worker "steals" trials a static
-    chunking would have given to a slower sibling) without any shared
-    lock, and it gives the supervisor exact trial→worker attribution
-    for deadlines and death accounting.
-
-    This class owns only process/queue mechanics; retry, quarantine
-    and degradation *policy* lives in ``FICampaign._run_pool``.
-    """
-
-    def __init__(
-        self,
-        spawn_args: tuple,
-        n_workers: int,
-    ) -> None:
-        # fork (not spawn): workers must inherit spawn_args by memory
-        # so the campaign state is never pickled, and must exist before
-        # any trial runs so arena pages are shared, not duplicated.
-        self._ctx = mp.get_context("fork")
-        self._spawn_args = spawn_args
-        self.n_workers = n_workers
-        self.telemetry_active = bool(spawn_args[2])
-        self.flight_active = bool(spawn_args[3])
-        # One private result pipe per worker (single writer, no shared
-        # lock): a worker killed mid-send can only corrupt its own
-        # channel, never block a sibling's results.
-        self._conns: dict[int, object] = {}  # pid -> parent-side reader
-        self._buffered: deque = deque()  # messages drained off dead conns
-        self._workers: dict[int, tuple] = {}  # pid -> (proc, task_q)
-        self._idle: set[int] = set()
-        self._ready: set[int] = set()
-        self.in_flight: dict[int, list] = {}  # pid -> [trial, started or None]
-        self.spawning = 0
-        self.closed = False
-        self._finalizer = weakref.finalize(
-            self, _terminate_procs, self._workers
-        )
-        for _ in range(n_workers):
-            self.spawn_worker()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def spawn_worker(self) -> int:
-        """Fork one worker; it announces itself with a "ready" message."""
-        task_q = self._ctx.SimpleQueue()
-        r_conn, w_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(*self._spawn_args, task_q, w_conn),
-            daemon=True,
-        )
-        proc.start()
-        # Drop the parent's copy of the write end: the worker must be
-        # the *only* writer so its death EOFs the reader.  (Forking the
-        # next worker after this close also keeps siblings from
-        # inheriting each other's write ends.)
-        w_conn.close()
-        self._workers[proc.pid] = (proc, task_q)
-        self._conns[proc.pid] = r_conn
-        self.spawning += 1
-        return proc.pid
-
-    def wait_ready(self, timeout: float = 120.0) -> int:
-        """Block until every spawning worker attached (or died/timed out).
-
-        Returns the number of "ready" announcements processed.  Used
-        only at spinup, when no trials are in flight — later readies
-        (respawns) flow through the supervisor's normal ``poll`` loop.
-        """
-        ready = 0
-        deadline = time.monotonic() + timeout
-        while self.spawning and time.monotonic() < deadline:
-            msg = self.poll(0.2)
-            if msg is not None and msg[0] == "ready":
-                ready += 1
-            elif msg is None and not any(
-                proc.is_alive()
-                for pid, (proc, _q) in self._workers.items()
-                if pid not in self._ready
-            ):
-                self.reap_dead()
-                break
-        return ready
-
-    def close(self) -> None:
-        """Shut the pool down: sentinel, short grace, then kill."""
-        if self.closed:
-            return
-        self.closed = True
-        for _pid, (_proc, task_q) in list(self._workers.items()):
-            try:
-                task_q.put(None)
-            except (OSError, ValueError):
-                pass
-        grace = time.monotonic() + 1.0
-        for _pid, (proc, _q) in list(self._workers.items()):
-            proc.join(max(0.0, grace - time.monotonic()))
-        for _pid, (proc, _q) in list(self._workers.items()):
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
-        self._workers.clear()
-        self._idle.clear()
-        self._ready.clear()
-        self.in_flight.clear()
-        self.spawning = 0
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
-        self._buffered.clear()
-        self._finalizer.detach()
-
-    # -- scheduling --------------------------------------------------------
-
-    @property
-    def idle(self) -> set[int]:
-        return self._idle
-
-    def worker_pids(self) -> list[int]:
-        return sorted(self._workers)
-
-    def alive(self) -> bool:
-        return any(proc.is_alive() for proc, _q in self._workers.values())
-
-    def dispatch(self, trial: int, attempt: int) -> int:
-        """Hand ``(trial, attempt)`` to an idle worker; returns its pid."""
-        pid = self._idle.pop()
-        self.in_flight[pid] = [trial, None]
-        self._workers[pid][1].put((trial, attempt))
-        return pid
-
-    def _recv(self, timeout: float):
-        """One message from any worker pipe (or ``None`` on timeout).
-
-        A readable connection that raises on ``recv`` belongs to a
-        worker that died mid-frame; its channel is discarded — the
-        process itself is collected by ``reap_dead``.
-        """
-        if self._buffered:
-            return self._buffered.popleft()
-        if not self._conns:
-            time.sleep(timeout)
-            return None
-        for conn in mp_connection.wait(list(self._conns.values()), timeout):
-            try:
-                return conn.recv()
-            except (EOFError, OSError):
-                self._discard_conn(conn)
-        return None
-
-    def _discard_conn(self, conn) -> None:
-        for pid, c in list(self._conns.items()):
-            if c is conn:
-                del self._conns[pid]
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-    def _drain_conn(self, pid: int) -> None:
-        """Salvage any fully-delivered messages a dead worker left in
-        its pipe (e.g. a final "ok" racing the death) before closing."""
-        conn = self._conns.pop(pid, None)
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                self._buffered.append(conn.recv())
-        except (EOFError, OSError):
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-    def poll(self, timeout: float):
-        """Next worker message (or ``None`` on timeout), with pool
-        bookkeeping (idle/ready/in-flight transitions) already applied."""
-        msg = self._recv(timeout)
-        if msg is None:
-            return None
-        kind, pid, trial, _body = msg
-        if kind == "ready":
-            self.spawning = max(0, self.spawning - 1)
-            if pid in self._workers:
-                self._ready.add(pid)
-                self._idle.add(pid)
-        elif kind == "start":
-            entry = self.in_flight.get(pid)
-            if entry is not None and entry[0] == trial:
-                entry[1] = time.monotonic()
-        elif kind in ("ok", "err"):
-            entry = self.in_flight.get(pid)
-            if entry is not None and entry[0] == trial:
-                del self.in_flight[pid]
-            if pid in self._workers:
-                self._idle.add(pid)
-        return msg
-
-    def reap_dead(self) -> list[tuple[int, int | None]]:
-        """Collect dead workers; returns ``[(pid, orphaned trial?)]``."""
-        dead = []
-        for pid, (proc, _task_q) in list(self._workers.items()):
-            if proc.is_alive():
-                continue
-            proc.join()
-            self._drain_conn(pid)
-            entry = self.in_flight.pop(pid, None)
-            if pid not in self._ready:
-                self.spawning = max(0, self.spawning - 1)
-            self._idle.discard(pid)
-            self._ready.discard(pid)
-            del self._workers[pid]
-            dead.append((pid, entry[0] if entry else None))
-        return dead
-
-    def expired(self, now: float, timeout: float | None) -> list[tuple[int, int]]:
-        """Workers whose armed trial deadline has passed."""
-        if not timeout:
-            return []
-        return [
-            (pid, entry[0])
-            for pid, entry in self.in_flight.items()
-            if entry[1] is not None and now - entry[1] > timeout
-        ]
-
-    def kill_worker(self, pid: int) -> None:
-        """SIGKILL one worker (stuck mid-trial) and forget it."""
-        entry = self._workers.pop(pid, None)
-        if entry is None:
-            return
-        proc, _task_q = entry
-        proc.kill()
-        proc.join(5.0)
-        # No salvage here: the worker was killed *because* its trial is
-        # suspect; anything left on its pipe is stale.
-        conn = self._conns.pop(pid, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self.in_flight.pop(pid, None)
-        self._idle.discard(pid)
-        self._ready.discard(pid)
 
 
 class FICampaign:
@@ -841,18 +286,18 @@ class FICampaign:
         self._golden: dict[int, GoldenRun | None] = {}
         """Per-example golden runs, built on first use; ``None`` marks
         an example whose golden run disagreed with the baseline (never
-        pickled to workers — each worker builds its own lazily)."""
+        handed to workers — each worker builds its own lazily)."""
         self._kv_pool: PooledKVCache | None = None
         """The ``_DECODE_BATCH`` KV slots this campaign's own rounds
         decode in (baseline sweep, golden builds, waves), one after the
         other."""
         self._metric_baseline_memo: dict[tuple[str, int], float] = {}
-        self._arena: _SharedArena | None = None
-        """Lazily exported shared weight arena (one per campaign —
-        pool rebuilds and resumed runs re-attach, never re-export)."""
-        self._pool: CampaignPool | None = None
-        """Persistent pre-forked worker pool; survives across
+        self._executor = Executor()
+        """Runs the trials; owns the shared weight arena and the
+        persistent worker pool, which survive across
         ``run()``/``resume()`` boundaries until :meth:`close_pool`."""
+        self._in_worker = False
+        """True on the copy a pool worker runs (:meth:`_attached`)."""
         self._serve = None
         """Optional attached :class:`~repro.serve.server.InferenceServer`
         (:meth:`attach_server`): fault-free generative baselines submit
@@ -1188,14 +633,21 @@ class FICampaign:
                 outcome=record.outcome.name.lower(),
                 example=record.example_index,
             )
-        metrics = tel.metrics
+        self._tally(record, t0)
+        return record
+
+    @staticmethod
+    def _tally(record: TrialRecord, t0: float) -> None:
+        """The per-trial counters of a traced run, for a trial that
+        began at ``t0`` — run alone or as a row of a wave (where the
+        latency is its time in flight, beside its siblings)."""
+        metrics = _telemetry().metrics
         metrics.histogram("campaign.trial_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
         metrics.counter("campaign.trials").add()
         metrics.counter("campaign.injections").add()
         metrics.counter(f"campaign.outcome.{record.outcome.name.lower()}").add()
-        return record
 
     def _kv_slots(self) -> PooledKVCache:
         if self._kv_pool is None:
@@ -1263,9 +715,7 @@ class FICampaign:
 
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
         if self.chaos is not None:
-            self.chaos.strike(
-                trial, attempt, in_worker=bool(_WORKER.get("in_pool"))
-            )
+            self.chaos.strike(trial, attempt, in_worker=self._in_worker)
         idx = trial % len(self.examples)
         ex = self.examples[idx]
         site = self._trial_site(trial, self._max_fault_iter())
@@ -1496,14 +946,9 @@ class FICampaign:
             # reopens the trial from scratch).
             recorder.abort_trial()
 
-    def _quarantine_record(
-        self, trial: int, exc: BaseException | str
-    ) -> TrialRecord:
-        """A ``FAILED`` placeholder for a deterministically crashing trial.
-
-        ``exc`` is the exception itself (serial path) or its already
-        formatted ``"Type: message"`` string (shipped across the pool's
-        result queue — exceptions themselves stay worker-side)."""
+    def _quarantine_record(self, trial: int, exc: BaseException) -> TrialRecord:
+        """A ``FAILED`` placeholder for a deterministically crashing
+        trial; ``exc`` is its final attempt's exception."""
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.trials").add()
@@ -1517,36 +962,8 @@ class FICampaign:
             metrics={},
             changed=False,
             selection_changed=None,
-            error=exc if isinstance(exc, str) else f"{type(exc).__name__}: {exc}",
+            error=f"{type(exc).__name__}: {exc}",
         )
-
-    def _supervise_serial_trial(
-        self, trial: int, sup: _Supervision, attempt0: int = 0
-    ) -> tuple[TrialRecord, int]:
-        """Run one trial serially with retry/backoff/timeout/quarantine.
-
-        Returns ``(record, attempts_used)`` where ``attempts_used``
-        counts attempts made *by this call* plus ``attempt0`` prior
-        ones (journalled for post-mortems).
-        """
-        tel = _telemetry()
-        attempt = attempt0
-        failures = 0
-        while True:
-            try:
-                with _trial_alarm(sup.trial_timeout):
-                    record = self._run_trial(trial, attempt)
-                return record, attempt + 1
-            except Exception as exc:  # noqa: BLE001 — quarantine, don't crash
-                self._post_failure_repair()
-                failures += 1
-                attempt += 1
-                if failures > sup.max_retries:
-                    return self._quarantine_record(trial, exc), attempt
-                if tel.active:
-                    tel.metrics.counter("campaign.retries").add()
-                if sup.retry_backoff:
-                    time.sleep(sup.retry_backoff * (2 ** (failures - 1)))
 
     # -- waves ---------------------------------------------------------------------
 
@@ -1607,18 +1024,8 @@ class FICampaign:
             )
             records[trial] = record
             if traced:
-                # What _run_trial tallies; the latency is the trial's
-                # time in flight, beside its siblings.
-                metrics = tel.metrics
-                metrics.histogram("campaign.trial_ms").observe(
-                    (time.perf_counter() - t0) * 1e3
-                )
-                metrics.counter("engine.prefill_cache_hits").add()
-                metrics.counter("campaign.trials").add()
-                metrics.counter("campaign.injections").add()
-                metrics.counter(
-                    f"campaign.outcome.{record.outcome.name.lower()}"
-                ).add()
+                tel.metrics.counter("engine.prefill_cache_hits").add()
+                self._tally(record, t0)
 
         with tel.span("campaign.wave", task=self.task_name, trials=len(pending)):
             count_plan("batched", "row_scoped_hooks")
@@ -1664,25 +1071,6 @@ class FICampaign:
                     injector.__exit__(None, None, None)
                     pool.release(slot)
         return records
-
-    def _supervise_wave(
-        self, trials: list[int], sup: _Supervision
-    ) -> dict[int, tuple[TrialRecord, int]]:
-        """``{trial: (record, attempts_used)}`` of the trials a wave
-        decoded.  A wave that raises, or outlasts the time one trial is
-        allowed, is repaired and yields nothing: all of ``trials`` are
-        then the one-trial path's, where a deterministic failure is
-        retried and quarantined alone, as ever."""
-        try:
-            with _trial_alarm(sup.trial_timeout):
-                records = self._run_wave(trials)
-        except Exception:  # noqa: BLE001 — the one-trial path owns failures
-            self._post_failure_repair()
-            tel = _telemetry()
-            if tel.active:
-                tel.metrics.counter("campaign.wave.fallbacks").add()
-            return {}
-        return {trial: (record, 1) for trial, record in records.items()}
 
     # -- aggregation ---------------------------------------------------------------
 
@@ -1760,30 +1148,32 @@ class FICampaign:
     ) -> CampaignResult:
         """Execute ``n_trials`` fault injections (optionally in parallel).
 
-        ``n_workers=0`` runs in this process — one trial at a time, or,
-        for the trials that can share forwards, a wave at a time
-        (:meth:`_run_wave`); otherwise a pre-forked
-        persistent pool executes trials individually.  Workers share
-        one memory-mapped copy of the weights (per-worker incremental
-        memory is KV caches + Python overhead, not the model), pull
-        work dynamically from the parent's pending deque, and survive
-        across ``run()``/``resume()`` calls on this campaign.  Results
-        are identical either way because every trial derives its RNG
-        from its stable :meth:`trial_key`.  Telemetry, when enabled, is
-        likewise schedule-invariant: worker snapshots merge in trial
-        order.
+        Trials run in batches (:func:`repro.fi.executor.run_batch`): one
+        trial at a time, or, for the trials that can share forwards, a
+        wave at a time (:meth:`_run_wave`).  ``n_workers=0`` runs the
+        batches in this process; otherwise a pre-forked persistent pool
+        runs them, the same way.  Workers share one memory-mapped copy
+        of the weights (per-worker incremental memory is KV caches +
+        Python overhead, not the model), are dealt the next pending
+        batch as they free up, and survive across ``run()``/``resume()``
+        calls on this campaign.  Results are identical either way
+        because every trial derives its RNG from its stable
+        :meth:`trial_key`.  Telemetry, when enabled, is likewise
+        schedule-invariant: worker snapshots merge in trial order.
 
-        ``checkpoint`` journals every completed trial to a JSONL file;
-        with ``resume=True`` an existing journal's trials are loaded
-        and skipped (see :meth:`resume`).  ``trial_timeout`` bounds one
-        trial's wall clock (and, where trials share forwards, one wave's:
-        a wave that exceeds it is re-run trial by trial, each under its
-        own bound); trials that raise are retried up to
-        ``max_retries`` times with exponential ``retry_backoff`` before
-        being quarantined as :attr:`Outcome.FAILED`; a dead or stuck
-        worker is killed and respawned against the existing shared
-        arena up to ``max_pool_rebuilds`` times, after which execution
-        degrades to serial.
+        ``checkpoint`` journals every completed trial to a JSONL file,
+        batch by batch in this process and unit by unit as workers
+        report; with ``resume=True`` an existing journal's trials are
+        loaded and skipped (see :meth:`resume`).  ``trial_timeout``
+        bounds one trial's wall clock (and, where trials share
+        forwards, one wave's: a wave that exceeds it is re-run trial by
+        trial, each under its own bound); trials that raise are retried
+        where they ran, up to ``max_retries`` times with exponential
+        ``retry_backoff``, before being quarantined as
+        :attr:`Outcome.FAILED`; a dead or stuck worker is killed and
+        respawned against the existing shared arena, and what it still
+        held re-queued, up to ``max_pool_rebuilds`` times, after which
+        execution degrades to this process.
         """
         sup = _Supervision(
             trial_timeout=trial_timeout,
@@ -1802,7 +1192,18 @@ class FICampaign:
                 workers=n_workers,
                 campaign_hash=config_hash(self.fingerprint()),
             ):
-                return self._run(n_trials, n_workers, tel, sup, checkpoint, resume)
+                self.compute_baseline()
+                if tel.active and not self.is_mc:
+                    # Materialize both counters up front so traced reports
+                    # always show the hit/miss pair, even when one side
+                    # stays zero.
+                    tel.metrics.counter("engine.prefill_cache_hits")
+                    tel.metrics.counter("engine.prefill_cache_misses")
+                return self._aggregate(
+                    self._executor.run(
+                        self, n_trials, n_workers, sup, checkpoint, resume
+                    )
+                )
         finally:
             if detach is not None:
                 detach()
@@ -1828,136 +1229,6 @@ class FICampaign:
             n_trials, n_workers, checkpoint=checkpoint, resume=True, **supervision
         )
 
-    def _run(
-        self,
-        n_trials: int,
-        n_workers: int,
-        tel,
-        sup: _Supervision,
-        checkpoint: str | Path | None,
-        resume: bool,
-    ) -> CampaignResult:
-        self.compute_baseline()
-        if tel.active and not self.is_mc:
-            # Materialize both counters up front so traced reports always
-            # show the hit/miss pair, even when one side stays zero.
-            tel.metrics.counter("engine.prefill_cache_hits")
-            tel.metrics.counter("engine.prefill_cache_misses")
-        results: dict[int, TrialRecord] = {}
-        journal: CampaignCheckpoint | None = None
-        if checkpoint is not None:
-            with tel.span(
-                "campaign.checkpoint", path=str(checkpoint), resume=resume
-            ) as span:
-                journal = CampaignCheckpoint(
-                    checkpoint,
-                    self.fingerprint(),
-                    resume=resume,
-                    n_trials=n_trials,
-                )
-                for trial, record in journal.completed.items():
-                    if trial < n_trials:
-                        results[trial] = record
-                span.set(skipped=len(results))
-            if tel.active and results:
-                tel.metrics.counter("campaign.resume_skipped").add(len(results))
-        todo = [t for t in range(n_trials) if t not in results]
-        try:
-            if n_workers <= 1 or len(todo) <= 1:
-                queue = deque(todo)
-                while queue:
-                    # A campaign whose trials can share forwards takes
-                    # them a wave at a time; what the wave leaves (and
-                    # every trial of any other campaign) runs alone.
-                    waves = self._wave_capable()
-                    take = min(_WAVE_TRIALS if waves else 1, len(queue))
-                    trials = [queue.popleft() for _ in range(take)]
-                    done = self._supervise_wave(trials, sup) if waves else {}
-                    for trial in trials:
-                        if trial not in done:
-                            done[trial] = self._supervise_serial_trial(trial, sup)
-                        results[trial], attempts = done[trial]
-                        if journal is not None:
-                            journal.write(
-                                trial, self.trial_key(trial), results[trial],
-                                attempts,
-                            )
-            else:
-                self._run_pool(todo, n_workers, tel, sup, journal, results)
-        finally:
-            if journal is not None:
-                journal.close()
-        trials = [results[t] for t in range(n_trials)]
-        return self._aggregate(trials)
-
-    # -- persistent pool (parent-side policy) -----------------------------------
-
-    def _ensure_arena(self) -> _SharedArena:
-        """Export the shared weight arena exactly once per campaign."""
-        if self._arena is None:
-            self._arena = _SharedArena(self.engine, self.draft_model)
-        return self._arena
-
-    def _worker_state(self) -> dict:
-        """Campaign state inherited by forked workers.
-
-        Engines are excluded — workers attach to the shared arena
-        instead — as are golden runs (rebuilt worker-side) and the
-        pool/arena handles themselves.  The KV slots stay: all free
-        between rounds, and a forked worker writing its copy-on-write
-        pages costs less than allocating a second pool beside them.
-        """
-        drop = {"engine", "draft_model", "_golden", "_pool",
-                "_arena", "_serve"}
-        return {k: v for k, v in self.__dict__.items() if k not in drop}
-
-    def _ensure_pool(self, n_workers: int, tel) -> CampaignPool:
-        """The campaign's persistent pool, (re)built only when stale.
-
-        A healthy pool is reused across ``run()``/``resume()`` calls —
-        resuming into a live pool pays zero spinup.  It is rebuilt only
-        when the requested worker count or the telemetry/flight
-        activation changed (workers bake those in at fork time).
-        """
-        flight_active = _flight().active
-        pool = self._pool
-        if pool is not None and (
-            pool.closed
-            or pool.n_workers != n_workers
-            or pool.telemetry_active != tel.active
-            or pool.flight_active != flight_active
-        ):
-            pool.close()
-            pool = self._pool = None
-        if pool is None:
-            arena = self._ensure_arena()
-            with tel.span(
-                "campaign.pool_spinup",
-                workers=n_workers,
-                arena_bytes=arena.nbytes,
-            ) as span:
-                pool = CampaignPool(
-                    (
-                        str(arena.root),
-                        self._worker_state(),
-                        tel.active,
-                        flight_active,
-                    ),
-                    n_workers,
-                )
-                ready = pool.wait_ready()
-                span.set(attached=ready)
-            if tel.active:
-                tel.metrics.counter("campaign.shared_attach").add(ready)
-                tel.metrics.gauge("campaign.workers").set(float(n_workers))
-                tel.metrics.gauge("campaign.arena_bytes").set(float(arena.nbytes))
-                tel.manifest_extra["scaleout"] = {
-                    "workers": n_workers,
-                    "arena_bytes": arena.nbytes,
-                }
-            self._pool = pool
-        return pool
-
     def close_pool(self) -> None:
         """Tear down the persistent pool and arena (idempotent).
 
@@ -1965,196 +1236,28 @@ class FICampaign:
         release the worker processes early (e.g. between campaigns in a
         long-lived driver).
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        self._executor.close()
 
-    def _run_pool(
-        self,
-        todo: list[int],
-        n_workers: int,
-        tel,
-        sup: _Supervision,
-        journal: CampaignCheckpoint | None,
-        results: dict[int, TrialRecord],
-    ) -> None:
-        """Supervise the persistent pool over this run's pending trials.
+    def _attached(self, arena_root: Path) -> "FICampaign":
+        """This campaign as a pool worker runs it: a copy over engines
+        attached zero-copy to the arena under ``arena_root``.
 
-        Dispatch is dynamic (next pending trial → first free worker).
-        A worker that dies is respawned against the existing arena and
-        its orphaned trial re-queued; a worker whose trial exceeds
-        ``trial_timeout`` is SIGKILLed and replaced, the trial retried
-        or quarantined.  Each replacement counts against
-        ``max_pool_rebuilds``; past the budget the pool is shut down
-        and the remaining trials degrade to serial execution in the
-        parent — graceful degradation beats a dead campaign.
+        Called in the forked child, so everything else is the parent's
+        state as the fork found it, baseline included.  The KV slots
+        stay: all free between rounds, and a forked worker writing its
+        copy-on-write pages costs less than allocating a second pool
+        beside them.  Golden runs are rebuilt here — their sessions wrap
+        the worker-local engine and are deliberately never shared — and
+        serving is a parent-process concern: a server handle never
+        crosses the fork.
         """
-        pool = self._ensure_pool(n_workers, tel)
-        attempts = {t: 0 for t in todo}
-        failures = {t: 0 for t in todo}
-        payloads: dict[int, dict] = {}
-        executed: dict[int, int] = {}  # pid -> trials completed there
-        pending = deque(sorted(todo))
-        done: set[int] = set()
-        rebuilds = 0
-        degraded = False
-
-        def accept(
-            trial: int,
-            record: TrialRecord,
-            payload: dict | None,
-            pid: int | None = None,
-        ):
-            results[trial] = record
-            done.add(trial)
-            if payload is not None:
-                payloads[trial] = payload
-            if journal is not None:
-                journal.write(
-                    trial,
-                    self.trial_key(trial),
-                    record,
-                    attempts[trial],
-                    worker_pid=pid,
-                )
-
-        def note_retry(trial: int) -> None:
-            if tel.active:
-                tel.metrics.counter("campaign.retries").add()
-
-        while len(done) < len(todo):
-            if rebuilds > sup.max_pool_rebuilds:
-                degraded = True
-                break
-            while pending and pool.idle:
-                trial = pending.popleft()
-                pool.dispatch(trial, attempts[trial])
-                attempts[trial] += 1
-            msg = pool.poll(0.05)
-            now = time.monotonic()
-            if msg is not None:
-                kind, pid, trial, body = msg
-                if kind == "ready":
-                    if tel.active:
-                        tel.metrics.counter("campaign.shared_attach").add()
-                elif kind == "ok":
-                    executed[pid] = executed.get(pid, 0) + 1
-                    record, payload = body
-                    # `done` guard: a worker killed at its deadline may
-                    # have raced a completed result into the queue; the
-                    # trial was already quarantined or re-queued.
-                    if trial not in done:
-                        accept(trial, record, payload, pid)
-                elif kind == "err":
-                    executed[pid] = executed.get(pid, 0) + 1
-                    if trial not in done:
-                        failures[trial] += 1
-                        if failures[trial] > sup.max_retries:
-                            accept(
-                                trial,
-                                self._quarantine_record(trial, body),
-                                None,
-                                pid,
-                            )
-                        else:
-                            note_retry(trial)
-                            if sup.retry_backoff:
-                                time.sleep(
-                                    sup.retry_backoff
-                                    * (2 ** (failures[trial] - 1))
-                                )
-                            pending.append(trial)
-            for _pid, orphan in pool.reap_dead():
-                rebuilds += 1
-                if orphan is not None and orphan not in done:
-                    note_retry(orphan)
-                    pending.appendleft(orphan)
-                if rebuilds <= sup.max_pool_rebuilds:
-                    pool.spawn_worker()
-            for pid, trial in pool.expired(now, sup.trial_timeout):
-                pool.kill_worker(pid)
-                rebuilds += 1
-                failures[trial] += 1
-                if failures[trial] > sup.max_retries:
-                    accept(
-                        trial,
-                        self._quarantine_record(
-                            trial,
-                            TrialTimeoutError(
-                                f"trial exceeded {sup.trial_timeout:g}s"
-                            ),
-                        ),
-                        None,
-                        pid,
-                    )
-                else:
-                    note_retry(trial)
-                    pending.appendleft(trial)
-                if rebuilds <= sup.max_pool_rebuilds:
-                    pool.spawn_worker()
-
-        if degraded:
-            # Rebuild budget exhausted: abandon the pool (in-flight
-            # trials included — their workers may be the problem) and
-            # finish every unfinished trial serially in the parent.
-            if tel.active:
-                tel.metrics.counter("campaign.pool_degraded").add()
-            pool.close()
-            self._pool = None
-            for trial in sorted(set(todo) - done):
-                record, n_att = self._supervise_serial_trial(
-                    trial, sup, attempt0=attempts[trial]
-                )
-                attempts[trial] = n_att
-                accept(trial, record, None)
-
-        if tel.active and executed:
-            # Work actually stolen: completions beyond an even static
-            # split.  Zero when every worker served exactly its share.
-            fair = math.ceil(sum(executed.values()) / max(1, n_workers))
-            steals = sum(max(0, n - fair) for n in executed.values())
-            tel.metrics.counter("campaign.steals").add(steals)
-
-        self._merge_worker_payloads(payloads, tel)
-
-    def _merge_worker_payloads(self, payloads: dict[int, dict], tel) -> None:
-        recorder = _flight()
-        if tel.active or recorder.active:
-            # Merge worker telemetry in trial order, so the merged
-            # stream is deterministic regardless of which worker (or
-            # pool generation) served which trial.
-            anchor_perf = time.perf_counter()
-            anchor_unix = time.time()
-            campaign_hash = config_hash(self.fingerprint())
-            for trial in sorted(payloads):
-                payload = payloads[trial]
-                if tel.active and "metrics" in payload:
-                    tel.metrics.merge(payload["metrics"])
-                if tel.active and "spans" in payload:
-                    spans = [
-                        SpanRecord.from_dict(d) for d in payload["spans"]
-                    ]
-                    clock = payload.get("clock")
-                    if clock is not None:
-                        # Rebase worker perf_counter starts onto the
-                        # parent's monotonic clock via each side's
-                        # (perf, wall) anchor pair, so stitched spans
-                        # share one campaign timeline.
-                        offset = (clock["unix"] - clock["perf"]) - (
-                            anchor_unix - anchor_perf
-                        )
-                        for span in spans:
-                            span.start += offset
-                    tel.tracer.adopt(
-                        spans,
-                        extra_attrs={
-                            "campaign_hash": campaign_hash,
-                            "trial": trial,
-                            "worker_pid": payload.get("pid"),
-                        },
-                    )
-                if recorder.active:
-                    recorder.adopt(payload.get("flight", []))
+        worker = copy.copy(self)
+        worker.engine = InferenceEngine.open_shared(arena_root / "target")
+        draft_dir = arena_root / "draft"
+        worker.draft_model = (
+            InferenceEngine.open_shared(draft_dir) if draft_dir.exists() else None
+        )
+        worker._golden = {}
+        worker.detach_server()
+        worker._in_worker = True
+        return worker

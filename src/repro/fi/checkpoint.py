@@ -3,7 +3,7 @@
 A campaign journal makes :class:`repro.fi.campaign.FICampaign` runs
 restartable at trial granularity: every completed (or quarantined)
 trial is appended — and flushed — as one self-contained JSONL record,
-so a killed run loses at most the trial that was in flight.  Resuming
+so a killed run loses at most the batch that was in flight.  Resuming
 replays the journal, skips every already-recorded ``(example, trial,
 fault)`` key and re-runs only the missing trials; because each trial's
 RNG derives from that same stable key (never from enumeration order),
@@ -206,7 +206,7 @@ class CampaignCheckpoint:
     overwritten.  With ``resume=True`` the journal is validated and its
     completed trials exposed via :attr:`completed`; subsequent writes
     append.  Every :meth:`write` flushes and fsyncs so a kill -9 loses
-    at most the in-flight trial.
+    at most what was in flight.
     """
 
     def __init__(

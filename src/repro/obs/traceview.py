@@ -9,7 +9,7 @@ activity — is inspectable on a zoomable timeline.
 Worker spans arrive already stitched: the campaign merge adopts them
 in trial order with ``(campaign_hash, trial, worker_pid)`` attribution
 and rebases their ``perf_counter`` starts into the parent's clock (see
-``FICampaign._run_supervised_pool``), so here each span only needs
+:mod:`repro.fi.executor`), so here each span only needs
 mapping onto a (pid, tid) lane — the campaign is the process, the
 parent and each worker get one thread lane each.
 

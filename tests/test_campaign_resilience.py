@@ -213,6 +213,37 @@ class TestRetry:
         ).run(4, **FAST)
         assert clean_telemetry.metrics.counters["campaign.retries"].value == 1
 
+    def test_transient_failure_in_a_worker_is_retried_in_that_worker(
+        self, untrained_store, tokenizer, world, tmp_path, clean_telemetry
+    ):
+        """Retry policy lives where the trial runs: the parent never
+        sees the raise, only the record, its attempts and what the
+        worker observed of both attempts."""
+        clean = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+        ).run(6)
+        clean_telemetry.enable()
+        ck = tmp_path / "campaign.jsonl"
+        campaign = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            chaos=CampaignChaos(fail_transient={2}),
+        )
+        try:
+            chaotic = campaign.run(6, n_workers=2, checkpoint=ck, **FAST)
+        finally:
+            campaign.close_pool()
+        assert clean_telemetry.metrics.counters["campaign.retries"].value == 1
+        tries = [
+            span for span in clean_telemetry.tracer.records
+            if span.name == "campaign.trial" and span.attrs["trial"] == 2
+        ]
+        assert len(tries) == 2
+        assert len({span.attrs["worker_pid"] for span in tries}) == 1
+        clean_telemetry.disable()
+        assert_results_equal(chaotic, clean, "retried in a worker", "clean")
+        _, _, attempts = load_checkpoint(ck, campaign.fingerprint())
+        assert attempts == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 5: 1}
+
     def test_worker_death_rebuilds_pool(
         self, untrained_store, tokenizer, world
     ):
@@ -244,6 +275,31 @@ class TestRetry:
         assert counters["campaign.pool_degraded"].value >= 1
         clean_telemetry.disable()
         assert_records_equal(chaotic, clean, "degraded", "clean")
+
+
+    def test_workers_that_cannot_boot_degrade_to_serial(
+        self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
+    ):
+        """A worker that dies attaching is replaced within the rebuild
+        budget like any other; when none ever comes up the campaign runs
+        in the parent instead of waiting on an empty pool."""
+        clean = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+        ).run(4)
+
+        def no_arena(self, arena_root):
+            raise OSError("arena gone")
+
+        monkeypatch.setattr(FICampaign, "_attached", no_arena)
+        clean_telemetry.enable()
+        stranded = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+        ).run(4, n_workers=2, max_pool_rebuilds=1, **FAST)
+        counters = clean_telemetry.metrics.counters
+        assert counters["campaign.pool_degraded"].value == 1
+        assert counters["campaign.trials"].value == 4
+        clean_telemetry.disable()
+        assert_records_equal(stranded, clean, "no pool", "clean")
 
 
 class TestQuarantine:

@@ -26,6 +26,23 @@ class TestParser:
         assert args.trials == 50
         assert args.policy == "int4"
 
+    def test_workers_auto_counts_the_cpus_it_may_run_on(self, monkeypatch):
+        """A container or an affinity mask can confine the process to
+        fewer CPUs than the machine has."""
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0, 5, 9}, raising=False
+        )
+        args = build_parser().parse_args(
+            ["campaign", "qwenlike-base", "wmt16", "2bits-mem", "--workers", "auto"]
+        )
+        assert args.workers == 3
+        monkeypatch.delattr("os.sched_getaffinity")
+        args = build_parser().parse_args(
+            ["campaign", "qwenlike-base", "wmt16", "2bits-mem", "--workers", "auto"]
+        )
+        assert args.workers == 64
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -260,7 +260,7 @@ class TestFastForwardMatchesReference:
         camp = campaign(trained_store, tokenizer, task, FaultModel.KV_2BIT)
         try:
             pooled = camp.run(12, n_workers=2)
-            state = camp._worker_state()
+            worker = camp._attached(camp._executor.arena.root)
         finally:
             camp.close_pool()
         reference = campaign(
@@ -268,8 +268,8 @@ class TestFastForwardMatchesReference:
             decode_strategy="serial",
         ).run(12)
         assert_results_equal(pooled, reference, "pooled auto", "serial")
-        # Nothing golden crosses the fork: not shipped, not built here.
-        assert "_golden" not in state
+        # Nothing golden crosses the fork: not handed over, not built here.
+        assert worker._golden == {} and worker._golden is not camp._golden
         assert camp._golden == {}
 
     def test_baseline_mismatch_falls_back_to_full_decode(

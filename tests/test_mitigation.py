@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fi import FaultModel, FaultSite, MemoryFaultInjector, inject
+from repro.fi import FaultModel, FaultSite, FICampaign, MemoryFaultInjector, inject
+from repro.generation import GenerationConfig
 from repro.mitigation import (
     LogitAnomalyDetector,
     RangeRestrictor,
@@ -12,6 +13,7 @@ from repro.mitigation import (
     output_structure_flags,
     router_layers,
 )
+from repro.tasks import TranslationTask, standardized_subset
 
 PROMPT = [3, 17, 8, 25, 4, 11, 30, 2]
 
@@ -148,6 +150,34 @@ class TestSelectiveProtection:
     def test_requires_layers(self, untrained_engine):
         with pytest.raises(ValueError):
             SelectiveProtection(untrained_engine, [])
+
+    def test_protected_router_campaign(self, moe_engine, tokenizer, world):
+        """The mitigation study's wiring: verify-and-restore before every
+        decode of a router-only memory-fault campaign.  The wrapper has
+        to pass on whatever the campaign calls ``_eval_gen`` with — one
+        that took the example alone made every trial raise and end up
+        quarantined."""
+        task = TranslationTask(world)
+        campaign = FICampaign(
+            engine=moe_engine,
+            tokenizer=tokenizer,
+            task_name=task.name,
+            metrics=task.metrics,
+            examples=standardized_subset(task, 3),
+            fault_model=FaultModel.MEM_2BIT,
+            seed=4,
+            generation=GenerationConfig(
+                max_new_tokens=task.max_new_tokens, eos_id=tokenizer.vocab.eos_id
+            ),
+            layer_filter=lambda name: name.endswith("router"),
+        )
+        protection = SelectiveProtection(moe_engine, router_layers(moe_engine))
+        original = campaign._eval_gen
+        campaign._eval_gen = lambda *args: protection.guarded(lambda: original(*args))
+        result = campaign.run(8, retry_backoff=0.0)
+        assert result.quarantined == 0
+        assert not any(trial.changed for trial in result.trials)
+        assert protection.corrections > 0
 
 
 class TestDetectors:

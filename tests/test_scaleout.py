@@ -16,11 +16,15 @@ The campaign pool's scale-out story rests on three invariants:
 """
 
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.fi import CampaignChaos, FaultModel, assert_records_equal
+from repro.fi.executor import _WAVE_TRIALS, _batch_size
 from repro.fi.injector import MemoryFaultInjector
 from repro.fi.sites import FaultSite
 from repro.inference import InferenceEngine
@@ -188,11 +192,11 @@ class TestPooledEquivalence:
         try:
             ck = tmp_path / "campaign.jsonl"
             campaign.run(3, n_workers=2, checkpoint=ck)
-            pool = campaign._pool
+            pool = campaign._executor.pool
             assert pool is not None and not pool.closed
             pids = pool.worker_pids()
             resumed = campaign.resume(ck, 6, n_workers=2)
-            assert campaign._pool is pool
+            assert campaign._executor.pool is pool
             assert pool.worker_pids() == pids
         finally:
             campaign.close_pool()
@@ -224,13 +228,47 @@ class TestPooledEquivalence:
         )
         try:
             result = campaign.run(6, n_workers=2, retry_backoff=0.0)
-            arena = campaign._arena
+            arena = campaign._executor.arena
             assert arena is not None and arena_valid(arena.root / "target")
         finally:
             campaign.close_pool()
         assert len(exports) == 1  # two deaths, two respawns, one export
         assert_records_equal(
             result.trials, clean.trials, "respawned", "clean"
+        )
+
+
+class TestBatches:
+    @pytest.mark.parametrize(
+        "n_todo, n_workers, wave_capable, size",
+        [
+            (80, 2, True, 40),  # 40 + 40: a worker's even share
+            (6, 4, True, 2),  # at most 2 each, no worker left idle
+            (1000, 2, True, _WAVE_TRIALS),  # never more than a wave's worth
+            (80, 0, True, _WAVE_TRIALS),  # in this process
+            (80, 2, False, 1),  # trials that keep to themselves
+            (80, 0, False, 1),
+        ],
+    )
+    def test_batch_size_is_derived(self, n_todo, n_workers, wave_capable, size):
+        assert _batch_size(n_todo, n_workers, wave_capable) == size
+
+    def test_pool_and_executor_never_import_the_campaign(self):
+        """The executor drives whatever knows what a trial is; with the
+        package's eager ``__init__`` out of the way, importing it and
+        the pool pulls in no ``repro.fi.campaign``."""
+        code = """if True:
+            import sys, types
+            root = sys.argv[1]
+            for name, path in (("repro", root), ("repro.fi", root + "/fi")):
+                pkg = sys.modules[name] = types.ModuleType(name)
+                pkg.__path__ = [path]
+            import repro.fi.pool, repro.fi.executor
+            assert "repro.inference.engine" in sys.modules
+            assert "repro.fi.campaign" not in sys.modules
+        """
+        subprocess.run(
+            [sys.executable, "-c", code, repro.__path__[0]], check=True, timeout=60
         )
 
 

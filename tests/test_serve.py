@@ -733,7 +733,7 @@ class TestCampaignAsTenant:
         other.stop()
 
     def test_worker_state_drops_server_handle(
-        self, untrained_engine, tokenizer, world
+        self, untrained_engine, tokenizer, world, tmp_path
     ):
         campaign = self._campaign(untrained_engine, tokenizer, world)
         server = InferenceServer(
@@ -741,8 +741,11 @@ class TestCampaignAsTenant:
         ).start()
         try:
             campaign.attach_server(server)
-            assert "_serve" not in campaign._worker_state()
-            assert campaign._worker_state()["_serve_tenant"] == "campaign"
+            untrained_engine.export_shared(tmp_path / "target")
+            worker = campaign._attached(tmp_path)
+            assert worker._serve is None and not worker._serve_faults
+            assert worker._serve_tenant == "campaign"
+            assert campaign._serve is server
         finally:
             server.stop()
 

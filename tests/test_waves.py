@@ -8,9 +8,13 @@ the one-trial-at-a-time reference bit for bit
 (:mod:`repro.fi.differential`); the tests below also pin *that* waves
 ran, from the counters, and what happens at their edges: a journal cut
 mid-wave, a trial that raises inside one, a wave that times out, and
-everything that must keep a trial to itself.
+everything that must keep a trial to itself.  Pool workers run the same
+batches the in-process leg does, so they form waves too — and a worker
+lost mid-wave loses nothing.
 """
 
+import math
+import os
 import time
 from collections import Counter
 
@@ -19,11 +23,13 @@ import pytest
 from repro.fi import (
     CampaignChaos,
     FaultModel,
+    FICampaign,
     Outcome,
     assert_records_equal,
     assert_results_equal,
     load_checkpoint,
 )
+from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
 from repro.tasks import GSM8kTask, SquadTask, SummarizationTask, TranslationTask
 
@@ -265,3 +271,112 @@ class TestWaveEdges:
         assert stalled
         assert_results_equal(result, reference, "after the timeout", "serial")
         assert counters["campaign.wave.fallbacks"] == 1
+
+
+class TestWavesInWorkers:
+    """Where a batch runs changes nothing about it: two workers decode
+    their shares as waves and give the serial reference's records."""
+
+    def _serial(self, store, tokenizer, task, fault_model):
+        return campaign(
+            store, tokenizer, task, fault_model, decode_strategy="serial"
+        ).run(N_TRIALS)
+
+    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    def test_pooled_waves_equal_serial_and_the_in_process_tallies(
+        self, trained_store, tokenizer, world, fault_model
+    ):
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, fault_model)
+        try:
+            pooled, counters, waves, width = run_traced(camp, N_TRIALS, n_workers=2)
+        finally:
+            camp.close_pool()
+        assert_results_equal(
+            pooled, self._serial(trained_store, tokenizer, task, fault_model),
+            "pooled waves", "serial",
+        )
+        # The waves ran in the workers, a worker's even share at most each.
+        assert waves and all(span.attrs["worker_pid"] for span in waves)
+        assert width["max"] > 1
+        assert max(span.attrs["trials"] for span in waves) <= math.ceil(N_TRIALS / 2)
+        _, here, *_ = run_traced(
+            campaign(trained_store, tokenizer, task, fault_model), N_TRIALS
+        )
+        per_trial = [
+            name for name in here
+            if name.startswith(("campaign.outcome.", "engine.prefill_cache_"))
+        ] + ["campaign.trials", "campaign.injections", "campaign.trial_ms"]
+        assert {k: counters[k] for k in per_trial} == {k: here[k] for k in per_trial}
+        assert counters["campaign.trials"] == N_TRIALS
+        assert counters["campaign.wave.fallbacks"] == counters["campaign.retries"] == 0
+
+    def test_a_worker_dying_inside_its_first_wave_loses_nothing(
+        self, trained_store, tokenizer, world, tmp_path, monkeypatch
+    ):
+        task = TranslationTask(world)
+        reference = self._serial(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        exports = []
+        export_shared = InferenceEngine.export_shared
+
+        def counting_export(self, directory):
+            exports.append(directory)
+            return export_shared(self, directory)
+
+        monkeypatch.setattr(InferenceEngine, "export_shared", counting_export)
+        run_wave, marker = FICampaign._run_wave, tmp_path / "died"
+
+        def dying(self, trials):
+            try:
+                marker.touch(exist_ok=False)  # atomic: one caller ever wins
+            except FileExistsError:
+                return run_wave(self, trials)
+            os._exit(13)
+
+        monkeypatch.setattr(FICampaign, "_run_wave", dying)
+        ck = tmp_path / "campaign.jsonl"
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        try:
+            result = camp.run(N_TRIALS, n_workers=2, checkpoint=ck, retry_backoff=0.0)
+        finally:
+            camp.close_pool()
+        assert marker.exists()
+        assert_results_equal(result, reference, "after the death", "serial")
+        assert len(exports) == 1  # the respawn attached the arena it found
+        # The dead worker's share was in flight — re-queued one trial a
+        # batch, each an attempt older; the other share never noticed.
+        _, completed, attempts = load_checkpoint(ck)
+        assert sorted(completed) == list(range(N_TRIALS))
+        assert Counter(attempts.values())[2] in (N_TRIALS // 2, math.ceil(N_TRIALS / 2))
+        assert set(attempts.values()) == {1, 2}
+
+    def test_resume_from_a_journal_cut_mid_batch(
+        self, trained_store, tokenizer, world, tmp_path
+    ):
+        task = TranslationTask(world)
+        ck = tmp_path / "campaign.jsonl"
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        try:
+            full = camp.run(N_TRIALS, n_workers=2, checkpoint=ck)
+        finally:
+            camp.close_pool()
+        # Header + five records: inside the first unit a worker reported.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(ck.read_text().splitlines(keepends=True)[:6]))
+        assert len(load_checkpoint(cut)[1]) == 5
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        try:
+            resumed, counters, waves, _ = run_traced(
+                camp, N_TRIALS, n_workers=2, checkpoint=cut, resume=True
+            )
+        finally:
+            camp.close_pool()
+        assert_results_equal(resumed, full, "resumed", "uninterrupted")
+        assert_results_equal(
+            resumed,
+            self._serial(trained_store, tokenizer, task, FaultModel.COMP_2BIT),
+            "resumed", "serial",
+        )
+        assert counters["campaign.resume_skipped"] == 5
+        assert waves and sum(s.attrs["trials"] for s in waves) <= N_TRIALS - 5
+        assert sorted(load_checkpoint(cut)[1]) == list(range(N_TRIALS))
