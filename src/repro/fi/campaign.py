@@ -56,8 +56,12 @@ from repro.fi.executor import (
     _Supervision,
 )
 from repro.fi.fault_models import FaultModel
-from repro.fi.golden import GoldenRun
-from repro.fi.injector import ComputationalFaultInjector, inject
+from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.injector import (
+    ComputationalFaultInjector,
+    MemoryFaultInjector,
+    inject,
+)
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.batched import BatchedDecoder
@@ -237,6 +241,10 @@ class FICampaign:
         computational-fault trials that resume run as *waves*
         (:meth:`_run_wave`): up to ``_DECODE_BATCH`` of them share each
         forward, every row bit-identical to the trial decoded alone.
+        A multiple-choice trial under a weight or computational fault
+        scores only what the fault can reach (:meth:`_option_rows`):
+        the blocks from the struck one on, as rows of one forward per
+        option length, over its example's golden option pass.
         ``serial`` is the whole reference, as the differential oracle
         runs it: per-sequence decode loops, one full forward per option,
         a fresh prefill and a full decode per trial, one trial at a
@@ -283,14 +291,15 @@ class FICampaign:
         self._example_ids = [self._stable_example_id(ex) for ex in self.examples]
         self._baseline_preds: list | None = None
         self._baseline_selections: list | None = None
-        self._golden: dict[int, GoldenRun | None] = {}
-        """Per-example golden runs, built on first use; ``None`` marks
-        an example whose golden run disagreed with the baseline (never
+        self._golden: dict[int, GoldenRun | GoldenOptions | None] = {}
+        """Per-example golden runs (generative tasks) or golden option
+        passes (multiple choice), built on first use; ``None`` marks an
+        example whose golden run disagreed with the baseline (never
         handed to workers — each worker builds its own lazily)."""
         self._kv_pool: PooledKVCache | None = None
-        """The ``_DECODE_BATCH`` KV slots this campaign's own rounds
-        decode in (baseline sweep, golden builds, waves), one after the
-        other."""
+        """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
+        run over (baseline sweep, golden builds, waves, option rows),
+        one after the other."""
         self._metric_baseline_memo: dict[tuple[str, int], float] = {}
         self._executor = Executor()
         """Runs the trials; owns the shared weight arena and the
@@ -395,6 +404,59 @@ class FICampaign:
             self.engine, prompt, options,
             strategy="full" if self.decode_strategy == "serial" else "auto",
         )
+
+    def _option_rows(
+        self,
+        golden: GoldenOptions,
+        site: FaultSite,
+        injector: MemoryFaultInjector | ComputationalFaultInjector,
+    ) -> list[float]:
+        """Option scores of a trial whose fault at ``site`` is armed,
+        from its example's golden pass: bit for bit what one
+        ``forward_full(prompt + option)`` per option scores.
+
+        An error only travels downstream, so the blocks below
+        ``site.block`` are never recomputed.  A corrupted weight is read
+        by every option's forward: each group of equally long options is
+        one rows forward from the struck block on.  A computational
+        fault is one-shot: in the per-option loop its hook fires in the
+        first forward that runs its layer — option 0's, unless the layer
+        is an MoE expert no token of that option is routed to — and
+        nowhere after, so rows are recomputed alone and in order until
+        it has fired, and the rest keep their golden scores.
+
+        Only the memory leg is timed end to end (the ledger's
+        ``campaign_mc_mem``).  The computational leg is exact by the
+        same tests but unmeasured end to end: no ledger workload runs
+        computational faults on a multiple-choice task, and no gain is
+        claimed for it.
+        """
+        first = site.block
+        pool = self._kv_slots()
+        n_blocks = self.engine.config.n_blocks
+        if site.fault_model.is_memory:
+            count_plan("option_rows", "weight_fault")
+            scores = golden.rescore(self.engine, pool, first)
+            ran = len(scores)
+        else:
+            count_plan("option_rows", "row_scoped_hooks")
+            scores = list(golden.scores)
+            ran = 0
+            while ran < len(scores) and not injector.fired:
+                scores[ran] = golden.rescore_option(self.engine, pool, first, ran)
+                ran += 1
+        tel = _telemetry()
+        if tel.active:
+            metrics = tel.metrics
+            passes = len(scores) * n_blocks
+            metrics.counter("campaign.mc_golden.block_passes").add(passes)
+            metrics.counter("campaign.mc_golden.block_passes_skipped").add(
+                passes - ran * (n_blocks - first)
+            )
+            metrics.counter("campaign.mc_golden.rows_reused").add(
+                len(scores) - ran
+            )
+        return scores
 
     def _eval_gen(self, ex: GenExample, golden: GoldenRun | None = None,
                   k: int = 0) -> str:
@@ -702,11 +764,44 @@ class FICampaign:
                     tel.metrics.counter("campaign.golden.baseline_mismatch").add()
             self._golden[idx] = run
 
-    def _golden_run(self, site: FaultSite, idx: int) -> GoldenRun | None:
+    def _reach_limited(self, site: FaultSite) -> bool:
+        """Whether a multiple-choice trial struck at ``site`` may score
+        from its example's golden option pass (:meth:`_option_rows`).
+
+        Asked before the fault is armed: the engine must carry nothing
+        but observers, so the pass it builds or reuses is fault-free.
+        Weight and computational faults live in one block's linears;
+        KV-cache and accumulator faults arm engine-wide state, expert
+        tracking captures every forward's routing and an armed flight
+        recorder probes the whole struck forward — those, and
+        ``serial``, score one full forward per option.
+        """
+        model = site.fault_model
+        return (
+            self.decode_strategy == "auto"
+            and self.is_mc
+            and (model.is_memory or model.is_computational)
+            and not self.track_expert_selection
+            and not _flight().active
+            and decode_plan(self.engine)[1] in ("clean", "observer_hooks")
+        )
+
+    def _golden_run(
+        self, site: FaultSite, idx: int
+    ) -> GoldenRun | GoldenOptions | None:
         """The example's golden run, when the trial may resume from it
-        (:meth:`_golden_eligible`).  Trials visit the examples round
-        robin, so a missing run is built together with those the next
-        trials will ask for."""
+        (:meth:`_golden_eligible`; for a multiple-choice trial its
+        golden option pass, :meth:`_reach_limited`).  Trials visit the
+        examples round robin, so a missing run is built together with
+        those the next trials will ask for."""
+        if self._reach_limited(site):
+            if idx not in self._golden:
+                self._golden[idx] = GoldenOptions.build(
+                    self.engine,
+                    *self._encode_mc(self.examples[idx]),
+                    self._kv_slots(),
+                )
+            return self._golden[idx]
         if not self._golden_eligible(site):
             return None
         n = len(self.examples)
@@ -787,7 +882,11 @@ class FICampaign:
                         detach_front = recorder.attach_front(
                             self.engine, site.iteration
                         )
-                    if self.is_mc:
+                    if golden is not None and self.is_mc:
+                        pred_idx = int(np.argmax(
+                            self._option_rows(golden, site, injector)
+                        ))
+                    elif self.is_mc:
                         pred_idx = self._eval_mc(ex)
                     else:
                         text = self._eval_gen(ex, golden, site.iteration)
@@ -969,14 +1068,16 @@ class FICampaign:
 
     def _wave_capable(self) -> bool:
         """Whether this campaign's trials may share forwards at all:
-        greedy computational-fault trials, and nothing that wants a
-        trial to itself — chaos strikes, a flight recorder, or machinery
+        greedy generative computational-fault trials (a multiple-choice
+        trial has no decode to resume), and nothing that wants a trial
+        to itself — chaos strikes, a flight recorder, or machinery
         on the engine that :func:`decode_plan` does not batch under.
         Computational injectors are hooks, one per row; KV-cache and
         accumulator faults arm the engine's single slot, so they keep
         the one-trial path."""
         return (
             self.decode_strategy == "auto"
+            and not self.is_mc
             and self.fault_model.is_computational
             and self.generation.num_beams == 1
             and self.chaos is None

@@ -1,4 +1,13 @@
-"""Golden runs: the fault-free decode an injected trial resumes from.
+"""Golden runs: the fault-free computation an injected trial reuses.
+
+Two of them, one per axis a fault cannot travel along.  A transient
+fault cannot reach *earlier iterations*: :class:`GoldenRun` is the
+fault-free decode a generative trial resumes from.  No fault can reach
+*earlier blocks*, and a one-shot fault cannot reach the option forwards
+after the one it fired in: :class:`GoldenOptions` is the fault-free
+scoring pass a multiple-choice trial resumes from.
+
+**Generative trials.**
 
 Greedy decoding is deterministic and every transient injector
 (computational, KV-cache, accumulator) is one-shot and timed to one
@@ -34,14 +43,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.generation.decode import GenerationConfig
-from repro.generation.round import DecodeRound, decode_to_completion
+from repro.generation.decode import GenerationConfig, option_logp
+from repro.generation.round import (
+    DecodeRound,
+    _by_length,
+    decode_plan,
+    decode_to_completion,
+)
 from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.flight import flight_recorder as _flight
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["GoldenRun"]
+__all__ = ["GoldenRun", "GoldenOptions"]
 
 
 @dataclass(eq=False)
@@ -169,3 +183,151 @@ def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
     session.engine = engine
     session.caches = caches
     return session
+
+
+def _score_rows(
+    engine: InferenceEngine,
+    pool: PooledKVCache,
+    prompt: list[int],
+    options: list[list[int]],
+    **forward_kw,
+) -> list[float]:
+    """Score equally long ``options`` as rows ``prompt + option`` of one
+    ``forward_chunk_batch`` from position 0, each row over a pool slot of
+    its own.  The batched entry is row-exact, so row ``i`` is
+    ``forward_full(prompt + options[i])`` bit for bit, whatever is armed
+    on the engine."""
+    slots: list[int] = []
+    try:
+        for _ in options:
+            slots.append(pool.acquire())
+        zeros = [0] * len(options)
+        logits = engine.forward_chunk_batch(
+            [prompt + option for option in options],
+            [pool.caches(slot) for slot in slots],
+            zeros, zeros, **forward_kw,
+        )
+    finally:
+        for slot in slots:
+            pool.release(slot)
+    start = len(prompt) - 1
+    return [
+        option_logp(logits[row, start : start + len(option)], option)
+        for row, option in enumerate(options)
+    ]
+
+
+def _by_option(groups: list[list[int]], per_group: list[list[float]]) -> list[float]:
+    """Per-group score lists back in option order."""
+    scores = [0.0] * sum(len(group) for group in groups)
+    for group, rows in zip(groups, per_group):
+        for i, score in zip(group, rows):
+            scores[i] = score
+    return scores
+
+
+@dataclass(eq=False)
+class GoldenOptions:
+    """One multiple-choice example's fault-free scoring pass.
+
+    The options of equal token length are one *group*: rows of one
+    forward (at most a pool's width of them).  Kept per group: the
+    hidden state that entered blocks ``1..n-1`` (block 0's input is the
+    embedding gather, not worth keeping), and per option its score.  A
+    fault in block ``L`` leaves every block before it computing exactly
+    this pass, so a trial runs each group from block ``L`` on
+    (:meth:`rescore`); a one-shot computational fault also leaves the
+    option forwards it does not fire in untouched, so a trial recomputes
+    single rows (:meth:`rescore_option`) and keeps the golden
+    :attr:`scores` of the rest.
+    """
+
+    prompt: list[int]
+    options: list[list[int]]
+    groups: list[list[int]]
+    """Option indices of each rows forward."""
+    hidden: list[list[np.ndarray]]
+    """``hidden[g][b - 1]``: the ``(rows, t, d_model)`` input of block
+    ``b`` in group ``g``'s forward."""
+    scores: list[float]
+
+    @classmethod
+    def build(
+        cls,
+        engine: InferenceEngine,
+        prompt: list[int],
+        options: list[list[int]],
+        pool: PooledKVCache,
+    ) -> "GoldenOptions":
+        """Score every option on ``engine``, which must be pristine: a
+        fault baked into this pass would be taken for fault-free by
+        every trial that reuses it."""
+        reason = decode_plan(engine)[1]
+        if reason not in ("clean", "observer_hooks"):
+            raise RuntimeError(
+                f"golden option pass needs a pristine engine, found {reason}"
+            )
+        groups = [
+            same[at : at + pool.n_slots]
+            for same in _by_length(range(len(options)), lambda i: len(options[i]))
+            for at in range(0, len(same), pool.n_slots)
+        ]
+        inputs: list[list[np.ndarray]] = [[] for _ in groups]
+        scores = _by_option(groups, [
+            _score_rows(
+                engine, pool, prompt, [options[i] for i in group],
+                block_inputs=kept,
+            )
+            for group, kept in zip(groups, inputs)
+        ])
+        hidden = [
+            [x.reshape(len(group), -1, x.shape[-1]) for x in kept[1:]]
+            for group, kept in zip(groups, inputs)
+        ]
+        tel = _telemetry()
+        if tel.active:
+            tel.metrics.counter("campaign.mc_golden.builds").add()
+        return cls(prompt, options, groups, hidden, scores)
+
+    def _rescore(
+        self,
+        engine: InferenceEngine,
+        pool: PooledKVCache,
+        first_block: int,
+        g: int,
+        rows: slice,
+    ) -> list[float]:
+        """Scores of ``groups[g][rows]`` under whatever is armed on
+        ``engine`` now — which must not reach a block below
+        ``first_block`` — computed from the golden state entering it."""
+        resume = None
+        if first_block:
+            state = self.hidden[g][first_block - 1][rows]
+            resume = (first_block, state.reshape(-1, state.shape[-1]))
+        return _score_rows(
+            engine, pool, self.prompt,
+            [self.options[i] for i in self.groups[g][rows]],
+            resume=resume,
+        )
+
+    def rescore(
+        self, engine: InferenceEngine, pool: PooledKVCache, first_block: int
+    ) -> list[float]:
+        """Every option's score, one forward of blocks
+        ``first_block..n-1`` per group."""
+        return _by_option(self.groups, [
+            self._rescore(engine, pool, first_block, g, slice(None))
+            for g in range(len(self.groups))
+        ])
+
+    def rescore_option(
+        self, engine: InferenceEngine, pool: PooledKVCache, first_block: int,
+        option: int,
+    ) -> float:
+        """One option's score: its row alone, from ``first_block`` on."""
+        g, row = next(
+            (g, group.index(option))
+            for g, group in enumerate(self.groups)
+            if option in group
+        )
+        return self._rescore(engine, pool, first_block, g, slice(row, row + 1))[0]

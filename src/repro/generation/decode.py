@@ -29,6 +29,7 @@ __all__ = [
     "greedy_decode",
     "beam_search_decode",
     "generate_ids",
+    "option_logp",
     "score_continuation",
     "score_options",
     "choose_option",
@@ -270,6 +271,25 @@ def generate_ids(
     return out
 
 
+def _clean_logp(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax with non-finite logits (a corrupted run's) clamped."""
+    return log_softmax_np(
+        np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
+    )
+
+
+def option_logp(logits: np.ndarray, option_ids: list[int]) -> float:
+    """Summed log-likelihood of ``option_ids`` given the ``(len(option_ids),
+    vocab)`` logits that predict them, one row per token.
+
+    The one spelling every option-scoring path shares — the per-option
+    reference, the shared-prefix tails and a campaign's rows forward
+    (:mod:`repro.fi.golden`) — so their scores cannot drift apart: the
+    per-token terms of the clamped log-softmax, summed in float32.
+    """
+    return float(_clean_logp(logits)[np.arange(len(option_ids)), option_ids].sum())
+
+
 def score_continuation(
     engine: InferenceEngine, prompt_ids: list[int], option_ids: list[int]
 ) -> float:
@@ -283,20 +303,9 @@ def score_continuation(
     """
     if not option_ids:
         raise ValueError("option must contain at least one token")
-    full = [*prompt_ids, *option_ids]
-    logits = engine.forward_full(full)
-    logp = log_softmax_np(
-        np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
-    )
+    logits = engine.forward_full([*prompt_ids, *option_ids])
     start = len(prompt_ids) - 1
-    positions = np.arange(start, start + len(option_ids))
-    return float(logp[positions, option_ids].sum())
-
-
-def _clean_logp(logits: np.ndarray) -> np.ndarray:
-    return log_softmax_np(
-        np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
-    )
+    return option_logp(logits[start : start + len(option_ids)], option_ids)
 
 
 def score_options(
@@ -323,6 +332,13 @@ def score_options(
     Both agree on fault-free engines up to float-associativity (chunked
     vs. full matmuls); the argmax option is stable in practice and
     asserted identical by the equivalence tests.
+
+    Under an armed fault this function never shares anything.  What a
+    fault cannot reach *is* shared one level up: an ``auto`` campaign
+    scores a weight- or computational-fault trial from its example's
+    fault-free pass, as rows of one row-exact forward that starts at
+    the struck block (:class:`repro.fi.golden.GoldenOptions`) —
+    ``array_equal`` to ``full`` here, option by option.
     """
     if not options_ids:
         raise ValueError("need at least one option to score")
@@ -345,6 +361,7 @@ def score_options(
 
     session = engine.start_session(prompt_ids)
     prompt_len = len(prompt_ids)
+    # Every option's first token is predicted by the one prompt forward.
     first_logp = _clean_logp(session.last_logits)
     scores = [float(first_logp[option[0]]) for option in options_ids]
     # Only tokens whose *output* is read need a forward: feeding
@@ -371,8 +388,7 @@ def score_options(
     for i, (option, tail) in enumerate(zip(options_ids, tails)):
         if not tail:
             continue
-        logp = _clean_logp(logits[i, : len(tail)])
-        scores[i] += float(logp[np.arange(len(tail)), option[1:]].sum())
+        scores[i] += option_logp(logits[i, : len(tail)], option[1:])
     return scores
 
 

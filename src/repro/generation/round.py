@@ -60,9 +60,13 @@ pairs than the serial loop.  Batching only needs faults that scope
 themselves to one sequence.  Capture records per-sequence tensors, so
 it forces the serial reference loop; so do weight faults, whose gate was
 set when a batched GEMM differed from the serial one in the last bits (a
-corrupted weight amplifies such differences) — with row-exact products
-that rationale no longer holds, and relaxing the gate is left to a later
-change.  The *draft* is held to the speculation bar too
+corrupted weight amplifies such differences).  That row now concerns the
+*decode loop* only: option scoring under a weight fault is row-exact — a
+campaign scores a multiple-choice trial's options as rows of one
+``forward_chunk_batch`` under the armed fault
+(:class:`repro.fi.golden.GoldenOptions`, counted as
+``decode.plan.option_rows.<reason>``), bit for bit the per-option
+forwards.  The *draft* is held to the speculation bar too
 (``draft_<reason>``, path = the target's no-draft path): its corruption
 is masked by construction, but the non-speculative paths run without
 it, so whether a draft fault even fires would depend on the path.
@@ -132,8 +136,11 @@ def count_plan(path: str, reason: str) -> None:
     differently from :func:`decode_plan`:
     ``SpeculativeDecoder.decode_one`` counts a ``batched`` plan as
     ``serial`` (one sequence has nothing to batch, so it runs the
-    reference loop), and ``score_options`` counts ``shared_prefix``
-    (reason ``clean`` / ``observer_hooks``) or ``per_option``."""
+    reference loop), ``score_options`` counts ``shared_prefix``
+    (reason ``clean`` / ``observer_hooks``) or ``per_option``, and a
+    campaign counts ``option_rows`` (reason ``weight_fault`` /
+    ``row_scoped_hooks``) for a multiple-choice trial scored from its
+    example's golden option pass."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()

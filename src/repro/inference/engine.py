@@ -452,6 +452,8 @@ class InferenceEngine:
         iteration,
         rows: np.ndarray | None,
         shared: bool = False,
+        block_inputs: list | None = None,
+        resume: tuple[int, np.ndarray] | None = None,
     ) -> np.ndarray:
         """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
         starting at ``positions[i]`` and appending to its own
@@ -465,7 +467,11 @@ class InferenceEngine:
         product is issued per sequence (see :meth:`_linear`), which
         makes each row bit-identical to its own serial forward; the
         serial entry — the 2-D shared-prefix mode included — keeps one
-        flat GEMM.  Returns flat ``(B*t, vocab)`` logits.
+        flat GEMM.  ``block_inputs`` collects the flat hidden state
+        entering each block that runs; ``resume = (first_block, hidden)``
+        starts from such a state instead of the embedding (see
+        :meth:`forward_chunk_batch`).  Returns flat ``(B*t, vocab)``
+        logits.
         """
         cfg = self.config
         batch, t = ids.shape
@@ -502,8 +508,13 @@ class InferenceEngine:
         # exponent flip scales a value by ~2^128); inf/nan propagation
         # *is* the studied behaviour, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x = self._plain["embed.weight"][ids.reshape(-1)]
-            for b in range(cfg.n_blocks):
+            if resume is None:
+                first, x = 0, self._plain["embed.weight"][ids.reshape(-1)]
+            else:
+                first, x = resume
+            for b in range(first, cfg.n_blocks):
+                if block_inputs is not None:
+                    block_inputs.append(x)
                 prefix = f"blocks.{b}."
                 h = rms_norm_np(
                     x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
@@ -533,7 +544,7 @@ class InferenceEngine:
             metrics.counter("engine.forward_calls").add()
             metrics.counter("engine.tokens").add(ids.size)
             metrics.gauge("engine.kv_occupancy").set(
-                max((c[0].length for c in row_caches if c), default=0)
+                max((c[-1].length for c in row_caches if c), default=0)
                 / cfg.max_seq
             )
         return logits
@@ -624,6 +635,9 @@ class InferenceEngine:
         positions: np.ndarray | list[int],
         iterations: np.ndarray | list[int],
         row_ids: np.ndarray | list[int] | None = None,
+        *,
+        block_inputs: list | None = None,
+        resume: tuple[int, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Multi-token decode chunks for ``B`` independent sequences.
 
@@ -660,6 +674,21 @@ class InferenceEngine:
         capture/acc/non-observer machinery to the batched or serial
         paths instead.
 
+        ``block_inputs`` (a list) receives the flat ``(B*t, d_model)``
+        hidden state entering each block that runs, in block order —
+        the arrays the forward computed, not copies; nothing later
+        writes to them.  ``resume = (first_block, hidden)`` is the
+        other half: skip the embedding and the blocks below
+        ``first_block`` and start from ``hidden``, the state that
+        entered ``first_block`` in a forward of the same ``tokens`` from
+        the same ``positions`` (this engine never writes to it).  An
+        error only travels downstream, so whatever is corrupted at
+        ``first_block`` or later sees exactly the inputs it would in the
+        whole forward and every row stays bit-identical to it.  The
+        skipped blocks' caches are left untouched, so a resumed forward
+        is for **single-forward scoring only**: no later step may
+        attend over these caches.
+
         Returns logits of shape ``(B, t, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
@@ -667,6 +696,22 @@ class InferenceEngine:
             raise ValueError(
                 f"tokens must be a rectangular (B, t) batch, got {ids.shape}"
             )
+        if resume is not None:
+            first_block, hidden = resume
+            if not 0 <= first_block < self.config.n_blocks:
+                raise ValueError(
+                    f"resume block {first_block} out of range for"
+                    f" {self.config.n_blocks} blocks"
+                )
+            want = (ids.size, self.config.d_model)
+            if (
+                not isinstance(hidden, np.ndarray)
+                or hidden.shape != want
+                or hidden.dtype != np.float32
+            ):
+                raise ValueError(
+                    f"resume hidden state must be a float32 array of shape {want}"
+                )
         if self.capture is not None:
             raise RuntimeError(
                 "forward_chunk_batch does not support activation capture;"
@@ -686,6 +731,7 @@ class InferenceEngine:
         return self._forward_rows(
             ids, row_caches, positions, iterations,
             _row_ids(row_ids, ids.shape[0]),
+            block_inputs=block_inputs, resume=resume,
         ).reshape(*ids.shape, -1)
 
     def new_caches(self) -> list[KVCache]:

@@ -24,7 +24,10 @@ class KVCache:
     Shapes are ``(n_heads, max_seq, head_dim)``; ``length`` tracks the
     filled prefix.  Appending is an in-place slice write (no copies, no
     reallocation), following the buffer-reuse guidance for numerical
-    Python.
+    Python.  The buffers are allocated uninitialised: whatever lies
+    beyond ``length`` is never read (every reader goes through
+    :meth:`keys` / :meth:`values` or a ``[:length]`` slice), and a
+    reference-path forward allocates a fresh set of them.
     """
 
     #: Truncation watchers (class-level default keeps instances free of
@@ -35,8 +38,8 @@ class KVCache:
     watchers: tuple = ()
 
     def __init__(self, n_heads: int, max_seq: int, head_dim: int) -> None:
-        self.k = np.zeros((n_heads, max_seq, head_dim), dtype=np.float32)
-        self.v = np.zeros((n_heads, max_seq, head_dim), dtype=np.float32)
+        self.k = np.empty((n_heads, max_seq, head_dim), dtype=np.float32)
+        self.v = np.empty((n_heads, max_seq, head_dim), dtype=np.float32)
         self.length = 0
 
     def watch(self, watcher) -> None:
@@ -165,7 +168,8 @@ class PooledKVCache:
     the next pending sequence — the continuous-batching scheduler's
     refills therefore cost zero allocations.  Stale K/V beyond a view's
     ``length`` is never read (attention consumes ``keys()``/``values()``
-    prefixes only), so slots are handed out without clearing.
+    prefixes only), so slots are handed out without clearing and the
+    arena is allocated uninitialised.
     """
 
     def __init__(
@@ -175,11 +179,11 @@ class PooledKVCache:
             raise ValueError("pool needs at least one slot")
         self.n_slots = n_slots
         self._k = [
-            np.zeros((n_slots, n_heads, max_seq, head_dim), dtype=np.float32)
+            np.empty((n_slots, n_heads, max_seq, head_dim), dtype=np.float32)
             for _ in range(n_layers)
         ]
         self._v = [
-            np.zeros((n_slots, n_heads, max_seq, head_dim), dtype=np.float32)
+            np.empty((n_slots, n_heads, max_seq, head_dim), dtype=np.float32)
             for _ in range(n_layers)
         ]
         self._views = [

@@ -114,10 +114,15 @@ def _scalar_section(run: RunData) -> list[str]:
 
 def _derived_section(run: RunData) -> list[str]:
     """Headline figures the raw instruments imply: tokens/sec and, for a
-    campaign, its SDC rate, how many trials resumed a golden run and how
+    campaign, its SDC rate, how many trials resumed a golden run, how
+    much of their option scoring multiple-choice trials skipped and how
     wide its waves ran."""
     lines = []
     counters = run.metrics.counters
+
+    def count(name: str) -> int:
+        return int(counters[name].value) if name in counters else 0
+
     tokens = counters.get("decode.tokens")
     decode_ms = run.metrics.histograms.get("decode.generate_ms")
     if tokens and decode_ms and decode_ms.total > 0:
@@ -134,9 +139,6 @@ def _derived_section(run: RunData) -> list[str]:
     if "campaign.golden.builds" in counters:
         # Which path each generative trial took (repro.fi.golden): resumed
         # from its example's golden run, or prefilled and decoded in full.
-        def count(name: str) -> int:
-            return int(counters[name].value) if name in counters else 0
-
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
         lines.append(
@@ -145,6 +147,18 @@ def _derived_section(run: RunData) -> list[str]:
             f" replayed, {count('campaign.golden.unreached')} strikes never"
             f" reached, {count('campaign.golden.builds')} runs built,"
             f" {count('campaign.golden.baseline_mismatch')} off the baseline)"
+        )
+    if "campaign.mc_golden.builds" in counters:
+        # Reach-limited option scoring: one block pass is one option row
+        # through one block, counted against the one-forward-per-option
+        # reference.
+        passes = count("campaign.mc_golden.block_passes")
+        skipped = count("campaign.mc_golden.block_passes_skipped")
+        lines.append(
+            f"mc golden: {skipped} of {passes} block passes skipped"
+            f" ({skipped / max(1, passes):.3f}),"
+            f" {count('campaign.mc_golden.rows_reused')} option rows reused,"
+            f" {count('campaign.mc_golden.builds')} passes built"
         )
     waves = [span for span in run.spans if span.name == "campaign.wave"]
     if waves:

@@ -79,6 +79,36 @@ class TestKVCache:
             cache.truncate(5)
 
 
+    def test_stale_kv_beyond_length_is_never_read(self, untrained_engine):
+        """The buffers are allocated uninitialised: poison everything
+        beyond ``length`` with NaN, in single caches and in pool slots,
+        and no forward output moves."""
+        engine = untrained_engine
+
+        def run(poison):
+            session = engine.start_session(TOKENS[:4])
+            pool = engine.new_pool(2)
+            rows = [pool.caches(pool.acquire()) for _ in range(2)]
+            prompts = (TOKENS[:3], TOKENS[:5])
+            for caches, prompt in zip(rows, prompts):
+                engine.forward(prompt, caches, start_pos=0, iteration=0)
+            if poison:
+                for cache in [*session.caches, *rows[0], *rows[1]]:
+                    cache.k[:, cache.length :] = np.nan
+                    cache.v[:, cache.length :] = np.nan
+            return (
+                session.step(TOKENS[4]).copy(),
+                engine.forward(TOKENS[5:], session.caches, session.position, 2),
+                engine.forward_step_batch(
+                    [TOKENS[3], TOKENS[5]], rows, [3, 5], [1, 1]
+                ),
+            )
+
+        for got, want in zip(run(poison=True), run(poison=False)):
+            assert not np.isnan(want).any()
+            np.testing.assert_array_equal(got, want)
+
+
 class TestHooks:
     def test_hook_fires_and_modifies(self, untrained_engine):
         calls = []
@@ -321,6 +351,69 @@ class TestOneForward:
             with pytest.raises(RuntimeError, match="accumulator"):
                 engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
         assert [c.length for c in caches] == [0, 0]
+
+    @pytest.mark.parametrize("engine_fixture", ["untrained_engine", "moe_engine"])
+    def test_resume_from_a_block_input_is_the_whole_forward(
+        self, request, engine_fixture
+    ):
+        """``block_inputs`` hands out the state entering every block;
+        resuming from any of them — the first (only the embedding is
+        skipped) and the last pinned here — gives the whole forward's
+        logits and its K/V in every block that ran, and leaves the
+        skipped blocks' caches alone."""
+        engine = request.getfixturevalue(engine_fixture)
+        n = engine.config.n_blocks
+        chunks = [TOKENS[:5], TOKENS[2:]]
+
+        def forward(**kw):
+            rows = [engine.new_caches() for _ in chunks]
+            return engine.forward_chunk_batch(chunks, rows, [0, 0], [0, 0], **kw), rows
+
+        inputs = []
+        whole, whole_rows = forward(block_inputs=inputs)
+        assert [x.shape for x in inputs] == [(10, engine.config.d_model)] * n
+        np.testing.assert_array_equal(whole, forward()[0])
+        for first in (0, n - 1):
+            seen = []
+            got, rows = forward(resume=(first, inputs[first]), block_inputs=seen)
+            np.testing.assert_array_equal(got, whole)
+            assert len(seen) == n - first and seen[0] is inputs[first]
+            for caches, ref in zip(rows, whole_rows):
+                assert [c.length for c in caches[:first]] == [0] * first
+                assert_caches_equal(caches[first:], ref[first:])
+
+    def test_malformed_resume_raises_before_any_cache_is_touched(
+        self, untrained_engine
+    ):
+        engine = untrained_engine
+        cfg = engine.config
+        caches = engine.new_caches()
+        good = np.zeros((2, cfg.d_model), dtype=np.float32)
+
+        def resumed(first, hidden):
+            return engine.forward_chunk_batch(
+                [[4, 5]], [caches], [0], [0], resume=(first, hidden)
+            )
+
+        for first in (-1, cfg.n_blocks):
+            with pytest.raises(ValueError, match="out of range"):
+                resumed(first, good)
+        for hidden in (
+            good[:1],  # a row short
+            np.zeros((2, cfg.d_model + 1), dtype=np.float32),
+            good.reshape(1, 2, -1),  # not flat
+            good.astype(np.float64),
+            good.tolist(),
+        ):
+            with pytest.raises(ValueError, match="hidden state"):
+                resumed(1, hidden)
+        engine.capture = CaptureState()
+        try:
+            with pytest.raises(RuntimeError, match="capture"):
+                resumed(1, good)
+        finally:
+            engine.capture = None
+        assert [c.length for c in caches] == [0] * cfg.n_blocks
 
 
 class TestStoragePolicies:

@@ -6,6 +6,13 @@ just before its strike; ``"serial"`` re-prefills and re-decodes in full.
 Every test here holds the two to bit-identical records through
 :mod:`repro.fi.differential`, then pins *which* path ran by its exact
 counters — so a fast path that quietly stopped being taken fails too.
+
+Multiple-choice trials have the spatial twin (``TestReachLimitedOptions``):
+one fault-free scoring pass per example, and a trial computes only the
+blocks and option rows its fault can reach.  Their records carry the
+argmax alone, so there equality is asserted on the option *score
+vectors*, under the armed fault, against ``score_options(...,
+strategy="full")``.
 """
 
 import dataclasses
@@ -22,15 +29,21 @@ from repro.fi import (
     assert_results_equal,
     load_checkpoint,
 )
-from repro.fi.golden import GoldenRun
-from repro.generation import GenerationConfig, greedy_decode
-from repro.inference import InferenceEngine
+from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.injector import inject
+from repro.generation import GenerationConfig, greedy_decode, score_options
+from repro.inference import CaptureState, InferenceEngine
 from repro.obs import explain_trial, flight_recorder, telemetry
 from repro.tasks import (
+    ARCTask,
     GSM8kTask,
+    HellaSwagTask,
+    MMLUTask,
     SquadTask,
     SummarizationTask,
     TranslationTask,
+    TruthfulQATask,
+    WinoGrandeTask,
     standardized_subset,
 )
 
@@ -40,6 +53,9 @@ PARENT_JOURNAL = Path(__file__).parent / "data" / "journal_pr14_wmt16_2bits-comp
 """Four trials of ``make_campaign(untrained_store, …, "gen", COMP_2BIT)``
 journalled by the commit before the golden-run cache (its ``git_rev``
 header says which)."""
+PARENT_MC_JOURNAL = Path(__file__).parent / "data" / "journal_pr17_mmlu_2bits-mem.jsonl"
+"""Four trials of ``make_campaign(untrained_store, …, "mc", MEM_2BIT)``
+journalled by the commit before reach-limited option scoring."""
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +74,7 @@ def campaign(store, tokenizer, task, fault_model, examples=None, **kw):
     )
     generation.update(kw.pop("generation", {}))
     return FICampaign(
-        engine=InferenceEngine(store),
+        engine=kw.pop("engine", None) or InferenceEngine(store),
         tokenizer=tokenizer,
         task_name=task.name,
         metrics=task.metrics,
@@ -79,10 +95,9 @@ def pin_iteration(camp, k):
     return camp
 
 
-def run_counted(camp, n_trials, **kw):
-    """``(result, counters)`` of one run under telemetry; ``counters``
-    holds ``campaign.golden.*`` and ``engine.*`` by their last name and
-    reads 0 for one that never counted."""
+def traced_counters(camp, n_trials, **kw):
+    """``(result, counters)`` of one run under telemetry: every counter
+    by its full name, 0 for one that never counted."""
     tel = telemetry()
     tel.reset()
     tel.enable()
@@ -92,8 +107,15 @@ def run_counted(camp, n_trials, **kw):
     finally:
         tel.disable()
         tel.reset()
+    return result, Counter({name: int(v) for name, v in counters.items()})
+
+
+def run_counted(camp, n_trials, **kw):
+    """:func:`traced_counters` with ``campaign.golden.*`` and ``engine.*``
+    by their last name, and nothing else."""
+    result, counters = traced_counters(camp, n_trials, **kw)
     return result, Counter({
-        name.removeprefix("campaign.golden.").removeprefix("engine."): int(v)
+        name.removeprefix("campaign.golden.").removeprefix("engine."): v
         for name, v in counters.items()
         if name.startswith(("campaign.golden.", "engine."))
     })
@@ -405,3 +427,362 @@ class TestGoldenRun:
                 np.testing.assert_array_equal(got[1], want[1])
                 np.testing.assert_array_equal(got[0], cache.keys())
                 np.testing.assert_array_equal(got[1], cache.values())
+
+
+# -- multiple choice: reach-limited option scoring ------------------------------
+
+MC_TASKS = [MMLUTask, ARCTask, TruthfulQATask, WinoGrandeTask, HellaSwagTask]
+MC_FAULTS = [FaultModel.MEM_2BIT, FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
+
+
+def pin_block(camp, block):
+    """Every trial of ``camp`` strikes its sampled layer type in
+    ``block``."""
+    sample = camp._trial_site
+
+    def pinned(trial, max_iter):
+        site = sample(trial, max_iter)
+        return dataclasses.replace(
+            site, layer_name=f"blocks.{block}.{site.layer_type}"
+        )
+
+    camp._trial_site = pinned
+    return camp
+
+
+def score_vectors(camp, trial):
+    """``(site, scores on the new leg, scores of the per-option
+    reference)`` of one trial, each under its own arming of the fault."""
+    idx = trial % len(camp.examples)
+    site = camp._trial_site(trial, camp._max_fault_iter())
+    golden = camp._golden_run(site, idx)
+    assert isinstance(golden, GoldenOptions)
+    prompt, options = camp._encode_mc(camp.examples[idx])
+    with inject(camp.engine, site) as injector:
+        rows = camp._option_rows(golden, site, injector)
+    with inject(camp.engine, site) as reference:
+        full = score_options(camp.engine, prompt, options, strategy="full")
+    assert getattr(injector, "fired", True) == getattr(reference, "fired", True)
+    return site, rows, full
+
+
+class TestReachLimitedOptions:
+    N_TRIALS = 12
+
+    @pytest.mark.parametrize("fault_model", MC_FAULTS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("task_cls", MC_TASKS, ids=lambda t: t.__name__)
+    def test_score_vectors_equal_the_per_option_reference(
+        self, trained_store, moe_store, tokenizer, world, task_cls, fault_model
+    ):
+        """Every trial of a generated plan, dense and MoE, float and
+        quantized storage: the option scores are the reference's bit
+        for bit — NaNs of a blown-up forward included."""
+        task = task_cls(world)
+        blocks = set()
+        for store in (trained_store, moe_store):
+            for policy in ("bf16", "int8"):
+                camp = campaign(
+                    store, tokenizer, task, fault_model,
+                    examples=standardized_subset(task, 4),
+                    engine=InferenceEngine(store, weight_policy=policy),
+                )
+                for trial in range(self.N_TRIALS):
+                    site, rows, full = score_vectors(camp, trial)
+                    assert np.array_equal(rows, full, equal_nan=True), (
+                        f"{policy} trial {trial} at {site.layer_name}:"
+                        f" {rows} != {full}"
+                    )
+                    blocks.add((store is moe_store, site.block))
+                assert len(camp._golden) == len(camp.examples)
+                if task_cls is TruthfulQATask:
+                    # The fourth example's options are 5 and 4 tokens
+                    # long: one rows forward each.
+                    assert [len(g.groups) for g in camp._golden.values()] == [
+                        1, 1, 1, 2,
+                    ]
+        # The plans struck every block, the first (no resume) and the
+        # last included.
+        assert blocks == {(False, 0), (False, 1), (False, 2), (True, 0), (True, 1)}
+
+    @pytest.mark.parametrize("fault_model", MC_FAULTS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("last", [False, True], ids=["first-block", "last-block"])
+    def test_first_and_last_block_pinned(
+        self, trained_store, tokenizer, world, fault_model, last
+    ):
+        """``L = 0`` recomputes every block of what it runs (no resume);
+        ``L = n - 1`` runs one block of it."""
+        task = MMLUTask(world)
+        n_blocks = InferenceEngine(trained_store).config.n_blocks
+        block = n_blocks - 1 if last else 0
+        camp = pin_block(campaign(trained_store, tokenizer, task, fault_model), block)
+        for trial in range(6):
+            site, rows, full = score_vectors(camp, trial)
+            assert site.block == block
+            assert np.array_equal(rows, full, equal_nan=True)
+        result, counters = traced_counters(
+            pin_block(campaign(trained_store, tokenizer, task, fault_model), block),
+            6,
+        )
+        assert_results_equal(
+            result,
+            pin_block(
+                campaign(
+                    trained_store, tokenizer, task, fault_model,
+                    decode_strategy="serial",
+                ),
+                block,
+            ).run(6),
+            "auto", "serial",
+        )
+        # Four options a trial; a block pass is one option row through
+        # one block.  A weight fault reruns every row from L, a
+        # computational one only option 0's.
+        rows_run = 4 if fault_model.is_memory else 1
+        assert counters["campaign.mc_golden.block_passes"] == 6 * 4 * n_blocks
+        assert counters["campaign.mc_golden.block_passes_skipped"] == 6 * (
+            4 * n_blocks - rows_run * (n_blocks - block)
+        )
+        assert counters["campaign.mc_golden.rows_reused"] == 6 * (4 - rows_run)
+
+    @pytest.mark.parametrize("fault_model", MC_FAULTS, ids=lambda m: m.value)
+    def test_campaign_matches_serial_and_telemetry_only_observes(
+        self, trained_store, tokenizer, world, fault_model
+    ):
+        task = ARCTask(world)
+        n = self.N_TRIALS
+        reference = campaign(
+            trained_store, tokenizer, task, fault_model, decode_strategy="serial"
+        ).run(n)
+        untraced = campaign(trained_store, tokenizer, task, fault_model).run(n)
+        traced, counters = traced_counters(
+            campaign(trained_store, tokenizer, task, fault_model), n
+        )
+        assert_results_equal(untraced, reference, "auto", "serial")
+        assert_results_equal(traced, untraced, "traced", "untraced")
+        reason = "weight_fault" if fault_model.is_memory else "row_scoped_hooks"
+        plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
+        assert plans == {
+            "decode.plan.shared_prefix.observer_hooks": 3,  # the baseline
+            f"decode.plan.option_rows.{reason}": n,
+        }
+        assert counters["campaign.mc_golden.builds"] == 3
+        n_blocks = InferenceEngine(trained_store).config.n_blocks
+        rows_run = 4 if fault_model.is_memory else 1
+        assert counters["campaign.mc_golden.block_passes_skipped"] == sum(
+            4 * n_blocks - rows_run * (n_blocks - t.site.block)
+            for t in traced.trials
+        )
+
+    def test_workers_build_their_own_passes(self, trained_store, tokenizer, world):
+        task = HellaSwagTask(world)
+        n = self.N_TRIALS
+        camp = campaign(trained_store, tokenizer, task, FaultModel.MEM_2BIT)
+        try:
+            pooled, counters = traced_counters(camp, n, n_workers=2)
+        finally:
+            camp.close_pool()
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.MEM_2BIT,
+            decode_strategy="serial",
+        ).run(n)
+        assert_results_equal(pooled, reference, "pooled auto", "serial")
+        assert counters["decode.plan.option_rows.weight_fault"] == n
+        assert 3 <= counters["campaign.mc_golden.builds"] <= 2 * 3
+        assert camp._golden == {}
+
+    def test_resume_from_a_journal_cut_mid_cell(
+        self, trained_store, tokenizer, world, tmp_path
+    ):
+        task = WinoGrandeTask(world)
+        n = self.N_TRIALS
+        ck = tmp_path / "campaign.jsonl"
+        full = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(n, checkpoint=ck)
+        # Header + five records: mid-example-cycle.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(ck.read_text().splitlines(keepends=True)[:6]))
+        resumed, counters = traced_counters(
+            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT),
+            n, checkpoint=cut, resume=True,
+        )
+        assert_results_equal(resumed, full, "resumed auto", "uninterrupted serial")
+        assert counters["campaign.resume_skipped"] == 5
+        assert counters["decode.plan.option_rows.row_scoped_hooks"] == n - 5
+        assert sorted(load_checkpoint(cut)[1]) == list(range(n))
+
+    def test_resumes_a_journal_written_by_the_parent_commit(
+        self, untrained_store, tokenizer, world, tmp_path
+    ):
+        """``fingerprint()`` / ``campaign_hash`` did not move."""
+        ck = tmp_path / "campaign.jsonl"
+        ck.write_bytes(PARENT_MC_JOURNAL.read_bytes())
+        header, done, _ = load_checkpoint(ck)
+        assert header["git_rev"].startswith("7f3e5b2") and len(done) == 4
+        resumed = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+        ).resume(ck, 10)
+        full = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            decode_strategy="serial",
+        ).run(10)
+        assert_results_equal(resumed, full, "resumed", "uninterrupted serial")
+
+    def test_an_expert_only_a_later_option_reaches(
+        self, moe_store, tokenizer, world
+    ):
+        """A one-shot computational fault fires in the first option
+        forward that *runs its layer*.  An MoE expert no token of option
+        0 is routed to is first run by a later option's forward: rows
+        are recomputed in order until the fault has fired, and only the
+        rows after that keep their golden scores."""
+        task = ARCTask(world)
+        engine = InferenceEngine(moe_store)
+        camp = campaign(
+            moe_store, tokenizer, task, FaultModel.COMP_2BIT,
+            examples=standardized_subset(task, 8), engine=engine,
+        )
+
+        def experts_run(idx):
+            """Per option: the ``(block, expert)`` pairs its forward runs."""
+            prompt, options = camp._encode_mc(camp.examples[idx])
+            ran = []
+            for option in options:
+                engine.capture = CaptureState()
+                engine.forward_full(prompt + option)
+                ran.append({
+                    (block, int(e))
+                    for (_, block), top in engine.capture.expert_selections.items()
+                    for e in np.unique(top)
+                })
+                engine.capture = None
+            return ran
+
+        cases = []
+        for idx in range(len(camp.examples)):
+            ran = experts_run(idx)
+            for block, expert in set().union(*ran[1:]) - ran[0]:
+                first = next(i for i, r in enumerate(ran) if (block, expert) in r)
+                cases.append((idx, block, expert, first))
+        assert cases, "no example routes an expert from a later option only"
+        for idx, block, expert, first in cases:
+            sample = camp._trial_site
+            camp._trial_site = lambda trial, max_iter: dataclasses.replace(
+                sample(trial, max_iter),
+                layer_name=f"blocks.{block}.experts.{expert}.down_proj",
+            )
+            tel = telemetry()
+            tel.reset(), tel.enable()
+            site, rows, full = score_vectors(camp, idx)
+            reused = tel.metrics.counter("campaign.mc_golden.rows_reused").value
+            tel.disable(), tel.reset()
+            camp._trial_site = sample
+            assert np.array_equal(rows, full, equal_nan=True)
+            assert reused == len(rows) - first - 1
+
+    BASELINE = {"decode.plan.shared_prefix.observer_hooks": 3}
+    NEGATIVE = {
+        # case: (fault model, campaign arguments, plans of 3 examples + 8 trials)
+        "serial": (FaultModel.MEM_2BIT, dict(decode_strategy="serial"), {}),
+        "kv": (
+            FaultModel.KV_2BIT, {},
+            {**BASELINE, "decode.plan.per_option.kv_fault": 8},
+        ),
+        "accumulator": (
+            FaultModel.ACC_1BIT, {},
+            {**BASELINE, "decode.plan.per_option.acc_fault": 8},
+        ),
+        "expert-tracking": (
+            FaultModel.MEM_2BIT, dict(track_expert_selection=True),
+            {"decode.plan.per_option.capture": 3 + 8},
+        ),
+        "flight-recorder": (
+            FaultModel.COMP_1BIT, {},
+            {**BASELINE, "decode.plan.per_option.row_scoped_hooks": 8},
+        ),
+        "unscoped-hook": (
+            FaultModel.MEM_2BIT, {},
+            {
+                "decode.plan.per_option.unscoped_hooks": 3,
+                "decode.plan.per_option.weight_fault": 8,
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", NEGATIVE)
+    def test_everything_else_keeps_one_forward_per_option(
+        self, moe_store, tokenizer, world, case
+    ):
+        fault_model, kw, plans = self.NEGATIVE[case]
+        task = MMLUTask(world)
+
+        def build(**extra):
+            camp = campaign(moe_store, tokenizer, task, fault_model, **{**kw, **extra})
+            if case == "unscoped-hook":
+                # Declared perturbing and unscoped; it alters nothing.
+                camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+            return camp
+
+        if case == "flight-recorder":
+            flight_recorder().arm()
+        result, counters = traced_counters(build(), 8)
+        flight_recorder().disarm()
+        assert_results_equal(
+            result, build(decode_strategy="serial").run(8), "auto", "serial"
+        )
+        assert {
+            k: v for k, v in counters.items() if k.startswith("decode.plan.")
+        } == plans
+        assert counters["campaign.mc_golden.builds"] == 0
+
+    @pytest.mark.parametrize("fault_model", MC_FAULTS[:2], ids=lambda m: m.value)
+    def test_a_golden_pass_is_never_built_on_an_armed_engine(
+        self, trained_store, tokenizer, world, fault_model
+    ):
+        """The predicate is asked before arming and the build checks
+        again: a fault baked into a golden pass would be taken for
+        fault-free by every later trial of that example."""
+        camp = campaign(trained_store, tokenizer, MMLUTask(world), fault_model)
+        site = camp._trial_site(0, 1)
+        prompt, options = camp._encode_mc(camp.examples[0])
+        with inject(camp.engine, site):
+            assert camp._golden_run(site, 0) is None
+            with pytest.raises(RuntimeError, match="pristine"):
+                GoldenOptions.build(camp.engine, prompt, options, camp._kv_slots())
+        assert camp._golden == {}
+        assert camp._kv_slots().n_free == camp._kv_slots().n_slots
+        assert isinstance(camp._golden_run(site, 0), GoldenOptions)
+
+    def test_a_forward_that_outlasts_the_trial_timeout(
+        self, trained_store, tokenizer, world
+    ):
+        """The alarm lands between slot acquire and release: the trial
+        is retried alone, on a fresh pool; nobody else notices."""
+        import time
+
+        task = MMLUTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.MEM_2BIT)
+        forward, pools = camp.engine.forward_chunk_batch, []
+
+        def stalling(*args, **kw):
+            # Past the three golden builds: inside the fourth trial.
+            if kw.get("resume") is not None and not pools:
+                pools.append(camp._kv_pool)
+                assert camp._kv_pool.n_free < camp._kv_pool.n_slots
+                time.sleep(30.0)
+            return forward(*args, **kw)
+
+        camp.engine.forward_chunk_batch = stalling
+        result, counters = traced_counters(
+            camp, 9, trial_timeout=0.5, max_retries=1, retry_backoff=0.0
+        )
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.MEM_2BIT,
+            decode_strategy="serial",
+        ).run(9)
+        assert_results_equal(result, reference, "after the timeout", "serial")
+        assert counters["campaign.retries"] == 1
+        assert counters["campaign.quarantined"] == 0
+        assert pools and camp._kv_pool is not pools[0]
+        assert camp._kv_pool.n_free == camp._kv_pool.n_slots

@@ -225,14 +225,16 @@ class TestKVInjector:
         cache = KVCache(4, 16, 8)
         with KVFaultInjector(untrained_engine, site) as inj:
             self._append(cache, 3)
-            pristine = cache.v.copy()
+            # The buffers are uninitialised beyond the filled prefix:
+            # compare the three appended positions only.
+            pristine = cache.values().copy()
             inj.on_append(0, cache, 0)
             assert inj.fired
             pos = min(int(site.row_frac * 3), 2)  # == 1
-            assert not np.array_equal(cache.v, pristine)
+            assert not np.array_equal(cache.values(), pristine)
             cache.truncate(pos)  # discard the struck position
             assert not inj.fired  # rolled back + re-armed
-            np.testing.assert_array_equal(cache.v, pristine)
+            np.testing.assert_array_equal(cache.v[:, :3], pristine)
             assert cache.watchers == ()
             self._append(cache, 2, seed=1)  # decode continues: re-fires
             inj.on_append(0, cache, 1)
@@ -264,12 +266,12 @@ class TestKVInjector:
         site = _kv_site(plane="k")
         cache = KVCache(4, 16, 8)
         self._append(cache, 5)
-        pristine = cache.k.copy()
+        pristine = cache.keys().copy()
         with KVFaultInjector(untrained_engine, site) as inj:
             inj.on_append(0, cache, 0)
             assert inj.fired
-            assert not np.array_equal(cache.k, pristine)
-        np.testing.assert_array_equal(cache.k, pristine)
+            assert not np.array_equal(cache.keys(), pristine)
+        np.testing.assert_array_equal(cache.keys(), pristine)
         assert cache.watchers == ()
         assert untrained_engine.kv_fault is None
 
@@ -609,8 +611,10 @@ class TestPooledTruncationWatchers:
         untrained_engine.forward(
             chunk, v_caches, start_pos=len(prompt), iteration=1
         )
-        ref_k = v_caches[0].k.copy()
-        ref_v = v_caches[0].v.copy()
+        # Filled prefixes only: a slot's row is uninitialised beyond it.
+        n = len(prompt) + len(chunk)
+        ref_k = v_caches[0].keys().copy()
+        ref_v = v_caches[0].values().copy()
         for cache in v_caches:
             cache.truncate(len(prompt))
         sib = [(c.k.copy(), c.v.copy()) for c in s_caches]
@@ -620,15 +624,16 @@ class TestPooledTruncationWatchers:
                 chunk, v_caches, start_pos=len(prompt), iteration=1
             )
             assert inj.fired
-            assert not np.array_equal(v_caches[0].v, ref_v)  # bits flipped
+            # bits flipped
+            assert not np.array_equal(v_caches[0].values(), ref_v)
             # The round rejects everything: per-slot truncation — exactly
             # what BatchedSpeculativeDecoder's rollback does — fires the
             # slot views' watchers.
             for cache in v_caches:
                 cache.truncate(len(prompt))
             assert not inj.fired  # rolled back + re-armed
-            np.testing.assert_array_equal(v_caches[0].k, ref_k)
-            np.testing.assert_array_equal(v_caches[0].v, ref_v)
+            np.testing.assert_array_equal(v_caches[0].k[:, :n], ref_k)
+            np.testing.assert_array_equal(v_caches[0].v[:, :n], ref_v)
             # Sibling arena rows saw neither the strike nor the restore.
             for cache, (k, v) in zip(s_caches, sib):
                 np.testing.assert_array_equal(cache.k, k)

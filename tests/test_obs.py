@@ -286,7 +286,7 @@ class TestResultPersistence:
 # ----------------------------------------------------------------------------
 
 
-def _campaign(engine, tokenizer, world):
+def _campaign(engine, tokenizer, world, **kw):
     task = MMLUTask(world)
     return FICampaign(
         engine=engine,
@@ -296,6 +296,7 @@ def _campaign(engine, tokenizer, world):
         examples=standardized_subset(task, 4),
         fault_model=FaultModel.MEM_2BIT,
         seed=5,
+        **kw,
     )
 
 
@@ -343,46 +344,96 @@ class TestCampaignTelemetry:
     POOL_ONLY_COUNTERS = ("campaign.shared_attach", "campaign.steals")
     POOL_ONLY_SPANS = ("campaign.pool_spinup",)
 
+    # What follows the partition on the default route: under ``auto``
+    # every worker builds the golden option pass of each example it
+    # meets, one extra forward per extra build.
+    PARTITION_COUNTERS = (
+        "campaign.mc_golden.builds", "engine.forward_calls", "engine.tokens",
+    )
+    PARTITION_HISTOGRAMS = ("engine.forward_ms", "engine.layer_ms.")
+
     def test_multiprocess_merge_matches_serial(
         self, untrained_store, tokenizer, world, clean_telemetry
     ):
         """Worker telemetry merges deterministically: the merged stream
         has exactly the counters/span-counts of the serial run, however
-        the trial range was partitioned."""
+        the trial range was partitioned — on the reference route all of
+        them, on ``auto`` all but the golden builds and their forwards."""
+        for decode_strategy in ("auto", "serial"):
+            clean_telemetry.reset()
+            self._merge_matches_serial(
+                untrained_store, tokenizer, world, clean_telemetry,
+                decode_strategy,
+            )
+
+    def _merge_matches_serial(
+        self, untrained_store, tokenizer, world, tel, decode_strategy
+    ):
         from repro.inference import InferenceEngine
 
-        tel = clean_telemetry
+        auto = decode_strategy == "auto"
+
+        def campaign():
+            return _campaign(
+                InferenceEngine(untrained_store), tokenizer, world,
+                decode_strategy=decode_strategy,
+            )
+
+        def science(counters):
+            return {
+                k: v
+                for k, v in counters.items()
+                if k not in self.POOL_ONLY_COUNTERS
+                and not (auto and k in self.PARTITION_COUNTERS)
+            }
+
+        def hist_counts(histograms):
+            return {
+                k: len(v)
+                for k, v in histograms.items()
+                if not (auto and k.startswith(self.PARTITION_HISTOGRAMS))
+            }
+
         tel.enable()
-        _campaign(InferenceEngine(untrained_store), tokenizer, world).run(
-            6, n_workers=0
-        )
-        serial_counters = dict(tel.metrics.snapshot()["counters"])
-        serial_hist_counts = {
-            k: len(v) for k, v in tel.metrics.snapshot()["histograms"].items()
-        }
+        campaign().run(6, n_workers=0)
+        serial = tel.metrics.snapshot()
         serial_span_names = sorted(r.name for r in tel.tracer.records)
+        # The comparison is about the reach-limited leg, not around it.
+        assert (
+            serial["counters"].get("decode.plan.option_rows.weight_fault", 0)
+            == (6 if auto else 0)
+        )
+        assert ("campaign.mc_golden.block_passes" in serial["counters"]) == auto
 
         for n_workers in (2, 3):
             tel.reset()
             tel.enable()
-            _campaign(InferenceEngine(untrained_store), tokenizer, world).run(
-                6, n_workers=n_workers
-            )
+            campaign().run(6, n_workers=n_workers)
             snapshot = tel.metrics.snapshot()
-            merged_counters = {
-                k: v
-                for k, v in snapshot["counters"].items()
-                if k not in self.POOL_ONLY_COUNTERS
-            }
-            assert merged_counters == serial_counters
+            assert science(snapshot["counters"]) == science(serial["counters"])
             # The persistent pool attaches each worker to the shared
             # arena exactly once.
             assert (
                 snapshot["counters"]["campaign.shared_attach"] == n_workers
             )
-            assert {
-                k: len(v) for k, v in snapshot["histograms"].items()
-            } == serial_hist_counts
+            assert hist_counts(snapshot["histograms"]) == hist_counts(
+                serial["histograms"]
+            )
+            assert set(snapshot["histograms"]) == set(serial["histograms"])
+            if auto:
+                # Every forward beyond the serial run's is a golden build.
+                extra = (
+                    snapshot["counters"]["campaign.mc_golden.builds"]
+                    - serial["counters"]["campaign.mc_golden.builds"]
+                )
+                assert 0 <= extra <= (n_workers - 1) * 4
+                assert (
+                    snapshot["counters"]["engine.forward_calls"]
+                    - serial["counters"]["engine.forward_calls"]
+                ) == extra
+                assert len(snapshot["histograms"]["engine.forward_ms"]) - len(
+                    serial["histograms"]["engine.forward_ms"]
+                ) == extra
             merged_span_names = sorted(
                 r.name
                 for r in tel.tracer.records
@@ -502,6 +553,10 @@ class TestReport:
             "campaign.golden.builds": 2,
             "campaign.golden.replayed_tokens": 17,
             "campaign.golden.unreached": 1,
+            "campaign.mc_golden.builds": 3,
+            "campaign.mc_golden.block_passes": 64,
+            "campaign.mc_golden.block_passes_skipped": 24,
+            "campaign.mc_golden.rows_reused": 6,
         }.items():
             tel.metrics.counter(name).add(value)
         for trials in (8, 5):
@@ -516,6 +571,10 @@ class TestReport:
             "golden runs: 3 of 4 generative trials resumed (17 decode steps"
             " replayed, 1 strikes never reached, 2 runs built, 0 off the"
             " baseline)"
+        ) in text
+        assert (
+            "mc golden: 24 of 64 block passes skipped (0.375), 6 option rows"
+            " reused, 3 passes built"
         ) in text
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"

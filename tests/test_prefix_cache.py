@@ -136,7 +136,8 @@ class TestFISafetyGate:
         """Telemetry around ``FICampaign.run`` attaches layer-timing
         hooks — pure observers — so a traced MC campaign must score its
         fault-free baseline on the same path as an untraced one, and
-        say so in the plan counters."""
+        say so in the plan counters; its injected trials score as rows
+        of the golden option pass either way."""
         from repro.fi import assert_results_equal
         from repro.generation import decode
         from tests.test_differential import make_campaign
@@ -166,7 +167,7 @@ class TestFISafetyGate:
         plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
         assert plans == {
             "decode.plan.shared_prefix.observer_hooks": 3,  # one per example
-            "decode.plan.per_option.weight_fault": 2,  # one per trial
+            "decode.plan.option_rows.weight_fault": 2,  # one per trial
         }
 
     def test_weight_fault_depth_restored(self, untrained_engine):

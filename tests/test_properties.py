@@ -77,19 +77,20 @@ def test_property_incremental_equals_full(prompt, data):
     np.testing.assert_allclose(want[-1], full[-1], atol=2e-4)
 
 
-_ROW_EXACT_ENGINES: dict[bool, InferenceEngine] = {}
+_ROW_EXACT_ENGINES: dict[tuple[bool, int], InferenceEngine] = {}
 
 
-def _row_exact_engine(moe: bool) -> InferenceEngine:
-    if moe not in _ROW_EXACT_ENGINES:
+def _row_exact_engine(moe: bool, n_blocks: int = 2) -> InferenceEngine:
+    if (moe, n_blocks) not in _ROW_EXACT_ENGINES:
         extra = dict(d_ff=32, n_experts=4, top_k=2) if moe else dict(d_ff=48)
         config = ModelConfig(
-            vocab_size=VOCAB, d_model=32, n_heads=4, n_blocks=2, max_seq=64, **extra
+            vocab_size=VOCAB, d_model=32, n_heads=4, n_blocks=n_blocks,
+            max_seq=64, **extra,
         )
-        _ROW_EXACT_ENGINES[moe] = InferenceEngine(
+        _ROW_EXACT_ENGINES[moe, n_blocks] = InferenceEngine(
             TransformerLM(config, seed=17).to_store()
         )
-    return _ROW_EXACT_ENGINES[moe]
+    return _ROW_EXACT_ENGINES[moe, n_blocks]
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,6 +133,48 @@ def test_property_batched_rows_are_bit_identical_to_serial(moe, prompts, shape, 
     for row, ref in enumerate(want):
         np.testing.assert_array_equal(got[row], ref)
         assert_caches_equal(batched[row], serial[row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
+    """An error only travels downstream.  For every block ``b``: with
+    nothing armed, and again with a weight of block ``b`` flipped,
+    ``forward_chunk_batch`` resumed at ``b`` from the *fault-free*
+    forward's ``block_inputs[b]`` is ``array_equal`` to the whole
+    forward under that condition — logits, and K/V of every block
+    ``>= b`` — dense and MoE, at any width and chunk length."""
+    engine = _row_exact_engine(moe, n_blocks=3)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, VOCAB, size=(batch, t))
+    zeros = [0] * batch
+
+    def forward(**kw):
+        rows = [engine.new_caches() for _ in range(batch)]
+        return engine.forward_chunk_batch(tokens, rows, zeros, zeros, **kw), rows
+
+    def assert_resumes_at(first):
+        want, want_rows = forward()
+        got, rows = forward(resume=(first, golden[first]))
+        np.testing.assert_array_equal(got, want)
+        for caches, ref in zip(rows, want_rows):
+            assert_caches_equal(caches[first:], ref[first:])
+
+    golden: list[np.ndarray] = []
+    forward(block_inputs=golden)
+    for first in range(engine.config.n_blocks):
+        assert_resumes_at(first)
+        site = sample_site(
+            engine, FaultModel.MEM_2BIT, rng,
+            layer_filter=lambda name: name.startswith(f"blocks.{first}."),
+        )
+        with inject(engine, site):
+            assert_resumes_at(first)
 
 
 _logit_values = st.sampled_from(
