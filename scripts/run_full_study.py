@@ -4,8 +4,10 @@ Builds the model zoo (cached), runs every paper experiment at the
 requested scale, archives each result table under
 ``artifacts/results/`` and regenerates EXPERIMENTS.md.
 
-    python scripts/run_full_study.py                # bench scale (~30 min)
+    python scripts/run_full_study.py                # bench scale
     python scripts/run_full_study.py --trials 500 --examples 50   # paper-ish
+
+Every experiment logs its own and the running wall-clock as it finishes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ EXPERIMENTS = [
     E.fig21_dtypes,
 ]
 
+AGGREGATES_OF_FIG03 = (E.fig04_fault_models, E.fig11_per_task)
+"""Tables computed from Figure 3's rows: handed that result, they run no
+campaign (left to themselves each would repeat its 78-cell sweep)."""
+
 
 def main() -> int:
     parser = argparse.ArgumentParser()
@@ -62,9 +68,12 @@ def main() -> int:
     results_dir = artifacts_dir() / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    overall = None
     for fn in EXPERIMENTS:
         start = time.time()
-        result = fn(ctx)
+        result = fn(ctx, overall) if fn in AGGREGATES_OF_FIG03 else fn(ctx)
+        if fn is E.fig03_overall:
+            overall = result
         text = format_table(result)
         (results_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
         print(text)

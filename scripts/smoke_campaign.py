@@ -9,12 +9,14 @@ merge, manifest, reporter — without depending on cached zoo artifacts.
 ``--flight`` additionally arms the per-trial flight recorder and
 asserts one forensic record per trial lands in the exported run — the
 input for ``repro obs explain`` / ``repro obs export-trace`` in the CI
-forensics job.
+forensics job.  ``--fault`` picks the fault model: the default weight
+fault never resumes a golden run, a transient one (``2bits-comp``) does,
+in waves.
 
 Usage::
 
     PYTHONPATH=src python scripts/smoke_campaign.py [out.jsonl] \
-        [--workers N] [--flight]
+        [--workers N] [--flight] [--fault MODEL]
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", nargs="?", default=None, help="run JSONL path")
     parser.add_argument("--trials", type=int, default=12)
     parser.add_argument("--workers", type=int, default=0)
+    parser.add_argument(
+        "--fault",
+        default=FaultModel.MEM_2BIT.value,
+        choices=[model.value for model in FaultModel],
+        help="fault model to inject (default: %(default)s)",
+    )
     parser.add_argument(
         "--flight",
         action="store_true",
@@ -89,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         task_name=task.name,
         metrics=task.metrics,
         examples=standardized_subset(task, 4),
-        fault_model=FaultModel.MEM_2BIT,
+        fault_model=FaultModel(args.fault),
         seed=11,
         generation=GenerationConfig(
             max_new_tokens=task.max_new_tokens,
@@ -105,7 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     recorder.disarm()
     tel.flush(
         seed=11,
-        config={"task": task.name, "trials": args.trials, "smoke": True},
+        config={
+            "task": task.name,
+            "trials": args.trials,
+            "fault": args.fault,
+            "examples": len(campaign.examples),
+            "smoke": True,
+        },
         command="smoke-campaign",
         extra_records=flight_records,
     )

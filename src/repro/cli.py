@@ -15,9 +15,10 @@ Commands
     ``--resume`` (skip already-journalled trials; bit-identical to an
     uninterrupted run), ``--trial-timeout SECONDS`` and ``--retries N``
     (crashing trials retry, then quarantine as ``FAILED``).
-    ``--draft-model NAME --spec-depth GAMMA`` speculatively decodes
-    fault-free generative baselines with a small draft model (injected
-    trials keep the exact serial path).
+    ``--draft-model NAME --spec-depth GAMMA`` name the draft of the
+    ``--spec-fault-side`` study, which decodes every trial through a
+    draft/verify pair; nothing else speculates (the baseline is read
+    off the golden runs).
 ``serve MODEL [--rps R ...] [--duration S]``
     Run the multi-tenant streaming inference server under an open-loop
     Poisson load sweep (mixed gsm8k/wmt16/xlsum/squadv2 prompt shapes);
@@ -148,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--draft-model",
         choices=zoo_names(),
         default=None,
-        help="zoo model drafting for speculative greedy decoding of"
-        " fault-free baselines (injected trials stay serial)",
+        help="zoo model drafting in the --spec-fault-side study (the"
+        " baseline and every other trial never speculate)",
     )
     campaign.add_argument(
         "--spec-depth",

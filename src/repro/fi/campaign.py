@@ -64,10 +64,8 @@ from repro.fi.injector import (
 )
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
-from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
 from repro.generation.round import DecodeRound, count_plan, decode_plan, pick
-from repro.generation.spec_batched import BatchedSpeculativeDecoder
 from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.inference.kvcache import PooledKVCache
@@ -179,7 +177,7 @@ class CampaignResult:
 
 _DECODE_BATCH = 8
 """Continuous-batching width of a campaign's decode rounds: the
-fault-free baseline sweep, the golden-run builds and the waves injected
+golden-run sweep that is its fault-free baseline and the waves injected
 trials decode in."""
 
 
@@ -228,16 +226,16 @@ class FICampaign:
                 f" got {decode_strategy!r}"
             )
         self.decode_strategy = decode_strategy
-        """The one execution switch.  ``auto`` takes every fast path
-        :func:`~repro.generation.round.decode_plan` allows: fault-free
-        baselines batch (and speculate) across examples, injected
-        generative trials decode in a batch round under row-scoped
-        faults, option scoring shares the prompt prefill when nothing
-        but observers is armed, and generative trials whose transient
-        fault strikes at iteration ``k >= 1`` resume their example's
-        golden run (:mod:`repro.fi.golden`) at iteration ``k - 1``
-        instead of re-decoding the fault-free prefix — without a single
-        forward when the golden run ended before ``k``.  Greedy
+        """The one execution switch.  ``auto`` runs one fault-free pass
+        per example (:attr:`_golden`, one batched sweep) wherever
+        :func:`~repro.generation.round.decode_plan` finds it exact, and
+        everything fault-free is read off it: the baseline is the trial
+        in which no fault fires, injected generative trials decode in a
+        batch round under row-scoped faults, and generative trials whose
+        transient fault strikes at iteration ``k >= 1`` resume their
+        example's golden run (:mod:`repro.fi.golden`) at iteration
+        ``k - 1`` instead of re-decoding the fault-free prefix — without
+        a single forward when the golden run ended before ``k``.  Greedy
         computational-fault trials that resume run as *waves*
         (:meth:`_run_wave`): up to ``_DECODE_BATCH`` of them share each
         forward, every row bit-identical to the trial decoded alone.
@@ -247,8 +245,8 @@ class FICampaign:
         option length, over its example's golden option pass.
         ``serial`` is the whole reference, as the differential oracle
         runs it: per-sequence decode loops, one full forward per option,
-        a fresh prefill and a full decode per trial, one trial at a
-        time."""
+        a fresh prefill and a full decode per trial and per baseline
+        example, one trial at a time."""
         if draft_model is not None and (
             draft_model.config.vocab_size != engine.config.vocab_size
         ):
@@ -258,12 +256,13 @@ class FICampaign:
                 f" target has {engine.config.vocab_size}"
             )
         self.draft_model = draft_model
-        """Optional same-tokenizer draft engine for speculative greedy
-        decoding.  Fault-free generative work — the baseline sweep and
-        any trial whose fault machinery is not armed — drafts
-        ``speculation_depth`` tokens per verify round; injected trials
-        fail the :func:`~repro.generation.round.decode_plan` gate and
-        drop to the batched or serial path automatically."""
+        """The same-tokenizer draft engine of the ``spec_fault_side``
+        study, which decodes every trial through a draft/verify pair
+        drafting ``speculation_depth`` tokens per round.  Nothing else
+        speculates: the baseline is read off the golden passes every
+        transient-fault campaign decodes anyway, and an armed trial
+        never passes :func:`~repro.generation.round.decode_plan`'s
+        speculation bar."""
         self.speculation_depth = speculation_depth
         if spec_fault_side is not None:
             if spec_fault_side not in ("draft", "target"):
@@ -292,14 +291,16 @@ class FICampaign:
         self._baseline_preds: list | None = None
         self._baseline_selections: list | None = None
         self._golden: dict[int, GoldenRun | GoldenOptions | None] = {}
-        """Per-example golden runs (generative tasks) or golden option
-        passes (multiple choice), built on first use; ``None`` marks an
-        example whose golden run disagreed with the baseline (never
-        handed to workers — each worker builds its own lazily)."""
+        """*The* fault-free pass of each example — its golden run
+        (generative tasks) or golden option pass (multiple choice) —
+        built by the baseline sweep, which reads the baseline off it,
+        and inherited by forked pool workers copy-on-write.  Empty where
+        no pass is kept (:meth:`_keeps_golden`); ``None`` marks an
+        example whose golden run disagreed with a *served* baseline."""
         self._kv_pool: PooledKVCache | None = None
         """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
-        run over (baseline sweep, golden builds, waves, option rows),
-        one after the other."""
+        run over (the golden sweep, waves, option rows), one after the
+        other."""
         self._metric_baseline_memo: dict[tuple[str, int], float] = {}
         self._executor = Executor()
         """Runs the trials; owns the shared weight arena and the
@@ -355,11 +356,11 @@ class FICampaign:
     def fingerprint(self) -> dict:
         """Result-determining configuration, hashed into checkpoints.
 
-        Perf knobs (``decode_strategy``, ``draft_model``,
-        ``speculation_depth``) are excluded on purpose: they cannot
-        change TrialRecords (the differential suite holds them to
-        that), so a journal written under one execution strategy may be
-        resumed under another.
+        The one perf switch, ``decode_strategy``, is excluded on
+        purpose: it cannot change TrialRecords (the differential suite
+        holds it to that), so a journal written under one execution
+        strategy may be resumed under the other.  The draft matters to
+        the speculation-side study alone, and joins below.
         """
         fingerprint = {
             "task": self.task_name,
@@ -462,7 +463,7 @@ class FICampaign:
                   k: int = 0) -> str:
         """Decode ``ex``; with ``golden``, only from iteration ``k`` on."""
         session, prefix, config = (
-            golden.resume(k) if golden else (None, [], self.generation)
+            golden.resume(self.engine, k) if golden else (None, [], self.generation)
         )
         ids = generate_ids(
             self.engine,
@@ -470,8 +471,6 @@ class FICampaign:
             config,
             session=session,
             strategy=self.decode_strategy,
-            draft=self.draft_model,
-            speculation_depth=self.speculation_depth,
         )
         return self.tokenizer.decode(prefix + ids)
 
@@ -546,14 +545,20 @@ class FICampaign:
         if tel.active:
             tel.metrics.counter(f"serve.campaign_fallback.{reason}").add()
 
-    def _serve_baseline(self, prompts: list[list[int]]) -> "list[str] | None":
-        """Submit the baseline sweep as tenant traffic; ``None`` when
-        the attached server cannot take it (not running, beams, draft
-        mismatch, armed fault machinery) so the caller falls back to
-        the local path — every decline increments a reason-labelled
-        ``serve.campaign_fallback`` counter."""
+    def _serve_baseline(self) -> "list[str] | None":
+        """Submit the baseline sweep as tenant traffic; ``None`` without
+        a server to ask (none attached, ``serial``, expert tracking) or
+        when it cannot take the sweep (not running, beams, armed fault
+        machinery) so the caller falls back to the local path — every
+        decline increments a reason-labelled ``serve.campaign_fallback``
+        counter.  Served tokens are greedy-identical whatever it drafts
+        with."""
         server = self._serve
-        if server is None:
+        if (
+            server is None
+            or self.decode_strategy == "serial"
+            or self.track_expert_selection
+        ):
             return None
         if not server.running:
             self._serve_fallback("not_running")
@@ -561,24 +566,20 @@ class FICampaign:
         if self.generation.num_beams != 1:
             self._serve_fallback("beam_search")
             return None
-        if self.draft_model is not None and server.draft is not self.draft_model:
-            # Speculative baselines route through the server only when
-            # it speculates with the *same* draft — otherwise served
-            # and local perf shapes would silently diverge.
-            self._serve_fallback("speculation_unsupported")
-            return None
-        path, reason = decode_plan(self.engine, self.draft_model)
-        if path != ("batched" if self.draft_model is None else "composed"):
+        # The pump does not plan: it steps whatever round it was built
+        # with, so the plan is asked here, for the server's own draft.
+        path, reason = decode_plan(self.engine, server.draft)
+        if path != ("batched" if server.draft is None else "composed"):
             self._serve_fallback("fault_machinery")
             return None
         count_plan(path, reason)
         handles = [
             server.submit(
-                prompt,
+                self.tokenizer.encode(ex.prompt),
                 tenant=self._serve_tenant,
                 max_new_tokens=self.generation.max_new_tokens,
             )
-            for prompt in prompts
+            for ex in self.examples
         ]
         return [self.tokenizer.decode(h.result()) for h in handles]
 
@@ -588,41 +589,16 @@ class FICampaign:
         """Fault-free predictions + metrics over all examples (cached)."""
         if self._baseline_preds is not None:
             return self._baseline_metrics
-        if (
-            not self.is_mc
-            and not self.track_expert_selection
-            and self.decode_strategy == "auto"
-        ):
-            prompts = [self.tokenizer.encode(ex.prompt) for ex in self.examples]
-            served = self._serve_baseline(prompts)
-            if served is not None:
-                preds = served
-            else:
-                # Fault-free sweep — the dominant campaign cost — over a
-                # continuous batch, speculating when a draft is given.
-                # The decoder still plans: if anything is armed it drops
-                # to plain batching or the serial reference.
-                if self.draft_model is None:
-                    decoder = BatchedDecoder(
-                        self.engine, self.generation, max_batch=_DECODE_BATCH,
-                        pool=self._kv_slots(),
-                    )
-                else:
-                    decoder = BatchedSpeculativeDecoder(
-                        self.engine,
-                        self.draft_model,
-                        self.generation,
-                        speculation_depth=self.speculation_depth,
-                        max_batch=_DECODE_BATCH,
-                    )
-                preds = [
-                    self.tokenizer.decode(ids)
-                    for ids in decoder.generate_many(prompts)
-                ]
-            selections: list = [None] * len(preds)
-        else:
-            preds = []
-            selections = []
+        selections: list = [None] * len(self.examples)
+        preds = self._serve_baseline()
+        if preds is None and self._keeps_golden():
+            self._build_golden()
+            preds = [
+                self._fault_free(ex, golden)
+                for ex, golden in zip(self.examples, self._golden.values())
+            ]
+        if preds is None:
+            preds, selections = [], []
             for ex in self.examples:
                 if self.track_expert_selection:
                     self.engine.capture = CaptureState()
@@ -724,66 +700,95 @@ class FICampaign:
         fault (computational, KV-cache or accumulator) timed at
         iteration >= 1 on a generative task.  Memory faults corrupt the
         weights every forward reads, iteration-0 faults strike the
-        prefill itself, speculation-side and served-fault trials decode
-        through a different schedule entirely, and expert-selection
-        tracking must capture every forward's routing — all of those
-        re-prefill and decode in full, as ``serial`` always does.
+        prefill itself, and speculation-side and served-fault trials
+        decode through a different schedule entirely — all of those,
+        and every trial of a campaign that keeps no golden runs
+        (:meth:`_keeps_golden`), re-prefill and decode in full.
         """
         model = site.fault_model
         return not (
-            self.decode_strategy == "serial"
-            or self.is_mc
-            or self.track_expert_selection
+            self.is_mc
             or self.spec_fault_side is not None
             or (self._serve is not None and self._serve_faults)
             or not (model.is_computational or model.is_kv or model.is_accumulator)
             or site.iteration == 0
+            or not self._keeps_golden()
         )
 
-    def _build_golden(self, indices) -> None:
-        """Decode, in one batched round, the golden runs of the examples
-        in ``indices`` that have none yet."""
-        missing = [i for i in dict.fromkeys(indices) if i not in self._golden]
-        if not missing:
-            return
-        runs = GoldenRun.decode_many(
-            self.engine,
-            [self.tokenizer.encode(self.examples[i].prompt) for i in missing],
-            self.generation,
-            self._kv_slots(),
-        )
-        for idx, run in zip(missing, runs):
-            if (
-                self.generation.num_beams == 1
-                and self.tokenizer.decode(run.ids) != self._baseline_preds[idx]
-            ):
-                # Never mix two references: this example decodes in full.
-                run = None
+    def _keeps_golden(self) -> bool:
+        """Whether this campaign keeps one fault-free pass per example
+        (:attr:`_golden`), asked while nothing of a trial is armed:
+        ``auto``, no expert-selection tracking (which must capture every
+        forward's routing), and an engine the pass is exact on —
+        :func:`decode_plan` batches a decode round (generative), finds
+        nothing but observers (option rows).  Elsewhere — ``serial``, a
+        ranger-hooked engine — the baseline is the per-example reference
+        loop and every trial computes everything."""
+        if self.decode_strategy == "serial" or self.track_expert_selection:
+            return False
+        path, reason = decode_plan(self.engine)
+        if self.is_mc:
+            return reason in ("clean", "observer_hooks")
+        return path == "batched"
+
+    def _build_golden(self) -> None:
+        """Every example's fault-free pass, in one sweep over the
+        campaign's KV slots: one decode round (generative), one rows
+        forward per example and option length (multiple choice).
+
+        A baseline that exists already was decoded elsewhere, by a
+        server: the two references are compared, never mixed — an
+        example whose run is off the served one keeps none and decodes
+        in full."""
+        pool = self._kv_slots()
+        if self.is_mc:
+            passes = [
+                GoldenOptions.build(self.engine, *self._encode_mc(ex), pool)
+                for ex in self.examples
+            ]
+        else:
+            count_plan(*decode_plan(self.engine))
+            passes = GoldenRun.decode_many(
+                self.engine,
+                [self.tokenizer.encode(ex.prompt) for ex in self.examples],
+                self.generation,
+                pool,
+            )
+        for idx, pred in enumerate(self._baseline_preds or ()):
+            if self._fault_free(self.examples[idx], passes[idx]) != pred:
+                passes[idx] = None
                 tel = _telemetry()
                 if tel.active:
                     tel.metrics.counter("campaign.golden.baseline_mismatch").add()
-            self._golden[idx] = run
+        self._golden = dict(enumerate(passes))
+
+    def _fault_free(self, ex, golden: GoldenRun | GoldenOptions) -> "str | int":
+        """The prediction of the trial no fault fires in, off ``ex``'s pass."""
+        if self.is_mc:
+            return int(np.argmax(golden.scores))
+        if self.generation.num_beams == 1:
+            return self.tokenizer.decode(golden.ids)
+        # The beam search resumed at ``S_0``, as beam trials run it.
+        return self._eval_gen(ex, golden, 1)
 
     def _reach_limited(self, site: FaultSite) -> bool:
         """Whether a multiple-choice trial struck at ``site`` may score
         from its example's golden option pass (:meth:`_option_rows`).
 
         Asked before the fault is armed: the engine must carry nothing
-        but observers, so the pass it builds or reuses is fault-free.
-        Weight and computational faults live in one block's linears;
-        KV-cache and accumulator faults arm engine-wide state, expert
-        tracking captures every forward's routing and an armed flight
-        recorder probes the whole struck forward — those, and
-        ``serial``, score one full forward per option.
+        but observers, so the pass it reuses is fault-free.  Weight and
+        computational faults live in one block's linears; KV-cache and
+        accumulator faults arm engine-wide state and an armed flight
+        recorder probes the whole struck forward — those, and every
+        trial of a campaign that keeps no pass (:meth:`_keeps_golden`),
+        score one full forward per option.
         """
         model = site.fault_model
         return (
-            self.decode_strategy == "auto"
-            and self.is_mc
+            self.is_mc
             and (model.is_memory or model.is_computational)
-            and not self.track_expert_selection
             and not _flight().active
-            and decode_plan(self.engine)[1] in ("clean", "observer_hooks")
+            and self._keeps_golden()
         )
 
     def _golden_run(
@@ -791,21 +796,13 @@ class FICampaign:
     ) -> GoldenRun | GoldenOptions | None:
         """The example's golden run, when the trial may resume from it
         (:meth:`_golden_eligible`; for a multiple-choice trial its
-        golden option pass, :meth:`_reach_limited`).  Trials visit the
-        examples round robin, so a missing run is built together with
-        those the next trials will ask for."""
-        if self._reach_limited(site):
-            if idx not in self._golden:
-                self._golden[idx] = GoldenOptions.build(
-                    self.engine,
-                    *self._encode_mc(self.examples[idx]),
-                    self._kv_slots(),
-                )
-            return self._golden[idx]
-        if not self._golden_eligible(site):
+        golden option pass, :meth:`_reach_limited`).  The baseline sweep
+        built it, unless a server decoded the baseline: then the first
+        trial to ask builds every example's."""
+        if not (self._reach_limited(site) or self._golden_eligible(site)):
             return None
-        n = len(self.examples)
-        self._build_golden((idx + ahead) % n for ahead in range(_DECODE_BATCH))
+        if idx not in self._golden:
+            self._build_golden()
         return self._golden[idx]
 
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
@@ -1104,14 +1101,11 @@ class FICampaign:
         traced = tel.active
         n = len(self.examples)
         max_iter = self._max_fault_iter()
-        wave = [
+        pending = deque(
             (trial, site)
             for trial in trials
-            if self._golden_eligible(site := self._trial_site(trial, max_iter))
-        ]
-        self._build_golden(trial % n for trial, _ in wave)
-        pending = deque(
-            (trial, site) for trial, site in wave if self._golden[trial % n] is not None
+            if self._golden_run(site := self._trial_site(trial, max_iter), trial % n)
+            is not None
         )
         records: dict[int, TrialRecord] = {}
         if not pending:
@@ -1140,7 +1134,7 @@ class FICampaign:
                         t0 = time.perf_counter()
                         slot = pool.acquire()
                         session, prefix, config = golden.resume(
-                            site.iteration, pool.caches(slot)
+                            self.engine, site.iteration, pool.caches(slot)
                         )
                         row, _, reason = rnd.admit(
                             trial, golden.prompt, config.max_new_tokens, session
@@ -1344,13 +1338,13 @@ class FICampaign:
         attached zero-copy to the arena under ``arena_root``.
 
         Called in the forked child, so everything else is the parent's
-        state as the fork found it, baseline included.  The KV slots
-        stay: all free between rounds, and a forked worker writing its
-        copy-on-write pages costs less than allocating a second pool
-        beside them.  Golden runs are rebuilt here — their sessions wrap
-        the worker-local engine and are deliberately never shared — and
-        serving is a parent-process concern: a server handle never
-        crosses the fork.
+        state as the fork found it: the baseline and the golden passes
+        it was read off, which a worker reads copy-on-write and never
+        builds again (a pass holds no engine; a rewind is handed this
+        copy's).  The KV slots stay: all free between rounds, and a
+        forked worker writing its copy-on-write pages costs less than
+        allocating a second pool beside them.  Serving is a
+        parent-process concern: a server handle never crosses the fork.
         """
         worker = copy.copy(self)
         worker.engine = InferenceEngine.open_shared(arena_root / "target")
@@ -1358,7 +1352,6 @@ class FICampaign:
         worker.draft_model = (
             InferenceEngine.open_shared(draft_dir) if draft_dir.exists() else None
         )
-        worker._golden = {}
         worker.detach_server()
         worker._in_worker = True
         return worker

@@ -21,10 +21,10 @@ then one ``kind="trial"`` record per completed trial::
 
 The header's ``campaign_hash`` covers only result-determining
 configuration (task, fault model, seed, example identities, generation
-settings) — the perf knobs (``decode_strategy``, ``draft_model``,
-``speculation_depth``) are deliberately excluded, so a checkpoint
-written by a reference (``serial``) run can be resumed by an ``auto``
-one and vice versa.  Loaders assert both the schema version
+settings) — the one perf switch, ``decode_strategy``, is deliberately
+excluded (so is a draft outside the speculation-side study), so a
+checkpoint written by a reference (``serial``) run can be resumed by an
+``auto`` one and vice versa.  Loaders assert both the schema version
 and the hash: resuming a journal from a different campaign fails
 loudly instead of silently mixing trials.  A torn final line (the
 record being written when the process died) is tolerated and dropped.

@@ -1,4 +1,5 @@
-"""Golden runs: the fault-free computation an injected trial reuses.
+"""Golden runs: a campaign's one fault-free pass per example — its
+baseline, and the computation an injected trial reuses.
 
 Two of them, one per axis a fault cannot travel along.  A transient
 fault cannot reach *earlier iterations*: :class:`GoldenRun` is the
@@ -47,6 +48,7 @@ from repro.generation.decode import GenerationConfig, option_logp
 from repro.generation.round import (
     DecodeRound,
     _by_length,
+    count_plan,
     decode_plan,
     decode_to_completion,
 )
@@ -60,9 +62,9 @@ __all__ = ["GoldenRun", "GoldenOptions"]
 
 @dataclass(eq=False)
 class GoldenRun:
-    """One example's fault-free run, restorable at any ``S_j``."""
+    """One example's fault-free run, restorable at any ``S_j`` on any
+    engine over the weights it was decoded with (a pool worker's)."""
 
-    engine: InferenceEngine
     config: GenerationConfig
     prompt: list[int]
     ids: list[int]
@@ -72,8 +74,8 @@ class GoldenRun:
     snaps: list[tuple[np.ndarray, np.ndarray, int]]
     session: Session | None = None
     """Where :meth:`rewind` restores when it is given no caches: one
-    session per run, allocated on first use and rewound in place (never
-    forked: a fork allocates full ``max_seq`` buffers)."""
+    session, allocated on first use (and again for another engine) and
+    rewound in place (never forked: a fork allocates ``max_seq`` buffers)."""
 
     @classmethod
     def decode_many(
@@ -103,7 +105,7 @@ class GoldenRun:
                 # The round has released the slot, but nothing acquires
                 # one before this returns: its views still hold the run.
                 runs[row.key] = cls(
-                    engine, config, row.prompt, row.out if greedy else [],
+                    config, row.prompt, row.out if greedy else [],
                     logits[row.key], [c.snapshot() for c in row.caches],
                 )
 
@@ -127,18 +129,20 @@ class GoldenRun:
         """:meth:`decode_many` of one prompt."""
         return cls.decode_many(engine, [prompt], config)[0]
 
-    def rewind(self, j: int, caches: list[KVCache] | None = None) -> Session:
-        """A session at ``S_j`` over ``caches`` — a wave row's pool slot,
-        several trials of one example being in flight at once — or, by
-        default, the run's own :attr:`session`, rewound in place
-        (consumed by the decode it is handed to; the next rewind
-        reclaims it)."""
+    def rewind(
+        self, engine: InferenceEngine, j: int, caches: list[KVCache] | None = None
+    ) -> Session:
+        """A session of ``engine`` at ``S_j`` over ``caches`` — a wave
+        row's pool slot, several trials of one example being in flight
+        at once — or, by default, the run's own :attr:`session`, rewound
+        in place (consumed by the decode it is handed to; the next
+        rewind reclaims it)."""
         if caches is None:
-            if self.session is None:
-                self.session = _blank_session(self.engine, self.engine.new_caches())
+            if self.session is None or self.session.engine is not engine:
+                self.session = _blank_session(engine, engine.new_caches())
             session = self.session
         else:
-            session = _blank_session(self.engine, caches)
+            session = _blank_session(engine, caches)
         length = len(self.prompt) + j
         for cache, snap in zip(session.caches, self.snaps):
             cache.restore(snap, length)
@@ -148,7 +152,7 @@ class GoldenRun:
         return session
 
     def resume(
-        self, k: int, caches: list[KVCache] | None = None
+        self, engine: InferenceEngine, k: int, caches: list[KVCache] | None = None
     ) -> tuple[Session, list[int], GenerationConfig]:
         """What a trial struck at iteration ``k >= 1`` still has to do:
         decode the returned session (see :meth:`rewind` for ``caches``)
@@ -170,7 +174,7 @@ class GoldenRun:
             recorder.annotate(resumed_at=j)
         budget = self.config.max_new_tokens - j
         return (
-            self.rewind(j, caches),
+            self.rewind(engine, j, caches),
             self.ids[:j],
             replace(self.config, max_new_tokens=budget),
         )
@@ -267,6 +271,7 @@ class GoldenOptions:
             raise RuntimeError(
                 f"golden option pass needs a pristine engine, found {reason}"
             )
+        count_plan("option_rows", reason)
         groups = [
             same[at : at + pool.n_slots]
             for same in _by_length(range(len(options)), lambda i: len(options[i]))

@@ -138,9 +138,10 @@ def count_plan(path: str, reason: str) -> None:
     ``serial`` (one sequence has nothing to batch, so it runs the
     reference loop), ``score_options`` counts ``shared_prefix``
     (reason ``clean`` / ``observer_hooks``) or ``per_option``, and a
-    campaign counts ``option_rows`` (reason ``weight_fault`` /
-    ``row_scoped_hooks``) for a multiple-choice trial scored from its
-    example's golden option pass."""
+    campaign counts ``option_rows`` for a multiple-choice example's
+    golden option pass (reason ``clean`` / ``observer_hooks``) and for
+    every trial scored from it (``weight_fault`` /
+    ``row_scoped_hooks``)."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()

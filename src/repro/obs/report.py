@@ -141,12 +141,18 @@ def _derived_section(run: RunData) -> list[str]:
         # from its example's golden run, or prefilled and decoded in full.
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
+        # A run is compared with the baseline only when a server decoded
+        # that: elsewhere the run *is* the baseline.
+        off = (
+            f", {count('campaign.golden.baseline_mismatch')} off the baseline"
+            if "campaign.golden.baseline_mismatch" in counters
+            else ""
+        )
         lines.append(
             f"golden runs: {resumed} of {trials} generative trials resumed"
             f" ({count('campaign.golden.replayed_tokens')} decode steps"
             f" replayed, {count('campaign.golden.unreached')} strikes never"
-            f" reached, {count('campaign.golden.builds')} runs built,"
-            f" {count('campaign.golden.baseline_mismatch')} off the baseline)"
+            f" reached, {count('campaign.golden.builds')} runs built{off})"
         )
     if "campaign.mc_golden.builds" in counters:
         # Reach-limited option scoring: one block pass is one option row

@@ -1,8 +1,9 @@
 """Golden-run fast-forward: an injected trial resumes at its fault iteration.
 
 ``decode_strategy="auto"`` decodes each example once fault-free
-(:mod:`repro.fi.golden`) and starts every eligible trial at the state
-just before its strike; ``"serial"`` re-prefills and re-decodes in full.
+(:mod:`repro.fi.golden`), reads the baseline off that pass and starts
+every eligible trial at the state just before its strike; ``"serial"``
+re-prefills and re-decodes in full.
 Every test here holds the two to bit-identical records through
 :mod:`repro.fi.differential`, then pins *which* path ran by its exact
 counters — so a fast path that quietly stopped being taken fails too.
@@ -31,9 +32,16 @@ from repro.fi import (
 )
 from repro.fi.golden import GoldenOptions, GoldenRun
 from repro.fi.injector import inject
-from repro.generation import GenerationConfig, greedy_decode, score_options
+from repro.generation import (
+    GenerationConfig,
+    beam_search_decode,
+    greedy_decode,
+    score_options,
+)
 from repro.inference import CaptureState, InferenceEngine
+from repro.mitigation import RangeRestrictor
 from repro.obs import explain_trial, flight_recorder, telemetry
+from repro.serve import InferenceServer
 from repro.tasks import (
     ARCTask,
     GSM8kTask,
@@ -223,8 +231,8 @@ class TestFastForwardMatchesReference:
         assert_results_equal(fast, reference, "auto", "serial")
         assert counters["unreached"] == 5
         assert counters["replayed_tokens"] == 5 * n
-        # The golden build (prompt + n steps) is every forward there was.
-        assert counters["forward_calls"] == 1 + n
+        # The baseline sweep decoded the run: the trials ran no forward.
+        assert counters["forward_calls"] == 0 and counters["builds"] == 0
         assert not any(t.fired or t.changed for t in fast.trials)
 
     def test_budget_limited_golden_run(self, trained_store, tokenizer, one):
@@ -249,15 +257,16 @@ class TestFastForwardMatchesReference:
         assert all(t.fired for t in fast.trials)
 
     def test_ineligible_trials_prefill_fresh(self, trained_store, tokenizer, one):
-        """Iteration-0 strikes and memory faults never touch the cache."""
+        """Iteration-0 strikes and memory faults never touch the cache:
+        the one run built is the baseline's."""
         _, counters = self.pinned_pair(trained_store, tokenizer, one, k=0)
         assert counters["prefill_cache_misses"] == 5
-        assert counters["builds"] == 0 and counters["prefill_cache_hits"] == 0
+        assert counters["builds"] == 1 and counters["prefill_cache_hits"] == 0
         _, counters = self.pinned_pair(
             trained_store, tokenizer, one, k=3, fault=FaultModel.MEM_2BIT
         )
         assert counters["prefill_cache_misses"] == 5
-        assert counters["builds"] == 0
+        assert counters["builds"] == 1 and counters["replayed_tokens"] == 0
 
     def test_beam_search_rewinds_to_the_prefill_only(
         self, trained_store, tokenizer, world
@@ -277,12 +286,19 @@ class TestFastForwardMatchesReference:
         assert counters["replayed_tokens"] == 0
         assert counters["unreached"] == 0
 
-    def test_workers_build_their_own_cache(self, trained_store, tokenizer, world):
+    def test_workers_inherit_the_parents_runs(self, trained_store, tokenizer, world):
         task = TranslationTask(world)
         camp = campaign(trained_store, tokenizer, task, FaultModel.KV_2BIT)
         try:
-            pooled = camp.run(12, n_workers=2)
+            pooled, counters = run_counted(camp, 12, n_workers=2)
             worker = camp._attached(camp._executor.arena.root)
+            trial = next(
+                i for i, t in enumerate(pooled.trials) if t.site.iteration >= 1
+            )
+            run = camp._golden[trial % len(camp.examples)]
+            mine = camp._run_trial(trial)
+            before_fork = run.session
+            theirs = worker._run_trial(trial)
         finally:
             camp.close_pool()
         reference = campaign(
@@ -290,27 +306,127 @@ class TestFastForwardMatchesReference:
             decode_strategy="serial",
         ).run(12)
         assert_results_equal(pooled, reference, "pooled auto", "serial")
-        # Nothing golden crosses the fork: not handed over, not built here.
-        assert worker._golden == {} and worker._golden is not camp._golden
-        assert camp._golden == {}
+        assert_records_equal([theirs], [mine], "worker copy", "parent")
+        # One run per example, decoded by the baseline before the fork,
+        # and the worker copy holds those very runs.
+        assert counters["builds"] == len(camp._golden) == len(camp.examples)
+        assert worker._golden.keys() == camp._golden.keys()
+        for idx, inherited in worker._golden.items():
+            assert inherited.ids is camp._golden[idx].ids
+            assert inherited.snaps is camp._golden[idx].snaps
+        # A run holds no engine: the worker's trial stepped the worker's
+        # arena-attached one, not through the session the parent left.
+        layer = worker.engine.linear_layer_names()[0]
+        assert not worker.engine.weight_store(layer).array.flags.writeable
+        assert before_fork.engine is camp.engine
+        assert run.session is not before_fork
+        assert run.session.engine is worker.engine
 
     def test_baseline_mismatch_falls_back_to_full_decode(
         self, trained_store, tokenizer, one
     ):
+        """Only a served baseline is a second reference: an example
+        whose golden run disagrees with it decodes in full."""
         task, ex, _ = one
-        camps = [
-            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, [ex], **kw)
-            for kw in ({}, {"decode_strategy": "serial"})
-        ]
-        for camp in camps:
-            camp.compute_baseline()
-            camp._baseline_preds[0] += " drifted"
-        fast, counters = run_counted(camps[0], 6)
-        assert_records_equal(fast, camps[1].run(6), "auto", "serial")
+        engine = InferenceEngine(trained_store)
+        fast = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT, [ex], engine=engine
+        )
+        serial = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT, [ex],
+            decode_strategy="serial",
+        )
+        server = InferenceServer(engine, fast.generation).start()
+        submit = server.submit
+
+        class Drifted:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def result(self):
+                return self.handle.result()[:-1]
+
+        server.submit = lambda *args, **kw: Drifted(submit(*args, **kw))
+        try:
+            fast.attach_server(server)
+            fast.compute_baseline()
+        finally:
+            server.stop()
+        serial.compute_baseline()
+        assert fast._baseline_preds != serial._baseline_preds
+        serial._baseline_preds = list(fast._baseline_preds)
+        result, counters = run_counted(fast, 6)
+        assert_records_equal(result, serial.run(6), "auto", "serial")
         assert counters["builds"] == 1
         assert counters["baseline_mismatch"] == 1
         assert counters["replayed_tokens"] == 0
         assert counters["prefill_cache_misses"] == 6
+
+    def test_beam_baseline_is_the_unstruck_beam_trial(
+        self, trained_store, tokenizer, world
+    ):
+        """The beam search resumed at ``S_0``: ``serial``'s predictions,
+        for the forwards of decoding each example's beams once."""
+        task = TranslationTask(world)
+        beams = dict(generation={"num_beams": 3, "max_new_tokens": 6})
+
+        def forwards(fn):
+            tel = telemetry()
+            tel.reset(), tel.enable()
+            try:
+                fn()
+                return tel.metrics.counter("engine.forward_calls").value
+            finally:
+                tel.disable(), tel.reset()
+
+        fast = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, **beams)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial", **beams,
+        )
+        n_baseline = forwards(fast.compute_baseline)
+        n_once = forwards(lambda: [
+            beam_search_decode(
+                fast.engine, tokenizer.encode(ex.prompt), fast.generation
+            )
+            for ex in fast.examples
+        ])
+        assert n_baseline == n_once
+        assert fast.compute_baseline() == reference.compute_baseline()
+        assert fast._baseline_preds == reference._baseline_preds
+        # A beam run stops at the prompt forward: ``S_0`` is all it keeps.
+        assert len(fast._golden) == len(fast.examples)
+        assert all(run.ids == [] for run in fast._golden.values())
+
+    @pytest.mark.parametrize("guard", ["ranger", "unscoped-hook"])
+    def test_a_guarded_engine_keeps_no_pass(
+        self, trained_store, tokenizer, world, guard
+    ):
+        """``decode_plan`` does not batch under an unscoped perturbing
+        hook, so no pass is exact there: the reference loop is the
+        baseline and every trial decodes in full."""
+        task = TranslationTask(world)
+
+        def build(**kw):
+            camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, **kw)
+            if guard == "ranger":
+                ranger = RangeRestrictor()
+                ranger.calibrate(
+                    camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.examples]
+                )
+                ranger.install(camp.engine)
+            else:
+                # Declared perturbing and unscoped; it alters nothing.
+                camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+            return camp
+
+        camp = build()
+        fast, counters = run_counted(camp, 12)
+        assert_results_equal(
+            fast, build(decode_strategy="serial").run(12), "auto", "serial"
+        )
+        assert counters["builds"] == 0 and camp._golden == {}
+        assert counters["prefill_cache_misses"] == 12
 
 
 class TestResumeAndForensics:
@@ -562,7 +678,7 @@ class TestReachLimitedOptions:
         reason = "weight_fault" if fault_model.is_memory else "row_scoped_hooks"
         plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
         assert plans == {
-            "decode.plan.shared_prefix.observer_hooks": 3,  # the baseline
+            "decode.plan.option_rows.observer_hooks": 3,  # the baseline's passes
             f"decode.plan.option_rows.{reason}": n,
         }
         assert counters["campaign.mc_golden.builds"] == 3
@@ -573,7 +689,7 @@ class TestReachLimitedOptions:
             for t in traced.trials
         )
 
-    def test_workers_build_their_own_passes(self, trained_store, tokenizer, world):
+    def test_workers_inherit_the_parents_passes(self, trained_store, tokenizer, world):
         task = HellaSwagTask(world)
         n = self.N_TRIALS
         camp = campaign(trained_store, tokenizer, task, FaultModel.MEM_2BIT)
@@ -587,8 +703,34 @@ class TestReachLimitedOptions:
         ).run(n)
         assert_results_equal(pooled, reference, "pooled auto", "serial")
         assert counters["decode.plan.option_rows.weight_fault"] == n
-        assert 3 <= counters["campaign.mc_golden.builds"] <= 2 * 3
-        assert camp._golden == {}
+        # Built once, by the baseline, before the fork.
+        assert counters["campaign.mc_golden.builds"] == len(camp._golden) == 3
+
+    @pytest.mark.parametrize("task_cls", MC_TASKS, ids=lambda t: t.__name__)
+    def test_the_golden_pass_is_the_serial_baseline(
+        self, trained_store, moe_store, tokenizer, world, task_cls
+    ):
+        """A pass's scores are the per-option reference's bit for bit,
+        so the baseline read off them is ``serial``'s by construction."""
+        task = task_cls(world)
+        for store in (trained_store, moe_store):
+            for policy in ("bf16", "int8"):
+                engine = InferenceEngine(store, weight_policy=policy)
+                fast, reference = (
+                    campaign(
+                        store, tokenizer, task, FaultModel.MEM_2BIT,
+                        examples=standardized_subset(task, 4), engine=engine, **kw,
+                    )
+                    for kw in ({}, {"decode_strategy": "serial"})
+                )
+                assert fast.compute_baseline() == reference.compute_baseline()
+                assert fast._baseline_preds == reference._baseline_preds
+                assert reference._golden == {}
+                for ex, golden in zip(fast.examples, fast._golden.values()):
+                    assert np.array_equal(
+                        golden.scores,
+                        score_options(engine, *fast._encode_mc(ex), strategy="full"),
+                    )
 
     def test_resume_from_a_journal_cut_mid_cell(
         self, trained_store, tokenizer, world, tmp_path
@@ -681,7 +823,7 @@ class TestReachLimitedOptions:
             assert np.array_equal(rows, full, equal_nan=True)
             assert reused == len(rows) - first - 1
 
-    BASELINE = {"decode.plan.shared_prefix.observer_hooks": 3}
+    BASELINE = {"decode.plan.option_rows.observer_hooks": 3}  # the passes it is read off
     NEGATIVE = {
         # case: (fault model, campaign arguments, plans of 3 examples + 8 trials)
         "serial": (FaultModel.MEM_2BIT, dict(decode_strategy="serial"), {}),
@@ -734,7 +876,11 @@ class TestReachLimitedOptions:
         assert {
             k: v for k, v in counters.items() if k.startswith("decode.plan.")
         } == plans
-        assert counters["campaign.mc_golden.builds"] == 0
+        # No trial used a pass; the baseline built them where one is exact.
+        assert counters["campaign.mc_golden.block_passes"] == 0
+        assert counters["campaign.mc_golden.builds"] == plans.get(
+            "decode.plan.option_rows.observer_hooks", 0
+        )
 
     @pytest.mark.parametrize("fault_model", MC_FAULTS[:2], ids=lambda m: m.value)
     def test_a_golden_pass_is_never_built_on_an_armed_engine(
@@ -786,3 +932,5 @@ class TestReachLimitedOptions:
         assert counters["campaign.quarantined"] == 0
         assert pools and camp._kv_pool is not pools[0]
         assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+        # The repair drops the slots, not the passes: none was rebuilt.
+        assert counters["campaign.mc_golden.builds"] == len(camp._golden) == 3

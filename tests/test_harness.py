@@ -1,11 +1,16 @@
 """Tests for the experiment harness (context, results, static tables)."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.fi import FaultModel
 from repro.harness import ExperimentContext, ExperimentResult, format_table
+from repro.harness import experiments as E
 from repro.harness.experiments import (
     TASK_MODELS,
     table1_workloads,
@@ -86,3 +91,35 @@ class TestContext:
             "mmlu", "arc", "truthfulqa", "winogrande", "hellaswag",
             "gsm8k", "wmt16", "xlsum", "squadv2",
         }
+
+
+class TestStudyDriver:
+    def test_figure3_is_swept_once(self, tmp_path, monkeypatch):
+        """Figures 4 and 11 aggregate Figure 3's rows: the driver hands
+        them that result instead of letting each repeat the sweep."""
+        sweeps = []
+
+        def fig03(ctx):
+            sweeps.append(ctx)
+            result = ExperimentResult("fig03", "stub sweep")
+            for task in TASK_MODELS:
+                for fault in FaultModel.all():
+                    result.add(task=task, fault=fault.value, normalized=0.5)
+            return result
+
+        monkeypatch.setattr(E, "fig03_overall", fig03)
+        script = Path(__file__).parents[1] / "scripts" / "run_full_study.py"
+        spec = importlib.util.spec_from_file_location("run_full_study", script)
+        study = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(study)
+        monkeypatch.setattr(
+            study, "EXPERIMENTS", [fig03, E.fig04_fault_models, E.fig11_per_task]
+        )
+        monkeypatch.setattr(study.subprocess, "run", lambda *args, **kw: None)
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        monkeypatch.setattr(sys, "argv", [script.name, "--skip-build"])
+        assert study.main() == 0
+        assert len(sweeps) == 1
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "fig03.txt", "fig04.txt", "fig11.txt",
+        ]

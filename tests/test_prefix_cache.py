@@ -130,14 +130,14 @@ class TestFISafetyGate:
         assert decode_plan(untrained_engine)[1] == "clean"
         assert injected_auto == injected_full
 
-    def test_observers_do_not_move_the_baseline_off_the_shared_prefix(
+    def test_observers_do_not_move_the_baseline_off_the_golden_pass(
         self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
     ):
         """Telemetry around ``FICampaign.run`` attaches layer-timing
-        hooks — pure observers — so a traced MC campaign must score its
-        fault-free baseline on the same path as an untraced one, and
-        say so in the plan counters; its injected trials score as rows
-        of the golden option pass either way."""
+        hooks — pure observers — so a traced MC campaign must read its
+        fault-free baseline off the golden option passes as an untraced
+        one does, and say so in the plan counters; its injected trials
+        score as rows of those passes either way."""
         from repro.fi import assert_results_equal
         from repro.generation import decode
         from tests.test_differential import make_campaign
@@ -166,7 +166,7 @@ class TestFISafetyGate:
         counters = clean_telemetry.metrics.snapshot()["counters"]
         plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
         assert plans == {
-            "decode.plan.shared_prefix.observer_hooks": 3,  # one per example
+            "decode.plan.option_rows.observer_hooks": 3,  # one per example
             "decode.plan.option_rows.weight_fault": 2,  # one per trial
         }
 

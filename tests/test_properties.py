@@ -262,11 +262,11 @@ def test_property_golden_rewind_equals_fresh_steps(prompt, eos, data):
     )
     states = st.integers(min_value=0, max_value=len(run.logits) - 1)
     # An earlier trial: resumed somewhere, decoded something else.
-    dirty = run.rewind(data.draw(states))
+    dirty = run.rewind(engine, data.draw(states))
     for token in data.draw(st.lists(st.integers(0, VOCAB - 1), max_size=4)):
         dirty.step(token)
     j = data.draw(states)
-    restored = run.rewind(j)
+    restored = run.rewind(engine, j)
     fresh = engine.start_session(prompt)
     for token in run.ids[:j]:
         fresh.step(token)

@@ -703,6 +703,7 @@ class TestCampaignAsTenant:
             generation=GenerationConfig(
                 max_new_tokens=task.max_new_tokens,
                 eos_id=tokenizer.vocab.eos_id,
+                num_beams=kw.pop("num_beams", 1),
             ),
             **kw,
         )
@@ -794,17 +795,43 @@ class TestCampaignAsTenant:
         finally:
             server.stop()
 
-    def test_fallback_counter_on_speculation_unsupported(
-        self, untrained_engine, tokenizer, world, clean_telemetry, tmp_path
+    def test_draftless_server_serves_a_campaign_holding_a_draft(
+        self, untrained_engine, tokenizer, world, clean_telemetry
     ):
-        """A speculative campaign on a draft-less server falls back —
-        and the degradation is now counted and rendered, not silent."""
+        """A campaign's draft is its ``spec_fault_side`` study's, not
+        its baseline's: served tokens are greedy-identical whatever the
+        server drafts with, so nothing falls back."""
         draft = _draft_for(untrained_engine)
         campaign = self._campaign(
             untrained_engine, tokenizer, world, draft_model=draft
         )
+        reference = self._campaign(untrained_engine, tokenizer, world)
         server = InferenceServer(
             untrained_engine, campaign.generation, max_batch=4
+        ).start()
+        try:
+            campaign.attach_server(server)
+            tel = clean_telemetry
+            tel.enable()
+            assert campaign.compute_baseline() == reference.compute_baseline()
+            assert campaign._baseline_preds == reference._baseline_preds
+            assert not any(
+                key.startswith("serve.campaign_fallback.")
+                for key in tel.metrics.snapshot()["counters"]
+            )
+            assert server.tenant_stats()["campaign"]["completed"] == 3
+        finally:
+            server.stop()
+
+    def test_fallback_is_counted_and_rendered(
+        self, untrained_engine, tokenizer, world, clean_telemetry, tmp_path
+    ):
+        """The server decodes greedily: a beam campaign falls back to
+        its local baseline — counted and rendered, not silent."""
+        campaign = self._campaign(untrained_engine, tokenizer, world, num_beams=2)
+        server = InferenceServer(
+            untrained_engine, _config(eos_id=campaign.generation.eos_id),
+            max_batch=4,
         ).start()
         out = tmp_path / "fallback.jsonl"
         try:
@@ -812,17 +839,15 @@ class TestCampaignAsTenant:
             tel = clean_telemetry
             tel.enable(out)
             reference = self._campaign(
-                untrained_engine, tokenizer, world, draft_model=draft
+                untrained_engine, tokenizer, world, num_beams=2
             )
             assert campaign.compute_baseline() == reference.compute_baseline()
-            fallback = tel.metrics.counter(
-                "serve.campaign_fallback.speculation_unsupported"
-            )
+            fallback = tel.metrics.counter("serve.campaign_fallback.beam_search")
             assert fallback.value == 1
+            assert server.tenant_stats()["campaign"]["completed"] == 0
             tel.flush(command="test-fallback")
         finally:
             server.stop()
         rendered = render_report(read_run(out))
         assert "serving campaign fallbacks" in rendered
-        assert "speculation_unsupported" in rendered
-        server.stop()
+        assert "beam_search" in rendered
