@@ -16,26 +16,11 @@ import dataclasses
 
 import numpy as np
 
-from repro.fi import FaultModel, FICampaign
+from repro.fi import FaultModel
 from repro.harness.results import ExperimentResult
 from repro.inference import InferenceEngine
 from repro.model import ParamStore
-from repro.tasks import standardized_subset
 from repro.zoo import load_model
-
-
-def _campaign(ctx, engine, task_name, fault_model, num_beams=1, seed=None):
-    task = ctx.task(task_name)
-    return FICampaign(
-        engine=engine,
-        tokenizer=ctx.tokenizer,
-        task_name=task_name,
-        metrics=task.metrics,
-        examples=standardized_subset(task, ctx.n_examples),
-        fault_model=fault_model,
-        seed=ctx.seed if seed is None else seed,
-        generation=ctx.generation(task, num_beams),
-    )
 
 
 def test_bench_ablation_activation_format(ctx, emit):
@@ -49,7 +34,7 @@ def test_bench_ablation_activation_format(ctx, emit):
         for fmt in ("fp16", "fp32", "bf16"):
             engine = InferenceEngine(store, weight_policy="fp32")
             engine.activation_format = fmt
-            cell = _campaign(ctx, engine, "wmt16", FaultModel.COMP_2BIT).run(
+            cell = ctx.campaign(engine, "wmt16", FaultModel.COMP_2BIT).run(
                 ctx.n_trials
             )
             result.add(
@@ -77,7 +62,7 @@ def test_bench_ablation_router_topk(ctx, emit):
             config = dataclasses.replace(base.config, top_k=top_k)
             store = ParamStore(config, dict(base.items()))
             engine = InferenceEngine(store)
-            cell = _campaign(ctx, engine, "wmt16", FaultModel.MEM_2BIT).run(
+            cell = ctx.campaign(engine, "wmt16", FaultModel.MEM_2BIT).run(
                 ctx.n_trials
             )
             result.add(
@@ -105,8 +90,9 @@ def test_bench_ablation_beam_length_penalty(ctx, emit):
         )
         engine = InferenceEngine(store)
         for penalty in (0.0, 1.0):
-            campaign = _campaign(ctx, engine, "wmt16", FaultModel.COMP_2BIT,
-                                 num_beams=4)
+            campaign = ctx.campaign(
+                engine, "wmt16", FaultModel.COMP_2BIT, num_beams=4
+            )
             campaign.generation = dc.replace(
                 campaign.generation, length_penalty=penalty
             )
@@ -135,7 +121,7 @@ def test_bench_ablation_trial_count_ci(ctx, emit):
         # CI width to be meaningfully nonzero at small trial counts.
         engine = InferenceEngine(store, weight_policy="bf16")
         for n_trials in (24, 48, 96, 192):
-            cell = _campaign(ctx, engine, "gsm8k", FaultModel.MEM_2BIT).run(
+            cell = ctx.campaign(engine, "gsm8k", FaultModel.MEM_2BIT).run(
                 n_trials
             )
             ci = cell.normalized["accuracy"]

@@ -9,27 +9,11 @@ coverage.
 
 import numpy as np
 
-from repro.fi import FaultModel, FICampaign
+from repro.fi import FaultModel
 from repro.harness.results import ExperimentResult
 from repro.inference import InferenceEngine
 from repro.mitigation import RangeRestrictor, SelectiveProtection, router_layers
-from repro.tasks import standardized_subset
 from repro.zoo import load_model
-
-
-def _campaign(ctx, engine, task_name, fault_model, **kw):
-    task = ctx.task(task_name)
-    return FICampaign(
-        engine=engine,
-        tokenizer=ctx.tokenizer,
-        task_name=task_name,
-        metrics=task.metrics,
-        examples=standardized_subset(task, ctx.n_examples),
-        fault_model=fault_model,
-        seed=ctx.seed,
-        generation=ctx.generation(task),
-        **kw,
-    )
 
 
 def test_bench_mitigation_range_restriction(ctx, emit):
@@ -50,7 +34,7 @@ def test_bench_mitigation_range_restriction(ctx, emit):
                 guard = RangeRestrictor(margin=0.25)
                 guard.calibrate(engine, calibration)
                 guard.install(engine)
-            cell = _campaign(ctx, engine, "wmt16", FaultModel.MEM_2BIT).run(
+            cell = ctx.campaign(engine, "wmt16", FaultModel.MEM_2BIT).run(
                 ctx.n_trials
             )
             if guard is not None:
@@ -87,9 +71,8 @@ def test_bench_mitigation_router_protection(ctx, emit):
         )
         for protected in (False, True):
             engine = InferenceEngine(store, weight_policy="bf16")
-            campaign = _campaign(
-                ctx, engine, "wmt16", FaultModel.MEM_2BIT,
-                layer_filter=router_only,
+            campaign = ctx.campaign(
+                engine, "wmt16", FaultModel.MEM_2BIT, layer_filter=router_only
             )
             if protected:
                 protection = SelectiveProtection(engine, router_layers(engine))
@@ -131,7 +114,7 @@ def test_bench_mitigation_detector_coverage(ctx, emit):
         from repro.mitigation import output_structure_flags
 
         engine = InferenceEngine(store, weight_policy="bf16")
-        cell = _campaign(ctx, engine, "gsm8k", FaultModel.MEM_2BIT).run(
+        cell = ctx.campaign(engine, "gsm8k", FaultModel.MEM_2BIT).run(
             ctx.n_trials * 2
         )
         counts = {"masked": [0, 0], "sdc-subtle": [0, 0], "sdc-distorted": [0, 0]}

@@ -1,9 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-Each bench reproduces one paper table/figure over the trained zoo
-models (built on first use and cached under ``artifacts/``).  Results
-are printed and archived under ``artifacts/results/`` so EXPERIMENTS.md
-can cite them.
+``bench_study.py`` reproduces the paper's tables and figures (one test
+per row of ``repro.harness.STUDY``) and the three extension benches add
+ablations, the layer-vulnerability profile and the mitigation studies,
+all over the trained zoo models (built on first use and cached under
+``artifacts/``).  Every result is printed and archived as
+``artifacts/results/<id>.txt``, which is what
+``scripts/write_experiments_md.py`` puts into EXPERIMENTS.md.
 
 Scale knobs: ``REPRO_BENCH_TRIALS`` / ``REPRO_BENCH_EXAMPLES`` override
 the bench-friendly defaults (the paper's own scale is 100 examples and
@@ -12,16 +15,12 @@ the bench-friendly defaults (the paper's own scale is 100 examples and
 
 from __future__ import annotations
 
-import json
-import math
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.harness import ExperimentContext, ExperimentResult, format_table
-from repro.obs import MetricsRegistry, build_manifest
 from repro.zoo import artifacts_dir
 
 
@@ -42,54 +41,13 @@ def results_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def emit(results_dir, ctx):
-    """Print a result table and archive it under artifacts/results/.
-
-    Besides the human-readable ``<id>.txt``, every emit writes a
-    machine-readable ``BENCH_<id>.json`` (trial counts, wall time since
-    the previous emit, normalized-performance quantiles, a metrics
-    snapshot and the run manifest) so the perf trajectory across PRs is
-    diffable.
-    """
-    state = {"last": time.perf_counter()}
+def emit(results_dir):
+    """Print a result table and archive it under artifacts/results/."""
 
     def _emit(result: ExperimentResult) -> ExperimentResult:
-        now = time.perf_counter()
-        wall_s = now - state["last"]
-        state["last"] = now
         text = format_table(result)
         print("\n" + text)
         (results_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
-
-        registry = MetricsRegistry()
-        registry.counter("bench.rows").add(len(result.rows))
-        registry.histogram("bench.wall_s").observe(wall_s)
-        for row in result.rows:
-            value = row.get("normalized")
-            if isinstance(value, (int, float)) and math.isfinite(value):
-                registry.histogram("bench.normalized").observe(float(value))
-        payload = {
-            "bench_id": result.experiment_id,
-            "title": result.title,
-            "wall_s": wall_s,
-            "n_rows": len(result.rows),
-            "trials_per_cell": ctx.n_trials,
-            "examples_per_cell": ctx.n_examples,
-            "normalized": registry.histogram("bench.normalized").summary(),
-            "metrics": registry.snapshot(),
-            "manifest": build_manifest(
-                seed=ctx.seed,
-                config={
-                    "bench": result.experiment_id,
-                    "trials": ctx.n_trials,
-                    "examples": ctx.n_examples,
-                },
-                command=f"bench:{result.experiment_id}",
-            ),
-        }
-        (results_dir / f"BENCH_{result.experiment_id}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-        )
         return result
 
     return _emit

@@ -9,9 +9,9 @@ framework with one experiment runner per paper table and figure.
 
 Quick start::
 
-    from repro import ExperimentContext, fig17_quantization
+    from repro import ExperimentContext, run_study
     ctx = ExperimentContext(n_examples=8, n_trials=40)
-    print(fig17_quantization(ctx))
+    print(run_study("fig17", ctx))
 """
 
 from repro.fi import (
@@ -25,29 +25,7 @@ from repro.fi import (
     trace_fault,
 )
 from repro.generation import GenerationConfig, generate_ids
-from repro.harness import ExperimentContext, ExperimentResult
-from repro.harness.experiments import (
-    fig03_overall,
-    fig04_fault_models,
-    fig05_memory_propagation,
-    fig06_computational_propagation,
-    fig07_output_examples,
-    fig08_sdc_breakdown,
-    fig09_bit_positions_subtle,
-    fig10_bit_positions_distorted,
-    fig11_per_task,
-    fig13_weight_distributions,
-    fig14_moe_vs_dense,
-    fig15_gate_faults,
-    fig16_model_scale,
-    fig17_quantization,
-    fig18_beam_vs_greedy,
-    fig19_beam_tradeoff,
-    fig20_chain_of_thought,
-    fig21_dtypes,
-    table1_workloads,
-    table2_formats,
-)
+from repro.harness import STUDY, ExperimentContext, ExperimentResult, run_study
 from repro.inference import InferenceEngine
 from repro.model import ModelConfig, ParamStore, TransformerLM
 from repro.tasks import World, all_tasks, standardized_subset
@@ -67,35 +45,17 @@ __all__ = [
     "ModelConfig",
     "Outcome",
     "ParamStore",
+    "STUDY",
     "TransformerLM",
     "World",
     "__version__",
     "all_tasks",
-    "fig03_overall",
-    "fig04_fault_models",
-    "fig05_memory_propagation",
-    "fig06_computational_propagation",
-    "fig07_output_examples",
-    "fig08_sdc_breakdown",
-    "fig09_bit_positions_subtle",
-    "fig10_bit_positions_distorted",
-    "fig11_per_task",
-    "fig13_weight_distributions",
-    "fig14_moe_vs_dense",
-    "fig15_gate_faults",
-    "fig16_model_scale",
-    "fig17_quantization",
-    "fig18_beam_vs_greedy",
-    "fig19_beam_tradeoff",
-    "fig20_chain_of_thought",
-    "fig21_dtypes",
     "generate_ids",
     "inject",
     "load_model",
+    "run_study",
     "sample_site",
     "standardized_subset",
-    "table1_workloads",
-    "table2_formats",
     "trace_fault",
     "zoo_names",
 ]

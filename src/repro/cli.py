@@ -27,7 +27,11 @@ Commands
     --spec-depth GAMMA`` serves batched-speculative rounds (the gate
     then covers the composed path too).
 ``experiment ID [...]``
-    Reproduce one paper table/figure (e.g. ``fig17``, ``table2``).
+    Reproduce one paper table/figure (e.g. ``fig17``, ``table2``) — one
+    row of ``repro.harness.STUDY``, at that row's trial count where it
+    has one (``fig08``/``fig09``/``fig10``/``fig21`` run
+    ``REPRO_BENCH_BIT_TRIALS``, default 90, trials per cell whatever
+    ``--trials`` says).
 ``obs report RUN.jsonl [RUN2.jsonl ...]``
     Summarize telemetry runs written by ``--trace``/``--metrics-out``;
     several runs add a side-by-side counter/histogram diff.
@@ -53,34 +57,10 @@ import sys
 from pathlib import Path
 
 from repro.fi.fault_models import FaultModel
-from repro.harness import ExperimentContext, format_table
-from repro.harness import experiments as _experiments
+from repro.harness import STUDY, ExperimentContext, format_table, run_study
 from repro.zoo import ZOO, cache_path, load_model, zoo_names
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = {
-    "table1": _experiments.table1_workloads,
-    "table2": _experiments.table2_formats,
-    "fig03": _experiments.fig03_overall,
-    "fig04": _experiments.fig04_fault_models,
-    "fig05": _experiments.fig05_memory_propagation,
-    "fig06": _experiments.fig06_computational_propagation,
-    "fig07": _experiments.fig07_output_examples,
-    "fig08": _experiments.fig08_sdc_breakdown,
-    "fig09": _experiments.fig09_bit_positions_subtle,
-    "fig10": _experiments.fig10_bit_positions_distorted,
-    "fig11": _experiments.fig11_per_task,
-    "fig13": _experiments.fig13_weight_distributions,
-    "fig14": _experiments.fig14_moe_vs_dense,
-    "fig15": _experiments.fig15_gate_faults,
-    "fig16": _experiments.fig16_model_scale,
-    "fig17": _experiments.fig17_quantization,
-    "fig18": _experiments.fig18_beam_vs_greedy,
-    "fig19": _experiments.fig19_beam_tradeoff,
-    "fig20": _experiments.fig20_chain_of_thought,
-    "fig21": _experiments.fig21_dtypes,
-}
 
 
 def _workers_arg(value: str) -> int:
@@ -269,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="reproduce one paper table/figure"
     )
-    experiment.add_argument("id", choices=sorted(_EXPERIMENTS))
+    experiment.add_argument("id", choices=sorted(STUDY))
     experiment.add_argument("--trials", type=int, default=36)
     experiment.add_argument("--examples", type=int, default=8)
     experiment.add_argument("--seed", type=int, default=20251116)
@@ -598,7 +578,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     tel = telemetry()
     with tel.span(f"experiment.{args.id}"):
-        result = _EXPERIMENTS[args.id](ctx)
+        result = run_study(args.id, ctx)
     print(format_table(result))
     for row in result.rows:
         tel.record("experiment_row", experiment=result.experiment_id, **row)

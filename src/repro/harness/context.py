@@ -81,13 +81,11 @@ class ExperimentContext:
             eos_id=self.tokenizer.vocab.eos_id,
         )
 
-    def run_cell(
+    def campaign(
         self,
-        model_name: str,
+        engine: InferenceEngine,
         task_name: str,
         fault_model: FaultModel,
-        policy: str = "bf16",
-        n_trials: int | None = None,
         n_examples: int | None = None,
         num_beams: int = 1,
         layer_filter: LayerFilter | None = None,
@@ -95,16 +93,16 @@ class ExperimentContext:
         task: Task | None = None,
         seed: int | None = None,
         max_fault_iterations: int | None = None,
-    ) -> CampaignResult:
-        """One (model, task, fault-model) campaign with context defaults.
+    ) -> FICampaign:
+        """The campaign for one engine/task/fault with context defaults.
 
-        ``policy`` defaults to ``bf16`` — the paper evaluates BF16
-        checkpoints, which is also why its bit-position figures run
-        over a 16-bit layout with bit 14 as the exponent MSB.
+        :meth:`run_cell` runs it on a memoized zoo engine; a study that
+        prepares its own engine (an activation format, a router top-k,
+        an installed guard) builds the same campaign here.
         """
         task = task or self.task(task_name)
-        campaign = FICampaign(
-            engine=self.engine(model_name, policy),
+        return FICampaign(
+            engine=engine,
             tokenizer=self.tokenizer,
             task_name=task_name,
             metrics=task.metrics,
@@ -115,6 +113,29 @@ class ExperimentContext:
             layer_filter=layer_filter,
             track_expert_selection=track_expert_selection,
             max_fault_iterations=max_fault_iterations,
+        )
+
+    def run_cell(
+        self,
+        model_name: str,
+        task_name: str,
+        fault_model: FaultModel,
+        policy: str = "bf16",
+        n_trials: int | None = None,
+        **campaign_args,
+    ) -> CampaignResult:
+        """One (model, task, fault-model) campaign with context defaults.
+
+        ``policy`` defaults to ``bf16`` — the paper evaluates BF16
+        checkpoints, which is also why its bit-position figures run
+        over a 16-bit layout with bit 14 as the exponent MSB.
+        ``campaign_args`` are :meth:`campaign`'s keywords.
+        """
+        campaign = self.campaign(
+            self.engine(model_name, policy),
+            task_name,
+            fault_model,
+            **campaign_args,
         )
         tel = _telemetry()
         with tel.span(

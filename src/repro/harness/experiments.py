@@ -7,11 +7,19 @@ the table/figure's series.  Absolute values differ from the paper (our
 substrate is a tiny trained-from-scratch model suite), but the
 *shapes* — who wins, orderings, where the crossovers are — are the
 reproduction targets recorded in EXPERIMENTS.md.
+
+:data:`STUDY`, at the end of the module, is the one list of them: the
+bench session (``benchmarks/bench_study.py``, which
+``scripts/run_full_study.py`` runs) and ``repro experiment`` both go
+through :func:`run_study`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -26,30 +34,7 @@ from repro.numerics.stats import wilson_interval
 from repro.tasks import GSM8kTask, all_tasks
 from repro.zoo.registry import ZOO
 
-__all__ = [
-    "GENERAL_MODELS",
-    "TASK_MODELS",
-    "table1_workloads",
-    "table2_formats",
-    "fig03_overall",
-    "fig04_fault_models",
-    "fig05_memory_propagation",
-    "fig06_computational_propagation",
-    "fig07_output_examples",
-    "fig08_sdc_breakdown",
-    "fig09_bit_positions_subtle",
-    "fig10_bit_positions_distorted",
-    "fig11_per_task",
-    "fig13_weight_distributions",
-    "fig14_moe_vs_dense",
-    "fig15_gate_faults",
-    "fig16_model_scale",
-    "fig17_quantization",
-    "fig18_beam_vs_greedy",
-    "fig19_beam_tradeoff",
-    "fig20_chain_of_thought",
-    "fig21_dtypes",
-]
+__all__ = ["GENERAL_MODELS", "TASK_MODELS", "STUDY", "StudyEntry", "run_study"]
 
 GENERAL_MODELS = ("qwenlike-base", "llamalike-base", "falconlike-base")
 
@@ -141,10 +126,10 @@ def fig03_overall(
 
 
 def fig04_fault_models(
-    ctx: ExperimentContext, overall: ExperimentResult | None = None
+    ctx: ExperimentContext, overall: ExperimentResult
 ) -> ExperimentResult:
-    """Figure 4: average normalized performance per fault model."""
-    overall = overall or fig03_overall(ctx)
+    """Figure 4: average normalized performance per fault model, from
+    Figure 3's rows."""
     result = ExperimentResult(
         "fig04", "Average performance change under different fault models"
     )
@@ -165,10 +150,10 @@ def fig04_fault_models(
 
 
 def fig11_per_task(
-    ctx: ExperimentContext, overall: ExperimentResult | None = None
+    ctx: ExperimentContext, overall: ExperimentResult
 ) -> ExperimentResult:
-    """Figure 11: per-task normalized performance (all faults pooled)."""
-    overall = overall or fig03_overall(ctx)
+    """Figure 11: per-task normalized performance (all faults pooled),
+    from Figure 3's rows."""
     result = ExperimentResult("fig11", "Performance change per downstream task")
     mc_tasks = {"mmlu", "arc", "truthfulqa", "winogrande", "hellaswag"}
     for task_name in TASK_MODELS:
@@ -320,7 +305,6 @@ def _bit_position_rows(
     outcome: Outcome,
     models: tuple[str, ...],
     fault_models: tuple[FaultModel, ...],
-    n_trials: int | None,
 ) -> ExperimentResult:
     result = ExperimentResult(
         "fig09" if outcome is Outcome.SDC_SUBTLE else "fig10",
@@ -328,9 +312,7 @@ def _bit_position_rows(
     )
     for model_name in models:
         for fault_model in fault_models:
-            cell = ctx.run_cell(
-                model_name, "gsm8k", fault_model, n_trials=n_trials
-            )
+            cell = ctx.run_cell(model_name, "gsm8k", fault_model)
             table = cell.outcomes_by_highest_bit()
             key = "subtle" if outcome is Outcome.SDC_SUBTLE else "distorted"
             total = sum(row[key] for row in table.values())
@@ -350,12 +332,9 @@ def _bit_position_rows(
 def fig09_bit_positions_subtle(
     ctx: ExperimentContext,
     models: tuple[str, ...] = ("qwenlike-base", "falconlike-base"),
-    n_trials: int | None = None,
 ) -> ExperimentResult:
     """Figure 9: subtle-SDC share by highest flipped bit (MSB dominates)."""
-    res = _bit_position_rows(
-        ctx, Outcome.SDC_SUBTLE, models, FaultModel.all(), n_trials
-    )
+    res = _bit_position_rows(ctx, Outcome.SDC_SUBTLE, models, FaultModel.all())
     res.note(
         "expected shape: bit 14 (the MSB of the 16-bit stored value) leads"
     )
@@ -365,15 +344,10 @@ def fig09_bit_positions_subtle(
 def fig10_bit_positions_distorted(
     ctx: ExperimentContext,
     models: tuple[str, ...] = ("qwenlike-base", "falconlike-base"),
-    n_trials: int | None = None,
 ) -> ExperimentResult:
     """Figure 10: distorted outputs come only from top exponent bits."""
     res = _bit_position_rows(
-        ctx,
-        Outcome.SDC_DISTORTED,
-        models,
-        (FaultModel.MEM_2BIT,),
-        n_trials,
+        ctx, Outcome.SDC_DISTORTED, models, (FaultModel.MEM_2BIT,)
     )
     res.note("expected shape: mantissa bits contribute zero distorted outputs")
     return res
@@ -684,3 +658,71 @@ def fig21_dtypes(
             )
     result.note("expected shape: FP16 most resilient, BF16 least")
     return result
+
+
+# ----------------------------------------------------------------------------
+# The study: the paper's twenty tables and figures, in paper order
+# ----------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class StudyEntry:
+    """One table/figure of the study: how to produce it."""
+
+    run: Callable[..., ExperimentResult]
+    n_trials: int | None = None
+    """Trials per cell where the figure needs more than the context's."""
+    aggregates: str | None = None
+    """Id of the result this one is computed from, which ``run`` takes
+    as its second argument."""
+
+
+# Breakdown rates, bit-position histograms and the dtype ordering need a
+# larger sample than the per-cell default (EXPERIMENTS.md: 90 vs 36).
+_BIT_TRIALS = int(os.environ.get("REPRO_BENCH_BIT_TRIALS", 90))
+
+STUDY: dict[str, StudyEntry] = {
+    "table1": StudyEntry(table1_workloads),
+    "table2": StudyEntry(table2_formats),
+    "fig03": StudyEntry(fig03_overall),
+    "fig04": StudyEntry(fig04_fault_models, aggregates="fig03"),
+    "fig05": StudyEntry(fig05_memory_propagation),
+    "fig06": StudyEntry(fig06_computational_propagation),
+    "fig07": StudyEntry(fig07_output_examples),
+    "fig08": StudyEntry(fig08_sdc_breakdown, n_trials=_BIT_TRIALS),
+    "fig09": StudyEntry(fig09_bit_positions_subtle, n_trials=_BIT_TRIALS),
+    "fig10": StudyEntry(fig10_bit_positions_distorted, n_trials=_BIT_TRIALS),
+    "fig11": StudyEntry(fig11_per_task, aggregates="fig03"),
+    "fig13": StudyEntry(fig13_weight_distributions),
+    "fig14": StudyEntry(fig14_moe_vs_dense),
+    "fig15": StudyEntry(fig15_gate_faults),
+    "fig16": StudyEntry(fig16_model_scale),
+    "fig17": StudyEntry(fig17_quantization),
+    "fig18": StudyEntry(fig18_beam_vs_greedy),
+    "fig19": StudyEntry(fig19_beam_tradeoff),
+    "fig20": StudyEntry(fig20_chain_of_thought),
+    "fig21": StudyEntry(fig21_dtypes, n_trials=_BIT_TRIALS),
+}
+
+
+def run_study(
+    experiment_id: str,
+    ctx: ExperimentContext,
+    source: ExperimentResult | None = None,
+) -> ExperimentResult:
+    """Run one :data:`STUDY` entry on ``ctx`` at the entry's trial count.
+
+    ``source`` is the result the entry aggregates, when the caller has
+    already produced it (a bench session hands Figure 3 to Figures 4
+    and 11 instead of letting each repeat the 78-cell sweep); without
+    it that result is produced first.
+    """
+    entry = STUDY[experiment_id]
+    args = ()
+    if entry.aggregates is not None:
+        if source is None:
+            source = run_study(entry.aggregates, ctx)
+        args = (source,)
+    if entry.n_trials is not None:
+        ctx = dataclasses.replace(ctx, n_trials=entry.n_trials)
+    return entry.run(ctx, *args)

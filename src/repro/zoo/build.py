@@ -13,6 +13,8 @@ import hashlib
 import json
 import os
 import time
+import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,6 +49,15 @@ _CORPUS_SEED = 31337
 CORPUS_VERSION = 2
 """Bump when task generators change: the cache key must capture corpus
 *content*, which is code-derived and invisible to the spec hash."""
+
+# What ``ParamStore.load`` raises on a file that is not the archive
+# ``ParamStore.save`` wrote: not a zip / truncated (BadZipFile, EOFError,
+# OSError), a damaged member (zlib.error), a missing ``__config__`` entry
+# (KeyError), bytes numpy takes for a pickle or a config that does not
+# parse (ValueError).
+_UNREADABLE_ARCHIVE = (
+    zipfile.BadZipFile, zlib.error, EOFError, OSError, KeyError, ValueError
+)
 
 
 def artifacts_dir() -> Path:
@@ -177,22 +188,35 @@ def load_model(
     Warm loads prefer the mmap arena sidecar (zero-copy attach, no
     decompression); a cache written before the sidecar existed — or
     with a torn sidecar from an interrupted write — regenerates it
-    from the ``.npz`` once and notes the repair.
+    from the ``.npz`` once and notes the repair.  An ``.npz`` that
+    cannot be read (truncated, overwritten, not an archive) is a miss:
+    the model is rebuilt over it, and the rebuild noted.
     """
     path = cache_path(name, directory)
     sidecar = path.with_suffix(".arena")
     if path.exists() and not rebuild:
         if arena_valid(sidecar):
             return ParamStore.open_shared(sidecar)
-        store = ParamStore.load(path).to_shared(sidecar)
-        _telemetry().log(
-            f"[zoo:{name}] regenerated mmap sidecar {sidecar.name}"
-            " (cache predates the shared-arena fast path)",
-            echo=verbose,
-            model=name,
-            sidecar=str(sidecar),
-        )
-        return store
+        try:
+            store = ParamStore.load(path)
+        except _UNREADABLE_ARCHIVE as exc:
+            _telemetry().log(
+                f"[zoo:{name}] cached {path.name} is unreadable"
+                f" ({type(exc).__name__}: {exc}); rebuilding it",
+                echo=verbose,
+                model=name,
+                cache=str(path),
+            )
+        else:
+            store = store.to_shared(sidecar)
+            _telemetry().log(
+                f"[zoo:{name}] regenerated mmap sidecar {sidecar.name}"
+                " (cache predates the shared-arena fast path)",
+                echo=verbose,
+                model=name,
+                sidecar=str(sidecar),
+            )
+            return store
     store = build_model(name, directory=directory, verbose=verbose)
     store.save(path)
     return store.to_shared(sidecar)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness import STUDY
 from repro.zoo import ZOO
 from repro.zoo.registry import ZooSpec
 
@@ -55,7 +56,8 @@ class TestParser:
 
     def test_experiment_ids_cover_all_figures(self):
         parser = build_parser()
-        for fig in ("table1", "table2", "fig03", "fig17", "fig21"):
+        assert len(STUDY) == 20
+        for fig in STUDY:
             args = parser.parse_args(["experiment", fig])
             assert args.id == fig
 

@@ -85,6 +85,34 @@ class TestCache:
         again = load_model("qwenlike-tiny", directory=tmp_path, verbose=False)
         assert again.fingerprint() == store.fingerprint()
 
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"not an archive " * 40, b"", b"PK\x03\x04" + bytes(200)],
+        ids=["text", "empty", "truncated-zip"],
+    )
+    def test_unreadable_cache_is_a_miss(
+        self, garbage, tmp_path, monkeypatch, capsys, untrained_store
+    ):
+        """A cached ``.npz`` that cannot be read is rebuilt over, with a
+        note, instead of failing every command that loads the model."""
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        monkeypatch.setattr(
+            zoo_build,
+            "build_model",
+            lambda name, directory=None, verbose=True: untrained_store,
+        )
+        path = cache_path("qwenlike-tiny")
+        assert path.parent == tmp_path
+        path.write_bytes(garbage)
+
+        store = load_model("qwenlike-tiny")
+        assert store.fingerprint() == untrained_store.fingerprint()
+        assert f"cached {path.name} is unreadable" in capsys.readouterr().err
+        assert ParamStore.load(path).fingerprint() == store.fingerprint()
+        # The repaired cache is a plain hit: nothing is built again.
+        monkeypatch.setattr(zoo_build, "build_model", None)
+        assert load_model("qwenlike-tiny").fingerprint() == store.fingerprint()
+
     def test_artifacts_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         assert zoo_build.artifacts_dir() == tmp_path
