@@ -23,7 +23,9 @@ Commands
     Run the multi-tenant streaming inference server under an open-loop
     Poisson load sweep (mixed gsm8k/wmt16/xlsum/squadv2 prompt shapes);
     prints per-point throughput and p50/p99 TTFT / end-to-end latency
-    after a served-vs-serial token-identity gate.  ``--draft-model NAME
+    (traced, also the point's ``prompt cache:`` hit counts) after a
+    served-vs-serial token-identity gate that serves every prompt
+    twice, prefilled and from the prompt cache.  ``--draft-model NAME
     --spec-depth GAMMA`` serves batched-speculative rounds (the gate
     then covers the composed path too).
 ``experiment ID [...]``
@@ -516,6 +518,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.generation.decode import GenerationConfig
     from repro.harness.context import ExperimentContext
     from repro.obs import telemetry
+    from repro.obs.report import prompt_cache_line
     from repro.serve import InferenceServer
     from repro.serve.loadgen import equivalence_gate, mixed_task_prompts, run_load
 
@@ -541,13 +544,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             draft=draft, speculation_depth=args.spec_depth,
         )
         print(f"equivalence gate: {checked} prompts served token-identical"
-              f" to serial greedy_decode")
+              f" to serial greedy_decode, prefilled and again from the"
+              f" prompt cache")
     tel = telemetry()
+
+    def cache_counters() -> dict[str, float]:
+        return {
+            name: counter.value
+            for name, counter in tel.metrics.counters.items()
+            if name.startswith("serve.prompt_cache.")
+        }
+
     header = (f"{'rps':>8s} {'done':>6s} {'shed':>5s} {'tok/s':>8s}"
               f" {'ttft p50':>9s} {'ttft p99':>9s} {'e2e p50':>9s}"
               f" {'e2e p99':>9s}")
     print(header)
     for rps in args.rps:
+        before = cache_counters()
         with InferenceServer(
             engine, config, max_batch=args.max_batch,
             draft=draft, speculation_depth=args.spec_depth,
@@ -566,6 +579,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f" {report.latency_ms['p50']:8.1f}ms"
             f" {report.latency_ms['p99']:8.1f}ms"
         )
+        # This load point's share of the run's counters (each point has
+        # its own server, so its own cold cache); none untraced.
+        line = prompt_cache_line(
+            {
+                name: value - before.get(name, 0)
+                for name, value in cache_counters().items()
+                if value != before.get(name, 0)
+            },
+            srv.prompt_cache.tokens,
+        )
+        if line:
+            print(line)
         tel.record("serve_load_point", **report.to_dict())
     return 0
 

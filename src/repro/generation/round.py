@@ -81,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from repro.inference.engine import InferenceEngine, Session
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["DecodeRound", "Row", "decode_plan", "decode_to_completion"]
@@ -263,7 +263,10 @@ class DecodeRound:
     reason or the caller calls :meth:`drop`.  :meth:`admit` and
     :meth:`step` report ``(row, new_tokens, finish_reason)`` events; the
     reason is ``"eos"``, ``"length"`` or ``None`` while the row is live.
-    ``depth`` only matters with a ``draft``.
+    ``depth`` only matters with a ``draft``.  ``prompt_cache`` (a server
+    passes one; the offline decoders and campaigns none) lets
+    :meth:`admit` start a prompt it has prefilled before from the cached
+    K/V and logits instead of a prompt forward.
     """
 
     engine: InferenceEngine
@@ -272,6 +275,7 @@ class DecodeRound:
     draft: InferenceEngine | None = None
     draft_pool: PooledKVCache | None = None
     depth: int = 0
+    prompt_cache: PromptCache | None = None
     rows: list[Row] = field(default_factory=list)
     _admitted: int = field(default=0, init=False)
 
@@ -298,6 +302,15 @@ class DecodeRound:
         prefill K/V.  EOS as the first token and one-token budgets retire
         here; such a row never occupies a slot across a round.  A raise
         from the forward or the callback releases the slots first.
+
+        With a ``prompt_cache`` the prompt forward runs only on a miss,
+        whose result is then stored; on a hit the slot is restored to the
+        bits that forward left and ``row.logits`` is the cached,
+        read-only array.  Both sides are fenced by the one path decision:
+        the cache is neither read nor filled when the request carries a
+        fault (``before_prefill``) or :func:`decode_plan` finds anything
+        but observers on the engine — a struck or hooked prefill is never
+        stored and a fault-carrying request never starts from a clean one.
         """
         if session is None and not prompt:
             raise ValueError("prompt must contain at least one token")
@@ -310,11 +323,7 @@ class DecodeRound:
             else:
                 row.slot = self.pool.acquire()
                 row.caches = self.pool.caches(row.slot)
-                if before_prefill is not None:
-                    before_prefill(row.caches)
-                logits = self.engine.forward(
-                    prompt, row.caches, start_pos=0, iteration=0
-                )[-1:]
+                logits = self._prefill(prompt, row.caches, before_prefill)
             row.logits = logits
             reason = _finish_reason(row, accept(logits, (), self.eos_id, row.out)[1])
             if reason is None and self.draft is not None:
@@ -331,6 +340,50 @@ class DecodeRound:
         else:
             self._release(row)
         return row, row.out[:], reason
+
+    def _prefill(
+        self,
+        prompt: list[int],
+        caches: list[KVCache],
+        before_prefill: "Callable[[list[KVCache]], None] | None",
+    ) -> np.ndarray:
+        """``prompt``'s K/V into ``caches``, returning its ``(1, vocab)``
+        first-token logits: the prompt forward, or with a prompt cache
+        its stored result (the gate is in :meth:`admit`'s docstring)."""
+        cache = self.prompt_cache
+        outcome, evicted = None, 0
+        if cache is not None:
+            # Asked before the request's own fault is armed: that one is
+            # named by the request, not by the plan.
+            reason = (
+                "request_fault" if before_prefill is not None
+                else decode_plan(self.engine)[1]
+            )
+            if reason not in ("clean", "observer_hooks"):
+                outcome, cache = "bypass." + reason, None
+        if before_prefill is not None:
+            before_prefill(caches)
+        logits = None if cache is None else cache.load(prompt, caches)
+        if logits is not None:
+            outcome = "hits"
+        else:
+            logits = self.engine.forward(
+                prompt, caches, start_pos=0, iteration=0
+            )[-1:]
+            if cache is not None:
+                outcome = "misses"
+                evicted = cache.store(prompt, caches, logits)
+        if outcome is not None:
+            tel = _telemetry()
+            if tel.active:
+                metrics = tel.metrics
+                metrics.counter("serve.prompt_cache." + outcome).add()
+                if evicted:
+                    metrics.counter("serve.prompt_cache.evictions").add(evicted)
+                metrics.gauge("serve.prompt_cache.tokens").set(
+                    self.prompt_cache.tokens
+                )
+        return logits
 
     def drop(self, row: Row) -> None:
         """Retire a live row early (cancellation, shutdown)."""

@@ -2,7 +2,7 @@
 
 from repro.inference.engine import CaptureState, InferenceEngine, Session
 from repro.inference.hooks import HookContext, HookFn, HookManager
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.inference.storage import (
     FloatWeightStore,
     QuantizedWeightStore,
@@ -20,6 +20,7 @@ __all__ = [
     "InferenceEngine",
     "KVCache",
     "PooledKVCache",
+    "PromptCache",
     "QuantizedWeightStore",
     "RestoreToken",
     "Session",

@@ -8,14 +8,18 @@ concurrent sequences as slot rows, and hands out zero-copy
 :class:`KVCache`-compatible views — so admitting, retiring and
 re-admitting sequences never allocates, and forking a beam is a
 bounded prefix copy inside the arena instead of a fresh full-size
-allocation.
+allocation.  :class:`PromptCache` keeps what a prompt forward left in
+such a cache — :meth:`KVCache.snapshot` per block plus the first-token
+logits — so a server prefills a repeated prompt once.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-__all__ = ["KVCache", "PooledKVCache"]
+__all__ = ["KVCache", "PooledKVCache", "PromptCache"]
 
 
 class KVCache:
@@ -141,6 +145,66 @@ class KVCache:
         out.v[:, : self.length] = self.values()
         out.length = self.length
         return out
+
+
+class PromptCache:
+    """LRU table of prefilled *whole* prompts, bounded in resident tokens.
+
+    ``entries`` maps a prompt's token tuple to what
+    ``engine.forward(prompt, caches, 0, 0)`` left behind: every block's
+    :meth:`KVCache.snapshot` (exactly the prompt's positions, nothing
+    per slot or per ``max_seq``) and the read-only ``(1, vocab)``
+    last-position logits.  :meth:`load` writes those bits back, so a hit
+    leaves the caches ``array_equal`` to a fresh prompt forward.  Only an
+    exact match hits: a prompt forward behind a shared prefix is not
+    bit-identical to the one-shot forward.  The cache knows nothing of
+    faults — whoever owns it decides when reading or filling it is safe
+    (:meth:`repro.generation.round.DecodeRound.admit`).
+    """
+
+    def __init__(self, max_tokens: int) -> None:
+        self.max_tokens = max_tokens
+        self.tokens = 0
+        """Prompt tokens resident: ``sum(len(key) for key in entries)``."""
+        self.entries: OrderedDict[tuple, tuple[list, np.ndarray]] = OrderedDict()
+        """Least recently used first."""
+
+    def load(self, prompt: list[int], caches: list[KVCache]) -> np.ndarray | None:
+        """Restore ``prompt``'s K/V into ``caches`` and return its logits
+        (shared between hits, hence read-only), or ``None`` on a miss."""
+        key = tuple(prompt)
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        snaps, logits = entry
+        for cache, snap in zip(caches, snaps):
+            cache.restore(snap)
+        return logits
+
+    def store(
+        self, prompt: list[int], caches: list[KVCache], logits: np.ndarray
+    ) -> int:
+        """Keep the state ``caches`` and ``logits`` are in right after
+        ``prompt``'s forward, evicting least recently used prompts until
+        it fits; a prompt longer than the whole budget is not kept.
+        Returns the number of prompts evicted."""
+        n = len(prompt)
+        if n > self.max_tokens:
+            return 0
+        key = tuple(prompt)
+        if self.entries.pop(key, None) is not None:
+            self.tokens -= n
+        evicted = 0
+        while self.tokens + n > self.max_tokens:
+            old, _ = self.entries.popitem(last=False)
+            self.tokens -= len(old)
+            evicted += 1
+        logits = logits.copy()
+        logits.flags.writeable = False
+        self.entries[key] = ([cache.snapshot() for cache in caches], logits)
+        self.tokens += n
+        return evicted
 
 
 class _SlotView(KVCache):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.obs.export import RunData, read_run
 
-__all__ = ["render_report", "report_path", "main"]
+__all__ = ["render_report", "report_path", "prompt_cache_line", "main"]
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -226,11 +226,37 @@ def _flight_section(run: RunData) -> list[str]:
     return lines
 
 
+def prompt_cache_line(counters: dict[str, float], tokens: float) -> str | None:
+    """The ``prompt cache:`` line from ``serve.prompt_cache.*`` counter
+    values and the resident-token gauge, or ``None`` without counters:
+    how many admissions started from a cached prefill, ran the prompt
+    forward and stored it, or went around the cache and why."""
+    prefix = "serve.prompt_cache."
+    if not any(name.startswith(prefix) for name in counters):
+        return None
+
+    def count(name: str) -> int:
+        return int(counters.get(prefix + name, 0))
+
+    bypass = {
+        name[len(prefix + "bypass."):]: int(value)
+        for name, value in sorted(counters.items())
+        if name.startswith(prefix + "bypass.")
+    }
+    why = ", ".join(f"{reason} {n}" for reason, n in bypass.items())
+    return (
+        f"prompt cache: {count('hits')} hits, {count('misses')} misses,"
+        f" {sum(bypass.values())} bypassed{f' ({why})' if why else ''},"
+        f" {count('evictions')} evictions, {int(tokens)} tokens resident"
+    )
+
+
 def _serve_section(run: RunData) -> list[str]:
     """Dedicated serving SLO view: TTFT / TPOT / end-to-end latency /
-    queue depth / batch occupancy quantiles, per-tenant throughput and
-    speculative accept lengths, campaign fallback counters, and any
-    ``serve_load_point`` sweep rows the load generator recorded."""
+    queue depth / batch occupancy quantiles, the prompt cache's hit
+    counts, per-tenant throughput and speculative accept lengths,
+    campaign fallback counters, and any ``serve_load_point`` sweep rows
+    the load generator recorded."""
     histograms = run.metrics.histograms
     counters = run.metrics.counters
     slo_names = [
@@ -255,8 +281,13 @@ def _serve_section(run: RunData) -> list[str]:
         if name.startswith("serve.campaign_fallback.")
     )
     load_points = run.of_kind("serve_load_point")
+    gauge = run.metrics.gauges.get("serve.prompt_cache.tokens")
+    cache_line = prompt_cache_line(
+        {name: counter.value for name, counter in counters.items()},
+        gauge.value if gauge else 0,
+    )
     if not slo_names and not tenant_tokens and not fallbacks \
-            and not load_points:
+            and not load_points and not cache_line:
         return []
     lines = ["", "== serving SLOs =="]
     if slo_names:
@@ -277,6 +308,8 @@ def _serve_section(run: RunData) -> list[str]:
         lines += _table(
             ["instrument", "count", "mean", "p50", "p95", "p99", "max"], rows
         )
+    if cache_line:
+        lines.append(cache_line)
     if tenant_tokens:
         # Per-tenant speculative accept lengths (recorded by the
         # server's draft-and-verify rounds) sit next to throughput so

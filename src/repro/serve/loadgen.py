@@ -11,8 +11,9 @@ the offered-load vs. throughput/latency sweep meaningful.
 
 Two verification entry points:
 
-* :func:`equivalence_gate` — serves every distinct prompt concurrently
-  and compares each stream token-for-token against a serial
+* :func:`equivalence_gate` — serves every distinct prompt concurrently,
+  twice through one server (the second pass starts from its prompt
+  cache), and compares each stream token-for-token against a serial
   ``greedy_decode`` reference computed before the server starts.  The
   benchmark runs this gate *before* any timing; a mismatch is a hard
   failure, not a data point.
@@ -102,7 +103,10 @@ def equivalence_gate(
     Serial references are computed first (the engine is idle), then
     every prompt is submitted to a fresh server *concurrently* — so the
     comparison exercises real mid-flight batching, not one-at-a-time
-    serving.  With a ``draft``, the server speculates, so the gate also
+    serving.  The prompt set is then submitted a second time, after the
+    first pass has finished, so streams that start from the server's
+    prompt cache are gated as well as the prompt forwards that filled
+    it.  With a ``draft``, the server speculates, so the gate also
     covers the composed batched-speculative rounds.  Raises
     ``AssertionError`` on the first divergence; returns the number of
     prompts checked.
@@ -120,18 +124,21 @@ def equivalence_gate(
         engine, config, max_batch=max_batch,
         draft=draft, speculation_depth=speculation_depth,
     ) as server:
-        handles = [
-            server.submit(list(spec.ids), max_new_tokens=spec.max_new)
-            for spec in prompts
-        ]
-        served = [handle.result(timeout=timeout_s) for handle in handles]
-    for i, (spec, got, want) in enumerate(zip(prompts, served, references)):
-        if got != want:
-            raise AssertionError(
-                f"served output diverged from serial greedy_decode on"
-                f" prompt {i} (task {spec.task}): served {got} !="
-                f" serial {want}"
-            )
+        passes = {}
+        for name in ("first pass", "second pass (prompt cache)"):
+            handles = [
+                server.submit(list(spec.ids), max_new_tokens=spec.max_new)
+                for spec in prompts
+            ]
+            passes[name] = [h.result(timeout=timeout_s) for h in handles]
+    for name, served in passes.items():
+        for i, (spec, got, want) in enumerate(zip(prompts, served, references)):
+            if got != want:
+                raise AssertionError(
+                    f"served output diverged from serial greedy_decode on"
+                    f" prompt {i} (task {spec.task}), {name}: served {got}"
+                    f" != serial {want}"
+                )
     return len(prompts)
 
 

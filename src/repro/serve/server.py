@@ -25,6 +25,15 @@ long-running serving loop, the end-to-end setting the paper studies:
 * **Speculative serving** — constructed with a same-tokenizer ``draft``
   engine, the same round runs at ``speculation_depth``; ragged accept
   lengths retire and back-fill rows at round granularity.
+* **Prompt cache** — the server owns one
+  :class:`~repro.inference.kvcache.PromptCache` for its target engine,
+  holding at most as many prompt tokens as its KV pool
+  (``pool.n_slots * max_seq``): a request whose whole prompt was
+  prefilled before starts from the stored K/V and first-token logits —
+  the bits that prompt forward produced — instead of running it again.
+  The round reads and fills it only for fault-free requests on an engine
+  ``decode_plan`` finds nothing but observers on; the draft is not
+  cached.
 
 What stays here is what only a server has: tenant queues and the
 weighted dequeue, cancellation, arming a request's KV fault before its
@@ -42,12 +51,14 @@ Observability (gated on the process telemetry switch): ``serve.ttft_ms``
 / ``serve.tpot_ms`` / ``serve.e2e_ms`` / ``serve.queue_depth`` /
 ``serve.batch_occupancy`` quantile histograms, per-tenant
 ``serve.tenant.<name>.*`` token/TTFT instruments, admission/shed
-counters, and the ``decode.free_slots`` gauge the admission loop also
-admits against.
+counters, the ``decode.free_slots`` gauge the admission loop also
+admits against, and ``serve.prompt_cache.{hits,misses,evictions,
+bypass.<reason>}`` with the ``serve.prompt_cache.tokens`` gauge.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import queue as _queue
@@ -58,7 +69,7 @@ from dataclasses import dataclass, field
 from repro.generation.decode import GenerationConfig
 from repro.generation.round import DecodeRound, check_draft
 from repro.inference.engine import InferenceEngine
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
 from repro.serve.admission import (
     ServeRejected,
@@ -71,6 +82,10 @@ __all__ = ["InferenceServer", "StreamHandle", "ServeRejected", "TenantConfig"]
 
 _DONE = object()
 """Stream sentinel: pushed exactly once when a request finishes."""
+
+ADMISSION_LOG_LEN = 1024
+"""How many of the latest admissions ``InferenceServer.admission_log``
+keeps."""
 
 
 class StreamHandle:
@@ -214,9 +229,15 @@ class InferenceServer:
             # A row holds a slot in each pool: the narrower one caps
             # the batch.
             self.max_batch = min(self.max_batch, self.draft_pool.n_slots)
+        self.prompt_cache = PromptCache(
+            self.pool.n_slots * engine.config.max_seq
+        )
+        """Whole prompts this server has prefilled (target engine only),
+        kept across ``stop`` / ``start``."""
         self._round = DecodeRound(
             engine, self.pool, config.eos_id,
             draft=draft, draft_pool=self.draft_pool, depth=speculation_depth,
+            prompt_cache=self.prompt_cache,
         )
         self.default_tenant = default_tenant
         self._sched = WeightedScheduler()
@@ -232,9 +253,11 @@ class InferenceServer:
         self._stop = False
         self._drain = True
         self._idle_wait_s = idle_wait_s
-        self.admission_log: list[tuple[str, int]] = []
-        """``(tenant, request_id)`` in admission order — the observable
-        the fairness tests (and ``repro serve``'s summary) read."""
+        self.admission_log: collections.deque[tuple[str, int]] = (
+            collections.deque(maxlen=ADMISSION_LOG_LEN)
+        )
+        """``(tenant, request_id)`` of the latest admissions, oldest
+        first — the observable the fairness tests read."""
         self._kv_fault_inflight = 0
         """Fault-carrying requests currently queued or active (at most
         one — the engine holds a single armed KV fault)."""

@@ -11,11 +11,16 @@
   slot conservation in both pools after every rule and every retired
   row to the serial ``greedy_decode`` reference.
 * the offline driver releases its slots when the engine raises.
+* the prompt cache behind ``DecodeRound.admit``: a hit leaves the slot
+  and the first logits exactly as a prompt forward does, and the cache
+  is neither read nor filled unless ``decode_plan`` finds nothing but
+  observers on the engine.
 """
 
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -47,7 +52,7 @@ from repro.generation import (
     greedy_decode,
     score_options,
 )
-from repro.inference import InferenceEngine
+from repro.inference import InferenceEngine, PromptCache
 from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
@@ -422,3 +427,149 @@ def test_driver_releases_slots_when_the_engine_raises():
     assert decoder.decode_many(PROMPTS[:3]) == [
         greedy_decode(engine, p, config, strategy="serial") for p in PROMPTS[:3]
     ]
+
+
+# -- the prompt cache ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ("fp32", "bf16", "int8"))
+@pytest.mark.parametrize("kind", ("dense", "moe"))
+def test_a_cache_hit_leaves_the_slot_as_a_prompt_forward_does(
+    kind, policy, untrained_store, moe_store
+):
+    store = moe_store if kind == "moe" else untrained_store
+    engine = InferenceEngine(store, weight_policy=policy)
+    prompt = PROMPTS[1]
+    fresh = engine.new_caches()
+    want = engine.forward(prompt, fresh, start_pos=0, iteration=0)[-1:]
+    cache = PromptCache(64)
+    rnd = DecodeRound(engine, engine.new_pool(2), -1, prompt_cache=cache)
+    miss, _, _ = rnd.admit("miss", prompt, 5)
+    hit, _, _ = rnd.admit("hit", prompt, 5)
+    assert list(cache.entries) == [tuple(prompt)]
+    assert cache.tokens == len(prompt)
+    assert hit.logits is cache.entries[tuple(prompt)][1]
+    for row in (miss, hit):
+        assert np.array_equal(row.logits, want)
+        for got, ref in zip(row.caches, fresh):
+            assert got.length == ref.length == len(prompt)
+            assert np.array_equal(got.keys(), ref.keys())
+            assert np.array_equal(got.values(), ref.values())
+    # Hit rows share the cached array, so it is handed out read-only.
+    with pytest.raises(ValueError, match="read-only"):
+        hit.logits[0, 0] = 0.0
+    while rnd.rows:
+        rnd.step()
+    config = GenerationConfig(max_new_tokens=5, eos_id=-1)
+    assert miss.out == hit.out == greedy_decode(
+        engine, prompt, config, strategy="serial"
+    )
+
+
+@pytest.fixture()
+def cache_counters():
+    """``serve.prompt_cache.*`` counters of the test, by their suffix."""
+    tel = telemetry()
+    tel.reset()
+    tel.enable()
+
+    def read():
+        prefix = "serve.prompt_cache."
+        return {
+            name[len(prefix):]: int(value)
+            for name, value in tel.metrics.snapshot()["counters"].items()
+            if name.startswith(prefix)
+        }
+
+    yield read
+    tel.reset()
+    tel.disable()
+
+
+@pytest.mark.parametrize("armed", GATE_MATRIX)
+def test_prompt_cache_gate(armed, cache_counters):
+    """Whatever ``decode_plan`` does not call ``clean`` or
+    ``observer_hooks`` goes around the cache on both sides: a stored
+    prompt is not read and a new one is not stored."""
+    engine = _target()
+    cache = PromptCache(64)
+    rnd = DecodeRound(engine, engine.new_pool(4), -1, prompt_cache=cache)
+    known, new = PROMPTS[0], PROMPTS[1]
+    rnd.admit("warm", known, 1)
+    assert cache_counters() == {"misses": 1}
+    cached = armed in ("clean", "observer_hooks")
+    with ARM[armed](engine):
+        rnd.admit("lookup", known, 1)
+        rnd.admit("insert", new, 1)
+    if cached:
+        assert cache_counters() == {"misses": 2, "hits": 1}
+        assert list(cache.entries) == [tuple(known), tuple(new)]
+        return
+    assert cache_counters() == {"misses": 1, f"bypass.{armed}": 2}
+    assert list(cache.entries) == [tuple(known)]
+    # Disarmed, the prompt the armed engine prefilled is still a miss —
+    # and only now stored.
+    row, _, _ = rnd.admit("after", new, 1)
+    assert cache_counters() == {"misses": 2, f"bypass.{armed}": 2}
+    fresh = engine.new_caches()
+    want = engine.forward(new, fresh, start_pos=0, iteration=0)[-1:]
+    snaps, logits = cache.entries[tuple(new)]
+    assert np.array_equal(logits, want) and np.array_equal(row.logits, want)
+    for (k, v, length), ref in zip(snaps, fresh):
+        assert length == len(new)
+        assert np.array_equal(k, ref.keys()) and np.array_equal(v, ref.values())
+    rnd.admit("again", new, 1)
+    assert cache_counters()["hits"] == 1
+
+
+def test_a_request_fault_goes_around_the_cache(cache_counters):
+    """``before_prefill`` is how a request carries its own fault: such an
+    admission neither reads the stored prompt nor replaces it."""
+    engine = _target()
+    cache = PromptCache(64)
+    rnd = DecodeRound(engine, engine.new_pool(2), -1, prompt_cache=cache)
+    rnd.admit("warm", PROMPTS[0], 1)
+    stored = cache.entries[tuple(PROMPTS[0])]
+    seen = []
+    rnd.admit("faulted", PROMPTS[0], 1, before_prefill=seen.append)
+    rnd.admit("faulted", PROMPTS[1], 1, before_prefill=seen.append)
+    assert len(seen) == 2
+    assert cache_counters() == {"misses": 1, "bypass.request_fault": 2}
+    assert list(cache.entries) == [tuple(PROMPTS[0])]
+    assert cache.entries[tuple(PROMPTS[0])] is stored
+
+
+def test_lru_eviction_keeps_the_token_budget(cache_counters):
+    engine = _target()
+    cache = PromptCache(8)
+    rnd = DecodeRound(engine, engine.new_pool(2), -1, prompt_cache=cache)
+    for prompt in (PROMPTS[0], PROMPTS[2], PROMPTS[0], PROMPTS[3]):
+        rnd.admit("x", prompt, 1)  # 3 + 2 tokens, a hit, then 4 more
+    # The hit made PROMPTS[0] the most recent: PROMPTS[2] is what went.
+    assert list(cache.entries) == [tuple(PROMPTS[0]), tuple(PROMPTS[3])]
+    assert cache.tokens == 7
+    rnd.admit("x", PROMPTS[1], 1)  # 5 tokens: both others go
+    assert list(cache.entries) == [tuple(PROMPTS[1])]
+    assert cache.tokens == 5
+    assert cache_counters() == {"misses": 4, "hits": 1, "evictions": 3}
+    assert telemetry().metrics.gauge("serve.prompt_cache.tokens").value == 5
+
+
+def test_offline_decoders_build_their_round_without_a_cache(monkeypatch):
+    from repro.fi import golden
+    from repro.generation import batched
+
+    rounds = []
+
+    def recording(*args, **kwargs):
+        rounds.append(DecodeRound(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(batched, "DecodeRound", recording)
+    monkeypatch.setattr(golden, "DecodeRound", recording)
+    engine = _target()
+    config = GenerationConfig(max_new_tokens=3, eos_id=-1)
+    BatchedDecoder(engine, config, max_batch=2).decode_many(PROMPTS[:2])
+    golden.GoldenRun.decode_many(engine, PROMPTS[:2], config, engine.new_pool(2))
+    assert len(rounds) == 2
+    assert all(rnd.prompt_cache is None for rnd in rounds)

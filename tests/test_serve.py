@@ -15,13 +15,20 @@ Covers the multi-tenant streaming server end to end:
 * a saturating tenant cannot starve a light tenant's TTFT;
 * campaigns attach as just another tenant with unchanged baselines;
 * SLO instruments land in the obs registry and render as the dedicated
-  report section.
+  report section;
+* the server's prompt cache: hits, misses, evictions, fault-carrying
+  requests, cancels and restarts leave every clean stream serial-greedy
+  and every resident entry the bits of a fresh prompt forward, and
+  telemetry on it stays a pure observer.
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fi import FaultModel, FaultSite
 from repro.fi.campaign import FICampaign
@@ -552,6 +559,17 @@ class TestFairness:
         ]
         assert light_admissions, "light tenant was never admitted"
 
+    def test_admission_log_keeps_only_the_latest(self, untrained_engine, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "ADMISSION_LOG_LEN", 4)
+        server = InferenceServer(untrained_engine, _config(max_new_tokens=1))
+        handles = [server.submit(PROMPTS[i % len(PROMPTS)]) for i in range(7)]
+        with server:
+            for handle in handles:
+                handle.result(timeout=60)
+        assert [r for _, r in server.admission_log] == [3, 4, 5, 6]
+
     def test_max_in_flight_cap_respected(self, untrained_engine):
         config = _config(max_new_tokens=8)
         server = InferenceServer(
@@ -851,3 +869,223 @@ class TestCampaignAsTenant:
         rendered = render_report(read_run(out))
         assert "serving campaign fallbacks" in rendered
         assert "beam_search" in rendered
+
+
+def _kv_site(iteration: int) -> FaultSite:
+    return FaultSite(
+        FaultModel.KV_1BIT, "blocks.0.kv", 1, 2, bits=(30,),
+        iteration=iteration, row_frac=0.2, plane="v",
+    )
+
+
+def _cache_counters(tel) -> dict[str, int]:
+    """``serve.prompt_cache.*`` counters by their suffix."""
+    prefix = "serve.prompt_cache."
+    return {
+        name[len(prefix):]: int(value)
+        for name, value in tel.metrics.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestPromptCache:
+    def test_budget_is_the_kv_pool(self, untrained_engine):
+        server = InferenceServer(untrained_engine, _config(), max_batch=3)
+        assert server.prompt_cache.max_tokens == (
+            3 * untrained_engine.config.max_seq
+        )
+        server.stop()
+
+    def test_traced_and_untraced_servers_emit_identical_streams(
+        self, untrained_store, clean_telemetry, tmp_path
+    ):
+        """Telemetry is a pure observer of the cache too: the same
+        submissions — repeats, so there are hits — give the same
+        streams, and the traced run renders the ``prompt cache:`` line."""
+        config = _config(max_new_tokens=6)
+        submissions = PROMPTS[:3] * 2
+        serial = [
+            greedy_decode(
+                InferenceEngine(untrained_store), p, config, strategy="serial"
+            )
+            for p in submissions
+        ]
+        streams = {}
+        out = tmp_path / "cache-run.jsonl"
+        for traced in (False, True):
+            if traced:
+                clean_telemetry.enable(out)
+            server = InferenceServer(
+                InferenceEngine(untrained_store), config, max_batch=1
+            )
+            handles = [server.submit(p) for p in submissions]
+            with server:
+                streams[traced] = [h.result(timeout=60) for h in handles]
+        assert streams[True] == streams[False] == serial
+        assert _cache_counters(clean_telemetry) == {"hits": 3, "misses": 3}
+        assert clean_telemetry.metrics.counter("serve.completed").value == 6
+        clean_telemetry.flush(command="test-prompt-cache")
+        assert (
+            "prompt cache: 3 hits, 3 misses, 0 bypassed, 0 evictions,"
+            " 10 tokens resident"
+        ) in render_report(read_run(out))
+
+    def test_fault_carrying_request_and_its_siblings_go_around(
+        self, untrained_engine, clean_telemetry
+    ):
+        """The victim's prefill is struck (iteration 0), so it is neither
+        served from the cache nor stored; while its fault is armed the
+        plan says ``kv_fault`` and its siblings prefill too."""
+        clean_telemetry.enable()
+        config = _config()
+        with InferenceServer(untrained_engine, config, max_batch=3) as server:
+            clean = [
+                h.result(timeout=60)
+                for h in [server.submit(p) for p in PROMPTS[:3]]
+            ]
+            stored = dict(server.prompt_cache.entries)
+            victim = server.submit(PROMPTS[0], kv_fault=_kv_site(0))
+            sibling = server.submit(PROMPTS[1])
+            victim.result(timeout=60)
+            assert victim.kv_fired
+            assert sibling.result(timeout=60) == clean[1]
+            after = [
+                h.result(timeout=60)
+                for h in [server.submit(p) for p in PROMPTS[:3]]
+            ]
+        assert after == clean
+        counters = _cache_counters(clean_telemetry)
+        assert counters["bypass.request_fault"] == 1
+        assert counters["misses"] == 3
+        # The sibling was admitted beside the armed victim or after it.
+        assert counters.get("bypass.kv_fault", 0) + counters["hits"] == 4
+        entries = server.prompt_cache.entries
+        assert entries.keys() == stored.keys()
+        assert all(entries[key] is stored[key] for key in stored)
+
+    def test_over_budget_prompt_is_served_and_never_stored(
+        self, untrained_engine, clean_telemetry
+    ):
+        clean_telemetry.enable()
+        config = _config()
+        server = InferenceServer(untrained_engine, config)
+        server.prompt_cache.max_tokens = 4
+        long, short = PROMPTS[1], PROMPTS[0]  # 5 and 3 tokens
+        with server:
+            served = [
+                server.submit(p).result(timeout=60)
+                for p in (short, long, long, short)
+            ]
+        assert served == [
+            greedy_decode(untrained_engine, p, config, strategy="serial")
+            for p in (short, long, long, short)
+        ]
+        assert list(server.prompt_cache.entries) == [tuple(short)]
+        assert _cache_counters(clean_telemetry) == {"misses": 3, "hits": 1}
+
+
+# -- the prompt cache under generated traffic --------------------------------------
+
+CACHE_BUDGET = 6
+"""Tokens: every one of ``PROMPTS`` fits (the longest has 5), few pairs
+do — so repeats both hit and get evicted."""
+
+
+@lru_cache(maxsize=None)
+def _served_without_a_cache(store, prompt: tuple, iteration: int):
+    """What the parent commit serves a fault-carrying request: the same
+    server with no prompt cache behind its round."""
+    server = InferenceServer(InferenceEngine(store), _config(max_new_tokens=6))
+    server._round.prompt_cache = None
+    with server:
+        handle = server.submit(list(prompt), kv_fault=_kv_site(iteration))
+        return handle.result(timeout=60), handle.kv_fired
+
+
+_SUBMIT = st.tuples(st.just("submit"), st.integers(0, len(PROMPTS) - 1))
+_OPS = st.one_of(
+    _SUBMIT,
+    _SUBMIT,
+    _SUBMIT,
+    st.tuples(
+        st.just("fault"),
+        st.integers(0, len(PROMPTS) - 1),
+        st.sampled_from((0, 2)),  # the strike's iteration: prefill or later
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("wait")),
+    st.tuples(st.just("wait")),
+    st.tuples(st.just("restart")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_OPS, min_size=6, max_size=20))
+def test_prompt_cache_under_generated_traffic(untrained_store, ops):
+    config = _config(max_new_tokens=6)
+    engine = _paced(InferenceEngine(untrained_store))
+    reference = InferenceEngine(untrained_store)
+    server = InferenceServer(engine, config, max_batch=2)
+    cache = server.prompt_cache
+    cache.max_tokens = CACHE_BUDGET
+
+    def check_cache():
+        """Only called while no pump thread runs."""
+        assert cache.tokens == sum(len(key) for key in cache.entries)
+        assert cache.tokens <= CACHE_BUDGET
+        for key, (snaps, logits) in cache.entries.items():
+            fresh = reference.new_caches()
+            want = reference.forward(list(key), fresh, start_pos=0, iteration=0)
+            assert np.array_equal(logits, want[-1:])
+            for (k, v, length), ref in zip(snaps, fresh):
+                assert length == len(key)
+                assert np.array_equal(k, ref.keys())
+                assert np.array_equal(v, ref.values())
+        assert server.pool.n_free == server.pool.n_slots
+        assert engine.kv_fault is None
+
+    clean, faulted = [], []
+    server.start()
+    try:
+        for op in ops:
+            if op[0] == "submit":
+                clean.append((PROMPTS[op[1]], server.submit(PROMPTS[op[1]])))
+            elif op[0] == "fault":
+                prompt = PROMPTS[op[1]]
+                try:
+                    handle = server.submit(prompt, kv_fault=_kv_site(op[2]))
+                except ServeRejected as exc:
+                    assert exc.reason == "kv_fault_busy"
+                else:
+                    faulted.append((prompt, op[2], handle))
+            elif op[0] == "cancel":
+                handles = [h for _, h in clean] + [h for _, _, h in faulted]
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+            elif op[0] == "wait":
+                for _, handle in clean[-1:]:
+                    handle.result(timeout=60)
+            else:
+                server.stop(drain=False, timeout=60)
+                check_cache()
+                server.start()
+    finally:
+        server.stop(drain=True, timeout=60)
+    check_cache()
+    for prompt, handle in clean:
+        serial = greedy_decode(reference, prompt, config, strategy="serial")
+        assert handle.done
+        if handle.finish_reason in ("eos", "length"):
+            assert handle.tokens == serial
+        else:
+            assert handle.finish_reason in ("cancelled", "shutdown")
+            assert handle.tokens == serial[: len(handle.tokens)]
+    for prompt, iteration, handle in faulted:
+        tokens, fired = _served_without_a_cache(
+            untrained_store, tuple(prompt), iteration
+        )
+        assert handle.done
+        if handle.finish_reason in ("eos", "length"):
+            assert (handle.tokens, handle.kv_fired) == (tokens, fired)
+        else:
+            assert handle.tokens == tokens[: len(handle.tokens)]
