@@ -17,8 +17,13 @@ the sites an uninterrupted run would have drawn.
 Trials that can share forwards do: the engine's batched forward is
 bit-identical per row to the serial one, so greedy computational-fault
 trials decode as *waves* — ``_DECODE_BATCH`` rows of one decode round,
-each resumed from its example's golden run with its own budget and its
-own row-pinned injector (:meth:`FICampaign._run_wave`).
+each with its own budget and its own row-pinned injector, resumed from
+its example's golden run or, struck at iteration 0, prefilled into its
+slot under that injector (:meth:`FICampaign._run_wave`).  The wave is
+such a campaign's only decode loop; a trial that still runs alone is
+counted, by reason, under ``campaign.lone_trials.*``.  Most strikes
+never reach the output, so each distinct ``(example, prediction)`` is
+scored and classified once (:meth:`FICampaign._gen_record`).
 
 This module is what a trial *is*: its identity and sampling, the
 one-trial path, the wave, the baseline, the aggregation.  *How* trials
@@ -43,6 +48,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +242,10 @@ class FICampaign:
         example's golden run (:mod:`repro.fi.golden`) at iteration
         ``k - 1`` instead of re-decoding the fault-free prefix — without
         a single forward when the golden run ended before ``k``.  Greedy
-        computational-fault trials that resume run as *waves*
-        (:meth:`_run_wave`): up to ``_DECODE_BATCH`` of them share each
-        forward, every row bit-identical to the trial decoded alone.
+        computational-fault trials run as *waves* (:meth:`_run_wave`):
+        up to ``_DECODE_BATCH`` of them — resumed, or struck in their
+        own prompt forward — share each decode step, every row
+        bit-identical to the trial decoded alone.
         A multiple-choice trial under a weight or computational fault
         scores only what the fault can reach (:meth:`_option_rows`):
         the blocks from the struck one on, as rows of one forward per
@@ -301,7 +308,12 @@ class FICampaign:
         """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
         run over (the golden sweep, waves, option rows), one after the
         other."""
-        self._metric_baseline_memo: dict[tuple[str, int], float] = {}
+        self._scored: dict[tuple[int, str], tuple[dict, Outcome]] = {}
+        """``(example index, prediction text) -> (metrics, outcome)``:
+        a generative prediction is scored and classified once per
+        campaign (:meth:`_score`).  The baseline sweep seeds it, so the
+        masked majority of trials — and forked pool workers, which
+        inherit it — look their scores up."""
         self._executor = Executor()
         """Runs the trials; owns the shared weight arena and the
         persistent worker pool, which survive across
@@ -618,6 +630,8 @@ class FICampaign:
             self._baseline_metrics = score_generative(
                 self.metrics, preds, self.examples
             )
+            for idx, pred in enumerate(preds):
+                self._score(idx, pred)
         return self._baseline_metrics
 
     # -- one trial ---------------------------------------------------------------
@@ -703,7 +717,10 @@ class FICampaign:
         prefill itself, and speculation-side and served-fault trials
         decode through a different schedule entirely — all of those,
         and every trial of a campaign that keeps no golden runs
-        (:meth:`_keeps_golden`), re-prefill and decode in full.
+        (:meth:`_keeps_golden`), re-prefill and decode in full.  In
+        full is not alone: an iteration-0 trial of a wave-capable
+        campaign runs that prompt forward into a wave's slot and decodes
+        beside its siblings (:meth:`_run_wave`).
         """
         model = site.fault_model
         return not (
@@ -935,28 +952,44 @@ class FICampaign:
         fired: bool,
         selections: dict | None = None,
     ) -> TrialRecord:
-        """Score and classify one generative trial's prediction."""
-        ex = self.examples[idx]
-        base_pred = self._baseline_preds[idx]
-        trial_metrics = score_generative(self.metrics, [text], [ex])
-        if "accuracy" in self.metrics:
-            outcome = classify_direct_answer(
-                extract_final_answer(text),
-                ex.meta.get("final_answer", ""),
-                text,
-            )
-        else:
-            outcome = classify_generative(text, base_pred, ex.reference)
+        """One generative trial's record: its prediction's score and
+        class (:meth:`_score`), with a ``metrics`` dict of its own."""
+        trial_metrics, outcome = self._score(idx, text)
         return TrialRecord(
             site=site,
             example_index=idx,
             prediction=text,
             outcome=outcome,
-            metrics=trial_metrics,
-            changed=text != base_pred,
+            metrics=dict(trial_metrics),
+            changed=text != self._baseline_preds[idx],
             selection_changed=self._selection_changed(idx, selections),
             fired=fired,
         )
+
+    def _score(self, idx: int, text: str) -> tuple[dict, Outcome]:
+        """``(metrics, outcome)`` of ``text`` as example ``idx``'s
+        prediction, computed once per campaign (:attr:`_scored`): both
+        are functions of the pair alone, and most trials repeat their
+        example's baseline.  The dict is the memo's — copy, never hand
+        out."""
+        scored = self._scored.get((idx, text))
+        if scored is None:
+            ex = self.examples[idx]
+            if "accuracy" in self.metrics:
+                outcome = classify_direct_answer(
+                    extract_final_answer(text),
+                    ex.meta.get("final_answer", ""),
+                    text,
+                )
+            else:
+                outcome = classify_generative(
+                    text, self._baseline_preds[idx], ex.reference
+                )
+            scored = self._scored[idx, text] = (
+                score_generative(self.metrics, [text], [ex]),
+                outcome,
+            )
+        return scored
 
     def _flight_reference(self, site: FaultSite, ex) -> dict | None:
         """Fault-free layer outputs of the struck forward (flight replay).
@@ -1064,38 +1097,50 @@ class FICampaign:
     # -- waves ---------------------------------------------------------------------
 
     def _wave_capable(self) -> bool:
-        """Whether this campaign's trials may share forwards at all:
-        greedy generative computational-fault trials (a multiple-choice
-        trial has no decode to resume), and nothing that wants a trial
-        to itself — chaos strikes, a flight recorder, or machinery
-        on the engine that :func:`decode_plan` does not batch under.
-        Computational injectors are hooks, one per row; KV-cache and
-        accumulator faults arm the engine's single slot, so they keep
-        the one-trial path."""
+        """Whether this campaign's trials share forwards — the wave is
+        then its only decode loop: greedy generative computational-fault
+        trials (a multiple-choice trial has no decode to share), and
+        nothing that wants a trial to itself — chaos strikes, a flight
+        recorder, expert-selection capture, the speculation-side
+        schedule, or machinery on the engine that :func:`decode_plan`
+        does not batch under.  Computational injectors are hooks, one
+        per row; KV-cache and accumulator faults arm the engine's single
+        slot, so they keep the one-trial path."""
         return (
             self.decode_strategy == "auto"
             and not self.is_mc
             and self.fault_model.is_computational
             and self.generation.num_beams == 1
             and self.chaos is None
+            and not self.track_expert_selection
+            and self.spec_fault_side is None
             and not _flight().active
             and decode_plan(self.engine)[0] == "batched"
         )
 
     def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
-        """Decode those of ``trials`` that resume a golden run as rows
-        of one :class:`DecodeRound`; the rest (iteration-0 strikes, an
-        example off its baseline) are left out of the returned records,
-        for the one-trial path.
+        """Decode ``trials`` as rows of one :class:`DecodeRound`.  Only
+        a trial that needs golden state its example has none of (one off
+        its served baseline) is left out of the returned records, for
+        the one-trial path.
 
-        Each row starts in a pool slot holding a copy of its example's
-        golden state ``S_(k-1)`` (two trials of one example may be in
-        flight, so neither may own the golden run's session), with the
-        budget the golden prefix left and its own injector pinned to the
-        row's id; a retiring row disarms its injector and frees its
-        slot for the next pending trial.  The engine's batched forward
-        is row-exact and every injector is row-scoped, so each row
-        computes exactly what the trial computes decoded alone.
+        A row is one trial in one pool slot, with its own budget and its
+        own injector pinned to the row's id.  A trial struck at
+        iteration ``k >= 1`` starts from a copy of its example's golden
+        state ``S_(k-1)`` (two trials of one example may be in flight,
+        so neither may own the golden run's session) with the budget the
+        golden prefix left.  A trial struck at iteration 0 needs no
+        golden state: the round prefills its prompt into a slot with the
+        injector already armed, and it decodes beside its siblings from
+        there.  That prompt forward carries the row's id
+        (:meth:`DecodeRound.admit`): on the 1-D entry ``batch_row`` is
+        ``None``, which every row-pinned injector answers to, so one
+        that missed its own prefill (an MoE expert no prompt token was
+        routed to) would strike the next sibling's.  A retiring row
+        disarms its injector and frees its slot for the next pending
+        trial.  The engine's batched forward is row-exact and every
+        injector is row-scoped, so each row computes exactly what the
+        trial computes decoded alone.
         """
         tel = _telemetry()
         traced = tel.active
@@ -1104,22 +1149,38 @@ class FICampaign:
         pending = deque(
             (trial, site)
             for trial in trials
-            if self._golden_run(site := self._trial_site(trial, max_iter), trial % n)
-            is not None
+            if (site := self._trial_site(trial, max_iter)).iteration == 0
+            or self._golden_run(site, trial % n) is not None
         )
         records: dict[int, TrialRecord] = {}
         if not pending:
             return records
-        # row key (trial) -> (site, golden prefix, slot, armed injector, t0)
+        # row key (trial) -> (site, golden prefix, the slot this method
+        # acquired (None: the round's own), armed injector, t0)
         live: dict[int, tuple] = {}
 
-        def finish(trial, site, ids: list[int], fired: bool, t0: float) -> None:
-            record = self._gen_record(
-                site, trial % n, self.tokenizer.decode(ids), fired
+        def arm(site, prefix, slot, t0, row) -> None:
+            injector = ComputationalFaultInjector(
+                self.engine, site, batch_row=row.id
             )
-            records[trial] = record
+            live[row.key] = (site, prefix, slot, injector.__enter__(), t0)
+
+        def retire(row) -> None:
+            site, prefix, slot, injector, t0 = live.pop(row.key)
+            injector.__exit__(None, None, None)
+            if slot is not None:
+                pool.release(slot)
+            record = self._gen_record(
+                site,
+                row.key % n,
+                self.tokenizer.decode(prefix + row.out),
+                injector.fired,
+            )
+            records[row.key] = record
             if traced:
-                tel.metrics.counter("engine.prefill_cache_hits").add()
+                # An iteration-0 row resumed nothing.
+                name = "hits" if site.iteration else "misses"
+                tel.metrics.counter(f"engine.prefill_cache_{name}").add()
                 self._tally(record, t0)
 
         with tel.span("campaign.wave", task=self.task_name, trials=len(pending)):
@@ -1130,41 +1191,45 @@ class FICampaign:
                 while pending or rnd.rows:
                     while pending and pool.n_free:
                         trial, site = pending.popleft()
-                        golden = self._golden[trial % n]
                         t0 = time.perf_counter()
-                        slot = pool.acquire()
-                        session, prefix, config = golden.resume(
-                            self.engine, site.iteration, pool.caches(slot)
-                        )
-                        row, _, reason = rnd.admit(
-                            trial, golden.prompt, config.max_new_tokens, session
-                        )
+                        if site.iteration == 0:
+                            ex = self.examples[trial % n]
+                            row, _, reason = rnd.admit(
+                                trial,
+                                self.tokenizer.encode(ex.prompt),
+                                self.generation.max_new_tokens,
+                                before_prefill=partial(arm, site, [], None, t0),
+                            )
+                        else:
+                            golden = self._golden[trial % n]
+                            slot = pool.acquire()
+                            session, prefix, config = golden.resume(
+                                self.engine, site.iteration, pool.caches(slot)
+                            )
+                            row, _, reason = rnd.admit(
+                                trial, golden.prompt, config.max_new_tokens, session
+                            )
+                            arm(site, prefix, slot, t0, row)
                         if reason is not None:
-                            # Unreached strike: the golden run over again.
-                            pool.release(slot)
-                            finish(trial, site, prefix + row.out, False, t0)
-                            continue
-                        injector = ComputationalFaultInjector(
-                            self.engine, site, batch_row=row.id
-                        )
-                        injector.__enter__()
-                        live[trial] = (site, prefix, slot, injector, t0)
+                            # A first token that ends the row; resumed,
+                            # an unreached strike: the golden run again.
+                            retire(row)
                     if traced and rnd.rows:
                         tel.metrics.histogram("campaign.wave.width").observe(
                             len(rnd.rows)
                         )
                     for row, _, reason in rnd.step():
                         if reason is not None:
-                            site, prefix, slot, injector, t0 = live.pop(row.key)
-                            injector.__exit__(None, None, None)
-                            pool.release(slot)
-                            finish(
-                                row.key, site, prefix + row.out, injector.fired, t0
-                            )
+                            retire(row)
             finally:
+                # Empty unless something raised: rows that prefilled
+                # hold slots of the round's, the others ones of ours.
+                for row in list(rnd.rows):
+                    rnd.drop(row)
                 for _, _, slot, injector, _ in live.values():
                     injector.__exit__(None, None, None)
-                    pool.release(slot)
+                    if slot is not None:
+                        pool.release(slot)
         return records
 
     # -- aggregation ---------------------------------------------------------------
@@ -1216,16 +1281,7 @@ class FICampaign:
         if self.is_mc:
             ex = self.examples[idx]
             return 100.0 * float(self._baseline_preds[idx] == ex.answer_index)
-        # Memoized: _aggregate asks for the same (metric, example) once
-        # per trial, and BLEU/ROUGE/chrF re-scoring is not cheap.
-        key = (metric, idx)
-        cached = self._metric_baseline_memo.get(key)
-        if cached is None:
-            cached = score_generative(
-                (metric,), [self._baseline_preds[idx]], [self.examples[idx]]
-            )[metric]
-            self._metric_baseline_memo[key] = cached
-        return cached
+        return self._score(idx, self._baseline_preds[idx])[0][metric]
 
     # -- entry points ------------------------------------------------------------
 

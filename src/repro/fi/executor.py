@@ -188,21 +188,24 @@ def _supervise_serial_trial(
                 time.sleep(sup.retry_backoff * (2 ** (failures - 1)))
 
 
-def _supervise_wave(campaign, trials: list[int], sup: _Supervision) -> dict:
-    """``{trial: record}`` of the trials a wave decoded.  A wave that
-    raises, or outlasts the time one trial is allowed, is repaired and
-    yields nothing: all of ``trials`` are then the one-trial path's,
-    where a deterministic failure is retried and quarantined alone, as
-    ever."""
+def _supervise_wave(
+    campaign, trials: list[int], sup: _Supervision
+) -> tuple[dict, str]:
+    """``{trial: record}`` of the trials a wave decoded, and why the
+    rest run alone: ``off_baseline`` for what the wave left out.  A wave
+    that raises, or outlasts the time one trial is allowed, is repaired
+    and yields nothing: all of ``trials`` are then the one-trial path's
+    (``wave_fallback``), where a deterministic failure is retried and
+    quarantined alone, as ever."""
     try:
         with _trial_alarm(sup.trial_timeout):
-            return campaign._run_wave(trials)
+            return campaign._run_wave(trials), "off_baseline"
     except Exception:  # noqa: BLE001 — the one-trial path owns failures
         campaign._post_failure_repair()
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.wave.fallbacks").add()
-        return {}
+        return {}, "wave_fallback"
 
 
 def run_batch(
@@ -216,17 +219,21 @@ def run_batch(
 
     A campaign whose trials can share forwards takes the batch as one
     wave first; what the wave leaves (and every trial of any other
-    campaign) runs alone.  A unit is that wave, or one attempt of one
-    trial: ``started`` is told each unit's ``(trial, attempt)`` pairs as
-    it begins, which is what lets a supervisor in another process bound
-    a unit's time and know what a death interrupted.
+    campaign) runs alone, counted by reason under
+    ``campaign.lone_trials.*``.  A unit is that wave, or one attempt of
+    one trial: ``started`` is told each unit's ``(trial, attempt)``
+    pairs as it begins, which is what lets a supervisor in another
+    process bound a unit's time and know what a death interrupted.
     """
-    left = dict(batch)
+    left, alone = dict(batch), "not_wave_capable"
     if campaign._wave_capable():
         started(batch)
-        wave = _supervise_wave(campaign, list(left), sup)
+        wave, alone = _supervise_wave(campaign, list(left), sup)
         if wave:
             yield [(trial, record, left.pop(trial) + 1) for trial, record in wave.items()]
+    tel = _telemetry()
+    if left and tel.active:
+        tel.metrics.counter(f"campaign.lone_trials.{alone}").add(len(left))
     for trial, attempts in left.items():
         yield [(trial, *_supervise_serial_trial(campaign, trial, sup, attempts, started))]
 

@@ -11,10 +11,12 @@ same scheduler seen at different depths, so there is exactly one copy:
   and the verify *is* one ``forward_step_batch`` over all rows (each
   row shape-identical to its serial ``Session.step``, so armed
   row-scoped faults strike bit-identically at any width).  Every target
-  forward tags row ``i`` with ``Row.id`` — its admission number, which
-  unlike its position never shifts when a sibling retires — as
-  ``HookContext.batch_row``, so an injector pinned to one sequence
-  stays on it.  With a draft, the draft
+  forward of a round tags row ``i`` with ``Row.id`` — its admission
+  number, which unlike its position never shifts when a sibling retires
+  — as ``HookContext.batch_row``, so an injector pinned to one sequence
+  stays on it; so does the prompt forward of an admission that arms a
+  fault of its own (``before_prefill``), so a sibling's injector cannot
+  strike it instead.  With a draft, the draft
   proposes up to ``depth`` tokens per row (a grouped catch-up chunk plus
   ``depth - 1`` batched steps over its own pool), the target verifies
   each row's ``pending + proposals`` chunk in one
@@ -291,17 +293,23 @@ class DecodeRound:
         prompt: list[int],
         budget: int,
         session: Session | None = None,
-        before_prefill: "Callable[[list[KVCache]], None] | None" = None,
+        before_prefill: "Callable[[Row], None] | None" = None,
     ) -> tuple[Row, list[int], str | None]:
         """Prefill ``prompt`` into a free slot and emit its first token.
 
         ``session`` supplies an already-prefilled target session instead
         (consumed; no target slot is taken).  ``before_prefill`` sees the
-        slot's cache views before the prompt forward — the hook a server
-        arms a slot-pinned KV fault through, so iteration-0 sites strike
-        prefill K/V.  EOS as the first token and one-token budgets retire
-        here; such a row never occupies a slot across a round.  A raise
-        from the forward or the callback releases the slots first.
+        row — its ``id`` and its slot's cache views — before the prompt
+        forward: the hook a request's own fault is armed through, so
+        iteration-0 sites strike the prefill (a server pins a KV fault
+        to ``row.caches``, a campaign wave a computational one to
+        ``row.id``).  That prompt forward is then tagged with the row's
+        id like every later forward of the row: a sibling's row-pinned
+        hook that is still waiting for iteration 0 (an MoE expert its own
+        prompt never routed to) cannot strike it.  EOS as the first
+        token and one-token budgets retire here; such a row never
+        occupies a slot across a round.  A raise from the forward or the
+        callback releases the slots first.
 
         With a ``prompt_cache`` the prompt forward runs only on a miss,
         whose result is then stored; on a hit the slot is restored to the
@@ -323,7 +331,7 @@ class DecodeRound:
             else:
                 row.slot = self.pool.acquire()
                 row.caches = self.pool.caches(row.slot)
-                logits = self._prefill(prompt, row.caches, before_prefill)
+                logits = self._prefill(row, before_prefill)
             row.logits = logits
             reason = _finish_reason(row, accept(logits, (), self.eos_id, row.out)[1])
             if reason is None and self.draft is not None:
@@ -342,14 +350,14 @@ class DecodeRound:
         return row, row.out[:], reason
 
     def _prefill(
-        self,
-        prompt: list[int],
-        caches: list[KVCache],
-        before_prefill: "Callable[[list[KVCache]], None] | None",
+        self, row: Row, before_prefill: "Callable[[Row], None] | None"
     ) -> np.ndarray:
-        """``prompt``'s K/V into ``caches``, returning its ``(1, vocab)``
-        first-token logits: the prompt forward, or with a prompt cache
-        its stored result (the gate is in :meth:`admit`'s docstring)."""
+        """``row.prompt``'s K/V into ``row.caches``, returning its
+        ``(1, vocab)`` first-token logits: the prompt forward — on the
+        rows entry, tagged ``row.id``, when the request carries a fault;
+        bit for bit the 1-D one — or with a prompt cache its stored
+        result (the gate is in :meth:`admit`'s docstring)."""
+        prompt, caches = row.prompt, row.caches
         cache = self.prompt_cache
         outcome, evicted = None, 0
         if cache is not None:
@@ -362,10 +370,14 @@ class DecodeRound:
             if reason not in ("clean", "observer_hooks"):
                 outcome, cache = "bypass." + reason, None
         if before_prefill is not None:
-            before_prefill(caches)
+            before_prefill(row)
         logits = None if cache is None else cache.load(prompt, caches)
         if logits is not None:
             outcome = "hits"
+        elif before_prefill is not None:
+            logits = self.engine.forward_chunk_batch(
+                [prompt], [caches], [0], [0], [row.id]
+            )[0, -1:]
         else:
             logits = self.engine.forward(
                 prompt, caches, start_pos=0, iteration=0

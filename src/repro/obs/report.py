@@ -170,13 +170,17 @@ def _derived_section(run: RunData) -> list[str]:
     if waves:
         # How wide injected trials actually shared forwards.
         width = run.metrics.histogram("campaign.wave.width")
-        fallbacks = counters.get("campaign.wave.fallbacks")
+        # Which trials ran alone all the same, and why.
+        prefix = "campaign.lone_trials."
+        alone = {n[len(prefix):]: count(n) for n in counters if n.startswith(prefix)}
+        why = ", ".join(f"{n} {reason}" for reason, n in sorted(alone.items()))
         lines.append(
             f"waves: {sum(int(s.attrs.get('trials', 0)) for s in waves)} trials"
             f" in {len(waves)} waves, {width.count} shared forwards at mean"
             f" width {width.mean:.1f},"
-            f" {int(fallbacks.value) if fallbacks else 0} waves re-run one"
-            f" trial at a time"
+            f" {count('campaign.wave.fallbacks')} waves re-run one"
+            f" trial at a time, {sum(alone.values())} trials run alone"
+            + (f" ({why})" if why else "")
         )
     if lines:
         lines = ["", "== derived =="] + lines

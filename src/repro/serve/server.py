@@ -67,9 +67,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.generation.decode import GenerationConfig
-from repro.generation.round import DecodeRound, check_draft
+from repro.generation.round import DecodeRound, Row, check_draft
 from repro.inference.engine import InferenceEngine
-from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
+from repro.inference.kvcache import PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
 from repro.serve.admission import (
     ServeRejected,
@@ -492,16 +492,16 @@ class InferenceServer:
         if tel.active:
             tel.metrics.gauge("decode.free_slots").set(self.pool.n_free)
 
-    def _arm_kv_fault(self, request: _Request, caches: list[KVCache]) -> None:
-        """Arm ``request``'s KV fault on its slot, before its prompt
-        forward so iteration-0 sites corrupt prefill K/V.  Pinning to
-        the slot's cache views scopes the strike to this one sequence."""
+    def _arm_kv_fault(self, request: _Request, row: Row) -> None:
+        """Arm ``request``'s KV fault on its row's slot, before its
+        prompt forward so iteration-0 sites corrupt prefill K/V.  Pinning
+        to the slot's cache views scopes the strike to this one sequence."""
         # Lazy import: the serving layer is usable without the FI
         # package, and fi imports the engine this module wraps.
         from repro.fi.injector import KVFaultInjector
 
         request.kv_injector = KVFaultInjector(
-            self.engine, request.kv_fault, caches=caches
+            self.engine, request.kv_fault, caches=row.caches
         ).__enter__()
 
     def _step(self) -> None:

@@ -539,6 +539,31 @@ def test_a_request_fault_goes_around_the_cache(cache_counters):
     assert cache.entries[tuple(PROMPTS[0])] is stored
 
 
+def test_a_faulted_admissions_prefill_carries_its_row_id():
+    """The prompt forward of an admission that arms its own fault is
+    tagged with the row's id, so a hook pinned to a sibling — still
+    waiting for an iteration-0 forward it never got — sits it out; an
+    unfaulted admission keeps the 1-D entry.  Same bits either way."""
+    engine = _target()
+    rnd = DecodeRound(engine, engine.new_pool(3), -1)
+    tags = []
+    detach = engine.hooks.register(
+        "blocks.0.q_proj",
+        lambda out, ctx: tags.append((ctx.iteration, ctx.batch_row)),
+        observer=True,
+    )
+    plain, _, _ = rnd.admit("plain", PROMPTS[0], 2)
+    armed = []
+    faulted, _, _ = rnd.admit("faulted", PROMPTS[0], 2, before_prefill=armed.append)
+    detach()
+    assert armed == [faulted] and faulted.caches is not None
+    assert tags == [(0, None), (0, faulted.id)]
+    assert np.array_equal(plain.logits, faulted.logits)
+    for ours, theirs in zip(faulted.caches, plain.caches):
+        assert np.array_equal(ours.keys(), theirs.keys())
+        assert np.array_equal(ours.values(), theirs.values())
+
+
 def test_lru_eviction_keeps_the_token_budget(cache_counters):
     engine = _target()
     cache = PromptCache(8)

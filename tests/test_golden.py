@@ -129,6 +129,16 @@ def run_counted(camp, n_trials, **kw):
     })
 
 
+def lone_trials(counters) -> dict:
+    """``{reason: trials}`` that ran alone, off a run's full counters."""
+    prefix = "campaign.lone_trials."
+    return {
+        name.removeprefix(prefix): n
+        for name, n in counters.items()
+        if name.startswith(prefix) and n
+    }
+
+
 def golden_length(store, tokenizer, task, ex, **generation):
     config = GenerationConfig(
         **{"max_new_tokens": task.max_new_tokens,
@@ -326,7 +336,8 @@ class TestFastForwardMatchesReference:
         self, trained_store, tokenizer, one
     ):
         """Only a served baseline is a second reference: an example
-        whose golden run disagrees with it decodes in full."""
+        whose golden run disagrees with it decodes in full — and, where
+        the trial needed that run, alone."""
         task, ex, _ = one
         engine = InferenceEngine(trained_store)
         fast = campaign(
@@ -355,12 +366,62 @@ class TestFastForwardMatchesReference:
         serial.compute_baseline()
         assert fast._baseline_preds != serial._baseline_preds
         serial._baseline_preds = list(fast._baseline_preds)
-        result, counters = run_counted(fast, 6)
+        serial._scored.clear()  # outcomes are classified against the baseline
+        result, counters = traced_counters(fast, 6)
         assert_records_equal(result, serial.run(6), "auto", "serial")
-        assert counters["builds"] == 1
-        assert counters["baseline_mismatch"] == 1
-        assert counters["replayed_tokens"] == 0
-        assert counters["prefill_cache_misses"] == 6
+        assert counters["campaign.golden.builds"] == 1
+        assert counters["campaign.golden.baseline_mismatch"] == 1
+        assert counters["campaign.golden.replayed_tokens"] == 0
+        assert counters["engine.prefill_cache_misses"] == 6
+        # A strike at iteration 0 needs no golden state: only the others
+        # were left out of the wave.
+        later = sum(t.site.iteration > 0 for t in result.trials)
+        assert 0 < later < 6
+        assert lone_trials(counters) == {"off_baseline": later}
+
+    def test_each_distinct_prediction_is_scored_once(
+        self, trained_store, tokenizer, world, monkeypatch
+    ):
+        """Most strikes are masked, so most predictions repeat: equal
+        ``(example, prediction)`` pairs share one scoring and one
+        classification, and still every record owns its ``metrics``."""
+        from repro.fi import campaign as campaign_module
+
+        scored = []
+        score = campaign_module.score_generative
+
+        def counting(metrics, predictions, examples):
+            scored.append(len(predictions))
+            return score(metrics, predictions, examples)
+
+        monkeypatch.setattr(campaign_module, "score_generative", counting)
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        result = camp.run(24)
+        calls = list(scored)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(24)
+        assert_results_equal(result, reference, "auto", "serial")
+        groups: dict = {}
+        for t in result.trials:
+            groups.setdefault((t.example_index, t.prediction), []).append(t)
+        assert any(len(group) > 1 for group in groups.values())
+        owned = {id(t.metrics) for t in result.trials}
+        assert len(owned) == 24
+        for pair, group in groups.items():
+            memo = camp._scored[pair][0]
+            assert id(memo) not in owned
+            assert all(t.metrics == memo for t in group)
+            assert all(t.metrics == r.metrics for t, r in zip(group, group[1:]))
+        baselines = set(enumerate(camp._baseline_preds))
+        # One corpus-level baseline score, then one per distinct pair.
+        assert calls == [3] + [1] * len(set(groups) | baselines)
+        # A caller who edits a record's metrics edits nothing else.
+        result.trials[0].metrics.clear()
+        assert all(t.metrics for t in result.trials[1:])
+        assert all(metrics for metrics, _ in camp._scored.values())
 
     def test_beam_baseline_is_the_unstruck_beam_trial(
         self, trained_store, tokenizer, world

@@ -541,6 +541,8 @@ class TestReport:
         for live_rows in (8, 6, 1):
             tel.metrics.histogram("campaign.wave.width").observe(live_rows)
         tel.metrics.counter("campaign.wave.fallbacks").add()
+        tel.metrics.counter("campaign.lone_trials.wave_fallback").add(5)
+        tel.metrics.counter("campaign.lone_trials.off_baseline").add(2)
         path = tel.flush(tmp_path / "run.jsonl", seed=3, command="test")
         text = report_path(path)
         golden = (
@@ -558,7 +560,8 @@ class TestReport:
         ) in text
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"
-            " 1 waves re-run one trial at a time"
+            " 1 waves re-run one trial at a time, 7 trials run alone"
+            " (2 off_baseline, 5 wave_fallback)"
         ) in text
         assert "campaign.trial" in text
         assert "engine.layer_ms.blocks.0.q_proj" in text

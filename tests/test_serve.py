@@ -335,15 +335,12 @@ class TestStreamTerminationEdges:
             FaultModel.KV_1BIT, "blocks.0.kv", 1, 2, bits=(30,),
             iteration=2, row_frac=0.5, plane="v",
         )
-        real, calls = untrained_engine.forward, []
+        def faulted_prefill_fails(*args, **kw):
+            # The second admission's: a request that carries a fault
+            # prefills on the rows entry, tagged with its row's id.
+            raise RuntimeError("boom")
 
-        def second_prefill_fails(*args, **kw):
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("boom")
-            return real(*args, **kw)
-
-        untrained_engine.forward = second_prefill_fails
+        untrained_engine.forward_chunk_batch = faulted_prefill_fails
         server = InferenceServer(untrained_engine, _config(), max_batch=2)
         handles = [
             server.submit(PROMPTS[0]),

@@ -1,13 +1,15 @@
 """Waves: injected trials that share forwards, eight to a round.
 
-Under ``decode_strategy="auto"`` the greedy computational-fault trials
-that resume a golden run decode as rows of one ``DecodeRound`` — each in
-its own pool slot, with its own budget and its own row-pinned injector.
-The engine's batched forward is row-exact, so every record must equal
-the one-trial-at-a-time reference bit for bit
+Under ``decode_strategy="auto"`` greedy computational-fault trials
+decode as rows of one ``DecodeRound`` — each in its own pool slot, with
+its own budget and its own row-pinned injector, resumed from its
+example's golden run or, struck at iteration 0, prefilled into the slot
+under that injector.  The engine's batched forward is row-exact, so
+every record must equal the one-trial-at-a-time reference bit for bit
 (:mod:`repro.fi.differential`); the tests below also pin *that* waves
-ran, from the counters, and what happens at their edges: a journal cut
-mid-wave, a trial that raises inside one, a wave that times out, and
+ran and that no trial ran beside them, from the counters, and what
+happens at their edges: a journal cut mid-wave, a trial that raises
+inside one, an admission that raises, a wave that times out, and
 everything that must keep a trial to itself.  Pool workers run the same
 batches the in-process leg does, so they form waves too — and a worker
 lost mid-wave loses nothing.
@@ -34,6 +36,7 @@ from repro.obs import flight_recorder, telemetry
 from repro.tasks import GSM8kTask, SquadTask, SummarizationTask, TranslationTask
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
+from tests.test_golden import lone_trials
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
 COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
@@ -78,7 +81,6 @@ class TestWavesMatchTheReference:
         assert_results_equal(fast, reference, "waves", "serial")
         # Not vacuous: trials did share forwards ...
         in_waves = sum(span.attrs["trials"] for span in waves)
-        assert in_waves > N_TRIALS // 2
         assert width["count"] > 0 and width["max"] > 1
         assert counters["campaign.wave.fallbacks"] == 0
         # ... the per-trial tallies kept their totals ...
@@ -91,10 +93,13 @@ class TestWavesMatchTheReference:
             counters["engine.prefill_cache_hits"]
             + counters["engine.prefill_cache_misses"]
         ) == N_TRIALS
-        # ... the plan is counted once per wave, once per lone trial ...
-        assert counters["decode.plan.batched.row_scoped_hooks"] == len(waves) + (
-            N_TRIALS - in_waves
+        # ... every trial was a wave row, resumed or prefilled there,
+        # and the plan is counted once per wave ...
+        assert in_waves == N_TRIALS and not lone_trials(counters)
+        assert counters["engine.prefill_cache_misses"] == sum(
+            t.site.iteration == 0 for t in fast.trials
         )
+        assert counters["decode.plan.batched.row_scoped_hooks"] == len(waves)
         # ... and a finished run leaves nothing armed and no slot held.
         assert len(camp.engine.hooks) == 0
         assert camp._kv_pool.n_free == camp._kv_pool.n_slots
@@ -159,6 +164,7 @@ class TestWhatKeepsATrialToItself:
         _, counters, waves, _ = run_traced(camp, 9)
         assert not waves
         assert counters["campaign.trials"] == 9
+        assert lone_trials(counters) == {"not_wave_capable": 9}
 
     def test_an_armed_flight_recorder(self, trained_store, tokenizer, world):
         recorder = flight_recorder()
@@ -185,6 +191,136 @@ class TestWhatKeepsATrialToItself:
         ).run(9)
         assert not waves
         assert_records_equal(fast, reference, "hooked auto", "serial")
+
+
+def _experts_only(name):
+    return ".experts." in name
+
+
+class TestIterationZeroRows:
+    """A trial struck at iteration 0 resumes nothing: it runs its own
+    prompt forward into a wave slot, injector armed, and decodes beside
+    its siblings.  ``max_fault_iterations=1`` makes every trial one."""
+
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    def test_auto_equals_serial(
+        self, request, tokenizer, world, store, fault_model, n_workers
+    ):
+        store = request.getfixturevalue(store)
+        task = TranslationTask(world)
+        camp = campaign(store, tokenizer, task, fault_model, max_fault_iterations=1)
+        try:
+            fast, counters, waves, width = run_traced(
+                camp, N_TRIALS, n_workers=n_workers
+            )
+        finally:
+            camp.close_pool()
+        reference = campaign(
+            store, tokenizer, task, fault_model,
+            max_fault_iterations=1, decode_strategy="serial",
+        ).run(N_TRIALS)
+        assert_results_equal(fast, reference, "iteration-0 rows", "serial")
+        assert not any(t.site.iteration for t in fast.trials)
+        assert sum(span.attrs["trials"] for span in waves) == N_TRIALS
+        assert width["max"] > 1 and not lone_trials(counters)
+        # A row that prefilled resumed nothing, and is tallied so.
+        assert counters["engine.prefill_cache_misses"] == N_TRIALS
+        assert counters["engine.prefill_cache_hits"] == 0
+        assert counters["campaign.golden.replayed_tokens"] == 0
+
+    def test_an_unfired_injector_never_strikes_a_sibling(
+        self, moe_store, tokenizer, world
+    ):
+        """An expert no prompt token is routed to never runs, so its
+        injector outlives its own prefill — and must sit out every
+        sibling's, which is why those carry their row's id."""
+        task = SummarizationTask(world)
+        kw = dict(max_fault_iterations=1, layer_filter=_experts_only)
+        fast, counters, waves, _ = run_traced(
+            campaign(moe_store, tokenizer, task, FaultModel.COMP_2BIT, **kw), 48
+        )
+        reference = campaign(
+            moe_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial", **kw,
+        ).run(48)
+        assert_results_equal(fast, reference, "iteration-0 rows", "serial")
+        unfired = [t for t in fast.trials if not t.fired]
+        assert unfired and not any(t.changed for t in unfired)
+        assert sum(span.attrs["trials"] for span in waves) == 48
+        assert not lone_trials(counters)
+
+    def test_an_admission_that_raises_leaves_nothing_behind(
+        self, trained_store, tokenizer, world
+    ):
+        task = TranslationTask(world)
+        camp = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            max_fault_iterations=1,
+        )
+        camp.compute_baseline()
+        pool = camp._kv_slots()
+        prefill, calls = camp.engine.forward_chunk_batch, []
+
+        def failing(*args, **kw):
+            calls.append(args)
+            if len(calls) == 3:  # two rows live, the third's slot acquired
+                raise RuntimeError("boom")
+            return prefill(*args, **kw)
+
+        camp.engine.forward_chunk_batch = failing
+        with pytest.raises(RuntimeError, match="boom"):
+            camp._run_wave(list(range(9)))
+        assert pool.n_free == pool.n_slots
+        assert len(camp.engine.hooks) == 0
+        camp._post_failure_repair()
+        assert camp._kv_slots().n_free == camp._kv_slots().n_slots
+        # As a run: the wave falls back, once, and nothing is lost.
+        calls.clear()
+        result, counters, _, _ = run_traced(camp, 9, retry_backoff=0.0)
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            max_fault_iterations=1, decode_strategy="serial",
+        ).run(9)
+        assert_results_equal(result, reference, "after the raise", "serial")
+        assert counters["campaign.wave.fallbacks"] == 1
+        assert lone_trials(counters) == {"wave_fallback": 9}
+        assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
+        assert len(camp.engine.hooks) == 0
+
+    def test_resume_from_a_journal_cut_mid_wave(
+        self, trained_store, tokenizer, world, tmp_path
+    ):
+        """Rows of both kinds in the wave the journal was cut in."""
+        task = TranslationTask(world)
+        kw = dict(max_fault_iterations=2)
+        ck = tmp_path / "campaign.jsonl"
+        full = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT, **kw
+        ).run(N_TRIALS, checkpoint=ck)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(ck.read_text().splitlines(keepends=True)[:6]))
+        resumed, counters, waves, _ = run_traced(
+            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, **kw),
+            N_TRIALS, checkpoint=cut, resume=True,
+        )
+        assert_results_equal(resumed, full, "resumed", "uninterrupted")
+        assert_results_equal(
+            resumed,
+            campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+                decode_strategy="serial", **kw,
+            ).run(N_TRIALS),
+            "resumed", "serial",
+        )
+        assert counters["campaign.resume_skipped"] == 5
+        assert sum(s.attrs["trials"] for s in waves) == N_TRIALS - 5
+        assert counters["engine.prefill_cache_misses"] == sum(
+            t.site.iteration == 0 for t in full.trials[5:]
+        ) > 0
+        assert counters["engine.prefill_cache_hits"] > 0
+        assert sorted(load_checkpoint(cut)[1]) == list(range(N_TRIALS))
 
 
 class TestWaveEdges:
@@ -245,6 +381,7 @@ class TestWaveEdges:
         )
         # The victim's wave fell back, once; the waves after it ran.
         assert counters["campaign.wave.fallbacks"] == 1
+        assert lone_trials(counters) == {"wave_fallback": N_TRIALS}
         assert counters["campaign.quarantined"] == 1
         assert counters["campaign.trials"] == N_TRIALS
         assert len(camp.engine.hooks) == 0
@@ -271,6 +408,7 @@ class TestWaveEdges:
         assert stalled
         assert_results_equal(result, reference, "after the timeout", "serial")
         assert counters["campaign.wave.fallbacks"] == 1
+        assert lone_trials(counters) == {"wave_fallback": 9}
 
 
 class TestWavesInWorkers:
