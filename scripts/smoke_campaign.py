@@ -11,14 +11,17 @@ asserts one forensic record per trial lands in the exported run — the
 input for ``repro obs explain`` / ``repro obs export-trace`` in the CI
 forensics job.  ``--fault`` picks the fault model: the default weight
 fault never resumes a golden run, a transient one (``2bits-comp``) does,
-in waves.  ``--max-fault-iterations 1`` strikes every trial at
-iteration 0 — the wave rows that prefill under their injector instead
-of resuming.
+in waves.  Given more than once, the campaigns run back to back on the
+one engine in the one telemetry run, as a study's fault-model cells do:
+the first decodes the golden runs, the others start from them
+(``campaign.golden.shared``).  ``--max-fault-iterations 1`` strikes
+every trial at iteration 0 — the wave rows that prefill under their
+injector instead of resuming.
 
 Usage::
 
     PYTHONPATH=src python scripts/smoke_campaign.py [out.jsonl] \
-        [--workers N] [--flight] [--fault MODEL] [--max-fault-iterations K]
+        [--workers N] [--flight] [--fault MODEL]... [--max-fault-iterations K]
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=0)
     parser.add_argument(
         "--fault",
-        default=FaultModel.MEM_2BIT.value,
+        action="append",
         choices=[model.value for model in FaultModel],
-        help="fault model to inject (default: %(default)s)",
+        help="fault model to inject; repeat for one campaign each, back to"
+        f" back on one engine (default: {FaultModel.MEM_2BIT.value})",
     )
     parser.add_argument(
         "--max-fault-iterations",
@@ -68,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         help="arm the per-trial flight recorder and assert its records",
     )
     args = parser.parse_args(argv)
+    faults = args.fault or [FaultModel.MEM_2BIT.value]
+    n_trials = args.trials * len(faults)
     out = Path(
         args.out or Path(tempfile.gettempdir()) / "repro_smoke_run.jsonl"
     )
@@ -99,25 +105,31 @@ def main(argv: list[str] | None = None) -> int:
     engine = InferenceEngine(model.to_store(), weight_policy="bf16")
 
     task = TranslationTask(world)
-    campaign = FICampaign(
-        engine=engine,
-        tokenizer=tokenizer,
-        task_name=task.name,
-        metrics=task.metrics,
-        examples=standardized_subset(task, 4),
-        fault_model=FaultModel(args.fault),
-        seed=11,
-        generation=GenerationConfig(
-            max_new_tokens=task.max_new_tokens,
-            eos_id=tokenizer.vocab.eos_id,
-        ),
-        max_fault_iterations=args.max_fault_iterations,
-    )
+    examples = standardized_subset(task, 4)
     recorder = flight_recorder()
     if args.flight:
         recorder.reset()
         recorder.arm()
-    result = campaign.run(args.trials, n_workers=args.workers)
+    results = []
+    for fault in faults:
+        campaign = FICampaign(
+            engine=engine,
+            tokenizer=tokenizer,
+            task_name=task.name,
+            metrics=task.metrics,
+            examples=examples,
+            fault_model=FaultModel(fault),
+            seed=11,
+            generation=GenerationConfig(
+                max_new_tokens=task.max_new_tokens,
+                eos_id=tokenizer.vocab.eos_id,
+            ),
+            max_fault_iterations=args.max_fault_iterations,
+        )
+        try:
+            results.append(campaign.run(args.trials, n_workers=args.workers))
+        finally:
+            campaign.close_pool()
     flight_records = recorder.drain() if args.flight else []
     recorder.disarm()
     tel.flush(
@@ -125,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
         config={
             "task": task.name,
             "trials": args.trials,
-            "fault": args.fault,
+            "fault": ",".join(faults),
             "max_fault_iterations": args.max_fault_iterations,
-            "examples": len(campaign.examples),
+            "examples": len(examples),
             "smoke": True,
         },
         command="smoke-campaign",
@@ -138,12 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     # The smoke fails loudly if the telemetry stream is missing any of
     # the signals the acceptance criteria require.
     counters = tel.metrics.counters
-    assert counters["campaign.trials"].value == args.trials
-    assert result.n_trials == args.trials
+    assert counters["campaign.trials"].value == n_trials
+    assert [result.n_trials for result in results] == [args.trials] * len(faults)
     assert any(
         name.startswith("engine.layer_ms.") for name in tel.metrics.histograms
     ), "per-layer timing missing"
-    assert tel.metrics.histogram("campaign.trial_ms").count == args.trials
+    assert tel.metrics.histogram("campaign.trial_ms").count == n_trials
     # Trials decode through ``generate_ids`` or, every one of a
     # wave-capable campaign's, as rows of a wave's shared forwards.
     assert (
@@ -154,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         name.startswith("campaign.outcome.") for name in counters
     ), "outcome tallies missing"
     if args.flight:
-        assert len(flight_records) == args.trials, (
-            f"expected {args.trials} flight records,"
+        assert len(flight_records) == n_trials, (
+            f"expected {n_trials} flight records,"
             f" got {len(flight_records)}"
         )
         assert all(r.get("front") for r in flight_records), (

@@ -23,7 +23,10 @@ slot under that injector (:meth:`FICampaign._run_wave`).  The wave is
 such a campaign's only decode loop; a trial that still runs alone is
 counted, by reason, under ``campaign.lone_trials.*``.  Most strikes
 never reach the output, so each distinct ``(example, prediction)`` is
-scored and classified once (:meth:`FICampaign._gen_record`).
+scored and classified once (:meth:`FICampaign._gen_record`) — and the
+fault-free passes everything above starts from are decoded once per
+engine and example set, not once per campaign
+(:meth:`FICampaign.compute_baseline`, :mod:`repro.fi.golden`).
 
 This module is what a trial *is*: its identity and sampling, the
 one-trial path, the wave, the baseline, the aggregation.  *How* trials
@@ -62,7 +65,14 @@ from repro.fi.executor import (
     _Supervision,
 )
 from repro.fi.fault_models import FaultModel
-from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.golden import (
+    GoldenOptions,
+    GoldenRun,
+    SharedBaseline,
+    leave_shared,
+    take_shared,
+    weights_digest,
+)
 from repro.fi.injector import (
     ComputationalFaultInjector,
     MemoryFaultInjector,
@@ -181,10 +191,14 @@ class CampaignResult:
         return table
 
 
-_DECODE_BATCH = 8
+_DECODE_BATCH = 16
 """Continuous-batching width of a campaign's decode rounds: the
 golden-run sweep that is its fault-free baseline and the waves injected
-trials decode in."""
+trials decode in.  A batched step costs a fixed part (about a third of
+it at width 6) plus a part per ragged row, so the wider round is fewer,
+fuller steps; the slots are sized to what the cell can reach
+(:meth:`FICampaign._kv_slots`), which is what keeps sixteen of them
+inside the memory eight ``max_seq`` ones took."""
 
 
 class FICampaign:
@@ -303,11 +317,25 @@ class FICampaign:
         built by the baseline sweep, which reads the baseline off it,
         and inherited by forked pool workers copy-on-write.  Empty where
         no pass is kept (:meth:`_keeps_golden`); ``None`` marks an
-        example whose golden run disagreed with a *served* baseline."""
+        example whose golden run disagreed with a *served* baseline.
+        The dict is this campaign's; the passes may be the ones an
+        earlier campaign on this engine swept (:mod:`repro.fi.golden`),
+        and are never written."""
+        self._token_ids: list = [
+            self._encode_mc(ex) if self.is_mc else tokenizer.encode(ex.prompt)
+            for ex in self.examples
+        ]
+        """Per example, the token ids its fault-free pass runs over,
+        encoded once: the prompt's, or ``(prompt, options)`` for
+        multiple choice."""
         self._kv_pool: PooledKVCache | None = None
         """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
         run over (the golden sweep, waves, option rows), one after the
         other."""
+        self._lone_caches: list | None = None
+        """The caches a trial that runs alone rewinds its example's
+        golden run into (:meth:`_eval_gen`): one set per campaign,
+        allocated on first use."""
         self._scored: dict[tuple[int, str], tuple[dict, Outcome]] = {}
         """``(example index, prediction text) -> (metrics, outcome)``:
         a generative prediction is scored and classified once per
@@ -474,9 +502,14 @@ class FICampaign:
     def _eval_gen(self, ex: GenExample, golden: GoldenRun | None = None,
                   k: int = 0) -> str:
         """Decode ``ex``; with ``golden``, only from iteration ``k`` on."""
-        session, prefix, config = (
-            golden.resume(self.engine, k) if golden else (None, [], self.generation)
-        )
+        if golden is None:
+            session, prefix, config = None, [], self.generation
+        else:
+            if self._lone_caches is None:
+                self._lone_caches = self.engine.new_caches()
+            session, prefix, config = golden.resume(
+                self.engine, k, self._lone_caches
+            )
         ids = generate_ids(
             self.engine,
             self.tokenizer.encode(ex.prompt),
@@ -598,12 +631,45 @@ class FICampaign:
     # -- baseline ----------------------------------------------------------------
 
     def compute_baseline(self) -> dict:
-        """Fault-free predictions + metrics over all examples (cached)."""
+        """Fault-free predictions + metrics over all examples (cached).
+
+        Where the campaign keeps golden passes (:meth:`_keeps_golden`)
+        and no server decoded the baseline, the sweep is the engine's,
+        not the campaign's: an earlier campaign on this engine over the
+        same weights, examples and decoding config left its passes, the
+        baseline read off them and their scores with the engine
+        (:func:`repro.fi.golden.take_shared`), and this one starts from
+        them — ``campaign.golden.shared`` counts the passes taken,
+        ``.builds`` the ones decoded, and the two sum to the example
+        count.  Otherwise it sweeps (after the stale entry is dropped)
+        and leaves its own.  ``serial``, expert tracking, a hooked or
+        armed engine and a served baseline neither read nor fill the
+        entry; pool workers never get here (they inherit the baseline
+        through the fork).
+        """
         if self._baseline_preds is not None:
             return self._baseline_metrics
         selections: list = [None] * len(self.examples)
         preds = self._serve_baseline()
+        key = None
         if preds is None and self._keeps_golden():
+            key = self._shared_key()
+            entry = take_shared(self.engine, key)
+            tel = _telemetry()
+            if tel.active:
+                # Beside ``.builds``, which the sweep counts: always
+                # there, so the two sum to the example count by name.
+                kind = "mc_golden" if self.is_mc else "golden"
+                tel.metrics.counter(f"campaign.{kind}.shared").add(
+                    len(entry.passes) if entry is not None else 0
+                )
+            if entry is not None:
+                self._golden = dict(enumerate(entry.passes))
+                self._baseline_preds = list(entry.preds)
+                self._baseline_selections = selections
+                self._baseline_metrics = dict(entry.metrics)
+                self._scored = dict(entry.scored)
+                return self._baseline_metrics
             self._build_golden()
             preds = [
                 self._fault_free(ex, golden)
@@ -632,7 +698,33 @@ class FICampaign:
             )
             for idx, pred in enumerate(preds):
                 self._score(idx, pred)
+        if key is not None:
+            leave_shared(self.engine, SharedBaseline(
+                key, list(self._golden.values()), list(preds),
+                dict(self._baseline_metrics), dict(self._scored),
+            ))
         return self._baseline_metrics
+
+    def _shared_key(self) -> tuple:
+        """Everything this campaign's fault-free passes, the baseline
+        read off them and its scores are a function of: the weights as
+        stored now, every example's token ids, the decoding config, and
+        the examples' content (references, answers) and metric names the
+        scores were computed against."""
+        if self.is_mc:
+            ids = tuple(
+                (tuple(prompt), tuple(map(tuple, options)))
+                for prompt, options in self._token_ids
+            )
+        else:
+            ids = tuple(map(tuple, self._token_ids))
+        return (
+            weights_digest(self.engine),
+            ids,
+            self.generation,
+            tuple(self._example_ids),
+            tuple(self.metrics),
+        )
 
     # -- one trial ---------------------------------------------------------------
 
@@ -702,8 +794,28 @@ class FICampaign:
         metrics.counter(f"campaign.outcome.{record.outcome.name.lower()}").add()
 
     def _kv_slots(self) -> PooledKVCache:
+        """The campaign's KV slots, each as long as its cell can reach
+        and no longer: the longest prompt plus the decode budget (for
+        multiple choice the longest ``prompt + option``), plus one, and
+        never more than ``max_seq``.  A shorter slot changes the stride
+        of a K/V view and no value in it; an overflow raises the
+        ``ValueError`` a ``max_seq`` slot raises."""
         if self._kv_pool is None:
-            self._kv_pool = self.engine.new_pool(_DECODE_BATCH)
+            cfg = self.engine.config
+            if self.is_mc:
+                reach = max(
+                    len(prompt) + max(map(len, options))
+                    for prompt, options in self._token_ids
+                )
+            else:
+                reach = (
+                    max(map(len, self._token_ids))
+                    + self.generation.max_new_tokens
+                )
+            self._kv_pool = PooledKVCache(
+                cfg.n_blocks, _DECODE_BATCH, cfg.n_heads,
+                min(cfg.max_seq, reach + 1), cfg.head_dim,
+            )
         return self._kv_pool
 
     def _golden_eligible(self, site: FaultSite) -> bool:
@@ -752,24 +864,25 @@ class FICampaign:
         """Every example's fault-free pass, in one sweep over the
         campaign's KV slots: one decode round (generative), one rows
         forward per example and option length (multiple choice).
+        :meth:`compute_baseline` calls it only when the engine holds no
+        passes for this key (and leaves the result with the engine).
 
         A baseline that exists already was decoded elsewhere, by a
         server: the two references are compared, never mixed — an
         example whose run is off the served one keeps none and decodes
-        in full."""
+        in full.  Those passes are this campaign's second reference and
+        its alone: the engine's entry is neither read nor replaced, and
+        the ``None`` marks go into this campaign's own dict."""
         pool = self._kv_slots()
         if self.is_mc:
             passes = [
-                GoldenOptions.build(self.engine, *self._encode_mc(ex), pool)
-                for ex in self.examples
+                GoldenOptions.build(self.engine, prompt, options, pool)
+                for prompt, options in self._token_ids
             ]
         else:
             count_plan(*decode_plan(self.engine))
             passes = GoldenRun.decode_many(
-                self.engine,
-                [self.tokenizer.encode(ex.prompt) for ex in self.examples],
-                self.generation,
-                pool,
+                self.engine, self._token_ids, self.generation, pool
             )
         for idx, pred in enumerate(self._baseline_preds or ()):
             if self._fault_free(self.examples[idx], passes[idx]) != pred:
@@ -1193,10 +1306,9 @@ class FICampaign:
                         trial, site = pending.popleft()
                         t0 = time.perf_counter()
                         if site.iteration == 0:
-                            ex = self.examples[trial % n]
                             row, _, reason = rnd.admit(
                                 trial,
-                                self.tokenizer.encode(ex.prompt),
+                                self._token_ids[trial % n],
                                 self.generation.max_new_tokens,
                                 before_prefill=partial(arm, site, [], None, t0),
                             )

@@ -46,11 +46,13 @@ __all__ = [
     "run_batch",
 ]
 
-_WAVE_TRIALS = 64
+_WAVE_TRIALS = 128
 """Most trials one batch takes when they can share forwards (eight
-rounds' width).  Long enough that back-filled rows keep the round near
-its full width; short enough that the journal — written batch by batch
-— trails the decode by a fraction of a second, and that a wave fits the
+generations of a campaign's sixteen-row round).  Long enough that
+back-filled rows keep the round near its full width — a wave's tail,
+where the last rows decode with fewer and fewer siblings, is paid once
+per batch — short enough that the journal — written batch by batch —
+trails the decode by a fraction of a second, and that a wave fits the
 time one trial is allowed (``trial_timeout`` bounds each wave as a
 whole)."""
 

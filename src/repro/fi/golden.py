@@ -36,10 +36,29 @@ forwards.
 **Unreached strikes.**  When the run ended at EOS after ``n`` tokens the
 forwards tagged ``1..n`` exist and no other; a strike at ``k > n`` never
 fires, so that trial *is* the golden run and needs no forward at all.
+
+**Who owns a pass.**  The engine it was computed on, not the campaign
+that happened to compute it: a study sweeps every (model, task) pair
+under several fault models, and the cells of one pair — same engine,
+same weights, same examples, same decoding config — would decode the
+same passes again.  :data:`_SHARED` keeps, per engine and weakly keyed
+by it, the *one* example set its latest campaign swept
+(:class:`SharedBaseline`: the passes, the baseline read off them and the
+scores that seed ``FICampaign._scored``) under a key of everything they
+are a function of (:func:`weights_digest`, every example's token ids,
+the ``GenerationConfig``, what the scores were computed against).
+:func:`take_shared` hands a campaign with the same key the entry and drops
+one with another key *before* that campaign decodes its own, so an
+engine never has more than one example set resident.  Passes are
+immutable once built and shared read-only (a rewind writes into caches
+the caller hands it); :func:`forget` drops an engine's entry for a cold
+baseline.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +76,7 @@ from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.flight import flight_recorder as _flight
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["GoldenRun", "GoldenOptions"]
+__all__ = ["GoldenRun", "GoldenOptions", "SharedBaseline", "forget"]
 
 
 @dataclass(eq=False)
@@ -72,10 +91,8 @@ class GoldenRun:
     """``logits[j]`` is forward ``j``'s output; ``len(ids)`` entries,
     plus the EOS-producing one when the run ended at EOS."""
     snaps: list[tuple[np.ndarray, np.ndarray, int]]
-    session: Session | None = None
-    """Where :meth:`rewind` restores when it is given no caches: one
-    session, allocated on first use (and again for another engine) and
-    rewound in place (never forked: a fork allocates ``max_seq`` buffers)."""
+    """One full-length K/V snapshot per block.  Like every field, never
+    written after the build: campaigns share a run (:data:`_SHARED`)."""
 
     @classmethod
     def decode_many(
@@ -130,19 +147,14 @@ class GoldenRun:
         return cls.decode_many(engine, [prompt], config)[0]
 
     def rewind(
-        self, engine: InferenceEngine, j: int, caches: list[KVCache] | None = None
+        self, engine: InferenceEngine, j: int, caches: list[KVCache]
     ) -> Session:
-        """A session of ``engine`` at ``S_j`` over ``caches`` — a wave
-        row's pool slot, several trials of one example being in flight
-        at once — or, by default, the run's own :attr:`session`, rewound
-        in place (consumed by the decode it is handed to; the next
-        rewind reclaims it)."""
-        if caches is None:
-            if self.session is None or self.session.engine is not engine:
-                self.session = _blank_session(engine, engine.new_caches())
-            session = self.session
-        else:
-            session = _blank_session(engine, caches)
+        """A session of ``engine`` at ``S_j`` over ``caches``, rewound
+        in place: a wave row's pool slot, several trials of one example
+        being in flight at once, or the scratch caches a campaign keeps
+        for the trials it runs alone.  The run keeps nothing of it: the
+        session is consumed by the decode it is handed to."""
+        session = _blank_session(engine, caches)
         length = len(self.prompt) + j
         for cache, snap in zip(session.caches, self.snaps):
             cache.restore(snap, length)
@@ -152,7 +164,7 @@ class GoldenRun:
         return session
 
     def resume(
-        self, engine: InferenceEngine, k: int, caches: list[KVCache] | None = None
+        self, engine: InferenceEngine, k: int, caches: list[KVCache]
     ) -> tuple[Session, list[int], GenerationConfig]:
         """What a trial struck at iteration ``k >= 1`` still has to do:
         decode the returned session (see :meth:`rewind` for ``caches``)
@@ -336,3 +348,71 @@ class GoldenOptions:
             if option in group
         )
         return self._rescore(engine, pool, first_block, g, slice(row, row + 1))[0]
+
+
+# ----------------------------------------------------------------------------
+# One fault-free pass per engine and example set.
+# ----------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class SharedBaseline:
+    """What a baseline sweep leaves with its engine for the next
+    campaign over the same weights, examples and decoding config."""
+
+    key: tuple
+    passes: "list[GoldenRun] | list[GoldenOptions]"
+    preds: list
+    metrics: dict
+    scored: dict
+    """The ``FICampaign._scored`` seeds: ``(idx, text) -> (metrics,
+    outcome)`` of every baseline prediction."""
+
+
+_SHARED: "weakref.WeakKeyDictionary[InferenceEngine, SharedBaseline]" = (
+    weakref.WeakKeyDictionary()
+)
+"""Engine -> its single entry.  Weakly keyed, and nothing in an entry
+refers to the engine, so the passes go when the engine does.  One entry,
+not a table: a study visits a (model, task) pair's fault-model cells
+back to back, and a second resident example set would be memory no
+campaign holds today."""
+
+
+def weights_digest(engine: InferenceEngine) -> bytes:
+    """A content hash of every faultable weight as the forward reads it.
+
+    A pass must never outlive the weights it was decoded on.  A write
+    epoch on :class:`~repro.inference.storage.WeightStore` would miss the
+    writers that bypass it (``mitigation/weight_guard.py`` zeroes
+    ``store.array`` elements directly), so the key is the content: about
+    half a millisecond per 0.65 MB of stores, against the tens a sweep
+    costs.  Norm gains, embeddings and the head are fault-free by
+    construction (no store, no injector, no guard writes them)."""
+    digest = hashlib.sha256()
+    for name in engine.linear_layer_names():
+        digest.update(np.ascontiguousarray(engine.weight_store(name).array))
+    return digest.digest()
+
+
+def take_shared(engine: InferenceEngine, key: tuple) -> SharedBaseline | None:
+    """``engine``'s entry when it was swept under ``key``.  An entry
+    under another key is dropped here, before the caller decodes its own
+    passes, so never two example sets are resident on one engine."""
+    entry = _SHARED.get(engine)
+    if entry is None:
+        return None
+    if entry.key != key:
+        del _SHARED[engine]
+        return None
+    return entry
+
+
+def leave_shared(engine: InferenceEngine, entry: SharedBaseline) -> None:
+    """Leave ``entry`` with ``engine``, in place of whatever it held."""
+    _SHARED[engine] = entry
+
+
+def forget(engine: InferenceEngine) -> None:
+    """Drop ``engine``'s entry: its next campaign sweeps a cold baseline."""
+    _SHARED.pop(engine, None)

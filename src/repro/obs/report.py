@@ -138,7 +138,9 @@ def _derived_section(run: RunData) -> list[str]:
             lines.append(f"SDC rate: {sdc / total:.3f} over {int(total)} trials")
     if "campaign.golden.builds" in counters:
         # Which path each generative trial took (repro.fi.golden): resumed
-        # from its example's golden run, or prefilled and decoded in full.
+        # from its example's golden run, or prefilled and decoded in full;
+        # and how many of the runs were decoded here against taken from an
+        # earlier campaign on the same engine, examples and config.
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
         # A run is compared with the baseline only when a server decoded
@@ -152,7 +154,8 @@ def _derived_section(run: RunData) -> list[str]:
             f"golden runs: {resumed} of {trials} generative trials resumed"
             f" ({count('campaign.golden.replayed_tokens')} decode steps"
             f" replayed, {count('campaign.golden.unreached')} strikes never"
-            f" reached, {count('campaign.golden.builds')} runs built{off})"
+            f" reached, {count('campaign.golden.builds')} runs built,"
+            f" {count('campaign.golden.shared')} reused{off})"
         )
     if "campaign.mc_golden.builds" in counters:
         # Reach-limited option scoring: one block pass is one option row
@@ -164,7 +167,8 @@ def _derived_section(run: RunData) -> list[str]:
             f"mc golden: {skipped} of {passes} block passes skipped"
             f" ({skipped / max(1, passes):.3f}),"
             f" {count('campaign.mc_golden.rows_reused')} option rows reused,"
-            f" {count('campaign.mc_golden.builds')} passes built"
+            f" {count('campaign.mc_golden.builds')} passes built,"
+            f" {count('campaign.mc_golden.shared')} reused"
         )
     waves = [span for span in run.spans if span.name == "campaign.wave"]
     if waves:

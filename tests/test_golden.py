@@ -307,7 +307,6 @@ class TestFastForwardMatchesReference:
             )
             run = camp._golden[trial % len(camp.examples)]
             mine = camp._run_trial(trial)
-            before_fork = run.session
             theirs = worker._run_trial(trial)
         finally:
             camp.close_pool()
@@ -324,13 +323,15 @@ class TestFastForwardMatchesReference:
         for idx, inherited in worker._golden.items():
             assert inherited.ids is camp._golden[idx].ids
             assert inherited.snaps is camp._golden[idx].snaps
-        # A run holds no engine: the worker's trial stepped the worker's
-        # arena-attached one, not through the session the parent left.
+        # A run holds no engine and no session: the worker's trial
+        # stepped the worker's arena-attached engine, handed to the rewind.
         layer = worker.engine.linear_layer_names()[0]
         assert not worker.engine.weight_store(layer).array.flags.writeable
-        assert before_fork.engine is camp.engine
-        assert run.session is not before_fork
-        assert run.session.engine is worker.engine
+        assert worker.engine is not camp.engine
+        assert not any(
+            isinstance(value, InferenceEngine) or hasattr(value, "engine")
+            for value in vars(run).values()
+        )
 
     def test_baseline_mismatch_falls_back_to_full_decode(
         self, trained_store, tokenizer, one
@@ -995,3 +996,339 @@ class TestReachLimitedOptions:
         assert camp._kv_pool.n_free == camp._kv_pool.n_slots
         # The repair drops the slots, not the passes: none was rebuilt.
         assert counters["campaign.mc_golden.builds"] == len(camp._golden) == 3
+
+
+# -- one fault-free pass per engine and example set ----------------------------------
+
+
+_REFERENCES: dict = {}
+"""``(model, fault model) -> (cold auto result, serial result)``, run
+once: the ``workers`` legs of the matrix below compare against the same."""
+
+
+def shared_counters(counters, kind="golden") -> tuple[int, int]:
+    return (
+        counters[f"campaign.{kind}.builds"], counters[f"campaign.{kind}.shared"]
+    )
+
+
+def alive(refs) -> int:
+    return sum(ref() is not None for ref in refs)
+
+
+class TestSharedPasses:
+    """The fault-free passes stay with the engine they were computed on
+    (``repro.fi.golden._SHARED``): a later campaign on the same engine,
+    weights, examples and decoding config decodes none — whatever its
+    fault model — and anything else rebuilds, after the stale entry is
+    dropped."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("fault_model", FaultModel.extended(), ids=lambda m: m.value)
+    @pytest.mark.parametrize("model", ["dense", "moe"])
+    def test_a_warm_campaign_equals_a_cold_one_and_the_serial_route(
+        self, trained_store, moe_store, tokenizer, world, model, fault_model, workers
+    ):
+        store = trained_store if model == "dense" else moe_store
+        task = TranslationTask(world)
+        if (model, fault_model) not in _REFERENCES:
+            cold, counters = traced_counters(
+                campaign(store, tokenizer, task, fault_model), 12
+            )
+            assert shared_counters(counters) == (3, 0)
+            serial = campaign(
+                store, tokenizer, task, fault_model, decode_strategy="serial"
+            ).run(12)
+            _REFERENCES[model, fault_model] = cold, serial
+        cold, serial = _REFERENCES[model, fault_model]
+        # Two computational cells first, as a study visits a (model,
+        # task) pair: the mechanism is blind to the fault model.
+        engine = InferenceEngine(store)
+        for earlier in (FaultModel.COMP_1BIT, FaultModel.COMP_2BIT):
+            campaign(store, tokenizer, task, earlier, engine=engine).run(3)
+        camp = campaign(store, tokenizer, task, fault_model, engine=engine)
+        try:
+            warm, counters = traced_counters(camp, 12, n_workers=workers)
+        finally:
+            camp.close_pool()
+        assert shared_counters(counters) == (0, 3)
+        assert_results_equal(warm, cold, "warm", "cold")
+        assert_results_equal(warm, serial, "warm", "serial")
+        if workers:
+            assert counters["campaign.shared_attach"] == workers
+
+    @pytest.mark.parametrize(
+        "fault_model", [FaultModel.MEM_2BIT, FaultModel.COMP_2BIT], ids=lambda m: m.value
+    )
+    def test_option_passes_are_shared_too(
+        self, trained_store, tokenizer, world, fault_model
+    ):
+        task = MMLUTask(world)
+        engine = InferenceEngine(trained_store)
+        first = campaign(trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine)
+        first.compute_baseline()
+        camp = campaign(trained_store, tokenizer, task, fault_model, engine=engine)
+        warm, counters = traced_counters(camp, 12)
+        assert shared_counters(counters, "mc_golden") == (0, 3)
+        assert all(camp._golden[i] is first._golden[i] for i in range(3))
+        assert camp._golden is not first._golden
+        cold, counters = traced_counters(
+            campaign(trained_store, tokenizer, task, fault_model), 12
+        )
+        assert shared_counters(counters, "mc_golden") == (3, 0)
+        assert_results_equal(warm, cold, "warm", "cold")
+        assert_results_equal(
+            warm,
+            campaign(
+                trained_store, tokenizer, task, fault_model, decode_strategy="serial"
+            ).run(12),
+            "warm", "serial",
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        ["examples", "max_new_tokens", "num_beams", "engine", "storage", "weights"],
+    )
+    def test_anything_else_rebuilds_after_the_old_entry_is_dropped(
+        self, trained_store, tokenizer, world, change, monkeypatch
+    ):
+        import weakref
+
+        from repro.fi import golden as golden_module
+
+        task = TranslationTask(world)
+        examples = standardized_subset(task, 4)
+        engine = InferenceEngine(trained_store)
+        first = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT, examples[:3],
+            engine=engine,
+        )
+        first.compute_baseline()
+        old = [weakref.ref(run) for run in first._golden.values()]
+        old_arrays = [weakref.ref(run.snaps[0][0]) for run in first._golden.values()]
+        del first
+        assert alive(old) == 3  # the engine holds them, not the campaign
+
+        kw = dict(engine=engine)
+        subset = examples[:3]
+        if change == "examples":
+            subset = examples[1:]
+        elif change == "max_new_tokens":
+            kw["generation"] = dict(max_new_tokens=task.max_new_tokens - 1)
+        elif change == "num_beams":
+            kw["generation"] = dict(num_beams=2, max_new_tokens=6)
+        elif change == "engine":
+            kw["engine"] = InferenceEngine(trained_store)
+        elif change == "storage":
+            kw["engine"] = InferenceEngine(trained_store, weight_policy="int8")
+        elif change == "weights":
+            # For good, and behind every WeightStore method's back — as
+            # mitigation/weight_guard.py scrubs.
+            engine.weight_store(engine.linear_layer_names()[0]).array[0, 0] += 1.0
+
+        # Evicted before the rebuild: when the first forward of the new
+        # sweep runs, nothing of the old example set is alive any more
+        # (on another engine object the old entry is not this one's to drop).
+        seen = []
+        same_engine = kw["engine"] is engine
+        build = FICampaign._build_golden
+
+        def building(self):
+            seen.append(alive(old) + alive(old_arrays))
+            return build(self)
+
+        monkeypatch.setattr(FICampaign, "_build_golden", building)
+        second = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_1BIT, subset, **kw
+        )
+        result, counters = traced_counters(second, 8)
+        assert shared_counters(counters) == (3, 0)
+        assert seen == [0 if same_engine else 6]
+        assert golden_module._SHARED[second.engine].passes == list(
+            second._golden.values()
+        )
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_1BIT, subset,
+            decode_strategy="serial", **{**kw, "engine": None},
+        )
+        if change == "storage":
+            reference.engine = InferenceEngine(trained_store, weight_policy="int8")
+        if change == "weights":
+            reference.engine.weight_store(
+                reference.engine.linear_layer_names()[0]
+            ).array[0, 0] += 1.0
+        assert_results_equal(result, reference.run(8), "rebuilt", "serial")
+
+    def test_dropping_the_engine_frees_the_entry(
+        self, trained_store, tokenizer, world
+    ):
+        import gc
+        import weakref
+
+        from repro.fi import golden as golden_module
+
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        # A KV-fault campaign's lone trials rewind into caches of the
+        # campaign's, not a session the run keeps: nothing in an entry
+        # may hold the engine it is keyed by.
+        camp = campaign(trained_store, tokenizer, task, FaultModel.KV_2BIT, engine=engine)
+        camp.run(6)
+        runs = [weakref.ref(run) for run in camp._golden.values()]
+        assert engine in golden_module._SHARED
+        gone = weakref.ref(engine)
+        del camp, engine
+        gc.collect()
+        assert gone() is None and alive(runs) == 0
+
+    def test_forget_makes_the_next_baseline_cold(
+        self, trained_store, tokenizer, world
+    ):
+        from repro.fi.golden import forget
+
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine
+        ).compute_baseline()
+        forget(engine)
+        forget(engine)  # nothing left: not an error
+        _, counters = traced_counters(
+            campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine), 3
+        )
+        assert shared_counters(counters) == (3, 0)
+
+    def test_what_keeps_no_pass_neither_reads_nor_fills(
+        self, trained_store, tokenizer, world
+    ):
+        from repro.fi import golden as golden_module
+
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        for kw in (dict(decode_strategy="serial"), dict(track_expert_selection=True)):
+            campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine, **kw
+            ).compute_baseline()
+            assert engine not in golden_module._SHARED
+        filled = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
+        filled.compute_baseline()
+        entry = golden_module._SHARED[engine]
+        # A hooked engine keeps no pass — and leaves the entry alone.
+        detach = engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+        hooked = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
+        _, counters = traced_counters(hooked, 3)
+        assert hooked._golden == {} and shared_counters(counters) == (0, 0)
+        assert golden_module._SHARED[engine] is entry
+        detach()
+
+    def test_a_served_mismatch_marks_its_own_dict_only(
+        self, trained_store, tokenizer, world
+    ):
+        """A served baseline is compared with passes of the campaign's
+        own: the ``None`` it leaves is in that campaign's dict, and the
+        engine's entry serves the next campaign whole."""
+        from repro.fi import golden as golden_module
+
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        first = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
+        first.compute_baseline()
+        entry = golden_module._SHARED[engine]
+
+        served = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
+        server = InferenceServer(engine, served.generation).start()
+        submit, n = server.submit, []
+
+        class Drifted:
+            def __init__(self, handle, drift):
+                self.handle, self.drift = handle, drift
+
+            def result(self):
+                ids = self.handle.result()
+                return ids[:-1] if self.drift else ids
+
+        def drifting(*args, **kw):
+            n.append(1)
+            return Drifted(submit(*args, **kw), drift=len(n) == 1)
+
+        server.submit = drifting
+        try:
+            served.attach_server(server)
+            served.compute_baseline()
+        finally:
+            server.stop()
+        _, counters = traced_counters(served, 6)
+        assert counters["campaign.golden.baseline_mismatch"] == 1
+        assert shared_counters(counters) == (3, 0)
+        assert served._golden[0] is None
+        assert golden_module._SHARED[engine] is entry
+        assert entry.passes == list(first._golden.values())
+        assert None not in entry.passes
+
+        third = campaign(trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine)
+        result, counters = traced_counters(third, 9)
+        assert shared_counters(counters) == (0, 3)
+        assert_results_equal(
+            result,
+            campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_1BIT,
+                decode_strategy="serial",
+            ).run(9),
+            "after the served campaign", "serial",
+        )
+
+    def test_a_repaired_campaign_still_resumes_shared_passes(
+        self, trained_store, tokenizer, world
+    ):
+        task = TranslationTask(world)
+        engine = InferenceEngine(trained_store)
+        campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine
+        ).compute_baseline()
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
+        run_wave, raised = camp._run_wave, []
+
+        def raising(wave):
+            if not raised:
+                raised.append(len(wave))
+                camp._kv_slots().acquire()  # a slot the wave never gives back
+                raise RuntimeError("boom")
+            return run_wave(wave)
+
+        camp._run_wave = raising
+        result, counters = traced_counters(camp, 12, retry_backoff=0.0)
+        assert raised == [12]
+        assert shared_counters(counters) == (0, 3)
+        assert counters["campaign.wave.fallbacks"] == 1
+        assert counters["engine.prefill_cache_hits"] > 0
+        assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
+        assert camp._kv_slots().n_free == camp._kv_slots().n_slots
+        assert_results_equal(
+            result,
+            campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+                decode_strategy="serial",
+            ).run(12),
+            "after the repair", "serial",
+        )
+        # And the campaign after it starts from the same passes.
+        _, counters = traced_counters(
+            campaign(trained_store, tokenizer, task, FaultModel.KV_1BIT, engine=engine), 3
+        )
+        assert shared_counters(counters) == (0, 3)
+
+    def test_the_shared_baseline_is_a_pure_observer_of_telemetry(
+        self, trained_store, tokenizer, world
+    ):
+        """Armed == unarmed: the counters observe the sharing, the
+        records do not depend on who is watching."""
+        task = TranslationTask(world)
+        results = []
+        for traced in (True, False):
+            engine = InferenceEngine(trained_store)
+            campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine
+            ).compute_baseline()
+            camp = campaign(trained_store, tokenizer, task, FaultModel.ACC_2BIT, engine=engine)
+            results.append(traced_counters(camp, 9)[0] if traced else camp.run(9))
+        assert_results_equal(*results, "telemetry on", "telemetry off")

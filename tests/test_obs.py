@@ -527,9 +527,11 @@ class TestReport:
             "engine.prefill_cache_hits": 3,
             "engine.prefill_cache_misses": 1,
             "campaign.golden.builds": 2,
+            "campaign.golden.shared": 4,
             "campaign.golden.replayed_tokens": 17,
             "campaign.golden.unreached": 1,
             "campaign.mc_golden.builds": 3,
+            "campaign.mc_golden.shared": 5,
             "campaign.mc_golden.block_passes": 64,
             "campaign.mc_golden.block_passes_skipped": 24,
             "campaign.mc_golden.rows_reused": 6,
@@ -547,7 +549,7 @@ class TestReport:
         text = report_path(path)
         golden = (
             "golden runs: 3 of 4 generative trials resumed (17 decode steps"
-            " replayed, 1 strikes never reached, 2 runs built"
+            " replayed, 1 strikes never reached, 2 runs built, 4 reused"
         )
         assert golden + ")" in text
         # Only a served baseline is compared with the runs.
@@ -556,7 +558,7 @@ class TestReport:
         assert golden + ", 1 off the baseline)" in report_path(served)
         assert (
             "mc golden: 24 of 64 block passes skipped (0.375), 6 option rows"
-            " reused, 3 passes built"
+            " reused, 3 passes built, 5 reused"
         ) in text
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"

@@ -255,18 +255,19 @@ def test_property_greedy_prefix_stability(prompt, n_tokens):
 def test_property_golden_rewind_equals_fresh_steps(prompt, eos, data):
     """The state a golden run restores at ``j`` is, byte for byte, the
     state of a fresh session stepped ``j`` times — whatever an earlier
-    trial left in the shared session."""
+    trial left in the caches it is rewound into."""
     engine = _prop_engine()
     run = GoldenRun.decode(
         engine, prompt, GenerationConfig(max_new_tokens=6, eos_id=eos)
     )
     states = st.integers(min_value=0, max_value=len(run.logits) - 1)
     # An earlier trial: resumed somewhere, decoded something else.
-    dirty = run.rewind(engine, data.draw(states))
+    caches = engine.new_caches()
+    dirty = run.rewind(engine, data.draw(states), caches)
     for token in data.draw(st.lists(st.integers(0, VOCAB - 1), max_size=4)):
         dirty.step(token)
     j = data.draw(states)
-    restored = run.rewind(engine, j)
+    restored = run.rewind(engine, j, caches)
     fresh = engine.start_session(prompt)
     for token in run.ids[:j]:
         fresh.step(token)

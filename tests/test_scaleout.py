@@ -245,7 +245,8 @@ class TestBatches:
             (80, 2, True, 40),  # 40 + 40: a worker's even share
             (6, 4, True, 2),  # at most 2 each, no worker left idle
             (1000, 2, True, _WAVE_TRIALS),  # never more than a wave's worth
-            (80, 0, True, _WAVE_TRIALS),  # in this process
+            (80, 0, True, 80),  # in this process: the whole cell, one wave
+            (300, 0, True, _WAVE_TRIALS),
             (80, 2, False, 1),  # trials that keep to themselves
             (80, 0, False, 1),
         ],

@@ -1,4 +1,4 @@
-"""Waves: injected trials that share forwards, eight to a round.
+"""Waves: injected trials that share forwards, sixteen to a round.
 
 Under ``decode_strategy="auto"`` greedy computational-fault trials
 decode as rows of one ``DecodeRound`` — each in its own pool slot, with
@@ -31,9 +31,16 @@ from repro.fi import (
     assert_results_equal,
     load_checkpoint,
 )
+from repro.fi.campaign import _DECODE_BATCH
 from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
-from repro.tasks import GSM8kTask, SquadTask, SummarizationTask, TranslationTask
+from repro.tasks import (
+    GSM8kTask,
+    MMLUTask,
+    SquadTask,
+    SummarizationTask,
+    TranslationTask,
+)
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
 from tests.test_golden import lone_trials
@@ -409,6 +416,102 @@ class TestWaveEdges:
         assert_results_equal(result, reference, "after the timeout", "serial")
         assert counters["campaign.wave.fallbacks"] == 1
         assert lone_trials(counters) == {"wave_fallback": 9}
+
+
+class TestSixteenWideOverReachSizedSlots:
+    def test_a_full_width_wave_equals_the_one_trial_path(
+        self, trained_store, tokenizer, world
+    ):
+        """Rows retire while siblings decode on and pending trials take
+        their slots: each record is the one the trial leaves when it
+        runs alone (``_run_trial``: resumed from the same golden run, or
+        prefilled, with the engine to itself)."""
+        task = SummarizationTask(world)
+        n = 3 * _DECODE_BATCH
+        wave_camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        wave_camp.compute_baseline()
+        pool = wave_camp._kv_slots()
+        widths, release = [], pool.release
+        freed_at: list[int] = []
+
+        def releasing(slot):
+            freed_at.append(len(widths))
+            release(slot)
+
+        pool.release = releasing
+        step = wave_camp.engine.forward_step_batch
+
+        def stepping(tokens, *args, **kw):
+            widths.append(len(tokens))
+            return step(tokens, *args, **kw)
+
+        wave_camp.engine.forward_step_batch = stepping
+        records = wave_camp._run_wave(list(range(n)))
+        assert sorted(records) == list(range(n))
+        assert max(widths) == _DECODE_BATCH == pool.n_slots == 16
+        # A row retired mid-wave and the step after it ran full again:
+        # its slot was back-filled.
+        assert any(
+            0 < at < len(widths) and widths[at] == _DECODE_BATCH for at in freed_at
+        )
+        alone = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        alone.compute_baseline()
+        assert_records_equal(
+            [records[trial] for trial in range(n)],
+            [alone._run_trial(trial) for trial in range(n)],
+            "wave rows", "one trial at a time",
+        )
+        assert pool.n_free == pool.n_slots and len(wave_camp.engine.hooks) == 0
+
+    def test_slots_are_as_long_as_the_cell_can_reach(
+        self, trained_store, tokenizer, world
+    ):
+        max_seq = InferenceEngine(trained_store).config.max_seq
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        longest = max(len(tokenizer.encode(ex.prompt)) for ex in camp.examples)
+        slots = camp._kv_slots()
+        reach = longest + task.max_new_tokens + 1
+        assert reach < max_seq
+        assert slots.n_slots == _DECODE_BATCH
+        assert {view.max_seq for view in slots.caches(0)} == {reach}
+        # Never longer than the model's own limit.
+        roomy = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            generation=dict(max_new_tokens=4 * max_seq),
+        )
+        assert roomy._kv_slots().caches(0)[0].max_seq == max_seq
+        # Multiple choice scores ``prompt + option`` and decodes nothing.
+        mc = campaign(trained_store, tokenizer, MMLUTask(world), FaultModel.MEM_2BIT)
+        longest = max(
+            len(tokenizer.encode(ex.prompt)) + max(len(tokenizer.encode(o)) for o in ex.options)
+            for ex in mc.examples
+        )
+        assert mc._kv_slots().caches(0)[0].max_seq == longest + 1
+        # A repaired campaign sizes its fresh pool the same way.
+        camp._post_failure_repair()
+        assert camp._kv_slots() is not slots
+        assert camp._kv_slots().caches(0)[0].max_seq == reach
+
+    def test_overflow_raises_what_a_max_seq_slot_raises(
+        self, trained_store, tokenizer, world
+    ):
+        task = TranslationTask(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
+        engine = camp.engine
+        short, full = camp._kv_slots(), engine.new_pool(1)
+        errors = []
+        for pool in (short, full):
+            slot = pool.acquire()
+            caches = pool.caches(slot)
+            room = caches[0].max_seq
+            engine.forward([1] * room, caches, start_pos=0, iteration=0)
+            with pytest.raises(ValueError, match="KV cache overflow") as err:
+                engine.forward_step_batch([1], [caches], [room], [1])
+            errors.append(type(err.value))
+            pool.release(slot)
+        assert errors == [ValueError, ValueError]
+        assert short.caches(0)[0].max_seq < full.caches(0)[0].max_seq
 
 
 class TestWavesInWorkers:
