@@ -2,9 +2,12 @@
 
 Runs one tiny campaign per new fault model — serial and under a
 2-worker pool — and holds the two executions bit-identical via the
-differential oracle, then runs the draft-vs-target speculation study
-and asserts the masking theorem on the measured rates (draft-side
-faults never produce SDCs; the masking rate over fired trials is 1.0).
+differential oracle; runs a ``1bit-kv`` campaign attached to a live
+``InferenceServer`` (every trial one tenant request carrying its KV
+fault) and holds it bit-identical to the same campaign detached; then
+runs the draft-vs-target speculation study and asserts the masking
+theorem on the measured rates (draft-side faults never produce SDCs;
+the masking rate over fired trials is 1.0).
 
 Everything is built in-memory (untrained tiny models): the smoke
 proves mechanics and execution-path equivalence, not model quality.
@@ -29,6 +32,8 @@ from repro.fi import (
 from repro.generation import GenerationConfig
 from repro.inference import InferenceEngine
 from repro.model import ModelConfig, TransformerLM
+from repro.obs import telemetry
+from repro.serve import InferenceServer
 from repro.tasks import TranslationTask, World, standardized_subset
 from repro.training import build_tokenizer
 
@@ -86,6 +91,36 @@ def main(argv: list[str] | None = None) -> int:
             f" {group.group}, {fired} fired,"
             f" sdc_rate={serial.sdc_rate:.2f} (serial == 2 workers)"
         )
+
+    # The live-server mode: the campaign's trials are tenant requests,
+    # each KV fault pinned to its request's slot; its baseline stays the
+    # local golden sweep.  Traced, so the served requests are counted.
+    attached = campaign(FaultModel.KV_1BIT)
+    tel = telemetry()
+    tel.reset()
+    with InferenceServer(attached.engine, attached.generation, max_batch=4) as server:
+        attached.attach_server(server)
+        tel.enable()
+        try:
+            served = attached.run(args.trials)
+            counters = tel.metrics.snapshot()["counters"]
+        finally:
+            tel.disable()
+            tel.reset()
+        attached.detach_server()
+    local = attached.run(args.trials)
+    assert_results_equal(served, local, "served", "detached")
+    requests = int(counters.get("serve.tenant.campaign.requests", 0))
+    if requests != args.trials:
+        print(
+            f"FAIL: {requests} campaign requests served for {args.trials} trials",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"live server: {args.trials} {FaultModel.KV_1BIT.value} trials served"
+        f" as {requests} tenant requests (served == detached)"
+    )
 
     for side in ("draft", "target"):
         spec = dict(

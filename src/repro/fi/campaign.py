@@ -26,7 +26,10 @@ never reach the output, so each distinct ``(example, prediction)`` is
 scored and classified once (:meth:`FICampaign._gen_record`) — and the
 fault-free passes everything above starts from are decoded once per
 engine and example set, not once per campaign
-(:meth:`FICampaign.compute_baseline`, :mod:`repro.fi.golden`).
+(:meth:`FICampaign.compute_baseline`, :mod:`repro.fi.golden`).  Those
+passes are the campaign's one fault-free reference: the baseline is
+read off them, and an attached server (:meth:`FICampaign.attach_server`)
+serves injected KV-fault trials, never a second baseline.
 
 This module is what a trial *is*: its identity and sampling, the
 one-trial path, the wave, the baseline, the aggregation.  *How* trials
@@ -95,7 +98,7 @@ from repro.numerics.stats import (
     log_ratio_ci_means,
     log_ratio_ci_proportions,
 )
-from repro.tasks.base import GenExample, MCExample
+from repro.tasks.base import MCExample
 from repro.tasks.math_task import extract_final_answer
 from repro.text.tokenizer import Tokenizer
 
@@ -311,23 +314,28 @@ class FICampaign:
         self._example_ids = [self._stable_example_id(ex) for ex in self.examples]
         self._baseline_preds: list | None = None
         self._baseline_selections: list | None = None
-        self._golden: dict[int, GoldenRun | GoldenOptions | None] = {}
+        self._golden: dict[int, GoldenRun | GoldenOptions] = {}
         """*The* fault-free pass of each example — its golden run
         (generative tasks) or golden option pass (multiple choice) —
         built by the baseline sweep, which reads the baseline off it,
         and inherited by forked pool workers copy-on-write.  Empty where
-        no pass is kept (:meth:`_keeps_golden`); ``None`` marks an
-        example whose golden run disagreed with a *served* baseline.
-        The dict is this campaign's; the passes may be the ones an
-        earlier campaign on this engine swept (:mod:`repro.fi.golden`),
-        and are never written."""
+        no pass is kept (:meth:`_keeps_golden`).  The dict is this
+        campaign's; the passes may be the ones an earlier campaign on
+        this engine swept (:mod:`repro.fi.golden`), and are never
+        written."""
         self._token_ids: list = [
-            self._encode_mc(ex) if self.is_mc else tokenizer.encode(ex.prompt)
+            (
+                tokenizer.encode(ex.prompt),
+                [tokenizer.encode(option) for option in ex.options],
+            )
+            if self.is_mc
+            else tokenizer.encode(ex.prompt)
             for ex in self.examples
         ]
-        """Per example, the token ids its fault-free pass runs over,
-        encoded once: the prompt's, or ``(prompt, options)`` for
-        multiple choice."""
+        """Per example, its token ids, encoded once — the campaign's
+        only encoding call: the prompt's, or ``(prompt, options)`` for
+        multiple choice.  Everything that runs an example takes its ids
+        from here by example index."""
         self._kv_pool: PooledKVCache | None = None
         """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
         run over (the golden sweep, waves, option rows), one after the
@@ -350,14 +358,10 @@ class FICampaign:
         """True on the copy a pool worker runs (:meth:`_attached`)."""
         self._serve = None
         """Optional attached :class:`~repro.serve.server.InferenceServer`
-        (:meth:`attach_server`): fault-free generative baselines submit
-        as tenant traffic instead of monopolizing the engine."""
+        (:meth:`attach_server`): KV-fault trials run through it as
+        tenant traffic, the fault pinned to the trial request's pool
+        slot while other tenants' streams share the batch."""
         self._serve_tenant = "campaign"
-        self._serve_faults = False
-        """When True (``attach_server(serve_faults=True)``), KV-fault
-        trials also run *through the live server* — the fault is pinned
-        to the campaign request's pool slot while other tenants' streams
-        share the batch (the cross-request blast-radius mode)."""
 
     # -- stable trial identity ---------------------------------------------------
 
@@ -434,17 +438,13 @@ class FICampaign:
 
     # -- shared single-example evaluation --------------------------------------
 
-    def _encode_mc(self, ex: MCExample) -> tuple[list[int], list[list[int]]]:
-        prompt = self.tokenizer.encode(ex.prompt)
-        options = [self.tokenizer.encode(o) for o in ex.options]
-        return prompt, options
-
-    def _eval_mc(self, ex: MCExample) -> int:
-        prompt, options = self._encode_mc(ex)
-        return choose_option(
-            self.engine, prompt, options,
-            strategy="full" if self.decode_strategy == "serial" else "auto",
-        )
+    def _eval_mc(self, idx: int) -> int:
+        """Example ``idx``'s answer by the reference, one full forward
+        per option — counted, on the ``auto`` route, as the plan it
+        took instead of option rows (``decode.plan.per_option.<reason>``)."""
+        if self.decode_strategy == "auto":
+            count_plan("per_option", decode_plan(self.engine)[1])
+        return choose_option(self.engine, *self._token_ids[idx])
 
     def _option_rows(
         self,
@@ -499,9 +499,10 @@ class FICampaign:
             )
         return scores
 
-    def _eval_gen(self, ex: GenExample, golden: GoldenRun | None = None,
+    def _eval_gen(self, idx: int, golden: GoldenRun | None = None,
                   k: int = 0) -> str:
-        """Decode ``ex``; with ``golden``, only from iteration ``k`` on."""
+        """Decode example ``idx``; with ``golden``, only from iteration
+        ``k`` on."""
         if golden is None:
             session, prefix, config = None, [], self.generation
         else:
@@ -512,7 +513,7 @@ class FICampaign:
             )
         ids = generate_ids(
             self.engine,
-            self.tokenizer.encode(ex.prompt),
+            self._token_ids[idx],
             config,
             session=session,
             strategy=self.decode_strategy,
@@ -527,42 +528,35 @@ class FICampaign:
 
     # -- serving integration -----------------------------------------------------
 
-    def attach_server(
-        self, server, tenant: str = "campaign", serve_faults: bool = False
-    ) -> None:
-        """Route fault-free generative baselines through a live
-        :class:`~repro.serve.server.InferenceServer` as tenant traffic.
+    def attach_server(self, server, tenant: str = "campaign") -> None:
+        """Run this KV-fault campaign's injected trials through a live
+        :class:`~repro.serve.server.InferenceServer` as tenant traffic
+        — the cross-request blast-radius mode.
 
-        The campaign becomes *just another tenant*: its baseline sweep
-        competes under the server's admission control and weighted
-        scheduling instead of monopolizing the engine with a blocking
-        library call.  Served tokens are greedy-identical to the local
-        path (the serve equivalence gate), so TrialRecords are
-        unchanged.  By default injected trials keep the exact local
-        reference path — fault arming and serving never mix.
-
-        ``serve_faults=True`` (KV-fault campaigns only) additionally
-        routes *injected* trials through the server: each trial submits
-        its prompt with the sampled KV fault attached, the server arms
-        a :class:`~repro.fi.injector.KVFaultInjector` pinned to that
+        Each trial submits its prompt with the sampled KV fault
+        attached; the server arms a
+        :class:`~repro.fi.injector.KVFaultInjector` pinned to that
         request's pool slot, and the fault decodes mid-batch alongside
-        whatever other tenants are streaming — the cross-request
-        blast-radius mode.  Slot pinning scopes the corruption to the
-        campaign's own stream (asserted by the stream-isolation tests),
-        so concurrent tenant traffic is measured, not forbidden.
+        whatever other tenants are streaming.  Slot pinning scopes the
+        corruption to the campaign's own stream (asserted by the
+        stream-isolation tests), so concurrent tenant traffic is
+        measured, not forbidden, and the records equal the local run's.
+        The baseline stays the local golden sweep.  Only greedy,
+        generative, single-engine KV-fault campaigns can attach: every
+        other fault arms engine-global state.
         """
         if self.is_mc:
             raise ValueError("serving integration is generative-only")
-        if serve_faults and not self.fault_model.is_kv:
+        if not self.fault_model.is_kv:
             raise ValueError(
-                "serve_faults mode is KV-fault-only:"
+                "attach_server is KV-fault-only:"
                 f" {self.fault_model.value} faults arm engine-global state"
             )
-        if serve_faults and self.generation.num_beams != 1:
-            raise ValueError("serve_faults mode requires greedy decoding")
-        if serve_faults and self.spec_fault_side is not None:
+        if self.generation.num_beams != 1:
+            raise ValueError("attach_server requires greedy decoding")
+        if self.spec_fault_side is not None:
             raise ValueError(
-                "serve_faults and spec_fault_side are mutually exclusive"
+                "attach_server and spec_fault_side are mutually exclusive"
             )
         if server.engine is not self.engine:
             raise ValueError("server must wrap this campaign's engine")
@@ -575,58 +569,9 @@ class FICampaign:
         server.ensure_tenant(tenant)
         self._serve = server
         self._serve_tenant = tenant
-        self._serve_faults = serve_faults
 
     def detach_server(self) -> None:
         self._serve = None
-        self._serve_faults = False
-
-    def _serve_fallback(self, reason: str) -> None:
-        """An attached server declined the baseline sweep: count the
-        degradation (``serve.campaign_fallback.<reason>``, rendered by
-        ``repro obs report``) so silently falling back to the local
-        decode path is observable instead of invisible."""
-        tel = _telemetry()
-        if tel.active:
-            tel.metrics.counter(f"serve.campaign_fallback.{reason}").add()
-
-    def _serve_baseline(self) -> "list[str] | None":
-        """Submit the baseline sweep as tenant traffic; ``None`` without
-        a server to ask (none attached, ``serial``, expert tracking) or
-        when it cannot take the sweep (not running, beams, armed fault
-        machinery) so the caller falls back to the local path — every
-        decline increments a reason-labelled ``serve.campaign_fallback``
-        counter.  Served tokens are greedy-identical whatever it drafts
-        with."""
-        server = self._serve
-        if (
-            server is None
-            or self.decode_strategy == "serial"
-            or self.track_expert_selection
-        ):
-            return None
-        if not server.running:
-            self._serve_fallback("not_running")
-            return None
-        if self.generation.num_beams != 1:
-            self._serve_fallback("beam_search")
-            return None
-        # The pump does not plan: it steps whatever round it was built
-        # with, so the plan is asked here, for the server's own draft.
-        path, reason = decode_plan(self.engine, server.draft)
-        if path != ("batched" if server.draft is None else "composed"):
-            self._serve_fallback("fault_machinery")
-            return None
-        count_plan(path, reason)
-        handles = [
-            server.submit(
-                self.tokenizer.encode(ex.prompt),
-                tenant=self._serve_tenant,
-                max_new_tokens=self.generation.max_new_tokens,
-            )
-            for ex in self.examples
-        ]
-        return [self.tokenizer.decode(h.result()) for h in handles]
 
     # -- baseline ----------------------------------------------------------------
 
@@ -634,25 +579,23 @@ class FICampaign:
         """Fault-free predictions + metrics over all examples (cached).
 
         Where the campaign keeps golden passes (:meth:`_keeps_golden`)
-        and no server decoded the baseline, the sweep is the engine's,
-        not the campaign's: an earlier campaign on this engine over the
-        same weights, examples and decoding config left its passes, the
-        baseline read off them and their scores with the engine
+        the sweep is the engine's, not the campaign's: an earlier
+        campaign on this engine over the same weights, examples and
+        decoding config left its passes, the baseline read off them and
+        their scores with the engine
         (:func:`repro.fi.golden.take_shared`), and this one starts from
         them — ``campaign.golden.shared`` counts the passes taken,
         ``.builds`` the ones decoded, and the two sum to the example
         count.  Otherwise it sweeps (after the stale entry is dropped)
-        and leaves its own.  ``serial``, expert tracking, a hooked or
-        armed engine and a served baseline neither read nor fill the
-        entry; pool workers never get here (they inherit the baseline
-        through the fork).
+        and leaves its own.  ``serial``, expert tracking and a hooked
+        or armed engine neither read nor fill the entry; pool workers
+        never get here (they inherit the baseline through the fork).
         """
         if self._baseline_preds is not None:
             return self._baseline_metrics
         selections: list = [None] * len(self.examples)
-        preds = self._serve_baseline()
         key = None
-        if preds is None and self._keeps_golden():
+        if self._keeps_golden():
             key = self._shared_key()
             entry = take_shared(self.engine, key)
             tel = _telemetry()
@@ -671,17 +614,14 @@ class FICampaign:
                 self._scored = dict(entry.scored)
                 return self._baseline_metrics
             self._build_golden()
-            preds = [
-                self._fault_free(ex, golden)
-                for ex, golden in zip(self.examples, self._golden.values())
-            ]
-        if preds is None:
+            preds = [self._fault_free(idx, golden) for idx, golden in self._golden.items()]
+        else:
             preds, selections = [], []
-            for ex in self.examples:
+            for idx in range(len(self.examples)):
                 if self.track_expert_selection:
                     self.engine.capture = CaptureState()
                 preds.append(
-                    self._eval_mc(ex) if self.is_mc else self._eval_gen(ex)
+                    self._eval_mc(idx) if self.is_mc else self._eval_gen(idx)
                 )
                 selections.append(self._capture_selections())
                 self.engine.capture = None
@@ -826,10 +766,11 @@ class FICampaign:
         fault (computational, KV-cache or accumulator) timed at
         iteration >= 1 on a generative task.  Memory faults corrupt the
         weights every forward reads, iteration-0 faults strike the
-        prefill itself, and speculation-side and served-fault trials
-        decode through a different schedule entirely — all of those,
-        and every trial of a campaign that keeps no golden runs
-        (:meth:`_keeps_golden`), re-prefill and decode in full.  In
+        prefill itself, and speculation-side trials and the trials of a
+        campaign attached to a server decode through a different
+        schedule entirely — all of those, and every trial of a campaign
+        that keeps no golden runs (:meth:`_keeps_golden`), re-prefill
+        and decode in full.  In
         full is not alone: an iteration-0 trial of a wave-capable
         campaign runs that prompt forward into a wave's slot and decodes
         beside its siblings (:meth:`_run_wave`).
@@ -838,7 +779,7 @@ class FICampaign:
         return not (
             self.is_mc
             or self.spec_fault_side is not None
-            or (self._serve is not None and self._serve_faults)
+            or self._serve is not None
             or not (model.is_computational or model.is_kv or model.is_accumulator)
             or site.iteration == 0
             or not self._keeps_golden()
@@ -865,14 +806,7 @@ class FICampaign:
         campaign's KV slots: one decode round (generative), one rows
         forward per example and option length (multiple choice).
         :meth:`compute_baseline` calls it only when the engine holds no
-        passes for this key (and leaves the result with the engine).
-
-        A baseline that exists already was decoded elsewhere, by a
-        server: the two references are compared, never mixed — an
-        example whose run is off the served one keeps none and decodes
-        in full.  Those passes are this campaign's second reference and
-        its alone: the engine's entry is neither read nor replaced, and
-        the ``None`` marks go into this campaign's own dict."""
+        passes for this key (and leaves the result with the engine)."""
         pool = self._kv_slots()
         if self.is_mc:
             passes = [
@@ -884,22 +818,17 @@ class FICampaign:
             passes = GoldenRun.decode_many(
                 self.engine, self._token_ids, self.generation, pool
             )
-        for idx, pred in enumerate(self._baseline_preds or ()):
-            if self._fault_free(self.examples[idx], passes[idx]) != pred:
-                passes[idx] = None
-                tel = _telemetry()
-                if tel.active:
-                    tel.metrics.counter("campaign.golden.baseline_mismatch").add()
         self._golden = dict(enumerate(passes))
 
-    def _fault_free(self, ex, golden: GoldenRun | GoldenOptions) -> "str | int":
-        """The prediction of the trial no fault fires in, off ``ex``'s pass."""
+    def _fault_free(self, idx: int, golden: GoldenRun | GoldenOptions) -> "str | int":
+        """The prediction of the trial no fault fires in, off example
+        ``idx``'s pass."""
         if self.is_mc:
             return int(np.argmax(golden.scores))
         if self.generation.num_beams == 1:
             return self.tokenizer.decode(golden.ids)
         # The beam search resumed at ``S_0``, as beam trials run it.
-        return self._eval_gen(ex, golden, 1)
+        return self._eval_gen(idx, golden, 1)
 
     def _reach_limited(self, site: FaultSite) -> bool:
         """Whether a multiple-choice trial struck at ``site`` may score
@@ -926,13 +855,10 @@ class FICampaign:
     ) -> GoldenRun | GoldenOptions | None:
         """The example's golden run, when the trial may resume from it
         (:meth:`_golden_eligible`; for a multiple-choice trial its
-        golden option pass, :meth:`_reach_limited`).  The baseline sweep
-        built it, unless a server decoded the baseline: then the first
-        trial to ask builds every example's."""
+        golden option pass, :meth:`_reach_limited`), as the baseline
+        sweep built it."""
         if not (self._reach_limited(site) or self._golden_eligible(site)):
             return None
-        if idx not in self._golden:
-            self._build_golden()
         return self._golden[idx]
 
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
@@ -974,23 +900,17 @@ class FICampaign:
                     self.generation,
                     speculation_depth=self.speculation_depth,
                 )
-                prompt = self.tokenizer.encode(ex.prompt)
                 with inject(side_engine, site) as injector:
                     text = self.tokenizer.decode(
-                        spec.speculate(prompt)
+                        spec.speculate(self._token_ids[idx])
                     )
                 fired = getattr(injector, "fired", True)
-            elif (
-                self._serve_faults
-                and self._serve is not None
-                and self._serve.running
-            ):
+            elif self._serve is not None and self._serve.running:
                 # Live-server blast-radius mode: the fault rides the
                 # campaign's own request into the shared batch, pinned
                 # to that request's pool slot by the server.
-                prompt = self.tokenizer.encode(ex.prompt)
                 handle = self._serve.submit(
-                    prompt,
+                    self._token_ids[idx],
                     tenant=self._serve_tenant,
                     max_new_tokens=self.generation.max_new_tokens,
                     kv_fault=site,
@@ -1014,9 +934,9 @@ class FICampaign:
                             self._option_rows(golden, site, injector)
                         ))
                     elif self.is_mc:
-                        pred_idx = self._eval_mc(ex)
+                        pred_idx = self._eval_mc(idx)
                     else:
-                        text = self._eval_gen(ex, golden, site.iteration)
+                        text = self._eval_gen(idx, golden, site.iteration)
                 fired = getattr(injector, "fired", True)
         finally:
             if detach_front is not None:
@@ -1043,7 +963,7 @@ class FICampaign:
             record = self._gen_record(site, idx, text, fired, selections)
         if recorder.active:
             reference = (
-                self._flight_reference(site, ex)
+                self._flight_reference(site, idx)
                 if recorder.has_front
                 else None
             )
@@ -1104,7 +1024,7 @@ class FICampaign:
             )
         return scored
 
-    def _flight_reference(self, site: FaultSite, ex) -> dict | None:
+    def _flight_reference(self, site: FaultSite, idx: int) -> dict | None:
         """Fault-free layer outputs of the struck forward (flight replay).
 
         The corruption front needs a pristine reference for exactly the
@@ -1133,7 +1053,7 @@ class FICampaign:
         self.engine.capture = None
         try:
             if self.is_mc:
-                prompt, options = self._encode_mc(ex)
+                prompt, options = self._token_ids[idx]
                 return self._captured_forward([*prompt, *options[0]])
             if self.generation.num_beams != 1 or self.spec_fault_side is not None:
                 return None
@@ -1141,7 +1061,7 @@ class FICampaign:
             # model (computational, KV, accumulator) strikes at its
             # sampled iteration.
             strike = 0 if site.fault_model.is_memory else site.iteration
-            prompt = self.tokenizer.encode(ex.prompt)
+            prompt = self._token_ids[idx]
             if strike == 0:
                 return self._captured_forward(prompt)
             session = self.engine.start_session(prompt)
@@ -1232,10 +1152,8 @@ class FICampaign:
         )
 
     def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
-        """Decode ``trials`` as rows of one :class:`DecodeRound`.  Only
-        a trial that needs golden state its example has none of (one off
-        its served baseline) is left out of the returned records, for
-        the one-trial path.
+        """Decode ``trials`` as rows of one :class:`DecodeRound` and
+        return every one's record.
 
         A row is one trial in one pool slot, with its own budget and its
         own injector pinned to the row's id.  A trial struck at
@@ -1259,15 +1177,8 @@ class FICampaign:
         traced = tel.active
         n = len(self.examples)
         max_iter = self._max_fault_iter()
-        pending = deque(
-            (trial, site)
-            for trial in trials
-            if (site := self._trial_site(trial, max_iter)).iteration == 0
-            or self._golden_run(site, trial % n) is not None
-        )
+        pending = deque((trial, self._trial_site(trial, max_iter)) for trial in trials)
         records: dict[int, TrialRecord] = {}
-        if not pending:
-            return records
         # row key (trial) -> (site, golden prefix, the slot this method
         # acquired (None: the round's own), armed injector, t0)
         live: dict[int, tuple] = {}

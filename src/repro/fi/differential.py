@@ -1,8 +1,8 @@
 """Differential oracle: bit-identity between campaign execution paths.
 
 The repo accumulates execution strategies — serial reference loops,
-shared-prefix option scoring, continuous-batched decoding, prefill
-caching, multiprocess pools, checkpoint/resume — and every one of them
+golden runs and option rows, continuous-batched decoding and waves,
+multiprocess pools, checkpoint/resume — and every one of them
 carries the same contract: *the optimization must not change a single
 trial*.  This module is that contract's enforcement point, shared by
 the test suite and usable from notebooks or scripts when validating a

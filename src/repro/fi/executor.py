@@ -192,22 +192,21 @@ def _supervise_serial_trial(
 
 def _supervise_wave(
     campaign, trials: list[int], sup: _Supervision
-) -> tuple[dict, str]:
-    """``{trial: record}`` of the trials a wave decoded, and why the
-    rest run alone: ``off_baseline`` for what the wave left out.  A wave
-    that raises, or outlasts the time one trial is allowed, is repaired
-    and yields nothing: all of ``trials`` are then the one-trial path's
+) -> dict | None:
+    """``{trial: record}`` of every trial of one wave.  A wave that
+    raises, or outlasts the time one trial is allowed, is repaired and
+    yields ``None``: all of ``trials`` are then the one-trial path's
     (``wave_fallback``), where a deterministic failure is retried and
     quarantined alone, as ever."""
     try:
         with _trial_alarm(sup.trial_timeout):
-            return campaign._run_wave(trials), "off_baseline"
+            return campaign._run_wave(trials)
     except Exception:  # noqa: BLE001 — the one-trial path owns failures
         campaign._post_failure_repair()
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.wave.fallbacks").add()
-        return {}, "wave_fallback"
+        return None
 
 
 def run_batch(
@@ -220,18 +219,20 @@ def run_batch(
     ``(trial, record, attempts)`` results, one list per finished unit.
 
     A campaign whose trials can share forwards takes the batch as one
-    wave first; what the wave leaves (and every trial of any other
-    campaign) runs alone, counted by reason under
-    ``campaign.lone_trials.*``.  A unit is that wave, or one attempt of
-    one trial: ``started`` is told each unit's ``(trial, attempt)``
-    pairs as it begins, which is what lets a supervisor in another
-    process bound a unit's time and know what a death interrupted.
+    wave; a wave that fails (and every trial of any other campaign)
+    runs alone, counted by reason under ``campaign.lone_trials.*``.  A
+    unit is that wave, or one attempt of one trial: ``started`` is told
+    each unit's ``(trial, attempt)`` pairs as it begins, which is what
+    lets a supervisor in another process bound a unit's time and know
+    what a death interrupted.
     """
     left, alone = dict(batch), "not_wave_capable"
     if campaign._wave_capable():
         started(batch)
-        wave, alone = _supervise_wave(campaign, list(left), sup)
-        if wave:
+        wave = _supervise_wave(campaign, list(left), sup)
+        if wave is None:
+            alone = "wave_fallback"
+        else:
             yield [(trial, record, left.pop(trial) + 1) for trial, record in wave.items()]
     tel = _telemetry()
     if left and tel.active:

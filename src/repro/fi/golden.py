@@ -6,7 +6,10 @@ fault cannot reach *earlier iterations*: :class:`GoldenRun` is the
 fault-free decode a generative trial resumes from.  No fault can reach
 *earlier blocks*, and a one-shot fault cannot reach the option forwards
 after the one it fired in: :class:`GoldenOptions` is the fault-free
-scoring pass a multiple-choice trial resumes from.
+scoring pass a multiple-choice trial resumes from.  Either is its
+example's only fault-free reference in an ``auto`` campaign: the
+baseline is read off it, and nothing decodes or scores the example
+fault-free a second way.
 
 **Generative trials.**
 

@@ -9,7 +9,11 @@ cumulative probability and the search shifts to an unaffected path.
 
 Multiple-choice tasks are scored, not generated: each option is
 appended to the prompt and the option tokens' summed log-likelihood
-ranks the candidates (§3.3.2).
+ranks the candidates (§3.3.2).  :func:`score_options` is the reference
+for that: one full forward per option, exact under any armed fault.
+The one faster scorer is a campaign's, one level up: the row-exact
+option rows of :class:`repro.fi.golden.GoldenOptions`, ``array_equal``
+to this reference option by option.
 """
 
 from __future__ import annotations
@@ -271,23 +275,20 @@ def generate_ids(
     return out
 
 
-def _clean_logp(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax with non-finite logits (a corrupted run's) clamped."""
-    return log_softmax_np(
-        np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
-    )
-
-
 def option_logp(logits: np.ndarray, option_ids: list[int]) -> float:
     """Summed log-likelihood of ``option_ids`` given the ``(len(option_ids),
     vocab)`` logits that predict them, one row per token.
 
-    The one spelling every option-scoring path shares — the per-option
-    reference, the shared-prefix tails and a campaign's rows forward
-    (:mod:`repro.fi.golden`) — so their scores cannot drift apart: the
-    per-token terms of the clamped log-softmax, summed in float32.
+    The one spelling both option-scoring paths share — the per-option
+    reference and a campaign's rows forward (:mod:`repro.fi.golden`) —
+    so their scores cannot drift apart: the per-token terms of the
+    log-softmax with non-finite logits (a corrupted run's) clamped,
+    summed in float32.
     """
-    return float(_clean_logp(logits)[np.arange(len(option_ids)), option_ids].sum())
+    logp = log_softmax_np(
+        np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
+    )
+    return float(logp[np.arange(len(option_ids)), option_ids].sum())
 
 
 def score_continuation(
@@ -295,11 +296,9 @@ def score_continuation(
 ) -> float:
     """Summed log-likelihood of ``option_ids`` following ``prompt_ids``.
 
-    This is the unshared reference path: one full forward over
-    ``prompt + option``.  It is exact under any active fault injection
-    (a one-shot computational fault strikes exactly one option's
-    forward, as on real hardware) and is what :func:`score_options`
-    runs per option whenever anything but pure observers is armed.
+    One full forward over ``prompt + option``.  It is exact under any
+    active fault injection: a one-shot computational fault strikes
+    exactly one option's forward, as on real hardware.
     """
     if not option_ids:
         raise ValueError("option must contain at least one token")
@@ -312,91 +311,26 @@ def score_options(
     engine: InferenceEngine,
     prompt_ids: list[int],
     options_ids: list[list[int]],
-    strategy: str = "auto",
 ) -> list[float]:
-    """Per-option summed log-likelihood of each option after the prompt.
+    """Per-option summed log-likelihood of each option after the prompt:
+    :func:`score_continuation` per option, in order — the reference,
+    which pays the prompt FLOPs once *per option*.
 
-    ``strategy`` is ``auto`` or ``full``:
-
-    * ``full`` — the reference path: one ``forward_full(prompt+option)``
-      per option (pays the prompt FLOPs once *per option*).
-    * ``auto`` — prefill the prompt once and run all options as one
-      ``(B, t)`` forward against the shared read-only prefix, whenever
-      :func:`~repro.generation.round.decode_plan` finds nothing but
-      pure observers armed (reason ``clean`` or ``observer_hooks`` — the
-      speculation bar: sharing the prompt forward changes which
-      computation a fault or a capture would see); else ``full``.  The
-      choice is counted as ``decode.plan.shared_prefix.<reason>`` or
-      ``decode.plan.per_option.<reason>``.
-
-    Both agree on fault-free engines up to float-associativity (chunked
-    vs. full matmuls); the argmax option is stable in practice and
-    asserted identical by the equivalence tests.
-
-    Under an armed fault this function never shares anything.  What a
-    fault cannot reach *is* shared one level up: an ``auto`` campaign
-    scores a weight- or computational-fault trial from its example's
-    fault-free pass, as rows of one row-exact forward that starts at
-    the struck block (:class:`repro.fi.golden.GoldenOptions`) —
-    ``array_equal`` to ``full`` here, option by option.
+    What a fault cannot reach is shared one level up, never here: an
+    ``auto`` campaign scores its fault-free baseline and its weight- or
+    computational-fault trials from its example's golden option pass,
+    as rows of one row-exact forward (:class:`repro.fi.golden.GoldenOptions`)
+    — ``array_equal`` to this list, option by option.
     """
     if not options_ids:
         raise ValueError("need at least one option to score")
-    for option in options_ids:
-        if not option:
-            raise ValueError("option must contain at least one token")
-    if strategy == "auto":
-        reason = decode_plan(engine)[1]
-        shared = reason in ("clean", "observer_hooks")
-        count_plan("shared_prefix" if shared else "per_option", reason)
-    elif strategy == "full":
-        shared = False
-    else:
-        raise ValueError(f"unknown option-scoring strategy {strategy!r}")
-    if not shared:
-        return [
-            score_continuation(engine, prompt_ids, option)
-            for option in options_ids
-        ]
-
-    session = engine.start_session(prompt_ids)
-    prompt_len = len(prompt_ids)
-    # Every option's first token is predicted by the one prompt forward.
-    first_logp = _clean_logp(session.last_logits)
-    scores = [float(first_logp[option[0]]) for option in options_ids]
-    # Only tokens whose *output* is read need a forward: feeding
-    # option[:-1] produces the rows predicting option[1:].
-    tails = [option[:-1] for option in options_ids]
-    longest = max(len(tail) for tail in tails)
-    if longest == 0:
-        return scores
-
-    # Rectangular chunk, right-padded.  Padded rows are causal
-    # successors of every real row, so they never influence the scored
-    # positions; their outputs are simply ignored.
-    chunk = np.zeros((len(options_ids), longest), dtype=np.int64)
-    for i, tail in enumerate(tails):
-        chunk[i, : len(tail)] = tail
-    logits = engine.forward(
-        chunk, session.caches, start_pos=prompt_len, iteration=0
-    )
-    tel = _telemetry()
-    if tel.active:
-        tel.metrics.histogram("decode.option_batch_size").observe(
-            len(options_ids)
-        )
-    for i, (option, tail) in enumerate(zip(options_ids, tails)):
-        if not tail:
-            continue
-        scores[i] += option_logp(logits[i, : len(tail)], option[1:])
-    return scores
+    return [score_continuation(engine, prompt_ids, option) for option in options_ids]
 
 
 def choose_option(
     engine: InferenceEngine,
     prompt_ids: list[int],
     options_ids: list[list[int]],
-    strategy: str = "auto",
 ) -> int:
     """Index of the highest-likelihood option (multiple-choice answer)."""
     tel = _telemetry()
@@ -404,9 +338,8 @@ def choose_option(
         "decode.choose_option",
         options=len(options_ids),
         prompt_tokens=len(prompt_ids),
-        strategy=strategy,
     ):
-        scores = score_options(engine, prompt_ids, options_ids, strategy)
+        scores = score_options(engine, prompt_ids, options_ids)
     if tel.active:
         tel.metrics.counter("decode.option_scores").add(len(options_ids))
     return int(np.argmax(scores))

@@ -138,12 +138,13 @@ def count_plan(path: str, reason: str) -> None:
     differently from :func:`decode_plan`:
     ``SpeculativeDecoder.decode_one`` counts a ``batched`` plan as
     ``serial`` (one sequence has nothing to batch, so it runs the
-    reference loop), ``score_options`` counts ``shared_prefix``
-    (reason ``clean`` / ``observer_hooks``) or ``per_option``, and a
-    campaign counts ``option_rows`` for a multiple-choice example's
-    golden option pass (reason ``clean`` / ``observer_hooks``) and for
-    every trial scored from it (``weight_fault`` /
-    ``row_scoped_hooks``)."""
+    reference loop), and an ``auto`` campaign counts a multiple-choice
+    scoring as ``option_rows`` for an example's golden option pass
+    (reason ``clean`` / ``observer_hooks``) and for every trial scored
+    from it (``weight_fault`` / ``row_scoped_hooks``), else as
+    ``per_option`` — the reference,
+    :func:`~repro.generation.decode.score_options`, which plans nothing
+    itself."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()

@@ -13,7 +13,13 @@ a vectorised, allocation-light forward pass over a trained
   records (Fig. 15);
 * **sessions** — incremental decoding with a KV cache and a
   generation-iteration counter, so faults can be timed to a specific
-  token-generation iteration exactly as the paper does.
+  token-generation iteration exactly as the paper does;
+* **one forward** — :meth:`InferenceEngine.forward` (one sequence),
+  :meth:`~InferenceEngine.forward_step_batch` and
+  :meth:`~InferenceEngine.forward_chunk_batch` (ragged rows) are
+  adapters over one ``_forward_rows`` whose attention has one leg:
+  every row appends to and attends over its own cache, so every row of
+  a batch is bit-identical to its own ``forward``.
 """
 
 from __future__ import annotations
@@ -313,24 +319,17 @@ class InferenceEngine:
         masks,
         iteration,
         rows: np.ndarray | None,
-        shared: bool,
     ) -> np.ndarray:
         """Causal attention for one block over flat ``(B*t, D)`` input.
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
-        shared :meth:`_linear` calls / broadcasts; the core has two legs:
-
-        * **own cache** — per row, append the row's new K/V to
-          ``row_caches[i][block]``, let an armed KV fault latch, then
-          score against that cache (prefix + chunk) under ``masks[i]``
-          (``masks`` is ``None`` when ``t == 1``).  Rows are ragged, so
-          this is a loop; each row's slices have the strides of a
-          single-sequence forward, so every row is bit-identical to it.
-        * **shared prefix** (``shared``) — every row attends to the one
-          read-only cache ``row_caches[0][block]`` plus its own chunk
-          (``masks`` is the ``(t, t)`` chunk mask; the prefix is fully
-          visible) in one split softmax vectorised across rows; the
-          cache is not advanced.
+        shared :meth:`_linear` calls / broadcasts.  The core loops over
+        the (ragged) rows: append the row's new K/V to
+        ``row_caches[i][block]``, let an armed KV fault latch, then
+        score against that cache (prefix + chunk) under ``masks[i]``
+        (``masks`` is ``None`` when ``t == 1``).  Each row's slices have
+        the strides of a single-sequence forward, so every row is
+        bit-identical to it.
         """
         cfg = self.config
         heads, hd = cfg.n_heads, cfg.head_dim
@@ -350,36 +349,22 @@ class InferenceEngine:
         k = rot(k.reshape(split).swapaxes(1, 2))
         v = v.reshape(split).swapaxes(1, 2)
         scale = np.float32(hd**-0.5)
-        if shared:
-            cache = row_caches[0][block]
-            pk, pv = cache.keys(), cache.values()  # (heads, P, hd)
-            scores_prefix = (q @ pk.swapaxes(-1, -2)) * scale  # (B, heads, t, P)
-            scores_self = (q @ k.swapaxes(-1, -2)) * scale  # (B, heads, t, t)
-            if masks is not None:
-                scores_self = np.where(
-                    masks[None, None], scores_self, np.float32(-1e9)
+        ctx = np.empty(split, dtype=np.float32)
+        for i in range(batch):
+            cache = row_caches[i][block]
+            cache.append(k[i], v[i])
+            if self.kv_fault is not None:
+                self.kv_fault.on_append(
+                    block,
+                    cache,
+                    iteration if rows is None else int(iteration[i * t]),
                 )
-            scores = np.concatenate([scores_prefix, scores_self], axis=-1)
+            keys, values = cache.keys(), cache.values()
+            scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
+            if masks is not None:
+                scores = np.where(masks[i][None], scores, np.float32(-1e9))
             attn = softmax_np(scores, axis=-1)
-            p = cache.length
-            ctx = (attn[..., :p] @ pv + attn[..., p:] @ v).swapaxes(1, 2)
-        else:
-            ctx = np.empty(split, dtype=np.float32)
-            for i in range(batch):
-                cache = row_caches[i][block]
-                cache.append(k[i], v[i])
-                if self.kv_fault is not None:
-                    self.kv_fault.on_append(
-                        block,
-                        cache,
-                        iteration if rows is None else int(iteration[i * t]),
-                    )
-                keys, values = cache.keys(), cache.values()
-                scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
-                if masks is not None:
-                    scores = np.where(masks[i][None], scores, np.float32(-1e9))
-                attn = softmax_np(scores, axis=-1)
-                ctx[i] = (attn @ values).swapaxes(0, 1)
+            ctx[i] = (attn @ values).swapaxes(0, 1)
         return self._linear(
             ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
         )
@@ -451,23 +436,21 @@ class InferenceEngine:
         positions,
         iteration,
         rows: np.ndarray | None,
-        shared: bool = False,
         block_inputs: list | None = None,
         resume: tuple[int, np.ndarray] | None = None,
     ) -> np.ndarray:
         """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
         starting at ``positions[i]`` and appending to its own
-        ``row_caches[i]`` (or, under ``shared``, every row reading the
-        single cache list ``row_caches[0]``; see :meth:`_attention`).
+        ``row_caches[i]`` (see :meth:`_attention`).
 
         ``iteration``/``rows`` are the caller's scalar and ``None`` for
-        the serial entry, or the per-row iterations and row ids for the
-        batched entries (expanded per token here, since activations
-        stay flat ``(B*t, D)`` outside attention).  With ``rows`` every
-        product is issued per sequence (see :meth:`_linear`), which
-        makes each row bit-identical to its own serial forward; the
-        serial entry — the 2-D shared-prefix mode included — keeps one
-        flat GEMM.  ``block_inputs`` collects the flat hidden state
+        the serial entry (``B == 1``), or the per-row iterations and row
+        ids for the batched entries (expanded per token here, since
+        activations stay flat ``(B*t, D)`` outside attention).  With
+        ``rows`` every product is issued per sequence (see
+        :meth:`_linear`), which makes each row bit-identical to its own
+        serial forward; the serial entry keeps one flat GEMM.
+        ``block_inputs`` collects the flat hidden state
         entering each block that runs; ``resume = (first_block, hidden)``
         starts from such a state instead of the embedding (see
         :meth:`forward_chunk_batch`).  Returns flat ``(B*t, vocab)``
@@ -495,9 +478,7 @@ class InferenceEngine:
         # once per forward instead of once per block: the prefix is
         # fully visible, the chunk is causal within itself.
         masks = None
-        if t > 1 and shared:
-            masks = offs[None, :] <= offs[:, None]
-        elif t > 1:
+        if t > 1:
             masks = [
                 np.arange(int(p) + t)[None, :] <= (int(p) + offs)[:, None]
                 for p in positions
@@ -520,7 +501,7 @@ class InferenceEngine:
                     x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
                 )
                 x = x + self._attention(
-                    h, b, row_caches, cos, sin, masks, iteration, rows, shared
+                    h, b, row_caches, cos, sin, masks, iteration, rows
                 )
                 h = rms_norm_np(
                     x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
@@ -556,29 +537,16 @@ class InferenceEngine:
         start_pos: int,
         iteration: int,
     ) -> np.ndarray:
-        """Run ``tokens`` (a chunk) through the model, filling ``caches``.
-
-        Returns logits of shape ``(len(tokens), vocab)``.
-
-        ``tokens`` may also be a rectangular batch of shape ``(B, t)``:
-        every batch row is then scored against the *shared* prefix
-        already in ``caches`` (one large matmul per linear layer instead
-        of ``B`` small ones), the caches are left untouched, and logits
-        come back as ``(B, t, vocab)``.  Hooks and capture observe the
-        flattened batch-major ``(B*t, ...)`` tensors in that mode —
-        callers that need exact single-sequence fault semantics must
-        ask :func:`~repro.generation.round.decode_plan` first and use
-        the unbatched path unless it finds nothing but observers armed.
+        """Run ``tokens`` (one sequence's chunk, 1-D) through the model,
+        appending to ``caches``.  Returns logits of shape
+        ``(len(tokens), vocab)``.  Several sequences at once are
+        :meth:`forward_step_batch` / :meth:`forward_chunk_batch`: any
+        other shape raises ``ValueError`` before a cache is touched.
         """
         ids = np.asarray(tokens, dtype=np.int64)
-        if ids.ndim not in (1, 2):
-            raise ValueError(f"tokens must be 1-D or rectangular 2-D, got {ids.shape}")
-        if ids.ndim == 1:
-            return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
-        batch, t = ids.shape
-        return self._forward_rows(
-            ids, [caches], [start_pos] * batch, iteration, None, shared=True
-        ).reshape(batch, t, -1)
+        if ids.ndim != 1:
+            raise ValueError(f"tokens must be a 1-D chunk of ids, got {ids.shape}")
+        return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
 
     def forward_step_batch(
         self,
@@ -590,8 +558,7 @@ class InferenceEngine:
     ) -> np.ndarray:
         """One single-token decode step for ``B`` independent sequences.
 
-        Unlike the shared-prefix batched :meth:`forward`, every batch
-        row here owns its caches (``row_caches[i]`` is that row's
+        Every batch row owns its caches (``row_caches[i]`` is that row's
         per-block list — typically :class:`PooledKVCache` slot views)
         and its K/V **is appended**; per-row positions and iteration
         counts may be ragged, which is what continuous batching needs.
@@ -641,15 +608,12 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Multi-token decode chunks for ``B`` independent sequences.
 
-        The missing quadrant between :meth:`forward` and
-        :meth:`forward_step_batch`: ``tokens`` is a rectangular
-        ``(B, t)`` chunk batch and every row **appends to its own
-        caches** (``row_caches[i]``, typically pooled slot views)
-        starting at its own ``positions[i]``.  The shared-prefix 2-D
-        :meth:`forward` mode scores against one read-only cache and
-        :meth:`forward_step_batch` is single-token; batched speculative
-        verification needs both raggedness *and* chunk width, which is
-        exactly this.
+        :meth:`forward` at ``B`` rows, :meth:`forward_step_batch` at
+        ``t`` tokens: ``tokens`` is a rectangular ``(B, t)`` chunk batch
+        and every row **appends to its own caches** (``row_caches[i]``,
+        typically pooled slot views) starting at its own
+        ``positions[i]``.  Batched speculative verification needs both
+        raggedness *and* chunk width, which is exactly this.
 
         Linear layers run one ``(t, D) @ W`` product per row inside one
         stacked NumPy matmul; RoPE tables are gathered per row from the

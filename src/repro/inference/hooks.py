@@ -42,15 +42,7 @@ class HookContext:
     admission number, which stays with the sequence while siblings
     retire around it.  A hook that targets one sequence of a batch can
     therefore filter on ``batch_row`` (the continuous-batching FI
-    gate).
-
-    Only the shared-prefix mode of ``forward`` (2-D ids, option
-    scoring) hands hooks more than one sequence: the flattened
-    batch-major ``(B*t, features)`` output with ``batch_row`` ``None``.
-    ``score_options`` only takes it when
-    :func:`~repro.generation.round.decode_plan` finds nothing but pure
-    observers armed, so fault-injection hooks never observe it unless
-    registered mid-flight.
+    gate).  No entry hands a hook more than one sequence.
     """
 
     block: int

@@ -156,8 +156,9 @@ class PromptCache:
     per slot or per ``max_seq``) and the read-only ``(1, vocab)``
     last-position logits.  :meth:`load` writes those bits back, so a hit
     leaves the caches ``array_equal`` to a fresh prompt forward.  Only an
-    exact match hits: a prompt forward behind a shared prefix is not
-    bit-identical to the one-shot forward.  The cache knows nothing of
+    exact match hits: forwarding a prompt's tail over a cached prefix
+    runs differently shaped products than the one-shot prompt forward,
+    so its bits are not that forward's.  The cache knows nothing of
     faults — whoever owns it decides when reading or filling it is safe
     (:meth:`repro.generation.round.DecodeRound.admit`).
     """

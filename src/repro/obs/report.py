@@ -143,19 +143,12 @@ def _derived_section(run: RunData) -> list[str]:
         # earlier campaign on the same engine, examples and config.
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
-        # A run is compared with the baseline only when a server decoded
-        # that: elsewhere the run *is* the baseline.
-        off = (
-            f", {count('campaign.golden.baseline_mismatch')} off the baseline"
-            if "campaign.golden.baseline_mismatch" in counters
-            else ""
-        )
         lines.append(
             f"golden runs: {resumed} of {trials} generative trials resumed"
             f" ({count('campaign.golden.replayed_tokens')} decode steps"
             f" replayed, {count('campaign.golden.unreached')} strikes never"
             f" reached, {count('campaign.golden.builds')} runs built,"
-            f" {count('campaign.golden.shared')} reused{off})"
+            f" {count('campaign.golden.shared')} reused)"
         )
     if "campaign.mc_golden.builds" in counters:
         # Reach-limited option scoring: one block pass is one option row
@@ -262,9 +255,8 @@ def prompt_cache_line(counters: dict[str, float], tokens: float) -> str | None:
 def _serve_section(run: RunData) -> list[str]:
     """Dedicated serving SLO view: TTFT / TPOT / end-to-end latency /
     queue depth / batch occupancy quantiles, the prompt cache's hit
-    counts, per-tenant throughput and speculative accept lengths,
-    campaign fallback counters, and any ``serve_load_point`` sweep rows
-    the load generator recorded."""
+    counts, per-tenant throughput and speculative accept lengths, and
+    any ``serve_load_point`` sweep rows the load generator recorded."""
     histograms = run.metrics.histograms
     counters = run.metrics.counters
     slo_names = [
@@ -283,19 +275,13 @@ def _serve_section(run: RunData) -> list[str]:
         for name in counters
         if name.startswith("serve.tenant.") and name.endswith(".tokens")
     )
-    fallbacks = sorted(
-        name
-        for name in counters
-        if name.startswith("serve.campaign_fallback.")
-    )
     load_points = run.of_kind("serve_load_point")
     gauge = run.metrics.gauges.get("serve.prompt_cache.tokens")
     cache_line = prompt_cache_line(
         {name: counter.value for name, counter in counters.items()},
         gauge.value if gauge else 0,
     )
-    if not slo_names and not tenant_tokens and not fallbacks \
-            and not load_points and not cache_line:
+    if not slo_names and not tenant_tokens and not load_points and not cache_line:
         return []
     lines = ["", "== serving SLOs =="]
     if slo_names:
@@ -356,16 +342,6 @@ def _serve_section(run: RunData) -> list[str]:
             header += ["accept mean", "accept p50", "rounds"]
         lines += ["", "== serving tenants =="]
         lines += _table(header, rows)
-    if fallbacks:
-        rows = [
-            [
-                name[len("serve.campaign_fallback."):],
-                _fmt(counters[name].value),
-            ]
-            for name in fallbacks
-        ]
-        lines += ["", "== serving campaign fallbacks (served -> local) =="]
-        lines += _table(["reason", "count"], rows)
     if load_points:
         rows = [
             [

@@ -42,10 +42,12 @@ and SLO telemetry.  The decode schedule and its equivalence contract —
 every served stream is token-identical to a serial ``greedy_decode`` of
 its prompt, whatever the admission timing — live in
 :mod:`repro.generation.round`, shared with the offline decoders.  The
-server is a *fault-free* serving plane: campaigns attach as a tenant
-for their fault-free generative baselines
-(:meth:`~repro.fi.campaign.FICampaign.attach_server`) while injected
-trials keep their exact local path.
+one fault a request may carry is a KV fault pinned to its own slot: a
+KV-fault campaign attaches as a tenant
+(:meth:`~repro.fi.campaign.FICampaign.attach_server`) and each of its
+injected trials is one such request, decoded beside other tenants'
+streams; its fault-free baseline stays the campaign's own golden
+sweep.
 
 Observability (gated on the process telemetry switch): ``serve.ttft_ms``
 / ``serve.tpot_ms`` / ``serve.e2e_ms`` / ``serve.queue_depth`` /

@@ -213,7 +213,9 @@ def test_only_auto_and_the_reference_are_strategies(
     entry, value, tokenizer, world
 ):
     """Anything else raises at the call — for a campaign, in the
-    constructor, not when a run first reaches the decoder."""
+    constructor, not when a run first reaches the decoder.  Option
+    scoring has one route, the reference, and no ``strategy`` at all."""
+    error = TypeError if "option" in entry else ValueError
     if entry == "FICampaign":
         task = TranslationTask(world)
 
@@ -225,7 +227,7 @@ def test_only_auto_and_the_reference_are_strategies(
             )
     else:
         call = _entries(_target(), _draft())[entry]
-    with pytest.raises(ValueError, match="strategy"):
+    with pytest.raises(error, match="strategy"):
         call(strategy=value)
 
 
@@ -249,14 +251,19 @@ def plan_calls(monkeypatch):
 @pytest.mark.parametrize("with_draft", (False, True), ids=("no_draft", "draft"))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_auto_plans_once_per_entry(entry, with_draft, armed, plan_calls):
+    """``auto`` asks the plan once; the reference asks nothing — and
+    option scoring *is* the reference (a campaign plans its option rows)."""
     engine = _target()
     call = _entries(engine, _draft() if with_draft else None)[entry]
     with ARM[armed](engine):
         call()
+    if "option" in entry:
+        assert plan_calls == []
+        return
     assert len(plan_calls) == 1
     del plan_calls[:]
     with ARM[armed](engine):
-        call(strategy="full" if "option" in entry else "serial")
+        call(strategy="serial")
     assert plan_calls == []  # the reference asks nothing
 
 

@@ -45,7 +45,6 @@ class TestSequenceLimits:
         overflows = (
             lambda: session.step(9),
             lambda: engine.forward([9, 10], session.caches, 7, 5),
-            lambda: engine.forward(np.array([[9], [10]]), session.caches, 8, 5),
             lambda: engine.forward_step_batch([9], [session.caches], [8], [5]),
             lambda: engine.forward_chunk_batch([[9, 10]], [session.caches], [7], [5]),
         )

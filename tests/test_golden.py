@@ -12,8 +12,8 @@ Multiple-choice trials have the spatial twin (``TestReachLimitedOptions``):
 one fault-free scoring pass per example, and a trial computes only the
 blocks and option rows its fault can reach.  Their records carry the
 argmax alone, so there equality is asserted on the option *score
-vectors*, under the armed fault, against ``score_options(...,
-strategy="full")``.
+vectors*, under the armed fault, against ``score_options`` — the
+per-option reference.
 """
 
 import dataclasses
@@ -41,7 +41,6 @@ from repro.generation import (
 from repro.inference import CaptureState, InferenceEngine
 from repro.mitigation import RangeRestrictor
 from repro.obs import explain_trial, flight_recorder, telemetry
-from repro.serve import InferenceServer
 from repro.tasks import (
     ARCTask,
     GSM8kTask,
@@ -333,53 +332,6 @@ class TestFastForwardMatchesReference:
             for value in vars(run).values()
         )
 
-    def test_baseline_mismatch_falls_back_to_full_decode(
-        self, trained_store, tokenizer, one
-    ):
-        """Only a served baseline is a second reference: an example
-        whose golden run disagrees with it decodes in full — and, where
-        the trial needed that run, alone."""
-        task, ex, _ = one
-        engine = InferenceEngine(trained_store)
-        fast = campaign(
-            trained_store, tokenizer, task, FaultModel.COMP_2BIT, [ex], engine=engine
-        )
-        serial = campaign(
-            trained_store, tokenizer, task, FaultModel.COMP_2BIT, [ex],
-            decode_strategy="serial",
-        )
-        server = InferenceServer(engine, fast.generation).start()
-        submit = server.submit
-
-        class Drifted:
-            def __init__(self, handle):
-                self.handle = handle
-
-            def result(self):
-                return self.handle.result()[:-1]
-
-        server.submit = lambda *args, **kw: Drifted(submit(*args, **kw))
-        try:
-            fast.attach_server(server)
-            fast.compute_baseline()
-        finally:
-            server.stop()
-        serial.compute_baseline()
-        assert fast._baseline_preds != serial._baseline_preds
-        serial._baseline_preds = list(fast._baseline_preds)
-        serial._scored.clear()  # outcomes are classified against the baseline
-        result, counters = traced_counters(fast, 6)
-        assert_records_equal(result, serial.run(6), "auto", "serial")
-        assert counters["campaign.golden.builds"] == 1
-        assert counters["campaign.golden.baseline_mismatch"] == 1
-        assert counters["campaign.golden.replayed_tokens"] == 0
-        assert counters["engine.prefill_cache_misses"] == 6
-        # A strike at iteration 0 needs no golden state: only the others
-        # were left out of the wave.
-        later = sum(t.site.iteration > 0 for t in result.trials)
-        assert 0 < later < 6
-        assert lone_trials(counters) == {"off_baseline": later}
-
     def test_each_distinct_prediction_is_scored_once(
         self, trained_store, tokenizer, world, monkeypatch
     ):
@@ -633,13 +585,14 @@ def score_vectors(camp, trial):
     reference)`` of one trial, each under its own arming of the fault."""
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
+    camp.compute_baseline()  # builds the passes, once
     golden = camp._golden_run(site, idx)
     assert isinstance(golden, GoldenOptions)
-    prompt, options = camp._encode_mc(camp.examples[idx])
+    prompt, options = camp._token_ids[idx]
     with inject(camp.engine, site) as injector:
         rows = camp._option_rows(golden, site, injector)
     with inject(camp.engine, site) as reference:
-        full = score_options(camp.engine, prompt, options, strategy="full")
+        full = score_options(camp.engine, prompt, options)
     assert getattr(injector, "fired", True) == getattr(reference, "fired", True)
     return site, rows, full
 
@@ -788,11 +741,8 @@ class TestReachLimitedOptions:
                 assert fast.compute_baseline() == reference.compute_baseline()
                 assert fast._baseline_preds == reference._baseline_preds
                 assert reference._golden == {}
-                for ex, golden in zip(fast.examples, fast._golden.values()):
-                    assert np.array_equal(
-                        golden.scores,
-                        score_options(engine, *fast._encode_mc(ex), strategy="full"),
-                    )
+                for ids, golden in zip(fast._token_ids, fast._golden.values()):
+                    assert np.array_equal(golden.scores, score_options(engine, *ids))
 
     def test_resume_from_a_journal_cut_mid_cell(
         self, trained_store, tokenizer, world, tmp_path
@@ -850,7 +800,7 @@ class TestReachLimitedOptions:
 
         def experts_run(idx):
             """Per option: the ``(block, expert)`` pairs its forward runs."""
-            prompt, options = camp._encode_mc(camp.examples[idx])
+            prompt, options = camp._token_ids[idx]
             ran = []
             for option in options:
                 engine.capture = CaptureState()
@@ -953,13 +903,14 @@ class TestReachLimitedOptions:
         fault-free by every later trial of that example."""
         camp = campaign(trained_store, tokenizer, MMLUTask(world), fault_model)
         site = camp._trial_site(0, 1)
-        prompt, options = camp._encode_mc(camp.examples[0])
+        prompt, options = camp._token_ids[0]
         with inject(camp.engine, site):
             assert camp._golden_run(site, 0) is None
             with pytest.raises(RuntimeError, match="pristine"):
                 GoldenOptions.build(camp.engine, prompt, options, camp._kv_slots())
         assert camp._golden == {}
         assert camp._kv_slots().n_free == camp._kv_slots().n_slots
+        camp.compute_baseline()  # the one place passes are built
         assert isinstance(camp._golden_run(site, 0), GoldenOptions)
 
     def test_a_forward_that_outlasts_the_trial_timeout(
@@ -1220,62 +1171,6 @@ class TestSharedPasses:
         assert hooked._golden == {} and shared_counters(counters) == (0, 0)
         assert golden_module._SHARED[engine] is entry
         detach()
-
-    def test_a_served_mismatch_marks_its_own_dict_only(
-        self, trained_store, tokenizer, world
-    ):
-        """A served baseline is compared with passes of the campaign's
-        own: the ``None`` it leaves is in that campaign's dict, and the
-        engine's entry serves the next campaign whole."""
-        from repro.fi import golden as golden_module
-
-        task = TranslationTask(world)
-        engine = InferenceEngine(trained_store)
-        first = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
-        first.compute_baseline()
-        entry = golden_module._SHARED[engine]
-
-        served = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT, engine=engine)
-        server = InferenceServer(engine, served.generation).start()
-        submit, n = server.submit, []
-
-        class Drifted:
-            def __init__(self, handle, drift):
-                self.handle, self.drift = handle, drift
-
-            def result(self):
-                ids = self.handle.result()
-                return ids[:-1] if self.drift else ids
-
-        def drifting(*args, **kw):
-            n.append(1)
-            return Drifted(submit(*args, **kw), drift=len(n) == 1)
-
-        server.submit = drifting
-        try:
-            served.attach_server(server)
-            served.compute_baseline()
-        finally:
-            server.stop()
-        _, counters = traced_counters(served, 6)
-        assert counters["campaign.golden.baseline_mismatch"] == 1
-        assert shared_counters(counters) == (3, 0)
-        assert served._golden[0] is None
-        assert golden_module._SHARED[engine] is entry
-        assert entry.passes == list(first._golden.values())
-        assert None not in entry.passes
-
-        third = campaign(trained_store, tokenizer, task, FaultModel.COMP_1BIT, engine=engine)
-        result, counters = traced_counters(third, 9)
-        assert shared_counters(counters) == (0, 3)
-        assert_results_equal(
-            result,
-            campaign(
-                trained_store, tokenizer, task, FaultModel.COMP_1BIT,
-                decode_strategy="serial",
-            ).run(9),
-            "after the served campaign", "serial",
-        )
 
     def test_a_repaired_campaign_still_resumes_shared_passes(
         self, trained_store, tokenizer, world

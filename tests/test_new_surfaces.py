@@ -552,8 +552,8 @@ class TestServerKVFaults:
     def test_campaign_as_tenant_fires_kv_faults(
         self, untrained_store, tokenizer, world
     ):
-        """serve_faults mode: injected trials ride the shared batch and
-        reproduce the local reference records exactly."""
+        """An attached KV campaign: injected trials ride the shared batch
+        and reproduce the local reference records exactly."""
         local = make_campaign(
             untrained_store, tokenizer, world, "gen", FaultModel.KV_1BIT
         ).run(6)
@@ -565,7 +565,7 @@ class TestServerKVFaults:
             max_new_tokens=task.max_new_tokens, eos_id=tokenizer.vocab.eos_id
         )
         with InferenceServer(campaign.engine, config, max_batch=4) as server:
-            campaign.attach_server(server, serve_faults=True)
+            campaign.attach_server(server)
             served = campaign.run(6)
             campaign.detach_server()
         # Slot pinning keeps the blast radius inside the campaign's own
@@ -585,7 +585,7 @@ class TestServerKVFaults:
         )
         with InferenceServer(campaign.engine, config) as server:
             with pytest.raises(ValueError, match="KV-fault-only"):
-                campaign.attach_server(server, serve_faults=True)
+                campaign.attach_server(server)
 
 
 class TestPooledTruncationWatchers:

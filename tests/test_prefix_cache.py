@@ -1,14 +1,12 @@
-"""Equivalence tests for the redundant-compute elimination pass.
+"""Option scoring and the session/KV machinery the fast paths lean on.
 
-Three layers of optimization must leave results indistinguishable from
-the reference path:
-
-* shared-prefix option scoring vs. per-option ``forward_full`` — same
-  argmax, same scores up to float associativity, and *exactly* the
-  reference path whenever anything but pure observers is armed;
-* session/KV machinery the above lean on — fork independence after
-  further steps, snapshot/restore round-trips, decoding from a
-  pre-built session.
+* ``score_options`` is the per-option reference — one
+  ``forward_full(prompt + option)`` each, under whatever is armed —
+  and the campaign's golden option pass scores it bit for bit;
+* session/KV machinery — fork independence after further steps,
+  snapshot/restore round-trips, decoding from a pre-built session;
+* ``forward`` runs one sequence: a 2-D batch is refused before any
+  cache moves.
 
 Campaign-level bit-identity sweeps (prefill caching, batched decode,
 worker pools vs. the serial reference) are consolidated in
@@ -24,6 +22,7 @@ from repro.fi import (
     FaultSite,
     MemoryFaultInjector,
 )
+from repro.fi.golden import GoldenOptions
 from repro.generation import (
     GenerationConfig,
     beam_search_decode,
@@ -34,6 +33,7 @@ from repro.generation import (
     score_continuation,
     score_options,
 )
+from repro.generation.decode import option_logp
 from repro.inference import KVCache, PooledKVCache
 from repro.obs import telemetry
 from repro.tasks import MMLUTask, standardized_subset
@@ -52,68 +52,71 @@ def clean_telemetry():
     tel.disable()
 
 
-class TestOptionScoringEquivalence:
-    @pytest.mark.parametrize("strategy", ["auto"])
-    def test_matches_reference_fault_free(self, untrained_engine, strategy):
-        reference = score_options(
-            untrained_engine, PROMPT, OPTIONS, strategy="full"
-        )
-        scores = score_options(untrained_engine, PROMPT, OPTIONS, strategy)
-        np.testing.assert_allclose(scores, reference, rtol=2e-5, atol=1e-5)
-        assert int(np.argmax(scores)) == int(np.argmax(reference))
+def per_option(engine, prompt, options) -> list[float]:
+    """The reference spelled out: one full forward per option."""
+    return [score_continuation(engine, prompt, option) for option in options]
 
+
+class TestOptionScoringEquivalence:
     def test_matches_reference_moe(self, moe_engine):
-        reference = score_options(moe_engine, PROMPT, OPTIONS, strategy="full")
-        shared = score_options(moe_engine, PROMPT, OPTIONS, strategy="auto")
-        np.testing.assert_allclose(shared, reference, rtol=2e-5, atol=1e-5)
+        assert np.array_equal(
+            score_options(moe_engine, PROMPT, OPTIONS),
+            per_option(moe_engine, PROMPT, OPTIONS),
+        )
 
     def test_single_token_options_prefill_only(self, untrained_engine):
+        """A one-token option is predicted by the prompt's last row:
+        its score is the prompt forward's next-token log-probability —
+        to float tolerance, since ``prompt + option`` is a longer
+        product than the prompt alone."""
         options = [[11], [13], [17]]
-        reference = [
-            score_continuation(untrained_engine, PROMPT, o) for o in options
-        ]
-        scores = score_options(
-            untrained_engine, PROMPT, options, strategy="auto"
-        )
-        np.testing.assert_allclose(scores, reference, rtol=2e-5, atol=1e-5)
+        scores = score_options(untrained_engine, PROMPT, options)
+        assert np.array_equal(scores, per_option(untrained_engine, PROMPT, options))
+        logits = untrained_engine.start_session(PROMPT).last_logits
+        expected = [option_logp(logits[None], option) for option in options]
+        np.testing.assert_allclose(scores, expected, rtol=2e-5, atol=1e-5)
 
     def test_trained_model_agreement(self, trained_engine, tokenizer, world):
+        """The answer the reference picks is the golden option pass's
+        argmax, on every example of a trained model."""
+        pool = trained_engine.new_pool(4)
         for ex in standardized_subset(MMLUTask(world), 6):
             prompt = tokenizer.encode(ex.prompt)
             options = [tokenizer.encode(o) for o in ex.options]
-            assert choose_option(
-                trained_engine, prompt, options, strategy="auto"
-            ) == choose_option(trained_engine, prompt, options, strategy="full")
+            golden = GoldenOptions.build(trained_engine, prompt, options, pool)
+            assert choose_option(trained_engine, prompt, options) == int(
+                np.argmax(golden.scores)
+            )
 
     def test_unknown_strategy_rejected(self, untrained_engine):
-        with pytest.raises(ValueError):
-            score_options(untrained_engine, PROMPT, OPTIONS, strategy="turbo")
+        """Scoring has one route: there is no strategy to name."""
+        for fn in (score_options, choose_option):
+            with pytest.raises(TypeError, match="strategy"):
+                fn(untrained_engine, PROMPT, OPTIONS, strategy="auto")
 
     def test_empty_option_rejected(self, untrained_engine):
         with pytest.raises(ValueError):
-            score_options(untrained_engine, PROMPT, [[1], []], strategy="auto")
+            score_options(untrained_engine, PROMPT, [[1], []])
         with pytest.raises(ValueError):
-            score_options(untrained_engine, PROMPT, [], strategy="auto")
+            score_options(untrained_engine, PROMPT, [])
 
 
 class TestFISafetyGate:
-    """``auto`` must resolve to the exact reference path under faults."""
+    """Under an armed fault ``score_options`` is the per-option loop
+    exactly; whether a trial may score from the golden pass instead is
+    the campaign's call alone."""
 
     def test_hook_forces_exact_fallback(self, untrained_engine):
         site = FaultSite(
             FaultModel.COMP_2BIT, "blocks.0.up_proj", 0, 3, bits=(5, 20)
         )
         with ComputationalFaultInjector(untrained_engine, site):
-            injected_auto = score_options(
-                untrained_engine, PROMPT, OPTIONS, strategy="auto"
-            )
+            injected = score_options(untrained_engine, PROMPT, OPTIONS)
         with ComputationalFaultInjector(untrained_engine, site):
-            injected_full = score_options(
-                untrained_engine, PROMPT, OPTIONS, strategy="full"
-            )
+            reference = per_option(untrained_engine, PROMPT, OPTIONS)
         # Bit-identical: both one-shot injections struck only the first
         # option's forward, exactly like the seed path.
-        assert injected_auto == injected_full
+        assert injected == reference
 
     def test_memory_fault_forces_exact_fallback(self, untrained_engine):
         site = FaultSite(
@@ -121,14 +124,11 @@ class TestFISafetyGate:
         )
         with MemoryFaultInjector(untrained_engine, site):
             assert decode_plan(untrained_engine)[1] == "weight_fault"
-            injected_auto = score_options(
-                untrained_engine, PROMPT, OPTIONS, strategy="auto"
-            )
-            injected_full = score_options(
-                untrained_engine, PROMPT, OPTIONS, strategy="full"
-            )
+            injected = score_options(untrained_engine, PROMPT, OPTIONS)
+            reference = per_option(untrained_engine, PROMPT, OPTIONS)
         assert decode_plan(untrained_engine)[1] == "clean"
-        assert injected_auto == injected_full
+        assert injected == reference
+        assert injected != score_options(untrained_engine, PROMPT, OPTIONS)
 
     def test_observers_do_not_move_the_baseline_off_the_golden_pass(
         self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
@@ -347,36 +347,31 @@ class TestSessionMachinery:
 
 
 class TestBatchedForward:
-    def test_batched_chunk_matches_incremental(self, untrained_engine):
-        session = untrained_engine.start_session(PROMPT)
-        chunk = np.array([[4, 8], [15, 16]], dtype=np.int64)
-        batched = untrained_engine.forward(
-            chunk, session.caches, start_pos=len(PROMPT), iteration=0
-        )
-        assert batched.shape[:2] == (2, 2)
-        for row in range(2):
-            per_row = untrained_engine.forward(
-                list(chunk[row]),
-                session.caches,
-                start_pos=len(PROMPT),
-                iteration=0,
-            )
-            for cache in session.caches:
-                cache.truncate(len(PROMPT))
-            np.testing.assert_allclose(
-                batched[row], per_row, rtol=2e-5, atol=1e-5
-            )
-
     def test_batched_leaves_caches_untouched(self, untrained_engine):
+        """``forward`` is one sequence's entry: a 2-D batch raises
+        before a hook fires or a cache moves — several sequences are
+        ``forward_step_batch`` / ``forward_chunk_batch``."""
         session = untrained_engine.start_session(PROMPT)
-        lengths = [c.length for c in session.caches]
-        untrained_engine.forward(
-            np.array([[4], [8], [15]]),
-            session.caches,
-            start_pos=len(PROMPT),
-            iteration=0,
+        before = [c.snapshot() for c in session.caches]
+        fired = []
+        detach = untrained_engine.hooks.register(
+            "blocks.0.q_proj", lambda out, ctx: fired.append(ctx), observer=True
         )
-        assert [c.length for c in session.caches] == lengths
+        try:
+            with pytest.raises(ValueError, match="1-D"):
+                untrained_engine.forward(
+                    np.array([[4], [8], [15]]),
+                    session.caches,
+                    start_pos=len(PROMPT),
+                    iteration=0,
+                )
+        finally:
+            detach()
+        assert fired == []
+        for snap, cache in zip(before, session.caches):
+            assert cache.length == snap[2]
+            np.testing.assert_array_equal(cache.keys(), snap[0])
+            np.testing.assert_array_equal(cache.values(), snap[1])
 
     def test_forward_rejects_higher_rank(self, untrained_engine):
         with pytest.raises(ValueError):
@@ -408,11 +403,3 @@ class TestCampaignTelemetry:
         misses = counters["engine.prefill_cache_misses"].value
         assert hits + misses == 6
         assert hits > 0  # iteration>=1 faults dominate a 12-token window
-
-    def test_option_batch_histogram_traced(
-        self, untrained_engine, clean_telemetry
-    ):
-        clean_telemetry.enable()
-        choose_option(untrained_engine, PROMPT, OPTIONS)
-        hist = clean_telemetry.metrics.histograms["decode.option_batch_size"]
-        assert hist.values == [len(OPTIONS)]

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fi import FaultModel, FaultSite, inject, sample_site
-from repro.fi.golden import GoldenRun
-from repro.generation import GenerationConfig, greedy_decode
+from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.generation import (
+    GenerationConfig,
+    greedy_decode,
+    score_continuation,
+    score_options,
+)
 from repro.generation.round import pick
 from repro.inference import InferenceEngine, KVCache
 from repro.inference.kvcache import PooledKVCache
@@ -175,6 +180,28 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
         )
         with inject(engine, site):
             assert_resumes_at(first)
+
+
+_options = st.lists(
+    st.lists(st.integers(min_value=5, max_value=VOCAB - 1), min_size=1, max_size=5),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), _prompts, _options)
+def test_property_option_scores_are_the_per_option_reference(moe, prompt, options):
+    """Every multiple-choice score vector the repo computes is one
+    ``score_continuation`` per option, bit for bit: ``score_options``,
+    and a golden option pass — equally long options as rows of one
+    forward, ragged lengths as several, more options than slots split
+    — dense and MoE."""
+    engine = _row_exact_engine(moe)
+    reference = [score_continuation(engine, prompt, option) for option in options]
+    assert np.array_equal(score_options(engine, prompt, options), reference)
+    golden = GoldenOptions.build(engine, prompt, options, engine.new_pool(4))
+    assert np.array_equal(golden.scores, reference)
 
 
 _logit_values = st.sampled_from(

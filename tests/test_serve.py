@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fi import FaultModel, FaultSite
+from repro.fi import FaultModel, FaultSite, assert_results_equal
 from repro.fi.campaign import FICampaign
 from repro.generation import (
     BatchedDecoder,
@@ -51,7 +51,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.loadgen import PromptSpec, equivalence_gate
-from repro.tasks import TranslationTask, standardized_subset
+from repro.tasks import MMLUTask, TranslationTask, standardized_subset
 
 PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
 
@@ -705,15 +705,22 @@ class TestLoadGenerator:
 
 
 class TestCampaignAsTenant:
+    """A KV-fault campaign attached to a live server: each injected
+    trial is a tenant request carrying its KV fault, pinned to its own
+    slot; the baseline is the campaign's local golden sweep, as
+    detached."""
+
+    N_TRIALS = 6
+
     def _campaign(self, engine, tokenizer, world, **kw):
-        task = TranslationTask(world)
+        task = kw.pop("task", None) or TranslationTask(world)
         return FICampaign(
             engine=engine,
             tokenizer=tokenizer,
             task_name=task.name,
             metrics=task.metrics,
             examples=standardized_subset(task, 3),
-            fault_model=kw.pop("fault_model", FaultModel.COMP_2BIT),
+            fault_model=kw.pop("fault_model", FaultModel.KV_1BIT),
             seed=5,
             generation=GenerationConfig(
                 max_new_tokens=task.max_new_tokens,
@@ -723,30 +730,63 @@ class TestCampaignAsTenant:
             **kw,
         )
 
-    def test_served_baseline_identical(
-        self, untrained_engine, tokenizer, world
+    def _local(self, untrained_store, tokenizer, world):
+        """The detached run on an engine of its own."""
+        return self._campaign(InferenceEngine(untrained_store), tokenizer, world)
+
+    def test_attached_kv_campaign_builds_its_golden_runs_locally(
+        self, untrained_store, tokenizer, world, clean_telemetry
     ):
-        local = self._campaign(untrained_engine, tokenizer, world)
-        expected = local.compute_baseline()
-        served = self._campaign(untrained_engine, tokenizer, world)
-        server = InferenceServer(
-            untrained_engine, served.generation, max_batch=4
-        ).start()
+        local = self._local(untrained_store, tokenizer, world)
+        expected = local.run(self.N_TRIALS)
+        engine = InferenceEngine(untrained_store)
+        attached = self._campaign(engine, tokenizer, world)
+        server = InferenceServer(engine, attached.generation, max_batch=4).start()
         try:
-            served.attach_server(server, tenant="campaign")
-            assert served.compute_baseline() == expected
-            assert served._baseline_preds == local._baseline_preds
-            stats = server.tenant_stats()["campaign"]
-            assert stats["completed"] == 3
+            attached.attach_server(server)
+            clean_telemetry.enable()
+            result = attached.run(self.N_TRIALS)
+            counters = clean_telemetry.metrics.snapshot()["counters"]
+            completed = server.tenant_stats()["campaign"]["completed"]
         finally:
             server.stop()
+        assert counters["campaign.golden.builds"] == len(attached.examples)
+        assert attached.compute_baseline() == local.compute_baseline()
+        assert attached._baseline_preds == local._baseline_preds
+        # The trials, and nothing else: no baseline request.
+        assert completed == self.N_TRIALS
+        assert counters["serve.tenant.campaign.requests"] == self.N_TRIALS
+        assert_results_equal(result, expected, "served", "local")
 
-    def test_attach_validations(self, untrained_engine, tokenizer, world):
+    def test_attach_validations(
+        self, untrained_engine, untrained_store, tokenizer, world
+    ):
+        """Only a greedy generative KV-fault campaign on the server's
+        own engine and EOS attaches; every other fault model arms
+        engine-global state a shared batch cannot scope."""
         campaign = self._campaign(untrained_engine, tokenizer, world)
-        other = InferenceServer(untrained_engine, _config(eos_id=-1))
-        with pytest.raises(ValueError, match="eos_id"):
-            campaign.attach_server(other)
-        other.stop()
+        config = campaign.generation
+        refused = [
+            ("eos_id", campaign, untrained_engine, _config(eos_id=-1)),
+            ("engine", campaign, InferenceEngine(untrained_store), config),
+        ]
+        for match, kw in {
+            "KV-fault-only": dict(fault_model=FaultModel.COMP_2BIT),
+            "greedy": dict(num_beams=2),
+            "generative-only": dict(task=MMLUTask(world)),
+            "spec_fault_side": dict(
+                draft_model=_draft_for(untrained_engine), spec_fault_side="target"
+            ),
+        }.items():
+            candidate = self._campaign(untrained_engine, tokenizer, world, **kw)
+            refused.append((match, candidate, untrained_engine, config))
+        for match, candidate, engine, server_config in refused:
+            server = InferenceServer(engine, server_config)
+            with pytest.raises(ValueError, match=match):
+                candidate.attach_server(server)
+            assert candidate._serve is None
+            assert "campaign" not in server.tenant_stats()
+            server.stop()
 
     def test_worker_state_drops_server_handle(
         self, untrained_engine, tokenizer, world, tmp_path
@@ -759,113 +799,51 @@ class TestCampaignAsTenant:
             campaign.attach_server(server)
             untrained_engine.export_shared(tmp_path / "target")
             worker = campaign._attached(tmp_path)
-            assert worker._serve is None and not worker._serve_faults
+            assert worker._serve is None
             assert worker._serve_tenant == "campaign"
             assert campaign._serve is server
         finally:
             server.stop()
 
     def test_detached_server_falls_back_locally(
-        self, untrained_engine, tokenizer, world
+        self, untrained_store, tokenizer, world
     ):
-        campaign = self._campaign(untrained_engine, tokenizer, world)
-        server = InferenceServer(untrained_engine, campaign.generation)
-        # Never started: the serve route reports unavailable and the
-        # baseline silently takes the local batched path.
+        """A server that was never started serves nothing: the trials
+        run on the local path and equal a detached campaign's."""
+        engine = InferenceEngine(untrained_store)
+        campaign = self._campaign(engine, tokenizer, world)
+        server = InferenceServer(engine, campaign.generation)
         campaign.attach_server(server)
-        reference = self._campaign(untrained_engine, tokenizer, world)
-        assert campaign.compute_baseline() == reference.compute_baseline()
-
-    def test_served_speculative_baseline(
-        self, untrained_engine, tokenizer, world, clean_telemetry
-    ):
-        """A speculative campaign on a draft-matched server serves its
-        baseline instead of falling back — the fix for the silent
-        local-serial degradation."""
-        draft = _draft_for(untrained_engine)
-        local = self._campaign(
-            untrained_engine, tokenizer, world,
-            draft_model=draft, speculation_depth=3,
+        assert_results_equal(
+            campaign.run(self.N_TRIALS),
+            self._local(untrained_store, tokenizer, world).run(self.N_TRIALS),
+            "attached, not running", "local",
         )
-        expected = local.compute_baseline()
-        served = self._campaign(
-            untrained_engine, tokenizer, world,
-            draft_model=draft, speculation_depth=3,
-        )
-        server = InferenceServer(
-            untrained_engine, served.generation, max_batch=4,
-            draft=draft, speculation_depth=3,
-        ).start()
-        try:
-            served.attach_server(server, tenant="campaign")
-            tel = clean_telemetry
-            tel.enable()
-            assert served.compute_baseline() == expected
-            snap = tel.metrics.snapshot()
-            assert not any(
-                key.startswith("serve.campaign_fallback.")
-                for key in snap["counters"]
-            )
-            assert server.tenant_stats()["campaign"]["completed"] == 3
-        finally:
-            server.stop()
+        assert server.tenant_stats()["campaign"]["completed"] == 0
 
     def test_draftless_server_serves_a_campaign_holding_a_draft(
-        self, untrained_engine, tokenizer, world, clean_telemetry
+        self, untrained_store, tokenizer, world
     ):
         """A campaign's draft is its ``spec_fault_side`` study's, not
-        its baseline's: served tokens are greedy-identical whatever the
-        server drafts with, so nothing falls back."""
-        draft = _draft_for(untrained_engine)
+        its trials': a draftless server serves every trial, and the
+        records are the local run's."""
+        engine = InferenceEngine(untrained_store)
         campaign = self._campaign(
-            untrained_engine, tokenizer, world, draft_model=draft
+            engine, tokenizer, world, draft_model=_draft_for(engine)
         )
-        reference = self._campaign(untrained_engine, tokenizer, world)
-        server = InferenceServer(
-            untrained_engine, campaign.generation, max_batch=4
-        ).start()
+        server = InferenceServer(engine, campaign.generation, max_batch=4).start()
         try:
             campaign.attach_server(server)
-            tel = clean_telemetry
-            tel.enable()
-            assert campaign.compute_baseline() == reference.compute_baseline()
-            assert campaign._baseline_preds == reference._baseline_preds
-            assert not any(
-                key.startswith("serve.campaign_fallback.")
-                for key in tel.metrics.snapshot()["counters"]
-            )
-            assert server.tenant_stats()["campaign"]["completed"] == 3
+            served = campaign.run(self.N_TRIALS)
+            completed = server.tenant_stats()["campaign"]["completed"]
         finally:
             server.stop()
-
-    def test_fallback_is_counted_and_rendered(
-        self, untrained_engine, tokenizer, world, clean_telemetry, tmp_path
-    ):
-        """The server decodes greedily: a beam campaign falls back to
-        its local baseline — counted and rendered, not silent."""
-        campaign = self._campaign(untrained_engine, tokenizer, world, num_beams=2)
-        server = InferenceServer(
-            untrained_engine, _config(eos_id=campaign.generation.eos_id),
-            max_batch=4,
-        ).start()
-        out = tmp_path / "fallback.jsonl"
-        try:
-            campaign.attach_server(server)
-            tel = clean_telemetry
-            tel.enable(out)
-            reference = self._campaign(
-                untrained_engine, tokenizer, world, num_beams=2
-            )
-            assert campaign.compute_baseline() == reference.compute_baseline()
-            fallback = tel.metrics.counter("serve.campaign_fallback.beam_search")
-            assert fallback.value == 1
-            assert server.tenant_stats()["campaign"]["completed"] == 0
-            tel.flush(command="test-fallback")
-        finally:
-            server.stop()
-        rendered = render_report(read_run(out))
-        assert "serving campaign fallbacks" in rendered
-        assert "beam_search" in rendered
+        assert completed == self.N_TRIALS
+        assert_results_equal(
+            served,
+            self._local(untrained_store, tokenizer, world).run(self.N_TRIALS),
+            "served", "local",
+        )
 
 
 def _kv_site(iteration: int) -> FaultSite:
