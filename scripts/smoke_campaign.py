@@ -16,12 +16,16 @@ one engine in the one telemetry run, as a study's fault-model cells do:
 the first decodes the golden runs, the others start from them
 (``campaign.golden.shared``).  ``--max-fault-iterations 1`` strikes
 every trial at iteration 0 — the wave rows that prefill under their
-injector instead of resuming.
+injector instead of resuming.  ``--task`` picks the task (default
+``wmt16``): a multiple-choice one (``--task mmlu``) scores option rows
+instead of decoding, and under ``2bits-mem`` its trials share those
+forwards in waves.
 
 Usage::
 
     PYTHONPATH=src python scripts/smoke_campaign.py [out.jsonl] \
-        [--workers N] [--flight] [--fault MODEL]... [--max-fault-iterations K]
+        [--workers N] [--flight] [--fault MODEL]... [--max-fault-iterations K] \
+        [--task NAME]
 """
 
 from __future__ import annotations
@@ -71,6 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="arm the per-trial flight recorder and assert its records",
     )
+    parser.add_argument(
+        "--task",
+        default=TranslationTask.name,
+        help=f"task to run the campaigns on (default: {TranslationTask.name})",
+    )
     args = parser.parse_args(argv)
     faults = args.fault or [FaultModel.MEM_2BIT.value]
     n_trials = args.trials * len(faults)
@@ -79,6 +88,10 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     world = World(seed=2025)
+    tasks = {task.name: task for task in all_tasks(world)}
+    if args.task not in tasks:
+        parser.error(f"--task must be one of {sorted(tasks)}, got {args.task!r}")
+    task = tasks[args.task]
     tokenizer = build_tokenizer(world)
     rng = np.random.default_rng(99)
     docs = build_mixed_corpus(all_tasks(world), rng, 1500)
@@ -104,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     engine = InferenceEngine(model.to_store(), weight_policy="bf16")
 
-    task = TranslationTask(world)
     examples = standardized_subset(task, 4)
     recorder = flight_recorder()
     if args.flight:
@@ -156,11 +168,13 @@ def main(argv: list[str] | None = None) -> int:
         name.startswith("engine.layer_ms.") for name in tel.metrics.histograms
     ), "per-layer timing missing"
     assert tel.metrics.histogram("campaign.trial_ms").count == n_trials
-    # Trials decode through ``generate_ids`` or, every one of a
-    # wave-capable campaign's, as rows of a wave's shared forwards.
+    # Trials decode through ``generate_ids``, or, every one of a
+    # wave-capable campaign's, as rows of a wave's shared forwards; a
+    # multiple-choice trial scores option rows.
     assert (
         "decode.tokens" in counters
         or tel.metrics.histogram("campaign.wave.width").count > 0
+        or any(name.startswith("decode.plan.option_rows.") for name in counters)
     ), "decode metrics missing"
     assert any(
         name.startswith("campaign.outcome.") for name in counters

@@ -19,9 +19,13 @@ bit-identical per row to the serial one, so greedy computational-fault
 trials decode as *waves* — ``_DECODE_BATCH`` rows of one decode round,
 each with its own budget and its own row-pinned injector, resumed from
 its example's golden run or, struck at iteration 0, prefilled into its
-slot under that injector (:meth:`FICampaign._run_wave`).  The wave is
-such a campaign's only decode loop; a trial that still runs alone is
-counted, by reason, under ``campaign.lone_trials.*``.  Most strikes
+slot under that injector (:meth:`FICampaign._run_wave`).  A
+multiple-choice trial has no decode to share, but under a weight fault
+it reruns all its option rows: those of many trials share a forward,
+each trial's corrupted weight keyed to its own rows and nothing flipped
+engine-wide.  The wave is such a campaign's only path; a trial that
+still runs alone is counted, by reason, under
+``campaign.lone_trials.*``.  Most strikes
 never reach the output, so each distinct ``(example, prediction)`` is
 scored and classified once (:meth:`FICampaign._gen_record`) — and the
 fault-free passes everything above starts from are decoded once per
@@ -53,6 +57,7 @@ import hashlib
 import json
 import time
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -73,6 +78,7 @@ from repro.fi.golden import (
     GoldenRun,
     SharedBaseline,
     leave_shared,
+    score_option_rows,
     take_shared,
     weights_digest,
 )
@@ -203,6 +209,16 @@ fuller steps; the slots are sized to what the cell can reach
 (:meth:`FICampaign._kv_slots`), which is what keeps sixteen of them
 inside the memory eight ``max_seq`` ones took."""
 
+_OPTION_ROW_TOKENS = 128
+"""Most tokens one forward of weight-fault option rows takes
+(:meth:`FICampaign._weight_fault_scores`; rows of length ``t`` go
+``128 // t`` to a forward, at least one and at most the pool's width).
+Its logits — rows x ``t`` x vocabulary — are the largest array a
+forward makes.  On ``campaign_mc_mem`` a wider forward saved no time and
+only raised the peak: sixteen rows of any length read ``peak_rss_mb``
++4.3 % over one-trial scoring, 128 tokens +1.6 %, at the same
+trials/s."""
+
 
 class FICampaign:
     """Driver for one statistical fault-injection campaign."""
@@ -264,9 +280,11 @@ class FICampaign:
         own prompt forward — share each decode step, every row
         bit-identical to the trial decoded alone.
         A multiple-choice trial under a weight or computational fault
-        scores only what the fault can reach (:meth:`_option_rows`):
-        the blocks from the struck one on, as rows of one forward per
-        option length, over its example's golden option pass.
+        scores only what the fault can reach: the blocks from the
+        struck one on, over its example's golden option pass — under a
+        weight fault every option row, beside other trials' rows
+        (:meth:`_weight_fault_scores`), under a computational one the
+        rows up to the one it fires in (:meth:`_option_rows`).
         ``serial`` is the whole reference, as the differential oracle
         runs it: per-sequence decode loops, one full forward per option,
         a fresh prefill and a full decode per trial and per baseline
@@ -450,54 +468,99 @@ class FICampaign:
         self,
         golden: GoldenOptions,
         site: FaultSite,
-        injector: MemoryFaultInjector | ComputationalFaultInjector,
+        injector: ComputationalFaultInjector,
     ) -> list[float]:
-        """Option scores of a trial whose fault at ``site`` is armed,
-        from its example's golden pass: bit for bit what one
-        ``forward_full(prompt + option)`` per option scores.
+        """Option scores of a trial whose computational fault at
+        ``site`` is armed, from its example's golden pass: bit for bit
+        what one ``forward_full(prompt + option)`` per option scores.
 
         An error only travels downstream, so the blocks below
-        ``site.block`` are never recomputed.  A corrupted weight is read
-        by every option's forward: each group of equally long options is
-        one rows forward from the struck block on.  A computational
-        fault is one-shot: in the per-option loop its hook fires in the
-        first forward that runs its layer — option 0's, unless the layer
-        is an MoE expert no token of that option is routed to — and
-        nowhere after, so rows are recomputed alone and in order until
-        it has fired, and the rest keep their golden scores.
-
-        Only the memory leg is timed end to end (the ledger's
-        ``campaign_mc_mem``).  The computational leg is exact by the
-        same tests but unmeasured end to end: no ledger workload runs
-        computational faults on a multiple-choice task, and no gain is
-        claimed for it.
+        ``site.block`` are never recomputed.  The fault is one-shot: in
+        the per-option loop its hook fires in the first forward that
+        runs its layer — option 0's, unless the layer is an MoE expert no
+        token of that option is routed to — and nowhere after, so rows
+        are recomputed alone and in order until it has fired, and the
+        rest keep their golden scores.  Exact by the same tests as the
+        weight-fault leg, but unmeasured end to end: no ledger workload
+        runs computational faults on a multiple-choice task, and no gain
+        is claimed for it.
         """
-        first = site.block
+        count_plan("option_rows", "row_scoped_hooks")
         pool = self._kv_slots()
-        n_blocks = self.engine.config.n_blocks
-        if site.fault_model.is_memory:
+        scores = list(golden.scores)
+        ran = 0
+        while ran < len(scores) and not injector.fired:
+            scores[ran] = golden.rescore_option(self.engine, pool, site.block, ran)
+            ran += 1
+        self._count_block_passes(site, len(scores), ran)
+        return scores
+
+    def _weight_fault_scores(
+        self, trials: list[tuple[int, FaultSite]]
+    ) -> dict[int, list[float]]:
+        """Option scores of multiple-choice ``(trial, site)`` pairs under
+        their weight faults, from their examples' golden passes: bit for
+        bit what one ``forward_full(prompt + option)`` per option scores
+        with the fault flipped into the store.
+
+        A corrupted weight is read by every option's forward, from the
+        struck block on.  Rows of any trials struck in the same block
+        and equally long share a forward — as many as the pool has slots
+        and :data:`_OPTION_ROW_TOKENS` allows — each trial's fault keyed
+        to its own rows (``MemoryFaultInjector(rows=)``): nothing is
+        flipped engine-wide, and each faulted copy lives for one
+        forward.
+        """
+        n = len(self.examples)
+        pool = self._kv_slots()
+        sites = dict(trials)
+        scores: dict[int, list[float]] = {}
+        forwards: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for trial, site in trials:
+            golden = self._golden[trial % n]
             count_plan("option_rows", "weight_fault")
-            scores = golden.rescore(self.engine, pool, first)
-            ran = len(scores)
-        else:
-            count_plan("option_rows", "row_scoped_hooks")
-            scores = list(golden.scores)
-            ran = 0
-            while ran < len(scores) and not injector.fired:
-                scores[ran] = golden.rescore_option(self.engine, pool, first, ran)
-                ran += 1
+            self._count_block_passes(site, len(golden.options), len(golden.options))
+            scores[trial] = [0.0] * len(golden.options)
+            for option, tokens in enumerate(golden.options):
+                length = len(golden.prompt) + len(tokens)
+                forwards.setdefault((site.block, length), []).append((trial, option))
+        tel = _telemetry()
+        for (block, length), rows in forwards.items():
+            width = min(pool.n_slots, max(1, _OPTION_ROW_TOKENS // length))
+            for at in range(0, len(rows), width):
+                chunk = rows[at : at + width]
+                mine: dict[int, list[int]] = {}
+                for row, (trial, _) in enumerate(chunk):
+                    mine.setdefault(trial, []).append(row)
+                with ExitStack() as armed:
+                    for trial, ids in mine.items():
+                        armed.enter_context(
+                            MemoryFaultInjector(self.engine, sites[trial], rows=ids)
+                        )
+                    got = score_option_rows(
+                        self.engine, pool, block,
+                        [(self._golden[trial % n], option) for trial, option in chunk],
+                    )
+                for (trial, option), score in zip(chunk, got):
+                    scores[trial][option] = score
+                if tel.active:
+                    tel.metrics.histogram("campaign.wave.width").observe(len(chunk))
+        return scores
+
+    def _count_block_passes(self, site: FaultSite, n_options: int, ran: int) -> None:
+        """One trial's ``campaign.mc_golden.*`` tallies: of its
+        ``n_options`` option rows through every block, ``ran`` were
+        recomputed from ``site.block`` on."""
         tel = _telemetry()
         if tel.active:
             metrics = tel.metrics
-            passes = len(scores) * n_blocks
+            n_blocks = self.engine.config.n_blocks
+            passes = n_options * n_blocks
             metrics.counter("campaign.mc_golden.block_passes").add(passes)
             metrics.counter("campaign.mc_golden.block_passes_skipped").add(
-                passes - ran * (n_blocks - first)
+                passes - ran * (n_blocks - site.block)
             )
-            metrics.counter("campaign.mc_golden.rows_reused").add(
-                len(scores) - ran
-            )
-        return scores
+            metrics.counter("campaign.mc_golden.rows_reused").add(n_options - ran)
 
     def _eval_gen(self, idx: int, golden: GoldenRun | None = None,
                   k: int = 0) -> str:
@@ -832,7 +895,8 @@ class FICampaign:
 
     def _reach_limited(self, site: FaultSite) -> bool:
         """Whether a multiple-choice trial struck at ``site`` may score
-        from its example's golden option pass (:meth:`_option_rows`).
+        from its example's golden option pass
+        (:meth:`_weight_fault_scores`, :meth:`_option_rows`).
 
         Asked before the fault is armed: the engine must carry nothing
         but observers, so the pass it reuses is fault-free.  Weight and
@@ -865,7 +929,6 @@ class FICampaign:
         if self.chaos is not None:
             self.chaos.strike(trial, attempt, in_worker=self._in_worker)
         idx = trial % len(self.examples)
-        ex = self.examples[idx]
         site = self._trial_site(trial, self._max_fault_iter())
         recorder = _flight()
         if recorder.active:
@@ -917,6 +980,10 @@ class FICampaign:
                 )
                 text = self.tokenizer.decode(handle.result())
                 fired = bool(handle.kv_fired)
+            elif golden is not None and self.is_mc and site.fault_model.is_memory:
+                # A wave of one: the fault keyed to the trial's rows.
+                scores = self._weight_fault_scores([(trial, site)])[trial]
+                pred_idx = int(np.argmax(scores))
             else:
                 with inject(self.engine, site) as injector:
                     if recorder.active:
@@ -947,18 +1014,7 @@ class FICampaign:
         assert self._baseline_preds is not None
         base_pred = self._baseline_preds[idx]
         if self.is_mc:
-            correct = pred_idx == ex.answer_index
-            outcome = Outcome.MASKED if correct else Outcome.SDC_SUBTLE
-            record = TrialRecord(
-                site=site,
-                example_index=idx,
-                prediction=str(pred_idx),
-                outcome=outcome,
-                metrics={"accuracy": 100.0 * correct},
-                changed=pred_idx != base_pred,
-                selection_changed=self._selection_changed(idx, selections),
-                fired=fired,
-            )
+            record = self._mc_record(site, idx, pred_idx, fired, selections)
         else:
             record = self._gen_record(site, idx, text, fired, selections)
         if recorder.active:
@@ -976,6 +1032,27 @@ class FICampaign:
                 reference=reference,
             )
         return record
+
+    def _mc_record(
+        self,
+        site: FaultSite,
+        idx: int,
+        pred_idx: int,
+        fired: bool = True,
+        selections: dict | None = None,
+    ) -> TrialRecord:
+        """One multiple-choice trial's record: the option it picked."""
+        correct = pred_idx == self.examples[idx].answer_index
+        return TrialRecord(
+            site=site,
+            example_index=idx,
+            prediction=str(pred_idx),
+            outcome=Outcome.MASKED if correct else Outcome.SDC_SUBTLE,
+            metrics={"accuracy": 100.0 * correct},
+            changed=pred_idx != self._baseline_preds[idx],
+            selection_changed=self._selection_changed(idx, selections),
+            fired=fired,
+        )
 
     def _gen_record(
         self,
@@ -1097,6 +1174,7 @@ class FICampaign:
         """
         if len(self.engine.hooks):
             self.engine.hooks.clear()
+        self.engine.row_weights.clear()
         self.engine.capture = None
         # A wave interrupted between acquiring a slot and owning it
         # would leak the slot: start the next round on a fresh pool.
@@ -1131,17 +1209,31 @@ class FICampaign:
 
     def _wave_capable(self) -> bool:
         """Whether this campaign's trials share forwards — the wave is
-        then its only decode loop: greedy generative computational-fault
-        trials (a multiple-choice trial has no decode to share), and
-        nothing that wants a trial to itself — chaos strikes, a flight
-        recorder, expert-selection capture, the speculation-side
-        schedule, or machinery on the engine that :func:`decode_plan`
-        does not batch under.  Computational injectors are hooks, one
-        per row; KV-cache and accumulator faults arm the engine's single
-        slot, so they keep the one-trial path."""
+        then their only path — and nothing wants a trial to itself:
+        chaos strikes, a flight recorder, expert-selection capture, the
+        speculation-side schedule, or machinery on the engine that
+        :func:`decode_plan` does not batch under.
+
+        Greedy generative computational-fault trials share decode
+        steps: computational injectors are hooks, one per row.
+        Multiple-choice trials have no decode to share, but a weight
+        fault reruns every option row from the struck block, and keyed
+        by row (``MemoryFaultInjector(rows=)``) it lets those rows of
+        many trials share a forward: under the conditions option rows
+        need at all (:meth:`_reach_limited`).  Every other fault model
+        keeps the one-trial path: KV-cache and accumulator faults arm
+        the engine's single slot, a generative weight fault flips the
+        store, and a multiple-choice computational trial reruns only the
+        rows up to the one its fault fires in."""
+        if self.is_mc:
+            return (
+                self.fault_model.is_memory
+                and self.chaos is None
+                and not _flight().active
+                and self._keeps_golden()
+            )
         return (
             self.decode_strategy == "auto"
-            and not self.is_mc
             and self.fault_model.is_computational
             and self.generation.num_beams == 1
             and self.chaos is None
@@ -1152,8 +1244,11 @@ class FICampaign:
         )
 
     def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
-        """Decode ``trials`` as rows of one :class:`DecodeRound` and
-        return every one's record.
+        """Run ``trials`` as one wave and return every one's record.
+
+        Multiple choice: every trial's option rows, grouped into shared
+        forwards (:meth:`_weight_fault_scores`).  Generative: ``trials``
+        decode as rows of one :class:`DecodeRound`.
 
         A row is one trial in one pool slot, with its own budget and its
         own injector pinned to the row's id.  A trial struck at
@@ -1177,6 +1272,18 @@ class FICampaign:
         traced = tel.active
         n = len(self.examples)
         max_iter = self._max_fault_iter()
+        if self.is_mc:
+            t0 = time.perf_counter()
+            sites = [(trial, self._trial_site(trial, max_iter)) for trial in trials]
+            with tel.span("campaign.wave", task=self.task_name, trials=len(sites)):
+                scores = self._weight_fault_scores(sites)
+                records = {}
+                for trial, site in sites:
+                    pred = int(np.argmax(scores[trial]))
+                    records[trial] = self._mc_record(site, trial % n, pred)
+                    if traced:
+                        self._tally(records[trial], t0)
+            return records
         pending = deque((trial, self._trial_site(trial, max_iter)) for trial in trials)
         records: dict[int, TrialRecord] = {}
         # row key (trial) -> (site, golden prefix, the slot this method

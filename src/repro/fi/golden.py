@@ -11,6 +11,14 @@ example's only fault-free reference in an ``auto`` campaign: the
 baseline is read off it, and nothing decodes or scores the example
 fault-free a second way.
 
+**Multiple-choice trials.**  A trial struck in block ``L`` reruns option
+rows from ``L`` on, from the state that entered ``L`` in its example's
+pass (:func:`score_option_rows`).  Under a weight fault that is every
+option row, and the fault is keyed to the trial's own rows rather than
+flipped into the store, so the rows of many trials — of any examples,
+struck in the same block, equally long — share one forward, each
+reading its own faulted copy of the struck tensor.
+
 **Generative trials.**
 
 Greedy decoding is deterministic and every transient injector
@@ -207,33 +215,32 @@ def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
 def _score_rows(
     engine: InferenceEngine,
     pool: PooledKVCache,
-    prompt: list[int],
-    options: list[list[int]],
+    rows: list[tuple[list[int], list[int]]],
     **forward_kw,
 ) -> list[float]:
-    """Score equally long ``options`` as rows ``prompt + option`` of one
-    ``forward_chunk_batch`` from position 0, each row over a pool slot of
-    its own.  The batched entry is row-exact, so row ``i`` is
-    ``forward_full(prompt + options[i])`` bit for bit, whatever is armed
-    on the engine."""
+    """Score ``(prompt, option)`` pairs of one length ``prompt + option``
+    as rows of one ``forward_chunk_batch`` from position 0, row ``i``
+    with id ``i`` over a pool slot of its own.  The batched entry is
+    row-exact, so row ``i`` is ``forward_full(prompt + option)`` bit for
+    bit under whatever is armed on the engine for it."""
     slots: list[int] = []
     try:
-        for _ in options:
+        for _ in rows:
             slots.append(pool.acquire())
-        zeros = [0] * len(options)
+        zeros = [0] * len(rows)
         logits = engine.forward_chunk_batch(
-            [prompt + option for option in options],
+            [prompt + option for prompt, option in rows],
             [pool.caches(slot) for slot in slots],
             zeros, zeros, **forward_kw,
         )
     finally:
         for slot in slots:
             pool.release(slot)
-    start = len(prompt) - 1
-    return [
-        option_logp(logits[row, start : start + len(option)], option)
-        for row, option in enumerate(options)
-    ]
+    scores = []
+    for row, (prompt, option) in enumerate(rows):
+        start = len(prompt) - 1
+        scores.append(option_logp(logits[row, start : start + len(option)], option))
+    return scores
 
 
 def _by_option(groups: list[list[int]], per_group: list[list[float]]) -> list[float]:
@@ -254,10 +261,13 @@ class GoldenOptions:
     hidden state that entered blocks ``1..n-1`` (block 0's input is the
     embedding gather, not worth keeping), and per option its score.  A
     fault in block ``L`` leaves every block before it computing exactly
-    this pass, so a trial runs each group from block ``L`` on
-    (:meth:`rescore`); a one-shot computational fault also leaves the
-    option forwards it does not fire in untouched, so a trial recomputes
-    single rows (:meth:`rescore_option`) and keeps the golden
+    this pass, so a trial runs its option rows from block ``L`` on
+    (:func:`score_option_rows`, from :meth:`state`).  A weight fault is
+    read by every option's forward: its rows are all rerun, beside
+    other trials' rows of the same length and struck block, each under
+    its own row-keyed fault.  A one-shot computational fault also leaves
+    the option forwards it does not fire in untouched, so a trial
+    recomputes single rows (:meth:`rescore_option`) and keeps the golden
     :attr:`scores` of the rest.
     """
 
@@ -295,7 +305,7 @@ class GoldenOptions:
         inputs: list[list[np.ndarray]] = [[] for _ in groups]
         scores = _by_option(groups, [
             _score_rows(
-                engine, pool, prompt, [options[i] for i in group],
+                engine, pool, [(prompt, options[i]) for i in group],
                 block_inputs=kept,
             )
             for group, kept in zip(groups, inputs)
@@ -309,48 +319,47 @@ class GoldenOptions:
             tel.metrics.counter("campaign.mc_golden.builds").add()
         return cls(prompt, options, groups, hidden, scores)
 
-    def _rescore(
-        self,
-        engine: InferenceEngine,
-        pool: PooledKVCache,
-        first_block: int,
-        g: int,
-        rows: slice,
-    ) -> list[float]:
-        """Scores of ``groups[g][rows]`` under whatever is armed on
-        ``engine`` now — which must not reach a block below
-        ``first_block`` — computed from the golden state entering it."""
-        resume = None
-        if first_block:
-            state = self.hidden[g][first_block - 1][rows]
-            resume = (first_block, state.reshape(-1, state.shape[-1]))
-        return _score_rows(
-            engine, pool, self.prompt,
-            [self.options[i] for i in self.groups[g][rows]],
-            resume=resume,
+    def state(self, block: int, option: int) -> np.ndarray:
+        """The ``(t, d_model)`` hidden state that entered ``block``
+        (``>= 1``) in ``option``'s row of this pass."""
+        g, row = next(
+            (g, group.index(option))
+            for g, group in enumerate(self.groups)
+            if option in group
         )
-
-    def rescore(
-        self, engine: InferenceEngine, pool: PooledKVCache, first_block: int
-    ) -> list[float]:
-        """Every option's score, one forward of blocks
-        ``first_block..n-1`` per group."""
-        return _by_option(self.groups, [
-            self._rescore(engine, pool, first_block, g, slice(None))
-            for g in range(len(self.groups))
-        ])
+        return self.hidden[g][block - 1][row]
 
     def rescore_option(
         self, engine: InferenceEngine, pool: PooledKVCache, first_block: int,
         option: int,
     ) -> float:
         """One option's score: its row alone, from ``first_block`` on."""
-        g, row = next(
-            (g, group.index(option))
-            for g, group in enumerate(self.groups)
-            if option in group
+        return score_option_rows(engine, pool, first_block, [(self, option)])[0]
+
+
+def score_option_rows(
+    engine: InferenceEngine,
+    pool: PooledKVCache,
+    first_block: int,
+    rows: "list[tuple[GoldenOptions, int]]",
+) -> list[float]:
+    """Scores of ``(pass, option)`` rows, every ``prompt + option``
+    equally long (of one example or several), as one forward of blocks
+    ``first_block..n-1`` from the golden state entering ``first_block``.
+    Row ``i`` carries id ``i``: what is armed on ``engine`` must not
+    reach a block below ``first_block``, and a fault keyed to row ``i``
+    (``MemoryFaultInjector(rows=)``) is read by that row alone."""
+    resume = None
+    if first_block:
+        resume = (
+            first_block,
+            np.concatenate([golden.state(first_block, i) for golden, i in rows]),
         )
-        return self._rescore(engine, pool, first_block, g, slice(row, row + 1))[0]
+    return _score_rows(
+        engine, pool,
+        [(golden.prompt, golden.options[i]) for golden, i in rows],
+        resume=resume,
+    )
 
 
 # ----------------------------------------------------------------------------

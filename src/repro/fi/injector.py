@@ -51,34 +51,69 @@ __all__ = [
 
 
 class MemoryFaultInjector:
-    """Persistent weight corruption with guaranteed restoration."""
+    """Persistent weight corruption with guaranteed restoration.
 
-    def __init__(self, engine: InferenceEngine, site: FaultSite) -> None:
+    By default the bits are flipped in the engine's weight store, so
+    every forward reads them until :meth:`__exit__` flips them back.
+    ``rows`` keys the fault to those batch row ids instead: the injector
+    builds a private faulted copy ``W'`` of the one struck tensor
+    (:meth:`~repro.inference.storage.WeightStore.faulted_array`, which
+    never writes the store — a pool worker never privatizes an arena
+    page) and registers it for ``rows`` in ``engine.row_weights``, where
+    the batched entries read it for those rows alone
+    (:meth:`~repro.inference.engine.InferenceEngine._linear`); exit
+    unregisters it.  Several trials' faults then share one forward, each
+    on its own rows.  A row carries at most one fault per layer.
+    """
+
+    def __init__(
+        self,
+        engine: InferenceEngine,
+        site: FaultSite,
+        rows: "tuple[int, ...] | list[int] | None" = None,
+    ) -> None:
         if not site.fault_model.is_memory:
             raise ValueError(f"{site.fault_model} is not a memory fault model")
         self.engine = engine
         self.site = site
+        self.rows = None if rows is None else tuple(int(row) for row in rows)
         self._token = None
+        self._faulted: np.ndarray | None = None
 
     def __enter__(self) -> "MemoryFaultInjector":
-        store = self.engine.weight_store(self.site.layer_name)
-        self._token = store.flip_element_bits(
-            self.site.row, self.site.col, list(self.site.bits)
-        )
-        # Announce the armed fault so shared-compute fast paths
-        # (prefix caching, batched option scoring) disable themselves
-        # while the weights are corrupted.
-        self.engine.weight_fault_depth += 1
+        site = self.site
+        store = self.engine.weight_store(site.layer_name)
+        before = float(store.array[site.row, site.col])
+        if self.rows is None:
+            self._token = store.flip_element_bits(site.row, site.col, list(site.bits))
+            # Announce the armed fault so shared-compute fast paths
+            # (prefix caching, batched decoding) disable themselves
+            # while the weights are corrupted.
+            self.engine.weight_fault_depth += 1
+            after = store.array[site.row, site.col]
+        else:
+            keyed = self.engine.row_weights.get(site.layer_name, {})
+            taken = sorted(set(self.rows) & keyed.keys())
+            if taken:
+                raise RuntimeError(
+                    f"rows {taken} already carry a fault in {site.layer_name}"
+                )
+            faulted = store.faulted_array(site.row, site.col, list(site.bits))
+            self.engine.row_weights.setdefault(site.layer_name, {}).update(
+                dict.fromkeys(self.rows, faulted)
+            )
+            self._faulted = faulted
+            after = faulted[site.row, site.col]
         recorder = _flight()
         if recorder.active:
             recorder.event(
                 "inject.arm",
-                layer=self.site.layer_name,
-                row=self.site.row,
-                col=self.site.col,
-                bits=list(self.site.bits),
-                before=float(self._token.compute_value),
-                after=float(store.array[self.site.row, self.site.col]),
+                layer=site.layer_name,
+                row=site.row,
+                col=site.col,
+                bits=list(site.bits),
+                before=before,
+                after=float(after),
             )
         return self
 
@@ -92,9 +127,19 @@ class MemoryFaultInjector:
             store.release_private()
             self._token = None
             self.engine.weight_fault_depth -= 1
-            recorder = _flight()
-            if recorder.active:
-                recorder.event("inject.restore", layer=self.site.layer_name)
+        elif self._faulted is not None:
+            keyed = self.engine.row_weights.get(self.site.layer_name, {})
+            for row in self.rows:
+                if keyed.get(row) is self._faulted:
+                    del keyed[row]
+            if not keyed:
+                self.engine.row_weights.pop(self.site.layer_name, None)
+            self._faulted = None
+        else:
+            return
+        recorder = _flight()
+        if recorder.active:
+            recorder.event("inject.restore", layer=self.site.layer_name)
 
 
 class ComputationalFaultInjector:

@@ -28,6 +28,7 @@ The runtime-state fault models extend the same two-stage scheme:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.fi.fault_models import FaultModel
 from repro.inference.engine import InferenceEngine
+from repro.numerics.formats import get_format
 
 __all__ = ["FaultSite", "sample_site", "LayerFilter", "KV_LAYER_SUFFIX"]
 
@@ -145,6 +147,53 @@ def _sample_kv_site(
     )
 
 
+@dataclass(frozen=True)
+class _LinearTables:
+    """What a linear-layer site is drawn from on one engine under one
+    layer filter: the faultable layers grouped by block (in block order)
+    and each layer's ``(rows, cols, storage bits)``."""
+
+    by_block: list[list[str]]
+    geometry: dict[str, tuple[int, int, int]]
+
+    @classmethod
+    def build(
+        cls, engine: InferenceEngine, layer_filter: LayerFilter | None
+    ) -> "_LinearTables":
+        layers = engine.linear_layer_names()
+        if layer_filter is not None:
+            layers = [name for name in layers if layer_filter(name)]
+        if not layers:
+            raise ValueError("layer filter excluded every fault-targetable layer")
+        blocks = sorted({name.split(".")[1] for name in layers})
+        by_block = [[n for n in layers if n.split(".")[1] == b] for b in blocks]
+        geometry = {}
+        for name in layers:
+            store = engine.weight_store(name)
+            geometry[name] = (*store.shape, store.n_storage_bits)
+        return cls(by_block, geometry)
+
+
+_TABLES: "weakref.WeakKeyDictionary[InferenceEngine, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+"""Engine -> ``(layer filter, its _LinearTables)``: the tables of the
+filter last sampled under.  A campaign samples every trial under one
+filter, so they are built once per campaign; an engine's layers and
+their shapes never change."""
+
+
+def _linear_tables(
+    engine: InferenceEngine, layer_filter: LayerFilter | None
+) -> _LinearTables:
+    cached = _TABLES.get(engine)
+    if cached is None or cached[0] is not layer_filter:
+        cached = _TABLES[engine] = (
+            layer_filter, _LinearTables.build(engine, layer_filter)
+        )
+    return cached[1]
+
+
 def sample_site(
     engine: InferenceEngine,
     fault_model: FaultModel,
@@ -174,31 +223,22 @@ def sample_site(
         return _sample_kv_site(
             engine, fault_model, rng, max_iterations, layer_filter, engine_side
         )
-    layers = engine.linear_layer_names()
-    if layer_filter is not None:
-        layers = [name for name in layers if layer_filter(name)]
-    if not layers:
-        raise ValueError("layer filter excluded every fault-targetable layer")
+    tables = _linear_tables(engine, layer_filter)
     # Uniform over blocks first, then layer types within the block,
     # following the paper's two-stage selection.
-    blocks = sorted({name.split(".")[1] for name in layers})
-    block = blocks[int(rng.integers(0, len(blocks)))]
-    in_block = [n for n in layers if n.split(".")[1] == block]
+    in_block = tables.by_block[int(rng.integers(0, len(tables.by_block)))]
     layer_name = in_block[int(rng.integers(0, len(in_block)))]
 
-    store = engine.weight_store(layer_name)
-    rows, cols = store.shape
+    rows, cols, storage_bits = tables.geometry[layer_name]
     if fault_model.is_memory:
         return FaultSite(
             fault_model=fault_model,
             layer_name=layer_name,
             row=int(rng.integers(0, rows)),
             col=int(rng.integers(0, cols)),
-            bits=_sample_bits(rng, fault_model.n_bits, store.n_storage_bits),
+            bits=_sample_bits(rng, fault_model.n_bits, storage_bits),
             engine_side=engine_side,
         )
-    from repro.numerics.formats import get_format
-
     width = get_format(engine.activation_format).bits
     if fault_model.is_accumulator:
         # Accumulator fault: output column like a computational fault,

@@ -48,6 +48,7 @@ armed on the target               with a draft  no draft    reason
 nothing                           composed      batched     clean
 observer-only hooks               composed      batched     observer_hooks
 row-scoped perturbing hooks       batched       batched     row_scoped_hooks
+weight fault keyed by row         batched       batched     row_weight_fault
 KV fault (pinned by cache)        batched       batched     kv_fault
 accumulator fault (per GEMM row)  batched       batched     acc_fault
 activation capture                serial        serial      capture
@@ -60,15 +61,17 @@ iterations under one iteration tag, so anything iteration-pinned would
 mis-fire, and a chunked forward visits different (iteration, tensor)
 pairs than the serial loop.  Batching only needs faults that scope
 themselves to one sequence.  Capture records per-sequence tensors, so
-it forces the serial reference loop; so do weight faults, whose gate was
-set when a batched GEMM differed from the serial one in the last bits (a
-corrupted weight amplifies such differences).  That row now concerns the
-*decode loop* only: option scoring under a weight fault is row-exact — a
-campaign scores a multiple-choice trial's options as rows of one
-``forward_chunk_batch`` under the armed fault
-(:class:`repro.fi.golden.GoldenOptions`, counted as
-``decode.plan.option_rows.<reason>``), bit for bit the per-option
-forwards.  The *draft* is held to the speculation bar too
+it forces the serial reference loop; so do weight faults flipped into
+the store, whose gate was set when a batched GEMM differed from the
+serial one in the last bits (a corrupted weight amplifies such
+differences).  A weight fault keyed by row
+(``MemoryFaultInjector(rows=)``) flips nothing engine-wide: only its
+rows read the faulted copy, each in the product the serial forward of
+that row runs, so it is row-scoped like a pinned hook.  That is how a
+campaign scores multiple-choice trials under weight faults, many trials
+to a ``forward_chunk_batch`` (:func:`repro.fi.golden.score_option_rows`,
+counted as ``decode.plan.option_rows.<reason>``), bit for bit the
+per-option forwards.  The *draft* is held to the speculation bar too
 (``draft_<reason>``, path = the target's no-draft path): its corruption
 is masked by construction, but the non-speculative paths run without
 it, so whether a draft fault even fires would depend on the path.
@@ -97,6 +100,8 @@ def _blocks_speculation(engine: InferenceEngine) -> str | None:
         return "capture"
     if engine.weight_fault_depth > 0:
         return "weight_fault"
+    if engine.row_weights:
+        return "row_weight_fault"
     if engine.kv_fault is not None:
         return "kv_fault"
     if engine.acc_fault is not None:

@@ -120,6 +120,12 @@ class InferenceEngine:
         """Count of currently armed weight (memory) faults.  Maintained
         by :class:`~repro.fi.injector.MemoryFaultInjector` so fast-path
         optimizations can tell whether the stored weights are pristine."""
+        self.row_weights: dict[str, dict[int, np.ndarray]] = {}
+        """Weight faults keyed by batch row, not flipped engine-wide:
+        layer name -> ``{row id: faulted copy of its compute array}``.
+        Maintained by ``MemoryFaultInjector(rows=)``; on the batched
+        entries :meth:`_linear` runs a registered row's product against
+        its own copy."""
         self.kv_fault = None
         """Armed :class:`~repro.fi.injector.KVFaultInjector` (or None).
         The attention paths call ``kv_fault.on_append(block, cache,
@@ -203,6 +209,7 @@ class InferenceEngine:
         engine.hooks = HookManager()
         engine.capture = None
         engine.weight_fault_depth = 0
+        engine.row_weights = {}
         engine.kv_fault = None
         engine.acc_fault = None
         engine._stores = {
@@ -275,17 +282,31 @@ class InferenceEngine:
         slice — the exact serial shape — with
         :attr:`HookContext.batch_row` identifying the sequence, so a
         row-scoped fault strikes exactly one sequence of the batch.
+
+        A row with a weight fault keyed to its id (:attr:`row_weights`)
+        runs its product against its own faulted copy ``W'`` instead:
+        ``x[row] @ W'``, the shape and BLAS call of its product in the
+        stacked matmul, which is what the serial forward of that row
+        runs with the fault flipped into the store.  Every other row
+        reads the pristine ``W``.
         """
         full = f"blocks.{block}.{layer}"
         w = self._w(full)
+        faulted = self.row_weights.get(full) if rows is not None else None
         if rows is None:
             output = x @ w
         elif t:
             output = (x.reshape(-1, t, x.shape[1]) @ w).reshape(x.shape[0], -1)
+            if faulted:
+                for start in range(0, len(rows), t):
+                    own = faulted.get(int(rows[start]))
+                    if own is not None:
+                        output[start : start + t] = x[start : start + t] @ own
         else:
-            output = np.concatenate(
-                [x[start:stop] @ w for start, stop in _runs(rows, 0)]
-            )
+            output = np.concatenate([
+                x[start:stop] @ (faulted.get(int(rows[start]), w) if faulted else w)
+                for start, stop in _runs(rows, 0)
+            ])
         if self.acc_fault is not None:
             self.acc_fault.maybe_strike(output, x, w, full, iteration, rows)
         if self.hooks.has(full):
@@ -330,6 +351,18 @@ class InferenceEngine:
         (``masks`` is ``None`` when ``t == 1``).  Each row's slices have
         the strides of a single-sequence forward, so every row is
         bit-identical to it.
+
+        Rows that start together skip the loop: when ``B > 1``,
+        ``t > 1``, every row's cache was empty before the append (so
+        ``masks[i]`` is the one ``(t, t)`` causal mask) and no KV fault
+        is armed, each row's keys and values are exactly its fresh
+        ``k[i]`` / ``v[i]``.  The core is then one stacked product over
+        ``(B, heads, t, t)`` under one mask, with scale, mask, softmax
+        and divide in place: NumPy issues the per-(row, head) GEMM the
+        loop issues, with the same shapes, and the reductions run along
+        the same contiguous axis, so the bits do not change.  Ragged
+        rows keep the loop: padded to one length, the softmax sums
+        regroup and the bits change.
         """
         cfg = self.config
         heads, hd = cfg.n_heads, cfg.head_dim
@@ -349,22 +382,41 @@ class InferenceEngine:
         k = rot(k.reshape(split).swapaxes(1, 2))
         v = v.reshape(split).swapaxes(1, 2)
         scale = np.float32(hd**-0.5)
-        ctx = np.empty(split, dtype=np.float32)
-        for i in range(batch):
-            cache = row_caches[i][block]
-            cache.append(k[i], v[i])
-            if self.kv_fault is not None:
-                self.kv_fault.on_append(
-                    block,
-                    cache,
-                    iteration if rows is None else int(iteration[i * t]),
-                )
-            keys, values = cache.keys(), cache.values()
-            scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
-            if masks is not None:
-                scores = np.where(masks[i][None], scores, np.float32(-1e9))
-            attn = softmax_np(scores, axis=-1)
-            ctx[i] = (attn @ values).swapaxes(0, 1)
+        if (
+            batch > 1
+            and masks is not None
+            and self.kv_fault is None
+            and all(
+                caches[block].length == 0 and mask.shape[1] == t
+                for caches, mask in zip(row_caches, masks)
+            )
+        ):
+            for caches, k_row, v_row in zip(row_caches, k, v):
+                caches[block].append(k_row, v_row)
+            scores = q @ k.swapaxes(-1, -2)
+            scores *= scale
+            np.copyto(scores, np.float32(-1e9), where=~masks[0])
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            ctx = (scores @ v).swapaxes(1, 2)
+        else:
+            ctx = np.empty(split, dtype=np.float32)
+            for i in range(batch):
+                cache = row_caches[i][block]
+                cache.append(k[i], v[i])
+                if self.kv_fault is not None:
+                    self.kv_fault.on_append(
+                        block,
+                        cache,
+                        iteration if rows is None else int(iteration[i * t]),
+                    )
+                keys, values = cache.keys(), cache.values()
+                scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
+                if masks is not None:
+                    scores = np.where(masks[i][None], scores, np.float32(-1e9))
+                attn = softmax_np(scores, axis=-1)
+                ctx[i] = (attn @ values).swapaxes(0, 1)
         return self._linear(
             ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
         )

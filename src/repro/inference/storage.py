@@ -63,6 +63,13 @@ class WeightStore(Protocol):
         self, row: int, col: int, positions: list[int]
     ) -> RestoreToken: ...
 
+    def faulted_array(
+        self, row: int, col: int, positions: list[int]
+    ) -> np.ndarray:
+        """A fresh copy of :attr:`array` with element ``(row, col)`` set
+        to exactly what :meth:`flip_element_bits` would write there.
+        Pure: the store is not written, so shared planes stay shared."""
+
     def restore(self, token: RestoreToken) -> None: ...
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
@@ -181,18 +188,32 @@ class FloatWeightStore:
         self._bits = shared_bits
         return True
 
+    def _flipped(self, row: int, col: int, positions: list[int]) -> tuple:
+        """``(stored bits, compute value)`` of element ``(row, col)``
+        with ``positions`` flipped."""
+        bits = flip_bits(
+            np.asarray(self._bits[row, col])[None], positions, self.fmt
+        )[0]
+        return bits, from_bits(np.asarray(bits)[None], self.fmt)[0]
+
     def flip_element_bits(
         self, row: int, col: int, positions: list[int]
     ) -> RestoreToken:
         self._ensure_writable()
-        old_bits = self._bits[row, col]
-        token = RestoreToken(row, col, old_bits, float(self._array[row, col]))
-        new_bits = flip_bits(
-            np.asarray(old_bits)[None], positions, self.fmt
-        )[0]
-        self._bits[row, col] = new_bits
-        self._array[row, col] = from_bits(np.asarray(new_bits)[None], self.fmt)[0]
+        token = RestoreToken(
+            row, col, self._bits[row, col], float(self._array[row, col])
+        )
+        self._bits[row, col], self._array[row, col] = self._flipped(
+            row, col, positions
+        )
         return token
+
+    def faulted_array(
+        self, row: int, col: int, positions: list[int]
+    ) -> np.ndarray:
+        array = self._array.copy()
+        array[row, col] = self._flipped(row, col, positions)[1]
+        return array
 
     def restore(self, token: RestoreToken) -> None:
         self._bits[token.row, token.col] = token.stored_value
@@ -305,6 +326,16 @@ class QuantizedWeightStore:
         token = RestoreToken(row, col, old_code, token.compute_value)
         self._array[row, col] = self.quantized.dequantize_element(row, col)
         return token
+
+    def faulted_array(
+        self, row: int, col: int, positions: list[int]
+    ) -> np.ndarray:
+        q = self.quantized
+        array = self._array.copy()
+        array[row, col] = q.dequantize_element(
+            row, col, q.flipped_code(row, col, positions)
+        )
+        return array
 
     def restore(self, token: RestoreToken) -> None:
         self.quantized.set_code(token.row, token.col, int(token.stored_value))

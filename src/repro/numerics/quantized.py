@@ -66,32 +66,40 @@ class QuantizedMatrix:
         group_idx = np.arange(rows) // self.group_size
         return self.codes.astype(np.float32) * self.scales[group_idx]
 
-    def dequantize_element(self, row: int, col: int) -> float:
-        return float(self.codes[row, col]) * float(
-            self.scales[self.group_of_row(row), col]
-        )
+    def dequantize_element(
+        self, row: int, col: int, code: int | None = None
+    ) -> float:
+        """The value at ``(row, col)``: of its stored code, or of
+        ``code`` in its place."""
+        if code is None:
+            code = self.codes[row, col]
+        return float(code) * float(self.scales[self.group_of_row(row), col])
 
-    def flip_code_bits(self, row: int, col: int, positions: list[int]) -> int:
-        """Flip bits of the stored code at ``(row, col)`` in place.
-
-        Bit positions are LSB-first within the ``nbits``-wide two's
-        complement code.  Returns the previous raw code so the caller
-        can restore it (fault-injection campaigns flip back after each
-        run).
-        """
+    def flipped_code(self, row: int, col: int, positions: list[int]) -> int:
+        """The code at ``(row, col)`` with ``positions`` flipped, the
+        stored one left as it is.  Bit positions are LSB-first within
+        the ``nbits``-wide two's complement code."""
         for pos in positions:
             if not 0 <= pos < self.nbits:
                 raise ValueError(
                     f"bit position {pos} out of range for int{self.nbits}"
                 )
-        old = int(self.codes[row, col])
-        raw = old & ((1 << self.nbits) - 1)  # two's complement pattern
+        # Two's complement pattern.
+        raw = int(self.codes[row, col]) & ((1 << self.nbits) - 1)
         for pos in positions:
             raw ^= 1 << pos
         # Sign-extend back to a Python int.
         if raw & (1 << (self.nbits - 1)):
             raw -= 1 << self.nbits
-        self.codes[row, col] = raw
+        return raw
+
+    def flip_code_bits(self, row: int, col: int, positions: list[int]) -> int:
+        """Flip bits of the stored code at ``(row, col)`` in place
+        (:meth:`flipped_code`).  Returns the previous raw code so the
+        caller can restore it (fault-injection campaigns flip back after
+        each run)."""
+        old = int(self.codes[row, col])
+        self.codes[row, col] = self.flipped_code(row, col, positions)
         return old
 
     def set_code(self, row: int, col: int, code: int) -> None:

@@ -131,6 +131,9 @@ ARM = {
     "weight_fault": lambda e: MemoryFaultInjector(
         e, _site(FaultModel.MEM_2BIT)
     ),
+    "row_weight_fault": lambda e: MemoryFaultInjector(
+        e, _site(FaultModel.MEM_2BIT), rows=(0,)
+    ),
     "unscoped_hooks": _hook,
 }
 
@@ -144,6 +147,7 @@ GATE_MATRIX = {
     "acc_fault": ("batched", "batched", "batched"),
     "capture": ("serial", "serial", "batched"),
     "weight_fault": ("serial", "serial", "batched"),
+    "row_weight_fault": ("batched", "batched", "batched"),
     "unscoped_hooks": ("serial", "serial", "batched"),
 }
 

@@ -582,18 +582,25 @@ def pin_block(camp, block):
 
 def score_vectors(camp, trial):
     """``(site, scores on the new leg, scores of the per-option
-    reference)`` of one trial, each under its own arming of the fault."""
+    reference)`` of one trial, each under its own arming of the fault: a
+    weight fault keyed to the trial's rows (a wave of one), flipped into
+    the store for the reference."""
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
     camp.compute_baseline()  # builds the passes, once
     golden = camp._golden_run(site, idx)
     assert isinstance(golden, GoldenOptions)
     prompt, options = camp._token_ids[idx]
-    with inject(camp.engine, site) as injector:
-        rows = camp._option_rows(golden, site, injector)
+    if site.fault_model.is_memory:
+        rows, fired = camp._weight_fault_scores([(trial, site)])[trial], True
+        assert camp.engine.row_weights == {}
+    else:
+        with inject(camp.engine, site) as injector:
+            rows = camp._option_rows(golden, site, injector)
+        fired = injector.fired
     with inject(camp.engine, site) as reference:
         full = score_options(camp.engine, prompt, options)
-    assert getattr(injector, "fired", True) == getattr(reference, "fired", True)
+    assert fired == getattr(reference, "fired", True)
     return site, rows, full
 
 
@@ -916,8 +923,9 @@ class TestReachLimitedOptions:
     def test_a_forward_that_outlasts_the_trial_timeout(
         self, trained_store, tokenizer, world
     ):
-        """The alarm lands between slot acquire and release: the trial
-        is retried alone, on a fresh pool; nobody else notices."""
+        """The alarm lands between slot acquire and release, inside the
+        wave: its trials are re-run one at a time, on a fresh pool, with
+        no faulted weight left registered; nobody else notices."""
         import time
 
         task = MMLUTask(world)
@@ -941,8 +949,10 @@ class TestReachLimitedOptions:
             decode_strategy="serial",
         ).run(9)
         assert_results_equal(result, reference, "after the timeout", "serial")
-        assert counters["campaign.retries"] == 1
-        assert counters["campaign.quarantined"] == 0
+        assert counters["campaign.wave.fallbacks"] == 1
+        assert lone_trials(counters) == {"wave_fallback": 9}
+        assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
+        assert camp.engine.row_weights == {}
         assert pools and camp._kv_pool is not pools[0]
         assert camp._kv_pool.n_free == camp._kv_pool.n_slots
         # The repair drops the slots, not the passes: none was rebuilt.

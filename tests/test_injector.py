@@ -65,6 +65,41 @@ class TestMemoryInjector:
         assert not np.allclose(base_logits[1], fault_logits[1], equal_nan=True)
 
 
+    def test_keyed_by_row_writes_no_store(self, untrained_engine):
+        """``rows=``: the struck tensor's faulted copy is registered for
+        those rows and nothing else — the store is never written, the
+        engine-wide depth stays 0, and exit unregisters, exception or
+        not."""
+        engine, site = untrained_engine, _mem_site()
+        store = engine.weight_store(site.layer_name)
+        pristine = store.array.copy()
+        with pytest.raises(RuntimeError, match="inference crashed"):
+            with MemoryFaultInjector(engine, site, rows=[2, 5]) as injector:
+                faulted = engine.row_weights[site.layer_name]
+                assert faulted.keys() == {2, 5} and faulted[2] is faulted[5]
+                assert engine.weight_fault_depth == 0
+                np.testing.assert_array_equal(store.array, pristine)
+                with MemoryFaultInjector(engine, site):
+                    # Exactly the element the engine-wide flip writes.
+                    np.testing.assert_array_equal(faulted[2], store.array)
+                raise RuntimeError("inference crashed")
+        assert engine.row_weights == {} and injector._faulted is None
+        np.testing.assert_array_equal(store.array, pristine)
+
+    def test_a_row_carries_one_fault_per_layer(self, untrained_engine):
+        engine, site = untrained_engine, _mem_site()
+        other = _mem_site(row=4)
+        with MemoryFaultInjector(engine, site, rows=(0, 1)):
+            with pytest.raises(RuntimeError, match=r"rows \[1\] already carry"):
+                with MemoryFaultInjector(engine, other, rows=(1, 2)):
+                    pass
+            # The refused arming registered nothing; another layer is free.
+            assert engine.row_weights[site.layer_name].keys() == {0, 1}
+            with MemoryFaultInjector(engine, _mem_site("blocks.0.q_proj"), rows=(1,)):
+                assert len(engine.row_weights) == 2
+        assert engine.row_weights == {}
+
+
 class TestComputationalInjector:
     def test_one_shot_at_iteration(self, untrained_engine):
         site = _comp_site(iteration=1)

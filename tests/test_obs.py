@@ -286,7 +286,7 @@ class TestResultPersistence:
 # ----------------------------------------------------------------------------
 
 
-def _campaign(engine, tokenizer, world, **kw):
+def _campaign(engine, tokenizer, world, fault_model=FaultModel.MEM_2BIT, **kw):
     task = MMLUTask(world)
     return FICampaign(
         engine=engine,
@@ -294,7 +294,7 @@ def _campaign(engine, tokenizer, world, **kw):
         task_name=task.name,
         metrics=task.metrics,
         examples=standardized_subset(task, 4),
-        fault_model=FaultModel.MEM_2BIT,
+        fault_model=fault_model,
         seed=5,
         **kw,
     )
@@ -313,7 +313,11 @@ class TestCampaignTelemetry:
     ):
         tel = clean_telemetry
         tel.enable()
-        result = _campaign(untrained_engine, tokenizer, world).run(6)
+        # A computational fault keeps each multiple-choice trial to
+        # itself, in a span of its own (weight-fault trials run in waves).
+        result = _campaign(
+            untrained_engine, tokenizer, world, FaultModel.COMP_1BIT
+        ).run(6)
         trial_spans = [
             r for r in tel.tracer.records if r.name == "campaign.trial"
         ]
@@ -343,6 +347,14 @@ class TestCampaignTelemetry:
     # comparing the merged science counters/spans against serial.
     POOL_ONLY_COUNTERS = ("campaign.shared_attach", "campaign.steals")
     POOL_ONLY_SPANS = ("campaign.pool_spinup",)
+    # How many forwards ran, and over how many tokens, depends on how
+    # the trials were partitioned: weight-fault multiple-choice trials
+    # share forwards in waves, one wave per batch, and a worker's batch
+    # is its share.  So do the wave spans and the per-forward
+    # histograms; every per-trial and per-row instrument does not.
+    PARTITION_COUNTERS = ("engine.forward_calls", "engine.tokens")
+    PARTITION_HISTOGRAMS = ("engine.forward_ms", "campaign.wave.width")
+    PARTITION_SPANS = ("campaign.wave",)
 
     def test_multiprocess_merge_matches_serial(
         self, untrained_store, tokenizer, world, clean_telemetry
@@ -375,16 +387,24 @@ class TestCampaignTelemetry:
             return {
                 k: v
                 for k, v in counters.items()
-                if k not in self.POOL_ONLY_COUNTERS
+                if k not in self.POOL_ONLY_COUNTERS + self.PARTITION_COUNTERS
             }
 
         def hist_counts(histograms):
-            return {k: len(v) for k, v in histograms.items()}
+            return {
+                k: len(v)
+                for k, v in histograms.items()
+                if k not in self.PARTITION_HISTOGRAMS
+            }
+
+        def span_names(records, skip=()):
+            skip += self.PARTITION_SPANS
+            return sorted(r.name for r in records if r.name not in skip)
 
         tel.enable()
         campaign().run(6, n_workers=0)
         serial = tel.metrics.snapshot()
-        serial_span_names = sorted(r.name for r in tel.tracer.records)
+        serial_span_names = span_names(tel.tracer.records)
         # The comparison is about the reach-limited leg, not around it.
         assert (
             serial["counters"].get("decode.plan.option_rows.weight_fault", 0)
@@ -394,6 +414,12 @@ class TestCampaignTelemetry:
         assert serial["counters"].get("campaign.mc_golden.builds", 0) == (
             4 if auto else 0
         )
+        # On ``auto`` every trial was a wave row, and the forwards the
+        # set-aside instruments count did run.
+        assert serial["counters"].get("campaign.lone_trials.not_wave_capable", 0) == (
+            0 if auto else 6
+        )
+        assert serial["counters"]["engine.forward_calls"] > 0
 
         for n_workers in (2, 3):
             tel.reset()
@@ -410,11 +436,7 @@ class TestCampaignTelemetry:
                 serial["histograms"]
             )
             assert set(snapshot["histograms"]) == set(serial["histograms"])
-            merged_span_names = sorted(
-                r.name
-                for r in tel.tracer.records
-                if r.name not in self.POOL_ONLY_SPANS
-            )
+            merged_span_names = span_names(tel.tracer.records, self.POOL_ONLY_SPANS)
             assert merged_span_names == serial_span_names
             span_ids = [r.span_id for r in tel.tracer.records]
             assert len(span_ids) == len(set(span_ids))

@@ -1,5 +1,7 @@
 """Cross-module property tests on the inference substrate's invariants."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from repro.fi import FaultModel, FaultSite, inject, sample_site
 from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.injector import KVFaultInjector, MemoryFaultInjector
 from repro.generation import (
     GenerationConfig,
     greedy_decode,
     score_continuation,
     score_options,
 )
-from repro.generation.round import pick
+from repro.generation.round import decode_plan, pick
 from repro.inference import InferenceEngine, KVCache
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
@@ -180,6 +183,131 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
         )
         with inject(engine, site):
             assert_resumes_at(first)
+
+
+POLICIES = ("fp32", "fp16", "bf16", "int8", "int4")
+_POLICY_ENGINES: dict[tuple[bool, str], InferenceEngine] = {}
+
+
+def _policy_engine(moe: bool, policy: str) -> InferenceEngine:
+    """``_row_exact_engine``'s weights behind storage policy ``policy``."""
+    if (moe, policy) not in _POLICY_ENGINES:
+        config = _row_exact_engine(moe).config
+        _POLICY_ENGINES[moe, policy] = InferenceEngine(
+            TransformerLM(config, seed=17).to_store(), weight_policy=policy
+        )
+    return _POLICY_ENGINES[moe, policy]
+
+
+def _row_keyed_case(engine, layer, tokens, struck, rng, entry="chunk"):
+    """A weight fault in ``layer`` keyed to row ``struck`` of a
+    ``(B, t)`` batch: every row's logits and K/V against the serial
+    forward of that row — under the fault flipped into the store for
+    the struck row, clean for its siblings."""
+    store = engine.weight_store(layer)
+    rows, cols = store.shape
+    bits = tuple(int(b) for b in rng.choice(store.n_storage_bits, 2, replace=False))
+    site = FaultSite(
+        FaultModel.MEM_2BIT, layer, int(rng.integers(rows)), int(rng.integers(cols)),
+        bits=bits,
+    )
+    batch, t = tokens.shape
+    # A step runs over a clean three-token prefix; a chunk from empty caches.
+    prefix = rng.integers(5, VOCAB, size=(batch, 3)) if entry == "step" else None
+
+    def fresh(i):
+        caches = engine.new_caches()
+        if prefix is not None:
+            engine.forward(prefix[i], caches, 0, 0)
+        return caches
+
+    start = 0 if prefix is None else 3
+    want = []
+    for i in range(batch):
+        caches = fresh(i)
+        with inject(engine, site) if i == struck else contextlib.nullcontext():
+            want.append((engine.forward(tokens[i], caches, start, 1), caches))
+    rows_caches = [fresh(i) for i in range(batch)]
+    before = store.array.copy()
+    with MemoryFaultInjector(engine, site, rows=(struck,)):
+        assert decode_plan(engine) == ("batched", "row_weight_fault")
+        np.testing.assert_array_equal(store.array, before)  # nothing flipped
+        if entry == "step":
+            got = engine.forward_step_batch(
+                tokens[:, 0], rows_caches, [3] * batch, [1] * batch
+            )[:, None]
+        else:
+            got = engine.forward_chunk_batch(
+                tokens, rows_caches, [0] * batch, [1] * batch
+            )
+    assert engine.row_weights == {}
+    for i, (logits, caches) in enumerate(want):
+        np.testing.assert_array_equal(got[i], logits)
+        assert_caches_equal(rows_caches[i], caches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from(POLICIES),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(["chunk", "step"]),
+    st.data(),
+)
+def test_property_a_row_keyed_weight_fault_is_the_flip_for_its_row(
+    moe, policy, batch, t, entry, data
+):
+    """``MemoryFaultInjector(rows=(r,))``: row ``r`` of a batched forward
+    is ``array_equal`` to its serial forward with the fault flipped into
+    the store, and every sibling to its clean serial forward — logits
+    and K/V, dense and MoE (router and expert linears included), every
+    storage policy, any width, chunks from empty caches (the stacked
+    attention) and single steps over a prefix."""
+    engine = _policy_engine(moe, policy)
+    layer = data.draw(st.sampled_from(engine.linear_layer_names()))
+    struck = data.draw(st.integers(0, batch - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    tokens = rng.integers(5, VOCAB, size=(batch, 1 if entry == "step" else t))
+    _row_keyed_case(engine, layer, tokens, struck, rng, entry)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+def test_every_faultable_linear_takes_a_row_keyed_fault(moe, policy):
+    """The property above on every faultable linear of both engines, at
+    one width: no layer's product escapes the row key."""
+    engine = _policy_engine(moe, policy)
+    rng = np.random.default_rng(3)
+    for layer in engine.linear_layer_names():
+        tokens = rng.integers(5, VOCAB, size=(3, 6))
+        _row_keyed_case(engine, layer, tokens, int(rng.integers(3)), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_stacked_attention_is_the_per_row_loop(moe, batch, t, seed):
+    """Rows that start together take one stacked attention product; the
+    per-row loop (forced here by a KV fault that never fires, which
+    keeps a block's core per row) gives ``array_equal`` logits and K/V."""
+    engine = _row_exact_engine(moe)
+    tokens = np.random.default_rng(seed).integers(0, VOCAB, size=(batch, t))
+    zeros = [0] * batch
+    stacked = [engine.new_caches() for _ in range(batch)]
+    looped = [engine.new_caches() for _ in range(batch)]
+    got = engine.forward_chunk_batch(tokens, stacked, zeros, zeros)
+    never = FaultSite(FaultModel.KV_1BIT, "blocks.0.kv", 0, 0, bits=(3,), iteration=99)
+    with KVFaultInjector(engine, never) as injector:
+        want = engine.forward_chunk_batch(tokens, looped, zeros, zeros)
+    assert not injector.fired
+    np.testing.assert_array_equal(got, want)
+    for caches, ref in zip(stacked, looped):
+        assert_caches_equal(caches, ref)
 
 
 _options = st.lists(

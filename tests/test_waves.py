@@ -32,18 +32,20 @@ from repro.fi import (
     load_checkpoint,
 )
 from repro.fi.campaign import _DECODE_BATCH
-from repro.inference import InferenceEngine
+from repro.inference import FloatWeightStore, InferenceEngine, QuantizedWeightStore
 from repro.obs import flight_recorder, telemetry
 from repro.tasks import (
     GSM8kTask,
+    HellaSwagTask,
     MMLUTask,
     SquadTask,
     SummarizationTask,
     TranslationTask,
+    standardized_subset,
 )
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
-from tests.test_golden import lone_trials
+from tests.test_golden import MC_TASKS, lone_trials
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
 COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
@@ -621,3 +623,129 @@ class TestWavesInWorkers:
         assert counters["campaign.resume_skipped"] == 5
         assert waves and sum(s.attrs["trials"] for s in waves) <= N_TRIALS - 5
         assert sorted(load_checkpoint(cut)[1]) == list(range(N_TRIALS))
+
+
+class TestMultipleChoiceWeightFaultWaves:
+    """A multiple-choice trial under a weight fault reruns every option
+    row from the struck block; keyed to the trial's own rows
+    (``MemoryFaultInjector(rows=)``), the rows of many trials share a
+    forward.  Nothing is flipped engine-wide, so no weight store is ever
+    written — in a pool worker, no arena page is privatized."""
+
+    def _campaign(self, store, tokenizer, task, policy="bf16", **kw):
+        return campaign(
+            store, tokenizer, task, FaultModel.MEM_2BIT,
+            examples=standardized_subset(task, 4),
+            engine=InferenceEngine(store, weight_policy=policy), **kw,
+        )
+
+    @pytest.mark.parametrize("policy", ["bf16", "int8"])
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    @pytest.mark.parametrize("task_cls", MC_TASKS, ids=lambda t: t.__name__)
+    def test_auto_equals_serial(
+        self, request, tokenizer, world, task_cls, store, policy
+    ):
+        store, task = request.getfixturevalue(store), task_cls(world)
+        reference = self._campaign(
+            store, tokenizer, task, policy, decode_strategy="serial"
+        ).run(N_TRIALS)
+        for workers in (0, 2):
+            camp = self._campaign(store, tokenizer, task, policy)
+            try:
+                fast, counters, waves, width = run_traced(
+                    camp, N_TRIALS, n_workers=workers
+                )
+            finally:
+                camp.close_pool()
+            assert_results_equal(fast, reference, f"waves, {workers} workers", "serial")
+            assert sum(span.attrs["trials"] for span in waves) == N_TRIALS
+            assert width["max"] > 1 and not lone_trials(counters)
+            assert counters["decode.plan.option_rows.weight_fault"] == N_TRIALS
+            assert counters["campaign.trials"] == N_TRIALS
+            assert counters["campaign.trial_ms"] == N_TRIALS
+            assert camp.engine.row_weights == {} and camp.engine.weight_fault_depth == 0
+            assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+
+    def test_a_chaos_campaign_scores_each_trial_alone(
+        self, trained_store, tokenizer, world
+    ):
+        """Chaos keeps every trial to itself; its weight fault is still
+        keyed to its rows — a wave of one."""
+        task = MMLUTask(world)
+        chaos = CampaignChaos(fail_transient=frozenset({3}))
+        result, counters, waves, _ = run_traced(
+            self._campaign(trained_store, tokenizer, task, chaos=chaos),
+            N_TRIALS, retry_backoff=0.0,
+        )
+        reference = self._campaign(
+            trained_store, tokenizer, task, decode_strategy="serial"
+        ).run(N_TRIALS)
+        assert_results_equal(result, reference, "chaos", "serial")
+        assert not waves and lone_trials(counters) == {"not_wave_capable": N_TRIALS}
+        assert counters["campaign.retries"] == 1
+        assert counters["decode.plan.option_rows.weight_fault"] == N_TRIALS
+
+    def test_a_wave_that_raises_leaves_no_row_registration(
+        self, trained_store, tokenizer, world
+    ):
+        task = MMLUTask(world)
+        camp = self._campaign(trained_store, tokenizer, task)
+        camp.compute_baseline()
+        forward, calls = camp.engine.forward_chunk_batch, []
+
+        def failing(*args, **kw):
+            calls.append(dict(camp.engine.row_weights))
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return forward(*args, **kw)
+
+        camp.engine.forward_chunk_batch = failing
+        with pytest.raises(RuntimeError, match="boom"):
+            camp._run_wave(list(range(N_TRIALS)))
+        assert all(calls), "the forwards ran with row-keyed faults registered"
+        assert camp.engine.row_weights == {}
+        assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+        # As a run: the wave falls back, once, and nothing is lost.
+        calls.clear()
+        result, counters, _, _ = run_traced(camp, N_TRIALS, retry_backoff=0.0)
+        reference = self._campaign(
+            trained_store, tokenizer, task, decode_strategy="serial"
+        ).run(N_TRIALS)
+        assert_results_equal(result, reference, "after the raise", "serial")
+        assert counters["campaign.wave.fallbacks"] == 1
+        assert lone_trials(counters) == {"wave_fallback": N_TRIALS}
+        assert camp.engine.row_weights == {}
+
+    @pytest.mark.parametrize("policy", ["bf16", "int8"])
+    def test_no_weight_store_is_written(
+        self, trained_store, tokenizer, world, policy, monkeypatch
+    ):
+        """Pool workers score every batch with every attached store's
+        planes read-only: a privatizing write raises, and nothing does."""
+        task = HellaSwagTask(world)
+        reference = self._campaign(
+            trained_store, tokenizer, task, policy, decode_strategy="serial"
+        ).run(N_TRIALS)
+
+        def privatize(store):
+            raise AssertionError("a weight store was written")
+
+        for cls in (FloatWeightStore, QuantizedWeightStore):
+            monkeypatch.setattr(cls, "_ensure_writable", privatize)
+        camp = self._campaign(trained_store, tokenizer, task, policy)
+        try:
+            pooled = camp.run(N_TRIALS, n_workers=2)
+            # A worker's copy, as the pool builds it, runs a whole batch.
+            worker = camp._attached(camp._executor.arena.root)
+            records = worker._run_wave(list(range(N_TRIALS)))
+        finally:
+            camp.close_pool()
+        assert_results_equal(pooled, reference, "pooled waves", "serial")
+        assert_records_equal(
+            [records[trial] for trial in range(N_TRIALS)], reference,
+            "a worker's wave", "serial",
+        )
+        for name in worker.engine.linear_layer_names():
+            planes, _ = worker.engine.weight_store(name).export_state()
+            assert not any(plane.flags.writeable for plane in planes.values()), name
+        assert worker.engine.row_weights == {}
