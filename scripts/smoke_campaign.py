@@ -19,13 +19,15 @@ every trial at iteration 0 — the wave rows that prefill under their
 injector instead of resuming.  ``--task`` picks the task (default
 ``wmt16``): a multiple-choice one (``--task mmlu``) scores option rows
 instead of decoding, and under ``2bits-mem`` its trials share those
-forwards in waves.
+forwards in waves.  ``--beams K`` decodes with beam search of width
+``K``: every trial runs alone through the one beam loop, whose batched
+leg steps the hypotheses under a computational fault.
 
 Usage::
 
     PYTHONPATH=src python scripts/smoke_campaign.py [out.jsonl] \
         [--workers N] [--flight] [--fault MODEL]... [--max-fault-iterations K] \
-        [--task NAME]
+        [--task NAME] [--beams K]
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ def main(argv: list[str] | None = None) -> int:
         "--task",
         default=TranslationTask.name,
         help=f"task to run the campaigns on (default: {TranslationTask.name})",
+    )
+    parser.add_argument(
+        "--beams",
+        type=int,
+        default=1,
+        help="beam width of the generative decode (default: 1, greedy)",
     )
     args = parser.parse_args(argv)
     faults = args.fault or [FaultModel.MEM_2BIT.value]
@@ -134,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=11,
             generation=GenerationConfig(
                 max_new_tokens=task.max_new_tokens,
+                num_beams=args.beams,
                 eos_id=tokenizer.vocab.eos_id,
             ),
             max_fault_iterations=args.max_fault_iterations,
@@ -151,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             "trials": args.trials,
             "fault": ",".join(faults),
             "max_fault_iterations": args.max_fault_iterations,
+            "beams": args.beams,
             "examples": len(examples),
             "smoke": True,
         },

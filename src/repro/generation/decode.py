@@ -6,6 +6,10 @@ maintains ``num_beams`` candidate sequences ranked by cumulative
 (length-normalized) log-probability — the mechanism behind
 Observation #9: an isolated corrupted token tanks one hypothesis'
 cumulative probability and the search shifts to an unaffected path.
+:func:`beam_search_decode` is one loop over pooled KV slots whose
+candidate rule is written once; its only fork is how the hypotheses
+that gained a token step — one 1-D forward each (the reference) or one
+batched step over the same rows, bit for bit the same.
 
 Multiple-choice tasks are scored, not generated: each option is
 appended to the prompt and the option tokens' summed log-likelihood
@@ -120,18 +124,6 @@ def greedy_decode(
     return out
 
 
-@dataclass
-class _Beam:
-    session: Session
-    tokens: list[int]
-    score: float
-    finished: bool
-
-    def normalized(self, length_penalty: float) -> float:
-        length = max(1, len(self.tokens))
-        return self.score / length**length_penalty
-
-
 def beam_search_decode(
     engine: InferenceEngine,
     prompt_ids: list[int],
@@ -144,80 +136,117 @@ def beam_search_decode(
     ``session`` optionally supplies a pre-built prefill for
     ``prompt_ids`` (consumed, like :func:`greedy_decode`).
 
-    ``strategy='auto'`` runs the ``k`` beams as batch rows over a pooled
-    KV cache whenever :func:`~repro.generation.round.decode_plan` allows
-    batching — one batched forward per round, copy-on-fork instead of
-    per-beam cache clones; ``serial`` is the per-session reference loop
-    below.
+    A hypothesis is ``(tokens, score, slot)``: its emitted ids, its
+    summed log-probability and the slot of one ``2k``-slot
+    :class:`~repro.inference.kvcache.PooledKVCache` its K/V lives in —
+    ``None`` once EOS finished it (EOS is not emitted).  The prompt is
+    forwarded into the root slot, or ``session`` adopted there.  Each
+    round ranks the ``k`` best extensions of every live hypothesis and
+    every finished one as it stands by length-normalized score, keeps
+    the best ``k`` in a stable sort and forks lazily: the first kept
+    extension of a hypothesis inherits its slot, a later one copies the
+    filled prefix into a fresh slot
+    (:meth:`~repro.inference.kvcache.PooledKVCache.copy_slot`), and a
+    slot no extension kept is released.
+
+    The only fork is how the hypotheses that gained a token step.
+    ``serial`` — the reference, and ``auto`` whenever
+    :func:`~repro.generation.round.decode_plan` says ``serial`` (capture,
+    a weight fault flipped into the store, unscoped hooks) — runs one 1-D
+    :meth:`~InferenceEngine.forward` per hypothesis in beam order.
+    ``auto`` under a ``batched`` plan runs one
+    :meth:`~InferenceEngine.forward_step_batch` over the same rows in the
+    same order; its rows are row-exact, so both give the same bits, and a
+    slot view has the strides of a fresh cache, so neither differs from a
+    hypothesis decoding out of its own
+    :class:`~repro.inference.kvcache.KVCache`.
     """
     if strategy == "auto":
         path, reason = decode_plan(engine)
         count_plan(path, reason)
-        if path == "batched":
-            from repro.generation.batched import BatchedDecoder
-
-            return BatchedDecoder(engine, config).beam_batched(
-                prompt_ids, session=session
-            )
-    elif strategy != "serial":
+        batched = path == "batched"
+    elif strategy == "serial":
+        batched = False
+    else:
         raise ValueError(f"unknown decode strategy {strategy!r}")
     k = config.num_beams
-    root = session if session is not None else engine.start_session(prompt_ids)
-    beams = [_Beam(root, [], 0.0, False)]
-    for _ in range(config.max_new_tokens):
-        # Stop as soon as every hypothesis is finished — later rounds
-        # would only re-rank the same finished candidates.
-        if all(b.finished for b in beams):
-            break
-        candidates: list[tuple[float, _Beam, int, float]] = []
+    tel = _telemetry()
+    pool = engine.new_pool(2 * k)
+    root = pool.acquire()
+    if session is None:
+        logits = engine.forward(prompt_ids, pool.caches(root), 0, 0)[-1]
+        position, iteration = len(prompt_ids), 0
+    else:
+        pool.load(root, session.caches)
+        logits, position = session.last_logits, session.position
+        iteration = session.iteration
+    last_logits = {root: logits}
+
+    def normalized(score: float, length: int) -> float:
+        return score / max(1, length) ** config.length_penalty
+
+    beams: list[tuple[list[int], float, int | None]] = [([], 0.0, root)]
+    for step in range(1, config.max_new_tokens + 1):
+        candidates = []
         for beam in beams:
-            if beam.finished:
-                candidates.append(
-                    (beam.normalized(config.length_penalty), beam, -1, beam.score)
-                )
+            tokens, score, slot = beam
+            if slot is None:
+                candidates.append((normalized(score, len(tokens)), beam, -1, score))
                 continue
             logp = log_softmax_np(
-                np.nan_to_num(
-                    beam.session.last_logits, nan=-1e9, posinf=1e9, neginf=-1e9
-                )
+                np.nan_to_num(last_logits[slot], nan=-1e9, posinf=1e9, neginf=-1e9)
             )
-            top = np.argpartition(logp, -k)[-k:]
-            for token in top:
-                score = beam.score + float(logp[token])
-                length = max(1, len(beam.tokens) + 1)
+            for token in np.argpartition(logp, -k)[-k:]:
+                total = score + float(logp[token])
                 candidates.append(
-                    (score / length**config.length_penalty, beam, int(token), score)
+                    (normalized(total, len(tokens) + 1), beam, int(token), total)
                 )
         candidates.sort(key=lambda c: c[0], reverse=True)
-        next_beams: list[_Beam] = []
-        forks: dict[int, int] = {}
-        for norm_score, beam, token, raw_score in candidates:
-            if len(next_beams) == k:
-                break
+        next_beams = []
+        inherited: set[int] = set()
+        for _, beam, token, total in candidates[:k]:
+            tokens, _, slot = beam
             if token == -1:
                 next_beams.append(beam)
-                continue
-            # Fork lazily: the first extension of a beam reuses its
-            # session; later extensions need a cache copy.
-            uses = forks.get(id(beam), 0)
-            forks[id(beam)] = uses + 1
-            session = beam.session if uses == 0 else beam.session.fork()
-            new = _Beam(session, [*beam.tokens, token], raw_score, False)
-            if token == config.eos_id:
-                new.tokens = beam.tokens  # EOS terminates, not emitted
-                new.finished = True
-            next_beams.append(new)
-        # Advance the sessions of unfinished beams that gained a token.
-        # (Do it after selection, and handle shared sessions: when one
-        # base beam spawned several children the *first* child kept the
-        # original session, so it must step before forks are stale.)
+            elif token == config.eos_id:
+                next_beams.append((tokens, total, None))
+            else:
+                if slot in inherited:
+                    child = pool.acquire()
+                    pool.copy_slot(slot, child)
+                else:
+                    inherited.add(slot)
+                    child = slot
+                next_beams.append(([*tokens, token], total, child))
+        for _, _, slot in beams:
+            if slot is not None and slot not in inherited:
+                pool.release(slot)
         beams = next_beams
-        for beam in beams:
-            if not beam.finished and beam.tokens:
-                if beam.session.position == len(prompt_ids) + len(beam.tokens) - 1:
-                    beam.session.step(beam.tokens[-1])
-    best = max(beams, key=lambda b: b.normalized(config.length_penalty))
-    return best.tokens
+        live = [(tokens[-1], slot) for tokens, _, slot in beams if slot is not None]
+        if not live:
+            # Every hypothesis is finished: later rounds would only
+            # re-rank the same finished candidates.
+            break
+        # Every live hypothesis holds ``step`` tokens now.
+        at, it = position + step - 1, iteration + step
+        if batched:
+            if tel.active:
+                tel.metrics.histogram("decode.batch_occupancy").observe(len(live))
+            rows = engine.forward_step_batch(
+                [token for token, _ in live],
+                [pool.caches(slot) for _, slot in live],
+                [at] * len(live),
+                [it] * len(live),
+            )
+        else:
+            rows = [
+                engine.forward([token], pool.caches(slot), at, it)[-1]
+                for token, slot in live
+            ]
+        for (_, slot), row in zip(live, rows):
+            last_logits[slot] = row
+    best = max(beams, key=lambda b: normalized(b[1], len(b[0])))
+    return best[0]
 
 
 def generate_ids(

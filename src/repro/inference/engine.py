@@ -681,14 +681,16 @@ class InferenceEngine:
         serial speculative decoder's scalar tag); an armed KV fault
         receives per-row ``on_append`` callbacks against per-row
         caches, so slot-pinned injectors latch exactly as they would on
-        that row's serial decode.  Hooks observe per-row
+        that row's serial decode.  Hooks run per row on
         ``(t, features)`` views — the serial chunk shape, tagged with
-        ``row_ids[i]`` as in :meth:`forward_step_batch` (only *observer*
-        hooks are admitted here by the FI gates); activation
-        capture and an armed accumulator fault are rejected on this
-        path — the composed-decode gate matrix routes
-        capture/acc/non-observer machinery to the batched or serial
-        paths instead.
+        ``row_ids[i]`` as in :meth:`forward_step_batch` — so row-scoped
+        perturbing hooks are taken as well as observers: a faulted
+        admission's prompt forward runs here under its row-pinned
+        :class:`~repro.fi.injector.ComputationalFaultInjector`, and
+        option rows run here under an armed computational injector or a
+        weight fault keyed to their ids (:attr:`row_weights`).
+        Activation capture and an armed accumulator fault (its strike
+        maps to one row of a single-token step) are rejected.
 
         ``block_inputs`` (a list) receives the flat ``(B*t, d_model)``
         hidden state entering each block that runs, in block order —
@@ -799,13 +801,3 @@ class Session:
         self.position += 1
         self.last_logits = logits[-1]
         return self.last_logits
-
-    def fork(self) -> "Session":
-        """Clone the session (caches deep-copied) for beam search."""
-        clone = Session.__new__(Session)
-        clone.engine = self.engine
-        clone.caches = [c.clone() for c in self.caches]
-        clone.iteration = self.iteration
-        clone.position = self.position
-        clone.last_logits = self.last_logits.copy()
-        return clone

@@ -6,9 +6,9 @@ transformer block.  :class:`PooledKVCache` scales it to continuous
 batching: one block-allocated arena per layer holds the K/V of many
 concurrent sequences as slot rows, and hands out zero-copy
 :class:`KVCache`-compatible views — so admitting, retiring and
-re-admitting sequences never allocates, and forking a beam is a
-bounded prefix copy inside the arena instead of a fresh full-size
-allocation.  :class:`PromptCache` keeps what a prompt forward left in
+re-admitting sequences never allocates, and forking a beam-search
+hypothesis is a bounded prefix copy inside the arena
+(:meth:`PooledKVCache.copy_slot`).  :class:`PromptCache` keeps what a prompt forward left in
 such a cache — :meth:`KVCache.snapshot` per block plus the first-token
 logits — so a server prefills a repeated prompt once.
 """
@@ -37,7 +37,7 @@ class KVCache:
     #: Truncation watchers (class-level default keeps instances free of
     #: per-object state until someone actually watches).  A fault
     #: injector armed on this cache registers itself so that rollbacks —
-    #: rejected speculation rounds, beam forks — can undo a strike that
+    #: :meth:`truncate` and :meth:`restore` — can undo a strike that
     #: landed beyond the surviving prefix (see ``KVFaultInjector``).
     watchers: tuple = ()
 
@@ -77,9 +77,8 @@ class KVCache:
         return self.v[:, : self.length]
 
     def truncate(self, length: int) -> None:
-        """Roll back to a shorter prefix (used by beam search forks and
-        prefix-shared option scoring, which appends option tokens and
-        truncates back instead of copying the cache)."""
+        """Roll back to a shorter prefix: a rejected speculation round
+        drops its unaccepted tokens this way."""
         if not 0 <= length <= self.length:
             raise ValueError(f"cannot truncate cache of {self.length} to {length}")
         for watcher in self.watchers:
@@ -89,9 +88,9 @@ class KVCache:
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Copy of the filled prefix only: ``(keys, values, length)``.
 
-        Much cheaper than :meth:`clone` when ``length << max_seq`` —
-        the backing buffers are not duplicated; :meth:`restore` writes
-        the prefix back into the existing buffers.
+        The backing buffers are not duplicated, so it costs ``length``
+        positions, not ``max_seq``; :meth:`restore` writes the prefix
+        back into the existing buffers.
         """
         return self.keys().copy(), self.values().copy(), self.length
 
@@ -104,9 +103,9 @@ class KVCache:
 
         In-place prefix write — never reallocates ``k``/``v`` (which
         would detach pooled :class:`_SlotView` rows from their arena),
-        so speculation rollback and beam inner loops can restore per
-        round at slice-copy cost.  The snapshot must fit the buffers:
-        same head/dim geometry, ``length <= max_seq``.
+        so the golden-run rewind and the prompt cache restore at
+        slice-copy cost.  The snapshot must fit the buffers: same
+        head/dim geometry, ``length <= max_seq``.
 
         ``length`` restores only the snapshot's first ``length``
         positions — the state ``restore(snap)`` then ``truncate(length)``
@@ -137,14 +136,6 @@ class KVCache:
         self.k[:, :length] = k[:, :length]
         self.v[:, :length] = v[:, :length]
         self.length = length
-
-    def clone(self) -> "KVCache":
-        """Deep copy (beam search keeps one cache per hypothesis)."""
-        out = KVCache(self.k.shape[0], self.max_seq, self.k.shape[2])
-        out.k[:, : self.length] = self.keys()
-        out.v[:, : self.length] = self.values()
-        out.length = self.length
-        return out
 
 
 class PromptCache:
@@ -286,10 +277,11 @@ class PooledKVCache:
         return list(self._views[slot])
 
     def copy_slot(self, src: int, dst: int) -> None:
-        """Snapshot-style copy-on-fork: copy ``src``'s filled prefix into
-        ``dst``.  Only ``length`` rows move — the bounded-prefix analogue
-        of :meth:`KVCache.snapshot`/``restore`` inside the arena, and the
-        replacement for per-beam full-cache clones."""
+        """Copy-on-fork: copy ``src``'s filled prefix into ``dst``.  Only
+        ``length`` rows move — the bounded-prefix analogue of
+        :meth:`KVCache.snapshot`/``restore`` inside the arena, and the
+        one way a beam-search hypothesis forks
+        (:func:`~repro.generation.decode.beam_search_decode`)."""
         for layer, (k, v) in enumerate(zip(self._k, self._v)):
             length = self._views[src][layer].length
             k[dst, :, :length] = k[src, :, :length]

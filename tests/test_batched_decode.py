@@ -8,7 +8,8 @@ reference loop:
 * ``forward_step_batch`` at ``B == 1`` is bit-identical to
   ``Session.step`` and agrees at the argmax level for ragged ``B > 1``;
 * greedy and beam decoding produce token-for-token serial outputs,
-  including when slots retire and refill mid-run;
+  including when slots retire and refill mid-run, and beam search
+  still decodes what the commit before its one loop decoded;
 * under an armed row-scoped injector the batched path stays
   bit-identical to serial (the ``decode_plan`` gate table itself lives
   in ``test_decode_round.py``).
@@ -17,6 +18,11 @@ Campaign-level ``decode_strategy`` bit-identity sweeps are consolidated
 in ``test_differential.py`` behind ``repro.fi.assert_records_equal``.
 """
 
+import contextlib
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +30,7 @@ from repro.fi import (
     ComputationalFaultInjector,
     FaultModel,
     FaultSite,
+    inject,
 )
 from repro.generation import (
     BatchedDecoder,
@@ -37,6 +44,40 @@ from repro.obs import telemetry
 
 PROMPT = [3, 5, 7, 2, 9]
 PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
+
+PARENT_BEAMS = Path(__file__).parent / "data" / "beam_outputs_8a2e640.json"
+"""``beam_search_decode`` outputs from the commit that still had a
+serial beam loop over ``Session.fork`` and a batched copy of it."""
+
+BEAM_SITES = {
+    "2bits-comp": FaultSite(
+        FaultModel.COMP_2BIT, "blocks.1.down_proj", 0, 5, bits=(30, 21),
+        iteration=2, row_frac=0.5,
+    ),
+    "2bits-kv": FaultSite(
+        FaultModel.KV_2BIT, "blocks.0.kv", 1, 3, bits=(30, 29),
+        iteration=1, row_frac=0.6, plane="k",
+    ),
+    "2bits-acc": FaultSite(
+        FaultModel.ACC_2BIT, "blocks.1.up_proj", 0, 7, bits=(30, 28),
+        iteration=2, row_frac=0.3, acc_frac=0.5,
+    ),
+    "2bits-mem": FaultSite(
+        FaultModel.MEM_2BIT, "blocks.0.q_proj", 3, 5, bits=(30, 29)
+    ),
+}
+
+
+def _beam_site(fault: str, engine: str) -> FaultSite | None:
+    """The site a ``beam_outputs_8a2e640.json`` case ran under; on the MoE
+    engine the block-1 MLP faults strike expert 1's layer."""
+    site = BEAM_SITES.get(fault)
+    if site is not None and engine == "moe" and site.layer_name.startswith(
+        ("blocks.1.down_proj", "blocks.1.up_proj")
+    ):
+        layer = site.layer_name.replace("blocks.1.", "blocks.1.experts.1.")
+        site = dataclasses.replace(site, layer_name=layer)
+    return site
 
 
 @pytest.fixture(autouse=True)
@@ -196,13 +237,13 @@ class TestForwardStepBatch:
 
 
 class TestDecodeEquivalence:
-    def test_decode_one_bitwise_matches_serial(self, untrained_engine):
+    def test_width_one_bitwise_matches_serial(self, untrained_engine):
         config = _config()
         serial = greedy_decode(untrained_engine, PROMPT, config, strategy="serial")
-        batched = BatchedDecoder(untrained_engine, config, max_batch=1).decode_one(
-            PROMPT
+        batched = BatchedDecoder(untrained_engine, config, max_batch=1).decode_many(
+            [PROMPT]
         )
-        assert batched == serial
+        assert batched == [serial]
 
     def test_decode_many_with_refill_matches_serial(self, untrained_engine):
         config = _config()
@@ -247,7 +288,7 @@ class TestDecodeEquivalence:
         serial = beam_search_decode(
             trained_engine, prompt, config, strategy="serial"
         )
-        batched = BatchedDecoder(trained_engine, config).beam_decode(prompt)
+        batched = beam_search_decode(trained_engine, prompt, config)
         assert batched == serial
         # ... and the auto-routed entry point picks the batched path too.
         assert generate_ids(trained_engine, prompt, config) == serial
@@ -257,13 +298,40 @@ class TestDecodeEquivalence:
         serial = beam_search_decode(
             untrained_engine, PROMPT, config, strategy="serial"
         )
-        base = untrained_engine.start_session(PROMPT)
-        batched = BatchedDecoder(untrained_engine, config).beam_decode(
-            PROMPT, session=base
-        )
-        assert batched == serial
+        for strategy in ("serial", "auto"):
+            base = untrained_engine.start_session(PROMPT)
+            assert beam_search_decode(
+                untrained_engine, PROMPT, config, session=base, strategy=strategy
+            ) == serial
 
-    def test_generate_many_mixed_sessions(self, untrained_engine):
+    def test_beam_outputs_match_the_parent_commit(
+        self, untrained_engine, moe_engine
+    ):
+        """Both legs of the one beam loop reproduce what the commit
+        before it decoded — ``tests/data/beam_outputs_8a2e640.json``, written
+        by its two loops, which agreed on every case — for ``k`` in
+        {1, 2, 3, 6}, dense and MoE, fresh or prefilled, clean and under
+        a computational, KV, accumulator and weight fault."""
+        engines = {"dense": untrained_engine, "moe": moe_engine}
+        for case in json.loads(PARENT_BEAMS.read_text()):
+            engine = engines[case["engine"]]
+            prompt = case["prompt"]
+            config = GenerationConfig(
+                max_new_tokens=6, num_beams=case["num_beams"],
+                eos_id=case["eos_id"],
+            )
+            site = _beam_site(case["fault"], case["engine"])
+            for strategy in ("serial", "auto"):
+                with inject(engine, site) if site else contextlib.nullcontext():
+                    session = (
+                        engine.start_session(prompt) if case["prefilled"] else None
+                    )
+                    out = beam_search_decode(
+                        engine, prompt, config, session=session, strategy=strategy
+                    )
+                assert out == case["tokens"], (strategy, case)
+
+    def test_decode_many_mixed_sessions(self, untrained_engine):
         config = _config()
         serial = [
             greedy_decode(untrained_engine, p, config, strategy="serial")
@@ -271,7 +339,7 @@ class TestDecodeEquivalence:
         ]
         sessions = [None, untrained_engine.start_session(PROMPTS[1]), None]
         decoder = BatchedDecoder(untrained_engine, config, max_batch=3)
-        assert decoder.generate_many(PROMPTS[:3], sessions=sessions) == serial
+        assert decoder.decode_many(PROMPTS[:3], sessions=sessions) == serial
 
     def test_strategy_knob(self, untrained_engine):
         config = _config()
@@ -307,9 +375,9 @@ class TestBatchingSafety:
                 untrained_engine, PROMPT, config, strategy="serial"
             )
         with ComputationalFaultInjector(untrained_engine, site):
-            batched = BatchedDecoder(
+            [batched] = BatchedDecoder(
                 untrained_engine, config, max_batch=1
-            ).decode_one(PROMPT)
+            ).decode_many([PROMPT])
         clean = greedy_decode(untrained_engine, PROMPT, config, strategy="serial")
         assert batched == serial
         assert serial != clean  # the fault actually landed

@@ -5,20 +5,47 @@ import pytest
 
 from repro.fi import FaultModel, FICampaign
 from repro.generation import GenerationConfig, beam_search_decode, greedy_decode
-from repro.generation.decode import _Beam
+from repro.inference.kvcache import PooledKVCache
 from repro.numerics.stats import RatioCI
 from repro.tasks import MMLUTask, TranslationTask, standardized_subset
+
+EOS = 2
+
+
+class _ScriptedEngine:
+    """Next-token log-probabilities that depend on the last input token
+    only: after token 1, EOS (-0.69) beats token 0 (-0.92); after token
+    0, token 0 again is nearly certain (-0.02)."""
+
+    LOGP = {1: [-0.92, -2.3, -0.69], 0: [-0.02, -4.6, -4.6]}
+
+    def new_pool(self, n_slots):
+        return PooledKVCache(1, n_slots, 1, 8, 1)
+
+    def forward(self, tokens, caches, start_pos, iteration):
+        return np.array([self.LOGP[t] for t in tokens], dtype=np.float32)
+
+
+def _scripted_beams(length_penalty, max_new_tokens=5):
+    config = GenerationConfig(
+        max_new_tokens=max_new_tokens, num_beams=2, eos_id=EOS,
+        length_penalty=length_penalty,
+    )
+    return beam_search_decode(_ScriptedEngine(), [1], config, strategy="serial")
 
 
 class TestBeamInternals:
     def test_length_normalization(self):
-        beam = _Beam(session=None, tokens=[1, 2, 3, 4], score=-4.0, finished=False)
-        assert beam.normalized(1.0) == pytest.approx(-1.0)
-        assert beam.normalized(0.0) == pytest.approx(-4.0)
+        """Unnormalized, the hypothesis EOS finished at once (-0.69)
+        beats five 0s (about -1.0 in all); divided by length, the five
+        0s (-0.2 a token) win."""
+        assert _scripted_beams(length_penalty=0.0) == []
+        assert _scripted_beams(length_penalty=1.0) == [0] * 5
 
     def test_empty_beam_normalization_safe(self):
-        beam = _Beam(session=None, tokens=[], score=-1.0, finished=False)
-        assert np.isfinite(beam.normalized(1.0))
+        """A hypothesis finished with no tokens is normalized by length
+        1, not 0, and wins over the longer one it beats per token."""
+        assert _scripted_beams(length_penalty=1.0, max_new_tokens=1) == []
 
     def test_eos_terminates_beam(self, untrained_engine):
         """Forcing EOS as the argmax stops generation immediately."""

@@ -5,14 +5,16 @@ shared-prefix option scoring, prefill caching, continuous-batched
 decoding, process pools — each duty-bound to reproduce the serial
 reference path bit-for-bit.  This module consolidates the equivalence
 checks behind :func:`repro.fi.assert_records_equal` and sweeps the
-full grid: execution variant × greedy/beam × MC/generative × all
-three fault models.  Future perf PRs add one variant entry here
-instead of scattering ad-hoc comparisons.
+full grid: execution variant × greedy/beam × MC/generative × the
+paper's three fault models (all seven under beam search).  Future perf
+PRs add one variant entry here instead of scattering ad-hoc comparisons.
 
 The *reference* configuration turns every optimization off
 (``decode_strategy="serial"``); the *optimized* configuration is the
 default ``auto``.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.fi import (
     assert_records_equal,
     assert_results_equal,
     assert_sequences_equal,
+    load_checkpoint,
     record_signature,
 )
 from repro.fi.campaign import TrialRecord
@@ -33,6 +36,12 @@ from repro.obs import telemetry
 from repro.tasks import MMLUTask, TranslationTask, standardized_subset
 
 REFERENCE = dict(decode_strategy="serial")
+
+PARENT_BEAM_JOURNALS = Path(__file__).parent / "data"
+"""``journal_8a2e640_wmt16_beam_<fault>.jsonl``: six trials of
+``make_campaign(untrained_store, …, "gen", fault, num_beams=3,
+decode_strategy="serial")`` journalled by the commit whose serial beam
+loop forked ``Session`` objects (its ``git_rev`` header says which)."""
 
 
 @pytest.fixture(autouse=True)
@@ -79,14 +88,23 @@ MODES = [
     ("gen", 3),
 ]
 
+# Beam search covers every fault model: ``decode_plan`` sends KV and
+# accumulator faults to the batched leg of the one beam loop, too.
+EQUIVALENCE_CASES = [
+    pytest.param(kind, num_beams, fault_model, id=f"{mode}-{fault_model.value}")
+    for (kind, num_beams), mode in zip(
+        MODES, ["mc-greedy", "gen-greedy", "gen-beam"]
+    )
+    for fault_model in (
+        FaultModel.extended() if num_beams > 1 else FaultModel.all()
+    )
+]
+
 
 class TestExecutionEquivalence:
     """auto-optimized campaigns replay the reference path bit-for-bit."""
 
-    @pytest.mark.parametrize("fault_model", FaultModel.all())
-    @pytest.mark.parametrize(
-        "kind,num_beams", MODES, ids=["mc-greedy", "gen-greedy", "gen-beam"]
-    )
+    @pytest.mark.parametrize("kind,num_beams,fault_model", EQUIVALENCE_CASES)
     def test_optimized_matches_reference(
         self, untrained_store, tokenizer, world, kind, num_beams, fault_model
     ):
@@ -99,6 +117,35 @@ class TestExecutionEquivalence:
             num_beams=num_beams, **REFERENCE,
         ).run(8)
         assert_results_equal(optimized, reference, "optimized", "reference")
+
+    @pytest.mark.parametrize("strategy", ["serial", "auto"])
+    @pytest.mark.parametrize(
+        "fault_model",
+        [
+            FaultModel.COMP_2BIT, FaultModel.MEM_2BIT,
+            FaultModel.KV_2BIT, FaultModel.ACC_2BIT,
+        ],
+        ids=lambda fault_model: fault_model.value,
+    )
+    def test_beam_records_match_the_parent_journal(
+        self, untrained_store, tokenizer, world, fault_model, strategy
+    ):
+        """Both legs of the one beam loop replay the parent's serial
+        records — ``auto == serial`` alone cannot catch a change both
+        legs share."""
+        camp = make_campaign(
+            untrained_store, tokenizer, world, "gen", fault_model,
+            num_beams=3, decode_strategy=strategy,
+        )
+        journal = PARENT_BEAM_JOURNALS / (
+            f"journal_8a2e640_wmt16_beam_{fault_model.value}.jsonl"
+        )
+        header, done, _ = load_checkpoint(journal, camp.fingerprint())
+        assert header["git_rev"].startswith("8a2e640")
+        assert sorted(done) == list(range(6))
+        assert_records_equal(
+            camp.run(6), [done[i] for i in range(6)], strategy, "parent serial"
+        )
 
     @pytest.mark.parametrize(
         "kind,num_beams", MODES, ids=["mc-greedy", "gen-greedy", "gen-beam"]

@@ -182,16 +182,23 @@ class TestFISafetyGate:
 
 class TestSessionMachinery:
     def test_fork_independent_after_further_steps(self, untrained_engine):
-        session = untrained_engine.start_session(PROMPT)
-        fork = session.fork()
-        for token in (4, 8, 15):
-            session.step(token)
-        # The fork is unaffected by the original's later steps: it
-        # decodes exactly like a fresh session.
-        fresh = untrained_engine.start_session(PROMPT)
-        np.testing.assert_array_equal(fork.step(16), fresh.step(16))
-        np.testing.assert_array_equal(fork.step(23), fresh.step(23))
-        assert fork.position == fresh.position == len(PROMPT) + 2
+        """A beam-search fork — ``copy_slot`` of a prefilled slot — is
+        unaffected by the original's later steps: it decodes exactly
+        like a fresh session."""
+        engine = untrained_engine
+        pool = engine.new_pool(2)
+        original, fork = pool.acquire(), pool.acquire()
+        engine.forward(PROMPT, pool.caches(original), 0, 0)
+        pool.copy_slot(original, fork)
+        def step(slot, i, token):
+            return engine.forward([token], pool.caches(slot), len(PROMPT) + i, i + 1)
+
+        for i, token in enumerate((4, 8, 15)):
+            step(original, i, token)
+        fresh = engine.start_session(PROMPT)
+        for i, token in enumerate((16, 23)):
+            np.testing.assert_array_equal(step(fork, i, token)[-1], fresh.step(token))
+        assert pool.caches(fork)[0].length == fresh.position == len(PROMPT) + 2
 
     def test_kvcache_snapshot_restore_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -329,7 +336,7 @@ class TestSessionMachinery:
         plain = greedy_decode(trained_engine, prompt, config)
         base = trained_engine.start_session(prompt)
         cached = greedy_decode(
-            trained_engine, prompt, config, session=base.fork()
+            trained_engine, prompt, config, session=base
         )
         assert cached == plain
 
@@ -341,7 +348,7 @@ class TestSessionMachinery:
         plain = beam_search_decode(trained_engine, prompt, config)
         base = trained_engine.start_session(prompt)
         cached = generate_ids(
-            trained_engine, prompt, config, session=base.fork()
+            trained_engine, prompt, config, session=base
         )
         assert cached == plain
 

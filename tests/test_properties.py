@@ -1,6 +1,7 @@
 """Cross-module property tests on the inference substrate's invariants."""
 
 import contextlib
+import copy
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_property_batched_rows_are_bit_identical_to_serial(moe, prompts, shape, 
         t = 3 if shape == "chunk-3" else 1
         chunks = rng.integers(5, VOCAB, size=(len(prompts), t)).tolist()
         serial = [engine.start_session(p).caches for p in prompts]
-    batched = [[c.clone() for c in caches] for caches in serial]
+    batched = copy.deepcopy(serial)
     positions = [caches[0].length for caches in serial]
     iterations = rng.integers(0, 9, size=len(prompts)).tolist()
     want = [
