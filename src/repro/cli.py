@@ -18,7 +18,7 @@ Commands
     ``--draft-model NAME --spec-depth GAMMA`` name the draft of the
     ``--spec-fault-side`` study, which decodes every trial through a
     draft/verify pair; nothing else speculates (the baseline is read
-    off the golden runs).
+    off the golden runs), so a draft without the study exits 2.
 ``serve MODEL [--rps R ...] [--duration S]``
     Run the multi-tenant streaming inference server under an open-loop
     Poisson load sweep (mixed gsm8k/wmt16/xlsum/squadv2 prompt shapes);
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--draft-model",
         choices=zoo_names(),
         default=None,
-        help="zoo model drafting in the --spec-fault-side study (the"
-        " baseline and every other trial never speculate)",
+        help="zoo model drafting in the --spec-fault-side study, which"
+        " it requires (the baseline never speculates)",
     )
     campaign.add_argument(
         "--spec-depth",
@@ -442,6 +442,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.fi.campaign import FICampaign
 
+    if args.draft_model and args.spec_fault_side is None:
+        print("--draft-model requires --spec-fault-side", file=sys.stderr)
+        return 2
     ctx = ExperimentContext(n_examples=args.examples, seed=args.seed)
     task = ctx.task(args.task)
     campaign = FICampaign(

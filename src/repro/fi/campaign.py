@@ -300,11 +300,11 @@ class FICampaign:
         self.draft_model = draft_model
         """The same-tokenizer draft engine of the ``spec_fault_side``
         study, which decodes every trial through a draft/verify pair
-        drafting ``speculation_depth`` tokens per round.  Nothing else
-        speculates: the baseline is read off the golden passes every
-        transient-fault campaign decodes anyway, and an armed trial
-        never passes :func:`~repro.generation.round.decode_plan`'s
-        speculation bar."""
+        drafting ``speculation_depth`` tokens per round; without that
+        study a draft is refused.  Nothing else speculates: the baseline
+        is read off the golden passes every transient-fault campaign
+        decodes anyway, and an armed trial never passes
+        :func:`~repro.generation.round.decode_plan`'s speculation bar."""
         self.speculation_depth = speculation_depth
         if spec_fault_side is not None:
             if spec_fault_side not in ("draft", "target"):
@@ -318,6 +318,8 @@ class FICampaign:
                 raise ValueError(
                     "the speculation-side study is generative-only"
                 )
+        elif draft_model is not None:
+            raise ValueError("a draft_model is read only with spec_fault_side")
         self.spec_fault_side = spec_fault_side
         """Speculation-side masking study: inject every trial's fault
         into the named engine of the draft/verify pair *while decoding
@@ -501,14 +503,14 @@ class FICampaign:
         """Option scores of multiple-choice ``(trial, site)`` pairs under
         their weight faults, from their examples' golden passes: bit for
         bit what one ``forward_full(prompt + option)`` per option scores
-        with the fault flipped into the store.
+        with the fault swapped in engine-wide.
 
         A corrupted weight is read by every option's forward, from the
         struck block on.  Rows of any trials struck in the same block
         and equally long share a forward — as many as the pool has slots
         and :data:`_OPTION_ROW_TOKENS` allows — each trial's fault keyed
         to its own rows (``MemoryFaultInjector(rows=)``): nothing is
-        flipped engine-wide, and each faulted copy lives for one
+        swapped in engine-wide, and each faulted copy lives for one
         forward.
         """
         n = len(self.examples)

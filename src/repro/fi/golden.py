@@ -15,7 +15,7 @@ fault-free a second way.
 rows from ``L`` on, from the state that entered ``L`` in its example's
 pass (:func:`score_option_rows`).  Under a weight fault that is every
 option row, and the fault is keyed to the trial's own rows rather than
-flipped into the store, so the rows of many trials — of any examples,
+swapped in engine-wide, so the rows of many trials — of any examples,
 struck in the same block, equally long — share one forward, each
 reading its own faulted copy of the struck tensor.
 

@@ -1,9 +1,11 @@
 """Fault injectors: context managers that corrupt and always restore.
 
-``MemoryFaultInjector`` flips bits of one stored weight before the
-inference and flips them back afterwards — "after each execution, we
+``MemoryFaultInjector`` swaps in a copy of one weight tensor with bits
+of one stored element flipped before the inference, and swaps the
+pristine tensor back afterwards — the paper's "after each execution, we
 flip the same bits back to their fault-free values to enable a fresh
-execution for the next fault injection run" (paper §3.2).
+execution for the next fault injection run" (§3.2), with nothing
+flipped in the store to flip back.
 
 ``ComputationalFaultInjector`` registers a one-shot forward hook on the
 target layer: at the sampled token-generation iteration it flips bits
@@ -53,17 +55,20 @@ __all__ = [
 class MemoryFaultInjector:
     """Persistent weight corruption with guaranteed restoration.
 
-    By default the bits are flipped in the engine's weight store, so
-    every forward reads them until :meth:`__exit__` flips them back.
-    ``rows`` keys the fault to those batch row ids instead: the injector
-    builds a private faulted copy ``W'`` of the one struck tensor
-    (:meth:`~repro.inference.storage.WeightStore.faulted_array`, which
-    never writes the store — a pool worker never privatizes an arena
-    page) and registers it for ``rows`` in ``engine.row_weights``, where
-    the batched entries read it for those rows alone
-    (:meth:`~repro.inference.engine.InferenceEngine._linear`); exit
+    The injector builds a private faulted copy ``W'`` of the one struck
+    tensor (:meth:`~repro.inference.storage.WeightStore.faulted_array`,
+    which never writes the store — a pool worker never writes an arena
+    page).  By default ``W'`` is swapped in as the store's compute array
+    (:meth:`~repro.inference.storage.WeightStore.swap`), so every
+    forward reads it, and ``store.array`` shows it, until
+    :meth:`__exit__` swaps the pristine array back.  ``rows`` keys
+    ``W'`` to those batch row ids instead: it is registered for ``rows``
+    in ``engine.row_weights``, where the batched entries read it for
+    those rows alone
+    (:meth:`~repro.inference.engine.InferenceEngine._linear`), and exit
     unregisters it.  Several trials' faults then share one forward, each
-    on its own rows.  A row carries at most one fault per layer.
+    on its own rows.  A row carries at most one fault per layer, and a
+    layer with ``W'`` swapped in takes no second fault.
     """
 
     def __init__(
@@ -77,33 +82,32 @@ class MemoryFaultInjector:
         self.engine = engine
         self.site = site
         self.rows = None if rows is None else tuple(int(row) for row in rows)
-        self._token = None
         self._faulted: np.ndarray | None = None
+        self._pristine: np.ndarray | None = None
 
     def __enter__(self) -> "MemoryFaultInjector":
         site = self.site
         store = self.engine.weight_store(site.layer_name)
-        before = float(store.array[site.row, site.col])
-        if self.rows is None:
-            self._token = store.flip_element_bits(site.row, site.col, list(site.bits))
-            # Announce the armed fault so shared-compute fast paths
-            # (prefix caching, batched decoding) disable themselves
-            # while the weights are corrupted.
-            self.engine.weight_fault_depth += 1
-            after = store.array[site.row, site.col]
-        else:
+        if self.rows is not None:
             keyed = self.engine.row_weights.get(site.layer_name, {})
             taken = sorted(set(self.rows) & keyed.keys())
             if taken:
                 raise RuntimeError(
                     f"rows {taken} already carry a fault in {site.layer_name}"
                 )
-            faulted = store.faulted_array(site.row, site.col, list(site.bits))
+        faulted = store.faulted_array(site.row, site.col, list(site.bits))
+        before = float(store.array[site.row, site.col])
+        if self.rows is None:
+            self._pristine = store.swap(faulted)
+            # Announce the armed fault so shared-compute fast paths
+            # (prefix caching, batched decoding) disable themselves
+            # while the weights are corrupted.
+            self.engine.weight_fault_depth += 1
+        else:
             self.engine.row_weights.setdefault(site.layer_name, {}).update(
                 dict.fromkeys(self.rows, faulted)
             )
-            self._faulted = faulted
-            after = faulted[site.row, site.col]
+        self._faulted = faulted
         recorder = _flight()
         if recorder.active:
             recorder.event(
@@ -113,30 +117,25 @@ class MemoryFaultInjector:
                 col=site.col,
                 bits=list(site.bits),
                 before=before,
-                after=float(after),
+                after=float(faulted[site.row, site.col]),
             )
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._token is not None:
-            store = self.engine.weight_store(self.site.layer_name)
-            store.restore(self._token)
-            # Shared-arena stores privatized the tensor on the flip;
-            # now that it is bit-pristine again, hand the pages back so
-            # a long campaign's worker RSS stays one-tensor bounded.
-            store.release_private()
-            self._token = None
+        faulted, self._faulted = self._faulted, None
+        if faulted is None:
+            return
+        if self.rows is None:
+            self.engine.weight_store(self.site.layer_name).swap(self._pristine)
+            self._pristine = None
             self.engine.weight_fault_depth -= 1
-        elif self._faulted is not None:
+        else:
             keyed = self.engine.row_weights.get(self.site.layer_name, {})
             for row in self.rows:
-                if keyed.get(row) is self._faulted:
+                if keyed.get(row) is faulted:
                     del keyed[row]
             if not keyed:
                 self.engine.row_weights.pop(self.site.layer_name, None)
-            self._faulted = None
-        else:
-            return
         recorder = _flight()
         if recorder.active:
             recorder.event("inject.restore", layer=self.site.layer_name)

@@ -152,7 +152,7 @@ def beam_search_decode(
     The only fork is how the hypotheses that gained a token step.
     ``serial`` — the reference, and ``auto`` whenever
     :func:`~repro.generation.round.decode_plan` says ``serial`` (capture,
-    a weight fault flipped into the store, unscoped hooks) — runs one 1-D
+    a weight fault swapped in engine-wide, unscoped hooks) — runs one 1-D
     :meth:`~InferenceEngine.forward` per hypothesis in beam order.
     ``auto`` under a ``batched`` plan runs one
     :meth:`~InferenceEngine.forward_step_batch` over the same rows in the
@@ -255,34 +255,22 @@ def generate_ids(
     config: GenerationConfig,
     session: Session | None = None,
     strategy: str = "auto",
-    draft: InferenceEngine | None = None,
-    speculation_depth: int = 4,
 ) -> list[int]:
     """Dispatch to greedy or beam decoding based on ``num_beams``.
 
     ``session``, when given, must be a prefilled session for
-    ``prompt_ids`` (it is consumed).  Where no draft proposes (the
-    width-1 round and the serial loop, all an injected trial takes) a
-    greedy session may already be ``session.iteration`` steps past the
-    prompt: decoding continues
+    ``prompt_ids`` (it is consumed).  A greedy session may already be
+    ``session.iteration`` steps past the prompt: decoding continues
     from there, ``config.max_new_tokens`` is the budget that is left
     and only the new ids are returned — how campaigns resume a trial
     from its example's golden run (:mod:`repro.fi.golden`) instead of
     re-decoding the fault-free prefix.  ``strategy`` is forwarded to
     the decoder (``auto`` or ``serial``, see :func:`greedy_decode`).
-    ``draft`` and
-    ``speculation_depth`` enable draft-and-verify greedy decoding; beam
-    search ignores the draft (speculation is greedy-only).
     """
-    if config.num_beams == 1:
-        def decode(**kw):
-            return greedy_decode(
-                engine, prompt_ids, config,
-                draft=draft, speculation_depth=speculation_depth, **kw,
-            )
-    else:
-        def decode(**kw):
-            return beam_search_decode(engine, prompt_ids, config, **kw)
+    decoder = greedy_decode if config.num_beams == 1 else beam_search_decode
+
+    def decode(**kw):
+        return decoder(engine, prompt_ids, config, **kw)
     tel = _telemetry()
     if not tel.active:
         return decode(session=session, strategy=strategy)

@@ -61,11 +61,11 @@ iterations under one iteration tag, so anything iteration-pinned would
 mis-fire, and a chunked forward visits different (iteration, tensor)
 pairs than the serial loop.  Batching only needs faults that scope
 themselves to one sequence.  Capture records per-sequence tensors, so
-it forces the serial reference loop; so do weight faults flipped into
-the store, whose gate was set when a batched GEMM differed from the
+it forces the serial reference loop; so do weight faults swapped in
+engine-wide, whose gate was set when a batched GEMM differed from the
 serial one in the last bits (a corrupted weight amplifies such
 differences).  A weight fault keyed by row
-(``MemoryFaultInjector(rows=)``) flips nothing engine-wide: only its
+(``MemoryFaultInjector(rows=)``) swaps nothing in engine-wide: only its
 rows read the faulted copy, each in the product the serial forward of
 that row runs, so it is row-scoped like a pinned hook.  That is how a
 campaign scores multiple-choice trials under weight faults, many trials

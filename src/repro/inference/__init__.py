@@ -6,7 +6,6 @@ from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.inference.storage import (
     FloatWeightStore,
     QuantizedWeightStore,
-    RestoreToken,
     WeightStore,
     make_weight_store,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "PooledKVCache",
     "PromptCache",
     "QuantizedWeightStore",
-    "RestoreToken",
     "Session",
     "WeightStore",
     "make_weight_store",

@@ -121,7 +121,7 @@ class InferenceEngine:
         by :class:`~repro.fi.injector.MemoryFaultInjector` so fast-path
         optimizations can tell whether the stored weights are pristine."""
         self.row_weights: dict[str, dict[int, np.ndarray]] = {}
-        """Weight faults keyed by batch row, not flipped engine-wide:
+        """Weight faults keyed by batch row, not swapped in engine-wide:
         layer name -> ``{row id: faulted copy of its compute array}``.
         Maintained by ``MemoryFaultInjector(rows=)``; on the batched
         entries :meth:`_linear` runs a registered row's product against
@@ -192,9 +192,9 @@ class InferenceEngine:
 
         All weight planes are zero-copy read-only views into the shared
         mapping; only the (tiny, deterministic) RoPE tables are
-        recomputed.  Weight-fault trials privatize the targeted tensor
-        on first flip (storage-policy copy-on-write) — the arena and
-        every sibling attachment stay pristine.
+        recomputed.  Nothing writes the views: a weight-fault trial
+        swaps in or keys to rows its own faulted copy of the struck
+        tensor, so the arena and every sibling attachment stay pristine.
         """
         arrays, meta = open_arena(directory)
         if meta.get("kind") != "engine":
@@ -287,7 +287,7 @@ class InferenceEngine:
         runs its product against its own faulted copy ``W'`` instead:
         ``x[row] @ W'``, the shape and BLAS call of its product in the
         stacked matmul, which is what the serial forward of that row
-        runs with the fault flipped into the store.  Every other row
+        runs with ``W'`` swapped into the store.  Every other row
         reads the pristine ``W``.
         """
         full = f"blocks.{block}.{layer}"

@@ -117,9 +117,9 @@ def open_arena(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
     Every returned array is a zero-copy, non-writeable view into one
     shared ``np.memmap`` of ``arena.bin`` — attaching from many
-    processes shares physical pages.  Mutating a view raises; consumers
-    that need to write (weight-fault trials) must copy first
-    (copy-on-write at tensor granularity).
+    processes shares physical pages.  Mutating a view raises; a
+    weight-fault trial reads a faulted copy of the one tensor it
+    strikes instead of writing one.
     """
     directory = Path(directory)
     index = json.loads((directory / _ARENA_INDEX).read_text())

@@ -93,19 +93,6 @@ class QuantizedMatrix:
             raw -= 1 << self.nbits
         return raw
 
-    def flip_code_bits(self, row: int, col: int, positions: list[int]) -> int:
-        """Flip bits of the stored code at ``(row, col)`` in place
-        (:meth:`flipped_code`).  Returns the previous raw code so the
-        caller can restore it (fault-injection campaigns flip back after
-        each run)."""
-        old = int(self.codes[row, col])
-        self.codes[row, col] = self.flipped_code(row, col, positions)
-        return old
-
-    def set_code(self, row: int, col: int, code: int) -> None:
-        """Restore a raw code previously returned by :meth:`flip_code_bits`."""
-        self.codes[row, col] = code
-
 
 def quantize_matrix(
     weight: np.ndarray, nbits: int, group_size: int = 32

@@ -185,7 +185,8 @@ OPTIONS = [[11, 13], [17], [19, 23, 29]]
 
 
 def _entries(engine, draft=None):
-    """Every public decode / scoring entry as ``call(**strategy_kw)``."""
+    """Every public decode / scoring entry as ``call(**strategy_kw)``;
+    ``draft`` reaches the one entry that speculates, ``greedy_decode``."""
     greedy = GenerationConfig(max_new_tokens=4, eos_id=-1)
     beam = GenerationConfig(max_new_tokens=4, num_beams=2, eos_id=-1)
     prompt = PROMPTS[0]
@@ -196,9 +197,7 @@ def _entries(engine, draft=None):
         "beam_search_decode": lambda **kw: beam_search_decode(
             engine, prompt, beam, **kw
         ),
-        "generate_ids": lambda **kw: generate_ids(
-            engine, prompt, greedy, draft=draft, **kw
-        ),
+        "generate_ids": lambda **kw: generate_ids(engine, prompt, greedy, **kw),
         "score_options": lambda **kw: score_options(
             engine, prompt, OPTIONS, **kw
         ),

@@ -11,6 +11,7 @@ from repro.inference import (
     QuantizedWeightStore,
     make_weight_store,
 )
+from repro.inference.storage import attach_weight_store
 from repro.model import ModelConfig, TransformerLM
 
 TOKENS = [1, 5, 7, 2, 9, 11, 3]
@@ -429,28 +430,29 @@ class TestStoragePolicies:
         err4 = np.abs(q4 - base).mean()
         assert err8 < err4  # 8-bit is a tighter approximation
 
+    @staticmethod
+    def _swap_cycle(store, row, col, bit):
+        """A faulted copy swapped in and back: it differs in ``(row,
+        col)`` alone, and the store's own array is back by identity."""
+        own = store.array
+        faulted = store.faulted_array(row, col, [bit])
+        assert (faulted != own).sum() == 1 and faulted[row, col] != own[row, col]
+        assert store.swap(faulted) is own and store.array is faulted
+        assert store.swap(own) is faulted and store.array is own
+
     def test_float_store_flip_restore(self):
         w = np.random.default_rng(0).normal(size=(8, 4)).astype(np.float32)
-        store = FloatWeightStore(w, "bf16")
-        before = store.array.copy()
-        token = store.flip_element_bits(2, 1, [14])
-        assert store.array[2, 1] != before[2, 1]
-        assert (store.array != before).sum() == 1  # exactly one element
-        store.restore(token)
-        np.testing.assert_array_equal(store.array, before)
+        self._swap_cycle(FloatWeightStore(w, "bf16"), 2, 1, 14)
 
     def test_quantized_store_flip_restore(self):
         w = np.random.default_rng(1).normal(size=(64, 4)).astype(np.float32)
-        store = QuantizedWeightStore(w, nbits=4)
-        before = store.array.copy()
-        token = store.flip_element_bits(5, 2, [3])
-        assert store.array[5, 2] != before[5, 2]
-        store.restore(token)
-        np.testing.assert_array_equal(store.array, before)
+        self._swap_cycle(QuantizedWeightStore(w, nbits=4), 5, 2, 3)
 
     def test_make_weight_store_rejects_unknown(self):
         with pytest.raises(KeyError):
             make_weight_store(np.zeros((2, 2), np.float32), "fp8")
+        with pytest.raises(KeyError):
+            attach_weight_store({}, {"kind": "fp8"})
 
     def test_activation_format_defaults(self, untrained_store):
         assert InferenceEngine(untrained_store, "bf16").activation_format == "bf16"

@@ -80,7 +80,7 @@ class TestMemoryInjector:
                 assert engine.weight_fault_depth == 0
                 np.testing.assert_array_equal(store.array, pristine)
                 with MemoryFaultInjector(engine, site):
-                    # Exactly the element the engine-wide flip writes.
+                    # The copy the engine-wide leg swaps in.
                     np.testing.assert_array_equal(faulted[2], store.array)
                 raise RuntimeError("inference crashed")
         assert engine.row_weights == {} and injector._faulted is None
@@ -98,6 +98,22 @@ class TestMemoryInjector:
             with MemoryFaultInjector(engine, _mem_site("blocks.0.q_proj"), rows=(1,)):
                 assert len(engine.row_weights) == 2
         assert engine.row_weights == {}
+
+    @pytest.mark.parametrize("rows", [None, (0,)], ids=["engine_wide", "keyed"])
+    def test_a_swapped_layer_takes_no_second_fault(self, untrained_engine, rows):
+        engine, site = untrained_engine, _mem_site()
+        store = engine.weight_store(site.layer_name)
+        own = store.array
+        with MemoryFaultInjector(engine, site):
+            armed, corrupted = store.array, store.array.copy()
+            with pytest.raises(RuntimeError, match="already swapped"):
+                with MemoryFaultInjector(engine, _mem_site(row=4), rows=rows):
+                    pass
+            # The refused arming left the armed fault as it was.
+            assert store.array is armed and (armed != own).sum() == 1
+            np.testing.assert_array_equal(armed, corrupted)
+            assert engine.weight_fault_depth == 1 and engine.row_weights == {}
+        assert store.array is own and engine.weight_fault_depth == 0
 
 
 class TestComputationalInjector:

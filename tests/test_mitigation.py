@@ -127,12 +127,12 @@ class TestSelectiveProtection:
         layer = router_layers(moe_engine)[0]
         store = moe_engine.weight_store(layer)
         pristine = store.array.copy()
-        store.flip_element_bits(0, 1, [30])
-        fixed = protection.verify_and_restore()
-        assert fixed == 1
-        np.testing.assert_array_equal(store.array, pristine)
-        # Second pass: nothing left to fix.
-        assert protection.verify_and_restore() == 0
+        site = FaultSite(FaultModel.MEM_2BIT, layer, 0, 1, bits=(30, 29))
+        with MemoryFaultInjector(moe_engine, site):
+            assert protection.verify_and_restore() == 1
+            np.testing.assert_array_equal(store.array, pristine)
+            # Second pass: nothing left to fix.
+            assert protection.verify_and_restore() == 0
         assert protection.corrections == 1
 
     def test_overhead_accounting(self, moe_engine):

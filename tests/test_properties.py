@@ -18,9 +18,10 @@ from repro.generation import (
     score_options,
 )
 from repro.generation.round import decode_plan, pick
-from repro.inference import InferenceEngine, KVCache
+from repro.inference import InferenceEngine, KVCache, make_weight_store
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
+from repro.numerics.formats import flip_value_bits
 from tests.test_engine import assert_caches_equal, feed
 
 VOCAB = 40
@@ -187,6 +188,44 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
 
 
 POLICIES = ("fp32", "fp16", "bf16", "int8", "int4")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_property_faulted_array_flips_one_stored_element(policy, data):
+    """``faulted_array(r, c, bits)`` — the one memory fault, whichever
+    leg arms it — against a reference computed here: element ``(r, c)``
+    is its stored value with ``bits`` flipped (``flip_value_bits`` in
+    the float format; the two's-complement code flipped here, then times
+    its group scale), every other element is the compute array's, and
+    the store is left as it was."""
+    rows, cols = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    store = make_weight_store(rng.normal(0, 0.5, (rows, cols)).astype(np.float32), policy)
+    r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    bits = data.draw(st.lists(
+        st.integers(0, store.n_storage_bits - 1), min_size=1, max_size=2, unique=True
+    ))
+    own = store.array
+    planes = {k: v.copy() for k, v in store.export_state()[0].items()}
+    faulted = store.faulted_array(r, c, bits)
+    if policy.startswith("int"):
+        q, width = store.quantized, store.n_storage_bits
+        code = int(q.codes[r, c]) % (1 << width) ^ sum(1 << b for b in bits)
+        code -= (code >> (width - 1)) << width  # sign-extend
+        want = np.float32(code) * q.scales[r // q.group_size, c]
+    else:
+        want = flip_value_bits(own[r, c], bits, policy)
+    assert np.float32(want).view(np.uint32) == faulted[r, c].view(np.uint32)
+    others = np.ones(own.shape, bool)
+    others[r, c] = False
+    np.testing.assert_array_equal(faulted[others], own[others])
+    assert store.array is own
+    for name, plane in store.export_state()[0].items():
+        np.testing.assert_array_equal(plane, planes[name])
+
+
 _POLICY_ENGINES: dict[tuple[bool, str], InferenceEngine] = {}
 
 
@@ -203,7 +242,7 @@ def _policy_engine(moe: bool, policy: str) -> InferenceEngine:
 def _row_keyed_case(engine, layer, tokens, struck, rng, entry="chunk"):
     """A weight fault in ``layer`` keyed to row ``struck`` of a
     ``(B, t)`` batch: every row's logits and K/V against the serial
-    forward of that row — under the fault flipped into the store for
+    forward of that row — under the fault swapped in engine-wide for
     the struck row, clean for its siblings."""
     store = engine.weight_store(layer)
     rows, cols = store.shape
@@ -232,7 +271,7 @@ def _row_keyed_case(engine, layer, tokens, struck, rng, entry="chunk"):
     before = store.array.copy()
     with MemoryFaultInjector(engine, site, rows=(struck,)):
         assert decode_plan(engine) == ("batched", "row_weight_fault")
-        np.testing.assert_array_equal(store.array, before)  # nothing flipped
+        np.testing.assert_array_equal(store.array, before)  # nothing swapped in
         if entry == "step":
             got = engine.forward_step_batch(
                 tokens[:, 0], rows_caches, [3] * batch, [1] * batch
@@ -260,8 +299,8 @@ def test_property_a_row_keyed_weight_fault_is_the_flip_for_its_row(
     moe, policy, batch, t, entry, data
 ):
     """``MemoryFaultInjector(rows=(r,))``: row ``r`` of a batched forward
-    is ``array_equal`` to its serial forward with the fault flipped into
-    the store, and every sibling to its clean serial forward — logits
+    is ``array_equal`` to its serial forward with the fault swapped in
+    engine-wide, and every sibling to its clean serial forward — logits
     and K/V, dense and MoE (router and expert linears included), every
     storage policy, any width, chunks from empty caches (the stacked
     attention) and single steps over a prefix."""

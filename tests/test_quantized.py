@@ -63,12 +63,13 @@ class TestQuantize:
 
 class TestCodeFlips:
     def test_flip_and_restore(self):
+        """A flipped code is computed, never stored."""
         q = quantize_matrix(_random_weight(5), nbits=4)
-        before = q.dequantize().copy()
-        old = q.flip_code_bits(10, 3, [2])
-        assert not np.array_equal(q.dequantize(), before)
-        q.set_code(10, 3, old)
-        np.testing.assert_array_equal(q.dequantize(), before)
+        codes = q.codes.copy()
+        code = q.flipped_code(10, 3, [2])
+        assert code != codes[10, 3]
+        assert q.dequantize_element(10, 3, code) != q.dequantize_element(10, 3)
+        np.testing.assert_array_equal(q.codes, codes)
 
     def test_flip_bounded_deviation(self):
         """Observation #8 mechanism: an int-code bit flip moves the
@@ -76,20 +77,20 @@ class TestCodeFlips:
         q = quantize_matrix(_random_weight(6), nbits=4)
         scale = q.scales[q.group_of_row(5), 2]
         before = q.dequantize_element(5, 2)
-        q.flip_code_bits(5, 2, [3])  # flip the highest magnitude bit
-        after = q.dequantize_element(5, 2)
+        # Flip the highest magnitude bit.
+        after = q.dequantize_element(5, 2, q.flipped_code(5, 2, [3]))
         assert abs(after - before) <= 16 * scale
 
     def test_sign_bit_flip_sign_extends(self):
         q = quantize_matrix(_random_weight(7), nbits=4)
         q.codes[0, 0] = 3
-        q.flip_code_bits(0, 0, [3])  # set the top bit: 0b0011 -> 0b1011
-        assert q.codes[0, 0] == 11 - 16  # two's complement of 0b1011
+        # Set the top bit: 0b0011 -> 0b1011, two's complement -5.
+        assert q.flipped_code(0, 0, [3]) == 11 - 16
 
     def test_invalid_bit_rejected(self):
         q = quantize_matrix(_random_weight(8), nbits=4)
         with pytest.raises(ValueError):
-            q.flip_code_bits(0, 0, [4])
+            q.flipped_code(0, 0, [4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,7 +103,4 @@ def test_property_double_flip_restores(seed, nbits, bit):
     """Flipping the same code bit twice is an exact no-op."""
     bit = bit % nbits
     q = quantize_matrix(_random_weight(seed, shape=(16, 4)), nbits=nbits)
-    before_codes = q.codes.copy()
-    q.flip_code_bits(3, 1, [bit])
-    q.flip_code_bits(3, 1, [bit])
-    np.testing.assert_array_equal(q.codes, before_codes)
+    assert q.flipped_code(3, 1, [bit, bit]) == q.codes[3, 1]

@@ -1,4 +1,4 @@
-"""Shared-weight scale-out: mmap arena, CoW isolation, persistent pool.
+"""Shared-weight scale-out: mmap arena, fault isolation, persistent pool.
 
 The campaign pool's scale-out story rests on three invariants:
 
@@ -6,9 +6,9 @@ The campaign pool's scale-out story rests on three invariants:
   exported arena is indistinguishable from the exporting one
   (``fingerprint()`` equal, forwards bit-equal), because the arena
   holds the *policy-encoded* planes verbatim, never a re-encoding;
-* **copy-on-write isolation** — a weight fault in one attachment
-  privatizes only the targeted tensor; the arena bytes and every
-  sibling attachment stay pristine, and restoration is exact;
+* **fault isolation** — a weight fault in one attachment reads a
+  private faulted copy of the targeted tensor; no arena plane is ever
+  written, and exit puts the arena view back;
 * **schedule-invariance** — TrialRecords from the pre-forked
   persistent pool (any worker count, with worker deaths, across
   kill-and-resume boundaries) are bit-identical to serial, enforced
@@ -122,14 +122,17 @@ class TestSharedEngine:
         self, untrained_store, tmp_path, policy
     ):
         """A weight fault in one attachment never leaks into the arena
-        or a sibling: only the flipping process's targeted tensor goes
-        private, and restore is exact."""
+        or a sibling: the struck tensor's faulted copy is private to the
+        faulting engine, no plane is ever writeable, and exit puts the
+        arena view itself back."""
         engine = InferenceEngine(untrained_store, weight_policy=policy)
         engine.export_shared(tmp_path / "engine")
         faulty = InferenceEngine.open_shared(tmp_path / "engine")
         sibling = InferenceEngine.open_shared(tmp_path / "engine")
         layer = faulty.linear_layer_names()[0]
-        pristine = np.array(faulty.weight_store(layer).array, copy=True)
+        store = faulty.weight_store(layer)
+        view = store.array
+        pristine = np.array(view, copy=True)
         site = FaultSite(
             fault_model=FaultModel.MEM_2BIT,
             layer_name=layer,
@@ -138,22 +141,24 @@ class TestSharedEngine:
             bits=(0, 1),
             iteration=0,
         )
+
+        def read_only():
+            return not any(p.flags.writeable for p in store.export_state()[0].values())
+
         with MemoryFaultInjector(faulty, site):
-            corrupted = faulty.weight_store(layer).array
-            assert corrupted.flags.writeable  # privatized by the flip
-            assert not np.array_equal(corrupted, pristine)
+            corrupted = store.array
+            assert corrupted is not view and corrupted.flags.writeable
+            assert not np.array_equal(corrupted, pristine) and read_only()
             # Sibling attachment and the arena itself stay pristine.
             assert np.array_equal(
                 sibling.weight_store(layer).array, pristine
             )
             fresh = InferenceEngine.open_shared(tmp_path / "engine")
             assert np.array_equal(fresh.weight_store(layer).array, pristine)
-        restored = faulty.weight_store(layer).array
-        assert np.array_equal(restored, pristine)
-        # Restoration hands the private pages back to the arena, so a
-        # worker's RSS stays bounded by one in-flight tensor no matter
-        # how many trials it executes.
-        assert not restored.flags.writeable
+        # Exit puts the arena view back, so a worker holds no private
+        # tensor between trials however many it executes.
+        assert store.array is view and read_only()
+        assert np.array_equal(view, pristine)
 
 
 class TestPooledEquivalence:

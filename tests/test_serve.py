@@ -821,28 +821,25 @@ class TestCampaignAsTenant:
         )
         assert server.tenant_stats()["campaign"]["completed"] == 0
 
-    def test_draftless_server_serves_a_campaign_holding_a_draft(
-        self, untrained_store, tokenizer, world
+    def test_a_draft_without_its_study_is_refused(
+        self, untrained_engine, tokenizer, world, capsys
     ):
-        """A campaign's draft is its ``spec_fault_side`` study's, not
-        its trials': a draftless server serves every trial, and the
-        records are the local run's."""
-        engine = InferenceEngine(untrained_store)
-        campaign = self._campaign(
-            engine, tokenizer, world, draft_model=_draft_for(engine)
-        )
-        server = InferenceServer(engine, campaign.generation, max_batch=4).start()
-        try:
-            campaign.attach_server(server)
-            served = campaign.run(self.N_TRIALS)
-            completed = server.tenant_stats()["campaign"]["completed"]
-        finally:
-            server.stop()
-        assert completed == self.N_TRIALS
-        assert_results_equal(
-            served,
-            self._local(untrained_store, tokenizer, world).run(self.N_TRIALS),
-            "served", "local",
+        """A campaign's draft is its ``spec_fault_side`` study's, not its
+        trials': without the study it is refused when the campaign is
+        built, and ``repro campaign`` exits 2 before loading a model."""
+        with pytest.raises(ValueError, match="spec_fault_side"):
+            self._campaign(
+                untrained_engine, tokenizer, world,
+                draft_model=_draft_for(untrained_engine),
+            )
+        from repro.cli import main
+
+        assert main([
+            "campaign", "qwenlike-base", "wmt16", "2bits-mem",
+            "--draft-model", "qwenlike-tiny",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "--draft-model requires --spec-fault-side\n"
         )
 
 

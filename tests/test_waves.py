@@ -32,7 +32,7 @@ from repro.fi import (
     load_checkpoint,
 )
 from repro.fi.campaign import _DECODE_BATCH
-from repro.inference import FloatWeightStore, InferenceEngine, QuantizedWeightStore
+from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
 from repro.tasks import (
     GSM8kTask,
@@ -629,8 +629,8 @@ class TestMultipleChoiceWeightFaultWaves:
     """A multiple-choice trial under a weight fault reruns every option
     row from the struck block; keyed to the trial's own rows
     (``MemoryFaultInjector(rows=)``), the rows of many trials share a
-    forward.  Nothing is flipped engine-wide, so no weight store is ever
-    written — in a pool worker, no arena page is privatized."""
+    forward.  No weight store is ever written — in a pool worker, no
+    arena page."""
 
     def _campaign(self, store, tokenizer, task, policy="bf16", **kw):
         return campaign(
@@ -717,35 +717,35 @@ class TestMultipleChoiceWeightFaultWaves:
         assert camp.engine.row_weights == {}
 
     @pytest.mark.parametrize("policy", ["bf16", "int8"])
-    def test_no_weight_store_is_written(
-        self, trained_store, tokenizer, world, policy, monkeypatch
-    ):
-        """Pool workers score every batch with every attached store's
-        planes read-only: a privatizing write raises, and nothing does."""
-        task = HellaSwagTask(world)
-        reference = self._campaign(
-            trained_store, tokenizer, task, policy, decode_strategy="serial"
-        ).run(N_TRIALS)
-
-        def privatize(store):
-            raise AssertionError("a weight store was written")
-
-        for cls in (FloatWeightStore, QuantizedWeightStore):
-            monkeypatch.setattr(cls, "_ensure_writable", privatize)
-        camp = self._campaign(trained_store, tokenizer, task, policy)
-        try:
-            pooled = camp.run(N_TRIALS, n_workers=2)
-            # A worker's copy, as the pool builds it, runs a whole batch.
-            worker = camp._attached(camp._executor.arena.root)
-            records = worker._run_wave(list(range(N_TRIALS)))
-        finally:
-            camp.close_pool()
-        assert_results_equal(pooled, reference, "pooled waves", "serial")
-        assert_records_equal(
-            [records[trial] for trial in range(N_TRIALS)], reference,
-            "a worker's wave", "serial",
-        )
-        for name in worker.engine.linear_layer_names():
-            planes, _ = worker.engine.weight_store(name).export_state()
-            assert not any(plane.flags.writeable for plane in planes.values()), name
-        assert worker.engine.row_weights == {}
+    def test_no_weight_store_is_written(self, trained_store, tokenizer, world, policy):
+        """Pool workers attach every store's planes read-only, so a trial
+        that wrote one would raise and fail: the records equal the serial
+        ones, and the planes are still the arena's, only if none did —
+        multiple-choice waves, faults keyed by row, and generative
+        trials, faults swapped in engine-wide."""
+        for task, n_trials in ((HellaSwagTask(world), N_TRIALS), (TranslationTask(world), 6)):
+            reference = self._campaign(
+                trained_store, tokenizer, task, policy, decode_strategy="serial"
+            ).run(n_trials)
+            camp = self._campaign(trained_store, tokenizer, task, policy)
+            try:
+                pooled = camp.run(n_trials, n_workers=2)
+                # A worker's copy, as the pool builds it, runs a whole batch.
+                worker = camp._attached(camp._executor.arena.root)
+                if camp.is_mc:
+                    records = worker._run_wave(list(range(n_trials)))
+                else:
+                    records = [worker._run_trial(trial) for trial in range(n_trials)]
+            finally:
+                camp.close_pool()
+            assert_results_equal(pooled, reference, "pooled", "serial")
+            assert_records_equal(
+                [records[trial] for trial in range(n_trials)], reference,
+                "a worker's batch", "serial",
+            )
+            for name in worker.engine.linear_layer_names():
+                store = worker.engine.weight_store(name)
+                planes, _ = store.export_state()
+                assert store.array is planes["array"], name
+                assert not any(plane.flags.writeable for plane in planes.values()), name
+            assert worker.engine.row_weights == {}
