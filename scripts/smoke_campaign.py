@@ -179,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     ), "per-layer timing missing"
     assert tel.metrics.histogram("campaign.trial_ms").count == n_trials
     # Trials decode through ``generate_ids``, or, every one of a
-    # wave-capable campaign's, as rows of a wave's shared forwards; a
-    # multiple-choice trial scores option rows.
+    # campaign whose ``trial_plan()`` says ``wave``, as rows of a wave's
+    # shared forwards; a multiple-choice trial scores option rows.
     assert (
         "decode.tokens" in counters
         or tel.metrics.histogram("campaign.wave.width").count > 0

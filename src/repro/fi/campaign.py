@@ -23,9 +23,10 @@ slot under that injector (:meth:`FICampaign._run_wave`).  A
 multiple-choice trial has no decode to share, but under a weight fault
 it reruns all its option rows: those of many trials share a forward,
 each trial's corrupted weight keyed to its own rows and nothing flipped
-engine-wide.  The wave is such a campaign's only path; a trial that
-still runs alone is counted, by reason, under
-``campaign.lone_trials.*``.  Most strikes
+engine-wide.  Which path a trial takes — a wave, alone from its
+example's fault-free pass, or alone through the whole reference — and
+why is one table (:meth:`FICampaign.trial_plan`); a trial that runs
+alone is counted under ``campaign.lone_trials.<reason>``.  Most strikes
 never reach the output, so each distinct ``(example, prediction)`` is
 scored and classified once (:meth:`FICampaign._gen_record`) — and the
 fault-free passes everything above starts from are decoded once per
@@ -267,24 +268,12 @@ class FICampaign:
         self.decode_strategy = decode_strategy
         """The one execution switch.  ``auto`` runs one fault-free pass
         per example (:attr:`_golden`, one batched sweep) wherever
-        :func:`~repro.generation.round.decode_plan` finds it exact, and
-        everything fault-free is read off it: the baseline is the trial
-        in which no fault fires, injected generative trials decode in a
-        batch round under row-scoped faults, and generative trials whose
-        transient fault strikes at iteration ``k >= 1`` resume their
-        example's golden run (:mod:`repro.fi.golden`) at iteration
-        ``k - 1`` instead of re-decoding the fault-free prefix — without
-        a single forward when the golden run ended before ``k``.  Greedy
-        computational-fault trials run as *waves* (:meth:`_run_wave`):
-        up to ``_DECODE_BATCH`` of them — resumed, or struck in their
-        own prompt forward — share each decode step, every row
-        bit-identical to the trial decoded alone.
-        A multiple-choice trial under a weight or computational fault
-        scores only what the fault can reach: the blocks from the
-        struck one on, over its example's golden option pass — under a
-        weight fault every option row, beside other trials' rows
-        (:meth:`_weight_fault_scores`), under a computational one the
-        rows up to the one it fires in (:meth:`_option_rows`).
+        :func:`~repro.generation.round.decode_plan` finds it exact, reads
+        the baseline off it — the trial in which no fault fires — and
+        runs each trial on the path :meth:`trial_plan` names: a wave, or
+        alone from its example's pass (a generative trial struck at
+        iteration ``k >= 1`` resumes its golden run at ``k - 1``,
+        :mod:`repro.fi.golden`), or alone through the reference.
         ``serial`` is the whole reference, as the differential oracle
         runs it: per-sequence decode loops, one full forward per option,
         a fresh prefill and a full decode per trial and per baseline
@@ -339,7 +328,7 @@ class FICampaign:
         (generative tasks) or golden option pass (multiple choice) —
         built by the baseline sweep, which reads the baseline off it,
         and inherited by forked pool workers copy-on-write.  Empty where
-        no pass is kept (:meth:`_keeps_golden`).  The dict is this
+        no pass is kept (:meth:`_why_no_golden`).  The dict is this
         campaign's; the passes may be the ones an earlier campaign on
         this engine swept (:mod:`repro.fi.golden`), and are never
         written."""
@@ -376,6 +365,9 @@ class FICampaign:
         ``run()``/``resume()`` boundaries until :meth:`close_pool`."""
         self._in_worker = False
         """True on the copy a pool worker runs (:meth:`_attached`)."""
+        self._hook_mark: int | None = None
+        """The engine's hook registrations when the latest trial or wave
+        began: :meth:`_post_failure_repair` detaches those after it."""
         self._serve = None
         """Optional attached :class:`~repro.serve.server.InferenceServer`
         (:meth:`attach_server`): KV-fault trials run through it as
@@ -643,7 +635,7 @@ class FICampaign:
     def compute_baseline(self) -> dict:
         """Fault-free predictions + metrics over all examples (cached).
 
-        Where the campaign keeps golden passes (:meth:`_keeps_golden`)
+        Where the campaign keeps golden passes (:meth:`_why_no_golden`)
         the sweep is the engine's, not the campaign's: an earlier
         campaign on this engine over the same weights, examples and
         decoding config left its passes, the baseline read off them and
@@ -660,7 +652,7 @@ class FICampaign:
             return self._baseline_metrics
         selections: list = [None] * len(self.examples)
         key = None
-        if self._keeps_golden():
+        if self._why_no_golden() is None:
             key = self._shared_key()
             entry = take_shared(self.engine, key)
             tel = _telemetry()
@@ -770,6 +762,7 @@ class FICampaign:
         return False
 
     def _run_trial(self, trial: int, attempt: int = 0) -> TrialRecord:
+        self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()
         if not tel.active:
             return self._run_trial_impl(trial, attempt)
@@ -823,48 +816,89 @@ class FICampaign:
             )
         return self._kv_pool
 
-    def _golden_eligible(self, site: FaultSite) -> bool:
-        """Whether a trial struck at ``site`` may resume a golden run.
-
-        Safe exactly when everything before the trial's strike is
-        guaranteed bit-identical to the fault-free run: a transient
-        fault (computational, KV-cache or accumulator) timed at
-        iteration >= 1 on a generative task.  Memory faults corrupt the
-        weights every forward reads, iteration-0 faults strike the
-        prefill itself, and speculation-side trials and the trials of a
-        campaign attached to a server decode through a different
-        schedule entirely — all of those, and every trial of a campaign
-        that keeps no golden runs (:meth:`_keeps_golden`), re-prefill
-        and decode in full.  In
-        full is not alone: an iteration-0 trial of a wave-capable
-        campaign runs that prompt forward into a wave's slot and decodes
-        beside its siblings (:meth:`_run_wave`).
-        """
-        model = site.fault_model
-        return not (
-            self.is_mc
-            or self.spec_fault_side is not None
-            or self._serve is not None
-            or not (model.is_computational or model.is_kv or model.is_accumulator)
-            or site.iteration == 0
-            or not self._keeps_golden()
-        )
-
-    def _keeps_golden(self) -> bool:
-        """Whether this campaign keeps one fault-free pass per example
-        (:attr:`_golden`), asked while nothing of a trial is armed:
-        ``auto``, no expert-selection tracking (which must capture every
-        forward's routing), and an engine the pass is exact on —
-        :func:`decode_plan` batches a decode round (generative), finds
-        nothing but observers (option rows).  Elsewhere — ``serial``, a
-        ranger-hooked engine — the baseline is the per-example reference
-        loop and every trial computes everything."""
-        if self.decode_strategy == "serial" or self.track_expert_selection:
-            return False
+    def _why_no_golden(self) -> str | None:
+        """Why this campaign keeps no fault-free pass per example
+        (:attr:`_golden`), or ``None`` when it keeps one: the first rows
+        of :meth:`trial_plan` — expert-selection tracking must capture
+        every forward's routing, and :func:`decode_plan` must batch a
+        decode round (generative) or find nothing but observers (option
+        rows)."""
+        if self.decode_strategy == "serial":
+            return "serial"
+        if self.track_expert_selection:
+            return "expert_tracking"
         path, reason = decode_plan(self.engine)
         if self.is_mc:
-            return reason in ("clean", "observer_hooks")
-        return path == "batched"
+            return None if reason in ("clean", "observer_hooks") else reason
+        return None if path == "batched" else reason
+
+    def trial_plan(self) -> tuple[str, str]:
+        """``(path, reason)``: how this campaign's trials run, and why —
+        the one place that decides it, asked while nothing of a trial is
+        armed.  ``wave``: trials share forwards (:meth:`_run_wave`).
+        ``golden``: a trial runs alone, from its example's pass wherever
+        its fault cannot reach.  ``reference``: a trial runs alone and
+        computes everything.  The first matching row decides:
+
+        ========================================  =========  ===================
+        campaign                                  path       reason
+        ========================================  =========  ===================
+        ``decode_strategy="serial"``              reference  serial
+        ``track_expert_selection``                reference  expert_tracking
+        an engine the pass is inexact on          reference  decode_plan's
+        ``spec_fault_side``                       reference  spec_fault_side
+        an attached server                        reference  served
+        multiple choice, flight recorder armed    reference  flight
+        generative, weight fault                  reference  weight_fault
+        multiple choice, KV / accumulator fault   reference  kv_fault / acc_fault
+        ``chaos``                                 golden     chaos
+        generative, flight recorder armed         golden     flight
+        multiple choice, computational fault      golden     one_shot
+        beam search                               golden     beam
+        generative, KV / accumulator fault        golden     kv_fault / acc_fault
+        multiple choice, weight fault             wave       row_weight_fault
+        generative, computational fault           wave       row_scoped_hooks
+        ========================================  =========  ===================
+
+        A generative weight fault corrupts the prompt forward a pass
+        would resume from; a multiple-choice KV or accumulator fault
+        arms the engine's one slot, and a flight recorder probes the
+        whole struck forward; the speculation-side schedule and a served
+        trial decode differently.  A generative trial struck at
+        iteration 0 resumes nothing and prefills.  A wave row's fault is
+        keyed to its own rows (:meth:`_weight_fault_scores`,
+        :meth:`_run_wave`).
+        """
+        reason = self._why_no_golden()
+        if reason is not None:
+            return "reference", reason
+        if self.spec_fault_side is not None:
+            return "reference", "spec_fault_side"
+        if self._serve is not None:
+            return "reference", "served"
+        model = self.fault_model
+        armed = (
+            "weight_fault" if model.is_memory
+            else "kv_fault" if model.is_kv
+            else "acc_fault" if model.is_accumulator
+            else None
+        )
+        flight = _flight().active
+        if self.is_mc and flight:
+            return "reference", "flight"
+        if armed in (("kv_fault", "acc_fault") if self.is_mc else ("weight_fault",)):
+            return "reference", armed
+        if self.chaos is not None:
+            return "golden", "chaos"
+        if flight:
+            return "golden", "flight"
+        if self.is_mc:
+            return ("wave", "row_weight_fault") if armed else ("golden", "one_shot")
+        if self.generation.num_beams != 1:
+            return "golden", "beam"
+        if armed is not None:
+            return "golden", armed
+        return "wave", "row_scoped_hooks"
 
     def _build_golden(self) -> None:
         """Every example's fault-free pass, in one sweep over the
@@ -895,39 +929,8 @@ class FICampaign:
         # The beam search resumed at ``S_0``, as beam trials run it.
         return self._eval_gen(idx, golden, 1)
 
-    def _reach_limited(self, site: FaultSite) -> bool:
-        """Whether a multiple-choice trial struck at ``site`` may score
-        from its example's golden option pass
-        (:meth:`_weight_fault_scores`, :meth:`_option_rows`).
-
-        Asked before the fault is armed: the engine must carry nothing
-        but observers, so the pass it reuses is fault-free.  Weight and
-        computational faults live in one block's linears; KV-cache and
-        accumulator faults arm engine-wide state and an armed flight
-        recorder probes the whole struck forward — those, and every
-        trial of a campaign that keeps no pass (:meth:`_keeps_golden`),
-        score one full forward per option.
-        """
-        model = site.fault_model
-        return (
-            self.is_mc
-            and (model.is_memory or model.is_computational)
-            and not _flight().active
-            and self._keeps_golden()
-        )
-
-    def _golden_run(
-        self, site: FaultSite, idx: int
-    ) -> GoldenRun | GoldenOptions | None:
-        """The example's golden run, when the trial may resume from it
-        (:meth:`_golden_eligible`; for a multiple-choice trial its
-        golden option pass, :meth:`_reach_limited`), as the baseline
-        sweep built it."""
-        if not (self._reach_limited(site) or self._golden_eligible(site)):
-            return None
-        return self._golden[idx]
-
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
+        path, _ = self.trial_plan()
         if self.chaos is not None:
             self.chaos.strike(trial, attempt, in_worker=self._in_worker)
         idx = trial % len(self.examples)
@@ -937,7 +940,11 @@ class FICampaign:
             recorder.begin_trial(
                 trial, self.trial_key(trial), site_to_dict(site), idx
             )
-        golden = self._golden_run(site, idx)
+        golden = (
+            self._golden[idx]
+            if path != "reference" and (self.is_mc or site.iteration)
+            else None
+        )
         tel = _telemetry()
         if tel.active and not self.is_mc:
             name = "hits" if golden is not None else "misses"
@@ -1167,17 +1174,20 @@ class FICampaign:
     # -- supervision -------------------------------------------------------------
 
     def _post_failure_repair(self) -> None:
-        """Clear fault machinery a crashed trial may have left armed.
+        """Remove exactly what a crashed trial (or wave) armed.
 
         Injector context managers restore weights and remove hooks in
         their ``finally`` paths; this is a belt-and-braces sweep for
         exceptions raised between arm and guard (e.g. a timeout signal
-        landing inside ``__enter__``).
+        landing inside ``__enter__``): the hooks registered since the
+        trial began — never a ranger's or the layer-timing probes the
+        engine carried before it — and the engine's armed-fault state
+        (a faulted weight copy swapped in or keyed by row, the KV and
+        accumulator slots, capture), which no trial starts with.
         """
-        if len(self.engine.hooks):
-            self.engine.hooks.clear()
-        self.engine.row_weights.clear()
-        self.engine.capture = None
+        if self._hook_mark is not None:
+            self.engine.hooks._detach_since(self._hook_mark)
+        self.engine._disarm()
         # A wave interrupted between acquiring a slot and owning it
         # would leak the slot: start the next round on a fresh pool.
         self._kv_pool = None
@@ -1209,44 +1219,9 @@ class FICampaign:
 
     # -- waves ---------------------------------------------------------------------
 
-    def _wave_capable(self) -> bool:
-        """Whether this campaign's trials share forwards — the wave is
-        then their only path — and nothing wants a trial to itself:
-        chaos strikes, a flight recorder, expert-selection capture, the
-        speculation-side schedule, or machinery on the engine that
-        :func:`decode_plan` does not batch under.
-
-        Greedy generative computational-fault trials share decode
-        steps: computational injectors are hooks, one per row.
-        Multiple-choice trials have no decode to share, but a weight
-        fault reruns every option row from the struck block, and keyed
-        by row (``MemoryFaultInjector(rows=)``) it lets those rows of
-        many trials share a forward: under the conditions option rows
-        need at all (:meth:`_reach_limited`).  Every other fault model
-        keeps the one-trial path: KV-cache and accumulator faults arm
-        the engine's single slot, a generative weight fault flips the
-        store, and a multiple-choice computational trial reruns only the
-        rows up to the one its fault fires in."""
-        if self.is_mc:
-            return (
-                self.fault_model.is_memory
-                and self.chaos is None
-                and not _flight().active
-                and self._keeps_golden()
-            )
-        return (
-            self.decode_strategy == "auto"
-            and self.fault_model.is_computational
-            and self.generation.num_beams == 1
-            and self.chaos is None
-            and not self.track_expert_selection
-            and self.spec_fault_side is None
-            and not _flight().active
-            and decode_plan(self.engine)[0] == "batched"
-        )
-
     def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
-        """Run ``trials`` as one wave and return every one's record.
+        """Run ``trials`` as one wave — the :meth:`trial_plan` path
+        ``wave`` — and return every one's record.
 
         Multiple choice: every trial's option rows, grouped into shared
         forwards (:meth:`_weight_fault_scores`).  Generative: ``trials``
@@ -1270,6 +1245,7 @@ class FICampaign:
         injector is row-scoped, so each row computes exactly what the
         trial computes decoded alone.
         """
+        self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()
         traced = tel.active
         n = len(self.examples)

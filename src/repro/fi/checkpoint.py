@@ -36,11 +36,12 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.fi.fault_models import FaultModel
 from repro.fi.outcomes import Outcome
 from repro.fi.sites import FaultSite
+from repro.obs.export import read_jsonl
 from repro.obs.manifest import config_hash, git_revision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
@@ -135,24 +136,6 @@ def trial_record_from_dict(payload: dict) -> "TrialRecord":
 # ----------------------------------------------------------------------------
 
 
-def _parse_lines(path: Path) -> Iterator[dict]:
-    """Yield parsed records, dropping a torn (mid-write) trailing line."""
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                return  # torn final record: the trial in flight at the kill
-            raise CheckpointError(
-                f"{path}: corrupt checkpoint record at line {lineno + 1}"
-            )
-
-
 def load_checkpoint(
     path: str | Path, fingerprint: dict | None = None
 ) -> tuple[dict, dict[int, "TrialRecord"], dict[int, int]]:
@@ -165,7 +148,11 @@ def load_checkpoint(
     harmless: trials are deterministic, so last-write wins.
     """
     path = Path(path)
-    records = list(_parse_lines(path))
+    try:
+        # A torn final line — the trial in flight at the kill — is dropped.
+        records = read_jsonl(path)
+    except ValueError as exc:  # corruption before the last line
+        raise CheckpointError(str(exc)) from exc
     if not records or records[0].get("kind") != "campaign-checkpoint":
         raise CheckpointError(
             f"{path}: not a campaign checkpoint (missing header record)"

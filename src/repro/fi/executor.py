@@ -11,7 +11,7 @@ deadline, respawn within a budget, and give the pool up.
 
 The campaign is duck-typed (this module never imports
 :mod:`repro.fi.campaign`): whatever knows what a trial *is* —
-``_run_trial``, ``_run_wave``, ``_wave_capable``, ``_quarantine_record``,
+``_run_trial``, ``_run_wave``, ``trial_plan``, ``_quarantine_record``,
 ``_post_failure_repair``, ``trial_key``, ``fingerprint`` — and how to
 rebuild itself over a shared arena in a worker (``_attached``).
 """
@@ -153,12 +153,12 @@ def _trial_alarm(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _batch_size(n_todo: int, n_workers: int, wave_capable: bool) -> int:
-    """Trials per batch: a wave's worth where trials can share forwards,
+def _batch_size(n_todo: int, n_workers: int, wave: bool) -> int:
+    """Trials per batch: a wave's worth where trials share forwards,
     else one — and never more than a worker's even share, so no worker
     idles while a sibling sits on two shares."""
     share = math.ceil(n_todo / max(1, n_workers))
-    return max(1, min(_WAVE_TRIALS if wave_capable else 1, share))
+    return max(1, min(_WAVE_TRIALS if wave else 1, share))
 
 
 def _supervise_serial_trial(
@@ -218,16 +218,17 @@ def run_batch(
     """Run ``batch`` — ``(trial, attempts so far)`` pairs — and yield
     ``(trial, record, attempts)`` results, one list per finished unit.
 
-    A campaign whose trials can share forwards takes the batch as one
-    wave; a wave that fails (and every trial of any other campaign)
-    runs alone, counted by reason under ``campaign.lone_trials.*``.  A
-    unit is that wave, or one attempt of one trial: ``started`` is told
-    each unit's ``(trial, attempt)`` pairs as it begins, which is what
-    lets a supervisor in another process bound a unit's time and know
-    what a death interrupted.
+    The batch is one wave where the campaign's ``trial_plan()`` says
+    so; a wave that fails, and every trial of any other campaign, runs
+    alone, counted under ``campaign.lone_trials.<wave_fallback | the
+    plan's reason>``.  A unit is that wave, or one attempt of one trial:
+    ``started`` is told each unit's ``(trial, attempt)`` pairs as it
+    begins, which is what lets a supervisor in another process bound a
+    unit's time and know what a death interrupted.
     """
-    left, alone = dict(batch), "not_wave_capable"
-    if campaign._wave_capable():
+    left = dict(batch)
+    path, alone = campaign.trial_plan()
+    if path == "wave":
         started(batch)
         wave = _supervise_wave(campaign, list(left), sup)
         if wave is None:
@@ -375,7 +376,7 @@ class Executor:
                 todo = self._run_pool(campaign, todo, n_workers, sup, accept)
             # Everything when no pool was asked for; what a pool that
             # spent its rebuild budget left behind otherwise.
-            size = _batch_size(len(todo), 1, campaign._wave_capable())
+            size = _batch_size(len(todo), 1, campaign.trial_plan()[0] == "wave")
             for at in range(0, len(todo), size):
                 units = run_batch(campaign, todo[at : at + size], sup)
                 done = [result for unit in units for result in unit]
@@ -459,7 +460,7 @@ class Executor:
         pool = self._ensure_pool(campaign, n_workers, tel)
         attempts = dict(todo)
         trials = sorted(attempts)
-        size = _batch_size(len(trials), n_workers, campaign._wave_capable())
+        size = _batch_size(len(trials), n_workers, campaign.trial_plan()[0] == "wave")
         pending = deque(trials[at : at + size] for at in range(0, len(trials), size))
         left = set(trials)
         payloads: dict[int, tuple[int, dict]] = {}  # first trial -> (trials, payload)

@@ -99,9 +99,10 @@ class MemoryFaultInjector:
         before = float(store.array[site.row, site.col])
         if self.rows is None:
             self._pristine = store.swap(faulted)
-            # Announce the armed fault so shared-compute fast paths
-            # (prefix caching, batched decoding) disable themselves
-            # while the weights are corrupted.
+            # Announce the armed fault (decode_plan's weight_fault):
+            # decodes run the serial reference loop, and nothing reuses
+            # fault-free state — golden passes, a server's prompt cache
+            # — while the swapped-in weights are corrupted.
             self.engine.weight_fault_depth += 1
         else:
             self.engine.row_weights.setdefault(site.layer_name, {}).update(

@@ -16,13 +16,12 @@ engines do:
   :class:`~repro.inference.kvcache.PooledKVCache` slot rows, so
   admissions and refills allocate nothing.
 
-**FI-safety gate**: :func:`~repro.generation.round.decode_plan` decides
-once per entry whether batching preserves exact fault semantics (armed
-row-scoped hooks and sequence-scoped KV / accumulator faults do; weight
-faults, capture and unscoped hooks force the serial reference loop).
-Batched decoding is bit-identical to the serial path per row at any
-width: the engine's batched entries run every operation on a row in the
-shape its serial forward does (row-exact products, see
+**FI-safety gate**: :func:`~repro.generation.round.decode_plan`, asked
+once per call, names the path (the gate matrix in
+:mod:`repro.generation.round`); its ``serial`` path runs the reference
+loop per prompt.  Batched decoding is bit-identical to the serial path
+per row at any width: the engine's batched entries run every operation
+on a row in the shape its serial forward does (row-exact products, see
 ``InferenceEngine._linear``).
 """
 
@@ -44,16 +43,18 @@ __all__ = ["BatchedDecoder"]
 class BatchedDecoder:
     """Continuous-batching decode scheduler over a pooled KV cache.
 
-    One decoder owns one arena; reuse it across calls (campaigns keep
-    one per run) so admissions never allocate.  It falls back to the
-    exact serial reference path whenever
-    :func:`~repro.generation.round.decode_plan` says batching could
-    change results.
+    One decoder owns one arena; reuse it across calls so admissions
+    never allocate.  It falls back to the exact serial reference path
+    whenever :func:`~repro.generation.round.decode_plan` says batching
+    could change results.
     """
 
+    # Only a BatchedSpeculativeDecoder has a draft (and a depth and a
+    # draft pool): decode_many plans with it and hands it to a composed
+    # round.
     draft: InferenceEngine | None = None
-    """Only :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
-    has one; :meth:`decode_many` plans with it."""
+    depth = 0
+    _draft_pool: PooledKVCache | None = None
 
     def __init__(
         self,
@@ -82,10 +83,11 @@ class BatchedDecoder:
         """Greedy-decode many prompts with continuous batching.
 
         Sequences are admitted up to ``max_batch``, stepped as one
-        batched forward per token, retired on EOS/length, and retired
-        slots are immediately back-filled from the pending queue.
-        Per-sequence outputs are identical to serial ``greedy_decode``
-        (bit-identical logits per row at any width).
+        batched forward per token (one speculative round under a
+        ``composed`` plan), retired on EOS/length, and retired slots are
+        immediately back-filled from the pending queue.  Per-sequence
+        outputs are identical to serial ``greedy_decode`` (bit-identical
+        logits per row at any width).
         """
         if sessions is None:
             sessions = [None] * len(prompts)
@@ -93,22 +95,22 @@ class BatchedDecoder:
             raise ValueError("sessions must align with prompts")
         path, reason = decode_plan(self.engine, self.draft)
         count_plan(path, reason)
-        return self.decode_planned(path, prompts, sessions)
-
-    def decode_planned(
-        self, path: str, prompts: list[list[int]], sessions: list
-    ) -> list[list[int]]:
-        """Run the greedy decode a caller already planned (and counted)
-        — ``path`` is :func:`decode_plan`'s; :meth:`decode_many` is the
-        plan plus this."""
         if path == "serial":
             return [
                 greedy_decode(self.engine, p, self.config, session=s,
                               strategy="serial")
                 for p, s in zip(prompts, sessions)
             ]
-        pool = self._ensure_pool(min(self.max_batch, max(1, len(prompts))))
+        width = min(self.max_batch, max(1, len(prompts)))
+        draft = self.draft if path == "composed" else None
+        if draft is not None and (
+            self._draft_pool is None or self._draft_pool.n_slots < width
+        ):
+            self._draft_pool = draft.new_pool(width)
         return decode_to_completion(
-            DecodeRound(self.engine, pool, self.config.eos_id),
+            DecodeRound(
+                self.engine, self._ensure_pool(width), self.config.eos_id,
+                draft=draft, draft_pool=self._draft_pool, depth=self.depth,
+            ),
             prompts, sessions, self.config.max_new_tokens, self.max_batch,
         )

@@ -77,29 +77,24 @@ def greedy_decode(
 
     ``strategy`` is ``auto`` or ``serial``.  ``serial`` is the per-token
     reference loop below.  ``auto`` asks
-    :func:`~repro.generation.round.decode_plan` once and runs what it
-    names: draft-and-verify rounds of ``speculation_depth`` proposals
-    when a ``draft`` is given and nothing but observers is armed
-    (:class:`~repro.generation.speculative.SpeculativeDecoder`), else a
-    width-1 batch through
-    :class:`~repro.generation.batched.BatchedDecoder` (bit-identical to
-    the reference, as every row of a batch is), else the reference loop.
+    :func:`~repro.generation.round.decode_plan` once: draft-and-verify
+    rounds of ``speculation_depth`` proposals when a ``draft`` is given
+    and nothing but observers is armed
+    (:meth:`~repro.generation.speculative.SpeculativeDecoder.speculate`,
+    counted ``decode.plan.composed.<reason>``), else the reference loop
+    — one sequence has nothing to batch — counted
+    ``decode.plan.serial.<reason>``.
     """
     if strategy == "auto":
         path, reason = decode_plan(engine, draft)
-        count_plan(path, reason)
         if path == "composed":
             from repro.generation.speculative import SpeculativeDecoder
 
+            count_plan(path, reason)
             return SpeculativeDecoder(
                 engine, draft, config, speculation_depth=speculation_depth
             ).speculate(prompt_ids, session=session)
-        if path == "batched":
-            from repro.generation.batched import BatchedDecoder
-
-            return BatchedDecoder(engine, config, max_batch=1).decode_planned(
-                path, [prompt_ids], [session]
-            )[0]
+        count_plan("serial", reason)
     elif strategy != "serial":
         raise ValueError(f"unknown decode strategy {strategy!r}")
     # The serial reference loop — kept on purpose: it is what the

@@ -140,14 +140,14 @@ def count_plan(path: str, reason: str) -> None:
     so a silently serialised run shows up in ``repro obs report``.
 
     ``path`` is the path the entry *runs*, which two entries spell
-    differently from :func:`decode_plan`:
-    ``SpeculativeDecoder.decode_one`` counts a ``batched`` plan as
-    ``serial`` (one sequence has nothing to batch, so it runs the
-    reference loop), and an ``auto`` campaign counts a multiple-choice
-    scoring as ``option_rows`` for an example's golden option pass
-    (reason ``clean`` / ``observer_hooks``) and for every trial scored
-    from it (``weight_fault`` / ``row_scoped_hooks``), else as
-    ``per_option`` — the reference,
+    differently from :func:`decode_plan`: ``greedy_decode(auto)`` — and
+    so ``SpeculativeDecoder.decode_one`` — counts every plan but
+    ``composed`` as ``serial`` (one sequence has nothing to batch, so it
+    runs the reference loop), and an ``auto`` campaign counts a
+    multiple-choice scoring as ``option_rows`` for an example's golden
+    option pass (reason ``clean`` / ``observer_hooks``) and for every
+    trial scored from it (``weight_fault`` / ``row_scoped_hooks``), else
+    as ``per_option`` — the reference,
     :func:`~repro.generation.decode.score_options`, which plans nothing
     itself."""
     tel = _telemetry()

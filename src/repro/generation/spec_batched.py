@@ -25,11 +25,7 @@ from __future__ import annotations
 
 from repro.generation.batched import BatchedDecoder
 from repro.generation.decode import GenerationConfig
-from repro.generation.round import (
-    DecodeRound,
-    check_draft,
-    decode_to_completion,
-)
+from repro.generation.round import check_draft
 from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 
@@ -37,7 +33,9 @@ __all__ = ["BatchedSpeculativeDecoder"]
 
 
 class BatchedSpeculativeDecoder(BatchedDecoder):
-    """A :class:`BatchedDecoder` whose rounds also speculate.
+    """A :class:`BatchedDecoder` whose rounds also speculate, under a
+    ``composed`` plan (any other plan is the target's own batched or
+    serial path).
 
     Same output contract as ``greedy_decode`` per prompt; rows share
     pooled KV arenas on both the target and draft side and advance in
@@ -59,22 +57,3 @@ class BatchedSpeculativeDecoder(BatchedDecoder):
         self.draft = draft
         self.depth = speculation_depth
         self._draft_pool = draft_pool
-
-    def decode_planned(
-        self, path: str, prompts: list[list[int]], sessions: list
-    ) -> list[list[int]]:
-        """``composed`` speculates over the batch (the draft side always
-        prefills into its own pool); any other plan is the target's own
-        batched or serial path."""
-        if path != "composed":
-            return super().decode_planned(path, prompts, sessions)
-        width = min(self.max_batch, max(1, len(prompts)))
-        if self._draft_pool is None or self._draft_pool.n_slots < width:
-            self._draft_pool = self.draft.new_pool(width)
-        return decode_to_completion(
-            DecodeRound(
-                self.engine, self._ensure_pool(width), self.config.eos_id,
-                draft=self.draft, draft_pool=self._draft_pool, depth=self.depth,
-            ),
-            prompts, sessions, self.config.max_new_tokens, self.max_batch,
-        )

@@ -58,14 +58,7 @@ from __future__ import annotations
 import time
 
 from repro.generation.decode import GenerationConfig, greedy_decode
-from repro.generation.round import (
-    accept,
-    check_draft,
-    count_plan,
-    decode_plan,
-    draft_keep,
-    pick,
-)
+from repro.generation.round import accept, check_draft, draft_keep, pick
 from repro.inference.engine import InferenceEngine, Session
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -101,23 +94,18 @@ class SpeculativeDecoder:
         prompt_ids: list[int],
         session: Session | None = None,
     ) -> list[int]:
-        """Greedy-decode one prompt; same contract as ``greedy_decode``.
+        """Greedy-decode one prompt: ``greedy_decode`` with this pair —
+        :meth:`speculate` where
+        :func:`~repro.generation.round.decode_plan` allows speculation,
+        else the exact serial reference loop.
 
         ``session`` optionally supplies an already-prefilled target
-        session for ``prompt_ids`` (consumed).  Falls back to the exact
-        serial reference loop unless :func:`decode_plan` allows
-        speculation; otherwise :meth:`speculate`.
+        session for ``prompt_ids`` (consumed).
         """
-        path, reason = decode_plan(self.engine, self.draft)
-        if path != "composed":
-            # One sequence: "batched" has nothing to batch.
-            count_plan("serial", reason)
-            return greedy_decode(
-                self.engine, prompt_ids, self.config, session=session,
-                strategy="serial",
-            )
-        count_plan(path, reason)
-        return self.speculate(prompt_ids, session=session)
+        return greedy_decode(
+            self.engine, prompt_ids, self.config, session=session,
+            draft=self.draft, speculation_depth=self.depth,
+        )
 
     def speculate(
         self,

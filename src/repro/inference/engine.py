@@ -4,8 +4,10 @@ This is the system under test for every fault-injection experiment:
 a vectorised, allocation-light forward pass over a trained
 :class:`~repro.model.params.ParamStore`, exposing
 
-* **weight stores** — per-linear-layer storage policies whose stored
-  bits can be flipped (memory faults, Figs 5/17/21);
+* **weight stores** — per-linear-layer storage policies; a memory fault
+  (Figs 5/17/21) is a faulted copy of one stored tensor, swapped in as
+  its compute array or keyed to batch rows, and never a write to the
+  store;
 * **forward hooks** — interception of each linear layer's output
   tensor (computational faults, Fig. 6);
 * **activation capture** — per-layer output snapshots for the
@@ -115,6 +117,31 @@ class InferenceEngine:
             )
         self.activation_format = activation_format
         self.hooks = HookManager()
+
+        # FI-targetable linear layers go behind storage policies; the
+        # rest (norm gains, embeddings, lm_head) stay plain float32,
+        # matching the paper's restriction of faults to block linears.
+        self._stores: dict[str, WeightStore] = {}
+        self._plain: dict[str, np.ndarray] = {}
+        faultable = set(store.linear_layer_names())
+        for name, array in store.items():
+            base = name[: -len(".weight")] if name.endswith(".weight") else name
+            if base in faultable:
+                self._stores[base] = make_weight_store(array, weight_policy)
+            else:
+                self._plain[name] = np.ascontiguousarray(array, dtype=np.float32)
+
+        self._cos, self._sin = rope_tables(
+            self.config.head_dim, self.config.max_seq, self.config.rope_theta
+        )
+        self._disarm()
+
+    def _disarm(self) -> None:
+        """The engine's armed-fault state, written once: unarmed, as
+        :meth:`__init__` and :meth:`open_shared` leave it and a campaign
+        restores it after a crashed trial — every weight store reading
+        its own compute array again.  Hooks are not part of it: a
+        campaign detaches only the ones the trial registered."""
         self.capture: CaptureState | None = None
         self.weight_fault_depth = 0
         """Count of currently armed weight (memory) faults.  Maintained
@@ -135,23 +162,9 @@ class InferenceEngine:
         """Armed :class:`~repro.fi.injector.AccumulatorFaultInjector`
         (or None).  :meth:`_linear` calls ``acc_fault.maybe_strike`` on
         every GEMM while armed."""
-
-        # FI-targetable linear layers go behind storage policies; the
-        # rest (norm gains, embeddings, lm_head) stay plain float32,
-        # matching the paper's restriction of faults to block linears.
-        self._stores: dict[str, WeightStore] = {}
-        self._plain: dict[str, np.ndarray] = {}
-        faultable = set(store.linear_layer_names())
-        for name, array in store.items():
-            base = name[: -len(".weight")] if name.endswith(".weight") else name
-            if base in faultable:
-                self._stores[base] = make_weight_store(array, weight_policy)
-            else:
-                self._plain[name] = np.ascontiguousarray(array, dtype=np.float32)
-
-        self._cos, self._sin = rope_tables(
-            self.config.head_dim, self.config.max_seq, self.config.rope_theta
-        )
+        for store in self._stores.values():
+            planes, _ = store.export_state()
+            store.swap(planes["array"])
 
     # -- shared (memory-mapped) weight planes -----------------------------------
 
@@ -207,11 +220,6 @@ class InferenceEngine:
         engine.weight_policy = meta["weight_policy"]
         engine.activation_format = meta["activation_format"]
         engine.hooks = HookManager()
-        engine.capture = None
-        engine.weight_fault_depth = 0
-        engine.row_weights = {}
-        engine.kv_fault = None
-        engine.acc_fault = None
         engine._stores = {
             name: attach_weight_store(
                 {
@@ -232,6 +240,7 @@ class InferenceEngine:
             engine.config.max_seq,
             engine.config.rope_theta,
         )
+        engine._disarm()
         return engine
 
     # -- weight access ---------------------------------------------------------

@@ -62,6 +62,8 @@ class HookManager:
         self._hooks: dict[str, list[HookFn]] = {}
         self._unscoped = 0
         self._perturbing = 0
+        self._registered = 0  # registrations so far: _detach_since's mark
+        self._handles: dict[int, Callable[[], None]] = {}  # number -> detach
 
     def register(
         self,
@@ -95,9 +97,12 @@ class HookManager:
         if not observer:
             self._perturbing += 1
         removed = False
+        number = self._registered
+        self._registered += 1
 
         def remove() -> None:
             nonlocal removed
+            self._handles.pop(number, None)
             callbacks = self._hooks.get(layer_name, [])
             if fn in callbacks:
                 callbacks.remove(fn)
@@ -110,10 +115,19 @@ class HookManager:
                         self._perturbing -= 1
                 removed = True
 
+        self._handles[number] = remove
         return remove
+
+    def _detach_since(self, mark: int) -> None:
+        """Detach, each through its own handle, every hook registered
+        since ``_registered`` read ``mark``: what a crashed trial armed,
+        and nothing the engine carried before it."""
+        for number in [n for n in self._handles if n >= mark]:
+            self._handles[number]()
 
     def clear(self) -> None:
         self._hooks.clear()
+        self._handles.clear()
         self._unscoped = 0
         self._perturbing = 0
 

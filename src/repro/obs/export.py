@@ -70,8 +70,8 @@ def read_jsonl(path: str | Path) -> list[dict]:
     """Parse every non-empty line of a JSONL file.
 
     A torn *final* line — the record in flight when the writing
-    process died — is tolerated and dropped, matching the campaign
-    checkpoint reader's crash semantics; corruption anywhere earlier
+    process died — is tolerated and dropped (campaign checkpoint
+    journals are read through here too); corruption anywhere earlier
     raises ``ValueError`` with the offending line number.
     """
     path = Path(path)

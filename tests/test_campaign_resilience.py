@@ -35,6 +35,7 @@ from repro.fi import (
     load_checkpoint,
 )
 from repro.harness.results import format_campaign
+from repro.mitigation import RangeRestrictor
 from repro.obs import telemetry
 from repro.tasks.base import GenExample, MCExample
 
@@ -300,6 +301,45 @@ class TestRetry:
         assert counters["campaign.trials"].value == 4
         clean_telemetry.disable()
         assert_records_equal(stranded, clean, "no pool", "clean")
+
+
+class TestRepairRemovesWhatATrialArmed:
+    def test_a_retry_keeps_the_ranger_and_layer_timing(
+        self, trained_store, tokenizer, world, clean_telemetry
+    ):
+        """Trial 2 retried: records, hooks, clips and layer timing unchanged."""
+        def run(chaos):
+            camp = make_campaign(
+                trained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT, chaos=chaos
+            )
+            ranger = RangeRestrictor()
+            ranger.calibrate(camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.examples])
+            ranger.install(camp.engine)
+            clean_telemetry.reset(), clean_telemetry.enable()
+            result = camp.run(12, **FAST)
+            histograms = clean_telemetry.metrics.snapshot()["histograms"]
+            timed = {k: len(v) for k, v in histograms.items() if k.startswith("engine.layer_ms.")}
+            return result, len(camp.engine.hooks), ranger.clip_events, timed
+
+        clean, retried = run(None), run(CampaignChaos(fail_transient={2}))
+        assert_results_equal(retried[0], clean[0], "retried", "chaos-free")
+        assert retried[1:] == clean[1:] and all(clean[1:])
+
+    def test_each_leaked_state_is_cleared(self, untrained_store, tokenizer, world):
+        camp = make_campaign(untrained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT)
+        engine, layer = camp.engine, "blocks.0.q_proj"
+        engine.hooks.register(layer, lambda out, ctx: None, observer=True)
+        camp._hook_mark = engine.hooks._registered  # a trial begins
+        engine.hooks.register("blocks.0.k_proj", lambda out, ctx: None)
+        store = engine.weight_store(layer)
+        pristine = store.swap(store.faulted_array(0, 0, [30]))
+        engine.weight_fault_depth, engine.row_weights[layer] = 1, {0: pristine}
+        engine.kv_fault = engine.acc_fault = engine.capture = object()
+        camp._post_failure_repair()
+        assert len(engine.hooks) == 1 and engine.hooks.has(layer) and engine.hooks.all_observers()
+        assert store.array is pristine and store.faulted_array(0, 0, [30]) is not None
+        assert (engine.weight_fault_depth, engine.row_weights) == (0, {})
+        assert engine.kv_fault is engine.acc_fault is engine.capture is None
 
 
 class TestQuarantine:

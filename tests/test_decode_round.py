@@ -237,7 +237,7 @@ def test_only_auto_and_the_reference_are_strategies(
 @pytest.fixture()
 def plan_calls(monkeypatch):
     """Every ``decode_plan`` evaluation the generation modules make."""
-    from repro.generation import batched, decode, speculative
+    from repro.generation import batched, decode
 
     calls = []
 
@@ -245,7 +245,7 @@ def plan_calls(monkeypatch):
         calls.append((engine, draft))
         return decode_plan(engine, draft)
 
-    for module in (decode, batched, speculative):
+    for module in (decode, batched):
         monkeypatch.setattr(module, "decode_plan", counting)
     return calls
 
@@ -271,7 +271,7 @@ def test_auto_plans_once_per_entry(entry, with_draft, armed, plan_calls):
 
 
 def test_single_plan_remembers_the_draft():
-    """An armed draft keeps the target on its own batched path, and the
+    """An armed draft keeps one sequence on the reference loop, and the
     one counted plan says the draft is why."""
     tel = telemetry()
     tel.reset()
@@ -285,7 +285,7 @@ def test_single_plan_remembers_the_draft():
         tel.reset()
         tel.disable()
     plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
-    assert plans == {"decode.plan.batched.draft_weight_fault": 1}
+    assert plans == {"decode.plan.serial.draft_weight_fault": 1}
 
 
 # -- DecodeRound as a state machine ----------------------------------------------

@@ -244,7 +244,7 @@ class TestFastForwardMatchesReference:
         assert counters["forward_calls"] == 0 and counters["builds"] == 0
         assert not any(t.fired or t.changed for t in fast.trials)
 
-    def test_budget_limited_golden_run(self, trained_store, tokenizer, one):
+    def test_golden_run_limited_by_the_budget(self, trained_store, tokenizer, one):
         """``len(golden) == max_new``: no EOS, every sampled k reachable."""
         task, ex, n = one
         budget = dict(generation={"max_new_tokens": n - 2})
@@ -588,7 +588,8 @@ def score_vectors(camp, trial):
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
     camp.compute_baseline()  # builds the passes, once
-    golden = camp._golden_run(site, idx)
+    assert camp.trial_plan()[0] != "reference"
+    golden = camp._golden[idx]
     assert isinstance(golden, GoldenOptions)
     prompt, options = camp._token_ids[idx]
     if site.fault_model.is_memory:
@@ -905,20 +906,20 @@ class TestReachLimitedOptions:
     def test_a_golden_pass_is_never_built_on_an_armed_engine(
         self, trained_store, tokenizer, world, fault_model
     ):
-        """The predicate is asked before arming and the build checks
-        again: a fault baked into a golden pass would be taken for
-        fault-free by every later trial of that example."""
+        """The plan is asked before arming and the build checks again: a
+        fault baked into a golden pass would be taken for fault-free by
+        every later trial of that example."""
         camp = campaign(trained_store, tokenizer, MMLUTask(world), fault_model)
         site = camp._trial_site(0, 1)
         prompt, options = camp._token_ids[0]
         with inject(camp.engine, site):
-            assert camp._golden_run(site, 0) is None
+            assert camp.trial_plan()[0] == "reference"
             with pytest.raises(RuntimeError, match="pristine"):
                 GoldenOptions.build(camp.engine, prompt, options, camp._kv_slots())
         assert camp._golden == {}
         assert camp._kv_slots().n_free == camp._kv_slots().n_slots
         camp.compute_baseline()  # the one place passes are built
-        assert isinstance(camp._golden_run(site, 0), GoldenOptions)
+        assert camp.trial_plan()[0] != "reference" and isinstance(camp._golden[0], GoldenOptions)
 
     def test_a_forward_that_outlasts_the_trial_timeout(
         self, trained_store, tokenizer, world

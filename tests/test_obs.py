@@ -416,7 +416,7 @@ class TestCampaignTelemetry:
         )
         # On ``auto`` every trial was a wave row, and the forwards the
         # set-aside instruments count did run.
-        assert serial["counters"].get("campaign.lone_trials.not_wave_capable", 0) == (
+        assert serial["counters"].get("campaign.lone_trials.serial", 0) == (
             0 if auto else 6
         )
         assert serial["counters"]["engine.forward_calls"] > 0
@@ -566,7 +566,7 @@ class TestReport:
             tel.metrics.histogram("campaign.wave.width").observe(live_rows)
         tel.metrics.counter("campaign.wave.fallbacks").add()
         tel.metrics.counter("campaign.lone_trials.wave_fallback").add(5)
-        tel.metrics.counter("campaign.lone_trials.not_wave_capable").add(2)
+        tel.metrics.counter("campaign.lone_trials.kv_fault").add(2)
         path = tel.flush(tmp_path / "run.jsonl", seed=3, command="test")
         text = report_path(path)
         assert (
@@ -580,7 +580,7 @@ class TestReport:
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"
             " 1 waves re-run one trial at a time, 7 trials run alone"
-            " (2 not_wave_capable, 5 wave_fallback)"
+            " (2 kv_fault, 5 wave_fallback)"
         ) in text
         assert "campaign.trial" in text
         assert "engine.layer_ms.blocks.0.q_proj" in text

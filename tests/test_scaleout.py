@@ -245,7 +245,7 @@ class TestPooledEquivalence:
 
 class TestBatches:
     @pytest.mark.parametrize(
-        "n_todo, n_workers, wave_capable, size",
+        "n_todo, n_workers, wave, size",
         [
             (80, 2, True, 40),  # 40 + 40: a worker's even share
             (6, 4, True, 2),  # at most 2 each, no worker left idle
@@ -256,8 +256,8 @@ class TestBatches:
             (80, 0, False, 1),
         ],
     )
-    def test_batch_size_is_derived(self, n_todo, n_workers, wave_capable, size):
-        assert _batch_size(n_todo, n_workers, wave_capable) == size
+    def test_batch_size_is_derived(self, n_todo, n_workers, wave, size):
+        assert _batch_size(n_todo, n_workers, wave) == size
 
     def test_pool_and_executor_never_import_the_campaign(self):
         """The executor drives whatever knows what a trial is; with the

@@ -219,25 +219,20 @@ class TestConstructionAndGate:
         finally:
             detach()
 
-    def test_decode_one_falls_back_serial_under_faults(
-        self, untrained_engine, draft_engine
-    ):
+    def test_decode_one_falls_back_serial_under_faults(self, untrained_engine, draft_engine):
         """With a fault armed, decode_one IS the serial reference path."""
         config = GenerationConfig(max_new_tokens=8)
         prompt = _prompts(n=1)[0]
-        site = FaultSite(
-            FaultModel.COMP_2BIT, "blocks.0.up_proj", 0, 1,
-            bits=(3, 17), iteration=1,
-        )
+        site = FaultSite(FaultModel.COMP_2BIT, "blocks.0.up_proj", 0, 1, bits=(3, 17), iteration=1)
         with ComputationalFaultInjector(untrained_engine, site):
-            injected_serial = greedy_decode(
-                untrained_engine, prompt, config, strategy="serial"
-            )
+            injected_serial = greedy_decode(untrained_engine, prompt, config, strategy="serial")
+        spec = SpeculativeDecoder(untrained_engine, draft_engine, config, speculation_depth=4)
+        telemetry().enable()
         with ComputationalFaultInjector(untrained_engine, site):
-            injected_spec = SpeculativeDecoder(
-                untrained_engine, draft_engine, config, speculation_depth=4
-            ).decode_one(prompt)
-        assert injected_spec == injected_serial
+            assert spec.decode_one(prompt) == injected_serial
+        counters = telemetry().metrics.snapshot()["counters"]
+        assert counters["decode.plan.serial.row_scoped_hooks"] == 1
+        assert "decode.spec_rounds" not in counters
 
     def test_strategy_resolution(self, untrained_engine, draft_engine):
         """``auto`` runs the path ``decode_plan`` names: the plan counter
@@ -260,30 +255,24 @@ class TestConstructionAndGate:
         assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
         assert run(draft=draft_engine) == ({"composed.clean": 1}, True)
         assert decode_plan(untrained_engine)[0] == "batched"
-        assert run() == ({"batched.clean": 1}, False)
+        assert run() == ({"serial.clean": 1}, False)
         untrained_engine.weight_fault_depth = 1
         try:
             assert decode_plan(untrained_engine, draft_engine)[0] == "serial"
-            assert run(draft=draft_engine) == (
-                {"serial.weight_fault": 1}, False
-            )
+            assert run(draft=draft_engine) == ({"serial.weight_fault": 1}, False)
         finally:
             untrained_engine.weight_fault_depth = 0
 
     def test_greedy_decode_routes_draft(self, untrained_engine, draft_engine):
         config = GenerationConfig(max_new_tokens=10)
         prompt = _prompts(n=1)[0]
-        serial = greedy_decode(
-            untrained_engine, prompt, config, strategy="serial"
-        )
-        tel = telemetry()
-        tel.enable()
+        serial = greedy_decode(untrained_engine, prompt, config, strategy="serial")
+        telemetry().enable()
         spec = greedy_decode(
-            untrained_engine, prompt, config, draft=draft_engine,
-            speculation_depth=3,
+            untrained_engine, prompt, config, draft=draft_engine, speculation_depth=3
         )
         assert spec == serial
-        assert tel.metrics.snapshot()["counters"]["decode.spec_rounds"] > 0
+        assert telemetry().metrics.snapshot()["counters"]["decode.spec_rounds"] > 0
 
 
 class TestTelemetry:

@@ -34,6 +34,7 @@ from repro.fi import (
 from repro.fi.campaign import _DECODE_BATCH
 from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
+from repro.serve import InferenceServer
 from repro.tasks import (
     GSM8kTask,
     HellaSwagTask,
@@ -139,67 +140,48 @@ class TestWavesMatchTheReference:
 
 
 class TestWhatKeepsATrialToItself:
-    def test_the_serial_reference_forms_no_wave(
-        self, trained_store, tokenizer, world
-    ):
-        _, counters, waves, width = run_traced(
-            campaign(
-                trained_store, tokenizer, TranslationTask(world),
-                FaultModel.COMP_2BIT, decode_strategy="serial",
-            ),
-            9,
-        )
-        assert not waves and width["count"] == 0
-        assert counters["campaign.trials"] == 9
+    """``FICampaign.trial_plan``'s truth table: each row's plan, no wave,
+    and every trial alone under its reason.  A row is ``(multiple choice,
+    fault model, campaign arguments or what to arm, "path reason")``."""
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(fault_model=FaultModel.KV_2BIT),
-            dict(fault_model=FaultModel.ACC_2BIT),
-            dict(fault_model=FaultModel.MEM_2BIT),
-            dict(generation={"num_beams": 2, "max_new_tokens": 5}),
-            dict(chaos=CampaignChaos()),
-            dict(track_expert_selection=True),
-        ],
-        ids=["kv", "acc", "mem", "beams", "chaos", "expert-tracking"],
-    )
-    def test_one_trial_path(self, trained_store, tokenizer, world, kw):
-        kw = {"fault_model": FaultModel.COMP_2BIT, **kw}
-        camp = campaign(
-            trained_store, tokenizer, TranslationTask(world),
-            kw.pop("fault_model"), **kw,
-        )
+    ROWS = {
+        "serial": (0, "2bits-comp", dict(decode_strategy="serial"), "reference serial"),
+        "expert-tracking": (
+            0, "2bits-comp", dict(track_expert_selection=True), "reference expert_tracking"
+        ),
+        "unscoped-hook": (0, "2bits-comp", "hook", "reference unscoped_hooks"),
+        "spec-side": (0, "2bits-comp", "spec", "reference spec_fault_side"),
+        "served": (0, "2bits-kv", "served", "reference served"),
+        "mc-flight": (1, "1bit-comp", "flight", "reference flight"),
+        "mem": (0, "2bits-mem", {}, "reference weight_fault"),
+        "mc-kv": (1, "2bits-kv", {}, "reference kv_fault"),
+        "mc-acc": (1, "2bits-acc", {}, "reference acc_fault"),
+        "chaos": (0, "2bits-comp", dict(chaos=CampaignChaos()), "golden chaos"),
+        "flight": (0, "2bits-comp", "flight", "golden flight"),
+        "one-shot": (1, "1bit-comp", {}, "golden one_shot"),
+        "beams": (0, "2bits-comp", dict(generation={"num_beams": 2}), "golden beam"),
+        "kv": (0, "2bits-kv", {}, "golden kv_fault"),
+        "acc": (0, "2bits-acc", {}, "golden acc_fault"),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_one_trial_path(self, trained_store, untrained_store, tokenizer, world, row):
+        mc, fault, kw, plan = self.ROWS[row]
+        setup, kw = (kw, {}) if isinstance(kw, str) else (None, kw)
+        if setup == "spec":
+            kw = dict(draft_model=InferenceEngine(untrained_store), spec_fault_side="target")
+        task = (MMLUTask if mc else TranslationTask)(world)
+        camp = campaign(trained_store, tokenizer, task, FaultModel(fault), **kw)
+        if setup == "hook":
+            camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+        elif setup == "served":  # attached, never started: trials run here
+            camp.attach_server(InferenceServer(camp.engine, camp.generation))
+        elif setup == "flight":
+            flight_recorder().arm()
+        assert camp.trial_plan() == tuple(plan.split())
         _, counters, waves, _ = run_traced(camp, 9)
-        assert not waves
-        assert counters["campaign.trials"] == 9
-        assert lone_trials(counters) == {"not_wave_capable": 9}
-
-    def test_an_armed_flight_recorder(self, trained_store, tokenizer, world):
-        recorder = flight_recorder()
-        recorder.arm()
-        _, _, waves, _ = run_traced(
-            campaign(
-                trained_store, tokenizer, TranslationTask(world), FaultModel.COMP_2BIT
-            ),
-            9,
-        )
-        assert not waves
-        assert len(recorder.drain()) == 9
-
-    def test_an_unscoped_hook_on_the_engine(self, trained_store, tokenizer, world):
-        """``decode_plan`` says serial, so no wave — and still the
-        reference's records."""
-        task = TranslationTask(world)
-        camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
-        camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
-        fast, _, waves, _ = run_traced(camp, 9)
-        reference = campaign(
-            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
-            decode_strategy="serial",
-        ).run(9)
-        assert not waves
-        assert_records_equal(fast, reference, "hooked auto", "serial")
+        assert not waves and counters["campaign.trials"] == 9
+        assert lone_trials(counters) == {plan.split()[1]: 9}
 
 
 def _experts_only(name):
@@ -681,7 +663,7 @@ class TestMultipleChoiceWeightFaultWaves:
             trained_store, tokenizer, task, decode_strategy="serial"
         ).run(N_TRIALS)
         assert_results_equal(result, reference, "chaos", "serial")
-        assert not waves and lone_trials(counters) == {"not_wave_capable": N_TRIALS}
+        assert not waves and lone_trials(counters) == {"chaos": N_TRIALS}
         assert counters["campaign.retries"] == 1
         assert counters["decode.plan.option_rows.weight_fault"] == N_TRIALS
 
