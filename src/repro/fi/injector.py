@@ -10,7 +10,7 @@ flipped in the store to flip back.
 ``ComputationalFaultInjector`` registers a one-shot forward hook on the
 target layer: at the sampled token-generation iteration it flips bits
 of a single output-tensor element (in the engine's activation float
-format) and then disarms, so exactly one transient corruption occurs
+format) and then detaches its hook, so exactly one transient corruption occurs
 per inference — including under beam search, where only one hypothesis'
 computation is struck (a transient fault hits one kernel execution).
 
@@ -157,6 +157,10 @@ class ComputationalFaultInjector:
     can reach the target layer and iteration, as when trials share a
     round: pin to ``Row.id``, which does not move when a sibling
     retires, and disarm when the row does.
+
+    The hook detaches itself at the strike: a fired injector holds no
+    hook, so later forwards skip the layer's per-row hook dispatch, and
+    :meth:`__exit__` (idempotent) has nothing left to detach.
     """
 
     def __init__(
@@ -183,6 +187,11 @@ class ComputationalFaultInjector:
         ):
             return None
         self.fired = True
+        # One-shot: every later call would return None, so leave the
+        # engine — a layer with no hook skips per-row dispatch.
+        remove, self._remove = self._remove, None
+        if remove is not None:
+            remove()
         flat = output if output.ndim == 2 else output.reshape(-1, output.shape[-1])
         row = min(int(self.site.row_frac * flat.shape[0]), flat.shape[0] - 1)
         col = self.site.col % flat.shape[1]

@@ -19,9 +19,12 @@ a vectorised, allocation-light forward pass over a trained
 * **one forward** — :meth:`InferenceEngine.forward` (one sequence),
   :meth:`~InferenceEngine.forward_step_batch` and
   :meth:`~InferenceEngine.forward_chunk_batch` (ragged rows) are
-  adapters over one ``_forward_rows`` whose attention has one leg:
-  every row appends to and attends over its own cache, so every row of
-  a batch is bit-identical to its own ``forward``.
+  adapters over one ``_forward_rows`` whose attention has one core:
+  every row appends to and attends over its own cache, the softmax runs
+  once over the batch's score block, and only the two GEMMs and the
+  softmax sum — the parts whose bits padding would change — are issued
+  per row, so every row of a batch is bit-identical to its own
+  ``forward``.
 """
 
 from __future__ import annotations
@@ -346,32 +349,42 @@ class InferenceEngine:
         row_caches: list[list[KVCache]],
         cos: np.ndarray,
         sin: np.ndarray,
-        masks,
+        hide: np.ndarray | None,
         iteration,
         rows: np.ndarray | None,
     ) -> np.ndarray:
         """Causal attention for one block over flat ``(B*t, D)`` input.
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
-        shared :meth:`_linear` calls / broadcasts.  The core loops over
-        the (ragged) rows: append the row's new K/V to
-        ``row_caches[i][block]``, let an armed KV fault latch, then
-        score against that cache (prefix + chunk) under ``masks[i]``
-        (``masks`` is ``None`` when ``t == 1``).  Each row's slices have
-        the strides of a single-sequence forward, so every row is
-        bit-identical to it.
+        shared :meth:`_linear` calls / broadcasts.  Every row appends its
+        new K/V to ``row_caches[i][block]``, in row order, and an armed
+        KV fault latches after each append.  The core is then one
+        ``(B, heads, t, W)`` score block, ``W`` the longest row's cache
+        length: positions at or past a row's own length ``L_i`` are
+        ``-inf`` (filled only when rows are ragged), and ``hide``
+        (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks the in-row
+        causal mask, written as ``-1e9``.
 
-        Rows that start together skip the loop: when ``B > 1``,
-        ``t > 1``, every row's cache was empty before the append (so
-        ``masks[i]`` is the one ``(t, t)`` causal mask) and no KV fault
-        is armed, each row's keys and values are exactly its fresh
-        ``k[i]`` / ``v[i]``.  The core is then one stacked product over
-        ``(B, heads, t, t)`` under one mask, with scale, mask, softmax
-        and divide in place: NumPy issues the per-(row, head) GEMM the
-        loop issues, with the same shapes, and the reductions run along
-        the same contiguous axis, so the bits do not change.  Ragged
-        rows keep the loop: padded to one length, the softmax sums
-        regroup and the bits change.
+        Only three things run per row, because padding them would change
+        a row's bits: ``q[i] @ keysᵀ`` into the row's slice of the block,
+        the softmax sum over exactly its ``L_i`` positions, and
+        ``attn[i, ..., :L_i] @ values``.  Scale, mask, max, subtract,
+        ``exp`` and divide run once over the block: each is elementwise
+        or (the max) exact in any order, and a ``-inf`` pad cannot change
+        a row's max — NaN still propagates, and a row whose every score
+        is ``-inf`` still yields NaN.  Each row's GEMMs read its own keys
+        and values with the strides of a single-sequence forward, so
+        every row is bit-identical to it.
+
+        The body has three issue modes.  Rows whose keys are all their
+        fresh ``k`` (every cache was empty before the append and no KV
+        fault is armed) run both GEMMs as one stacked product over
+        ``(B, heads, t, t)``: NumPy issues the per-(row, head) GEMM the
+        row's own forward issues, with the same shapes.  Equal lengths —
+        one row included — need no pad and sum in one reduction along the
+        same contiguous axis.  Ragged rows issue their GEMMs and sums per
+        row: a padded sum regroups (it differed in 173 of 300 random
+        shapes), and so do padded GEMMs.
         """
         cfg = self.config
         heads, hd = cfg.n_heads, cfg.head_dim
@@ -390,44 +403,54 @@ class InferenceEngine:
         q = rot(q.reshape(split).swapaxes(1, 2))
         k = rot(k.reshape(split).swapaxes(1, 2))
         v = v.reshape(split).swapaxes(1, 2)
-        scale = np.float32(hd**-0.5)
-        if (
-            batch > 1
-            and masks is not None
-            and self.kv_fault is None
-            and all(
-                caches[block].length == 0 and mask.shape[1] == t
-                for caches, mask in zip(row_caches, masks)
-            )
-        ):
-            for caches, k_row, v_row in zip(row_caches, k, v):
-                caches[block].append(k_row, v_row)
+        caches = [own[block] for own in row_caches]
+        kv_fault = self.kv_fault
+        for i, cache in enumerate(caches):
+            cache.append(k[i], v[i])
+            if kv_fault is not None:
+                kv_fault.on_append(
+                    block, cache, iteration if rows is None else int(iteration[i * t])
+                )
+        lengths = [cache.length for cache in caches]
+        width = max(lengths)
+        ragged = min(lengths) != width
+        fresh = width == t and kv_fault is None
+        if fresh:
             scores = q @ k.swapaxes(-1, -2)
-            scores *= scale
-            np.copyto(scores, np.float32(-1e9), where=~masks[0])
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            ctx = (scores @ v).swapaxes(1, 2)
         else:
-            ctx = np.empty(split, dtype=np.float32)
-            for i in range(batch):
-                cache = row_caches[i][block]
-                cache.append(k[i], v[i])
-                if self.kv_fault is not None:
-                    self.kv_fault.on_append(
-                        block,
-                        cache,
-                        iteration if rows is None else int(iteration[i * t]),
-                    )
-                keys, values = cache.keys(), cache.values()
-                scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
-                if masks is not None:
-                    scores = np.where(masks[i][None], scores, np.float32(-1e9))
-                attn = softmax_np(scores, axis=-1)
-                ctx[i] = (attn @ values).swapaxes(0, 1)
+            shape = (batch, heads, t, width)
+            scores = (
+                np.full(shape, -np.inf, dtype=np.float32) if ragged
+                else np.empty(shape, dtype=np.float32)
+            )
+            for i, (cache, length) in enumerate(zip(caches, lengths)):
+                np.matmul(
+                    q[i], cache.keys().swapaxes(-1, -2),
+                    out=scores[i, :, :, :length],
+                )
+        scores *= np.float32(hd**-0.5)
+        if hide is not None:
+            np.copyto(scores, np.float32(-1e9), where=hide)
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        if ragged:
+            total = np.empty((batch, heads, t, 1), dtype=np.float32)
+            for i, length in enumerate(lengths):
+                np.add.reduce(
+                    scores[i, :, :, :length], axis=-1, keepdims=True, out=total[i]
+                )
+        else:
+            total = np.add.reduce(scores, axis=-1, keepdims=True)
+        scores /= total
+        if fresh:
+            ctx = scores @ v
+        else:
+            ctx = np.empty((batch, heads, t, hd), dtype=np.float32)
+            for i, (cache, length) in enumerate(zip(caches, lengths)):
+                np.matmul(scores[i, :, :, :length], cache.values(), out=ctx[i])
         return self._linear(
-            ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
+            ctx.swapaxes(1, 2).reshape(batch * t, cfg.d_model),
+            block, "out_proj", iteration, rows, t,
         )
 
     def _mlp(
@@ -521,11 +544,14 @@ class InferenceEngine:
         batch, t = ids.shape
         positions = np.asarray(positions, dtype=np.int64)
         # Checked before any cache, hook or GEMM is touched, so a full
-        # cache fails the same way on every entry and corrupts nothing.
-        if batch and int(positions.max()) + t > cfg.max_seq:
-            raise ValueError(
-                f"KV cache overflow: {int(positions.max())} + {t} > {cfg.max_seq}"
-            )
+        # cache fails the same way on every entry and corrupts nothing:
+        # each row against its own caches' capacity (one per row — a
+        # pool slot's views, or new_caches()), which may be less than
+        # ``cfg.max_seq`` (reach-sized pool slots).
+        for position, caches in zip(positions.tolist(), row_caches):
+            room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
+            if position + t > room:
+                raise ValueError(f"KV cache overflow: {position} + {t} > {room}")
         tel = _telemetry()
         t0 = None
         if tel.active:
@@ -535,15 +561,18 @@ class InferenceEngine:
         gather = positions[:, None] + offs
         cos = self._cos[gather][:, None]  # (B, 1, t, hd)
         sin = self._sin[gather][:, None]
-        # The causal masks only depend on (positions, t), so build them
-        # once per forward instead of once per block: the prefix is
-        # fully visible, the chunk is causal within itself.
-        masks = None
+        # The in-row causal mask only depends on (positions, t), so build
+        # it once per forward instead of once per block: over the score
+        # block's W = max(positions) + t columns, row i hides from chunk
+        # token r the positions past positions[i] + r that its own cache
+        # holds — the pad past its length stays -inf (see _attention).
+        hide = None
         if t > 1:
-            masks = [
-                np.arange(int(p) + t)[None, :] <= (int(p) + offs)[:, None]
-                for p in positions
-            ]
+            span = np.arange(int(positions.max()) + t)
+            hide = span > gather[:, :, None]
+            if positions.min() != positions.max():
+                hide &= span < (positions + t)[:, None, None]
+            hide = hide[:, None]
         if rows is not None:
             iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
         # Corrupted weights legitimately overflow float32 (an MSB
@@ -562,7 +591,7 @@ class InferenceEngine:
                     x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
                 )
                 x = x + self._attention(
-                    h, b, row_caches, cos, sin, masks, iteration, rows
+                    h, b, row_caches, cos, sin, hide, iteration, rows
                 )
                 h = rms_norm_np(
                     x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
@@ -624,8 +653,9 @@ class InferenceEngine:
         and its K/V **is appended**; per-row positions and iteration
         counts may be ragged, which is what continuous batching needs.
         The linear layers run one ``(1, D) @ W`` product per row inside
-        one stacked NumPy matmul and the attention core runs per row
-        against that row's own cache — every operation on a row matches
+        one stacked NumPy matmul, and the attention core scores each row
+        against its own cache inside one softmax over the batch (see
+        :meth:`_attention`) — every GEMM and reduction on a row matches
         the serial ``Session.step`` shape-for-shape, so **each row's
         logits and appended K/V are bit-identical to its serial step at
         any width**, and fault hooks observe identical tensors.
@@ -678,9 +708,10 @@ class InferenceEngine:
 
         Linear layers run one ``(t, D) @ W`` product per row inside one
         stacked NumPy matmul; RoPE tables are gathered per row from the
-        ragged positions; the attention core runs per row against that
-        row's own cache (which, after the append, holds prefix + chunk)
-        under the standard causal mask.  Every operation on a row is
+        ragged positions; the attention core scores each row against its
+        own cache (which, after the append, holds prefix + chunk) under
+        the standard causal mask, inside one softmax over the batch (see
+        :meth:`_attention`).  Every GEMM and reduction on a row is
         shape-identical to the 1-D chunked :meth:`forward`, so each
         row's logits and K/V are bit-identical to the serial speculative
         verify path at any width.

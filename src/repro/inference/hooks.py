@@ -59,7 +59,10 @@ class HookManager:
     """Registry of output hooks keyed by full layer name."""
 
     def __init__(self) -> None:
-        self._hooks: dict[str, list[HookFn]] = {}
+        # Per-layer hooks as tuples, replaced (never edited) on register
+        # and remove: a hook that detaches itself, or a sibling, while
+        # :meth:`apply` runs cannot make later hooks skip that call.
+        self._hooks: dict[str, tuple[HookFn, ...]] = {}
         self._unscoped = 0
         self._perturbing = 0
         self._registered = 0  # registrations so far: _detach_since's mark
@@ -91,7 +94,7 @@ class HookManager:
         on which forward it fires in, so it forces the exact serial
         loop.
         """
-        self._hooks.setdefault(layer_name, []).append(fn)
+        self._hooks[layer_name] = self._hooks.get(layer_name, ()) + (fn,)
         if not row_scoped:
             self._unscoped += 1
         if not observer:
@@ -103,10 +106,13 @@ class HookManager:
         def remove() -> None:
             nonlocal removed
             self._handles.pop(number, None)
-            callbacks = self._hooks.get(layer_name, [])
+            callbacks = self._hooks.get(layer_name, ())
             if fn in callbacks:
-                callbacks.remove(fn)
-                if not callbacks:
+                at = callbacks.index(fn)
+                rest = callbacks[:at] + callbacks[at + 1 :]
+                if rest:
+                    self._hooks[layer_name] = rest
+                else:
                     del self._hooks[layer_name]
                 if not removed:
                     if not row_scoped:
@@ -146,7 +152,9 @@ class HookManager:
         return layer_name in self._hooks
 
     def apply(self, output: np.ndarray, ctx: HookContext) -> np.ndarray:
-        """Run all hooks for ``ctx.full_name`` over ``output`` in order."""
+        """Run the hooks ``ctx.full_name`` has when the call starts over
+        ``output``, in order and each once — whatever a hook detaches
+        meanwhile (a one-shot injector detaches itself as it fires)."""
         for fn in self._hooks.get(ctx.full_name, ()):  # fast path: empty
             replacement = fn(output, ctx)
             if replacement is not None:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.generation import GenerationConfig, greedy_decode, score_continuation
 from repro.inference import InferenceEngine
+from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.text import Tokenizer, Vocab
 
@@ -53,6 +54,23 @@ class TestSequenceLimits:
                 overflow()
         assert [c.length for c in session.caches] == [8]
         assert fired == []
+
+    def test_a_full_slot_corrupts_no_sibling(self, untrained_engine):
+        """Each row is checked against its own caches, which may be
+        shorter than ``max_seq`` (reach-sized pool slots): a full row
+        raises before its sibling's caches move."""
+        cfg = untrained_engine.config
+        pool = PooledKVCache(cfg.n_blocks, 2, cfg.n_heads, 6, cfg.head_dim)
+        rows = [pool.caches(pool.acquire()) for _ in range(2)]
+        untrained_engine.forward([4, 5, 6], rows[0], 0, 0)
+        untrained_engine.forward([4, 5, 6, 7, 8, 9], rows[1], 0, 0)
+        before = [(c.length, c.keys().copy(), c.values().copy()) for c in rows[0]]
+        with pytest.raises(ValueError, match="KV cache overflow: 6 \\+ 1 > 6"):
+            untrained_engine.forward_step_batch([7, 10], rows, [3, 6], [1, 1])
+        for cache, (length, keys, values) in zip(rows[0], before):
+            assert cache.length == length == 3
+            np.testing.assert_array_equal(cache.keys(), keys)
+            np.testing.assert_array_equal(cache.values(), values)
 
     def test_option_scoring_near_limit(self, untrained_engine):
         max_seq = untrained_engine.config.max_seq

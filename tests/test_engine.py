@@ -127,6 +127,30 @@ class TestHooks:
         untrained_engine.hooks.clear()
         assert seen == [0, 1, 2]
 
+    def test_a_hook_detached_during_apply_skips_no_sibling(self, untrained_engine):
+        """A hook that detaches itself mid-``apply`` (as a one-shot
+        injector does at its strike) leaves the hooks after it on the
+        same layer to run once in that call, and in no call again."""
+        hooks, calls = untrained_engine.hooks, []
+
+        def once(out, ctx):
+            calls.append("once")
+            remove_once()
+
+        remove_once = hooks.register("blocks.0.up_proj", once, row_scoped=True)
+        remove_probe = hooks.register(
+            "blocks.0.up_proj", lambda out, ctx: calls.append("probe"),
+            row_scoped=True, observer=True,
+        )
+        try:
+            untrained_engine.forward_full(TOKENS)
+            assert calls == ["once", "probe"] and len(hooks) == 1
+            untrained_engine.forward_full(TOKENS)
+            assert calls == ["once", "probe", "probe"]
+        finally:
+            remove_probe()
+        assert len(hooks) == 0 and hooks.all_observers()
+
     def test_capture_layers(self, untrained_engine):
         untrained_engine.capture = CaptureState()
         untrained_engine.forward_full(TOKENS)

@@ -136,6 +136,32 @@ class TestComputationalInjector:
         # injector fired once.
         assert not np.allclose(out2, base2)
 
+    def test_detaches_at_the_strike_and_siblings_still_run(self, untrained_engine):
+        """The hook leaves the engine as it fires, inside
+        ``HookManager.apply``: a probe registered after it on the same
+        layer (layer timing, say) still runs once in that call, and in
+        every later one; exit is idempotent."""
+        site = _comp_site(iteration=1)
+        calls = []
+        hooks = untrained_engine.hooks
+        with ComputationalFaultInjector(untrained_engine, site) as injector:
+            remove = hooks.register(
+                site.layer_name,
+                lambda out, ctx: calls.append(ctx.iteration),
+                row_scoped=True, observer=True,
+            )
+            session = untrained_engine.start_session(TOKENS[:3])
+            assert len(hooks) == 2 and not hooks.all_observers()
+            session.step(2)
+            assert injector.fired and calls == [0, 1]
+            assert len(hooks) == 1 and hooks.all_observers()
+            session.step(3)
+            assert calls == [0, 1, 2]
+        injector.__exit__(None, None, None)
+        assert len(hooks) == 1
+        remove()
+        assert len(hooks) == 0 and hooks.all_row_scoped() and hooks.all_observers()
+
     def test_hook_removed_after_context(self, untrained_engine):
         with ComputationalFaultInjector(untrained_engine, _comp_site()):
             assert len(untrained_engine.hooks) == 1

@@ -2,12 +2,14 @@
 
 import contextlib
 import copy
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autograd.functional import softmax_np
 from repro.fi import FaultModel, FaultSite, inject, sample_site
 from repro.fi.golden import GoldenOptions, GoldenRun
 from repro.fi.injector import KVFaultInjector, MemoryFaultInjector
@@ -324,30 +326,210 @@ def test_every_faultable_linear_takes_a_row_keyed_fault(moe, policy):
         _row_keyed_case(engine, layer, tokens, int(rng.integers(3)), rng)
 
 
-@settings(max_examples=40, deadline=None)
+_DEAD_SCORE_ROWS: list[bool] = []
+"""Whether each reference core call met a query whose every score was
+``-inf`` (a planted dead head)."""
+
+
+def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, rows):
+    """The reference attention core: the per-row loop the one core
+    replaced, kept verbatim here and nowhere else — each row appends,
+    lets a KV fault latch, and runs its own softmax over exactly its own
+    cache.  ``hide`` is ignored; each row's causal mask is rebuilt from
+    its cache length the way the loop's caller built it."""
+    cfg = self.config
+    heads, hd = cfg.n_heads, cfg.head_dim
+    batch, t = cos.shape[0], cos.shape[2]
+    half = hd // 2
+
+    def rot(a: np.ndarray) -> np.ndarray:
+        rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
+        return a * cos + rotated * sin
+
+    # (B*t, D) -> (B, heads, t, hd)
+    split = (batch, t, heads, hd)
+    q = self._linear(x, block, "q_proj", iteration, rows, t)
+    k = self._linear(x, block, "k_proj", iteration, rows, t)
+    v = self._linear(x, block, "v_proj", iteration, rows, t)
+    q = rot(q.reshape(split).swapaxes(1, 2))
+    k = rot(k.reshape(split).swapaxes(1, 2))
+    v = v.reshape(split).swapaxes(1, 2)
+    scale = np.float32(hd**-0.5)
+    ctx = np.empty(split, dtype=np.float32)
+    for i in range(batch):
+        cache = row_caches[i][block]
+        p = cache.length
+        mask = np.arange(p + t)[None, :] <= (p + np.arange(t))[:, None]
+        cache.append(k[i], v[i])
+        if self.kv_fault is not None:
+            self.kv_fault.on_append(
+                block,
+                cache,
+                iteration if rows is None else int(iteration[i * t]),
+            )
+        keys, values = cache.keys(), cache.values()
+        scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
+        if t > 1:
+            scores = np.where(mask[None], scores, np.float32(-1e9))
+        _DEAD_SCORE_ROWS.append(bool(np.isneginf(scores).all(axis=-1).any()))
+        attn = softmax_np(scores, axis=-1)
+        ctx[i] = (attn @ values).swapaxes(0, 1)
+    return self._linear(
+        ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
+    )
+
+
+_planted = st.sampled_from([float("nan"), float("inf"), float("-inf"), 3e38, -3e38])
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     st.booleans(),
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["zero", "equal", "ragged"]),
+    st.booleans(),
+    st.data(),
 )
-def test_property_stacked_attention_is_the_per_row_loop(moe, batch, t, seed):
-    """Rows that start together take one stacked attention product; the
-    per-row loop (forced here by a KV fault that never fires, which
-    keeps a block's core per row) gives ``array_equal`` logits and K/V."""
+def test_property_stacked_attention_is_the_per_row_loop(
+    moe, batch, t, prefixes, armed, data
+):
+    """The one attention core — one softmax over a padded score block,
+    GEMMs and sums per row or stacked — gives ``array_equal`` logits and
+    K/V to the per-row loop it replaced (:func:`_per_row_attention`):
+    widths 1-8, chunks of 1-4 tokens over prefixes of 0-40 positions
+    (all empty, equal, ragged), dense and MoE, with nan, ±inf and 3e38
+    planted in q, K and V, a head whose every score is ``-inf``, and a
+    KV fault armed."""
     engine = _row_exact_engine(moe)
-    tokens = np.random.default_rng(seed).integers(0, VOCAB, size=(batch, t))
-    zeros = [0] * batch
-    stacked = [engine.new_caches() for _ in range(batch)]
-    looped = [engine.new_caches() for _ in range(batch)]
-    got = engine.forward_chunk_batch(tokens, stacked, zeros, zeros)
-    never = FaultSite(FaultModel.KV_1BIT, "blocks.0.kv", 0, 0, bits=(3,), iteration=99)
-    with KVFaultInjector(engine, never) as injector:
-        want = engine.forward_chunk_batch(tokens, looped, zeros, zeros)
-    assert not injector.fired
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    if prefixes == "zero":
+        lengths = [0] * batch
+    elif prefixes == "equal":
+        lengths = [data.draw(st.integers(0, 40))] * batch
+    else:
+        lengths = data.draw(st.lists(st.integers(0, 40), min_size=batch, max_size=batch))
+    prompts = [rng.integers(0, VOCAB, size=n).tolist() for n in lengths]
+    tokens = rng.integers(0, VOCAB, size=(batch, t))
+    cfg = engine.config
+    hd = cfg.head_dim
+    plants: dict[tuple[str, int], list] = {}
+    n_planted = data.draw(st.integers(0, 4))
+    for _ in range(n_planted):
+        layer = f"blocks.{data.draw(st.integers(0, cfg.n_blocks - 1))}." + data.draw(
+            st.sampled_from(["q_proj", "k_proj", "v_proj"])
+        )
+        plants.setdefault((layer, data.draw(st.integers(0, batch - 1))), []).append(
+            (data.draw(st.floats(0, 0.99)), data.draw(st.integers(0, cfg.d_model - 1)),
+             data.draw(_planted))
+        )
+    dead = data.draw(st.none() | st.integers(0, batch - 1))
+    if dead is not None:
+        # Lowest-frequency RoPE channel of one head: every q·k overflows
+        # to -inf, so that head scores -inf on every key of the row.
+        col = data.draw(st.integers(0, cfg.n_heads - 1)) * hd + hd // 2 - 1
+        block = data.draw(st.integers(0, cfg.n_blocks - 1))
+        for name, value in (("q_proj", 3e38), ("k_proj", -3e38)):
+            plants.setdefault((f"blocks.{block}.{name}", dead), []).append(
+                ("all", col, value)
+            )
+    site = None
+    if armed:
+        site = FaultSite(
+            FaultModel.KV_2BIT,
+            f"blocks.{data.draw(st.integers(0, cfg.n_blocks - 1))}.kv",
+            data.draw(st.integers(0, cfg.n_heads - 1)),
+            data.draw(st.integers(0, hd - 1)),
+            bits=(30, 22),
+            iteration=data.draw(st.integers(0, 1)),
+            row_frac=data.draw(st.floats(0, 0.99)),
+            plane=data.draw(st.sampled_from(["k", "v"])),
+        )
+
+    dead_heads = _core_against_the_loop(engine, prompts, tokens, plants, site)
+    if dead is not None and not n_planted and site is None:
+        # Nothing else planted upstream could turn the dead head's -inf
+        # into NaN.
+        assert dead_heads
+
+
+def _core_against_the_loop(engine, prompts, tokens, plants, site=None) -> bool:
+    """Prefill each row's ``prompts[i]`` into its own caches, then run
+    the ``(B, t)`` chunk ``tokens`` over them, under ``plants`` (values
+    written into row ``i``'s output of a layer, ``(layer, i) ->
+    [(token fraction or "all", column, value)]``) and, given a ``site``,
+    a KV fault: once on the engine's core and once on
+    :func:`_per_row_attention`.  Asserts ``array_equal`` logits and K/V
+    (NaNs compare equal) and the same ``fired``; returns whether the
+    reference met a query whose every score was ``-inf``."""
+    batch = len(prompts)
+    lengths = [len(prompt) for prompt in prompts]
+
+    def plant(out, ctx):
+        for frac, col, value in plants.get((ctx.full_name, ctx.batch_row), ()):
+            if frac == "all":
+                out[:, col] = value
+            else:
+                out[min(int(frac * len(out)), len(out) - 1), col] = value
+
+    def run():
+        caches = [engine.new_caches() for _ in range(batch)]
+        removers = [
+            engine.hooks.register(layer, plant, row_scoped=True)
+            for layer in {layer for layer, _ in plants}
+        ]
+        injector = (
+            KVFaultInjector(engine, site) if site else contextlib.nullcontext()
+        )
+        try:
+            with injector:
+                for i, prompt in enumerate(prompts):
+                    if prompt:
+                        engine.forward_chunk_batch([prompt], [caches[i]], [0], [0], [i])
+                logits = engine.forward_chunk_batch(tokens, caches, lengths, [1] * batch)
+                # Before the injector's exit puts the struck element back.
+                kv = [
+                    [(cache.keys().copy(), cache.values().copy()) for cache in own]
+                    for own in caches
+                ]
+        finally:
+            for remove in removers:
+                remove()
+        return logits, kv, site is not None and injector.fired
+
+    got, kv, fired = run()
+    _DEAD_SCORE_ROWS.clear()
+    engine._attention = types.MethodType(_per_row_attention, engine)
+    try:
+        want, kv_want, fired_want = run()
+    finally:
+        del engine._attention
+    assert fired == fired_want
     np.testing.assert_array_equal(got, want)
-    for caches, ref in zip(stacked, looped):
-        assert_caches_equal(caches, ref)
+    for own, ref in zip(kv, kv_want):
+        for (keys, values), (keys_ref, values_ref) in zip(own, ref):
+            np.testing.assert_array_equal(keys, keys_ref)
+            np.testing.assert_array_equal(values, values_ref)
+    return any(_DEAD_SCORE_ROWS)
+
+
+@pytest.mark.parametrize("lengths", [[0], [5], [3, 3], [0, 7, 2], [9, 1, 40, 4]])
+@pytest.mark.parametrize("t", [1, 3])
+def test_a_dead_head_is_nan_on_both_cores(lengths, t):
+    """A head whose every score is ``-inf`` (q·k overflows on every key)
+    yields NaN on the one core as on the loop: the ``-inf`` pad of a
+    ragged block cannot lift its max."""
+    engine = _row_exact_engine(False)
+    rng = np.random.default_rng(len(lengths) * 10 + t)
+    prompts = [rng.integers(0, VOCAB, size=n).tolist() for n in lengths]
+    tokens = rng.integers(0, VOCAB, size=(len(lengths), t))
+    hd = engine.config.head_dim
+    dead = len(lengths) - 1
+    plants = {
+        ("blocks.1.q_proj", dead): [("all", hd + hd // 2 - 1, 3e38)],
+        ("blocks.1.k_proj", dead): [("all", hd + hd // 2 - 1, -3e38)],
+    }
+    assert _core_against_the_loop(engine, prompts, tokens, plants)
 
 
 _options = st.lists(

@@ -31,7 +31,10 @@ from repro.fi import (
     assert_results_equal,
     load_checkpoint,
 )
+from repro.fi import campaign as fi_campaign
 from repro.fi.campaign import _DECODE_BATCH
+from repro.fi.injector import ComputationalFaultInjector
+from repro.generation.round import DecodeRound
 from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
 from repro.serve import InferenceServer
@@ -137,6 +140,85 @@ class TestWavesMatchTheReference:
         ).run(N_TRIALS)
         assert_results_equal(fast, reference, "waves", "serial")
         assert waves
+
+
+class TestFiredInjectorsLeaveTheEngine:
+    """A row's injector detaches its hook at the strike, so later steps
+    skip that layer's per-row dispatch; the records, their ``fired``
+    flags and the plan stay the reference's."""
+
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    def test_auto_equals_serial(
+        self, request, tokenizer, world, store, fault_model, n_workers
+    ):
+        store = request.getfixturevalue(store)
+        task = TranslationTask(world)
+        camp = campaign(store, tokenizer, task, fault_model)
+        try:
+            fast, counters, waves, _ = run_traced(camp, N_TRIALS, n_workers=n_workers)
+        finally:
+            camp.close_pool()
+        reference = campaign(
+            store, tokenizer, task, fault_model, decode_strategy="serial"
+        ).run(N_TRIALS)
+        assert_results_equal(fast, reference, "waves", "serial")
+        assert any(t.fired for t in fast.trials) and waves
+        assert not lone_trials(counters) and len(camp.engine.hooks) == 0
+
+    def test_after_each_step_only_unfired_injectors_hold_hooks(
+        self, trained_store, tokenizer, world, monkeypatch
+    ):
+        """After every step of a wave, the engine's hooks are the ones
+        that predate it (a probe on every linear here, as layer timing
+        attaches) plus one per armed injector that has not fired."""
+        camp = campaign(
+            trained_store, tokenizer, TranslationTask(world), FaultModel.COMP_2BIT
+        )
+        hooks = camp.engine.hooks
+        probes = [
+            hooks.register(name, lambda out, ctx: None, row_scoped=True, observer=True)
+            for name in camp.engine.linear_layer_names()
+        ]
+        armed = set()
+
+        class Counted(ComputationalFaultInjector):
+            def __enter__(self):
+                armed.add(self)
+                return super().__enter__()
+
+            def __exit__(self, *exc):
+                armed.discard(self)
+                super().__exit__(*exc)
+
+        seen = []
+        step = DecodeRound.step
+
+        def checked(rnd):
+            events = step(rnd)
+            unfired = sum(not injector.fired for injector in armed)
+            seen.append((len(hooks), len(probes) + unfired, len(armed) - unfired))
+            return events
+
+        monkeypatch.setattr(fi_campaign, "ComputationalFaultInjector", Counted)
+        monkeypatch.setattr(DecodeRound, "step", checked)
+        try:
+            result = camp.run(N_TRIALS)
+        finally:
+            for remove in probes:
+                remove()
+        assert seen and all(have == want for have, want, _ in seen)
+        assert any(fired for *_, fired in seen)  # not vacuous
+        assert not armed and len(hooks) == 0
+        assert_results_equal(
+            result,
+            campaign(
+                trained_store, tokenizer, TranslationTask(world), FaultModel.COMP_2BIT,
+                decode_strategy="serial",
+            ).run(N_TRIALS),
+            "waves", "serial",
+        )
 
 
 class TestWhatKeepsATrialToItself:
