@@ -15,10 +15,6 @@ Commands
     ``--resume`` (skip already-journalled trials; bit-identical to an
     uninterrupted run), ``--trial-timeout SECONDS`` and ``--retries N``
     (crashing trials retry, then quarantine as ``FAILED``).
-    ``--draft-model NAME --spec-depth GAMMA`` name the draft of the
-    ``--spec-fault-side`` study, which decodes every trial through a
-    draft/verify pair; nothing else speculates (the baseline is read
-    off the golden runs), so a draft without the study exits 2.
 ``serve MODEL [--rps R ...] [--duration S]``
     Run the multi-tenant streaming inference server under an open-loop
     Poisson load sweep (mixed gsm8k/wmt16/xlsum/squadv2 prompt shapes);
@@ -127,28 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--examples", type=int, default=12)
     campaign.add_argument("--policy", default="bf16")
     campaign.add_argument("--beams", type=int, default=1)
-    campaign.add_argument(
-        "--draft-model",
-        choices=zoo_names(),
-        default=None,
-        help="zoo model drafting in the --spec-fault-side study, which"
-        " it requires (the baseline never speculates)",
-    )
-    campaign.add_argument(
-        "--spec-depth",
-        type=int,
-        default=4,
-        metavar="GAMMA",
-        help="draft tokens proposed per speculative verify round",
-    )
-    campaign.add_argument(
-        "--spec-fault-side",
-        choices=["draft", "target"],
-        default=None,
-        help="inject into this engine of a speculative decoder instead"
-        " of plain decoding (requires --draft-model; draft-side faults"
-        " measure verification masking)",
-    )
     campaign.add_argument("--seed", type=int, default=0)
     campaign.add_argument(
         "--workers",
@@ -442,9 +416,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.fi.campaign import FICampaign
 
-    if args.draft_model and args.spec_fault_side is None:
-        print("--draft-model requires --spec-fault-side", file=sys.stderr)
-        return 2
     ctx = ExperimentContext(n_examples=args.examples, seed=args.seed)
     task = ctx.task(args.task)
     campaign = FICampaign(
@@ -456,13 +427,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         fault_model=FaultModel(args.fault),
         seed=args.seed,
         generation=ctx.generation(task, num_beams=args.beams),
-        draft_model=(
-            ctx.engine(args.draft_model, args.policy)
-            if args.draft_model
-            else None
-        ),
-        speculation_depth=args.spec_depth,
-        spec_fault_side=args.spec_fault_side,
     )
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
@@ -481,16 +445,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     tel = telemetry()
     print(f"model={args.model} policy={args.policy}")
     print(format_campaign(result))
-    if args.spec_fault_side is not None:
-        from repro.fi.analysis import speculation_masking
-
-        for side, row in sorted(speculation_masking(result).items()):
-            print(
-                f"masking[{side}]: {row['masked']}/{row['fired']} fired"
-                f" trials masked (rate={row['masking_rate']:.3f},"
-                f" sdc={row['sdc']}, trials={row['trials']})"
-            )
-            tel.record("campaign_masking", side=side, **row)
     for metric in result.baseline:
         ci = result.normalized[metric]
         tel.record(

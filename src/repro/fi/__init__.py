@@ -4,11 +4,9 @@ from repro.fi.analysis import (
     GroupVulnerability,
     by_bit_role,
     by_block,
-    by_engine_side,
     by_layer_type,
     by_surface,
     most_vulnerable,
-    speculation_masking,
 )
 from repro.fi.campaign import CampaignResult, FICampaign, TrialRecord
 from repro.fi.checkpoint import (
@@ -58,11 +56,9 @@ __all__ = [
     "result_signatures",
     "by_bit_role",
     "by_block",
-    "by_engine_side",
     "by_layer_type",
     "by_surface",
     "most_vulnerable",
-    "speculation_masking",
     "AccumulatorFaultInjector",
     "ComputationalFaultInjector",
     "KVFaultInjector",

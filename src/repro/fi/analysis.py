@@ -25,8 +25,6 @@ __all__ = [
     "by_block",
     "by_bit_role",
     "by_surface",
-    "by_engine_side",
-    "speculation_masking",
     "most_vulnerable",
 ]
 
@@ -113,53 +111,6 @@ def by_surface(result: CampaignResult) -> list[GroupVulnerability]:
     just how many bits flipped.
     """
     return _aggregate(result.trials, lambda t: t.site.surface)
-
-
-def by_engine_side(result: CampaignResult) -> list[GroupVulnerability]:
-    """SDC rate per draft/verify engine side (speculation-side AVF).
-
-    For campaigns run with ``spec_fault_side``: target-side trials
-    carry the usual AVF while draft-side trials should show zero SDCs —
-    verification re-derives every emitted token from target logits, so
-    draft corruption is masked by construction.
-    """
-    return _aggregate(result.trials, lambda t: t.site.engine_side)
-
-
-def speculation_masking(result: CampaignResult) -> dict[str, dict]:
-    """Measured draft-vs-target masking for the speculation study.
-
-    Per engine side, over classified (non-quarantined) trials::
-
-        {"draft": {"trials": …, "fired": …, "masked": …, "sdc": …,
-                   "masking_rate": masked_fired / fired}, "target": {…}}
-
-    ``masking_rate`` conditions on *fired* trials only — a fault that
-    never struck (decode ended before its iteration, or the round
-    schedule skipped it) measures the schedule, not the masking — and
-    is the fraction of landed faults that still produced a ``MASKED``
-    outcome.  The masking theorem predicts exactly 1.0 for the draft
-    side; the measured target-side rate is the baseline it beats.
-    """
-    sides: dict[str, dict] = {}
-    for trial in result.trials:
-        if trial.outcome is Outcome.FAILED:
-            continue
-        row = sides.setdefault(
-            trial.site.engine_side,
-            {"trials": 0, "fired": 0, "masked": 0, "sdc": 0,
-             "masking_rate": float("nan")},
-        )
-        row["trials"] += 1
-        if not trial.fired:
-            continue
-        row["fired"] += 1
-        row["masked"] += int(trial.outcome is Outcome.MASKED)
-        row["sdc"] += int(trial.outcome.is_sdc)
-    for row in sides.values():
-        if row["fired"]:
-            row["masking_rate"] = row["masked"] / row["fired"]
-    return sides
 
 
 def most_vulnerable(

@@ -33,8 +33,8 @@ fault-free passes everything above starts from are decoded once per
 engine and example set, not once per campaign
 (:meth:`FICampaign.compute_baseline`, :mod:`repro.fi.golden`).  Those
 passes are the campaign's one fault-free reference: the baseline is
-read off them, and an attached server (:meth:`FICampaign.attach_server`)
-serves injected KV-fault trials, never a second baseline.
+read off them.  A campaign studies one engine, offline: every trial
+strikes that engine and decodes in this process or a pool worker.
 
 This module is what a trial *is*: its identity and sampling, the
 one-trial path, the wave, the baseline, the aggregation.  *How* trials
@@ -92,7 +92,6 @@ from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generati
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
 from repro.generation.round import DecodeRound, count_plan, decode_plan, pick
-from repro.generation.speculative import SpeculativeDecoder
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 from repro.metrics.evaluate import score_generative
@@ -135,9 +134,8 @@ class TrialRecord:
     """Whether the armed fault actually struck during the trial's
     inference.  Memory faults always fire (the corruption exists the
     moment the weights flip); transient injectors can miss — the decode
-    can end before the sampled iteration, and a draft-side fault's
-    round schedule may skip it.  The masking studies condition on this:
-    a trial whose fault never landed measures nothing."""
+    can end before the sampled iteration.  A trial whose fault never
+    landed measures nothing."""
     error: str | None = field(default=None, hash=False, compare=False)
     """For quarantined (``FAILED``) trials: the final attempt's error."""
 
@@ -238,9 +236,6 @@ class FICampaign:
         track_expert_selection: bool = False,
         max_fault_iterations: int | None = None,
         decode_strategy: str = "auto",
-        draft_model: InferenceEngine | None = None,
-        speculation_depth: int = 4,
-        spec_fault_side: str | None = None,
         chaos: CampaignChaos | None = None,
     ) -> None:
         self.engine = engine
@@ -278,46 +273,6 @@ class FICampaign:
         runs it: per-sequence decode loops, one full forward per option,
         a fresh prefill and a full decode per trial and per baseline
         example, one trial at a time."""
-        if draft_model is not None and (
-            draft_model.config.vocab_size != engine.config.vocab_size
-        ):
-            raise ValueError(
-                "draft_model must share the target's vocabulary:"
-                f" draft has {draft_model.config.vocab_size} tokens,"
-                f" target has {engine.config.vocab_size}"
-            )
-        self.draft_model = draft_model
-        """The same-tokenizer draft engine of the ``spec_fault_side``
-        study, which decodes every trial through a draft/verify pair
-        drafting ``speculation_depth`` tokens per round; without that
-        study a draft is refused.  Nothing else speculates: the baseline
-        is read off the golden passes every transient-fault campaign
-        decodes anyway, and an armed trial never passes
-        :func:`~repro.generation.round.decode_plan`'s speculation bar."""
-        self.speculation_depth = speculation_depth
-        if spec_fault_side is not None:
-            if spec_fault_side not in ("draft", "target"):
-                raise ValueError(
-                    f"spec_fault_side must be 'draft' or 'target',"
-                    f" got {spec_fault_side!r}"
-                )
-            if draft_model is None:
-                raise ValueError("spec_fault_side needs a draft_model")
-            if self.is_mc:
-                raise ValueError(
-                    "the speculation-side study is generative-only"
-                )
-        elif draft_model is not None:
-            raise ValueError("a draft_model is read only with spec_fault_side")
-        self.spec_fault_side = spec_fault_side
-        """Speculation-side masking study: inject every trial's fault
-        into the named engine of the draft/verify pair *while decoding
-        speculatively* (:meth:`SpeculativeDecoder.speculate`, the
-        ungated schedule).  ``"draft"`` sites are sampled against the
-        draft engine's geometry; the verification step should mask them
-        all (the masking theorem in
-        :mod:`repro.generation.speculative`).  ``None`` (default) keeps
-        the standard single-engine trial path."""
         self.chaos = chaos
         """Optional runner-level fault injection (resilience tests)."""
         self._example_ids = [self._stable_example_id(ex) for ex in self.examples]
@@ -368,12 +323,6 @@ class FICampaign:
         self._hook_mark: int | None = None
         """The engine's hook registrations when the latest trial or wave
         began: :meth:`_post_failure_repair` detaches those after it."""
-        self._serve = None
-        """Optional attached :class:`~repro.serve.server.InferenceServer`
-        (:meth:`attach_server`): KV-fault trials run through it as
-        tenant traffic, the fault pinned to the trial request's pool
-        slot while other tenants' streams share the batch."""
-        self._serve_tenant = "campaign"
 
     # -- stable trial identity ---------------------------------------------------
 
@@ -415,10 +364,9 @@ class FICampaign:
         The one perf switch, ``decode_strategy``, is excluded on
         purpose: it cannot change TrialRecords (the differential suite
         holds it to that), so a journal written under one execution
-        strategy may be resumed under the other.  The draft matters to
-        the speculation-side study alone, and joins below.
+        strategy may be resumed under the other.
         """
-        fingerprint = {
+        return {
             "task": self.task_name,
             "fault_model": self.fault_model.value,
             "seed": self.seed,
@@ -439,14 +387,6 @@ class FICampaign:
                 else None
             ),
         }
-        if self.spec_fault_side is not None:
-            # The speculation-side study makes the speculative schedule
-            # result-determining (strike timing depends on round
-            # boundaries), so these join the fingerprint — but only
-            # conditionally, preserving every existing journal's hash.
-            fingerprint["spec_fault_side"] = self.spec_fault_side
-            fingerprint["speculation_depth"] = self.speculation_depth
-        return fingerprint
 
     # -- shared single-example evaluation --------------------------------------
 
@@ -583,53 +523,6 @@ class FICampaign:
         assert self.engine.capture is not None
         return dict(self.engine.capture.expert_selections)
 
-    # -- serving integration -----------------------------------------------------
-
-    def attach_server(self, server, tenant: str = "campaign") -> None:
-        """Run this KV-fault campaign's injected trials through a live
-        :class:`~repro.serve.server.InferenceServer` as tenant traffic
-        — the cross-request blast-radius mode.
-
-        Each trial submits its prompt with the sampled KV fault
-        attached; the server arms a
-        :class:`~repro.fi.injector.KVFaultInjector` pinned to that
-        request's pool slot, and the fault decodes mid-batch alongside
-        whatever other tenants are streaming.  Slot pinning scopes the
-        corruption to the campaign's own stream (asserted by the
-        stream-isolation tests), so concurrent tenant traffic is
-        measured, not forbidden, and the records equal the local run's.
-        The baseline stays the local golden sweep.  Only greedy,
-        generative, single-engine KV-fault campaigns can attach: every
-        other fault arms engine-global state.
-        """
-        if self.is_mc:
-            raise ValueError("serving integration is generative-only")
-        if not self.fault_model.is_kv:
-            raise ValueError(
-                "attach_server is KV-fault-only:"
-                f" {self.fault_model.value} faults arm engine-global state"
-            )
-        if self.generation.num_beams != 1:
-            raise ValueError("attach_server requires greedy decoding")
-        if self.spec_fault_side is not None:
-            raise ValueError(
-                "attach_server and spec_fault_side are mutually exclusive"
-            )
-        if server.engine is not self.engine:
-            raise ValueError("server must wrap this campaign's engine")
-        if server.config.eos_id != self.generation.eos_id:
-            raise ValueError(
-                "server and campaign must agree on eos_id:"
-                f" server {server.config.eos_id},"
-                f" campaign {self.generation.eos_id}"
-            )
-        server.ensure_tenant(tenant)
-        self._serve = server
-        self._serve_tenant = tenant
-
-    def detach_server(self) -> None:
-        self._serve = None
-
     # -- baseline ----------------------------------------------------------------
 
     def compute_baseline(self) -> dict:
@@ -733,17 +626,12 @@ class FICampaign:
         return max_iter
 
     def _trial_site(self, trial: int, max_iterations: int) -> FaultSite:
-        # Draft-side sites must be sampled against the *draft* engine's
-        # geometry (its layers, widths and formats differ).
-        side = self.spec_fault_side or "target"
-        engine = self.draft_model if side == "draft" else self.engine
         return sample_site(
-            engine,
+            self.engine,
             self.fault_model,
             self._trial_rng(trial),
             max_iterations=max_iterations,
             layer_filter=self.layer_filter,
-            engine_side=side,
         )
 
     def _selection_changed(self, idx: int, faulty: dict | None) -> bool | None:
@@ -846,8 +734,6 @@ class FICampaign:
         ``decode_strategy="serial"``              reference  serial
         ``track_expert_selection``                reference  expert_tracking
         an engine the pass is inexact on          reference  decode_plan's
-        ``spec_fault_side``                       reference  spec_fault_side
-        an attached server                        reference  served
         multiple choice, flight recorder armed    reference  flight
         generative, weight fault                  reference  weight_fault
         multiple choice, KV / accumulator fault   reference  kv_fault / acc_fault
@@ -863,8 +749,7 @@ class FICampaign:
         A generative weight fault corrupts the prompt forward a pass
         would resume from; a multiple-choice KV or accumulator fault
         arms the engine's one slot, and a flight recorder probes the
-        whole struck forward; the speculation-side schedule and a served
-        trial decode differently.  A generative trial struck at
+        whole struck forward.  A generative trial struck at
         iteration 0 resumes nothing and prefills.  A wave row's fault is
         keyed to its own rows (:meth:`_weight_fault_scores`,
         :meth:`_run_wave`).
@@ -872,10 +757,6 @@ class FICampaign:
         reason = self._why_no_golden()
         if reason is not None:
             return "reference", reason
-        if self.spec_fault_side is not None:
-            return "reference", "spec_fault_side"
-        if self._serve is not None:
-            return "reference", "served"
         model = self.fault_model
         armed = (
             "weight_fault" if model.is_memory
@@ -954,42 +835,7 @@ class FICampaign:
         detach_front = None
         fired = True
         try:
-            if self.spec_fault_side is not None:
-                # Speculation-side study: arm the sampled engine of the
-                # draft/verify pair and run the speculative schedule
-                # itself, ungated — measuring how it interacts with the
-                # fault is the point.  No corruption-front probes: the
-                # iteration ↔ forward mapping differs from the serial
-                # reference.
-                side_engine = (
-                    self.draft_model
-                    if self.spec_fault_side == "draft"
-                    else self.engine
-                )
-                spec = SpeculativeDecoder(
-                    self.engine,
-                    self.draft_model,
-                    self.generation,
-                    speculation_depth=self.speculation_depth,
-                )
-                with inject(side_engine, site) as injector:
-                    text = self.tokenizer.decode(
-                        spec.speculate(self._token_ids[idx])
-                    )
-                fired = getattr(injector, "fired", True)
-            elif self._serve is not None and self._serve.running:
-                # Live-server blast-radius mode: the fault rides the
-                # campaign's own request into the shared batch, pinned
-                # to that request's pool slot by the server.
-                handle = self._serve.submit(
-                    self._token_ids[idx],
-                    tenant=self._serve_tenant,
-                    max_new_tokens=self.generation.max_new_tokens,
-                    kv_fault=site,
-                )
-                text = self.tokenizer.decode(handle.result())
-                fired = bool(handle.kv_fired)
-            elif golden is not None and self.is_mc and site.fault_model.is_memory:
+            if golden is not None and self.is_mc and site.fault_model.is_memory:
                 # A wave of one: the fault keyed to the trial's rows.
                 scores = self._weight_fault_scores([(trial, site)])[trial]
                 pred_idx = int(np.argmax(scores))
@@ -999,9 +845,8 @@ class FICampaign:
                         # Probes register after the injector's hook, so
                         # the struck layer's probe observes the
                         # post-injection output; observer + row-scoped
-                        # registration keeps the batching/speculation
-                        # gates exactly where a recorder-off run has
-                        # them.
+                        # registration keeps the batching gate exactly
+                        # where a recorder-off run has it.
                         detach_front = recorder.attach_front(
                             self.engine, site.iteration
                         )
@@ -1141,7 +986,7 @@ class FICampaign:
             if self.is_mc:
                 prompt, options = self._token_ids[idx]
                 return self._captured_forward([*prompt, *options[0]])
-            if self.generation.num_beams != 1 or self.spec_fault_side is not None:
+            if self.generation.num_beams != 1:
                 return None
             # Memory faults strike the prompt forward; every transient
             # model (computational, KV, accumulator) strikes at its
@@ -1507,15 +1352,9 @@ class FICampaign:
         builds again (a pass holds no engine; a rewind is handed this
         copy's).  The KV slots stay: all free between rounds, and a
         forked worker writing its copy-on-write pages costs less than
-        allocating a second pool beside them.  Serving is a
-        parent-process concern: a server handle never crosses the fork.
+        allocating a second pool beside them.
         """
         worker = copy.copy(self)
         worker.engine = InferenceEngine.open_shared(arena_root / "target")
-        draft_dir = arena_root / "draft"
-        worker.draft_model = (
-            InferenceEngine.open_shared(draft_dir) if draft_dir.exists() else None
-        )
-        worker.detach_server()
         worker._in_worker = True
         return worker

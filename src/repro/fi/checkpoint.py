@@ -22,9 +22,9 @@ then one ``kind="trial"`` record per completed trial::
 The header's ``campaign_hash`` covers only result-determining
 configuration (task, fault model, seed, example identities, generation
 settings) — the one perf switch, ``decode_strategy``, is deliberately
-excluded (so is a draft outside the speculation-side study), so a
-checkpoint written by a reference (``serial``) run can be resumed by an
-``auto`` one and vice versa.  Loaders assert both the schema version
+excluded, so a checkpoint written by a reference (``serial``) run can
+be resumed by an ``auto`` one and vice versa.  Loaders assert both the
+schema version
 and the hash: resuming a journal from a different campaign fails
 loudly instead of silently mixing trials.  A torn final line (the
 record being written when the process died) is tolerated and dropped.
@@ -90,10 +90,10 @@ def site_from_dict(payload: dict) -> FaultSite:
         bits=tuple(int(b) for b in payload["bits"]),
         iteration=int(payload["iteration"]),
         row_frac=float(payload["row_frac"]),
-        # Runtime-surface fields appeared with the KV/speculation/
-        # accumulator fault models; journals written before them load
-        # with the dataclass defaults.
-        engine_side=str(payload.get("engine_side", "target")),
+        # Runtime-surface fields appeared with the KV and accumulator
+        # fault models; journals written before them load with the
+        # dataclass defaults.  A journal's ``engine_side`` is ignored:
+        # every site strikes the campaign's one engine.
         plane=str(payload.get("plane", "k")),
         acc_frac=float(payload.get("acc_frac", 0.0)),
     )

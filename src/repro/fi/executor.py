@@ -408,7 +408,7 @@ class Executor:
             pool = self.pool = None
         if pool is None:
             if self.arena is None:
-                self.arena = _SharedArena(campaign.engine, campaign.draft_model)
+                self.arena = _SharedArena(campaign.engine)
             arena = self.arena
             self._forked_with = forked_with
             with tel.span(

@@ -248,9 +248,9 @@ class KVFaultInjector:
     fault while the one-shot injector believed it had fired).
 
     ``caches`` optionally pins the strike to one sequence's per-block
-    cache list (identity comparison) — the live-server mode, where the
-    engine is shared by every tenant but the fault must land in exactly
-    one request's slot.
+    cache list (identity comparison): where one round decodes several
+    sequences, the fault lands in exactly that sequence's slot
+    (armed through ``DecodeRound.admit(before_prefill=)``).
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Process and pipe mechanics of a campaign's worker pool.
 
 Two things live here, and no policy: the *shared weight arena* — the
-target (and draft) engines' weight planes exported once into
+campaign engine's weight planes exported once into
 memory-mapped read-only files that every worker attaches zero-copy, so
 N workers share one physical copy of the model through the page cache —
 and the *pre-forked persistent pool* that hands batches of work to
@@ -32,7 +32,7 @@ __all__ = ["CampaignPool"]
 
 
 class _SharedArena:
-    """One campaign's exported weight planes on disk (target + draft).
+    """One campaign's exported weight planes on disk.
 
     Exported exactly once per campaign into a temp directory of
     ``.npy``-layout mmap arenas; every pool worker — initial or
@@ -42,13 +42,10 @@ class _SharedArena:
     (workers keep their mappings alive through the open inodes).
     """
 
-    def __init__(self, engine: InferenceEngine, draft: InferenceEngine | None):
+    def __init__(self, engine: InferenceEngine):
         self.root = Path(tempfile.mkdtemp(prefix="repro-arena-"))
         engine.export_shared(self.root / "target")
         self.nbytes = arena_nbytes(self.root / "target")
-        if draft is not None:
-            draft.export_shared(self.root / "draft")
-            self.nbytes += arena_nbytes(self.root / "draft")
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self.root), True
         )

@@ -19,8 +19,7 @@ The runtime-state fault models extend the same two-stage scheme:
   is uniform over occupied positions only and always in-bounds for the
   actual cache geometry (prompt lengths differ per example).  Pooled
   slots need no slot coordinate: the fault binds to one sequence's
-  cache views (the serial trial's only sequence, or a pinned server
-  slot).
+  cache views (the serial trial's only sequence, or a pinned slot).
 * **Accumulator faults** sample the layer and output column like a
   computational fault, plus a *reduction split fraction* choosing how
   many of the GEMM's K products have accumulated when the flip lands.
@@ -73,8 +72,10 @@ class FaultSite:
     fraction mapping to a token *position* within the cache's occupied
     prefix at strike time."""
     engine_side: str = "target"
-    """Which engine of a draft/verify pair the fault lands in
-    (``"target"`` or ``"draft"`` — the speculation-side study)."""
+    """Always ``"target"``: a campaign strikes its one engine.  The field
+    stays only because the ledger's campaign digests
+    (``benchmarks/ledger/expected.json``) hash a site's ``repr``; it
+    goes when those digests are next recorded."""
     plane: str = "k"
     """KV faults: which cache plane is struck (``"k"`` or ``"v"``)."""
     acc_frac: float = 0.0
@@ -115,7 +116,6 @@ def _sample_kv_site(
     rng: np.random.Generator,
     max_iterations: int,
     layer_filter: LayerFilter | None,
-    engine_side: str,
 ) -> FaultSite:
     """Uniform KV site: block, plane, head, channel, bits, strike time.
 
@@ -142,7 +142,6 @@ def _sample_kv_site(
         bits=_sample_bits(rng, fault_model.n_bits, 32),
         iteration=int(rng.integers(0, max(1, max_iterations))),
         row_frac=float(rng.random()),
-        engine_side=engine_side,
         plane="k" if int(rng.integers(0, 2)) == 0 else "v",
     )
 
@@ -200,7 +199,6 @@ def sample_site(
     rng: np.random.Generator,
     max_iterations: int = 1,
     layer_filter: LayerFilter | None = None,
-    engine_side: str = "target",
 ) -> FaultSite:
     """Draw one uniform fault site for ``fault_model`` on ``engine``.
 
@@ -214,14 +212,10 @@ def sample_site(
     layer_filter:
         Optional predicate restricting target layers (e.g. only MoE
         ``router`` layers for the paper's Fig. 15 gate-layer study).
-    engine_side:
-        Stamped into the site for the speculation-side study
-        (``"draft"`` sites must be sampled against the *draft*
-        engine's geometry — pass that engine here).
     """
     if fault_model.is_kv:
         return _sample_kv_site(
-            engine, fault_model, rng, max_iterations, layer_filter, engine_side
+            engine, fault_model, rng, max_iterations, layer_filter
         )
     tables = _linear_tables(engine, layer_filter)
     # Uniform over blocks first, then layer types within the block,
@@ -237,7 +231,6 @@ def sample_site(
             row=int(rng.integers(0, rows)),
             col=int(rng.integers(0, cols)),
             bits=_sample_bits(rng, fault_model.n_bits, storage_bits),
-            engine_side=engine_side,
         )
     width = get_format(engine.activation_format).bits
     if fault_model.is_accumulator:
@@ -251,7 +244,6 @@ def sample_site(
             bits=_sample_bits(rng, fault_model.n_bits, width),
             iteration=int(rng.integers(0, max(1, max_iterations))),
             row_frac=float(rng.random()),
-            engine_side=engine_side,
             acc_frac=float(rng.random()),
         )
     # Computational fault: neuron = output column; the activation is
@@ -264,5 +256,4 @@ def sample_site(
         bits=_sample_bits(rng, fault_model.n_bits, width),
         iteration=int(rng.integers(0, max(1, max_iterations))),
         row_frac=float(rng.random()),
-        engine_side=engine_side,
     )

@@ -307,9 +307,9 @@ class DecodeRound:
         (consumed; no target slot is taken).  ``before_prefill`` sees the
         row — its ``id`` and its slot's cache views — before the prompt
         forward: the hook a request's own fault is armed through, so
-        iteration-0 sites strike the prefill (a server pins a KV fault
-        to ``row.caches``, a campaign wave a computational one to
-        ``row.id``).  That prompt forward is then tagged with the row's
+        iteration-0 sites strike the prefill (a campaign wave pins a
+        computational one to ``row.id``; a KV fault pins to
+        ``row.caches``).  That prompt forward is then tagged with the row's
         id like every later forward of the row: a sibling's row-pinned
         hook that is still waiting for iteration 0 (an MoE expert its own
         prompt never routed to) cannot strike it.  EOS as the first

@@ -16,8 +16,8 @@ per-slot ``truncate`` rollback, round-granularity retire and back-fill
 contract and the FI gate matrix).  At batch width 1 the round schedule
 reduces exactly to :class:`~repro.generation.speculative.SpeculativeDecoder`.
 
-The ``spec_fault_side`` studies, which *want* faults inside the
-speculative schedule, call the 1-D decoder's ungated
+A caller that *wants* a fault inside the speculative schedule calls the
+1-D decoder's ungated
 :meth:`~repro.generation.speculative.SpeculativeDecoder.speculate`.
 """
 

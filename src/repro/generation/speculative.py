@@ -31,8 +31,8 @@ bit-identity with the serial reference.
 composed path is tested against (width 1 must reduce to exactly this
 schedule), and it is the only speculative schedule that honours armed
 accumulator faults and perturbing hooks — it runs on the 1-D
-``engine.forward``, where ``forward_chunk_batch`` rejects them — which
-the ``spec_fault_side`` masking study needs.  It shares the per-row
+``engine.forward``, where ``forward_chunk_batch`` rejects them.  It
+shares the per-row
 rules (:func:`~repro.generation.round.pick`, the accept walk, the
 draft-keep length) with the stepper instead of keeping copies.
 
@@ -44,13 +44,11 @@ decode strategy.
 Draft corruption, by contrast, is masked *by construction*: every
 emitted token is an argmax of **target** logits over the true emitted
 prefix, so a corrupted proposal can only lower the accept rate — it
-can never change the output.  The draft-vs-target masking study
-measures exactly that, and both its sides must decode through the
-speculative schedule regardless of what is armed, so the campaign's
-speculation-side trials call the ungated schedule by name
-(:meth:`SpeculativeDecoder.speculate`) rather than the gate
-special-casing the draft engine (a draft fault under the gate's serial
-fallback would silently never fire).
+can never change the output.  A property test holds exactly that: any
+fault armed on the draft, decoded through the ungated schedule
+(:meth:`SpeculativeDecoder.speculate`; under the gate's serial
+fallback a draft fault would never fire), emits the fault-free tokens
+(``tests/test_new_surfaces.py``).
 """
 
 from __future__ import annotations
@@ -114,9 +112,9 @@ class SpeculativeDecoder:
     ) -> list[int]:
         """The draft-and-verify schedule itself, whatever is armed.
 
-        For callers that already hold a ``composed`` plan, and for the
-        speculation-side study, which *wants* to measure how faults
-        interact with the speculative schedule.
+        For callers that already hold a ``composed`` plan, and for
+        tests that arm a fault on purpose to watch how it meets the
+        speculative schedule.
         """
         tel = _telemetry()
         t0 = time.perf_counter()

@@ -321,8 +321,6 @@ def _fmt_site(site: dict) -> str:
         parts.append(f"split {site.get('acc_frac', 0.0):.2f}")
     if not model.endswith("-mem") or site.get("iteration"):
         parts.append(f"iteration {site.get('iteration')}")
-    if site.get("engine_side", "target") != "target":
-        parts.append(f"engine {site.get('engine_side')}")
     return " · ".join(parts)
 
 
@@ -360,8 +358,7 @@ def explain_trial(record: dict) -> str:
     lines = [
         f"== trial {record['trial']} · outcome {record.get('outcome')} ==",
         f"fault      {_fmt_site(site)}",
-        f"surface    {_site_surface(site)}"
-        f" ({site.get('engine_side', 'target')} engine)",
+        f"surface    {_site_surface(site)}",
         f"example    {record.get('example_index')}"
         f" (key {':'.join(str(k) for k in record.get('key', []))})",
     ]

@@ -36,18 +36,13 @@ long-running serving loop, the end-to-end setting the paper studies:
   cached.
 
 What stays here is what only a server has: tenant queues and the
-weighted dequeue, cancellation, arming a request's KV fault before its
-prompt forward, pushing tokens to handles with one timestamp per round,
-and SLO telemetry.  The decode schedule and its equivalence contract —
-every served stream is token-identical to a serial ``greedy_decode`` of
-its prompt, whatever the admission timing — live in
-:mod:`repro.generation.round`, shared with the offline decoders.  The
-one fault a request may carry is a KV fault pinned to its own slot: a
-KV-fault campaign attaches as a tenant
-(:meth:`~repro.fi.campaign.FICampaign.attach_server`) and each of its
-injected trials is one such request, decoded beside other tenants'
-streams; its fault-free baseline stays the campaign's own golden
-sweep.
+weighted dequeue, cancellation, pushing tokens to handles with one
+timestamp per round, and SLO telemetry.  The decode schedule and its
+equivalence contract — every served stream is token-identical to a
+serial ``greedy_decode`` of its prompt, whatever the admission timing —
+live in :mod:`repro.generation.round`, shared with the offline
+decoders.  A request carries no fault: fault-injection campaigns run
+offline (:mod:`repro.fi.campaign`).
 
 Observability (gated on the process telemetry switch): ``serve.ttft_ms``
 / ``serve.tpot_ms`` / ``serve.e2e_ms`` / ``serve.queue_depth`` /
@@ -61,7 +56,6 @@ bypass.<reason>}`` with the ``serve.prompt_cache.tokens`` gauge.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import queue as _queue
 import threading
@@ -69,7 +63,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.generation.decode import GenerationConfig
-from repro.generation.round import DecodeRound, Row, check_draft
+from repro.generation.round import DecodeRound, check_draft
 from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
@@ -112,9 +106,6 @@ class StreamHandle:
         self.finish_reason: str | None = None
         self.ttft_s: float | None = None
         self.latency_s: float | None = None
-        self.kv_fired: bool = False
-        """For requests submitted with a ``kv_fault``: whether the armed
-        KV fault actually struck before the stream finished."""
 
     # -- client API ------------------------------------------------------------
 
@@ -178,11 +169,6 @@ class _Request:
     t_submit: float
     handle: StreamHandle = field(init=False)
     cancelled: bool = False
-    kv_fault: "object | None" = None
-    """Optional :class:`~repro.fi.sites.FaultSite` (a KV fault model):
-    armed against this request's pool slot at prefill, disarmed and
-    restored at retirement."""
-    kv_injector: "object | None" = None
 
     def __post_init__(self) -> None:
         self.handle = StreamHandle(self)
@@ -260,9 +246,6 @@ class InferenceServer:
         )
         """``(tenant, request_id)`` of the latest admissions, oldest
         first — the observable the fairness tests read."""
-        self._kv_fault_inflight = 0
-        """Fault-carrying requests currently queued or active (at most
-        one — the engine holds a single armed KV fault)."""
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -308,12 +291,6 @@ class InferenceServer:
         with self._lock:
             self._sched.add(config)
 
-    def ensure_tenant(self, name: str, **kw) -> None:
-        """Register ``name`` with default knobs if not already present."""
-        with self._lock:
-            if self._sched.get(name) is None:
-                self._sched.add(TenantConfig(name, **kw))
-
     def tenant_stats(self) -> dict[str, dict]:
         """Per-tenant submitted/completed/rejected/token tallies."""
         with self._lock:
@@ -336,33 +313,16 @@ class InferenceServer:
         prompt_ids: list[int],
         tenant: str | None = None,
         max_new_tokens: int | None = None,
-        kv_fault: "object | None" = None,
     ) -> StreamHandle:
         """Enqueue a prompt; returns its stream handle immediately.
 
         Raises :class:`ServeRejected` when the server is shutting down,
         the prompt cannot fit the context window, or the tenant's
         bounded queue is full (overload shed).
-
-        ``kv_fault`` optionally attaches a KV-model
-        :class:`~repro.fi.sites.FaultSite` to the request: the pump
-        arms a :class:`~repro.fi.injector.KVFaultInjector` pinned to
-        this request's pool slot for the request's lifetime, so the
-        fault decodes mid-batch alongside other tenants' streams while
-        its blast radius stays scoped to this one sequence.  At most
-        one fault-carrying request may be in flight (the engine holds a
-        single armed KV fault); a second is rejected with reason
-        ``"kv_fault_busy"``.  :attr:`StreamHandle.kv_fired` reports
-        whether the fault struck.
         """
         name = tenant or self.default_tenant
         if not prompt_ids:
             raise ValueError("prompt must contain at least one token")
-        if kv_fault is not None and not kv_fault.fault_model.is_kv:
-            raise ValueError(
-                f"submit(kv_fault=...) takes a KV fault model,"
-                f" got {kv_fault.fault_model.value}"
-            )
         budget = (
             self.config.max_new_tokens
             if max_new_tokens is None
@@ -380,13 +340,6 @@ class InferenceServer:
         with self._work:
             if self._stop:
                 raise ServeRejected(name, "shutdown")
-            if kv_fault is not None and self._kv_fault_inflight > 0:
-                raise ServeRejected(
-                    name,
-                    "kv_fault_busy",
-                    "another fault-carrying request is already in flight"
-                    " (the engine holds one armed KV fault)",
-                )
             state = self._sched.get(name)
             if state is None:
                 state = self._sched.add(TenantConfig(name))
@@ -407,10 +360,7 @@ class InferenceServer:
                 prompt=list(prompt_ids),
                 max_new=budget,
                 t_submit=time.perf_counter(),
-                kv_fault=kv_fault,
             )
-            if kv_fault is not None:
-                self._kv_fault_inflight += 1
             state.queue.append(request)
             state.submitted += 1
             self._work.notify_all()
@@ -476,14 +426,8 @@ class InferenceServer:
                 request = self._dequeue()
             if request is None:
                 break
-            arm = None
-            if request.kv_fault is not None:
-                arm = functools.partial(self._arm_kv_fault, request)
             try:
-                event = rnd.admit(
-                    request, request.prompt, request.max_new,
-                    before_prefill=arm,
-                )
+                event = rnd.admit(request, request.prompt, request.max_new)
             except BaseException:
                 # Dequeued but not yet a row: nothing else would finish
                 # this handle.  The round already released its slots.
@@ -493,18 +437,6 @@ class InferenceServer:
         tel = _telemetry()
         if tel.active:
             tel.metrics.gauge("decode.free_slots").set(self.pool.n_free)
-
-    def _arm_kv_fault(self, request: _Request, row: Row) -> None:
-        """Arm ``request``'s KV fault on its row's slot, before its
-        prompt forward so iteration-0 sites corrupt prefill K/V.  Pinning
-        to the slot's cache views scopes the strike to this one sequence."""
-        # Lazy import: the serving layer is usable without the FI
-        # package, and fi imports the engine this module wraps.
-        from repro.fi.injector import KVFaultInjector
-
-        request.kv_injector = KVFaultInjector(
-            self.engine, request.kv_fault, caches=row.caches
-        ).__enter__()
 
     def _step(self) -> None:
         """Advance every active row one round; retire eagerly."""
@@ -531,10 +463,7 @@ class InferenceServer:
 
     def _deliver(self, events: list) -> None:
         """Stream a round's tokens (one timestamp for the round) and
-        retire the rows it finished.  The round has already released a
-        finished row's slots; nothing can acquire them before this
-        returns (one pump thread), so disarming a KV injector here still
-        restores the bits before the next tenant sees the slot."""
+        retire the rows it finished."""
         now = time.perf_counter()
         for row, tokens, reason in events:
             request = row.key
@@ -546,19 +475,8 @@ class InferenceServer:
     def _finish(
         self, request: _Request, reason: str, admitted: bool = True
     ) -> None:
-        """Retire a request whose slots the round has released: disarm
-        its KV fault, terminate its stream, record SLO telemetry."""
-        if request.kv_injector is not None:
-            # __exit__ restores the flipped bits so the next tenant
-            # inherits a clean cache, and clears engine.kv_fault for the
-            # next fault-carrying request.
-            request.handle.kv_fired = bool(request.kv_injector.fired)
-            request.kv_injector.__exit__(None, None, None)
-            request.kv_injector = None
-        if request.kv_fault is not None:
-            with self._lock:
-                self._kv_fault_inflight -= 1
-            request.kv_fault = None
+        """Retire a request whose slots the round has released: terminate
+        its stream, record SLO telemetry."""
         now = time.perf_counter()
         handle = request.handle
         handle._finish(reason, now)

@@ -1,5 +1,4 @@
-"""The three runtime-surface fault models: KV cache, speculation side,
-GEMM accumulator.
+"""The runtime-surface fault models: KV cache and GEMM accumulator.
 
 Covers the new injection surfaces end to end:
 
@@ -11,14 +10,14 @@ Covers the new injection surfaces end to end:
   across appends, rollback when a rejected speculation round truncates
   (or a snapshot restore rewinds) past the strike, re-arming after
   rollback, bit-exact restoration on exit;
-* stream isolation — a KV fault pinned to one server tenant's slot
-  leaves every other concurrent stream bit-identical, and the slot
-  comes back clean;
-* the differential oracle — all three new fault models produce
+* stream isolation — a KV fault pinned to one slot of a decode round
+  leaves every sibling stream bit-identical, with or without a draft,
+  and the slot comes back clean;
+* the differential oracle — both new fault models produce
   bit-identical TrialRecords serial vs ``--workers 2`` vs resumed;
-* the draft-vs-target masking study — draft-side faults are masked by
-  construction (verification re-derives every emitted token), and
-  :func:`repro.fi.speculation_masking` measures exactly that;
+* draft-side masking — a fault armed on a speculative decoder's draft
+  never changes the output (verification re-derives every emitted
+  token), as a property over fault models and sites;
 * forensics — flight records and ``repro obs explain`` stories carry
   the new fault kinds' events and name the corrupted surface.
 """
@@ -33,15 +32,12 @@ from repro.fi import (
     FaultModel,
     FaultSite,
     KVFaultInjector,
-    Outcome,
     assert_results_equal,
-    by_engine_side,
-    by_surface,
     inject,
     sample_site,
-    speculation_masking,
 )
 from repro.generation import GenerationConfig, SpeculativeDecoder, greedy_decode
+from repro.generation.round import DecodeRound
 from repro.inference import InferenceEngine, KVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import (
@@ -51,8 +47,6 @@ from repro.obs import (
     read_run,
     telemetry,
 )
-from repro.serve import InferenceServer, ServeRejected
-from repro.tasks import TranslationTask
 
 from tests.test_differential import make_campaign
 
@@ -393,24 +387,51 @@ class TestSpeculationSide:
             speculation_depth=3,
         )
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        model=st.sampled_from(FaultModel.extended()),
+        seed=st.integers(min_value=0, max_value=10_000),
+        prompt=st.lists(st.integers(min_value=3, max_value=30), min_size=1, max_size=8),
+    )
     def test_draft_fault_never_changes_output(
-        self, untrained_store, draft_store
+        self, untrained_store, draft_store, model, seed, prompt
     ):
         """Verification masks any draft-side corruption: emitted tokens
-        are target argmaxes over the emitted prefix, draft or no draft."""
+        are target argmaxes over the emitted prefix, so a fault of any
+        model at any site armed on the draft — decoded through the
+        ungated speculative schedule, where it can fire — leaves the
+        output the fault-free one."""
+        target = InferenceEngine(untrained_store)
+        draft = InferenceEngine(draft_store)
+        clean = self._spec(target, draft).decode_one(prompt)
+        site = sample_site(
+            draft, model, np.random.default_rng(seed), max_iterations=6
+        )
+        with inject(draft, site):
+            faulted = self._spec(target, draft).speculate(prompt)
+        assert faulted == clean, f"draft-side {model.value} leaked"
+
+    def test_masking_study_draft_side(self, untrained_store, draft_store):
+        """The acceptance study: over a batch of sampled draft-side KV
+        faults, the measured masking rate is exactly 1.0 (zero SDCs),
+        and the faults really struck — masking, not a fault that never
+        fired."""
         target = InferenceEngine(untrained_store)
         draft = InferenceEngine(draft_store)
         prompt = [3, 5, 7, 11]
         clean = self._spec(target, draft).decode_one(prompt)
-        rng = np.random.default_rng(5)
-        for model in (FaultModel.KV_1BIT, FaultModel.ACC_2BIT,
-                      FaultModel.COMP_2BIT, FaultModel.MEM_2BIT):
-            site = sample_site(
-                draft, model, rng, max_iterations=6, engine_side="draft"
-            )
-            with inject(draft, site):
+        rng = np.random.default_rng(8)
+        trials = fired = masked = 0
+        for _ in range(8):
+            site = sample_site(draft, FaultModel.KV_1BIT, rng, max_iterations=6)
+            with inject(draft, site) as injector:
                 faulted = self._spec(target, draft).speculate(prompt)
-            assert faulted == clean, f"draft-side {model.value} leaked"
+            trials += 1
+            fired += injector.fired
+            masked += faulted == clean
+        assert draft.kv_fault is None
+        assert fired >= 1, "no draft fault ever struck"
+        assert masked == trials, f"{trials - masked} draft-side SDCs"
 
     def test_target_kv_fault_rolls_back_across_rejections(
         self, untrained_store, draft_store
@@ -430,162 +451,72 @@ class TestSpeculationSide:
         assert target.kv_fault is None
         assert self._spec(target, draft).decode_one(prompt) == clean
 
-    def test_masking_study_draft_side(
-        self, untrained_store, draft_store, tokenizer, world
-    ):
-        """The acceptance study: measured draft-side masking rate is
-        exactly 1.0 (zero SDCs) over fired trials."""
-        campaign = make_campaign(
-            untrained_store,
-            tokenizer,
-            world,
-            "gen",
-            FaultModel.KV_1BIT,
-            draft_model=InferenceEngine(draft_store),
-            spec_fault_side="draft",
-        )
-        result = campaign.run(8)
-        assert all(t.site.engine_side == "draft" for t in result.trials)
-        assert all(t.outcome is Outcome.MASKED for t in result.trials)
-        study = speculation_masking(result)
-        assert set(study) == {"draft"}
-        row = study["draft"]
-        assert row["trials"] == 8 and row["sdc"] == 0
-        assert row["fired"] >= 1, "no draft fault ever struck"
-        assert row["masking_rate"] == 1.0
-        (side,) = by_engine_side(result)
-        assert side.group == "draft" and side.sdcs == 0
 
-    def test_masking_study_target_side_baseline(
-        self, untrained_store, draft_store, tokenizer, world
-    ):
-        campaign = make_campaign(
-            untrained_store,
-            tokenizer,
-            world,
-            "gen",
-            FaultModel.KV_2BIT,
-            draft_model=InferenceEngine(draft_store),
-            spec_fault_side="target",
-        )
-        result = campaign.run(8)
-        assert all(t.site.engine_side == "target" for t in result.trials)
-        study = speculation_masking(result)
-        assert set(study) == {"target"}
-        assert 0 <= study["target"]["fired"] <= study["target"]["trials"]
+# ----------------------------------------------------------------------------
+# Slot-pinned KV faults: stream isolation inside one decode round.
+# ----------------------------------------------------------------------------
 
-    def test_spec_fault_side_validation(
-        self, untrained_store, tokenizer, world
-    ):
-        with pytest.raises(ValueError, match="draft_model"):
-            make_campaign(
-                untrained_store,
-                tokenizer,
-                world,
-                "gen",
-                FaultModel.KV_1BIT,
-                spec_fault_side="draft",
+
+class TestPinnedKVFaults:
+    """A KV fault pinned to one row's slot (``KVFaultInjector(caches=)``,
+    armed through ``DecodeRound.admit(before_prefill=)`` so an
+    iteration-0 strike lands in the prefill) corrupts that row alone:
+    every sibling decoding in the same round is bit-identical to its
+    fault-free run — with a draft too, where rejected rounds truncate
+    the victim's slot mid-flight — and the slots come back clean."""
+
+    PROMPTS = [[3, 5, 7], [11, 13, 17, 19], [23, 29, 4]]
+    BUDGET = 8
+
+    def _round(self, engine, speculative):
+        if not speculative:
+            return DecodeRound(engine, engine.new_pool(3), -1)
+        draft_config = ModelConfig(
+            vocab_size=engine.config.vocab_size, d_model=16,
+            n_heads=2, n_blocks=1, d_ff=24, max_seq=160,
+        )
+        draft = InferenceEngine(TransformerLM(draft_config, seed=23).to_store())
+        return DecodeRound(
+            engine, engine.new_pool(3), -1,
+            draft=draft, draft_pool=draft.new_pool(3), depth=3,
+        )
+
+    def _decode(self, rnd, arm=None):
+        """Every prompt through ``rnd``, all admitted before the first
+        step; ``arm`` sees prompt 0's row before its prefill."""
+        events = [
+            rnd.admit(i, prompt, self.BUDGET, before_prefill=arm if i == 0 else None)
+            for i, prompt in enumerate(self.PROMPTS)
+        ]
+        while rnd.rows:
+            events += rnd.step()
+        return {row.key: row.out for row, _, reason in events if reason is not None}
+
+    @pytest.mark.parametrize("speculative", [False, True], ids=["plain", "speculative"])
+    def test_stream_isolation(self, untrained_engine, speculative):
+        config = GenerationConfig(max_new_tokens=self.BUDGET, eos_id=-1)
+        clean = [greedy_decode(untrained_engine, p, config) for p in self.PROMPTS]
+        rnd = self._round(untrained_engine, speculative)
+        fault = _kv_site(bits=(30,), iteration=0, row_frac=0.2)
+        armed = []
+
+        def arm(row):
+            armed.append(
+                KVFaultInjector(untrained_engine, fault, caches=row.caches).__enter__()
             )
 
-
-# ----------------------------------------------------------------------------
-# Live-server KV campaigns: stream isolation and blast radius.
-# ----------------------------------------------------------------------------
-
-
-class TestServerKVFaults:
-    PROMPTS = [[3, 5, 7], [11, 13, 17, 19], [23, 29, 4]]
-
-    def _config(self):
-        return GenerationConfig(max_new_tokens=8, eos_id=-1)
-
-    def test_stream_isolation(self, untrained_engine):
-        """A KV fault pinned to one tenant's slot: every other stream is
-        bit-identical to the fault-free run, and the slot comes back
-        clean for the next occupant."""
-        fault = _kv_site(bits=(30,), iteration=0, row_frac=0.2)
-        with InferenceServer(
-            untrained_engine, self._config(), max_batch=3
-        ) as server:
-            baseline = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in self.PROMPTS]
-            ]
-            victim = server.submit(self.PROMPTS[0], kv_fault=fault)
-            others = [server.submit(p) for p in self.PROMPTS[1:]]
-            victim_tokens = victim.result(timeout=60)
-            assert victim.kv_fired  # iteration-0 fault strikes at prefill
-            for handle, clean in zip(others, baseline[1:]):
-                assert handle.result(timeout=60) == clean
-                assert not handle.kv_fired
-            # The engine and the recycled slots are pristine again.
-            rerun = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in self.PROMPTS]
-            ]
-            assert rerun == baseline
-            assert untrained_engine.kv_fault is None
-        # victim_tokens is a complete stream either way; SDC vs masked
-        # is the campaign's question, not the transport's.
-        assert len(victim_tokens) > 0
-
-    def test_single_fault_in_flight(self, untrained_engine):
-        fault = _kv_site()
-        with InferenceServer(
-            untrained_engine, self._config(), max_batch=3
-        ) as server:
-            first = server.submit(self.PROMPTS[0], kv_fault=fault)
-            with pytest.raises(ServeRejected, match="kv_fault_busy"):
-                server.submit(self.PROMPTS[1], kv_fault=fault)
-            first.result(timeout=60)
-            # Retiring the first frees the budget.
-            server.submit(self.PROMPTS[1], kv_fault=fault).result(timeout=60)
-
-    def test_rejects_non_kv_fault_models(self, untrained_engine):
-        site = sample_site(
-            untrained_engine, FaultModel.MEM_2BIT, np.random.default_rng(0)
-        )
-        with InferenceServer(untrained_engine, self._config()) as server:
-            with pytest.raises(ValueError, match="KV"):
-                server.submit(self.PROMPTS[0], kv_fault=site)
-
-    def test_campaign_as_tenant_fires_kv_faults(
-        self, untrained_store, tokenizer, world
-    ):
-        """An attached KV campaign: injected trials ride the shared batch
-        and reproduce the local reference records exactly."""
-        local = make_campaign(
-            untrained_store, tokenizer, world, "gen", FaultModel.KV_1BIT
-        ).run(6)
-        campaign = make_campaign(
-            untrained_store, tokenizer, world, "gen", FaultModel.KV_1BIT
-        )
-        task = TranslationTask(world)
-        config = GenerationConfig(
-            max_new_tokens=task.max_new_tokens, eos_id=tokenizer.vocab.eos_id
-        )
-        with InferenceServer(campaign.engine, config, max_batch=4) as server:
-            campaign.attach_server(server)
-            served = campaign.run(6)
-            campaign.detach_server()
-        # Slot pinning keeps the blast radius inside the campaign's own
-        # stream, so served trials equal the engine-exclusive reference.
-        assert_results_equal(served, local, "served", "local")
-        (group,) = by_surface(served)
-        assert group.group == "kv-cache"
-
-    def test_serve_faults_validation(
-        self, untrained_store, tokenizer, world
-    ):
-        campaign = make_campaign(
-            untrained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT
-        )
-        config = GenerationConfig(
-            max_new_tokens=4, eos_id=tokenizer.vocab.eos_id
-        )
-        with InferenceServer(campaign.engine, config) as server:
-            with pytest.raises(ValueError, match="KV-fault-only"):
-                campaign.attach_server(server)
+        out = self._decode(rnd, arm)
+        (injector,) = armed
+        assert injector.fired  # an iteration-0 fault strikes at prefill
+        injector.__exit__(None, None, None)
+        assert [out[1], out[2]] == clean[1:]
+        assert len(out[0]) > 0  # SDC vs masked is a campaign's question
+        # The engine and the recycled slots (both pools) are pristine.
+        assert untrained_engine.kv_fault is None
+        assert rnd.pool.n_free == rnd.pool.n_slots
+        assert rnd.draft_pool is None or rnd.draft_pool.n_free == rnd.draft_pool.n_slots
+        again = self._decode(rnd)
+        assert [again[i] for i in range(len(self.PROMPTS))] == clean
 
 
 class TestPooledTruncationWatchers:
@@ -646,49 +577,6 @@ class TestPooledTruncationWatchers:
         assert untrained_engine.kv_fault is None
         assert all(c.watchers == () for c in v_caches)
 
-    def test_served_speculation_stream_isolation(
-        self, untrained_engine, tokenizer
-    ):
-        """A KV fault pinned to one stream of a *speculative* server:
-        rejected rounds truncate the victim's pooled slots mid-flight,
-        sibling streams stay bit-identical to the fault-free run, and
-        the recycled slots come back clean."""
-        draft_config = ModelConfig(
-            vocab_size=untrained_engine.config.vocab_size, d_model=16,
-            n_heads=2, n_blocks=1, d_ff=24, max_seq=160,
-        )
-        draft = InferenceEngine(TransformerLM(draft_config, seed=23).to_store())
-        config = GenerationConfig(max_new_tokens=8, eos_id=-1)
-        prompts = [[3, 5, 7], [11, 13, 17, 19], [23, 29, 4]]
-        fault = _kv_site(bits=(30,), iteration=0, row_frac=0.2)
-        with InferenceServer(
-            untrained_engine, config, max_batch=3,
-            draft=draft, speculation_depth=3,
-        ) as server:
-            baseline = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in prompts]
-            ]
-            # Speculative serving is exact before any fault shows up.
-            assert baseline == [
-                greedy_decode(untrained_engine, p, config) for p in prompts
-            ]
-            victim = server.submit(prompts[0], kv_fault=fault)
-            others = [server.submit(p) for p in prompts[1:]]
-            victim_tokens = victim.result(timeout=60)
-            assert victim.kv_fired  # iteration-0 fault strikes at prefill
-            for handle, clean in zip(others, baseline[1:]):
-                assert handle.result(timeout=60) == clean
-                assert not handle.kv_fired
-            # Engine and recycled slots (both pools) are pristine again.
-            rerun = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in prompts]
-            ]
-            assert rerun == baseline
-            assert untrained_engine.kv_fault is None
-        assert len(victim_tokens) > 0
-
 
 # ----------------------------------------------------------------------------
 # Differential acceptance: serial vs pooled vs resumed, per model.
@@ -716,32 +604,10 @@ class TestDifferential:
         ).resume(ck, 6)
         assert_results_equal(resumed, serial, "resumed", "serial")
 
-    @pytest.mark.parametrize("side", ["draft", "target"])
-    def test_spec_side_serial_vs_pooled_vs_resumed(
-        self, untrained_store, draft_store, tokenizer, world, tmp_path, side
-    ):
-        def build():
-            return make_campaign(
-                untrained_store,
-                tokenizer,
-                world,
-                "gen",
-                FaultModel.COMP_2BIT,
-                draft_model=InferenceEngine(draft_store),
-                spec_fault_side=side,
-            )
-
-        serial = build().run(6)
-        pooled = build().run(6, n_workers=2)
-        assert_results_equal(pooled, serial, "pooled", "serial")
-        ck = tmp_path / f"spec-{side}.ckpt.jsonl"
-        build().run(3, checkpoint=ck)
-        resumed = build().resume(ck, 6)
-        assert_results_equal(resumed, serial, "resumed", "serial")
-
     def test_fingerprint_back_compat(self, untrained_store, tokenizer, world):
-        """Existing campaigns' fingerprints are untouched: the new keys
-        join only when the speculation-side study is active."""
+        """Existing campaigns' fingerprints are untouched: keys that only
+        the retired speculation-side study wrote never join it, so every
+        journal written without that study still resumes."""
         plain = make_campaign(
             untrained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT
         ).fingerprint()

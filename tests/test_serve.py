@@ -13,32 +13,31 @@ Covers the multi-tenant streaming server end to end:
   hit mid-speculation round — all free KV slots and never deadlock the
   pump;
 * a saturating tenant cannot starve a light tenant's TTFT;
-* campaigns attach as just another tenant with unchanged baselines;
 * SLO instruments land in the obs registry and render as the dedicated
   report section;
-* the server's prompt cache: hits, misses, evictions, fault-carrying
-  requests, cancels and restarts leave every clean stream serial-greedy
-  and every resident entry the bits of a fresh prompt forward, and
-  telemetry on it stays a pure observer.
+* the server's prompt cache: hits, misses, evictions, cancels and
+  restarts leave every stream serial-greedy and every resident entry
+  the bits of a fresh prompt forward, a fault-carrying admission and
+  its siblings go around it, and telemetry on it stays a pure observer.
 """
 
 import time
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fi import FaultModel, FaultSite, assert_results_equal
-from repro.fi.campaign import FICampaign
+from repro.fi import FaultModel, FaultSite, KVFaultInjector
 from repro.generation import (
     BatchedDecoder,
     GenerationConfig,
     SpeculativeDecoder,
     greedy_decode,
 )
+from repro.generation.round import DecodeRound, decode_to_completion
 from repro.inference import InferenceEngine
+from repro.inference.kvcache import PromptCache
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
 from repro.obs.export import read_run
@@ -51,7 +50,6 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.loadgen import PromptSpec, equivalence_gate
-from repro.tasks import MMLUTask, TranslationTask, standardized_subset
 
 PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
 
@@ -329,30 +327,26 @@ class TestStreamTerminationEdges:
     ):
         """A request the pump has dequeued but not yet made a row is in
         neither the queues nor the batch; when its prompt forward raises
-        it must still finish, give back its slot and its tenant's
-        in-flight count, and disarm its KV fault."""
-        site = FaultSite(
-            FaultModel.KV_1BIT, "blocks.0.kv", 1, 2, bits=(30,),
-            iteration=2, row_frac=0.5, plane="v",
-        )
-        def faulted_prefill_fails(*args, **kw):
-            # The second admission's: a request that carries a fault
-            # prefills on the rows entry, tagged with its row's id.
-            raise RuntimeError("boom")
+        it must still finish and give back its slot and its tenant's
+        in-flight count."""
+        forward = untrained_engine.forward
+        prefills = []
 
-        untrained_engine.forward_chunk_batch = faulted_prefill_fails
+        def second_prefill_fails(*args, **kw):
+            prefills.append(args)
+            if len(prefills) == 2:
+                raise RuntimeError("boom")
+            return forward(*args, **kw)
+
+        untrained_engine.forward = second_prefill_fails
         server = InferenceServer(untrained_engine, _config(), max_batch=2)
-        handles = [
-            server.submit(PROMPTS[0]),
-            server.submit(PROMPTS[1], kv_fault=site),
-            server.submit(PROMPTS[2]),
-        ]
+        handles = [server.submit(prompt) for prompt in PROMPTS[:3]]
         server.start()
         for handle in handles:
             handle.result(timeout=30)
             assert handle.finish_reason == "shutdown"
+        assert len(prefills) == 2
         assert server.pool.n_free == server.pool.n_slots
-        assert untrained_engine.kv_fault is None
         assert server.tenant_stats()["default"]["in_flight"] == 0
         # A dead pump refuses work instead of queueing it forever.
         with pytest.raises(ServeRejected) as exc_info:
@@ -704,145 +698,6 @@ class TestLoadGenerator:
         assert report.completed + report.rejected == report.submitted
 
 
-class TestCampaignAsTenant:
-    """A KV-fault campaign attached to a live server: each injected
-    trial is a tenant request carrying its KV fault, pinned to its own
-    slot; the baseline is the campaign's local golden sweep, as
-    detached."""
-
-    N_TRIALS = 6
-
-    def _campaign(self, engine, tokenizer, world, **kw):
-        task = kw.pop("task", None) or TranslationTask(world)
-        return FICampaign(
-            engine=engine,
-            tokenizer=tokenizer,
-            task_name=task.name,
-            metrics=task.metrics,
-            examples=standardized_subset(task, 3),
-            fault_model=kw.pop("fault_model", FaultModel.KV_1BIT),
-            seed=5,
-            generation=GenerationConfig(
-                max_new_tokens=task.max_new_tokens,
-                eos_id=tokenizer.vocab.eos_id,
-                num_beams=kw.pop("num_beams", 1),
-            ),
-            **kw,
-        )
-
-    def _local(self, untrained_store, tokenizer, world):
-        """The detached run on an engine of its own."""
-        return self._campaign(InferenceEngine(untrained_store), tokenizer, world)
-
-    def test_attached_kv_campaign_builds_its_golden_runs_locally(
-        self, untrained_store, tokenizer, world, clean_telemetry
-    ):
-        local = self._local(untrained_store, tokenizer, world)
-        expected = local.run(self.N_TRIALS)
-        engine = InferenceEngine(untrained_store)
-        attached = self._campaign(engine, tokenizer, world)
-        server = InferenceServer(engine, attached.generation, max_batch=4).start()
-        try:
-            attached.attach_server(server)
-            clean_telemetry.enable()
-            result = attached.run(self.N_TRIALS)
-            counters = clean_telemetry.metrics.snapshot()["counters"]
-            completed = server.tenant_stats()["campaign"]["completed"]
-        finally:
-            server.stop()
-        assert counters["campaign.golden.builds"] == len(attached.examples)
-        assert attached.compute_baseline() == local.compute_baseline()
-        assert attached._baseline_preds == local._baseline_preds
-        # The trials, and nothing else: no baseline request.
-        assert completed == self.N_TRIALS
-        assert counters["serve.tenant.campaign.requests"] == self.N_TRIALS
-        assert_results_equal(result, expected, "served", "local")
-
-    def test_attach_validations(
-        self, untrained_engine, untrained_store, tokenizer, world
-    ):
-        """Only a greedy generative KV-fault campaign on the server's
-        own engine and EOS attaches; every other fault model arms
-        engine-global state a shared batch cannot scope."""
-        campaign = self._campaign(untrained_engine, tokenizer, world)
-        config = campaign.generation
-        refused = [
-            ("eos_id", campaign, untrained_engine, _config(eos_id=-1)),
-            ("engine", campaign, InferenceEngine(untrained_store), config),
-        ]
-        for match, kw in {
-            "KV-fault-only": dict(fault_model=FaultModel.COMP_2BIT),
-            "greedy": dict(num_beams=2),
-            "generative-only": dict(task=MMLUTask(world)),
-            "spec_fault_side": dict(
-                draft_model=_draft_for(untrained_engine), spec_fault_side="target"
-            ),
-        }.items():
-            candidate = self._campaign(untrained_engine, tokenizer, world, **kw)
-            refused.append((match, candidate, untrained_engine, config))
-        for match, candidate, engine, server_config in refused:
-            server = InferenceServer(engine, server_config)
-            with pytest.raises(ValueError, match=match):
-                candidate.attach_server(server)
-            assert candidate._serve is None
-            assert "campaign" not in server.tenant_stats()
-            server.stop()
-
-    def test_worker_state_drops_server_handle(
-        self, untrained_engine, tokenizer, world, tmp_path
-    ):
-        campaign = self._campaign(untrained_engine, tokenizer, world)
-        server = InferenceServer(
-            untrained_engine, campaign.generation
-        ).start()
-        try:
-            campaign.attach_server(server)
-            untrained_engine.export_shared(tmp_path / "target")
-            worker = campaign._attached(tmp_path)
-            assert worker._serve is None
-            assert worker._serve_tenant == "campaign"
-            assert campaign._serve is server
-        finally:
-            server.stop()
-
-    def test_detached_server_falls_back_locally(
-        self, untrained_store, tokenizer, world
-    ):
-        """A server that was never started serves nothing: the trials
-        run on the local path and equal a detached campaign's."""
-        engine = InferenceEngine(untrained_store)
-        campaign = self._campaign(engine, tokenizer, world)
-        server = InferenceServer(engine, campaign.generation)
-        campaign.attach_server(server)
-        assert_results_equal(
-            campaign.run(self.N_TRIALS),
-            self._local(untrained_store, tokenizer, world).run(self.N_TRIALS),
-            "attached, not running", "local",
-        )
-        assert server.tenant_stats()["campaign"]["completed"] == 0
-
-    def test_a_draft_without_its_study_is_refused(
-        self, untrained_engine, tokenizer, world, capsys
-    ):
-        """A campaign's draft is its ``spec_fault_side`` study's, not its
-        trials': without the study it is refused when the campaign is
-        built, and ``repro campaign`` exits 2 before loading a model."""
-        with pytest.raises(ValueError, match="spec_fault_side"):
-            self._campaign(
-                untrained_engine, tokenizer, world,
-                draft_model=_draft_for(untrained_engine),
-            )
-        from repro.cli import main
-
-        assert main([
-            "campaign", "qwenlike-base", "wmt16", "2bits-mem",
-            "--draft-model", "qwenlike-tiny",
-        ]) == 2
-        assert capsys.readouterr().err == (
-            "--draft-model requires --spec-fault-side\n"
-        )
-
-
 def _kv_site(iteration: int) -> FaultSite:
     return FaultSite(
         FaultModel.KV_1BIT, "blocks.0.kv", 1, 2, bits=(30,),
@@ -905,35 +760,45 @@ class TestPromptCache:
     def test_fault_carrying_request_and_its_siblings_go_around(
         self, untrained_engine, clean_telemetry
     ):
-        """The victim's prefill is struck (iteration 0), so it is neither
-        served from the cache nor stored; while its fault is armed the
-        plan says ``kv_fault`` and its siblings prefill too."""
+        """On the round a server drives, with the cache a server sizes:
+        an admission that arms its own KV fault (pinned to its slot,
+        struck at its prefill) is neither served from the cache nor
+        stored; while that fault is armed the plan says ``kv_fault``, so
+        a sibling prefills too and decodes its fault-free stream."""
         clean_telemetry.enable()
-        config = _config()
-        with InferenceServer(untrained_engine, config, max_batch=3) as server:
-            clean = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in PROMPTS[:3]]
-            ]
-            stored = dict(server.prompt_cache.entries)
-            victim = server.submit(PROMPTS[0], kv_fault=_kv_site(0))
-            sibling = server.submit(PROMPTS[1])
-            victim.result(timeout=60)
-            assert victim.kv_fired
-            assert sibling.result(timeout=60) == clean[1]
-            after = [
-                h.result(timeout=60)
-                for h in [server.submit(p) for p in PROMPTS[:3]]
-            ]
-        assert after == clean
-        counters = _cache_counters(clean_telemetry)
-        assert counters["bypass.request_fault"] == 1
-        assert counters["misses"] == 3
-        # The sibling was admitted beside the armed victim or after it.
-        assert counters.get("bypass.kv_fault", 0) + counters["hits"] == 4
-        entries = server.prompt_cache.entries
-        assert entries.keys() == stored.keys()
-        assert all(entries[key] is stored[key] for key in stored)
+        engine, budget = untrained_engine, _config().max_new_tokens
+        cache = PromptCache(3 * engine.config.max_seq)
+        rnd = DecodeRound(engine, engine.new_pool(3), -1, prompt_cache=cache)
+
+        def decode_all():
+            return decode_to_completion(rnd, PROMPTS[:3], [None] * 3, budget, 3)
+
+        clean = decode_all()
+        stored = dict(cache.entries)
+        armed = []
+
+        def arm(row):
+            armed.append(
+                KVFaultInjector(engine, _kv_site(0), caches=row.caches).__enter__()
+            )
+
+        events = [
+            rnd.admit("victim", PROMPTS[0], budget, before_prefill=arm),
+            rnd.admit("sibling", PROMPTS[1], budget),
+        ]
+        while rnd.rows:
+            events += rnd.step()
+        (injector,) = armed
+        assert injector.fired
+        injector.__exit__(None, None, None)
+        done = {row.key: row.out for row, _, reason in events if reason is not None}
+        assert done["sibling"] == clean[1]
+        assert decode_all() == clean
+        assert _cache_counters(clean_telemetry) == {
+            "misses": 3, "bypass.request_fault": 1, "bypass.kv_fault": 1, "hits": 3,
+        }
+        assert cache.entries.keys() == stored.keys()
+        assert all(cache.entries[key] is stored[key] for key in stored)
 
     def test_over_budget_prompt_is_served_and_never_stored(
         self, untrained_engine, clean_telemetry
@@ -963,27 +828,11 @@ CACHE_BUDGET = 6
 do — so repeats both hit and get evicted."""
 
 
-@lru_cache(maxsize=None)
-def _served_without_a_cache(store, prompt: tuple, iteration: int):
-    """What the parent commit serves a fault-carrying request: the same
-    server with no prompt cache behind its round."""
-    server = InferenceServer(InferenceEngine(store), _config(max_new_tokens=6))
-    server._round.prompt_cache = None
-    with server:
-        handle = server.submit(list(prompt), kv_fault=_kv_site(iteration))
-        return handle.result(timeout=60), handle.kv_fired
-
-
 _SUBMIT = st.tuples(st.just("submit"), st.integers(0, len(PROMPTS) - 1))
 _OPS = st.one_of(
     _SUBMIT,
     _SUBMIT,
     _SUBMIT,
-    st.tuples(
-        st.just("fault"),
-        st.integers(0, len(PROMPTS) - 1),
-        st.sampled_from((0, 2)),  # the strike's iteration: prefill or later
-    ),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("wait")),
     st.tuples(st.just("wait")),
@@ -1014,26 +863,16 @@ def test_prompt_cache_under_generated_traffic(untrained_store, ops):
                 assert np.array_equal(k, ref.keys())
                 assert np.array_equal(v, ref.values())
         assert server.pool.n_free == server.pool.n_slots
-        assert engine.kv_fault is None
 
-    clean, faulted = [], []
+    clean = []
     server.start()
     try:
         for op in ops:
             if op[0] == "submit":
                 clean.append((PROMPTS[op[1]], server.submit(PROMPTS[op[1]])))
-            elif op[0] == "fault":
-                prompt = PROMPTS[op[1]]
-                try:
-                    handle = server.submit(prompt, kv_fault=_kv_site(op[2]))
-                except ServeRejected as exc:
-                    assert exc.reason == "kv_fault_busy"
-                else:
-                    faulted.append((prompt, op[2], handle))
             elif op[0] == "cancel":
-                handles = [h for _, h in clean] + [h for _, _, h in faulted]
-                if handles:
-                    handles[op[1] % len(handles)].cancel()
+                if clean:
+                    clean[op[1] % len(clean)][1].cancel()
             elif op[0] == "wait":
                 for _, handle in clean[-1:]:
                     handle.result(timeout=60)
@@ -1052,12 +891,3 @@ def test_prompt_cache_under_generated_traffic(untrained_store, ops):
         else:
             assert handle.finish_reason in ("cancelled", "shutdown")
             assert handle.tokens == serial[: len(handle.tokens)]
-    for prompt, iteration, handle in faulted:
-        tokens, fired = _served_without_a_cache(
-            untrained_store, tuple(prompt), iteration
-        )
-        assert handle.done
-        if handle.finish_reason in ("eos", "length"):
-            assert (handle.tokens, handle.kv_fired) == (tokens, fired)
-        else:
-            assert handle.tokens == tokens[: len(handle.tokens)]

@@ -1,4 +1,4 @@
-"""Speculative decoding: correctness, FI-safety gate, campaign validation.
+"""Speculative decoding: correctness, FI-safety gate, zoo pairing.
 
 The speculative decoder's contract is absolute: greedy output is
 token-identical to the serial reference loop for any draft and any
@@ -9,7 +9,7 @@ speculation only ever accelerates fault-free work).
 import numpy as np
 import pytest
 
-from repro.fi import ComputationalFaultInjector, FaultModel, FICampaign
+from repro.fi import ComputationalFaultInjector, FaultModel
 from repro.fi.sites import FaultSite
 from repro.generation import (
     GenerationConfig,
@@ -21,7 +21,6 @@ from repro.inference import InferenceEngine
 from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
-from repro.tasks import TranslationTask, standardized_subset
 from repro.zoo import ZOO, draft_for
 
 
@@ -293,27 +292,6 @@ class TestTelemetry:
         assert "decode.spec_rejected" in snap["counters"]
         spans = [s.name for s in tel.tracer.records]
         assert "decode.speculate" in spans
-
-
-class TestCampaignEquivalence:
-    """A campaign's draft is its ``spec_fault_side`` study's; the study's
-    records are pinned in ``tests/test_new_surfaces.py``."""
-
-    def test_campaign_vocab_mismatch_rejected(self, untrained_store, tokenizer, world):
-        bad_draft = TransformerLM(
-            ModelConfig(
-                vocab_size=len(tokenizer) + 1, d_model=16, n_heads=2,
-                n_blocks=1, d_ff=24, max_seq=64,
-            ),
-            seed=2,
-        ).to_store()
-        task = TranslationTask(world)
-        with pytest.raises(ValueError, match="vocabulary"):
-            FICampaign(
-                InferenceEngine(untrained_store), tokenizer, task.name,
-                task.metrics, standardized_subset(task, 3), FaultModel.COMP_2BIT,
-                draft_model=InferenceEngine(bad_draft), spec_fault_side="draft",
-            )
 
 
 class TestZooPairing:

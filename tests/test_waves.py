@@ -37,7 +37,6 @@ from repro.fi.injector import ComputationalFaultInjector
 from repro.generation.round import DecodeRound
 from repro.inference import InferenceEngine
 from repro.obs import flight_recorder, telemetry
-from repro.serve import InferenceServer
 from repro.tasks import (
     GSM8kTask,
     HellaSwagTask,
@@ -232,8 +231,6 @@ class TestWhatKeepsATrialToItself:
             0, "2bits-comp", dict(track_expert_selection=True), "reference expert_tracking"
         ),
         "unscoped-hook": (0, "2bits-comp", "hook", "reference unscoped_hooks"),
-        "spec-side": (0, "2bits-comp", "spec", "reference spec_fault_side"),
-        "served": (0, "2bits-kv", "served", "reference served"),
         "mc-flight": (1, "1bit-comp", "flight", "reference flight"),
         "mem": (0, "2bits-mem", {}, "reference weight_fault"),
         "mc-kv": (1, "2bits-kv", {}, "reference kv_fault"),
@@ -247,17 +244,13 @@ class TestWhatKeepsATrialToItself:
     }
 
     @pytest.mark.parametrize("row", ROWS)
-    def test_one_trial_path(self, trained_store, untrained_store, tokenizer, world, row):
+    def test_one_trial_path(self, trained_store, tokenizer, world, row):
         mc, fault, kw, plan = self.ROWS[row]
         setup, kw = (kw, {}) if isinstance(kw, str) else (None, kw)
-        if setup == "spec":
-            kw = dict(draft_model=InferenceEngine(untrained_store), spec_fault_side="target")
         task = (MMLUTask if mc else TranslationTask)(world)
         camp = campaign(trained_store, tokenizer, task, FaultModel(fault), **kw)
         if setup == "hook":
             camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
-        elif setup == "served":  # attached, never started: trials run here
-            camp.attach_server(InferenceServer(camp.engine, camp.generation))
         elif setup == "flight":
             flight_recorder().arm()
         assert camp.trial_plan() == tuple(plan.split())
