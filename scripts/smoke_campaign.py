@@ -19,9 +19,12 @@ every trial at iteration 0 — the wave rows that prefill under their
 injector instead of resuming.  ``--task`` picks the task (default
 ``wmt16``): a multiple-choice one (``--task mmlu``) scores option rows
 instead of decoding, and under ``2bits-mem`` its trials share those
-forwards in waves.  ``--beams K`` decodes with beam search of width
-``K``: every trial runs alone through the one beam loop, whose batched
-leg steps the hypotheses under a computational fault.
+forwards in waves; such a run is then repeated with telemetry off and
+must record the same trials (untraced, nothing observes the last block,
+so option rows compute only the positions they score).  ``--beams K``
+decodes with beam search of width ``K``: every trial runs alone through
+the one beam loop, whose batched leg steps the hypotheses under a
+computational fault.
 
 Usage::
 
@@ -39,12 +42,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.fi import FaultModel, FICampaign
+from repro.fi import CampaignResult, FaultModel, FICampaign, assert_results_equal
+from repro.fi.golden import forget
 from repro.generation import GenerationConfig
 from repro.inference import InferenceEngine
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import flight_recorder, report_path, telemetry
-from repro.tasks import TranslationTask, World, all_tasks, standardized_subset
+from repro.tasks import (
+    TaskKind,
+    TranslationTask,
+    World,
+    all_tasks,
+    standardized_subset,
+)
 from repro.training import (
     TrainConfig,
     build_mixed_corpus,
@@ -130,9 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.flight:
         recorder.reset()
         recorder.arm()
-    results = []
-    for fault in faults:
-        campaign = FICampaign(
+
+    def make(fault: str) -> FICampaign:
+        return FICampaign(
             engine=engine,
             tokenizer=tokenizer,
             task_name=task.name,
@@ -147,10 +157,15 @@ def main(argv: list[str] | None = None) -> int:
             ),
             max_fault_iterations=args.max_fault_iterations,
         )
+
+    def run(fault: str) -> CampaignResult:
+        campaign = make(fault)
         try:
-            results.append(campaign.run(args.trials, n_workers=args.workers))
+            return campaign.run(args.trials, n_workers=args.workers)
         finally:
             campaign.close_pool()
+
+    results = [run(fault) for fault in faults]
     flight_records = recorder.drain() if args.flight else []
     recorder.disarm()
     tel.flush(
@@ -203,6 +218,16 @@ def main(argv: list[str] | None = None) -> int:
             " non-masked)",
             file=sys.stderr,
         )
+    if task.kind is TaskKind.MULTIPLE_CHOICE:
+        # The layer-timing probes of the traced runs above sit on the
+        # last block, so their option rows ran it whole; untraced, the
+        # rows take the read window (``read_from``).  Both must record
+        # the same trials, the golden passes rebuilt untraced too.
+        tel.disable()
+        forget(engine)
+        for fault, traced in zip(faults, results):
+            assert_results_equal(run(fault), traced, "untraced", "traced")
+        print("untraced re-run: records equal", file=sys.stderr)
     print(f"\nsmoke ok: {out}", file=sys.stderr)
     return 0
 

@@ -211,12 +211,14 @@ inside the memory eight ``max_seq`` ones took."""
 _OPTION_ROW_TOKENS = 128
 """Most tokens one forward of weight-fault option rows takes
 (:meth:`FICampaign._weight_fault_scores`; rows of length ``t`` go
-``128 // t`` to a forward, at least one and at most the pool's width).
-Its logits — rows x ``t`` x vocabulary — are the largest array a
-forward makes.  On ``campaign_mc_mem`` a wider forward saved no time and
-only raised the peak: sixteen rows of any length read ``peak_rss_mb``
-+4.3 % over one-trial scoring, 128 tokens +1.6 %, at the same
-trials/s."""
+``128 // t`` to a forward, at least one and at most
+:data:`_DECODE_BATCH`).  Its activations are rows x ``t`` x
+``d_model``; its logits only rows x read window x vocabulary, the
+window running from the shortest prompt's last position.  On
+``campaign_mc_mem`` a wider forward saved no time and only raised the
+peak: sixteen rows of any length read ``peak_rss_mb`` +4.3 % over
+one-trial scoring, 128 tokens +1.6 %, at the same trials/s; with the
+read window, 256 or 512 tokens read +2-3 % trials/s for +0.5-1 MB."""
 
 
 class FICampaign:
@@ -420,11 +422,10 @@ class FICampaign:
         is claimed for it.
         """
         count_plan("option_rows", "row_scoped_hooks")
-        pool = self._kv_slots()
         scores = list(golden.scores)
         ran = 0
         while ran < len(scores) and not injector.fired:
-            scores[ran] = golden.rescore_option(self.engine, pool, site.block, ran)
+            scores[ran] = golden.rescore_option(self.engine, site.block, ran)
             ran += 1
         self._count_block_passes(site, len(scores), ran)
         return scores
@@ -439,14 +440,13 @@ class FICampaign:
 
         A corrupted weight is read by every option's forward, from the
         struck block on.  Rows of any trials struck in the same block
-        and equally long share a forward — as many as the pool has slots
-        and :data:`_OPTION_ROW_TOKENS` allows — each trial's fault keyed
-        to its own rows (``MemoryFaultInjector(rows=)``): nothing is
-        swapped in engine-wide, and each faulted copy lives for one
-        forward.
+        and equally long share a forward — as many as
+        :data:`_DECODE_BATCH` and :data:`_OPTION_ROW_TOKENS` allow — each
+        trial's fault keyed to its own rows (``MemoryFaultInjector(rows=)``):
+        nothing is swapped in engine-wide, and each faulted copy lives for
+        one forward.
         """
         n = len(self.examples)
-        pool = self._kv_slots()
         sites = dict(trials)
         scores: dict[int, list[float]] = {}
         forwards: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -460,7 +460,7 @@ class FICampaign:
                 forwards.setdefault((site.block, length), []).append((trial, option))
         tel = _telemetry()
         for (block, length), rows in forwards.items():
-            width = min(pool.n_slots, max(1, _OPTION_ROW_TOKENS // length))
+            width = min(_DECODE_BATCH, max(1, _OPTION_ROW_TOKENS // length))
             for at in range(0, len(rows), width):
                 chunk = rows[at : at + width]
                 mine: dict[int, list[int]] = {}
@@ -472,7 +472,7 @@ class FICampaign:
                             MemoryFaultInjector(self.engine, sites[trial], rows=ids)
                         )
                     got = score_option_rows(
-                        self.engine, pool, block,
+                        self.engine, block,
                         [(self._golden[trial % n], option) for trial, option in chunk],
                     )
                 for (trial, option), score in zip(chunk, got):
@@ -681,23 +681,15 @@ class FICampaign:
 
     def _kv_slots(self) -> PooledKVCache:
         """The campaign's KV slots, each as long as its cell can reach
-        and no longer: the longest prompt plus the decode budget (for
-        multiple choice the longest ``prompt + option``), plus one, and
-        never more than ``max_seq``.  A shorter slot changes the stride
-        of a K/V view and no value in it; an overflow raises the
-        ``ValueError`` a ``max_seq`` slot raises."""
+        and no longer: the longest prompt plus the decode budget, plus
+        one, and never more than ``max_seq``.  A shorter slot changes the
+        stride of a K/V view and no value in it; an overflow raises the
+        ``ValueError`` a ``max_seq`` slot raises.  Only a generative
+        campaign has any: option rows are scored by forwards that keep
+        no K/V (:func:`~repro.fi.golden.score_option_rows`)."""
         if self._kv_pool is None:
             cfg = self.engine.config
-            if self.is_mc:
-                reach = max(
-                    len(prompt) + max(map(len, options))
-                    for prompt, options in self._token_ids
-                )
-            else:
-                reach = (
-                    max(map(len, self._token_ids))
-                    + self.generation.max_new_tokens
-                )
+            reach = max(map(len, self._token_ids)) + self.generation.max_new_tokens
             self._kv_pool = PooledKVCache(
                 cfg.n_blocks, _DECODE_BATCH, cfg.n_heads,
                 min(cfg.max_seq, reach + 1), cfg.head_dim,
@@ -782,21 +774,20 @@ class FICampaign:
         return "wave", "row_scoped_hooks"
 
     def _build_golden(self) -> None:
-        """Every example's fault-free pass, in one sweep over the
-        campaign's KV slots: one decode round (generative), one rows
-        forward per example and option length (multiple choice).
+        """Every example's fault-free pass, in one sweep: one decode
+        round over the campaign's KV slots (generative), one rows forward
+        per example and option length (multiple choice).
         :meth:`compute_baseline` calls it only when the engine holds no
         passes for this key (and leaves the result with the engine)."""
-        pool = self._kv_slots()
         if self.is_mc:
             passes = [
-                GoldenOptions.build(self.engine, prompt, options, pool)
+                GoldenOptions.build(self.engine, prompt, options)
                 for prompt, options in self._token_ids
             ]
         else:
             count_plan(*decode_plan(self.engine))
             passes = GoldenRun.decode_many(
-                self.engine, self._token_ids, self.generation, pool
+                self.engine, self._token_ids, self.generation, self._kv_slots()
             )
         self._golden = dict(enumerate(passes))
 

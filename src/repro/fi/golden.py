@@ -214,33 +214,27 @@ def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
 
 def _score_rows(
     engine: InferenceEngine,
-    pool: PooledKVCache,
     rows: list[tuple[list[int], list[int]]],
     **forward_kw,
 ) -> list[float]:
     """Score ``(prompt, option)`` pairs of one length ``prompt + option``
-    as rows of one ``forward_chunk_batch`` from position 0, row ``i``
-    with id ``i`` over a pool slot of its own.  The batched entry is
-    row-exact, so row ``i`` is ``forward_full(prompt + option)`` bit for
-    bit under whatever is armed on the engine for it."""
-    slots: list[int] = []
-    try:
-        for _ in rows:
-            slots.append(pool.acquire())
-        zeros = [0] * len(rows)
-        logits = engine.forward_chunk_batch(
-            [prompt + option for prompt, option in rows],
-            [pool.caches(slot) for slot in slots],
-            zeros, zeros, **forward_kw,
-        )
-    finally:
-        for slot in slots:
-            pool.release(slot)
-    scores = []
-    for row, (prompt, option) in enumerate(rows):
-        start = len(prompt) - 1
-        scores.append(option_logp(logits[row, start : start + len(option)], option))
-    return scores
+    as rows of one cache-less ``forward_chunk_batch`` from position 0,
+    row ``i`` with id ``i``, reading from the shortest prompt's last
+    position on — where the earliest option's first token is predicted.
+    The batched entry is row-exact and its read window exact, so row
+    ``i`` scores what ``forward_full(prompt + option)`` does, bit for
+    bit, under whatever is armed on the engine for it."""
+    read_from = min(len(prompt) for prompt, _ in rows) - 1
+    zeros = [0] * len(rows)
+    logits = engine.forward_chunk_batch(
+        [prompt + option for prompt, option in rows], None, zeros, zeros,
+        read_from=read_from, **forward_kw,
+    )
+    return option_logp(
+        logits,
+        [len(prompt) - 1 - read_from for prompt, _ in rows],
+        [option for _, option in rows],
+    )
 
 
 def _by_option(groups: list[list[int]], per_group: list[list[float]]) -> list[float]:
@@ -257,11 +251,11 @@ class GoldenOptions:
     """One multiple-choice example's fault-free scoring pass.
 
     The options of equal token length are one *group*: rows of one
-    forward (at most a pool's width of them).  Kept per group: the
-    hidden state that entered blocks ``1..n-1`` (block 0's input is the
-    embedding gather, not worth keeping), and per option its score.  A
-    fault in block ``L`` leaves every block before it computing exactly
-    this pass, so a trial runs its option rows from block ``L`` on
+    forward.  Kept per group: the hidden state that entered blocks
+    ``1..n-1`` (block 0's input is the embedding gather, not worth
+    keeping), and per option its score.  A fault in block ``L`` leaves
+    every block before it computing exactly this pass, so a trial runs
+    its option rows from block ``L`` on
     (:func:`score_option_rows`, from :meth:`state`).  A weight fault is
     read by every option's forward: its rows are all rerun, beside
     other trials' rows of the same length and struck block, each under
@@ -286,7 +280,6 @@ class GoldenOptions:
         engine: InferenceEngine,
         prompt: list[int],
         options: list[list[int]],
-        pool: PooledKVCache,
     ) -> "GoldenOptions":
         """Score every option on ``engine``, which must be pristine: a
         fault baked into this pass would be taken for fault-free by
@@ -297,16 +290,11 @@ class GoldenOptions:
                 f"golden option pass needs a pristine engine, found {reason}"
             )
         count_plan("option_rows", reason)
-        groups = [
-            same[at : at + pool.n_slots]
-            for same in _by_length(range(len(options)), lambda i: len(options[i]))
-            for at in range(0, len(same), pool.n_slots)
-        ]
+        groups = _by_length(range(len(options)), lambda i: len(options[i]))
         inputs: list[list[np.ndarray]] = [[] for _ in groups]
         scores = _by_option(groups, [
             _score_rows(
-                engine, pool, [(prompt, options[i]) for i in group],
-                block_inputs=kept,
+                engine, [(prompt, options[i]) for i in group], block_inputs=kept,
             )
             for group, kept in zip(groups, inputs)
         ])
@@ -330,16 +318,14 @@ class GoldenOptions:
         return self.hidden[g][block - 1][row]
 
     def rescore_option(
-        self, engine: InferenceEngine, pool: PooledKVCache, first_block: int,
-        option: int,
+        self, engine: InferenceEngine, first_block: int, option: int
     ) -> float:
         """One option's score: its row alone, from ``first_block`` on."""
-        return score_option_rows(engine, pool, first_block, [(self, option)])[0]
+        return score_option_rows(engine, first_block, [(self, option)])[0]
 
 
 def score_option_rows(
     engine: InferenceEngine,
-    pool: PooledKVCache,
     first_block: int,
     rows: "list[tuple[GoldenOptions, int]]",
 ) -> list[float]:
@@ -356,7 +342,7 @@ def score_option_rows(
             np.concatenate([golden.state(first_block, i) for golden, i in rows]),
         )
     return _score_rows(
-        engine, pool,
+        engine,
         [(golden.prompt, golden.options[i]) for golden, i in rows],
         resume=resume,
     )

@@ -287,20 +287,27 @@ def generate_ids(
     return out
 
 
-def option_logp(logits: np.ndarray, option_ids: list[int]) -> float:
-    """Summed log-likelihood of ``option_ids`` given the ``(len(option_ids),
-    vocab)`` logits that predict them, one row per token.
+def option_logp(
+    logits: np.ndarray, starts: list[int], options: list[list[int]]
+) -> list[float]:
+    """Summed log-likelihood of each row's option: row ``i`` of the
+    ``(rows, window, vocab)`` block ``logits`` predicts ``options[i]``
+    from window position ``starts[i]`` on, one position per token.
 
     The one spelling both option-scoring paths share — the per-option
-    reference and a campaign's rows forward (:mod:`repro.fi.golden`) —
-    so their scores cannot drift apart: the per-token terms of the
-    log-softmax with non-finite logits (a corrupted run's) clamped,
-    summed in float32.
+    reference (one row) and a campaign's rows forward
+    (:mod:`repro.fi.golden`) — so their scores cannot drift apart:
+    non-finite logits (a corrupted run's) clamped and the log-softmax
+    taken once over the block, every position on its own, then each
+    option's per-token terms summed in float32.
     """
     logp = log_softmax_np(
         np.nan_to_num(logits, nan=-1e9, posinf=1e9, neginf=-1e9), axis=-1
     )
-    return float(logp[np.arange(len(option_ids)), option_ids].sum())
+    return [
+        float(logp[row, np.arange(start, start + len(option)), option].sum())
+        for row, (start, option) in enumerate(zip(starts, options))
+    ]
 
 
 def score_continuation(
@@ -316,7 +323,7 @@ def score_continuation(
         raise ValueError("option must contain at least one token")
     logits = engine.forward_full([*prompt_ids, *option_ids])
     start = len(prompt_ids) - 1
-    return option_logp(logits[start : start + len(option_ids)], option_ids)
+    return option_logp(logits[None, start:], [0], [option_ids])[0]
 
 
 def score_options(

@@ -362,8 +362,11 @@ class DecodeRound:
         ``(1, vocab)`` first-token logits: the prompt forward — on the
         rows entry, tagged ``row.id``, when the request carries a fault;
         bit for bit the 1-D one — or with a prompt cache its stored
-        result (the gate is in :meth:`admit`'s docstring)."""
+        result (the gate is in :meth:`admit`'s docstring).  The forward
+        reads only the prompt's last two positions (``read_from``: a
+        window is never one position); every position's K/V is written."""
         prompt, caches = row.prompt, row.caches
+        read_from = max(0, len(prompt) - 2)
         cache = self.prompt_cache
         outcome, evicted = None, 0
         if cache is not None:
@@ -382,11 +385,11 @@ class DecodeRound:
             outcome = "hits"
         elif before_prefill is not None:
             logits = self.engine.forward_chunk_batch(
-                [prompt], [caches], [0], [0], [row.id]
+                [prompt], [caches], [0], [0], [row.id], read_from=read_from
             )[0, -1:]
         else:
             logits = self.engine.forward(
-                prompt, caches, start_pos=0, iteration=0
+                prompt, caches, start_pos=0, iteration=0, read_from=read_from
             )[-1:]
             if cache is not None:
                 outcome = "misses"

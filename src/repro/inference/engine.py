@@ -24,7 +24,14 @@ a vectorised, allocation-light forward pass over a trained
   once over the batch's score block, and only the two GEMMs and the
   softmax sum — the parts whose bits padding would change — are issued
   per row, so every row of a batch is bit-identical to its own
-  ``forward``.
+  ``forward``;
+* **reading only what is read** — a scoring forward that no step
+  continues keeps no K/V (``row_caches=None``), and ``read_from=k``
+  computes logits for positions ``>= k`` only: the final norm and
+  ``lm_head`` always, and the last block's queries, attention,
+  ``out_proj`` and MLP when nothing observes that block.  A GEMM row
+  does not depend on which other rows share the product, so the window
+  is the full forward's bits as long as it keeps two positions.
 """
 
 from __future__ import annotations
@@ -73,6 +80,13 @@ def _runs(rows: np.ndarray, t: int) -> list[tuple[int, int]]:
             runs.append((start, stop))
             start = stop
     return runs
+
+
+def _tail(a: np.ndarray, batch: int, start: int) -> np.ndarray:
+    """Positions ``>= start`` of every row of flat batch-major ``a``
+    (``(B*t, ...)``), flat again."""
+    rest = a.shape[1:]
+    return a.reshape(batch, -1, *rest)[:, start:].reshape(-1, *rest)
 
 
 def _row_ids(row_ids, batch: int) -> np.ndarray:
@@ -346,24 +360,26 @@ class InferenceEngine:
         self,
         x: np.ndarray,
         block: int,
-        row_caches: list[list[KVCache]],
+        row_caches: list[list[KVCache]] | None,
         cos: np.ndarray,
         sin: np.ndarray,
         hide: np.ndarray | None,
         iteration,
         rows: np.ndarray | None,
+        q_from: int = 0,
     ) -> np.ndarray:
         """Causal attention for one block over flat ``(B*t, D)`` input.
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
         shared :meth:`_linear` calls / broadcasts.  Every row appends its
         new K/V to ``row_caches[i][block]``, in row order, and an armed
-        KV fault latches after each append.  The core is then one
-        ``(B, heads, t, W)`` score block, ``W`` the longest row's cache
-        length: positions at or past a row's own length ``L_i`` are
-        ``-inf`` (filled only when rows are ragged), and ``hide``
-        (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks the in-row
-        causal mask, written as ``-1e9``.
+        KV fault latches after each append; ``row_caches=None`` appends
+        nothing (a forward from position 0 that no step continues).  The
+        core is then one ``(B, heads, t, W)`` score block, ``W`` the
+        longest row's cache length: positions at or past a row's own
+        length ``L_i`` are ``-inf`` (filled only when rows are ragged),
+        and ``hide`` (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks
+        the in-row causal mask, written as ``-1e9``.
 
         Only three things run per row, because padding them would change
         a row's bits: ``q[i] @ keysᵀ`` into the row's slice of the block,
@@ -377,48 +393,66 @@ class InferenceEngine:
         every row is bit-identical to it.
 
         The body has three issue modes.  Rows whose keys are all their
-        fresh ``k`` (every cache was empty before the append and no KV
-        fault is armed) run both GEMMs as one stacked product over
-        ``(B, heads, t, t)``: NumPy issues the per-(row, head) GEMM the
-        row's own forward issues, with the same shapes.  Equal lengths —
-        one row included — need no pad and sum in one reduction along the
-        same contiguous axis.  Ragged rows issue their GEMMs and sums per
-        row: a padded sum regroups (it differed in 173 of 300 random
-        shapes), and so do padded GEMMs.
+        fresh ``k`` (every cache was empty before the append, or there
+        is none, and no KV fault is armed) run both GEMMs as one stacked
+        product over ``(B, heads, t, t)``: NumPy issues the per-(row,
+        head) GEMM the row's own forward issues, with the same shapes.
+        Equal lengths — one row included — need no pad and sum in one
+        reduction along the same contiguous axis.  Ragged rows issue
+        their GEMMs and sums per row: a padded sum regroups (it differed
+        in 173 of 300 random shapes), and so do padded GEMMs.
+
+        ``q_from = k`` queries from positions ``>= k`` of each row only
+        (K/V still cover every position) and returns those positions'
+        ``(B*(t-k), D)`` output: rows ``k..t-1`` of every product, which
+        are the full forward's bits when at least two remain (see
+        :meth:`forward_chunk_batch`).
         """
         cfg = self.config
         heads, hd = cfg.n_heads, cfg.head_dim
         batch, t = cos.shape[0], cos.shape[2]
         half = hd // 2
 
-        def rot(a: np.ndarray) -> np.ndarray:
+        def rot(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
             rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
             return a * cos + rotated * sin
 
-        # (B*t, D) -> (B, heads, t, hd)
+        # (B*t, D) -> (B, heads, t, hd); the queries over the read window.
+        n = t - q_from
+        x_q, it_q, rows_q, cos_q, sin_q = x, iteration, rows, cos, sin
+        if q_from:
+            x_q = _tail(x, batch, q_from)
+            if rows is not None:
+                it_q, rows_q = _tail(iteration, batch, q_from), _tail(rows, batch, q_from)
+            cos_q, sin_q = cos[:, :, q_from:], sin[:, :, q_from:]
+            hide = hide[:, :, q_from:]
         split = (batch, t, heads, hd)
-        q = self._linear(x, block, "q_proj", iteration, rows, t)
+        q = self._linear(x_q, block, "q_proj", it_q, rows_q, n)
         k = self._linear(x, block, "k_proj", iteration, rows, t)
         v = self._linear(x, block, "v_proj", iteration, rows, t)
-        q = rot(q.reshape(split).swapaxes(1, 2))
-        k = rot(k.reshape(split).swapaxes(1, 2))
+        q = rot(q.reshape(batch, n, heads, hd).swapaxes(1, 2), cos_q, sin_q)
+        k = rot(k.reshape(split).swapaxes(1, 2), cos, sin)
         v = v.reshape(split).swapaxes(1, 2)
-        caches = [own[block] for own in row_caches]
         kv_fault = self.kv_fault
-        for i, cache in enumerate(caches):
-            cache.append(k[i], v[i])
-            if kv_fault is not None:
-                kv_fault.on_append(
-                    block, cache, iteration if rows is None else int(iteration[i * t])
-                )
-        lengths = [cache.length for cache in caches]
+        if row_caches is None:
+            caches, lengths = [], [t] * batch
+        else:
+            caches = [own[block] for own in row_caches]
+            for i, cache in enumerate(caches):
+                cache.append(k[i], v[i])
+                if kv_fault is not None:
+                    kv_fault.on_append(
+                        block, cache,
+                        iteration if rows is None else int(iteration[i * t]),
+                    )
+            lengths = [cache.length for cache in caches]
         width = max(lengths)
         ragged = min(lengths) != width
         fresh = width == t and kv_fault is None
         if fresh:
             scores = q @ k.swapaxes(-1, -2)
         else:
-            shape = (batch, heads, t, width)
+            shape = (batch, heads, n, width)
             scores = (
                 np.full(shape, -np.inf, dtype=np.float32) if ragged
                 else np.empty(shape, dtype=np.float32)
@@ -434,7 +468,7 @@ class InferenceEngine:
         scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         if ragged:
-            total = np.empty((batch, heads, t, 1), dtype=np.float32)
+            total = np.empty((batch, heads, n, 1), dtype=np.float32)
             for i, length in enumerate(lengths):
                 np.add.reduce(
                     scores[i, :, :, :length], axis=-1, keepdims=True, out=total[i]
@@ -445,12 +479,12 @@ class InferenceEngine:
         if fresh:
             ctx = scores @ v
         else:
-            ctx = np.empty((batch, heads, t, hd), dtype=np.float32)
+            ctx = np.empty((batch, heads, n, hd), dtype=np.float32)
             for i, (cache, length) in enumerate(zip(caches, lengths)):
                 np.matmul(scores[i, :, :, :length], cache.values(), out=ctx[i])
         return self._linear(
-            ctx.swapaxes(1, 2).reshape(batch * t, cfg.d_model),
-            block, "out_proj", iteration, rows, t,
+            ctx.swapaxes(1, 2).reshape(batch * n, cfg.d_model),
+            block, "out_proj", it_q, rows_q, n,
         )
 
     def _mlp(
@@ -513,19 +547,34 @@ class InferenceEngine:
             out[sel] += expert_out * weight
         return out
 
+    def _last_block_observed(self) -> bool:
+        """Whether a read window (``read_from``) must leave the last block
+        whole: something sees its products — a hook on one of its layers
+        (a fault, a layer-timing probe), capture, an armed accumulator
+        fault — or it routes tokens to experts, where a windowed expert's
+        run could shrink to one token, a different product."""
+        return (
+            self.config.is_moe
+            or self.capture is not None
+            or self.acc_fault is not None
+            or self.hooks.has_prefix(f"blocks.{self.config.n_blocks - 1}.")
+        )
+
     def _forward_rows(
         self,
         ids: np.ndarray,
-        row_caches: list[list[KVCache]],
+        row_caches: list[list[KVCache]] | None,
         positions,
         iteration,
         rows: np.ndarray | None,
         block_inputs: list | None = None,
         resume: tuple[int, np.ndarray] | None = None,
+        read_from: int = 0,
     ) -> np.ndarray:
         """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
         starting at ``positions[i]`` and appending to its own
-        ``row_caches[i]`` (see :meth:`_attention`).
+        ``row_caches[i]`` (see :meth:`_attention`), or, with
+        ``row_caches=None``, to nothing.
 
         ``iteration``/``rows`` are the caller's scalar and ``None`` for
         the serial entry (``B == 1``), or the per-row iterations and row
@@ -536,9 +585,10 @@ class InferenceEngine:
         serial forward; the serial entry keeps one flat GEMM.
         ``block_inputs`` collects the flat hidden state
         entering each block that runs; ``resume = (first_block, hidden)``
-        starts from such a state instead of the embedding (see
-        :meth:`forward_chunk_batch`).  Returns flat ``(B*t, vocab)``
-        logits.
+        starts from such a state instead of the embedding, and
+        ``read_from = k`` computes logits for positions ``>= k`` only
+        (see :meth:`forward_chunk_batch`).  Returns flat
+        ``(B*(t-k), vocab)`` logits.
         """
         cfg = self.config
         batch, t = ids.shape
@@ -548,7 +598,22 @@ class InferenceEngine:
         # each row against its own caches' capacity (one per row — a
         # pool slot's views, or new_caches()), which may be less than
         # ``cfg.max_seq`` (reach-sized pool slots).
-        for position, caches in zip(positions.tolist(), row_caches):
+        if read_from and not 0 < read_from <= t - 2:
+            raise ValueError(
+                f"read_from={read_from} must be 0 or leave at least two of"
+                f" the {t} positions (a one-row product is a different one)"
+            )
+        if row_caches is None:
+            if self.kv_fault is not None:
+                raise RuntimeError(
+                    "a forward without caches cannot honor an armed KV fault"
+                )
+            if positions.any():
+                raise ValueError(
+                    "a forward without caches starts every row at position 0,"
+                    f" got {positions.tolist()}"
+                )
+        for position, caches in zip(positions.tolist(), row_caches or [None] * batch):
             room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
             if position + t > room:
                 raise ValueError(f"KV cache overflow: {position} + {t} > {room}")
@@ -575,6 +640,9 @@ class InferenceEngine:
             hide = hide[:, None]
         if rows is not None:
             iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
+        last = cfg.n_blocks - 1
+        cut = bool(read_from) and not self._last_block_observed()
+        n = t  # positions per row that ``x`` holds
         # Corrupted weights legitimately overflow float32 (an MSB
         # exponent flip scales a value by ~2^128); inf/nan propagation
         # *is* the studied behaviour, so silence the warnings.
@@ -590,23 +658,37 @@ class InferenceEngine:
                 h = rms_norm_np(
                     x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
                 )
-                x = x + self._attention(
-                    h, b, row_caches, cos, sin, hide, iteration, rows
-                )
+                if b == last and cut:
+                    # K/V over every position, the rest of the block over
+                    # the read window only.
+                    x = _tail(x, batch, read_from) + self._attention(
+                        h, b, row_caches, cos, sin, hide, iteration, rows,
+                        q_from=read_from,
+                    )
+                    if rows is not None:
+                        iteration = _tail(iteration, batch, read_from)
+                        rows = _tail(rows, batch, read_from)
+                    n = t - read_from
+                else:
+                    x = x + self._attention(
+                        h, b, row_caches, cos, sin, hide, iteration, rows
+                    )
                 h = rms_norm_np(
                     x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
                 )
                 if cfg.is_moe:
-                    x = x + self._moe(h, b, iteration, rows, t)
+                    x = x + self._moe(h, b, iteration, rows, n)
                 else:
-                    x = x + self._mlp(h, b, iteration, rows=rows, t=t)
+                    x = x + self._mlp(h, b, iteration, rows=rows, t=n)
+            if read_from and not cut:
+                x = _tail(x, batch, read_from)
             x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
             head = self._plain["lm_head.weight"]
             if rows is None:
                 logits = x @ head
             else:
                 # Row-exact like every _linear: one product per sequence.
-                logits = (x.reshape(batch, t, -1) @ head).reshape(batch * t, -1)
+                logits = (x.reshape(batch, -1, x.shape[1]) @ head).reshape(len(x), -1)
         if t0 is not None:
             metrics = tel.metrics
             metrics.histogram("engine.forward_ms").observe(
@@ -614,10 +696,11 @@ class InferenceEngine:
             )
             metrics.counter("engine.forward_calls").add()
             metrics.counter("engine.tokens").add(ids.size)
-            metrics.gauge("engine.kv_occupancy").set(
-                max((c[-1].length for c in row_caches if c), default=0)
-                / cfg.max_seq
-            )
+            if row_caches is not None:
+                metrics.gauge("engine.kv_occupancy").set(
+                    max((c[-1].length for c in row_caches if c), default=0)
+                    / cfg.max_seq
+                )
         return logits
 
     def forward(
@@ -626,17 +709,23 @@ class InferenceEngine:
         caches: list[KVCache],
         start_pos: int,
         iteration: int,
+        *,
+        read_from: int = 0,
     ) -> np.ndarray:
         """Run ``tokens`` (one sequence's chunk, 1-D) through the model,
         appending to ``caches``.  Returns logits of shape
-        ``(len(tokens), vocab)``.  Several sequences at once are
+        ``(len(tokens) - read_from, vocab)``: ``read_from`` as in
+        :meth:`forward_chunk_batch`, for a prompt forward that reads only
+        its last position.  Several sequences at once are
         :meth:`forward_step_batch` / :meth:`forward_chunk_batch`: any
         other shape raises ``ValueError`` before a cache is touched.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError(f"tokens must be a 1-D chunk of ids, got {ids.shape}")
-        return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
+        return self._forward_rows(
+            ids[None], [caches], [start_pos], iteration, None, read_from=read_from
+        )
 
     def forward_step_batch(
         self,
@@ -689,13 +778,14 @@ class InferenceEngine:
     def forward_chunk_batch(
         self,
         tokens: np.ndarray | list[list[int]],
-        row_caches: list[list[KVCache]],
+        row_caches: list[list[KVCache]] | None,
         positions: np.ndarray | list[int],
         iterations: np.ndarray | list[int],
         row_ids: np.ndarray | list[int] | None = None,
         *,
         block_inputs: list | None = None,
         resume: tuple[int, np.ndarray] | None = None,
+        read_from: int = 0,
     ) -> np.ndarray:
         """Multi-token decode chunks for ``B`` independent sequences.
 
@@ -747,7 +837,24 @@ class InferenceEngine:
         is for **single-forward scoring only**: no later step may
         attend over these caches.
 
-        Returns logits of shape ``(B, t, vocab)``.
+        **Read only what is read.**  ``row_caches=None`` is a forward
+        that no later step continues (option scoring): every row starts
+        at position 0, no K/V is written anywhere and the stacked fresh
+        attention runs; an armed KV fault, which needs a cache to latch
+        into, is refused.  ``read_from = k`` returns logits for positions
+        ``>= k`` of every row only, and the final norm and ``lm_head``
+        run on those positions alone.  When nothing observes the last
+        block (no hook on any of its layers, no capture or accumulator
+        fault on the 1-D :meth:`forward`, a dense model) that block,
+        too, computes queries, attention, ``out_proj`` and the MLP on
+        the window only — K/V still over every position.  Both are exact: a GEMM row does not
+        depend on which other rows share the product, as long as at
+        least two do (one row runs through gemv, a different kernel), so
+        a window shorter than two positions raises ``ValueError``.  An
+        MoE last block always runs whole: an expert's share of a window
+        can be one token.
+
+        Returns logits of shape ``(B, t - read_from, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 2:
@@ -782,15 +889,15 @@ class InferenceEngine:
                 " decode gate matrix must route acc faults to the"
                 " batched or serial paths"
             )
-        if len(row_caches) != ids.shape[0]:
+        if row_caches is not None and len(row_caches) != ids.shape[0]:
             raise ValueError(
                 f"{ids.shape[0]} chunk rows but {len(row_caches)} cache rows"
             )
         return self._forward_rows(
             ids, row_caches, positions, iterations,
             _row_ids(row_ids, ids.shape[0]),
-            block_inputs=block_inputs, resume=resume,
-        ).reshape(*ids.shape, -1)
+            block_inputs=block_inputs, resume=resume, read_from=read_from,
+        ).reshape(ids.shape[0], ids.shape[1] - read_from, -1)
 
     def new_caches(self) -> list[KVCache]:
         cfg = self.config

@@ -151,6 +151,11 @@ class HookManager:
     def has(self, layer_name: str) -> bool:
         return layer_name in self._hooks
 
+    def has_prefix(self, prefix: str) -> bool:
+        """True when a hook sits on any layer whose name starts with
+        ``prefix`` (``"blocks.3."``: any layer of block 3)."""
+        return any(name.startswith(prefix) for name in self._hooks)
+
     def apply(self, output: np.ndarray, ctx: HookContext) -> np.ndarray:
         """Run the hooks ``ctx.full_name`` has when the call starts over
         ``output``, in order and each once — whatever a hook detaches

@@ -1,5 +1,7 @@
 """Tests for the fast inference engine: parity, caching, hooks, storage."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -427,6 +429,151 @@ class TestOneForward:
         finally:
             engine.capture = None
         assert [c.length for c in caches] == [0] * cfg.n_blocks
+
+
+def rows_seen(engine, run):
+    """``run()``'s result and, per linear layer, how many rows its first
+    product of the forward was over."""
+    seen: dict[str, int] = {}
+    linear = engine._linear
+
+    def spy(x, block, layer, *args, **kw):
+        seen.setdefault(f"blocks.{block}.{layer}", x.shape[0])
+        return linear(x, block, layer, *args, **kw)
+
+    engine._linear = spy
+    try:
+        return run(), seen
+    finally:
+        del engine._linear
+
+
+class TestReadWindow:
+    """``read_from=k``: logits for positions ``>= k`` only, and, when
+    nothing observes it, a last block that runs only there."""
+
+    K = 4
+
+    def test_an_unobserved_dense_last_block_runs_on_the_window(
+        self, untrained_engine
+    ):
+        engine, k = untrained_engine, self.K
+        last = f"blocks.{engine.config.n_blocks - 1}."
+        chunks = [TOKENS, TOKENS[::-1]]
+        full = engine.forward_chunk_batch(chunks, None, [0, 0], [0, 0])
+        got, seen = rows_seen(
+            engine,
+            lambda: engine.forward_chunk_batch(chunks, None, [0, 0], [0, 0], read_from=k),
+        )
+        np.testing.assert_array_equal(got, full[:, k:])
+        window = 2 * (len(TOKENS) - k)
+        assert seen[last + "k_proj"] == seen[last + "v_proj"] == 2 * len(TOKENS)
+        for layer in ("q_proj", "out_proj", "gate_proj", "up_proj", "down_proj"):
+            assert seen[last + layer] == window, layer
+        assert seen["blocks.0.q_proj"] == 2 * len(TOKENS)
+
+    @pytest.mark.parametrize("observer", ["hook", "moe", "capture", "acc_fault"])
+    def test_an_observed_last_block_runs_whole_and_still_returns_the_window(
+        self, untrained_engine, moe_engine, observer
+    ):
+        """A hook on a last-block layer (an observer here: layer timing),
+        MoE routing, capture and an armed accumulator fault (the last two
+        on the 1-D entry; the rows entry refuses them) each decline the
+        cut; the result is still only the window's positions, the full
+        forward's bits."""
+        from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
+
+        engine = moe_engine if observer == "moe" else untrained_engine
+        k, t = self.K, len(TOKENS)
+        last = f"blocks.{engine.config.n_blocks - 1}."
+
+        @contextlib.contextmanager
+        def armed():
+            if observer == "hook":
+                remove = engine.hooks.register(
+                    last + "down_proj", lambda out, ctx: None, observer=True
+                )
+                yield
+                remove()
+            elif observer == "capture":
+                engine.capture = CaptureState()
+                yield
+                assert engine.capture.layer_outputs[last + "q_proj"].shape[0] == t
+                engine.capture = None
+            elif observer == "acc_fault":
+                site = FaultSite(
+                    fault_model=FaultModel.ACC_1BIT, layer_name=last + "up_proj",
+                    row=0, col=1, bits=(30,), iteration=0, row_frac=0.9,
+                )
+                with AccumulatorFaultInjector(engine, site) as injector:
+                    yield
+                assert injector.fired
+            else:
+                yield
+
+        with armed():
+            full = engine.forward_full(TOKENS)
+        with armed():
+            got, seen = rows_seen(
+                engine,
+                lambda: engine.forward(TOKENS, engine.new_caches(), 0, 0, read_from=k),
+            )
+        np.testing.assert_array_equal(got, full[k:])
+        assert seen[last + ("router" if observer == "moe" else "q_proj")] == t
+
+    def test_a_window_of_one_position_raises_before_anything_runs(
+        self, untrained_engine
+    ):
+        engine = untrained_engine
+        calls = []
+        remove = engine.hooks.register(
+            "blocks.0.q_proj", lambda out, ctx: calls.append(ctx), observer=True
+        )
+        caches = [engine.new_caches(), engine.new_caches()]
+        t = len(TOKENS)
+        try:
+            for read_from in (t - 1, t, t + 3, -1):
+                for row_caches in (caches, None):
+                    with pytest.raises(ValueError, match="read_from"):
+                        engine.forward_chunk_batch(
+                            [TOKENS, TOKENS], row_caches, [0, 0], [0, 0],
+                            read_from=read_from,
+                        )
+                with pytest.raises(ValueError, match="read_from"):
+                    engine.forward(TOKENS, caches[0], 0, 0, read_from=read_from)
+        finally:
+            remove()
+        assert calls == []
+        assert [c.length for own in caches for c in own] == [0] * (2 * engine.config.n_blocks)
+        # Two positions is the shortest window.
+        np.testing.assert_array_equal(
+            engine.forward(TOKENS, caches[0], 0, 0, read_from=t - 2),
+            engine.forward_full(TOKENS)[t - 2 :],
+        )
+
+    def test_a_forward_without_caches_refuses_a_kv_fault_and_a_prefix(
+        self, untrained_engine
+    ):
+        from repro.fi import FaultModel, FaultSite, KVFaultInjector
+
+        engine = untrained_engine
+        site = FaultSite(
+            FaultModel.KV_2BIT, "blocks.0.kv", 0, 0, bits=(30, 22),
+            iteration=0, row_frac=0.0, plane="k",
+        )
+        with KVFaultInjector(engine, site) as injector:
+            with pytest.raises(RuntimeError, match="KV fault"):
+                engine.forward_chunk_batch([TOKENS], None, [0], [0])
+            with pytest.raises(RuntimeError, match="KV fault"):
+                engine.forward_chunk_batch([TOKENS], None, [0], [0], read_from=2)
+        assert not injector.fired
+        with pytest.raises(ValueError, match="position 0"):
+            engine.forward_chunk_batch([TOKENS, TOKENS], None, [0, 3], [0, 0])
+        # Without caches, the rows are what they are with fresh ones.
+        np.testing.assert_array_equal(
+            engine.forward_chunk_batch([TOKENS], None, [0], [0])[0],
+            engine.forward_full(TOKENS),
+        )
 
 
 class TestStoragePolicies:

@@ -915,29 +915,27 @@ class TestReachLimitedOptions:
         with inject(camp.engine, site):
             assert camp.trial_plan()[0] == "reference"
             with pytest.raises(RuntimeError, match="pristine"):
-                GoldenOptions.build(camp.engine, prompt, options, camp._kv_slots())
+                GoldenOptions.build(camp.engine, prompt, options)
         assert camp._golden == {}
-        assert camp._kv_slots().n_free == camp._kv_slots().n_slots
         camp.compute_baseline()  # the one place passes are built
         assert camp.trial_plan()[0] != "reference" and isinstance(camp._golden[0], GoldenOptions)
 
     def test_a_forward_that_outlasts_the_trial_timeout(
         self, trained_store, tokenizer, world
     ):
-        """The alarm lands between slot acquire and release, inside the
-        wave: its trials are re-run one at a time, on a fresh pool, with
-        no faulted weight left registered; nobody else notices."""
+        """The alarm lands inside the wave's forward, its rows' faulted
+        weights registered: its trials are re-run one at a time with no
+        faulted weight left registered; nobody else notices."""
         import time
 
         task = MMLUTask(world)
         camp = campaign(trained_store, tokenizer, task, FaultModel.MEM_2BIT)
-        forward, pools = camp.engine.forward_chunk_batch, []
+        forward, stalled = camp.engine.forward_chunk_batch, []
 
         def stalling(*args, **kw):
             # Past the three golden builds: inside the fourth trial.
-            if kw.get("resume") is not None and not pools:
-                pools.append(camp._kv_pool)
-                assert camp._kv_pool.n_free < camp._kv_pool.n_slots
+            if kw.get("resume") is not None and not stalled:
+                stalled.append(dict(camp.engine.row_weights))
                 time.sleep(30.0)
             return forward(*args, **kw)
 
@@ -953,10 +951,10 @@ class TestReachLimitedOptions:
         assert counters["campaign.wave.fallbacks"] == 1
         assert lone_trials(counters) == {"wave_fallback": 9}
         assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
-        assert camp.engine.row_weights == {}
-        assert pools and camp._kv_pool is not pools[0]
-        assert camp._kv_pool.n_free == camp._kv_pool.n_slots
-        # The repair drops the slots, not the passes: none was rebuilt.
+        assert stalled[0] and camp.engine.row_weights == {}
+        # Option rows keep no K/V: there are no slots to leak.
+        assert camp._kv_pool is None
+        # The repair drops no pass: none was rebuilt.
         assert counters["campaign.mc_golden.builds"] == len(camp._golden) == 3
 
 

@@ -73,17 +73,18 @@ class TestOptionScoringEquivalence:
         scores = score_options(untrained_engine, PROMPT, options)
         assert np.array_equal(scores, per_option(untrained_engine, PROMPT, options))
         logits = untrained_engine.start_session(PROMPT).last_logits
-        expected = [option_logp(logits[None], option) for option in options]
+        expected = [
+            option_logp(logits[None, None], [0], [option])[0] for option in options
+        ]
         np.testing.assert_allclose(scores, expected, rtol=2e-5, atol=1e-5)
 
     def test_trained_model_agreement(self, trained_engine, tokenizer, world):
         """The answer the reference picks is the golden option pass's
         argmax, on every example of a trained model."""
-        pool = trained_engine.new_pool(4)
         for ex in standardized_subset(MMLUTask(world), 6):
             prompt = tokenizer.encode(ex.prompt)
             options = [tokenizer.encode(o) for o in ex.options]
-            golden = GoldenOptions.build(trained_engine, prompt, options, pool)
+            golden = GoldenOptions.build(trained_engine, prompt, options)
             assert choose_option(trained_engine, prompt, options) == int(
                 np.argmax(golden.scores)
             )

@@ -189,6 +189,84 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
             assert_resumes_at(first)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=3, max_value=14),
+    st.sampled_from(["nothing", "hook", "row_fault"]),
+    st.sampled_from(["pool", "none"]),
+    st.data(),
+)
+def test_property_read_window_is_the_full_forward_tail(
+    moe, batch, t, last, caches, data
+):
+    """``read_from=k`` returns the full forward's ``[:, k:]`` rows bit
+    for bit — dense (the last block cut to the window) and MoE (left
+    whole); with a perturbing hook on a last-block layer (the cut
+    declined) or a weight fault in the last block keyed to one row (the
+    cut taken); resumed from every block; over pool slots, whose K/V
+    equal the full forward's, and with no caches at all."""
+    engine = _row_exact_engine(moe, n_blocks=3)
+    n_blocks = engine.config.n_blocks
+    k = data.draw(st.integers(1, t - 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    tokens = rng.integers(0, VOCAB, size=(batch, t))
+    zeros = [0] * batch
+    layer = data.draw(st.sampled_from([
+        name for name in engine.linear_layer_names()
+        if name.startswith(f"blocks.{n_blocks - 1}.")
+    ]))
+    struck = data.draw(st.integers(0, batch - 1))
+    rows, cols = engine.weight_store(layer).shape
+    site = FaultSite(
+        FaultModel.MEM_2BIT, layer, int(rng.integers(rows)), int(rng.integers(cols)),
+        bits=(30, int(rng.integers(0, 23))),
+    )
+
+    def bump(out, ctx):
+        # The first position the hook is handed: outside the window in
+        # a whole block, inside it in a cut one.
+        if ctx.batch_row == struck:
+            out[0, 0] += 1.0
+            out[-1, 0] += 1.0
+
+    @contextlib.contextmanager
+    def armed():
+        if last == "hook":
+            remove = engine.hooks.register(layer, bump, row_scoped=True)
+            try:
+                yield
+            finally:
+                remove()
+        elif last == "row_fault":
+            with MemoryFaultInjector(engine, site, rows=(struck,)):
+                yield
+        else:
+            yield
+
+    whole_rows = [engine.new_caches() for _ in range(batch)]
+    inputs: list[np.ndarray] = []
+    with armed():
+        whole = engine.forward_chunk_batch(
+            tokens, whole_rows, zeros, zeros, block_inputs=inputs
+        )
+    for first in (None, *range(n_blocks)):
+        pool = engine.new_pool(batch) if caches == "pool" else None
+        row_caches = None if pool is None else [
+            pool.caches(pool.acquire()) for _ in range(batch)
+        ]
+        resume = None if first is None else (first, inputs[first])
+        with armed():
+            got = engine.forward_chunk_batch(
+                tokens, row_caches, zeros, zeros, resume=resume, read_from=k
+            )
+        np.testing.assert_array_equal(got, whole[:, k:])
+        if row_caches is not None:
+            for own, ref in zip(row_caches, whole_rows):
+                assert_caches_equal(own[first or 0 :], ref[first or 0 :])
+
+
 POLICIES = ("fp32", "fp16", "bf16", "int8", "int4")
 
 
@@ -545,12 +623,11 @@ def test_property_option_scores_are_the_per_option_reference(moe, prompt, option
     """Every multiple-choice score vector the repo computes is one
     ``score_continuation`` per option, bit for bit: ``score_options``,
     and a golden option pass — equally long options as rows of one
-    forward, ragged lengths as several, more options than slots split
-    — dense and MoE."""
+    forward, ragged lengths as several — dense and MoE."""
     engine = _row_exact_engine(moe)
     reference = [score_continuation(engine, prompt, option) for option in options]
     assert np.array_equal(score_options(engine, prompt, options), reference)
-    golden = GoldenOptions.build(engine, prompt, options, engine.new_pool(4))
+    golden = GoldenOptions.build(engine, prompt, options)
     assert np.array_equal(golden.scores, reference)
 
 

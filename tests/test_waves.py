@@ -540,13 +540,6 @@ class TestSixteenWideOverReachSizedSlots:
             generation=dict(max_new_tokens=4 * max_seq),
         )
         assert roomy._kv_slots().caches(0)[0].max_seq == max_seq
-        # Multiple choice scores ``prompt + option`` and decodes nothing.
-        mc = campaign(trained_store, tokenizer, MMLUTask(world), FaultModel.MEM_2BIT)
-        longest = max(
-            len(tokenizer.encode(ex.prompt)) + max(len(tokenizer.encode(o)) for o in ex.options)
-            for ex in mc.examples
-        )
-        assert mc._kv_slots().caches(0)[0].max_seq == longest + 1
         # A repaired campaign sizes its fresh pool the same way.
         camp._post_failure_repair()
         assert camp._kv_slots() is not slots
@@ -721,7 +714,9 @@ class TestMultipleChoiceWeightFaultWaves:
             assert counters["campaign.trials"] == N_TRIALS
             assert counters["campaign.trial_ms"] == N_TRIALS
             assert camp.engine.row_weights == {} and camp.engine.weight_fault_depth == 0
-            assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+            # Option rows keep no K/V: a multiple-choice campaign never
+            # builds a KV pool.
+            assert camp._kv_pool is None
 
     def test_a_chaos_campaign_scores_each_trial_alone(
         self, trained_store, tokenizer, world
@@ -760,8 +755,7 @@ class TestMultipleChoiceWeightFaultWaves:
         with pytest.raises(RuntimeError, match="boom"):
             camp._run_wave(list(range(N_TRIALS)))
         assert all(calls), "the forwards ran with row-keyed faults registered"
-        assert camp.engine.row_weights == {}
-        assert camp._kv_pool.n_free == camp._kv_pool.n_slots
+        assert camp.engine.row_weights == {} and camp._kv_pool is None
         # As a run: the wave falls back, once, and nothing is lost.
         calls.clear()
         result, counters, _, _ = run_traced(camp, N_TRIALS, retry_backoff=0.0)
