@@ -75,6 +75,9 @@ def test_bench_mitigation_router_protection(ctx, emit):
                 engine, "wmt16", FaultModel.MEM_2BIT, layer_filter=router_only
             )
             if protected:
+                # ``_eval_gen`` is each trial's decode on the one-trial
+                # reference path only: a wave decodes its rows without it.
+                campaign.decode_strategy = "serial"
                 protection = SelectiveProtection(engine, router_layers(engine))
                 original = campaign._eval_gen
 

@@ -93,9 +93,13 @@ def router_protection(tokenizer, world) -> None:
     task = TranslationTask(world)
     for protect in (False, True):
         engine = InferenceEngine(store, weight_policy="bf16")
+        # ``_eval_gen`` is each trial's decode on the one-trial reference
+        # path only (a wave decodes its rows without it), so the
+        # protected campaign runs there.
         campaign = _campaign(
             engine, tokenizer, task,
             layer_filter=lambda name: name.endswith("router"),
+            decode_strategy="serial" if protect else "auto",
         )
         if protect:
             protection = SelectiveProtection(engine, router_layers(engine))

@@ -10,16 +10,16 @@ merge, manifest, reporter — without depending on cached zoo artifacts.
 asserts one forensic record per trial lands in the exported run — the
 input for ``repro obs explain`` / ``repro obs export-trace`` in the CI
 forensics job.  ``--fault`` picks the fault model: the default weight
-fault never resumes a golden run, a transient one (``2bits-comp``) does,
-in waves.  Given more than once, the campaigns run back to back on the
+fault never resumes a golden run (its wave rows prefill under it), a
+transient one (``2bits-comp``) does, in waves.  Given more than once, the campaigns run back to back on the
 one engine in the one telemetry run, as a study's fault-model cells do:
 the first decodes the golden runs, the others start from them
 (``campaign.golden.shared``).  ``--max-fault-iterations 1`` strikes
 every trial at iteration 0 — the wave rows that prefill under their
 injector instead of resuming.  ``--task`` picks the task (default
 ``wmt16``): a multiple-choice one (``--task mmlu``) scores option rows
-instead of decoding, and under ``2bits-mem`` its trials share those
-forwards in waves; such a run is then repeated with telemetry off and
+instead of decoding, and under a weight or computational fault its
+trials share those forwards in waves; such a run is then repeated with telemetry off and
 must record the same trials (untraced, nothing observes the last block,
 so option rows compute only the positions they score).  ``--beams K``
 decodes with beam search of width ``K``: every trial runs alone through

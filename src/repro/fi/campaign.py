@@ -15,14 +15,16 @@ without changing any sampled site, and a resumed run replays exactly
 the sites an uninterrupted run would have drawn.
 
 Trials that can share forwards do: the engine's batched forward is
-bit-identical per row to the serial one, so greedy computational-fault
-trials decode as *waves* — ``_DECODE_BATCH`` rows of one decode round,
-each with its own budget and its own row-pinned injector, resumed from
-its example's golden run or, struck at iteration 0, prefilled into its
-slot under that injector (:meth:`FICampaign._run_wave`).  A
-multiple-choice trial has no decode to share, but under a weight fault
-it reruns all its option rows: those of many trials share a forward,
-each trial's corrupted weight keyed to its own rows and nothing flipped
+bit-identical per row to the serial one, so greedy trials under a
+computational or weight fault decode as *waves* — ``_DECODE_BATCH`` rows
+of one decode round, each with its own budget and its own fault keyed
+to its row, resumed from its example's golden run or, struck at
+iteration 0 (as every weight fault is), prefilled into its slot under
+that fault (:meth:`FICampaign._run_wave`).  A multiple-choice trial has
+no decode to share, but reruns option rows from its example's
+fault-free pass — every one under a weight fault, one at a time until
+a computational fault has fired — and the rows of many trials share a
+forward, each trial's fault keyed to its own rows and nothing armed
 engine-wide.  Which path a trial takes — a wave, alone from its
 example's fault-free pass, or alone through the whole reference — and
 why is one table (:meth:`FICampaign.trial_plan`); a trial that runs
@@ -209,8 +211,8 @@ fuller steps; the slots are sized to what the cell can reach
 inside the memory eight ``max_seq`` ones took."""
 
 _OPTION_ROW_TOKENS = 128
-"""Most tokens one forward of weight-fault option rows takes
-(:meth:`FICampaign._weight_fault_scores`; rows of length ``t`` go
+"""Most tokens one forward of option rows takes
+(:meth:`FICampaign._option_scores`; rows of length ``t`` go
 ``128 // t`` to a forward, at least one and at most
 :data:`_DECODE_BATCH`).  Its activations are rows x ``t`` x
 ``d_model``; its logits only rows x read window x vocabulary, the
@@ -400,101 +402,94 @@ class FICampaign:
             count_plan("per_option", decode_plan(self.engine)[1])
         return choose_option(self.engine, *self._token_ids[idx])
 
-    def _option_rows(
-        self,
-        golden: GoldenOptions,
-        site: FaultSite,
-        injector: ComputationalFaultInjector,
-    ) -> list[float]:
-        """Option scores of a trial whose computational fault at
-        ``site`` is armed, from its example's golden pass: bit for bit
-        what one ``forward_full(prompt + option)`` per option scores.
+    def _row_fault(self, site: FaultSite, rows: "tuple[int, ...] | list[int]"):
+        """The injector that keys ``site``'s fault to the batch rows
+        ``rows`` — a faulted weight copy for any of them, a hook pinned
+        to the one row of a transient fault — so that rows sharing a
+        forward with it compute what they compute alone."""
+        if site.fault_model.is_memory:
+            return MemoryFaultInjector(self.engine, site, rows=rows)
+        (row,) = rows
+        return ComputationalFaultInjector(self.engine, site, batch_row=row)
 
-        An error only travels downstream, so the blocks below
-        ``site.block`` are never recomputed.  The fault is one-shot: in
-        the per-option loop its hook fires in the first forward that
-        runs its layer — option 0's, unless the layer is an MoE expert no
-        token of that option is routed to — and nowhere after, so rows
-        are recomputed alone and in order until it has fired, and the
-        rest keep their golden scores.  Exact by the same tests as the
-        weight-fault leg, but unmeasured end to end: no ledger workload
-        runs computational faults on a multiple-choice task, and no gain
-        is claimed for it.
-        """
-        count_plan("option_rows", "row_scoped_hooks")
-        scores = list(golden.scores)
-        ran = 0
-        while ran < len(scores) and not injector.fired:
-            scores[ran] = golden.rescore_option(self.engine, site.block, ran)
-            ran += 1
-        self._count_block_passes(site, len(scores), ran)
-        return scores
-
-    def _weight_fault_scores(
+    def _option_scores(
         self, trials: list[tuple[int, FaultSite]]
-    ) -> dict[int, list[float]]:
-        """Option scores of multiple-choice ``(trial, site)`` pairs under
-        their weight faults, from their examples' golden passes: bit for
-        bit what one ``forward_full(prompt + option)`` per option scores
-        with the fault swapped in engine-wide.
+    ) -> dict[int, tuple[list[float], bool]]:
+        """``trial -> (option scores, fired)`` of multiple-choice
+        ``(trial, site)`` pairs, from their examples' golden passes: bit
+        for bit what one ``forward_full(prompt + option)`` per option
+        scores with the fault armed engine-wide.
 
-        A corrupted weight is read by every option's forward, from the
-        struck block on.  Rows of any trials struck in the same block
-        and equally long share a forward — as many as
-        :data:`_DECODE_BATCH` and :data:`_OPTION_ROW_TOKENS` allow — each
-        trial's fault keyed to its own rows (``MemoryFaultInjector(rows=)``):
-        nothing is swapped in engine-wide, and each faulted copy lives for
-        one forward.
+        A fault in block ``L`` reaches no block before it, so a row runs
+        from ``L`` on (:func:`~repro.fi.golden.score_option_rows`), its
+        trial's fault keyed to it (:meth:`_row_fault`).  A weight fault is
+        read by every option's forward: its trial's rows are all its
+        options.  A one-shot computational fault fires in the first
+        option forward that runs its layer — option 0's, unless the
+        layer is an MoE expert no token of that option is routed to —
+        and in none after: its trial's row is option 0 and, while the
+        fault has not fired, the next option in a further forward; every
+        option but the one it fired in keeps its golden score.
+        Rows of any trials struck in the same block and equally long
+        share a forward, as many as :data:`_DECODE_BATCH` and
+        :data:`_OPTION_ROW_TOKENS` allow.
         """
         n = len(self.examples)
         sites = dict(trials)
-        scores: dict[int, list[float]] = {}
-        forwards: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        scores = {trial: list(self._golden[trial % n].scores) for trial in sites}
+        fired, ran = dict.fromkeys(sites, False), dict.fromkeys(sites, 0)
+        todo = []
         for trial, site in trials:
-            golden = self._golden[trial % n]
-            count_plan("option_rows", "weight_fault")
-            self._count_block_passes(site, len(golden.options), len(golden.options))
-            scores[trial] = [0.0] * len(golden.options)
-            for option, tokens in enumerate(golden.options):
-                length = len(golden.prompt) + len(tokens)
-                forwards.setdefault((site.block, length), []).append((trial, option))
+            memory = site.fault_model.is_memory
+            count_plan("option_rows", "weight_fault" if memory else "row_scoped_hooks")
+            todo += [(trial, i) for i in (range(len(scores[trial])) if memory else (0,))]
         tel = _telemetry()
-        for (block, length), rows in forwards.items():
-            width = min(_DECODE_BATCH, max(1, _OPTION_ROW_TOKENS // length))
-            for at in range(0, len(rows), width):
-                chunk = rows[at : at + width]
-                mine: dict[int, list[int]] = {}
-                for row, (trial, _) in enumerate(chunk):
-                    mine.setdefault(trial, []).append(row)
-                with ExitStack() as armed:
-                    for trial, ids in mine.items():
-                        armed.enter_context(
-                            MemoryFaultInjector(self.engine, sites[trial], rows=ids)
+        while todo:
+            forwards: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for trial, option in todo:
+                golden = self._golden[trial % n]
+                length = len(golden.prompt) + len(golden.options[option])
+                forwards.setdefault((sites[trial].block, length), []).append((trial, option))
+            for (block, length), rows in forwards.items():
+                width = min(_DECODE_BATCH, max(1, _OPTION_ROW_TOKENS // length))
+                for at in range(0, len(rows), width):
+                    chunk = rows[at : at + width]
+                    mine: dict[int, list[int]] = {}
+                    for row, (trial, _) in enumerate(chunk):
+                        mine.setdefault(trial, []).append(row)
+                    with ExitStack() as armed:
+                        faults = {
+                            trial: armed.enter_context(self._row_fault(sites[trial], ids))
+                            for trial, ids in mine.items()
+                        }
+                        got = score_option_rows(
+                            self.engine, block,
+                            [(self._golden[trial % n], option) for trial, option in chunk],
                         )
-                    got = score_option_rows(
-                        self.engine, block,
-                        [(self._golden[trial % n], option) for trial, option in chunk],
-                    )
-                for (trial, option), score in zip(chunk, got):
-                    scores[trial][option] = score
-                if tel.active:
-                    tel.metrics.histogram("campaign.wave.width").observe(len(chunk))
-        return scores
-
-    def _count_block_passes(self, site: FaultSite, n_options: int, ran: int) -> None:
-        """One trial's ``campaign.mc_golden.*`` tallies: of its
-        ``n_options`` option rows through every block, ``ran`` were
-        recomputed from ``site.block`` on."""
-        tel = _telemetry()
+                    for (trial, option), score in zip(chunk, got):
+                        ran[trial] += 1
+                        if faults[trial].fired:
+                            fired[trial], scores[trial][option] = True, score
+                    if tel.active:
+                        tel.metrics.histogram("campaign.wave.width").observe(len(chunk))
+            todo = [
+                (trial, ran[trial]) for trial in sites
+                if not fired[trial] and ran[trial] < len(scores[trial])
+            ]
         if tel.active:
-            metrics = tel.metrics
-            n_blocks = self.engine.config.n_blocks
-            passes = n_options * n_blocks
-            metrics.counter("campaign.mc_golden.block_passes").add(passes)
-            metrics.counter("campaign.mc_golden.block_passes_skipped").add(
-                passes - ran * (n_blocks - site.block)
-            )
-            metrics.counter("campaign.mc_golden.rows_reused").add(n_options - ran)
+            # Of each trial's option rows through every block, ``ran``
+            # were recomputed from the struck block on.
+            metrics, n_blocks = tel.metrics, self.engine.config.n_blocks
+            for trial, site in trials:
+                passes = len(scores[trial]) * n_blocks
+                metrics.counter("campaign.mc_golden.block_passes").add(passes)
+                metrics.counter("campaign.mc_golden.block_passes_skipped").add(
+                    passes - ran[trial] * (n_blocks - site.block)
+                )
+                metrics.counter("campaign.mc_golden.rows_reused").add(
+                    len(scores[trial]) - ran[trial]
+                )
+        return {trial: (scores[trial], fired[trial]) for trial in sites}
 
     def _eval_gen(self, idx: int, golden: GoldenRun | None = None,
                   k: int = 0) -> str:
@@ -727,24 +722,22 @@ class FICampaign:
         ``track_expert_selection``                reference  expert_tracking
         an engine the pass is inexact on          reference  decode_plan's
         multiple choice, flight recorder armed    reference  flight
-        generative, weight fault                  reference  weight_fault
         multiple choice, KV / accumulator fault   reference  kv_fault / acc_fault
+        beam search, weight fault                 reference  weight_fault
         ``chaos``                                 golden     chaos
         generative, flight recorder armed         golden     flight
-        multiple choice, computational fault      golden     one_shot
         beam search                               golden     beam
         generative, KV / accumulator fault        golden     kv_fault / acc_fault
-        multiple choice, weight fault             wave       row_weight_fault
-        generative, computational fault           wave       row_scoped_hooks
+        weight fault                              wave       row_weight_fault
+        computational fault                       wave       row_scoped_hooks
         ========================================  =========  ===================
 
-        A generative weight fault corrupts the prompt forward a pass
-        would resume from; a multiple-choice KV or accumulator fault
-        arms the engine's one slot, and a flight recorder probes the
-        whole struck forward.  A generative trial struck at
-        iteration 0 resumes nothing and prefills.  A wave row's fault is
-        keyed to its own rows (:meth:`_weight_fault_scores`,
-        :meth:`_run_wave`).
+        A multiple-choice KV or accumulator fault arms the engine's one
+        slot, and a flight recorder probes the whole struck forward; a
+        beam trial resumes at ``S_0``, which a weight fault corrupts.  A
+        generative trial struck at iteration 0 — every weight-fault one
+        — resumes nothing and prefills.  A wave row's fault is keyed to
+        its own rows (:meth:`_row_fault`).
         """
         reason = self._why_no_golden()
         if reason is not None:
@@ -757,21 +750,20 @@ class FICampaign:
             else None
         )
         flight = _flight().active
-        if self.is_mc and flight:
-            return "reference", "flight"
-        if armed in (("kv_fault", "acc_fault") if self.is_mc else ("weight_fault",)):
+        beam = not self.is_mc and self.generation.num_beams != 1
+        if self.is_mc and (flight or armed in ("kv_fault", "acc_fault")):
+            return "reference", "flight" if flight else armed
+        if beam and armed == "weight_fault":
             return "reference", armed
         if self.chaos is not None:
             return "golden", "chaos"
         if flight:
             return "golden", "flight"
-        if self.is_mc:
-            return ("wave", "row_weight_fault") if armed else ("golden", "one_shot")
-        if self.generation.num_beams != 1:
+        if beam:
             return "golden", "beam"
-        if armed is not None:
+        if armed in ("kv_fault", "acc_fault"):
             return "golden", armed
-        return "wave", "row_scoped_hooks"
+        return "wave", "row_weight_fault" if armed else "row_scoped_hooks"
 
     def _build_golden(self) -> None:
         """Every example's fault-free pass, in one sweep: one decode
@@ -824,11 +816,10 @@ class FICampaign:
         if self.track_expert_selection:
             self.engine.capture = CaptureState()
         detach_front = None
-        fired = True
         try:
-            if golden is not None and self.is_mc and site.fault_model.is_memory:
+            if golden is not None and self.is_mc:
                 # A wave of one: the fault keyed to the trial's rows.
-                scores = self._weight_fault_scores([(trial, site)])[trial]
+                scores, fired = self._option_scores([(trial, site)])[trial]
                 pred_idx = int(np.argmax(scores))
             else:
                 with inject(self.engine, site) as injector:
@@ -841,15 +832,11 @@ class FICampaign:
                         detach_front = recorder.attach_front(
                             self.engine, site.iteration
                         )
-                    if golden is not None and self.is_mc:
-                        pred_idx = int(np.argmax(
-                            self._option_rows(golden, site, injector)
-                        ))
-                    elif self.is_mc:
+                    if self.is_mc:
                         pred_idx = self._eval_mc(idx)
                     else:
                         text = self._eval_gen(idx, golden, site.iteration)
-                fired = getattr(injector, "fired", True)
+                fired = injector.fired
         finally:
             if detach_front is not None:
                 detach_front()
@@ -883,7 +870,7 @@ class FICampaign:
         site: FaultSite,
         idx: int,
         pred_idx: int,
-        fired: bool = True,
+        fired: bool,
         selections: dict | None = None,
     ) -> TrialRecord:
         """One multiple-choice trial's record: the option it picked."""
@@ -1059,27 +1046,28 @@ class FICampaign:
         """Run ``trials`` as one wave — the :meth:`trial_plan` path
         ``wave`` — and return every one's record.
 
-        Multiple choice: every trial's option rows, grouped into shared
-        forwards (:meth:`_weight_fault_scores`).  Generative: ``trials``
+        Multiple choice: the trials' option rows, grouped into shared
+        forwards (:meth:`_option_scores`).  Generative: ``trials``
         decode as rows of one :class:`DecodeRound`.
 
         A row is one trial in one pool slot, with its own budget and its
-        own injector pinned to the row's id.  A trial struck at
-        iteration ``k >= 1`` starts from a copy of its example's golden
-        state ``S_(k-1)`` (two trials of one example may be in flight,
-        so neither may own the golden run's session) with the budget the
-        golden prefix left.  A trial struck at iteration 0 needs no
-        golden state: the round prefills its prompt into a slot with the
-        injector already armed, and it decodes beside its siblings from
-        there.  That prompt forward carries the row's id
-        (:meth:`DecodeRound.admit`): on the 1-D entry ``batch_row`` is
-        ``None``, which every row-pinned injector answers to, so one
-        that missed its own prefill (an MoE expert no prompt token was
-        routed to) would strike the next sibling's.  A retiring row
-        disarms its injector and frees its slot for the next pending
-        trial.  The engine's batched forward is row-exact and every
-        injector is row-scoped, so each row computes exactly what the
-        trial computes decoded alone.
+        own fault keyed to the row's id (:meth:`_row_fault`).  A trial
+        struck at iteration ``k >= 1`` starts from a copy of its
+        example's golden state ``S_(k-1)`` (two trials of one example
+        may be in flight, so neither may own the golden run's session)
+        with the budget the golden prefix left.  A trial struck at
+        iteration 0 — every weight-fault one — needs no golden state:
+        the round prefills its prompt into a slot with the fault already
+        armed, and it decodes beside its siblings from there.  That
+        prompt forward carries the row's id (:meth:`DecodeRound.admit`),
+        so a faulted weight copy keyed to it is read from the prefill
+        on; on the 1-D entry ``batch_row`` is ``None``, which every
+        row-pinned injector answers to, so one that missed its own
+        prefill (an MoE expert no prompt token was routed to) would
+        strike the next sibling's.  A retiring row disarms its fault and
+        frees its slot for the next pending trial.  The engine's batched
+        forward is row-exact and every fault is keyed to its row, so
+        each row computes exactly what the trial computes decoded alone.
         """
         self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()
@@ -1090,11 +1078,12 @@ class FICampaign:
             t0 = time.perf_counter()
             sites = [(trial, self._trial_site(trial, max_iter)) for trial in trials]
             with tel.span("campaign.wave", task=self.task_name, trials=len(sites)):
-                scores = self._weight_fault_scores(sites)
+                scores = self._option_scores(sites)
                 records = {}
                 for trial, site in sites:
-                    pred = int(np.argmax(scores[trial]))
-                    records[trial] = self._mc_record(site, trial % n, pred)
+                    options, fired = scores[trial]
+                    pred = int(np.argmax(options))
+                    records[trial] = self._mc_record(site, trial % n, pred, fired)
                     if traced:
                         self._tally(records[trial], t0)
             return records
@@ -1105,9 +1094,7 @@ class FICampaign:
         live: dict[int, tuple] = {}
 
         def arm(site, prefix, slot, t0, row) -> None:
-            injector = ComputationalFaultInjector(
-                self.engine, site, batch_row=row.id
-            )
+            injector = self._row_fault(site, (row.id,))
             live[row.key] = (site, prefix, slot, injector.__enter__(), t0)
 
         def retire(row) -> None:
@@ -1123,13 +1110,13 @@ class FICampaign:
             )
             records[row.key] = record
             if traced:
-                # An iteration-0 row resumed nothing.
-                name = "hits" if site.iteration else "misses"
+                # A row in a slot of the round's own resumed nothing.
+                name = "misses" if slot is None else "hits"
                 tel.metrics.counter(f"engine.prefill_cache_{name}").add()
                 self._tally(record, t0)
 
         with tel.span("campaign.wave", task=self.task_name, trials=len(pending)):
-            count_plan("batched", "row_scoped_hooks")
+            count_plan("batched", self.trial_plan()[1])
             pool = self._kv_slots()
             rnd = DecodeRound(self.engine, pool, self.generation.eos_id)
             try:
@@ -1137,7 +1124,9 @@ class FICampaign:
                     while pending and pool.n_free:
                         trial, site = pending.popleft()
                         t0 = time.perf_counter()
-                        if site.iteration == 0:
+                        # A weight fault is read from the prompt forward
+                        # on, whatever iteration its site names.
+                        if site.iteration == 0 or site.fault_model.is_memory:
                             row, _, reason = rnd.admit(
                                 trial,
                                 self._token_ids[trial % n],

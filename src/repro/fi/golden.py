@@ -5,19 +5,21 @@ Two of them, one per axis a fault cannot travel along.  A transient
 fault cannot reach *earlier iterations*: :class:`GoldenRun` is the
 fault-free decode a generative trial resumes from.  No fault can reach
 *earlier blocks*, and a one-shot fault cannot reach the option forwards
-after the one it fired in: :class:`GoldenOptions` is the fault-free
-scoring pass a multiple-choice trial resumes from.  Either is its
-example's only fault-free reference in an ``auto`` campaign: the
+other than the one it fired in: :class:`GoldenOptions` is the
+fault-free scoring pass a multiple-choice trial resumes from.  Either
+is its example's only fault-free reference in an ``auto`` campaign: the
 baseline is read off it, and nothing decodes or scores the example
 fault-free a second way.
 
 **Multiple-choice trials.**  A trial struck in block ``L`` reruns option
 rows from ``L`` on, from the state that entered ``L`` in its example's
 pass (:func:`score_option_rows`).  Under a weight fault that is every
-option row, and the fault is keyed to the trial's own rows rather than
-swapped in engine-wide, so the rows of many trials — of any examples,
+option row; under a computational fault, options one at a time until
+its hook has fired.  The fault is keyed to the trial's own rows rather
+than armed engine-wide, so the rows of many trials — of any examples,
 struck in the same block, equally long — share one forward, each
-reading its own faulted copy of the struck tensor.
+reading its own faulted copy of the struck tensor or struck by its own
+pinned hook.
 
 **Generative trials.**
 
@@ -256,12 +258,12 @@ class GoldenOptions:
     keeping), and per option its score.  A fault in block ``L`` leaves
     every block before it computing exactly this pass, so a trial runs
     its option rows from block ``L`` on
-    (:func:`score_option_rows`, from :meth:`state`).  A weight fault is
-    read by every option's forward: its rows are all rerun, beside
-    other trials' rows of the same length and struck block, each under
-    its own row-keyed fault.  A one-shot computational fault also leaves
-    the option forwards it does not fire in untouched, so a trial
-    recomputes single rows (:meth:`rescore_option`) and keeps the golden
+    (:func:`score_option_rows`, from :meth:`state`), beside other
+    trials' rows of the same length and struck block, each under its own
+    row-keyed fault.  A weight fault is read by every option's forward:
+    its rows are all rerun.  A one-shot computational fault leaves every
+    option forward but the one it fires in untouched: a trial reruns
+    its options one at a time until it has fired and keeps the golden
     :attr:`scores` of the rest.
     """
 
@@ -317,12 +319,6 @@ class GoldenOptions:
         )
         return self.hidden[g][block - 1][row]
 
-    def rescore_option(
-        self, engine: InferenceEngine, first_block: int, option: int
-    ) -> float:
-        """One option's score: its row alone, from ``first_block`` on."""
-        return score_option_rows(engine, first_block, [(self, option)])[0]
-
 
 def score_option_rows(
     engine: InferenceEngine,
@@ -334,7 +330,8 @@ def score_option_rows(
     ``first_block..n-1`` from the golden state entering ``first_block``.
     Row ``i`` carries id ``i``: what is armed on ``engine`` must not
     reach a block below ``first_block``, and a fault keyed to row ``i``
-    (``MemoryFaultInjector(rows=)``) is read by that row alone."""
+    (``MemoryFaultInjector(rows=)``, ``ComputationalFaultInjector(
+    batch_row=)``) strikes that row alone."""
     resume = None
     if first_block:
         resume = (

@@ -71,6 +71,10 @@ class MemoryFaultInjector:
     layer with ``W'`` swapped in takes no second fault.
     """
 
+    fired = True
+    """Every injector answers whether its fault struck; a weight fault
+    has from the moment it is armed (every forward reads ``W'``)."""
+
     def __init__(
         self,
         engine: InferenceEngine,

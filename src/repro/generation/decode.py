@@ -338,8 +338,10 @@ def score_options(
     What a fault cannot reach is shared one level up, never here: an
     ``auto`` campaign scores its fault-free baseline and its weight- or
     computational-fault trials from its example's golden option pass,
-    as rows of one row-exact forward (:class:`repro.fi.golden.GoldenOptions`)
-    — ``array_equal`` to this list, option by option.
+    as rows of row-exact forwards that other trials' rows share, each
+    trial's fault keyed to its own rows
+    (:class:`repro.fi.golden.GoldenOptions`) — ``array_equal`` to this
+    list, option by option.
     """
     if not options_ids:
         raise ValueError("need at least one option to score")

@@ -68,13 +68,16 @@ differences).  A weight fault keyed by row
 (``MemoryFaultInjector(rows=)``) swaps nothing in engine-wide: only its
 rows read the faulted copy, each in the product the serial forward of
 that row runs, so it is row-scoped like a pinned hook.  That is how a
-campaign scores multiple-choice trials under weight faults, many trials
-to a ``forward_chunk_batch`` (:func:`repro.fi.golden.score_option_rows`,
-counted as ``decode.plan.option_rows.<reason>``), bit for bit the
-per-option forwards.  The *draft* is held to the speculation bar too
-(``draft_<reason>``, path = the target's no-draft path): its corruption
-is masked by construction, but the non-speculative paths run without
-it, so whether a draft fault even fires would depend on the path.
+campaign runs weight-fault trials many to a forward: multiple-choice
+option rows of a ``forward_chunk_batch``
+(:func:`repro.fi.golden.score_option_rows`, counted as
+``decode.plan.option_rows.<reason>``), bit for bit the per-option
+forwards, and generative rows of one round, each prefilled with its
+fault keyed to ``row.id`` (``before_prefill``).  The *draft* is held to
+the speculation bar too (``draft_<reason>``, path = the target's
+no-draft path): its corruption is masked by construction, but the
+non-speculative paths run without it, so whether a draft fault even
+fires would depend on the path.
 """
 
 from __future__ import annotations
@@ -146,10 +149,12 @@ def count_plan(path: str, reason: str) -> None:
     runs the reference loop), and an ``auto`` campaign counts a
     multiple-choice scoring as ``option_rows`` for an example's golden
     option pass (reason ``clean`` / ``observer_hooks``) and for every
-    trial scored from it (``weight_fault`` / ``row_scoped_hooks``), else
-    as ``per_option`` — the reference,
-    :func:`~repro.generation.decode.score_options`, which plans nothing
-    itself."""
+    trial scored from it, whatever forward its rows shared (reason
+    ``weight_fault`` / ``row_scoped_hooks``), else as ``per_option`` —
+    the reference, :func:`~repro.generation.decode.score_options`, which
+    plans nothing itself.  A generative wave counts itself once, as
+    ``batched`` with its rows' reason (``row_weight_fault`` /
+    ``row_scoped_hooks``)."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()

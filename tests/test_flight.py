@@ -244,10 +244,11 @@ class TestTraceExport:
         out = tmp_path / "run.jsonl"
         tel = telemetry()
         tel.enable(out)
-        # A computational fault: each multiple-choice trial is a unit of
-        # its own (weight-fault trials share forwards, in waves).
+        # An accumulator fault: each multiple-choice trial is a unit of
+        # its own (computational and weight-fault trials share forwards,
+        # in waves).
         _mc_campaign(
-            InferenceEngine(untrained_store), tokenizer, world, FaultModel.COMP_1BIT
+            InferenceEngine(untrained_store), tokenizer, world, FaultModel.ACC_1BIT
         ).run(4, n_workers=2)
         tel.flush(seed=5, command="test")
         trace_path = export_trace(out, tmp_path / "trace.json")

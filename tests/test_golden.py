@@ -582,26 +582,21 @@ def pin_block(camp, block):
 
 def score_vectors(camp, trial):
     """``(site, scores on the new leg, scores of the per-option
-    reference)`` of one trial, each under its own arming of the fault: a
-    weight fault keyed to the trial's rows (a wave of one), flipped into
-    the store for the reference."""
+    reference)`` of one trial, each under its own arming of the fault:
+    keyed to the trial's rows (a wave of one), armed engine-wide for the
+    reference."""
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
     camp.compute_baseline()  # builds the passes, once
     assert camp.trial_plan()[0] != "reference"
-    golden = camp._golden[idx]
-    assert isinstance(golden, GoldenOptions)
+    assert isinstance(camp._golden[idx], GoldenOptions)
     prompt, options = camp._token_ids[idx]
-    if site.fault_model.is_memory:
-        rows, fired = camp._weight_fault_scores([(trial, site)])[trial], True
-        assert camp.engine.row_weights == {}
-    else:
-        with inject(camp.engine, site) as injector:
-            rows = camp._option_rows(golden, site, injector)
-        fired = injector.fired
+    hooks = len(camp.engine.hooks)
+    rows, fired = camp._option_scores([(trial, site)])[trial]
+    assert camp.engine.row_weights == {} and len(camp.engine.hooks) == hooks
     with inject(camp.engine, site) as reference:
         full = score_options(camp.engine, prompt, options)
-    assert fired == getattr(reference, "fired", True)
+    assert fired == reference.fired
     return site, rows, full
 
 

@@ -153,9 +153,11 @@ class TestSelectiveProtection:
 
     def test_protected_router_campaign(self, moe_engine, tokenizer, world):
         """The mitigation study's wiring: verify-and-restore before every
-        decode of a router-only memory-fault campaign.  The wrapper has
-        to pass on whatever the campaign calls ``_eval_gen`` with — one
-        that took the example alone made every trial raise and end up
+        decode of a router-only memory-fault campaign, on the one-trial
+        reference path, where ``_eval_gen`` is each trial's decode (a
+        wave decodes its rows without it).  The wrapper has to pass on
+        whatever the campaign calls ``_eval_gen`` with — one that took
+        the example alone made every trial raise and end up
         quarantined."""
         task = TranslationTask(world)
         campaign = FICampaign(
@@ -170,6 +172,7 @@ class TestSelectiveProtection:
                 max_new_tokens=task.max_new_tokens, eos_id=tokenizer.vocab.eos_id
             ),
             layer_filter=lambda name: name.endswith("router"),
+            decode_strategy="serial",
         )
         protection = SelectiveProtection(moe_engine, router_layers(moe_engine))
         original = campaign._eval_gen

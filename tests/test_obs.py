@@ -313,10 +313,11 @@ class TestCampaignTelemetry:
     ):
         tel = clean_telemetry
         tel.enable()
-        # A computational fault keeps each multiple-choice trial to
-        # itself, in a span of its own (weight-fault trials run in waves).
+        # An accumulator fault keeps each multiple-choice trial to
+        # itself, in a span of its own (computational and weight-fault
+        # trials run in waves).
         result = _campaign(
-            untrained_engine, tokenizer, world, FaultModel.COMP_1BIT
+            untrained_engine, tokenizer, world, FaultModel.ACC_1BIT
         ).run(6)
         trial_spans = [
             r for r in tel.tracer.records if r.name == "campaign.trial"

@@ -1,10 +1,10 @@
 """Waves: injected trials that share forwards, sixteen to a round.
 
-Under ``decode_strategy="auto"`` greedy computational-fault trials
-decode as rows of one ``DecodeRound`` — each in its own pool slot, with
-its own budget and its own row-pinned injector, resumed from its
-example's golden run or, struck at iteration 0, prefilled into the slot
-under that injector.  The engine's batched forward is row-exact, so
+Under ``decode_strategy="auto"`` greedy computational- and weight-fault
+trials decode as rows of one ``DecodeRound`` — each in its own pool
+slot, with its own budget and its own fault keyed to the row, resumed
+from its example's golden run or, struck at iteration 0, prefilled into
+the slot under that fault.  The engine's batched forward is row-exact, so
 every record must equal the one-trial-at-a-time reference bit for bit
 (:mod:`repro.fi.differential`); the tests below also pin *that* waves
 ran and that no trial ran beside them, from the counters, and what
@@ -15,11 +15,13 @@ batches the in-process leg does, so they form waves too — and a worker
 lost mid-wave loses nothing.
 """
 
+import dataclasses
 import math
 import os
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.fi import (
@@ -35,9 +37,10 @@ from repro.fi import campaign as fi_campaign
 from repro.fi.campaign import _DECODE_BATCH
 from repro.fi.injector import ComputationalFaultInjector
 from repro.generation.round import DecodeRound
-from repro.inference import InferenceEngine
+from repro.inference import CaptureState, InferenceEngine
 from repro.obs import flight_recorder, telemetry
 from repro.tasks import (
+    ARCTask,
     GSM8kTask,
     HellaSwagTask,
     MMLUTask,
@@ -232,12 +235,13 @@ class TestWhatKeepsATrialToItself:
         ),
         "unscoped-hook": (0, "2bits-comp", "hook", "reference unscoped_hooks"),
         "mc-flight": (1, "1bit-comp", "flight", "reference flight"),
-        "mem": (0, "2bits-mem", {}, "reference weight_fault"),
+        "mem": (
+            0, "2bits-mem", dict(generation={"num_beams": 2}), "reference weight_fault"
+        ),
         "mc-kv": (1, "2bits-kv", {}, "reference kv_fault"),
         "mc-acc": (1, "2bits-acc", {}, "reference acc_fault"),
         "chaos": (0, "2bits-comp", dict(chaos=CampaignChaos()), "golden chaos"),
         "flight": (0, "2bits-comp", "flight", "golden flight"),
-        "one-shot": (1, "1bit-comp", {}, "golden one_shot"),
         "beams": (0, "2bits-comp", dict(generation={"num_beams": 2}), "golden beam"),
         "kv": (0, "2bits-kv", {}, "golden kv_fault"),
         "acc": (0, "2bits-acc", {}, "golden acc_fault"),
@@ -772,8 +776,8 @@ class TestMultipleChoiceWeightFaultWaves:
         """Pool workers attach every store's planes read-only, so a trial
         that wrote one would raise and fail: the records equal the serial
         ones, and the planes are still the arena's, only if none did —
-        multiple-choice waves, faults keyed by row, and generative
-        trials, faults swapped in engine-wide."""
+        waves, faults keyed by row, and generative trials run alone,
+        faults swapped in engine-wide."""
         for task, n_trials in ((HellaSwagTask(world), N_TRIALS), (TranslationTask(world), 6)):
             reference = self._campaign(
                 trained_store, tokenizer, task, policy, decode_strategy="serial"
@@ -800,3 +804,157 @@ class TestMultipleChoiceWeightFaultWaves:
                 assert store.array is planes["array"], name
                 assert not any(plane.flags.writeable for plane in planes.values()), name
             assert worker.engine.row_weights == {}
+
+
+class TestEveryRowKeyableFaultIsAWave:
+    """Generative weight-fault trials are wave rows, each prefilled with
+    its faulted weight copy keyed to ``row.id``; multiple-choice
+    computational-fault trials are option rows, each hook pinned to its
+    trial's row and a trial whose hook did not fire scoring its next
+    option in a further forward.  Both equal the serial reference, in
+    this process and on two workers, no trial runs alone, and every wave
+    leaves no faulted weight registered and the engine's hooks the ones
+    it found."""
+
+    @pytest.fixture(autouse=True)
+    def checked_waves(self, monkeypatch):
+        run_wave = FICampaign._run_wave
+
+        def checked(self, trials):
+            hooks = dict(self.engine.hooks._hooks)
+            records = run_wave(self, trials)
+            # In a pool worker a failed check is a wave fallback, which
+            # the callers' ``lone_trials`` assertion reports.
+            assert self.engine.row_weights == {}
+            assert self.engine.hooks._hooks == hooks
+            return records
+
+        monkeypatch.setattr(FICampaign, "_run_wave", checked)
+
+    @staticmethod
+    def _probed(camp):
+        """``camp`` with an observer probe on every linear layer, as
+        layer timing attaches them."""
+        for name in camp.engine.linear_layer_names():
+            camp.engine.hooks.register(
+                name, lambda out, ctx: None, row_scoped=True, observer=True
+            )
+        return camp
+
+    def _auto_runs(self, build, reference):
+        """``(campaign, counters, wave spans, result)`` of the ``auto``
+        run at 0 and at 2 workers, each checked against ``reference``
+        and for what every run of waves must leave behind."""
+        for workers in (0, 2):
+            camp = self._probed(build())
+            probes = dict(camp.engine.hooks._hooks)
+            try:
+                fast, counters, waves, width = run_traced(
+                    camp, N_TRIALS, n_workers=workers
+                )
+            finally:
+                camp.close_pool()
+            assert_results_equal(fast, reference, f"waves, {workers} workers", "serial")
+            assert sum(span.attrs["trials"] for span in waves) == N_TRIALS
+            assert width["max"] > 1 and lone_trials(counters) == {}
+            assert counters["campaign.trials"] == counters["campaign.trial_ms"] == N_TRIALS
+            assert camp.engine.row_weights == {} and camp.engine.weight_fault_depth == 0
+            assert camp.engine.hooks._hooks == probes
+            yield camp, counters, waves, fast
+
+    @pytest.mark.parametrize("policy", ["fp32", "bf16", "int8"])
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    def test_generative_weight_faults(self, request, tokenizer, world, store, policy):
+        store, task = request.getfixturevalue(store), TranslationTask(world)
+
+        def build(**kw):
+            return campaign(
+                store, tokenizer, task, FaultModel.MEM_2BIT,
+                engine=InferenceEngine(store, weight_policy=policy), **kw,
+            )
+
+        assert build().trial_plan() == ("wave", "row_weight_fault")
+        reference = build(decode_strategy="serial").run(N_TRIALS)
+        for camp, counters, waves, fast in self._auto_runs(build, reference):
+            # Every weight-fault row prefilled under its fault: none
+            # resumed a golden run, and each fired.
+            assert counters["engine.prefill_cache_misses"] == N_TRIALS
+            assert counters["engine.prefill_cache_hits"] == 0
+            assert counters["decode.plan.batched.row_weight_fault"] == len(waves)
+            assert all(t.fired for t in fast.trials)
+
+    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    def test_multiple_choice_computational_faults(
+        self, request, tokenizer, world, store, fault_model
+    ):
+        store, task = request.getfixturevalue(store), HellaSwagTask(world)
+
+        def build(**kw):
+            return campaign(
+                store, tokenizer, task, fault_model,
+                examples=standardized_subset(task, 4), **kw,
+            )
+
+        assert build().trial_plan() == ("wave", "row_scoped_hooks")
+        reference = build(decode_strategy="serial").run(N_TRIALS)
+        for camp, counters, waves, fast in self._auto_runs(build, reference):
+            assert counters["decode.plan.option_rows.row_scoped_hooks"] == N_TRIALS
+            assert any(t.fired for t in fast.trials)
+            # Option rows keep no K/V.
+            assert camp._kv_pool is None
+
+    def test_an_unfired_option_row_scores_the_next_option(
+        self, moe_store, tokenizer, world
+    ):
+        """Struck in an MoE expert no token of option 0 is routed to, a
+        trial's hook misses option 0's row and fires in a later option's,
+        in a further forward of the wave; the records are still the
+        reference's."""
+        task = ARCTask(world)
+
+        def build(**kw):
+            return campaign(
+                moe_store, tokenizer, task, FaultModel.COMP_2BIT,
+                examples=standardized_subset(task, 8), **kw,
+            )
+
+        probe = build()
+        engine = probe.engine
+        later = {}  # example -> an expert layer only a later option runs
+        for idx, (prompt, options) in enumerate(probe._token_ids):
+            ran = []
+            for option in options:
+                engine.capture = CaptureState()
+                engine.forward_full(prompt + option)
+                ran.append({
+                    (block, int(e))
+                    for (_, block), top in engine.capture.expert_selections.items()
+                    for e in np.unique(top)
+                })
+                engine.capture = None
+            for block, expert in sorted(set().union(*ran[1:]) - ran[0])[:1]:
+                later[idx] = f"blocks.{block}.experts.{expert}.down_proj"
+        assert len(later) > 1, "too few examples route an expert from a later option only"
+
+        def pinned(camp):
+            sample = camp._trial_site
+
+            def site(trial, max_iter):
+                drawn = sample(trial, max_iter)
+                layer = later.get(trial % len(camp.examples), drawn.layer_name)
+                return dataclasses.replace(drawn, layer_name=layer)
+
+            camp._trial_site = site
+            return camp
+
+        reference = pinned(build(decode_strategy="serial")).run(24)
+        fast, counters, waves, _ = run_traced(pinned(build()), 24)
+        assert_results_equal(fast, reference, "option-row waves", "serial")
+        assert sum(span.attrs["trials"] for span in waves) == 24
+        assert lone_trials(counters) == {}
+        # Four options a trial: one that fired in option 0 reuses three
+        # golden scores, one that never fired none.  Fewer than three a
+        # fired trial: some fired in a later option's forward.
+        fired = sum(t.fired for t in fast.trials)
+        assert counters["campaign.mc_golden.rows_reused"] < 3 * fired
