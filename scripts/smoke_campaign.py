@@ -9,17 +9,18 @@ merge, manifest, reporter — without depending on cached zoo artifacts.
 ``--flight`` additionally arms the per-trial flight recorder and
 asserts one forensic record per trial lands in the exported run — the
 input for ``repro obs explain`` / ``repro obs export-trace`` in the CI
-forensics job.  ``--fault`` picks the fault model: the default weight
-fault never resumes a golden run (its wave rows prefill under it), a
-transient one (``2bits-comp``) does, in waves.  Given more than once, the campaigns run back to back on the
+forensics job.  ``--fault`` picks the fault model; every one's trials
+run in waves: the default weight fault never resumes a golden run (its
+wave rows prefill under it), a transient one (``2bits-comp``,
+``2bits-kv``, ``2bits-acc``) does.  Given more than once, the campaigns run back to back on the
 one engine in the one telemetry run, as a study's fault-model cells do:
 the first decodes the golden runs, the others start from them
 (``campaign.golden.shared``).  ``--max-fault-iterations 1`` strikes
 every trial at iteration 0 — the wave rows that prefill under their
 injector instead of resuming.  ``--task`` picks the task (default
 ``wmt16``): a multiple-choice one (``--task mmlu``) scores option rows
-instead of decoding, and under a weight or computational fault its
-trials share those forwards in waves; such a run is then repeated with telemetry off and
+instead of decoding, and under any fault model its trials share those
+forwards in waves; such a run is then repeated with telemetry off and
 must record the same trials (untraced, nothing observes the last block,
 so option rows compute only the positions they score).  ``--beams K``
 decodes with beam search of width ``K``: every trial runs alone through

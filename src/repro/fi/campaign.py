@@ -15,15 +15,15 @@ without changing any sampled site, and a resumed run replays exactly
 the sites an uninterrupted run would have drawn.
 
 Trials that can share forwards do: the engine's batched forward is
-bit-identical per row to the serial one, so greedy trials under a
-computational or weight fault decode as *waves* — ``_DECODE_BATCH`` rows
+bit-identical per row to the serial one and every fault model keys to a
+batch row, so greedy trials decode as *waves* — ``_DECODE_BATCH`` rows
 of one decode round, each with its own budget and its own fault keyed
 to its row, resumed from its example's golden run or, struck at
 iteration 0 (as every weight fault is), prefilled into its slot under
 that fault (:meth:`FICampaign._run_wave`).  A multiple-choice trial has
 no decode to share, but reruns option rows from its example's
 fault-free pass — every one under a weight fault, one at a time until
-a computational fault has fired — and the rows of many trials share a
+a transient fault has fired — and the rows of many trials share a
 forward, each trial's fault keyed to its own rows and nothing armed
 engine-wide.  Which path a trial takes — a wave, alone from its
 example's fault-free pass, or alone through the whole reference — and
@@ -86,7 +86,9 @@ from repro.fi.golden import (
     weights_digest,
 )
 from repro.fi.injector import (
+    AccumulatorFaultInjector,
     ComputationalFaultInjector,
+    KVFaultInjector,
     MemoryFaultInjector,
     inject,
 )
@@ -209,6 +211,16 @@ it at width 6) plus a part per ragged row, so the wider round is fewer,
 fuller steps; the slots are sized to what the cell can reach
 (:meth:`FICampaign._kv_slots`), which is what keeps sixteen of them
 inside the memory eight ``max_seq`` ones took."""
+
+_ROW_KEYED = {
+    "weights": (MemoryFaultInjector, "row_weight_fault"),
+    "activations": (ComputationalFaultInjector, "row_scoped_hooks"),
+    "kv-cache": (KVFaultInjector, "kv_fault"),
+    "accumulator": (AccumulatorFaultInjector, "acc_fault"),
+}
+"""Per fault surface (:attr:`FaultModel.surface`): its injector that
+keys to batch rows, and what :func:`decode_plan` reports while one is
+armed — a wave's reason (:meth:`FICampaign.trial_plan`)."""
 
 _OPTION_ROW_TOKENS = 128
 """Most tokens one forward of option rows takes
@@ -404,13 +416,14 @@ class FICampaign:
 
     def _row_fault(self, site: FaultSite, rows: "tuple[int, ...] | list[int]"):
         """The injector that keys ``site``'s fault to the batch rows
-        ``rows`` — a faulted weight copy for any of them, a hook pinned
-        to the one row of a transient fault — so that rows sharing a
-        forward with it compute what they compute alone."""
+        ``rows`` — a faulted weight copy for any of them, a transient
+        fault pinned to its one row — so that rows sharing a forward
+        with it compute what they compute alone."""
+        kind, _ = _ROW_KEYED[site.fault_model.surface]
         if site.fault_model.is_memory:
-            return MemoryFaultInjector(self.engine, site, rows=rows)
+            return kind(self.engine, site, rows=rows)
         (row,) = rows
-        return ComputationalFaultInjector(self.engine, site, batch_row=row)
+        return kind(self.engine, site, batch_row=row)
 
     def _option_scores(
         self, trials: list[tuple[int, FaultSite]]
@@ -424,12 +437,13 @@ class FICampaign:
         from ``L`` on (:func:`~repro.fi.golden.score_option_rows`), its
         trial's fault keyed to it (:meth:`_row_fault`).  A weight fault is
         read by every option's forward: its trial's rows are all its
-        options.  A one-shot computational fault fires in the first
-        option forward that runs its layer — option 0's, unless the
-        layer is an MoE expert no token of that option is routed to —
-        and in none after: its trial's row is option 0 and, while the
-        fault has not fired, the next option in a further forward; every
-        option but the one it fired in keeps its golden score.
+        options.  A one-shot fault (computational, accumulator, KV)
+        fires in the first option forward that runs its layer — option
+        0's, unless the layer is an MoE expert no token of that option
+        is routed to — and in none after: its trial's row is option 0
+        and, while it has not fired, the next option in a further
+        forward; every option but the one it fired in keeps its golden
+        score.
         Rows of any trials struck in the same block and equally long
         share a forward, as many as :data:`_DECODE_BATCH` and
         :data:`_OPTION_ROW_TOKENS` allow.
@@ -441,7 +455,8 @@ class FICampaign:
         todo = []
         for trial, site in trials:
             memory = site.fault_model.is_memory
-            count_plan("option_rows", "weight_fault" if memory else "row_scoped_hooks")
+            reason = _ROW_KEYED[site.fault_model.surface][1]
+            count_plan("option_rows", "weight_fault" if memory else reason)
             todo += [(trial, i) for i in (range(len(scores[trial])) if memory else (0,))]
         tel = _telemetry()
         while todo:
@@ -722,48 +737,35 @@ class FICampaign:
         ``track_expert_selection``                reference  expert_tracking
         an engine the pass is inexact on          reference  decode_plan's
         multiple choice, flight recorder armed    reference  flight
-        multiple choice, KV / accumulator fault   reference  kv_fault / acc_fault
         beam search, weight fault                 reference  weight_fault
         ``chaos``                                 golden     chaos
         generative, flight recorder armed         golden     flight
         beam search                               golden     beam
-        generative, KV / accumulator fault        golden     kv_fault / acc_fault
-        weight fault                              wave       row_weight_fault
-        computational fault                       wave       row_scoped_hooks
+        any other                                 wave       its rows' plan
         ========================================  =========  ===================
 
-        A multiple-choice KV or accumulator fault arms the engine's one
-        slot, and a flight recorder probes the whole struck forward; a
-        beam trial resumes at ``S_0``, which a weight fault corrupts.  A
-        generative trial struck at iteration 0 — every weight-fault one
-        — resumes nothing and prefills.  A wave row's fault is keyed to
-        its own rows (:meth:`_row_fault`).
+        A flight recorder probes the whole struck forward; a beam trial
+        resumes at ``S_0``, which a weight fault corrupts.  A wave row's
+        fault is keyed to its own rows (:meth:`_row_fault`), and the
+        wave's reason is what :func:`decode_plan` reports while it is
+        armed (:data:`_ROW_KEYED`).
         """
         reason = self._why_no_golden()
         if reason is not None:
             return "reference", reason
-        model = self.fault_model
-        armed = (
-            "weight_fault" if model.is_memory
-            else "kv_fault" if model.is_kv
-            else "acc_fault" if model.is_accumulator
-            else None
-        )
         flight = _flight().active
         beam = not self.is_mc and self.generation.num_beams != 1
-        if self.is_mc and (flight or armed in ("kv_fault", "acc_fault")):
-            return "reference", "flight" if flight else armed
-        if beam and armed == "weight_fault":
-            return "reference", armed
+        if self.is_mc and flight:
+            return "reference", "flight"
+        if beam and self.fault_model.is_memory:
+            return "reference", "weight_fault"
         if self.chaos is not None:
             return "golden", "chaos"
         if flight:
             return "golden", "flight"
         if beam:
             return "golden", "beam"
-        if armed in ("kv_fault", "acc_fault"):
-            return "golden", armed
-        return "wave", "row_weight_fault" if armed else "row_scoped_hooks"
+        return "wave", _ROW_KEYED[self.fault_model.surface][1]
 
     def _build_golden(self) -> None:
         """Every example's fault-free pass, in one sweep: one decode
@@ -1006,7 +1008,7 @@ class FICampaign:
         trial began — never a ranger's or the layer-timing probes the
         engine carried before it — and the engine's armed-fault state
         (a faulted weight copy swapped in or keyed by row, the KV and
-        accumulator slots, capture), which no trial starts with.
+        accumulator registries, capture), which no trial starts with.
         """
         if self._hook_mark is not None:
             self.engine.hooks._detach_since(self._hook_mark)
@@ -1060,14 +1062,11 @@ class FICampaign:
         the round prefills its prompt into a slot with the fault already
         armed, and it decodes beside its siblings from there.  That
         prompt forward carries the row's id (:meth:`DecodeRound.admit`),
-        so a faulted weight copy keyed to it is read from the prefill
-        on; on the 1-D entry ``batch_row`` is ``None``, which every
-        row-pinned injector answers to, so one that missed its own
-        prefill (an MoE expert no prompt token was routed to) would
-        strike the next sibling's.  A retiring row disarms its fault and
-        frees its slot for the next pending trial.  The engine's batched
-        forward is row-exact and every fault is keyed to its row, so
-        each row computes exactly what the trial computes decoded alone.
+        so the row's fault is read from its prefill on and no sibling's.
+        A retiring row disarms its fault and frees its slot for the next
+        pending trial.  The engine's batched forward is row-exact and
+        every fault is keyed to its row, so each row computes exactly
+        what the trial computes decoded alone.
         """
         self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()

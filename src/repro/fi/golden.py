@@ -14,12 +14,12 @@ fault-free a second way.
 **Multiple-choice trials.**  A trial struck in block ``L`` reruns option
 rows from ``L`` on, from the state that entered ``L`` in its example's
 pass (:func:`score_option_rows`).  Under a weight fault that is every
-option row; under a computational fault, options one at a time until
-its hook has fired.  The fault is keyed to the trial's own rows rather
-than armed engine-wide, so the rows of many trials — of any examples,
+option row; under a transient fault, options one at a time until it
+has fired.  The fault is keyed to the trial's own rows rather than
+armed engine-wide, so the rows of many trials — of any examples,
 struck in the same block, equally long — share one forward, each
 reading its own faulted copy of the struck tensor or struck by its own
-pinned hook.
+pinned injector.
 
 **Generative trials.**
 
@@ -330,8 +330,8 @@ def score_option_rows(
     ``first_block..n-1`` from the golden state entering ``first_block``.
     Row ``i`` carries id ``i``: what is armed on ``engine`` must not
     reach a block below ``first_block``, and a fault keyed to row ``i``
-    (``MemoryFaultInjector(rows=)``, ``ComputationalFaultInjector(
-    batch_row=)``) strikes that row alone."""
+    (``MemoryFaultInjector(rows=)``, any other injector's
+    ``batch_row=``) strikes that row alone."""
     resume = None
     if first_block:
         resume = (

@@ -234,48 +234,49 @@ class ComputationalFaultInjector:
 class KVFaultInjector:
     """Persistent K/V-cache corruption with rollback-aware arming.
 
-    Armed on the engine (``engine.kv_fault``), which calls
-    :meth:`on_append` from the attention paths right after new K/V
-    lands in the target block's cache.  The strike latches on the first
-    append at or past the sampled iteration (``>=`` — speculative
-    verification chunks skip iteration values, and a waiting fault in
-    real hardware does not politely disappear when the scheduler
-    batches tokens), resolves the struck token position against the
-    cache's *occupied* prefix, and flips the sampled bits in place.
+    Armed on the engine (``engine.kv_faults[batch_row]``), which calls
+    :meth:`on_append` right after the row's new K/V lands in the target
+    block's cache (without one, over its fresh K/V).  The strike latches
+    on the first append at or past the sampled iteration (``>=`` —
+    speculative verification chunks skip iteration values, and a waiting
+    fault in real hardware does not politely disappear when the
+    scheduler batches tokens), resolves the struck token position
+    against the cache's *occupied* prefix, and flips the sampled bits in
+    place.
 
     The corruption persists — every later attention over the struck
     position reads the flipped bits — until the cache itself discards
     the position: the injector registers as a truncation watcher on the
     struck cache, and a rollback to at or below the struck position
-    restores the element and re-arms the fault (the satellite-3 bug:
-    without this, a rejected speculation round silently erased the
-    fault while the one-shot injector believed it had fired).
+    restores the element and re-arms the fault, so a rejected
+    speculation round cannot erase a fault the injector counts as fired.
 
-    ``caches`` optionally pins the strike to one sequence's per-block
-    cache list (identity comparison): where one round decodes several
-    sequences, the fault lands in exactly that sequence's slot
-    (armed through ``DecodeRound.admit(before_prefill=)``).
+    ``batch_row`` pins the strike to the batch row carrying that id
+    (``Row.id``, armed through ``DecodeRound.admit(before_prefill=)`` so
+    an iteration-0 strike lands in the prefill); the 1-D entry carries
+    none, so only an unpinned injector (``None``) strikes there.
     """
 
     def __init__(
         self,
         engine: InferenceEngine,
         site: FaultSite,
-        caches: list[KVCache] | None = None,
+        batch_row: int | None = None,
     ) -> None:
         if not site.fault_model.is_kv:
             raise ValueError(f"{site.fault_model} is not a KV-cache fault model")
         self.engine = engine
         self.site = site
-        self.caches = caches
+        self.batch_row = batch_row
         self.fired = False
         self._struck: tuple | None = None
 
     def __enter__(self) -> "KVFaultInjector":
-        if self.engine.kv_fault is not None:
-            raise RuntimeError("another KV fault is already armed on this engine")
+        if self.engine.kv_faults.setdefault(self.batch_row, self) is not self:
+            raise RuntimeError(
+                f"batch row {self.batch_row} already carries a KV fault"
+            )
         self.fired = False
-        self.engine.kv_fault = self
         recorder = _flight()
         if recorder.active:
             recorder.event(
@@ -292,8 +293,6 @@ class KVFaultInjector:
     def on_append(self, block: int, cache: KVCache, iteration: int) -> None:
         """Engine callback after K/V for ``block`` landed in ``cache``."""
         if self.fired or block != self.site.block:
-            return
-        if self.caches is not None and cache is not self.caches[block]:
             return
         if iteration < self.site.iteration or cache.length <= 0:
             return
@@ -352,42 +351,50 @@ class KVFaultInjector:
             recorder = _flight()
             if recorder.active:
                 recorder.event("inject.restore", layer=self.site.layer_name)
-        if self.engine.kv_fault is self:
-            self.engine.kv_fault = None
+        if self.engine.kv_faults.get(self.batch_row) is self:
+            del self.engine.kv_faults[self.batch_row]
 
 
 class AccumulatorFaultInjector:
     """One-shot GEMM partial-sum corruption at a chosen iteration.
 
-    Armed on the engine (``engine.acc_fault``); the engine's linear
+    Armed on the engine (``engine.acc_faults[batch_row]``); its linear
     layer calls :meth:`maybe_strike` right after each GEMM with the
     inputs still at hand.  The injector recomputes the target output
     element's partial sum over the sampled reduction split, flips the
     sampled bits of that partial in the activation format, and adds the
     resulting delta to the final output — bit-exact equivalence to the
     flip having happened *inside* the reduction, at a cost of one
-    length-``k`` dot product instead of a re-run GEMM.
+    length-``k`` dot product instead of a re-run GEMM.  The struck token
+    is the ``row_frac`` share of one row's run — ``batch_row``'s, or
+    unpinned the first at the iteration — where that row's 1-D forward
+    strikes it; as for a KV fault, the 1-D entry carries no row id.
     """
 
-    def __init__(self, engine: InferenceEngine, site: FaultSite) -> None:
+    def __init__(
+        self,
+        engine: InferenceEngine,
+        site: FaultSite,
+        batch_row: int | None = None,
+    ) -> None:
         if not site.fault_model.is_accumulator:
             raise ValueError(f"{site.fault_model} is not an accumulator model")
         self.engine = engine
         self.site = site
+        self.batch_row = batch_row
         self.fired = False
 
     def __enter__(self) -> "AccumulatorFaultInjector":
-        if self.engine.acc_fault is not None:
+        if self.engine.acc_faults.setdefault(self.batch_row, self) is not self:
             raise RuntimeError(
-                "another accumulator fault is already armed on this engine"
+                f"batch row {self.batch_row} already carries an accumulator fault"
             )
         self.fired = False
-        self.engine.acc_fault = self
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self.engine.acc_fault is self:
-            self.engine.acc_fault = None
+        if self.engine.acc_faults.get(self.batch_row) is self:
+            del self.engine.acc_faults[self.batch_row]
 
     def maybe_strike(
         self,
@@ -401,20 +408,18 @@ class AccumulatorFaultInjector:
         """Corrupt one partial sum of the ``(N, D) @ (D, C)`` GEMM that
         just produced ``out`` (mutated in place)."""
         site = self.site
-        if self.fired or layer_name != site.layer_name or iteration is None:
+        if self.fired or layer_name != site.layer_name:
             return
-        if isinstance(iteration, np.ndarray):
-            # Batched decode step: per-row iteration counts.  Strike the
-            # first row at the target iteration — the same sequence the
-            # serial loop would have struck.
-            matches = np.nonzero(np.asarray(iteration) == site.iteration)[0]
-            if matches.size == 0:
-                return
-            row = int(matches[0])
-        else:
-            if int(iteration) != site.iteration:
-                return
-            row = min(int(site.row_frac * out.shape[0]), out.shape[0] - 1)
+        ids = np.full(len(out), -1) if rows is None else rows
+        due = np.broadcast_to(iteration == site.iteration, ids.shape)
+        if self.batch_row is not None:
+            due = due & (ids == self.batch_row)
+        hits = np.flatnonzero(due)
+        if not hits.size:
+            return
+        # The struck row's run: its tokens are contiguous in the batch.
+        run = np.flatnonzero(ids == ids[hits[0]])
+        row = int(run[0]) + min(int(site.row_frac * len(run)), len(run) - 1)
         col = site.col % out.shape[1]
         d = x.shape[1]
         split = min(1 + int(site.acc_frac * d), d)

@@ -18,8 +18,8 @@ The runtime-state fault models extend the same two-stage scheme:
   against the live cache's occupied prefix at strike time, so sampling
   is uniform over occupied positions only and always in-bounds for the
   actual cache geometry (prompt lengths differ per example).  Pooled
-  slots need no slot coordinate: the fault binds to one sequence's
-  cache views (the serial trial's only sequence, or a pinned slot).
+  slots need no slot coordinate: the fault binds to one sequence (the
+  serial trial's only one, or the batch row it is keyed to).
 * **Accumulator faults** sample the layer and output column like a
   computational fault, plus a *reduction split fraction* choosing how
   many of the GEMM's K products have accumulated when the flip lands.

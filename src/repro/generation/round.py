@@ -22,7 +22,7 @@ same scheduler seen at different depths, so there is exactly one copy:
   each row's ``pending + proposals`` chunk in one
   ``forward_chunk_batch`` per distinct chunk length, accepted prefixes
   commit and rejects roll back by per-slot ``KVCache.truncate`` — which
-  fires the cache's watchers, so a slot-pinned KV-fault injector
+  fires the cache's watchers, so a row-pinned KV-fault injector
   restores its bits and re-arms without touching sibling rows.
 * :func:`decode_to_completion` — "fill, ``step()`` until empty": what
   the offline decoders do with a round.  The server pump calls
@@ -49,8 +49,8 @@ nothing                           composed      batched     clean
 observer-only hooks               composed      batched     observer_hooks
 row-scoped perturbing hooks       batched       batched     row_scoped_hooks
 weight fault keyed by row         batched       batched     row_weight_fault
-KV fault (pinned by cache)        batched       batched     kv_fault
-accumulator fault (per GEMM row)  batched       batched     acc_fault
+KV fault keyed by row             batched       batched     kv_fault
+accumulator fault keyed by row    batched       batched     acc_fault
 activation capture                serial        serial      capture
 weight fault                      serial        serial      weight_fault
 hooks not all row-scoped          serial        serial      unscoped_hooks
@@ -67,13 +67,14 @@ serial one in the last bits (a corrupted weight amplifies such
 differences).  A weight fault keyed by row
 (``MemoryFaultInjector(rows=)``) swaps nothing in engine-wide: only its
 rows read the faulted copy, each in the product the serial forward of
-that row runs, so it is row-scoped like a pinned hook.  That is how a
-campaign runs weight-fault trials many to a forward: multiple-choice
-option rows of a ``forward_chunk_batch``
-(:func:`repro.fi.golden.score_option_rows`, counted as
-``decode.plan.option_rows.<reason>``), bit for bit the per-option
-forwards, and generative rows of one round, each prefilled with its
-fault keyed to ``row.id`` (``before_prefill``).  The *draft* is held to
+that row runs, so it is row-scoped like a pinned hook, as are KV and
+accumulator faults (``batch_row=``).  That is how a campaign runs
+trials many to a forward: multiple-choice option rows of a
+``forward_chunk_batch`` (:func:`repro.fi.golden.score_option_rows`,
+counted as ``decode.plan.option_rows.<reason>``), bit for bit the
+per-option forwards, and generative rows of one round, each resumed
+or prefilled with its fault keyed to ``row.id`` (``before_prefill``).
+The *draft* is held to
 the speculation bar too (``draft_<reason>``, path = the target's
 no-draft path): its corruption is masked by construction, but the
 non-speculative paths run without it, so whether a draft fault even
@@ -105,9 +106,9 @@ def _blocks_speculation(engine: InferenceEngine) -> str | None:
         return "weight_fault"
     if engine.row_weights:
         return "row_weight_fault"
-    if engine.kv_fault is not None:
+    if engine.kv_faults:
         return "kv_fault"
-    if engine.acc_fault is not None:
+    if engine.acc_faults:
         return "acc_fault"
     hooks = engine.hooks
     if len(hooks) > 0 and not hooks.all_observers():
@@ -150,11 +151,11 @@ def count_plan(path: str, reason: str) -> None:
     multiple-choice scoring as ``option_rows`` for an example's golden
     option pass (reason ``clean`` / ``observer_hooks``) and for every
     trial scored from it, whatever forward its rows shared (reason
-    ``weight_fault`` / ``row_scoped_hooks``), else as ``per_option`` —
-    the reference, :func:`~repro.generation.decode.score_options`, which
-    plans nothing itself.  A generative wave counts itself once, as
-    ``batched`` with its rows' reason (``row_weight_fault`` /
-    ``row_scoped_hooks``)."""
+    ``weight_fault`` or what :func:`decode_plan` says of its row-keyed
+    fault), else as ``per_option`` — the reference,
+    :func:`~repro.generation.decode.score_options`, which plans nothing
+    itself.  A generative wave counts itself once, as ``batched`` with
+    its rows' reason."""
     tel = _telemetry()
     if tel.active:
         tel.metrics.counter(f"decode.plan.{path}.{reason}").add()
@@ -312,9 +313,9 @@ class DecodeRound:
         (consumed; no target slot is taken).  ``before_prefill`` sees the
         row — its ``id`` and its slot's cache views — before the prompt
         forward: the hook a request's own fault is armed through, so
-        iteration-0 sites strike the prefill (a campaign wave pins a
-        computational one to ``row.id``; a KV fault pins to
-        ``row.caches``).  That prompt forward is then tagged with the row's
+        iteration-0 sites strike the prefill (a campaign wave keys the
+        fault to ``row.id``).  That prompt forward is then tagged with
+        the row's
         id like every later forward of the row: a sibling's row-pinned
         hook that is still waiting for iteration 0 (an MoE expert its own
         prompt never routed to) cannot strike it.  EOS as the first

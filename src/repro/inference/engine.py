@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.autograd.functional import rms_norm_np, silu_np, softmax_np
 from repro.inference.hooks import HookContext, HookManager
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import KVCache, PooledKVCache, _SlotView
 from repro.inference.storage import (
     WeightStore,
     attach_weight_store,
@@ -170,15 +170,13 @@ class InferenceEngine:
         Maintained by ``MemoryFaultInjector(rows=)``; on the batched
         entries :meth:`_linear` runs a registered row's product against
         its own copy."""
-        self.kv_fault = None
-        """Armed :class:`~repro.fi.injector.KVFaultInjector` (or None).
-        The attention paths call ``kv_fault.on_append(block, cache,
-        iteration)`` after each cache append so the fault can latch into
-        live K/V state."""
-        self.acc_fault = None
-        """Armed :class:`~repro.fi.injector.AccumulatorFaultInjector`
-        (or None).  :meth:`_linear` calls ``acc_fault.maybe_strike`` on
-        every GEMM while armed."""
+        self.kv_faults: dict = {}
+        """Armed :class:`~repro.fi.injector.KVFaultInjector` by the row id
+        it strikes (``None``: unpinned, any row and the 1-D entry), handed
+        its row's appends by :meth:`_attention`."""
+        self.acc_faults: dict = {}
+        """Armed :class:`~repro.fi.injector.AccumulatorFaultInjector`,
+        keyed the same way, handed every GEMM's output by :meth:`_linear`."""
         for store in self._stores.values():
             planes, _ = store.export_state()
             store.swap(planes["array"])
@@ -303,7 +301,9 @@ class InferenceEngine:
         single stacked NumPy matmul when every row has ``t`` tokens,
         or one product per run of equal row id when ``t == 0`` (an MoE
         expert's ragged subset).  An armed accumulator fault strikes its
-        sampled reduction in the right row, and hooks run once per
+        sampled reduction in its row's run of tokens, before any hook
+        sees the output (a ranger on the layer clamps the strike), and
+        hooks run once per
         sequence on that sequence's contiguous ``(t, features)`` token
         slice — the exact serial shape — with
         :attr:`HookContext.batch_row` identifying the sequence, so a
@@ -333,8 +333,8 @@ class InferenceEngine:
                 x[start:stop] @ (faulted.get(int(rows[start]), w) if faulted else w)
                 for start, stop in _runs(rows, 0)
             ])
-        if self.acc_fault is not None:
-            self.acc_fault.maybe_strike(output, x, w, full, iteration, rows)
+        for fault in self.acc_faults.values():
+            fault.maybe_strike(output, x, w, full, iteration, rows)
         if self.hooks.has(full):
             if rows is None:
                 output = self.hooks.apply(
@@ -372,9 +372,10 @@ class InferenceEngine:
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
         shared :meth:`_linear` calls / broadcasts.  Every row appends its
-        new K/V to ``row_caches[i][block]``, in row order, and an armed
-        KV fault latches after each append; ``row_caches=None`` appends
-        nothing (a forward from position 0 that no step continues).  The
+        new K/V to ``row_caches[i][block]``, in row order, and a KV fault
+        keyed to the row latches after its append; ``row_caches=None``
+        appends nothing (a forward from position 0 that no step
+        continues), and such a fault strikes the row's fresh K/V.  The
         core is then one ``(B, heads, t, W)`` score block, ``W`` the
         longest row's cache length: positions at or past a row's own
         length ``L_i`` are ``-inf`` (filled only when rows are ragged),
@@ -393,8 +394,8 @@ class InferenceEngine:
         every row is bit-identical to it.
 
         The body has three issue modes.  Rows whose keys are all their
-        fresh ``k`` (every cache was empty before the append, or there
-        is none, and no KV fault is armed) run both GEMMs as one stacked
+        fresh ``k`` (every cache was empty before the append and no KV
+        fault is armed, or there is no cache) run both GEMMs as one stacked
         product over ``(B, heads, t, t)``: NumPy issues the per-(row,
         head) GEMM the row's own forward issues, with the same shapes.
         Equal lengths — one row included — need no pad and sum in one
@@ -433,22 +434,25 @@ class InferenceEngine:
         q = rot(q.reshape(batch, n, heads, hd).swapaxes(1, 2), cos_q, sin_q)
         k = rot(k.reshape(split).swapaxes(1, 2), cos, sin)
         v = v.reshape(split).swapaxes(1, 2)
-        kv_fault = self.kv_fault
-        if row_caches is None:
-            caches, lengths = [], [t] * batch
-        else:
-            caches = [own[block] for own in row_caches]
-            for i, cache in enumerate(caches):
-                cache.append(k[i], v[i])
-                if kv_fault is not None:
-                    kv_fault.on_append(
-                        block, cache,
-                        iteration if rows is None else int(iteration[i * t]),
-                    )
-            lengths = [cache.length for cache in caches]
+        kv_faults = self.kv_faults
+        caches = None if row_caches is None else [own[block] for own in row_caches]
+        for i in range(batch):
+            if caches is not None:
+                caches[i].append(k[i], v[i])
+            if kv_faults:
+                # Without caches, the row's fresh K/V is what is struck.
+                own = _SlotView(k[i], v[i], t) if caches is None else caches[i]
+                row = None if rows is None else int(rows[i * t])
+                it = iteration if rows is None else int(iteration[i * t])
+                # The row's own fault and the unpinned one; the 1-D
+                # entry carries no row id (``row`` None): the unpinned.
+                for key in dict.fromkeys((row, None)):
+                    if key in kv_faults:
+                        kv_faults[key].on_append(block, own, it)
+        lengths = [t] * batch if caches is None else [cache.length for cache in caches]
         width = max(lengths)
         ragged = min(lengths) != width
-        fresh = width == t and kv_fault is None
+        fresh = width == t and (caches is None or not kv_faults)
         if fresh:
             scores = q @ k.swapaxes(-1, -2)
         else:
@@ -556,7 +560,7 @@ class InferenceEngine:
         return (
             self.config.is_moe
             or self.capture is not None
-            or self.acc_fault is not None
+            or bool(self.acc_faults)
             or self.hooks.has_prefix(f"blocks.{self.config.n_blocks - 1}.")
         )
 
@@ -603,16 +607,11 @@ class InferenceEngine:
                 f"read_from={read_from} must be 0 or leave at least two of"
                 f" the {t} positions (a one-row product is a different one)"
             )
-        if row_caches is None:
-            if self.kv_fault is not None:
-                raise RuntimeError(
-                    "a forward without caches cannot honor an armed KV fault"
-                )
-            if positions.any():
-                raise ValueError(
-                    "a forward without caches starts every row at position 0,"
-                    f" got {positions.tolist()}"
-                )
+        if row_caches is None and positions.any():
+            raise ValueError(
+                "a forward without caches starts every row at position 0,"
+                f" got {positions.tolist()}"
+            )
         for position, caches in zip(positions.tolist(), row_caches or [None] * batch):
             room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
             if position + t > room:
@@ -808,19 +807,16 @@ class InferenceEngine:
 
         ``iterations[i]`` tags row ``i``'s chunk with its generation
         iteration (the round's first emitted-token index, matching the
-        serial speculative decoder's scalar tag); an armed KV fault
-        receives per-row ``on_append`` callbacks against per-row
-        caches, so slot-pinned injectors latch exactly as they would on
-        that row's serial decode.  Hooks run per row on
+        serial speculative decoder's scalar tag); a KV fault keyed to
+        ``row_ids[i]`` sees that row's appends alone, so it latches
+        exactly as it would on that row's serial decode.  Hooks run per row on
         ``(t, features)`` views — the serial chunk shape, tagged with
         ``row_ids[i]`` as in :meth:`forward_step_batch` — so row-scoped
         perturbing hooks are taken as well as observers: a faulted
-        admission's prompt forward runs here under its row-pinned
-        :class:`~repro.fi.injector.ComputationalFaultInjector`, and
-        option rows run here under an armed computational injector or a
-        weight fault keyed to their ids (:attr:`row_weights`).
-        Activation capture and an armed accumulator fault (its strike
-        maps to one row of a single-token step) are rejected.
+        admission's prompt forward runs here under its row-keyed fault,
+        and option rows under theirs; an accumulator fault strikes a
+        row's ``t`` tokens where its 1-D chunk forward does.  Activation
+        capture is rejected.
 
         ``block_inputs`` (a list) receives the flat ``(B*t, d_model)``
         hidden state entering each block that runs, in block order —
@@ -840,12 +836,12 @@ class InferenceEngine:
         **Read only what is read.**  ``row_caches=None`` is a forward
         that no later step continues (option scoring): every row starts
         at position 0, no K/V is written anywhere and the stacked fresh
-        attention runs; an armed KV fault, which needs a cache to latch
-        into, is refused.  ``read_from = k`` returns logits for positions
+        attention runs; a KV fault keyed to a row strikes its fresh K/V.
+        ``read_from = k`` returns logits for positions
         ``>= k`` of every row only, and the final norm and ``lm_head``
         run on those positions alone.  When nothing observes the last
-        block (no hook on any of its layers, no capture or accumulator
-        fault on the 1-D :meth:`forward`, a dense model) that block,
+        block (no hook on any of its layers, no accumulator fault, no
+        capture on the 1-D :meth:`forward`, a dense model) that block,
         too, computes queries, attention, ``out_proj`` and the MLP on
         the window only — K/V still over every position.  Both are exact: a GEMM row does not
         depend on which other rows share the product, as long as at
@@ -881,13 +877,6 @@ class InferenceEngine:
             raise RuntimeError(
                 "forward_chunk_batch does not support activation capture;"
                 " use the serial per-sequence path"
-            )
-        if self.acc_fault is not None:
-            raise RuntimeError(
-                "forward_chunk_batch cannot honor an armed accumulator"
-                " fault (per-row strike mapping is single-token); the"
-                " decode gate matrix must route acc faults to the"
-                " batched or serial paths"
             )
         if row_caches is not None and len(row_caches) != ids.shape[0]:
             raise ValueError(

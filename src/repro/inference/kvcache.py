@@ -205,13 +205,14 @@ class _SlotView(KVCache):
     ``k``/``v`` are ``(n_heads, max_seq, head_dim)`` views into the
     owning :class:`PooledKVCache`'s arena, so every append/truncate
     writes the shared storage in place; only ``length`` is per-view
-    state.  All inherited methods work unchanged.
+    state.  All inherited methods work unchanged.  With ``length``, a
+    full cache over a cache-less forward's fresh K/V (a KV fault's).
     """
 
-    def __init__(self, k: np.ndarray, v: np.ndarray) -> None:
+    def __init__(self, k: np.ndarray, v: np.ndarray, length: int = 0) -> None:
         self.k = k
         self.v = v
-        self.length = 0
+        self.length = length
 
 
 class PooledKVCache:

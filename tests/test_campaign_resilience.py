@@ -334,12 +334,13 @@ class TestRepairRemovesWhatATrialArmed:
         store = engine.weight_store(layer)
         pristine = store.swap(store.faulted_array(0, 0, [30]))
         engine.weight_fault_depth, engine.row_weights[layer] = 1, {0: pristine}
-        engine.kv_fault = engine.acc_fault = engine.capture = object()
+        engine.kv_faults[0] = engine.acc_faults[None] = object()
+        engine.capture = object()
         camp._post_failure_repair()
         assert len(engine.hooks) == 1 and engine.hooks.has(layer) and engine.hooks.all_observers()
         assert store.array is pristine and store.faulted_array(0, 0, [30]) is not None
         assert (engine.weight_fault_depth, engine.row_weights) == (0, {})
-        assert engine.kv_fault is engine.acc_fault is engine.capture is None
+        assert (engine.kv_faults, engine.acc_faults, engine.capture) == ({}, {}, None)
 
 
 class TestQuarantine:

@@ -343,8 +343,6 @@ class TestOneForward:
         assert not np.allclose(struck[1], clean[1])
 
     def test_chunk_entry_rejections(self, untrained_engine):
-        from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
-
         engine = untrained_engine
         caches = engine.new_caches()
         with pytest.raises(ValueError, match="rectangular"):
@@ -357,14 +355,6 @@ class TestOneForward:
                 engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
         finally:
             engine.capture = None
-        site = FaultSite(
-            fault_model=FaultModel.ACC_1BIT,
-            layer_name="blocks.0.up_proj",
-            row=0, col=1, bits=(30,), iteration=0, row_frac=0.0,
-        )
-        with AccumulatorFaultInjector(engine, site):
-            with pytest.raises(RuntimeError, match="accumulator"):
-                engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
         assert [c.length for c in caches] == [0, 0]
 
     @pytest.mark.parametrize("engine_fixture", ["untrained_engine", "moe_engine"])
@@ -478,9 +468,9 @@ class TestReadWindow:
     ):
         """A hook on a last-block layer (an observer here: layer timing),
         MoE routing, capture and an armed accumulator fault (the last two
-        on the 1-D entry; the rows entry refuses them) each decline the
-        cut; the result is still only the window's positions, the full
-        forward's bits."""
+        on the 1-D entry; the rows entry refuses capture) each decline
+        the cut; the result is still only the window's positions, the
+        full forward's bits."""
         from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
 
         engine = moe_engine if observer == "moe" else untrained_engine
@@ -551,22 +541,33 @@ class TestReadWindow:
             engine.forward_full(TOKENS)[t - 2 :],
         )
 
-    def test_a_forward_without_caches_refuses_a_kv_fault_and_a_prefix(
-        self, untrained_engine
+    @pytest.mark.parametrize("plane", ["k", "v"])
+    def test_a_cacheless_forward_strikes_fresh_kv_and_refuses_a_prefix(
+        self, untrained_engine, plane
     ):
+        """Without caches, a KV fault keyed to a row strikes that row's
+        new K/V before attention reads them: the row is the forward
+        whose cache the fault strikes, read window or not, and the row
+        beside it is untouched."""
         from repro.fi import FaultModel, FaultSite, KVFaultInjector
 
         engine = untrained_engine
         site = FaultSite(
-            FaultModel.KV_2BIT, "blocks.0.kv", 0, 0, bits=(30, 22),
-            iteration=0, row_frac=0.0, plane="k",
+            FaultModel.KV_2BIT, "blocks.0.kv", 1, 3, bits=(30, 22),
+            iteration=0, row_frac=0.3, plane=plane,
         )
+        clean = engine.forward_full(TOKENS)
         with KVFaultInjector(engine, site) as injector:
-            with pytest.raises(RuntimeError, match="KV fault"):
-                engine.forward_chunk_batch([TOKENS], None, [0], [0])
-            with pytest.raises(RuntimeError, match="KV fault"):
-                engine.forward_chunk_batch([TOKENS], None, [0], [0], read_from=2)
-        assert not injector.fired
+            struck = engine.forward_full(TOKENS)
+        assert injector.fired and not np.array_equal(struck, clean)
+        for read_from in (0, 2):
+            with KVFaultInjector(engine, site, batch_row=1) as injector:
+                got = engine.forward_chunk_batch(
+                    [TOKENS, TOKENS], None, [0, 0], [0, 0], read_from=read_from
+                )
+            assert injector.fired and engine.kv_faults == {}
+            np.testing.assert_array_equal(got[0], clean[read_from:])
+            np.testing.assert_array_equal(got[1], struck[read_from:])
         with pytest.raises(ValueError, match="position 0"):
             engine.forward_chunk_batch([TOKENS, TOKENS], None, [0, 3], [0, 0])
         # Without caches, the rows are what they are with fresh ones.

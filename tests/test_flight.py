@@ -47,7 +47,7 @@ def clean_obs():
     recorder.reset(), recorder.disarm()
 
 
-def _mc_campaign(engine, tokenizer, world, fault_model=FaultModel.MEM_2BIT):
+def _mc_campaign(engine, tokenizer, world, fault_model=FaultModel.MEM_2BIT, **kw):
     task = MMLUTask(world)
     return FICampaign(
         engine=engine,
@@ -57,6 +57,7 @@ def _mc_campaign(engine, tokenizer, world, fault_model=FaultModel.MEM_2BIT):
         examples=standardized_subset(task, 4),
         fault_model=fault_model,
         seed=5,
+        **kw,
     )
 
 
@@ -244,11 +245,12 @@ class TestTraceExport:
         out = tmp_path / "run.jsonl"
         tel = telemetry()
         tel.enable(out)
-        # An accumulator fault: each multiple-choice trial is a unit of
-        # its own (computational and weight-fault trials share forwards,
-        # in waves).
+        # The serial reference: each multiple-choice trial is a unit of
+        # its own (on the auto route every fault model's trials share
+        # forwards, in waves).
         _mc_campaign(
-            InferenceEngine(untrained_store), tokenizer, world, FaultModel.ACC_1BIT
+            InferenceEngine(untrained_store), tokenizer, world, FaultModel.ACC_1BIT,
+            decode_strategy="serial",
         ).run(4, n_workers=2)
         tel.flush(seed=5, command="test")
         trace_path = export_trace(out, tmp_path / "trace.json")

@@ -562,7 +562,10 @@ class TestGoldenRun:
 # -- multiple choice: reach-limited option scoring ------------------------------
 
 MC_TASKS = [MMLUTask, ARCTask, TruthfulQATask, WinoGrandeTask, HellaSwagTask]
-MC_FAULTS = [FaultModel.MEM_2BIT, FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
+MC_FAULTS = [
+    FaultModel.MEM_2BIT, FaultModel.COMP_1BIT, FaultModel.COMP_2BIT,
+    FaultModel.KV_2BIT, FaultModel.ACC_1BIT,
+]
 
 
 def pin_block(camp, block):
@@ -585,6 +588,7 @@ def score_vectors(camp, trial):
     reference)`` of one trial, each under its own arming of the fault:
     keyed to the trial's rows (a wave of one), armed engine-wide for the
     reference."""
+    engine = camp.engine
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
     camp.compute_baseline()  # builds the passes, once
@@ -593,7 +597,8 @@ def score_vectors(camp, trial):
     prompt, options = camp._token_ids[idx]
     hooks = len(camp.engine.hooks)
     rows, fired = camp._option_scores([(trial, site)])[trial]
-    assert camp.engine.row_weights == {} and len(camp.engine.hooks) == hooks
+    assert engine.row_weights == engine.kv_faults == engine.acc_faults == {}
+    assert len(engine.hooks) == hooks
     with inject(camp.engine, site) as reference:
         full = score_options(camp.engine, prompt, options)
     assert fired == reference.fired
@@ -670,7 +675,7 @@ class TestReachLimitedOptions:
         )
         # Four options a trial; a block pass is one option row through
         # one block.  A weight fault reruns every row from L, a
-        # computational one only option 0's.
+        # transient one only option 0's.
         rows_run = 4 if fault_model.is_memory else 1
         assert counters["campaign.mc_golden.block_passes"] == 6 * 4 * n_blocks
         assert counters["campaign.mc_golden.block_passes_skipped"] == 6 * (
@@ -693,7 +698,9 @@ class TestReachLimitedOptions:
         )
         assert_results_equal(untraced, reference, "auto", "serial")
         assert_results_equal(traced, untraced, "traced", "untraced")
-        reason = "weight_fault" if fault_model.is_memory else "row_scoped_hooks"
+        reason = {
+            "2bits-mem": "weight_fault", "2bits-kv": "kv_fault", "1bit-acc": "acc_fault",
+        }.get(fault_model.value, "row_scoped_hooks")
         plans = {k: v for k, v in counters.items() if k.startswith("decode.plan.")}
         assert plans == {
             "decode.plan.option_rows.observer_hooks": 3,  # the baseline's passes
@@ -842,14 +849,6 @@ class TestReachLimitedOptions:
     NEGATIVE = {
         # case: (fault model, campaign arguments, plans of 3 examples + 8 trials)
         "serial": (FaultModel.MEM_2BIT, dict(decode_strategy="serial"), {}),
-        "kv": (
-            FaultModel.KV_2BIT, {},
-            {**BASELINE, "decode.plan.per_option.kv_fault": 8},
-        ),
-        "accumulator": (
-            FaultModel.ACC_1BIT, {},
-            {**BASELINE, "decode.plan.per_option.acc_fault": 8},
-        ),
         "expert-tracking": (
             FaultModel.MEM_2BIT, dict(track_expert_selection=True),
             {"decode.plan.per_option.capture": 3 + 8},

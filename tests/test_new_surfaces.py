@@ -10,7 +10,7 @@ Covers the new injection surfaces end to end:
   across appends, rollback when a rejected speculation round truncates
   (or a snapshot restore rewinds) past the strike, re-arming after
   rollback, bit-exact restoration on exit;
-* stream isolation — a KV fault pinned to one slot of a decode round
+* stream isolation — a KV fault pinned to one row of a decode round
   leaves every sibling stream bit-identical, with or without a draft,
   and the slot comes back clean;
 * the differential oracle — both new fault models produce
@@ -208,7 +208,7 @@ class TestKVInjector:
             assert not inj.fired  # before the sampled iteration
             inj.on_append(0, cache, 3)  # speculation skipped 2: >= latches
             assert inj.fired
-        assert untrained_engine.kv_fault is None
+        assert untrained_engine.kv_faults == {}
 
     def test_truncate_past_strike_rolls_back_and_rearms(
         self, untrained_engine
@@ -267,25 +267,31 @@ class TestKVInjector:
             assert not np.array_equal(cache.keys(), pristine)
         np.testing.assert_array_equal(cache.keys(), pristine)
         assert cache.watchers == ()
-        assert untrained_engine.kv_fault is None
+        assert untrained_engine.kv_faults == {}
 
-    def test_caches_pin_scopes_by_identity(self, untrained_engine):
-        """A pinned injector ignores every cache but its own slot's."""
-        site = _kv_site()
-        mine = [KVCache(4, 16, 8), KVCache(4, 16, 8)]
-        other = KVCache(4, 16, 8)
-        self._append(other, 3)
-        self._append(mine[0], 3)
-        with KVFaultInjector(untrained_engine, site, caches=mine) as inj:
-            inj.on_append(0, other, 0)
-            assert not inj.fired  # someone else's sequence
-            inj.on_append(0, mine[0], 0)
+    def test_batch_row_pin_scopes_by_row_id(self, untrained_engine):
+        """A pinned injector strikes the row carrying its id and no
+        other: not a sibling of its forward, not the 1-D entry."""
+        engine, site = untrained_engine, _kv_site(bits=(30,))
+        clean = engine.forward_full([3, 5, 7])
+        rows = [engine.new_caches(), engine.new_caches()]
+        with KVFaultInjector(engine, site, batch_row=7) as inj:
+            np.testing.assert_array_equal(engine.forward_full([3, 5, 7]), clean)
+            assert not inj.fired  # the 1-D entry carries no row id
+            engine.forward_chunk_batch([[3, 5, 7]] * 2, rows, [0, 0], [0, 0], [4, 7])
             assert inj.fired
+            assert inj._struck[0] is rows[1][0]  # row 7's cache, not row 4's
+        assert engine.kv_faults == {}
 
     def test_double_arm_rejected(self, untrained_engine):
+        """A row carries one KV fault; two rows carry one each."""
         with KVFaultInjector(untrained_engine, _kv_site()):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="already carries"):
                 KVFaultInjector(untrained_engine, _kv_site()).__enter__()
+            with KVFaultInjector(untrained_engine, _kv_site(), batch_row=0):
+                with KVFaultInjector(untrained_engine, _kv_site(), batch_row=1):
+                    assert set(untrained_engine.kv_faults) == {None, 0, 1}
+        assert untrained_engine.kv_faults == {}
 
     def test_engine_decode_with_kv_fault_restores(self, untrained_engine):
         """End-to-end: injected greedy decode leaves no residue and the
@@ -296,7 +302,7 @@ class TestKVInjector:
         with inject(untrained_engine, site) as inj:
             greedy_decode(untrained_engine, [3, 5, 7], config)
         assert isinstance(inj, KVFaultInjector)
-        assert untrained_engine.kv_fault is None
+        assert untrained_engine.kv_faults == {}
         after = greedy_decode(untrained_engine, [3, 5, 7], config)
         assert before == after
 
@@ -322,7 +328,7 @@ class TestAccumulatorInjector:
         with AccumulatorFaultInjector(untrained_engine, site) as inj:
             inj.maybe_strike(out, x, w, "blocks.0.up_proj", 0, None)
         assert inj.fired
-        assert untrained_engine.acc_fault is None
+        assert untrained_engine.acc_faults == {}
         # Exactly one element moved, in the sampled column.
         diff = np.nonzero(out != clean)
         assert diff[0].tolist() == [0] and diff[1].tolist() == [3]
@@ -363,7 +369,7 @@ class TestAccumulatorInjector:
         )
         with inject(untrained_engine, site):
             greedy_decode(untrained_engine, [4, 9, 2], config)
-        assert untrained_engine.acc_fault is None
+        assert untrained_engine.acc_faults == {}
         assert greedy_decode(untrained_engine, [4, 9, 2], config) == before
 
 
@@ -429,7 +435,7 @@ class TestSpeculationSide:
             trials += 1
             fired += injector.fired
             masked += faulted == clean
-        assert draft.kv_fault is None
+        assert draft.kv_faults == {}
         assert fired >= 1, "no draft fault ever struck"
         assert masked == trials, f"{trials - masked} draft-side SDCs"
 
@@ -448,7 +454,7 @@ class TestSpeculationSide:
             with inject(target, site):
                 runs.append(self._spec(target, draft).speculate(prompt))
         assert runs[0] == runs[1]  # rollback bookkeeping is deterministic
-        assert target.kv_fault is None
+        assert target.kv_faults == {}
         assert self._spec(target, draft).decode_one(prompt) == clean
 
 
@@ -458,7 +464,7 @@ class TestSpeculationSide:
 
 
 class TestPinnedKVFaults:
-    """A KV fault pinned to one row's slot (``KVFaultInjector(caches=)``,
+    """A KV fault pinned to one row (``KVFaultInjector(batch_row=)``,
     armed through ``DecodeRound.admit(before_prefill=)`` so an
     iteration-0 strike lands in the prefill) corrupts that row alone:
     every sibling decoding in the same round is bit-identical to its
@@ -502,7 +508,7 @@ class TestPinnedKVFaults:
 
         def arm(row):
             armed.append(
-                KVFaultInjector(untrained_engine, fault, caches=row.caches).__enter__()
+                KVFaultInjector(untrained_engine, fault, batch_row=row.id).__enter__()
             )
 
         out = self._decode(rnd, arm)
@@ -512,7 +518,7 @@ class TestPinnedKVFaults:
         assert [out[1], out[2]] == clean[1:]
         assert len(out[0]) > 0  # SDC vs masked is a campaign's question
         # The engine and the recycled slots (both pools) are pristine.
-        assert untrained_engine.kv_fault is None
+        assert untrained_engine.kv_faults == {}
         assert rnd.pool.n_free == rnd.pool.n_slots
         assert rnd.draft_pool is None or rnd.draft_pool.n_free == rnd.draft_pool.n_slots
         again = self._decode(rnd)
@@ -550,9 +556,9 @@ class TestPooledTruncationWatchers:
             cache.truncate(len(prompt))
         sib = [(c.k.copy(), c.v.copy()) for c in s_caches]
         site = _kv_site(bits=(30,), iteration=1, row_frac=0.9)
-        with KVFaultInjector(untrained_engine, site, caches=v_caches) as inj:
-            untrained_engine.forward(
-                chunk, v_caches, start_pos=len(prompt), iteration=1
+        with KVFaultInjector(untrained_engine, site, batch_row=0) as inj:
+            untrained_engine.forward_chunk_batch(
+                [chunk], [v_caches], [len(prompt)], [1], [0]
             )
             assert inj.fired
             # bits flipped
@@ -570,11 +576,11 @@ class TestPooledTruncationWatchers:
                 np.testing.assert_array_equal(cache.k, k)
                 np.testing.assert_array_equal(cache.v, v)
             # The next round re-fires on the surviving prefix.
-            untrained_engine.forward(
-                chunk[:2], v_caches, start_pos=len(prompt), iteration=2
+            untrained_engine.forward_chunk_batch(
+                [chunk[:2]], [v_caches], [len(prompt)], [2], [0]
             )
             assert inj.fired
-        assert untrained_engine.kv_fault is None
+        assert untrained_engine.kv_faults == {}
         assert all(c.watchers == () for c in v_caches)
 
 

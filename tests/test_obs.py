@@ -313,11 +313,12 @@ class TestCampaignTelemetry:
     ):
         tel = clean_telemetry
         tel.enable()
-        # An accumulator fault keeps each multiple-choice trial to
-        # itself, in a span of its own (computational and weight-fault
-        # trials run in waves).
+        # The serial reference keeps each multiple-choice trial to
+        # itself, in a span of its own (on the auto route every fault
+        # model's trials run in waves).
         result = _campaign(
-            untrained_engine, tokenizer, world, FaultModel.ACC_1BIT
+            untrained_engine, tokenizer, world, FaultModel.ACC_1BIT,
+            decode_strategy="serial",
         ).run(6)
         trial_spans = [
             r for r in tel.tracer.records if r.name == "campaign.trial"

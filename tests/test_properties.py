@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from repro.autograd.functional import softmax_np
 from repro.fi import FaultModel, FaultSite, inject, sample_site
 from repro.fi.golden import GoldenOptions, GoldenRun
-from repro.fi.injector import KVFaultInjector, MemoryFaultInjector
+from repro.fi.injector import (
+    AccumulatorFaultInjector,
+    KVFaultInjector,
+    MemoryFaultInjector,
+)
 from repro.generation import (
     GenerationConfig,
     greedy_decode,
@@ -110,13 +114,20 @@ def _row_exact_engine(moe: bool, n_blocks: int = 2) -> InferenceEngine:
     st.booleans(),
     st.lists(_prompts, min_size=1, max_size=8),
     st.sampled_from(["step", "chunk-1", "chunk-3", "prefill"]),
+    st.sampled_from(["none", "pinned", "unpinned"]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_property_batched_rows_are_bit_identical_to_serial(moe, prompts, shape, seed):
+def test_property_batched_rows_are_bit_identical_to_serial(
+    moe, prompts, shape, acc, seed
+):
     """Row-exact batching: at any width, over ragged positions and on
     both batched entries — single steps, chunks, whole prompts — every
     row's logits and appended K/V are ``array_equal`` to the serial
-    forward of that row alone, dense and MoE."""
+    forward of that row alone, dense and MoE.  So under an accumulator
+    fault in any linear: pinned to a row (``batch_row``), that row is
+    its serial forward under the fault and every other row its clean
+    one; unpinned, the struck row is the first whose serial forward, in
+    row order, reaches the layer at the fault's iteration."""
     engine = _row_exact_engine(moe)
     rng = np.random.default_rng(seed)
     if shape == "prefill":
@@ -130,18 +141,43 @@ def test_property_batched_rows_are_bit_identical_to_serial(moe, prompts, shape, 
     batched = copy.deepcopy(serial)
     positions = [caches[0].length for caches in serial]
     iterations = rng.integers(0, 9, size=len(prompts)).tolist()
-    want = [
-        engine.forward(chunk, caches, position, iteration)
-        for chunk, caches, position, iteration in zip(
-            chunks, serial, positions, iterations
+    site = struck = None
+    if acc != "none":
+        layers = engine.linear_layer_names()
+        site = FaultSite(
+            FaultModel.ACC_2BIT, layers[rng.integers(len(layers))], 0,
+            int(rng.integers(1 << 16)),
+            bits=tuple(int(b) for b in rng.choice(32, 2, replace=False)),
+            iteration=int(rng.choice(iterations)),
+            row_frac=float(rng.random()), acc_frac=float(rng.random()),
         )
-    ]
-    if shape == "step":
-        got = engine.forward_step_batch(
-            [c[0] for c in chunks], batched, positions, iterations
-        )[:, None]
-    else:
-        got = engine.forward_chunk_batch(chunks, batched, positions, iterations)
+        if acc == "pinned":
+            struck = int(rng.integers(len(prompts)))
+
+    def armed(**kw):
+        return (
+            contextlib.nullcontext() if site is None
+            else AccumulatorFaultInjector(engine, site, **kw)
+        )
+
+    with armed() if acc == "unpinned" else contextlib.nullcontext() as shared:
+        want, fired = [], []
+        for i, (chunk, caches, position, iteration) in enumerate(
+            zip(chunks, serial, positions, iterations)
+        ):
+            with armed() if i == struck else contextlib.nullcontext() as own:
+                want.append(engine.forward(chunk, caches, position, iteration))
+            fired.append(own is not None and own.fired)
+    with armed(batch_row=struck) as injector:
+        if shape == "step":
+            got = engine.forward_step_batch(
+                [c[0] for c in chunks], batched, positions, iterations
+            )[:, None]
+        else:
+            got = engine.forward_chunk_batch(chunks, batched, positions, iterations)
+    assert engine.acc_faults == {}
+    if site is not None:
+        assert injector.fired == (shared.fired if shared else any(fired))
     for row, ref in enumerate(want):
         np.testing.assert_array_equal(got[row], ref)
         assert_caches_equal(batched[row], serial[row])
@@ -439,12 +475,14 @@ def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, ro
         p = cache.length
         mask = np.arange(p + t)[None, :] <= (p + np.arange(t))[:, None]
         cache.append(k[i], v[i])
-        if self.kv_fault is not None:
-            self.kv_fault.on_append(
-                block,
-                cache,
-                iteration if rows is None else int(iteration[i * t]),
-            )
+        row = None if rows is None else int(rows[i * t])
+        for key in dict.fromkeys((row, None)):
+            if key in self.kv_faults:
+                self.kv_faults[key].on_append(
+                    block,
+                    cache,
+                    iteration if rows is None else int(iteration[i * t]),
+                )
         keys, values = cache.keys(), cache.values()
         scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
         if t > 1:

@@ -761,7 +761,7 @@ class TestPromptCache:
         self, untrained_engine, clean_telemetry
     ):
         """On the round a server drives, with the cache a server sizes:
-        an admission that arms its own KV fault (pinned to its slot,
+        an admission that arms its own KV fault (pinned to its row,
         struck at its prefill) is neither served from the cache nor
         stored; while that fault is armed the plan says ``kv_fault``, so
         a sibling prefills too and decodes its fault-free stream."""
@@ -779,7 +779,7 @@ class TestPromptCache:
 
         def arm(row):
             armed.append(
-                KVFaultInjector(engine, _kv_site(0), caches=row.caches).__enter__()
+                KVFaultInjector(engine, _kv_site(0), batch_row=row.id).__enter__()
             )
 
         events = [

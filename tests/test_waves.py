@@ -1,7 +1,7 @@
 """Waves: injected trials that share forwards, sixteen to a round.
 
-Under ``decode_strategy="auto"`` greedy computational- and weight-fault
-trials decode as rows of one ``DecodeRound`` — each in its own pool
+Under ``decode_strategy="auto"`` greedy trials of every fault model
+decode as rows of one ``DecodeRound`` — each in its own pool
 slot, with its own budget and its own fault keyed to the row, resumed
 from its example's golden run or, struck at iteration 0, prefilled into
 the slot under that fault.  The engine's batched forward is row-exact, so
@@ -27,15 +27,18 @@ import pytest
 from repro.fi import (
     CampaignChaos,
     FaultModel,
+    FaultSite,
     FICampaign,
     Outcome,
     assert_records_equal,
     assert_results_equal,
+    inject,
     load_checkpoint,
 )
 from repro.fi import campaign as fi_campaign
 from repro.fi.campaign import _DECODE_BATCH
-from repro.fi.injector import ComputationalFaultInjector
+from repro.fi.injector import ComputationalFaultInjector, KVFaultInjector
+from repro.generation import GenerationConfig, greedy_decode
 from repro.generation.round import DecodeRound
 from repro.inference import CaptureState, InferenceEngine
 from repro.obs import flight_recorder, telemetry
@@ -55,6 +58,7 @@ from tests.test_golden import MC_TASKS, lone_trials
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
 COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
+KV_ACC = [FaultModel.KV_1BIT, FaultModel.KV_2BIT, FaultModel.ACC_1BIT, FaultModel.ACC_2BIT]
 N_TRIALS = 21
 """Not a multiple of the round's width, and seven trials per example on
 the helper's three examples: trials of one example share a round."""
@@ -203,7 +207,9 @@ class TestFiredInjectorsLeaveTheEngine:
             seen.append((len(hooks), len(probes) + unfired, len(armed) - unfired))
             return events
 
-        monkeypatch.setattr(fi_campaign, "ComputationalFaultInjector", Counted)
+        monkeypatch.setitem(
+            fi_campaign._ROW_KEYED, "activations", (Counted, "row_scoped_hooks")
+        )
         monkeypatch.setattr(DecodeRound, "step", checked)
         try:
             result = camp.run(N_TRIALS)
@@ -238,13 +244,9 @@ class TestWhatKeepsATrialToItself:
         "mem": (
             0, "2bits-mem", dict(generation={"num_beams": 2}), "reference weight_fault"
         ),
-        "mc-kv": (1, "2bits-kv", {}, "reference kv_fault"),
-        "mc-acc": (1, "2bits-acc", {}, "reference acc_fault"),
         "chaos": (0, "2bits-comp", dict(chaos=CampaignChaos()), "golden chaos"),
         "flight": (0, "2bits-comp", "flight", "golden flight"),
         "beams": (0, "2bits-comp", dict(generation={"num_beams": 2}), "golden beam"),
-        "kv": (0, "2bits-kv", {}, "golden kv_fault"),
-        "acc": (0, "2bits-acc", {}, "golden acc_fault"),
     }
 
     @pytest.mark.parametrize("row", ROWS)
@@ -265,6 +267,75 @@ class TestWhatKeepsATrialToItself:
 
 def _experts_only(name):
     return ".experts." in name
+
+
+class TestKVRowsInOneWave:
+    """Stream isolation, wave form: KV-faulted rows decode in one round
+    beside fault-free ones, each fault registered under its row's id,
+    and every row is its own serial decode — a faulted row under its
+    fault armed engine-wide, a fault-free one clean.  That includes the
+    row that acquires the slot of a KV row retired in the same round:
+    the struck element was put back and nothing of the old row's K/V
+    is read."""
+
+    # prompt index -> (budget, iteration of its KV strike or None)
+    ROWS = {0: (2, 0), 1: (6, None), 2: (6, 2), 3: (5, None), 4: (4, 1), 5: (3, None)}
+
+    def test_every_row_is_its_own_serial_decode(self, trained_store, tokenizer, world):
+        engine = InferenceEngine(trained_store)
+        task = TranslationTask(world)
+        prompts = [
+            tokenizer.encode(ex.prompt) for ex in standardized_subset(task, len(self.ROWS))
+        ]
+        sites = {
+            i: FaultSite(
+                FaultModel.KV_1BIT, f"blocks.{i // 2 % 2}.kv", i, 2 * i, bits=(30,),
+                iteration=k, row_frac=0.3 * (i % 3), plane="kv"[i // 2 % 2],
+            )
+            for i, (_, k) in self.ROWS.items() if k is not None
+        }
+        want, clean = {}, {}
+        for i, (budget, _) in self.ROWS.items():
+            config = GenerationConfig(max_new_tokens=budget, eos_id=-1)
+            clean[i] = greedy_decode(engine, prompts[i], config, strategy="serial")
+            if i in sites:
+                with inject(engine, sites[i]) as injector:
+                    want[i] = greedy_decode(engine, prompts[i], config, strategy="serial")
+                assert injector.fired
+            else:
+                want[i] = clean[i]
+        assert any(want[i] != clean[i] for i in sites), "every strike was masked"
+
+        pool = engine.new_pool(3)
+        rnd = DecodeRound(engine, pool, -1)
+        pending, armed, slots, got = list(self.ROWS), {}, {}, {}
+
+        def arm(i, row):
+            armed[i] = KVFaultInjector(engine, sites[i], batch_row=row.id).__enter__()
+
+        def retire(row):
+            got[row.key] = row.out
+            if row.key in armed:
+                armed.pop(row.key).__exit__(None, None, None)
+
+        while pending or rnd.rows:
+            while pending and pool.n_free:
+                i = pending.pop(0)
+                row, _, reason = rnd.admit(
+                    i, prompts[i], self.ROWS[i][0],
+                    before_prefill=(lambda row, i=i: arm(i, row)) if i in sites else None,
+                )
+                slots[i] = row.slot
+                if reason is not None:
+                    retire(row)
+            assert len(engine.kv_faults) == len(armed)
+            for row, _, reason in rnd.step():
+                if reason is not None:
+                    retire(row)
+        assert got == want
+        # Prompt 3 took the slot of KV row 0, retired a round earlier.
+        assert slots[3] == slots[0]
+        assert engine.kv_faults == {} and pool.n_free == pool.n_slots
 
 
 class TestIterationZeroRows:
@@ -811,10 +882,11 @@ class TestEveryRowKeyableFaultIsAWave:
     its faulted weight copy keyed to ``row.id``; multiple-choice
     computational-fault trials are option rows, each hook pinned to its
     trial's row and a trial whose hook did not fire scoring its next
-    option in a further forward.  Both equal the serial reference, in
-    this process and on two workers, no trial runs alone, and every wave
-    leaves no faulted weight registered and the engine's hooks the ones
-    it found."""
+    option in a further forward; KV and accumulator trials are both,
+    each fault registered under its row's id.  All equal the serial
+    reference, in this process and on two workers, no trial runs alone,
+    and every wave leaves no fault registered and the engine's hooks
+    the ones it found."""
 
     @pytest.fixture(autouse=True)
     def checked_waves(self, monkeypatch):
@@ -825,8 +897,9 @@ class TestEveryRowKeyableFaultIsAWave:
             records = run_wave(self, trials)
             # In a pool worker a failed check is a wave fallback, which
             # the callers' ``lone_trials`` assertion reports.
-            assert self.engine.row_weights == {}
-            assert self.engine.hooks._hooks == hooks
+            engine = self.engine
+            assert engine.row_weights == engine.kv_faults == engine.acc_faults == {}
+            assert engine.hooks._hooks == hooks
             return records
 
         monkeypatch.setattr(FICampaign, "_run_wave", checked)
@@ -858,8 +931,9 @@ class TestEveryRowKeyableFaultIsAWave:
             assert sum(span.attrs["trials"] for span in waves) == N_TRIALS
             assert width["max"] > 1 and lone_trials(counters) == {}
             assert counters["campaign.trials"] == counters["campaign.trial_ms"] == N_TRIALS
-            assert camp.engine.row_weights == {} and camp.engine.weight_fault_depth == 0
-            assert camp.engine.hooks._hooks == probes
+            engine = camp.engine
+            assert engine.row_weights == engine.kv_faults == engine.acc_faults == {}
+            assert engine.weight_fault_depth == 0 and engine.hooks._hooks == probes
             yield camp, counters, waves, fast
 
     @pytest.mark.parametrize("policy", ["fp32", "bf16", "int8"])
@@ -903,6 +977,38 @@ class TestEveryRowKeyableFaultIsAWave:
             assert any(t.fired for t in fast.trials)
             # Option rows keep no K/V.
             assert camp._kv_pool is None
+
+    @pytest.mark.parametrize("policy", ["fp32", "bf16", "int8"])
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    @pytest.mark.parametrize("mc", [False, True], ids=["generative", "mc"])
+    @pytest.mark.parametrize("fault_model", KV_ACC, ids=lambda m: m.value)
+    def test_kv_and_accumulator_faults(
+        self, request, tokenizer, world, fault_model, mc, store, policy
+    ):
+        store = request.getfixturevalue(store)
+        task = HellaSwagTask(world) if mc else TranslationTask(world)
+        reason = "kv_fault" if fault_model.is_kv else "acc_fault"
+
+        def build(**kw):
+            return campaign(
+                store, tokenizer, task, fault_model,
+                examples=standardized_subset(task, 4) if mc else None,
+                engine=InferenceEngine(store, weight_policy=policy), **kw,
+            )
+
+        assert build().trial_plan() == ("wave", reason)
+        reference = build(decode_strategy="serial").run(N_TRIALS)
+        assert any(t.fired for t in reference.trials)
+        for camp, counters, waves, fast in self._auto_runs(build, reference):
+            if mc:
+                assert counters[f"decode.plan.option_rows.{reason}"] == N_TRIALS
+                assert camp._kv_pool is None
+            else:
+                assert counters[f"decode.plan.batched.{reason}"] == len(waves)
+                # Struck at iteration 0, a row prefilled under its fault.
+                assert counters["engine.prefill_cache_misses"] == sum(
+                    t.site.iteration == 0 for t in fast.trials
+                )
 
     def test_an_unfired_option_row_scores_the_next_option(
         self, moe_store, tokenizer, world
