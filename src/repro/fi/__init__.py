@@ -36,7 +36,6 @@ from repro.fi.outcomes import (
     classify_generative,
     is_distorted,
 )
-from repro.fi.projection import SDCProjection, project_sdc_rate
 from repro.fi.propagation import PropagationTrace, trace_fault
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 
@@ -69,12 +68,10 @@ __all__ = [
     "MemoryFaultInjector",
     "Outcome",
     "PropagationTrace",
-    "SDCProjection",
     "TrialRecord",
     "classify_direct_answer",
     "classify_generative",
     "inject",
-    "project_sdc_rate",
     "is_distorted",
     "sample_site",
     "trace_fault",

@@ -48,14 +48,13 @@ trials to a crash-durable JSONL file (:mod:`repro.fi.checkpoint`) that
 :meth:`FICampaign.resume` picks up; trials that raise are retried with
 exponential backoff and quarantined as :attr:`Outcome.FAILED` records
 when they fail deterministically; a dead or stuck worker is replaced
-against the once-exported shared weight arena and what it held
-re-queued, and after ``max_pool_rebuilds`` replacements the campaign
-degrades gracefully to this process.
+by a fresh fork of this campaign and what it held re-queued, and after
+``max_pool_rebuilds`` replacements the campaign degrades gracefully to
+this process.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import time
@@ -331,11 +330,11 @@ class FICampaign:
         masked majority of trials — and forked pool workers, which
         inherit it — look their scores up."""
         self._executor = Executor()
-        """Runs the trials; owns the shared weight arena and the
-        persistent worker pool, which survive across
-        ``run()``/``resume()`` boundaries until :meth:`close_pool`."""
+        """Runs the trials; owns the persistent worker pool, which
+        survives across ``run()``/``resume()`` boundaries until
+        :meth:`close_pool`."""
         self._in_worker = False
-        """True on the copy a pool worker runs (:meth:`_attached`)."""
+        """True on the forked copy a pool worker runs."""
         self._hook_mark: int | None = None
         """The engine's hook registrations when the latest trial or wave
         began: :meth:`_post_failure_repair` detaches those after it."""
@@ -1235,14 +1234,17 @@ class FICampaign:
         trial at a time, or, for the trials that can share forwards, a
         wave at a time (:meth:`_run_wave`).  ``n_workers=0`` runs the
         batches in this process; otherwise a pre-forked persistent pool
-        runs them, the same way.  Workers share one memory-mapped copy
-        of the weights (per-worker incremental memory is KV caches +
-        Python overhead, not the model), are dealt the next pending
-        batch as they free up, and survive across ``run()``/``resume()``
-        calls on this campaign.  Results are identical either way
-        because every trial derives its RNG from its stable
-        :meth:`trial_key`.  Telemetry, when enabled, is likewise
-        schedule-invariant: worker snapshots merge in trial order.
+        runs them, the same way.  Workers are forks of this process:
+        each runs this campaign and its engine, hooks included, sharing
+        the weight pages copy-on-write (no trial writes them, so
+        per-worker incremental memory is KV caches + Python overhead,
+        not the model); they are dealt the next pending batch as they
+        free up, and survive across ``run()``/``resume()`` calls on
+        this campaign until what they inherited changes.  Results are
+        identical either way because every trial derives its RNG from
+        its stable :meth:`trial_key`.  Telemetry, when enabled, is
+        likewise schedule-invariant: worker snapshots merge in trial
+        order.
 
         ``checkpoint`` journals every completed trial to a JSONL file,
         batch by batch in this process and unit by unit as workers
@@ -1254,9 +1256,9 @@ class FICampaign:
         where they ran, up to ``max_retries`` times with exponential
         ``retry_backoff``, before being quarantined as
         :attr:`Outcome.FAILED`; a dead or stuck worker is killed and
-        respawned against the existing shared arena, and what it still
-        held re-queued, up to ``max_pool_rebuilds`` times, after which
-        execution degrades to this process.
+        forked again, and what it still held re-queued, up to
+        ``max_pool_rebuilds`` times, after which execution degrades to
+        this process.
         """
         sup = _Supervision(
             trial_timeout=trial_timeout,
@@ -1313,27 +1315,10 @@ class FICampaign:
         )
 
     def close_pool(self) -> None:
-        """Tear down the persistent pool and arena (idempotent).
+        """Tear down the persistent pool (idempotent).
 
         Called automatically at garbage collection; call explicitly to
         release the worker processes early (e.g. between campaigns in a
         long-lived driver).
         """
         self._executor.close()
-
-    def _attached(self, arena_root: Path) -> "FICampaign":
-        """This campaign as a pool worker runs it: a copy over engines
-        attached zero-copy to the arena under ``arena_root``.
-
-        Called in the forked child, so everything else is the parent's
-        state as the fork found it: the baseline and the golden passes
-        it was read off, which a worker reads copy-on-write and never
-        builds again (a pass holds no engine; a rewind is handed this
-        copy's).  The KV slots stay: all free between rounds, and a
-        forked worker writing its copy-on-write pages costs less than
-        allocating a second pool beside them.
-        """
-        worker = copy.copy(self)
-        worker.engine = InferenceEngine.open_shared(arena_root / "target")
-        worker._in_worker = True
-        return worker

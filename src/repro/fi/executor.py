@@ -12,8 +12,8 @@ deadline, respawn within a budget, and give the pool up.
 The campaign is duck-typed (this module never imports
 :mod:`repro.fi.campaign`): whatever knows what a trial *is* —
 ``_run_trial``, ``_run_wave``, ``trial_plan``, ``_quarantine_record``,
-``_post_failure_repair``, ``trial_key``, ``fingerprint`` — and how to
-rebuild itself over a shared arena in a worker (``_attached``).
+``_post_failure_repair``, ``trial_key``, ``fingerprint``, and whether
+it runs in a worker (``_in_worker``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.fi.checkpoint import CampaignCheckpoint
-from repro.fi.pool import CampaignPool, _Held, _SharedArena
+from repro.fi.pool import CampaignPool, _Held
 from repro.obs.flight import flight_recorder as _flight
-from repro.obs.instrument import attach_layer_timing
 from repro.obs.manifest import config_hash
 from repro.obs.runtime import telemetry as _telemetry
 from repro.obs.trace import SpanRecord
@@ -269,30 +268,26 @@ def _drain_payload(tel, recorder) -> dict | None:
     return payload
 
 
-def _boot_worker(campaign, arena_root: Path, traced: bool, flight: bool) -> Callable:
+def _boot_worker(campaign) -> Callable:
     """What a pool worker runs first, inherited through ``fork`` as a
-    ``partial`` over these arguments; returns its ``serve(task, send)``.
+    ``partial`` over the campaign; returns its ``serve(task, send)``.
 
-    Nothing heavyweight crosses the process boundary: the worker's
-    campaign is the forked copy of the parent's over engines attached
-    zero-copy to the exported arena (``campaign._attached``), respawned
-    workers included.  Telemetry and the flight recorder are
-    per-process: a worker collects into its own and ships what each
-    unit left behind with the unit's results.
+    Nothing crosses the process boundary: the worker runs its forked
+    copy of the parent's campaign and engine, hooks and layer-timing
+    probes included, as the parent held them when the worker forked —
+    respawned workers too.  Telemetry and the flight recorder are
+    per-process, switched on or off as the parent's were: a worker
+    drops what it inherited of the parent's observations, collects its
+    own and ships what each unit left behind with the unit's results.
     """
-    mine = campaign._attached(arena_root)
+    campaign._in_worker = True
     tel, recorder = _telemetry(), _flight()
-    if traced:
-        tel.reset()
-        tel.enable()
-        attach_layer_timing(mine.engine, tel)
-    if flight:
-        recorder.reset()
-        recorder.arm()
+    tel.reset()
+    recorder.reset()
 
     def serve(task, send) -> None:
         batch, sup = task
-        units = run_batch(mine, batch, sup, lambda unit: send("start", unit))
+        units = run_batch(campaign, batch, sup, lambda unit: send("start", unit))
         for results in units:
             send("done", (results, _drain_payload(tel, recorder)))
 
@@ -307,28 +302,23 @@ def _boot_worker(campaign, arena_root: Path, traced: bool, flight: bool) -> Call
 class Executor:
     """Runs a campaign's pending trials, here or on a pool it owns.
 
-    Holds what outlives one ``run()``: the shared weight arena (exported
-    once per campaign — pool rebuilds and resumed runs re-attach, never
-    re-export) and the persistent pre-forked pool (reused across
-    ``run()``/``resume()`` until :meth:`close`).  It holds no reference
-    to the campaign, which owns it.
+    Holds what outlives one ``run()``: the persistent pre-forked pool
+    (reused across ``run()``/``resume()`` until :meth:`close`).  It
+    holds no reference to the campaign, which owns it.
     """
 
     def __init__(self) -> None:
-        self.arena: _SharedArena | None = None
         self.pool: CampaignPool | None = None
         self._forked_with: tuple | None = None
-        """``(telemetry active, flight recorder armed)`` when the pool's
-        workers forked — they bake both in."""
+        """``(telemetry active, flight recorder armed, the engine's live
+        hook registrations)`` when the pool's workers forked — they
+        inherit all three."""
 
     def close(self) -> None:
-        """Tear down the pool and the arena (idempotent)."""
+        """Tear down the pool (idempotent)."""
         if self.pool is not None:
             self.pool.close()
             self.pool = None
-        if self.arena is not None:
-            self.arena.close()
-            self.arena = None
 
     def run(
         self,
@@ -394,10 +384,13 @@ class Executor:
 
         A healthy pool is reused across ``run()``/``resume()`` calls —
         resuming into a live pool pays zero spinup.  It is rebuilt only
-        when the requested worker count or the telemetry/flight
-        activation changed (workers bake those in at fork time).
+        when the requested worker count changed or what the workers
+        inherited did: the telemetry/flight activation, or the hooks on
+        the engine (a hook registered or removed since they forked).
         """
-        forked_with = (tel.active, _flight().active)
+        forked_with = (
+            tel.active, _flight().active, tuple(campaign.engine.hooks._handles)
+        )
         pool = self.pool
         if pool is not None and (
             pool.closed
@@ -407,31 +400,17 @@ class Executor:
             pool.close()
             pool = self.pool = None
         if pool is None:
-            if self.arena is None:
-                self.arena = _SharedArena(campaign.engine)
-            arena = self.arena
             self._forked_with = forked_with
-            with tel.span(
-                "campaign.pool_spinup",
-                workers=n_workers,
-                arena_bytes=arena.nbytes,
-            ) as span:
-                pool = CampaignPool(n_workers, self._boot(campaign))
+            with tel.span("campaign.pool_spinup", workers=n_workers) as span:
+                pool = CampaignPool(n_workers, partial(_boot_worker, campaign))
                 ready = pool.wait_ready()
-                span.set(attached=ready)
+                span.set(booted=ready)
             if tel.active:
-                tel.metrics.counter("campaign.shared_attach").add(ready)
+                tel.metrics.counter("campaign.worker_boots").add(ready)
                 tel.metrics.gauge("campaign.workers").set(float(n_workers))
-                tel.metrics.gauge("campaign.arena_bytes").set(float(arena.nbytes))
-                tel.manifest_extra["scaleout"] = {
-                    "workers": n_workers,
-                    "arena_bytes": arena.nbytes,
-                }
+                tel.manifest_extra["scaleout"] = {"workers": n_workers}
             self.pool = pool
         return pool
-
-    def _boot(self, campaign) -> Callable:
-        return partial(_boot_worker, campaign, self.arena.root, *self._forked_with)
 
     def _run_pool(
         self,
@@ -445,8 +424,10 @@ class Executor:
         ``(trial, attempts so far)`` pairs it did not finish.
 
         Dispatch is dynamic (next pending batch → first free worker).
-        A worker that dies is respawned against the existing arena; one
-        whose unit exceeds ``trial_timeout`` is SIGKILLed and replaced.
+        A worker that dies is respawned, forked from the campaign and
+        engine its siblings forked from (supervising changes neither);
+        one whose unit exceeds ``trial_timeout`` is SIGKILLed and
+        replaced.
         Either way the trials it still held are re-queued one per batch
         — a poisonous trial must not take its siblings down twice —
         with the in-flight unit's attempt counts bumped, so
@@ -483,7 +464,7 @@ class Executor:
             nonlocal rebuilds
             rebuilds += 1
             if rebuilds <= sup.max_pool_rebuilds:
-                pool.spawn_worker(self._boot(campaign))
+                pool.spawn_worker(partial(_boot_worker, campaign))
 
         while left and rebuilds <= sup.max_pool_rebuilds:
             while pending and pool.idle:
@@ -494,7 +475,7 @@ class Executor:
                 kind, pid, body = msg
                 if kind == "ready":
                     if tel.active:
-                        tel.metrics.counter("campaign.shared_attach").add()
+                        tel.metrics.counter("campaign.worker_boots").add()
                 elif kind == "done":
                     # Never of a trial served before: a killed worker's
                     # pipe is dropped unread, and what a dead one still

@@ -57,8 +57,8 @@ class MemoryFaultInjector:
 
     The injector builds a private faulted copy ``W'`` of the one struck
     tensor (:meth:`~repro.inference.storage.WeightStore.faulted_array`,
-    which never writes the store — a pool worker never writes an arena
-    page).  By default ``W'`` is swapped in as the store's compute array
+    which never writes the store — a pool worker never copies a weight
+    page it shares with its parent).  By default ``W'`` is swapped in as the store's compute array
     (:meth:`~repro.inference.storage.WeightStore.swap`), so every
     forward reads it, and ``store.array`` shows it, until
     :meth:`__exit__` swaps the pristine array back.  ``rows`` keys

@@ -1,57 +1,28 @@
 """Process and pipe mechanics of a campaign's worker pool.
 
-Two things live here, and no policy: the *shared weight arena* — the
-campaign engine's weight planes exported once into
-memory-mapped read-only files that every worker attaches zero-copy, so
-N workers share one physical copy of the model through the page cache —
-and the *pre-forked persistent pool* that hands batches of work to
-whichever worker frees up first and notices when one dies or outlasts
-its deadline.  What a batch holds, what is retried, what is quarantined
-and when the pool is given up are :mod:`repro.fi.executor`'s; the only
-thing this module knows about a task is which trial numbers it covers.
+One thing lives here, and no policy: the *pre-forked persistent pool*
+that hands batches of work to whichever worker frees up first and
+notices when one dies or outlasts its deadline.  A worker is a ``fork``
+of the campaign's process, so it runs the very campaign and engine the
+parent holds — weights, hooks, golden passes — sharing their pages
+copy-on-write.  What a batch holds, what is retried, what is
+quarantined and when the pool is given up are
+:mod:`repro.fi.executor`'s; the only thing this module knows about a
+task is which trial numbers it covers.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import shutil
-import tempfile
 import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import Callable
 
-from repro.inference.engine import InferenceEngine
-from repro.model.params import arena_nbytes
-
 __all__ = ["CampaignPool"]
-
-
-class _SharedArena:
-    """One campaign's exported weight planes on disk.
-
-    Exported exactly once per campaign into a temp directory of
-    ``.npy``-layout mmap arenas; every pool worker — initial or
-    respawned — attaches to the same files, so weights are shipped
-    zero times regardless of how often the pool rebuilds.  The
-    directory is removed when the campaign is garbage collected
-    (workers keep their mappings alive through the open inodes).
-    """
-
-    def __init__(self, engine: InferenceEngine):
-        self.root = Path(tempfile.mkdtemp(prefix="repro-arena-"))
-        engine.export_shared(self.root / "target")
-        self.nbytes = arena_nbytes(self.root / "target")
-        self._finalizer = weakref.finalize(
-            self, shutil.rmtree, str(self.root), True
-        )
-
-    def close(self) -> None:
-        self._finalizer()
 
 
 def _pool_worker_main(boot: Callable, task_q, result_conn) -> None:
@@ -127,9 +98,9 @@ class CampaignPool:
     """
 
     def __init__(self, n_workers: int, boot: Callable) -> None:
-        # fork (not spawn): a worker must inherit ``boot`` by memory, so
-        # the campaign it holds is never pickled, and must exist
-        # before any trial runs so arena pages are shared, not duplicated.
+        # fork (not spawn): a worker inherits ``boot`` — and the campaign
+        # and engine it holds — by memory, never pickled, its weight
+        # pages shared with this process's until someone writes them.
         self._ctx = mp.get_context("fork")
         self.n_workers = n_workers
         # One private result pipe per worker (single writer, no shared
@@ -155,7 +126,7 @@ class CampaignPool:
 
         ``boot`` is not kept: it holds the campaign, and a pool
         that held it would tie the campaign into a reference cycle and
-        put off the finalizers that reap workers and arena."""
+        put off the finalizer that reaps the workers."""
         task_q = self._ctx.SimpleQueue()
         r_conn, w_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
@@ -174,7 +145,7 @@ class CampaignPool:
         return proc.pid
 
     def wait_ready(self, timeout: float = 120.0) -> int:
-        """Block until every forked worker attached (or died/timed out);
+        """Block until every forked worker booted (or died/timed out);
         returns how many did.
 
         Used only at spinup, when no trials are in flight — later

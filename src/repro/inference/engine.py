@@ -38,20 +38,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.autograd.functional import rms_norm_np, silu_np, softmax_np
 from repro.inference.hooks import HookContext, HookManager
 from repro.inference.kvcache import KVCache, PooledKVCache, _SlotView
-from repro.inference.storage import (
-    WeightStore,
-    attach_weight_store,
-    make_weight_store,
-)
+from repro.inference.storage import WeightStore, make_weight_store
 from repro.model.config import ModelConfig
-from repro.model.params import ParamStore, open_arena, write_arena
+from repro.model.params import ParamStore
 from repro.model.transformer import rope_tables
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -155,9 +150,9 @@ class InferenceEngine:
 
     def _disarm(self) -> None:
         """The engine's armed-fault state, written once: unarmed, as
-        :meth:`__init__` and :meth:`open_shared` leave it and a campaign
-        restores it after a crashed trial — every weight store reading
-        its own compute array again.  Hooks are not part of it: a
+        :meth:`__init__` leaves it and a campaign restores it after a
+        crashed trial — every weight store reading its own compute array
+        again.  Hooks are not part of it: a
         campaign detaches only the ones the trial registered."""
         self.capture: CaptureState | None = None
         self.weight_fault_depth = 0
@@ -178,85 +173,7 @@ class InferenceEngine:
         """Armed :class:`~repro.fi.injector.AccumulatorFaultInjector`,
         keyed the same way, handed every GEMM's output by :meth:`_linear`."""
         for store in self._stores.values():
-            planes, _ = store.export_state()
-            store.swap(planes["array"])
-
-    # -- shared (memory-mapped) weight planes -----------------------------------
-
-    def export_shared(self, directory: str | Path) -> Path:
-        """Write every weight plane into a read-only mmap arena.
-
-        Unlike exporting a :class:`ParamStore` (raw float32 parameters),
-        this captures the engine's *policy-encoded* state — stored bit
-        patterns for float policies, integer codes and group scales for
-        quantized ones, plus the dequantized/rounded compute arrays —
-        so :meth:`open_shared` attaches without re-encoding anything and
-        is bit-identical to this engine by construction.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        store_meta: dict[str, dict] = {}
-        for name, ws in self._stores.items():
-            planes, meta = ws.export_state()
-            store_meta[name] = meta
-            for plane, array in planes.items():
-                arrays[f"store:{name}:{plane}"] = array
-        for name, array in self._plain.items():
-            arrays[f"plain:{name}"] = array
-        return write_arena(
-            directory,
-            arrays,
-            meta={
-                "kind": "engine",
-                "config": self.config.to_json(),
-                "weight_policy": self.weight_policy,
-                "activation_format": self.activation_format,
-                "stores": store_meta,
-            },
-        )
-
-    @staticmethod
-    def open_shared(directory: str | Path) -> "InferenceEngine":
-        """Attach an engine to an arena written by :meth:`export_shared`.
-
-        All weight planes are zero-copy read-only views into the shared
-        mapping; only the (tiny, deterministic) RoPE tables are
-        recomputed.  Nothing writes the views: a weight-fault trial
-        swaps in or keys to rows its own faulted copy of the struck
-        tensor, so the arena and every sibling attachment stay pristine.
-        """
-        arrays, meta = open_arena(directory)
-        if meta.get("kind") != "engine":
-            raise ValueError(
-                f"{directory} is not an engine arena"
-                f" (kind={meta.get('kind')!r})"
-            )
-        engine = InferenceEngine.__new__(InferenceEngine)
-        engine.config = ModelConfig.from_json(meta["config"])
-        engine.weight_policy = meta["weight_policy"]
-        engine.activation_format = meta["activation_format"]
-        engine.hooks = HookManager()
-        engine._stores = {
-            name: attach_weight_store(
-                {
-                    plane: arrays[f"store:{name}:{plane}"]
-                    for plane in smeta["planes"]
-                },
-                smeta,
-            )
-            for name, smeta in meta["stores"].items()
-        }
-        engine._plain = {
-            key[len("plain:"):]: array
-            for key, array in arrays.items()
-            if key.startswith("plain:")
-        }
-        engine._cos, engine._sin = rope_tables(
-            engine.config.head_dim,
-            engine.config.max_seq,
-            engine.config.rope_theta,
-        )
-        engine._disarm()
-        return engine
+            store.swap(store.planes()["array"])
 
     # -- weight access ---------------------------------------------------------
 

@@ -10,8 +10,8 @@ written: a memory fault is a faulted copy of the compute array
 stored form with the bits flipped), which a campaign either swaps in as
 the compute array for one run and swaps back out after it
 (:meth:`WeightStore.swap`) or keys to batch rows — so every trial starts
-from the pristine model, and a store attached read-only to a shared
-arena stays read-only.
+from the pristine model, and a forked campaign worker shares every
+plane with its parent copy-on-write for as long as it lives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "FloatWeightStore",
     "QuantizedWeightStore",
     "make_weight_store",
-    "attach_weight_store",
 ]
 
 
@@ -65,13 +64,10 @@ class WeightStore(Protocol):
         """Make ``array`` what :attr:`array` returns, and so what every
         forward reads; returns the array it replaces."""
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """``(planes, meta)`` sufficient to reattach without recompute.
-
-        Planes are the raw storage arrays (shareable read-only across
-        processes); ``meta`` is the JSON-able recipe
-        :func:`attach_weight_store` rebuilds the policy from.
-        """
+    def planes(self) -> dict[str, np.ndarray]:
+        """The arrays the policy stores, by name: the stored encoding
+        and the pristine compute array (``"array"``).  No fault writes
+        any of them."""
 
 
 class _Policy:
@@ -119,36 +115,13 @@ class FloatWeightStore(_Policy):
     def n_storage_bits(self) -> int:
         return self.fmt.bits
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Shareable planes: fp32 stores need only the compute array
-        (the stored bits are a reinterpreting view of the same bytes);
-        fp16/bf16 keep distinct bit and compute planes."""
-        meta = {"kind": "float", "fmt": self.fmt.name}
+    def planes(self) -> dict[str, np.ndarray]:
+        """fp32 stores hold only the compute array (the stored bits are
+        a reinterpreting view of the same bytes); fp16/bf16 keep
+        distinct bit and compute planes."""
         if self.fmt.bits == 32:
-            planes = {"array": self._pristine}
-        else:
-            planes = {"bits": self._bits, "array": self._pristine}
-        meta["planes"] = sorted(planes)
-        return planes, meta
-
-    @staticmethod
-    def attach(planes: dict[str, np.ndarray], meta: dict) -> "FloatWeightStore":
-        """Rebuild over exported planes without copying or re-encoding.
-
-        The attached planes are typically read-only mmap views shared
-        with other processes, and stay so: a fault builds its own copy
-        of the one struck tensor, so the arena and every sibling
-        attachment keep the pristine bytes.
-        """
-        store = FloatWeightStore.__new__(FloatWeightStore)
-        store.fmt = get_format(meta["fmt"])
-        store._adopt(planes["array"])
-        store._bits = (
-            planes["bits"]
-            if "bits" in planes
-            else store._pristine.view(np.uint32)
-        )
-        return store
+            return {"array": self._pristine}
+        return {"bits": self._bits, "array": self._pristine}
 
     def _flipped(self, row: int, col: int, positions: list[int]) -> float:
         """The compute value of element ``(row, col)`` with ``positions``
@@ -172,35 +145,12 @@ class QuantizedWeightStore(_Policy):
     def n_storage_bits(self) -> int:
         return self.quantized.nbits
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        planes = {
+    def planes(self) -> dict[str, np.ndarray]:
+        return {
             "codes": self.quantized.codes,
             "scales": self.quantized.scales,
             "array": self._pristine,
         }
-        meta = {
-            "kind": "quant",
-            "nbits": self.quantized.nbits,
-            "group_size": self.quantized.group_size,
-            "planes": sorted(planes),
-        }
-        return planes, meta
-
-    @staticmethod
-    def attach(
-        planes: dict[str, np.ndarray], meta: dict
-    ) -> "QuantizedWeightStore":
-        """Rebuild over exported planes — the exact codes and scales,
-        not a requantization of the dequantized array."""
-        store = QuantizedWeightStore.__new__(QuantizedWeightStore)
-        store.quantized = QuantizedMatrix(
-            codes=planes["codes"],
-            scales=planes["scales"],
-            nbits=int(meta["nbits"]),
-            group_size=int(meta["group_size"]),
-        )
-        store._adopt(planes["array"])
-        return store
 
     def _flipped(self, row: int, col: int, positions: list[int]) -> float:
         q = self.quantized
@@ -222,20 +172,3 @@ def make_weight_store(weight: np.ndarray, policy: str) -> WeightStore:
     if policy == "int4":
         return QuantizedWeightStore(weight, nbits=4)
     raise KeyError(f"unknown storage policy {policy!r}")
-
-
-def attach_weight_store(
-    planes: dict[str, np.ndarray], meta: dict
-) -> WeightStore:
-    """Rebuild a storage policy over planes exported by ``export_state``.
-
-    Unlike :func:`make_weight_store`, nothing is re-encoded: the policy
-    adopts the planes as-is (typically read-only shared-arena views),
-    so the attached store is bit-identical to the exporting one.
-    """
-    kind = meta.get("kind")
-    if kind == "float":
-        return FloatWeightStore.attach(planes, meta)
-    if kind == "quant":
-        return QuantizedWeightStore.attach(planes, meta)
-    raise KeyError(f"unknown weight-store kind {kind!r}")

@@ -34,17 +34,15 @@ __all__ = [
     "ARENA_SCHEMA_VERSION",
     "write_arena",
     "open_arena",
-    "arena_nbytes",
     "arena_valid",
 ]
 
 # ----------------------------------------------------------------------------
 # Shared-memory arenas: a directory holding one flat binary file of
 # concatenated tensors plus a JSON index describing their layout.  The
-# arena is written once (per zoo build or per campaign) and mapped
-# read-only by any number of processes; the OS page cache backs every
-# mapping with the same physical pages, so N campaign workers pay for
-# one copy of the weights instead of N.
+# arena is written once per zoo build, beside the model's ``.npz``, and
+# mapped read-only by every process that loads the model; the OS page
+# cache backs every mapping with the same physical pages.
 # ----------------------------------------------------------------------------
 
 ARENA_SCHEMA_VERSION = 1
@@ -138,12 +136,6 @@ def open_arena(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             entry["shape"]
         )
     return arrays, index["meta"]
-
-
-def arena_nbytes(directory: str | Path) -> int:
-    """Total tensor bytes stored in an arena (index-reported)."""
-    index = json.loads((Path(directory) / _ARENA_INDEX).read_text())
-    return int(index["total_bytes"])
 
 
 def arena_valid(directory: str | Path) -> bool:

@@ -101,15 +101,6 @@ class FloatFormat:
         """Smallest positive normal magnitude."""
         return 2.0 ** (1 - self.bias)
 
-    @property
-    def uint_dtype(self) -> np.dtype:
-        """NumPy unsigned integer dtype wide enough to hold a pattern."""
-        if self.bits <= 16:
-            return np.dtype(np.uint16)
-        if self.bits <= 32:
-            return np.dtype(np.uint32)
-        return np.dtype(np.uint64)
-
 
 FP16 = FloatFormat("fp16", 16, 5, 10)
 BF16 = FloatFormat("bf16", 16, 8, 7)

@@ -390,10 +390,7 @@ def render_report(run: RunData) -> str:
     ]
     scaleout = manifest.get("scaleout")
     if scaleout:
-        lines.append(
-            f"scale-out      {scaleout.get('workers')} workers,"
-            f" shared arena {scaleout.get('arena_bytes', 0) / 1e6:.1f} MB"
-        )
+        lines.append(f"scale-out      {scaleout.get('workers')} workers")
     lines += _span_section(run)
     lines += _histogram_section(run)
     lines += _scalar_section(run)

@@ -38,8 +38,8 @@ class Telemetry:
         to the exported run so provenance and results travel together."""
         self.manifest_extra: dict = {}
         """Run-level fields merged into the exported manifest (e.g.
-        the campaign pool's ``scaleout`` worker-count/arena-bytes
-        block), so ``repro obs report`` shows execution health."""
+        the campaign pool's ``scaleout`` worker-count block), so
+        ``repro obs report`` shows execution health."""
         self.out_path: Path | None = None
 
     # -- lifecycle -------------------------------------------------------------

@@ -287,10 +287,6 @@ class InferenceServer:
 
     # -- tenants ---------------------------------------------------------------
 
-    def add_tenant(self, config: TenantConfig) -> None:
-        with self._lock:
-            self._sched.add(config)
-
     def tenant_stats(self) -> dict[str, dict]:
         """Per-tenant submitted/completed/rejected/token tallies."""
         with self._lock:

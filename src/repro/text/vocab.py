@@ -63,11 +63,6 @@ class Vocab:
         return self._token_to_id[EOS]
 
     @property
-    def sep_id(self) -> int:
-        """Id of the separator token."""
-        return self._token_to_id[SEP]
-
-    @property
     def unk_id(self) -> int:
         """Id of the unknown-token fallback."""
         return self._token_to_id[UNK]

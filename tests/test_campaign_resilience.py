@@ -32,6 +32,7 @@ from repro.fi import (
     assert_records_equal,
     assert_results_equal,
     by_layer_type,
+    executor,
     load_checkpoint,
 )
 from repro.harness.results import format_campaign
@@ -281,17 +282,17 @@ class TestRetry:
     def test_workers_that_cannot_boot_degrade_to_serial(
         self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
     ):
-        """A worker that dies attaching is replaced within the rebuild
+        """A worker that dies booting is replaced within the rebuild
         budget like any other; when none ever comes up the campaign runs
         in the parent instead of waiting on an empty pool."""
         clean = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         ).run(4)
 
-        def no_arena(self, arena_root):
-            raise OSError("arena gone")
+        def no_boot(campaign):
+            raise OSError("cannot boot")
 
-        monkeypatch.setattr(FICampaign, "_attached", no_arena)
+        monkeypatch.setattr(executor, "_boot_worker", no_boot)
         clean_telemetry.enable()
         stranded = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT

@@ -13,7 +13,6 @@ from repro.inference import (
     QuantizedWeightStore,
     make_weight_store,
 )
-from repro.inference.storage import attach_weight_store
 from repro.model import ModelConfig, TransformerLM
 
 TOKENS = [1, 5, 7, 2, 9, 11, 3]
@@ -623,8 +622,6 @@ class TestStoragePolicies:
     def test_make_weight_store_rejects_unknown(self):
         with pytest.raises(KeyError):
             make_weight_store(np.zeros((2, 2), np.float32), "fp8")
-        with pytest.raises(KeyError):
-            attach_weight_store({}, {"kind": "fp8"})
 
     def test_activation_format_defaults(self, untrained_store):
         assert InferenceEngine(untrained_store, "bf16").activation_format == "bf16"

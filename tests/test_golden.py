@@ -55,6 +55,7 @@ from repro.tasks import (
 )
 
 from tests.test_differential import make_campaign
+from tests.test_scaleout import identity, record_in_workers
 
 PARENT_JOURNAL = Path(__file__).parent / "data" / "journal_pr14_wmt16_2bits-comp.jsonl"
 """Four trials of ``make_campaign(untrained_store, …, "gen", COMP_2BIT)``
@@ -295,18 +296,23 @@ class TestFastForwardMatchesReference:
         assert counters["replayed_tokens"] == 0
         assert counters["unreached"] == 0
 
-    def test_workers_inherit_the_parents_runs(self, trained_store, tokenizer, world):
+    def test_workers_inherit_the_parents_runs(
+        self, trained_store, tokenizer, world, tmp_path, monkeypatch
+    ):
+        def runs(camp):
+            return {
+                str(idx): [id(run.ids), id(run.snaps)]
+                for idx, run in camp._golden.items()
+            }
+
+        seen = record_in_workers(
+            monkeypatch, tmp_path / "workers", "_run_wave",
+            lambda camp: [identity(camp), runs(camp)],
+        )
         task = TranslationTask(world)
         camp = campaign(trained_store, tokenizer, task, FaultModel.KV_2BIT)
         try:
             pooled, counters = run_counted(camp, 12, n_workers=2)
-            worker = camp._attached(camp._executor.arena.root)
-            trial = next(
-                i for i, t in enumerate(pooled.trials) if t.site.iteration >= 1
-            )
-            run = camp._golden[trial % len(camp.examples)]
-            mine = camp._run_trial(trial)
-            theirs = worker._run_trial(trial)
         finally:
             camp.close_pool()
         reference = campaign(
@@ -314,23 +320,20 @@ class TestFastForwardMatchesReference:
             decode_strategy="serial",
         ).run(12)
         assert_results_equal(pooled, reference, "pooled auto", "serial")
-        assert_records_equal([theirs], [mine], "worker copy", "parent")
         # One run per example, decoded by the baseline before the fork,
-        # and the worker copy holds those very runs.
+        # and every worker's waves resumed those very runs — the parent's
+        # objects, at the parent's addresses — on the parent's engine.
         assert counters["builds"] == len(camp._golden) == len(camp.examples)
-        assert worker._golden.keys() == camp._golden.keys()
-        for idx, inherited in worker._golden.items():
-            assert inherited.ids is camp._golden[idx].ids
-            assert inherited.snaps is camp._golden[idx].snaps
-        # A run holds no engine and no session: the worker's trial
-        # stepped the worker's arena-attached engine, handed to the rewind.
-        layer = worker.engine.linear_layer_names()[0]
-        assert not worker.engine.weight_store(layer).array.flags.writeable
-        assert worker.engine is not camp.engine
-        assert not any(
-            isinstance(value, InferenceEngine) or hasattr(value, "engine")
-            for value in vars(run).values()
-        )
+        workers = seen()
+        assert len(workers) == 2
+        assert all(facts == [identity(camp), runs(camp)] for facts in workers.values())
+        # A run holds no engine and no session: a wave hands the rewind
+        # the engine it runs on.
+        for run in camp._golden.values():
+            assert not any(
+                isinstance(value, InferenceEngine) or hasattr(value, "engine")
+                for value in vars(run).values()
+            )
 
     def test_each_distinct_prediction_is_scored_once(
         self, trained_store, tokenizer, world, monkeypatch
@@ -1009,7 +1012,7 @@ class TestSharedPasses:
         assert_results_equal(warm, cold, "warm", "cold")
         assert_results_equal(warm, serial, "warm", "serial")
         if workers:
-            assert counters["campaign.shared_attach"] == workers
+            assert counters["campaign.worker_boots"] == workers
 
     @pytest.mark.parametrize(
         "fault_model", [FaultModel.MEM_2BIT, FaultModel.COMP_2BIT], ids=lambda m: m.value

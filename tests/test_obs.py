@@ -345,9 +345,9 @@ class TestCampaignTelemetry:
         )
 
     # Execution-health telemetry that exists only in pooled runs (pool
-    # spinup, arena attachment, work stealing) — set aside when
-    # comparing the merged science counters/spans against serial.
-    POOL_ONLY_COUNTERS = ("campaign.shared_attach", "campaign.steals")
+    # spinup, worker boots, work stealing) — set aside when comparing
+    # the merged science counters/spans against serial.
+    POOL_ONLY_COUNTERS = ("campaign.worker_boots", "campaign.steals")
     POOL_ONLY_SPANS = ("campaign.pool_spinup",)
     # How many forwards ran, and over how many tokens, depends on how
     # the trials were partitioned: weight-fault multiple-choice trials
@@ -429,11 +429,8 @@ class TestCampaignTelemetry:
             campaign().run(6, n_workers=n_workers)
             snapshot = tel.metrics.snapshot()
             assert science(snapshot["counters"]) == science(serial["counters"])
-            # The persistent pool attaches each worker to the shared
-            # arena exactly once.
-            assert (
-                snapshot["counters"]["campaign.shared_attach"] == n_workers
-            )
+            # The persistent pool boots each worker exactly once.
+            assert snapshot["counters"]["campaign.worker_boots"] == n_workers
             assert hist_counts(snapshot["histograms"]) == hist_counts(
                 serial["histograms"]
             )

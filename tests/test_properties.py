@@ -324,7 +324,7 @@ def test_property_faulted_array_flips_one_stored_element(policy, data):
         st.integers(0, store.n_storage_bits - 1), min_size=1, max_size=2, unique=True
     ))
     own = store.array
-    planes = {k: v.copy() for k, v in store.export_state()[0].items()}
+    planes = {k: v.copy() for k, v in store.planes().items()}
     faulted = store.faulted_array(r, c, bits)
     if policy.startswith("int"):
         q, width = store.quantized, store.n_storage_bits
@@ -338,7 +338,7 @@ def test_property_faulted_array_flips_one_stored_element(policy, data):
     others[r, c] = False
     np.testing.assert_array_equal(faulted[others], own[others])
     assert store.array is own
-    for name, plane in store.export_state()[0].items():
+    for name, plane in store.planes().items():
         np.testing.assert_array_equal(plane, planes[name])
 
 

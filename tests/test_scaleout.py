@@ -1,40 +1,48 @@
-"""Shared-weight scale-out: mmap arena, fault isolation, persistent pool.
+"""Scale-out: the zoo's mmap arena, fault isolation, persistent pool.
 
 The campaign pool's scale-out story rests on three invariants:
 
-* **bit-identity of attachment** — a store/engine attached to the
-  exported arena is indistinguishable from the exporting one
-  (``fingerprint()`` equal, forwards bit-equal), because the arena
-  holds the *policy-encoded* planes verbatim, never a re-encoding;
-* **fault isolation** — a weight fault in one attachment reads a
-  private faulted copy of the targeted tensor; no arena plane is ever
-  written, and exit puts the arena view back;
+* **inheritance** — a pool worker is a fork of the campaign's process
+  and runs the very campaign and engine the parent holds, hooks
+  included (a perturbing guard on the engine guards the workers too),
+  respawned workers as well;
+* **fault isolation** — a weight fault reads a private faulted copy of
+  the targeted tensor; no stored plane is ever written, so a worker
+  shares every weight page with its parent, and exit puts the pristine
+  array back;
 * **schedule-invariance** — TrialRecords from the pre-forked
   persistent pool (any worker count, with worker deaths, across
-  kill-and-resume boundaries) are bit-identical to serial, enforced
-  through :mod:`repro.fi.differential`.
+  kill-and-resume boundaries, with or without hooks) are bit-identical
+  to serial, enforced through :mod:`repro.fi.differential`.
+
+The zoo keeps its own arena: a model's weights are written once as a
+memory-mappable sidecar beside its ``.npz`` and attached read-only.
 """
 
+import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 import repro
-from repro.fi import CampaignChaos, FaultModel, assert_records_equal
+from repro.fi import (
+    CampaignChaos,
+    FaultModel,
+    FICampaign,
+    assert_records_equal,
+    assert_results_equal,
+)
 from repro.fi.executor import _WAVE_TRIALS, _batch_size
 from repro.fi.injector import MemoryFaultInjector
 from repro.fi.sites import FaultSite
 from repro.inference import InferenceEngine
-from repro.model.params import (
-    ParamStore,
-    arena_nbytes,
-    arena_valid,
-    open_arena,
-    write_arena,
-)
+from repro.mitigation.ranger import RangeRestrictor
+from repro.model.params import ParamStore, arena_valid, open_arena, write_arena
 from repro.obs import telemetry
 
 from tests.test_differential import REFERENCE, make_campaign
@@ -53,6 +61,45 @@ def clean_telemetry():
 POLICIES = ["fp32", "fp16", "bf16", "int8", "int4"]
 
 
+def record_in_workers(monkeypatch, directory, method, facts):
+    """Wrap ``FICampaign.<method>`` so that every call which returns in
+    a pool worker writes ``facts(campaign)`` to ``directory/<pid>.json``
+    afterwards; returns a reader of ``{pid: facts}``.  A forked worker's
+    objects sit at the addresses the parent's do, so facts built from
+    ``id()`` say whether a worker runs the parent's very objects."""
+    parent, original = os.getpid(), getattr(FICampaign, method)
+    directory.mkdir()
+
+    def wrapped(self, *args, **kw):
+        result = original(self, *args, **kw)
+        if os.getpid() != parent:
+            (directory / f"{os.getpid()}.json").write_text(json.dumps(facts(self)))
+        return result
+
+    monkeypatch.setattr(FICampaign, method, wrapped)
+    return lambda: {
+        int(path.stem): json.loads(path.read_text())
+        for path in directory.glob("*.json")
+    }
+
+
+def identity(campaign) -> list[int]:
+    """The campaign, its engine and the engine's hooks, by address."""
+    return [id(campaign), id(campaign.engine), id(campaign.engine.hooks)]
+
+
+def install_ranger(campaign) -> RangeRestrictor:
+    """A range restrictor calibrated on the campaign's prompts and
+    installed on its engine: a perturbing hook on every linear layer."""
+    guard = RangeRestrictor(margin=0.1)
+    guard.calibrate(
+        campaign.engine,
+        [campaign.tokenizer.encode(ex.prompt) for ex in campaign.examples],
+    )
+    guard.install(campaign.engine)
+    return guard
+
+
 class TestArenaFormat:
     def test_round_trip_and_alignment(self, tmp_path):
         arrays = {
@@ -69,7 +116,6 @@ class TestArenaFormat:
             assert views[name].shape == expected.shape
             assert np.array_equal(views[name], expected)
             assert not views[name].flags.writeable
-        assert arena_nbytes(tmp_path / "arena") > 0
         assert arena_valid(tmp_path / "arena")
 
     def test_meta_order_preserved(self, tmp_path):
@@ -105,32 +151,19 @@ class TestSharedParamStore:
 
 class TestSharedEngine:
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_attached_forward_bit_identical(
-        self, untrained_store, tmp_path, policy
-    ):
-        engine = InferenceEngine(untrained_store, weight_policy=policy)
-        engine.export_shared(tmp_path / "engine")
-        attached = InferenceEngine.open_shared(tmp_path / "engine")
-        assert attached.linear_layer_names() == engine.linear_layer_names()
-        ids = [3, 7, 11, 2]
-        assert np.array_equal(
-            attached.forward_full(ids), engine.forward_full(ids)
-        )
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_cow_isolation_under_memory_fault(
-        self, untrained_store, tmp_path, policy
-    ):
-        """A weight fault in one attachment never leaks into the arena
-        or a sibling: the struck tensor's faulted copy is private to the
-        faulting engine, no plane is ever writeable, and exit puts the
-        arena view itself back."""
-        engine = InferenceEngine(untrained_store, weight_policy=policy)
-        engine.export_shared(tmp_path / "engine")
-        faulty = InferenceEngine.open_shared(tmp_path / "engine")
-        sibling = InferenceEngine.open_shared(tmp_path / "engine")
+    def test_cow_isolation_under_memory_fault(self, untrained_store, policy):
+        """A weight fault never writes a stored plane, so a forked
+        worker keeps sharing every weight page with its parent
+        copy-on-write: with the planes read-only the fault still arms,
+        its faulted copy is private to the faulting engine, a sibling
+        engine over the same parameters stays pristine, and exit puts
+        the pristine array itself back."""
+        faulty = InferenceEngine(untrained_store, weight_policy=policy)
+        sibling = InferenceEngine(untrained_store, weight_policy=policy)
         layer = faulty.linear_layer_names()[0]
         store = faulty.weight_store(layer)
+        for plane in store.planes().values():
+            plane.setflags(write=False)
         view = store.array
         pristine = np.array(view, copy=True)
         site = FaultSite(
@@ -143,20 +176,15 @@ class TestSharedEngine:
         )
 
         def read_only():
-            return not any(p.flags.writeable for p in store.export_state()[0].values())
+            return not any(p.flags.writeable for p in store.planes().values())
 
         with MemoryFaultInjector(faulty, site):
             corrupted = store.array
             assert corrupted is not view and corrupted.flags.writeable
             assert not np.array_equal(corrupted, pristine) and read_only()
-            # Sibling attachment and the arena itself stay pristine.
-            assert np.array_equal(
-                sibling.weight_store(layer).array, pristine
-            )
-            fresh = InferenceEngine.open_shared(tmp_path / "engine")
-            assert np.array_equal(fresh.weight_store(layer).array, pristine)
-        # Exit puts the arena view back, so a worker holds no private
-        # tensor between trials however many it executes.
+            assert np.array_equal(sibling.weight_store(layer).array, pristine)
+        # Exit puts the pristine array back, so a worker holds no
+        # private tensor between trials however many it executes.
         assert store.array is view and read_only()
         assert np.array_equal(view, pristine)
 
@@ -209,38 +237,99 @@ class TestPooledEquivalence:
             resumed.trials, full.trials, "resumed-into-pool", "uninterrupted"
         )
 
-    def test_respawn_reattaches_existing_arena(
-        self, untrained_store, tokenizer, world, monkeypatch
+    def test_respawn_forks_from_the_same_parent_state(
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
     ):
-        """A worker death respawns against the already-exported arena:
-        the weights are exported exactly once per campaign, never
-        re-shipped through a rebuilt pool."""
-        exports = []
-        original = InferenceEngine.export_shared
-
-        def counting_export(self, directory):
-            exports.append(str(directory))
-            return original(self, directory)
-
-        monkeypatch.setattr(InferenceEngine, "export_shared", counting_export)
+        """Every first attempt kills its worker, so every record comes
+        from a respawned worker — and each respawn runs the campaign,
+        engine and hooks the parent holds, as the workers it replaced
+        did, with the records of a run without deaths."""
         clean = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.COMP_1BIT,
             **REFERENCE,
         ).run(6)
+        seen = record_in_workers(monkeypatch, tmp_path / "workers", "_run_trial", identity)
         campaign = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.COMP_1BIT,
-            chaos=CampaignChaos(die_in_worker={1, 4}),
+            chaos=CampaignChaos(die_in_worker=set(range(6))),
         )
         try:
-            result = campaign.run(6, n_workers=2, retry_backoff=0.0)
-            arena = campaign._executor.arena
-            assert arena is not None and arena_valid(arena.root / "target")
+            result = campaign.run(6, n_workers=2, retry_backoff=0.0, max_pool_rebuilds=6)
         finally:
             campaign.close_pool()
-        assert len(exports) == 1  # two deaths, two respawns, one export
-        assert_records_equal(
-            result.trials, clean.trials, "respawned", "clean"
+        workers = seen()
+        assert workers and os.getpid() not in workers
+        assert all(facts == identity(campaign) for facts in workers.values())
+        assert not campaign._in_worker
+        assert_records_equal(result.trials, clean.trials, "respawned", "clean")
+
+    @pytest.mark.parametrize("fault_model", FaultModel.extended())
+    def test_a_guarded_engine_guards_its_workers(
+        self, untrained_store, tokenizer, world, fault_model
+    ):
+        """A hook on the campaign's engine — here a range restrictor,
+        which changes what the engine computes — is on every worker's
+        engine too: pooled records equal the serial reference's."""
+        reference = make_campaign(
+            untrained_store, tokenizer, world, "gen", fault_model, **REFERENCE
         )
+        install_ranger(reference)
+        serial = reference.run(6)
+        for n_workers in (0, 2):
+            campaign = make_campaign(
+                untrained_store, tokenizer, world, "gen", fault_model
+            )
+            install_ranger(campaign)
+            try:
+                pooled = campaign.run(6, n_workers=n_workers)
+            finally:
+                campaign.close_pool()
+            assert_results_equal(pooled, serial, f"{n_workers} workers", "serial")
+
+    def test_a_hook_registered_between_runs_rebuilds_the_pool(
+        self, untrained_store, tokenizer, world
+    ):
+        """Workers run the hooks the engine carried when they forked, so
+        a hook registered — or removed — since is a new pool, and each
+        run's records equal the same sequence of runs in-process."""
+
+        def runs(n_workers):
+            campaign = make_campaign(
+                untrained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT
+            )
+            pools, results = [], []
+            try:
+                for step in ("bare", "guarded", "bare again"):
+                    if step == "guarded":
+                        guard = install_ranger(campaign)
+                    elif step == "bare again":
+                        guard.uninstall()
+                    results.append(campaign.run(6, n_workers=n_workers))
+                    pool = campaign._executor.pool
+                    pools.append(pool.worker_pids() if pool else None)
+            finally:
+                campaign.close_pool()
+            return results, pools
+
+        serial, _ = runs(0)
+        pooled, pids = runs(2)
+        for step, (mine, theirs) in enumerate(zip(pooled, serial)):
+            assert_results_equal(mine, theirs, f"pooled run {step}", "serial")
+        assert all(pids) and len({tuple(p) for p in pids}) == 3
+
+    def test_a_pooled_run_writes_no_weight_arena(
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        campaign = make_campaign(
+            untrained_store, tokenizer, world, "gen", FaultModel.MEM_2BIT
+        )
+        try:
+            campaign.run(6, n_workers=2)
+            assert campaign._executor.pool is not None
+            assert not list(tmp_path.glob("repro-arena-*"))
+        finally:
+            campaign.close_pool()
 
 
 class TestBatches:

@@ -55,6 +55,7 @@ from repro.tasks import (
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
 from tests.test_golden import MC_TASKS, lone_trials
+from tests.test_scaleout import identity, record_in_workers
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
 COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
@@ -684,14 +685,6 @@ class TestWavesInWorkers:
     ):
         task = TranslationTask(world)
         reference = self._serial(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
-        exports = []
-        export_shared = InferenceEngine.export_shared
-
-        def counting_export(self, directory):
-            exports.append(directory)
-            return export_shared(self, directory)
-
-        monkeypatch.setattr(InferenceEngine, "export_shared", counting_export)
         run_wave, marker = FICampaign._run_wave, tmp_path / "died"
 
         def dying(self, trials):
@@ -702,6 +695,7 @@ class TestWavesInWorkers:
             os._exit(13)
 
         monkeypatch.setattr(FICampaign, "_run_wave", dying)
+        seen = record_in_workers(monkeypatch, tmp_path / "workers", "_run_wave", identity)
         ck = tmp_path / "campaign.jsonl"
         camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
         try:
@@ -710,7 +704,8 @@ class TestWavesInWorkers:
             camp.close_pool()
         assert marker.exists()
         assert_results_equal(result, reference, "after the death", "serial")
-        assert len(exports) == 1  # the respawn attached the arena it found
+        # The survivor and the respawn ran the campaign the parent holds.
+        assert seen() and all(facts == identity(camp) for facts in seen().values())
         # The dead worker's share was in flight — re-queued one trial a
         # batch, each an attempt older; the other share never noticed.
         _, completed, attempts = load_checkpoint(ck)
@@ -755,7 +750,7 @@ class TestMultipleChoiceWeightFaultWaves:
     row from the struck block; keyed to the trial's own rows
     (``MemoryFaultInjector(rows=)``), the rows of many trials share a
     forward.  No weight store is ever written — in a pool worker, no
-    arena page."""
+    page it shares with its parent."""
 
     def _campaign(self, store, tokenizer, task, policy="bf16", **kw):
         return campaign(
@@ -843,38 +838,48 @@ class TestMultipleChoiceWeightFaultWaves:
         assert camp.engine.row_weights == {}
 
     @pytest.mark.parametrize("policy", ["bf16", "int8"])
-    def test_no_weight_store_is_written(self, trained_store, tokenizer, world, policy):
-        """Pool workers attach every store's planes read-only, so a trial
-        that wrote one would raise and fail: the records equal the serial
-        ones, and the planes are still the arena's, only if none did —
-        waves, faults keyed by row, and generative trials run alone,
-        faults swapped in engine-wide."""
+    def test_no_weight_store_is_written(
+        self, trained_store, tokenizer, world, policy, tmp_path, monkeypatch
+    ):
+        """Every plane the engine stores is read-only before the pool
+        forks, so a trial that wrote one would raise and fail, in this
+        process and in the workers, which fork with the planes as they
+        are: the records equal the serial ones, and after every wave a
+        worker's stores read their own read-only planes again, only if
+        none did — waves of multiple-choice and generative trials alike,
+        each trial's weight fault keyed to its own rows."""
+
+        def pristine(camp) -> bool:
+            stores = [
+                camp.engine.weight_store(name)
+                for name in camp.engine.linear_layer_names()
+            ]
+            return camp.engine.row_weights == {} and all(
+                store.array is store.planes()["array"]
+                and not any(plane.flags.writeable for plane in store.planes().values())
+                for store in stores
+            )
+
+        seen = record_in_workers(monkeypatch, tmp_path / "workers", "_run_wave", pristine)
         for task, n_trials in ((HellaSwagTask(world), N_TRIALS), (TranslationTask(world), 6)):
             reference = self._campaign(
                 trained_store, tokenizer, task, policy, decode_strategy="serial"
             ).run(n_trials)
             camp = self._campaign(trained_store, tokenizer, task, policy)
+            for name in camp.engine.linear_layer_names():
+                for plane in camp.engine.weight_store(name).planes().values():
+                    plane.setflags(write=False)
             try:
                 pooled = camp.run(n_trials, n_workers=2)
-                # A worker's copy, as the pool builds it, runs a whole batch.
-                worker = camp._attached(camp._executor.arena.root)
-                if camp.is_mc:
-                    records = worker._run_wave(list(range(n_trials)))
-                else:
-                    records = [worker._run_trial(trial) for trial in range(n_trials)]
             finally:
                 camp.close_pool()
+            here = camp.run(n_trials)
             assert_results_equal(pooled, reference, "pooled", "serial")
-            assert_records_equal(
-                [records[trial] for trial in range(n_trials)], reference,
-                "a worker's batch", "serial",
-            )
-            for name in worker.engine.linear_layer_names():
-                store = worker.engine.weight_store(name)
-                planes, _ = store.export_state()
-                assert store.array is planes["array"], name
-                assert not any(plane.flags.writeable for plane in planes.values()), name
-            assert worker.engine.row_weights == {}
+            assert_results_equal(here, reference, "in this process", "serial")
+            assert seen() and all(seen().values())
+            assert pristine(camp)
+            for path in (tmp_path / "workers").iterdir():
+                path.unlink()
 
 
 class TestEveryRowKeyableFaultIsAWave:
