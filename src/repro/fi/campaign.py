@@ -20,12 +20,13 @@ batch row, so greedy trials decode as *waves* — ``_DECODE_BATCH`` rows
 of one decode round, each with its own budget and its own fault keyed
 to its row, resumed from its example's golden run or, struck at
 iteration 0 (as every weight fault is), prefilled into its slot under
-that fault (:meth:`FICampaign._run_wave`).  A multiple-choice trial has
-no decode to share, but reruns option rows from its example's
-fault-free pass — every one under a weight fault, one at a time until
-a transient fault has fired — and the rows of many trials share a
-forward, each trial's fault keyed to its own rows and nothing armed
-engine-wide.  Which path a trial takes — a wave, alone from its
+that fault — equally long prompts in one forward — and retired as soon
+as it is back on its golden run's state (:meth:`FICampaign._run_wave`).
+A multiple-choice trial has no decode to share, but reruns option rows
+from its example's fault-free pass — every one under a weight fault,
+one at a time until a transient fault has fired — and the rows of many
+trials share a forward, each trial's fault keyed to its own rows and
+nothing armed engine-wide.  Which path a trial takes — a wave, alone from its
 example's fault-free pass, or alone through the whole reference — and
 why is one table (:meth:`FICampaign.trial_plan`); a trial that runs
 alone is counted under ``campaign.lone_trials.<reason>``.  Most strikes
@@ -94,7 +95,13 @@ from repro.fi.injector import (
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.decode import GenerationConfig, choose_option, generate_ids
-from repro.generation.round import DecodeRound, count_plan, decode_plan, pick
+from repro.generation.round import (
+    Admission,
+    DecodeRound,
+    count_plan,
+    decode_plan,
+    pick,
+)
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 from repro.metrics.evaluate import score_generative
@@ -1060,12 +1067,24 @@ class FICampaign:
         iteration 0 — every weight-fault one — needs no golden state:
         the round prefills its prompt into a slot with the fault already
         armed, and it decodes beside its siblings from there.  That
-        prompt forward carries the row's id (:meth:`DecodeRound.admit`),
-        so the row's fault is read from its prefill on and no sibling's.
-        A retiring row disarms its fault and frees its slot for the next
-        pending trial.  The engine's batched forward is row-exact and
-        every fault is keyed to its row, so each row computes exactly
-        what the trial computes decoded alone.
+        prompt forward carries the row's id, so the row's fault is read
+        from its prefill on and no sibling's.  A retiring row disarms its
+        fault and frees its slot for the next pending trial.  The
+        engine's batched forward is row-exact and every fault is keyed
+        to its row, so each row computes exactly what the trial computes
+        decoded alone.
+
+        A forward runs only where a trial can differ from its golden
+        run.  A strike the run never reached (it ended at EOS first)
+        takes no slot: its record is the run's, unfired.  The trials
+        that start from their prompt queue first, by prompt length, and
+        each round admits what fits as one burst
+        (:meth:`DecodeRound.admit_many`), equally long prompts as rows of
+        one prompt forward.  And a row whose one-shot fault
+        (computational, accumulator: spent after the forward tagged with
+        its iteration ``k``, fired or not) left it on its golden state
+        ``S_k`` (:meth:`GoldenRun.on_state`) retires at once with the
+        run's tokens after its own (``campaign.wave.back_on_golden``).
         """
         self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()
@@ -1085,17 +1104,44 @@ class FICampaign:
                     if traced:
                         self._tally(records[trial], t0)
             return records
-        pending = deque((trial, self._trial_site(trial, max_iter)) for trial in trials)
         records: dict[int, TrialRecord] = {}
+        starts, resumes = [], []
+        for trial in trials:
+            site = self._trial_site(trial, max_iter)
+            golden = self._golden[trial % n]
+            # A weight fault is read from the prompt forward on, whatever
+            # iteration its site names.
+            if site.iteration == 0 or site.fault_model.is_memory:
+                starts.append((trial, site, None))
+            elif site.iteration <= len(golden.ids):
+                resumes.append((trial, site, golden))
+            else:
+                # Unreached: the run ended at EOS before the strike, so
+                # the trial is the golden run, unfired, and takes no slot.
+                t0 = time.perf_counter()
+                golden.resume_point(site.iteration)
+                records[trial] = self._gen_record(
+                    site, trial % n, self._baseline_preds[trial % n], False
+                )
+                if traced:
+                    tel.metrics.counter("engine.prefill_cache_hits").add()
+                    self._tally(records[trial], t0)
+        # Equally long prompts admitted in one burst share a forward.
+        starts.sort(key=lambda entry: len(self._token_ids[entry[0] % n]))
+        pending = deque(starts + resumes)
         # row key (trial) -> (site, golden prefix, the slot this method
         # acquired (None: the round's own), armed injector, t0)
         live: dict[int, tuple] = {}
+        # trial -> (site, golden prefix, slot, t0) of a resumed row not
+        # yet admitted
+        held: dict[int, tuple] = {}
+        back_on_golden = 0
 
         def arm(site, prefix, slot, t0, row) -> None:
             injector = self._row_fault(site, (row.id,))
             live[row.key] = (site, prefix, slot, injector.__enter__(), t0)
 
-        def retire(row) -> None:
+        def retire(row, tokens) -> None:
             site, prefix, slot, injector, t0 = live.pop(row.key)
             injector.__exit__(None, None, None)
             if slot is not None:
@@ -1103,7 +1149,7 @@ class FICampaign:
             record = self._gen_record(
                 site,
                 row.key % n,
-                self.tokenizer.decode(prefix + row.out),
+                self.tokenizer.decode(prefix + tokens),
                 injector.fired,
             )
             records[row.key] = record
@@ -1113,45 +1159,64 @@ class FICampaign:
                 tel.metrics.counter(f"engine.prefill_cache_{name}").add()
                 self._tally(record, t0)
 
-        with tel.span("campaign.wave", task=self.task_name, trials=len(pending)):
+        def settle(row, reason) -> None:
+            """Retire a row that finished — or that a one-shot fault
+            (computational, accumulator: spent after the forward tagged
+            with its iteration, fired or not) left on its golden state:
+            the rest of its decode is the golden run's."""
+            nonlocal back_on_golden
+            if reason is not None:
+                retire(row, row.out)
+                return
+            site, prefix = live[row.key][:2]
+            model, k = site.fault_model, site.iteration
+            if not (model.is_computational or model.is_accumulator):
+                return
+            golden = self._golden[row.key % n]
+            if row.iter0 + len(row.out) - 1 == k and golden.on_state(
+                k, row.out[-1], row.caches
+            ):
+                # ``prefix + row.out`` is the run's first ``k + 1`` tokens.
+                rnd.drop(row)
+                retire(row, golden.ids[len(prefix):])
+                back_on_golden += 1
+
+        with tel.span("campaign.wave", task=self.task_name, trials=len(trials)):
             count_plan("batched", self.trial_plan()[1])
             pool = self._kv_slots()
             rnd = DecodeRound(self.engine, pool, self.generation.eos_id)
             try:
                 while pending or rnd.rows:
-                    while pending and pool.n_free:
-                        trial, site = pending.popleft()
+                    admissions = []
+                    for _ in range(min(len(pending), pool.n_free)):
+                        trial, site, golden = pending.popleft()
                         t0 = time.perf_counter()
-                        # A weight fault is read from the prompt forward
-                        # on, whatever iteration its site names.
-                        if site.iteration == 0 or site.fault_model.is_memory:
-                            row, _, reason = rnd.admit(
+                        if golden is None:
+                            admissions.append(Admission(
                                 trial,
                                 self._token_ids[trial % n],
                                 self.generation.max_new_tokens,
                                 before_prefill=partial(arm, site, [], None, t0),
-                            )
-                        else:
-                            golden = self._golden[trial % n]
-                            slot = pool.acquire()
-                            session, prefix, config = golden.resume(
-                                self.engine, site.iteration, pool.caches(slot)
-                            )
-                            row, _, reason = rnd.admit(
-                                trial, golden.prompt, config.max_new_tokens, session
-                            )
-                            arm(site, prefix, slot, t0, row)
-                        if reason is not None:
-                            # A first token that ends the row; resumed,
-                            # an unreached strike: the golden run again.
-                            retire(row)
+                            ))
+                            continue
+                        slot = pool.acquire()
+                        session, prefix, config = golden.resume(
+                            self.engine, site.iteration, pool.caches(slot)
+                        )
+                        held[trial] = (site, prefix, slot, t0)
+                        admissions.append(Admission(
+                            trial, golden.prompt, config.max_new_tokens, session
+                        ))
+                    for row, _, reason in rnd.admit_many(admissions):
+                        if row.key in held:
+                            arm(*held.pop(row.key), row)
+                        settle(row, reason)
                     if traced and rnd.rows:
                         tel.metrics.histogram("campaign.wave.width").observe(
                             len(rnd.rows)
                         )
                     for row, _, reason in rnd.step():
-                        if reason is not None:
-                            retire(row)
+                        settle(row, reason)
             finally:
                 # Empty unless something raised: rows that prefilled
                 # hold slots of the round's, the others ones of ours.
@@ -1161,6 +1226,13 @@ class FICampaign:
                     injector.__exit__(None, None, None)
                     if slot is not None:
                         pool.release(slot)
+                for _, _, slot, _ in held.values():
+                    pool.release(slot)
+            if traced:
+                metrics = tel.metrics
+                metrics.counter("campaign.wave.prompt_forwards").add(rnd.prompt_forwards)
+                metrics.counter("campaign.wave.prompt_rows").add(len(starts))
+                metrics.counter("campaign.wave.back_on_golden").add(back_on_golden)
         return records
 
     # -- aggregation ---------------------------------------------------------------

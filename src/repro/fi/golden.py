@@ -176,6 +176,40 @@ class GoldenRun:
         session.last_logits = self.logits[j].copy()
         return session
 
+    def resume_point(self, k: int) -> int:
+        """The ``j`` of the state ``S_j`` a trial struck at iteration
+        ``k >= 1`` resumes at, counted as resumed: ``k - 1``, at most the
+        run's last state (an unreached strike, which a wave records
+        without restoring it), and ``0`` for beam search."""
+        greedy = self.config.num_beams == 1
+        j = min(k - 1, len(self.ids)) if greedy else 0
+        tel = _telemetry()
+        if tel.active:
+            tel.metrics.counter("campaign.golden.replayed_tokens").add(j)
+            if greedy and k > len(self.ids):
+                tel.metrics.counter("campaign.golden.unreached").add()
+        recorder = _flight()
+        if recorder.active:
+            recorder.annotate(resumed_at=j)
+        return j
+
+    def on_state(self, k: int, token: int, caches: list[KVCache]) -> bool:
+        """Whether a decode that ran forward ``k`` from ``S_(k-1)`` (from
+        nothing, for ``k == 0``) is back on this run at ``S_k``: it picked
+        the run's token ``k`` and every block's K/V at the positions that
+        forward wrote is this run's, bit for bit.  Everything before was
+        the run's already, so the caches, the next input and the
+        iteration are then all ``S_k``'s."""
+        if k >= len(self.ids) or token != self.ids[k]:
+            return False
+        stop = len(self.prompt) + k
+        start = 0 if k == 0 else stop - 1
+        return all(
+            _same_bits(cache.k[:, start:stop], snap_k[:, start:stop])
+            and _same_bits(cache.v[:, start:stop], snap_v[:, start:stop])
+            for cache, (snap_k, snap_v, _) in zip(caches, self.snaps)
+        )
+
     def resume(
         self, engine: InferenceEngine, k: int, caches: list[KVCache]
     ) -> tuple[Session, list[int], GenerationConfig]:
@@ -187,22 +221,19 @@ class GoldenRun:
         An unreached strike (``k > len(ids)``) resumes at the run's last
         state, whose logits pick EOS: the decode returns at once and
         ``prefix`` is the whole prediction."""
-        greedy = self.config.num_beams == 1
-        j = min(k - 1, len(self.ids)) if greedy else 0
-        tel = _telemetry()
-        if tel.active:
-            tel.metrics.counter("campaign.golden.replayed_tokens").add(j)
-            if greedy and k > len(self.ids):
-                tel.metrics.counter("campaign.golden.unreached").add()
-        recorder = _flight()
-        if recorder.active:
-            recorder.annotate(resumed_at=j)
+        j = self.resume_point(k)
         budget = self.config.max_new_tokens - j
         return (
             self.rewind(engine, j, caches),
             self.ids[:j],
             replace(self.config, max_new_tokens=budget),
         )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float32 arrays: ``-0.0`` is not ``0.0``
+    and a NaN equals only the same NaN."""
+    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:

@@ -14,9 +14,12 @@ same scheduler seen at different depths, so there is exactly one copy:
   forward of a round tags row ``i`` with ``Row.id`` — its admission
   number, which unlike its position never shifts when a sibling retires
   — as ``HookContext.batch_row``, so an injector pinned to one sequence
-  stays on it; so does the prompt forward of an admission that arms a
-  fault of its own (``before_prefill``), so a sibling's injector cannot
-  strike it instead.  With a draft, the draft
+  stays on it; so does every prompt forward, so a sibling's injector
+  cannot strike an admission that arms a fault of its own
+  (``before_prefill``) instead.  The prompts of one admission burst
+  (:meth:`DecodeRound.admit_many`; a server admits one request at a
+  time) prefill as one rows ``forward_chunk_batch`` per prompt length,
+  row-exact like every batched forward.  With a draft, the draft
   proposes up to ``depth`` tokens per row (a grouped catch-up chunk plus
   ``depth - 1`` batched steps over its own pool), the target verifies
   each row's ``pending + proposals`` chunk in one
@@ -73,7 +76,8 @@ trials many to a forward: multiple-choice option rows of a
 ``forward_chunk_batch`` (:func:`repro.fi.golden.score_option_rows`,
 counted as ``decode.plan.option_rows.<reason>``), bit for bit the
 per-option forwards, and generative rows of one round, each resumed
-or prefilled with its fault keyed to ``row.id`` (``before_prefill``).
+or prefilled with its fault keyed to ``row.id`` (``before_prefill``),
+equally long prompts in one forward.
 The *draft* is held to
 the speculation bar too (``draft_<reason>``, path = the target's
 no-draft path): its corruption is masked by construction, but the
@@ -85,7 +89,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,7 +97,7 @@ from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["DecodeRound", "Row", "decode_plan", "decode_to_completion"]
+__all__ = ["Admission", "DecodeRound", "Row", "decode_plan", "decode_to_completion"]
 
 
 # -- the one path decision -------------------------------------------------------
@@ -231,6 +235,16 @@ def _by_length(indices, length) -> list[list[int]]:
 # -- the stepper -----------------------------------------------------------------
 
 
+class Admission(NamedTuple):
+    """One request of an admission burst (:meth:`DecodeRound.admit_many`)."""
+
+    key: object
+    prompt: list[int]
+    budget: int
+    session: "Session | None" = None
+    before_prefill: "Callable[[Row], None] | None" = None
+
+
 @dataclass(slots=True, eq=False)
 class Row:
     """One live sequence.  The target caches hold ``prompt + out[:-1]``
@@ -273,14 +287,15 @@ class DecodeRound:
     """Greedy decode rounds over pooled KV slots; see the module docstring.
 
     The caller owns scheduling (which prompt next, how wide) and the
-    round owns every slot from :meth:`admit` until it reports a finish
-    reason or the caller calls :meth:`drop`.  :meth:`admit` and
-    :meth:`step` report ``(row, new_tokens, finish_reason)`` events; the
-    reason is ``"eos"``, ``"length"`` or ``None`` while the row is live.
-    ``depth`` only matters with a ``draft``.  ``prompt_cache`` (a server
-    passes one; the offline decoders and campaigns none) lets
-    :meth:`admit` start a prompt it has prefilled before from the cached
-    K/V and logits instead of a prompt forward.
+    round owns every slot from :meth:`admit_many` until it reports a
+    finish reason or the caller calls :meth:`drop`.  :meth:`admit_many`
+    (:meth:`admit`: a burst of one) and :meth:`step` report ``(row,
+    new_tokens, finish_reason)`` events; the reason is ``"eos"``,
+    ``"length"`` or ``None`` while the row is live.  ``depth`` only
+    matters with a ``draft``.  ``prompt_cache`` (a server passes one; the
+    offline decoders and campaigns none) lets an admission start a
+    prompt it has prefilled before from the cached K/V and logits
+    instead of a prompt forward.
     """
 
     engine: InferenceEngine
@@ -291,13 +306,20 @@ class DecodeRound:
     depth: int = 0
     prompt_cache: PromptCache | None = None
     rows: list[Row] = field(default_factory=list)
+    prompt_forwards: int = field(default=0, init=False)
+    """Prompt forwards run so far: one per group of equally long prompts
+    an admission burst prefilled (:meth:`admit_many`)."""
     _admitted: int = field(default=0, init=False)
 
+    def room(self) -> int:
+        """How many more rows fit — free slots in *both* pools."""
+        if self.draft is None:
+            return self.pool.n_free
+        return min(self.pool.n_free, self.draft_pool.n_free)
+
     def has_room(self) -> bool:
-        """Whether one more row fits — a free slot in *both* pools."""
-        return self.pool.n_free > 0 and (
-            self.draft is None or self.draft_pool.n_free > 0
-        )
+        """Whether one more row fits."""
+        return self.room() > 0
 
     def admit(
         self,
@@ -307,21 +329,34 @@ class DecodeRound:
         session: Session | None = None,
         before_prefill: "Callable[[Row], None] | None" = None,
     ) -> tuple[Row, list[int], str | None]:
-        """Prefill ``prompt`` into a free slot and emit its first token.
+        """:meth:`admit_many` of one request: a group of one."""
+        return self.admit_many(
+            [Admission(key, prompt, budget, session, before_prefill)]
+        )[0]
 
-        ``session`` supplies an already-prefilled target session instead
-        (consumed; no target slot is taken).  ``before_prefill`` sees the
-        row — its ``id`` and its slot's cache views — before the prompt
-        forward: the hook a request's own fault is armed through, so
-        iteration-0 sites strike the prefill (a campaign wave keys the
-        fault to ``row.id``).  That prompt forward is then tagged with
-        the row's
-        id like every later forward of the row: a sibling's row-pinned
-        hook that is still waiting for iteration 0 (an MoE expert its own
-        prompt never routed to) cannot strike it.  EOS as the first
-        token and one-token budgets retire here; such a row never
-        occupies a slot across a round.  A raise from the forward or the
-        callback releases the slots first.
+    def admit_many(
+        self, admissions: "list[Admission]"
+    ) -> list[tuple[Row, list[int], str | None]]:
+        """Prefill every admission's prompt into a free slot and emit its
+        first token; one event per admission, in order.
+
+        The rows get consecutive ids and their slots are all acquired
+        before any prompt forward runs; the prompts that need one then
+        run as one rows ``forward_chunk_batch`` per prompt length
+        (:meth:`_prefill`).  ``session`` supplies an already-prefilled
+        target session instead (consumed; no target slot is taken).
+        ``before_prefill`` sees the row — its ``id`` and its slot's cache
+        views — before the prompt forward: the hook a request's own fault
+        is armed through, so iteration-0 sites strike the prefill (a
+        campaign wave keys the fault to ``row.id``).  That prompt forward
+        is tagged with the row's id like every later forward of the row:
+        a sibling's row-pinned hook that is still waiting for iteration 0
+        (an MoE expert its own prompt never routed to) cannot strike it.
+        EOS as the first token and one-token budgets retire here; such a
+        row never occupies a slot across a round, and its slot is free
+        again only once this returns — nothing acquires one in between,
+        so the slot still holds the row's prompt K/V.  A raise from a
+        forward or a callback releases every slot of the burst first.
 
         With a ``prompt_cache`` the prompt forward runs only on a miss,
         whose result is then stored; on a hit the slot is restored to the
@@ -332,85 +367,101 @@ class DecodeRound:
         but observers on the engine — a struck or hooked prefill is never
         stored and a fault-carrying request never starts from a clean one.
         """
-        if session is None and not prompt:
+        if any(a.session is None and not a.prompt for a in admissions):
             raise ValueError("prompt must contain at least one token")
-        row = Row(key, prompt, budget, id=self._admitted)
-        self._admitted += 1
+        rows = []
         try:
-            if session is not None:
-                row.caches, row.iter0 = session.caches, session.iteration
-                logits = session.last_logits[None]
-            else:
-                row.slot = self.pool.acquire()
-                row.caches = self.pool.caches(row.slot)
-                logits = self._prefill(row, before_prefill)
-            row.logits = logits
-            reason = _finish_reason(row, accept(logits, (), self.eos_id, row.out)[1])
-            if reason is None and self.draft is not None:
-                # Slot only: the draft's prompt forward waits for the
-                # row's first proposing round, so the first token is not
-                # held back behind it.
-                row.d_slot = self.draft_pool.acquire()
-                row.d_caches = self.draft_pool.caches(row.d_slot)
+            for a in admissions:
+                row = Row(a.key, a.prompt, a.budget, id=self._admitted)
+                self._admitted += 1
+                rows.append(row)
+                if a.session is not None:
+                    row.caches, row.iter0 = a.session.caches, a.session.iteration
+                    row.logits = a.session.last_logits[None]
+                else:
+                    row.slot = self.pool.acquire()
+                    row.caches = self.pool.caches(row.slot)
+            self._prefill([
+                (row, a.before_prefill)
+                for row, a in zip(rows, admissions) if a.session is None
+            ])
+            events = []
+            for row in rows:
+                hit_eos = accept(row.logits, (), self.eos_id, row.out)[1]
+                reason = _finish_reason(row, hit_eos)
+                if reason is None and self.draft is not None:
+                    # Slot only: the draft's prompt forward waits for the
+                    # row's first proposing round, so the first token is
+                    # not held back behind it.
+                    row.d_slot = self.draft_pool.acquire()
+                    row.d_caches = self.draft_pool.caches(row.d_slot)
+                events.append((row, row.out[:], reason))
         except BaseException:
-            self._release(row)
+            for row in rows:
+                self._release(row)
             raise
-        if reason is None:
-            self.rows.append(row)
-        else:
-            self._release(row)
-        return row, row.out[:], reason
+        for row, _, reason in events:
+            if reason is None:
+                self.rows.append(row)
+            else:
+                self._release(row)
+        return events
 
     def _prefill(
-        self, row: Row, before_prefill: "Callable[[Row], None] | None"
-    ) -> np.ndarray:
-        """``row.prompt``'s K/V into ``row.caches``, returning its
-        ``(1, vocab)`` first-token logits: the prompt forward — on the
-        rows entry, tagged ``row.id``, when the request carries a fault;
-        bit for bit the 1-D one — or with a prompt cache its stored
-        result (the gate is in :meth:`admit`'s docstring).  The forward
-        reads only the prompt's last two positions (``read_from``: a
-        window is never one position); every position's K/V is written."""
-        prompt, caches = row.prompt, row.caches
-        read_from = max(0, len(prompt) - 2)
+        self, rows: "list[tuple[Row, Callable[[Row], None] | None]]"
+    ) -> None:
+        """Each ``row.prompt``'s K/V into ``row.caches`` and its
+        ``(1, vocab)`` first-token logits into ``row.logits``: one rows
+        forward per group of equally long prompts, each row tagged
+        ``row.id`` and bit for bit its 1-D prompt forward — or with a
+        prompt cache a row's stored result (the gate is in
+        :meth:`admit_many`'s docstring).  A forward reads only the
+        prompts' last two positions (``read_from``: a window is never
+        one position); every position's K/V is written."""
         cache = self.prompt_cache
-        outcome, evicted = None, 0
+        cached = {}
         if cache is not None:
-            # Asked before the request's own fault is armed: that one is
+            # Asked before any request's own fault is armed: that one is
             # named by the request, not by the plan.
-            reason = (
-                "request_fault" if before_prefill is not None
-                else decode_plan(self.engine)[1]
-            )
-            if reason not in ("clean", "observer_hooks"):
-                outcome, cache = "bypass." + reason, None
-        if before_prefill is not None:
-            before_prefill(row)
-        logits = None if cache is None else cache.load(prompt, caches)
-        if logits is not None:
-            outcome = "hits"
-        elif before_prefill is not None:
+            plan = decode_plan(self.engine)[1]
+            for row, before in rows:
+                reason = "request_fault" if before is not None else plan
+                cached[row] = reason in ("clean", "observer_hooks")
+                if not cached[row]:
+                    self._count_cache("bypass." + reason)
+        for row, before in rows:
+            if before is not None:
+                before(row)
+        todo = []
+        for row, _ in rows:
+            logits = cache.load(row.prompt, row.caches) if cached.get(row) else None
+            if logits is None:
+                todo.append(row)
+            else:
+                row.logits = logits
+                self._count_cache("hits")
+        for group in _by_length(todo, lambda row: len(row.prompt)):
+            n = len(group)
             logits = self.engine.forward_chunk_batch(
-                [prompt], [caches], [0], [0], [row.id], read_from=read_from
-            )[0, -1:]
-        else:
-            logits = self.engine.forward(
-                prompt, caches, start_pos=0, iteration=0, read_from=read_from
-            )[-1:]
-            if cache is not None:
-                outcome = "misses"
-                evicted = cache.store(prompt, caches, logits)
-        if outcome is not None:
-            tel = _telemetry()
-            if tel.active:
-                metrics = tel.metrics
-                metrics.counter("serve.prompt_cache." + outcome).add()
-                if evicted:
-                    metrics.counter("serve.prompt_cache.evictions").add(evicted)
-                metrics.gauge("serve.prompt_cache.tokens").set(
-                    self.prompt_cache.tokens
-                )
-        return logits
+                [row.prompt for row in group], [row.caches for row in group],
+                [0] * n, [0] * n, [row.id for row in group],
+                read_from=max(0, len(group[0].prompt) - 2),
+            )
+            self.prompt_forwards += 1
+            for j, row in enumerate(group):
+                row.logits = logits[j, -1:]
+                if cached.get(row):
+                    evicted = cache.store(row.prompt, row.caches, row.logits)
+                    self._count_cache("misses", evicted)
+
+    def _count_cache(self, outcome: str, evicted: int = 0) -> None:
+        tel = _telemetry()
+        if tel.active:
+            metrics = tel.metrics
+            metrics.counter("serve.prompt_cache." + outcome).add()
+            if evicted:
+                metrics.counter("serve.prompt_cache.evictions").add(evicted)
+            metrics.gauge("serve.prompt_cache.tokens").set(self.prompt_cache.tokens)
 
     def drop(self, row: Row) -> None:
         """Retire a live row early (cancellation, shutdown)."""
@@ -563,9 +614,11 @@ def decode_to_completion(
 ) -> list[list[int]]:
     """Decode every prompt through ``rnd``: admit up to ``max_batch``
     rows, step until all retire, back-filling freed slots each round.
-    ``on_event(row, finish_reason)`` sees every admit and step event as
-    it happens — for a retiring row, after its slot was released but
-    before any other row can acquire it."""
+    Each round's admissions are one burst (:meth:`DecodeRound.admit_many`:
+    one prompt forward per prompt length).  ``on_event(row,
+    finish_reason)`` sees every admit and step event as it happens — for
+    a retiring row, after its slot was released but before any other row
+    can acquire it."""
     tel = _telemetry()
     traced = tel.active
     composed = rnd.draft is not None
@@ -580,21 +633,21 @@ def decode_to_completion(
     ) as span:
         try:
             while True:
-                while (
-                    pending < len(prompts)
-                    and len(rnd.rows) < max_batch
-                    and rnd.has_room()
-                ):
-                    row, _, reason = rnd.admit(
-                        pending, prompts[pending], budget, sessions[pending]
-                    )
-                    if on_event is not None:
-                        on_event(row, reason)
-                    if reason is not None:
-                        results[pending] = row.out
+                # Rows that retire at admission free their slots for
+                # the next burst at once.
+                while burst := range(pending, pending + min(
+                    len(prompts) - pending, max_batch - len(rnd.rows), rnd.room()
+                )):
+                    for row, _, reason in rnd.admit_many([
+                        Admission(i, prompts[i], budget, sessions[i]) for i in burst
+                    ]):
+                        if on_event is not None:
+                            on_event(row, reason)
+                        if reason is not None:
+                            results[row.key] = row.out
                     if traced and refill:
-                        tel.metrics.counter("decode.slot_refills").add()
-                    pending += 1
+                        tel.metrics.counter("decode.slot_refills").add(len(burst))
+                    pending += len(burst)
                 refill = True
                 if traced:
                     # Real admissible capacity, after the eager releases.

@@ -215,12 +215,13 @@ class InferenceEngine:
         product is then **row-exact**: one BLAS call per sequence — the
         ``(t, D) @ W`` the serial forward of that row runs, so its bits
         do not depend on what else is in the batch — issued from a
-        single stacked NumPy matmul when every row has ``t`` tokens,
-        or one product per run of equal row id when ``t == 0`` (an MoE
-        expert's ragged subset).  An armed accumulator fault strikes its
-        sampled reduction in its row's run of tokens, before any hook
-        sees the output (a ranger on the layer clamps the strike), and
-        hooks run once per
+        single stacked NumPy matmul when every row has ``t`` tokens (a
+        batch of one is that product, unstacked: a server's prompt
+        forward), or one product per run of equal row id when ``t == 0``
+        (an MoE expert's ragged subset).  An armed accumulator fault
+        strikes its sampled reduction in its row's run of tokens, before
+        any hook sees the output (a ranger on the layer clamps the
+        strike), and hooks run once per
         sequence on that sequence's contiguous ``(t, features)`` token
         slice — the exact serial shape — with
         :attr:`HookContext.batch_row` identifying the sequence, so a
@@ -239,7 +240,10 @@ class InferenceEngine:
         if rows is None:
             output = x @ w
         elif t:
-            output = (x.reshape(-1, t, x.shape[1]) @ w).reshape(x.shape[0], -1)
+            output = (
+                x @ w if len(x) == t  # one sequence: the serial product
+                else (x.reshape(-1, t, x.shape[1]) @ w).reshape(x.shape[0], -1)
+            )
             if faulted:
                 for start in range(0, len(rows), t):
                     own = faulted.get(int(rows[start]))
@@ -340,8 +344,7 @@ class InferenceEngine:
         x_q, it_q, rows_q, cos_q, sin_q = x, iteration, rows, cos, sin
         if q_from:
             x_q = _tail(x, batch, q_from)
-            if rows is not None:
-                it_q, rows_q = _tail(iteration, batch, q_from), _tail(rows, batch, q_from)
+            it_q, rows_q = _tail(iteration, batch, q_from), _tail(rows, batch, q_from)
             cos_q, sin_q = cos[:, :, q_from:], sin[:, :, q_from:]
             hide = hide[:, :, q_from:]
         split = (batch, t, heads, hd)
@@ -471,12 +474,12 @@ class InferenceEngine:
     def _last_block_observed(self) -> bool:
         """Whether a read window (``read_from``) must leave the last block
         whole: something sees its products — a hook on one of its layers
-        (a fault, a layer-timing probe), capture, an armed accumulator
-        fault — or it routes tokens to experts, where a windowed expert's
-        run could shrink to one token, a different product."""
+        (a fault, a layer-timing probe), an armed accumulator fault — or
+        it routes tokens to experts, where a windowed expert's run could
+        shrink to one token, a different product.  (Capture never meets
+        a window: only the 1-D entry takes it, and that one has none.)"""
         return (
             self.config.is_moe
-            or self.capture is not None
             or bool(self.acc_faults)
             or self.hooks.has_prefix(f"blocks.{self.config.n_blocks - 1}.")
         )
@@ -507,8 +510,9 @@ class InferenceEngine:
         ``block_inputs`` collects the flat hidden state
         entering each block that runs; ``resume = (first_block, hidden)``
         starts from such a state instead of the embedding, and
-        ``read_from = k`` computes logits for positions ``>= k`` only
-        (see :meth:`forward_chunk_batch`).  Returns flat
+        ``read_from = k`` (batched entries only) computes logits for
+        positions ``>= k`` only (see :meth:`forward_chunk_batch`).
+        Returns flat
         ``(B*(t-k), vocab)`` logits.
         """
         cfg = self.config
@@ -581,9 +585,8 @@ class InferenceEngine:
                         h, b, row_caches, cos, sin, hide, iteration, rows,
                         q_from=read_from,
                     )
-                    if rows is not None:
-                        iteration = _tail(iteration, batch, read_from)
-                        rows = _tail(rows, batch, read_from)
+                    iteration = _tail(iteration, batch, read_from)
+                    rows = _tail(rows, batch, read_from)
                     n = t - read_from
                 else:
                     x = x + self._attention(
@@ -625,23 +628,17 @@ class InferenceEngine:
         caches: list[KVCache],
         start_pos: int,
         iteration: int,
-        *,
-        read_from: int = 0,
     ) -> np.ndarray:
         """Run ``tokens`` (one sequence's chunk, 1-D) through the model,
         appending to ``caches``.  Returns logits of shape
-        ``(len(tokens) - read_from, vocab)``: ``read_from`` as in
-        :meth:`forward_chunk_batch`, for a prompt forward that reads only
-        its last position.  Several sequences at once are
+        ``(len(tokens), vocab)``.  Several sequences at once are
         :meth:`forward_step_batch` / :meth:`forward_chunk_batch`: any
         other shape raises ``ValueError`` before a cache is touched.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError(f"tokens must be a 1-D chunk of ids, got {ids.shape}")
-        return self._forward_rows(
-            ids[None], [caches], [start_pos], iteration, None, read_from=read_from
-        )
+        return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
 
     def forward_step_batch(
         self,
@@ -757,8 +754,8 @@ class InferenceEngine:
         ``read_from = k`` returns logits for positions
         ``>= k`` of every row only, and the final norm and ``lm_head``
         run on those positions alone.  When nothing observes the last
-        block (no hook on any of its layers, no accumulator fault, no
-        capture on the 1-D :meth:`forward`, a dense model) that block,
+        block (no hook on any of its layers, no accumulator fault, a
+        dense model) that block,
         too, computes queries, attention, ``out_proj`` and the MLP on
         the window only — K/V still over every position.  Both are exact: a GEMM row does not
         depend on which other rows share the product, as long as at

@@ -140,14 +140,17 @@ def _derived_section(run: RunData) -> list[str]:
         # Which path each generative trial took (repro.fi.golden): resumed
         # from its example's golden run, or prefilled and decoded in full;
         # and how many of the runs were decoded here against taken from an
-        # earlier campaign on the same engine, examples and config.
+        # earlier campaign on the same engine, examples and config; wave
+        # rows a one-shot fault left on their run's state retired at the
+        # struck step.
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
         lines.append(
             f"golden runs: {resumed} of {trials} generative trials resumed"
             f" ({count('campaign.golden.replayed_tokens')} decode steps"
             f" replayed, {count('campaign.golden.unreached')} strikes never"
-            f" reached, {count('campaign.golden.builds')} runs built,"
+            f" reached, {count('campaign.wave.back_on_golden')} rows back on"
+            f" golden, {count('campaign.golden.builds')} runs built,"
             f" {count('campaign.golden.shared')} reused)"
         )
     if "campaign.mc_golden.builds" in counters:
@@ -171,10 +174,16 @@ def _derived_section(run: RunData) -> list[str]:
         prefix = "campaign.lone_trials."
         alone = {n[len(prefix):]: count(n) for n in counters if n.startswith(prefix)}
         why = ", ".join(f"{n} {reason}" for reason, n in sorted(alone.items()))
+        # Generative waves only: option rows run no prompt forward.
+        prompts = (
+            f" {count('campaign.wave.prompt_forwards')} prompt forwards for"
+            f" {count('campaign.wave.prompt_rows')} prompt rows,"
+            if "campaign.wave.prompt_rows" in counters else ""
+        )
         lines.append(
             f"waves: {sum(int(s.attrs.get('trials', 0)) for s in waves)} trials"
             f" in {len(waves)} waves, {width.count} shared forwards at mean"
-            f" width {width.mean:.1f},"
+            f" width {width.mean:.1f},{prompts}"
             f" {count('campaign.wave.fallbacks')} waves re-run one"
             f" trial at a time, {sum(alone.values())} trials run alone"
             + (f" ({why})" if why else "")

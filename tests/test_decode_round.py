@@ -10,6 +10,10 @@
   drop-row with and without a draft, ragged budgets down to 1 — holding
   slot conservation in both pools after every rule and every retired
   row to the serial ``greedy_decode`` reference.
+* group admission: a burst's equally long prompts prefill as rows of
+  one forward, bit for bit the rows admitted one at a time, faults and
+  all; a row that retires at admission keeps its slot's K/V until its
+  event has been seen.
 * the offline driver releases its slots when the engine raises.
 * the prompt cache behind ``DecodeRound.admit``: a hit leaves the slot
   and the first logits exactly as a prompt forward does, and the cache
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -41,6 +45,7 @@ from repro.fi import (
     KVFaultInjector,
     MemoryFaultInjector,
 )
+from repro.fi.golden import GoldenRun
 from repro.generation import (
     BatchedDecoder,
     DecodeRound,
@@ -52,6 +57,7 @@ from repro.generation import (
     greedy_decode,
     score_options,
 )
+from repro.generation.round import Admission, decode_to_completion
 from repro.inference import InferenceEngine, PromptCache
 from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
@@ -410,6 +416,151 @@ def test_a_pinned_injector_stays_with_its_row_when_a_sibling_retires():
     assert injector.fired
 
 
+# -- group admission -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _moe_store():
+    config = ModelConfig(
+        vocab_size=VOCAB, d_model=24, n_heads=2, n_blocks=2, d_ff=16,
+        max_seq=64, n_experts=4, top_k=2,
+    )
+    return TransformerLM(config, seed=9).to_store()
+
+
+GROUP_FAULTS = {
+    "row_weight": lambda engine, row: MemoryFaultInjector(
+        engine, FaultSite(FaultModel.MEM_2BIT, "blocks.1.q_proj", 3, 5, bits=(27, 22)),
+        rows=(row,),
+    ),
+    "hook": lambda engine, row: ComputationalFaultInjector(
+        engine,
+        FaultSite(
+            FaultModel.COMP_2BIT, "blocks.0.k_proj", 0, 7, bits=(27, 22),
+            row_frac=0.5,
+        ),
+        batch_row=row,
+    ),
+    "kv": lambda engine, row: KVFaultInjector(
+        engine,
+        FaultSite(
+            FaultModel.KV_2BIT, "blocks.1.kv", 1, 3, bits=(27, 22),
+            row_frac=0.5, plane="v",
+        ),
+        batch_row=row,
+    ),
+}
+"""Faults a request can carry into its own prompt forward, each keyed to
+its row's id: they strike at iteration 0, the prompt forward.  Exponent
+bit 27 scales a value by 2^16 and keeps it finite: an armed KV fault
+sends every row of a forward through the per-row attention kernels,
+which return a NaN of another sign than the stacked ones for ``inf -
+inf`` — a bit no token depends on, and a mix no campaign runs (a wave's
+rows all carry one fault model)."""
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "moe"]),
+    group=st.integers(3, 5),
+    lengths=st.lists(st.integers(1, 6), min_size=3, max_size=6),
+    order=st.permutations(list(GROUP_FAULTS)),
+    data=st.data(),
+)
+def test_a_group_admission_is_its_rows_admitted_one_at_a_time(
+    kind, group, lengths, order, data
+):
+    """Rows admitted as one burst — equally long prompts as rows of one
+    forward — are bit for bit the rows admitted alone: first-token
+    logits and every block's K/V.  Three rows of the largest group each
+    arm their own fault (a row-keyed weight copy, a row-pinned hook, a
+    KV fault) before the forward they share with their siblings."""
+    store = _moe_store() if kind == "moe" else _store(24, 2, 5)
+    engine = InferenceEngine(store)
+    token = st.integers(0, VOCAB - 1)
+    shared = lengths[0]
+    prompts = [
+        data.draw(st.lists(token, min_size=n, max_size=n))
+        for n in [shared] * group + lengths[1:]
+    ]
+    faults = dict(zip(range(group), order))
+
+    def admission(i, prompt, armed):
+        def arm(row):
+            armed.append(GROUP_FAULTS[faults[i]](engine, row.id).__enter__())
+
+        return Admission(i, prompt, 3, before_prefill=arm if i in faults else None)
+
+    alone = []
+    for i, prompt in enumerate(prompts):
+        armed = []
+        rnd = DecodeRound(engine, engine.new_pool(1), -1)
+        row, _, _ = rnd.admit_many([admission(i, prompt, armed)])[0]
+        alone.append((row.logits, [(c.keys().copy(), c.values().copy()) for c in row.caches]))
+        assert all(injector.fired for injector in armed)
+        for injector in armed:
+            injector.__exit__(None, None, None)
+        rnd.drop(row)
+
+    armed = []
+    rnd = DecodeRound(engine, engine.new_pool(len(prompts)), -1)
+    events = rnd.admit_many([admission(i, p, armed) for i, p in enumerate(prompts)])
+    try:
+        assert rnd.prompt_forwards == len({len(p) for p in prompts})
+        assert [row.key for row, _, _ in events] == list(range(len(prompts)))
+        assert len(armed) == 3 and all(injector.fired for injector in armed)
+        for (row, _, _), (logits, kv) in zip(events, alone):
+            assert np.array_equal(_bits(row.logits), _bits(logits))
+            for cache, (k, v) in zip(row.caches, kv):
+                assert np.array_equal(_bits(cache.keys()), _bits(k))
+                assert np.array_equal(_bits(cache.values()), _bits(v))
+    finally:
+        for injector in armed:
+            injector.__exit__(None, None, None)
+    assert engine.row_weights == engine.kv_faults == {} and len(engine.hooks) == 0
+
+
+def test_a_row_retiring_at_admission_keeps_its_slot_until_its_event():
+    """``decode_to_completion`` admits a burst of rows, one of which
+    emits EOS as its first token: that row's slot is released, but when
+    ``on_event`` sees it no sibling has reacquired the slot, so its
+    views still hold the row's prompt K/V — what
+    ``GoldenRun.decode_many`` snapshots as the run."""
+    engine = _target()
+    probe = GenerationConfig(max_new_tokens=1, eos_id=-1)
+    first = greedy_decode(engine, PROMPTS[0], probe, strategy="serial")[0]
+    # The EOS row shares its burst with rows of its own length and is
+    # followed by more prompts than the pool has slots.
+    prompts = [PROMPTS[2], PROMPTS[0], [5, 9, 13], PROMPTS[1], PROMPTS[3], PROMPTS[5]]
+    config = GenerationConfig(max_new_tokens=4, eos_id=first)
+    pool = engine.new_pool(3)
+    seen = {}
+
+    def on_event(row, reason):
+        if reason is not None and row.key not in seen:
+            seen[row.key] = [(c.keys().copy(), c.values().copy()) for c in row.caches]
+
+    rnd = DecodeRound(engine, pool, first)
+    outs = decode_to_completion(rnd, prompts, [None] * len(prompts), 4, 3, on_event)
+    assert outs[1] == []  # EOS as its first token: retired at admission
+    fresh = engine.new_caches()
+    engine.forward(PROMPTS[0], fresh, start_pos=0, iteration=0)
+    for (k, v), ref in zip(seen[1], fresh):
+        assert np.array_equal(_bits(k), _bits(ref.keys()))
+        assert np.array_equal(_bits(v), _bits(ref.values()))
+    runs = GoldenRun.decode_many(engine, prompts, config, engine.new_pool(3))
+    assert runs[1].ids == [] and [run.ids for run in runs] == outs
+    for (k, v, length), ref in zip(runs[1].snaps, fresh):
+        assert length == len(PROMPTS[0])
+        assert np.array_equal(_bits(k), _bits(ref.keys()))
+        assert np.array_equal(_bits(v), _bits(ref.values()))
+    assert pool.n_free == pool.n_slots
+
+
 # -- the offline driver ----------------------------------------------------------
 
 
@@ -508,9 +659,15 @@ def test_prompt_cache_gate(armed, cache_counters):
     rnd.admit("warm", known, 1)
     assert cache_counters() == {"misses": 1}
     cached = armed in ("clean", "observer_hooks")
+    # Capture belongs to the serial loop: a round's forwards reject it,
+    # its prompt forwards included — after the cache was gone around.
+    raises = pytest.raises(RuntimeError, match="capture")
     with ARM[armed](engine):
-        rnd.admit("lookup", known, 1)
-        rnd.admit("insert", new, 1)
+        with raises if armed == "capture" else nullcontext():
+            rnd.admit("lookup", known, 1)
+        with raises if armed == "capture" else nullcontext():
+            rnd.admit("insert", new, 1)
+    assert rnd.pool.n_free == rnd.pool.n_slots
     if cached:
         assert cache_counters() == {"misses": 2, "hits": 1}
         assert list(cache.entries) == [tuple(known), tuple(new)]
@@ -550,10 +707,10 @@ def test_a_request_fault_goes_around_the_cache(cache_counters):
 
 
 def test_a_faulted_admissions_prefill_carries_its_row_id():
-    """The prompt forward of an admission that arms its own fault is
-    tagged with the row's id, so a hook pinned to a sibling — still
-    waiting for an iteration-0 forward it never got — sits it out; an
-    unfaulted admission keeps the 1-D entry.  Same bits either way."""
+    """The prompt forward of an admission is tagged with the row's id,
+    so a hook pinned to a sibling — still waiting for an iteration-0
+    forward it never got — sits out one that arms its own fault.  Same
+    bits as the 1-D prompt forward, faulted admission or not."""
     engine = _target()
     rnd = DecodeRound(engine, engine.new_pool(3), -1)
     tags = []
@@ -567,11 +724,14 @@ def test_a_faulted_admissions_prefill_carries_its_row_id():
     faulted, _, _ = rnd.admit("faulted", PROMPTS[0], 2, before_prefill=armed.append)
     detach()
     assert armed == [faulted] and faulted.caches is not None
-    assert tags == [(0, None), (0, faulted.id)]
-    assert np.array_equal(plain.logits, faulted.logits)
-    for ours, theirs in zip(faulted.caches, plain.caches):
-        assert np.array_equal(ours.keys(), theirs.keys())
-        assert np.array_equal(ours.values(), theirs.values())
+    assert tags == [(0, plain.id), (0, faulted.id)]
+    fresh = engine.new_caches()
+    want = engine.forward(PROMPTS[0], fresh, start_pos=0, iteration=0)[-1:]
+    for row in (plain, faulted):
+        assert np.array_equal(row.logits, want)
+        for ours, theirs in zip(row.caches, fresh):
+            assert np.array_equal(ours.keys(), theirs.keys())
+            assert np.array_equal(ours.values(), theirs.values())
 
 
 def test_lru_eviction_keeps_the_token_budget(cache_counters):

@@ -461,15 +461,15 @@ class TestReadWindow:
             assert seen[last + layer] == window, layer
         assert seen["blocks.0.q_proj"] == 2 * len(TOKENS)
 
-    @pytest.mark.parametrize("observer", ["hook", "moe", "capture", "acc_fault"])
+    @pytest.mark.parametrize("observer", ["hook", "moe", "acc_fault"])
     def test_an_observed_last_block_runs_whole_and_still_returns_the_window(
         self, untrained_engine, moe_engine, observer
     ):
         """A hook on a last-block layer (an observer here: layer timing),
-        MoE routing, capture and an armed accumulator fault (the last two
-        on the 1-D entry; the rows entry refuses capture) each decline
-        the cut; the result is still only the window's positions, the
-        full forward's bits."""
+        MoE routing and an armed accumulator fault each decline the cut;
+        the result is still only the window's positions, the full
+        forward's bits.  (Capture never meets a window: the 1-D entry,
+        the only one that takes capture, takes no ``read_from``.)"""
         from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
 
         engine = moe_engine if observer == "moe" else untrained_engine
@@ -484,11 +484,6 @@ class TestReadWindow:
                 )
                 yield
                 remove()
-            elif observer == "capture":
-                engine.capture = CaptureState()
-                yield
-                assert engine.capture.layer_outputs[last + "q_proj"].shape[0] == t
-                engine.capture = None
             elif observer == "acc_fault":
                 site = FaultSite(
                     fault_model=FaultModel.ACC_1BIT, layer_name=last + "up_proj",
@@ -505,9 +500,11 @@ class TestReadWindow:
         with armed():
             got, seen = rows_seen(
                 engine,
-                lambda: engine.forward(TOKENS, engine.new_caches(), 0, 0, read_from=k),
+                lambda: engine.forward_chunk_batch(
+                    [TOKENS], [engine.new_caches()], [0], [0], read_from=k
+                ),
             )
-        np.testing.assert_array_equal(got, full[k:])
+        np.testing.assert_array_equal(got[0], full[k:])
         assert seen[last + ("router" if observer == "moe" else "q_proj")] == t
 
     def test_a_window_of_one_position_raises_before_anything_runs(
@@ -528,15 +525,13 @@ class TestReadWindow:
                             [TOKENS, TOKENS], row_caches, [0, 0], [0, 0],
                             read_from=read_from,
                         )
-                with pytest.raises(ValueError, match="read_from"):
-                    engine.forward(TOKENS, caches[0], 0, 0, read_from=read_from)
         finally:
             remove()
         assert calls == []
         assert [c.length for own in caches for c in own] == [0] * (2 * engine.config.n_blocks)
         # Two positions is the shortest window.
         np.testing.assert_array_equal(
-            engine.forward(TOKENS, caches[0], 0, 0, read_from=t - 2),
+            engine.forward_chunk_batch([TOKENS], caches[:1], [0], [0], read_from=t - 2)[0],
             engine.forward_full(TOKENS)[t - 2 :],
         )
 

@@ -383,7 +383,9 @@ class TestFastForwardMatchesReference:
         self, trained_store, tokenizer, world
     ):
         """The beam search resumed at ``S_0``: ``serial``'s predictions,
-        for the forwards of decoding each example's beams once."""
+        for the work of decoding each example's beams once — counted in
+        tokens forwarded, since the sweep prefills equally long prompts
+        as rows of one forward."""
         task = TranslationTask(world)
         beams = dict(generation={"num_beams": 3, "max_new_tokens": 6})
 
@@ -392,7 +394,7 @@ class TestFastForwardMatchesReference:
             tel.reset(), tel.enable()
             try:
                 fn()
-                return tel.metrics.counter("engine.forward_calls").value
+                return tel.metrics.counter("engine.tokens").value
             finally:
                 tel.disable(), tel.reset()
 

@@ -551,6 +551,9 @@ class TestReport:
             "campaign.golden.shared": 4,
             "campaign.golden.replayed_tokens": 17,
             "campaign.golden.unreached": 1,
+            "campaign.wave.back_on_golden": 2,
+            "campaign.wave.prompt_forwards": 3,
+            "campaign.wave.prompt_rows": 7,
             "campaign.mc_golden.builds": 3,
             "campaign.mc_golden.shared": 5,
             "campaign.mc_golden.block_passes": 64,
@@ -570,7 +573,8 @@ class TestReport:
         text = report_path(path)
         assert (
             "golden runs: 3 of 4 generative trials resumed (17 decode steps"
-            " replayed, 1 strikes never reached, 2 runs built, 4 reused)"
+            " replayed, 1 strikes never reached, 2 rows back on golden,"
+            " 2 runs built, 4 reused)"
         ) in text
         assert (
             "mc golden: 24 of 64 block passes skipped (0.375), 6 option rows"
@@ -578,6 +582,7 @@ class TestReport:
         ) in text
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"
+            " 3 prompt forwards for 7 prompt rows,"
             " 1 waves re-run one trial at a time, 7 trials run alone"
             " (2 kv_fault, 5 wave_fallback)"
         ) in text

@@ -329,7 +329,8 @@ class TestStreamTerminationEdges:
         neither the queues nor the batch; when its prompt forward raises
         it must still finish and give back its slot and its tenant's
         in-flight count."""
-        forward = untrained_engine.forward
+        # A prompt forward is a rows forward of the admitted prompts.
+        forward = untrained_engine.forward_chunk_batch
         prefills = []
 
         def second_prefill_fails(*args, **kw):
@@ -338,7 +339,7 @@ class TestStreamTerminationEdges:
                 raise RuntimeError("boom")
             return forward(*args, **kw)
 
-        untrained_engine.forward = second_prefill_fails
+        untrained_engine.forward_chunk_batch = second_prefill_fails
         server = InferenceServer(untrained_engine, _config(), max_batch=2)
         handles = [server.submit(prompt) for prompt in PROMPTS[:3]]
         server.start()

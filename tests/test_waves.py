@@ -12,7 +12,9 @@ happens at their edges: a journal cut mid-wave, a trial that raises
 inside one, an admission that raises, a wave that times out, and
 everything that must keep a trial to itself.  Pool workers run the same
 batches the in-process leg does, so they form waves too — and a worker
-lost mid-wave loses nothing.
+lost mid-wave loses nothing.  A wave runs a forward only where a trial
+can differ from its golden run; planted sites pin which rows may retire
+early, back on golden, and which never may.
 """
 
 import dataclasses
@@ -396,7 +398,7 @@ class TestIterationZeroRows:
     def test_an_admission_that_raises_leaves_nothing_behind(
         self, trained_store, tokenizer, world
     ):
-        task = TranslationTask(world)
+        task = SummarizationTask(world)  # prompts of two lengths
         camp = campaign(
             trained_store, tokenizer, task, FaultModel.COMP_2BIT,
             max_fault_iterations=1,
@@ -407,7 +409,9 @@ class TestIterationZeroRows:
 
         def failing(*args, **kw):
             calls.append(args)
-            if len(calls) == 3:  # two rows live, the third's slot acquired
+            # The burst's second prompt forward: one group prefilled,
+            # every slot of the burst acquired.
+            if len(calls) == 2:
                 raise RuntimeError("boom")
             return prefill(*args, **kw)
 
@@ -1069,3 +1073,129 @@ class TestEveryRowKeyableFaultIsAWave:
         # fired trial: some fired in a later option's forward.
         fired = sum(t.fired for t in fast.trials)
         assert counters["campaign.mc_golden.rows_reused"] < 3 * fired
+
+
+def plant(camp, **fields):
+    """``camp`` with every sampled site's ``fields`` replaced."""
+    sample = camp._trial_site
+    camp._trial_site = lambda trial, max_iter: dataclasses.replace(
+        sample(trial, max_iter), **fields
+    )
+    return camp
+
+
+class TestAWaveRunsOnlyWhereATrialCanDiffer:
+    """A forward runs only where a trial can differ from its golden run:
+    an unreached strike takes no slot, equally long prompts share one
+    prompt forward, and a row that a one-shot fault (computational,
+    accumulator) left on its golden state — its token and every K/V row
+    the struck forward wrote bit-identical to the run's — retires at
+    its struck step with the run's tokens after it.  Every record stays
+    the serial reference's."""
+
+    @pytest.mark.parametrize("policy", ["fp32", "bf16", "int8"])
+    @pytest.mark.parametrize("store", ["trained_store", "moe_store"])
+    @pytest.mark.parametrize("fault_model", list(FaultModel), ids=lambda m: m.value)
+    def test_auto_equals_serial(
+        self, request, tokenizer, world, fault_model, store, policy
+    ):
+        store, task = request.getfixturevalue(store), TranslationTask(world)
+
+        def build(**kw):
+            return campaign(
+                store, tokenizer, task, fault_model,
+                engine=InferenceEngine(store, weight_policy=policy), **kw,
+            )
+
+        reference = build(decode_strategy="serial").run(N_TRIALS)
+        one_shot = fault_model.is_computational or fault_model.is_accumulator
+        for workers in (0, 2):
+            camp = build()
+            try:
+                fast, counters, waves, _ = run_traced(camp, N_TRIALS, n_workers=workers)
+            finally:
+                camp.close_pool()
+            assert_results_equal(fast, reference, f"waves, {workers} workers", "serial")
+            assert sum(span.attrs["trials"] for span in waves) == N_TRIALS
+            assert not lone_trials(counters)
+            # The prefill tally keeps its meaning: an unreached strike
+            # counts as resumed, though it takes no slot.
+            assert (
+                counters["engine.prefill_cache_hits"]
+                + counters["engine.prefill_cache_misses"]
+            ) == N_TRIALS
+            starts = sum(
+                t.site.iteration == 0 or fault_model.is_memory for t in fast.trials
+            )
+            assert counters["campaign.wave.prompt_rows"] == starts
+            assert counters["engine.prefill_cache_misses"] == starts
+            assert counters["campaign.wave.prompt_forwards"] <= starts
+            # Some one-shot rows leave the round back on golden; no KV or
+            # weight-fault row ever does.
+            exits = counters["campaign.wave.back_on_golden"]
+            assert exits > 0 if one_shot else exits == 0
+            assert camp._kv_pool is None or camp._kv_pool.n_free == camp._kv_pool.n_slots
+
+    def _planted(self, store, tokenizer, world, fault_model, **fields):
+        task = TranslationTask(world)
+        fast, counters, _, _ = run_traced(
+            plant(campaign(store, tokenizer, task, fault_model), **fields), N_TRIALS
+        )
+        reference = plant(
+            campaign(store, tokenizer, task, fault_model, decode_strategy="serial"),
+            **fields,
+        ).run(N_TRIALS)
+        assert_results_equal(fast, reference, "waves", "serial")
+        assert not lone_trials(counters) and any(t.fired for t in fast.trials)
+        return fast, counters
+
+    def test_a_strike_that_only_reaches_the_logits_exits(
+        self, trained_store, tokenizer, world
+    ):
+        """The last block's ``down_proj`` output reaches no K/V, and its
+        lowest mantissa bit moves no token: every fired row exits."""
+        last = InferenceEngine(trained_store).config.n_blocks - 1
+        fast, counters = self._planted(
+            trained_store, tokenizer, world, FaultModel.COMP_1BIT,
+            layer_name=f"blocks.{last}.down_proj", bits=(0,),
+        )
+        assert not any(t.changed for t in fast.trials)
+        assert counters["campaign.wave.back_on_golden"] == sum(
+            t.fired for t in fast.trials
+        )
+
+    def test_a_token_kept_over_other_kv_bits_does_not_exit(
+        self, trained_store, tokenizer, world
+    ):
+        """Struck in block 0's ``down_proj`` output, a low mantissa bit
+        keeps every token golden's but moves the K/V later blocks write
+        at the struck position in their low bits — within ``allclose``,
+        not bit-identical: no row exits."""
+        fast, counters = self._planted(
+            trained_store, tokenizer, world, FaultModel.COMP_1BIT,
+            layer_name="blocks.0.down_proj", bits=(2,),
+        )
+        assert not any(t.changed for t in fast.trials)
+        assert counters["campaign.wave.back_on_golden"] == 0
+
+    @pytest.mark.parametrize(
+        "fault_model, fields",
+        [
+            (FaultModel.KV_1BIT, dict(layer_name="blocks.2.kv", plane="k", row_frac=0.0)),
+            (FaultModel.KV_2BIT, dict(layer_name="blocks.2.kv", plane="v", row_frac=0.0)),
+            (FaultModel.MEM_2BIT, dict(layer_name="blocks.2.down_proj", row=3, col=5)),
+        ],
+        ids=["1bit-kv", "2bits-kv", "2bits-mem"],
+    )
+    def test_kv_and_weight_faults_never_exit(
+        self, trained_store, tokenizer, world, fault_model, fields
+    ):
+        """Low bits in the last block: the struck forward writes golden
+        K/V and picks golden's token, but the fault outlives it — a K/V
+        position the check does not read, a weight every later forward
+        reads — so the row decodes on."""
+        bits = (0,) if fault_model.n_bits == 1 else (0, 1)
+        fast, counters = self._planted(
+            trained_store, tokenizer, world, fault_model, bits=bits, **fields
+        )
+        assert counters["campaign.wave.back_on_golden"] == 0
