@@ -1304,14 +1304,20 @@ class FICampaign:
 
         Trials run in batches (:func:`repro.fi.executor.run_batch`): one
         trial at a time, or, for the trials that can share forwards, a
-        wave at a time (:meth:`_run_wave`).  ``n_workers=0`` runs the
-        batches in this process; otherwise a pre-forked persistent pool
-        runs them, the same way.  Workers are forks of this process:
+        wave at a time (:meth:`_run_wave`).  ``n_workers`` counts the
+        processes that run them: ``0`` or ``1`` runs every batch in this
+        process; more forks a persistent pool of ``n_workers - 1``
+        workers, and this process, which supervises them, is the n-th —
+        it takes the next batch whenever no worker is free, and after
+        each unit of its own looks after the pool, so a worker's death
+        or overrun is noticed at most one such unit late (its own units
+        are bounded by ``trial_timeout`` as in-process ones are).
+        Workers are forks of this process:
         each runs this campaign and its engine, hooks included, sharing
         the weight pages copy-on-write (no trial writes them, so
         per-worker incremental memory is KV caches + Python overhead,
         not the model); they are dealt the next pending batch as they
-        free up, and survive across ``run()``/``resume()`` calls on
+        free up, and one more ahead while they run one, and survive across ``run()``/``resume()`` calls on
         this campaign until what they inherited changes.  Results are
         identical either way because every trial derives its RNG from
         its stable :meth:`trial_key`.  Telemetry, when enabled, is
@@ -1329,8 +1335,8 @@ class FICampaign:
         ``retry_backoff``, before being quarantined as
         :attr:`Outcome.FAILED`; a dead or stuck worker is killed and
         forked again, and what it still held re-queued, up to
-        ``max_pool_rebuilds`` times, after which execution degrades to
-        this process.
+        ``max_pool_rebuilds`` times, after which (workers that never
+        boot spend that budget too) execution degrades to this process.
         """
         sup = _Supervision(
             trial_timeout=trial_timeout,

@@ -5,9 +5,11 @@ that can share forwards, the rest one at a time with
 retry/backoff/timeout/quarantine.  :class:`Executor` calls it in this
 process, and forked pool workers (:mod:`repro.fi.pool`) call it on the
 batches the executor deals them — so a worker forms waves and retries a
-raising trial exactly as the in-process leg does, and the parent keeps
-only what only it can do: notice a death, SIGKILL a worker past its
-deadline, respawn within a budget, and give the pool up.
+raising trial exactly as the in-process leg does.  Under a pool this
+process is one of the workers too: it takes the next batch whenever no
+fork is free, and between the units of that batch does what only it
+can do: notice a death, SIGKILL a worker past its deadline, respawn
+within a budget, and give the pool up.
 
 The campaign is duck-typed (this module never imports
 :mod:`repro.fi.campaign`): whatever knows what a trial *is* —
@@ -86,7 +88,8 @@ class CampaignChaos:
     fail_always: frozenset = frozenset()
     """Trials that raise on every attempt (deterministic failures)."""
     die_in_worker: frozenset = frozenset()
-    """Trials that kill their worker process (first attempt, pool only)."""
+    """Trials that kill their worker process (first attempt, forked
+    workers only: the supervising process runs them unharmed)."""
     hang: frozenset = frozenset()
     """Trials that sleep ``hang_seconds`` on their first attempt."""
     hang_seconds: float = 60.0
@@ -129,7 +132,7 @@ def _trial_alarm(seconds: float | None):
 
     Active only on platforms with ``SIGALRM`` and from the main thread
     (a pool worker's loop is its main thread); elsewhere trials run
-    unbounded in-process, and under a pool the parent's SIGKILL
+    unbounded in-process, and in a forked worker the parent's SIGKILL
     deadline is what is left.
     """
     if (
@@ -287,7 +290,10 @@ def _boot_worker(campaign) -> Callable:
 
     def serve(task, send) -> None:
         batch, sup = task
-        units = run_batch(campaign, batch, sup, lambda unit: send("start", unit))
+        units = run_batch(
+            campaign, batch, sup,
+            lambda unit: send("start", (unit, time.monotonic())),
+        )
         for results in units:
             send("done", (results, _drain_payload(tel, recorder)))
 
@@ -379,8 +385,9 @@ class Executor:
 
     # -- persistent pool ------------------------------------------------------
 
-    def _ensure_pool(self, campaign, n_workers: int, tel) -> CampaignPool:
-        """The campaign's persistent pool, (re)built only when stale.
+    def _ensure_pool(self, campaign, n_forks: int, tel) -> CampaignPool:
+        """The campaign's persistent pool of ``n_forks`` forked workers,
+        (re)built only when stale.
 
         A healthy pool is reused across ``run()``/``resume()`` calls —
         resuming into a live pool pays zero spinup.  It is rebuilt only
@@ -394,21 +401,20 @@ class Executor:
         pool = self.pool
         if pool is not None and (
             pool.closed
-            or pool.n_workers != n_workers
+            or pool.n_workers != n_forks
             or self._forked_with != forked_with
         ):
             pool.close()
             pool = self.pool = None
         if pool is None:
             self._forked_with = forked_with
-            with tel.span("campaign.pool_spinup", workers=n_workers) as span:
-                pool = CampaignPool(n_workers, partial(_boot_worker, campaign))
-                ready = pool.wait_ready()
-                span.set(booted=ready)
+            with tel.span("campaign.pool_spinup", workers=n_forks):
+                pool = CampaignPool(n_forks, partial(_boot_worker, campaign))
             if tel.active:
-                tel.metrics.counter("campaign.worker_boots").add(ready)
-                tel.metrics.gauge("campaign.workers").set(float(n_workers))
-                tel.manifest_extra["scaleout"] = {"workers": n_workers}
+                tel.metrics.gauge("campaign.workers").set(float(n_forks + 1))
+                tel.manifest_extra["scaleout"] = {
+                    "workers": n_forks + 1, "supervisor_pid": os.getpid(),
+                }
             self.pool = pool
         return pool
 
@@ -420,25 +426,44 @@ class Executor:
         sup: _Supervision,
         accept: Callable,
     ) -> list[tuple[int, int]]:
-        """Supervise the persistent pool over ``todo``; returns the
-        ``(trial, attempts so far)`` pairs it did not finish.
+        """Run ``todo`` on ``n_workers`` processes: this one and a
+        persistent pool of ``n_workers - 1`` forks it supervises;
+        returns the ``(trial, attempts so far)`` pairs left unfinished.
 
-        Dispatch is dynamic (next pending batch → first free worker).
-        A worker that dies is respawned, forked from the campaign and
+        Dispatch is dynamic: the next pending batch goes to the first
+        free fork — free from the moment it forks, its first batch
+        waiting in its queue while it boots — and when none is free this
+        process takes it and runs it through :func:`run_batch`, as a
+        fork would; what is still pending then is dealt one batch to
+        each fork ahead, queued behind the one it runs, so no fork waits
+        on this process's unit for its next batch.  After each unit of
+        its own this process supervises: it reads what the forks
+        reported, reaps the dead, enforces deadlines and respawns.  A
+        fork's death or overrun is therefore noticed at most one unit of
+        this process's late — a unit ``trial_timeout`` bounds here too
+        (``_trial_alarm``), as a fork's deadline runs from when the fork
+        began the unit.  Each fork's boot is counted as its "ready"
+        message is read (``campaign.worker_boots``), so a fork dealt no
+        batch that is still booting when the run ends is counted by the
+        run that next reads the pool.
+
+        A fork that dies is respawned, forked from the campaign and
         engine its siblings forked from (supervising changes neither);
         one whose unit exceeds ``trial_timeout`` is SIGKILLed and
         replaced.
-        Either way the trials it still held are re-queued one per batch
-        — a poisonous trial must not take its siblings down twice —
-        with the in-flight unit's attempt counts bumped, so
-        first-attempt chaos does not strike again; a trial that timed
-        out alone more than ``max_retries`` times is quarantined.  Each
-        replacement counts against ``max_pool_rebuilds``; past the
-        budget the pool is shut down and what is unfinished handed back
-        — graceful degradation beats a dead campaign.
+        Either way the trials left of the batch it was running are
+        re-queued one per batch — a poisonous trial must not take its
+        siblings down twice — with the in-flight unit's attempt counts
+        bumped, so first-attempt chaos does not strike again, and the
+        batch queued behind it whole; a trial that timed out alone more
+        than ``max_retries`` times is quarantined.  Each replacement
+        counts against ``max_pool_rebuilds``; past the budget — which
+        is where forks that never boot end up, each dying with a batch
+        in hand — the pool is shut down and what is unfinished handed
+        back: graceful degradation beats a dead campaign.
         """
         tel = _telemetry()
-        pool = self._ensure_pool(campaign, n_workers, tel)
+        pool = self._ensure_pool(campaign, n_workers - 1, tel)
         attempts = dict(todo)
         trials = sorted(attempts)
         size = _batch_size(len(trials), n_workers, campaign.trial_plan()[0] == "wave")
@@ -448,12 +473,16 @@ class Executor:
         executed: Counter = Counter()  # pid -> trials completed there
         timeouts: Counter = Counter()  # trial -> deadlines it alone ran past
         rebuilds = 0
+        here, campaign_hash = os.getpid(), config_hash(campaign.fingerprint())
+        own: Iterator | None = None  # the batch this process is running
 
         def requeue(held: _Held | None) -> None:
             if held is None:
                 return
+            for untouched in reversed(held.tasks[1:]):
+                pending.appendleft(sorted(untouched))
             in_flight = dict(held.unit)
-            for trial in sorted(held.left & left, reverse=True):
+            for trial in sorted(held.tasks[0] & left, reverse=True):
                 if trial in in_flight:
                     attempts[trial] = in_flight[trial] + 1
                     if tel.active:
@@ -466,27 +495,51 @@ class Executor:
             if rebuilds <= sup.max_pool_rebuilds:
                 pool.spawn_worker(partial(_boot_worker, campaign))
 
+        def deal(pid: int | None = None) -> None:
+            batch = pending.popleft()
+            pool.dispatch(batch, ([(t, attempts[t]) for t in batch], sup), pid)
+
+        def finished(pid: int, results: list) -> None:
+            executed[pid] += len(results)
+            for trial, record, n_attempts in results:
+                left.discard(trial)
+                accept(trial, record, n_attempts, pid)
+
+        def note(msg) -> None:
+            kind, pid, body = msg
+            if kind == "ready":
+                if tel.active:
+                    tel.metrics.counter("campaign.worker_boots").add()
+            elif kind == "done":
+                # Never of a trial served before: a killed worker's
+                # pipe is dropped unread, and what a dead one still
+                # delivered is off its books before they are re-queued.
+                results, payload = body
+                finished(pid, results)
+                if payload is not None:
+                    payloads[results[0][0]] = (len(results), payload)
+
         while left and rebuilds <= sup.max_pool_rebuilds:
             while pending and pool.idle:
+                deal()
+            if own is None and pending:
                 batch = pending.popleft()
-                pool.dispatch(batch, ([(t, attempts[t]) for t in batch], sup))
-            msg = pool.poll(0.05)
-            if msg is not None:
-                kind, pid, body = msg
-                if kind == "ready":
-                    if tel.active:
-                        tel.metrics.counter("campaign.worker_boots").add()
-                elif kind == "done":
-                    # Never of a trial served before: a killed worker's
-                    # pipe is dropped unread, and what a dead one still
-                    # delivered is off its books before they are re-queued.
-                    results, payload = body
-                    executed[pid] += len(results)
-                    for trial, record, n_attempts in results:
-                        left.discard(trial)
-                        accept(trial, record, n_attempts, pid)
-                    if payload is not None:
-                        payloads[results[0][0]] = (len(results), payload)
+                own = run_batch(campaign, [(t, attempts[t]) for t in batch], sup)
+            for pid in pool.holding_one():
+                if pending:
+                    deal(pid)
+            if own is not None:
+                mark = len(tel.tracer.records)
+                results = next(own, None)
+                if results is None:
+                    own = None
+                    continue
+                finished(here, results)
+                _attribute_own_unit(tel, mark, here, results, campaign_hash)
+            msg = pool.poll(0.0 if own is not None else 0.05)
+            while msg is not None:
+                note(msg)
+                msg = pool.poll(0.0)
             for _pid, held in pool.reap_dead():
                 requeue(held)
                 replace_worker()
@@ -524,26 +577,53 @@ class Executor:
             steals = sum(max(0, n - fair) for n in executed.values())
             tel.metrics.counter("campaign.steals").add(steals)
 
-        _merge_worker_payloads(payloads, config_hash(campaign.fingerprint()))
+        _merge_worker_payloads(payloads, campaign_hash)
         return [(trial, attempts[trial]) for trial in sorted(left)]
+
+
+def _attribution(campaign_hash: str, pid: int, first: int, n_trials: int) -> dict:
+    """The attributes a unit's spans carry: the campaign, the process
+    that ran the unit and, where the unit was one trial's, the trial."""
+    attrs = {"campaign_hash": campaign_hash, "worker_pid": pid}
+    if n_trials == 1:
+        attrs["trial"] = first
+    return attrs
+
+
+def _attribute_own_unit(
+    tel, mark: int, pid: int, results: list, campaign_hash: str
+) -> None:
+    """Attribute one unit of a pooled campaign this process (``pid``)
+    ran as a fork's is attributed at merge: its spans — those recorded
+    since ``mark`` — and its flight records carry the pid."""
+    if tel.active:
+        attrs = _attribution(campaign_hash, pid, results[0][0], len(results))
+        for span in tel.tracer.records[mark:]:
+            span.attrs.update(attrs)
+    recorder = _flight()
+    if recorder.active:
+        for trial, *_ in results:
+            if trial in recorder.completed:
+                recorder.completed[trial]["worker_pid"] = pid
 
 
 def _merge_worker_payloads(
     payloads: dict[int, tuple[int, dict]], campaign_hash: str
 ) -> None:
-    """Fold what the workers observed into this process's telemetry and
+    """Fold what the forks observed into this process's telemetry and
     flight recorder.  ``payloads`` holds ``(trials in the unit,
     payload)`` under the first trial of the unit each came with and is
     merged in that order, so the merged stream is deterministic
     regardless of which worker (or pool generation) served which unit;
     adopted spans are attributed with ``(campaign_hash, worker_pid)``,
-    and ``trial`` where the unit was one trial's.  Workers fork with
-    this process's telemetry and recorder switches, so a payload holds
-    what is merged here."""
+    and ``trial`` where the unit was one trial's, and flight records
+    with ``worker_pid``.  Workers fork with this process's telemetry
+    and recorder switches, so a payload holds what is merged here."""
     tel, recorder = _telemetry(), _flight()
     wall_minus_perf = time.time() - time.perf_counter()
     for trial in sorted(payloads):
         n_trials, payload = payloads[trial]
+        pid = payload["pid"]
         if tel.active:
             tel.metrics.merge(payload["metrics"])
             spans = [SpanRecord.from_dict(d) for d in payload["spans"]]
@@ -554,9 +634,11 @@ def _merge_worker_payloads(
             offset = (clock["unix"] - clock["perf"]) - wall_minus_perf
             for span in spans:
                 span.start += offset
-            attrs = {"campaign_hash": campaign_hash, "worker_pid": payload["pid"]}
-            if n_trials == 1:
-                attrs["trial"] = trial
-            tel.tracer.adopt(spans, extra_attrs=attrs)
+            tel.tracer.adopt(
+                spans,
+                extra_attrs=_attribution(campaign_hash, pid, trial, n_trials),
+            )
         if recorder.active:
+            for record in payload["flight"]:
+                record["worker_pid"] = pid
             recorder.adopt(payload["flight"])

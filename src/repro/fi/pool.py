@@ -5,8 +5,14 @@ that hands batches of work to whichever worker frees up first and
 notices when one dies or outlasts its deadline.  A worker is a ``fork``
 of the campaign's process, so it runs the very campaign and engine the
 parent holds — weights, hooks, golden passes — sharing their pages
-copy-on-write.  What a batch holds, what is retried, what is
-quarantined and when the pool is given up are
+copy-on-write.  The pool counts only its forks: a campaign run with
+``n_workers`` processes forks ``n_workers - 1`` of them, and the
+supervising process is the n-th, running batches between the times it
+looks at the pool (so it notices a fork's death or overrun at most one
+of its own units late).  A busy worker can be handed one task more,
+queued behind the one it runs, so it need not wait on a supervisor
+busy with its own unit to be handed its next.  What a batch holds, who runs it, what is
+retried, what is quarantined and when the pool is given up are
 :mod:`repro.fi.executor`'s; the only thing this module knows about a
 task is which trial numbers it covers.
 """
@@ -33,13 +39,17 @@ def _pool_worker_main(boot: Callable, task_q, result_conn) -> None:
     task off and reports through ``send(kind, body)``.  Messages on
     ``result_conn`` are ``(kind, pid, body)``:
 
-    * ``("ready", pid, None)`` — booted and idle;
-    * ``("start", pid, [(trial, attempt), ...])`` — began one unit of the
-      task (the supervisor arms its deadline here, so queue latency and
-      boot time never count against it);
+    * ``("ready", pid, None)`` — booted (a worker is dealt tasks from
+      the moment it forks: the first may already wait in its queue);
+    * ``("start", pid, ([(trial, attempt), ...], when))`` — began one
+      unit of the task at ``when`` on the (system-wide) monotonic
+      clock: the unit's deadline runs from there, so queue latency,
+      boot time and a supervisor busy with its own unit never count
+      against it;
     * ``("done", pid, ([(trial, record, attempts), ...], payload))`` —
       that unit's results.  A task is finished when every trial it was
-      dispatched with has been reported done.
+      dispatched with has been reported done; a worker serves its tasks
+      in the order it was handed them.
 
     ``result_conn`` is this worker's *private* pipe to the supervisor.
     A shared results queue would serialize all workers through one
@@ -67,15 +77,22 @@ def _pool_worker_main(boot: Callable, task_q, result_conn) -> None:
 
 @dataclass
 class _Held:
-    """What one busy worker holds of the task it was handed."""
+    """What one busy worker holds of the tasks it was handed."""
 
-    left: set[int]
-    """Trials of the task not reported done yet."""
+    tasks: list[set[int]] = field(default_factory=list)
+    """Trials not reported done yet, per task, in the order the tasks
+    were handed over — the order the worker serves them in, so only
+    the first can have begun."""
     unit: list[tuple[int, int]] = field(default_factory=list)
     """``(trial, attempt)`` pairs of the unit the worker last reported
     starting; empty between units."""
     started: float | None = None
-    """When that unit started, on this process's monotonic clock."""
+    """When that unit started, on the monotonic clock."""
+
+    @property
+    def left(self) -> set[int]:
+        """Trials of its tasks not reported done yet."""
+        return set().union(*self.tasks)
 
 
 def _terminate_procs(workers: dict) -> None:
@@ -98,6 +115,7 @@ class CampaignPool:
     """
 
     def __init__(self, n_workers: int, boot: Callable) -> None:
+        """Fork ``n_workers`` workers, each running ``boot`` first."""
         # fork (not spawn): a worker inherits ``boot`` — and the campaign
         # and engine it holds — by memory, never pickled, its weight
         # pages shared with this process's until someone writes them.
@@ -110,7 +128,7 @@ class CampaignPool:
         self._salvaged: deque = deque()  # drained off dead conns, noted
         self._workers: dict[int, tuple] = {}  # pid -> (proc, task_q)
         self.idle: set[int] = set()
-        self._ready: set[int] = set()  # announced themselves
+        self.ready: set[int] = set()  # announced themselves
         self.in_flight: dict[int, _Held] = {}
         self.closed = False
         self._finalizer = weakref.finalize(
@@ -122,7 +140,9 @@ class CampaignPool:
     # -- lifecycle ---------------------------------------------------------
 
     def spawn_worker(self, boot: Callable) -> int:
-        """Fork one worker; it announces itself with a "ready" message.
+        """Fork one worker, idle at once — a task dispatched to it waits
+        in its queue while it boots, so nobody waits on a boot — and
+        announcing itself with a "ready" message once booted.
 
         ``boot`` is not kept: it holds the campaign, and a pool
         that held it would tie the campaign into a reference cycle and
@@ -142,26 +162,8 @@ class CampaignPool:
         w_conn.close()
         self._workers[proc.pid] = (proc, task_q)
         self._conns[proc.pid] = r_conn
+        self.idle.add(proc.pid)
         return proc.pid
-
-    def wait_ready(self, timeout: float = 120.0) -> int:
-        """Block until every forked worker booted (or died/timed out);
-        returns how many did.
-
-        Used only at spinup, when no trials are in flight — later
-        readies (respawns) flow through the supervisor's normal ``poll``
-        loop, and a worker that died booting is left for its
-        ``reap_dead``, to be replaced within the budget like any other.
-        """
-        deadline = time.monotonic() + timeout
-        while len(self._ready) < len(self._workers) and time.monotonic() < deadline:
-            if self.poll(0.2) is None and not any(
-                proc.is_alive()
-                for pid, (proc, _q) in self._workers.items()
-                if pid not in self._ready
-            ):
-                break
-        return len(self._ready)
 
     def close(self) -> None:
         """Shut the pool down: sentinel, short grace, then kill."""
@@ -182,7 +184,7 @@ class CampaignPool:
                 proc.join(1.0)
         self._workers.clear()
         self.idle.clear()
-        self._ready.clear()
+        self.ready.clear()
         self.in_flight.clear()
         for pid in list(self._conns):
             self._drop_conn(pid)
@@ -194,13 +196,20 @@ class CampaignPool:
     def worker_pids(self) -> list[int]:
         return sorted(self._workers)
 
-    def dispatch(self, trials, task) -> int:
-        """Hand ``task``, which covers ``trials``, to an idle worker;
-        returns its pid."""
-        pid = self.idle.pop()
-        self.in_flight[pid] = _Held(left=set(trials))
+    def dispatch(self, trials, task, pid: int | None = None) -> int:
+        """Hand ``task``, which covers ``trials``, to an idle worker — or
+        queue it behind what busy worker ``pid`` holds; returns the
+        worker's pid."""
+        if pid is None:
+            pid = self.idle.pop()
+            self.in_flight[pid] = _Held()
+        self.in_flight[pid].tasks.append(set(trials))
         self._workers[pid][1].put(task)
         return pid
+
+    def holding_one(self) -> list[int]:
+        """Busy workers with no task queued behind the one they run."""
+        return sorted(pid for pid, held in self.in_flight.items() if len(held.tasks) == 1)
 
     def _recv(self, timeout: float):
         """One message from any worker pipe (or ``None`` on timeout).
@@ -259,14 +268,14 @@ class CampaignPool:
         kind, pid, body = msg
         held = self.in_flight.get(pid)
         if kind == "ready" and pid in self._workers:
-            self._ready.add(pid)
-            self.idle.add(pid)
+            self.ready.add(pid)
         elif kind == "start" and held is not None:
-            held.unit, held.started = body, time.monotonic()
+            held.unit, held.started = body
         elif kind == "done" and held is not None:
             held.unit, held.started = [], None
-            held.left.difference_update(trial for trial, *_ in body[0])
-            if not held.left:
+            done = {trial for trial, *_ in body[0]}
+            held.tasks = [trials - done for trials in held.tasks if trials - done]
+            if not held.tasks:
                 del self.in_flight[pid]
                 self.idle.add(pid)
 
@@ -279,7 +288,7 @@ class CampaignPool:
             proc.join()
             self._drain_conn(pid)
             self.idle.discard(pid)
-            self._ready.discard(pid)
+            self.ready.discard(pid)
             del self._workers[pid]
             dead.append((pid, self.in_flight.pop(pid, None)))
         return dead
@@ -307,4 +316,4 @@ class CampaignPool:
         self._drop_conn(pid)
         self.in_flight.pop(pid, None)
         self.idle.discard(pid)
-        self._ready.discard(pid)
+        self.ready.discard(pid)

@@ -11,7 +11,9 @@ in trial order with ``(campaign_hash, trial, worker_pid)`` attribution
 and rebases their ``perf_counter`` starts into the parent's clock (see
 :mod:`repro.fi.executor`), so here each span only needs
 mapping onto a (pid, tid) lane — the campaign is the process, the
-parent and each worker get one thread lane each.
+parent and each forked worker get one thread lane each.  The parent
+runs a share of a pooled campaign's trials too; those spans carry its
+pid (the manifest's ``scaleout.supervisor_pid``) and land on its lane.
 
 Output is strict JSON (``allow_nan=False``); timestamps are
 microseconds relative to the earliest span.
@@ -49,9 +51,10 @@ def chrome_trace(run: RunData) -> dict:
     t0 = spans[0].start if spans else 0.0
     tids: dict[int, str] = {_MAIN_TID: "main"}
     events: list[dict] = []
+    supervisor = (run.manifest.get("scaleout") or {}).get("supervisor_pid")
     for span in spans:
         worker_pid = span.attrs.get("worker_pid")
-        if worker_pid is None:
+        if worker_pid is None or worker_pid == supervisor:
             tid = _MAIN_TID
         else:
             tid = int(worker_pid)

@@ -20,6 +20,7 @@ differential oracle — exactly what an undisturbed run computes:
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -220,7 +221,9 @@ class TestRetry:
     ):
         """Retry policy lives where the trial runs: the parent never
         sees the raise, only the record, its attempts and what the
-        worker observed of both attempts."""
+        worker observed of both attempts.  Trial 0 is the fork's: the
+        first batch goes to the first free fork, before this process
+        takes one."""
         clean = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         ).run(6)
@@ -228,7 +231,7 @@ class TestRetry:
         ck = tmp_path / "campaign.jsonl"
         campaign = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
-            chaos=CampaignChaos(fail_transient={2}),
+            chaos=CampaignChaos(fail_transient={0}),
         )
         try:
             chaotic = campaign.run(6, n_workers=2, checkpoint=ck, **FAST)
@@ -237,28 +240,34 @@ class TestRetry:
         assert clean_telemetry.metrics.counters["campaign.retries"].value == 1
         tries = [
             span for span in clean_telemetry.tracer.records
-            if span.name == "campaign.trial" and span.attrs["trial"] == 2
+            if span.name == "campaign.trial" and span.attrs["trial"] == 0
         ]
         assert len(tries) == 2
         assert len({span.attrs["worker_pid"] for span in tries}) == 1
+        assert tries[0].attrs["worker_pid"] != os.getpid()
         clean_telemetry.disable()
         assert_results_equal(chaotic, clean, "retried in a worker", "clean")
         _, _, attempts = load_checkpoint(ck, campaign.fingerprint())
-        assert attempts == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 5: 1}
+        assert attempts == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_worker_death_rebuilds_pool(
-        self, untrained_store, tokenizer, world
+        self, untrained_store, tokenizer, world, tmp_path
     ):
         """A worker calling ``os._exit`` breaks the pool; the campaign
-        rebuilds it and still produces the undisturbed run's records."""
+        rebuilds it and still produces the undisturbed run's records.
+        Trial 0 is the fork's first batch, so the death is real: the
+        trial is re-run an attempt older."""
         clean = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         ).run(6)
+        ck = tmp_path / "campaign.jsonl"
         chaotic = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
-            chaos=CampaignChaos(die_in_worker={2}),
-        ).run(6, n_workers=2, **FAST)
+            chaos=CampaignChaos(die_in_worker={0}),
+        ).run(6, n_workers=2, checkpoint=ck, **FAST)
         assert_results_equal(chaotic, clean, "rebuilt", "clean")
+        _, _, attempts = load_checkpoint(ck)
+        assert attempts == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_pool_degrades_to_serial(
         self, untrained_store, tokenizer, world, clean_telemetry

@@ -11,6 +11,7 @@ speculation fast paths.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -111,18 +112,29 @@ class TestPureObserver:
         assert all(r["front"] for r in records)
 
     def test_armed_recorder_bit_identical_under_pool(
-        self, untrained_store, tokenizer, world
+        self, untrained_store, tokenizer, world, tmp_path
     ):
         plain = _mc_campaign(
             InferenceEngine(untrained_store), tokenizer, world
         ).run(4)
         recorder = flight_recorder().arm()
+        journal = tmp_path / "journal.jsonl"
         armed = _mc_campaign(
             InferenceEngine(untrained_store), tokenizer, world
-        ).run(4, n_workers=2)
+        ).run(4, n_workers=2, checkpoint=journal)
         assert_records_equal(plain, armed, "serial-off", "pool-on")
-        # Worker-side records merge back in trial order.
-        assert [r["trial"] for r in recorder.drain()] == [0, 1, 2, 3]
+        # Worker-side records merge back in trial order, each carrying
+        # the pid of the process that ran its trial — the one the
+        # journal names — and this process ran its share.
+        records = recorder.drain()
+        assert [r["trial"] for r in records] == [0, 1, 2, 3]
+        ran_on = {
+            line["trial"]: line["worker"]
+            for line in read_jsonl(journal) if line.get("kind") == "trial"
+        }
+        assert {r["trial"]: r["worker_pid"] for r in records} == ran_on
+        assert os.getpid() in ran_on.values()
+        assert len(set(ran_on.values())) == 2
 
     def test_front_probes_keep_gates_engaged(self, untrained_engine):
         recorder = flight_recorder().arm()
@@ -262,14 +274,19 @@ class TestTraceExport:
         for event in durations:
             assert event["ts"] >= 0 and event["dur"] >= 0
             assert isinstance(event["name"], str)
-        # Worker trial spans land in their own lanes, stitched under
-        # the campaign timeline with trial attribution.
+        # One lane per process, stitched under the campaign timeline
+        # with trial attribution: this process's trial spans on the main
+        # lane, the fork's on its pid's.
         tids = {e["tid"] for e in durations}
-        assert 0 in tids and len(tids) >= 2, f"not stitched: {tids}"
+        assert len(tids) == 2 and 0 in tids, f"not one lane per process: {tids}"
         worker_trials = [
             e for e in durations if e["args"].get("worker_pid") is not None
         ]
-        assert worker_trials
+        own = [e for e in worker_trials if e["args"]["worker_pid"] == os.getpid()]
+        assert own and {e["tid"] for e in own} == {0}
+        for event in worker_trials:
+            if event not in own:
+                assert event["tid"] == event["args"]["worker_pid"]
         assert {e["args"]["trial"] for e in worker_trials} == {0, 1, 2, 3}
         assert len({e["args"]["campaign_hash"] for e in worker_trials}) == 1
         # Rebased worker spans sit inside the campaign.run wall window.

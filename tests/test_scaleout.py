@@ -25,6 +25,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from repro.fi import (
     FICampaign,
     assert_records_equal,
     assert_results_equal,
+    executor,
 )
+from repro.fi.checkpoint import load_checkpoint
 from repro.fi.executor import _WAVE_TRIALS, _batch_size
 from repro.fi.injector import MemoryFaultInjector
 from repro.fi.sites import FaultSite
@@ -77,6 +81,26 @@ def record_in_workers(monkeypatch, directory, method, facts):
         return result
 
     monkeypatch.setattr(FICampaign, method, wrapped)
+    return lambda: {
+        int(path.stem): json.loads(path.read_text())
+        for path in directory.glob("*.json")
+    }
+
+
+def record_boots(monkeypatch, directory, facts):
+    """Have every forked pool worker write ``facts(campaign)`` to
+    ``directory/<pid>.json`` as it boots — the first forks and every
+    respawn, whether or not it is dealt a trial before the pool
+    closes; returns a reader of ``{pid: facts}``."""
+    boot = executor._boot_worker
+    directory.mkdir()
+
+    def recording(campaign):
+        serve = boot(campaign)
+        (directory / f"{os.getpid()}.json").write_text(json.dumps(facts(campaign)))
+        return serve
+
+    monkeypatch.setattr(executor, "_boot_worker", recording)
     return lambda: {
         int(path.stem): json.loads(path.read_text())
         for path in directory.glob("*.json")
@@ -190,8 +214,8 @@ class TestSharedEngine:
 
 
 class TestPooledEquivalence:
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    @pytest.mark.parametrize("fault_model", FaultModel.all())
+    @pytest.mark.parametrize("n_workers", [2, 3, 4])
+    @pytest.mark.parametrize("fault_model", FaultModel.extended())
     def test_pool_matches_serial(
         self, untrained_store, tokenizer, world, fault_model, n_workers
     ):
@@ -240,15 +264,17 @@ class TestPooledEquivalence:
     def test_respawn_forks_from_the_same_parent_state(
         self, untrained_store, tokenizer, world, tmp_path, monkeypatch
     ):
-        """Every first attempt kills its worker, so every record comes
-        from a respawned worker — and each respawn runs the campaign,
-        engine and hooks the parent holds, as the workers it replaced
-        did, with the records of a run without deaths."""
+        """Every first attempt in a fork kills it — trial 0, the fork's
+        first batch, for one — so the fork is respawned at least once;
+        each respawn runs the campaign, engine and hooks the parent
+        holds, as the fork it replaced did, and the records (the
+        parent's share and the respawns' alike) are those of a run
+        without deaths."""
         clean = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.COMP_1BIT,
             **REFERENCE,
         ).run(6)
-        seen = record_in_workers(monkeypatch, tmp_path / "workers", "_run_trial", identity)
+        seen = record_boots(monkeypatch, tmp_path / "workers", identity)
         campaign = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.COMP_1BIT,
             chaos=CampaignChaos(die_in_worker=set(range(6))),
@@ -258,7 +284,7 @@ class TestPooledEquivalence:
         finally:
             campaign.close_pool()
         workers = seen()
-        assert workers and os.getpid() not in workers
+        assert len(workers) >= 2 and os.getpid() not in workers
         assert all(facts == identity(campaign) for facts in workers.values())
         assert not campaign._in_worker
         assert_records_equal(result.trials, clean.trials, "respawned", "clean")
@@ -330,6 +356,124 @@ class TestPooledEquivalence:
             assert not list(tmp_path.glob("repro-arena-*"))
         finally:
             campaign.close_pool()
+
+
+class TestTheSupervisorRunsAShare:
+    """A pool of ``n_workers`` processes is ``n_workers - 1`` forks and
+    the process that supervises them, which takes the next batch itself
+    whenever no fork is free."""
+
+    def test_two_workers_are_one_fork_and_this_process(
+        self, untrained_store, tokenizer, world, tmp_path, clean_telemetry
+    ):
+        serial = make_campaign(
+            untrained_store, tokenizer, world, "gen", FaultModel.COMP_1BIT,
+            **REFERENCE,
+        ).run(6)
+        clean_telemetry.enable()
+        ck = tmp_path / "campaign.jsonl"
+        campaign = make_campaign(
+            untrained_store, tokenizer, world, "gen", FaultModel.COMP_1BIT
+        )
+        try:
+            pooled = campaign.run(6, n_workers=2, checkpoint=ck)
+            assert len(campaign._executor.pool.worker_pids()) == 1
+        finally:
+            campaign.close_pool()
+        assert clean_telemetry.metrics.counters["campaign.worker_boots"].value == 1
+        assert clean_telemetry.manifest_extra["scaleout"]["workers"] == 2
+        ran = Counter(
+            line["worker"]
+            for line in map(json.loads, ck.read_text().splitlines()[1:])
+        )
+        # Each ran a wave of its even share: three trials apiece.
+        assert ran[os.getpid()] == 3 and sorted(ran.values()) == [3, 3]
+        assert_records_equal(pooled.trials, serial.trials, "pool2", "serial")
+
+    def test_a_fork_dying_during_this_process_unit_is_reaped_after_it(
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
+    ):
+        """Trial 0 is the fork's first batch and kills it; trial 1, this
+        process's, outlasts the death.  The fork is reaped once trial 1
+        is done, and trial 0 is re-queued and re-run an attempt older
+        after it, with the records of a run without deaths."""
+        clean = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
+        ).run(4)
+        parent, run_trial = os.getpid(), FICampaign._run_trial
+        dying, own_done, retried = (
+            tmp_path / name for name in ("dying", "own_done", "retried")
+        )
+
+        def timed(self, trial, attempt=0):
+            if os.getpid() != parent and (trial, attempt) == (0, 0):
+                dying.touch()  # chaos strikes next
+            elif (trial, attempt) == (0, 1):
+                retried.write_text(repr(time.monotonic()))
+            record = run_trial(self, trial, attempt)
+            if os.getpid() == parent and trial == 1:
+                deadline = time.monotonic() + 30.0
+                while not dying.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # the fork is gone by now
+                own_done.write_text(repr(time.monotonic()))
+            return record
+
+        monkeypatch.setattr(FICampaign, "_run_trial", timed)
+        ck = tmp_path / "campaign.jsonl"
+        campaign = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            chaos=CampaignChaos(die_in_worker={0}),
+        )
+        try:
+            result = campaign.run(4, n_workers=2, checkpoint=ck, retry_backoff=0.0)
+        finally:
+            campaign.close_pool()
+        assert dying.exists()
+        assert float(retried.read_text()) > float(own_done.read_text())
+        _, _, attempts = load_checkpoint(ck)
+        assert attempts == {0: 2, 1: 1, 2: 1, 3: 1}
+        assert_records_equal(result.trials, clean.trials, "reaped", "clean")
+
+    def test_a_busy_fork_is_dealt_its_next_batch_ahead(
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
+    ):
+        """On the reference route a batch is one trial.  Trial 0 is the
+        fork's first batch and trial 1 this process's;
+        trial 2 is queued behind trial 0, so the fork runs it while this
+        process is still inside trial 1's unit instead of waiting for
+        that unit to end to be dealt it."""
+        clean = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            **REFERENCE,
+        ).run(4)
+        parent, run_trial = os.getpid(), FICampaign._run_trial
+        ran = tmp_path / "ran"
+        ran.mkdir()
+        ran_during_own = []
+
+        def slow(self, trial, attempt=0):
+            record = run_trial(self, trial, attempt)
+            if os.getpid() != parent:
+                (ran / str(trial)).touch()
+            elif trial == 1:
+                deadline = time.monotonic() + 10.0
+                while not (ran / "2").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                ran_during_own.extend(sorted(int(p.name) for p in ran.iterdir()))
+            return record
+
+        monkeypatch.setattr(FICampaign, "_run_trial", slow)
+        campaign = make_campaign(
+            untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            **REFERENCE,
+        )
+        try:
+            result = campaign.run(4, n_workers=2)
+        finally:
+            campaign.close_pool()
+        assert ran_during_own == [0, 2]
+        assert_records_equal(result.trials, clean.trials, "ahead", "clean")
 
 
 class TestBatches:

@@ -18,6 +18,7 @@ early, back on golden, and which never may.
 """
 
 import dataclasses
+import json
 import math
 import os
 import time
@@ -669,8 +670,10 @@ class TestWavesInWorkers:
             pooled, self._serial(trained_store, tokenizer, task, fault_model),
             "pooled waves", "serial",
         )
-        # The waves ran in the workers, a worker's even share at most each.
-        assert waves and all(span.attrs["worker_pid"] for span in waves)
+        # The waves ran in both workers — the fork and this process —
+        # a worker's even share at most each.
+        pids = {span.attrs["worker_pid"] for span in waves}
+        assert len(pids) == 2 and os.getpid() in pids
         assert width["max"] > 1
         assert max(span.attrs["trials"] for span in waves) <= math.ceil(N_TRIALS / 2)
         _, here, *_ = run_traced(
@@ -689,13 +692,19 @@ class TestWavesInWorkers:
     ):
         task = TranslationTask(world)
         reference = self._serial(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
-        run_wave, marker = FICampaign._run_wave, tmp_path / "died"
+        run_wave, marker, parent = FICampaign._run_wave, tmp_path / "died", os.getpid()
 
         def dying(self, trials):
+            """The first wave a fork runs — the fork's share — dies,
+            after writing what campaign it ran; this process's share
+            never dies."""
+            if os.getpid() == parent:
+                return run_wave(self, trials)
             try:
                 marker.touch(exist_ok=False)  # atomic: one caller ever wins
             except FileExistsError:
                 return run_wave(self, trials)
+            marker.write_text(json.dumps(identity(self)))
             os._exit(13)
 
         monkeypatch.setattr(FICampaign, "_run_wave", dying)
@@ -706,12 +715,14 @@ class TestWavesInWorkers:
             result = camp.run(N_TRIALS, n_workers=2, checkpoint=ck, retry_backoff=0.0)
         finally:
             camp.close_pool()
-        assert marker.exists()
         assert_results_equal(result, reference, "after the death", "serial")
-        # The survivor and the respawn ran the campaign the parent holds.
-        assert seen() and all(facts == identity(camp) for facts in seen().values())
-        # The dead worker's share was in flight — re-queued one trial a
-        # batch, each an attempt older; the other share never noticed.
+        # The fork that died, and any respawn dealt a wave, ran the
+        # campaign the parent holds.
+        assert json.loads(marker.read_text()) == identity(camp)
+        assert all(facts == identity(camp) for facts in seen().values())
+        # The dead fork's share was in flight — re-queued one trial a
+        # batch, each an attempt older; this process's share never
+        # noticed.
         _, completed, attempts = load_checkpoint(ck)
         assert sorted(completed) == list(range(N_TRIALS))
         assert Counter(attempts.values())[2] in (N_TRIALS // 2, math.ceil(N_TRIALS / 2))
