@@ -59,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -1080,11 +1080,22 @@ class FICampaign:
         that start from their prompt queue first, by prompt length, and
         each round admits what fits as one burst
         (:meth:`DecodeRound.admit_many`), equally long prompts as rows of
-        one prompt forward.  And a row whose one-shot fault
+        one prompt forward.  A row whose fault is one-shot
         (computational, accumulator: spent after the forward tagged with
-        its iteration ``k``, fired or not) left it on its golden state
-        ``S_k`` (:meth:`GoldenRun.on_state`) retires at once with the
-        run's tokens after its own (``campaign.wave.back_on_golden``).
+        its iteration ``k``, fired or not) runs only the blocks its fault
+        reached.  Its struck forward enters at the struck block (a
+        resumed row; a prefilled one runs its prompt whole); after it,
+        while its tokens are the run's, every forward ``j`` enters at the
+        first block whose K/V the struck forward left off the run's bits
+        (:meth:`GoldenRun.entry`), from the run's state entering it in
+        forward ``j`` — the blocks below replay the run
+        (``campaign.wave.replayed_blocks`` of ``row_blocks``).  A row
+        with no such block and the run's token ``k`` is back on its
+        golden state ``S_k`` and retires at once with the run's tokens
+        after its own (``campaign.wave.back_on_golden``).  A row whose
+        token leaves the run fills its lower blocks' caches from the run
+        (:meth:`GoldenRun.fill`) and runs whole from then on
+        (``campaign.wave.diverged``).
         """
         self._hook_mark = self.engine.hooks._registered
         tel = _telemetry()
@@ -1135,7 +1146,11 @@ class FICampaign:
         # trial -> (site, golden prefix, slot, t0) of a resumed row not
         # yet admitted
         held: dict[int, tuple] = {}
-        back_on_golden = 0
+        # trial -> the block a one-shot row's next forward enters at,
+        # while its tokens are its golden run's
+        entries: dict[int, int] = {}
+        n_blocks = self.engine.config.n_blocks
+        tally = Counter()
 
         def arm(site, prefix, slot, t0, row) -> None:
             injector = self._row_fault(site, (row.id,))
@@ -1160,12 +1175,13 @@ class FICampaign:
                 self._tally(record, t0)
 
         def settle(row, reason) -> None:
-            """Retire a row that finished — or that a one-shot fault
-            (computational, accumulator: spent after the forward tagged
-            with its iteration, fired or not) left on its golden state:
-            the rest of its decode is the golden run's."""
-            nonlocal back_on_golden
+            """Retire a row that finished, and keep a one-shot row's
+            entry: the struck block before its struck forward, then the
+            first block that forward left off the golden run — the whole
+            model once its token leaves the run, no block at all (back on
+            golden: the rest of its decode is the run's) when none."""
             if reason is not None:
+                entries.pop(row.key, None)
                 retire(row, row.out)
                 return
             site, prefix = live[row.key][:2]
@@ -1173,13 +1189,30 @@ class FICampaign:
             if not (model.is_computational or model.is_accumulator):
                 return
             golden = self._golden[row.key % n]
-            if row.iter0 + len(row.out) - 1 == k and golden.on_state(
-                k, row.out[-1], row.caches
-            ):
-                # ``prefix + row.out`` is the run's first ``k + 1`` tokens.
-                rnd.drop(row)
-                retire(row, golden.ids[len(prefix):])
-                back_on_golden += 1
+            j = row.iter0 + len(row.out) - 1  # the forward just run
+            if j < k:  # resumed at ``S_(k-1)``
+                entry = site.block
+            elif row.key not in entries and j > k:
+                return  # runs whole
+            else:
+                entry = entries.pop(row.key, 0)
+                if j >= len(golden.ids) or row.out[-1] != golden.ids[j]:
+                    if entry:
+                        golden.fill(row.caches, j, entry)
+                        tally["diverged"] += 1
+                    return
+                if j == k:
+                    entry = golden.entry(k, entry, row.caches)
+                    if entry == n_blocks:
+                        # ``prefix + row.out`` is the run's first ``k + 1``
+                        # tokens.
+                        rnd.drop(row)
+                        retire(row, golden.ids[len(prefix):])
+                        tally["back_on_golden"] += 1
+                        return
+            if entry:
+                entries[row.key] = entry
+                row.enter = golden.enter(j + 1, entry)
 
         with tel.span("campaign.wave", task=self.task_name, trials=len(trials)):
             count_plan("batched", self.trial_plan()[1])
@@ -1215,6 +1248,10 @@ class FICampaign:
                         tel.metrics.histogram("campaign.wave.width").observe(
                             len(rnd.rows)
                         )
+                        tally["row_blocks"] += n_blocks * len(rnd.rows)
+                        tally["replayed_blocks"] += sum(
+                            row.enter[0] for row in rnd.rows if row.enter
+                        )
                     for row, _, reason in rnd.step():
                         settle(row, reason)
             finally:
@@ -1232,7 +1269,10 @@ class FICampaign:
                 metrics = tel.metrics
                 metrics.counter("campaign.wave.prompt_forwards").add(rnd.prompt_forwards)
                 metrics.counter("campaign.wave.prompt_rows").add(len(starts))
-                metrics.counter("campaign.wave.back_on_golden").add(back_on_golden)
+                for name in (
+                    "back_on_golden", "diverged", "row_blocks", "replayed_blocks"
+                ):
+                    metrics.counter(f"campaign.wave.{name}").add(tally[name])
         return records
 
     # -- aggregation ---------------------------------------------------------------

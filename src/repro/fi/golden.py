@@ -6,10 +6,14 @@ fault cannot reach *earlier iterations*: :class:`GoldenRun` is the
 fault-free decode a generative trial resumes from.  No fault can reach
 *earlier blocks*, and a one-shot fault cannot reach the option forwards
 other than the one it fired in: :class:`GoldenOptions` is the
-fault-free scoring pass a multiple-choice trial resumes from.  Either
-is its example's only fault-free reference in an ``auto`` campaign: the
-baseline is read off it, and nothing decodes or scores the example
-fault-free a second way.
+fault-free scoring pass a multiple-choice trial resumes from.  The two
+axes meet in a generative trial's later forwards: a one-shot fault
+cannot reach the blocks below its *entry* — the first block whose K/V
+the struck forward left off the run — in any later forward, while the
+trial's tokens are the run's, so those blocks replay the run there.
+Either pass is its example's only fault-free reference in an ``auto``
+campaign: the baseline is read off it, and nothing decodes or scores
+the example fault-free a second way.
 
 **Multiple-choice trials.**  A trial struck in block ``L`` reruns option
 rows from ``L`` on, from the state that entered ``L`` in its example's
@@ -49,6 +53,25 @@ forwards.
 **Unreached strikes.**  When the run ended at EOS after ``n`` tokens the
 forwards tagged ``1..n`` exist and no other; a strike at ``k > n`` never
 fires, so that trial *is* the golden run and needs no forward at all.
+
+**Entries.**  A run also keeps the hidden state that entered every block
+in each of its step forwards (:attr:`GoldenRun.inputs`, ``n_blocks x
+d_model`` floats a forward).  Take forward ``j`` of a trial whose tokens
+so far are the run's and whose blocks ``0..e-1`` hold the run's K/V at
+every position: those blocks compute the run's outputs, so the state
+entering block ``e`` is the run's, and the forward may enter there
+(:meth:`GoldenRun.enter`).  The struck forward ``k`` enters at the struck
+block; after it the entry is the first block at or above that whose K/V
+at the position forward ``k`` wrote differs from the run's
+(:meth:`GoldenRun.entry`), and it stays there while the tokens match.
+Blocks below an entry append nothing, so their caches lag; a trial whose
+token leaves the run fills them from the run's snapshots
+(:meth:`GoldenRun.fill`) and runs whole from then on.  An entry of
+``n_blocks`` with the run's token is the trial back on the run at
+``S_k``: the rest of its decode is the run's.  Only one-shot faults
+(computational, accumulator) take entries: a weight fault is read by
+every later forward, and a KV fault can corrupt a position the
+struck-position check does not read.
 
 **Who owns a pass.**  The engine it was computed on, not the campaign
 that happened to compute it: a study sweeps every (model, task) pair
@@ -106,6 +129,11 @@ class GoldenRun:
     snaps: list[tuple[np.ndarray, np.ndarray, int]]
     """One full-length K/V snapshot per block.  Like every field, never
     written after the build: campaigns share a run (:data:`_SHARED`)."""
+    inputs: list[np.ndarray]
+    """``inputs[j - 1]``: the ``(n_blocks, d_model)`` hidden state that
+    entered each block in forward ``j >= 1`` — the arrays the sweep's
+    step forwards computed, kept off its round
+    (:attr:`~repro.generation.round.Row.block_inputs`)."""
 
     @classmethod
     def decode_many(
@@ -127,20 +155,24 @@ class GoldenRun:
         if pool is None:
             pool = engine.new_pool(1)
         logits: list[list[np.ndarray]] = [[] for _ in prompts]
+        inputs: list[list[np.ndarray]] = [[] for _ in prompts]
         runs: list = [None] * len(prompts)
 
         def keep(row, reason) -> None:
             logits[row.key].append(row.logits[-1])
+            if row.block_inputs is not None:  # a step forward's event
+                inputs[row.key].append(row.block_inputs)
             if reason is not None:
                 # The round has released the slot, but nothing acquires
                 # one before this returns: its views still hold the run.
                 runs[row.key] = cls(
                     config, row.prompt, row.out if greedy else [],
                     logits[row.key], [c.snapshot() for c in row.caches],
+                    inputs[row.key],
                 )
 
         decode_to_completion(
-            DecodeRound(engine, pool, config.eos_id),
+            DecodeRound(engine, pool, config.eos_id, keep_block_inputs=True),
             prompts,
             [None] * len(prompts),
             config.max_new_tokens if greedy else 1,
@@ -168,13 +200,18 @@ class GoldenRun:
         for the trials it runs alone.  The run keeps nothing of it: the
         session is consumed by the decode it is handed to."""
         session = _blank_session(engine, caches)
-        length = len(self.prompt) + j
-        for cache, snap in zip(session.caches, self.snaps):
-            cache.restore(snap, length)
+        self.fill(caches, j, len(self.snaps))
         session.iteration = j
-        session.position = length
+        session.position = len(self.prompt) + j
         session.last_logits = self.logits[j].copy()
         return session
+
+    def fill(self, caches: list[KVCache], j: int, stop: int) -> None:
+        """Blocks ``0..stop-1`` of ``caches`` to their ``S_j`` K/V: one
+        bounded restore a block."""
+        length = len(self.prompt) + j
+        for cache, snap in zip(caches[:stop], self.snaps):
+            cache.restore(snap, length)
 
     def resume_point(self, k: int) -> int:
         """The ``j`` of the state ``S_j`` a trial struck at iteration
@@ -193,22 +230,31 @@ class GoldenRun:
             recorder.annotate(resumed_at=j)
         return j
 
-    def on_state(self, k: int, token: int, caches: list[KVCache]) -> bool:
-        """Whether a decode that ran forward ``k`` from ``S_(k-1)`` (from
-        nothing, for ``k == 0``) is back on this run at ``S_k``: it picked
-        the run's token ``k`` and every block's K/V at the positions that
-        forward wrote is this run's, bit for bit.  Everything before was
-        the run's already, so the caches, the next input and the
-        iteration are then all ``S_k``'s."""
-        if k >= len(self.ids) or token != self.ids[k]:
-            return False
+    def entry(self, k: int, block: int, caches: list[KVCache]) -> int:
+        """The first block from ``block`` up whose K/V at the positions
+        forward ``k`` wrote (the prompt's, for ``k == 0``) differs bit
+        for bit from this run's, or ``n_blocks`` when none does:
+        ``caches`` are a decode's that ran forward ``k`` from
+        ``S_(k-1)`` (from nothing, for ``k == 0``), every block below
+        ``block`` on this run's bits.  While that decode feeds this run's
+        tokens, its later forwards compute this run's bits below the
+        entry (:meth:`enter`); at ``n_blocks`` with this run's token
+        ``k`` it is back on this run at ``S_k``."""
         stop = len(self.prompt) + k
         start = 0 if k == 0 else stop - 1
-        return all(
-            _same_bits(cache.k[:, start:stop], snap_k[:, start:stop])
-            and _same_bits(cache.v[:, start:stop], snap_v[:, start:stop])
-            for cache, (snap_k, snap_v, _) in zip(caches, self.snaps)
-        )
+        for b in range(block, len(self.snaps)):
+            snap_k, snap_v, _ = self.snaps[b]
+            if not (
+                _same_bits(caches[b].k[:, start:stop], snap_k[:, start:stop])
+                and _same_bits(caches[b].v[:, start:stop], snap_v[:, start:stop])
+            ):
+                return b
+        return len(self.snaps)
+
+    def enter(self, j: int, block: int) -> tuple[int, np.ndarray]:
+        """A row's entry (:attr:`~repro.generation.round.Row.enter`) into
+        forward ``j >= 1`` at ``block``: this run's state entering it."""
+        return block, self.inputs[j - 1][block : block + 1]
 
     def resume(
         self, engine: InferenceEngine, k: int, caches: list[KVCache]
@@ -363,16 +409,12 @@ def score_option_rows(
     reach a block below ``first_block``, and a fault keyed to row ``i``
     (``MemoryFaultInjector(rows=)``, any other injector's
     ``batch_row=``) strikes that row alone."""
-    resume = None
-    if first_block:
-        resume = (
-            first_block,
-            np.concatenate([golden.state(first_block, i) for golden, i in rows]),
-        )
     return _score_rows(
         engine,
         [(golden.prompt, golden.options[i]) for golden, i in rows],
-        resume=resume,
+        enter=[
+            (first_block, golden.state(first_block, i)) for golden, i in rows
+        ] if first_block else None,
     )
 
 

@@ -249,7 +249,9 @@ class Admission(NamedTuple):
 class Row:
     """One live sequence.  The target caches hold ``prompt + out[:-1]``
     — the last emitted token is *pending* and is fed by the next round —
-    and the draft caches hold ``(prompt + out)[:d_len]``."""
+    and the draft caches hold ``(prompt + out)[:d_len]``.  The caches
+    of the blocks below an :attr:`enter` hold less: they lag until the
+    caller fills them (the last block's never does)."""
 
     key: object
     """Whatever the driver tracks the sequence by (a prompt index, a
@@ -271,6 +273,15 @@ class Row:
     logits: "np.ndarray | None" = None
     """Target logits ``(n, vocab)`` the latest event's tokens (or its
     EOS) were picked from."""
+    enter: "tuple[int, np.ndarray] | None" = None
+    """The next step forward's entry for this row (rounds without a
+    draft): ``(block, hidden)``, the ``(1, d_model)`` state entering
+    ``block`` (see ``InferenceEngine.forward_chunk_batch``), or ``None``
+    for every block.  Set by the caller, consumed by the step."""
+    block_inputs: "np.ndarray | None" = None
+    """``(n_blocks, d_model)``: the hidden state that entered each block
+    in the row's latest step forward, in a round that keeps them
+    (:attr:`DecodeRound.keep_block_inputs`)."""
 
 
 def _finish_reason(row: Row, hit_eos: bool) -> str | None:
@@ -305,6 +316,9 @@ class DecodeRound:
     draft_pool: PooledKVCache | None = None
     depth: int = 0
     prompt_cache: PromptCache | None = None
+    keep_block_inputs: bool = False
+    """Hand every row its step forward's :attr:`Row.block_inputs` (a
+    golden sweep keeps them; rows with an entry cannot)."""
     rows: list[Row] = field(default_factory=list)
     prompt_forwards: int = field(default=0, init=False)
     """Prompt forwards run so far: one per group of equally long prompts
@@ -477,33 +491,44 @@ class DecodeRound:
             row.d_slot = None
 
     def step(self) -> list[tuple[Row, list[int], str | None]]:
-        """Advance every live row one round; one event per row."""
+        """Advance every live row one round; one event per row.  A
+        row's position is its last block's cache length: the one block
+        every row computes (see :attr:`Row.enter`)."""
         rows = self.rows
         if not rows:
             return []
         composed = self.draft is not None
         if composed:
             gammas, proposals = self._propose(rows)
-            base = [row.caches[0].length for row in rows]
+            base = [row.caches[-1].length for row in rows]
             verdicts = self._verify(rows, proposals, base)
             tel = _telemetry()
             traced = tel.active
         else:
             proposals = [()] * len(rows)
+            enter = [row.enter for row in rows]
+            kept = [] if self.keep_block_inputs else None
             logits = self.engine.forward_step_batch(
                 [row.out[-1] for row in rows],
                 [row.caches for row in rows],
-                [row.caches[0].length for row in rows],
+                [row.caches[-1].length for row in rows],
                 [row.iter0 + len(row.out) for row in rows],
                 [row.id for row in rows],
+                enter=enter if any(enter) else None,
+                block_inputs=kept,
             )
             verdicts = [logits[i : i + 1] for i in range(len(rows))]
+            if kept is not None:
+                kept = np.stack(kept, axis=1)
+                for i, row in enumerate(rows):
+                    row.block_inputs = kept[i]
         eos = self.eos_id
         events = []
         still: list[Row] = []
         for i, row in enumerate(rows):
             before = len(row.out)
             row.logits = verdicts[i]
+            row.enter = None
             accepted, hit_eos = accept(verdicts[i], proposals[i], eos, row.out)
             if composed:
                 row.accepted = accepted

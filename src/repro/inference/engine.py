@@ -31,12 +31,17 @@ a vectorised, allocation-light forward pass over a trained
   ``lm_head`` always, and the last block's queries, attention,
   ``out_proj`` and MLP when nothing observes that block.  A GEMM row
   does not depend on which other rows share the product, so the window
-  is the full forward's bits as long as it keeps two positions.
+  is the full forward's bits as long as it keeps two positions;
+* **computing only what a row can change** — ``enter=`` starts each
+  row at a block of its own, from the hidden state a fault-free forward
+  of it kept there (a golden run's): a block runs over the rows entered
+  at or below it, and a row appends no K/V below its entry.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -484,6 +489,35 @@ class InferenceEngine:
             or self.hooks.has_prefix(f"blocks.{self.config.n_blocks - 1}.")
         )
 
+    def _entry_blocks(self, enter: list, batch: int, t: int) -> list[int]:
+        """Each row's entry block, once ``enter`` is checked: one entry a
+        row, ``None`` or ``(block, hidden)`` with ``block`` a block of this
+        model and ``hidden`` a float32 ``(t, d_model)`` array."""
+        cfg = self.config
+        if len(enter) != batch:
+            raise ValueError(f"{batch} rows but {len(enter)} entries")
+        want = (t, cfg.d_model)
+        starts = []
+        for entry in enter:
+            if entry is None:
+                starts.append(0)
+                continue
+            block, hidden = entry
+            if not 0 <= block < cfg.n_blocks:
+                raise ValueError(
+                    f"entry block {block} out of range for {cfg.n_blocks} blocks"
+                )
+            if (
+                not isinstance(hidden, np.ndarray)
+                or hidden.shape != want
+                or hidden.dtype != np.float32
+            ):
+                raise ValueError(
+                    f"entry hidden state must be a float32 array of shape {want}"
+                )
+            starts.append(int(block))
+        return starts
+
     def _forward_rows(
         self,
         ids: np.ndarray,
@@ -492,7 +526,7 @@ class InferenceEngine:
         iteration,
         rows: np.ndarray | None,
         block_inputs: list | None = None,
-        resume: tuple[int, np.ndarray] | None = None,
+        enter: list | None = None,
         read_from: int = 0,
     ) -> np.ndarray:
         """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
@@ -508,12 +542,17 @@ class InferenceEngine:
         :meth:`_linear`), which makes each row bit-identical to its own
         serial forward; the serial entry keeps one flat GEMM.
         ``block_inputs`` collects the flat hidden state
-        entering each block that runs; ``resume = (first_block, hidden)``
-        starts from such a state instead of the embedding, and
-        ``read_from = k`` (batched entries only) computes logits for
-        positions ``>= k`` only (see :meth:`forward_chunk_batch`).
-        Returns flat
-        ``(B*(t-k), vocab)`` logits.
+        entering each block that runs.  ``enter`` (batched entries only)
+        gives each row its entry: ``None`` (block 0, from the embedding)
+        or ``(block, hidden)``, the row's ``(t, d_model)`` state entering
+        ``block``.  Rows are ordered by entry inside, so the rows a block
+        computes are a prefix of the batch: the rows entering at ``b``
+        are concatenated onto ``x`` there, a row appends no K/V to the
+        blocks below its entry, and the logits come back in the caller's
+        row order.  ``read_from = k`` (batched entries only) computes
+        logits for positions ``>= k`` only (see
+        :meth:`forward_chunk_batch`).  Returns flat ``(B*(t-k), vocab)``
+        logits.
         """
         cfg = self.config
         batch, t = ids.shape
@@ -537,6 +576,17 @@ class InferenceEngine:
             room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
             if position + t > room:
                 raise ValueError(f"KV cache overflow: {position} + {t} > {room}")
+        starts, order = [0] * batch, None
+        if enter is not None:
+            starts = self._entry_blocks(enter, batch, t)
+            if starts != sorted(starts):
+                order = sorted(range(batch), key=starts.__getitem__)
+                ids, positions = ids[order], positions[order]
+                iteration, rows = np.asarray(iteration)[order], rows[order]
+                if row_caches is not None:
+                    row_caches = [row_caches[i] for i in order]
+                enter = [enter[i] for i in order]
+                starts = [starts[i] for i in order]
         tel = _telemetry()
         t0 = None
         if tel.active:
@@ -566,12 +616,30 @@ class InferenceEngine:
         # Corrupted weights legitimately overflow float32 (an MSB
         # exponent flip scales a value by ~2^128); inf/nan propagation
         # *is* the studied behaviour, so silence the warnings.
+        m, x = 0, None  # ``x`` holds the first ``m`` rows: those entered so far
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if resume is None:
-                first, x = 0, self._plain["embed.weight"][ids.reshape(-1)]
-            else:
-                first, x = resume
-            for b in range(first, cfg.n_blocks):
+            for b in range(starts[0], cfg.n_blocks):
+                if m < batch and starts[m] == b:
+                    stop = bisect_right(starts, b)
+                    if b == 0:
+                        x = self._plain["embed.weight"][ids[:stop].reshape(-1)]
+                        for i, entry in enumerate((enter or ())[:stop]):
+                            if entry is not None:
+                                x[i * t : (i + 1) * t] = entry[1]
+                    else:
+                        joining = [entry[1] for entry in enter[m:stop]]
+                        x = np.concatenate(joining if x is None else [x, *joining])
+                    m = stop
+                    if m == batch:
+                        caches_b, cos_b, sin_b, hide_b = row_caches, cos, sin, hide
+                        it_b, rows_b = iteration, rows
+                    else:
+                        caches_b = None if row_caches is None else row_caches[:m]
+                        cos_b, sin_b = cos[:m], sin[:m]
+                        hide_b = None if hide is None else (
+                            hide[:m, :, :, : int(positions[:m].max()) + t]
+                        )
+                        it_b, rows_b = iteration[: m * t], rows[: m * t]
                 if block_inputs is not None:
                     block_inputs.append(x)
                 prefix = f"blocks.{b}."
@@ -580,25 +648,26 @@ class InferenceEngine:
                 )
                 if b == last and cut:
                     # K/V over every position, the rest of the block over
-                    # the read window only.
+                    # the read window only.  Every row computes the last
+                    # block, so ``m == batch`` here.
                     x = _tail(x, batch, read_from) + self._attention(
-                        h, b, row_caches, cos, sin, hide, iteration, rows,
+                        h, b, caches_b, cos_b, sin_b, hide_b, it_b, rows_b,
                         q_from=read_from,
                     )
-                    iteration = _tail(iteration, batch, read_from)
-                    rows = _tail(rows, batch, read_from)
+                    it_b = _tail(it_b, batch, read_from)
+                    rows_b = _tail(rows_b, batch, read_from)
                     n = t - read_from
                 else:
                     x = x + self._attention(
-                        h, b, row_caches, cos, sin, hide, iteration, rows
+                        h, b, caches_b, cos_b, sin_b, hide_b, it_b, rows_b
                     )
                 h = rms_norm_np(
                     x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
                 )
                 if cfg.is_moe:
-                    x = x + self._moe(h, b, iteration, rows, n)
+                    x = x + self._moe(h, b, it_b, rows_b, n)
                 else:
-                    x = x + self._mlp(h, b, iteration, rows=rows, t=n)
+                    x = x + self._mlp(h, b, it_b, rows=rows_b, t=n)
             if read_from and not cut:
                 x = _tail(x, batch, read_from)
             x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
@@ -608,6 +677,10 @@ class InferenceEngine:
             else:
                 # Row-exact like every _linear: one product per sequence.
                 logits = (x.reshape(batch, -1, x.shape[1]) @ head).reshape(len(x), -1)
+                if order is not None:
+                    logits = logits.reshape(batch, -1, logits.shape[1])[
+                        np.argsort(order)
+                    ].reshape(len(x), -1)
         if t0 is not None:
             metrics = tel.metrics
             metrics.histogram("engine.forward_ms").observe(
@@ -647,6 +720,9 @@ class InferenceEngine:
         positions: np.ndarray | list[int],
         iterations: np.ndarray | list[int],
         row_ids: np.ndarray | list[int] | None = None,
+        *,
+        block_inputs: list | None = None,
+        enter: list | None = None,
     ) -> np.ndarray:
         """One single-token decode step for ``B`` independent sequences.
 
@@ -668,7 +744,10 @@ class InferenceEngine:
         between steps passes ids that stay with the sequence, so a hook
         pinned to one sequence cannot land on whichever sibling inherits
         its position.  Activation capture is not supported on this path
-        — use the serial forward.  Returns logits of shape
+        — use the serial forward.  ``block_inputs`` and ``enter`` are
+        :meth:`forward_chunk_batch`'s, at ``t = 1``: a row entering at
+        block ``e`` appends no K/V below ``e``, so its caches there lag
+        until its caller fills them.  Returns logits of shape
         ``(B, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
@@ -686,6 +765,7 @@ class InferenceEngine:
         return self._forward_rows(
             ids[:, None], row_caches, positions, iterations,
             _row_ids(row_ids, ids.shape[0]),
+            block_inputs=block_inputs, enter=enter,
         )
 
     def forward_chunk_batch(
@@ -697,7 +777,7 @@ class InferenceEngine:
         row_ids: np.ndarray | list[int] | None = None,
         *,
         block_inputs: list | None = None,
-        resume: tuple[int, np.ndarray] | None = None,
+        enter: list | None = None,
         read_from: int = 0,
     ) -> np.ndarray:
         """Multi-token decode chunks for ``B`` independent sequences.
@@ -732,20 +812,25 @@ class InferenceEngine:
         row's ``t`` tokens where its 1-D chunk forward does.  Activation
         capture is rejected.
 
-        ``block_inputs`` (a list) receives the flat ``(B*t, d_model)``
-        hidden state entering each block that runs, in block order —
-        the arrays the forward computed, not copies; nothing later
-        writes to them.  ``resume = (first_block, hidden)`` is the
-        other half: skip the embedding and the blocks below
-        ``first_block`` and start from ``hidden``, the state that
-        entered ``first_block`` in a forward of the same ``tokens`` from
-        the same ``positions`` (this engine never writes to it).  An
-        error only travels downstream, so whatever is corrupted at
-        ``first_block`` or later sees exactly the inputs it would in the
-        whole forward and every row stays bit-identical to it.  The
-        skipped blocks' caches are left untouched, so a resumed forward
-        is for **single-forward scoring only**: no later step may
-        attend over these caches.
+        ``block_inputs`` (a list) receives the flat hidden state
+        entering each block that runs, in block order — ``(B*t,
+        d_model)`` when every row runs every block; the arrays the
+        forward computed, not copies; nothing later writes to them.
+        ``enter`` is the other half, one entry per row: ``None`` starts
+        the row from the embedding, ``(block, hidden)`` skips the blocks
+        below ``block`` and starts from ``hidden``, the row's ``(t,
+        d_model)`` state entering ``block`` in a forward of the same
+        tokens from the same position over caches that hold the same
+        K/V below ``block`` (this engine never writes to it).  An error
+        only travels downstream, so whatever is corrupted at ``block``
+        or later sees exactly the inputs it would in the whole forward
+        and every row stays bit-identical to it.  Rows of different
+        entries share the forward: a block runs over the rows entered at
+        or below it (``block_inputs`` then holds those rows, ordered by
+        entry).  A row appends no K/V to the blocks below its entry, so
+        a later forward of it that enters lower must first fill those
+        caches — the golden-run replay (:mod:`repro.fi.golden`) restores
+        them from the run it replays.
 
         **Read only what is read.**  ``row_caches=None`` is a forward
         that no later step continues (option scoring): every row starts
@@ -771,22 +856,6 @@ class InferenceEngine:
             raise ValueError(
                 f"tokens must be a rectangular (B, t) batch, got {ids.shape}"
             )
-        if resume is not None:
-            first_block, hidden = resume
-            if not 0 <= first_block < self.config.n_blocks:
-                raise ValueError(
-                    f"resume block {first_block} out of range for"
-                    f" {self.config.n_blocks} blocks"
-                )
-            want = (ids.size, self.config.d_model)
-            if (
-                not isinstance(hidden, np.ndarray)
-                or hidden.shape != want
-                or hidden.dtype != np.float32
-            ):
-                raise ValueError(
-                    f"resume hidden state must be a float32 array of shape {want}"
-                )
         if self.capture is not None:
             raise RuntimeError(
                 "forward_chunk_batch does not support activation capture;"
@@ -799,7 +868,7 @@ class InferenceEngine:
         return self._forward_rows(
             ids, row_caches, positions, iterations,
             _row_ids(row_ids, ids.shape[0]),
-            block_inputs=block_inputs, resume=resume, read_from=read_from,
+            block_inputs=block_inputs, enter=enter, read_from=read_from,
         ).reshape(ids.shape[0], ids.shape[1] - read_from, -1)
 
     def new_caches(self) -> list[KVCache]:

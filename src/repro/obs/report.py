@@ -142,7 +142,8 @@ def _derived_section(run: RunData) -> list[str]:
         # and how many of the runs were decoded here against taken from an
         # earlier campaign on the same engine, examples and config; wave
         # rows a one-shot fault left on their run's state retired at the
-        # struck step.
+        # struck step; and of the (row, block) pairs of wave steps, those
+        # below a row's entry replayed the run instead of computing.
         resumed = count("engine.prefill_cache_hits")
         trials = resumed + count("engine.prefill_cache_misses")
         lines.append(
@@ -150,7 +151,9 @@ def _derived_section(run: RunData) -> list[str]:
             f" ({count('campaign.golden.replayed_tokens')} decode steps"
             f" replayed, {count('campaign.golden.unreached')} strikes never"
             f" reached, {count('campaign.wave.back_on_golden')} rows back on"
-            f" golden, {count('campaign.golden.builds')} runs built,"
+            f" golden, {count('campaign.wave.replayed_blocks')} of"
+            f" {count('campaign.wave.row_blocks')} row-blocks replayed,"
+            f" {count('campaign.golden.builds')} runs built,"
             f" {count('campaign.golden.shared')} reused)"
         )
     if "campaign.mc_golden.builds" in counters:

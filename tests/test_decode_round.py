@@ -573,11 +573,11 @@ def test_driver_releases_slots_when_the_engine_raises():
     real = engine.forward_step_batch
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kw):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("boom")
-        return real(*args)
+        return real(*args, **kw)
 
     engine.forward_step_batch = failing
     with pytest.raises(RuntimeError, match="boom"):

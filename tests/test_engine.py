@@ -361,10 +361,10 @@ class TestOneForward:
         self, request, engine_fixture
     ):
         """``block_inputs`` hands out the state entering every block;
-        resuming from any of them — the first (only the embedding is
-        skipped) and the last pinned here — gives the whole forward's
-        logits and its K/V in every block that ran, and leaves the
-        skipped blocks' caches alone."""
+        every row entering at any of them — the first (only the
+        embedding is skipped) and the last pinned here — gives the whole
+        forward's logits and its K/V in every block that ran, and leaves
+        the skipped blocks' caches alone."""
         engine = request.getfixturevalue(engine_fixture)
         n = engine.config.n_blocks
         chunks = [TOKENS[:5], TOKENS[2:]]
@@ -379,9 +379,13 @@ class TestOneForward:
         np.testing.assert_array_equal(whole, forward()[0])
         for first in (0, n - 1):
             seen = []
-            got, rows = forward(resume=(first, inputs[first]), block_inputs=seen)
+            states = inputs[first].reshape(len(chunks), -1, engine.config.d_model)
+            got, rows = forward(
+                enter=[(first, state) for state in states], block_inputs=seen
+            )
             np.testing.assert_array_equal(got, whole)
-            assert len(seen) == n - first and seen[0] is inputs[first]
+            assert len(seen) == n - first
+            np.testing.assert_array_equal(seen[0], inputs[first])
             for caches, ref in zip(rows, whole_rows):
                 assert [c.length for c in caches[:first]] == [0] * first
                 assert_caches_equal(caches[first:], ref[first:])
@@ -396,21 +400,25 @@ class TestOneForward:
 
         def resumed(first, hidden):
             return engine.forward_chunk_batch(
-                [[4, 5]], [caches], [0], [0], resume=(first, hidden)
+                [[4, 5]], [caches], [0], [0], enter=[(first, hidden)]
             )
 
         for first in (-1, cfg.n_blocks):
             with pytest.raises(ValueError, match="out of range"):
                 resumed(first, good)
         for hidden in (
-            good[:1],  # a row short
+            good[:1],  # a position short
             np.zeros((2, cfg.d_model + 1), dtype=np.float32),
-            good.reshape(1, 2, -1),  # not flat
+            good.reshape(1, 2, -1),  # not the row's (t, d_model)
             good.astype(np.float64),
             good.tolist(),
         ):
             with pytest.raises(ValueError, match="hidden state"):
                 resumed(1, hidden)
+        with pytest.raises(ValueError, match="entries"):  # one per row
+            engine.forward_chunk_batch(
+                [[4, 5]], [caches], [0], [0], enter=[None, (1, good)]
+            )
         engine.capture = CaptureState()
         try:
             with pytest.raises(RuntimeError, match="capture"):

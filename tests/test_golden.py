@@ -934,7 +934,7 @@ class TestReachLimitedOptions:
 
         def stalling(*args, **kw):
             # Past the three golden builds: inside the fourth trial.
-            if kw.get("resume") is not None and not stalled:
+            if kw.get("enter") is not None and not stalled:
                 stalled.append(dict(camp.engine.row_weights))
                 time.sleep(30.0)
             return forward(*args, **kw)

@@ -553,6 +553,8 @@ class TestReport:
             "campaign.golden.replayed_tokens": 17,
             "campaign.golden.unreached": 1,
             "campaign.wave.back_on_golden": 2,
+            "campaign.wave.replayed_blocks": 40,
+            "campaign.wave.row_blocks": 96,
             "campaign.wave.prompt_forwards": 3,
             "campaign.wave.prompt_rows": 7,
             "campaign.mc_golden.builds": 3,
@@ -575,7 +577,7 @@ class TestReport:
         assert (
             "golden runs: 3 of 4 generative trials resumed (17 decode steps"
             " replayed, 1 strikes never reached, 2 rows back on golden,"
-            " 2 runs built, 4 reused)"
+            " 40 of 96 row-blocks replayed, 2 runs built, 4 reused)"
         ) in text
         assert (
             "mc golden: 24 of 64 block passes skipped (0.375), 6 option rows"

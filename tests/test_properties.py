@@ -93,20 +93,31 @@ def test_property_incremental_equals_full(prompt, data):
     np.testing.assert_allclose(want[-1], full[-1], atol=2e-4)
 
 
-_ROW_EXACT_ENGINES: dict[tuple[bool, int], InferenceEngine] = {}
+_ROW_EXACT_ENGINES: dict[tuple[bool, int, str], InferenceEngine] = {}
 
 
-def _row_exact_engine(moe: bool, n_blocks: int = 2) -> InferenceEngine:
-    if (moe, n_blocks) not in _ROW_EXACT_ENGINES:
+def _row_exact_engine(
+    moe: bool, n_blocks: int = 2, policy: str = "fp32"
+) -> InferenceEngine:
+    if (moe, n_blocks, policy) not in _ROW_EXACT_ENGINES:
         extra = dict(d_ff=32, n_experts=4, top_k=2) if moe else dict(d_ff=48)
         config = ModelConfig(
             vocab_size=VOCAB, d_model=32, n_heads=4, n_blocks=n_blocks,
             max_seq=64, **extra,
         )
-        _ROW_EXACT_ENGINES[moe, n_blocks] = InferenceEngine(
-            TransformerLM(config, seed=17).to_store()
+        _ROW_EXACT_ENGINES[moe, n_blocks, policy] = InferenceEngine(
+            TransformerLM(config, seed=17).to_store(), weight_policy=policy
         )
-    return _ROW_EXACT_ENGINES[moe, n_blocks]
+    return _ROW_EXACT_ENGINES[moe, n_blocks, policy]
+
+
+def _entries(inputs: list[np.ndarray], blocks, batch: int) -> list:
+    """Per-row entries into the forward ``inputs`` came from: row ``i``
+    at ``blocks[i]``, from that forward's state entering it."""
+    return [
+        (int(b), inputs[b].reshape(batch, -1, inputs[b].shape[-1])[i])
+        for i, b in enumerate(blocks)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,9 +204,9 @@ def test_property_batched_rows_are_bit_identical_to_serial(
 def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
     """An error only travels downstream.  For every block ``b``: with
     nothing armed, and again with a weight of block ``b`` flipped,
-    ``forward_chunk_batch`` resumed at ``b`` from the *fault-free*
-    forward's ``block_inputs[b]`` is ``array_equal`` to the whole
-    forward under that condition — logits, and K/V of every block
+    ``forward_chunk_batch`` with every row entering at ``b`` from the
+    *fault-free* forward's ``block_inputs[b]`` is ``array_equal`` to the
+    whole forward under that condition — logits, and K/V of every block
     ``>= b`` — dense and MoE, at any width and chunk length."""
     engine = _row_exact_engine(moe, n_blocks=3)
     rng = np.random.default_rng(seed)
@@ -208,7 +219,7 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
 
     def assert_resumes_at(first):
         want, want_rows = forward()
-        got, rows = forward(resume=(first, golden[first]))
+        got, rows = forward(enter=_entries(golden, [first] * batch, batch))
         np.testing.assert_array_equal(got, want)
         for caches, ref in zip(rows, want_rows):
             assert_caches_equal(caches[first:], ref[first:])
@@ -228,6 +239,67 @@ def test_property_resumed_forward_is_the_whole_forward(moe, batch, t, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     st.booleans(),
+    st.sampled_from(["fp32", "bf16", "int8"]),
+    st.sampled_from(["step", "chunk"]),
+    st.integers(min_value=1, max_value=16),
+    st.data(),
+)
+def test_property_rows_entering_at_their_own_blocks_are_the_full_forward(
+    moe, policy, entry, batch, data
+):
+    """Rows of one forward enter at blocks of their own, from the state
+    a full batched forward of the same rows recorded entering those
+    blocks (``block_inputs``), over caches of ragged lengths: the logits
+    are that forward's, in the caller's row order, and every row's K/V
+    in the blocks at or above its entry are that forward's, bit for bit;
+    below its entry its caches keep their length.  Dense and MoE,
+    ``fp32`` / ``bf16`` / ``int8``, widths 1-16, single steps and
+    chunks."""
+    engine = _row_exact_engine(moe, n_blocks=3, policy=policy)
+    n_blocks = engine.config.n_blocks
+    t = 1 if entry == "step" else data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    lengths = data.draw(st.lists(
+        st.integers(0, 12), min_size=batch, max_size=batch
+    ))
+    prefixes = [rng.integers(0, VOCAB, size=n).tolist() for n in lengths]
+    tokens = rng.integers(0, VOCAB, size=(batch, t))
+    iterations = rng.integers(1, 9, size=batch).tolist()
+
+    def prefilled() -> list[list[KVCache]]:
+        rows = [engine.new_caches() for _ in prefixes]
+        for caches, prefix in zip(rows, prefixes):
+            if prefix:
+                engine.forward(prefix, caches, 0, 0)
+        return rows
+
+    def forward(rows, **kw):
+        if entry == "step":
+            return engine.forward_step_batch(
+                tokens[:, 0], rows, lengths, iterations, **kw
+            )
+        return engine.forward_chunk_batch(tokens, rows, lengths, iterations, **kw)
+
+    inputs: list[np.ndarray] = []
+    whole_rows = prefilled()
+    whole = forward(whole_rows, block_inputs=inputs)
+    blocks = data.draw(st.lists(
+        st.integers(0, n_blocks - 1), min_size=batch, max_size=batch
+    ))
+    enter = [
+        None if b == 0 and data.draw(st.booleans()) else own
+        for b, own in zip(blocks, _entries(inputs, blocks, batch))
+    ]
+    rows = prefilled()
+    np.testing.assert_array_equal(forward(rows, enter=enter), whole)
+    for caches, ref, b, n in zip(rows, whole_rows, blocks, lengths):
+        assert_caches_equal(caches[b:], ref[b:])
+        assert [cache.length for cache in caches[:b]] == [n] * b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=3, max_value=14),
     st.sampled_from(["nothing", "hook", "row_fault"]),
@@ -241,8 +313,9 @@ def test_property_read_window_is_the_full_forward_tail(
     for bit — dense (the last block cut to the window) and MoE (left
     whole); with a perturbing hook on a last-block layer (the cut
     declined) or a weight fault in the last block keyed to one row (the
-    cut taken); resumed from every block; over pool slots, whose K/V
-    equal the full forward's, and with no caches at all."""
+    cut taken); every row entering at every block, and rows entering at
+    blocks of their own; over pool slots, whose K/V equal the full
+    forward's, and with no caches at all."""
     engine = _row_exact_engine(moe, n_blocks=3)
     n_blocks = engine.config.n_blocks
     k = data.draw(st.integers(1, t - 2))
@@ -287,20 +360,23 @@ def test_property_read_window_is_the_full_forward_tail(
         whole = engine.forward_chunk_batch(
             tokens, whole_rows, zeros, zeros, block_inputs=inputs
         )
-    for first in (None, *range(n_blocks)):
+    mixed = data.draw(st.lists(
+        st.integers(0, n_blocks - 1), min_size=batch, max_size=batch
+    ))
+    for blocks in (None, *([b] * batch for b in range(n_blocks)), mixed):
         pool = engine.new_pool(batch) if caches == "pool" else None
         row_caches = None if pool is None else [
             pool.caches(pool.acquire()) for _ in range(batch)
         ]
-        resume = None if first is None else (first, inputs[first])
+        enter = None if blocks is None else _entries(inputs, blocks, batch)
         with armed():
             got = engine.forward_chunk_batch(
-                tokens, row_caches, zeros, zeros, resume=resume, read_from=k
+                tokens, row_caches, zeros, zeros, enter=enter, read_from=k
             )
         np.testing.assert_array_equal(got, whole[:, k:])
         if row_caches is not None:
-            for own, ref in zip(row_caches, whole_rows):
-                assert_caches_equal(own[first or 0 :], ref[first or 0 :])
+            for own, ref, b in zip(row_caches, whole_rows, blocks or [0] * batch):
+                assert_caches_equal(own[b:], ref[b:])
 
 
 POLICIES = ("fp32", "fp16", "bf16", "int8", "int4")

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -1148,17 +1148,35 @@ class TestAWaveRunsOnlyWhereATrialCanDiffer:
             assert camp._kv_pool is None or camp._kv_pool.n_free == camp._kv_pool.n_slots
 
     def _planted(self, store, tokenizer, world, fault_model, **fields):
+        """``(result, counters, entries)`` of a wave run with ``fields``
+        planted in every site, its records checked against the serial
+        reference; ``entries`` maps each wave row's id to the entry block
+        of every step forward it took part in (0: whole)."""
         task = TranslationTask(world)
-        fast, counters, _, _ = run_traced(
-            plant(campaign(store, tokenizer, task, fault_model), **fields), N_TRIALS
-        )
+        camp = plant(campaign(store, tokenizer, task, fault_model), **fields)
+        camp.compute_baseline()  # the golden sweep's steps are not the wave's
+        entries = defaultdict(list)
+        step = camp.engine.forward_step_batch
+
+        def spy(*args, enter=None, **kw):
+            for i, row in enumerate(args[4]):
+                entries[row].append(0 if enter is None or enter[i] is None else enter[i][0])
+            return step(*args, enter=enter, **kw)
+
+        camp.engine.forward_step_batch = spy
+        fast, counters, waves, _ = run_traced(camp, N_TRIALS)
+        assert len(waves) == 1  # row ids name one row each
         reference = plant(
             campaign(store, tokenizer, task, fault_model, decode_strategy="serial"),
             **fields,
         ).run(N_TRIALS)
         assert_results_equal(fast, reference, "waves", "serial")
         assert not lone_trials(counters) and any(t.fired for t in fast.trials)
-        return fast, counters
+        assert counters["campaign.wave.replayed_blocks"] == sum(map(sum, entries.values()))
+        assert counters["campaign.wave.row_blocks"] == camp.engine.config.n_blocks * sum(
+            map(len, entries.values())
+        )
+        return fast, counters, entries
 
     def test_a_strike_that_only_reaches_the_logits_exits(
         self, trained_store, tokenizer, world
@@ -1166,7 +1184,7 @@ class TestAWaveRunsOnlyWhereATrialCanDiffer:
         """The last block's ``down_proj`` output reaches no K/V, and its
         lowest mantissa bit moves no token: every fired row exits."""
         last = InferenceEngine(trained_store).config.n_blocks - 1
-        fast, counters = self._planted(
+        fast, counters, _ = self._planted(
             trained_store, tokenizer, world, FaultModel.COMP_1BIT,
             layer_name=f"blocks.{last}.down_proj", bits=(0,),
         )
@@ -1182,12 +1200,55 @@ class TestAWaveRunsOnlyWhereATrialCanDiffer:
         keeps every token golden's but moves the K/V later blocks write
         at the struck position in their low bits — within ``allclose``,
         not bit-identical: no row exits."""
-        fast, counters = self._planted(
+        fast, counters, _ = self._planted(
             trained_store, tokenizer, world, FaultModel.COMP_1BIT,
             layer_name="blocks.0.down_proj", bits=(2,),
         )
         assert not any(t.changed for t in fast.trials)
         assert counters["campaign.wave.back_on_golden"] == 0
+
+    def test_a_strike_below_the_last_block_replays_the_blocks_below(
+        self, trained_store, tokenizer, world
+    ):
+        """Struck in the ``q_proj`` output of the block below the last,
+        a low mantissa bit leaves that block's K/V golden's — queries
+        write none — and every token golden's.  A resumed row's struck
+        forward enters at the struck block; every later forward of a row
+        not back on golden enters at the last block, for the rest of its
+        decode: the blocks below replay the golden run, counted."""
+        last = InferenceEngine(trained_store).config.n_blocks - 1
+        fast, counters, entries = self._planted(
+            trained_store, tokenizer, world, FaultModel.COMP_1BIT,
+            layer_name=f"blocks.{last - 1}.q_proj", bits=(0,),
+        )
+        assert not any(t.changed for t in fast.trials)
+        assert counters["campaign.wave.diverged"] == 0
+        for steps in entries.values():
+            assert steps[0] in (last - 1, last) and set(steps[1:]) <= {last}
+        assert any(steps[0] == last - 1 for steps in entries.values())
+        assert sum(len(steps) > 1 for steps in entries.values()) > 2
+        assert counters["campaign.wave.replayed_blocks"] > 0
+
+    def test_a_strike_that_moves_the_token_diverges_and_runs_whole(
+        self, trained_store, tokenizer, world
+    ):
+        """An exponent bit in the ``down_proj`` output of the block below
+        the last moves the struck forward's token: the row fills the
+        blocks below its entry from the golden run and runs whole from
+        then on — records still the serial reference's."""
+        last = InferenceEngine(trained_store).config.n_blocks - 1
+        fast, counters, entries = self._planted(
+            trained_store, tokenizer, world, FaultModel.COMP_1BIT,
+            layer_name=f"blocks.{last - 1}.down_proj", bits=(30,),
+        )
+        assert any(t.changed for t in fast.trials)
+        diverged = 0
+        for steps in entries.values():
+            whole = [i for i, block in enumerate(steps) if block == 0]
+            if whole and any(steps[: whole[0]]):
+                diverged += 1
+            assert not any(steps[whole[0]:]) if whole else True
+        assert counters["campaign.wave.diverged"] == diverged > 0
 
     @pytest.mark.parametrize(
         "fault_model, fields",
@@ -1206,7 +1267,10 @@ class TestAWaveRunsOnlyWhereATrialCanDiffer:
         position the check does not read, a weight every later forward
         reads — so the row decodes on."""
         bits = (0,) if fault_model.n_bits == 1 else (0, 1)
-        fast, counters = self._planted(
+        fast, counters, entries = self._planted(
             trained_store, tokenizer, world, fault_model, bits=bits, **fields
         )
         assert counters["campaign.wave.back_on_golden"] == 0
+        # Nor does one replay a block: its rows carry no entry.
+        assert counters["campaign.wave.replayed_blocks"] == 0
+        assert counters["campaign.wave.diverged"] == 0
