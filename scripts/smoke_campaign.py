@@ -24,8 +24,8 @@ forwards in waves; such a run is then repeated with telemetry off and
 must record the same trials (untraced, nothing observes the last block,
 so option rows compute only the positions they score).  ``--beams K``
 decodes with beam search of width ``K``: every trial runs alone through
-the one beam loop, whose batched leg steps the hypotheses under a
-computational fault.
+the reference, the one beam loop, whose batched leg steps the hypotheses
+under a computational fault.
 
 Usage::
 

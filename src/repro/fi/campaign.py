@@ -26,10 +26,10 @@ A multiple-choice trial has no decode to share, but reruns option rows
 from its example's fault-free pass — every one under a weight fault,
 one at a time until a transient fault has fired — and the rows of many
 trials share a forward, each trial's fault keyed to its own rows and
-nothing armed engine-wide.  Which path a trial takes — a wave, alone from its
-example's fault-free pass, or alone through the whole reference — and
-why is one table (:meth:`FICampaign.trial_plan`); a trial that runs
-alone is counted under ``campaign.lone_trials.<reason>``.  Most strikes
+nothing armed engine-wide.  Which path a trial takes — a wave, or alone
+through the whole reference, its fault armed engine-wide — and why is
+one table (:meth:`FICampaign.trial_plan`); a trial that runs alone is
+counted under ``campaign.lone_trials.<reason>``.  Most strikes
 never reach the output, so each distinct ``(example, prediction)`` is
 scored and classified once (:meth:`FICampaign._gen_record`) — and the
 fault-free passes everything above starts from are decoded once per
@@ -40,7 +40,7 @@ read off them.  A campaign studies one engine, offline: every trial
 strikes that engine and decodes in this process or a pool worker.
 
 This module is what a trial *is*: its identity and sampling, the
-one-trial path, the wave, the baseline, the aggregation.  *How* trials
+lone trial, the wave, the baseline, the aggregation.  *How* trials
 get run is :mod:`repro.fi.executor` (over :mod:`repro.fi.pool`), the
 same batch function in this process and in every pool worker — and
 fault-tolerant, because the execution layer must survive the
@@ -287,11 +287,10 @@ class FICampaign:
         per example (:attr:`_golden`, one batched sweep) wherever
         :func:`~repro.generation.round.decode_plan` finds it exact, reads
         the baseline off it — the trial in which no fault fires — and
-        runs each trial on the path :meth:`trial_plan` names: a wave, or
-        alone from its example's pass (a generative trial struck at
-        iteration ``k >= 1`` resumes its golden run at ``k - 1``,
-        :mod:`repro.fi.golden`), or alone through the reference.
-        ``serial`` is the whole reference, as the differential oracle
+        runs each trial on the path :meth:`trial_plan` names: a wave
+        (a generative row struck at iteration ``k >= 1`` resumes its
+        golden run at ``k - 1``, :mod:`repro.fi.golden`), or alone
+        through the reference.  ``serial`` is the whole reference, as the differential oracle
         runs it: per-sequence decode loops, one full forward per option,
         a fresh prefill and a full decode per trial and per baseline
         example, one trial at a time."""
@@ -326,10 +325,6 @@ class FICampaign:
         """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
         run over (the golden sweep, waves, option rows), one after the
         other."""
-        self._lone_caches: list | None = None
-        """The caches a trial that runs alone rewinds its example's
-        golden run into (:meth:`_eval_gen`): one set per campaign,
-        allocated on first use."""
         self._scored: dict[tuple[int, str], tuple[dict, Outcome]] = {}
         """``(example index, prediction text) -> (metrics, outcome)``:
         a generative prediction is scored and classified once per
@@ -512,26 +507,16 @@ class FICampaign:
                 )
         return {trial: (scores[trial], fired[trial]) for trial in sites}
 
-    def _eval_gen(self, idx: int, golden: GoldenRun | None = None,
-                  k: int = 0) -> str:
-        """Decode example ``idx``; with ``golden``, only from iteration
-        ``k`` on."""
-        if golden is None:
-            session, prefix, config = None, [], self.generation
-        else:
-            if self._lone_caches is None:
-                self._lone_caches = self.engine.new_caches()
-            session, prefix, config = golden.resume(
-                self.engine, k, self._lone_caches
-            )
+    def _eval_gen(self, idx: int) -> str:
+        """Example ``idx``'s prediction by the reference: decoded from
+        its prompt."""
         ids = generate_ids(
             self.engine,
             self._token_ids[idx],
-            config,
-            session=session,
+            self.generation,
             strategy=self.decode_strategy,
         )
-        return self.tokenizer.decode(prefix + ids)
+        return self.tokenizer.decode(ids)
 
     def _capture_selections(self) -> dict | None:
         if not self.track_expert_selection:
@@ -553,9 +538,10 @@ class FICampaign:
         them — ``campaign.golden.shared`` counts the passes taken,
         ``.builds`` the ones decoded, and the two sum to the example
         count.  Otherwise it sweeps (after the stale entry is dropped)
-        and leaves its own.  ``serial``, expert tracking and a hooked
-        or armed engine neither read nor fill the entry; pool workers
-        never get here (they inherit the baseline through the fork).
+        and leaves its own.  ``serial``, expert tracking, beam search
+        and a hooked or armed engine neither read nor fill the entry;
+        pool workers never get here (they inherit the baseline through
+        the fork).
         """
         if self._baseline_preds is not None:
             return self._baseline_metrics
@@ -580,7 +566,12 @@ class FICampaign:
                 self._scored = dict(entry.scored)
                 return self._baseline_metrics
             self._build_golden()
-            preds = [self._fault_free(idx, golden) for idx, golden in self._golden.items()]
+            # The trial no fault fires in, off each example's pass.
+            preds = [
+                int(np.argmax(golden.scores)) if self.is_mc
+                else self.tokenizer.decode(golden.ids)
+                for golden in self._golden.values()
+            ]
         else:
             preds, selections = [], []
             for idx in range(len(self.examples)):
@@ -716,9 +707,9 @@ class FICampaign:
         """Why this campaign keeps no fault-free pass per example
         (:attr:`_golden`), or ``None`` when it keeps one: the first rows
         of :meth:`trial_plan` — expert-selection tracking must capture
-        every forward's routing, and :func:`decode_plan` must batch a
-        decode round (generative) or find nothing but observers (option
-        rows)."""
+        every forward's routing, :func:`decode_plan` must batch a decode
+        round (generative) or find nothing but observers (option rows),
+        and a pass is a greedy run, which no beam search reads."""
         if self.decode_strategy == "serial":
             return "serial"
         if self.track_expert_selection:
@@ -726,51 +717,43 @@ class FICampaign:
         path, reason = decode_plan(self.engine)
         if self.is_mc:
             return None if reason in ("clean", "observer_hooks") else reason
-        return None if path == "batched" else reason
+        if path != "batched":
+            return reason
+        return "beam" if self.generation.num_beams != 1 else None
 
     def trial_plan(self) -> tuple[str, str]:
         """``(path, reason)``: how this campaign's trials run, and why —
         the one place that decides it, asked while nothing of a trial is
         armed.  ``wave``: trials share forwards (:meth:`_run_wave`).
-        ``golden``: a trial runs alone, from its example's pass wherever
-        its fault cannot reach.  ``reference``: a trial runs alone and
-        computes everything.  The first matching row decides:
+        ``reference``: a trial runs alone, its fault armed engine-wide,
+        and decodes or scores from the prompt.  The first matching row
+        decides:
 
-        ========================================  =========  ===================
-        campaign                                  path       reason
-        ========================================  =========  ===================
-        ``decode_strategy="serial"``              reference  serial
-        ``track_expert_selection``                reference  expert_tracking
-        an engine the pass is inexact on          reference  decode_plan's
-        multiple choice, flight recorder armed    reference  flight
-        beam search, weight fault                 reference  weight_fault
-        ``chaos``                                 golden     chaos
-        generative, flight recorder armed         golden     flight
-        beam search                               golden     beam
-        any other                                 wave       its rows' plan
-        ========================================  =========  ===================
+        ================================  =========  ===============
+        campaign                          path       reason
+        ================================  =========  ===============
+        ``decode_strategy="serial"``      reference  serial
+        ``track_expert_selection``        reference  expert_tracking
+        an engine the pass is inexact on  reference  decode_plan's
+        beam search                       reference  beam
+        ``chaos``                         reference  chaos
+        flight recorder armed             reference  flight
+        any other                         wave       its rows' plan
+        ================================  =========  ===============
 
-        A flight recorder probes the whole struck forward; a beam trial
-        resumes at ``S_0``, which a weight fault corrupts.  A wave row's
-        fault is keyed to its own rows (:meth:`_row_fault`), and the
-        wave's reason is what :func:`decode_plan` reports while it is
-        armed (:data:`_ROW_KEYED`).
+        Chaos strikes trials one at a time; a flight recorder probes the
+        whole struck forward.  Both keep their campaign's passes, and
+        its baseline is read off them.  A wave row's fault is keyed to
+        its own rows (:meth:`_row_fault`), and the wave's reason is what
+        :func:`decode_plan` reports while it is armed (:data:`_ROW_KEYED`).
         """
-        reason = self._why_no_golden()
+        reason = (
+            self._why_no_golden()
+            or ("chaos" if self.chaos is not None else None)
+            or ("flight" if _flight().active else None)
+        )
         if reason is not None:
             return "reference", reason
-        flight = _flight().active
-        beam = not self.is_mc and self.generation.num_beams != 1
-        if self.is_mc and flight:
-            return "reference", "flight"
-        if beam and self.fault_model.is_memory:
-            return "reference", "weight_fault"
-        if self.chaos is not None:
-            return "golden", "chaos"
-        if flight:
-            return "golden", "flight"
-        if beam:
-            return "golden", "beam"
         return "wave", _ROW_KEYED[self.fault_model.surface][1]
 
     def _build_golden(self) -> None:
@@ -791,18 +774,9 @@ class FICampaign:
             )
         self._golden = dict(enumerate(passes))
 
-    def _fault_free(self, idx: int, golden: GoldenRun | GoldenOptions) -> "str | int":
-        """The prediction of the trial no fault fires in, off example
-        ``idx``'s pass."""
-        if self.is_mc:
-            return int(np.argmax(golden.scores))
-        if self.generation.num_beams == 1:
-            return self.tokenizer.decode(golden.ids)
-        # The beam search resumed at ``S_0``, as beam trials run it.
-        return self._eval_gen(idx, golden, 1)
-
     def _run_trial_impl(self, trial: int, attempt: int = 0) -> TrialRecord:
-        path, _ = self.trial_plan()
+        """One trial alone, through the reference: its fault armed
+        engine-wide, decoded or scored from the prompt."""
         if self.chaos is not None:
             self.chaos.strike(trial, attempt, in_worker=self._in_worker)
         idx = trial % len(self.examples)
@@ -812,39 +786,29 @@ class FICampaign:
             recorder.begin_trial(
                 trial, self.trial_key(trial), site_to_dict(site), idx
             )
-        golden = (
-            self._golden[idx]
-            if path != "reference" and (self.is_mc or site.iteration)
-            else None
-        )
         tel = _telemetry()
         if tel.active and not self.is_mc:
-            name = "hits" if golden is not None else "misses"
-            tel.metrics.counter(f"engine.prefill_cache_{name}").add()
+            # A lone trial resumes nothing.
+            tel.metrics.counter("engine.prefill_cache_misses").add()
         if self.track_expert_selection:
             self.engine.capture = CaptureState()
         detach_front = None
         try:
-            if golden is not None and self.is_mc:
-                # A wave of one: the fault keyed to the trial's rows.
-                scores, fired = self._option_scores([(trial, site)])[trial]
-                pred_idx = int(np.argmax(scores))
-            else:
-                with inject(self.engine, site) as injector:
-                    if recorder.active:
-                        # Probes register after the injector's hook, so
-                        # the struck layer's probe observes the
-                        # post-injection output; observer + row-scoped
-                        # registration keeps the batching gate exactly
-                        # where a recorder-off run has it.
-                        detach_front = recorder.attach_front(
-                            self.engine, site.iteration
-                        )
-                    if self.is_mc:
-                        pred_idx = self._eval_mc(idx)
-                    else:
-                        text = self._eval_gen(idx, golden, site.iteration)
-                fired = injector.fired
+            with inject(self.engine, site) as injector:
+                if recorder.active:
+                    # Probes register after the injector's hook, so the
+                    # struck layer's probe observes the post-injection
+                    # output; observer + row-scoped registration keeps
+                    # the batching gate exactly where a recorder-off run
+                    # has it.
+                    detach_front = recorder.attach_front(
+                        self.engine, site.iteration
+                    )
+                if self.is_mc:
+                    pred_idx = self._eval_mc(idx)
+                else:
+                    text = self._eval_gen(idx)
+            fired = injector.fired
         finally:
             if detach_front is not None:
                 detach_front()

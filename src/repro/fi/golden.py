@@ -13,7 +13,9 @@ the struck forward left off the run — in any later forward, while the
 trial's tokens are the run's, so those blocks replay the run there.
 Either pass is its example's only fault-free reference in an ``auto``
 campaign: the baseline is read off it, and nothing decodes or scores
-the example fault-free a second way.
+the example fault-free a second way.  Only a wave's trials reuse it; a
+trial that runs alone runs the reference from the prompt
+(``FICampaign.trial_plan``).
 
 **Multiple-choice trials.**  A trial struck in block ``L`` reruns option
 rows from ``L`` on, from the state that entered ``L`` in its example's
@@ -109,7 +111,6 @@ from repro.generation.round import (
 )
 from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache
-from repro.obs.flight import flight_recorder as _flight
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["GoldenRun", "GoldenOptions", "SharedBaseline", "forget"]
@@ -143,15 +144,14 @@ class GoldenRun:
         config: GenerationConfig,
         pool: PooledKVCache | None = None,
     ) -> "list[GoldenRun]":
-        """Prefill every prompt and, for a greedy ``config``, decode it
-        to the end as a ``DecodeRound`` row: EOS is not emitted and a
-        full budget retires without a final forward.  Beam-search trials
-        resume at ``S_0`` only, so theirs stop at the prompt forward.
+        """Prefill every prompt and decode it greedily to the end as a
+        ``DecodeRound`` row: EOS is not emitted and a full budget retires
+        without a final forward.  ``config.num_beams`` is not read: a
+        beam-search campaign keeps no run.
 
         The rows share forwards, as many at a time as ``pool`` (default:
         one slot) has free slots; freed slots are back-filled.
         """
-        greedy = config.num_beams == 1
         if pool is None:
             pool = engine.new_pool(1)
         logits: list[list[np.ndarray]] = [[] for _ in prompts]
@@ -166,7 +166,7 @@ class GoldenRun:
                 # The round has released the slot, but nothing acquires
                 # one before this returns: its views still hold the run.
                 runs[row.key] = cls(
-                    config, row.prompt, row.out if greedy else [],
+                    config, row.prompt, row.out,
                     logits[row.key], [c.snapshot() for c in row.caches],
                     inputs[row.key],
                 )
@@ -175,7 +175,7 @@ class GoldenRun:
             DecodeRound(engine, pool, config.eos_id, keep_block_inputs=True),
             prompts,
             [None] * len(prompts),
-            config.max_new_tokens if greedy else 1,
+            config.max_new_tokens,
             pool.n_slots,
             on_event=keep,
         )
@@ -194,11 +194,10 @@ class GoldenRun:
     def rewind(
         self, engine: InferenceEngine, j: int, caches: list[KVCache]
     ) -> Session:
-        """A session of ``engine`` at ``S_j`` over ``caches``, rewound
-        in place: a wave row's pool slot, several trials of one example
-        being in flight at once, or the scratch caches a campaign keeps
-        for the trials it runs alone.  The run keeps nothing of it: the
-        session is consumed by the decode it is handed to."""
+        """A session of ``engine`` at ``S_j`` over ``caches`` — a wave
+        row's pool slot — rewound in place: two trials of one example
+        may be in flight at once, so the run keeps no session of its
+        own, and this one is consumed by the decode it is handed to."""
         session = _blank_session(engine, caches)
         self.fill(caches, j, len(self.snaps))
         session.iteration = j
@@ -217,17 +216,13 @@ class GoldenRun:
         """The ``j`` of the state ``S_j`` a trial struck at iteration
         ``k >= 1`` resumes at, counted as resumed: ``k - 1``, at most the
         run's last state (an unreached strike, which a wave records
-        without restoring it), and ``0`` for beam search."""
-        greedy = self.config.num_beams == 1
-        j = min(k - 1, len(self.ids)) if greedy else 0
+        without restoring it)."""
+        j = min(k - 1, len(self.ids))
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.golden.replayed_tokens").add(j)
-            if greedy and k > len(self.ids):
+            if k > len(self.ids):
                 tel.metrics.counter("campaign.golden.unreached").add()
-        recorder = _flight()
-        if recorder.active:
-            recorder.annotate(resumed_at=j)
         return j
 
     def entry(self, k: int, block: int, caches: list[KVCache]) -> int:
@@ -259,10 +254,10 @@ class GoldenRun:
     def resume(
         self, engine: InferenceEngine, k: int, caches: list[KVCache]
     ) -> tuple[Session, list[int], GenerationConfig]:
-        """What a trial struck at iteration ``k >= 1`` still has to do:
-        decode the returned session (see :meth:`rewind` for ``caches``)
-        under the returned config (the budget left after ``prefix``) and
-        prepend ``prefix``.
+        """What a wave row struck at iteration ``k >= 1`` still has to
+        do: decode the returned session (see :meth:`rewind` for
+        ``caches``) under the returned config (the budget left after
+        ``prefix``) and prepend ``prefix``.
 
         An unreached strike (``k > len(ids)``) resumes at the run's last
         state, whose logits pick EOS: the decode returns at once and

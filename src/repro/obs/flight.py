@@ -148,13 +148,6 @@ class FlightRecorder:
         if self._current is not None:
             self._current["events"].append({"event": name, **fields})
 
-    def annotate(self, **fields) -> None:
-        """Set top-level fields on the open trial (no-op outside one) —
-        e.g. ``resumed_at``, the golden-run state the trial's decode
-        started from (:mod:`repro.fi.golden`)."""
-        if self._current is not None:
-            self._current.update(fields)
-
     def attach_front(self, engine, iteration: int):
         """Register corruption-front probes on every faultable layer.
 
@@ -362,11 +355,6 @@ def explain_trial(record: dict) -> str:
         f"example    {record.get('example_index')}"
         f" (key {':'.join(str(k) for k in record.get('key', []))})",
     ]
-    if record.get("resumed_at") is not None:
-        lines.append(
-            f"resumed    at golden-run iteration {record['resumed_at']}"
-            " (the fault-free prefix was replayed, not re-decoded)"
-        )
     events = record.get("events", [])
     if events:
         lines.append("timeline")

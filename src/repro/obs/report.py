@@ -115,8 +115,8 @@ def _scalar_section(run: RunData) -> list[str]:
 def _derived_section(run: RunData) -> list[str]:
     """Headline figures the raw instruments imply: tokens/sec and, for a
     campaign, its SDC rate, how many trials resumed a golden run, how
-    much of their option scoring multiple-choice trials skipped and how
-    wide its waves ran."""
+    much of their option scoring multiple-choice trials skipped, how
+    wide its waves ran and which trials ran alone, and why."""
     lines = []
     counters = run.metrics.counters
 
@@ -173,10 +173,6 @@ def _derived_section(run: RunData) -> list[str]:
     if waves:
         # How wide injected trials actually shared forwards.
         width = run.metrics.histogram("campaign.wave.width")
-        # Which trials ran alone all the same, and why.
-        prefix = "campaign.lone_trials."
-        alone = {n[len(prefix):]: count(n) for n in counters if n.startswith(prefix)}
-        why = ", ".join(f"{n} {reason}" for reason, n in sorted(alone.items()))
         # Generative waves only: option rows run no prompt forward.
         prompts = (
             f" {count('campaign.wave.prompt_forwards')} prompt forwards for"
@@ -188,9 +184,14 @@ def _derived_section(run: RunData) -> list[str]:
             f" in {len(waves)} waves, {width.count} shared forwards at mean"
             f" width {width.mean:.1f},{prompts}"
             f" {count('campaign.wave.fallbacks')} waves re-run one"
-            f" trial at a time, {sum(alone.values())} trials run alone"
-            + (f" ({why})" if why else "")
+            " trial at a time"
         )
+    # Which trials ran alone, and why — with waves or without any.
+    prefix = "campaign.lone_trials."
+    alone = {n[len(prefix):]: count(n) for n in counters if n.startswith(prefix)}
+    if alone:
+        why = ", ".join(f"{n} {reason}" for reason, n in sorted(alone.items()))
+        lines.append(f"trials run alone: {sum(alone.values())} ({why})")
     if lines:
         lines = ["", "== derived =="] + lines
     return lines

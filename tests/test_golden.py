@@ -40,7 +40,8 @@ from repro.generation import (
 )
 from repro.inference import CaptureState, InferenceEngine
 from repro.mitigation import RangeRestrictor
-from repro.obs import explain_trial, flight_recorder, telemetry
+from repro.obs import flight_recorder, telemetry
+from repro.obs.export import read_run
 from repro.tasks import (
     ARCTask,
     GSM8kTask,
@@ -278,9 +279,11 @@ class TestFastForwardMatchesReference:
         assert counters["prefill_cache_misses"] == 5
         assert counters["builds"] == 1 and counters["replayed_tokens"] == 0
 
-    def test_beam_search_rewinds_to_the_prefill_only(
+    def test_beam_search_runs_the_reference(
         self, trained_store, tokenizer, world
     ):
+        """A beam campaign keeps no golden run: every trial decodes its
+        beams from the prompt, its fault armed engine-wide."""
         task = TranslationTask(world)
         beams = dict(generation={"num_beams": 3, "max_new_tokens": 6})
         fast, counters = run_counted(
@@ -292,9 +295,53 @@ class TestFastForwardMatchesReference:
             decode_strategy="serial", **beams,
         ).run(9)
         assert_results_equal(fast, reference, "auto", "serial")
-        assert counters["prefill_cache_hits"] > 0
-        assert counters["replayed_tokens"] == 0
-        assert counters["unreached"] == 0
+        assert counters["builds"] == counters["shared"] == 0
+        assert counters["prefill_cache_misses"] == 9
+        assert counters["prefill_cache_hits"] == 0
+
+    def test_a_traced_beam_campaign_counts_alike_on_two_workers(
+        self, trained_store, tokenizer, world, tmp_path
+    ):
+        """A traced beam ``2bits-comp`` campaign, exported and read back,
+        in this process and on two workers: the same outcomes, the beam
+        loop's batched leg stepping the hypotheses under the armed
+        computational fault in both, every trial alone for ``beam`` and
+        no golden run built."""
+        task = TranslationTask(world)
+        runs = []
+        for workers in (0, 2):
+            camp = campaign(
+                trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+                engine=InferenceEngine(trained_store, weight_policy="bf16"),
+                generation={"num_beams": 3},
+            )
+            tel = telemetry()
+            tel.reset(), tel.enable()
+            try:
+                camp.run(12, n_workers=workers)
+                path = tel.flush(
+                    tmp_path / f"beam-{workers}.jsonl", seed=13, command="test"
+                )
+            finally:
+                camp.close_pool()
+                tel.disable(), tel.reset()
+            runs.append({
+                name: int(counter.value)
+                for name, counter in read_run(path).metrics.counters.items()
+            })
+        serial, pooled = (
+            {
+                name: n for name, n in counters.items()
+                if name.startswith("campaign.outcome.")
+                or name == "decode.plan.batched.row_scoped_hooks"
+            }
+            for counters in runs
+        )
+        assert serial == pooled
+        assert serial["decode.plan.batched.row_scoped_hooks"] > 0
+        for counters in runs:
+            assert lone_trials(counters) == {"beam": 12}
+            assert "campaign.golden.builds" not in counters
 
     def test_workers_inherit_the_parents_runs(
         self, trained_store, tokenizer, world, tmp_path, monkeypatch
@@ -383,10 +430,9 @@ class TestFastForwardMatchesReference:
     def test_beam_baseline_is_the_unstruck_beam_trial(
         self, trained_store, tokenizer, world
     ):
-        """The beam search resumed at ``S_0``: ``serial``'s predictions,
-        for the work of decoding each example's beams once — counted in
-        tokens forwarded, since the sweep prefills equally long prompts
-        as rows of one forward."""
+        """The reference beam search: ``serial``'s predictions, for the
+        work of decoding each example's beams once — counted in tokens
+        forwarded — and no golden run built beside it."""
         task = TranslationTask(world)
         beams = dict(generation={"num_beams": 3, "max_new_tokens": 6})
 
@@ -395,7 +441,9 @@ class TestFastForwardMatchesReference:
             tel.reset(), tel.enable()
             try:
                 fn()
-                return tel.metrics.counter("engine.tokens").value
+                counters = tel.metrics.snapshot()["counters"]
+                assert "campaign.golden.builds" not in counters
+                return counters["engine.tokens"]
             finally:
                 tel.disable(), tel.reset()
 
@@ -414,9 +462,7 @@ class TestFastForwardMatchesReference:
         assert n_baseline == n_once
         assert fast.compute_baseline() == reference.compute_baseline()
         assert fast._baseline_preds == reference._baseline_preds
-        # A beam run stops at the prompt forward: ``S_0`` is all it keeps.
-        assert len(fast._golden) == len(fast.examples)
-        assert all(run.ids == [] for run in fast._golden.values())
+        assert fast._golden == {}
 
     @pytest.mark.parametrize("guard", ["ranger", "unscoped-hook"])
     def test_a_guarded_engine_keeps_no_pass(
@@ -476,19 +522,14 @@ class TestResumeAndForensics:
         recorder = flight_recorder().arm()
         armed = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT).run(12)
         assert_results_equal(armed, plain, "recorder on", "recorder off")
-        resumed = 0
+        struck_later = 0
         for trial, record in zip(armed.trials, recorder.drain()):
-            k = trial.site.iteration
-            if k == 0:
-                assert "resumed_at" not in record
+            if trial.site.iteration == 0:
                 continue
-            resumed += 1
-            assert record["resumed_at"] <= k - 1
-            assert f"iteration {record['resumed_at']}" in explain_trial(record)
+            struck_later += 1
             if trial.fired:
                 # The struck forward was still replayed fault-free and
                 # compared layer by layer; the strike shows in the front.
-                assert record["resumed_at"] == k - 1
                 assert any(e["event"] == "inject.fire" for e in record["events"])
                 struck = [
                     e for e in record["front"]
@@ -497,7 +538,7 @@ class TestResumeAndForensics:
                 assert struck and struck[0]["corrupted"] >= 1
             else:
                 assert record["front"] is None
-        assert resumed >= 8
+        assert struck_later >= 8
 
 
 class TestGoldenRun:
@@ -598,7 +639,7 @@ def score_vectors(camp, trial):
     idx = trial % len(camp.examples)
     site = camp._trial_site(trial, camp._max_fault_iter())
     camp.compute_baseline()  # builds the passes, once
-    assert camp.trial_plan()[0] != "reference"
+    assert camp.trial_plan()[0] == "wave"
     assert isinstance(camp._golden[idx], GoldenOptions)
     prompt, options = camp._token_ids[idx]
     hooks = len(camp.engine.hooks)
@@ -918,7 +959,7 @@ class TestReachLimitedOptions:
                 GoldenOptions.build(camp.engine, prompt, options)
         assert camp._golden == {}
         camp.compute_baseline()  # the one place passes are built
-        assert camp.trial_plan()[0] != "reference" and isinstance(camp._golden[0], GoldenOptions)
+        assert camp.trial_plan()[0] == "wave" and isinstance(camp._golden[0], GoldenOptions)
 
     def test_a_forward_that_outlasts_the_trial_timeout(
         self, trained_store, tokenizer, world
@@ -1103,11 +1144,18 @@ class TestSharedPasses:
             trained_store, tokenizer, task, FaultModel.COMP_1BIT, subset, **kw
         )
         result, counters = traced_counters(second, 8)
-        assert shared_counters(counters) == (3, 0)
-        assert seen == [0 if same_engine else 6]
-        assert golden_module._SHARED[second.engine].passes == list(
-            second._golden.values()
-        )
+        if change == "num_beams":
+            # A beam campaign keeps no pass: it neither takes the entry
+            # nor drops or replaces it.
+            assert shared_counters(counters) == (0, 0) and seen == []
+            assert second._golden == {} and alive(old) == 3
+            assert golden_module._SHARED[engine].passes == [r() for r in old]
+        else:
+            assert shared_counters(counters) == (3, 0)
+            assert seen == [0 if same_engine else 6]
+            assert golden_module._SHARED[second.engine].passes == list(
+                second._golden.values()
+            )
         reference = campaign(
             trained_store, tokenizer, task, FaultModel.COMP_1BIT, subset,
             decode_strategy="serial", **{**kw, "engine": None},
@@ -1130,9 +1178,9 @@ class TestSharedPasses:
 
         task = TranslationTask(world)
         engine = InferenceEngine(trained_store)
-        # A KV-fault campaign's lone trials rewind into caches of the
-        # campaign's, not a session the run keeps: nothing in an entry
-        # may hold the engine it is keyed by.
+        # A KV-fault campaign's wave rows rewind into slots of the
+        # campaign's pool, not a session the run keeps: nothing in an
+        # entry may hold the engine it is keyed by.
         camp = campaign(trained_store, tokenizer, task, FaultModel.KV_2BIT, engine=engine)
         camp.run(6)
         runs = [weakref.ref(run) for run in camp._golden.values()]
@@ -1205,17 +1253,19 @@ class TestSharedPasses:
         assert raised == [12]
         assert shared_counters(counters) == (0, 3)
         assert counters["campaign.wave.fallbacks"] == 1
-        assert counters["engine.prefill_cache_hits"] > 0
         assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
         assert camp._kv_slots().n_free == camp._kv_slots().n_slots
-        assert_results_equal(
-            result,
-            campaign(
-                trained_store, tokenizer, task, FaultModel.COMP_2BIT,
-                decode_strategy="serial",
-            ).run(12),
-            "after the repair", "serial",
-        )
+        reference = campaign(
+            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
+            decode_strategy="serial",
+        ).run(12)
+        assert_results_equal(result, reference, "after the repair", "serial")
+        # The fallback ran its trials through the reference; the next
+        # wave resumes the passes the repaired campaign still holds.
+        again, counters = traced_counters(camp, 12)
+        assert counters["campaign.wave.fallbacks"] == 0
+        assert counters["engine.prefill_cache_hits"] > 0
+        assert_results_equal(again, reference, "the wave after the repair", "serial")
         # And the campaign after it starts from the same passes.
         _, counters = traced_counters(
             campaign(trained_store, tokenizer, task, FaultModel.KV_1BIT, engine=engine), 3

@@ -586,11 +586,21 @@ class TestReport:
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"
             " 3 prompt forwards for 7 prompt rows,"
-            " 1 waves re-run one trial at a time, 7 trials run alone"
-            " (2 kv_fault, 5 wave_fallback)"
+            " 1 waves re-run one trial at a time"
         ) in text
+        assert "trials run alone: 7 (2 kv_fault, 5 wave_fallback)" in text
         assert "campaign.trial" in text
         assert "engine.layer_ms.blocks.0.q_proj" in text
         assert "tokens/sec" in text
         assert "SDC rate: 0.250" in text
         assert "schema         v1" in text
+
+        # A campaign whose every trial ran alone has no wave to report
+        # them under: the reasons are printed all the same.
+        tel.reset()
+        tel.enable()
+        tel.metrics.counter("campaign.outcome.masked").add(9)
+        tel.metrics.counter("campaign.lone_trials.beam").add(9)
+        text = report_path(tel.flush(tmp_path / "alone.jsonl", seed=3, command="test"))
+        assert "trials run alone: 9 (9 beam)" in text
+        assert "waves:" not in text

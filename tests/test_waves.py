@@ -26,6 +26,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fi import (
     CampaignChaos,
@@ -235,8 +237,10 @@ class TestFiredInjectorsLeaveTheEngine:
 
 class TestWhatKeepsATrialToItself:
     """``FICampaign.trial_plan``'s truth table: each row's plan, no wave,
-    and every trial alone under its reason.  A row is ``(multiple choice,
-    fault model, campaign arguments or what to arm, "path reason")``."""
+    every trial alone under its reason, and the records — flight records
+    too — the ``serial`` route's, in this process and on two workers.  A
+    row is ``(multiple choice, fault model, campaign arguments or what to
+    arm, "path reason")``."""
 
     ROWS = {
         "serial": (0, "2bits-comp", dict(decode_strategy="serial"), "reference serial"),
@@ -245,12 +249,10 @@ class TestWhatKeepsATrialToItself:
         ),
         "unscoped-hook": (0, "2bits-comp", "hook", "reference unscoped_hooks"),
         "mc-flight": (1, "1bit-comp", "flight", "reference flight"),
-        "mem": (
-            0, "2bits-mem", dict(generation={"num_beams": 2}), "reference weight_fault"
-        ),
-        "chaos": (0, "2bits-comp", dict(chaos=CampaignChaos()), "golden chaos"),
-        "flight": (0, "2bits-comp", "flight", "golden flight"),
-        "beams": (0, "2bits-comp", dict(generation={"num_beams": 2}), "golden beam"),
+        "mem": (0, "2bits-mem", dict(generation={"num_beams": 2}), "reference beam"),
+        "chaos": (0, "2bits-comp", dict(chaos=CampaignChaos()), "reference chaos"),
+        "flight": (0, "2bits-comp", "flight", "reference flight"),
+        "beams": (0, "2bits-comp", dict(generation={"num_beams": 2}), "reference beam"),
     }
 
     @pytest.mark.parametrize("row", ROWS)
@@ -258,15 +260,81 @@ class TestWhatKeepsATrialToItself:
         mc, fault, kw, plan = self.ROWS[row]
         setup, kw = (kw, {}) if isinstance(kw, str) else (None, kw)
         task = (MMLUTask if mc else TranslationTask)(world)
-        camp = campaign(trained_store, tokenizer, task, FaultModel(fault), **kw)
-        if setup == "hook":
+
+        def build(**route):
+            camp = campaign(
+                trained_store, tokenizer, task, FaultModel(fault), **{**kw, **route}
+            )
+            if setup == "hook":
+                camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
+            return camp
+
+        recorder = flight_recorder()
+        if setup == "flight":
+            recorder.arm()
+        reference = build(decode_strategy="serial").run(9)
+        forensics = recorder.drain()
+        for workers in (0, 2):
+            camp = build()
+            assert camp.trial_plan() == tuple(plan.split())
+            try:
+                result, counters, waves, _ = run_traced(camp, 9, n_workers=workers)
+            finally:
+                camp.close_pool()
+            assert_results_equal(result, reference, f"{workers} workers", "serial")
+            # Every field but the pid of the process that ran the trial.
+            assert [
+                {k: v for k, v in record.items() if k != "worker_pid"}
+                for record in recorder.drain()
+            ] == forensics
+            assert not waves and counters["campaign.trials"] == 9
+            assert lone_trials(counters) == {plan.split()[1]: 9}
+
+    # What may keep a trial to itself, in the table's order: each is a
+    # ``reference`` row, but ``beam`` only for a generative campaign.
+    KEEPS = ("serial", "expert_tracking", "unscoped_hooks", "beam", "chaos", "flight")
+
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        mc=st.booleans(),
+        fault=st.sampled_from(FaultModel.extended()),
+        keeps=st.sets(st.sampled_from(KEEPS)),
+    )
+    def test_property_a_trial_runs_in_a_wave_or_through_the_reference(
+        self, untrained_store, tokenizer, world, mc, fault, keeps
+    ):
+        """Any campaign's plan, asked before a run: a wave, or the
+        reference exactly when a reference row applies — the first."""
+        task = (MMLUTask if mc else TranslationTask)(world)
+        kw = {}
+        if "serial" in keeps:
+            kw["decode_strategy"] = "serial"
+        if "expert_tracking" in keeps:
+            kw["track_expert_selection"] = True
+        if "beam" in keeps:
+            kw["generation"] = {"num_beams": 2}
+        if "chaos" in keeps:
+            kw["chaos"] = CampaignChaos()
+        camp = campaign(
+            untrained_store, tokenizer, task, fault, standardized_subset(task, 2), **kw
+        )
+        if "unscoped_hooks" in keeps:
             camp.engine.hooks.register("blocks.0.q_proj", lambda out, ctx: None)
-        elif setup == "flight":
-            flight_recorder().arm()
-        assert camp.trial_plan() == tuple(plan.split())
-        _, counters, waves, _ = run_traced(camp, 9)
-        assert not waves and counters["campaign.trials"] == 9
-        assert lone_trials(counters) == {plan.split()[1]: 9}
+        recorder = flight_recorder()
+        if "flight" in keeps:
+            recorder.arm()
+        try:
+            plan = camp.trial_plan()
+        finally:
+            recorder.disarm()
+        rows = [row for row in self.KEEPS if row in keeps and not (mc and row == "beam")]
+        if rows:
+            assert plan == ("reference", rows[0])
+        else:
+            assert plan == ("wave", fi_campaign._ROW_KEYED[fault.surface][1])
 
 
 def _experts_only(name):
@@ -806,8 +874,9 @@ class TestMultipleChoiceWeightFaultWaves:
     def test_a_chaos_campaign_scores_each_trial_alone(
         self, trained_store, tokenizer, world
     ):
-        """Chaos keeps every trial to itself; its weight fault is still
-        keyed to its rows — a wave of one."""
+        """Chaos keeps every trial to itself: each scores its options
+        through the reference, one forward per option, its weight fault
+        armed engine-wide."""
         task = MMLUTask(world)
         chaos = CampaignChaos(fail_transient=frozenset({3}))
         result, counters, waves, _ = run_traced(
@@ -820,7 +889,9 @@ class TestMultipleChoiceWeightFaultWaves:
         assert_results_equal(result, reference, "chaos", "serial")
         assert not waves and lone_trials(counters) == {"chaos": N_TRIALS}
         assert counters["campaign.retries"] == 1
-        assert counters["decode.plan.option_rows.weight_fault"] == N_TRIALS
+        # The baseline's option rows, then one reference pass a trial.
+        assert counters["decode.plan.per_option.weight_fault"] == N_TRIALS
+        assert "decode.plan.option_rows.weight_fault" not in counters
 
     def test_a_wave_that_raises_leaves_no_row_registration(
         self, trained_store, tokenizer, world
