@@ -23,10 +23,11 @@ iteration 0 (as every weight fault is), prefilled into its slot under
 that fault — equally long prompts in one forward — and retired as soon
 as it is back on its golden run's state (:meth:`FICampaign._run_wave`).
 A multiple-choice trial has no decode to share, but reruns option rows
-from its example's fault-free pass — every one under a weight fault,
-one at a time until a transient fault has fired — and the rows of many
-trials share a forward, each trial's fault keyed to its own rows and
-nothing armed engine-wide.  Which path a trial takes — a wave, or alone
+from its example's fault-free pass — one per option class under a
+weight fault the mask bound admits (:mod:`repro.fi.golden`), every one
+under any other, one at a time until a transient fault has fired — and
+the rows of many trials share a forward, each trial's fault keyed to
+its own rows and nothing armed engine-wide.  Which path a trial takes — a wave, or alone
 through the whole reference, its fault armed engine-wide — and why is
 one table (:meth:`FICampaign.trial_plan`); a trial that runs alone is
 counted under ``campaign.lone_trials.<reason>``.  Most strikes
@@ -79,9 +80,12 @@ from repro.fi.fault_models import FaultModel
 from repro.fi.golden import (
     GoldenOptions,
     GoldenRun,
+    MaskBounds,
     SharedBaseline,
     leave_shared,
+    mask_bounds,
     score_option_rows,
+    shares_row,
     take_shared,
     weights_digest,
 )
@@ -94,7 +98,12 @@ from repro.fi.injector import (
 )
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
-from repro.generation.decode import GenerationConfig, choose_option, generate_ids
+from repro.generation.decode import (
+    GenerationConfig,
+    choose_option,
+    generate_ids,
+    option_logp,
+)
 from repro.generation.round import (
     Admission,
     DecodeRound,
@@ -228,17 +237,18 @@ _ROW_KEYED = {
 keys to batch rows, and what :func:`decode_plan` reports while one is
 armed — a wave's reason (:meth:`FICampaign.trial_plan`)."""
 
-_OPTION_ROW_TOKENS = 128
+_OPTION_ROW_TOKENS = 256
 """Most tokens one forward of option rows takes
 (:meth:`FICampaign._option_scores`; rows of length ``t`` go
-``128 // t`` to a forward, at least one and at most
+``256 // t`` to a forward, at least one and at most
 :data:`_DECODE_BATCH`).  Its activations are rows x ``t`` x
 ``d_model``; its logits only rows x read window x vocabulary, the
-window running from the shortest prompt's last position.  On
-``campaign_mc_mem`` a wider forward saved no time and only raised the
-peak: sixteen rows of any length read ``peak_rss_mb`` +4.3 % over
-one-trial scoring, 128 tokens +1.6 %, at the same trials/s; with the
-read window, 256 or 512 tokens read +2-3 % trials/s for +0.5-1 MB."""
+window running from the shortest prompt's last position.  Measured on
+``campaign_mc_mem`` (2-vCPU host, alternated pairs, one row per option
+class): 64 tokens read 2 250-2 530 trials/s against 128's 2 830-3 220;
+256 read 3 150-3 620 against 128's 2 660-2 960 (5 of 5 pairs) for
++0.3 MB ``peak_rss_mb`` (about 44.5 MB); 512 read 3 070-3 250 for
++0.9 MB."""
 
 
 class FICampaign:
@@ -308,6 +318,12 @@ class FICampaign:
         campaign's; the passes may be the ones an earlier campaign on
         this engine swept (:mod:`repro.fi.golden`), and are never
         written."""
+        self._bounds: MaskBounds | None = None
+        """The engine's mask-exactness tables (:func:`~repro.fi.golden.mask_bounds`),
+        set with the golden option passes: ``None`` where no option class
+        shares a row — a generative or MoE campaign, one that keeps no
+        pass, an engine whose pristine forward the bound does not hold
+        for."""
         self._token_ids: list = [
             (
                 tokenizer.encode(ex.prompt),
@@ -435,77 +451,122 @@ class FICampaign:
         scores with the fault armed engine-wide.
 
         A fault in block ``L`` reaches no block before it, so a row runs
-        from ``L`` on (:func:`~repro.fi.golden.score_option_rows`), its
-        trial's fault keyed to it (:meth:`_row_fault`).  A weight fault is
-        read by every option's forward: its trial's rows are all its
-        options.  A one-shot fault (computational, accumulator, KV)
-        fires in the first option forward that runs its layer — option
-        0's, unless the layer is an MoE expert no token of that option
-        is routed to — and in none after: its trial's row is option 0
-        and, while it has not fired, the next option in a further
-        forward; every option but the one it fired in keeps its golden
-        score.
-        Rows of any trials struck in the same block and equally long
-        share a forward, as many as :data:`_DECODE_BATCH` and
+        from ``L`` on from its pass's state — from the embedding where
+        the pass keeps none (:meth:`GoldenOptions.entry`) — its trial's
+        fault keyed to it (:meth:`_row_fault`).  A weight fault is read
+        by every option's forward: its trial runs one row per option
+        class, each member scored off its leader's logits with its own
+        tokens, when :func:`~repro.fi.golden.shares_row` admits the
+        struck element (``campaign.mc_golden.rows_shared``), and one row
+        per option when it refuses (``.share_refused``).  A one-shot
+        fault (computational, accumulator, KV) fires in the first option
+        forward that runs its layer — option 0's, unless the layer is an
+        MoE expert no token of that option is routed to — and in none
+        after: its trial's row is option 0 and, while it has not fired,
+        the next option in a further forward; every option but the one
+        it fired in keeps its golden score.
+        Rows of any trials equally long share a forward, whatever block
+        each enters at, as many as :data:`_DECODE_BATCH` and
         :data:`_OPTION_ROW_TOKENS` allow.
         """
         n = len(self.examples)
         sites = dict(trials)
         scores = {trial: list(self._golden[trial % n].scores) for trial in sites}
         fired, ran = dict.fromkeys(sites, False), dict.fromkeys(sites, 0)
-        todo = []
+        computed, shared = dict.fromkeys(sites, 0), dict.fromkeys(sites, 0)
+        refused = 0
+        todo = []  # (trial, option whose row runs, options scored off it)
         for trial, site in trials:
-            memory = site.fault_model.is_memory
-            reason = _ROW_KEYED[site.fault_model.surface][1]
-            count_plan("option_rows", "weight_fault" if memory else reason)
-            todo += [(trial, i) for i in (range(len(scores[trial])) if memory else (0,))]
+            golden = self._golden[trial % n]
+            if not site.fault_model.is_memory:
+                count_plan("option_rows", _ROW_KEYED[site.fault_model.surface][1])
+                todo.append((trial, 0, [0]))
+                continue
+            count_plan("option_rows", "weight_fault")
+            if golden.shared and self._shares_row(site):
+                leaders = list(dict.fromkeys(golden.leaders))
+                todo += [(trial, i, golden.members(i)) for i in leaders]
+                shared[trial] = len(golden.options) - len(leaders)
+            else:
+                refused += golden.shared
+                todo += [(trial, i, [i]) for i in range(len(golden.options))]
         tel = _telemetry()
+        n_blocks = self.engine.config.n_blocks
         while todo:
-            forwards: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for trial, option in todo:
-                golden = self._golden[trial % n]
-                length = len(golden.prompt) + len(golden.options[option])
-                forwards.setdefault((sites[trial].block, length), []).append((trial, option))
-            for (block, length), rows in forwards.items():
+            forwards: dict[int, list[tuple[int, int, list[int]]]] = {}
+            for row in todo:
+                golden = self._golden[row[0] % n]
+                length = len(golden.prompt) + len(golden.options[row[1]])
+                forwards.setdefault(length, []).append(row)
+            for length, rows in forwards.items():
                 width = min(_DECODE_BATCH, max(1, _OPTION_ROW_TOKENS // length))
                 for at in range(0, len(rows), width):
                     chunk = rows[at : at + width]
                     mine: dict[int, list[int]] = {}
-                    for row, (trial, _) in enumerate(chunk):
+                    for row, (trial, _, _) in enumerate(chunk):
                         mine.setdefault(trial, []).append(row)
+                    entries = [
+                        self._golden[trial % n].entry(sites[trial].block, option)
+                        for trial, option, _ in chunk
+                    ]
                     with ExitStack() as armed:
                         faults = {
                             trial: armed.enter_context(self._row_fault(sites[trial], ids))
                             for trial, ids in mine.items()
                         }
-                        got = score_option_rows(
-                            self.engine, block,
-                            [(self._golden[trial % n], option) for trial, option in chunk],
-                        )
-                    for (trial, option), score in zip(chunk, got):
-                        ran[trial] += 1
+                        logits, starts = score_option_rows(self.engine, [
+                            (self._golden[trial % n], option, entry)
+                            for (trial, option, _), entry in zip(chunk, entries)
+                        ])
+                    read = [
+                        (row, trial, j)
+                        for row, (trial, _, members) in enumerate(chunk)
+                        for j in members
+                    ]
+                    got = option_logp(
+                        logits,
+                        [starts[row] for row, _, _ in read],
+                        [self._golden[trial % n].options[j] for _, trial, j in read],
+                        [row for row, _, _ in read],
+                    )
+                    for (_, trial, j), score in zip(read, got):
                         if faults[trial].fired:
-                            fired[trial], scores[trial][option] = True, score
+                            fired[trial], scores[trial][j] = True, score
+                    for (trial, _, _), entry in zip(chunk, entries):
+                        ran[trial] += 1
+                        computed[trial] += n_blocks - entry
                     if tel.active:
                         tel.metrics.histogram("campaign.wave.width").observe(len(chunk))
             todo = [
-                (trial, ran[trial]) for trial in sites
+                (trial, ran[trial], [ran[trial]]) for trial in sites
                 if not fired[trial] and ran[trial] < len(scores[trial])
             ]
         if tel.active:
-            # Of each trial's option rows through every block, ``ran``
-            # were recomputed from the struck block on.
-            metrics, n_blocks = tel.metrics, self.engine.config.n_blocks
-            for trial, site in trials:
+            # Of each trial's option rows through every block, the
+            # reference's work, ``computed`` ran here; of its options,
+            # ``ran`` ran a row, ``shared`` read a leader's, and the rest
+            # kept their golden scores.
+            metrics = tel.metrics
+            metrics.counter("campaign.mc_golden.share_refused").add(refused)
+            for trial in sites:
                 passes = len(scores[trial]) * n_blocks
                 metrics.counter("campaign.mc_golden.block_passes").add(passes)
                 metrics.counter("campaign.mc_golden.block_passes_skipped").add(
-                    passes - ran[trial] * (n_blocks - site.block)
+                    passes - computed[trial]
                 )
+                metrics.counter("campaign.mc_golden.rows_shared").add(shared[trial])
                 metrics.counter("campaign.mc_golden.rows_reused").add(
-                    len(scores[trial]) - ran[trial]
+                    len(scores[trial]) - ran[trial] - shared[trial]
                 )
         return {trial: (scores[trial], fired[trial]) for trial in sites}
+
+    def _shares_row(self, site: FaultSite) -> bool:
+        """Whether a weight fault at ``site`` leaves the option rows'
+        mask exact (:func:`~repro.fi.golden.shares_row`), from the
+        value its injector writes."""
+        store = self.engine.weight_store(site.layer_name)
+        value = store.faulted_value(site.row, site.col, list(site.bits))
+        return shares_row(self._bounds, site, value)
 
     def _eval_gen(self, idx: int) -> str:
         """Example ``idx``'s prediction by the reference: decoded from
@@ -549,6 +610,8 @@ class FICampaign:
         key = None
         if self._why_no_golden() is None:
             key = self._shared_key()
+            if self.is_mc:
+                self._bounds = mask_bounds(self.engine, key[0])
             entry = take_shared(self.engine, key)
             tel = _telemetry()
             if tel.active:
@@ -764,7 +827,7 @@ class FICampaign:
         passes for this key (and leaves the result with the engine)."""
         if self.is_mc:
             passes = [
-                GoldenOptions.build(self.engine, prompt, options)
+                GoldenOptions.build(self.engine, prompt, options, self._bounds)
                 for prompt, options in self._token_ids
             ]
         else:

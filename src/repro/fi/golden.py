@@ -20,12 +20,42 @@ trial that runs alone runs the reference from the prompt
 **Multiple-choice trials.**  A trial struck in block ``L`` reruns option
 rows from ``L`` on, from the state that entered ``L`` in its example's
 pass (:func:`score_option_rows`).  Under a weight fault that is every
-option row; under a transient fault, options one at a time until it
-has fired.  The fault is keyed to the trial's own rows rather than
-armed engine-wide, so the rows of many trials — of any examples,
-struck in the same block, equally long — share one forward, each
-reading its own faulted copy of the struck tensor or struck by its own
-pinned injector.
+option row (one per option class, below, when the bound admits it);
+under a transient fault, options one at a time until it has fired.
+The fault is keyed to the trial's own rows rather than armed
+engine-wide, so the rows of many trials — of any examples and struck
+blocks, equally long, each entering at its own block — share one
+forward, each reading its own faulted copy of the struck tensor or
+struck by its own pinned injector.
+
+**Option classes.**  Options of one length that agree on all but their
+last token — every option of a one-token task — read the same logits
+at every read-window position but the last, which no score reads: in a
+causal forward the last token reaches an earlier position only through
+a masked attention entry, and a masked entry adds nothing while (i) its
+softmax weight is exactly 0 — the mask writes ``-1e9`` over its score,
+and its row's maximum, over at least the query's own position, is far
+above that — and (ii) the value it weights is finite: ``0 x v`` is a
+signed zero, and an accumulator that starts at ``+0`` is unchanged by
+one.  So a class scores off one row, its leader's, each member
+``option_logp`` over the leader's logits with its own tokens
+(:class:`GoldenOptions`).  Both conditions hold while every attention
+score stays below ``1e8`` in magnitude and every activation below
+``1e15``, which :class:`MaskBounds` bounds per block from the weights,
+once per weights digest (:func:`mask_bounds`): an RMSNorm output by
+``sqrt(d)·|g|`` whatever its finite input; a linear output column ``j``
+by ``sum_i in_i·|W_ij|`` over its inputs' bounds; RoPE at most doubles
+an element; attention's output by V's bound; ``silu(gate)·up`` by
+``|gate|·|up|``; the residual stream by the embedding's maximum plus
+every block's out_proj and down bounds.  The pristine bound decides
+whether an engine forms classes at all (none on MoE: a token's routing
+changes the rows an expert's product runs over, and with them every
+product of that run); :func:`shares_row` decides a weight-fault trial,
+with its struck element at its faulted value.  It refuses, for one, a
+bf16 exponent-MSB flip in q_proj (about ``1e38``): a query can then
+score every key it sees below ``-1e9``, and the masked key takes the
+weight.  A refused trial runs every option's row, a member's from the
+embedding (its pass keeps only the leader's state).
 
 **Generative trials.**
 
@@ -96,11 +126,13 @@ baseline.
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.fi.sites import FaultSite
 from repro.generation.decode import GenerationConfig, option_logp
 from repro.generation.round import (
     DecodeRound,
@@ -113,7 +145,15 @@ from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["GoldenRun", "GoldenOptions", "SharedBaseline", "forget"]
+__all__ = [
+    "GoldenRun",
+    "GoldenOptions",
+    "MaskBounds",
+    "SharedBaseline",
+    "forget",
+    "mask_bounds",
+    "shares_row",
+]
 
 
 @dataclass(eq=False)
@@ -286,63 +326,72 @@ def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
     return session
 
 
-def _score_rows(
+def _option_rows(
     engine: InferenceEngine,
     rows: list[tuple[list[int], list[int]]],
     **forward_kw,
-) -> list[float]:
-    """Score ``(prompt, option)`` pairs of one length ``prompt + option``
-    as rows of one cache-less ``forward_chunk_batch`` from position 0,
-    row ``i`` with id ``i``, reading from the shortest prompt's last
-    position on — where the earliest option's first token is predicted.
-    The batched entry is row-exact and its read window exact, so row
-    ``i`` scores what ``forward_full(prompt + option)`` does, bit for
-    bit, under whatever is armed on the engine for it."""
+) -> tuple[np.ndarray, list[int]]:
+    """The logits window of ``(prompt, option)`` pairs of one length
+    ``prompt + option``, as rows of one cache-less ``forward_chunk_batch``
+    from position 0, row ``i`` with id ``i``, read from the shortest
+    prompt's last position on — where the earliest option's first token
+    is predicted — and per row the window position its option's first
+    token is predicted at.  The batched entry is row-exact and its read
+    window exact, so row ``i`` holds what ``forward_full(prompt +
+    option)`` does there, bit for bit, under whatever is armed on the
+    engine for it."""
     read_from = min(len(prompt) for prompt, _ in rows) - 1
     zeros = [0] * len(rows)
     logits = engine.forward_chunk_batch(
         [prompt + option for prompt, option in rows], None, zeros, zeros,
         read_from=read_from, **forward_kw,
     )
-    return option_logp(
-        logits,
-        [len(prompt) - 1 - read_from for prompt, _ in rows],
-        [option for _, option in rows],
-    )
+    return logits, [len(prompt) - 1 - read_from for prompt, _ in rows]
 
 
-def _by_option(groups: list[list[int]], per_group: list[list[float]]) -> list[float]:
-    """Per-group score lists back in option order."""
-    scores = [0.0] * sum(len(group) for group in groups)
-    for group, rows in zip(groups, per_group):
-        for i, score in zip(group, rows):
-            scores[i] = score
-    return scores
+def option_classes(options: list[list[int]]) -> list[int]:
+    """Per option, its class leader: the first option of its length that
+    agrees with it on all but its last token — itself when none comes
+    before it."""
+    first: dict[tuple, int] = {}
+    return [
+        first.setdefault((len(option), tuple(option[:-1])), i)
+        for i, option in enumerate(options)
+    ]
 
 
 @dataclass(eq=False)
 class GoldenOptions:
     """One multiple-choice example's fault-free scoring pass.
 
-    The options of equal token length are one *group*: rows of one
+    The options of one length that agree on all but their last token are
+    one *class* (:func:`option_classes`), scored off one row, its
+    leader's, when the engine's :class:`MaskBounds` prove the mask exact
+    (see the module docstring); otherwise every option is its own class.
+    The class leaders of equal token length are one *group*: rows of one
     forward.  Kept per group: the hidden state that entered blocks
     ``1..n-1`` (block 0's input is the embedding gather, not worth
     keeping), and per option its score.  A fault in block ``L`` leaves
     every block before it computing exactly this pass, so a trial runs
-    its option rows from block ``L`` on
-    (:func:`score_option_rows`, from :meth:`state`), beside other
-    trials' rows of the same length and struck block, each under its own
-    row-keyed fault.  A weight fault is read by every option's forward:
-    its rows are all rerun.  A one-shot computational fault leaves every
-    option forward but the one it fires in untouched: a trial reruns
-    its options one at a time until it has fired and keeps the golden
-    :attr:`scores` of the rest.
+    a leader's row from block ``L`` on (:func:`score_option_rows`, from
+    :meth:`state`), beside other trials' rows of the same length, each
+    under its own row-keyed fault; a member's row, whose state is not
+    kept, runs from the embedding.  A weight fault is read by every
+    option's forward: its trial reruns one row per class when
+    :func:`shares_row` admits its struck element, else every option's
+    row.  A one-shot computational fault leaves every option forward but
+    the one it fires in untouched: a trial reruns its options one at a
+    time until it has fired and keeps the golden :attr:`scores` of the
+    rest.
     """
 
     prompt: list[int]
     options: list[list[int]]
+    leaders: list[int]
+    """Per option, the option whose row it is scored off: its class
+    leader, itself when it leads."""
     groups: list[list[int]]
-    """Option indices of each rows forward."""
+    """Leaders of each rows forward."""
     hidden: list[list[np.ndarray]]
     """``hidden[g][b - 1]``: the ``(rows, t, d_model)`` input of block
     ``b`` in group ``g``'s forward."""
@@ -354,24 +403,37 @@ class GoldenOptions:
         engine: InferenceEngine,
         prompt: list[int],
         options: list[list[int]],
+        bounds: "MaskBounds | None" = None,
     ) -> "GoldenOptions":
         """Score every option on ``engine``, which must be pristine: a
         fault baked into this pass would be taken for fault-free by
-        every trial that reuses it."""
+        every trial that reuses it.  With ``bounds`` (the engine's, which
+        prove its pristine mask exact) a class runs one row."""
         reason = decode_plan(engine)[1]
         if reason not in ("clean", "observer_hooks"):
             raise RuntimeError(
                 f"golden option pass needs a pristine engine, found {reason}"
             )
         count_plan("option_rows", reason)
-        groups = _by_length(range(len(options)), lambda i: len(options[i]))
+        leaders = (
+            option_classes(options) if bounds is not None
+            else list(range(len(options)))
+        )
+        groups = _by_length(sorted(set(leaders)), lambda i: len(options[i]))
+        scores = [0.0] * len(options)
         inputs: list[list[np.ndarray]] = [[] for _ in groups]
-        scores = _by_option(groups, [
-            _score_rows(
+        for group, kept in zip(groups, inputs):
+            logits, starts = _option_rows(
                 engine, [(prompt, options[i]) for i in group], block_inputs=kept,
             )
-            for group, kept in zip(groups, inputs)
-        ])
+            scored = [j for j, leader in enumerate(leaders) if leader in group]
+            rows = [group.index(leaders[j]) for j in scored]
+            got = option_logp(
+                logits, [starts[row] for row in rows],
+                [options[j] for j in scored], rows,
+            )
+            for j, score in zip(scored, got):
+                scores[j] = score
         hidden = [
             [x.reshape(len(group), -1, x.shape[-1]) for x in kept[1:]]
             for group, kept in zip(groups, inputs)
@@ -379,11 +441,28 @@ class GoldenOptions:
         tel = _telemetry()
         if tel.active:
             tel.metrics.counter("campaign.mc_golden.builds").add()
-        return cls(prompt, options, groups, hidden, scores)
+        return cls(prompt, options, leaders, groups, hidden, scores)
+
+    @property
+    def shared(self) -> bool:
+        """Whether some class has members: an option scored off another
+        option's row."""
+        return any(leader != i for i, leader in enumerate(self.leaders))
+
+    def members(self, leader: int) -> list[int]:
+        """The options scored off ``leader``'s row, ``leader`` first."""
+        return [i for i, own in enumerate(self.leaders) if own == leader]
+
+    def entry(self, block: int, option: int) -> int:
+        """The block ``option``'s row of a trial struck in ``block``
+        enters at: ``block`` when this pass keeps its state there, else
+        0 — a member's row, whose state only its leader's stands for at
+        every position but the last, starts from the embedding."""
+        return block if self.leaders[option] == option else 0
 
     def state(self, block: int, option: int) -> np.ndarray:
         """The ``(t, d_model)`` hidden state that entered ``block``
-        (``>= 1``) in ``option``'s row of this pass."""
+        (``>= 1``) in leader ``option``'s row of this pass."""
         g, row = next(
             (g, group.index(option))
             for g, group in enumerate(self.groups)
@@ -394,22 +473,185 @@ class GoldenOptions:
 
 def score_option_rows(
     engine: InferenceEngine,
-    first_block: int,
-    rows: "list[tuple[GoldenOptions, int]]",
-) -> list[float]:
-    """Scores of ``(pass, option)`` rows, every ``prompt + option``
-    equally long (of one example or several), as one forward of blocks
-    ``first_block..n-1`` from the golden state entering ``first_block``.
-    Row ``i`` carries id ``i``: what is armed on ``engine`` must not
-    reach a block below ``first_block``, and a fault keyed to row ``i``
-    (``MemoryFaultInjector(rows=)``, any other injector's
+    rows: "list[tuple[GoldenOptions, int, int]]",
+) -> tuple[np.ndarray, list[int]]:
+    """The logits window (:func:`_option_rows`) of ``(pass, option,
+    block)`` rows, every ``prompt + option`` equally long (of one example
+    or several), as one forward: row ``i`` enters ``block`` (from
+    :meth:`GoldenOptions.entry`) from its pass's state entering it, or
+    the embedding at ``block == 0``.  Rows of different entries share
+    the forward.  Row ``i`` carries id ``i``: what is armed on ``engine``
+    must not reach a block below a row's entry, and a fault keyed to row
+    ``i`` (``MemoryFaultInjector(rows=)``, any other injector's
     ``batch_row=``) strikes that row alone."""
-    return _score_rows(
+    enter = [
+        (block, golden.state(block, option)) if block else None
+        for golden, option, block in rows
+    ]
+    return _option_rows(
         engine,
-        [(golden.prompt, golden.options[i]) for golden, i in rows],
-        enter=[
-            (first_block, golden.state(first_block, i)) for golden, i in rows
-        ] if first_block else None,
+        [(golden.prompt, golden.options[option]) for golden, option, _ in rows],
+        enter=enter if any(enter) else None,
+    )
+
+
+# ----------------------------------------------------------------------------
+# The mask-exactness bound: when options of one class may share a row.
+# ----------------------------------------------------------------------------
+
+_ACTIVATION_LIMIT = 1e15
+"""Every activation bound a shared row must stay below: far enough from
+float32's overflow (3.4e38; 1.8e19 for the square an RMSNorm takes) that
+the residual stream stays finite, so every norm output keeps its bound
+and every value is finite."""
+
+_SCORE_LIMIT = 1e8
+"""Every attention score bound a shared row must stay below: the mask
+writes ``-1e9``, so a masked entry sits at least ``9e8`` below its row's
+maximum and its softmax weight underflows to exactly 0."""
+
+
+@dataclass(eq=False)
+class _BlockBounds:
+    """One dense block's tables, from the pristine weights (float64)."""
+
+    inputs: dict[str, np.ndarray | None]
+    """Layer type -> a bound on each of its input features: its norm's
+    ``sqrt(d)·|g|`` for q/k/v/gate/up (``|x / rms(x)| <= sqrt(d)``),
+    ``silu(gate)·up``'s for down (gate's column bound times up's:
+    ``|silu(x)| <= |x|``), ``None`` for out_proj, whose every input V's
+    bound bounds (softmax weights sum to 1)."""
+    cols: dict[str, np.ndarray]
+    """Layer type -> ``sum_i in_i·|W_ij|`` per output column ``j``, over
+    its input bounds ``in`` (1 for out_proj)."""
+    top: dict[str, float]
+    """Layer type -> its largest column bound."""
+    down_rows: np.ndarray
+    """``max_k |W_down[i, k]|`` per row ``i``: how far a changed
+    ``silu(gate)·up`` feature moves down's bound."""
+
+    @classmethod
+    def of(cls, engine: InferenceEngine, block: int) -> "_BlockBounds":
+        cfg, prefix = engine.config, f"blocks.{block}."
+
+        def norm(name: str) -> np.ndarray:
+            gain = engine._plain[prefix + name + ".weight"].astype(np.float64)
+            return np.sqrt(cfg.d_model) * np.abs(gain)
+
+        def weight(layer: str) -> np.ndarray:
+            return np.abs(engine.weight_store(prefix + layer).array.astype(np.float64))
+
+        attn_in, mlp_in = norm("attn_norm"), norm("mlp_norm")
+        inputs = {
+            "q_proj": attn_in, "k_proj": attn_in, "v_proj": attn_in,
+            "out_proj": None, "gate_proj": mlp_in, "up_proj": mlp_in,
+        }
+        cols = {"out_proj": weight("out_proj").sum(axis=0)}
+        for layer in ("q_proj", "k_proj", "v_proj", "gate_proj", "up_proj"):
+            cols[layer] = inputs[layer] @ weight(layer)
+        inputs["down_proj"] = cols["gate_proj"] * cols["up_proj"]
+        down = weight("down_proj")
+        cols["down_proj"] = inputs["down_proj"] @ down
+        top = {layer: float(col.max()) for layer, col in cols.items()}
+        return cls(inputs, cols, top, down.max(axis=1))
+
+    def peaks(
+        self, score_scale: float, struck: tuple[str, int, int, float] | None = None
+    ) -> tuple[float, float, float]:
+        """``(score bound, residual growth bound, largest activation
+        bound)`` of this block, with ``struck = (layer type, row, col,
+        |value|)``: one weight at a finite faulted magnitude, whose term
+        adds on top of its column's pristine bound."""
+        peak, extra = self.top, 0.0
+        if struck is not None:
+            layer, r, c, mag = struck
+            inputs = self.inputs[layer]
+            column = float(self.cols[layer][c]) + (
+                1.0 if inputs is None else float(inputs[r])
+            ) * mag
+            peak = {**peak, layer: max(peak[layer], column)}
+            if layer in ("gate_proj", "up_proj"):
+                # Feature c of silu(gate)·up moves to the struck column's
+                # new bound times the other's; down's columns move by at
+                # most that times row c's largest |weight|.
+                other = "up_proj" if layer == "gate_proj" else "gate_proj"
+                extra = column * float(self.cols[other][c] * self.down_rows[c])
+        q, k, v = peak["q_proj"], peak["k_proj"], peak["v_proj"]
+        o, d = v * peak["out_proj"], peak["down_proj"] + extra
+        return (
+            score_scale * q * k,
+            o + d,
+            max(q, k, v, o, peak["gate_proj"], peak["up_proj"], d),
+        )
+
+
+@dataclass(eq=False)
+class MaskBounds:
+    """Per-block tables of :func:`shares_row`, from one engine's weights
+    as stored: built once per weights digest (:func:`mask_bounds`)."""
+
+    score_scale: float
+    """``4·sqrt(head_dim)``: ``|q·k|/sqrt(hd) <= hd·(2Q)(2K)/sqrt(hd)``,
+    RoPE at most doubling an element (``|a·cos + b·sin| <= |a| + |b|``)."""
+    blocks: list[_BlockBounds]
+    residual: float
+    """The pristine residual stream's bound past the last block: the
+    embedding's largest ``|value|`` plus every block's out_proj and down
+    bounds."""
+
+
+def _pristine_bounds(engine: InferenceEngine) -> MaskBounds | None:
+    """The engine's tables, or ``None`` when no class may share a row on
+    it: an MoE engine (a token's routing changes an expert's run of rows,
+    and so every product of that run), or a pristine forward the bound
+    does not hold for."""
+    cfg = engine.config
+    if cfg.is_moe:
+        return None
+    scale = 4.0 * np.sqrt(cfg.head_dim)
+    blocks = [_BlockBounds.of(engine, b) for b in range(cfg.n_blocks)]
+    residual = float(np.abs(engine._plain["embed.weight"]).max())
+    for block in blocks:
+        score, growth, peak = block.peaks(scale)
+        residual += growth
+        if not (
+            score < _SCORE_LIMIT and peak < _ACTIVATION_LIMIT
+            and residual < _ACTIVATION_LIMIT
+        ):
+            return None
+    return MaskBounds(scale, blocks, residual)
+
+
+_BOUNDS: "weakref.WeakKeyDictionary[InferenceEngine, tuple[bytes, MaskBounds | None]]" = (
+    weakref.WeakKeyDictionary()
+)
+"""Engine -> ``(weights digest, its tables)``: one set per engine,
+rebuilt when the stored weights change."""
+
+
+def mask_bounds(engine: InferenceEngine, digest: bytes) -> MaskBounds | None:
+    """``engine``'s tables for the weights ``digest`` names
+    (:func:`weights_digest`), built on first use."""
+    cached = _BOUNDS.get(engine)
+    if cached is None or cached[0] != digest:
+        cached = _BOUNDS[engine] = (digest, _pristine_bounds(engine))
+    return cached[1]
+
+
+def shares_row(bounds: MaskBounds, site: FaultSite, value: float) -> bool:
+    """Whether a weight fault at ``site``, writing ``value`` into its
+    element, keeps the mask exact in every option row: then a class's
+    members score off its leader's row bit for bit (module docstring).
+    Pure: from ``bounds`` (pristine, so only the struck block moves) and
+    the faulted value."""
+    if not math.isfinite(value):
+        return False
+    score, growth, peak = bounds.blocks[site.block].peaks(
+        bounds.score_scale, (site.layer_type, site.row, site.col, abs(float(value))),
+    )
+    return bool(
+        score < _SCORE_LIMIT and peak < _ACTIVATION_LIMIT
+        and bounds.residual + growth < _ACTIVATION_LIMIT
     )
 
 

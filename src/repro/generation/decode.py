@@ -288,11 +288,16 @@ def generate_ids(
 
 
 def option_logp(
-    logits: np.ndarray, starts: list[int], options: list[list[int]]
+    logits: np.ndarray,
+    starts: list[int],
+    options: list[list[int]],
+    rows: list[int] | None = None,
 ) -> list[float]:
-    """Summed log-likelihood of each row's option: row ``i`` of the
-    ``(rows, window, vocab)`` block ``logits`` predicts ``options[i]``
-    from window position ``starts[i]`` on, one position per token.
+    """Summed log-likelihood of each option: row ``rows[i]`` (default
+    ``i``) of the ``(rows, window, vocab)`` block ``logits`` predicts
+    ``options[i]`` from window position ``starts[i]`` on, one position
+    per token.  Several options may read one row: the options of a class
+    (:mod:`repro.fi.golden`) are scored off their leader's row.
 
     The one spelling both option-scoring paths share — the per-option
     reference (one row) and a campaign's rows forward
@@ -306,7 +311,9 @@ def option_logp(
     )
     return [
         float(logp[row, np.arange(start, start + len(option)), option].sum())
-        for row, (start, option) in enumerate(zip(starts, options))
+        for row, start, option in zip(
+            range(len(options)) if rows is None else rows, starts, options
+        )
     ]
 
 
@@ -341,7 +348,13 @@ def score_options(
     as rows of row-exact forwards that other trials' rows share, each
     trial's fault keyed to its own rows
     (:class:`repro.fi.golden.GoldenOptions`) — ``array_equal`` to this
-    list, option by option.
+    list, option by option.  Options that differ only in their last
+    token share one row there: that token reaches the positions their
+    scores read only through a masked attention entry, whose weight is
+    exactly 0 and whose value is finite while every score stays below
+    ``1e8`` and every activation below ``1e15`` — a norm bound
+    (:class:`repro.fi.golden.MaskBounds`) proves it per struck element,
+    and a trial it does not admit runs one row per option.
     """
     if not options_ids:
         raise ValueError("need at least one option to score")

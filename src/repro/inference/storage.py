@@ -60,6 +60,11 @@ class WeightStore(Protocol):
         flipped.  Pure: the store is not written.  Raises while a faulted
         copy is swapped in — a second fault would be built on the first."""
 
+    def faulted_value(self, row: int, col: int, positions: list[int]) -> float:
+        """The one element :meth:`faulted_array` changes, as it writes
+        it: the compute value of ``(row, col)`` with ``positions`` of its
+        stored bits flipped."""
+
     def swap(self, array: np.ndarray) -> np.ndarray:
         """Make ``array`` what :attr:`array` returns, and so what every
         forward reads; returns the array it replaces."""
@@ -95,7 +100,7 @@ class _Policy:
         if self._array is not self._pristine:
             raise RuntimeError("a faulted copy is already swapped into this store")
         array = self._pristine.copy()
-        array[row, col] = self._flipped(row, col, positions)
+        array[row, col] = self.faulted_value(row, col, positions)
         return array
 
 
@@ -123,9 +128,7 @@ class FloatWeightStore(_Policy):
             return {"array": self._pristine}
         return {"bits": self._bits, "array": self._pristine}
 
-    def _flipped(self, row: int, col: int, positions: list[int]) -> float:
-        """The compute value of element ``(row, col)`` with ``positions``
-        of its stored bits flipped."""
+    def faulted_value(self, row: int, col: int, positions: list[int]) -> float:
         bits = flip_bits(self._bits[row, col : col + 1], positions, self.fmt)
         return from_bits(bits, self.fmt)[0]
 
@@ -152,7 +155,7 @@ class QuantizedWeightStore(_Policy):
             "array": self._pristine,
         }
 
-    def _flipped(self, row: int, col: int, positions: list[int]) -> float:
+    def faulted_value(self, row: int, col: int, positions: list[int]) -> float:
         q = self.quantized
         return q.dequantize_element(row, col, q.flipped_code(row, col, positions))
 

@@ -65,10 +65,6 @@ class LogitAnomalyDetector:
                 "detector.flag", reason=reason, step=self.total_steps - 1
             )
 
-    @property
-    def triggered(self) -> bool:
-        return self.flagged_steps > 0
-
     def reset(self) -> None:
         self.flagged_steps = 0
         self.total_steps = 0

@@ -75,21 +75,6 @@ class FloatFormat:
         return (1 << (self.exp_bits - 1)) - 1
 
     @property
-    def sign_bit(self) -> int:
-        """Bit index of the sign bit (the MSB)."""
-        return self.bits - 1
-
-    @property
-    def exponent_bit_range(self) -> range:
-        """Bit indices (LSB-first) occupied by the exponent field."""
-        return range(self.man_bits, self.man_bits + self.exp_bits)
-
-    @property
-    def mantissa_bit_range(self) -> range:
-        """Bit indices (LSB-first) occupied by the mantissa field."""
-        return range(0, self.man_bits)
-
-    @property
     def max_finite(self) -> float:
         """Largest finite representable magnitude."""
         max_exp = (1 << self.exp_bits) - 2 - self.bias

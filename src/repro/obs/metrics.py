@@ -149,12 +149,6 @@ class MetricsRegistry:
         for name, values in snapshot.get("histograms", {}).items():
             self.histogram(name).values.extend(values)
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
-
     def reset(self) -> None:
         self.counters.clear()
         self.gauges.clear()

@@ -159,13 +159,17 @@ def _derived_section(run: RunData) -> list[str]:
     if "campaign.mc_golden.builds" in counters:
         # Reach-limited option scoring: one block pass is one option row
         # through one block, counted against the one-forward-per-option
-        # reference.
+        # reference; a shared row is a class member scored off its
+        # leader's row, a refused trial one whose struck element the
+        # mask bound did not admit.
         passes = count("campaign.mc_golden.block_passes")
         skipped = count("campaign.mc_golden.block_passes_skipped")
         lines.append(
             f"mc golden: {skipped} of {passes} block passes skipped"
             f" ({skipped / max(1, passes):.3f}),"
             f" {count('campaign.mc_golden.rows_reused')} option rows reused,"
+            f" {count('campaign.mc_golden.rows_shared')} shared"
+            f" ({count('campaign.mc_golden.share_refused')} trials refused),"
             f" {count('campaign.mc_golden.builds')} passes built,"
             f" {count('campaign.mc_golden.shared')} reused"
         )

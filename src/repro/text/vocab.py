@@ -48,16 +48,6 @@ class Vocab:
         return list(self._id_to_token)
 
     @property
-    def pad_id(self) -> int:
-        """Id of the padding token."""
-        return self._token_to_id[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        """Id of the beginning-of-sequence token."""
-        return self._token_to_id[BOS]
-
-    @property
     def eos_id(self) -> int:
         """Id of the end-of-sequence token."""
         return self._token_to_id[EOS]

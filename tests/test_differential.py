@@ -55,10 +55,11 @@ def clean_telemetry():
 
 
 def make_campaign(
-    store, tokenizer, world, kind, fault_model, num_beams=1, **kw
+    store, tokenizer, world, kind, fault_model, num_beams=1,
+    weight_policy="fp32", **kw
 ):
     """One campaign over the standardized subset; ``kind`` picks the task."""
-    engine = InferenceEngine(store)
+    engine = InferenceEngine(store, weight_policy=weight_policy)
     if kind == "mc":
         task = MMLUTask(world)
         generation = None
@@ -162,6 +163,38 @@ class TestExecutionEquivalence:
             num_beams=num_beams, **REFERENCE,
         ).run(6, n_workers=0)
         assert_results_equal(pooled, serial, "pooled", "serial")
+
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    @pytest.mark.parametrize(
+        "model,policy",
+        [("dense", p) for p in ("fp32", "bf16", "fp16", "int8", "int4")]
+        + [("moe", "bf16")],
+    )
+    def test_mc_weight_faults_share_rows_and_match_reference(
+        self, untrained_store, moe_store, tokenizer, world, model, policy,
+        n_workers, clean_telemetry,
+    ):
+        """MC ``2bits-mem`` under every storage policy, in this process
+        and on two workers: one row per option class where the mask
+        bound admits the struck element, and the reference's records.
+        An MoE engine shares no row."""
+        store = moe_store if model == "moe" else untrained_store
+        clean_telemetry.enable()
+        optimized = make_campaign(
+            store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            weight_policy=policy,
+        ).run(12, n_workers=n_workers)
+        counters = clean_telemetry.metrics.snapshot()["counters"]
+        clean_telemetry.disable()
+        reference = make_campaign(
+            store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
+            weight_policy=policy, **REFERENCE,
+        ).run(12, n_workers=n_workers)
+        assert_results_equal(optimized, reference, "optimized", "reference")
+        shared = counters.get("campaign.mc_golden.rows_shared", 0)
+        assert (shared > 0) == (model == "dense")
+        if model == "moe":
+            assert counters.get("campaign.mc_golden.share_refused", 0) == 0
 
     def test_moe_selection_tracking_matches_reference(
         self, moe_store, tokenizer, world

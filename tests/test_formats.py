@@ -58,11 +58,6 @@ class TestFormatRegistry:
         assert roles[15] == "sign"
         assert len(roles) == 16
 
-    def test_field_ranges(self):
-        assert list(BF16.exponent_bit_range) == list(range(7, 15))
-        assert BF16.sign_bit == 15
-        assert list(FP32.mantissa_bit_range) == list(range(23))
-
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp32"])
@@ -103,7 +98,7 @@ class TestEncodeDecode:
 class TestBitFlips:
     def test_sign_flip_negates(self):
         for fmt in FORMATS.values():
-            flipped = flip_value_bits(1.5, [fmt.sign_bit], fmt)
+            flipped = flip_value_bits(1.5, [fmt.bits - 1], fmt)
             assert flipped == -1.5
 
     def test_double_flip_is_identity(self):
@@ -133,7 +128,7 @@ class TestBitFlips:
 
     def test_flip_is_elementwise_on_arrays(self):
         x = np.array([1.0, 2.0, 4.0], np.float32)
-        flipped = flip_value_bits(x, [FP32.sign_bit], "fp32")
+        flipped = flip_value_bits(x, [FP32.bits - 1], "fp32")
         np.testing.assert_array_equal(flipped, -x)
 
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro.fi import (
     FaultModel,
+    FaultSite,
     FICampaign,
     assert_records_equal,
     assert_results_equal,
@@ -720,15 +721,24 @@ class TestReachLimitedOptions:
             ).run(6),
             "auto", "serial",
         )
-        # Four options a trial; a block pass is one option row through
-        # one block.  A weight fault reruns every row from L, a
-        # transient one only option 0's.
-        rows_run = 4 if fault_model.is_memory else 1
+        # Four one-token options a trial, one class; a block pass is one
+        # option row through one block.  A transient fault reruns option
+        # 0's row from L.  A weight fault the bound admits reruns the
+        # leader's row from L and scores the three members off it; one it
+        # refuses reruns every row, the members' from the embedding.
         assert counters["campaign.mc_golden.block_passes"] == 6 * 4 * n_blocks
-        assert counters["campaign.mc_golden.block_passes_skipped"] == 6 * (
-            4 * n_blocks - rows_run * (n_blocks - block)
+        computed = 6 * (n_blocks - block)
+        refused = counters["campaign.mc_golden.share_refused"]
+        if fault_model.is_memory:
+            assert counters["campaign.mc_golden.rows_shared"] == 3 * (6 - refused)
+            assert counters["campaign.mc_golden.rows_reused"] == 0
+            computed += refused * 3 * n_blocks
+        else:
+            assert refused == counters["campaign.mc_golden.rows_shared"] == 0
+            assert counters["campaign.mc_golden.rows_reused"] == 6 * 3
+        assert counters["campaign.mc_golden.block_passes_skipped"] == (
+            6 * 4 * n_blocks - computed
         )
-        assert counters["campaign.mc_golden.rows_reused"] == 6 * (4 - rows_run)
 
     @pytest.mark.parametrize("fault_model", MC_FAULTS, ids=lambda m: m.value)
     def test_campaign_matches_serial_and_telemetry_only_observes(
@@ -754,12 +764,53 @@ class TestReachLimitedOptions:
             f"decode.plan.option_rows.{reason}": n,
         }
         assert counters["campaign.mc_golden.builds"] == 3
-        n_blocks = InferenceEngine(trained_store).config.n_blocks
-        rows_run = 4 if fault_model.is_memory else 1
-        assert counters["campaign.mc_golden.block_passes_skipped"] == sum(
-            4 * n_blocks - rows_run * (n_blocks - t.site.block)
-            for t in traced.trials
+        probe = campaign(trained_store, tokenizer, task, fault_model)
+        probe.compute_baseline()
+        n_blocks = probe.engine.config.n_blocks
+        skipped = shared = refused = 0
+        for t in traced.trials:
+            golden, block = probe._golden[t.example_index], t.site.block
+            # One row per class from the struck block when the bound
+            # admits a weight fault; every option's row when it refuses
+            # (a member's from the embedding); option 0's for a
+            # transient fault.
+            if not fault_model.is_memory:
+                rows = [0]
+            elif golden.shared and probe._shares_row(t.site):
+                rows = sorted(set(golden.leaders))
+                shared += 4 - len(rows)
+            else:
+                rows = range(4)
+                refused += golden.shared
+            skipped += 4 * n_blocks - sum(
+                n_blocks - golden.entry(block, option) for option in rows
+            )
+        assert counters["campaign.mc_golden.block_passes_skipped"] == skipped
+        assert counters["campaign.mc_golden.rows_shared"] == shared
+        assert counters["campaign.mc_golden.share_refused"] == refused
+        assert shared > 0 or not fault_model.is_memory
+
+    def test_the_bound_refuses_what_sharing_would_get_wrong(
+        self, trained_store, tokenizer, world
+    ):
+        """A bf16 exponent-MSB flip in q_proj writes about 1e38: a query
+        can then score every key it sees below the mask's ``-1e9``, and
+        the masked key takes the weight.  The bound refuses it, so the
+        trial runs every option's row and scores the reference; scoring
+        the class's members off its leader's row anyway would not."""
+        site = FaultSite(FaultModel.MEM_2BIT, "blocks.1.q_proj", 44, 39, (1, 14))
+        camp = campaign(
+            trained_store, tokenizer, MMLUTask(world), FaultModel.MEM_2BIT,
+            engine=InferenceEngine(trained_store, weight_policy="bf16"),
         )
+        camp._trial_site = lambda trial, max_iter: site
+        _, rows, full = score_vectors(camp, 2)
+        assert camp._golden[2].leaders == [0, 0, 0, 0]
+        assert not camp._shares_row(site)
+        assert np.array_equal(rows, full)
+        camp._shares_row = lambda site: True
+        _, shared, full = score_vectors(camp, 2)
+        assert shared[0] == full[0] and not np.array_equal(shared, full)
 
     def test_workers_inherit_the_parents_passes(self, trained_store, tokenizer, world):
         task = HellaSwagTask(world)

@@ -189,7 +189,7 @@ class TestDetectors:
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert not detector.check(rng.normal(0, 3, size=100).astype(np.float32))
-        assert not detector.triggered
+        assert detector.flagged_steps == 0
 
     def test_nan_flagged(self):
         detector = LogitAnomalyDetector()
@@ -207,7 +207,7 @@ class TestDetectors:
         detector = LogitAnomalyDetector()
         detector.check(np.full(10, np.inf, np.float32))
         detector.reset()
-        assert not detector.triggered and detector.total_steps == 0
+        assert detector.flagged_steps == detector.total_steps == 0
 
     def test_structure_flags(self):
         assert output_structure_flags("<pad> <pad> <pad> <pad>")

@@ -168,7 +168,8 @@ class TestMetrics:
             part = left if i < 4 else right
             part.counter("n").add()
             part.histogram("h").observe(float(i))
-        merged = MetricsRegistry.from_snapshot(right.snapshot())
+        merged = MetricsRegistry()
+        merged.merge(right.snapshot())
         merged.merge(left.snapshot())
         assert merged.counter("n").value == whole.counter("n").value
         for q in (0.5, 0.95, 0.99):
@@ -562,6 +563,8 @@ class TestReport:
             "campaign.mc_golden.block_passes": 64,
             "campaign.mc_golden.block_passes_skipped": 24,
             "campaign.mc_golden.rows_reused": 6,
+            "campaign.mc_golden.rows_shared": 9,
+            "campaign.mc_golden.share_refused": 2,
         }.items():
             tel.metrics.counter(name).add(value)
         for trials in (8, 5):
@@ -581,7 +584,7 @@ class TestReport:
         ) in text
         assert (
             "mc golden: 24 of 64 block passes skipped (0.375), 6 option rows"
-            " reused, 3 passes built, 5 reused"
+            " reused, 9 shared (2 trials refused), 3 passes built, 5 reused"
         ) in text
         assert (
             "waves: 13 trials in 2 waves, 3 shared forwards at mean width 5.0,"

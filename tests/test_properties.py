@@ -6,12 +6,19 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd.functional import softmax_np
 from repro.fi import FaultModel, FaultSite, inject, sample_site
-from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.golden import (
+    GoldenOptions,
+    GoldenRun,
+    mask_bounds,
+    score_option_rows,
+    shares_row,
+    weights_digest,
+)
 from repro.fi.injector import (
     AccumulatorFaultInjector,
     KVFaultInjector,
@@ -743,6 +750,102 @@ def test_property_option_scores_are_the_per_option_reference(moe, prompt, option
     assert np.array_equal(score_options(engine, prompt, options), reference)
     golden = GoldenOptions.build(engine, prompt, options)
     assert np.array_equal(golden.scores, reference)
+    # With the engine's bounds a class runs one row (none on MoE).
+    bounds = mask_bounds(engine, weights_digest(engine))
+    assert (bounds is None) == moe
+    shared = GoldenOptions.build(engine, prompt, options, bounds)
+    assert np.array_equal(shared.scores, reference)
+
+
+_LAYER_TYPES = (
+    "q_proj", "k_proj", "v_proj", "out_proj", "gate_proj", "up_proj", "down_proj",
+)
+
+
+@st.composite
+def _struck_elements(draw):
+    """``(policy, site)``: one element of any dense layer under any
+    storage policy, half the time with its top exponent bit flipped
+    (the top code bit for integer codes) — the flips that blow a weight
+    up — and one other."""
+    policy = draw(st.sampled_from(["fp32", "bf16", "fp16", "int8", "int4"]))
+    layer = draw(st.sampled_from(_LAYER_TYPES))
+    name = f"blocks.{draw(st.integers(0, 1))}.{layer}"
+    shape = _row_exact_engine(False, policy=policy).weight_store(name).shape
+    width = {"fp32": 32, "bf16": 16, "fp16": 16, "int8": 8, "int4": 4}[policy]
+    top = width - 2 if policy in ("fp32", "bf16", "fp16") else width - 1
+    first = draw(st.one_of(st.just(top), st.integers(0, width - 1)))
+    other = draw(st.integers(0, width - 1).filter(lambda bit: bit != first))
+    site = FaultSite(
+        FaultModel.MEM_2BIT, name,
+        draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1)),
+        bits=tuple(sorted((first, other))),
+    )
+    return policy, site
+
+
+_QKV_MSB = [
+    FaultSite(FaultModel.MEM_2BIT, name, 0, col, (0, 14))
+    for name, col in (
+        ("blocks.0.q_proj", 5), ("blocks.1.k_proj", 10), ("blocks.1.v_proj", 10),
+    )
+]
+"""Exponent-MSB flips in q, k and v.  Under fp16 they write a few
+thousand and the bound admits them; under bf16 (and fp32's bit 30) the
+same flip writes about 1e38 and it refuses them."""
+
+
+def test_the_bound_admits_fp16_exponent_flips_and_refuses_bf16_ones():
+    for policy, admitted in (("fp16", True), ("bf16", False)):
+        engine = _row_exact_engine(False, policy=policy)
+        bounds = mask_bounds(engine, weights_digest(engine))
+        for site in _QKV_MSB:
+            value = engine.weight_store(site.layer_name).faulted_value(
+                site.row, site.col, list(site.bits)
+            )
+            assert abs(value) > 1e3
+            assert shares_row(bounds, site, value) == admitted, (policy, site)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _struck_elements(),
+    _prompts,
+    st.lists(st.integers(min_value=5, max_value=VOCAB - 1), max_size=3),
+    st.lists(
+        st.integers(min_value=5, max_value=VOCAB - 1),
+        min_size=2, max_size=4, unique=True,
+    ),
+)
+@example(("fp16", _QKV_MSB[0]), [9, 12, 30], [], [6, 11, 25])
+@example(("fp16", _QKV_MSB[1]), [17, 5], [8], [7, 33])
+@example(("fp16", _QKV_MSB[2]), [21], [], [5, 6, 7, 8])
+def test_property_a_class_leader_row_is_every_members_row(
+    struck, prompt, prefix, lasts
+):
+    """Options of one length that differ only in their last token: when
+    :func:`shares_row` admits the struck element, every position of the
+    read window but the last holds the same bits in every member's own
+    row as in the leader's — under the fault, keyed to every row, the
+    rows entering at the struck block — so a member scored off its
+    leader's row scores what it scores alone."""
+    policy, site = struck
+    engine = _row_exact_engine(False, policy=policy)
+    options = [prefix + [last] for last in lasts]
+    golden = GoldenOptions.build(engine, prompt, options)
+    value = engine.weight_store(site.layer_name).faulted_value(
+        site.row, site.col, list(site.bits)
+    )
+    if not shares_row(mask_bounds(engine, weights_digest(engine)), site, value):
+        return
+    with MemoryFaultInjector(engine, site, rows=range(len(options))):
+        logits, starts = score_option_rows(
+            engine, [(golden, i, site.block) for i in range(len(options))]
+        )
+    assert len(set(starts)) == 1
+    window = logits[:, :-1].view(np.uint32)
+    for member in window[1:]:
+        assert np.array_equal(member, window[0])
 
 
 _logit_values = st.sampled_from(

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tasks import World, all_tasks
-from repro.text import EOS, UNK, Tokenizer, Vocab, normalize_text
+from repro.text import BOS, EOS, PAD, UNK, Tokenizer, Vocab, normalize_text
 
 
 class TestVocab:
     def test_special_tokens_first(self, tokenizer):
         v = tokenizer.vocab
-        assert v.pad_id == 0 and v.bos_id == 1 and v.eos_id == 2
+        assert v.id(PAD) == 0 and v.id(BOS) == 1 and v.eos_id == 2
         assert v.token(v.unk_id) == UNK
 
     def test_dedup(self):
