@@ -16,32 +16,29 @@ the sites an uninterrupted run would have drawn.
 
 Trials that can share forwards do: the engine's batched forward is
 bit-identical per row to the serial one and every fault model keys to a
-batch row, so greedy trials decode as *waves* — ``_DECODE_BATCH`` rows
-of one decode round, each with its own budget and its own fault keyed
-to its row, resumed from its example's golden run or, struck at
-iteration 0 (as every weight fault is), prefilled into its slot under
-that fault — equally long prompts in one forward — and retired as soon
-as it is back on its golden run's state (:meth:`FICampaign._run_wave`).
+batch row, so greedy trials decode as *waves*, ``_DECODE_BATCH`` rows of
+one decode round, each under its own fault (:mod:`repro.fi.wave`).
 A multiple-choice trial has no decode to share, but reruns option rows
 from its example's fault-free pass — one per option class under a
 weight fault the mask bound admits (:mod:`repro.fi.golden`), every one
 under any other, one at a time until a transient fault has fired — and
 the rows of many trials share a forward, each trial's fault keyed to
-its own rows and nothing armed engine-wide.  Which path a trial takes — a wave, or alone
-through the whole reference, its fault armed engine-wide — and why is
-one table (:meth:`FICampaign.trial_plan`); a trial that runs alone is
-counted under ``campaign.lone_trials.<reason>``.  Most strikes
-never reach the output, so each distinct ``(example, prediction)`` is
-scored and classified once (:meth:`FICampaign._gen_record`) — and the
-fault-free passes everything above starts from are decoded once per
-engine and example set, not once per campaign
-(:meth:`FICampaign.compute_baseline`, :mod:`repro.fi.golden`).  Those
-passes are the campaign's one fault-free reference: the baseline is
-read off them.  A campaign studies one engine, offline: every trial
-strikes that engine and decodes in this process or a pool worker.
+its own rows.  Which path a trial takes — a wave, or alone through the
+whole reference, its fault armed engine-wide — and why is one table
+(:meth:`FICampaign.trial_plan`); a trial that runs alone is counted
+under ``campaign.lone_trials.<reason>``.  Most strikes never reach the
+output, so each distinct ``(example, prediction)`` is scored and
+classified once (:meth:`FICampaign._gen_record`) — and the fault-free
+passes everything above starts from are decoded once per engine and
+example set, not once per campaign (:meth:`FICampaign.compute_baseline`,
+:mod:`repro.fi.golden`).  Those passes are the campaign's one
+fault-free reference: the baseline is read off them.  A campaign
+studies one engine, offline: every trial strikes that engine and
+decodes in this process or a pool worker.
 
 This module is what a trial *is*: its identity and sampling, the
-lone trial, the wave, the baseline, the aggregation.  *How* trials
+lone trial, its record, the baseline, the aggregation; the generative
+wave its trials decode in is :mod:`repro.fi.wave`.  *How* trials
 get run is :mod:`repro.fi.executor` (over :mod:`repro.fi.pool`), the
 same batch function in this process and in every pool worker — and
 fault-tolerant, because the execution layer must survive the
@@ -60,10 +57,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,28 +84,17 @@ from repro.fi.golden import (
     take_shared,
     weights_digest,
 )
-from repro.fi.injector import (
-    AccumulatorFaultInjector,
-    ComputationalFaultInjector,
-    KVFaultInjector,
-    MemoryFaultInjector,
-    inject,
-)
+from repro.fi.injector import inject
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
+from repro.fi.wave import _ROW_KEYED, Wave, WaveRow, row_fault
 from repro.generation.decode import (
     GenerationConfig,
     choose_option,
     generate_ids,
     option_logp,
 )
-from repro.generation.round import (
-    Admission,
-    DecodeRound,
-    count_plan,
-    decode_plan,
-    pick,
-)
+from repro.generation.round import count_plan, decode_plan, pick
 from repro.inference.engine import CaptureState, InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 from repro.metrics.evaluate import score_generative
@@ -219,23 +203,11 @@ class CampaignResult:
 
 
 _DECODE_BATCH = 16
-"""Continuous-batching width of a campaign's decode rounds: the
-golden-run sweep that is its fault-free baseline and the waves injected
-trials decode in.  A batched step costs a fixed part (about a third of
-it at width 6) plus a part per ragged row, so the wider round is fewer,
-fuller steps; the slots are sized to what the cell can reach
-(:meth:`FICampaign._kv_slots`), which is what keeps sixteen of them
-inside the memory eight ``max_seq`` ones took."""
-
-_ROW_KEYED = {
-    "weights": (MemoryFaultInjector, "row_weight_fault"),
-    "activations": (ComputationalFaultInjector, "row_scoped_hooks"),
-    "kv-cache": (KVFaultInjector, "kv_fault"),
-    "accumulator": (AccumulatorFaultInjector, "acc_fault"),
-}
-"""Per fault surface (:attr:`FaultModel.surface`): its injector that
-keys to batch rows, and what :func:`decode_plan` reports while one is
-armed — a wave's reason (:meth:`FICampaign.trial_plan`)."""
+"""Continuous-batching width of a campaign's decode rounds, the golden
+sweep's and the waves': a batched step costs a fixed part (about a third
+of it at width 6) plus a part per ragged row, so the wider round is
+fewer, fuller steps, over slots sized to what the cell can reach
+(:meth:`FICampaign._kv_slots`)."""
 
 _OPTION_ROW_TOKENS = 256
 """Most tokens one forward of option rows takes
@@ -297,13 +269,11 @@ class FICampaign:
         per example (:attr:`_golden`, one batched sweep) wherever
         :func:`~repro.generation.round.decode_plan` finds it exact, reads
         the baseline off it — the trial in which no fault fires — and
-        runs each trial on the path :meth:`trial_plan` names: a wave
-        (a generative row struck at iteration ``k >= 1`` resumes its
-        golden run at ``k - 1``, :mod:`repro.fi.golden`), or alone
-        through the reference.  ``serial`` is the whole reference, as the differential oracle
-        runs it: per-sequence decode loops, one full forward per option,
-        a fresh prefill and a full decode per trial and per baseline
-        example, one trial at a time."""
+        runs each trial on the path :meth:`trial_plan` names: a wave, or
+        alone through the reference.  ``serial`` is the whole reference,
+        as the differential oracle runs it: per-sequence decode loops,
+        one full forward per option, a fresh prefill and a full decode
+        per trial and per baseline example, one trial at a time."""
         self.chaos = chaos
         """Optional runner-level fault injection (resilience tests)."""
         self._example_ids = [self._stable_example_id(ex) for ex in self.examples]
@@ -338,9 +308,8 @@ class FICampaign:
         multiple choice.  Everything that runs an example takes its ids
         from here by example index."""
         self._kv_pool: PooledKVCache | None = None
-        """The ``_DECODE_BATCH`` KV slots this campaign's own forwards
-        run over (the golden sweep, waves, option rows), one after the
-        other."""
+        """The ``_DECODE_BATCH`` KV slots of this campaign's golden sweep
+        and waves, one round after the other."""
         self._scored: dict[tuple[int, str], tuple[dict, Outcome]] = {}
         """``(example index, prediction text) -> (metrics, outcome)``:
         a generative prediction is scored and classified once per
@@ -431,17 +400,6 @@ class FICampaign:
             count_plan("per_option", decode_plan(self.engine)[1])
         return choose_option(self.engine, *self._token_ids[idx])
 
-    def _row_fault(self, site: FaultSite, rows: "tuple[int, ...] | list[int]"):
-        """The injector that keys ``site``'s fault to the batch rows
-        ``rows`` — a faulted weight copy for any of them, a transient
-        fault pinned to its one row — so that rows sharing a forward
-        with it compute what they compute alone."""
-        kind, _ = _ROW_KEYED[site.fault_model.surface]
-        if site.fault_model.is_memory:
-            return kind(self.engine, site, rows=rows)
-        (row,) = rows
-        return kind(self.engine, site, batch_row=row)
-
     def _option_scores(
         self, trials: list[tuple[int, FaultSite]]
     ) -> dict[int, tuple[list[float], bool]]:
@@ -453,7 +411,7 @@ class FICampaign:
         A fault in block ``L`` reaches no block before it, so a row runs
         from ``L`` on from its pass's state — from the embedding where
         the pass keeps none (:meth:`GoldenOptions.entry`) — its trial's
-        fault keyed to it (:meth:`_row_fault`).  A weight fault is read
+        fault keyed to it (:func:`~repro.fi.wave.row_fault`).  A weight fault is read
         by every option's forward: its trial runs one row per option
         class, each member scored off its leader's logits with its own
         tokens, when :func:`~repro.fi.golden.shares_row` admits the
@@ -479,7 +437,7 @@ class FICampaign:
         for trial, site in trials:
             golden = self._golden[trial % n]
             if not site.fault_model.is_memory:
-                count_plan("option_rows", _ROW_KEYED[site.fault_model.surface][1])
+                count_plan("option_rows", _ROW_KEYED[site.fault_model.surface].reason)
                 todo.append((trial, 0, [0]))
                 continue
             count_plan("option_rows", "weight_fault")
@@ -511,7 +469,9 @@ class FICampaign:
                     ]
                     with ExitStack() as armed:
                         faults = {
-                            trial: armed.enter_context(self._row_fault(sites[trial], ids))
+                            trial: armed.enter_context(
+                                row_fault(self.engine, sites[trial], ids)
+                            )
                             for trial, ids in mine.items()
                         }
                         logits, starts = score_option_rows(self.engine, [
@@ -807,8 +767,8 @@ class FICampaign:
         Chaos strikes trials one at a time; a flight recorder probes the
         whole struck forward.  Both keep their campaign's passes, and
         its baseline is read off them.  A wave row's fault is keyed to
-        its own rows (:meth:`_row_fault`), and the wave's reason is what
-        :func:`decode_plan` reports while it is armed (:data:`_ROW_KEYED`).
+        its own rows, and the wave's reason is what :func:`decode_plan`
+        reports while it is armed (:data:`repro.fi.wave._ROW_KEYED`).
         """
         reason = (
             self._why_no_golden()
@@ -817,7 +777,7 @@ class FICampaign:
         )
         if reason is not None:
             return "reference", reason
-        return "wave", _ROW_KEYED[self.fault_model.surface][1]
+        return "wave", _ROW_KEYED[self.fault_model.surface].reason
 
     def _build_golden(self) -> None:
         """Every example's fault-free pass, in one sweep: one decode
@@ -1046,8 +1006,10 @@ class FICampaign:
         if self._hook_mark is not None:
             self.engine.hooks._detach_since(self._hook_mark)
         self.engine._disarm()
-        # A wave interrupted between acquiring a slot and owning it
-        # would leak the slot: start the next round on a fresh pool.
+        # The round releases its slots on every raise it sees, but a
+        # timeout signal can land inside its own bookkeeping (between a
+        # slot's acquire and the row recording it), where no handler
+        # sees the slot: start the next round on a fresh pool.
         self._kv_pool = None
         recorder = _flight()
         if recorder.active:
@@ -1078,228 +1040,49 @@ class FICampaign:
     # -- waves ---------------------------------------------------------------------
 
     def _run_wave(self, trials: list[int]) -> dict[int, TrialRecord]:
-        """Run ``trials`` as one wave — the :meth:`trial_plan` path
-        ``wave`` — and return every one's record.
-
-        Multiple choice: the trials' option rows, grouped into shared
-        forwards (:meth:`_option_scores`).  Generative: ``trials``
-        decode as rows of one :class:`DecodeRound`.
-
-        A row is one trial in one pool slot, with its own budget and its
-        own fault keyed to the row's id (:meth:`_row_fault`).  A trial
-        struck at iteration ``k >= 1`` starts from a copy of its
-        example's golden state ``S_(k-1)`` (two trials of one example
-        may be in flight, so neither may own the golden run's session)
-        with the budget the golden prefix left.  A trial struck at
-        iteration 0 — every weight-fault one — needs no golden state:
-        the round prefills its prompt into a slot with the fault already
-        armed, and it decodes beside its siblings from there.  That
-        prompt forward carries the row's id, so the row's fault is read
-        from its prefill on and no sibling's.  A retiring row disarms its
-        fault and frees its slot for the next pending trial.  The
-        engine's batched forward is row-exact and every fault is keyed
-        to its row, so each row computes exactly what the trial computes
-        decoded alone.
-
-        A forward runs only where a trial can differ from its golden
-        run.  A strike the run never reached (it ended at EOS first)
-        takes no slot: its record is the run's, unfired.  The trials
-        that start from their prompt queue first, by prompt length, and
-        each round admits what fits as one burst
-        (:meth:`DecodeRound.admit_many`), equally long prompts as rows of
-        one prompt forward.  A row whose fault is one-shot
-        (computational, accumulator: spent after the forward tagged with
-        its iteration ``k``, fired or not) runs only the blocks its fault
-        reached.  Its struck forward enters at the struck block (a
-        resumed row; a prefilled one runs its prompt whole); after it,
-        while its tokens are the run's, every forward ``j`` enters at the
-        first block whose K/V the struck forward left off the run's bits
-        (:meth:`GoldenRun.entry`), from the run's state entering it in
-        forward ``j`` — the blocks below replay the run
-        (``campaign.wave.replayed_blocks`` of ``row_blocks``).  A row
-        with no such block and the run's token ``k`` is back on its
-        golden state ``S_k`` and retires at once with the run's tokens
-        after its own (``campaign.wave.back_on_golden``).  A row whose
-        token leaves the run fills its lower blocks' caches from the run
-        (:meth:`GoldenRun.fill`) and runs whole from then on
-        (``campaign.wave.diverged``).
-        """
+        """Every record of ``trials`` run as one wave (:meth:`trial_plan`):
+        option rows in shared forwards (:meth:`_option_scores`), or rows of
+        one decode round (:mod:`repro.fi.wave`)."""
         self._hook_mark = self.engine.hooks._registered
-        tel = _telemetry()
-        traced = tel.active
-        n = len(self.examples)
+        tel, n, t0 = _telemetry(), len(self.examples), time.perf_counter()
         max_iter = self._max_fault_iter()
-        if self.is_mc:
-            t0 = time.perf_counter()
-            sites = [(trial, self._trial_site(trial, max_iter)) for trial in trials]
-            with tel.span("campaign.wave", task=self.task_name, trials=len(sites)):
+        sites = [(trial, self._trial_site(trial, max_iter)) for trial in trials]
+        records: dict[int, TrialRecord] = {}
+
+        def keep(trial: int, record: TrialRecord, t0: float, cache=None) -> None:
+            records[trial] = record
+            if tel.active:
+                if cache is not None:
+                    tel.metrics.counter(f"engine.prefill_cache_{cache}").add()
+                self._tally(record, t0)
+
+        def done(w: WaveRow, tokens: list[int]) -> None:
+            text = self.tokenizer.decode(tokens)
+            record = self._gen_record(w.site, w.trial % n, text, w.injector.fired)
+            # A row that prefilled resumed nothing.
+            keep(w.trial, record, w.t0, "misses" if w.prefix is None else "hits")
+
+        with tel.span("campaign.wave", task=self.task_name, trials=len(trials)):
+            if self.is_mc:
                 scores = self._option_scores(sites)
-                records = {}
                 for trial, site in sites:
                     options, fired = scores[trial]
                     pred = int(np.argmax(options))
-                    records[trial] = self._mc_record(site, trial % n, pred, fired)
-                    if traced:
-                        self._tally(records[trial], t0)
-            return records
-        records: dict[int, TrialRecord] = {}
-        starts, resumes = [], []
-        for trial in trials:
-            site = self._trial_site(trial, max_iter)
-            golden = self._golden[trial % n]
-            # A weight fault is read from the prompt forward on, whatever
-            # iteration its site names.
-            if site.iteration == 0 or site.fault_model.is_memory:
-                starts.append((trial, site, None))
-            elif site.iteration <= len(golden.ids):
-                resumes.append((trial, site, golden))
-            else:
-                # Unreached: the run ended at EOS before the strike, so
-                # the trial is the golden run, unfired, and takes no slot.
-                t0 = time.perf_counter()
-                golden.resume_point(site.iteration)
-                records[trial] = self._gen_record(
-                    site, trial % n, self._baseline_preds[trial % n], False
-                )
-                if traced:
-                    tel.metrics.counter("engine.prefill_cache_hits").add()
-                    self._tally(records[trial], t0)
-        # Equally long prompts admitted in one burst share a forward.
-        starts.sort(key=lambda entry: len(self._token_ids[entry[0] % n]))
-        pending = deque(starts + resumes)
-        # row key (trial) -> (site, golden prefix, the slot this method
-        # acquired (None: the round's own), armed injector, t0)
-        live: dict[int, tuple] = {}
-        # trial -> (site, golden prefix, slot, t0) of a resumed row not
-        # yet admitted
-        held: dict[int, tuple] = {}
-        # trial -> the block a one-shot row's next forward enters at,
-        # while its tokens are its golden run's
-        entries: dict[int, int] = {}
-        n_blocks = self.engine.config.n_blocks
-        tally = Counter()
-
-        def arm(site, prefix, slot, t0, row) -> None:
-            injector = self._row_fault(site, (row.id,))
-            live[row.key] = (site, prefix, slot, injector.__enter__(), t0)
-
-        def retire(row, tokens) -> None:
-            site, prefix, slot, injector, t0 = live.pop(row.key)
-            injector.__exit__(None, None, None)
-            if slot is not None:
-                pool.release(slot)
-            record = self._gen_record(
-                site,
-                row.key % n,
-                self.tokenizer.decode(prefix + tokens),
-                injector.fired,
-            )
-            records[row.key] = record
-            if traced:
-                # A row in a slot of the round's own resumed nothing.
-                name = "misses" if slot is None else "hits"
-                tel.metrics.counter(f"engine.prefill_cache_{name}").add()
-                self._tally(record, t0)
-
-        def settle(row, reason) -> None:
-            """Retire a row that finished, and keep a one-shot row's
-            entry: the struck block before its struck forward, then the
-            first block that forward left off the golden run — the whole
-            model once its token leaves the run, no block at all (back on
-            golden: the rest of its decode is the run's) when none."""
-            if reason is not None:
-                entries.pop(row.key, None)
-                retire(row, row.out)
-                return
-            site, prefix = live[row.key][:2]
-            model, k = site.fault_model, site.iteration
-            if not (model.is_computational or model.is_accumulator):
-                return
-            golden = self._golden[row.key % n]
-            j = row.iter0 + len(row.out) - 1  # the forward just run
-            if j < k:  # resumed at ``S_(k-1)``
-                entry = site.block
-            elif row.key not in entries and j > k:
-                return  # runs whole
-            else:
-                entry = entries.pop(row.key, 0)
-                if j >= len(golden.ids) or row.out[-1] != golden.ids[j]:
-                    if entry:
-                        golden.fill(row.caches, j, entry)
-                        tally["diverged"] += 1
-                    return
-                if j == k:
-                    entry = golden.entry(k, entry, row.caches)
-                    if entry == n_blocks:
-                        # ``prefix + row.out`` is the run's first ``k + 1``
-                        # tokens.
-                        rnd.drop(row)
-                        retire(row, golden.ids[len(prefix):])
-                        tally["back_on_golden"] += 1
-                        return
-            if entry:
-                entries[row.key] = entry
-                row.enter = golden.enter(j + 1, entry)
-
-        with tel.span("campaign.wave", task=self.task_name, trials=len(trials)):
+                    keep(trial, self._mc_record(site, trial % n, pred, fired), t0)
+                return records
+            rows = []
+            for trial, site in sites:
+                row = WaveRow.of(trial, site, self._golden[trial % n])
+                if row.prefix is None or site.iteration <= len(row.golden.ids):
+                    rows.append(row)
+                else:
+                    # Unreached: the run ended at EOS before the strike,
+                    # so the trial is the run, unfired, and takes no slot.
+                    pred = self._baseline_preds[trial % n]
+                    record = self._gen_record(site, trial % n, pred, False)
+                    keep(trial, record, time.perf_counter(), "hits")
             count_plan("batched", self.trial_plan()[1])
-            pool = self._kv_slots()
-            rnd = DecodeRound(self.engine, pool, self.generation.eos_id)
-            try:
-                while pending or rnd.rows:
-                    admissions = []
-                    for _ in range(min(len(pending), pool.n_free)):
-                        trial, site, golden = pending.popleft()
-                        t0 = time.perf_counter()
-                        if golden is None:
-                            admissions.append(Admission(
-                                trial,
-                                self._token_ids[trial % n],
-                                self.generation.max_new_tokens,
-                                before_prefill=partial(arm, site, [], None, t0),
-                            ))
-                            continue
-                        slot = pool.acquire()
-                        session, prefix, config = golden.resume(
-                            self.engine, site.iteration, pool.caches(slot)
-                        )
-                        held[trial] = (site, prefix, slot, t0)
-                        admissions.append(Admission(
-                            trial, golden.prompt, config.max_new_tokens, session
-                        ))
-                    for row, _, reason in rnd.admit_many(admissions):
-                        if row.key in held:
-                            arm(*held.pop(row.key), row)
-                        settle(row, reason)
-                    if traced and rnd.rows:
-                        tel.metrics.histogram("campaign.wave.width").observe(
-                            len(rnd.rows)
-                        )
-                        tally["row_blocks"] += n_blocks * len(rnd.rows)
-                        tally["replayed_blocks"] += sum(
-                            row.enter[0] for row in rnd.rows if row.enter
-                        )
-                    for row, _, reason in rnd.step():
-                        settle(row, reason)
-            finally:
-                # Empty unless something raised: rows that prefilled
-                # hold slots of the round's, the others ones of ours.
-                for row in list(rnd.rows):
-                    rnd.drop(row)
-                for _, _, slot, injector, _ in live.values():
-                    injector.__exit__(None, None, None)
-                    if slot is not None:
-                        pool.release(slot)
-                for _, _, slot, _ in held.values():
-                    pool.release(slot)
-            if traced:
-                metrics = tel.metrics
-                metrics.counter("campaign.wave.prompt_forwards").add(rnd.prompt_forwards)
-                metrics.counter("campaign.wave.prompt_rows").add(len(starts))
-                for name in (
-                    "back_on_golden", "diverged", "row_blocks", "replayed_blocks"
-                ):
-                    metrics.counter(f"campaign.wave.{name}").add(tally[name])
+            Wave(self.engine, self._kv_slots(), self.generation, done).run(rows)
         return records
 
     # -- aggregation ---------------------------------------------------------------

@@ -13,7 +13,8 @@ within a budget, and give the pool up.
 
 The campaign is duck-typed (this module never imports
 :mod:`repro.fi.campaign`): whatever knows what a trial *is* —
-``_run_trial``, ``_run_wave``, ``trial_plan``, ``_quarantine_record``,
+``_run_trial``, ``_run_wave`` (a generative one hands its rows to
+:mod:`repro.fi.wave`), ``trial_plan``, ``_quarantine_record``,
 ``_post_failure_repair``, ``trial_key``, ``fingerprint``, and whether
 it runs in a worker (``_in_worker``).
 """

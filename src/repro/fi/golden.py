@@ -100,10 +100,12 @@ Blocks below an entry append nothing, so their caches lag; a trial whose
 token leaves the run fills them from the run's snapshots
 (:meth:`GoldenRun.fill`) and runs whole from then on.  An entry of
 ``n_blocks`` with the run's token is the trial back on the run at
-``S_k``: the rest of its decode is the run's.  Only one-shot faults
-(computational, accumulator) take entries: a weight fault is read by
-every later forward, and a KV fault can corrupt a position the
-struck-position check does not read.
+``S_k``: the rest of its decode is the run's.  Which fault surfaces take
+entries is a column of the wave's per-surface table
+(:data:`repro.fi.wave._ROW_KEYED`): the one-shot ones (computational,
+accumulator), since a weight fault is read by every later forward and a
+KV fault can corrupt a position the struck-position check does not
+read.
 
 **Who owns a pass.**  The engine it was computed on, not the campaign
 that happened to compute it: a study sweeps every (model, task) pair
@@ -118,7 +120,7 @@ the ``GenerationConfig``, what the scores were computed against).
 :func:`take_shared` hands a campaign with the same key the entry and drops
 one with another key *before* that campaign decodes its own, so an
 engine never has more than one example set resident.  Passes are
-immutable once built and shared read-only (a rewind writes into caches
+immutable once built and shared read-only (a restore writes into caches
 the caller hands it); :func:`forget` drops an engine's entry for a cold
 baseline.
 """
@@ -128,20 +130,21 @@ from __future__ import annotations
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fi.sites import FaultSite
 from repro.generation.decode import GenerationConfig, option_logp
 from repro.generation.round import (
+    Admission,
     DecodeRound,
     _by_length,
     count_plan,
     decode_plan,
     decode_to_completion,
 )
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -213,9 +216,7 @@ class GoldenRun:
 
         decode_to_completion(
             DecodeRound(engine, pool, config.eos_id, keep_block_inputs=True),
-            prompts,
-            [None] * len(prompts),
-            config.max_new_tokens,
+            [Admission(i, p, config.max_new_tokens) for i, p in enumerate(prompts)],
             pool.n_slots,
             on_event=keep,
         )
@@ -224,30 +225,13 @@ class GoldenRun:
             tel.metrics.counter("campaign.golden.builds").add(len(runs))
         return runs
 
-    @classmethod
-    def decode(
-        cls, engine: InferenceEngine, prompt: list[int], config: GenerationConfig
-    ) -> "GoldenRun":
-        """:meth:`decode_many` of one prompt."""
-        return cls.decode_many(engine, [prompt], config)[0]
-
-    def rewind(
-        self, engine: InferenceEngine, j: int, caches: list[KVCache]
-    ) -> Session:
-        """A session of ``engine`` at ``S_j`` over ``caches`` — a wave
-        row's pool slot — rewound in place: two trials of one example
-        may be in flight at once, so the run keeps no session of its
-        own, and this one is consumed by the decode it is handed to."""
-        session = _blank_session(engine, caches)
-        self.fill(caches, j, len(self.snaps))
-        session.iteration = j
-        session.position = len(self.prompt) + j
-        session.last_logits = self.logits[j].copy()
-        return session
-
     def fill(self, caches: list[KVCache], j: int, stop: int) -> None:
         """Blocks ``0..stop-1`` of ``caches`` to their ``S_j`` K/V: one
-        bounded restore a block."""
+        bounded restore a block.  All of them, with :attr:`logits`
+        ``[j]``, are the state ``S_j`` — what a wave row resumed there
+        starts from, in the pool slot its round acquired (two trials of
+        one example may be in flight at once, so the run keeps no state
+        of its own)."""
         length = len(self.prompt) + j
         for cache, snap in zip(caches[:stop], self.snaps):
             cache.restore(snap, length)
@@ -291,39 +275,11 @@ class GoldenRun:
         forward ``j >= 1`` at ``block``: this run's state entering it."""
         return block, self.inputs[j - 1][block : block + 1]
 
-    def resume(
-        self, engine: InferenceEngine, k: int, caches: list[KVCache]
-    ) -> tuple[Session, list[int], GenerationConfig]:
-        """What a wave row struck at iteration ``k >= 1`` still has to
-        do: decode the returned session (see :meth:`rewind` for
-        ``caches``) under the returned config (the budget left after
-        ``prefix``) and prepend ``prefix``.
-
-        An unreached strike (``k > len(ids)``) resumes at the run's last
-        state, whose logits pick EOS: the decode returns at once and
-        ``prefix`` is the whole prediction."""
-        j = self.resume_point(k)
-        budget = self.config.max_new_tokens - j
-        return (
-            self.rewind(engine, j, caches),
-            self.ids[:j],
-            replace(self.config, max_new_tokens=budget),
-        )
-
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality of two float32 arrays: ``-0.0`` is not ``0.0``
     and a NaN equals only the same NaN."""
     return np.array_equal(a.view(np.uint32), b.view(np.uint32))
-
-
-def _blank_session(engine: InferenceEngine, caches: list[KVCache]) -> Session:
-    """A :class:`Session` over ``caches`` with no forward run: its
-    decode state is whatever the caller restores into it."""
-    session = Session.__new__(Session)
-    session.engine = engine
-    session.caches = caches
-    return session
 
 
 def _option_rows(

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from repro.generation.decode import GenerationConfig, greedy_decode
 from repro.generation.round import (
+    Admission,
     DecodeRound,
     count_plan,
     decode_plan,
     decode_to_completion,
 )
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import PooledKVCache
 
 __all__ = ["BatchedDecoder"]
@@ -75,11 +76,7 @@ class BatchedDecoder:
             self._pool = self.engine.new_pool(n_slots)
         return self._pool
 
-    def decode_many(
-        self,
-        prompts: list[list[int]],
-        sessions: "list[Session | None] | None" = None,
-    ) -> list[list[int]]:
+    def decode_many(self, prompts: list[list[int]]) -> list[list[int]]:
         """Greedy-decode many prompts with continuous batching.
 
         Sequences are admitted up to ``max_batch``, stepped as one
@@ -89,17 +86,12 @@ class BatchedDecoder:
         outputs are identical to serial ``greedy_decode`` (bit-identical
         logits per row at any width).
         """
-        if sessions is None:
-            sessions = [None] * len(prompts)
-        elif len(sessions) != len(prompts):
-            raise ValueError("sessions must align with prompts")
         path, reason = decode_plan(self.engine, self.draft)
         count_plan(path, reason)
         if path == "serial":
             return [
-                greedy_decode(self.engine, p, self.config, session=s,
-                              strategy="serial")
-                for p, s in zip(prompts, sessions)
+                greedy_decode(self.engine, p, self.config, strategy="serial")
+                for p in prompts
             ]
         width = min(self.max_batch, max(1, len(prompts)))
         draft = self.draft if path == "composed" else None
@@ -112,5 +104,6 @@ class BatchedDecoder:
                 self.engine, self._ensure_pool(width), self.config.eos_id,
                 draft=draft, draft_pool=self._draft_pool, depth=self.depth,
             ),
-            prompts, sessions, self.config.max_new_tokens, self.max_batch,
+            [Admission(i, p, self.config.max_new_tokens) for i, p in enumerate(prompts)],
+            self.max_batch,
         )

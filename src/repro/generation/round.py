@@ -27,9 +27,16 @@ same scheduler seen at different depths, so there is exactly one copy:
   commit and rejects roll back by per-slot ``KVCache.truncate`` — which
   fires the cache's watchers, so a row-pinned KV-fault injector
   restores its bits and re-arms without touching sibling rows.
-* :func:`decode_to_completion` — "fill, ``step()`` until empty": what
-  the offline decoders do with a round.  The server pump calls
+* :func:`decode_to_completion` — "fill, ``step()`` until empty" over a
+  list of :class:`Admission` requests: what the offline decoders do with
+  a round.  The server pump calls :meth:`DecodeRound.admit` and
   :meth:`DecodeRound.step` once per scheduling round instead.
+
+The round owns every KV slot: it acquires one per admission and
+releases it when the row retires, is dropped, or its burst raises.  A
+request that does not start from its prompt hands the round a
+``restore`` callback (:class:`Admission`), which fills the slot the
+round acquired with a decode state instead of a prompt forward.
 
 **Equivalence contract**: every emitted token is an argmax of *target*
 logits over the true emitted prefix, so no schedule can change which
@@ -75,9 +82,10 @@ accumulator faults (``batch_row=``).  That is how a campaign runs
 trials many to a forward: multiple-choice option rows of a
 ``forward_chunk_batch`` (:func:`repro.fi.golden.score_option_rows`,
 counted as ``decode.plan.option_rows.<reason>``), bit for bit the
-per-option forwards, and generative rows of one round, each resumed
-or prefilled with its fault keyed to ``row.id`` (``before_prefill``),
-equally long prompts in one forward.
+per-option forwards, and generative rows of one round
+(:mod:`repro.fi.wave`), each restored (``restore``) or prefilled
+(``before_prefill``) with its fault keyed to ``row.id``, equally long
+prompts in one forward.
 The *draft* is held to
 the speculation bar too (``draft_<reason>``, path = the target's
 no-draft path): its corruption is masked by construction, but the
@@ -93,7 +101,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -236,13 +244,21 @@ def _by_length(indices, length) -> list[list[int]]:
 
 
 class Admission(NamedTuple):
-    """One request of an admission burst (:meth:`DecodeRound.admit_many`)."""
+    """One request of an admission burst (:meth:`DecodeRound.admit_many`).
+
+    ``before_prefill`` sees the row before its prompt forward.
+    ``restore`` replaces that forward: it sees the row with its slot
+    acquired, fills ``row.caches`` with a decode state and returns the
+    state's ``(iteration, last logits)`` — a ``(vocab,)`` array the round
+    only reads.  A drafted round's draft catches up from ``prompt`` and
+    the row's own tokens, so only a round without a draft restores a
+    state past the prompt."""
 
     key: object
     prompt: list[int]
     budget: int
-    session: "Session | None" = None
     before_prefill: "Callable[[Row], None] | None" = None
+    restore: "Callable[[Row], tuple[int, np.ndarray]] | None" = None
 
 
 @dataclass(slots=True, eq=False)
@@ -331,46 +347,40 @@ class DecodeRound:
             return self.pool.n_free
         return min(self.pool.n_free, self.draft_pool.n_free)
 
-    def has_room(self) -> bool:
-        """Whether one more row fits."""
-        return self.room() > 0
-
     def admit(
         self,
         key: object,
         prompt: list[int],
         budget: int,
-        session: Session | None = None,
         before_prefill: "Callable[[Row], None] | None" = None,
     ) -> tuple[Row, list[int], str | None]:
         """:meth:`admit_many` of one request: a group of one."""
-        return self.admit_many(
-            [Admission(key, prompt, budget, session, before_prefill)]
-        )[0]
+        return self.admit_many([Admission(key, prompt, budget, before_prefill)])[0]
 
     def admit_many(
         self, admissions: "list[Admission]"
     ) -> list[tuple[Row, list[int], str | None]]:
-        """Prefill every admission's prompt into a free slot and emit its
-        first token; one event per admission, in order.
+        """Give every admission a free slot, fill it — its prompt's
+        prefill, or the state its ``restore`` callback writes — and emit
+        its first token; one event per admission, in order.
 
-        The rows get consecutive ids and their slots are all acquired
-        before any prompt forward runs; the prompts that need one then
-        run as one rows ``forward_chunk_batch`` per prompt length
-        (:meth:`_prefill`).  ``session`` supplies an already-prefilled
-        target session instead (consumed; no target slot is taken).
-        ``before_prefill`` sees the row — its ``id`` and its slot's cache
-        views — before the prompt forward: the hook a request's own fault
-        is armed through, so iteration-0 sites strike the prefill (a
-        campaign wave keys the fault to ``row.id``).  That prompt forward
-        is tagged with the row's id like every later forward of the row:
-        a sibling's row-pinned hook that is still waiting for iteration 0
-        (an MoE expert its own prompt never routed to) cannot strike it.
-        EOS as the first token and one-token budgets retire here; such a
-        row never occupies a slot across a round, and its slot is free
-        again only once this returns — nothing acquires one in between,
-        so the slot still holds the row's prompt K/V.  A raise from a
-        forward or a callback releases every slot of the burst first.
+        The rows get consecutive ids, and every slot is acquired — and
+        every restored row filled — before any prompt forward runs; the
+        prompts then run as one rows ``forward_chunk_batch`` per prompt
+        length (:meth:`_prefill`).  Either callback sees the row — its
+        ``id`` and its slot's cache views — and is where a request's own
+        fault is armed (a campaign wave keys it to ``row.id``):
+        ``restore`` before it returns the ``(iteration, logits)`` the
+        first token is picked from, ``before_prefill`` before the prompt
+        forward, so iteration-0 sites strike the prefill.  That prompt
+        forward is tagged with the row's id like every later forward of
+        the row: a sibling's row-pinned hook that is still waiting for
+        iteration 0 (an MoE expert its own prompt never routed to) cannot
+        strike it.  EOS as the first token and one-token budgets retire
+        here; such a row never occupies a slot across a round, and its
+        slot is free again only once this returns — nothing acquires one
+        in between, so the slot still holds the row's K/V.  A raise from
+        a forward or a callback releases every slot of the burst first.
 
         With a ``prompt_cache`` the prompt forward runs only on a miss,
         whose result is then stored; on a hit the slot is restored to the
@@ -381,7 +391,7 @@ class DecodeRound:
         but observers on the engine — a struck or hooked prefill is never
         stored and a fault-carrying request never starts from a clean one.
         """
-        if any(a.session is None and not a.prompt for a in admissions):
+        if any(a.restore is None and not a.prompt for a in admissions):
             raise ValueError("prompt must contain at least one token")
         rows = []
         try:
@@ -389,15 +399,14 @@ class DecodeRound:
                 row = Row(a.key, a.prompt, a.budget, id=self._admitted)
                 self._admitted += 1
                 rows.append(row)
-                if a.session is not None:
-                    row.caches, row.iter0 = a.session.caches, a.session.iteration
-                    row.logits = a.session.last_logits[None]
-                else:
-                    row.slot = self.pool.acquire()
-                    row.caches = self.pool.caches(row.slot)
+                row.slot = self.pool.acquire()
+                row.caches = self.pool.caches(row.slot)
+                if a.restore is not None:
+                    row.iter0, logits = a.restore(row)
+                    row.logits = logits[None]
             self._prefill([
                 (row, a.before_prefill)
-                for row, a in zip(rows, admissions) if a.session is None
+                for row, a in zip(rows, admissions) if a.restore is None
             ])
             events = []
             for row in rows:
@@ -631,45 +640,40 @@ class DecodeRound:
 
 def decode_to_completion(
     rnd: DecodeRound,
-    prompts: list[list[int]],
-    sessions: "list[Session | None]",
-    budget: int,
+    admissions: "list[Admission]",
     max_batch: int,
     on_event: "Callable[[Row, str | None], None] | None" = None,
 ) -> list[list[int]]:
-    """Decode every prompt through ``rnd``: admit up to ``max_batch``
-    rows, step until all retire, back-filling freed slots each round.
-    Each round's admissions are one burst (:meth:`DecodeRound.admit_many`:
-    one prompt forward per prompt length).  ``on_event(row,
-    finish_reason)`` sees every admit and step event as it happens — for
-    a retiring row, after its slot was released but before any other row
-    can acquire it."""
+    """Decode every admission through ``rnd`` and return each one's
+    tokens, in order: admit up to ``max_batch`` rows, step until all
+    retire, back-filling freed slots each round.  Each round's
+    admissions are one burst (:meth:`DecodeRound.admit_many`: one prompt
+    forward per prompt length).  ``on_event(row, finish_reason)`` sees
+    every admit and step event as it happens — for a retiring row, after
+    its slot was released but before any other row can acquire it."""
     tel = _telemetry()
     traced = tel.active
     composed = rnd.draft is not None
     attrs = {"depth": rnd.depth} if composed else {}
-    results: list[list[int]] = [[] for _ in prompts]
+    rows: list[Row] = []
     pending = 0
     refill = False
     t0 = time.perf_counter()
     with tel.span(
         "decode.spec_batch" if composed else "decode.batch",
-        prompts=len(prompts), max_batch=max_batch, **attrs,
+        prompts=len(admissions), max_batch=max_batch, **attrs,
     ) as span:
         try:
             while True:
                 # Rows that retire at admission free their slots for
                 # the next burst at once.
-                while burst := range(pending, pending + min(
-                    len(prompts) - pending, max_batch - len(rnd.rows), rnd.room()
-                )):
-                    for row, _, reason in rnd.admit_many([
-                        Admission(i, prompts[i], budget, sessions[i]) for i in burst
-                    ]):
+                while burst := admissions[pending : pending + min(
+                    max_batch - len(rnd.rows), rnd.room()
+                )]:
+                    for row, _, reason in rnd.admit_many(burst):
+                        rows.append(row)
                         if on_event is not None:
                             on_event(row, reason)
-                        if reason is not None:
-                            results[row.key] = row.out
                     if traced and refill:
                         tel.metrics.counter("decode.slot_refills").add(len(burst))
                     pending += len(burst)
@@ -686,17 +690,15 @@ def decode_to_completion(
                 for row, _, reason in rnd.step():
                     if on_event is not None:
                         on_event(row, reason)
-                    if reason is not None:
-                        results[row.key] = row.out
         except BaseException:
             for row in list(rnd.rows):
                 rnd.drop(row)
             raise
-        span.set(new_tokens=sum(len(ids) for ids in results))
-    if pending < len(prompts):
+        span.set(new_tokens=sum(len(row.out) for row in rows))
+    if pending < len(admissions):
         raise ValueError("KV pool exhausted: no free slot for a pending prompt")
     if traced and composed:
         tel.metrics.histogram("decode.spec_batch_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
-    return results
+    return [row.out for row in rows]

@@ -417,7 +417,7 @@ class InferenceServer:
         immediately admissible against.
         """
         rnd = self._round
-        while len(rnd.rows) < self.max_batch and rnd.has_room():
+        while len(rnd.rows) < self.max_batch and rnd.room() > 0:
             with self._lock:
                 request = self._dequeue()
             if request is None:

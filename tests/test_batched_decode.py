@@ -331,16 +331,6 @@ class TestDecodeEquivalence:
                     )
                 assert out == case["tokens"], (strategy, case)
 
-    def test_decode_many_mixed_sessions(self, untrained_engine):
-        config = _config()
-        serial = [
-            greedy_decode(untrained_engine, p, config, strategy="serial")
-            for p in PROMPTS[:3]
-        ]
-        sessions = [None, untrained_engine.start_session(PROMPTS[1]), None]
-        decoder = BatchedDecoder(untrained_engine, config, max_batch=3)
-        assert decoder.decode_many(PROMPTS[:3], sessions=sessions) == serial
-
     def test_strategy_knob(self, untrained_engine):
         config = _config()
         assert greedy_decode(

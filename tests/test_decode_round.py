@@ -339,7 +339,7 @@ class RoundMachine(RuleBasedStateMachine):
         assert reason == ("length" if len(serial) == row.budget else "eos")
         assert row not in self.rnd.rows
 
-    @precondition(lambda self: self.rnd.has_room())
+    @precondition(lambda self: self.rnd.room() > 0)
     @rule(prompt=st.sampled_from(PROMPTS), budget=st.integers(1, 7))
     def admit(self, prompt, budget):
         row, tokens, reason = self.rnd.admit(object(), prompt, budget)
@@ -475,10 +475,13 @@ def test_a_group_admission_is_its_rows_admitted_one_at_a_time(
     kind, group, lengths, order, data
 ):
     """Rows admitted as one burst — equally long prompts as rows of one
-    forward — are bit for bit the rows admitted alone: first-token
-    logits and every block's K/V.  Three rows of the largest group each
-    arm their own fault (a row-keyed weight copy, a row-pinned hook, a
-    KV fault) before the forward they share with their siblings."""
+    forward, and rows restored at a golden state — are bit for bit the
+    rows admitted alone: first-token logits and every block's K/V, at
+    admission and after the step that follows it.  Three rows of the
+    largest group each arm their own fault (a row-keyed weight copy, a
+    row-pinned hook, a KV fault) before the forward they share with their
+    siblings; so does each restored row, inside its ``restore`` callback,
+    before any prompt forward of the burst runs."""
     store = _moe_store() if kind == "moe" else _store(24, 2, 5)
     engine = InferenceEngine(store)
     token = st.integers(0, VOCAB - 1)
@@ -488,38 +491,67 @@ def test_a_group_admission_is_its_rows_admitted_one_at_a_time(
         for n in [shared] * group + lengths[1:]
     ]
     faults = dict(zip(range(group), order))
+    run = GoldenRun.decode_many(
+        engine, [prompts[-1]], GenerationConfig(max_new_tokens=4, eos_id=-1)
+    )[0]
+    restored = {
+        len(prompts) + r: (
+            data.draw(st.integers(0, len(run.logits) - 1)),
+            data.draw(st.sampled_from(list(GROUP_FAULTS))),
+        )
+        for r in range(2)
+    }
+    keys = data.draw(st.permutations(range(len(prompts) + len(restored))))
 
-    def admission(i, prompt, armed):
-        def arm(row):
-            armed.append(GROUP_FAULTS[faults[i]](engine, row.id).__enter__())
+    def admission(i, armed):
+        def arm(row, fault):
+            armed[i] = GROUP_FAULTS[fault](engine, row.id).__enter__()
 
-        return Admission(i, prompt, 3, before_prefill=arm if i in faults else None)
+        if i in restored:
+            j, fault = restored[i]
 
-    alone = []
-    for i, prompt in enumerate(prompts):
-        armed = []
+            def restore(row):
+                run.fill(row.caches, j, len(run.snaps))
+                arm(row, fault)
+                return j, run.logits[j]
+
+            return Admission(i, run.prompt, 3, restore=restore)
+        before = (lambda row: arm(row, faults[i])) if i in faults else None
+        return Admission(i, prompts[i], 3, before_prefill=before)
+
+    def state(row):
+        return row.logits, [(c.keys().copy(), c.values().copy()) for c in row.caches]
+
+    alone = {}
+    for i in keys:
+        armed = {}
         rnd = DecodeRound(engine, engine.new_pool(1), -1)
-        row, _, _ = rnd.admit_many([admission(i, prompt, armed)])[0]
-        alone.append((row.logits, [(c.keys().copy(), c.values().copy()) for c in row.caches]))
-        assert all(injector.fired for injector in armed)
-        for injector in armed:
+        row, _, _ = rnd.admit_many([admission(i, armed)])[0]
+        admitted = state(row)
+        assert i not in faults or armed[i].fired
+        alone[i] = (admitted, state(rnd.step()[0][0]))
+        for injector in armed.values():
             injector.__exit__(None, None, None)
         rnd.drop(row)
 
-    armed = []
-    rnd = DecodeRound(engine, engine.new_pool(len(prompts)), -1)
-    events = rnd.admit_many([admission(i, p, armed) for i, p in enumerate(prompts)])
+    armed = {}
+    rnd = DecodeRound(engine, engine.new_pool(len(keys)), -1)
     try:
+        events = rnd.admit_many([admission(i, armed) for i in keys])
         assert rnd.prompt_forwards == len({len(p) for p in prompts})
-        assert [row.key for row, _, _ in events] == list(range(len(prompts)))
-        assert len(armed) == 3 and all(injector.fired for injector in armed)
-        for (row, _, _), (logits, kv) in zip(events, alone):
-            assert np.array_equal(_bits(row.logits), _bits(logits))
-            for cache, (k, v) in zip(row.caches, kv):
-                assert np.array_equal(_bits(cache.keys()), _bits(k))
-                assert np.array_equal(_bits(cache.values()), _bits(v))
+        assert [row.key for row, _, _ in events] == keys
+        assert len(armed) == 3 + len(restored)
+        assert all(armed[i].fired for i in faults)
+        now = {row.key: state(row) for row, _, _ in events}
+        stepped = {row.key: state(row) for row, _, _ in rnd.step()}
+        for i in keys:
+            for (logits, kv), (want, want_kv) in zip((now[i], stepped[i]), alone[i]):
+                assert np.array_equal(_bits(logits), _bits(want))
+                for (k, v), (want_k, want_v) in zip(kv, want_kv):
+                    assert np.array_equal(_bits(k), _bits(want_k))
+                    assert np.array_equal(_bits(v), _bits(want_v))
     finally:
-        for injector in armed:
+        for injector in armed.values():
             injector.__exit__(None, None, None)
     assert engine.row_weights == engine.kv_faults == {} and len(engine.hooks) == 0
 
@@ -545,7 +577,9 @@ def test_a_row_retiring_at_admission_keeps_its_slot_until_its_event():
             seen[row.key] = [(c.keys().copy(), c.values().copy()) for c in row.caches]
 
     rnd = DecodeRound(engine, pool, first)
-    outs = decode_to_completion(rnd, prompts, [None] * len(prompts), 4, 3, on_event)
+    outs = decode_to_completion(
+        rnd, [Admission(i, p, 4) for i, p in enumerate(prompts)], 3, on_event
+    )
     assert outs[1] == []  # EOS as its first token: retired at admission
     fresh = engine.new_caches()
     engine.forward(PROMPTS[0], fresh, start_pos=0, iteration=0)

@@ -146,7 +146,9 @@ def golden_length(store, tokenizer, task, ex, **generation):
         **{"max_new_tokens": task.max_new_tokens,
            "eos_id": tokenizer.vocab.eos_id, **generation}
     )
-    run = GoldenRun.decode(InferenceEngine(store), tokenizer.encode(ex.prompt), config)
+    run = GoldenRun.decode_many(
+        InferenceEngine(store), [tokenizer.encode(ex.prompt)], config
+    )[0]
     return len(run.ids)
 
 
@@ -550,22 +552,22 @@ class TestGoldenRun:
         engine = InferenceEngine(trained_store)
         prompt = tokenizer.encode(standardized_subset(task, 1)[0].prompt)
         eos = tokenizer.vocab.eos_id
-        full = GoldenRun.decode(
-            engine, prompt, GenerationConfig(max_new_tokens=16, eos_id=eos)
-        )
+        full = GoldenRun.decode_many(
+            engine, [prompt], GenerationConfig(max_new_tokens=16, eos_id=eos)
+        )[0]
         n = len(full.ids)
         # EOS: not emitted, but the forward that produced it is kept.
         assert len(full.logits) == n + 1
         assert int(np.argmax(full.logits[n])) == eos
         # Full budget: no final forward, so no logits beyond the last pick.
-        clipped = GoldenRun.decode(
-            engine, prompt, GenerationConfig(max_new_tokens=n - 1, eos_id=eos)
-        )
+        clipped = GoldenRun.decode_many(
+            engine, [prompt], GenerationConfig(max_new_tokens=n - 1, eos_id=eos)
+        )[0]
         assert clipped.ids == full.ids[: n - 1]
         assert len(clipped.logits) == n - 1
         assert {snap[2] for snap in clipped.snaps} == {len(prompt) + n - 2}
         for config in (full.config, clipped.config):
-            assert GoldenRun.decode(engine, prompt, config).ids == greedy_decode(
+            assert GoldenRun.decode_many(engine, [prompt], config)[0].ids == greedy_decode(
                 engine, prompt, config, strategy="serial"
             )
 
@@ -587,7 +589,7 @@ class TestGoldenRun:
         together = GoldenRun.decode_many(engine, prompts, config, pool)
         assert pool.n_free == pool.n_slots
         for prompt, run in zip(prompts, together):
-            alone = GoldenRun.decode(engine, prompt, config)
+            alone = GoldenRun.decode_many(engine, [prompt], config)[0]
             session = engine.start_session(prompt)
             stepped = [session.last_logits]
             for token in alone.ids[: len(alone.logits) - 1]:

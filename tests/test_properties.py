@@ -30,7 +30,7 @@ from repro.generation import (
     score_continuation,
     score_options,
 )
-from repro.generation.round import decode_plan, pick
+from repro.generation.round import Admission, DecodeRound, decode_plan, pick
 from repro.inference import InferenceEngine, KVCache, make_weight_store
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
@@ -924,30 +924,42 @@ def test_property_greedy_prefix_stability(prompt, n_tokens):
 @settings(max_examples=25, deadline=None)
 @given(_prompts, st.integers(min_value=0, max_value=VOCAB - 1), st.data())
 def test_property_golden_rewind_equals_fresh_steps(prompt, eos, data):
-    """The state a golden run restores at ``j`` is, byte for byte, the
-    state of a fresh session stepped ``j`` times — whatever an earlier
-    trial left in the caches it is rewound into."""
+    """The state a golden run restores at ``j`` into a round's slot — a
+    ``restore`` admission: ``fill`` every block, ``logits[j]`` — is, byte
+    for byte, the state of a fresh session stepped ``j`` times, whatever
+    an earlier trial left in the slot it is restored into."""
     engine = _prop_engine()
-    run = GoldenRun.decode(
-        engine, prompt, GenerationConfig(max_new_tokens=6, eos_id=eos)
-    )
+    run = GoldenRun.decode_many(
+        engine, [prompt], GenerationConfig(max_new_tokens=6, eos_id=eos)
+    )[0]
     states = st.integers(min_value=0, max_value=len(run.logits) - 1)
-    # An earlier trial: resumed somewhere, decoded something else.
-    caches = engine.new_caches()
-    dirty = run.rewind(engine, data.draw(states), caches)
+    rnd = DecodeRound(engine, engine.new_pool(1), -1)
+
+    def restored(j):
+        def restore(row):
+            run.fill(row.caches, j, len(run.snaps))
+            return j, run.logits[j]
+
+        return rnd.admit_many([Admission(j, prompt, 8, restore=restore)])[0][0]
+
+    # An earlier trial in the one slot: resumed somewhere, decoded
+    # something else.
+    dirty = restored(data.draw(states))
     for token in data.draw(st.lists(st.integers(0, VOCAB - 1), max_size=4)):
-        dirty.step(token)
+        position = dirty.caches[-1].length
+        engine.forward([token], dirty.caches, start_pos=position, iteration=position)
+    rnd.drop(dirty)
     j = data.draw(states)
-    restored = run.rewind(engine, j, caches)
+    row = restored(j)
     fresh = engine.start_session(prompt)
     for token in run.ids[:j]:
         fresh.step(token)
-    for cache, ref in zip(restored.caches, fresh.caches, strict=True):
+    for cache, ref in zip(row.caches, fresh.caches, strict=True):
         assert cache.length == ref.length
         assert cache.keys().tobytes() == ref.keys().tobytes()
         assert cache.values().tobytes() == ref.values().tobytes()
-    assert restored.last_logits.tobytes() == fresh.last_logits.tobytes()
-    assert (restored.position, restored.iteration) == (len(prompt) + j, j)
+    assert row.logits[-1].tobytes() == fresh.last_logits.tobytes()
+    assert (row.caches[-1].length, row.iter0) == (len(prompt) + j, j)
     assert (fresh.position, fresh.iteration) == (len(prompt) + j, j)
 
 

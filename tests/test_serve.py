@@ -35,7 +35,7 @@ from repro.generation import (
     SpeculativeDecoder,
     greedy_decode,
 )
-from repro.generation.round import DecodeRound, decode_to_completion
+from repro.generation.round import Admission, DecodeRound, decode_to_completion
 from repro.inference import InferenceEngine
 from repro.inference.kvcache import PromptCache
 from repro.model import ModelConfig, TransformerLM
@@ -772,7 +772,9 @@ class TestPromptCache:
         rnd = DecodeRound(engine, engine.new_pool(3), -1, prompt_cache=cache)
 
         def decode_all():
-            return decode_to_completion(rnd, PROMPTS[:3], [None] * 3, budget, 3)
+            return decode_to_completion(
+                rnd, [Admission(i, p, budget) for i, p in enumerate(PROMPTS[:3])], 3
+            )
 
         clean = decode_all()
         stored = dict(cache.entries)

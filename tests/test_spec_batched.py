@@ -125,22 +125,6 @@ class TestComposedEquivalence:
         for prompt in PROMPTS[:3]:
             assert composed.decode_many([prompt]) == [spec.decode_one(prompt)]
 
-    def test_consumes_prefilled_sessions(
-        self, untrained_engine, draft_engine
-    ):
-        config = _config()
-        serial = _serial(untrained_engine, PROMPTS[:3], config)
-        sessions = [
-            untrained_engine.start_session(PROMPTS[0]),
-            None,
-            untrained_engine.start_session(PROMPTS[2]),
-        ]
-        decoder = BatchedSpeculativeDecoder(
-            untrained_engine, draft_engine, config,
-            speculation_depth=2, max_batch=2,
-        )
-        assert decoder.decode_many(PROMPTS[:3], sessions=sessions) == serial
-
     def test_empty_prompt_list(self, untrained_engine, draft_engine):
         decoder = BatchedSpeculativeDecoder(
             untrained_engine, draft_engine, _config()
@@ -187,13 +171,6 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="vocabulary mismatch"):
             BatchedSpeculativeDecoder(untrained_engine, other, _config())
-
-    def test_sessions_length_mismatch(self, untrained_engine, draft_engine):
-        decoder = BatchedSpeculativeDecoder(
-            untrained_engine, draft_engine, _config()
-        )
-        with pytest.raises(ValueError, match="sessions"):
-            decoder.decode_many(PROMPTS[:2], sessions=[None])
 
 
 class TestGateMatrix:

@@ -40,7 +40,7 @@ from repro.fi import (
     inject,
     load_checkpoint,
 )
-from repro.fi import campaign as fi_campaign
+from repro.fi import wave as fi_wave
 from repro.fi.campaign import _DECODE_BATCH
 from repro.fi.injector import ComputationalFaultInjector, KVFaultInjector
 from repro.generation import GenerationConfig, greedy_decode
@@ -59,12 +59,15 @@ from repro.tasks import (
 )
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
-from tests.test_golden import MC_TASKS, lone_trials
+from tests.test_golden import MC_TASKS, lone_trials, pin_iteration
 from tests.test_scaleout import identity, record_in_workers
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
 COMP = [FaultModel.COMP_1BIT, FaultModel.COMP_2BIT]
 KV_ACC = [FaultModel.KV_1BIT, FaultModel.KV_2BIT, FaultModel.ACC_1BIT, FaultModel.ACC_2BIT]
+RAISE_POINTS = ["prefill1", "prefill2", "step1", "step3", "restore"]
+"""Where a wave may raise: its first or second prompt forward, its first
+or third step forward, a resumed row's ``restore`` callback."""
 N_TRIALS = 21
 """Not a multiple of the round's width, and seven trials per example on
 the helper's three examples: trials of one example share a round."""
@@ -214,7 +217,8 @@ class TestFiredInjectorsLeaveTheEngine:
             return events
 
         monkeypatch.setitem(
-            fi_campaign._ROW_KEYED, "activations", (Counted, "row_scoped_hooks")
+            fi_wave._ROW_KEYED, "activations",
+            fi_wave._ROW_KEYED["activations"]._replace(injector=Counted),
         )
         monkeypatch.setattr(DecodeRound, "step", checked)
         try:
@@ -334,7 +338,7 @@ class TestWhatKeepsATrialToItself:
         if rows:
             assert plan == ("reference", rows[0])
         else:
-            assert plan == ("wave", fi_campaign._ROW_KEYED[fault.surface][1])
+            assert plan == ("wave", fi_wave._ROW_KEYED[fault.surface].reason)
 
 
 def _experts_only(name):
@@ -464,45 +468,77 @@ class TestIterationZeroRows:
         assert sum(span.attrs["trials"] for span in waves) == 48
         assert not lone_trials(counters)
 
+    @pytest.mark.parametrize(
+        "fault_model, raise_at",
+        [
+            (model, point)
+            for model in (
+                FaultModel.COMP_2BIT, FaultModel.ACC_2BIT,
+                FaultModel.KV_2BIT, FaultModel.MEM_2BIT,
+            )
+            for point in RAISE_POINTS
+            # A weight-fault row starts from its prompt: it never restores.
+            if not (model.is_memory and point == "restore")
+        ],
+        ids=lambda p: getattr(p, "value", p),
+    )
     def test_an_admission_that_raises_leaves_nothing_behind(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, monkeypatch, fault_model, raise_at
     ):
+        """Wherever a wave raises — a prompt forward, a step forward, a
+        resumed row's ``restore`` callback after it armed the row's
+        fault — the round has released every slot and the wave disarmed
+        every fault before ``_post_failure_repair`` runs: the round is
+        the one slot owner."""
         task = SummarizationTask(world)  # prompts of two lengths
-        camp = campaign(
-            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
-            max_fault_iterations=1,
-        )
+        kw = dict(max_fault_iterations=1) if raise_at.startswith("prefill") else {}
+        camp = campaign(trained_store, tokenizer, task, fault_model, **kw)
+        if raise_at == "restore":
+            pin_iteration(camp, 2)
         camp.compute_baseline()
         pool = camp._kv_slots()
-        prefill, calls = camp.engine.forward_chunk_batch, []
-
-        def failing(*args, **kw):
-            calls.append(args)
+        engine, calls = camp.engine, []
+        target, method, nth = {
+            "prefill1": (engine, "forward_chunk_batch", 1),
             # The burst's second prompt forward: one group prefilled,
             # every slot of the burst acquired.
-            if len(calls) == 2:
-                raise RuntimeError("boom")
-            return prefill(*args, **kw)
+            "prefill2": (engine, "forward_chunk_batch", 2),
+            "step1": (engine, "forward_step_batch", 1),
+            "step3": (engine, "forward_step_batch", 3),
+            "restore": (fi_wave.Wave, "_restore", 1),
+        }[raise_at]
 
-        camp.engine.forward_chunk_batch = failing
+        def failing(original):
+            def call(*args, **kw):
+                result = original(*args, **kw)
+                calls.append(args)
+                if len(calls) == nth:
+                    raise RuntimeError("boom")
+                return result
+
+            return call
+
+        monkeypatch.setattr(target, method, failing(getattr(target, method)))
         with pytest.raises(RuntimeError, match="boom"):
             camp._run_wave(list(range(9)))
         assert pool.n_free == pool.n_slots
-        assert len(camp.engine.hooks) == 0
+        assert len(engine.hooks) == 0
+        assert engine.row_weights == engine.kv_faults == engine.acc_faults == {}
         camp._post_failure_repair()
         assert camp._kv_slots().n_free == camp._kv_slots().n_slots
         # As a run: the wave falls back, once, and nothing is lost.
         calls.clear()
         result, counters, _, _ = run_traced(camp, 9, retry_backoff=0.0)
         reference = campaign(
-            trained_store, tokenizer, task, FaultModel.COMP_2BIT,
-            max_fault_iterations=1, decode_strategy="serial",
-        ).run(9)
-        assert_results_equal(result, reference, "after the raise", "serial")
+            trained_store, tokenizer, task, fault_model, decode_strategy="serial", **kw
+        )
+        if raise_at == "restore":
+            pin_iteration(reference, 2)
+        assert_results_equal(result, reference.run(9), "after the raise", "serial")
         assert counters["campaign.wave.fallbacks"] == 1
         assert lone_trials(counters) == {"wave_fallback": 9}
         assert counters["campaign.retries"] == counters["campaign.quarantined"] == 0
-        assert len(camp.engine.hooks) == 0
+        assert len(engine.hooks) == 0
 
     def test_resume_from_a_journal_cut_mid_wave(
         self, trained_store, tokenizer, world, tmp_path
@@ -724,10 +760,17 @@ class TestWavesInWorkers:
             store, tokenizer, task, fault_model, decode_strategy="serial"
         ).run(N_TRIALS)
 
-    @pytest.mark.parametrize("fault_model", COMP, ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "fault_model", [*COMP, FaultModel.ACC_2BIT, FaultModel.KV_2BIT],
+        ids=lambda m: m.value,
+    )
     def test_pooled_waves_equal_serial_and_the_in_process_tallies(
         self, trained_store, tokenizer, world, fault_model
     ):
+        """Every trial is a wave row, none runs alone, each example's
+        golden run is built once — before the fork — and the pooled
+        run's per-trial and golden-run counters are the in-process
+        ones."""
         task = TranslationTask(world)
         camp = campaign(trained_store, tokenizer, task, fault_model)
         try:
@@ -750,8 +793,15 @@ class TestWavesInWorkers:
         per_trial = [
             name for name in here
             if name.startswith(("campaign.outcome.", "engine.prefill_cache_"))
-        ] + ["campaign.trials", "campaign.injections", "campaign.trial_ms"]
+        ] + [
+            "campaign.trials", "campaign.injections", "campaign.trial_ms",
+            "campaign.golden.builds", "campaign.golden.shared",
+        ]
         assert {k: counters[k] for k in per_trial} == {k: here[k] for k in per_trial}
+        assert not lone_trials(counters) and not lone_trials(here)
+        # One pass per example, built before the fork; none taken from
+        # an earlier campaign (each engine here is fresh).
+        assert (counters["campaign.golden.builds"], counters["campaign.golden.shared"]) == (3, 0)
         assert counters["campaign.trials"] == N_TRIALS
         assert counters["campaign.wave.fallbacks"] == counters["campaign.retries"] == 0
 
