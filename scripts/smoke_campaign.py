@@ -27,6 +27,11 @@ decodes with beam search of width ``K``: every trial runs alone through
 the reference, the one beam loop, whose batched leg steps the hypotheses
 under a computational fault.
 
+``main(argv)`` may run many times in one process (the tier-1 test
+``tests/test_smoke_campaign.py`` runs the campaign pairs this way): the
+tiny model trains once per process, each run builds its own engine and
+starts from reset telemetry.
+
 Usage::
 
     PYTHONPATH=src python scripts/smoke_campaign.py [out.jsonl] \
@@ -37,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +69,34 @@ from repro.training import (
     corpus_to_stream,
     train_lm,
 )
+
+
+@functools.cache
+def smoke_model():
+    """``(world, tokenizer, store)``: the tiny model every run decodes,
+    trained in memory once per process."""
+    world = World(seed=2025)
+    tokenizer = build_tokenizer(world)
+    rng = np.random.default_rng(99)
+    docs = build_mixed_corpus(all_tasks(world), rng, 1500)
+    stream = corpus_to_stream(docs, tokenizer)
+    model = TransformerLM(
+        ModelConfig(
+            vocab_size=len(tokenizer),
+            d_model=48,
+            n_heads=4,
+            n_blocks=3,
+            d_ff=96,
+            max_seq=160,
+        ),
+        seed=7,
+    )
+    train_lm(
+        model,
+        stream,
+        TrainConfig(steps=160, batch_size=12, seq_len=56, seed=3, lr=4e-3),
+    )
+    return world, tokenizer, model.to_store()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,35 +140,16 @@ def main(argv: list[str] | None = None) -> int:
         args.out or Path(tempfile.gettempdir()) / "repro_smoke_run.jsonl"
     )
 
-    world = World(seed=2025)
+    world, tokenizer, store = smoke_model()
     tasks = {task.name: task for task in all_tasks(world)}
     if args.task not in tasks:
         parser.error(f"--task must be one of {sorted(tasks)}, got {args.task!r}")
     task = tasks[args.task]
-    tokenizer = build_tokenizer(world)
-    rng = np.random.default_rng(99)
-    docs = build_mixed_corpus(all_tasks(world), rng, 1500)
-    stream = corpus_to_stream(docs, tokenizer)
-    model = TransformerLM(
-        ModelConfig(
-            vocab_size=len(tokenizer),
-            d_model=48,
-            n_heads=4,
-            n_blocks=3,
-            d_ff=96,
-            max_seq=160,
-        ),
-        seed=7,
-    )
+    engine = InferenceEngine(store, weight_policy="bf16")
 
     tel = telemetry()
+    tel.reset()
     tel.enable(out)
-    train_lm(
-        model,
-        stream,
-        TrainConfig(steps=160, batch_size=12, seq_len=56, seed=3, lr=4e-3),
-    )
-    engine = InferenceEngine(model.to_store(), weight_policy="bf16")
 
     examples = standardized_subset(task, 4)
     recorder = flight_recorder()

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.autograd.functional import log_softmax_np
 from repro.generation.round import count_plan, decode_plan
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = [
@@ -64,16 +64,11 @@ def greedy_decode(
     engine: InferenceEngine,
     prompt_ids: list[int],
     config: GenerationConfig,
-    session: Session | None = None,
     strategy: str = "auto",
     draft: InferenceEngine | None = None,
     speculation_depth: int = 4,
 ) -> list[int]:
     """Argmax decoding; returns generated ids (without the prompt/EOS).
-
-    ``session`` optionally supplies an already-prefilled session for
-    ``prompt_ids`` (e.g. a clone of a cached fault-free prefill); it is
-    consumed — the caller must not reuse it afterwards.
 
     ``strategy`` is ``auto`` or ``serial``.  ``serial`` is the per-token
     reference loop below.  ``auto`` asks
@@ -93,14 +88,13 @@ def greedy_decode(
             count_plan(path, reason)
             return SpeculativeDecoder(
                 engine, draft, config, speculation_depth=speculation_depth
-            ).speculate(prompt_ids, session=session)
+            ).speculate(prompt_ids)
         count_plan("serial", reason)
     elif strategy != "serial":
         raise ValueError(f"unknown decode strategy {strategy!r}")
     # The serial reference loop — kept on purpose: it is what the
     # differential oracle and every equivalence test compare against.
-    if session is None:
-        session = engine.start_session(prompt_ids)
+    session = engine.start_session(prompt_ids)
     out: list[int] = []
     logits = session.last_logits
     for _ in range(config.max_new_tokens):
@@ -123,26 +117,21 @@ def beam_search_decode(
     engine: InferenceEngine,
     prompt_ids: list[int],
     config: GenerationConfig,
-    session: Session | None = None,
     strategy: str = "auto",
 ) -> list[int]:
     """Standard beam search with length normalization.
-
-    ``session`` optionally supplies a pre-built prefill for
-    ``prompt_ids`` (consumed, like :func:`greedy_decode`).
 
     A hypothesis is ``(tokens, score, slot)``: its emitted ids, its
     summed log-probability and the slot of one ``2k``-slot
     :class:`~repro.inference.kvcache.PooledKVCache` its K/V lives in —
     ``None`` once EOS finished it (EOS is not emitted).  The prompt is
-    forwarded into the root slot, or ``session`` adopted there.  Each
-    round ranks the ``k`` best extensions of every live hypothesis and
-    every finished one as it stands by length-normalized score, keeps
-    the best ``k`` in a stable sort and forks lazily: the first kept
-    extension of a hypothesis inherits its slot, a later one copies the
-    filled prefix into a fresh slot
-    (:meth:`~repro.inference.kvcache.PooledKVCache.copy_slot`), and a
-    slot no extension kept is released.
+    forwarded into the root slot.  Each round ranks the ``k`` best
+    extensions of every live hypothesis and every finished one as it
+    stands by length-normalized score, keeps the best ``k`` in a stable
+    sort and forks lazily: the first kept extension of a hypothesis
+    inherits its slot, a later one copies the filled prefix into a fresh
+    slot (:meth:`~repro.inference.kvcache.PooledKVCache.copy_slot`), and
+    a slot no extension kept is released.
 
     The only fork is how the hypotheses that gained a token step.
     ``serial`` — the reference, and ``auto`` whenever
@@ -151,10 +140,7 @@ def beam_search_decode(
     :meth:`~InferenceEngine.forward` per hypothesis in beam order.
     ``auto`` under a ``batched`` plan runs one
     :meth:`~InferenceEngine.forward_step_batch` over the same rows in the
-    same order; its rows are row-exact, so both give the same bits, and a
-    slot view has the strides of a fresh cache, so neither differs from a
-    hypothesis decoding out of its own
-    :class:`~repro.inference.kvcache.KVCache`.
+    same order; its rows are row-exact, so both give the same bits.
     """
     if strategy == "auto":
         path, reason = decode_plan(engine)
@@ -168,14 +154,7 @@ def beam_search_decode(
     tel = _telemetry()
     pool = engine.new_pool(2 * k)
     root = pool.acquire()
-    if session is None:
-        logits = engine.forward(prompt_ids, pool.caches(root), 0, 0)[-1]
-        position, iteration = len(prompt_ids), 0
-    else:
-        pool.load(root, session.caches)
-        logits, position = session.last_logits, session.position
-        iteration = session.iteration
-    last_logits = {root: logits}
+    last_logits = {root: engine.forward(prompt_ids, pool.caches(root), 0, 0)[-1]}
 
     def normalized(score: float, length: int) -> float:
         return score / max(1, length) ** config.length_penalty
@@ -223,7 +202,7 @@ def beam_search_decode(
             # re-rank the same finished candidates.
             break
         # Every live hypothesis holds ``step`` tokens now.
-        at, it = position + step - 1, iteration + step
+        at, it = len(prompt_ids) + step - 1, step
         if batched:
             if tel.active:
                 tel.metrics.histogram("decode.batch_occupancy").observe(len(live))
@@ -248,36 +227,24 @@ def generate_ids(
     engine: InferenceEngine,
     prompt_ids: list[int],
     config: GenerationConfig,
-    session: Session | None = None,
     strategy: str = "auto",
 ) -> list[int]:
-    """Dispatch to greedy or beam decoding based on ``num_beams``.
-
-    ``session``, when given, must be a prefilled session for
-    ``prompt_ids`` (it is consumed).  A greedy session may already be
-    ``session.iteration`` steps past the prompt: decoding continues
-    from there, ``config.max_new_tokens`` is the budget that is left
-    and only the new ids are returned — how campaigns resume a trial
-    from its example's golden run (:mod:`repro.fi.golden`) instead of
-    re-decoding the fault-free prefix.  ``strategy`` is forwarded to
-    the decoder (``auto`` or ``serial``, see :func:`greedy_decode`).
+    """Dispatch to greedy or beam decoding based on ``num_beams``, from
+    the prompt.  ``strategy`` is forwarded to the decoder (``auto`` or
+    ``serial``, see :func:`greedy_decode`).
     """
     decoder = greedy_decode if config.num_beams == 1 else beam_search_decode
-
-    def decode(**kw):
-        return decoder(engine, prompt_ids, config, **kw)
     tel = _telemetry()
     if not tel.active:
-        return decode(session=session, strategy=strategy)
+        return decoder(engine, prompt_ids, config, strategy=strategy)
     t0 = time.perf_counter()
     with tel.span(
         "decode.generate",
         num_beams=config.num_beams,
         prompt_tokens=len(prompt_ids),
-        prefilled=session is not None,
         strategy=strategy,
     ) as span:
-        out = decode(session=session, strategy=strategy)
+        out = decoder(engine, prompt_ids, config, strategy=strategy)
         span.set(new_tokens=len(out))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     metrics = tel.metrics

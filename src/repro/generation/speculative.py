@@ -57,7 +57,7 @@ import time
 
 from repro.generation.decode import GenerationConfig, greedy_decode
 from repro.generation.round import accept, check_draft, draft_keep, pick
-from repro.inference.engine import InferenceEngine, Session
+from repro.inference.engine import InferenceEngine
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["SpeculativeDecoder"]
@@ -66,12 +66,13 @@ __all__ = ["SpeculativeDecoder"]
 class SpeculativeDecoder:
     """Greedy draft-and-verify decoder over a target/draft engine pair.
 
-    The draft runs its own KV caches alongside the target session; per
-    round it first catches up on tokens the target emitted that it has
-    not seen (one small chunked forward), proposes ``speculation_depth``
-    tokens by argmax, and hands them to the target for chunked
-    verification.  Rejected positions are rolled back on both sides by
-    cache truncation — no copies, no reallocation.
+    The draft runs its own KV caches alongside the target session's
+    (each a one-slot pool's views); per round it first catches up on
+    tokens the target emitted that it has not seen (one small chunked
+    forward), proposes ``speculation_depth`` tokens by argmax, and hands
+    them to the target for chunked verification.  Rejected positions
+    are rolled back on both sides by cache truncation — no copies, no
+    reallocation.
     """
 
     def __init__(
@@ -87,29 +88,17 @@ class SpeculativeDecoder:
         self.config = config
         self.depth = speculation_depth
 
-    def decode_one(
-        self,
-        prompt_ids: list[int],
-        session: Session | None = None,
-    ) -> list[int]:
+    def decode_one(self, prompt_ids: list[int]) -> list[int]:
         """Greedy-decode one prompt: ``greedy_decode`` with this pair —
         :meth:`speculate` where
         :func:`~repro.generation.round.decode_plan` allows speculation,
-        else the exact serial reference loop.
-
-        ``session`` optionally supplies an already-prefilled target
-        session for ``prompt_ids`` (consumed).
-        """
+        else the exact serial reference loop."""
         return greedy_decode(
-            self.engine, prompt_ids, self.config, session=session,
+            self.engine, prompt_ids, self.config,
             draft=self.draft, speculation_depth=self.depth,
         )
 
-    def speculate(
-        self,
-        prompt_ids: list[int],
-        session: Session | None = None,
-    ) -> list[int]:
+    def speculate(self, prompt_ids: list[int]) -> list[int]:
         """The draft-and-verify schedule itself, whatever is armed.
 
         For callers that already hold a ``composed`` plan, and for
@@ -122,9 +111,8 @@ class SpeculativeDecoder:
             "decode.speculate",
             depth=self.depth,
             prompt_tokens=len(prompt_ids),
-            prefilled=session is not None,
         ) as span:
-            out = self._decode_impl(prompt_ids, session, tel)
+            out = self._decode_impl(prompt_ids, tel)
             span.set(new_tokens=len(out))
         if tel.active:
             tel.metrics.histogram("decode.speculate_ms").observe(
@@ -132,13 +120,10 @@ class SpeculativeDecoder:
             )
         return out
 
-    def _decode_impl(
-        self, prompt_ids: list[int], session: Session | None, tel
-    ) -> list[int]:
+    def _decode_impl(self, prompt_ids: list[int], tel) -> list[int]:
         engine, draft, config = self.engine, self.draft, self.config
         eos, max_new = config.eos_id, config.max_new_tokens
-        if session is None:
-            session = engine.start_session(prompt_ids)
+        session = engine.start_session(prompt_ids)
         caches = session.caches
         first = pick(session.last_logits)
         if first == eos:

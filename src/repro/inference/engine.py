@@ -15,7 +15,10 @@ a vectorised, allocation-light forward pass over a trained
   records (Fig. 15);
 * **sessions** — incremental decoding with a KV cache and a
   generation-iteration counter, so faults can be timed to a specific
-  token-generation iteration exactly as the paper does;
+  token-generation iteration exactly as the paper does; every cache is
+  a slot of a :class:`~repro.inference.kvcache.PooledKVCache` (a
+  session's is a one-slot pool's), and a block's new K/V is written for
+  all its rows at once;
 * **one forward** — :meth:`InferenceEngine.forward` (one sequence),
   :meth:`~InferenceEngine.forward_step_batch` and
   :meth:`~InferenceEngine.forward_chunk_batch` (ragged rows) are
@@ -48,7 +51,7 @@ import numpy as np
 
 from repro.autograd.functional import rms_norm_np, silu_np, softmax_np
 from repro.inference.hooks import HookContext, HookManager
-from repro.inference.kvcache import KVCache, PooledKVCache, _SlotView
+from repro.inference.kvcache import KVCache, PooledKVCache, scatter
 from repro.inference.storage import WeightStore, make_weight_store
 from repro.model.config import ModelConfig
 from repro.model.params import ParamStore
@@ -297,10 +300,12 @@ class InferenceEngine:
         """Causal attention for one block over flat ``(B*t, D)`` input.
 
         Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
-        shared :meth:`_linear` calls / broadcasts.  Every row appends its
-        new K/V to ``row_caches[i][block]``, in row order, and a KV fault
-        keyed to the row latches after its append; ``row_caches=None``
-        appends nothing (a forward from position 0 that no step
+        shared :meth:`_linear` calls / broadcasts.  The block's new K/V
+        lands in every row's ``row_caches[i][block]`` at that view's own
+        length, written by one :func:`~repro.inference.kvcache.scatter`
+        (one fancy-index assignment per plane per pool); then, in row
+        order, a KV fault keyed to a row latches.  ``row_caches=None``
+        writes nothing (a forward from position 0 that no step
         continues), and such a fault strikes the row's fresh K/V.  The
         core is then one ``(B, heads, t, W)`` score block, ``W`` the
         longest row's cache length: positions at or past a row's own
@@ -361,19 +366,21 @@ class InferenceEngine:
         v = v.reshape(split).swapaxes(1, 2)
         kv_faults = self.kv_faults
         caches = None if row_caches is None else [own[block] for own in row_caches]
-        for i in range(batch):
-            if caches is not None:
-                caches[i].append(k[i], v[i])
-            if kv_faults:
+        if caches is not None:
+            scatter(caches, k, v)
+        for i in range(batch if kv_faults else 0):
+            # The row's own fault and the unpinned one; the 1-D entry
+            # carries no row id (``row`` None): the unpinned.
+            row = None if rows is None else int(rows[i * t])
+            armed = [
+                kv_faults[key] for key in dict.fromkeys((row, None)) if key in kv_faults
+            ]
+            if armed:
                 # Without caches, the row's fresh K/V is what is struck.
-                own = _SlotView(k[i], v[i], t) if caches is None else caches[i]
-                row = None if rows is None else int(rows[i * t])
+                own = KVCache((k, v), i, t) if caches is None else caches[i]
                 it = iteration if rows is None else int(iteration[i * t])
-                # The row's own fault and the unpinned one; the 1-D
-                # entry carries no row id (``row`` None): the unpinned.
-                for key in dict.fromkeys((row, None)):
-                    if key in kv_faults:
-                        kv_faults[key].on_append(block, own, it)
+                for fault in armed:
+                    fault.on_append(block, own, it)
         lengths = [t] * batch if caches is None else [cache.length for cache in caches]
         width = max(lengths)
         ragged = min(lengths) != width
@@ -559,9 +566,9 @@ class InferenceEngine:
         positions = np.asarray(positions, dtype=np.int64)
         # Checked before any cache, hook or GEMM is touched, so a full
         # cache fails the same way on every entry and corrupts nothing:
-        # each row against its own caches' capacity (one per row — a
-        # pool slot's views, or new_caches()), which may be less than
-        # ``cfg.max_seq`` (reach-sized pool slots).
+        # each row against its own caches' capacity (one pool slot's
+        # views per row), which may be less than ``cfg.max_seq``
+        # (reach-sized pool slots).
         if read_from and not 0 < read_from <= t - 2:
             raise ValueError(
                 f"read_from={read_from} must be 0 or leave at least two of"
@@ -698,20 +705,22 @@ class InferenceEngine:
     def forward(
         self,
         tokens: np.ndarray | list[int],
-        caches: list[KVCache],
+        caches: list[KVCache] | None,
         start_pos: int,
         iteration: int,
     ) -> np.ndarray:
         """Run ``tokens`` (one sequence's chunk, 1-D) through the model,
-        appending to ``caches``.  Returns logits of shape
-        ``(len(tokens), vocab)``.  Several sequences at once are
-        :meth:`forward_step_batch` / :meth:`forward_chunk_batch`: any
-        other shape raises ``ValueError`` before a cache is touched.
+        appending to ``caches`` — or, with ``caches=None``, to nothing
+        (a forward from position 0 that no step continues).  Returns
+        logits of shape ``(len(tokens), vocab)``.  Several sequences at
+        once are :meth:`forward_step_batch` / :meth:`forward_chunk_batch`:
+        any other shape raises ``ValueError`` before a cache is touched.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError(f"tokens must be a 1-D chunk of ids, got {ids.shape}")
-        return self._forward_rows(ids[None], [caches], [start_pos], iteration, None)
+        rows = None if caches is None else [caches]
+        return self._forward_rows(ids[None], rows, [start_pos], iteration, None)
 
     def forward_step_batch(
         self,
@@ -872,11 +881,10 @@ class InferenceEngine:
         ).reshape(ids.shape[0], ids.shape[1] - read_from, -1)
 
     def new_caches(self) -> list[KVCache]:
-        cfg = self.config
-        return [
-            KVCache(cfg.n_heads, cfg.max_seq, cfg.head_dim)
-            for _ in range(cfg.n_blocks)
-        ]
+        """One sequence's per-block caches: the views of a fresh
+        one-slot pool, a slot like any other."""
+        pool = self.new_pool(1)
+        return pool.caches(pool.acquire())
 
     def new_pool(self, n_slots: int) -> PooledKVCache:
         """A block-allocated KV arena sized for this model (one slot per
@@ -887,11 +895,10 @@ class InferenceEngine:
         )
 
     def forward_full(self, tokens: np.ndarray | list[int]) -> np.ndarray:
-        """Single full-sequence forward (option scoring / prefill-only).
-
-        This is generation iteration 0.
-        """
-        return self.forward(tokens, self.new_caches(), start_pos=0, iteration=0)
+        """Single full-sequence forward that no step continues (option
+        scoring, propagation traces, calibration): generation iteration
+        0, keeping no K/V."""
+        return self.forward(tokens, None, start_pos=0, iteration=0)
 
     def start_session(self, prompt: list[int]) -> "Session":
         """Prefill a prompt and return an incremental decoding session."""
@@ -899,7 +906,8 @@ class InferenceEngine:
 
 
 class Session:
-    """Incremental decoding state: KV caches + iteration counter."""
+    """Incremental decoding state: one slot's KV caches (a fresh one-slot
+    pool, :meth:`InferenceEngine.new_caches`) + iteration counter."""
 
     def __init__(self, engine: InferenceEngine, prompt: list[int]) -> None:
         if not prompt:

@@ -1,16 +1,22 @@
-"""Per-block key/value caches for incremental decoding.
+"""Per-block key/value caches for incremental decoding: one store.
 
-:class:`KVCache` is the single-sequence building block: one
-pre-allocated ``(n_heads, max_seq, head_dim)`` buffer pair per
-transformer block.  :class:`PooledKVCache` scales it to continuous
-batching: one block-allocated arena per layer holds the K/V of many
-concurrent sequences as slot rows, and hands out zero-copy
-:class:`KVCache`-compatible views — so admitting, retiring and
+:class:`PooledKVCache` is the only K/V storage there is: one
+``(n_slots, n_heads, max_seq, head_dim)`` arena pair per transformer
+block holds the K/V of many concurrent sequences as slot rows.  A
+:class:`KVCache` is one block's view of one slot — a round's row, a
+beam hypothesis, a golden sweep's run, a ``Session`` (whose
+:meth:`~repro.inference.engine.InferenceEngine.new_caches` is a fresh
+one-slot pool's views) or a speculative draft.  Admitting, retiring and
 re-admitting sequences never allocates, and forking a beam-search
 hypothesis is a bounded prefix copy inside the arena
-(:meth:`PooledKVCache.copy_slot`).  :class:`PromptCache` keeps what a prompt forward left in
-such a cache — :meth:`KVCache.snapshot` per block plus the first-token
-logits — so a server prefills a repeated prompt once.
+(:meth:`PooledKVCache.copy_slot`).
+
+Nothing appends through a view: the engine writes a block's new K/V for
+all its rows with :func:`scatter`, one fancy-index assignment per plane
+per arena, each row at its own view's ``length``.  :class:`PromptCache`
+keeps what a prompt forward left in such a cache —
+:meth:`KVCache.snapshot` per block plus the first-token logits — so a
+server prefills a repeated prompt once.
 """
 
 from __future__ import annotations
@@ -19,19 +25,22 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["KVCache", "PooledKVCache", "PromptCache"]
+__all__ = ["KVCache", "PooledKVCache", "PromptCache", "scatter"]
 
 
 class KVCache:
-    """Pre-allocated rolling K/V store for one transformer block.
+    """One transformer block's K/V for one sequence: slot ``slot`` of
+    the arena pair ``arena = (keys, values)``.
 
-    Shapes are ``(n_heads, max_seq, head_dim)``; ``length`` tracks the
-    filled prefix.  Appending is an in-place slice write (no copies, no
-    reallocation), following the buffer-reuse guidance for numerical
-    Python.  The buffers are allocated uninitialised: whatever lies
-    beyond ``length`` is never read (every reader goes through
-    :meth:`keys` / :meth:`values` or a ``[:length]`` slice), and a
-    reference-path forward allocates a fresh set of them.
+    ``k``/``v`` are the slot's ``(n_heads, max_seq, head_dim)`` views
+    into the arena, so every write, rollback and restore lands in the
+    shared storage in place; ``length`` — the filled prefix — is the
+    only per-view state.  Whatever lies beyond ``length`` is never read
+    (every reader goes through :meth:`keys` / :meth:`values` or a
+    ``[:length]`` slice), so arenas are allocated uninitialised and
+    slots handed out without clearing.  A cache-less forward wraps its
+    fresh ``(B, n_heads, t, head_dim)`` K/V the same way, as a full view
+    of row ``slot``, for a KV fault to strike.
     """
 
     #: Truncation watchers (class-level default keeps instances free of
@@ -41,10 +50,11 @@ class KVCache:
     #: landed beyond the surviving prefix (see ``KVFaultInjector``).
     watchers: tuple = ()
 
-    def __init__(self, n_heads: int, max_seq: int, head_dim: int) -> None:
-        self.k = np.empty((n_heads, max_seq, head_dim), dtype=np.float32)
-        self.v = np.empty((n_heads, max_seq, head_dim), dtype=np.float32)
-        self.length = 0
+    def __init__(self, arena: tuple, slot: int, length: int = 0) -> None:
+        self.arena = arena
+        self.slot = slot
+        self.k, self.v = arena[0][slot], arena[1][slot]
+        self.length = length
 
     def watch(self, watcher) -> None:
         """Register a truncation watcher (``on_truncate(cache, length)``)."""
@@ -56,17 +66,6 @@ class KVCache:
     @property
     def max_seq(self) -> int:
         return self.k.shape[1]
-
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Append ``(n_heads, t, head_dim)`` keys/values for new tokens."""
-        t = k_new.shape[1]
-        if self.length + t > self.max_seq:
-            raise ValueError(
-                f"KV cache overflow: {self.length} + {t} > {self.max_seq}"
-            )
-        self.k[:, self.length : self.length + t] = k_new
-        self.v[:, self.length : self.length + t] = v_new
-        self.length += t
 
     def keys(self) -> np.ndarray:
         """View of the filled keys, shape ``(n_heads, length, head_dim)``."""
@@ -88,9 +87,9 @@ class KVCache:
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Copy of the filled prefix only: ``(keys, values, length)``.
 
-        The backing buffers are not duplicated, so it costs ``length``
-        positions, not ``max_seq``; :meth:`restore` writes the prefix
-        back into the existing buffers.
+        The arena is not duplicated, so it costs ``length`` positions,
+        not ``max_seq``; :meth:`restore` writes the prefix back into the
+        slot.
         """
         return self.keys().copy(), self.values().copy(), self.length
 
@@ -99,12 +98,9 @@ class KVCache:
         snap: tuple[np.ndarray, np.ndarray, int],
         length: int | None = None,
     ) -> None:
-        """Rewind to a :meth:`snapshot`, reusing the existing buffers.
-
-        In-place prefix write — never reallocates ``k``/``v`` (which
-        would detach pooled :class:`_SlotView` rows from their arena),
-        so the golden-run rewind and the prompt cache restore at
-        slice-copy cost.  The snapshot must fit the buffers: same
+        """Rewind to a :meth:`snapshot`: an in-place prefix write into
+        the slot, so the golden-run rewind and the prompt cache restore
+        at slice-copy cost.  The snapshot must fit the slot: same
         head/dim geometry, ``length <= max_seq``.
 
         ``length`` restores only the snapshot's first ``length``
@@ -136,6 +132,34 @@ class KVCache:
         self.k[:, :length] = k[:, :length]
         self.v[:, :length] = v[:, :length]
         self.length = length
+
+
+def scatter(caches: list[KVCache], k: np.ndarray, v: np.ndarray) -> None:
+    """Append row ``i``'s new keys ``k[i]`` and values ``v[i]`` (``(B,
+    n_heads, t, head_dim)``) to ``caches[i]``, at that view's own
+    ``length``: one fancy-index assignment per plane per arena the rows
+    come from (every caller passes rows of one pool).  A byte copy, so
+    each row's K/V is the bits a slice write of it would leave.  A
+    position past a slot's ``max_seq`` raises ``IndexError`` before
+    anything is written; the engine checks capacity before that."""
+    t = k.shape[2]
+    groups: dict[int, list[int]] = {}
+    for i, cache in enumerate(caches):
+        groups.setdefault(id(cache.arena), []).append(i)
+    for members in groups.values():
+        own, k_rows, v_rows = caches, k, v
+        if len(members) < len(caches):
+            own = [caches[i] for i in members]
+            k_rows, v_rows = k[members], v[members]
+        keys, values = own[0].arena
+        slots = np.array([[cache.slot] for cache in own])
+        at = np.array([[cache.length] for cache in own]) + np.arange(t)
+        # (rows, t) index pairs over (slot, position): the assigned block
+        # is (rows, t, n_heads, head_dim).
+        keys[slots, :, at] = k_rows.swapaxes(1, 2)
+        values[slots, :, at] = v_rows.swapaxes(1, 2)
+        for cache in own:
+            cache.length += t
 
 
 class PromptCache:
@@ -199,34 +223,17 @@ class PromptCache:
         return evicted
 
 
-class _SlotView(KVCache):
-    """:class:`KVCache` interface over one slot row of a pooled arena.
-
-    ``k``/``v`` are ``(n_heads, max_seq, head_dim)`` views into the
-    owning :class:`PooledKVCache`'s arena, so every append/truncate
-    writes the shared storage in place; only ``length`` is per-view
-    state.  All inherited methods work unchanged.  With ``length``, a
-    full cache over a cache-less forward's fresh K/V (a KV fault's).
-    """
-
-    def __init__(self, k: np.ndarray, v: np.ndarray, length: int = 0) -> None:
-        self.k = k
-        self.v = v
-        self.length = length
-
-
 class PooledKVCache:
     """Block-allocated K/V arena shared by up to ``n_slots`` sequences.
 
     Layout is one ``(n_slots, n_heads, max_seq, head_dim)`` array pair
     per transformer block.  A sequence acquires a slot, receives the
-    per-block row views for it (each a :class:`KVCache`-compatible
-    object backed by arena memory), decodes, and releases the slot for
-    the next pending sequence — the continuous-batching scheduler's
-    refills therefore cost zero allocations.  Stale K/V beyond a view's
-    ``length`` is never read (attention consumes ``keys()``/``values()``
-    prefixes only), so slots are handed out without clearing and the
-    arena is allocated uninitialised.
+    slot's per-block :class:`KVCache` views, decodes, and releases the
+    slot for the next pending sequence — the continuous-batching
+    scheduler's refills therefore cost zero allocations.  Stale K/V
+    beyond a view's ``length`` is never read (attention consumes
+    ``keys()``/``values()`` prefixes only), so slots are handed out
+    without clearing and the arena is allocated uninitialised.
     """
 
     def __init__(
@@ -243,10 +250,9 @@ class PooledKVCache:
             np.empty((n_slots, n_heads, max_seq, head_dim), dtype=np.float32)
             for _ in range(n_layers)
         ]
+        arenas = list(zip(self._k, self._v))
         self._views = [
-            [_SlotView(self._k[layer][slot], self._v[layer][slot])
-             for layer in range(n_layers)]
-            for slot in range(n_slots)
+            [KVCache(arena, slot) for arena in arenas] for slot in range(n_slots)
         ]
         # Stack of free slot ids; reversed so slot 0 is acquired first
         # (deterministic admission order for the scheduler).
@@ -288,11 +294,3 @@ class PooledKVCache:
             k[dst, :, :length] = k[src, :, :length]
             v[dst, :, :length] = v[src, :, :length]
             self._views[dst][layer].length = length
-
-    def load(self, slot: int, caches: list[KVCache]) -> None:
-        """Copy external per-block caches (e.g. an adopted prefilled
-        session's) into ``slot``."""
-        for layer, cache in enumerate(caches):
-            self._k[layer][slot, :, : cache.length] = cache.keys()
-            self._v[layer][slot, :, : cache.length] = cache.values()
-            self._views[slot][layer].length = cache.length

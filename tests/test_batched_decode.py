@@ -42,6 +42,8 @@ from repro.generation import (
 from repro.inference.engine import CaptureState
 from repro.obs import telemetry
 
+from tests.test_engine import append
+
 PROMPT = [3, 5, 7, 2, 9]
 PROMPTS = [[3, 5, 7], [11, 13, 17, 19, 4], [23, 29], [8, 15, 16, 42], [6], [31, 37]]
 
@@ -137,7 +139,7 @@ class TestPooledKVCache:
         pool = self._pool(untrained_engine)
         slot = pool.acquire()
         cache = pool.caches(slot)[0]
-        cache.append(np.ones((4, 2, 8), np.float32), np.ones((4, 2, 8), np.float32))
+        append(cache, np.ones((4, 2, 8), np.float32), np.ones((4, 2, 8), np.float32))
         pool.release(slot)
         again = pool.acquire()
         assert again == slot
@@ -148,7 +150,8 @@ class TestPooledKVCache:
         src, dst = pool.acquire(), pool.acquire()
         rng = np.random.default_rng(0)
         for cache in pool.caches(src):
-            cache.append(
+            append(
+                cache,
                 rng.normal(size=(4, 3, 8)).astype(np.float32),
                 rng.normal(size=(4, 3, 8)).astype(np.float32),
             )
@@ -158,19 +161,11 @@ class TestPooledKVCache:
             np.testing.assert_array_equal(a.keys(), b.keys())
             np.testing.assert_array_equal(a.values(), b.values())
         # The copy is independent: appending to dst leaves src alone.
-        pool.caches(dst)[0].append(
+        append(
+            pool.caches(dst)[0],
             np.ones((4, 1, 8), np.float32), np.ones((4, 1, 8), np.float32)
         )
         assert pool.caches(src)[0].length == 3
-
-    def test_load_adopts_external_caches(self, untrained_engine):
-        session = untrained_engine.start_session(PROMPT)
-        pool = self._pool(untrained_engine)
-        slot = pool.acquire()
-        pool.load(slot, session.caches)
-        for view, cache in zip(pool.caches(slot), session.caches):
-            assert view.length == cache.length
-            np.testing.assert_array_equal(view.keys(), cache.keys())
 
 
 class TestForwardStepBatch:
@@ -178,7 +173,7 @@ class TestForwardStepBatch:
         session = untrained_engine.start_session(PROMPT)
         pool = untrained_engine.new_pool(1)
         slot = pool.acquire()
-        pool.load(slot, session.caches)
+        untrained_engine.forward(PROMPT, pool.caches(slot), 0, 0)
         position, iteration = session.position, session.iteration
         for token in (4, 8, 15):
             serial = session.step(token)
@@ -193,8 +188,8 @@ class TestForwardStepBatch:
         sessions = [untrained_engine.start_session(p) for p in PROMPTS[:3]]
         pool = untrained_engine.new_pool(3)
         slots = [pool.acquire() for _ in sessions]
-        for slot, s in zip(slots, sessions):
-            pool.load(slot, s.caches)
+        for slot, prompt in zip(slots, PROMPTS):
+            untrained_engine.forward(prompt, pool.caches(slot), 0, 0)
         tokens = [4, 8, 15]
         serial = [s.step(t) for s, t in zip(sessions, tokens)]
         batched = untrained_engine.forward_step_batch(
@@ -293,27 +288,20 @@ class TestDecodeEquivalence:
         # ... and the auto-routed entry point picks the batched path too.
         assert generate_ids(trained_engine, prompt, config) == serial
 
-    def test_beam_from_prebuilt_session(self, untrained_engine):
-        config = _config(max_new_tokens=6, num_beams=3)
-        serial = beam_search_decode(
-            untrained_engine, PROMPT, config, strategy="serial"
-        )
-        for strategy in ("serial", "auto"):
-            base = untrained_engine.start_session(PROMPT)
-            assert beam_search_decode(
-                untrained_engine, PROMPT, config, session=base, strategy=strategy
-            ) == serial
-
     def test_beam_outputs_match_the_parent_commit(
         self, untrained_engine, moe_engine
     ):
         """Both legs of the one beam loop reproduce what the commit
         before it decoded — ``tests/data/beam_outputs_8a2e640.json``, written
         by its two loops, which agreed on every case — for ``k`` in
-        {1, 2, 3, 6}, dense and MoE, fresh or prefilled, clean and under
-        a computational, KV, accumulator and weight fault."""
+        {1, 2, 3, 6}, dense and MoE, clean and under a computational, KV,
+        accumulator and weight fault.  (Its prefilled cases started from
+        an adopted session, an option that is gone; each decoded what its
+        fresh twin decodes.)"""
         engines = {"dense": untrained_engine, "moe": moe_engine}
         for case in json.loads(PARENT_BEAMS.read_text()):
+            if case["prefilled"]:
+                continue
             engine = engines[case["engine"]]
             prompt = case["prompt"]
             config = GenerationConfig(
@@ -323,11 +311,8 @@ class TestDecodeEquivalence:
             site = _beam_site(case["fault"], case["engine"])
             for strategy in ("serial", "auto"):
                 with inject(engine, site) if site else contextlib.nullcontext():
-                    session = (
-                        engine.start_session(prompt) if case["prefilled"] else None
-                    )
                     out = beam_search_decode(
-                        engine, prompt, config, session=session, strategy=strategy
+                        engine, prompt, config, strategy=strategy
                     )
                 assert out == case["tokens"], (strategy, case)
 

@@ -9,13 +9,25 @@ from repro.inference import (
     CaptureState,
     FloatWeightStore,
     InferenceEngine,
-    KVCache,
+    PooledKVCache,
     QuantizedWeightStore,
     make_weight_store,
 )
+from repro.inference.kvcache import scatter
 from repro.model import ModelConfig, TransformerLM
 
 TOKENS = [1, 5, 7, 2, 9, 11, 3]
+
+
+def kv_cache(n_heads: int, max_seq: int, head_dim: int):
+    """One block's cache: the slot of a one-slot, one-block pool."""
+    return PooledKVCache(1, 1, n_heads, max_seq, head_dim).caches(0)[0]
+
+
+def append(cache, k, v) -> None:
+    """Write ``(n_heads, t, head_dim)`` K/V after ``cache``'s filled
+    prefix: the engine's own write, at one row."""
+    scatter([cache], np.asarray(k)[None], np.asarray(v)[None])
 
 
 class TestParity:
@@ -51,20 +63,35 @@ class TestParity:
 
 
 class TestKVCache:
-    def test_append_and_views(self):
-        cache = KVCache(2, 8, 4)
-        cache.append(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
-        assert cache.length == 3
-        assert cache.keys().shape == (2, 3, 4)
+    def test_append_and_views(self, untrained_engine):
+        """A forward writes its K/V into the slot views it was given,
+        after what they hold, and into no other slot of their pool."""
+        cfg = untrained_engine.config
+        pool = untrained_engine.new_pool(3)
+        first, second = pool.acquire(), pool.acquire()
+        untrained_engine.forward(TOKENS[:3], pool.caches(second), 0, 0)
+        untrained_engine.forward(TOKENS[3:5], pool.caches(second), 3, 1)
+        cache = pool.caches(second)[0]
+        assert cache.length == 5
+        assert cache.keys().shape == (cfg.n_heads, 5, cfg.head_dim)
+        assert np.shares_memory(cache.k, pool._k[0])
+        assert all(c.length == 0 for c in pool.caches(first))
+        whole = untrained_engine.new_caches()
+        untrained_engine.forward(TOKENS[:5], whole, 0, 0)
+        assert_caches_equal(pool.caches(second), whole)
 
-    def test_overflow_raises(self):
-        cache = KVCache(1, 2, 4)
-        with pytest.raises(ValueError):
-            cache.append(np.ones((1, 3, 4)), np.ones((1, 3, 4)))
+    def test_overflow_raises(self, untrained_engine):
+        """A forward past a slot's capacity raises before it writes."""
+        cfg = untrained_engine.config
+        pool = PooledKVCache(cfg.n_blocks, 1, cfg.n_heads, 2, cfg.head_dim)
+        caches = pool.caches(pool.acquire())
+        with pytest.raises(ValueError, match="overflow"):
+            untrained_engine.forward(TOKENS[:3], caches, 0, 0)
+        assert all(c.length == 0 for c in caches)
 
     def test_truncate(self):
-        cache = KVCache(1, 8, 2)
-        cache.append(np.ones((1, 4, 2)), np.ones((1, 4, 2)))
+        cache = kv_cache(1, 8, 2)
+        append(cache, np.ones((1, 4, 2)), np.ones((1, 4, 2)))
         cache.truncate(2)
         assert cache.length == 2 and cache.keys().shape == (1, 2, 2)
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from repro.fi import (
 )
 from repro.generation import GenerationConfig, SpeculativeDecoder, greedy_decode
 from repro.generation.round import DecodeRound
-from repro.inference import InferenceEngine, KVCache
+from repro.inference import InferenceEngine
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import (
     explain_trial,
@@ -49,6 +49,7 @@ from repro.obs import (
 )
 
 from tests.test_differential import make_campaign
+from tests.test_engine import append, kv_cache
 
 NEW_MODELS = (FaultModel.KV_1BIT, FaultModel.KV_2BIT,
               FaultModel.ACC_1BIT, FaultModel.ACC_2BIT)
@@ -194,14 +195,15 @@ class TestKVInjector:
     def _append(self, cache, t, seed=0):
         rng = np.random.default_rng(seed)
         n_heads, _, head_dim = cache.k.shape
-        cache.append(
+        append(
+            cache,
             rng.normal(size=(n_heads, t, head_dim)).astype(np.float32),
             rng.normal(size=(n_heads, t, head_dim)).astype(np.float32),
         )
 
     def test_latch_fires_at_or_after_iteration(self, untrained_engine):
         site = _kv_site(iteration=2)
-        cache = KVCache(4, 16, 8)
+        cache = kv_cache(4, 16, 8)
         with KVFaultInjector(untrained_engine, site) as inj:
             self._append(cache, 3)
             inj.on_append(0, cache, 0)
@@ -216,7 +218,7 @@ class TestKVInjector:
         """The rejected-speculation-round fix: a strike beyond the
         surviving prefix is undone and the injector re-arms."""
         site = _kv_site(row_frac=0.5)
-        cache = KVCache(4, 16, 8)
+        cache = kv_cache(4, 16, 8)
         with KVFaultInjector(untrained_engine, site) as inj:
             self._append(cache, 3)
             # The buffers are uninitialised beyond the filled prefix:
@@ -237,7 +239,7 @@ class TestKVInjector:
 
     def test_truncate_before_strike_keeps_fault(self, untrained_engine):
         site = _kv_site(row_frac=0.9)  # strikes the last occupied position
-        cache = KVCache(4, 16, 8)
+        cache = kv_cache(4, 16, 8)
         with KVFaultInjector(untrained_engine, site) as inj:
             self._append(cache, 4)
             inj.on_append(0, cache, 0)  # pos == 3
@@ -246,7 +248,7 @@ class TestKVInjector:
 
     def test_restore_is_a_rewind_too(self, untrained_engine):
         site = _kv_site(row_frac=0.9)
-        cache = KVCache(4, 16, 8)
+        cache = kv_cache(4, 16, 8)
         with KVFaultInjector(untrained_engine, site) as inj:
             self._append(cache, 2)
             snap = cache.snapshot()
@@ -258,7 +260,7 @@ class TestKVInjector:
 
     def test_exit_restores_bits_and_disarms(self, untrained_engine):
         site = _kv_site(plane="k")
-        cache = KVCache(4, 16, 8)
+        cache = kv_cache(4, 16, 8)
         self._append(cache, 5)
         pristine = cache.keys().copy()
         with KVFaultInjector(untrained_engine, site) as inj:

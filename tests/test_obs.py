@@ -470,7 +470,8 @@ class TestEngineInstrumentation:
     def test_forward_metrics(self, untrained_engine, clean_telemetry):
         tel = clean_telemetry
         tel.enable()
-        untrained_engine.forward_full([1, 2, 3])
+        # Into a slot: forward_full keeps no K/V, so it occupies none.
+        untrained_engine.forward([1, 2, 3], untrained_engine.new_caches(), 0, 0)
         assert tel.metrics.counter("engine.forward_calls").value == 1
         assert tel.metrics.counter("engine.tokens").value == 3
         assert tel.metrics.histogram("engine.forward_ms").count == 1

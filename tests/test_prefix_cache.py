@@ -4,7 +4,7 @@
   ``forward_full(prompt + option)`` each, under whatever is armed —
   and the campaign's golden option pass scores it bit for bit;
 * session/KV machinery — fork independence after further steps,
-  snapshot/restore round-trips, decoding from a pre-built session;
+  snapshot/restore round-trips;
 * ``forward`` runs one sequence: a 2-D batch is refused before any
   cache moves.
 
@@ -24,19 +24,17 @@ from repro.fi import (
 )
 from repro.fi.golden import GoldenOptions
 from repro.generation import (
-    GenerationConfig,
-    beam_search_decode,
     choose_option,
     decode_plan,
-    generate_ids,
-    greedy_decode,
     score_continuation,
     score_options,
 )
 from repro.generation.decode import option_logp
-from repro.inference import KVCache, PooledKVCache
+from repro.inference import PooledKVCache
 from repro.obs import telemetry
 from repro.tasks import MMLUTask, standardized_subset
+
+from tests.test_engine import append, kv_cache
 
 PROMPT = [3, 5, 7, 2, 9]
 OPTIONS = [[11, 13], [17], [19, 23, 29], [4, 8]]
@@ -203,17 +201,17 @@ class TestSessionMachinery:
 
     def test_kvcache_snapshot_restore_roundtrip(self):
         rng = np.random.default_rng(3)
-        cache = KVCache(2, 8, 4)
-        cache.append(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+        cache = kv_cache(2, 8, 4)
+        append(cache, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
         snap = cache.snapshot()
-        cache.append(rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
+        append(cache, rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
         cache.restore(snap)
         assert cache.length == 3
         np.testing.assert_array_equal(cache.keys(), snap[0])
         np.testing.assert_array_equal(cache.values(), snap[1])
 
     def test_kvcache_restore_rejects_oversized(self):
-        cache = KVCache(1, 2, 4)
+        cache = kv_cache(1, 2, 4)
         big = (np.zeros((1, 5, 4)), np.zeros((1, 5, 4)), 5)
         with pytest.raises(ValueError):
             cache.restore(big)
@@ -221,12 +219,12 @@ class TestSessionMachinery:
     def test_kvcache_restore_after_truncate_below_snapshot(self):
         """``restore`` rewrites the prefix even after a deeper truncate."""
         rng = np.random.default_rng(4)
-        cache = KVCache(2, 8, 4)
-        cache.append(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+        cache = kv_cache(2, 8, 4)
+        append(cache, rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
         snap = cache.snapshot()
         cache.truncate(1)
         # Overwrite the region the snapshot must bring back.
-        cache.append(rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
+        append(cache, rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
         cache.restore(snap)
         assert cache.length == 4
         np.testing.assert_array_equal(cache.keys(), snap[0])
@@ -235,10 +233,10 @@ class TestSessionMachinery:
     def test_kvcache_restore_shrinks_longer_cache(self):
         """Restoring onto a longer cache rolls length back to the snapshot."""
         rng = np.random.default_rng(5)
-        cache = KVCache(2, 8, 4)
-        cache.append(rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
+        cache = kv_cache(2, 8, 4)
+        append(cache, rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
         snap = cache.snapshot()
-        cache.append(rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4)))
+        append(cache, rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4)))
         assert cache.length == 7
         cache.restore(snap)
         assert cache.length == 2
@@ -247,14 +245,14 @@ class TestSessionMachinery:
     def test_kvcache_partial_restore_equals_restore_then_truncate(self):
         """``restore(snap, length)`` is one bounded prefix write."""
         rng = np.random.default_rng(6)
-        cache, twin = KVCache(2, 8, 4), KVCache(2, 8, 4)
+        cache, twin = kv_cache(2, 8, 4), kv_cache(2, 8, 4)
         k, v = rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4))
-        cache.append(k, v)
+        append(cache, k, v)
         snap = cache.snapshot()
         for length in (5, 3, 0):
             for c in (cache, twin):
                 c.truncate(0)
-                c.append(rng.normal(size=(2, 7, 4)), rng.normal(size=(2, 7, 4)))
+                append(c, rng.normal(size=(2, 7, 4)), rng.normal(size=(2, 7, 4)))
             dirty = cache.k[:, length:].copy()
             cache.restore(snap, length)
             twin.restore(snap)
@@ -266,16 +264,16 @@ class TestSessionMachinery:
             np.testing.assert_array_equal(cache.k[:, length:], dirty)
 
     def test_kvcache_partial_restore_checks_bounds_and_geometry(self):
-        cache = KVCache(2, 8, 4)
-        cache.append(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
+        cache = kv_cache(2, 8, 4)
+        append(cache, np.ones((2, 3, 4)), np.ones((2, 3, 4)))
         snap = cache.snapshot()
         for bad in (4, -1):
             with pytest.raises(ValueError):
                 cache.restore(snap, bad)
         with pytest.raises(ValueError):
-            KVCache(3, 8, 4).restore(snap, 2)
+            kv_cache(3, 8, 4).restore(snap, 2)
         with pytest.raises(ValueError):
-            KVCache(2, 2, 4).restore(snap, 3)
+            kv_cache(2, 2, 4).restore(snap, 3)
         assert cache.length == 3
 
     def test_partial_restore_into_a_pool_slot_stays_in_the_arena(self):
@@ -286,11 +284,11 @@ class TestSessionMachinery:
         slots = [pool.acquire(), pool.acquire()]
         view, sibling = (pool.caches(slot)[0] for slot in slots)
         for c in (view, sibling):
-            c.append(rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4)))
+            append(c, rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4)))
         snap = view.snapshot()
         before = sibling.keys().copy()
         view.truncate(1)
-        view.append(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+        append(view, rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
         buffers = (view.k, view.v)
         view.restore(snap, 4)
         assert view.k is buffers[0] and view.v is buffers[1]
@@ -300,8 +298,8 @@ class TestSessionMachinery:
         np.testing.assert_array_equal(sibling.keys(), before)
 
     def test_kvcache_truncate_bounds(self):
-        cache = KVCache(1, 4, 2)
-        cache.append(np.ones((1, 3, 2)), np.ones((1, 3, 2)))
+        cache = kv_cache(1, 4, 2)
+        append(cache, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
         with pytest.raises(ValueError):
             cache.truncate(4)
         with pytest.raises(ValueError):
@@ -330,28 +328,6 @@ class TestSessionMachinery:
             assert cache.length == snap[2]
             np.testing.assert_array_equal(cache.keys(), snap[0])
             np.testing.assert_array_equal(cache.values(), snap[1])
-
-    def test_greedy_from_prebuilt_session(self, trained_engine, tokenizer):
-        prompt = tokenizer.encode("translate : de kato visas un hundo =")
-        config = GenerationConfig(max_new_tokens=8, eos_id=tokenizer.vocab.eos_id)
-        plain = greedy_decode(trained_engine, prompt, config)
-        base = trained_engine.start_session(prompt)
-        cached = greedy_decode(
-            trained_engine, prompt, config, session=base
-        )
-        assert cached == plain
-
-    def test_beam_from_prebuilt_session(self, trained_engine, tokenizer):
-        prompt = tokenizer.encode("translate : de kato visas un hundo =")
-        config = GenerationConfig(
-            max_new_tokens=6, num_beams=3, eos_id=tokenizer.vocab.eos_id
-        )
-        plain = beam_search_decode(trained_engine, prompt, config)
-        base = trained_engine.start_session(prompt)
-        cached = generate_ids(
-            trained_engine, prompt, config, session=base
-        )
-        assert cached == plain
 
 
 class TestBatchedForward:

@@ -1,7 +1,6 @@
 """Cross-module property tests on the inference substrate's invariants."""
 
 import contextlib
-import copy
 import types
 
 import numpy as np
@@ -35,7 +34,7 @@ from repro.inference import InferenceEngine, KVCache, make_weight_store
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.numerics.formats import flip_value_bits
-from tests.test_engine import assert_caches_equal, feed
+from tests.test_engine import append, assert_caches_equal, feed, kv_cache
 
 VOCAB = 40
 
@@ -156,7 +155,10 @@ def test_property_batched_rows_are_bit_identical_to_serial(
         t = 3 if shape == "chunk-3" else 1
         chunks = rng.integers(5, VOCAB, size=(len(prompts), t)).tolist()
         serial = [engine.start_session(p).caches for p in prompts]
-    batched = copy.deepcopy(serial)
+    batched = [engine.new_caches() for _ in serial]
+    for caches, ref in zip(batched, serial):
+        for cache, own in zip(caches, ref):
+            cache.restore(own.snapshot())
     positions = [caches[0].length for caches in serial]
     iterations = rng.integers(0, 9, size=len(prompts)).tolist()
     site = struck = None
@@ -302,6 +304,101 @@ def test_property_rows_entering_at_their_own_blocks_are_the_full_forward(
     for caches, ref, b, n in zip(rows, whole_rows, blocks, lengths):
         assert_caches_equal(caches[b:], ref[b:])
         assert [cache.length for cache in caches[:b]] == [n] * b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["step", "chunk"]),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+def test_property_one_forward_writes_every_row_into_its_own_slot(
+    entry, batch, data
+):
+    """The K/V write of one forward whose rows live in different arenas:
+    a three-slot pool, a two-slot pool of shorter slots (other strides)
+    and fresh one-slot ``new_caches()`` pools, at ragged lengths, some
+    rows entering above block 0.  Every row's logits and K/V are those
+    of its own forward alone, bit for bit, and no other byte of any
+    arena moves — not a free slot's, not a sibling's, not a row's own
+    positions outside the ones it wrote, nor its blocks below its
+    entry — so a write into the wrong arena, slot or offset shows."""
+    engine = _row_exact_engine(False, n_blocks=3)
+    cfg = engine.config
+    t = 1 if entry == "step" else data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+
+    def draw(values):
+        return data.draw(st.lists(values, min_size=batch, max_size=batch))
+
+    lengths = draw(st.integers(0, 10))
+    homes = draw(st.sampled_from(["wide", "short", "own"]))
+    blocks = draw(st.integers(0, cfg.n_blocks - 1))
+    prefixes = [rng.integers(0, VOCAB, size=n).tolist() for n in lengths]
+    tokens = rng.integers(0, VOCAB, size=(batch, t))
+    iterations = rng.integers(1, 9, size=batch).tolist()
+
+    def forward(toks, rows, lens, its, **kw):
+        if entry == "step":
+            return engine.forward_step_batch(toks[:, 0], rows, lens, its, **kw)
+        return engine.forward_chunk_batch(toks, rows, lens, its, **kw)
+
+    def noisy(views):
+        for view in views:
+            view.k[...] = rng.normal(size=view.k.shape)
+            view.v[...] = rng.normal(size=view.v.shape)
+        return views
+
+    solo, solo_rows, enter = [], [], []
+    for i, prefix in enumerate(prefixes):
+        caches = engine.new_caches()
+        if prefix:
+            engine.forward(prefix, caches, 0, 0)
+        inputs: list[np.ndarray] = []
+        solo.append(forward(
+            tokens[i : i + 1], [caches], lengths[i : i + 1],
+            iterations[i : i + 1], block_inputs=inputs,
+        )[0])
+        solo_rows.append(caches)
+        enter.append(None if blocks[i] == 0 else (blocks[i], inputs[blocks[i]]))
+
+    pools = {
+        "wide": engine.new_pool(3),
+        "short": PooledKVCache(cfg.n_blocks, 2, cfg.n_heads, 24, cfg.head_dim),
+    }
+    views = [
+        view for pool in pools.values()
+        for slot in range(pool.n_slots) for view in noisy(pool.caches(slot))
+    ]
+    rows = []
+    for home, prefix in zip(homes, prefixes):
+        pool = pools.get(home)
+        if pool is not None and pool.n_free:
+            caches = pool.caches(pool.acquire())
+        else:
+            caches = noisy(engine.new_caches())
+            views += caches
+        if prefix:
+            engine.forward(prefix, caches, 0, 0)
+        rows.append(caches)
+    before = [(view, view.k.copy(), view.v.copy(), view.length) for view in views]
+
+    got = forward(tokens, rows, lengths, iterations, enter=enter)
+    written = {}
+    for i, (caches, b, n) in enumerate(zip(rows, blocks, lengths)):
+        np.testing.assert_array_equal(got[i], solo[i])
+        assert_caches_equal(caches[b:], solo_rows[i][b:])
+        assert [cache.length for cache in caches[:b]] == [n] * b
+        written.update({id(cache): range(n, n + t) for cache in caches[b:]})
+    for view, k, v, length in before:
+        keep = np.ones(view.max_seq, dtype=bool)
+        keep[written.get(id(view), range(0))] = False
+        for now, then in ((view.k, k), (view.v, v)):
+            assert np.array_equal(
+                now[:, keep].view(np.uint32), then[:, keep].view(np.uint32)
+            )
+        if id(view) not in written:
+            assert view.length == length
 
 
 @settings(max_examples=60, deadline=None)
@@ -557,7 +654,8 @@ def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, ro
         cache = row_caches[i][block]
         p = cache.length
         mask = np.arange(p + t)[None, :] <= (p + np.arange(t))[:, None]
-        cache.append(k[i], v[i])
+        cache.k[:, p : p + t], cache.v[:, p : p + t] = k[i], v[i]
+        cache.length = p + t
         row = None if rows is None else int(rows[i * t])
         for key in dict.fromkeys((row, None)):
             if key in self.kv_faults:
@@ -1002,7 +1100,7 @@ def test_property_kvcache_tracks_reference_model(ops, seed):
     """Any append/truncate/snapshot/restore interleaving matches a
     trivially correct concatenate-everything reference model."""
     rng = np.random.default_rng(seed)
-    cache = KVCache(2, 16, 4)
+    cache = kv_cache(2, 16, 4)
     ref_k = np.zeros((2, 0, 4), dtype=np.float32)
     ref_v = np.zeros((2, 0, 4), dtype=np.float32)
     snap = snap_ref = None
@@ -1013,7 +1111,7 @@ def test_property_kvcache_tracks_reference_model(ops, seed):
                 continue
             k = rng.normal(size=(2, t, 4)).astype(np.float32)
             v = rng.normal(size=(2, t, 4)).astype(np.float32)
-            cache.append(k, v)
+            append(cache, k, v)
             ref_k = np.concatenate([ref_k, k], axis=1)
             ref_v = np.concatenate([ref_v, v], axis=1)
         elif op == "truncate":
@@ -1049,7 +1147,7 @@ def test_property_speculative_rollback_roundtrip(rounds, seed):
     is byte-stable across any number of rounds, and rolled-back K/V
     never leak into later reads."""
     rng = np.random.default_rng(seed)
-    cache = KVCache(2, 64, 4)
+    cache = kv_cache(2, 64, 4)
     ref_k = np.zeros((2, 0, 4), dtype=np.float32)
     ref_v = np.zeros((2, 0, 4), dtype=np.float32)
     for chunk_t, accepted in rounds:
@@ -1059,7 +1157,7 @@ def test_property_speculative_rollback_roundtrip(rounds, seed):
         base = cache.length
         k = rng.normal(size=(2, chunk_t, 4)).astype(np.float32)
         v = rng.normal(size=(2, chunk_t, 4)).astype(np.float32)
-        cache.append(k, v)  # verify chunk: pending token + proposals
+        append(cache, k, v)  # verify chunk: pending token + proposals
         cache.truncate(base + 1 + accepted)  # reject the tail
         ref_k = np.concatenate([ref_k, k[:, : 1 + accepted]], axis=1)
         ref_v = np.concatenate([ref_v, v[:, : 1 + accepted]], axis=1)
@@ -1091,7 +1189,7 @@ def test_property_pool_conservation_and_isolation(script, seed):
             assert all(v.length == 0 for v in views)
             marker = rng.normal(size=(2, cmd % 4 + 1, 4)).astype(np.float32)
             for view in views:
-                view.append(marker, -marker)
+                append(view, marker, -marker)
             held[slot] = marker
         elif cmd % 2 == 1 and held:
             slot = sorted(held)[cmd % len(held)]
@@ -1119,7 +1217,7 @@ def test_property_pool_copy_slot_is_independent(seed, length):
     src, dst = pool.acquire(), pool.acquire()
     payload = rng.normal(size=(2, length, 4)).astype(np.float32)
     for view in pool.caches(src):
-        view.append(payload, -payload)
+        append(view, payload, -payload)
     pool.copy_slot(src, dst)
     for a, b in zip(pool.caches(src), pool.caches(dst)):
         assert b.length == a.length == length
@@ -1128,7 +1226,7 @@ def test_property_pool_copy_slot_is_independent(seed, length):
     # Diverge the copy: the source must not move.
     extra = rng.normal(size=(2, 1, 4)).astype(np.float32)
     for view in pool.caches(dst):
-        view.append(extra, extra)
+        append(view, extra, extra)
     for view in pool.caches(src):
         assert view.length == length
         np.testing.assert_array_equal(view.keys(), payload)

@@ -130,16 +130,6 @@ class TestGreedyBitIdentity:
                 hit_early_stop |= len(serial) < 24
         assert hit_early_stop
 
-    def test_consumes_prefilled_session(self, untrained_engine, draft_engine):
-        config = GenerationConfig(max_new_tokens=12)
-        prompt = _prompts(n=1)[0]
-        serial = greedy_decode(untrained_engine, prompt, config, strategy="serial")
-        session = untrained_engine.start_session(prompt)
-        spec = SpeculativeDecoder(
-            untrained_engine, draft_engine, config, speculation_depth=2
-        ).decode_one(prompt, session=session)
-        assert spec == serial
-
 
 class TestConstructionAndGate:
     def test_vocab_mismatch_rejected(self, untrained_engine):
