@@ -28,6 +28,15 @@ a vectorised, allocation-light forward pass over a trained
   softmax sum — the parts whose bits padding would change — are issued
   per row, so every row of a batch is bit-identical to its own
   ``forward``;
+* **one plan per forward** — what every block would otherwise redo is
+  decided once per ``_forward_rows`` call (``_Plan``): the K/V write
+  (one index per arena group, a basic slice for a row alone in its
+  arena), each row's attention length, the batch width and whether it
+  is ragged, the RoPE tables and causal mask, and whether anything
+  rides on a linear's output.  The layer table (``_Block`` /
+  ``_Layer``, built with the engine) holds every linear's full name and
+  weight store, so with nothing armed a linear is its product alone and
+  the block loop only computes;
 * **reading only what is read** — a scoring forward that no step
   continues keeps no K/V (``row_caches=None``), and ``read_from=k``
   computes logits for positions ``>= k`` only: the final norm and
@@ -49,9 +58,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.autograd.functional import rms_norm_np, silu_np, softmax_np
+from repro.autograd.functional import rms_norm_np, silu_np_unguarded, softmax_np
 from repro.inference.hooks import HookContext, HookManager
-from repro.inference.kvcache import KVCache, PooledKVCache, scatter
+from repro.inference.kvcache import KVCache, KVWrite, PooledKVCache
 from repro.inference.storage import WeightStore, make_weight_store
 from repro.model.config import ModelConfig
 from repro.model.params import ParamStore
@@ -90,6 +99,129 @@ def _tail(a: np.ndarray, batch: int, start: int) -> np.ndarray:
     (``(B*t, ...)``), flat again."""
     rest = a.shape[1:]
     return a.reshape(batch, -1, *rest)[:, start:].reshape(-1, *rest)
+
+
+class _Layer:
+    """One faultable linear of the layer table: its block, its name in
+    the block, its full name and its weight store, so a call formats and
+    looks up nothing."""
+
+    __slots__ = ("block", "name", "full", "store")
+
+    def __init__(self, block: int, name: str, stores: dict) -> None:
+        self.block, self.name = block, name
+        self.full = f"blocks.{block}.{name}"
+        self.store: WeightStore = stores[self.full]
+
+
+class _Block:
+    """One block of the layer table: its norm gains and its linears —
+    ``attn`` (q, k, v, out) and either ``mlp`` (gate, up, down) or a
+    ``router`` and one such triple per expert."""
+
+    __slots__ = ("index", "attn_norm", "mlp_norm", "attn", "mlp", "router", "experts")
+
+    def __init__(self, config: ModelConfig, b: int, stores: dict, plain: dict) -> None:
+        self.index = b
+        self.attn_norm = plain[f"blocks.{b}.attn_norm.weight"]
+        self.mlp_norm = plain[f"blocks.{b}.mlp_norm.weight"]
+
+        def triple(tag: str) -> tuple:
+            return tuple(
+                _Layer(b, tag + name, stores)
+                for name in ("gate_proj", "up_proj", "down_proj")
+            )
+
+        self.attn = tuple(
+            _Layer(b, name, stores)
+            for name in ("q_proj", "k_proj", "v_proj", "out_proj")
+        )
+        self.mlp = self.router = None
+        self.experts: list[tuple] = []
+        if config.is_moe:
+            self.router = _Layer(b, "router", stores)
+            self.experts = [triple(f"experts.{e}.") for e in range(config.n_experts)]
+        else:
+            self.mlp = triple("")
+
+
+class _Plan:
+    """What one forward decides once and every block it runs reads.
+
+    * ``armed`` — whether anything rides on a linear's output: a hook,
+      an accumulator fault, a row-keyed weight copy or capture.  Without
+      it :meth:`InferenceEngine._linear` is the product alone; with it,
+      the layer table's full names key every check.  ``kv`` — whether a
+      KV fault waits on the appends.
+    * The rows a block computes — rows are ordered by entry, so a prefix
+      of the batch, re-taken (:meth:`take`) at each block where rows
+      join — with their caches, RoPE tables and in-row causal mask; the
+      K/V write (:class:`~repro.inference.kvcache.KVWrite`, its index
+      built here and not per block); each row's attention length, the
+      longest (the score block's width), whether the rows are ragged and
+      whether every row's keys are its fresh ones.
+    """
+
+    __slots__ = (
+        "armed", "kv", "t", "row_caches", "cos", "sin", "hide", "write",
+        "lengths", "width", "ragged", "fresh",
+        "_caches", "_positions", "_cos", "_sin", "_hide",
+    )
+
+    def __init__(
+        self,
+        engine: "InferenceEngine",
+        row_caches: list[list[KVCache]] | None,
+        positions: np.ndarray,
+        t: int,
+    ) -> None:
+        self.armed = (
+            bool(engine.hooks or engine.acc_faults or engine.row_weights)
+            or engine.capture is not None
+        )
+        self.kv = bool(engine.kv_faults)
+        self.t = t
+        self._caches, self._positions = row_caches, positions
+        # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
+        gather = positions[:, None] + np.arange(t)
+        self._cos = engine._cos[gather][:, None]  # (B, 1, t, hd)
+        self._sin = engine._sin[gather][:, None]
+        # The in-row causal mask only depends on (positions, t): over the
+        # score block's W = max(positions) + t columns, row i hides from
+        # chunk token r the positions past positions[i] + r that its own
+        # cache holds — the pad past its length stays -inf (see
+        # InferenceEngine._attention).
+        self._hide = None
+        if t > 1:
+            span = np.arange(int(positions.max()) + t)
+            hide = span > gather[:, :, None]
+            if positions.min() != positions.max():
+                hide &= span < (positions + t)[:, None, None]
+            self._hide = hide[:, None]
+
+    def take(self, m: int, block: int) -> None:
+        """Rows ``0..m-1`` — those entered at or below ``block`` — run
+        from ``block`` on: cut every per-row part to them, and plan their
+        K/V write from their views in ``block``, where none has written
+        yet."""
+        t = self.t
+        self.cos, self.sin, self.hide = self._cos, self._sin, self._hide
+        self.row_caches = self._caches
+        if m < len(self._positions):
+            self.cos, self.sin = self._cos[:m], self._sin[:m]
+            if self._hide is not None:
+                span = int(self._positions[:m].max()) + t
+                self.hide = self._hide[:m, :, :, :span]
+            if self._caches is not None:
+                self.row_caches = self._caches[:m]
+        if self.row_caches is None:
+            self.write, self.lengths = None, [t] * m
+        else:
+            self.write = KVWrite([own[block] for own in self.row_caches], t)
+            self.lengths = self.write.ends
+        self.width = max(self.lengths)
+        self.ragged = min(self.lengths) != self.width
+        self.fresh = self.width == t and (self.row_caches is None or not self.kv)
 
 
 def _row_ids(row_ids, batch: int) -> np.ndarray:
@@ -154,6 +286,11 @@ class InferenceEngine:
         self._cos, self._sin = rope_tables(
             self.config.head_dim, self.config.max_seq, self.config.rope_theta
         )
+        self._table = [
+            _Block(self.config, b, self._stores, self._plain)
+            for b in range(self.config.n_blocks)
+        ]
+        """The layer table: one :class:`_Block` per transformer block."""
         self._disarm()
 
     def _disarm(self) -> None:
@@ -198,23 +335,22 @@ class InferenceEngine:
     def linear_layer_names(self) -> list[str]:
         return list(self._stores)
 
-    def _w(self, layer_name: str) -> np.ndarray:
-        return self._stores[layer_name].array
-
     # -- forward ----------------------------------------------------------------
 
     def _linear(
         self,
         x: np.ndarray,
-        block: int,
-        layer: str,
+        layer: _Layer,
+        armed: bool,
         iteration,
         rows: np.ndarray | None = None,
         t: int = 0,
     ) -> np.ndarray:
-        """One faultable linear layer over flat ``(N, D)`` input, then
-        the fault surfaces that ride on its output (accumulator strike,
-        hooks, capture).
+        """One faultable linear layer (a row of the layer table) over
+        flat ``(N, D)`` input, then the fault surfaces that ride on its
+        output (accumulator strike, hooks, capture) — only when the
+        forward's plan found something ``armed``; otherwise the product
+        is all there is.
 
         ``rows`` is ``None`` on the serial entry: one GEMM over every
         token.  On the batched entries it carries the id of the batch
@@ -242,9 +378,9 @@ class InferenceEngine:
         runs with ``W'`` swapped into the store.  Every other row
         reads the pristine ``W``.
         """
-        full = f"blocks.{block}.{layer}"
-        w = self._w(full)
-        faulted = self.row_weights.get(full) if rows is not None else None
+        w = layer.store.array
+        full = layer.full
+        faulted = self.row_weights.get(full) if armed and rows is not None else None
         if rows is None:
             output = x @ w
         elif t:
@@ -262,18 +398,20 @@ class InferenceEngine:
                 x[start:stop] @ (faulted.get(int(rows[start]), w) if faulted else w)
                 for start, stop in _runs(rows, 0)
             ])
+        if not armed:
+            return output
         for fault in self.acc_faults.values():
             fault.maybe_strike(output, x, w, full, iteration, rows)
         if self.hooks.has(full):
             if rows is None:
                 output = self.hooks.apply(
-                    output, HookContext(block, layer, iteration, full)
+                    output, HookContext(layer.block, layer.name, iteration, full)
                 )
             else:
                 for start, stop in _runs(rows, t):
                     view = output[start:stop]
                     ctx = HookContext(
-                        block, layer, int(iteration[start]), full,
+                        layer.block, layer.name, int(iteration[start]), full,
                         batch_row=int(rows[start]),
                     )
                     result = self.hooks.apply(view, ctx)
@@ -288,29 +426,29 @@ class InferenceEngine:
     def _attention(
         self,
         x: np.ndarray,
-        block: int,
-        row_caches: list[list[KVCache]] | None,
-        cos: np.ndarray,
-        sin: np.ndarray,
-        hide: np.ndarray | None,
+        layers: _Block,
+        plan: _Plan,
         iteration,
         rows: np.ndarray | None,
         q_from: int = 0,
     ) -> np.ndarray:
-        """Causal attention for one block over flat ``(B*t, D)`` input.
+        """Causal attention for one block over flat ``(B*t, D)`` input:
+        the ``B`` rows the ``plan`` has taken, whose RoPE tables
+        (``(B, 1, t, hd)``), mask, K/V write and lengths it holds.
 
-        Projections and RoPE (``cos``/``sin`` are ``(B, 1, t, hd)``) are
-        shared :meth:`_linear` calls / broadcasts.  The block's new K/V
-        lands in every row's ``row_caches[i][block]`` at that view's own
-        length, written by one :func:`~repro.inference.kvcache.scatter`
-        (one fancy-index assignment per plane per pool); then, in row
-        order, a KV fault keyed to a row latches.  ``row_caches=None``
-        writes nothing (a forward from position 0 that no step
-        continues), and such a fault strikes the row's fresh K/V.  The
-        core is then one ``(B, heads, t, W)`` score block, ``W`` the
-        longest row's cache length: positions at or past a row's own
-        length ``L_i`` are ``-inf`` (filled only when rows are ragged),
-        and ``hide`` (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks
+        Projections and RoPE are shared :meth:`_linear` calls /
+        broadcasts.  The block's new K/V lands in every row's
+        ``plan.row_caches[i][block]`` at that view's own length, by the
+        plan's :class:`~repro.inference.kvcache.KVWrite` (a basic slice
+        for a row alone in its arena, one fancy-index assignment per
+        plane per arena group); then, in row order, a KV fault keyed to
+        a row latches.  No caches (``plan.row_caches`` ``None``) writes
+        nothing (a forward from position 0 that no step continues), and
+        such a fault strikes the row's fresh K/V.  The core is then one
+        ``(B, heads, t, W)`` score block, ``W`` the longest row's length
+        after the write: positions at or past a row's own length ``L_i``
+        are ``-inf`` (filled only when rows are ragged), and
+        ``plan.hide`` (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks
         the in-row causal mask, written as ``-1e9``.
 
         Only three things run per row, because padding them would change
@@ -342,7 +480,10 @@ class InferenceEngine:
         """
         cfg = self.config
         heads, hd = cfg.n_heads, cfg.head_dim
-        batch, t = cos.shape[0], cos.shape[2]
+        block, armed, t = layers.index, plan.armed, plan.t
+        lengths, width = plan.lengths, plan.width
+        batch = len(lengths)
+        cos, sin, hide = plan.cos, plan.sin, plan.hide
         half = hd // 2
 
         def rot(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -358,44 +499,42 @@ class InferenceEngine:
             cos_q, sin_q = cos[:, :, q_from:], sin[:, :, q_from:]
             hide = hide[:, :, q_from:]
         split = (batch, t, heads, hd)
-        q = self._linear(x_q, block, "q_proj", it_q, rows_q, n)
-        k = self._linear(x, block, "k_proj", iteration, rows, t)
-        v = self._linear(x, block, "v_proj", iteration, rows, t)
+        q_proj, k_proj, v_proj, out_proj = layers.attn
+        q = self._linear(x_q, q_proj, armed, it_q, rows_q, n)
+        k = self._linear(x, k_proj, armed, iteration, rows, t)
+        v = self._linear(x, v_proj, armed, iteration, rows, t)
         q = rot(q.reshape(batch, n, heads, hd).swapaxes(1, 2), cos_q, sin_q)
         k = rot(k.reshape(split).swapaxes(1, 2), cos, sin)
         v = v.reshape(split).swapaxes(1, 2)
+        caches = None
+        if plan.write is not None:
+            caches = [own[block] for own in plan.row_caches]
+            plan.write(caches, k, v)
         kv_faults = self.kv_faults
-        caches = None if row_caches is None else [own[block] for own in row_caches]
-        if caches is not None:
-            scatter(caches, k, v)
-        for i in range(batch if kv_faults else 0):
+        for i in range(batch if plan.kv else 0):
             # The row's own fault and the unpinned one; the 1-D entry
             # carries no row id (``row`` None): the unpinned.
             row = None if rows is None else int(rows[i * t])
-            armed = [
+            armed_kv = [
                 kv_faults[key] for key in dict.fromkeys((row, None)) if key in kv_faults
             ]
-            if armed:
+            if armed_kv:
                 # Without caches, the row's fresh K/V is what is struck.
                 own = KVCache((k, v), i, t) if caches is None else caches[i]
                 it = iteration if rows is None else int(iteration[i * t])
-                for fault in armed:
+                for fault in armed_kv:
                     fault.on_append(block, own, it)
-        lengths = [t] * batch if caches is None else [cache.length for cache in caches]
-        width = max(lengths)
-        ragged = min(lengths) != width
-        fresh = width == t and (caches is None or not kv_faults)
-        if fresh:
+        if plan.fresh:
             scores = q @ k.swapaxes(-1, -2)
         else:
             shape = (batch, heads, n, width)
             scores = (
-                np.full(shape, -np.inf, dtype=np.float32) if ragged
+                np.full(shape, -np.inf, dtype=np.float32) if plan.ragged
                 else np.empty(shape, dtype=np.float32)
             )
             for i, (cache, length) in enumerate(zip(caches, lengths)):
                 np.matmul(
-                    q[i], cache.keys().swapaxes(-1, -2),
+                    q[i], cache.k[:, :length].swapaxes(-1, -2),
                     out=scores[i, :, :, :length],
                 )
         scores *= np.float32(hd**-0.5)
@@ -403,7 +542,7 @@ class InferenceEngine:
             np.copyto(scores, np.float32(-1e9), where=hide)
         scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        if ragged:
+        if plan.ragged:
             total = np.empty((batch, heads, n, 1), dtype=np.float32)
             for i, length in enumerate(lengths):
                 np.add.reduce(
@@ -412,37 +551,40 @@ class InferenceEngine:
         else:
             total = np.add.reduce(scores, axis=-1, keepdims=True)
         scores /= total
-        if fresh:
+        if plan.fresh:
             ctx = scores @ v
         else:
             ctx = np.empty((batch, heads, n, hd), dtype=np.float32)
             for i, (cache, length) in enumerate(zip(caches, lengths)):
-                np.matmul(scores[i, :, :, :length], cache.values(), out=ctx[i])
+                np.matmul(scores[i, :, :, :length], cache.v[:, :length], out=ctx[i])
         return self._linear(
             ctx.swapaxes(1, 2).reshape(batch * n, cfg.d_model),
-            block, "out_proj", it_q, rows_q, n,
+            out_proj, armed, it_q, rows_q, n,
         )
 
     def _mlp(
         self,
         h: np.ndarray,
-        block: int,
+        mlp: tuple,
+        armed: bool,
         iteration,
-        expert: int | None = None,
         rows: np.ndarray | None = None,
         t: int = 0,
     ) -> np.ndarray:
-        tag = "" if expert is None else f"experts.{expert}."
-        gate = self._linear(h, block, tag + "gate_proj", iteration, rows, t)
-        up = self._linear(h, block, tag + "up_proj", iteration, rows, t)
+        """SwiGLU over the ``(gate, up, down)`` layers ``mlp``; the SiLU
+        runs under the forward's own ``errstate``, not one per call."""
+        gate_proj, up_proj, down_proj = mlp
+        gate = self._linear(h, gate_proj, armed, iteration, rows, t)
+        up = self._linear(h, up_proj, armed, iteration, rows, t)
         return self._linear(
-            silu_np(gate) * up, block, tag + "down_proj", iteration, rows, t
+            silu_np_unguarded(gate) * up, down_proj, armed, iteration, rows, t
         )
 
     def _moe(
         self,
         h: np.ndarray,
-        block: int,
+        layers: _Block,
+        armed: bool,
         iteration,
         rows: np.ndarray | None = None,
         t: int = 0,
@@ -453,7 +595,7 @@ class InferenceEngine:
         per-token ``iteration``/``rows`` on the batched entries (a
         ragged subset of each row, so its products run per row run)."""
         cfg = self.config
-        router_logits = self._linear(h, block, "router", iteration, rows, t)
+        router_logits = self._linear(h, layers.router, armed, iteration, rows, t)
         k = cfg.top_k
         top = np.argpartition(router_logits, -k, axis=-1)[:, -k:]
         # Order selected experts by descending logit for stable records.
@@ -462,21 +604,21 @@ class InferenceEngine:
         )[:, ::-1]
         top = np.take_along_axis(top, order, axis=-1)
         if self.capture is not None:
-            self.capture.expert_selections[(iteration, block)] = top.copy()
+            self.capture.expert_selections[(iteration, layers.index)] = top.copy()
         gates = softmax_np(
             np.take_along_axis(router_logits, top, axis=-1), axis=-1
         )
         out = np.zeros_like(h)
-        for e in range(cfg.n_experts):
+        for e, expert in enumerate(layers.experts):
             slot_mask = top == e  # (t, k)
             sel = np.nonzero(slot_mask.any(axis=-1))[0]
             if sel.size == 0:
                 continue
             expert_out = self._mlp(
                 h[sel],
-                block,
+                expert,
+                armed,
                 iteration if rows is None else iteration[sel],
-                expert=e,
                 rows=None if rows is None else rows[sel],
             )
             weight = (gates[sel] * slot_mask[sel]).sum(axis=-1, keepdims=True)
@@ -560,6 +702,12 @@ class InferenceEngine:
         logits for positions ``>= k`` only (see
         :meth:`forward_chunk_batch`).  Returns flat ``(B*(t-k), vocab)``
         logits.
+
+        One :class:`_Plan` per call holds what the blocks share; it takes
+        the rows a block computes where rows join (once, or once per
+        entry block), reading each row's write position from its view in
+        that block — the same length in every block at or above its
+        entry, which is where the row writes.
         """
         cfg = self.config
         batch, t = ids.shape
@@ -598,23 +746,7 @@ class InferenceEngine:
         t0 = None
         if tel.active:
             t0 = tel.marks["forward_start"] = time.perf_counter()
-        offs = np.arange(t)
-        # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
-        gather = positions[:, None] + offs
-        cos = self._cos[gather][:, None]  # (B, 1, t, hd)
-        sin = self._sin[gather][:, None]
-        # The in-row causal mask only depends on (positions, t), so build
-        # it once per forward instead of once per block: over the score
-        # block's W = max(positions) + t columns, row i hides from chunk
-        # token r the positions past positions[i] + r that its own cache
-        # holds — the pad past its length stays -inf (see _attention).
-        hide = None
-        if t > 1:
-            span = np.arange(int(positions.max()) + t)
-            hide = span > gather[:, :, None]
-            if positions.min() != positions.max():
-                hide &= span < (positions + t)[:, None, None]
-            hide = hide[:, None]
+        plan = _Plan(self, row_caches, positions, t)
         if rows is not None:
             iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
         last = cfg.n_blocks - 1
@@ -637,44 +769,31 @@ class InferenceEngine:
                         joining = [entry[1] for entry in enter[m:stop]]
                         x = np.concatenate(joining if x is None else [x, *joining])
                     m = stop
-                    if m == batch:
-                        caches_b, cos_b, sin_b, hide_b = row_caches, cos, sin, hide
-                        it_b, rows_b = iteration, rows
-                    else:
-                        caches_b = None if row_caches is None else row_caches[:m]
-                        cos_b, sin_b = cos[:m], sin[:m]
-                        hide_b = None if hide is None else (
-                            hide[:m, :, :, : int(positions[:m].max()) + t]
-                        )
+                    plan.take(m, b)
+                    it_b, rows_b = iteration, rows
+                    if m < batch:
                         it_b, rows_b = iteration[: m * t], rows[: m * t]
                 if block_inputs is not None:
                     block_inputs.append(x)
-                prefix = f"blocks.{b}."
-                h = rms_norm_np(
-                    x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
-                )
+                layers = self._table[b]
+                h = rms_norm_np(x, layers.attn_norm, cfg.norm_eps)
                 if b == last and cut:
                     # K/V over every position, the rest of the block over
                     # the read window only.  Every row computes the last
                     # block, so ``m == batch`` here.
                     x = _tail(x, batch, read_from) + self._attention(
-                        h, b, caches_b, cos_b, sin_b, hide_b, it_b, rows_b,
-                        q_from=read_from,
+                        h, layers, plan, it_b, rows_b, q_from=read_from
                     )
                     it_b = _tail(it_b, batch, read_from)
                     rows_b = _tail(rows_b, batch, read_from)
                     n = t - read_from
                 else:
-                    x = x + self._attention(
-                        h, b, caches_b, cos_b, sin_b, hide_b, it_b, rows_b
-                    )
-                h = rms_norm_np(
-                    x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps
-                )
+                    x = x + self._attention(h, layers, plan, it_b, rows_b)
+                h = rms_norm_np(x, layers.mlp_norm, cfg.norm_eps)
                 if cfg.is_moe:
-                    x = x + self._moe(h, b, it_b, rows_b, n)
+                    x = x + self._moe(h, layers, plan.armed, it_b, rows_b, n)
                 else:
-                    x = x + self._mlp(h, b, it_b, rows=rows_b, t=n)
+                    x = x + self._mlp(h, layers.mlp, plan.armed, it_b, rows_b, n)
             if read_from and not cut:
                 x = _tail(x, batch, read_from)
             x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)

@@ -148,6 +148,9 @@ class HookManager:
     def __len__(self) -> int:
         return sum(len(v) for v in self._hooks.values())
 
+    def __bool__(self) -> bool:
+        return bool(self._hooks)
+
     def has(self, layer_name: str) -> bool:
         return layer_name in self._hooks
 

@@ -11,9 +11,12 @@ re-admitting sequences never allocates, and forking a beam-search
 hypothesis is a bounded prefix copy inside the arena
 (:meth:`PooledKVCache.copy_slot`).
 
-Nothing appends through a view: the engine writes a block's new K/V for
-all its rows with :func:`scatter`, one fancy-index assignment per plane
-per arena, each row at its own view's ``length``.  :class:`PromptCache`
+Nothing appends through a view: the engine plans one :class:`KVWrite`
+per forward — each row at its own view's ``length``, a basic slice for a
+row alone in its arena, one fancy-index assignment per plane for a
+group — and applies it in every block.  A view is not copied
+(``copy.copy`` and ``copy.deepcopy`` raise): :meth:`KVCache.snapshot`
+and :meth:`KVCache.restore` copy its K/V.  :class:`PromptCache`
 keeps what a prompt forward left in such a cache —
 :meth:`KVCache.snapshot` per block plus the first-token logits — so a
 server prefills a repeated prompt once.
@@ -25,7 +28,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["KVCache", "PooledKVCache", "PromptCache", "scatter"]
+__all__ = ["KVCache", "KVWrite", "PooledKVCache", "PromptCache"]
 
 
 class KVCache:
@@ -55,6 +58,17 @@ class KVCache:
         self.slot = slot
         self.k, self.v = arena[0][slot], arena[1][slot]
         self.length = length
+
+    def __copy__(self):
+        raise TypeError(
+            "a KVCache is a view of a pool slot and is not copied: copy its"
+            " K/V with snapshot() and write it back with restore()"
+        )
+
+    def __deepcopy__(self, memo):
+        # A deep copy would copy ``arena`` and ``k``/``v`` apart, so its
+        # writes would land where its ``keys()`` never reads.
+        self.__copy__()
 
     def watch(self, watcher) -> None:
         """Register a truncation watcher (``on_truncate(cache, length)``)."""
@@ -134,32 +148,58 @@ class KVCache:
         self.length = length
 
 
-def scatter(caches: list[KVCache], k: np.ndarray, v: np.ndarray) -> None:
-    """Append row ``i``'s new keys ``k[i]`` and values ``v[i]`` (``(B,
-    n_heads, t, head_dim)``) to ``caches[i]``, at that view's own
-    ``length``: one fancy-index assignment per plane per arena the rows
-    come from (every caller passes rows of one pool).  A byte copy, so
-    each row's K/V is the bits a slice write of it would leave.  A
-    position past a slot's ``max_seq`` raises ``IndexError`` before
-    anything is written; the engine checks capacity before that."""
-    t = k.shape[2]
-    groups: dict[int, list[int]] = {}
-    for i, cache in enumerate(caches):
-        groups.setdefault(id(cache.arena), []).append(i)
-    for members in groups.values():
-        own, k_rows, v_rows = caches, k, v
-        if len(members) < len(caches):
-            own = [caches[i] for i in members]
-            k_rows, v_rows = k[members], v[members]
-        keys, values = own[0].arena
-        slots = np.array([[cache.slot] for cache in own])
-        at = np.array([[cache.length] for cache in own]) + np.arange(t)
-        # (rows, t) index pairs over (slot, position): the assigned block
-        # is (rows, t, n_heads, head_dim).
-        keys[slots, :, at] = k_rows.swapaxes(1, 2)
-        values[slots, :, at] = v_rows.swapaxes(1, 2)
-        for cache in own:
-            cache.length += t
+class KVWrite:
+    """One forward's K/V write for its rows: where each row's new K/V
+    lands, planned once from the rows' views in the first block they
+    write and applied in every block they run (a row writes at the same
+    ``length`` in each of them).
+
+    Rows are grouped by the arena their views live in — rows of one pool
+    share one per block, a ``new_caches()`` row has its own.  A row
+    alone in its arena writes with a basic slice of its view; a group of
+    several with one fancy-index assignment per plane at ``(slot,
+    length + arange(t))``, the index arrays built here, once.  Both are
+    byte copies, so each row's K/V is the bits a slice write of it would
+    leave.  Nothing checks capacity here: the engine does, before
+    anything is written.
+    """
+
+    __slots__ = ("lone", "grouped", "ends")
+
+    def __init__(self, caches: list[KVCache], t: int) -> None:
+        arenas: dict[int, list[int]] = {}
+        for i, cache in enumerate(caches):
+            arenas.setdefault(id(cache.arena), []).append(i)
+        self.ends = [cache.length + t for cache in caches]
+        """Each row's length after the write: what its attention reads."""
+        self.lone: list[tuple[int, slice]] = []
+        self.grouped: list[tuple[int, slice | list[int], tuple]] = []
+        for members in arenas.values():
+            first = members[0]
+            if len(members) == 1:
+                self.lone.append((first, slice(caches[first].length, self.ends[first])))
+                continue
+            slots = np.array([[caches[i].slot] for i in members])
+            at = np.array([[caches[i].length] for i in members]) + np.arange(t)
+            rows = slice(None) if len(members) == len(caches) else members
+            # (rows, t) index pairs over (slot, position): the assigned
+            # block is (rows, t, n_heads, head_dim).
+            self.grouped.append((first, rows, (slots, slice(None), at)))
+
+    def __call__(self, caches: list[KVCache], k: np.ndarray, v: np.ndarray) -> None:
+        """Write row ``i``'s new keys ``k[i]`` and values ``v[i]`` (``(B,
+        n_heads, t, head_dim)``) into ``caches[i]`` — this block's view
+        of the row's slot — and advance every view to its new length."""
+        for i, span in self.lone:
+            cache = caches[i]
+            cache.k[:, span] = k[i]
+            cache.v[:, span] = v[i]
+        for first, rows, index in self.grouped:
+            keys, values = caches[first].arena
+            keys[index] = k[rows].swapaxes(1, 2)
+            values[index] = v[rows].swapaxes(1, 2)
+        for cache, end in zip(caches, self.ends):
+            cache.length = end
 
 
 class PromptCache:

@@ -1,6 +1,7 @@
 """Tests for the fast inference engine: parity, caching, hooks, storage."""
 
 import contextlib
+import copy
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.inference import (
     QuantizedWeightStore,
     make_weight_store,
 )
-from repro.inference.kvcache import scatter
+from repro.inference.kvcache import KVWrite
 from repro.model import ModelConfig, TransformerLM
 
 TOKENS = [1, 5, 7, 2, 9, 11, 3]
@@ -27,7 +28,8 @@ def kv_cache(n_heads: int, max_seq: int, head_dim: int):
 def append(cache, k, v) -> None:
     """Write ``(n_heads, t, head_dim)`` K/V after ``cache``'s filled
     prefix: the engine's own write, at one row."""
-    scatter([cache], np.asarray(k)[None], np.asarray(v)[None])
+    k, v = np.asarray(k), np.asarray(v)
+    KVWrite([cache], k.shape[1])([cache], k[None], v[None])
 
 
 class TestParity:
@@ -88,6 +90,23 @@ class TestKVCache:
         with pytest.raises(ValueError, match="overflow"):
             untrained_engine.forward(TOKENS[:3], caches, 0, 0)
         assert all(c.length == 0 for c in caches)
+
+    def test_a_view_refuses_copy(self):
+        """A view is one slot of a shared arena, and a deep copy would
+        copy ``arena`` and ``k``/``v`` apart (its writes landing where
+        its ``keys()`` never reads): ``copy.copy`` and ``copy.deepcopy``
+        raise ``TypeError``, a list of views too, naming the way to copy
+        a cache — which leaves an equal one."""
+        cache = kv_cache(2, 8, 4)
+        append(cache, np.ones((2, 3, 4)), np.full((2, 3, 4), 2.0))
+        for copy_of, target in (
+            (copy.copy, cache), (copy.deepcopy, cache), (copy.deepcopy, [cache])
+        ):
+            with pytest.raises(TypeError, match=r"snapshot\(\).*restore\(\)"):
+                copy_of(target)
+        other = kv_cache(2, 8, 4)
+        other.restore(cache.snapshot())
+        assert_caches_equal([other], [cache])
 
     def test_truncate(self):
         cache = kv_cache(1, 8, 2)
@@ -461,9 +480,9 @@ def rows_seen(engine, run):
     seen: dict[str, int] = {}
     linear = engine._linear
 
-    def spy(x, block, layer, *args, **kw):
-        seen.setdefault(f"blocks.{block}.{layer}", x.shape[0])
-        return linear(x, block, layer, *args, **kw)
+    def spy(x, layer, *args, **kw):
+        seen.setdefault(layer.full, x.shape[0])
+        return linear(x, layer, *args, **kw)
 
     engine._linear = spy
     try:

@@ -324,7 +324,7 @@ class TestAccumulatorInjector:
             acc_frac=0.4,
         )
         x = np.random.default_rng(0).normal(size=(2, 32)).astype(np.float32)
-        w = untrained_engine._w("blocks.0.up_proj")
+        w = untrained_engine.weight_store("blocks.0.up_proj").array
         clean = (x @ w).astype(np.float32)
         out = clean.copy()
         with AccumulatorFaultInjector(untrained_engine, site) as inj:
@@ -347,7 +347,7 @@ class TestAccumulatorInjector:
             acc_frac=0.5,
         )
         x = np.ones((1, 32), dtype=np.float32)
-        w = untrained_engine._w("blocks.0.up_proj")
+        w = untrained_engine.weight_store("blocks.0.up_proj").array
         out = (x @ w).astype(np.float32)
         with AccumulatorFaultInjector(untrained_engine, site) as inj:
             inj.maybe_strike(out, x, w, "blocks.0.up_proj", 0, None)

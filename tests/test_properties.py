@@ -30,7 +30,7 @@ from repro.generation import (
     score_options,
 )
 from repro.generation.round import Admission, DecodeRound, decode_plan, pick
-from repro.inference import InferenceEngine, KVCache, make_weight_store
+from repro.inference import CaptureState, InferenceEngine, KVCache, make_weight_store
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.numerics.formats import flip_value_bits
@@ -401,6 +401,178 @@ def test_property_one_forward_writes_every_row_into_its_own_slot(
             assert view.length == length
 
 
+_PLAN_STORES: list = []
+"""The weights every engine of the plan property is built from."""
+
+
+def _noisy(views: list[KVCache], rng) -> list[KVCache]:
+    """Fill every byte of ``views``' slots with ``rng``'s noise."""
+    for view in views:
+        view.k[...] = rng.normal(size=view.k.shape)
+        view.v[...] = rng.normal(size=view.v.shape)
+    return views
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(["hook", "acc", "row_weight", "capture"]), st.data())
+def test_property_every_forward_plans_afresh(surfaces, data):
+    """One engine runs forwards back to back — the 1-D, step and chunk
+    entries, widths 1-4, t 1-3, rows in a shared pool, in a pool of
+    shorter slots or in their own ``new_caches()`` (or no caches), at
+    ragged prefixes, some entering above block 0 — and arms one fault
+    surface for every other forward, disarming it after: a hook, an
+    accumulator fault, a row-keyed weight copy, capture (on the 1-D
+    entry).  Each forward's logits, K/V and capture equal a fresh
+    engine's one forward under the same armed state, over caches whose
+    unwritten bytes hold other noise: nothing one forward planned —
+    whether anything is armed, which rows write where — reaches the
+    next, and a write at the wrong offset, or into a block below a
+    row's entry, shows."""
+    cfg = _row_exact_engine(False, n_blocks=3).config
+    if not _PLAN_STORES:
+        _PLAN_STORES.append(TransformerLM(cfg, seed=17).to_store())
+    params = _PLAN_STORES[0]
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    engine = InferenceEngine(params)
+    wide = engine.new_pool(4)
+    short = PooledKVCache(cfg.n_blocks, 2, cfg.n_heads, 16, cfg.head_dim)
+    for pool in (wide, short):
+        for slot in range(pool.n_slots):
+            _noisy(pool.caches(slot), noise)
+
+    def draw(values, n):
+        return data.draw(st.lists(values, min_size=n, max_size=n))
+
+    def case(surface):
+        """One forward's shape and armed state, drawn."""
+        entry = data.draw(st.sampled_from(
+            ["serial"] if surface == "capture"
+            else ["step", "chunk"] if surface == "row_weight"
+            else ["serial", "step", "chunk"]
+        ))
+        batch = 1 if entry == "serial" else data.draw(st.integers(1, 4))
+        t = 1 if entry == "step" else data.draw(st.integers(1, 3))
+        cacheless = entry != "step" and data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        lengths = [0] * batch if cacheless else draw(st.integers(0, 8), batch)
+        blocks = [0] * batch
+        if entry != "serial":
+            blocks = draw(st.integers(0, cfg.n_blocks - 1), batch)
+        layer = data.draw(st.sampled_from(engine.linear_layer_names()))
+        return dict(
+            entry=entry, batch=batch, t=t, cacheless=cacheless, lengths=lengths,
+            homes=draw(st.sampled_from(["wide", "short", "own"]), batch),
+            tokens=rng.integers(0, VOCAB, size=(batch, t)),
+            iterations=rng.integers(0, 3, size=batch).tolist(),
+            enter=[
+                None if b == 0 else
+                (b, rng.normal(size=(t, cfg.d_model)).astype(np.float32))
+                for b in blocks
+            ],
+            prefixes=[
+                [(rng.normal(size=(cfg.n_heads, n, cfg.head_dim)),
+                  rng.normal(size=(cfg.n_heads, n, cfg.head_dim)))
+                 for _ in range(cfg.n_blocks)]
+                for n in lengths
+            ],
+            surface=surface, layer=layer,
+            col=int(rng.integers(engine.weight_store(layer).shape[1])),
+            row=int(rng.integers(engine.weight_store(layer).shape[0])),
+            struck=int(rng.integers(batch)),
+            iteration=int(rng.integers(0, 3)),
+        )
+
+    def armed(eng, c) -> contextlib.ExitStack:
+        """Arm ``c``'s surface on ``eng``; closing the stack disarms it."""
+        stack, surface = contextlib.ExitStack(), c["surface"]
+        if surface == "hook":
+            def hook(out, ctx):
+                out[:, c["col"]] += np.float32(0.5)
+
+            stack.callback(eng.hooks.register(c["layer"], hook, row_scoped=True))
+        elif surface == "acc":
+            stack.enter_context(AccumulatorFaultInjector(eng, FaultSite(
+                FaultModel.ACC_2BIT, c["layer"], 0, c["col"], bits=(30, 22),
+                iteration=c["iteration"], row_frac=0.5, acc_frac=0.5,
+            )))
+        elif surface == "row_weight":
+            stack.enter_context(MemoryFaultInjector(eng, FaultSite(
+                FaultModel.MEM_2BIT, c["layer"], c["row"], c["col"], bits=(30, 22),
+            ), rows=(c["struck"],)))
+        elif surface == "capture":
+            eng.capture = CaptureState()
+            stack.callback(setattr, eng, "capture", None)
+        return stack
+
+    def run(eng, c, pools, fresh):
+        """``c``'s forward on ``eng``: its logits, every row's per-block
+        (length, keys, values) and what capture recorded."""
+        held, rows = [], None
+        if not c["cacheless"]:
+            rows = []
+            for home, prefix in zip(c["homes"], c["prefixes"]):
+                pool = pools.get(home)
+                if pool is not None and pool.n_free:
+                    slot = pool.acquire()
+                    held.append((pool, slot))
+                    caches = pool.caches(slot)
+                else:
+                    caches = _noisy(eng.new_caches(), fresh)
+                for cache, (k, v) in zip(caches, prefix):
+                    cache.restore((k, v, k.shape[1]))
+                rows.append(caches)
+        tokens, lengths, its = c["tokens"], c["lengths"], c["iterations"]
+        with armed(eng, c):
+            if c["entry"] == "serial":
+                logits = eng.forward(
+                    tokens[0], None if rows is None else rows[0], lengths[0], its[0]
+                )
+            elif c["entry"] == "step":
+                logits = eng.forward_step_batch(
+                    tokens[:, 0], rows, lengths, its, enter=c["enter"]
+                )
+            else:
+                logits = eng.forward_chunk_batch(
+                    tokens, rows, lengths, its, enter=c["enter"]
+                )
+            captured = None if eng.capture is None else eng.capture.layer_outputs
+        kv = [
+            [(cache.length, cache.keys().copy(), cache.values().copy()) for cache in own]
+            for own in rows or ()
+        ]
+        for pool, slot in held:
+            pool.release(slot)
+        return logits, kv, captured
+
+    for surface in [s for armed_one in surfaces for s in (None, armed_one)]:
+        c = case(surface)
+        got = run(engine, c, {"wide": wide, "short": short}, noise)
+        other = np.random.default_rng(noise.integers(2**31))
+        reference = InferenceEngine(params)
+        pools = {
+            "wide": reference.new_pool(4),
+            "short": PooledKVCache(cfg.n_blocks, 2, cfg.n_heads, 16, cfg.head_dim),
+        }
+        for pool in pools.values():
+            for slot in range(pool.n_slots):
+                _noisy(pool.caches(slot), other)
+        want = run(reference, c, pools, other)
+        assert engine.hooks.all_row_scoped() and not engine.hooks
+        assert not (engine.acc_faults or engine.row_weights or engine.capture)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        for own, ref in zip(got[1], want[1]):
+            for (n, k, v), (n_ref, k_ref, v_ref) in zip(own, ref):
+                assert n == n_ref
+                np.testing.assert_array_equal(k, k_ref)
+                np.testing.assert_array_equal(v, v_ref)
+        assert (got[2] is None) == (want[2] is None)
+        if got[2] is not None:
+            assert got[2].keys() == want[2].keys()
+            for name, out in got[2].items():
+                np.testing.assert_array_equal(out, want[2][name])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.booleans(),
@@ -625,14 +797,17 @@ _DEAD_SCORE_ROWS: list[bool] = []
 ``-inf`` (a planted dead head)."""
 
 
-def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, rows):
+def _per_row_attention(self, x, layers, plan, iteration, rows):
     """The reference attention core: the per-row loop the one core
     replaced, kept verbatim here and nowhere else — each row appends,
     lets a KV fault latch, and runs its own softmax over exactly its own
-    cache.  ``hide`` is ignored; each row's causal mask is rebuilt from
-    its cache length the way the loop's caller built it."""
+    cache.  Of the forward's plan it reads the rows' caches, RoPE tables
+    and whether linears are armed; its mask, K/V write and lengths are
+    ignored: each row writes by slice, and its causal mask is rebuilt
+    from its cache length the way the loop's caller built it."""
     cfg = self.config
     heads, hd = cfg.n_heads, cfg.head_dim
+    cos, sin, block = plan.cos, plan.sin, layers.index
     batch, t = cos.shape[0], cos.shape[2]
     half = hd // 2
 
@@ -642,16 +817,17 @@ def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, ro
 
     # (B*t, D) -> (B, heads, t, hd)
     split = (batch, t, heads, hd)
-    q = self._linear(x, block, "q_proj", iteration, rows, t)
-    k = self._linear(x, block, "k_proj", iteration, rows, t)
-    v = self._linear(x, block, "v_proj", iteration, rows, t)
+    q_proj, k_proj, v_proj, out_proj = layers.attn
+    q = self._linear(x, q_proj, plan.armed, iteration, rows, t)
+    k = self._linear(x, k_proj, plan.armed, iteration, rows, t)
+    v = self._linear(x, v_proj, plan.armed, iteration, rows, t)
     q = rot(q.reshape(split).swapaxes(1, 2))
     k = rot(k.reshape(split).swapaxes(1, 2))
     v = v.reshape(split).swapaxes(1, 2)
     scale = np.float32(hd**-0.5)
     ctx = np.empty(split, dtype=np.float32)
     for i in range(batch):
-        cache = row_caches[i][block]
+        cache = plan.row_caches[i][block]
         p = cache.length
         mask = np.arange(p + t)[None, :] <= (p + np.arange(t))[:, None]
         cache.k[:, p : p + t], cache.v[:, p : p + t] = k[i], v[i]
@@ -672,7 +848,7 @@ def _per_row_attention(self, x, block, row_caches, cos, sin, hide, iteration, ro
         attn = softmax_np(scores, axis=-1)
         ctx[i] = (attn @ values).swapaxes(0, 1)
     return self._linear(
-        ctx.reshape(batch * t, cfg.d_model), block, "out_proj", iteration, rows, t
+        ctx.reshape(batch * t, cfg.d_model), out_proj, plan.armed, iteration, rows, t
     )
 
 
