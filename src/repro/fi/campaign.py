@@ -57,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,8 +95,9 @@ from repro.generation.decode import (
     option_logp,
 )
 from repro.generation.round import count_plan, decode_plan, pick
-from repro.inference.engine import CaptureState, InferenceEngine
+from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import PooledKVCache
+from repro.inference.recorder import Recorder
 from repro.metrics.evaluate import score_generative
 from repro.obs.flight import flight_recorder as _flight
 from repro.obs.instrument import attach_layer_timing
@@ -539,11 +540,15 @@ class FICampaign:
         )
         return self.tokenizer.decode(ids)
 
-    def _capture_selections(self) -> dict | None:
+    def _tracking(self):
+        """A recorder of every router's choice while the campaign tracks
+        expert selection, else a context that records nothing (``None``);
+        enter it after the trial's injector, so a struck router's choice
+        is the injected one."""
         if not self.track_expert_selection:
-            return None
-        assert self.engine.capture is not None
-        return dict(self.engine.capture.expert_selections)
+            return nullcontext()
+        names = self.engine.linear_layer_names()
+        return Recorder(self.engine, [n for n in names if n.endswith(".router")])
 
     # -- baseline ----------------------------------------------------------------
 
@@ -598,13 +603,11 @@ class FICampaign:
         else:
             preds, selections = [], []
             for idx in range(len(self.examples)):
-                if self.track_expert_selection:
-                    self.engine.capture = CaptureState()
-                preds.append(
-                    self._eval_mc(idx) if self.is_mc else self._eval_gen(idx)
-                )
-                selections.append(self._capture_selections())
-                self.engine.capture = None
+                with self._tracking() as tracked:
+                    preds.append(
+                        self._eval_mc(idx) if self.is_mc else self._eval_gen(idx)
+                    )
+                selections.append(tracked and tracked.expert_selections)
         self._baseline_preds = preds
         self._baseline_selections = selections
         if self.is_mc:
@@ -729,8 +732,10 @@ class FICampaign:
     def _why_no_golden(self) -> str | None:
         """Why this campaign keeps no fault-free pass per example
         (:attr:`_golden`), or ``None`` when it keeps one: the first rows
-        of :meth:`trial_plan` — expert-selection tracking must capture
-        every forward's routing, :func:`decode_plan` must batch a decode
+        of :meth:`trial_plan` — expert-selection tracking records every
+        forward's routing, while a wave row skips the forwards of its
+        golden prefix and the golden sweep records none;
+        :func:`decode_plan` must batch a decode
         round (generative) or find nothing but observers (option rows),
         and a pass is a greedy run, which no beam search reads."""
         if self.decode_strategy == "serial":
@@ -813,8 +818,6 @@ class FICampaign:
         if tel.active and not self.is_mc:
             # A lone trial resumes nothing.
             tel.metrics.counter("engine.prefill_cache_misses").add()
-        if self.track_expert_selection:
-            self.engine.capture = CaptureState()
         detach_front = None
         try:
             with inject(self.engine, site) as injector:
@@ -827,16 +830,16 @@ class FICampaign:
                     detach_front = recorder.attach_front(
                         self.engine, site.iteration
                     )
-                if self.is_mc:
-                    pred_idx = self._eval_mc(idx)
-                else:
-                    text = self._eval_gen(idx)
+                with self._tracking() as tracked:
+                    if self.is_mc:
+                        pred_idx = self._eval_mc(idx)
+                    else:
+                        text = self._eval_gen(idx)
             fired = injector.fired
         finally:
             if detach_front is not None:
                 detach_front()
-            selections = self._capture_selections()
-            self.engine.capture = None
+        selections = tracked and tracked.expert_selections
 
         assert self._baseline_preds is not None
         base_pred = self._baseline_preds[idx]
@@ -944,7 +947,7 @@ class FICampaign:
           prompt forward — replay is ``forward_full(prompt)``;
         * iteration-``k`` computational faults strike the ``k``-th
           greedy decode step — replay prefills and re-greedy-decodes
-          ``k`` steps, capturing the last.
+          ``k`` steps, recording the last.
 
         Beam-search trials return ``None`` (which hypothesis a replay
         follows is not well-defined); so do strikes the faulty decode
@@ -953,41 +956,34 @@ class FICampaign:
         injection context on restored weights: a pure post-hoc read
         that cannot perturb trial results.
         """
-        capture_before = self.engine.capture
-        self.engine.capture = None
-        try:
-            if self.is_mc:
-                prompt, options = self._token_ids[idx]
-                return self._captured_forward([*prompt, *options[0]])
-            if self.generation.num_beams != 1:
-                return None
-            # Memory faults strike the prompt forward; every transient
-            # model (computational, KV, accumulator) strikes at its
-            # sampled iteration.
-            strike = 0 if site.fault_model.is_memory else site.iteration
-            prompt = self._token_ids[idx]
-            if strike == 0:
-                return self._captured_forward(prompt)
-            session = self.engine.start_session(prompt)
-            logits = session.last_logits
-            for step in range(strike):
-                token = pick(logits)
-                if token == self.generation.eos_id:
-                    return None  # baseline ended before the strike
-                if step == strike - 1:
-                    self.engine.capture = CaptureState()
-                logits = session.step(token)
-            return dict(self.engine.capture.layer_outputs)
-        finally:
-            self.engine.capture = capture_before
+        forward = self.engine.forward_full
+        if self.is_mc:
+            prompt, options = self._token_ids[idx]
+            return self._recorded(forward, [*prompt, *options[0]])
+        if self.generation.num_beams != 1:
+            return None
+        # Memory faults strike the prompt forward; every transient
+        # model (computational, KV, accumulator) strikes at its
+        # sampled iteration.
+        strike = 0 if site.fault_model.is_memory else site.iteration
+        prompt = self._token_ids[idx]
+        if strike == 0:
+            return self._recorded(forward, prompt)
+        session = self.engine.start_session(prompt)
+        logits = session.last_logits
+        for step in range(strike):
+            token = pick(logits)
+            if token == self.generation.eos_id:
+                return None  # baseline ended before the strike
+            if step == strike - 1:
+                return self._recorded(session.step, token)
+            logits = session.step(token)
 
-    def _captured_forward(self, ids: list[int]) -> dict:
-        """One fault-free full forward with per-layer output capture."""
-        self.engine.capture = CaptureState()
-        self.engine.forward_full(ids)
-        outputs = dict(self.engine.capture.layer_outputs)
-        self.engine.capture = None
-        return outputs
+    def _recorded(self, forward, *args) -> dict:
+        """Every layer's output in one fault-free ``forward(*args)``."""
+        with Recorder(self.engine) as recorder:
+            forward(*args)
+        return recorder.layer_outputs
 
     # -- supervision -------------------------------------------------------------
 
@@ -1001,7 +997,7 @@ class FICampaign:
         trial began — never a ranger's or the layer-timing probes the
         engine carried before it — and the engine's armed-fault state
         (a faulted weight copy swapped in or keyed by row, the KV and
-        accumulator registries, capture), which no trial starts with.
+        accumulator registries), which no trial starts with.
         """
         if self._hook_mark is not None:
             self.engine.hooks._detach_since(self._hook_mark)

@@ -1,8 +1,8 @@
 """Error-propagation tracing (paper Figs 5 and 6).
 
-These helpers run a fault-free and a faulty forward pass with full
-activation capture and compare per-layer outputs.  They demonstrate the
-paper's two propagation geometries:
+These helpers run a fault-free and a faulty forward pass, each under a
+:class:`~repro.inference.recorder.Recorder`, and compare per-layer
+outputs.  They demonstrate the paper's two propagation geometries:
 
 * a **memory** fault in ``W[r, c]`` of a linear layer corrupts the
   entire **column** ``c`` of that layer's output (every token row uses
@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.fi.injector import inject
 from repro.fi.sites import FaultSite
-from repro.inference.engine import CaptureState, InferenceEngine
+from repro.inference.engine import InferenceEngine
+from repro.inference.recorder import Recorder
 
 __all__ = ["PropagationTrace", "trace_fault"]
 
@@ -63,15 +64,13 @@ class PropagationTrace:
 def trace_fault(
     engine: InferenceEngine, site: FaultSite, prompt_ids: list[int]
 ) -> PropagationTrace:
-    """Capture baseline and faulty activations for one prefill forward."""
-    engine.capture = CaptureState()
-    try:
+    """Record baseline and faulty activations for one prefill forward;
+    the faulty recorder registers after the injector's hook, so the
+    struck layer's output is the injected one."""
+    with Recorder(engine) as baseline:
         engine.forward_full(prompt_ids)
-        baseline = dict(engine.capture.layer_outputs)
-        engine.capture = CaptureState()
-        with inject(engine, site):
-            engine.forward_full(prompt_ids)
-        faulty = dict(engine.capture.layer_outputs)
-    finally:
-        engine.capture = None
-    return PropagationTrace(site=site, baseline=baseline, faulty=faulty)
+    with inject(engine, site), Recorder(engine) as faulty:
+        engine.forward_full(prompt_ids)
+    return PropagationTrace(
+        site=site, baseline=baseline.layer_outputs, faulty=faulty.layer_outputs
+    )

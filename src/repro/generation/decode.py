@@ -135,8 +135,8 @@ def beam_search_decode(
 
     The only fork is how the hypotheses that gained a token step.
     ``serial`` — the reference, and ``auto`` whenever
-    :func:`~repro.generation.round.decode_plan` says ``serial`` (capture,
-    a weight fault swapped in engine-wide, unscoped hooks) — runs one 1-D
+    :func:`~repro.generation.round.decode_plan` says ``serial`` (a weight
+    fault swapped in engine-wide, unscoped hooks) — runs one 1-D
     :meth:`~InferenceEngine.forward` per hypothesis in beam order.
     ``auto`` under a ``batched`` plan runs one
     :meth:`~InferenceEngine.forward_step_batch` over the same rows in the

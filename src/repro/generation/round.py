@@ -61,7 +61,6 @@ row-scoped perturbing hooks       batched       batched     row_scoped_hooks
 weight fault keyed by row         batched       batched     row_weight_fault
 KV fault keyed by row             batched       batched     kv_fault
 accumulator fault keyed by row    batched       batched     acc_fault
-activation capture                serial        serial      capture
 weight fault                      serial        serial      weight_fault
 hooks not all row-scoped          serial        serial      unscoped_hooks
 ================================  ============  ==========  ================
@@ -70,11 +69,10 @@ Speculation is gated strictly: a verify chunk covers several generation
 iterations under one iteration tag, so anything iteration-pinned would
 mis-fire, and a chunked forward visits different (iteration, tensor)
 pairs than the serial loop.  Batching only needs faults that scope
-themselves to one sequence.  Capture records per-sequence tensors, so
-it forces the serial reference loop; so do weight faults swapped in
-engine-wide, whose gate was set when a batched GEMM differed from the
-serial one in the last bits (a corrupted weight amplifies such
-differences).  A weight fault keyed by row
+themselves to one sequence.  A weight fault swapped in engine-wide
+forces the serial reference loop: its gate was set when a batched GEMM
+differed from the serial one in the last bits (a corrupted weight
+amplifies such differences).  A weight fault keyed by row
 (``MemoryFaultInjector(rows=)``) swaps nothing in engine-wide: only its
 rows read the faulted copy, each in the product the serial forward of
 that row runs, so it is row-scoped like a pinned hook, as are KV and
@@ -112,8 +110,6 @@ __all__ = ["Admission", "DecodeRound", "Row", "decode_plan", "decode_to_completi
 
 
 def _blocks_speculation(engine: InferenceEngine) -> str | None:
-    if engine.capture is not None:
-        return "capture"
     if engine.weight_fault_depth > 0:
         return "weight_fault"
     if engine.row_weights:
@@ -132,7 +128,7 @@ def decode_plan(
     engine: InferenceEngine, draft: InferenceEngine | None = None
 ) -> tuple[str, str]:
     """``(path, reason)``: the fastest decode path that preserves exact
-    fault/capture semantics — ``composed`` (batched speculation, needs
+    fault semantics — ``composed`` (batched speculation, needs
     ``draft``), ``batched`` or ``serial`` — and what decided it (the
     module docstring's gate matrix)."""
     hooks = engine.hooks
@@ -144,7 +140,7 @@ def decode_plan(
             if blocked is None:
                 return "composed", reason
             reason = "draft_" + blocked
-    if reason in ("capture", "weight_fault"):
+    if reason == "weight_fault":
         return "serial", reason
     if len(hooks) > 0 and not hooks.all_row_scoped():
         return "serial", "unscoped_hooks"

@@ -29,6 +29,7 @@ from repro.fi.propagation import trace_fault
 from repro.fi.sites import FaultSite
 from repro.harness.context import ExperimentContext
 from repro.harness.results import ExperimentResult
+from repro.inference.recorder import Recorder
 from repro.numerics.formats import FORMATS
 from repro.numerics.stats import wilson_interval
 from repro.tasks import GSM8kTask, all_tasks
@@ -393,12 +394,9 @@ def fig13_weight_distributions(
         engine = ctx.engine(model_name)
         layer = f"blocks.{engine.config.n_blocks - 1}.down_proj"
         weights = engine.weight_store(layer).array
-        from repro.inference.engine import CaptureState
-
-        engine.capture = CaptureState()
-        engine.forward_full(prompt)
-        activations = engine.capture.layer_outputs[layer]
-        engine.capture = None
+        with Recorder(engine, [layer]) as recorder:
+            engine.forward_full(prompt)
+        activations = recorder.layer_outputs[layer]
         result.add(
             model=model_name,
             weight_std=float(weights.std()),

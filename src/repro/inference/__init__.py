@@ -1,8 +1,9 @@
 """Fast NumPy inference: engine, KV cache, hooks, storage policies."""
 
-from repro.inference.engine import CaptureState, InferenceEngine, Session
+from repro.inference.engine import InferenceEngine, Session
 from repro.inference.hooks import HookContext, HookFn, HookManager
 from repro.inference.kvcache import KVCache, PooledKVCache, PromptCache
+from repro.inference.recorder import Recorder
 from repro.inference.storage import (
     FloatWeightStore,
     QuantizedWeightStore,
@@ -11,7 +12,6 @@ from repro.inference.storage import (
 )
 
 __all__ = [
-    "CaptureState",
     "FloatWeightStore",
     "HookContext",
     "HookFn",
@@ -21,6 +21,7 @@ __all__ = [
     "PooledKVCache",
     "PromptCache",
     "QuantizedWeightStore",
+    "Recorder",
     "Session",
     "WeightStore",
     "make_weight_store",

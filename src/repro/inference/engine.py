@@ -9,10 +9,9 @@ a vectorised, allocation-light forward pass over a trained
   its compute array or keyed to batch rows, and never a write to the
   store;
 * **forward hooks** — interception of each linear layer's output
-  tensor (computational faults, Fig. 6);
-* **activation capture** — per-layer output snapshots for the
-  propagation-trace experiments (Figs 5/6) and MoE expert-selection
-  records (Fig. 15);
+  tensor: computational faults (Fig. 6), and every read of an output —
+  the propagation traces (Figs 5/6) and MoE expert-selection records
+  (Fig. 15) — as an observer (:class:`~repro.inference.recorder.Recorder`);
 * **sessions** — incremental decoding with a KV cache and a
   generation-iteration counter, so faults can be timed to a specific
   token-generation iteration exactly as the paper does; every cache is
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,16 +65,15 @@ from repro.model.params import ParamStore
 from repro.model.transformer import rope_tables
 from repro.obs.runtime import telemetry as _telemetry
 
-__all__ = ["InferenceEngine", "Session", "CaptureState"]
+__all__ = ["InferenceEngine", "Session", "select_experts"]
 
 
-@dataclass
-class CaptureState:
-    """Recorded layer outputs and expert selections for one forward."""
-
-    layer_outputs: dict[str, np.ndarray] = field(default_factory=dict)
-    expert_selections: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    """Maps ``(iteration, block)`` -> ``(tokens, top_k)`` expert indices."""
+def select_experts(router_logits: np.ndarray, k: int) -> np.ndarray:
+    """The ``(tokens, k)`` experts each token routes to: its ``k``
+    largest router logits, ordered by descending logit."""
+    top = np.argpartition(router_logits, -k, axis=-1)[:, -k:]
+    order = np.argsort(np.take_along_axis(router_logits, top, axis=-1), axis=-1)
+    return np.take_along_axis(top, order[:, ::-1], axis=-1)
 
 
 def _runs(rows: np.ndarray, t: int) -> list[tuple[int, int]]:
@@ -149,7 +146,7 @@ class _Plan:
     """What one forward decides once and every block it runs reads.
 
     * ``armed`` — whether anything rides on a linear's output: a hook,
-      an accumulator fault, a row-keyed weight copy or capture.  Without
+      an accumulator fault or a row-keyed weight copy.  Without
       it :meth:`InferenceEngine._linear` is the product alone; with it,
       the layer table's full names key every check.  ``kv`` — whether a
       KV fault waits on the appends.
@@ -175,10 +172,7 @@ class _Plan:
         positions: np.ndarray,
         t: int,
     ) -> None:
-        self.armed = (
-            bool(engine.hooks or engine.acc_faults or engine.row_weights)
-            or engine.capture is not None
-        )
+        self.armed = bool(engine.hooks or engine.acc_faults or engine.row_weights)
         self.kv = bool(engine.kv_faults)
         self.t = t
         self._caches, self._positions = row_caches, positions
@@ -299,7 +293,6 @@ class InferenceEngine:
         crashed trial — every weight store reading its own compute array
         again.  Hooks are not part of it: a
         campaign detaches only the ones the trial registered."""
-        self.capture: CaptureState | None = None
         self.weight_fault_depth = 0
         """Count of currently armed weight (memory) faults.  Maintained
         by :class:`~repro.fi.injector.MemoryFaultInjector` so fast-path
@@ -348,7 +341,7 @@ class InferenceEngine:
     ) -> np.ndarray:
         """One faultable linear layer (a row of the layer table) over
         flat ``(N, D)`` input, then the fault surfaces that ride on its
-        output (accumulator strike, hooks, capture) — only when the
+        output (accumulator strike, hooks) — only when the
         forward's plan found something ``armed``; otherwise the product
         is all there is.
 
@@ -417,10 +410,6 @@ class InferenceEngine:
                     result = self.hooks.apply(view, ctx)
                     if result is not view:
                         output[start:stop] = result
-        if self.capture is not None:
-            # Captured after hooks so propagation traces see injected
-            # computational faults in the injected layer's own output.
-            self.capture.layer_outputs[full] = output.copy()
         return output
 
     def _attention(
@@ -589,22 +578,13 @@ class InferenceEngine:
         rows: np.ndarray | None = None,
         t: int = 0,
     ) -> np.ndarray:
-        """Token-wise expert routing over flat ``(N, D)`` input (so
-        expert-selection capture records ``(N, top_k)`` rows,
-        batch-major); each expert sees only its tokens, with their
+        """Token-wise expert routing over flat ``(N, D)`` input
+        (:func:`select_experts` on the router's output, after its hooks);
+        each expert sees only its tokens, with their
         per-token ``iteration``/``rows`` on the batched entries (a
         ragged subset of each row, so its products run per row run)."""
-        cfg = self.config
         router_logits = self._linear(h, layers.router, armed, iteration, rows, t)
-        k = cfg.top_k
-        top = np.argpartition(router_logits, -k, axis=-1)[:, -k:]
-        # Order selected experts by descending logit for stable records.
-        order = np.argsort(
-            np.take_along_axis(router_logits, top, axis=-1), axis=-1
-        )[:, ::-1]
-        top = np.take_along_axis(top, order, axis=-1)
-        if self.capture is not None:
-            self.capture.expert_selections[(iteration, layers.index)] = top.copy()
+        top = select_experts(router_logits, self.config.top_k)
         gates = softmax_np(
             np.take_along_axis(router_logits, top, axis=-1), axis=-1
         )
@@ -630,8 +610,7 @@ class InferenceEngine:
         whole: something sees its products — a hook on one of its layers
         (a fault, a layer-timing probe), an armed accumulator fault — or
         it routes tokens to experts, where a windowed expert's run could
-        shrink to one token, a different product.  (Capture never meets
-        a window: only the 1-D entry takes it, and that one has none.)"""
+        shrink to one token, a different product."""
         return (
             self.config.is_moe
             or bool(self.acc_faults)
@@ -871,8 +850,7 @@ class InferenceEngine:
         ints, default ``arange(B)``.  A caller whose rows come and go
         between steps passes ids that stay with the sequence, so a hook
         pinned to one sequence cannot land on whichever sibling inherits
-        its position.  Activation capture is not supported on this path
-        — use the serial forward.  ``block_inputs`` and ``enter`` are
+        its position.  ``block_inputs`` and ``enter`` are
         :meth:`forward_chunk_batch`'s, at ``t = 1``: a row entering at
         block ``e`` appends no K/V below ``e``, so its caches there lag
         until its caller fills them.  Returns logits of shape
@@ -881,11 +859,6 @@ class InferenceEngine:
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError(f"tokens must be a 1-D batch of ids, got {ids.shape}")
-        if self.capture is not None:
-            raise RuntimeError(
-                "forward_step_batch does not support activation capture;"
-                " use the serial per-sequence path"
-            )
         if len(row_caches) != ids.shape[0]:
             raise ValueError(
                 f"{ids.shape[0]} tokens but {len(row_caches)} cache rows"
@@ -937,8 +910,7 @@ class InferenceEngine:
         perturbing hooks are taken as well as observers: a faulted
         admission's prompt forward runs here under its row-keyed fault,
         and option rows under theirs; an accumulator fault strikes a
-        row's ``t`` tokens where its 1-D chunk forward does.  Activation
-        capture is rejected.
+        row's ``t`` tokens where its 1-D chunk forward does.
 
         ``block_inputs`` (a list) receives the flat hidden state
         entering each block that runs, in block order — ``(B*t,
@@ -983,11 +955,6 @@ class InferenceEngine:
         if ids.ndim != 2:
             raise ValueError(
                 f"tokens must be a rectangular (B, t) batch, got {ids.shape}"
-            )
-        if self.capture is not None:
-            raise RuntimeError(
-                "forward_chunk_batch does not support activation capture;"
-                " use the serial per-sequence path"
             )
         if row_caches is not None and len(row_caches) != ids.shape[0]:
             raise ValueError(

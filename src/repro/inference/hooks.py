@@ -124,6 +124,20 @@ class HookManager:
         self._handles[number] = remove
         return remove
 
+    def observe(self, names, fn: HookFn) -> Callable[[], None]:
+        """Register ``fn`` on each layer of ``names`` as a row-scoped
+        observer (a pure per-row read, which keeps every decode gate
+        where it was); returns one detach handle for all of them."""
+        handles = [
+            self.register(name, fn, row_scoped=True, observer=True) for name in names
+        ]
+
+        def detach() -> None:
+            for handle in handles:
+                handle()
+
+        return detach
+
     def _detach_since(self, mark: int) -> None:
         """Detach, each through its own handle, every hook registered
         since ``_registered`` read ``mark``: what a crashed trial armed,

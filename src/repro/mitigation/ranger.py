@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.inference.engine import CaptureState, InferenceEngine
+from repro.inference.engine import InferenceEngine
 from repro.inference.hooks import HookContext
+from repro.inference.recorder import Recorder
 
 __all__ = ["LayerRange", "RangeRestrictor"]
 
@@ -65,17 +66,13 @@ class RangeRestrictor:
             raise ValueError("calibration needs at least one prompt")
         lows: dict[str, float] = {}
         highs: dict[str, float] = {}
-        previous_capture = engine.capture
-        try:
-            for prompt in prompts:
-                engine.capture = CaptureState()
+        for prompt in prompts:
+            with Recorder(engine) as recorder:
                 engine.forward_full(prompt)
-                for name, output in engine.capture.layer_outputs.items():
-                    lo, hi = float(output.min()), float(output.max())
-                    lows[name] = min(lo, lows.get(name, lo))
-                    highs[name] = max(hi, highs.get(name, hi))
-        finally:
-            engine.capture = previous_capture
+            for name, output in recorder.layer_outputs.items():
+                lo, hi = float(output.min()), float(output.max())
+                lows[name] = min(lo, lows.get(name, lo))
+                highs[name] = max(hi, highs.get(name, hi))
         self.ranges = {
             name: LayerRange(lows[name], highs[name]).widen(self.margin)
             for name in lows

@@ -174,18 +174,7 @@ class FlightRecorder:
                 )
             return None
 
-        handles = [
-            engine.hooks.register(
-                name, front_probe, row_scoped=True, observer=True
-            )
-            for name in engine.linear_layer_names()
-        ]
-
-        def detach() -> None:
-            for handle in handles:
-                handle()
-
-        return detach
+        return engine.hooks.observe(engine.linear_layer_names(), front_probe)
 
     @property
     def has_front(self) -> bool:

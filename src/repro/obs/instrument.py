@@ -44,13 +44,4 @@ def attach_layer_timing(engine, telemetry=None) -> Callable[[], None]:
     # perturbs outputs (traced runs keep speculative decoding).  Under
     # a batched step the first row's delta carries the layer cost and
     # later rows observe ~0; the deltas still tile the forward pass.
-    handles = [
-        engine.hooks.register(name, timing_hook, row_scoped=True, observer=True)
-        for name in engine.linear_layer_names()
-    ]
-
-    def detach() -> None:
-        for handle in handles:
-            handle()
-
-    return detach
+    return engine.hooks.observe(engine.linear_layer_names(), timing_hook)

@@ -39,7 +39,6 @@ from repro.generation import (
     generate_ids,
     greedy_decode,
 )
-from repro.inference.engine import CaptureState
 from repro.obs import telemetry
 
 from tests.test_engine import append
@@ -204,19 +203,6 @@ class TestForwardStepBatch:
             for cache, want in zip(pool.caches(slots[row]), session.caches):
                 np.testing.assert_array_equal(cache.keys(), want.keys())
                 np.testing.assert_array_equal(cache.values(), want.values())
-
-    def test_rejects_capture(self, untrained_engine):
-        pool = untrained_engine.new_pool(1)
-        slot = pool.acquire()
-        untrained_engine.forward(PROMPT, pool.caches(slot), 0, 0)
-        untrained_engine.capture = CaptureState()
-        try:
-            with pytest.raises(RuntimeError, match="capture"):
-                untrained_engine.forward_step_batch(
-                    [4], [pool.caches(slot)], [len(PROMPT)], [1]
-                )
-        finally:
-            untrained_engine.capture = None
 
     def test_rejects_shape_mismatch(self, untrained_engine):
         pool = untrained_engine.new_pool(1)

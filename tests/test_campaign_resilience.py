@@ -37,6 +37,7 @@ from repro.fi import (
     load_checkpoint,
 )
 from repro.harness.results import format_campaign
+from repro.inference import Recorder
 from repro.mitigation import RangeRestrictor
 from repro.obs import telemetry
 from repro.tasks.base import GenExample, MCExample
@@ -345,12 +346,12 @@ class TestRepairRemovesWhatATrialArmed:
         pristine = store.swap(store.faulted_array(0, 0, [30]))
         engine.weight_fault_depth, engine.row_weights[layer] = 1, {0: pristine}
         engine.kv_faults[0] = engine.acc_faults[None] = object()
-        engine.capture = object()
+        Recorder(engine)  # armed mid-trial, never detached
         camp._post_failure_repair()
         assert len(engine.hooks) == 1 and engine.hooks.has(layer) and engine.hooks.all_observers()
         assert store.array is pristine and store.faulted_array(0, 0, [30]) is not None
         assert (engine.weight_fault_depth, engine.row_weights) == (0, {})
-        assert (engine.kv_faults, engine.acc_faults, engine.capture) == ({}, {}, None)
+        assert (engine.kv_faults, engine.acc_faults) == ({}, {})
 
 
 class TestQuarantine:

@@ -59,7 +59,6 @@ from repro.generation import (
 )
 from repro.generation.round import Admission, decode_to_completion
 from repro.inference import InferenceEngine, PromptCache
-from repro.inference.engine import CaptureState
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
 from repro.obs.instrument import attach_layer_timing
@@ -107,15 +106,6 @@ def _observer(engine):
         detach()
 
 
-@contextmanager
-def _capture(engine):
-    engine.capture = CaptureState()
-    try:
-        yield
-    finally:
-        engine.capture = None
-
-
 def _site(model: FaultModel, layer: str = "blocks.0.up_proj") -> FaultSite:
     bits = (30, 22)[: model.n_bits]
     return FaultSite(model, layer, 1, 2, bits=bits, iteration=1, row_frac=0.5)
@@ -133,7 +123,6 @@ ARM = {
     "acc_fault": lambda e: AccumulatorFaultInjector(
         e, _site(FaultModel.ACC_1BIT)
     ),
-    "capture": _capture,
     "weight_fault": lambda e: MemoryFaultInjector(
         e, _site(FaultModel.MEM_2BIT)
     ),
@@ -151,7 +140,6 @@ GATE_MATRIX = {
     "row_scoped_hooks": ("batched", "batched", "batched"),
     "kv_fault": ("batched", "batched", "batched"),
     "acc_fault": ("batched", "batched", "batched"),
-    "capture": ("serial", "serial", "batched"),
     "weight_fault": ("serial", "serial", "batched"),
     "row_weight_fault": ("batched", "batched", "batched"),
     "unscoped_hooks": ("serial", "serial", "batched"),
@@ -693,14 +681,9 @@ def test_prompt_cache_gate(armed, cache_counters):
     rnd.admit("warm", known, 1)
     assert cache_counters() == {"misses": 1}
     cached = armed in ("clean", "observer_hooks")
-    # Capture belongs to the serial loop: a round's forwards reject it,
-    # its prompt forwards included — after the cache was gone around.
-    raises = pytest.raises(RuntimeError, match="capture")
     with ARM[armed](engine):
-        with raises if armed == "capture" else nullcontext():
-            rnd.admit("lookup", known, 1)
-        with raises if armed == "capture" else nullcontext():
-            rnd.admit("insert", new, 1)
+        rnd.admit("lookup", known, 1)
+        rnd.admit("insert", new, 1)
     assert rnd.pool.n_free == rnd.pool.n_slots
     if cached:
         assert cache_counters() == {"misses": 2, "hits": 1}

@@ -31,6 +31,7 @@ from repro.fi import (
 from repro.fi.campaign import TrialRecord
 from repro.fi.sites import FaultSite
 from repro.generation import GenerationConfig
+from repro.harness.experiments import _router_only
 from repro.inference import InferenceEngine
 from repro.obs import telemetry
 from repro.tasks import MMLUTask, TranslationTask, standardized_subset
@@ -41,7 +42,11 @@ PARENT_BEAM_JOURNALS = Path(__file__).parent / "data"
 """``journal_8a2e640_wmt16_beam_<fault>.jsonl``: six trials of
 ``make_campaign(untrained_store, …, "gen", fault, num_beams=3,
 decode_strategy="serial")`` journalled by the commit whose serial beam
-loop forked ``Session`` objects (its ``git_rev`` header says which)."""
+loop forked ``Session`` objects (its ``git_rev`` header says which).
+``journal_2cd8c04_moe_tracking_<task>_[router_|beam_]<fault>.jsonl``:
+six or eight expert-tracking trials of the MoE campaigns of
+:meth:`TestExecutionEquivalence.test_moe_selection_tracking_matches_the_parent_journal`,
+journalled by the last commit whose engine recorded selections itself."""
 
 
 @pytest.fixture(autouse=True)
@@ -195,6 +200,59 @@ class TestExecutionEquivalence:
         assert (shared > 0) == (model == "dense")
         if model == "moe":
             assert counters.get("campaign.mc_golden.share_refused", 0) == 0
+
+    @pytest.mark.parametrize("strategy", ["serial", "auto"])
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    @pytest.mark.parametrize(
+        "kind,num_beams,fault_model,router_only,n_trials",
+        [
+            ("gen", 1, FaultModel.MEM_2BIT, True, 6),
+            ("gen", 1, FaultModel.COMP_2BIT, False, 6),
+            ("gen", 1, FaultModel.COMP_2BIT, True, 6),
+            ("gen", 3, FaultModel.COMP_2BIT, False, 6),
+            ("mc", 1, FaultModel.MEM_2BIT, False, 6),
+            ("mc", 1, FaultModel.MEM_2BIT, True, 8),
+        ],
+        ids=[
+            "gen-router-mem", "gen-comp", "gen-router-comp", "gen-beam-comp",
+            "mc-mem", "mc-router-mem",
+        ],
+    )
+    def test_moe_selection_tracking_matches_the_parent_journal(
+        self, moe_store, tokenizer, world, kind, num_beams, fault_model,
+        router_only, n_trials, n_workers, strategy,
+    ):
+        """Expert-tracking trials replay the records, ``selection_changed``
+        included, that the engine's own capture channel journalled before
+        every read became an observer hook — ``auto == serial`` alone
+        cannot catch a break both legs share, so both legs replay them.
+        A computational fault on
+        a router changes the choice the record holds only if the
+        recorder reads the router after the injector's hook; trial 7 of
+        the multiple-choice router faults changes the routing of a later
+        option's forward only, which a record kept from the first forward
+        misses.  Beam search records through its batched leg on ``auto``
+        (a recorder is an observer), whose last row is the serial leg's
+        last hypothesis."""
+        kw = dict(track_expert_selection=True, decode_strategy=strategy)
+        if router_only:
+            kw["layer_filter"] = _router_only  # Fig. 15's gate-layer faults
+        camp = make_campaign(
+            moe_store, tokenizer, world, kind, fault_model, num_beams=num_beams, **kw
+        )
+        task = "mmlu" if kind == "mc" else "wmt16"
+        case = ("router_" if router_only else "") + ("beam_" if num_beams > 1 else "")
+        journal = PARENT_BEAM_JOURNALS / (
+            f"journal_2cd8c04_moe_tracking_{task}_{case}{fault_model.value}.jsonl"
+        )
+        header, done, _ = load_checkpoint(journal, camp.fingerprint())
+        assert header["git_rev"].startswith("2cd8c04")
+        assert sorted(done) == list(range(n_trials))
+        assert_records_equal(
+            camp.run(n_trials, n_workers=n_workers),
+            [done[i] for i in range(n_trials)],
+            f"{strategy} on {n_workers} workers", "parent capture",
+        )
 
     def test_moe_selection_tracking_matches_reference(
         self, moe_store, tokenizer, world

@@ -131,10 +131,9 @@ class TestModelEdges:
             d_ff=16, max_seq=16, n_experts=2, top_k=2,
         )
         engine = InferenceEngine(TransformerLM(config, seed=2).to_store())
-        from repro.inference import CaptureState
+        from repro.inference import Recorder
 
-        engine.capture = CaptureState()
-        engine.forward_full([4, 5, 6])
-        top = engine.capture.expert_selections[(0, 0)]
-        engine.capture = None
+        with Recorder(engine) as recorder:
+            engine.forward_full([4, 5, 6])
+        top = recorder.expert_selections[(0, 0)]
         assert set(top.flatten()) == {0, 1}

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from repro.inference import (
-    CaptureState,
     FloatWeightStore,
     InferenceEngine,
     PooledKVCache,
     QuantizedWeightStore,
+    Recorder,
     make_weight_store,
 )
+from repro.inference.engine import select_experts
 from repro.inference.kvcache import KVWrite
 from repro.model import ModelConfig, TransformerLM
 
@@ -199,23 +200,51 @@ class TestHooks:
         assert len(hooks) == 0 and hooks.all_observers()
 
     def test_capture_layers(self, untrained_engine):
-        untrained_engine.capture = CaptureState()
-        untrained_engine.forward_full(TOKENS)
-        outputs = untrained_engine.capture.layer_outputs
-        untrained_engine.capture = None
-        assert "blocks.0.q_proj" in outputs
+        with Recorder(untrained_engine) as recorder:
+            untrained_engine.forward_full(TOKENS)
+        assert len(untrained_engine.hooks) == 0
+        outputs = recorder.layer_outputs
+        assert list(outputs) == untrained_engine.linear_layer_names()
         assert "blocks.1.down_proj" in outputs
         assert outputs["blocks.0.q_proj"].shape == (len(TOKENS), 32)
 
     def test_moe_expert_selection_capture(self, moe_engine):
-        moe_engine.capture = CaptureState()
-        moe_engine.forward_full(TOKENS)
-        selections = moe_engine.capture.expert_selections
-        moe_engine.capture = None
-        assert (0, 0) in selections
+        with Recorder(moe_engine) as recorder:
+            moe_engine.forward_full(TOKENS)
+        selections = recorder.expert_selections
+        assert sorted(selections) == [(0, 0), (0, 1)]
         top = selections[(0, 0)]
         assert top.shape == (len(TOKENS), 2)  # top-2 of 4 experts
         assert top.max() < 4
+
+    def test_recorded_selection_is_the_routing_the_engine_ran(self, moe_store):
+        """Router logits that tie (a zeroed router: every expert scores
+        0) leave the choice to the engine's tie-breaking; the record is
+        :func:`select_experts` of the router's output, token for token
+        in the order it returns, and each expert ran over exactly the
+        tokens the record routes to it."""
+        store = moe_store.copy()
+        for b in range(store.config.n_blocks):
+            store[f"blocks.{b}.router.weight"] = np.zeros_like(
+                store[f"blocks.{b}.router.weight"]
+            )
+        engine = InferenceEngine(store)
+        ran = {}
+
+        def tokens(output, ctx):
+            if ctx.layer.endswith("gate_proj"):
+                ran[ctx.block, int(ctx.layer.split(".")[1])] = len(output)
+
+        detach = engine.hooks.observe(engine.linear_layer_names(), tokens)
+        with Recorder(engine) as recorder:
+            engine.forward_full(TOKENS)
+        detach()
+        for (_, block), top in recorder.expert_selections.items():
+            router = recorder.layer_outputs[f"blocks.{block}.router"]
+            assert not router.any()
+            np.testing.assert_array_equal(top, select_experts(router, 2))
+            for e in range(4):
+                assert ran.get((block, e), 0) == int((top == e).sum())
 
 
 def feed(engine, entry, chunk, caches, start, iteration):
@@ -394,12 +423,6 @@ class TestOneForward:
             engine.forward_chunk_batch([4, 5], [caches], [0], [0])
         with pytest.raises(ValueError, match="cache rows"):
             engine.forward_chunk_batch([[4, 5], [6, 7]], [caches], [0, 0], [0, 0])
-        engine.capture = CaptureState()
-        try:
-            with pytest.raises(RuntimeError, match="capture"):
-                engine.forward_chunk_batch([[4, 5]], [caches], [0], [0])
-        finally:
-            engine.capture = None
         assert [c.length for c in caches] == [0, 0]
 
     @pytest.mark.parametrize("engine_fixture", ["untrained_engine", "moe_engine"])
@@ -465,12 +488,6 @@ class TestOneForward:
             engine.forward_chunk_batch(
                 [[4, 5]], [caches], [0], [0], enter=[None, (1, good)]
             )
-        engine.capture = CaptureState()
-        try:
-            with pytest.raises(RuntimeError, match="capture"):
-                resumed(1, good)
-        finally:
-            engine.capture = None
         assert [c.length for c in caches] == [0] * cfg.n_blocks
 
 
@@ -522,8 +539,7 @@ class TestReadWindow:
         """A hook on a last-block layer (an observer here: layer timing),
         MoE routing and an armed accumulator fault each decline the cut;
         the result is still only the window's positions, the full
-        forward's bits.  (Capture never meets a window: the 1-D entry,
-        the only one that takes capture, takes no ``read_from``.)"""
+        forward's bits."""
         from repro.fi import AccumulatorFaultInjector, FaultModel, FaultSite
 
         engine = moe_engine if observer == "moe" else untrained_engine

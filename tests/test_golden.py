@@ -39,7 +39,7 @@ from repro.generation import (
     greedy_decode,
     score_options,
 )
-from repro.inference import CaptureState, InferenceEngine
+from repro.inference import InferenceEngine, Recorder
 from repro.mitigation import RangeRestrictor
 from repro.obs import flight_recorder, telemetry
 from repro.obs.export import read_run
@@ -913,14 +913,13 @@ class TestReachLimitedOptions:
             prompt, options = camp._token_ids[idx]
             ran = []
             for option in options:
-                engine.capture = CaptureState()
-                engine.forward_full(prompt + option)
+                with Recorder(engine) as recorder:
+                    engine.forward_full(prompt + option)
                 ran.append({
                     (block, int(e))
-                    for (_, block), top in engine.capture.expert_selections.items()
+                    for (_, block), top in recorder.expert_selections.items()
                     for e in np.unique(top)
                 })
-                engine.capture = None
             return ran
 
         cases = []
@@ -951,7 +950,10 @@ class TestReachLimitedOptions:
         "serial": (FaultModel.MEM_2BIT, dict(decode_strategy="serial"), {}),
         "expert-tracking": (
             FaultModel.MEM_2BIT, dict(track_expert_selection=True),
-            {"decode.plan.per_option.capture": 3 + 8},
+            {
+                "decode.plan.per_option.observer_hooks": 3,  # the recorder
+                "decode.plan.per_option.weight_fault": 8,
+            },
         ),
         "flight-recorder": (
             FaultModel.COMP_1BIT, {},

@@ -174,16 +174,15 @@ class TestComputationalInjector:
     def test_single_element_corruption(self, untrained_engine):
         """Exactly one element of the hooked layer output changes."""
         site = _comp_site(bits=(3,))
-        from repro.inference import CaptureState
+        from repro.inference import Recorder
 
-        untrained_engine.capture = CaptureState()
-        untrained_engine.forward_full(TOKENS)
-        clean = untrained_engine.capture.layer_outputs[site.layer_name]
-        untrained_engine.capture = CaptureState()
-        with ComputationalFaultInjector(untrained_engine, site):
+        with Recorder(untrained_engine, [site.layer_name]) as recorder:
             untrained_engine.forward_full(TOKENS)
-        corrupted = untrained_engine.capture.layer_outputs[site.layer_name]
-        untrained_engine.capture = None
+        clean = recorder.layer_outputs[site.layer_name]
+        with ComputationalFaultInjector(untrained_engine, site):
+            with Recorder(untrained_engine, [site.layer_name]) as recorder:
+                untrained_engine.forward_full(TOKENS)
+        corrupted = recorder.layer_outputs[site.layer_name]
         assert (clean != corrupted).sum() <= 1
 
     def test_rejects_memory_model(self, untrained_engine):

@@ -30,7 +30,8 @@ from repro.generation import (
     score_options,
 )
 from repro.generation.round import Admission, DecodeRound, decode_plan, pick
-from repro.inference import CaptureState, InferenceEngine, KVCache, make_weight_store
+from repro.inference import InferenceEngine, KVCache, Recorder, make_weight_store
+from repro.inference.engine import select_experts
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.numerics.formats import flip_value_bits
@@ -144,7 +145,10 @@ def test_property_batched_rows_are_bit_identical_to_serial(
     fault in any linear: pinned to a row (``batch_row``), that row is
     its serial forward under the fault and every other row its clean
     one; unpinned, the struck row is the first whose serial forward, in
-    row order, reaches the layer at the fault's iteration."""
+    row order, reaches the layer at the fault's iteration.  An observer
+    that files each output under its ``batch_row`` reads every row's
+    layer outputs and expert selections, ``array_equal`` to a
+    ``Recorder`` of that row's serial forward."""
     engine = _row_exact_engine(moe)
     rng = np.random.default_rng(seed)
     if shape == "prefill":
@@ -181,26 +185,46 @@ def test_property_batched_rows_are_bit_identical_to_serial(
         )
 
     with armed() if acc == "unpinned" else contextlib.nullcontext() as shared:
-        want, fired = [], []
+        want, fired, read = [], [], []
         for i, (chunk, caches, position, iteration) in enumerate(
             zip(chunks, serial, positions, iterations)
         ):
             with armed() if i == struck else contextlib.nullcontext() as own:
-                want.append(engine.forward(chunk, caches, position, iteration))
+                with Recorder(engine) as recorder:
+                    want.append(engine.forward(chunk, caches, position, iteration))
             fired.append(own is not None and own.fired)
+            read.append(recorder)
+    rows = [types.SimpleNamespace(layer_outputs={}, expert_selections={})
+            for _ in prompts]
+
+    def by_row(output, ctx):
+        row = rows[ctx.batch_row]
+        row.layer_outputs[ctx.full_name] = output.copy()
+        if ctx.layer == "router":
+            row.expert_selections[ctx.iteration, ctx.block] = select_experts(
+                output, engine.config.top_k
+            )
+
     with armed(batch_row=struck) as injector:
+        detach = engine.hooks.observe(engine.linear_layer_names(), by_row)
         if shape == "step":
             got = engine.forward_step_batch(
                 [c[0] for c in chunks], batched, positions, iterations
             )[:, None]
         else:
             got = engine.forward_chunk_batch(chunks, batched, positions, iterations)
-    assert engine.acc_faults == {}
+        detach()
+    assert engine.acc_faults == {} and not engine.hooks
     if site is not None:
         assert injector.fired == (shared.fired if shared else any(fired))
     for row, ref in enumerate(want):
         np.testing.assert_array_equal(got[row], ref)
         assert_caches_equal(batched[row], serial[row])
+        for field in ("layer_outputs", "expert_selections"):
+            own, alone = getattr(rows[row], field), getattr(read[row], field)
+            assert own.keys() == alone.keys()
+            for key, value in own.items():
+                np.testing.assert_array_equal(value, alone[key])
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,15 +438,15 @@ def _noisy(views: list[KVCache], rng) -> list[KVCache]:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.permutations(["hook", "acc", "row_weight", "capture"]), st.data())
+@given(st.permutations(["hook", "acc", "row_weight", "recorder"]), st.data())
 def test_property_every_forward_plans_afresh(surfaces, data):
     """One engine runs forwards back to back — the 1-D, step and chunk
     entries, widths 1-4, t 1-3, rows in a shared pool, in a pool of
     shorter slots or in their own ``new_caches()`` (or no caches), at
     ragged prefixes, some entering above block 0 — and arms one fault
     surface for every other forward, disarming it after: a hook, an
-    accumulator fault, a row-keyed weight copy, capture (on the 1-D
-    entry).  Each forward's logits, K/V and capture equal a fresh
+    accumulator fault, a row-keyed weight copy, a recorder.  Each
+    forward's logits, K/V and recorded layer outputs equal a fresh
     engine's one forward under the same armed state, over caches whose
     unwritten bytes hold other noise: nothing one forward planned —
     whether anything is armed, which rows write where — reaches the
@@ -446,8 +470,7 @@ def test_property_every_forward_plans_afresh(surfaces, data):
     def case(surface):
         """One forward's shape and armed state, drawn."""
         entry = data.draw(st.sampled_from(
-            ["serial"] if surface == "capture"
-            else ["step", "chunk"] if surface == "row_weight"
+            ["step", "chunk"] if surface == "row_weight"
             else ["serial", "step", "chunk"]
         ))
         batch = 1 if entry == "serial" else data.draw(st.integers(1, 4))
@@ -482,9 +505,10 @@ def test_property_every_forward_plans_afresh(surfaces, data):
             iteration=int(rng.integers(0, 3)),
         )
 
-    def armed(eng, c) -> contextlib.ExitStack:
-        """Arm ``c``'s surface on ``eng``; closing the stack disarms it."""
-        stack, surface = contextlib.ExitStack(), c["surface"]
+    def armed(eng, c) -> tuple[contextlib.ExitStack, Recorder | None]:
+        """Arm ``c``'s surface on ``eng``; closing the stack disarms it.
+        The recorder, when that is the surface."""
+        stack, surface, recorder = contextlib.ExitStack(), c["surface"], None
         if surface == "hook":
             def hook(out, ctx):
                 out[:, c["col"]] += np.float32(0.5)
@@ -499,14 +523,13 @@ def test_property_every_forward_plans_afresh(surfaces, data):
             stack.enter_context(MemoryFaultInjector(eng, FaultSite(
                 FaultModel.MEM_2BIT, c["layer"], c["row"], c["col"], bits=(30, 22),
             ), rows=(c["struck"],)))
-        elif surface == "capture":
-            eng.capture = CaptureState()
-            stack.callback(setattr, eng, "capture", None)
-        return stack
+        elif surface == "recorder":
+            recorder = stack.enter_context(Recorder(eng))
+        return stack, recorder
 
     def run(eng, c, pools, fresh):
         """``c``'s forward on ``eng``: its logits, every row's per-block
-        (length, keys, values) and what capture recorded."""
+        (length, keys, values) and what a recorder read."""
         held, rows = [], None
         if not c["cacheless"]:
             rows = []
@@ -522,7 +545,8 @@ def test_property_every_forward_plans_afresh(surfaces, data):
                     cache.restore((k, v, k.shape[1]))
                 rows.append(caches)
         tokens, lengths, its = c["tokens"], c["lengths"], c["iterations"]
-        with armed(eng, c):
+        stack, recorder = armed(eng, c)
+        with stack:
             if c["entry"] == "serial":
                 logits = eng.forward(
                     tokens[0], None if rows is None else rows[0], lengths[0], its[0]
@@ -535,14 +559,13 @@ def test_property_every_forward_plans_afresh(surfaces, data):
                 logits = eng.forward_chunk_batch(
                     tokens, rows, lengths, its, enter=c["enter"]
                 )
-            captured = None if eng.capture is None else eng.capture.layer_outputs
         kv = [
             [(cache.length, cache.keys().copy(), cache.values().copy()) for cache in own]
             for own in rows or ()
         ]
         for pool, slot in held:
             pool.release(slot)
-        return logits, kv, captured
+        return logits, kv, recorder and recorder.layer_outputs
 
     for surface in [s for armed_one in surfaces for s in (None, armed_one)]:
         c = case(surface)
@@ -558,7 +581,7 @@ def test_property_every_forward_plans_afresh(surfaces, data):
                 _noisy(pool.caches(slot), other)
         want = run(reference, c, pools, other)
         assert engine.hooks.all_row_scoped() and not engine.hooks
-        assert not (engine.acc_faults or engine.row_weights or engine.capture)
+        assert not (engine.acc_faults or engine.row_weights)
         np.testing.assert_array_equal(got[0], want[0])
         assert len(got[1]) == len(want[1])
         for own, ref in zip(got[1], want[1]):

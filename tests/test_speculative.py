@@ -17,8 +17,7 @@ from repro.generation import (
     decode_plan,
     greedy_decode,
 )
-from repro.inference import InferenceEngine
-from repro.inference.engine import CaptureState
+from repro.inference import InferenceEngine, Recorder
 from repro.model import ModelConfig, TransformerLM
 from repro.obs import telemetry
 from repro.zoo import ZOO, draft_for
@@ -170,9 +169,12 @@ class TestConstructionAndGate:
                 "batched", "row_scoped_hooks"
             )
         assert decode_plan(untrained_engine, draft_engine)[0] == "composed"
-        untrained_engine.capture = CaptureState()
-        assert decode_plan(untrained_engine, draft_engine)[0] == "serial"
-        untrained_engine.capture = None
+        # A recorder is an observer, so the gate reads it as one; its
+        # records match the serial loop only off speculation.
+        with Recorder(untrained_engine):
+            assert decode_plan(untrained_engine, draft_engine)[1] == (
+                "observer_hooks"
+            )
         draft_engine.weight_fault_depth = 1
         assert decode_plan(untrained_engine, draft_engine) == (
             "batched", "draft_weight_fault"

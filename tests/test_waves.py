@@ -45,7 +45,7 @@ from repro.fi.campaign import _DECODE_BATCH
 from repro.fi.injector import ComputationalFaultInjector, KVFaultInjector
 from repro.generation import GenerationConfig, greedy_decode
 from repro.generation.round import DecodeRound
-from repro.inference import CaptureState, InferenceEngine
+from repro.inference import InferenceEngine, Recorder
 from repro.obs import flight_recorder, telemetry
 from repro.tasks import (
     ARCTask,
@@ -1172,14 +1172,13 @@ class TestEveryRowKeyableFaultIsAWave:
         for idx, (prompt, options) in enumerate(probe._token_ids):
             ran = []
             for option in options:
-                engine.capture = CaptureState()
-                engine.forward_full(prompt + option)
+                with Recorder(engine) as recorder:
+                    engine.forward_full(prompt + option)
                 ran.append({
                     (block, int(e))
-                    for (_, block), top in engine.capture.expert_selections.items()
+                    for (_, block), top in recorder.expert_selections.items()
                     for e in np.unique(top)
                 })
-                engine.capture = None
             for block, expert in sorted(set().union(*ran[1:]) - ran[0])[:1]:
                 later[idx] = f"blocks.{block}.experts.{expert}.down_proj"
         assert len(later) > 1, "too few examples route an expert from a later option only"
