@@ -1,0 +1,217 @@
+"""Paired, in-process A/B timing of the inference engine: a base
+revision against the working tree's ``src``.
+
+Both trees' ``repro`` packages are imported into one process, each under
+its own module objects, together with a second copy of the working tree
+as the A/A control.  Every probe is then run on every tree in an order
+shuffled each rep, after a warm-up per setting (a setting is one probe
+on one tree), so drift in the host hits all of them alike.  One process
+and alternation is what resolves a change of a few percent to a decode
+step: between ledger runs of one commit the per-layer probes spread
+1.5-1.8x.
+
+Probes, on the ledger's ``qwenlike-base`` (fp32, read from
+``$REPRO_ARTIFACTS``, default ``benchmarks/ledger/cache``; a cold cache
+trains the model first, minutes):
+
+* ``step1`` .. ``step16`` — one ``forward_step_batch`` decode step at
+  width 1, 2, 4, 8 and 16, each row over its own cached prefix (20, 23,
+  26, ... tokens), rewound before every step so every step is the same;
+* ``prompt32`` — a 32-token 1-D ``forward`` into one row's caches;
+* ``chunk4`` — a cache-less 4-row, 30-token ``forward_chunk_batch``
+  with a 4-position read window (option scoring's shape).
+
+Output is one JSON object.  Per probe: the median operation time of
+each tree (``us``); ``ratio``, the median over reps of the change's
+time over the base's (below 1: the change is faster); ``aa``, the same
+median for the change over its control copy; ``aa_spread``, the band a
+median A/A ratio falls in — five standard errors of a median, from the
+reps' spread of the A/A ratio (their median absolute deviation), and
+never narrower than 2 % either way (A/A medians spread 0.987-1.011
+between runs on one 2-vCPU host); ``faster``, the reps in which the
+change beat the base; and ``resolved``, whether ``ratio`` falls outside
+``aa_spread``.  A ratio inside the spread cannot be told from noise,
+and one outside it by a few percent at widths 1-2 is worth a re-run
+with the roles swapped: an A/A/A run read 0.982.  Run as a command,
+BLAS runs on one thread, as in the ledger.  The end-to-end claim stays
+the ledger's: alternated parent/change pairs of
+``benchmarks/ledger/run.py``.
+
+The base revision is materialised with ``git archive`` under a
+temporary directory, removed afterwards; nothing is fetched.
+
+Usage::
+
+    python scripts/ab.py --base HEAD~1 [--reps 30] [--iters 20] \\
+        [--probes step1,step8,prompt32]
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import json
+import math
+import os
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBES = ("step1", "step2", "step4", "step8", "step16", "prompt32", "chunk4")
+TREES = ("base", "change", "control")
+
+
+def load(src: str | Path):
+    """``src``'s ``repro.inference``, under module objects of its own:
+    every ``repro`` module already imported is set aside for the import
+    and put back after it."""
+    saved = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "repro"}
+    for name in saved:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        return importlib.import_module("repro.inference")
+    finally:
+        sys.path.remove(str(src))
+        for name in [k for k in sys.modules if k.split(".")[0] == "repro"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def setting(probe: str, engine):
+    """One probe on one tree's ``engine``: a callable that runs one
+    operation, the same one every call."""
+    cfg = engine.config
+
+    def ids(n: int, offset: int = 0) -> list[int]:
+        return [1 + (offset + i) % (cfg.vocab_size - 1) for i in range(n)]
+
+    if probe.startswith("step"):
+        width = int(probe[len("step"):])
+        pool = engine.new_pool(width)
+        rows = [pool.caches(pool.acquire()) for _ in range(width)]
+        lengths = [min(20 + 3 * i, cfg.max_seq - 1) for i in range(width)]
+        for caches, n in zip(rows, lengths):
+            engine.forward(ids(n), caches, 0, 0)
+        tokens, iterations = [3] * width, [1] * width
+
+        def step() -> None:
+            for caches, n in zip(rows, lengths):
+                for cache in caches:
+                    cache.length = n
+            engine.forward_step_batch(tokens, rows, lengths, iterations)
+
+        return step
+    if probe == "prompt32":
+        caches, tokens = engine.new_caches(), ids(32)
+
+        def prompt() -> None:
+            for cache in caches:
+                cache.length = 0
+            engine.forward(tokens, caches, 0, 0)
+
+        return prompt
+    if probe == "chunk4":
+        chunk = [ids(30, offset=7 * row) for row in range(4)]
+        return lambda: engine.forward_chunk_batch(
+            chunk, None, [0] * 4, [0] * 4, read_from=26
+        )
+    raise ValueError(f"unknown probe {probe!r}; known: {', '.join(PROBES)}")
+
+
+def measure(
+    srcs: dict[str, str | Path],
+    store,
+    probes=PROBES,
+    reps: int = 30,
+    iters: int = 20,
+    warmup: int = 5,
+    seed: int = 0,
+) -> dict:
+    """Time every probe on the ``base`` and ``change`` trees of ``srcs``
+    and on a second load of ``change``, the control; returns the
+    per-probe summary the module docstring describes."""
+    mods = {name: load(srcs["change" if name == "control" else name]) for name in TREES}
+    engines = {name: mod.InferenceEngine(store) for name, mod in mods.items()}
+    runs = {(p, name): setting(p, engines[name]) for p in probes for name in TREES}
+    order = list(runs)
+    shuffle = random.Random(seed).shuffle
+    shuffle(order)
+    for key in order:  # a warm-up per setting
+        for _ in range(warmup):
+            runs[key]()
+    times: dict[tuple, list[float]] = {key: [] for key in runs}
+    for _ in range(reps):
+        shuffle(order)
+        for key in order:
+            run, laps = runs[key], []
+            for _ in range(iters):
+                t0 = time.perf_counter()
+                run()
+                laps.append(time.perf_counter() - t0)
+            times[key].append(statistics.median(laps))
+    median = statistics.median
+    summary = {}
+    for p in probes:
+        base, change, control = (times[p, name] for name in TREES)
+        ratio = median(c / b for c, b in zip(change, base))
+        aa = [math.log(c / a) for c, a in zip(change, control)]
+        centre = median(aa)
+        sigma = 1.4826 * median(abs(r - centre) for r in aa)  # one rep's
+        wide = math.exp(max(5 * 1.2533 * sigma / math.sqrt(reps), math.log(1.02)))
+        ratio, low, high = round(ratio, 4), round(1 / wide, 4), round(wide, 4)
+        summary[p] = {
+            "us": {name: round(median(times[p, name]) * 1e6, 2) for name in TREES},
+            "ratio": ratio,
+            "aa": round(math.exp(centre), 4),
+            "aa_spread": [low, high],
+            "faster": sum(c < b for c, b in zip(change, base)),
+            "resolved": not low <= ratio <= high,
+        }
+    return {"reps": reps, "iters": iters, "probes": summary}
+
+
+def materialise(rev: str, into: Path) -> Path:
+    """``rev``'s tree, extracted from ``git archive`` under ``into``;
+    returns its ``src``."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+def main(argv: list[str] | None = None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--reps", type=int, default=30)
+    parser.add_argument("--iters", type=int, default=20, help="timed operations per rep")
+    parser.add_argument("--probes", default=",".join(PROBES))
+    args = parser.parse_args(argv)
+    # One BLAS thread, as in the ledger: set before anything loads NumPy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("REPRO_ARTIFACTS", str(ROOT / "benchmarks/ledger/cache"))
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.zoo import load_model
+
+    store = load_model("qwenlike-base", verbose=False)
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+        srcs = {"base": materialise(args.base, Path(tmp)), "change": ROOT / "src"}
+        result = measure(
+            srcs, store, args.probes.split(","), reps=args.reps, iters=args.iters
+        )
+    result = {"base": args.base, "model": "qwenlike-base", **result}
+    print(json.dumps(result, indent=1))
+    return result
+
+
+if __name__ == "__main__":
+    main()

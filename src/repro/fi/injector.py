@@ -65,7 +65,7 @@ class MemoryFaultInjector:
     ``W'`` to those batch row ids instead: it is registered for ``rows``
     in ``engine.row_weights``, where the batched entries read it for
     those rows alone
-    (:meth:`~repro.inference.engine.InferenceEngine._linear`), and exit
+    (:meth:`~repro.inference.engine.InferenceEngine._surfaces`), and exit
     unregisters it.  Several trials' faults then share one forward, each
     on its own rows.  A row carries at most one fault per layer, and a
     layer with ``W'`` swapped in takes no second fault.

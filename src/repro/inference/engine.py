@@ -36,6 +36,15 @@ a vectorised, allocation-light forward pass over a trained
   ``_Layer``, built with the engine) holds every linear's full name and
   weight store, so with nothing armed a linear is its product alone and
   the block loop only computes;
+* **one product per block input** — q, k and v are one row-exact
+  product with the block's ``qkv`` (their pristine compute arrays side
+  by side, built with the engine), each member's fault surfaces acting
+  on its own columns (a swapped-in compute array recomputes them), and
+  q and k rotate in one RoPE call.  A read window splits it in two
+  column ranges of the same ``qkv``: q over the window's positions, k
+  and v over every position.  Each output element is one reduction
+  over ``d_model`` in the same order whatever columns share the
+  product, so every column is its member's own product's bits;
 * **reading only what is read** — a scoring forward that no step
   continues keeps no K/V (``row_caches=None``), and ``read_from=k``
   computes logits for positions ``>= k`` only: the final norm and
@@ -98,25 +107,58 @@ def _tail(a: np.ndarray, batch: int, start: int) -> np.ndarray:
     return a.reshape(batch, -1, *rest)[:, start:].reshape(-1, *rest)
 
 
+def _product(
+    x: np.ndarray, w: np.ndarray, rows: np.ndarray | None, t: int
+) -> np.ndarray:
+    """The row-exact ``x @ w`` over flat ``(N, D)`` input: one GEMM on
+    the serial entry (``rows`` ``None``) or for a lone sequence (``N ==
+    t``); one product per sequence, issued from a single stacked matmul,
+    when every row has ``t`` tokens; one per run of equal row id when
+    ``t == 0``.  A product's bits are those of each sequence's own ``(t,
+    D) @ w``, whatever else is in the batch — and, column by column,
+    whatever other columns ``w`` has: each output element is one
+    reduction over ``D`` in the same order."""
+    if rows is None or len(x) == t:
+        return x @ w
+    if t:
+        return (x.reshape(-1, t, x.shape[1]) @ w).reshape(len(x), -1)
+    return np.concatenate([x[start:stop] @ w for start, stop in _runs(rows, 0)])
+
+
+def _rope(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary position embedding of ``a`` over its last axis (the head
+    dimension), by the tables ``cos`` / ``sin`` broadcast against it."""
+    half = a.shape[-1] // 2
+    return a * cos + np.concatenate([-a[..., half:], a[..., :half]], axis=-1) * sin
+
+
 class _Layer:
     """One faultable linear of the layer table: its block, its name in
-    the block, its full name and its weight store, so a call formats and
-    looks up nothing."""
+    the block, its full name, its weight store and the store's pristine
+    compute array (what :attr:`WeightStore.array` is unless a faulted
+    copy is swapped in), so a call formats and looks up nothing."""
 
-    __slots__ = ("block", "name", "full", "store")
+    __slots__ = ("block", "name", "full", "store", "pristine")
 
     def __init__(self, block: int, name: str, stores: dict) -> None:
         self.block, self.name = block, name
         self.full = f"blocks.{block}.{name}"
         self.store: WeightStore = stores[self.full]
+        self.pristine: np.ndarray = self.store.planes()["array"]
 
 
 class _Block:
     """One block of the layer table: its norm gains and its linears —
     ``attn`` (q, k, v, out) and either ``mlp`` (gate, up, down) or a
-    ``router`` and one such triple per expert."""
+    ``router`` and one such triple per expert — and ``qkv``, the
+    ``(d_model, 3·d_model)`` column concatenation of q, k and v's
+    pristine compute arrays, the one product the block's attention
+    input goes through (:meth:`InferenceEngine._qkv`; a read window
+    takes q's columns over its positions and k's and v's over all)."""
 
-    __slots__ = ("index", "attn_norm", "mlp_norm", "attn", "mlp", "router", "experts")
+    __slots__ = (
+        "index", "attn_norm", "mlp_norm", "attn", "qkv", "mlp", "router", "experts",
+    )
 
     def __init__(self, config: ModelConfig, b: int, stores: dict, plain: dict) -> None:
         self.index = b
@@ -133,6 +175,7 @@ class _Block:
             _Layer(b, name, stores)
             for name in ("q_proj", "k_proj", "v_proj", "out_proj")
         )
+        self.qkv = np.concatenate([layer.pristine for layer in self.attn[:3]], axis=1)
         self.mlp = self.router = None
         self.experts: list[tuple] = []
         if config.is_moe:
@@ -146,9 +189,11 @@ class _Plan:
     """What one forward decides once and every block it runs reads.
 
     * ``armed`` — whether anything rides on a linear's output: a hook,
-      an accumulator fault or a row-keyed weight copy.  Without
-      it :meth:`InferenceEngine._linear` is the product alone; with it,
-      the layer table's full names key every check.  ``kv`` — whether a
+      an accumulator fault or a row-keyed weight copy.  Without it a
+      linear is its product alone (:meth:`InferenceEngine._linear`, and
+      q, k and v's shared product, :meth:`InferenceEngine._qkv`); with
+      it, :meth:`InferenceEngine._surfaces` runs on each output, the
+      layer table's full names keying every check.  ``kv`` — whether a
       KV fault waits on the appends.
     * The rows a block computes — rows are ordered by entry, so a prefix
       of the batch, re-taken (:meth:`take`) at each block where rows
@@ -301,15 +346,15 @@ class InferenceEngine:
         """Weight faults keyed by batch row, not swapped in engine-wide:
         layer name -> ``{row id: faulted copy of its compute array}``.
         Maintained by ``MemoryFaultInjector(rows=)``; on the batched
-        entries :meth:`_linear` runs a registered row's product against
-        its own copy."""
+        entries :meth:`_surfaces` recomputes a registered row's product
+        against its own copy."""
         self.kv_faults: dict = {}
         """Armed :class:`~repro.fi.injector.KVFaultInjector` by the row id
         it strikes (``None``: unpinned, any row and the 1-D entry), handed
         its row's appends by :meth:`_attention`."""
         self.acc_faults: dict = {}
         """Armed :class:`~repro.fi.injector.AccumulatorFaultInjector`,
-        keyed the same way, handed every GEMM's output by :meth:`_linear`."""
+        keyed the same way, handed every GEMM's output by :meth:`_surfaces`."""
         for store in self._stores.values():
             store.swap(store.planes()["array"])
 
@@ -340,10 +385,11 @@ class InferenceEngine:
         t: int = 0,
     ) -> np.ndarray:
         """One faultable linear layer (a row of the layer table) over
-        flat ``(N, D)`` input, then the fault surfaces that ride on its
-        output (accumulator strike, hooks) — only when the
-        forward's plan found something ``armed``; otherwise the product
-        is all there is.
+        flat ``(N, D)`` input: its row-exact product (:func:`_product`)
+        with the store's compute array, then, only when the forward's
+        plan found something ``armed``, the fault surfaces that ride on
+        its output (:meth:`_surfaces`); otherwise the product is all
+        there is.
 
         ``rows`` is ``None`` on the serial entry: one GEMM over every
         token.  On the batched entries it carries the id of the batch
@@ -355,62 +401,102 @@ class InferenceEngine:
         single stacked NumPy matmul when every row has ``t`` tokens (a
         batch of one is that product, unstacked: a server's prompt
         forward), or one product per run of equal row id when ``t == 0``
-        (an MoE expert's ragged subset).  An armed accumulator fault
-        strikes its sampled reduction in its row's run of tokens, before
-        any hook sees the output (a ranger on the layer clamps the
-        strike), and hooks run once per
-        sequence on that sequence's contiguous ``(t, features)`` token
-        slice — the exact serial shape — with
-        :attr:`HookContext.batch_row` identifying the sequence, so a
-        row-scoped fault strikes exactly one sequence of the batch.
+        (an MoE expert's ragged subset).  q, k and v do not come here:
+        :meth:`_attention` runs their one shared product and each one's
+        surfaces on its own columns.
+        """
+        output = _product(x, layer.store.array, rows, t)
+        if armed:
+            self._surfaces(output, x, layer, iteration, rows, t)
+        return output
+
+    def _surfaces(
+        self,
+        output: np.ndarray,
+        x: np.ndarray,
+        layer: _Layer,
+        iteration,
+        rows: np.ndarray | None,
+        t: int,
+    ) -> None:
+        """The fault surfaces of one linear, on its ``(N, features)``
+        output (a whole array, or q, k or v's columns of the shared
+        product) for input ``x``, in place and in this order.
 
         A row with a weight fault keyed to its id (:attr:`row_weights`)
-        runs its product against its own faulted copy ``W'`` instead:
+        has its run recomputed against its own faulted copy ``W'``:
         ``x[row] @ W'``, the shape and BLAS call of its product in the
         stacked matmul, which is what the serial forward of that row
-        runs with ``W'`` swapped into the store.  Every other row
-        reads the pristine ``W``.
+        runs with ``W'`` swapped into the store.  Every other row keeps
+        the store's ``W``.  An armed accumulator fault then strikes its
+        sampled reduction in its row's run of tokens, before any hook
+        sees the output (a ranger on the layer clamps the strike), and
+        hooks run once per sequence on that sequence's ``(t, features)``
+        token slice — the exact serial shape — with
+        :attr:`HookContext.batch_row` identifying the sequence, so a
+        row-scoped fault strikes exactly one sequence of the batch.  An
+        array a hook returns is written back into ``output``.
         """
-        w = layer.store.array
         full = layer.full
-        faulted = self.row_weights.get(full) if armed and rows is not None else None
-        if rows is None:
-            output = x @ w
-        elif t:
-            output = (
-                x @ w if len(x) == t  # one sequence: the serial product
-                else (x.reshape(-1, t, x.shape[1]) @ w).reshape(x.shape[0], -1)
-            )
-            if faulted:
-                for start in range(0, len(rows), t):
-                    own = faulted.get(int(rows[start]))
-                    if own is not None:
-                        output[start : start + t] = x[start : start + t] @ own
-        else:
-            output = np.concatenate([
-                x[start:stop] @ (faulted.get(int(rows[start]), w) if faulted else w)
-                for start, stop in _runs(rows, 0)
-            ])
-        if not armed:
-            return output
+        faulted = None if rows is None else self.row_weights.get(full)
+        if faulted:
+            for start, stop in _runs(rows, t):
+                own = faulted.get(int(rows[start]))
+                if own is not None:
+                    output[start:stop] = x[start:stop] @ own
         for fault in self.acc_faults.values():
-            fault.maybe_strike(output, x, w, full, iteration, rows)
-        if self.hooks.has(full):
-            if rows is None:
-                output = self.hooks.apply(
-                    output, HookContext(layer.block, layer.name, iteration, full)
-                )
-            else:
-                for start, stop in _runs(rows, t):
-                    view = output[start:stop]
-                    ctx = HookContext(
-                        layer.block, layer.name, int(iteration[start]), full,
-                        batch_row=int(rows[start]),
-                    )
-                    result = self.hooks.apply(view, ctx)
-                    if result is not view:
-                        output[start:stop] = result
-        return output
+            fault.maybe_strike(output, x, layer.store.array, full, iteration, rows)
+        if not self.hooks.has(full):
+            return
+        if rows is None:
+            result = self.hooks.apply(
+                output, HookContext(layer.block, layer.name, iteration, full)
+            )
+            if result is not output:
+                output[...] = result
+            return
+        for start, stop in _runs(rows, t):
+            view = output[start:stop]
+            ctx = HookContext(
+                layer.block, layer.name, int(iteration[start]), full,
+                batch_row=int(rows[start]),
+            )
+            result = self.hooks.apply(view, ctx)
+            if result is not view:
+                output[start:stop] = result
+
+    def _qkv(
+        self,
+        x: np.ndarray,
+        layers: _Block,
+        armed: bool,
+        iteration,
+        rows: np.ndarray | None,
+        t: int,
+        first: int = 0,
+        stop: int = 3,
+    ) -> np.ndarray:
+        """Members ``first .. stop - 1`` of a block's (q, k, v) over flat
+        ``(N, D)`` input as one ``(N, (stop - first)·D)`` array: one
+        row-exact product with their columns of the block's ``qkv``
+        (:func:`_product`), then, in q, k, v order, each member's own
+        columns — recomputed from its store's compute array when a
+        faulted copy is swapped in, then its surfaces (:meth:`_surfaces`)
+        when the plan found something ``armed``.  Column by column the
+        bits are each member's own :meth:`_linear`."""
+        d = self.config.d_model
+        w = layers.qkv if stop - first == 3 else layers.qkv[:, first * d : stop * d]
+        out = _product(x, w, rows, t)
+        for j, layer in enumerate(layers.attn[first:stop]):
+            w = layer.store.array
+            if w is layer.pristine and not armed:
+                continue
+            own = out[:, j * d : (j + 1) * d]
+            if w is not layer.pristine:
+                own[...] = _product(x, w, rows, t)
+            if armed:
+                self._surfaces(own, x, layer, iteration, rows, t)
+        return out
 
     def _attention(
         self,
@@ -425,8 +511,11 @@ class InferenceEngine:
         the ``B`` rows the ``plan`` has taken, whose RoPE tables
         (``(B, 1, t, hd)``), mask, K/V write and lengths it holds.
 
-        Projections and RoPE are shared :meth:`_linear` calls /
-        broadcasts.  The block's new K/V lands in every row's
+        q, k and v are one shared product (:meth:`_qkv`), and q and k
+        rotate in one RoPE broadcast over its ``(B, 2·heads, t, hd)``
+        view; under a read window q is its own product over the window's
+        positions (q's columns of ``qkv``) and rotates apart.  The
+        block's new K/V lands in every row's
         ``plan.row_caches[i][block]`` at that view's own length, by the
         plan's :class:`~repro.inference.kvcache.KVWrite` (a basic slice
         for a row alone in its arena, one fancy-index assignment per
@@ -456,10 +545,11 @@ class InferenceEngine:
         fault is armed, or there is no cache) run both GEMMs as one stacked
         product over ``(B, heads, t, t)``: NumPy issues the per-(row,
         head) GEMM the row's own forward issues, with the same shapes.
-        Equal lengths — one row included — need no pad and sum in one
-        reduction along the same contiguous axis.  Ragged rows issue
-        their GEMMs and sums per row: a padded sum regroups (it differed
-        in 173 of 300 random shapes), and so do padded GEMMs.
+        Equal lengths need no pad and sum in one reduction along the same
+        contiguous axis; a lone row issues its two products straight, with
+        no score block to fill.  Ragged rows issue their GEMMs and sums
+        per row: a padded sum regroups (it differed in 173 of 300 random
+        shapes), and so do padded GEMMs.
 
         ``q_from = k`` queries from positions ``>= k`` of each row only
         (K/V still cover every position) and returns those positions'
@@ -468,33 +558,30 @@ class InferenceEngine:
         :meth:`forward_chunk_batch`).
         """
         cfg = self.config
-        heads, hd = cfg.n_heads, cfg.head_dim
+        heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
         block, armed, t = layers.index, plan.armed, plan.t
         lengths, width = plan.lengths, plan.width
         batch = len(lengths)
-        cos, sin, hide = plan.cos, plan.sin, plan.hide
-        half = hd // 2
-
-        def rot(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-            rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
-            return a * cos + rotated * sin
-
-        # (B*t, D) -> (B, heads, t, hd); the queries over the read window.
-        n = t - q_from
-        x_q, it_q, rows_q, cos_q, sin_q = x, iteration, rows, cos, sin
+        cos, sin = plan.cos, plan.sin
+        n, it_q, rows_q, hide = t - q_from, iteration, rows, plan.hide
         if q_from:
+            # The read window: queries from its positions alone, K/V from
+            # every position.
             x_q = _tail(x, batch, q_from)
             it_q, rows_q = _tail(iteration, batch, q_from), _tail(rows, batch, q_from)
-            cos_q, sin_q = cos[:, :, q_from:], sin[:, :, q_from:]
             hide = hide[:, :, q_from:]
-        split = (batch, t, heads, hd)
-        q_proj, k_proj, v_proj, out_proj = layers.attn
-        q = self._linear(x_q, q_proj, armed, it_q, rows_q, n)
-        k = self._linear(x, k_proj, armed, iteration, rows, t)
-        v = self._linear(x, v_proj, armed, iteration, rows, t)
-        q = rot(q.reshape(batch, n, heads, hd).swapaxes(1, 2), cos_q, sin_q)
-        k = rot(k.reshape(split).swapaxes(1, 2), cos, sin)
-        v = v.reshape(split).swapaxes(1, 2)
+            q = self._qkv(x_q, layers, armed, it_q, rows_q, n, 0, 1)
+            q = q.reshape(batch, n, heads, hd).swapaxes(1, 2)
+            q = _rope(q, cos[:, :, q_from:], sin[:, :, q_from:])
+            kv = self._qkv(x, layers, armed, iteration, rows, t, 1, 3)
+            kv = kv.reshape(batch, t, 2 * heads, hd).swapaxes(1, 2)
+            k, v = _rope(kv[:, :heads], cos, sin), kv[:, heads:]
+        else:
+            # (B*t, 3D) -> (B, 3·heads, t, hd); q and k rotate in one call.
+            split = self._qkv(x, layers, armed, iteration, rows, t)
+            split = split.reshape(batch, t, 3 * heads, hd).swapaxes(1, 2)
+            qk = _rope(split[:, : 2 * heads], cos, sin)
+            q, k, v = qk[:, :heads], qk[:, heads:], split[:, 2 * heads :]
         caches = None
         if plan.write is not None:
             caches = [own[block] for own in plan.row_caches]
@@ -515,6 +602,10 @@ class InferenceEngine:
                     fault.on_append(block, own, it)
         if plan.fresh:
             scores = q @ k.swapaxes(-1, -2)
+        elif batch == 1:
+            # A lone row: its two products straight, nothing to pad.
+            keys, values = caches[0].k[:, :width], caches[0].v[:, :width]
+            scores = q @ keys.swapaxes(-1, -2)
         else:
             shape = (batch, heads, n, width)
             scores = (
@@ -542,13 +633,15 @@ class InferenceEngine:
         scores /= total
         if plan.fresh:
             ctx = scores @ v
+        elif batch == 1:
+            ctx = scores @ values
         else:
             ctx = np.empty((batch, heads, n, hd), dtype=np.float32)
             for i, (cache, length) in enumerate(zip(caches, lengths)):
                 np.matmul(scores[i, :, :, :length], cache.v[:, :length], out=ctx[i])
         return self._linear(
-            ctx.swapaxes(1, 2).reshape(batch * n, cfg.d_model),
-            out_proj, armed, it_q, rows_q, n,
+            ctx.swapaxes(1, 2).reshape(batch * n, d), layers.attn[3], armed, it_q,
+            rows_q, n,
         )
 
     def _mlp(
@@ -780,7 +873,7 @@ class InferenceEngine:
             if rows is None:
                 logits = x @ head
             else:
-                # Row-exact like every _linear: one product per sequence.
+                # Row-exact like every linear: one product per sequence.
                 logits = (x.reshape(batch, -1, x.shape[1]) @ head).reshape(len(x), -1)
                 if order is not None:
                     logits = logits.reshape(batch, -1, logits.shape[1])[
@@ -845,7 +938,7 @@ class InferenceEngine:
         logits and appended K/V are bit-identical to its serial step at
         any width**, and fault hooks observe identical tensors.
 
-        Hooks are applied per row (see :meth:`_linear`) with
+        Hooks are applied per row (see :meth:`_surfaces`) with
         :attr:`HookContext.batch_row` set to ``row_ids[i]`` — distinct
         ints, default ``arange(B)``.  A caller whose rows come and go
         between steps passes ids that stay with the sequence, so a hook
@@ -942,12 +1035,12 @@ class InferenceEngine:
         block (no hook on any of its layers, no accumulator fault, a
         dense model) that block,
         too, computes queries, attention, ``out_proj`` and the MLP on
-        the window only — K/V still over every position.  Both are exact: a GEMM row does not
-        depend on which other rows share the product, as long as at
-        least two do (one row runs through gemv, a different kernel), so
-        a window shorter than two positions raises ``ValueError``.  An
-        MoE last block always runs whole: an expert's share of a window
-        can be one token.
+        the window only — K/V still over every position.  Both are
+        exact: a GEMM row does not depend on which other rows share the
+        product, as long as at least two do (one row runs through gemv,
+        a different kernel), so a window shorter than two positions
+        raises ``ValueError``.  An MoE last block always runs whole: an
+        expert's share of a window can be one token.
 
         Returns logits of shape ``(B, t - read_from, vocab)``.
         """

@@ -32,8 +32,8 @@ class HookContext:
     ``batch_row`` is ``None``.  On the batched entries
     (:meth:`InferenceEngine.forward_step_batch`, ``t == 1``, and
     :meth:`InferenceEngine.forward_chunk_batch`) hooks are applied once
-    per batch row, each invocation receiving that row's contiguous
-    ``(t, features)`` token slice — exactly the serial shape — with
+    per batch row, each invocation receiving that row's ``(t,
+    features)`` token slice — exactly the serial shape — with
     ``batch_row`` set to the row's id and ``iteration`` to the row's
     own generation-iteration count (an ``int``; MoE router and expert
     hooks included, each seeing only that row's routed tokens).  The id
@@ -43,6 +43,14 @@ class HookContext:
     retire around it.  A hook that targets one sequence of a batch can
     therefore filter on ``batch_row`` (the continuous-batching FI
     gate).  No entry hands a hook more than one sequence.
+
+    The array a hook gets is a view of the engine's output, and on
+    ``q_proj``, ``k_proj`` and ``v_proj`` a strided one, on every entry:
+    that layer's columns of the block's one shared q/k/v product.  A
+    hook that edits in place must write through the view itself (by
+    indexing, or ``out=``): ``reshape(-1)`` or ``ravel()`` of a strided
+    view is a copy, and an edit made there is lost.  A hook may instead
+    return a new array, which the engine writes back into the view.
     """
 
     block: int

@@ -6,6 +6,11 @@ measurement sees exactly the layer boundaries the study injects at.
 Each hook observes the wall time from the previous layer's output (or
 the start of the forward, whichever is later) to its own output; the
 deltas tile the forward pass, so summed layer times ≈ forward time.
+
+q, k and v are one product per block, their hooks run one after
+another on its columns: ``q_proj``'s delta carries the attention norm
+and the whole shared product, and ``k_proj``'s and ``v_proj``'s read
+about 0.  Read the three as one bucket.
 """
 
 from __future__ import annotations

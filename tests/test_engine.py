@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.inference import (
     Recorder,
     make_weight_store,
 )
+from repro.inference import engine as engine_module
 from repro.inference.engine import select_experts
 from repro.inference.kvcache import KVWrite
 from repro.model import ModelConfig, TransformerLM
@@ -493,19 +495,33 @@ class TestOneForward:
 
 def rows_seen(engine, run):
     """``run()``'s result and, per linear layer, how many rows its first
-    product of the forward was over."""
+    product of the forward computed it over — for q, k and v, the rows
+    of the product over their columns of the block's ``qkv``."""
+    d = engine.config.d_model
+    names: dict[int, list[str]] = {}
+    blocks = {id(block.qkv): block for block in engine._table}
+    for block in engine._table:
+        router = () if block.router is None else (block.router,)
+        others = (block.attn[3], *(block.mlp or ()), *router, *sum(block.experts, ()))
+        for layer in others:
+            names[id(layer.pristine)] = [layer.full]
     seen: dict[str, int] = {}
-    linear = engine._linear
+    product = engine_module._product
 
-    def spy(x, layer, *args, **kw):
-        seen.setdefault(layer.full, x.shape[0])
-        return linear(x, layer, *args, **kw)
+    def spy(x, w, rows, t):
+        block = blocks.get(id(w if w.base is None else w.base))
+        if block is None:
+            layers = names.get(id(w), ())
+        else:  # a column slice of the block's qkv: which members
+            first = (w.ctypes.data - block.qkv.ctypes.data) // w.itemsize // d
+            members = block.attn[first : first + w.shape[1] // d]
+            layers = [layer.full for layer in members]
+        for name in layers:
+            seen.setdefault(name, x.shape[0])
+        return product(x, w, rows, t)
 
-    engine._linear = spy
-    try:
+    with mock.patch.object(engine_module, "_product", spy):
         return run(), seen
-    finally:
-        del engine._linear
 
 
 class TestReadWindow:
@@ -576,6 +592,8 @@ class TestReadWindow:
             )
         np.testing.assert_array_equal(got[0], full[k:])
         assert seen[last + ("router" if observer == "moe" else "q_proj")] == t
+        for layer in ("k_proj", "v_proj", "out_proj"):
+            assert seen[last + layer] == t, layer
 
     def test_a_window_of_one_position_raises_before_anything_runs(
         self, untrained_engine

@@ -35,6 +35,7 @@ from repro.inference.engine import select_experts
 from repro.inference.kvcache import PooledKVCache
 from repro.model import ModelConfig, TransformerLM
 from repro.numerics.formats import flip_value_bits
+from repro.zoo.registry import ZOO
 from tests.test_engine import append, assert_caches_equal, feed, kv_cache
 
 VOCAB = 40
@@ -813,6 +814,125 @@ def test_every_faultable_linear_takes_a_row_keyed_fault(moe, policy):
     for layer in engine.linear_layer_names():
         tokens = rng.integers(5, VOCAB, size=(3, 6))
         _row_keyed_case(engine, layer, tokens, int(rng.integers(3)), rng)
+
+
+_ZOO_SHAPES = sorted({(spec.d_model, spec.n_heads) for spec in ZOO.values()})
+"""Every zoo spec's ``(d_model, n_heads)``."""
+
+_QKV_ENGINES: dict[tuple[int, int, str], InferenceEngine] = {}
+
+
+def _qkv_engine(d_model: int, heads: int, policy: str) -> InferenceEngine:
+    """A one-block engine of a zoo width behind storage policy ``policy``."""
+    if (d_model, heads, policy) not in _QKV_ENGINES:
+        config = ModelConfig(
+            vocab_size=VOCAB, d_model=d_model, n_heads=heads, n_blocks=1, d_ff=16,
+            max_seq=64,
+        )
+        _QKV_ENGINES[d_model, heads, policy] = InferenceEngine(
+            TransformerLM(config, seed=5).to_store(), weight_policy=policy
+        )
+    return _QKV_ENGINES[d_model, heads, policy]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(POLICIES),
+    st.sampled_from(_ZOO_SHAPES),
+    st.sampled_from(["serial", "stacked", "lone"]),
+    st.integers(min_value=1, max_value=64),
+    st.sampled_from(["swap", "row_weight", "hook", "acc"]),
+    st.sampled_from([(0, 3), (0, 1), (1, 3)]),
+    st.data(),
+)
+def test_property_the_shared_qkv_product_is_each_members_product(
+    policy, shape, form, t, surface, members, data
+):
+    """A block's one q/k/v product (``InferenceEngine._qkv``, all three
+    members, or q alone and k with v, as a read window runs them): each
+    member's columns are, bit for bit (``uint32`` views), that member's
+    own product ``x @ W`` — one GEMM per sequence, computed here — with
+    one member's surface alone applied to it: a faulted compute array
+    swapped in with ``store.swap`` alone (``weight_fault_depth`` stays
+    0, nothing is armed), a weight copy keyed to one row, a hook that
+    returns a new array, or an accumulator strike.  Every storage
+    policy and zoo width, t 1-64, widths 1-16 on the stacked form, the
+    serial (no row ids) and lone-sequence forms, inputs with inf, NaN
+    and denormals."""
+    engine = _qkv_engine(*shape, policy)
+    layers, d = engine._table[0], engine.config.d_model
+    first, stop = members
+    member = data.draw(st.integers(first, stop - 1))
+    batch = data.draw(st.integers(2, 16)) if form == "stacked" else 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    x = rng.normal(0, 1, (batch * t, d)).astype(np.float32)
+    if data.draw(st.booleans()):
+        specials = np.array([np.inf, -np.inf, np.nan, 1e-41, -3e-39], np.float32)
+        x.flat[rng.integers(x.size, size=3)] = rng.choice(specials, size=3)
+    ids = rng.permutation(100)[:batch]
+    rows = None if form == "serial" else np.repeat(ids, t)
+    its = rng.integers(0, 3, size=batch)
+    iteration = int(its[0]) if rows is None else np.repeat(its, t)
+    struck = int(rng.integers(batch))
+    layer = layers.attn[member]
+    store = layer.store
+    r, c = (int(v) for v in rng.integers(d, size=2))
+    bits = [int(b) for b in rng.choice(store.n_storage_bits, 2, replace=False)]
+    faulted = store.faulted_array(r, c, bits)
+    site = FaultSite(
+        FaultModel.ACC_2BIT, layer.full, 0, int(rng.integers(d)), bits=(14, 9),
+        iteration=int(its[struck]), row_frac=float(rng.random()),
+        acc_frac=float(rng.random()),
+    )
+    pinned = None if rows is None or data.draw(st.booleans()) else int(ids[struck])
+
+    def hook(out, ctx):
+        return np.flip(out, axis=1) * np.float32(2)
+
+    runs = [(0, len(x))] if rows is None else [(s, s + t) for s in range(0, len(x), t)]
+
+    def reference(j: int) -> np.ndarray:
+        own = layers.attn[j]
+        w = faulted if j == member and surface == "swap" else own.pristine
+        out = np.concatenate([x[s:e] @ w for s, e in runs])
+        if j != member:
+            return out
+        if surface == "row_weight" and rows is not None:
+            s, e = runs[struck]
+            out[s:e] = x[s:e] @ faulted
+        elif surface == "hook":
+            for s, e in runs:
+                out[s:e] = hook(out[s:e], None)
+        elif surface == "acc":
+            AccumulatorFaultInjector(engine, site, pinned).maybe_strike(
+                out, x, w, own.full, iteration, rows
+            )
+        return out
+
+    with contextlib.ExitStack() as armed:
+        # inf and NaN inputs: the forward runs under this errstate too.
+        armed.enter_context(np.errstate(over="ignore", invalid="ignore"))
+        want = {j: reference(j) for j in range(first, stop)}
+        if surface == "swap":
+            armed.callback(store.swap, store.swap(faulted))
+        elif surface == "row_weight":
+            engine.row_weights[layer.full] = {int(ids[struck]): faulted}
+            armed.callback(engine.row_weights.clear)
+        elif surface == "hook":
+            armed.callback(engine.hooks.register(layer.full, hook, row_scoped=True))
+        else:
+            armed.enter_context(AccumulatorFaultInjector(engine, site, pinned))
+        on = bool(engine.hooks or engine.acc_faults or engine.row_weights)
+        assert on == (surface != "swap") and engine.weight_fault_depth == 0
+        got = engine._qkv(x, layers, on, iteration, rows, t, first, stop)
+    assert store.array is layer.pristine and not engine.hooks and not engine.acc_faults
+    assert got.shape == (len(x), (stop - first) * d)
+    for j in range(first, stop):
+        at = (j - first) * d
+        np.testing.assert_array_equal(
+            got[:, at : at + d].view(np.uint32), want[j].view(np.uint32),
+            err_msg=f"member {j}",
+        )
 
 
 _DEAD_SCORE_ROWS: list[bool] = []
