@@ -1,14 +1,25 @@
 """Paired, in-process A/B timing of the inference engine: a base
 revision against the working tree's ``src``.
 
-Both trees' ``repro`` packages are imported into one process, each under
-its own module objects, together with a second copy of the working tree
-as the A/A control.  Every probe is then run on every tree in an order
-shuffled each rep, after a warm-up per setting (a setting is one probe
-on one tree), so drift in the host hits all of them alike.  One process
-and alternation is what resolves a change of a few percent to a decode
-step: between ledger runs of one commit the per-layer probes spread
-1.5-1.8x.
+Both trees' ``repro`` packages are imported into one process twice
+each, every load under module objects of its own.  In every rep one load
+of the base plays ``base``, and the change's two loads play ``change``
+and the A/A ``control``; which load plays which is drawn for each pair
+of reps and swapped for the second rep of the pair, so every load plays
+every role equally often and a bias of one loaded copy (an A/A/A run
+with fixed roles read the base copy 0.982 of the change) lands in the
+A/A band instead of the ratio.  Every probe then runs in each role in an
+order shuffled each rep, after a warm-up per setting (a setting is one
+probe on one load), so drift in the host hits all of them alike.  One
+process and alternation is what resolves a change of a few percent to a
+decode step: between ledger runs of one commit the per-layer probes
+spread 1.5-1.8x.
+
+A process-wide setting made at import reaches every tree loaded into
+the process, the base's too: ``repro.inference.engine`` sets glibc's
+malloc thresholds when it is imported, so the tool times the base with
+them as well.  A change made of such a setting cannot be sized here;
+size it with the ledger's alternated pairs.
 
 Probes, on the ledger's ``qwenlike-base`` (fp32, read from
 ``$REPRO_ARTIFACTS``, default ``benchmarks/ledger/cache``; a cold cache
@@ -30,9 +41,9 @@ reps' spread of the A/A ratio (their median absolute deviation), and
 never narrower than 2 % either way (A/A medians spread 0.987-1.011
 between runs on one 2-vCPU host); ``faster``, the reps in which the
 change beat the base; and ``resolved``, whether ``ratio`` falls outside
-``aa_spread``.  A ratio inside the spread cannot be told from noise,
-and one outside it by a few percent at widths 1-2 is worth a re-run
-with the roles swapped: an A/A/A run read 0.982.  Run as a command,
+``aa_spread``.  A ratio inside the spread cannot be told from noise.
+``played`` gives, per role, the reps each of the two loads played it in.
+Run as a command,
 BLAS runs on one thread, as in the ledger.  The end-to-end claim stays
 the ledger's: alternated parent/change pairs of
 ``benchmarks/ledger/run.py``.
@@ -135,32 +146,43 @@ def measure(
     warmup: int = 5,
     seed: int = 0,
 ) -> dict:
-    """Time every probe on the ``base`` and ``change`` trees of ``srcs``
-    and on a second load of ``change``, the control; returns the
-    per-probe summary the module docstring describes."""
-    mods = {name: load(srcs["change" if name == "control" else name]) for name in TREES}
-    engines = {name: mod.InferenceEngine(store) for name, mod in mods.items()}
-    runs = {(p, name): setting(p, engines[name]) for p in probes for name in TREES}
+    """Time every probe on two loads each of the ``base`` and ``change``
+    trees of ``srcs``, cast into the three roles anew every rep; returns
+    the per-probe summary the module docstring describes."""
+    loads = [(tree, i) for tree in ("base", "change") for i in (0, 1)]
+    engines = {k: load(srcs[k[0]]).InferenceEngine(store) for k in loads}
+    runs = {(p, k): setting(p, engines[k]) for p in probes for k in loads}
+    rng = random.Random(seed)
     order = list(runs)
-    shuffle = random.Random(seed).shuffle
-    shuffle(order)
+    rng.shuffle(order)
     for key in order:  # a warm-up per setting
         for _ in range(warmup):
             runs[key]()
-    times: dict[tuple, list[float]] = {key: [] for key in runs}
-    for _ in range(reps):
-        shuffle(order)
-        for key in order:
-            run, laps = runs[key], []
+    times: dict[tuple, list[float]] = {(p, r): [] for p in probes for r in TREES}
+    played = {role: [0, 0] for role in TREES}
+    slots = list(times)
+    for rep in range(reps):
+        if rep % 2 == 0:
+            b, c = rng.randrange(2), rng.randrange(2)
+        else:  # the pair's second rep swaps every role's load
+            b, c = 1 - b, 1 - c
+        cast = {
+            "base": ("base", b), "change": ("change", c), "control": ("change", 1 - c)
+        }
+        for role, (_, i) in cast.items():
+            played[role][i] += 1
+        rng.shuffle(slots)
+        for p, role in slots:
+            run, laps = runs[p, cast[role]], []
             for _ in range(iters):
                 t0 = time.perf_counter()
                 run()
                 laps.append(time.perf_counter() - t0)
-            times[key].append(statistics.median(laps))
+            times[p, role].append(statistics.median(laps))
     median = statistics.median
     summary = {}
     for p in probes:
-        base, change, control = (times[p, name] for name in TREES)
+        base, change, control = (times[p, role] for role in TREES)
         ratio = median(c / b for c, b in zip(change, base))
         aa = [math.log(c / a) for c, a in zip(change, control)]
         centre = median(aa)
@@ -168,14 +190,14 @@ def measure(
         wide = math.exp(max(5 * 1.2533 * sigma / math.sqrt(reps), math.log(1.02)))
         ratio, low, high = round(ratio, 4), round(1 / wide, 4), round(wide, 4)
         summary[p] = {
-            "us": {name: round(median(times[p, name]) * 1e6, 2) for name in TREES},
+            "us": {role: round(median(times[p, role]) * 1e6, 2) for role in TREES},
             "ratio": ratio,
             "aa": round(math.exp(centre), 4),
             "aa_spread": [low, high],
             "faster": sum(c < b for c, b in zip(change, base)),
             "resolved": not low <= ratio <= high,
         }
-    return {"reps": reps, "iters": iters, "probes": summary}
+    return {"reps": reps, "iters": iters, "played": played, "probes": summary}
 
 
 def materialise(rev: str, into: Path) -> Path:

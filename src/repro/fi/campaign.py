@@ -210,18 +210,19 @@ of it at width 6) plus a part per ragged row, so the wider round is
 fewer, fuller steps, over slots sized to what the cell can reach
 (:meth:`FICampaign._kv_slots`)."""
 
-_OPTION_ROW_TOKENS = 256
+_OPTION_ROW_TOKENS = 512
 """Most tokens one forward of option rows takes
 (:meth:`FICampaign._option_scores`; rows of length ``t`` go
-``256 // t`` to a forward, at least one and at most
+``512 // t`` to a forward, at least one and at most
 :data:`_DECODE_BATCH`).  Its activations are rows x ``t`` x
 ``d_model``; its logits only rows x read window x vocabulary, the
 window running from the shortest prompt's last position.  Measured on
 ``campaign_mc_mem`` (2-vCPU host, alternated pairs, one row per option
-class): 64 tokens read 2 250-2 530 trials/s against 128's 2 830-3 220;
-256 read 3 150-3 620 against 128's 2 660-2 960 (5 of 5 pairs) for
-+0.3 MB ``peak_rss_mb`` (about 44.5 MB); 512 read 3 070-3 250 for
-+0.9 MB."""
+class) with freed heap kept mapped (``repro.inference.engine``): 512
+tokens read a median 3 366 trials/s against 256's 3 108 (6 of 6 pairs)
+for +0.4 MB ``peak_rss_mb`` (about 45.6 MB); 1 024 read 3 261 against
+512's 3 345, winning 1 of 6.  Under glibc's default thresholds a wider
+forward faults more of its temporaries in afresh, and 512 lost to 256."""
 
 
 class FICampaign:
@@ -353,13 +354,16 @@ class FICampaign:
         return (self._example_ids[idx], trial, self.fault_model.value)
 
     def _trial_rng(self, trial: int) -> np.random.Generator:
+        """The trial's generator, seeded with the campaign seed's 32-bit
+        words (little-endian, at least one) and the first 16 bytes of
+        its key's SHA-256 as four more: the entropy pool numpy builds
+        from the list ``[seed, *words]``, from one array."""
         digest = hashlib.sha256(
             json.dumps(self.trial_key(trial)).encode()
         ).digest()
-        words = [
-            int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)
-        ]
-        return np.random.default_rng([self.seed, *words])
+        seed = int(self.seed)
+        head = seed.to_bytes(4 * (-(-seed.bit_length() // 32) or 1), "little")
+        return np.random.default_rng(np.frombuffer(head + digest[:16], "<u4"))
 
     def fingerprint(self) -> dict:
         """Result-determining configuration, hashed into checkpoints.

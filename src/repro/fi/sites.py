@@ -107,7 +107,7 @@ class FaultSite:
 def _sample_bits(
     rng: np.random.Generator, n_bits: int, width: int
 ) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.choice(width, size=n_bits, replace=False))
+    return tuple(rng.choice(width, size=n_bits, replace=False).tolist())
 
 
 def _sample_kv_site(

@@ -31,6 +31,8 @@ def test_head_against_head_runs_every_probe_on_trees_of_its_own():
     # The trees' modules were their own: the suite's are back, untouched.
     assert {k: v for k, v in sys.modules.items() if k.split(".")[0] == "repro"} == loaded
     assert result["reps"] == 4 and result["iters"] == 2
+    # Both loads of each tree were timed, each in every role it can play.
+    assert result["played"] == {role: [2, 2] for role in ab.TREES}
     assert set(result["probes"]) == set(ab.PROBES)
     for probe, row in result["probes"].items():
         assert set(row) == {"us", "ratio", "aa", "aa_spread", "faster", "resolved"}

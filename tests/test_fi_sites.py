@@ -1,9 +1,13 @@
 """Tests for fault models and uniform site sampling."""
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.fi import FaultModel, FaultSite, sample_site
+from repro.fi import FaultModel, FaultSite, FICampaign, sample_site
 
 
 class TestFaultModel:
@@ -118,3 +122,44 @@ class TestSampling:
         for _ in range(100):
             site = sample_site(engine, FaultModel.MEM_2BIT, rng)
             assert max(site.bits) < 4
+
+
+class TestTrialRng:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
+    KEYS = (
+        ("ex-0", 0, "2bits-mem"), ("ex-3", 17, "1bit-comp"), ("q", 2**40, "1bit-kv")
+    )
+
+    def test_trial_streams_are_the_list_seeded_ones(self, untrained_engine):
+        """``FICampaign._trial_rng`` seeds from one ``uint32`` array, the
+        entropy pool numpy builds from the list ``[seed, *words]``: every
+        sampler draws what the list-seeded generator draws."""
+        for seed in self.SEEDS:
+            for key in self.KEYS:
+                stub = SimpleNamespace(seed=seed, trial_key=lambda trial, key=key: key)
+                digest = hashlib.sha256(json.dumps(key).encode()).digest()
+                words = [
+                    int.from_bytes(digest[i : i + 4], "little")
+                    for i in range(0, 16, 4)
+                ]
+
+                def pair():
+                    return (
+                        FICampaign._trial_rng(stub, key[1]),
+                        np.random.default_rng([seed, *words]),
+                    )
+
+                for draw in (
+                    lambda rng: rng.integers(0, 2**63, 4),
+                    lambda rng: rng.random(4),
+                    lambda rng: rng.choice(32, 2, replace=False),
+                ):
+                    a, b = pair()
+                    assert draw(a).tolist() == draw(b).tolist(), (seed, key)
+                for model in FaultModel:
+                    a, b = pair()
+                    assert sample_site(
+                        untrained_engine, model, a, max_iterations=8
+                    ) == sample_site(untrained_engine, model, b, max_iterations=8), (
+                        seed, key, model,
+                    )

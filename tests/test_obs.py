@@ -8,6 +8,7 @@ import pytest
 
 from repro.fi import FaultModel, FICampaign
 from repro.harness.results import ExperimentResult, load_result, save_result
+from repro.inference import engine as engine_module
 from repro.obs import (
     TELEMETRY_SCHEMA_VERSION,
     MetricsRegistry,
@@ -355,7 +356,10 @@ class TestCampaignTelemetry:
     # share forwards in waves, one wave per batch, and a worker's batch
     # is its share.  So do the wave spans and the per-forward
     # histograms; every per-trial and per-row instrument does not.
-    PARTITION_COUNTERS = ("engine.forward_calls", "engine.tokens")
+    # Page faults differ too: they are the allocator's and the host's.
+    PARTITION_COUNTERS = (
+        "engine.forward_calls", "engine.tokens", "engine.minor_faults"
+    )
     PARTITION_HISTOGRAMS = ("engine.forward_ms", "campaign.wave.width")
     PARTITION_SPANS = ("campaign.wave",)
 
@@ -476,6 +480,24 @@ class TestEngineInstrumentation:
         assert tel.metrics.counter("engine.tokens").value == 3
         assert tel.metrics.histogram("engine.forward_ms").count == 1
         assert 0.0 < tel.metrics.gauge("engine.kv_occupancy").value <= 1.0
+        # The calling thread's page faults, where the OS counts them.
+        faults = tel.metrics.counters.get("engine.minor_faults")
+        assert (faults is None) == (engine_module._RUSAGE_THREAD is None)
+        assert faults is None or faults.value >= 0
+
+    @pytest.mark.skipif(
+        engine_module._RUSAGE_THREAD is None, reason="no per-thread fault count"
+    )
+    def test_report_lists_the_page_fault_count(
+        self, untrained_engine, clean_telemetry, tmp_path
+    ):
+        from repro.obs import report_path
+
+        clean_telemetry.enable()
+        untrained_engine.forward_full([1, 2, 3])
+        path = clean_telemetry.flush(tmp_path / "run.jsonl", seed=3, command="test")
+        counters = report_path(path).split("== counters ==")[1]
+        assert "engine.minor_faults" in counters
 
     def test_layer_timing_covers_all_layers(
         self, untrained_engine, clean_telemetry
@@ -496,12 +518,22 @@ class TestEngineInstrumentation:
     def test_forward_unchanged_by_instrumentation(
         self, untrained_engine, clean_telemetry
     ):
+        """Telemetry, layer timing and the page-fault count included,
+        observes a forward without changing a bit of it."""
+        chunk = [[1, 2, 3, 4], [5, 6, 7, 8]]
         baseline = untrained_engine.forward_full([1, 2, 3])
+        rows = untrained_engine.forward_chunk_batch(chunk, None, [0, 0], [0, 0])
         clean_telemetry.enable()
         detach = attach_layer_timing(untrained_engine, clean_telemetry)
         traced = untrained_engine.forward_full([1, 2, 3])
+        traced_rows = untrained_engine.forward_chunk_batch(
+            chunk, None, [0, 0], [0, 0]
+        )
         detach()
         np.testing.assert_array_equal(baseline, traced)
+        np.testing.assert_array_equal(rows, traced_rows)
+        if engine_module._RUSAGE_THREAD is not None:
+            assert "engine.minor_faults" in clean_telemetry.metrics.counters
 
     def test_layer_timing_tiles_batched_forwards(
         self, untrained_engine, clean_telemetry
