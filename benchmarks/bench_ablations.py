@@ -93,8 +93,9 @@ def test_bench_ablation_beam_length_penalty(ctx, emit):
             campaign = ctx.campaign(
                 engine, "wmt16", FaultModel.COMP_2BIT, num_beams=4
             )
-            campaign.generation = dc.replace(
-                campaign.generation, length_penalty=penalty
+            plan = campaign.plan
+            campaign.plan = dc.replace(
+                plan, generation=dc.replace(plan.generation, length_penalty=penalty)
             )
             cell = campaign.run(ctx.n_trials)
             result.add(

@@ -75,17 +75,17 @@ def test_bench_mitigation_router_protection(ctx, emit):
                 engine, "wmt16", FaultModel.MEM_2BIT, layer_filter=router_only
             )
             if protected:
-                # ``_eval_gen`` is each trial's decode on the one-trial
+                # ``_reference`` is each trial's decode on the one-trial
                 # reference path only: a wave decodes its rows without it.
                 campaign.decode_strategy = "serial"
                 protection = SelectiveProtection(engine, router_layers(engine))
-                original = campaign._eval_gen
+                original = campaign._reference
 
                 def guarded_eval(*args, _orig=original, _p=protection):
                     _p.verify_and_restore()
                     return _orig(*args)
 
-                campaign._eval_gen = guarded_eval
+                campaign._reference = guarded_eval
             cell = campaign.run(ctx.n_trials)
             result.add(
                 variant="protected" if protected else "unprotected",

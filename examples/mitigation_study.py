@@ -93,7 +93,7 @@ def router_protection(tokenizer, world) -> None:
     task = TranslationTask(world)
     for protect in (False, True):
         engine = InferenceEngine(store, weight_policy="bf16")
-        # ``_eval_gen`` is each trial's decode on the one-trial reference
+        # ``_reference`` is each trial's decode on the one-trial reference
         # path only (a wave decodes its rows without it), so the
         # protected campaign runs there.
         campaign = _campaign(
@@ -103,8 +103,8 @@ def router_protection(tokenizer, world) -> None:
         )
         if protect:
             protection = SelectiveProtection(engine, router_layers(engine))
-            original = campaign._eval_gen
-            campaign._eval_gen = lambda *args: protection.guarded(
+            original = campaign._reference
+            campaign._reference = lambda *args: protection.guarded(
                 lambda: original(*args)
             )
         result = campaign.run(N_TRIALS)

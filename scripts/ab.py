@@ -1,5 +1,6 @@
-"""Paired, in-process A/B timing of the inference engine: a base
-revision against the working tree's ``src``.
+"""Paired, in-process A/B timing of the inference engine and the
+campaign's trial phase: a base revision against the working tree's
+``src``.
 
 Both trees' ``repro`` packages are imported into one process twice
 each, every load under module objects of its own.  In every rep one load
@@ -30,7 +31,13 @@ trains the model first, minutes):
   26, ... tokens), rewound before every step so every step is the same;
 * ``prompt32`` — a 32-token 1-D ``forward`` into one row's caches;
 * ``chunk4`` — a cache-less 4-row, 30-token ``forward_chunk_batch``
-  with a 4-position read window (option scoring's shape).
+  with a 4-position read window (option scoring's shape);
+* ``options`` — the trial phase of one small ``2bits-mem`` cell on
+  ``mmlu`` (the option wave), ``wave`` — of one ``1bit-comp`` cell on
+  ``wmt16`` (the generative wave): ``run()`` of 16 trials over 4
+  examples, the baseline computed once before, all through
+  ``FICampaign``'s public API, so any revision that has it can be the
+  base.
 
 Output is one JSON object.  Per probe: the median operation time of
 each tree (``us``); ``ratio``, the median over reps of the change's
@@ -54,7 +61,7 @@ temporary directory, removed afterwards; nothing is fetched.
 Usage::
 
     python scripts/ab.py --base HEAD~1 [--reps 30] [--iters 20] \\
-        [--probes step1,step8,prompt32]
+        [--probes step1,step8,prompt32,options,wave]
 """
 
 from __future__ import annotations
@@ -73,22 +80,33 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
-PROBES = ("step1", "step2", "step4", "step8", "step16", "prompt32", "chunk4")
+PROBES = (
+    "step1", "step2", "step4", "step8", "step16", "prompt32", "chunk4",
+    "options", "wave",
+)
 TREES = ("base", "change", "control")
+CELLS = {"options": ("mmlu", "2bits-mem"), "wave": ("wmt16", "1bit-comp")}
+"""Per campaign probe, the ``(task, fault model)`` of its cell."""
+CELL_EXAMPLES, CELL_TRIALS = 4, 16
 
 
-def load(src: str | Path):
-    """``src``'s ``repro.inference``, under module objects of its own:
-    every ``repro`` module already imported is set aside for the import
-    and put back after it."""
+def load(src: str | Path) -> SimpleNamespace:
+    """``src``'s ``repro.inference``, ``.fi``, ``.generation`` and
+    ``.tasks``, under module objects of their own: every ``repro``
+    module already imported is set aside for the import and put back
+    after it."""
     saved = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "repro"}
     for name in saved:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
-        return importlib.import_module("repro.inference")
+        return SimpleNamespace(**{
+            name: importlib.import_module(f"repro.{name}")
+            for name in ("inference", "fi", "generation", "tasks")
+        })
     finally:
         sys.path.remove(str(src))
         for name in [k for k in sys.modules if k.split(".")[0] == "repro"]:
@@ -96,9 +114,34 @@ def load(src: str | Path):
         sys.modules.update(saved)
 
 
-def setting(probe: str, engine):
+def cell(probe: str, tree: SimpleNamespace, engine, tokenizer, world):
+    """The trial phase of ``probe``'s cell, built with ``tree``'s
+    modules on ``engine``: a callable that runs the same trials every
+    call, over the baseline computed here once."""
+    name, fault = CELLS[probe]
+    task = next(t for t in tree.tasks.all_tasks(world) if t.name == name)
+    campaign = tree.fi.FICampaign(
+        engine=engine,
+        tokenizer=tokenizer,
+        task_name=name,
+        metrics=task.metrics,
+        examples=tree.tasks.standardized_subset(task, CELL_EXAMPLES),
+        fault_model=tree.fi.FaultModel(fault),
+        seed=11,
+        generation=tree.generation.GenerationConfig(
+            max_new_tokens=task.max_new_tokens, eos_id=tokenizer.vocab.eos_id
+        ),
+    )
+    campaign.compute_baseline()
+    return lambda: campaign.run(CELL_TRIALS)
+
+
+def setting(probe: str, tree: SimpleNamespace, engine, tokenizer=None, world=None):
     """One probe on one tree's ``engine``: a callable that runs one
-    operation, the same one every call."""
+    operation, the same one every call.  The campaign probes encode and
+    build their examples with ``tokenizer`` and ``world``."""
+    if probe in CELLS:
+        return cell(probe, tree, engine, tokenizer, world)
     cfg = engine.config
 
     def ids(n: int, offset: int = 0) -> list[int]:
@@ -145,13 +188,20 @@ def measure(
     iters: int = 20,
     warmup: int = 5,
     seed: int = 0,
+    tokenizer=None,
+    world=None,
 ) -> dict:
     """Time every probe on two loads each of the ``base`` and ``change``
     trees of ``srcs``, cast into the three roles anew every rep; returns
-    the per-probe summary the module docstring describes."""
+    the per-probe summary the module docstring describes.  The campaign
+    probes need the ``tokenizer`` and ``world`` of ``store``'s model."""
     loads = [(tree, i) for tree in ("base", "change") for i in (0, 1)]
-    engines = {k: load(srcs[k[0]]).InferenceEngine(store) for k in loads}
-    runs = {(p, k): setting(p, engines[k]) for p in probes for k in loads}
+    trees = {k: load(srcs[k[0]]) for k in loads}
+    engines = {k: trees[k].inference.InferenceEngine(store) for k in loads}
+    runs = {
+        (p, k): setting(p, trees[k], engines[k], tokenizer, world)
+        for p in probes for k in loads
+    }
     rng = random.Random(seed)
     order = list(runs)
     rng.shuffle(order)
@@ -222,13 +272,15 @@ def main(argv: list[str] | None = None) -> dict:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("REPRO_ARTIFACTS", str(ROOT / "benchmarks/ledger/cache"))
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.zoo import load_model
+    from repro.zoo import default_tokenizer, default_world, load_model
 
     store = load_model("qwenlike-base", verbose=False)
+    world = default_world()
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         srcs = {"base": materialise(args.base, Path(tmp)), "change": ROOT / "src"}
         result = measure(
-            srcs, store, args.probes.split(","), reps=args.reps, iters=args.iters
+            srcs, store, args.probes.split(","), reps=args.reps, iters=args.iters,
+            tokenizer=default_tokenizer(world), world=world,
         )
     result = {"base": args.base, "model": "qwenlike-base", **result}
     print(json.dumps(result, indent=1))

@@ -12,11 +12,13 @@ can do: notice a death, SIGKILL a worker past its deadline, respawn
 within a budget, and give the pool up.
 
 The campaign is duck-typed (this module never imports
-:mod:`repro.fi.campaign`): whatever knows what a trial *is* —
-``_run_trial``, ``_run_wave`` (a generative one hands its rows to
-:mod:`repro.fi.wave`), ``trial_plan``, ``_quarantine_record``,
-``_post_failure_repair``, ``trial_key``, ``fingerprint``, and whether
-it runs in a worker (``_in_worker``).
+:mod:`repro.fi.campaign`).  What it needs of one: ``engine`` (its hooks
+decide whether a pool is stale), ``trial_plan()`` (wave or one trial at
+a time), ``_run_wave(trials)`` and ``_run_trial(trial, attempt)`` (the
+records), ``_quarantine_record(trial, exc)`` and
+``_post_failure_repair()`` (after a raise), ``trial_key(trial)`` and
+``fingerprint()`` (the journal's), and ``_in_worker``, set on a pool
+worker's copy.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ per batch — short enough that the journal — written batch by batch —
 trails the decode by a fraction of a second, and that a wave fits the
 time one trial is allowed (``trial_timeout`` bounds each wave as a
 whole)."""
+
+_RETRY_BACKOFF = 0.05
+"""Seconds before a failed trial's first retry, doubled for each next."""
+
+_MAX_POOL_REBUILDS = 2
+"""Workers a run may replace before it runs the rest in this process."""
 
 
 # ----------------------------------------------------------------------------
@@ -123,8 +131,6 @@ class _Supervision:
 
     trial_timeout: float | None = None
     max_retries: int = 2
-    retry_backoff: float = 0.05
-    max_pool_rebuilds: int = 2
 
 
 @contextmanager
@@ -189,8 +195,8 @@ def _supervise_serial_trial(
                 return campaign._quarantine_record(trial, exc), attempt
             if tel.active:
                 tel.metrics.counter("campaign.retries").add()
-            if sup.retry_backoff:
-                time.sleep(sup.retry_backoff * (2 ** (failures - 1)))
+            if _RETRY_BACKOFF:
+                time.sleep(_RETRY_BACKOFF * (2 ** (failures - 1)))
 
 
 def _supervise_wave(
@@ -458,7 +464,7 @@ class Executor:
         bumped, so first-attempt chaos does not strike again, and the
         batch queued behind it whole; a trial that timed out alone more
         than ``max_retries`` times is quarantined.  Each replacement
-        counts against ``max_pool_rebuilds``; past the budget — which
+        counts against ``_MAX_POOL_REBUILDS``; past the budget — which
         is where forks that never boot end up, each dying with a batch
         in hand — the pool is shut down and what is unfinished handed
         back: graceful degradation beats a dead campaign.
@@ -493,7 +499,7 @@ class Executor:
         def replace_worker() -> None:
             nonlocal rebuilds
             rebuilds += 1
-            if rebuilds <= sup.max_pool_rebuilds:
+            if rebuilds <= _MAX_POOL_REBUILDS:
                 pool.spawn_worker(partial(_boot_worker, campaign))
 
         def deal(pid: int | None = None) -> None:
@@ -520,7 +526,7 @@ class Executor:
                 if payload is not None:
                     payloads[results[0][0]] = (len(results), payload)
 
-        while left and rebuilds <= sup.max_pool_rebuilds:
+        while left and rebuilds <= _MAX_POOL_REBUILDS:
             while pending and pool.idle:
                 deal()
             if own is None and pending:

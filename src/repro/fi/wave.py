@@ -68,6 +68,14 @@ from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["Wave", "WaveRow", "row_fault"]
 
+_DECODE_BATCH = 16
+"""Continuous-batching width of a campaign's decode rounds, the golden
+sweep's and the waves', and most rows of one option-row forward
+(:mod:`repro.fi.options`): a batched step costs a fixed part (about a
+third of it at width 6) plus a part per ragged row, so the wider round
+is fewer, fuller steps, over slots sized to what the cell can reach
+(``FICampaign._kv_slots``)."""
+
 
 class RowKeyed(NamedTuple):
     """How one fault surface keys to batch rows."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fi import executor
 from repro.inference import InferenceEngine
 from repro.model import ModelConfig, TransformerLM
 from repro.tasks import World, all_tasks
@@ -23,6 +24,13 @@ from repro.training import (
     corpus_to_stream,
     train_lm,
 )
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Retries without the executor's backoff sleep.  Set before any
+    pool forks, so its workers inherit it."""
+    monkeypatch.setattr(executor, "_RETRY_BACKOFF", 0.0)
 
 
 @pytest.fixture(scope="session")

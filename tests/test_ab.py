@@ -1,6 +1,7 @@
 """``scripts/ab.py`` against itself: the same ``src`` loaded as base,
-change and control.  Only what does not depend on timing is asserted —
-whether a ratio falls inside its A/A band is a measurement, which
+change and control, every probe (the campaign cells' on the suite's
+tokenizer and world).  Only what does not depend on timing is asserted
+— whether a ratio falls inside its A/A band is a measurement, which
 ``python scripts/ab.py --base HEAD`` on a clean tree makes."""
 
 from __future__ import annotations
@@ -16,18 +17,22 @@ SRC = Path(__file__).parent.parent / "src"
 SCRIPT = SRC.parent / "scripts" / "ab.py"
 
 
-def test_head_against_head_runs_every_probe_on_trees_of_its_own():
+def test_head_against_head_runs_every_probe_on_trees_of_its_own(tokenizer, world):
     environ = dict(os.environ)
     spec = importlib.util.spec_from_file_location("ab", SCRIPT)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
     assert dict(os.environ) == environ  # loading the tool sets nothing
     config = ModelConfig(
-        vocab_size=40, d_model=32, n_heads=4, n_blocks=2, d_ff=48, max_seq=96
+        vocab_size=len(tokenizer), d_model=32, n_heads=4, n_blocks=2, d_ff=48,
+        max_seq=160,
     )
     store = TransformerLM(config, seed=3).to_store()
     loaded = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "repro"}
-    result = ab.measure({"base": SRC, "change": SRC}, store, reps=4, iters=2, warmup=1)
+    result = ab.measure(
+        {"base": SRC, "change": SRC}, store, reps=4, iters=2, warmup=1,
+        tokenizer=tokenizer, world=world,
+    )
     # The trees' modules were their own: the suite's are back, untouched.
     assert {k: v for k, v in sys.modules.items() if k.split(".")[0] == "repro"} == loaded
     assert result["reps"] == 4 and result["iters"] == 2

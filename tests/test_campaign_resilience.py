@@ -18,6 +18,7 @@ differential oracle — exactly what an undisturbed run computes:
   shift every published seed.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,6 +41,7 @@ from repro.harness.results import format_campaign
 from repro.inference import Recorder
 from repro.mitigation import RangeRestrictor
 from repro.obs import telemetry
+from repro.fi.plan import example_id
 from repro.tasks.base import GenExample, MCExample
 
 from tests.test_differential import REFERENCE, make_campaign
@@ -55,7 +57,9 @@ def clean_telemetry():
     tel.disable()
 
 
-FAST = dict(retry_backoff=0.0)
+@pytest.fixture(autouse=True)
+def fast_retries(no_backoff):
+    """Every retry here runs at once."""
 
 
 class TestKillAndResume:
@@ -160,7 +164,7 @@ class TestKillAndResume:
         seeded = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         )
-        seeded.seed = 123
+        seeded.plan = dataclasses.replace(seeded.plan, seed=123)
         with pytest.raises(CheckpointError, match="different campaign"):
             seeded.resume(ck, 4)
 
@@ -204,7 +208,7 @@ class TestRetry:
         chaotic = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_transient={1, 4}),
-        ).run(6, **FAST)
+        ).run(6)
         assert_results_equal(chaotic, clean, "retried", "clean")
 
     def test_retry_counter(
@@ -214,7 +218,7 @@ class TestRetry:
         make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_transient={2}),
-        ).run(4, **FAST)
+        ).run(4)
         assert clean_telemetry.metrics.counters["campaign.retries"].value == 1
 
     def test_transient_failure_in_a_worker_is_retried_in_that_worker(
@@ -235,7 +239,7 @@ class TestRetry:
             chaos=CampaignChaos(fail_transient={0}),
         )
         try:
-            chaotic = campaign.run(6, n_workers=2, checkpoint=ck, **FAST)
+            chaotic = campaign.run(6, n_workers=2, checkpoint=ck)
         finally:
             campaign.close_pool()
         assert clean_telemetry.metrics.counters["campaign.retries"].value == 1
@@ -265,13 +269,13 @@ class TestRetry:
         chaotic = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(die_in_worker={0}),
-        ).run(6, n_workers=2, checkpoint=ck, **FAST)
+        ).run(6, n_workers=2, checkpoint=ck)
         assert_results_equal(chaotic, clean, "rebuilt", "clean")
         _, _, attempts = load_checkpoint(ck)
         assert attempts == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_pool_degrades_to_serial(
-        self, untrained_store, tokenizer, world, clean_telemetry
+        self, untrained_store, tokenizer, world, clean_telemetry, monkeypatch
     ):
         """When every rebuild dies too, remaining trials run serially
         in the parent (where ``die_in_worker`` cannot fire)."""
@@ -279,10 +283,11 @@ class TestRetry:
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         ).run(6)
         clean_telemetry.enable()
+        monkeypatch.setattr(executor, "_MAX_POOL_REBUILDS", 0)
         chaotic = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(die_in_worker={0, 1, 2, 3, 4, 5}),
-        ).run(6, n_workers=2, max_pool_rebuilds=0, **FAST)
+        ).run(6, n_workers=2)
         counters = clean_telemetry.metrics.counters
         assert counters["campaign.pool_degraded"].value >= 1
         clean_telemetry.disable()
@@ -303,10 +308,11 @@ class TestRetry:
             raise OSError("cannot boot")
 
         monkeypatch.setattr(executor, "_boot_worker", no_boot)
+        monkeypatch.setattr(executor, "_MAX_POOL_REBUILDS", 1)
         clean_telemetry.enable()
         stranded = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
-        ).run(4, n_workers=2, max_pool_rebuilds=1, **FAST)
+        ).run(4, n_workers=2)
         counters = clean_telemetry.metrics.counters
         assert counters["campaign.pool_degraded"].value == 1
         assert counters["campaign.trials"].value == 4
@@ -324,10 +330,12 @@ class TestRepairRemovesWhatATrialArmed:
                 trained_store, tokenizer, world, "gen", FaultModel.COMP_2BIT, chaos=chaos
             )
             ranger = RangeRestrictor()
-            ranger.calibrate(camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.examples])
+            ranger.calibrate(
+                camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.plan.examples]
+            )
             ranger.install(camp.engine)
             clean_telemetry.reset(), clean_telemetry.enable()
-            result = camp.run(12, **FAST)
+            result = camp.run(12)
             histograms = clean_telemetry.metrics.snapshot()["histograms"]
             timed = {k: len(v) for k, v in histograms.items() if k.startswith("engine.layer_ms.")}
             return result, len(camp.engine.hooks), ranger.clip_events, timed
@@ -364,7 +372,7 @@ class TestQuarantine:
         result = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_always={3}),
-        ).run(6, **FAST)
+        ).run(6)
         assert result.n_trials == 6
         assert result.quarantined == 1
         bad = result.trials[3]
@@ -383,7 +391,7 @@ class TestQuarantine:
         result = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_always={0}),
-        ).run(5, **FAST)
+        ).run(5)
         classified = [
             t for t in result.trials if t.outcome is not Outcome.FAILED
         ]
@@ -405,11 +413,11 @@ class TestQuarantine:
         first = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_always={1}),
-        ).run(3, checkpoint=ck, **FAST)
+        ).run(3, checkpoint=ck)
         resumed = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_always={1}),
-        ).resume(ck, 6, **FAST)
+        ).resume(ck, 6)
         assert resumed.trials[1].outcome is Outcome.FAILED
         assert resumed.trials[1].error == first.trials[1].error
         assert resumed.quarantined == 1
@@ -421,7 +429,7 @@ class TestQuarantine:
         make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(fail_always={0}),
-        ).run(3, max_retries=1, **FAST)
+        ).run(3, max_retries=1)
         counters = clean_telemetry.metrics.counters
         assert counters["campaign.quarantined"].value == 1
         assert counters["campaign.outcome.failed"].value == 1
@@ -442,7 +450,7 @@ class TestTimeout:
         hung = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(hang={1}, hang_seconds=30.0),
-        ).run(3, trial_timeout=0.5, **FAST)
+        ).run(3, trial_timeout=0.5)
         assert_results_equal(hung, clean, "timed-out", "clean")
 
     def test_pooled_hang_quarantines_without_retries(
@@ -456,7 +464,7 @@ class TestTimeout:
         result = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT,
             chaos=CampaignChaos(hang={0}, hang_seconds=60.0),
-        ).run(4, n_workers=2, trial_timeout=2.0, max_retries=0, **FAST)
+        ).run(4, n_workers=2, trial_timeout=2.0, max_retries=0)
         assert result.trials[0].outcome is Outcome.FAILED
         assert "TrialTimeoutError" in result.trials[0].error
         assert_records_equal(result.trials[1:], clean.trials[1:])
@@ -484,9 +492,9 @@ class TestSeedDerivation:
         mc = MCExample(
             prompt="q : 2 + 2 =", options=["3", "4", "5", "6"], answer_index=1
         )
-        assert FICampaign._stable_example_id(mc) == "94bcb99261cd38b4"
+        assert example_id(mc) == "94bcb99261cd38b4"
         gen = GenExample(prompt="translate : x =", reference="y", meta={})
-        assert FICampaign._stable_example_id(gen) == "a0cfa32e0981d419"
+        assert example_id(gen) == "a0cfa32e0981d419"
 
     def test_key_is_content_addressed(
         self, untrained_store, tokenizer, world
@@ -495,9 +503,9 @@ class TestSeedDerivation:
         campaign = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         )
-        n = len(campaign.examples)
-        example_id, trial, fault = campaign.trial_key(n + 1)
-        assert example_id == campaign._example_ids[1]
+        n = len(campaign.plan.examples)
+        key_id, trial, fault = campaign.trial_key(n + 1)
+        assert key_id == campaign.plan.example_ids[1]
         assert (trial, fault) == (n + 1, "2bits-mem")
 
     def test_fault_model_in_key_decorrelates_sites(
@@ -513,11 +521,11 @@ class TestSeedDerivation:
         )
         mem_cells = [
             (s.layer_name, s.row, s.col)
-            for s in (mem._trial_site(t, 1) for t in range(8))
+            for s in (mem.plan.site(mem.engine, t) for t in range(8))
         ]
         comp_cells = [
             (s.layer_name, s.row, s.col)
-            for s in (comp._trial_site(t, 1) for t in range(8))
+            for s in (comp.plan.site(comp.engine, t) for t in range(8))
         ]
         assert mem_cells != comp_cells
 
@@ -527,6 +535,8 @@ class TestSeedDerivation:
         campaign = make_campaign(
             untrained_store, tokenizer, world, "mc", FaultModel.MEM_2BIT
         )
-        forward = [campaign._trial_site(t, 1) for t in range(6)]
-        backward = [campaign._trial_site(t, 1) for t in reversed(range(6))]
+        forward = [campaign.plan.site(campaign.engine, t) for t in range(6)]
+        backward = [
+            campaign.plan.site(campaign.engine, t) for t in reversed(range(6))
+        ]
         assert forward == list(reversed(backward))

@@ -1,5 +1,7 @@
 """Deeper tests of decoding internals and campaign bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,11 +125,11 @@ class TestCampaignBookkeeping:
     def test_trial_sites_seed_namespaced(self, untrained_engine, tokenizer, world):
         a = self._mc(untrained_engine, tokenizer, world)
         b = self._mc(untrained_engine, tokenizer, world)
-        b.seed = 99
+        b.plan = dataclasses.replace(b.plan, seed=99)
         a.compute_baseline()
         b.compute_baseline()
-        site_a = a._trial_site(0, 1)
-        site_b = b._trial_site(0, 1)
+        site_a = a.plan.site(a.engine, 0)
+        site_b = b.plan.site(b.engine, 0)
         assert site_a != site_b
 
 

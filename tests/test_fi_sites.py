@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.fi import FaultModel, FaultSite, FICampaign, sample_site
+from repro.fi import FaultModel, FaultSite, sample_site
+from repro.fi.plan import CellPlan
 
 
 class TestFaultModel:
@@ -131,12 +132,12 @@ class TestTrialRng:
     )
 
     def test_trial_streams_are_the_list_seeded_ones(self, untrained_engine):
-        """``FICampaign._trial_rng`` seeds from one ``uint32`` array, the
+        """``CellPlan.rng`` seeds from one ``uint32`` array, the
         entropy pool numpy builds from the list ``[seed, *words]``: every
         sampler draws what the list-seeded generator draws."""
         for seed in self.SEEDS:
             for key in self.KEYS:
-                stub = SimpleNamespace(seed=seed, trial_key=lambda trial, key=key: key)
+                stub = SimpleNamespace(seed=seed, key=lambda trial, key=key: key)
                 digest = hashlib.sha256(json.dumps(key).encode()).digest()
                 words = [
                     int.from_bytes(digest[i : i + 4], "little")
@@ -145,7 +146,7 @@ class TestTrialRng:
 
                 def pair():
                     return (
-                        FICampaign._trial_rng(stub, key[1]),
+                        CellPlan.rng(stub, key[1]),
                         np.random.default_rng([seed, *words]),
                     )
 

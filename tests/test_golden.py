@@ -31,7 +31,9 @@ from repro.fi import (
     assert_results_equal,
     load_checkpoint,
 )
+from repro.fi import options as options_module
 from repro.fi.golden import GoldenOptions, GoldenRun
+from repro.fi.options import admits_sharing, option_scores
 from repro.fi.injector import inject
 from repro.generation import (
     GenerationConfig,
@@ -96,13 +98,24 @@ def campaign(store, tokenizer, task, fault_model, examples=None, **kw):
     )
 
 
+def pin_sites(camp, edit):
+    """``camp`` with every trial's sampled site replaced by ``edit(trial,
+    site)``: its plan swapped for one whose :meth:`CellPlan.site` does
+    that (a plan is frozen; pool workers fork with the swapped one)."""
+    plan = camp.plan
+
+    class Pinned(type(plan)):
+        def site(self, engine, trial):
+            return edit(trial, super().site(engine, trial))
+
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    camp.plan = Pinned(**fields)
+    return camp
+
+
 def pin_iteration(camp, k):
     """Every trial of ``camp`` strikes at iteration ``k``."""
-    sample = camp._trial_site
-    camp._trial_site = lambda trial, max_iter: dataclasses.replace(
-        sample(trial, max_iter), iteration=k
-    )
-    return camp
+    return pin_sites(camp, lambda trial, site: dataclasses.replace(site, iteration=k))
 
 
 def traced_counters(camp, n_trials, **kw):
@@ -374,7 +387,7 @@ class TestFastForwardMatchesReference:
         # and the fork's waves (this process runs the other share)
         # resumed those very runs — the parent's objects, at the
         # parent's addresses — on the parent's engine.
-        assert counters["builds"] == len(camp._golden) == len(camp.examples)
+        assert counters["builds"] == len(camp._golden) == len(camp.plan.examples)
         workers = seen()
         assert len(workers) == 1
         assert all(facts == [identity(camp), runs(camp)] for facts in workers.values())
@@ -458,9 +471,9 @@ class TestFastForwardMatchesReference:
         n_baseline = forwards(fast.compute_baseline)
         n_once = forwards(lambda: [
             beam_search_decode(
-                fast.engine, tokenizer.encode(ex.prompt), fast.generation
+                fast.engine, tokenizer.encode(ex.prompt), fast.plan.generation
             )
-            for ex in fast.examples
+            for ex in fast.plan.examples
         ])
         assert n_baseline == n_once
         assert fast.compute_baseline() == reference.compute_baseline()
@@ -481,7 +494,7 @@ class TestFastForwardMatchesReference:
             if guard == "ranger":
                 ranger = RangeRestrictor()
                 ranger.calibrate(
-                    camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.examples]
+                    camp.engine, [tokenizer.encode(ex.prompt) for ex in camp.plan.examples]
                 )
                 ranger.install(camp.engine)
             else:
@@ -621,16 +634,9 @@ MC_FAULTS = [
 def pin_block(camp, block):
     """Every trial of ``camp`` strikes its sampled layer type in
     ``block``."""
-    sample = camp._trial_site
-
-    def pinned(trial, max_iter):
-        site = sample(trial, max_iter)
-        return dataclasses.replace(
-            site, layer_name=f"blocks.{block}.{site.layer_type}"
-        )
-
-    camp._trial_site = pinned
-    return camp
+    return pin_sites(camp, lambda trial, site: dataclasses.replace(
+        site, layer_name=f"blocks.{block}.{site.layer_type}"
+    ))
 
 
 def score_vectors(camp, trial):
@@ -639,14 +645,16 @@ def score_vectors(camp, trial):
     keyed to the trial's rows (a wave of one), armed engine-wide for the
     reference."""
     engine = camp.engine
-    idx = trial % len(camp.examples)
-    site = camp._trial_site(trial, camp._max_fault_iter())
+    idx = trial % len(camp.plan.examples)
+    site = camp.plan.site(engine, trial)
     camp.compute_baseline()  # builds the passes, once
     assert camp.trial_plan()[0] == "wave"
     assert isinstance(camp._golden[idx], GoldenOptions)
-    prompt, options = camp._token_ids[idx]
+    prompt, options = camp.plan.token_ids[idx]
     hooks = len(camp.engine.hooks)
-    rows, fired = camp._option_scores([(trial, site)])[trial]
+    rows, fired = option_scores(
+        engine, [(trial, site, camp._golden[idx])], camp._bounds
+    )[trial]
     assert engine.row_weights == engine.kv_faults == engine.acc_faults == {}
     assert len(engine.hooks) == hooks
     with inject(camp.engine, site) as reference:
@@ -682,7 +690,7 @@ class TestReachLimitedOptions:
                         f" {rows} != {full}"
                     )
                     blocks.add((store is moe_store, site.block))
-                assert len(camp._golden) == len(camp.examples)
+                assert len(camp._golden) == len(camp.plan.examples)
                 if task_cls is TruthfulQATask:
                     # The fourth example's options are 5 and 4 tokens
                     # long: one rows forward each.
@@ -778,7 +786,7 @@ class TestReachLimitedOptions:
             # transient fault.
             if not fault_model.is_memory:
                 rows = [0]
-            elif golden.shared and probe._shares_row(t.site):
+            elif golden.shared and admits_sharing(probe.engine, probe._bounds, t.site):
                 rows = sorted(set(golden.leaders))
                 shared += 4 - len(rows)
             else:
@@ -793,7 +801,7 @@ class TestReachLimitedOptions:
         assert shared > 0 or not fault_model.is_memory
 
     def test_the_bound_refuses_what_sharing_would_get_wrong(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, monkeypatch
     ):
         """A bf16 exponent-MSB flip in q_proj writes about 1e38: a query
         can then score every key it sees below the mask's ``-1e9``, and
@@ -805,12 +813,12 @@ class TestReachLimitedOptions:
             trained_store, tokenizer, MMLUTask(world), FaultModel.MEM_2BIT,
             engine=InferenceEngine(trained_store, weight_policy="bf16"),
         )
-        camp._trial_site = lambda trial, max_iter: site
+        pin_sites(camp, lambda trial, drawn: site)
         _, rows, full = score_vectors(camp, 2)
         assert camp._golden[2].leaders == [0, 0, 0, 0]
-        assert not camp._shares_row(site)
+        assert not admits_sharing(camp.engine, camp._bounds, site)
         assert np.array_equal(rows, full)
-        camp._shares_row = lambda site: True
+        monkeypatch.setattr(options_module, "admits_sharing", lambda *args: True)
         _, shared, full = score_vectors(camp, 2)
         assert shared[0] == full[0] and not np.array_equal(shared, full)
 
@@ -851,7 +859,7 @@ class TestReachLimitedOptions:
                 assert fast.compute_baseline() == reference.compute_baseline()
                 assert fast._baseline_preds == reference._baseline_preds
                 assert reference._golden == {}
-                for ids, golden in zip(fast._token_ids, fast._golden.values()):
+                for ids, golden in zip(fast.plan.token_ids, fast._golden.values()):
                     assert np.array_equal(golden.scores, score_options(engine, *ids))
 
     def test_resume_from_a_journal_cut_mid_cell(
@@ -910,7 +918,7 @@ class TestReachLimitedOptions:
 
         def experts_run(idx):
             """Per option: the ``(block, expert)`` pairs its forward runs."""
-            prompt, options = camp._token_ids[idx]
+            prompt, options = camp.plan.token_ids[idx]
             ran = []
             for option in options:
                 with Recorder(engine) as recorder:
@@ -923,24 +931,23 @@ class TestReachLimitedOptions:
             return ran
 
         cases = []
-        for idx in range(len(camp.examples)):
+        for idx in range(len(camp.plan.examples)):
             ran = experts_run(idx)
             for block, expert in set().union(*ran[1:]) - ran[0]:
                 first = next(i for i, r in enumerate(ran) if (block, expert) in r)
                 cases.append((idx, block, expert, first))
         assert cases, "no example routes an expert from a later option only"
         for idx, block, expert, first in cases:
-            sample = camp._trial_site
-            camp._trial_site = lambda trial, max_iter: dataclasses.replace(
-                sample(trial, max_iter),
-                layer_name=f"blocks.{block}.experts.{expert}.down_proj",
-            )
+            plan = camp.plan
+            pin_sites(camp, lambda trial, site: dataclasses.replace(
+                site, layer_name=f"blocks.{block}.experts.{expert}.down_proj",
+            ))
             tel = telemetry()
             tel.reset(), tel.enable()
             site, rows, full = score_vectors(camp, idx)
             reused = tel.metrics.counter("campaign.mc_golden.rows_reused").value
             tel.disable(), tel.reset()
-            camp._trial_site = sample
+            camp.plan = plan
             assert np.array_equal(rows, full, equal_nan=True)
             assert reused == len(rows) - first - 1
 
@@ -1006,8 +1013,8 @@ class TestReachLimitedOptions:
         fault baked into a golden pass would be taken for fault-free by
         every later trial of that example."""
         camp = campaign(trained_store, tokenizer, MMLUTask(world), fault_model)
-        site = camp._trial_site(0, 1)
-        prompt, options = camp._token_ids[0]
+        site = camp.plan.site(camp.engine, 0)
+        prompt, options = camp.plan.token_ids[0]
         with inject(camp.engine, site):
             assert camp.trial_plan()[0] == "reference"
             with pytest.raises(RuntimeError, match="pristine"):
@@ -1017,7 +1024,7 @@ class TestReachLimitedOptions:
         assert camp.trial_plan()[0] == "wave" and isinstance(camp._golden[0], GoldenOptions)
 
     def test_a_forward_that_outlasts_the_trial_timeout(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, no_backoff
     ):
         """The alarm lands inside the wave's forward, its rows' faulted
         weights registered: its trials are re-run one at a time with no
@@ -1037,7 +1044,7 @@ class TestReachLimitedOptions:
 
         camp.engine.forward_chunk_batch = stalling
         result, counters = traced_counters(
-            camp, 9, trial_timeout=0.5, max_retries=1, retry_backoff=0.0
+            camp, 9, trial_timeout=0.5, max_retries=1
         )
         reference = campaign(
             trained_store, tokenizer, task, FaultModel.MEM_2BIT,
@@ -1286,7 +1293,7 @@ class TestSharedPasses:
         detach()
 
     def test_a_repaired_campaign_still_resumes_shared_passes(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, no_backoff
     ):
         task = TranslationTask(world)
         engine = InferenceEngine(trained_store)
@@ -1304,7 +1311,7 @@ class TestSharedPasses:
             return run_wave(wave)
 
         camp._run_wave = raising
-        result, counters = traced_counters(camp, 12, retry_backoff=0.0)
+        result, counters = traced_counters(camp, 12)
         assert raised == [12]
         assert shared_counters(counters) == (0, 3)
         assert counters["campaign.wave.fallbacks"] == 1

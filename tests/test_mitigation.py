@@ -151,12 +151,12 @@ class TestSelectiveProtection:
         with pytest.raises(ValueError):
             SelectiveProtection(untrained_engine, [])
 
-    def test_protected_router_campaign(self, moe_engine, tokenizer, world):
+    def test_protected_router_campaign(self, moe_engine, tokenizer, world, no_backoff):
         """The mitigation study's wiring: verify-and-restore before every
         decode of a router-only memory-fault campaign, on the one-trial
-        reference path, where ``_eval_gen`` is each trial's decode (a
+        reference path, where ``_reference`` is each trial's decode (a
         wave decodes its rows without it).  The wrapper has to pass on
-        whatever the campaign calls ``_eval_gen`` with — one that took
+        whatever the campaign calls ``_reference`` with — one that took
         the example alone made every trial raise and end up
         quarantined."""
         task = TranslationTask(world)
@@ -175,9 +175,9 @@ class TestSelectiveProtection:
             decode_strategy="serial",
         )
         protection = SelectiveProtection(moe_engine, router_layers(moe_engine))
-        original = campaign._eval_gen
-        campaign._eval_gen = lambda *args: protection.guarded(lambda: original(*args))
-        result = campaign.run(8, retry_backoff=0.0)
+        original = campaign._reference
+        campaign._reference = lambda *args: protection.guarded(lambda: original(*args))
+        result = campaign.run(8)
         assert result.quarantined == 0
         assert not any(trial.changed for trial in result.trials)
         assert protection.corrections > 0

@@ -168,7 +168,7 @@ class TestSiteSampling:
             b = make_campaign(untrained_store, tokenizer, world, "gen", model)
             for trial in range(12):
                 assert a.trial_key(trial) == b.trial_key(trial)
-                assert a._trial_site(trial, 8) == b._trial_site(trial, 8)
+                assert a.plan.site(a.engine, trial) == b.plan.site(b.engine, trial)
 
     def test_kv_layer_filter_respected(self):
         engine = _prop_engine()

@@ -118,7 +118,7 @@ def install_ranger(campaign) -> RangeRestrictor:
     guard = RangeRestrictor(margin=0.1)
     guard.calibrate(
         campaign.engine,
-        [campaign.tokenizer.encode(ex.prompt) for ex in campaign.examples],
+        [campaign.tokenizer.encode(ex.prompt) for ex in campaign.plan.examples],
     )
     guard.install(campaign.engine)
     return guard
@@ -262,7 +262,7 @@ class TestPooledEquivalence:
         )
 
     def test_respawn_forks_from_the_same_parent_state(
-        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch, no_backoff
     ):
         """Every first attempt in a fork kills it — trial 0, the fork's
         first batch, for one — so the fork is respawned at least once;
@@ -279,8 +279,9 @@ class TestPooledEquivalence:
             untrained_store, tokenizer, world, "mc", FaultModel.COMP_1BIT,
             chaos=CampaignChaos(die_in_worker=set(range(6))),
         )
+        monkeypatch.setattr(executor, "_MAX_POOL_REBUILDS", 6)
         try:
-            result = campaign.run(6, n_workers=2, retry_backoff=0.0, max_pool_rebuilds=6)
+            result = campaign.run(6, n_workers=2)
         finally:
             campaign.close_pool()
         workers = seen()
@@ -391,7 +392,7 @@ class TestTheSupervisorRunsAShare:
         assert_records_equal(pooled.trials, serial.trials, "pool2", "serial")
 
     def test_a_fork_dying_during_this_process_unit_is_reaped_after_it(
-        self, untrained_store, tokenizer, world, tmp_path, monkeypatch
+        self, untrained_store, tokenizer, world, tmp_path, monkeypatch, no_backoff
     ):
         """Trial 0 is the fork's first batch and kills it; trial 1, this
         process's, outlasts the death.  The fork is reaped once trial 1
@@ -426,7 +427,7 @@ class TestTheSupervisorRunsAShare:
             chaos=CampaignChaos(die_in_worker={0}),
         )
         try:
-            result = campaign.run(4, n_workers=2, checkpoint=ck, retry_backoff=0.0)
+            result = campaign.run(4, n_workers=2, checkpoint=ck)
         finally:
             campaign.close_pool()
         assert dying.exists()

@@ -41,7 +41,7 @@ from repro.fi import (
     load_checkpoint,
 )
 from repro.fi import wave as fi_wave
-from repro.fi.campaign import _DECODE_BATCH
+from repro.fi.wave import _DECODE_BATCH
 from repro.fi.injector import ComputationalFaultInjector, KVFaultInjector
 from repro.generation import GenerationConfig, greedy_decode
 from repro.generation.round import DecodeRound
@@ -59,7 +59,7 @@ from repro.tasks import (
 )
 
 from tests.test_golden import campaign, clean_obs  # noqa: F401 — autouse fixture
-from tests.test_golden import MC_TASKS, lone_trials, pin_iteration
+from tests.test_golden import MC_TASKS, lone_trials, pin_iteration, pin_sites
 from tests.test_scaleout import identity, record_in_workers
 
 TASKS = [GSM8kTask, TranslationTask, SummarizationTask, SquadTask]
@@ -483,7 +483,8 @@ class TestIterationZeroRows:
         ids=lambda p: getattr(p, "value", p),
     )
     def test_an_admission_that_raises_leaves_nothing_behind(
-        self, trained_store, tokenizer, world, monkeypatch, fault_model, raise_at
+        self, trained_store, tokenizer, world, monkeypatch, fault_model, raise_at,
+        no_backoff,
     ):
         """Wherever a wave raises — a prompt forward, a step forward, a
         resumed row's ``restore`` callback after it armed the row's
@@ -528,7 +529,7 @@ class TestIterationZeroRows:
         assert camp._kv_slots().n_free == camp._kv_slots().n_slots
         # As a run: the wave falls back, once, and nothing is lost.
         calls.clear()
-        result, counters, _, _ = run_traced(camp, 9, retry_backoff=0.0)
+        result, counters, _, _ = run_traced(camp, 9)
         reference = campaign(
             trained_store, tokenizer, task, fault_model, decode_strategy="serial", **kw
         )
@@ -598,7 +599,7 @@ class TestWaveEdges:
         assert sorted(load_checkpoint(cut)[1]) == list(range(N_TRIALS))
 
     def test_a_raising_trial_is_quarantined_alone(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, no_backoff
     ):
         task = TranslationTask(world)
         reference = campaign(
@@ -609,17 +610,15 @@ class TestWaveEdges:
             i for i, t in enumerate(reference.trials) if t.site.iteration >= 1
         )
         camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
-        score = camp._gen_record
+        score = camp._record
 
         def failing(site, *args):
             if site == reference.trials[victim].site:
                 raise RuntimeError("boom")
             return score(site, *args)
 
-        camp._gen_record = failing
-        result, counters, waves, _ = run_traced(
-            camp, N_TRIALS, max_retries=1, retry_backoff=0.0
-        )
+        camp._record = failing
+        result, counters, waves, _ = run_traced(camp, N_TRIALS, max_retries=1)
         assert [t.outcome is Outcome.FAILED for t in result.trials] == [
             i == victim for i in range(N_TRIALS)
         ]
@@ -713,7 +712,7 @@ class TestSixteenWideOverReachSizedSlots:
         max_seq = InferenceEngine(trained_store).config.max_seq
         task = TranslationTask(world)
         camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
-        longest = max(len(tokenizer.encode(ex.prompt)) for ex in camp.examples)
+        longest = max(len(tokenizer.encode(ex.prompt)) for ex in camp.plan.examples)
         slots = camp._kv_slots()
         reach = longest + task.max_new_tokens + 1
         assert reach < max_seq
@@ -806,7 +805,7 @@ class TestWavesInWorkers:
         assert counters["campaign.wave.fallbacks"] == counters["campaign.retries"] == 0
 
     def test_a_worker_dying_inside_its_first_wave_loses_nothing(
-        self, trained_store, tokenizer, world, tmp_path, monkeypatch
+        self, trained_store, tokenizer, world, tmp_path, monkeypatch, no_backoff
     ):
         task = TranslationTask(world)
         reference = self._serial(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
@@ -830,7 +829,7 @@ class TestWavesInWorkers:
         ck = tmp_path / "campaign.jsonl"
         camp = campaign(trained_store, tokenizer, task, FaultModel.COMP_2BIT)
         try:
-            result = camp.run(N_TRIALS, n_workers=2, checkpoint=ck, retry_backoff=0.0)
+            result = camp.run(N_TRIALS, n_workers=2, checkpoint=ck)
         finally:
             camp.close_pool()
         assert_results_equal(result, reference, "after the death", "serial")
@@ -922,7 +921,7 @@ class TestMultipleChoiceWeightFaultWaves:
             assert camp._kv_pool is None
 
     def test_a_chaos_campaign_scores_each_trial_alone(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, no_backoff
     ):
         """Chaos keeps every trial to itself: each scores its options
         through the reference, one forward per option, its weight fault
@@ -931,7 +930,7 @@ class TestMultipleChoiceWeightFaultWaves:
         chaos = CampaignChaos(fail_transient=frozenset({3}))
         result, counters, waves, _ = run_traced(
             self._campaign(trained_store, tokenizer, task, chaos=chaos),
-            N_TRIALS, retry_backoff=0.0,
+            N_TRIALS,
         )
         reference = self._campaign(
             trained_store, tokenizer, task, decode_strategy="serial"
@@ -944,7 +943,7 @@ class TestMultipleChoiceWeightFaultWaves:
         assert "decode.plan.option_rows.weight_fault" not in counters
 
     def test_a_wave_that_raises_leaves_no_row_registration(
-        self, trained_store, tokenizer, world
+        self, trained_store, tokenizer, world, no_backoff
     ):
         task = MMLUTask(world)
         camp = self._campaign(trained_store, tokenizer, task)
@@ -964,7 +963,7 @@ class TestMultipleChoiceWeightFaultWaves:
         assert camp.engine.row_weights == {} and camp._kv_pool is None
         # As a run: the wave falls back, once, and nothing is lost.
         calls.clear()
-        result, counters, _, _ = run_traced(camp, N_TRIALS, retry_backoff=0.0)
+        result, counters, _, _ = run_traced(camp, N_TRIALS)
         reference = self._campaign(
             trained_store, tokenizer, task, decode_strategy="serial"
         ).run(N_TRIALS)
@@ -1169,7 +1168,7 @@ class TestEveryRowKeyableFaultIsAWave:
         probe = build()
         engine = probe.engine
         later = {}  # example -> an expert layer only a later option runs
-        for idx, (prompt, options) in enumerate(probe._token_ids):
+        for idx, (prompt, options) in enumerate(probe.plan.token_ids):
             ran = []
             for option in options:
                 with Recorder(engine) as recorder:
@@ -1184,15 +1183,11 @@ class TestEveryRowKeyableFaultIsAWave:
         assert len(later) > 1, "too few examples route an expert from a later option only"
 
         def pinned(camp):
-            sample = camp._trial_site
-
-            def site(trial, max_iter):
-                drawn = sample(trial, max_iter)
-                layer = later.get(trial % len(camp.examples), drawn.layer_name)
+            def site(trial, drawn):
+                layer = later.get(trial % len(camp.plan.examples), drawn.layer_name)
                 return dataclasses.replace(drawn, layer_name=layer)
 
-            camp._trial_site = site
-            return camp
+            return pin_sites(camp, site)
 
         reference = pinned(build(decode_strategy="serial")).run(24)
         fast, counters, waves, _ = run_traced(pinned(build()), 24)
@@ -1208,11 +1203,7 @@ class TestEveryRowKeyableFaultIsAWave:
 
 def plant(camp, **fields):
     """``camp`` with every sampled site's ``fields`` replaced."""
-    sample = camp._trial_site
-    camp._trial_site = lambda trial, max_iter: dataclasses.replace(
-        sample(trial, max_iter), **fields
-    )
-    return camp
+    return pin_sites(camp, lambda trial, site: dataclasses.replace(site, **fields))
 
 
 class TestAWaveRunsOnlyWhereATrialCanDiffer:
