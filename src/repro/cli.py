@@ -214,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="GAMMA",
         help="draft tokens proposed per speculative verify round",
     )
-    serve.add_argument(
-        "--skip-equivalence",
-        action="store_true",
-        help="skip the served-vs-serial token-identity gate before the"
-        " load sweep",
-    )
     _add_obs_flags(serve)
 
     experiment = sub.add_parser(
@@ -285,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once",
         action="store_true",
         help="render one snapshot and exit (scripting/CI)",
-    )
-    watch.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append snapshots instead of clearing the screen",
     )
     return parser
 
@@ -495,14 +484,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         eos_id=ctx.tokenizer.vocab.eos_id,
     )
     draft = ctx.engine(args.draft_model) if args.draft_model else None
-    if not args.skip_equivalence:
-        checked = equivalence_gate(
-            engine, config, prompts, max_batch=args.max_batch,
-            draft=draft, speculation_depth=args.spec_depth,
-        )
-        print(f"equivalence gate: {checked} prompts served token-identical"
-              f" to serial greedy_decode, prefilled and again from the"
-              f" prompt cache")
+    checked = equivalence_gate(
+        engine, config, prompts, max_batch=args.max_batch,
+        draft=draft, speculation_depth=args.spec_depth,
+    )
+    print(f"equivalence gate: {checked} prompts served token-identical"
+          f" to serial greedy_decode, prefilled and again from the"
+          f" prompt cache")
     tel = telemetry()
 
     def cache_counters() -> dict[str, float]:
@@ -582,14 +570,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
         return trace_main(args.run, args.out)
     if args.obs_command == "watch":
-        from repro.obs.watch import main as watch_main
+        from repro.obs.watch import watch
 
-        return watch_main(
-            args.journal,
-            interval=args.interval,
-            total=args.total,
-            once=args.once,
-            no_clear=args.no_clear,
+        return watch(
+            args.journal, interval=args.interval, total=args.total, once=args.once
         )
     raise AssertionError(f"unhandled obs command {args.obs_command}")
 

@@ -6,10 +6,13 @@ retry/backoff/timeout/quarantine.  :class:`Executor` calls it in this
 process, and forked pool workers (:mod:`repro.fi.pool`) call it on the
 batches the executor deals them — so a worker forms waves and retries a
 raising trial exactly as the in-process leg does.  Under a pool this
-process is one of the workers too: it takes the next batch whenever no
-fork is free, and between the units of that batch does what only it
-can do: notice a death, SIGKILL a worker past its deadline, respawn
-within a budget, and give the pool up.
+process is one of the workers too, and its supervisor
+(:meth:`Executor._run_pool`) loops over a ``_PoolRun``'s stages:
+*dispatch* (idle forks, this process's batch, a batch dealt ahead),
+*run one unit* of this process's batch, *collect* (poll the forks and
+note what they sent) and *supervise* (reap, expire, quarantine,
+respawn), then *give up* past the rebuild budget (degrade) and
+*finish* (steals, merged payloads).
 
 The campaign is duck-typed (this module never imports
 :mod:`repro.fi.campaign`).  What it needs of one: ``engine`` (its hooks
@@ -437,155 +440,186 @@ class Executor:
         persistent pool of ``n_workers - 1`` forks it supervises;
         returns the ``(trial, attempts so far)`` pairs left unfinished.
 
-        Dispatch is dynamic: the next pending batch goes to the first
-        free fork — free from the moment it forks, its first batch
-        waiting in its queue while it boots — and when none is free this
-        process takes it and runs it through :func:`run_batch`, as a
-        fork would; what is still pending then is dealt one batch to
-        each fork ahead, queued behind the one it runs, so no fork waits
-        on this process's unit for its next batch.  After each unit of
-        its own this process supervises: it reads what the forks
-        reported, reaps the dead, enforces deadlines and respawns.  A
-        fork's death or overrun is therefore noticed at most one unit of
-        this process's late — a unit ``trial_timeout`` bounds here too
-        (``_trial_alarm``), as a fork's deadline runs from when the fork
-        began the unit.  Each fork's boot is counted as its "ready"
-        message is read (``campaign.worker_boots``), so a fork dealt no
-        batch that is still booting when the run ends is counted by the
-        run that next reads the pool.
-
-        A fork that dies is respawned, forked from the campaign and
-        engine its siblings forked from (supervising changes neither);
-        one whose unit exceeds ``trial_timeout`` is SIGKILLed and
-        replaced.
-        Either way the trials left of the batch it was running are
-        re-queued one per batch — a poisonous trial must not take its
-        siblings down twice — with the in-flight unit's attempt counts
-        bumped, so first-attempt chaos does not strike again, and the
-        batch queued behind it whole; a trial that timed out alone more
-        than ``max_retries`` times is quarantined.  Each replacement
-        counts against ``_MAX_POOL_REBUILDS``; past the budget — which
-        is where forks that never boot end up, each dying with a batch
-        in hand — the pool is shut down and what is unfinished handed
-        back: graceful degradation beats a dead campaign.
+        The loop sequences a :class:`_PoolRun`'s stages until every
+        trial is accepted or the replacements pass ``_MAX_POOL_REBUILDS``:
+        then the pool is given up (graceful degradation beats a dead
+        campaign).  A fork's death or overrun is noticed at most one unit
+        of this process's late, a unit ``trial_timeout`` bounds here too
+        (``_trial_alarm``).
         """
-        tel = _telemetry()
-        pool = self._ensure_pool(campaign, n_workers - 1, tel)
-        attempts = dict(todo)
-        trials = sorted(attempts)
+        pool = self._ensure_pool(campaign, n_workers - 1, _telemetry())
+        run = _PoolRun(campaign, pool, todo, n_workers, sup, accept)
+        while run.left and run.rebuilds <= _MAX_POOL_REBUILDS:
+            run.dispatch()
+            if not run.run_own():
+                continue
+            run.collect()
+            run.supervise()
+        if run.left:
+            run.give_up()
+            self.pool = None
+        return run.finish()
+
+
+class _PoolRun:
+    """One pooled run's state, and one method per stage of
+    :meth:`Executor._run_pool`."""
+
+    def __init__(
+        self,
+        campaign,
+        pool: CampaignPool,
+        todo: list[tuple[int, int]],
+        n_workers: int,
+        sup: _Supervision,
+        accept: Callable,
+    ) -> None:
+        self.campaign, self.pool, self.sup, self.accept = campaign, pool, sup, accept
+        self.n_workers = n_workers
+        self.tel = _telemetry()
+        self.attempts = dict(todo)
+        trials = sorted(self.attempts)
         size = _batch_size(len(trials), n_workers, campaign.trial_plan()[0] == "wave")
-        pending = deque(trials[at : at + size] for at in range(0, len(trials), size))
-        left = set(trials)
-        payloads: dict[int, tuple[int, dict]] = {}  # first trial -> (trials, payload)
-        executed: Counter = Counter()  # pid -> trials completed there
-        timeouts: Counter = Counter()  # trial -> deadlines it alone ran past
-        rebuilds = 0
-        here, campaign_hash = os.getpid(), config_hash(campaign.fingerprint())
-        own: Iterator | None = None  # the batch this process is running
+        self.pending = deque(
+            trials[at : at + size] for at in range(0, len(trials), size)
+        )
+        self.left = set(trials)
+        # first trial of a unit -> (trials in it, payload)
+        self.payloads: dict[int, tuple[int, dict]] = {}
+        self.executed: Counter = Counter()  # pid -> trials completed there
+        self.timeouts: Counter = Counter()  # trial -> deadlines it alone ran past
+        self.rebuilds = 0
+        self.here, self.campaign_hash = os.getpid(), config_hash(campaign.fingerprint())
+        self.own: Iterator | None = None  # the batch this process is running
 
-        def requeue(held: _Held | None) -> None:
-            if held is None:
-                return
-            for untouched in reversed(held.tasks[1:]):
-                pending.appendleft(sorted(untouched))
-            in_flight = dict(held.unit)
-            for trial in sorted(held.tasks[0] & left, reverse=True):
-                if trial in in_flight:
-                    attempts[trial] = in_flight[trial] + 1
-                    if tel.active:
-                        tel.metrics.counter("campaign.retries").add()
-                pending.appendleft([trial])
+    def dispatch(self) -> None:
+        """A batch to each idle fork (free from the moment it forks), the
+        next to this process when it has none, run through
+        :func:`run_batch` as a fork would, then one batch ahead to each
+        fork holding only the one it runs, so none waits on this
+        process's unit."""
+        pending, pool = self.pending, self.pool
+        while pending and pool.idle:
+            self._deal()
+        if self.own is None and pending:
+            batch = self._tasks(pending.popleft())
+            self.own = run_batch(self.campaign, batch, self.sup)
+        for pid in pool.holding_one():
+            if pending:
+                self._deal(pid)
 
-        def replace_worker() -> None:
-            nonlocal rebuilds
-            rebuilds += 1
-            if rebuilds <= _MAX_POOL_REBUILDS:
-                pool.spawn_worker(partial(_boot_worker, campaign))
+    def run_own(self) -> bool:
+        """One unit of this process's batch; ``False`` once it is spent."""
+        if self.own is None:
+            return True
+        mark = len(self.tel.tracer.records)
+        results = next(self.own, None)
+        if results is None:
+            self.own = None
+            return False
+        self._finished(self.here, results)
+        _attribute_own_unit(self.tel, mark, self.here, results, self.campaign_hash)
+        return True
 
-        def deal(pid: int | None = None) -> None:
-            batch = pending.popleft()
-            pool.dispatch(batch, ([(t, attempts[t]) for t in batch], sup), pid)
-
-        def finished(pid: int, results: list) -> None:
-            executed[pid] += len(results)
-            for trial, record, n_attempts in results:
-                left.discard(trial)
-                accept(trial, record, n_attempts, pid)
-
-        def note(msg) -> None:
+    def collect(self) -> None:
+        """Every message the forks sent (waiting for one only when this
+        process has no batch).  A boot counts as its "ready" is read
+        (``campaign.worker_boots``): a fork still booting when the run
+        ends counts in the run that next reads the pool."""
+        msg = self.pool.poll(0.0 if self.own is not None else 0.05)
+        while msg is not None:
             kind, pid, body = msg
             if kind == "ready":
-                if tel.active:
-                    tel.metrics.counter("campaign.worker_boots").add()
+                if self.tel.active:
+                    self.tel.metrics.counter("campaign.worker_boots").add()
             elif kind == "done":
                 # Never of a trial served before: a killed worker's
                 # pipe is dropped unread, and what a dead one still
                 # delivered is off its books before they are re-queued.
                 results, payload = body
-                finished(pid, results)
+                self._finished(pid, results)
                 if payload is not None:
-                    payloads[results[0][0]] = (len(results), payload)
+                    self.payloads[results[0][0]] = (len(results), payload)
+            msg = self.pool.poll(0.0)
 
-        while left and rebuilds <= _MAX_POOL_REBUILDS:
-            while pending and pool.idle:
-                deal()
-            if own is None and pending:
-                batch = pending.popleft()
-                own = run_batch(campaign, [(t, attempts[t]) for t in batch], sup)
-            for pid in pool.holding_one():
-                if pending:
-                    deal(pid)
-            if own is not None:
-                mark = len(tel.tracer.records)
-                results = next(own, None)
-                if results is None:
-                    own = None
-                    continue
-                finished(here, results)
-                _attribute_own_unit(tel, mark, here, results, campaign_hash)
-            msg = pool.poll(0.0 if own is not None else 0.05)
-            while msg is not None:
-                note(msg)
-                msg = pool.poll(0.0)
-            for _pid, held in pool.reap_dead():
-                requeue(held)
-                replace_worker()
-            for pid, held in pool.expired(time.monotonic(), sup.trial_timeout):
-                pool.kill_worker(pid)
-                if len(held.unit) == 1:
-                    trial, attempt = held.unit[0]
-                    timeouts[trial] += 1
-                    if timeouts[trial] > sup.max_retries:
-                        left.discard(trial)
-                        exc = TrialTimeoutError(
-                            f"trial exceeded {sup.trial_timeout:g}s"
-                        )
-                        accept(
-                            trial, campaign._quarantine_record(trial, exc),
-                            attempt + 1, pid,
-                        )
-                requeue(held)
-                replace_worker()
+    def supervise(self) -> None:
+        """Reap dead forks and SIGKILL those past ``trial_timeout``,
+        re-queue what each held (:meth:`_requeue`) and respawn it from
+        the campaign its siblings forked from; a trial that timed out
+        alone more than ``max_retries`` times is quarantined."""
+        pool, sup = self.pool, self.sup
+        for _pid, held in pool.reap_dead():
+            self._requeue(held)
+            self._replace_worker()
+        for pid, held in pool.expired(time.monotonic(), sup.trial_timeout):
+            pool.kill_worker(pid)
+            if len(held.unit) == 1:
+                trial, attempt = held.unit[0]
+                self.timeouts[trial] += 1
+                if self.timeouts[trial] > sup.max_retries:
+                    self.left.discard(trial)
+                    exc = TrialTimeoutError(f"trial exceeded {sup.trial_timeout:g}s")
+                    record = self.campaign._quarantine_record(trial, exc)
+                    self.accept(trial, record, attempt + 1, pid)
+            self._requeue(held)
+            self._replace_worker()
 
-        if left:
-            # Rebuild budget exhausted: abandon the pool (in-flight
-            # units included — their workers may be the problem).
-            if tel.active:
-                tel.metrics.counter("campaign.pool_degraded").add()
-            for held in pool.in_flight.values():
-                requeue(held)
-            pool.close()
-            self.pool = None
+    def give_up(self) -> None:
+        """Abandon the pool, in-flight units included (their workers may
+        be the problem; forks that never boot end here)."""
+        if self.tel.active:
+            self.tel.metrics.counter("campaign.pool_degraded").add()
+        for held in self.pool.in_flight.values():
+            self._requeue(held)
+        self.pool.close()
 
-        if tel.active and executed:
+    def finish(self) -> list[tuple[int, int]]:
+        """Steals counted, payloads merged: the pairs left unfinished."""
+        executed = self.executed
+        if self.tel.active and executed:
             # Work actually stolen: completions beyond an even static
             # split.  Zero when every worker served exactly its share.
-            fair = math.ceil(sum(executed.values()) / max(1, n_workers))
+            fair = math.ceil(sum(executed.values()) / max(1, self.n_workers))
             steals = sum(max(0, n - fair) for n in executed.values())
-            tel.metrics.counter("campaign.steals").add(steals)
+            self.tel.metrics.counter("campaign.steals").add(steals)
+        _merge_worker_payloads(self.payloads, self.campaign_hash)
+        return [(trial, self.attempts[trial]) for trial in sorted(self.left)]
 
-        _merge_worker_payloads(payloads, campaign_hash)
-        return [(trial, attempts[trial]) for trial in sorted(left)]
+    def _tasks(self, batch: list[int]) -> list[tuple[int, int]]:
+        return [(trial, self.attempts[trial]) for trial in batch]
+
+    def _deal(self, pid: int | None = None) -> None:
+        batch = self.pending.popleft()
+        self.pool.dispatch(batch, (self._tasks(batch), self.sup), pid)
+
+    def _finished(self, pid: int, results: list) -> None:
+        self.executed[pid] += len(results)
+        for trial, record, n_attempts in results:
+            self.left.discard(trial)
+            self.accept(trial, record, n_attempts, pid)
+
+    def _requeue(self, held: _Held | None) -> None:
+        """A lost fork's running batch back one trial per batch (a
+        poisonous trial must not take its siblings down twice), the
+        in-flight unit's attempts bumped (first-attempt chaos does not
+        strike again), and the batches queued behind it whole."""
+        if held is None:
+            return
+        for untouched in reversed(held.tasks[1:]):
+            self.pending.appendleft(sorted(untouched))
+        in_flight = dict(held.unit)
+        for trial in sorted(held.tasks[0] & self.left, reverse=True):
+            if trial in in_flight:
+                self.attempts[trial] = in_flight[trial] + 1
+                if self.tel.active:
+                    self.tel.metrics.counter("campaign.retries").add()
+            self.pending.appendleft([trial])
+
+    def _replace_worker(self) -> None:
+        """One replacement, forked while ``_MAX_POOL_REBUILDS`` lasts."""
+        self.rebuilds += 1
+        if self.rebuilds <= _MAX_POOL_REBUILDS:
+            self.pool.spawn_worker(partial(_boot_worker, self.campaign))
 
 
 def _attribution(campaign_hash: str, pid: int, first: int, n_trials: int) -> dict:

@@ -5,16 +5,12 @@ that hands batches of work to whichever worker frees up first and
 notices when one dies or outlasts its deadline.  A worker is a ``fork``
 of the campaign's process, so it runs the very campaign and engine the
 parent holds — weights, hooks, golden passes — sharing their pages
-copy-on-write.  The pool counts only its forks: a campaign run with
-``n_workers`` processes forks ``n_workers - 1`` of them, and the
-supervising process is the n-th, running batches between the times it
-looks at the pool (so it notices a fork's death or overrun at most one
-of its own units late).  A busy worker can be handed one task more,
-queued behind the one it runs, so it need not wait on a supervisor
-busy with its own unit to be handed its next.  What a batch holds, who runs it, what is
-retried, what is quarantined and when the pool is given up are
-:mod:`repro.fi.executor`'s; the only thing this module knows about a
-task is which trial numbers it covers.
+copy-on-write.  The pool counts only its forks (a campaign run with
+``n_workers`` processes forks ``n_workers - 1``), and a busy worker can
+be handed one task more, queued behind the one it runs.  What a batch
+holds, who runs it, what is retried, what is quarantined and when the
+pool is given up are :mod:`repro.fi.executor`'s; the only thing this
+module knows about a task is which trial numbers it covers.
 """
 
 from __future__ import annotations

@@ -20,9 +20,7 @@ engines do:
 once per call, names the path (the gate matrix in
 :mod:`repro.generation.round`); its ``serial`` path runs the reference
 loop per prompt.  Batched decoding is bit-identical to the serial path
-per row at any width: the engine's batched entries run every operation
-on a row in the shape its serial forward does (row-exact products, see
-``InferenceEngine._linear``).
+per row at any width (the round's equivalence contract).
 """
 
 from __future__ import annotations

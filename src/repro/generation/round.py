@@ -7,26 +7,14 @@ same scheduler seen at different depths, so there is exactly one copy:
   armed on the target (and the draft, if any) it names the fastest path
   that cannot change results, and why.
 * :class:`DecodeRound` — admit → propose → verify → commit / rollback →
-  retire over pooled KV slots.  Without a draft the proposal depth is 0
-  and the verify *is* one ``forward_step_batch`` over all rows (each
-  row shape-identical to its serial ``Session.step``, so armed
-  row-scoped faults strike bit-identically at any width).  Every target
-  forward of a round tags row ``i`` with ``Row.id`` — its admission
-  number, which unlike its position never shifts when a sibling retires
-  — as ``HookContext.batch_row``, so an injector pinned to one sequence
-  stays on it; so does every prompt forward, so a sibling's injector
-  cannot strike an admission that arms a fault of its own
-  (``before_prefill``) instead.  The prompts of one admission burst
-  (:meth:`DecodeRound.admit_many`; a server admits one request at a
-  time) prefill as one rows ``forward_chunk_batch`` per prompt length,
-  row-exact like every batched forward.  With a draft, the draft
-  proposes up to ``depth`` tokens per row (a grouped catch-up chunk plus
-  ``depth - 1`` batched steps over its own pool), the target verifies
-  each row's ``pending + proposals`` chunk in one
-  ``forward_chunk_batch`` per distinct chunk length, accepted prefixes
-  commit and rejects roll back by per-slot ``KVCache.truncate`` — which
-  fires the cache's watchers, so a row-pinned KV-fault injector
-  restores its bits and re-arms without touching sibling rows.
+  retire over pooled KV slots.  :meth:`~DecodeRound.step` runs one
+  forward leg: without a draft one ``forward_step_batch`` over all rows
+  (``_advance``), with one the draft's proposals and the target's
+  verify chunks, rejects rolled back per slot (``_speculate``).  Every
+  target forward of a round, prompt forwards included, tags row ``i``
+  with ``Row.id`` — its admission number, which unlike its position
+  never shifts when a sibling retires — as ``HookContext.batch_row``,
+  so an injector pinned to one sequence stays on it.
 * :func:`decode_to_completion` — "fill, ``step()`` until empty" over a
   list of :class:`Admission` requests: what the offline decoders do with
   a round.  The server pump calls :meth:`DecodeRound.admit` and
@@ -43,12 +31,11 @@ logits over the true emitted prefix, so no schedule can change which
 tokens are greedy-optimal — rows are token-identical to serial
 ``greedy_decode`` at any depth, width and admission timing.  Without a
 draft the contract is stronger: the engine's batched entries are
-*row-exact* (one product per sequence, see
-``InferenceEngine._linear``), so each row's logits and K/V are
-**bit-identical to serial at any width** — which is what lets a campaign
-decode injected trials side by side: an injected error is amplified, not
-averaged out, so trials may share a forward only if every row's bits are
-exactly the serial ones.
+row-exact (``repro.inference.engine._Plan``), so each row's logits and
+K/V are **bit-identical to serial at any width** — which is what lets a
+campaign decode injected trials side by side: an injected error is
+amplified, not averaged out, so trials may share a forward only if
+every row's bits are exactly the serial ones.
 
 **Gate matrix** — the truth table of :func:`decode_plan`:
 
@@ -361,60 +348,31 @@ class DecodeRound:
         its first token; one event per admission, in order.
 
         The rows get consecutive ids, and every slot is acquired — and
-        every restored row filled — before any prompt forward runs; the
-        prompts then run as one rows ``forward_chunk_batch`` per prompt
-        length (:meth:`_prefill`).  Either callback sees the row — its
-        ``id`` and its slot's cache views — and is where a request's own
-        fault is armed (a campaign wave keys it to ``row.id``):
-        ``restore`` before it returns the ``(iteration, logits)`` the
-        first token is picked from, ``before_prefill`` before the prompt
-        forward, so iteration-0 sites strike the prefill.  That prompt
-        forward is tagged with the row's id like every later forward of
-        the row: a sibling's row-pinned hook that is still waiting for
-        iteration 0 (an MoE expert its own prompt never routed to) cannot
-        strike it.  EOS as the first token and one-token budgets retire
-        here; such a row never occupies a slot across a round, and its
-        slot is free again only once this returns — nothing acquires one
-        in between, so the slot still holds the row's K/V.  A raise from
-        a forward or a callback releases every slot of the burst first.
-
-        With a ``prompt_cache`` the prompt forward runs only on a miss,
-        whose result is then stored; on a hit the slot is restored to the
-        bits that forward left and ``row.logits`` is the cached,
-        read-only array.  Both sides are fenced by the one path decision:
-        the cache is neither read nor filled when the request carries a
-        fault (``before_prefill``) or :func:`decode_plan` finds anything
-        but observers on the engine — a struck or hooked prefill is never
-        stored and a fault-carrying request never starts from a clean one.
+        every restored row filled — before any prompt forward runs
+        (:meth:`_acquire`); the prompts then run as one rows
+        ``forward_chunk_batch`` per prompt length (:meth:`_prefill`).
+        Either callback sees the row — its ``id`` and its slot's cache
+        views — and is where a request's own fault is armed (a campaign
+        wave keys it to ``row.id``): ``restore`` before it returns the
+        ``(iteration, logits)`` the first token is picked from,
+        ``before_prefill`` before the prompt forward, so iteration-0
+        sites strike the prefill.  EOS as the first token and one-token
+        budgets retire here (:meth:`_first_event`); such a row never
+        occupies a slot across a round, and its slot is free again only
+        once this returns — nothing acquires one in between, so the slot
+        still holds the row's K/V.  A raise from a forward or a callback
+        releases every slot of the burst first.
         """
         if any(a.restore is None and not a.prompt for a in admissions):
             raise ValueError("prompt must contain at least one token")
-        rows = []
+        rows: list[Row] = []
         try:
-            for a in admissions:
-                row = Row(a.key, a.prompt, a.budget, id=self._admitted)
-                self._admitted += 1
-                rows.append(row)
-                row.slot = self.pool.acquire()
-                row.caches = self.pool.caches(row.slot)
-                if a.restore is not None:
-                    row.iter0, logits = a.restore(row)
-                    row.logits = logits[None]
+            self._acquire(admissions, rows)
             self._prefill([
                 (row, a.before_prefill)
                 for row, a in zip(rows, admissions) if a.restore is None
             ])
-            events = []
-            for row in rows:
-                hit_eos = accept(row.logits, (), self.eos_id, row.out)[1]
-                reason = _finish_reason(row, hit_eos)
-                if reason is None and self.draft is not None:
-                    # Slot only: the draft's prompt forward waits for the
-                    # row's first proposing round, so the first token is
-                    # not held back behind it.
-                    row.d_slot = self.draft_pool.acquire()
-                    row.d_caches = self.draft_pool.caches(row.d_slot)
-                events.append((row, row.out[:], reason))
+            events = [self._first_event(row) for row in rows]
         except BaseException:
             for row in rows:
                 self._release(row)
@@ -426,17 +384,51 @@ class DecodeRound:
                 self._release(row)
         return events
 
+    def _acquire(self, admissions: "list[Admission]", rows: list[Row]) -> None:
+        """Each admission's row onto ``rows`` with its id and slot (so a
+        raise releases it), a restored row filled."""
+        for a in admissions:
+            row = Row(a.key, a.prompt, a.budget, id=self._admitted)
+            self._admitted += 1
+            rows.append(row)
+            row.slot = self.pool.acquire()
+            row.caches = self.pool.caches(row.slot)
+            if a.restore is not None:
+                row.iter0, logits = a.restore(row)
+                row.logits = logits[None]
+
+    def _first_event(self, row: Row) -> tuple[Row, list[int], str | None]:
+        """The row's first-token event; a live row gets its draft slot."""
+        hit_eos = accept(row.logits, (), self.eos_id, row.out)[1]
+        reason = _finish_reason(row, hit_eos)
+        if reason is None and self.draft is not None:
+            # Slot only: the draft's prompt forward waits for the row's
+            # first proposing round, so the first token is not held
+            # back behind it.
+            row.d_slot = self.draft_pool.acquire()
+            row.d_caches = self.draft_pool.caches(row.d_slot)
+        return row, row.out[:], reason
+
     def _prefill(
         self, rows: "list[tuple[Row, Callable[[Row], None] | None]]"
     ) -> None:
         """Each ``row.prompt``'s K/V into ``row.caches`` and its
         ``(1, vocab)`` first-token logits into ``row.logits``: one rows
         forward per group of equally long prompts, each row tagged
-        ``row.id`` and bit for bit its 1-D prompt forward — or with a
-        prompt cache a row's stored result (the gate is in
-        :meth:`admit_many`'s docstring).  A forward reads only the
-        prompts' last two positions (``read_from``: a window is never
-        one position); every position's K/V is written."""
+        ``row.id`` and bit for bit its 1-D prompt forward.  A
+        forward reads only the prompts' last two positions
+        (``read_from``: a window is never one position); every
+        position's K/V is written.
+
+        With a ``prompt_cache`` the forward runs only on a miss, whose
+        result is then stored; on a hit the slot is restored to the bits
+        that forward left and ``row.logits`` is the cached, read-only
+        array.  Both sides are fenced by the one path decision: the cache
+        is neither read nor filled when the request carries a fault
+        (``before_prefill``) or :func:`decode_plan` finds anything but
+        observers on the engine — a struck or hooked prefill is never
+        stored and a fault-carrying request never starts from a clean
+        one."""
         cache = self.prompt_cache
         cached = {}
         if cache is not None:
@@ -496,70 +488,78 @@ class DecodeRound:
             row.d_slot = None
 
     def step(self) -> list[tuple[Row, list[int], str | None]]:
-        """Advance every live row one round; one event per row.  A
-        row's position is its last block's cache length: the one block
-        every row computes (see :attr:`Row.enter`)."""
+        """Advance every live row one round; one event per row: a forward
+        leg appends each row's new tokens, then the rows that finished
+        retire."""
         rows = self.rows
         if not rows:
             return []
-        composed = self.draft is not None
-        if composed:
-            gammas, proposals = self._propose(rows)
-            base = [row.caches[-1].length for row in rows]
-            verdicts = self._verify(rows, proposals, base)
-            tel = _telemetry()
-            traced = tel.active
+        before = [len(row.out) for row in rows]
+        if self.draft is not None:
+            hits = self._speculate(rows)
         else:
-            proposals = [()] * len(rows)
-            enter = [row.enter for row in rows]
-            kept = [] if self.keep_block_inputs else None
-            logits = self.engine.forward_step_batch(
-                [row.out[-1] for row in rows],
-                [row.caches for row in rows],
-                [row.caches[-1].length for row in rows],
-                [row.iter0 + len(row.out) for row in rows],
-                [row.id for row in rows],
-                enter=enter if any(enter) else None,
-                block_inputs=kept,
-            )
-            verdicts = [logits[i : i + 1] for i in range(len(rows))]
-            if kept is not None:
-                kept = np.stack(kept, axis=1)
-                for i, row in enumerate(rows):
-                    row.block_inputs = kept[i]
-        eos = self.eos_id
+            hits = self._advance(rows)
         events = []
         still: list[Row] = []
-        for i, row in enumerate(rows):
-            before = len(row.out)
-            row.logits = verdicts[i]
-            row.enter = None
-            accepted, hit_eos = accept(verdicts[i], proposals[i], eos, row.out)
-            if composed:
-                row.accepted = accepted
-                if traced:
-                    metrics = tel.metrics
-                    metrics.counter("decode.spec_rounds").add()
-                    metrics.counter("decode.spec_rejected").add(
-                        gammas[i] - accepted
-                    )
-                    metrics.histogram("decode.spec_accept_len").observe(accepted)
-                # The target keeps the pending token plus the accepted
-                # proposals; rejected K/V rolls back per slot.
-                for cache in row.caches:
-                    cache.truncate(base[i] + 1 + accepted)
+        for row, n, hit_eos in zip(rows, before, hits):
             reason = _finish_reason(row, hit_eos)
-            if reason is not None:
-                self._release(row)
-            else:
-                if composed:
-                    row.d_len = draft_keep(row.d_len, gammas[i], accepted)
-                    for cache in row.d_caches:
-                        cache.truncate(row.d_len)
+            if reason is None:
                 still.append(row)
-            events.append((row, row.out[before:], reason))
+            else:
+                self._release(row)
+            events.append((row, row.out[n:], reason))
         self.rows = still
         return events
+
+    def _advance(self, rows: list[Row]) -> list[bool]:
+        """The leg without a draft: one ``forward_step_batch``, each row
+        at its last block's cache length (the one block every row
+        computes) and from its :attr:`Row.enter`; whether each row's
+        next token is EOS."""
+        enter = [row.enter for row in rows]
+        kept = [] if self.keep_block_inputs else None
+        logits = self.engine.forward_step_batch(
+            [row.out[-1] for row in rows],
+            [row.caches for row in rows],
+            [row.caches[-1].length for row in rows],
+            [row.iter0 + len(row.out) for row in rows],
+            [row.id for row in rows],
+            enter=enter if any(enter) else None,
+            block_inputs=kept,
+        )
+        for i, row in enumerate(rows):
+            row.logits, row.enter = logits[i : i + 1], None
+        if kept is not None:
+            for row, inputs in zip(rows, np.stack(kept, axis=1)):
+                row.block_inputs = inputs
+        return [accept(row.logits, (), self.eos_id, row.out)[1] for row in rows]
+
+    def _speculate(self, rows: list[Row]) -> list[bool]:
+        """The composed leg: draft proposals, target verify chunks, each
+        row's accepted prefix plus one token (:func:`accept`) and the
+        rejected K/V rolled back per slot; whether each row hit EOS."""
+        gammas, proposals = self._propose(rows)
+        base = [row.caches[-1].length for row in rows]
+        verdicts = self._verify(rows, proposals, base)
+        tel = _telemetry()
+        hits = []
+        for i, row in enumerate(rows):
+            row.logits = verdicts[i]
+            accepted, hit_eos = accept(verdicts[i], proposals[i], self.eos_id, row.out)
+            row.accepted = accepted
+            if tel.active:
+                metrics = tel.metrics
+                metrics.counter("decode.spec_rounds").add()
+                metrics.counter("decode.spec_rejected").add(gammas[i] - accepted)
+                metrics.histogram("decode.spec_accept_len").observe(accepted)
+            # The target keeps the pending token and the accepted proposals.
+            for cache in row.caches:
+                cache.truncate(base[i] + 1 + accepted)
+            row.d_len = draft_keep(row.d_len, gammas[i], accepted)
+            for cache in row.d_caches:
+                cache.truncate(row.d_len)
+            hits.append(hit_eos)
+        return hits
 
     def _propose(self, rows: list[Row]) -> tuple[list[int], list[list[int]]]:
         """Draft up to ``depth`` tokens per row, never past its budget
@@ -642,17 +642,15 @@ def decode_to_completion(
 ) -> list[list[int]]:
     """Decode every admission through ``rnd`` and return each one's
     tokens, in order: admit up to ``max_batch`` rows, step until all
-    retire, back-filling freed slots each round.  Each round's
-    admissions are one burst (:meth:`DecodeRound.admit_many`: one prompt
-    forward per prompt length).  ``on_event(row, finish_reason)`` sees
-    every admit and step event as it happens — for a retiring row, after
-    its slot was released but before any other row can acquire it."""
+    retire, back-filling freed slots each round (:func:`_admit_bursts`).
+    ``on_event(row, finish_reason)`` sees every admit and step event as
+    it happens — for a retiring row, after its slot was released but
+    before any other row can acquire it."""
     tel = _telemetry()
     traced = tel.active
     composed = rnd.draft is not None
     attrs = {"depth": rnd.depth} if composed else {}
     rows: list[Row] = []
-    pending = 0
     refill = False
     t0 = time.perf_counter()
     with tel.span(
@@ -661,18 +659,7 @@ def decode_to_completion(
     ) as span:
         try:
             while True:
-                # Rows that retire at admission free their slots for
-                # the next burst at once.
-                while burst := admissions[pending : pending + min(
-                    max_batch - len(rnd.rows), rnd.room()
-                )]:
-                    for row, _, reason in rnd.admit_many(burst):
-                        rows.append(row)
-                        if on_event is not None:
-                            on_event(row, reason)
-                    if traced and refill:
-                        tel.metrics.counter("decode.slot_refills").add(len(burst))
-                    pending += len(burst)
+                _admit_bursts(rnd, admissions, rows, max_batch, on_event, refill)
                 refill = True
                 if traced:
                     # Real admissible capacity, after the eager releases.
@@ -691,10 +678,35 @@ def decode_to_completion(
                 rnd.drop(row)
             raise
         span.set(new_tokens=sum(len(row.out) for row in rows))
-    if pending < len(admissions):
+    if len(rows) < len(admissions):
         raise ValueError("KV pool exhausted: no free slot for a pending prompt")
     if traced and composed:
         tel.metrics.histogram("decode.spec_batch_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
     return [row.out for row in rows]
+
+
+def _admit_bursts(
+    rnd: DecodeRound,
+    admissions: "list[Admission]",
+    rows: list[Row],
+    max_batch: int,
+    on_event: "Callable[[Row, str | None], None] | None",
+    refill: bool,
+) -> None:
+    """Admit the admissions past the ``rows`` admitted so far, one burst
+    (:meth:`DecodeRound.admit_many`) at a time while ``rnd`` has room
+    under ``max_batch`` — rows that retire at admission free their
+    slots for the next burst at once — adding each to ``rows``; a
+    ``refill``'s count as ``decode.slot_refills``."""
+    tel = _telemetry()
+    while burst := admissions[len(rows) : len(rows) + min(
+        max_batch - len(rnd.rows), rnd.room()
+    )]:
+        for row, _, reason in rnd.admit_many(burst):
+            rows.append(row)
+            if on_event is not None:
+                on_event(row, reason)
+        if refill and tel.active:
+            tel.metrics.counter("decode.slot_refills").add(len(burst))

@@ -18,44 +18,21 @@ a vectorised, allocation-light forward pass over a trained
   a slot of a :class:`~repro.inference.kvcache.PooledKVCache` (a
   session's is a one-slot pool's), and a block's new K/V is written for
   all its rows at once;
-* **one forward** — :meth:`InferenceEngine.forward` (one sequence),
-  :meth:`~InferenceEngine.forward_step_batch` and
+* **one forward, in stages** — :meth:`InferenceEngine.forward` (one
+  sequence), :meth:`~InferenceEngine.forward_step_batch` and
   :meth:`~InferenceEngine.forward_chunk_batch` (ragged rows) are
-  adapters over one ``_forward_rows`` whose attention has one core:
-  every row appends to and attends over its own cache, the softmax runs
-  once over the batch's score block, and only the two GEMMs and the
-  softmax sum — the parts whose bits padding would change — are issued
-  per row, so every row of a batch is bit-identical to its own
-  ``forward``;
-* **one plan per forward** — what every block would otherwise redo is
-  decided once per ``_forward_rows`` call (``_Plan``): the K/V write
-  (one index per arena group, a basic slice for a row alone in its
-  arena), each row's attention length, the batch width and whether it
-  is ragged, the RoPE tables and causal mask, and whether anything
-  rides on a linear's output.  The layer table (``_Block`` /
-  ``_Layer``, built with the engine) holds every linear's full name and
-  weight store, so with nothing armed a linear is its product alone and
-  the block loop only computes;
-* **one product per block input** — q, k and v are one row-exact
-  product with the block's ``qkv`` (their pristine compute arrays side
-  by side, built with the engine), each member's fault surfaces acting
-  on its own columns (a swapped-in compute array recomputes them), and
-  q and k rotate in one RoPE call.  A read window splits it in two
-  column ranges of the same ``qkv``: q over the window's positions, k
-  and v over every position.  Each output element is one reduction
-  over ``d_model`` in the same order whatever columns share the
-  product, so every column is its member's own product's bits;
-* **reading only what is read** — a scoring forward that no step
-  continues keeps no K/V (``row_caches=None``), and ``read_from=k``
-  computes logits for positions ``>= k`` only: the final norm and
-  ``lm_head`` always, and the last block's queries, attention,
-  ``out_proj`` and MLP when nothing observes that block.  A GEMM row
-  does not depend on which other rows share the product, so the window
-  is the full forward's bits as long as it keeps two positions;
-* **computing only what a row can change** — ``enter=`` starts each
-  row at a block of its own, from the hidden state a fault-free forward
-  of it kept there (a golden run's): a block runs over the rows entered
-  at or below it, and a row appends no K/V below its entry;
+  adapters over one ``_forward_rows``.  Its contract — row-exact bits,
+  rows entering at a block of their own (``enter``), reading only what
+  is read (``row_caches=None``, ``read_from``) — is stated once, by
+  ``_Plan``, which holds what the forward decides once.  The stages:
+  rows join at their entry block (``_join``); per block the norm, q/k/v
+  with RoPE (``_rotated``), the attention core (``_attention``),
+  ``out_proj``, the norm and the MLP or MoE (``_block``); the head
+  (``_head``) and the counters (``_count``).  The layer table
+  (``_Block`` / ``_Layer``, built with the engine) holds every linear's
+  full name and weight store, so with nothing armed a linear is its
+  product alone, and q, k and v are one product with the block's
+  ``qkv`` (``_qkv``);
 * **temporaries that stay paged in** — on glibc, importing this module
   keeps freed heap mapped (:data:`_HEAP_KEPT`): a forward's large
   temporaries (score blocks, MLP activations, the q/k/v product of a
@@ -249,41 +226,162 @@ class _Block:
 
 
 class _Plan:
-    """What one forward decides once and every block it runs reads.
+    """The forward's contract, and what one forward decides once.
 
-    * ``armed`` — whether anything rides on a linear's output: a hook,
-      an accumulator fault or a row-keyed weight copy.  Without it a
-      linear is its product alone (:meth:`InferenceEngine._linear`, and
-      q, k and v's shared product, :meth:`InferenceEngine._qkv`); with
-      it, :meth:`InferenceEngine._surfaces` runs on each output, the
-      layer table's full names keying every check.  ``kv`` — whether a
-      KV fault waits on the appends.
-    * The rows a block computes — rows are ordered by entry, so a prefix
-      of the batch, re-taken (:meth:`take`) at each block where rows
-      join — with their caches, RoPE tables and in-row causal mask; the
-      K/V write (:class:`~repro.inference.kvcache.KVWrite`, its index
-      built here and not per block); each row's attention length, the
-      longest (the score block's width), whether the rows are ragged and
-      whether every row's keys are its fresh ones.
+    **The contract.**  :meth:`InferenceEngine.forward`,
+    :meth:`~InferenceEngine.forward_step_batch` and
+    :meth:`~InferenceEngine.forward_chunk_batch` run one forward
+    (:meth:`InferenceEngine._forward_rows`) of a rectangular ``(B, t)``
+    batch: row ``i`` starts at ``positions[i]`` and appends its K/V to
+    its own ``row_caches[i]`` (a per-block list, typically a pool
+    slot's views).
+
+    * *Row-exact bits.*  On the batched entries every product is issued
+      per sequence (:func:`_product`; the attention core's GEMMs and
+      softmax sum per row, :meth:`InferenceEngine._attention`), so each
+      row's logits and K/V are bit-identical to its own serial forward
+      (its ``Session.step``, its 1-D chunk) at any width, and so is
+      what a hook or a fault keyed to its id sees (per row:
+      :meth:`InferenceEngine._surfaces`, the KV-fault latch in
+      :meth:`InferenceEngine._attention`).  The serial entry keeps one
+      flat GEMM.
+    * *Entries.*  ``block_inputs`` (a list) receives the flat hidden
+      state entering each block that runs, in block order — the arrays
+      the forward computed, which nothing later writes to.  ``enter``
+      is the other half, one entry per row: ``None`` (the embedding) or
+      ``(block, hidden)``, the row's float32 ``(t, d_model)`` state
+      entering ``block`` in a forward of the same tokens from the same
+      position over caches holding the same K/V below ``block``.  An
+      error only travels downstream, so every row stays bit-identical to
+      the whole forward.  Rows are ordered by entry, so a block computes
+      a prefix of the batch (``block_inputs`` holds those rows); the
+      logits come back in the caller's order.  A row appends no K/V
+      below its entry: a later forward of it that enters lower must
+      first fill those caches (:mod:`repro.fi.golden` restores them).
+    * *Reading only what is read.*  ``row_caches=None`` is a forward no
+      later step continues (option scoring): every row starts at
+      position 0, no K/V is written, and a KV fault keyed to a row
+      strikes its fresh K/V.  ``read_from = k`` returns logits for
+      positions ``>= k`` only: the final norm and ``lm_head`` run on
+      those alone, and so do the last block's queries, attention,
+      ``out_proj`` and MLP when nothing observes that block
+      (:meth:`InferenceEngine._last_block_observed`; K/V still over
+      every position).  A GEMM row does not depend on which other rows
+      share the product as long as at least two do (one row runs
+      through gemv, a different kernel), so a window keeps two.
+
+    The checks (:meth:`_check`, :meth:`_entry_blocks`) run before any
+    cache, hook or GEMM is touched, so a bad call corrupts nothing.
+
+    **The plan.**  ``armed``: whether anything rides on a linear's
+    output (a hook, an accumulator fault, a row-keyed weight copy), so
+    that :meth:`InferenceEngine._surfaces` must run; ``kv``: whether a
+    KV fault waits on the appends.  The rest is the rows a block
+    computes (:meth:`take`) and ``n``, the positions per row the hidden
+    state holds (``t``, or the window's once :meth:`window` cut it).
+    No field holds a block's hidden state.
     """
 
     __slots__ = (
-        "armed", "kv", "t", "row_caches", "cos", "sin", "hide", "write",
-        "lengths", "width", "ragged", "fresh",
-        "_caches", "_positions", "_cos", "_sin", "_hide",
+        "armed", "kv", "t", "n", "m", "ids", "enter", "starts", "order",
+        "read_from", "window_block", "iteration", "rows", "row_caches",
+        "cos", "sin", "hide", "write", "lengths", "width", "ragged", "fresh",
+        "_caches", "_positions", "_iteration", "_rows", "_cos", "_sin", "_hide",
     )
 
     def __init__(
         self,
         engine: "InferenceEngine",
+        ids: np.ndarray,
         row_caches: list[list[KVCache]] | None,
-        positions: np.ndarray,
-        t: int,
+        positions,
+        iteration,
+        rows: np.ndarray | None,
+        enter: list | None,
+        read_from: int,
     ) -> None:
+        batch, t = ids.shape
+        positions = np.asarray(positions, dtype=np.int64)
+        self._check(engine.config, t, row_caches, positions, read_from)
+        starts, order = [0] * batch, None
+        if enter is not None:
+            starts = self._entry_blocks(engine.config, enter, batch, t)
+            if starts != sorted(starts):
+                order = sorted(range(batch), key=starts.__getitem__)
+                ids, positions = ids[order], positions[order]
+                iteration, rows = np.asarray(iteration)[order], rows[order]
+                if row_caches is not None:
+                    row_caches = [row_caches[i] for i in order]
+                enter = [enter[i] for i in order]
+                starts = [starts[i] for i in order]
+        if rows is not None:
+            iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
+        self.ids, self.enter, self.starts, self.order = ids, enter, starts, order
+        self._caches, self._positions = row_caches, positions
+        self._iteration, self._rows = iteration, rows
         self.armed = bool(engine.hooks or engine.acc_faults or engine.row_weights)
         self.kv = bool(engine.kv_faults)
-        self.t = t
-        self._caches, self._positions = row_caches, positions
+        self.t = self.n = t
+        self.m, self.read_from = 0, read_from
+        self.window_block = (  # the block the read window cuts, if any
+            None if not read_from or engine._last_block_observed()
+            else engine.config.n_blocks - 1
+        )
+        self._tables(engine, positions, t)
+
+    @staticmethod
+    def _check(cfg: ModelConfig, t: int, row_caches, positions, read_from) -> None:
+        """The window, and each row against its own caches' capacity
+        (one pool slot's views per row), which may be less than
+        ``cfg.max_seq`` (reach-sized pool slots)."""
+        if read_from and not 0 < read_from <= t - 2:
+            raise ValueError(
+                f"read_from={read_from} must be 0 or leave at least two of"
+                f" the {t} positions (a one-row product is a different one)"
+            )
+        if row_caches is None and positions.any():
+            raise ValueError(
+                "a forward without caches starts every row at position 0,"
+                f" got {positions.tolist()}"
+            )
+        for position, caches in zip(
+            positions.tolist(), row_caches or [None] * len(positions)
+        ):
+            room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
+            if position + t > room:
+                raise ValueError(f"KV cache overflow: {position} + {t} > {room}")
+
+    @staticmethod
+    def _entry_blocks(cfg: ModelConfig, enter: list, batch: int, t: int) -> list[int]:
+        """Each row's entry block, once ``enter`` is checked: one entry a
+        row, ``None`` or ``(block, hidden)`` with ``block`` a block of this
+        model and ``hidden`` a float32 ``(t, d_model)`` array."""
+        if len(enter) != batch:
+            raise ValueError(f"{batch} rows but {len(enter)} entries")
+        want = (t, cfg.d_model)
+        starts = []
+        for entry in enter:
+            if entry is None:
+                starts.append(0)
+                continue
+            block, hidden = entry
+            if not 0 <= block < cfg.n_blocks:
+                raise ValueError(
+                    f"entry block {block} out of range for {cfg.n_blocks} blocks"
+                )
+            if (
+                not isinstance(hidden, np.ndarray)
+                or hidden.shape != want
+                or hidden.dtype != np.float32
+            ):
+                raise ValueError(
+                    f"entry hidden state must be a float32 array of shape {want}"
+                )
+            starts.append(int(block))
+        return starts
+
+    def _tables(self, engine: "InferenceEngine", positions: np.ndarray, t: int) -> None:
+        """Every row's RoPE tables and in-row causal mask."""
         # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
         gather = positions[:, None] + np.arange(t)
         self._cos = engine._cos[gather][:, None]  # (B, 1, t, hd)
@@ -307,10 +405,13 @@ class _Plan:
         K/V write from their views in ``block``, where none has written
         yet."""
         t = self.t
+        self.m = m
         self.cos, self.sin, self.hide = self._cos, self._sin, self._hide
+        self.iteration, self.rows = self._iteration, self._rows
         self.row_caches = self._caches
         if m < len(self._positions):
             self.cos, self.sin = self._cos[:m], self._sin[:m]
+            self.iteration, self.rows = self._iteration[: m * t], self._rows[: m * t]
             if self._hide is not None:
                 span = int(self._positions[:m].max()) + t
                 self.hide = self._hide[:m, :, :, :span]
@@ -324,6 +425,27 @@ class _Plan:
         self.width = max(self.lengths)
         self.ragged = min(self.lengths) != self.width
         self.fresh = self.width == t and (self.row_caches is None or not self.kv)
+
+    def window(self, x: np.ndarray) -> np.ndarray:
+        """``x`` cut to the read window, and from here on ``n``, the
+        per-token ``iteration``/``rows`` and the causal mask too; ``x``
+        as it is without a window or once cut."""
+        if self.n == self.t - self.read_from:
+            return x
+        self.n = self.t - self.read_from
+        m, start = self.m, self.read_from
+        self.iteration = _tail(self.iteration, m, start)
+        self.rows = _tail(self.rows, m, start)
+        if self.hide is not None:
+            self.hide = self.hide[:, :, start:]
+        return _tail(x, m, start)
+
+    def unorder(self, logits: np.ndarray) -> np.ndarray:
+        """Flat per-row ``logits`` back in the caller's row order."""
+        if self.order is None:
+            return logits
+        per_row = logits.reshape(len(self.order), -1, logits.shape[1])
+        return per_row[np.argsort(self.order)].reshape(len(logits), -1)
 
 
 def _row_ids(row_ids, batch: int) -> np.ndarray:
@@ -451,22 +573,11 @@ class InferenceEngine:
         flat ``(N, D)`` input: its row-exact product (:func:`_product`)
         with the store's compute array, then, only when the forward's
         plan found something ``armed``, the fault surfaces that ride on
-        its output (:meth:`_surfaces`); otherwise the product is all
-        there is.
-
-        ``rows`` is ``None`` on the serial entry: one GEMM over every
-        token.  On the batched entries it carries the id of the batch
-        row each token belongs to (tokens of one row are contiguous) and
-        ``iteration`` is the aligned per-token iteration array.  The
-        product is then **row-exact**: one BLAS call per sequence — the
-        ``(t, D) @ W`` the serial forward of that row runs, so its bits
-        do not depend on what else is in the batch — issued from a
-        single stacked NumPy matmul when every row has ``t`` tokens (a
-        batch of one is that product, unstacked: a server's prompt
-        forward), or one product per run of equal row id when ``t == 0``
-        (an MoE expert's ragged subset).  q, k and v do not come here:
-        :meth:`_attention` runs their one shared product and each one's
-        surfaces on its own columns.
+        its output (:meth:`_surfaces`).  ``rows`` is ``None`` on the
+        serial entry, else each token's batch row id, ``iteration`` the
+        aligned per-token iterations, and ``t`` the tokens per row (``0``
+        for an MoE expert's ragged subset: one product per run of equal
+        row id).  q, k and v do not come here (:meth:`_qkv`).
         """
         output = _product(x, layer.store.array, rows, t)
         if armed:
@@ -561,24 +672,51 @@ class InferenceEngine:
                 self._surfaces(own, x, layer, iteration, rows, t)
         return out
 
+    def _rotated(
+        self, h: np.ndarray, layers: _Block, plan: _Plan
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block's ``(B, heads, ·, hd)`` q, k and v over the ``B`` rows
+        the ``plan`` has taken: one shared product (:meth:`_qkv`), q and k
+        rotating in one RoPE broadcast.  In the read window's block q is
+        its own product over the window's positions and rotates apart; k
+        and v cover every position."""
+        cfg = self.config
+        heads, hd, batch, t = cfg.n_heads, cfg.head_dim, plan.m, plan.t
+        armed, iteration, rows, cos, sin = (
+            plan.armed, plan.iteration, plan.rows, plan.cos, plan.sin
+        )
+        if layers.index != plan.window_block:
+            # (B*t, 3D) -> (B, 3·heads, t, hd); q and k rotate in one call.
+            split = self._qkv(h, layers, armed, iteration, rows, t)
+            split = split.reshape(batch, t, 3 * heads, hd).swapaxes(1, 2)
+            qk = _rope(split[:, : 2 * heads], cos, sin)
+            return qk[:, :heads], qk[:, heads:], split[:, 2 * heads :]
+        start, n = plan.read_from, t - plan.read_from
+        q = self._qkv(
+            _tail(h, batch, start), layers, armed, _tail(iteration, batch, start),
+            _tail(rows, batch, start), n, 0, 1,
+        )
+        q = q.reshape(batch, n, heads, hd).swapaxes(1, 2)
+        q = _rope(q, cos[:, :, start:], sin[:, :, start:])
+        kv = self._qkv(h, layers, armed, iteration, rows, t, 1, 3)
+        kv = kv.reshape(batch, t, 2 * heads, hd).swapaxes(1, 2)
+        return q, _rope(kv[:, :heads], cos, sin), kv[:, heads:]
+
     def _attention(
         self,
-        x: np.ndarray,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
         layers: _Block,
         plan: _Plan,
-        iteration,
-        rows: np.ndarray | None,
-        q_from: int = 0,
     ) -> np.ndarray:
-        """Causal attention for one block over flat ``(B*t, D)`` input:
-        the ``B`` rows the ``plan`` has taken, whose RoPE tables
-        (``(B, 1, t, hd)``), mask, K/V write and lengths it holds.
+        """The attention core of one block: ``(B, heads, n, hd)`` queries
+        and ``(B, heads, t, hd)`` keys and values (:meth:`_rotated`) of
+        the ``B`` rows the ``plan`` has taken, whose mask, K/V write and
+        lengths it holds; returns the flat ``(B*n, D)`` context
+        ``out_proj`` takes.
 
-        q, k and v are one shared product (:meth:`_qkv`), and q and k
-        rotate in one RoPE broadcast over its ``(B, 2·heads, t, hd)``
-        view; under a read window q is its own product over the window's
-        positions (q's columns of ``qkv``) and rotates apart.  The
-        block's new K/V lands in every row's
+        The block's new K/V lands in every row's
         ``plan.row_caches[i][block]`` at that view's own length, by the
         plan's :class:`~repro.inference.kvcache.KVWrite` (a basic slice
         for a row alone in its arena, one fancy-index assignment per
@@ -586,10 +724,10 @@ class InferenceEngine:
         a row latches.  No caches (``plan.row_caches`` ``None``) writes
         nothing (a forward from position 0 that no step continues), and
         such a fault strikes the row's fresh K/V.  The core is then one
-        ``(B, heads, t, W)`` score block, ``W`` the longest row's length
+        ``(B, heads, n, W)`` score block, ``W`` the longest row's length
         after the write: positions at or past a row's own length ``L_i``
         are ``-inf`` (filled only when rows are ragged), and
-        ``plan.hide`` (``(B, 1, t, W)``, ``None`` when ``t == 1``) marks
+        ``plan.hide`` (``(B, 1, n, W)``, ``None`` when ``t == 1``) marks
         the in-row causal mask, written as ``-1e9``.
 
         Only three things run per row, because padding them would change
@@ -614,53 +752,31 @@ class InferenceEngine:
         per row: a padded sum regroups (it differed in 173 of 300 random
         shapes), and so do padded GEMMs.
 
-        ``q_from = k`` queries from positions ``>= k`` of each row only
-        (K/V still cover every position) and returns those positions'
-        ``(B*(t-k), D)`` output: rows ``k..t-1`` of every product, which
-        are the full forward's bits when at least two remain (see
-        :meth:`forward_chunk_batch`).
+        ``n < t`` is the read window (:meth:`_Plan.window`): queries from
+        its positions alone, rows ``t - n ..`` of every product, which are
+        the full forward's bits when at least two remain.
         """
         cfg = self.config
         heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-        block, armed, t = layers.index, plan.armed, plan.t
+        block, n, hide = layers.index, plan.n, plan.hide
         lengths, width = plan.lengths, plan.width
         batch = len(lengths)
-        cos, sin = plan.cos, plan.sin
-        n, it_q, rows_q, hide = t - q_from, iteration, rows, plan.hide
-        if q_from:
-            # The read window: queries from its positions alone, K/V from
-            # every position.
-            x_q = _tail(x, batch, q_from)
-            it_q, rows_q = _tail(iteration, batch, q_from), _tail(rows, batch, q_from)
-            hide = hide[:, :, q_from:]
-            q = self._qkv(x_q, layers, armed, it_q, rows_q, n, 0, 1)
-            q = q.reshape(batch, n, heads, hd).swapaxes(1, 2)
-            q = _rope(q, cos[:, :, q_from:], sin[:, :, q_from:])
-            kv = self._qkv(x, layers, armed, iteration, rows, t, 1, 3)
-            kv = kv.reshape(batch, t, 2 * heads, hd).swapaxes(1, 2)
-            k, v = _rope(kv[:, :heads], cos, sin), kv[:, heads:]
-        else:
-            # (B*t, 3D) -> (B, 3·heads, t, hd); q and k rotate in one call.
-            split = self._qkv(x, layers, armed, iteration, rows, t)
-            split = split.reshape(batch, t, 3 * heads, hd).swapaxes(1, 2)
-            qk = _rope(split[:, : 2 * heads], cos, sin)
-            q, k, v = qk[:, :heads], qk[:, heads:], split[:, 2 * heads :]
         caches = None
         if plan.write is not None:
             caches = [own[block] for own in plan.row_caches]
             plan.write(caches, k, v)
-        kv_faults = self.kv_faults
+        kv_faults, iteration, rows = self.kv_faults, plan.iteration, plan.rows
         for i in range(batch if plan.kv else 0):
             # The row's own fault and the unpinned one; the 1-D entry
             # carries no row id (``row`` None): the unpinned.
-            row = None if rows is None else int(rows[i * t])
+            row = None if rows is None else int(rows[i * n])
             armed_kv = [
                 kv_faults[key] for key in dict.fromkeys((row, None)) if key in kv_faults
             ]
             if armed_kv:
                 # Without caches, the row's fresh K/V is what is struck.
-                own = KVCache((k, v), i, t) if caches is None else caches[i]
-                it = iteration if rows is None else int(iteration[i * t])
+                own = KVCache((k, v), i, plan.t) if caches is None else caches[i]
+                it = iteration if rows is None else int(iteration[i * n])
                 for fault in armed_kv:
                     fault.on_append(block, own, it)
         if plan.fresh:
@@ -702,10 +818,7 @@ class InferenceEngine:
             ctx = np.empty((batch, heads, n, hd), dtype=np.float32)
             for i, (cache, length) in enumerate(zip(caches, lengths)):
                 np.matmul(scores[i, :, :, :length], cache.v[:, :length], out=ctx[i])
-        return self._linear(
-            ctx.swapaxes(1, 2).reshape(batch * n, d), layers.attn[3], armed, it_q,
-            rows_q, n,
-        )
+        return ctx.swapaxes(1, 2).reshape(batch * n, d)
 
     def _mlp(
         self,
@@ -773,34 +886,73 @@ class InferenceEngine:
             or self.hooks.has_prefix(f"blocks.{self.config.n_blocks - 1}.")
         )
 
-    def _entry_blocks(self, enter: list, batch: int, t: int) -> list[int]:
-        """Each row's entry block, once ``enter`` is checked: one entry a
-        row, ``None`` or ``(block, hidden)`` with ``block`` a block of this
-        model and ``hidden`` a float32 ``(t, d_model)`` array."""
-        cfg = self.config
-        if len(enter) != batch:
-            raise ValueError(f"{batch} rows but {len(enter)} entries")
-        want = (t, cfg.d_model)
-        starts = []
-        for entry in enter:
-            if entry is None:
-                starts.append(0)
-                continue
-            block, hidden = entry
-            if not 0 <= block < cfg.n_blocks:
-                raise ValueError(
-                    f"entry block {block} out of range for {cfg.n_blocks} blocks"
-                )
-            if (
-                not isinstance(hidden, np.ndarray)
-                or hidden.shape != want
-                or hidden.dtype != np.float32
-            ):
-                raise ValueError(
-                    f"entry hidden state must be a float32 array of shape {want}"
-                )
-            starts.append(int(block))
-        return starts
+    def _join(self, x: np.ndarray | None, b: int, plan: _Plan) -> np.ndarray:
+        """``x`` with the rows entering at block ``b`` joined — from the
+        embedding at block 0, else from their entry states — and the
+        plan taking them (:meth:`_Plan.take`); ``x`` as it is where no
+        row enters."""
+        starts, m, t = plan.starts, plan.m, plan.t
+        if m == len(starts) or starts[m] != b:
+            return x
+        stop = bisect_right(starts, b)
+        if b == 0:
+            x = self._plain["embed.weight"][plan.ids[:stop].reshape(-1)]
+            for i, entry in enumerate((plan.enter or ())[:stop]):
+                if entry is not None:
+                    x[i * t : (i + 1) * t] = entry[1]
+        else:
+            joining = [entry[1] for entry in plan.enter[m:stop]]
+            x = np.concatenate(joining if x is None else [x, *joining])
+        plan.take(stop, b)
+        return x
+
+    def _block(self, x: np.ndarray, layers: _Block, plan: _Plan) -> np.ndarray:
+        """One block over the rows the plan has taken, in its stages:
+        norm, q/k/v (:meth:`_rotated`), the attention core
+        (:meth:`_attention`), ``out_proj``, norm and the MLP or MoE, each
+        half with its residual.  The read window's block narrows ``x``
+        and the plan to the window once K/V are computed."""
+        eps = self.config.norm_eps
+        q, k, v = self._rotated(rms_norm_np(x, layers.attn_norm, eps), layers, plan)
+        if layers.index == plan.window_block:
+            # Every row computes the last block, so ``plan.m`` is the batch.
+            x = plan.window(x)
+        armed, n = plan.armed, plan.n
+        ctx = self._attention(q, k, v, layers, plan)
+        del q, k, v  # not held through the MLP
+        x = x + self._linear(ctx, layers.attn[3], armed, plan.iteration, plan.rows, n)
+        h = rms_norm_np(x, layers.mlp_norm, eps)
+        if layers.mlp is not None:
+            return x + self._mlp(h, layers.mlp, armed, plan.iteration, plan.rows, n)
+        return x + self._moe(h, layers, armed, plan.iteration, plan.rows, n)
+
+    def _head(self, x: np.ndarray, plan: _Plan) -> np.ndarray:
+        """Flat logits of the read window (every position without one):
+        the final norm and ``lm_head``, one product per sequence on the
+        batched entries (row-exact like every linear), in the caller's
+        row order."""
+        x = plan.window(x)
+        x = rms_norm_np(x, self._plain["final_norm.weight"], self.config.norm_eps)
+        head = self._plain["lm_head.weight"]
+        if plan.rows is None:
+            return x @ head
+        logits = (x.reshape(plan.m, -1, x.shape[1]) @ head).reshape(len(x), -1)
+        return plan.unorder(logits)
+
+    def _count(self, tel, t0: float, faults: int | None, plan: _Plan) -> None:
+        """The forward's counters: its time, page faults, call, tokens
+        and the fullest row's KV occupancy."""
+        metrics = tel.metrics
+        metrics.histogram("engine.forward_ms").observe((time.perf_counter() - t0) * 1e3)
+        if faults is not None:
+            metrics.counter("engine.minor_faults").add(_minor_faults() - faults)
+        metrics.counter("engine.forward_calls").add()
+        metrics.counter("engine.tokens").add(plan.ids.size)
+        if plan.row_caches is not None:
+            metrics.gauge("engine.kv_occupancy").set(
+                max((c[-1].length for c in plan.row_caches if c), default=0)
+                / self.config.max_seq
+            )
 
     def _forward_rows(
         self,
@@ -813,150 +965,31 @@ class InferenceEngine:
         enter: list | None = None,
         read_from: int = 0,
     ) -> np.ndarray:
-        """The one forward: rectangular ``(B, t)`` ``ids``, row ``i``
-        starting at ``positions[i]`` and appending to its own
-        ``row_caches[i]`` (see :meth:`_attention`), or, with
-        ``row_caches=None``, to nothing.
-
-        ``iteration``/``rows`` are the caller's scalar and ``None`` for
-        the serial entry (``B == 1``), or the per-row iterations and row
-        ids for the batched entries (expanded per token here, since
-        activations stay flat ``(B*t, D)`` outside attention).  With
-        ``rows`` every product is issued per sequence (see
-        :meth:`_linear`), which makes each row bit-identical to its own
-        serial forward; the serial entry keeps one flat GEMM.
-        ``block_inputs`` collects the flat hidden state
-        entering each block that runs.  ``enter`` (batched entries only)
-        gives each row its entry: ``None`` (block 0, from the embedding)
-        or ``(block, hidden)``, the row's ``(t, d_model)`` state entering
-        ``block``.  Rows are ordered by entry inside, so the rows a block
-        computes are a prefix of the batch: the rows entering at ``b``
-        are concatenated onto ``x`` there, a row appends no K/V to the
-        blocks below its entry, and the logits come back in the caller's
-        row order.  ``read_from = k`` (batched entries only) computes
-        logits for positions ``>= k`` only (see
-        :meth:`forward_chunk_batch`).  Returns flat ``(B*(t-k), vocab)``
-        logits.
-
-        One :class:`_Plan` per call holds what the blocks share; it takes
-        the rows a block computes where rows join (once, or once per
-        entry block), reading each row's write position from its view in
-        that block — the same length in every block at or above its
-        entry, which is where the row writes.
-        """
-        cfg = self.config
-        batch, t = ids.shape
-        positions = np.asarray(positions, dtype=np.int64)
-        # Checked before any cache, hook or GEMM is touched, so a full
-        # cache fails the same way on every entry and corrupts nothing:
-        # each row against its own caches' capacity (one pool slot's
-        # views per row), which may be less than ``cfg.max_seq``
-        # (reach-sized pool slots).
-        if read_from and not 0 < read_from <= t - 2:
-            raise ValueError(
-                f"read_from={read_from} must be 0 or leave at least two of"
-                f" the {t} positions (a one-row product is a different one)"
-            )
-        if row_caches is None and positions.any():
-            raise ValueError(
-                "a forward without caches starts every row at position 0,"
-                f" got {positions.tolist()}"
-            )
-        for position, caches in zip(positions.tolist(), row_caches or [None] * batch):
-            room = min(caches[0].max_seq, cfg.max_seq) if caches else cfg.max_seq
-            if position + t > room:
-                raise ValueError(f"KV cache overflow: {position} + {t} > {room}")
-        starts, order = [0] * batch, None
-        if enter is not None:
-            starts = self._entry_blocks(enter, batch, t)
-            if starts != sorted(starts):
-                order = sorted(range(batch), key=starts.__getitem__)
-                ids, positions = ids[order], positions[order]
-                iteration, rows = np.asarray(iteration)[order], rows[order]
-                if row_caches is not None:
-                    row_caches = [row_caches[i] for i in order]
-                enter = [enter[i] for i in order]
-                starts = [starts[i] for i in order]
+        """The one forward (contract: :class:`_Plan`), stage by stage;
+        ``iteration``/``rows`` are the caller's scalar and ``None`` on the
+        serial entry, else per-row iterations and row ids.  Returns flat
+        ``(B*(t-read_from), vocab)`` logits."""
         tel = _telemetry()
-        t0 = None
+        t0 = faults = None
         if tel.active:
             faults = _minor_faults()
             t0 = tel.marks["forward_start"] = time.perf_counter()
-        plan = _Plan(self, row_caches, positions, t)
-        if rows is not None:
-            iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
-        last = cfg.n_blocks - 1
-        cut = bool(read_from) and not self._last_block_observed()
-        n = t  # positions per row that ``x`` holds
+        plan = _Plan(
+            self, ids, row_caches, positions, iteration, rows, enter, read_from
+        )
+        x = None
         # Corrupted weights legitimately overflow float32 (an MSB
         # exponent flip scales a value by ~2^128); inf/nan propagation
         # *is* the studied behaviour, so silence the warnings.
-        m, x = 0, None  # ``x`` holds the first ``m`` rows: those entered so far
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for b in range(starts[0], cfg.n_blocks):
-                if m < batch and starts[m] == b:
-                    stop = bisect_right(starts, b)
-                    if b == 0:
-                        x = self._plain["embed.weight"][ids[:stop].reshape(-1)]
-                        for i, entry in enumerate((enter or ())[:stop]):
-                            if entry is not None:
-                                x[i * t : (i + 1) * t] = entry[1]
-                    else:
-                        joining = [entry[1] for entry in enter[m:stop]]
-                        x = np.concatenate(joining if x is None else [x, *joining])
-                    m = stop
-                    plan.take(m, b)
-                    it_b, rows_b = iteration, rows
-                    if m < batch:
-                        it_b, rows_b = iteration[: m * t], rows[: m * t]
+            for b in range(plan.starts[0], self.config.n_blocks):
+                x = self._join(x, b, plan)
                 if block_inputs is not None:
                     block_inputs.append(x)
-                layers = self._table[b]
-                h = rms_norm_np(x, layers.attn_norm, cfg.norm_eps)
-                if b == last and cut:
-                    # K/V over every position, the rest of the block over
-                    # the read window only.  Every row computes the last
-                    # block, so ``m == batch`` here.
-                    x = _tail(x, batch, read_from) + self._attention(
-                        h, layers, plan, it_b, rows_b, q_from=read_from
-                    )
-                    it_b = _tail(it_b, batch, read_from)
-                    rows_b = _tail(rows_b, batch, read_from)
-                    n = t - read_from
-                else:
-                    x = x + self._attention(h, layers, plan, it_b, rows_b)
-                h = rms_norm_np(x, layers.mlp_norm, cfg.norm_eps)
-                if cfg.is_moe:
-                    x = x + self._moe(h, layers, plan.armed, it_b, rows_b, n)
-                else:
-                    x = x + self._mlp(h, layers.mlp, plan.armed, it_b, rows_b, n)
-            if read_from and not cut:
-                x = _tail(x, batch, read_from)
-            x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-            head = self._plain["lm_head.weight"]
-            if rows is None:
-                logits = x @ head
-            else:
-                # Row-exact like every linear: one product per sequence.
-                logits = (x.reshape(batch, -1, x.shape[1]) @ head).reshape(len(x), -1)
-                if order is not None:
-                    logits = logits.reshape(batch, -1, logits.shape[1])[
-                        np.argsort(order)
-                    ].reshape(len(x), -1)
+                x = self._block(x, self._table[b], plan)
+            logits = self._head(x, plan)
         if t0 is not None:
-            metrics = tel.metrics
-            metrics.histogram("engine.forward_ms").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
-            if faults is not None:
-                metrics.counter("engine.minor_faults").add(_minor_faults() - faults)
-            metrics.counter("engine.forward_calls").add()
-            metrics.counter("engine.tokens").add(ids.size)
-            if row_caches is not None:
-                metrics.gauge("engine.kv_occupancy").set(
-                    max((c[-1].length for c in row_caches if c), default=0)
-                    / cfg.max_seq
-                )
+            self._count(tel, t0, faults, plan)
         return logits
 
     def forward(
@@ -966,12 +999,13 @@ class InferenceEngine:
         start_pos: int,
         iteration: int,
     ) -> np.ndarray:
-        """Run ``tokens`` (one sequence's chunk, 1-D) through the model,
-        appending to ``caches`` — or, with ``caches=None``, to nothing
-        (a forward from position 0 that no step continues).  Returns
-        logits of shape ``(len(tokens), vocab)``.  Several sequences at
-        once are :meth:`forward_step_batch` / :meth:`forward_chunk_batch`:
-        any other shape raises ``ValueError`` before a cache is touched.
+        """Run ``tokens`` (one sequence's chunk, 1-D) from ``start_pos``
+        through the model, appending to ``caches`` — or, with
+        ``caches=None``, to nothing.  Returns logits of shape
+        ``(len(tokens), vocab)``.  The serial entry of the one forward
+        (contract: :class:`_Plan`); several sequences at once are
+        :meth:`forward_step_batch` / :meth:`forward_chunk_batch`, and any
+        other shape raises ``ValueError`` before a cache is touched.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
@@ -990,30 +1024,14 @@ class InferenceEngine:
         block_inputs: list | None = None,
         enter: list | None = None,
     ) -> np.ndarray:
-        """One single-token decode step for ``B`` independent sequences.
-
-        Every batch row owns its caches (``row_caches[i]`` is that row's
-        per-block list — typically :class:`PooledKVCache` slot views)
-        and its K/V **is appended**; per-row positions and iteration
-        counts may be ragged, which is what continuous batching needs.
-        The linear layers run one ``(1, D) @ W`` product per row inside
-        one stacked NumPy matmul, and the attention core scores each row
-        against its own cache inside one softmax over the batch (see
-        :meth:`_attention`) — every GEMM and reduction on a row matches
-        the serial ``Session.step`` shape-for-shape, so **each row's
-        logits and appended K/V are bit-identical to its serial step at
-        any width**, and fault hooks observe identical tensors.
-
-        Hooks are applied per row (see :meth:`_surfaces`) with
-        :attr:`HookContext.batch_row` set to ``row_ids[i]`` — distinct
-        ints, default ``arange(B)``.  A caller whose rows come and go
-        between steps passes ids that stay with the sequence, so a hook
-        pinned to one sequence cannot land on whichever sibling inherits
-        its position.  ``block_inputs`` and ``enter`` are
-        :meth:`forward_chunk_batch`'s, at ``t = 1``: a row entering at
-        block ``e`` appends no K/V below ``e``, so its caches there lag
-        until its caller fills them.  Returns logits of shape
-        ``(B, vocab)``.
+        """One decode step for ``B`` sequences: :meth:`forward_chunk_batch`
+        at ``t = 1``, positions and iterations ragged as continuous
+        batching needs, each row bit-identical to its ``Session.step``
+        (contract: :class:`_Plan`).  ``row_ids`` (distinct ints, default
+        ``arange(B)``) is what hooks see as
+        :attr:`HookContext.batch_row`: ids that stay with the sequence
+        keep a hook pinned to it off whichever sibling inherits its
+        position.  Returns logits of shape ``(B, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
@@ -1040,74 +1058,13 @@ class InferenceEngine:
         enter: list | None = None,
         read_from: int = 0,
     ) -> np.ndarray:
-        """Multi-token decode chunks for ``B`` independent sequences.
-
-        :meth:`forward` at ``B`` rows, :meth:`forward_step_batch` at
-        ``t`` tokens: ``tokens`` is a rectangular ``(B, t)`` chunk batch
-        and every row **appends to its own caches** (``row_caches[i]``,
-        typically pooled slot views) starting at its own
-        ``positions[i]``.  Batched speculative verification needs both
-        raggedness *and* chunk width, which is exactly this.
-
-        Linear layers run one ``(t, D) @ W`` product per row inside one
-        stacked NumPy matmul; RoPE tables are gathered per row from the
-        ragged positions; the attention core scores each row against its
-        own cache (which, after the append, holds prefix + chunk) under
-        the standard causal mask, inside one softmax over the batch (see
-        :meth:`_attention`).  Every GEMM and reduction on a row is
-        shape-identical to the 1-D chunked :meth:`forward`, so each
-        row's logits and K/V are bit-identical to the serial speculative
-        verify path at any width.
-
-        ``iterations[i]`` tags row ``i``'s chunk with its generation
-        iteration (the round's first emitted-token index, matching the
-        serial speculative decoder's scalar tag); a KV fault keyed to
-        ``row_ids[i]`` sees that row's appends alone, so it latches
-        exactly as it would on that row's serial decode.  Hooks run per row on
-        ``(t, features)`` views — the serial chunk shape, tagged with
-        ``row_ids[i]`` as in :meth:`forward_step_batch` — so row-scoped
-        perturbing hooks are taken as well as observers: a faulted
-        admission's prompt forward runs here under its row-keyed fault,
-        and option rows under theirs; an accumulator fault strikes a
-        row's ``t`` tokens where its 1-D chunk forward does.
-
-        ``block_inputs`` (a list) receives the flat hidden state
-        entering each block that runs, in block order — ``(B*t,
-        d_model)`` when every row runs every block; the arrays the
-        forward computed, not copies; nothing later writes to them.
-        ``enter`` is the other half, one entry per row: ``None`` starts
-        the row from the embedding, ``(block, hidden)`` skips the blocks
-        below ``block`` and starts from ``hidden``, the row's ``(t,
-        d_model)`` state entering ``block`` in a forward of the same
-        tokens from the same position over caches that hold the same
-        K/V below ``block`` (this engine never writes to it).  An error
-        only travels downstream, so whatever is corrupted at ``block``
-        or later sees exactly the inputs it would in the whole forward
-        and every row stays bit-identical to it.  Rows of different
-        entries share the forward: a block runs over the rows entered at
-        or below it (``block_inputs`` then holds those rows, ordered by
-        entry).  A row appends no K/V to the blocks below its entry, so
-        a later forward of it that enters lower must first fill those
-        caches — the golden-run replay (:mod:`repro.fi.golden`) restores
-        them from the run it replays.
-
-        **Read only what is read.**  ``row_caches=None`` is a forward
-        that no later step continues (option scoring): every row starts
-        at position 0, no K/V is written anywhere and the stacked fresh
-        attention runs; a KV fault keyed to a row strikes its fresh K/V.
-        ``read_from = k`` returns logits for positions
-        ``>= k`` of every row only, and the final norm and ``lm_head``
-        run on those positions alone.  When nothing observes the last
-        block (no hook on any of its layers, no accumulator fault, a
-        dense model) that block,
-        too, computes queries, attention, ``out_proj`` and the MLP on
-        the window only — K/V still over every position.  Both are
-        exact: a GEMM row does not depend on which other rows share the
-        product, as long as at least two do (one row runs through gemv,
-        a different kernel), so a window shorter than two positions
-        raises ``ValueError``.  An MoE last block always runs whole: an
-        expert's share of a window can be one token.
-
+        """Multi-token chunks for ``B`` sequences: :meth:`forward` at
+        ``B`` rows, :meth:`forward_step_batch` at ``t`` tokens — ``(B,
+        t)`` ``tokens``, row ``i`` from ``positions[i]`` tagged
+        ``iterations[i]`` (a verify chunk: the round's first
+        emitted-token index) and ``row_ids[i]``.  Row-exact bits,
+        ``block_inputs`` / ``enter``, ``row_caches=None`` and
+        ``read_from`` are the forward's contract (:class:`_Plan`).
         Returns logits of shape ``(B, t - read_from, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)

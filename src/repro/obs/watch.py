@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-__all__ = ["WatchState", "watch", "main"]
+__all__ = ["WatchState", "watch"]
 
 _RATE_WINDOW = 120
 """Progress samples kept for the sliding trials/sec estimate."""
@@ -199,20 +199,3 @@ def watch(
     except KeyboardInterrupt:
         return 0
 
-
-def main(
-    journal: str,
-    *,
-    interval: float = 1.0,
-    total: int | None = None,
-    once: bool = False,
-    no_clear: bool = False,
-) -> int:
-    """Entry point for the ``obs watch`` subcommand."""
-    return watch(
-        journal,
-        interval=interval,
-        total=total,
-        once=once,
-        clear=False if no_clear else None,
-    )

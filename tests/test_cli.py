@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import importlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,3 +87,97 @@ class TestCommands:
         assert main(["experiment", "table2"]) == 0
         out = capsys.readouterr().out
         assert "FP16" in out and "BF16" in out
+
+
+class TestKeptFlags:
+    """Each flag ``serve`` and ``obs watch`` keep reaches its callee;
+    no model loads and nothing is served (the callees are stand-ins)."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """What ``repro serve`` handed its server, load generator and
+        equivalence gate."""
+        import repro.harness.context
+        import repro.serve
+        import repro.serve.loadgen
+        from repro.serve.loadgen import PromptSpec
+
+        calls = {}
+        vocab = SimpleNamespace(eos_id=2)
+
+        class Context:
+            def __init__(self, seed):
+                self.world, self.tokenizer = None, SimpleNamespace(vocab=vocab)
+
+            def engine(self, name):
+                return name
+
+        class Server:
+            def __init__(self, engine, config, **kwargs):
+                calls["server"] = kwargs
+                self.prompt_cache = SimpleNamespace(tokens=0)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        def run_load(server, prompts, **kwargs):
+            calls["load"] = prompts
+            latency = {"p50": 1.0, "p99": 2.0}
+            return SimpleNamespace(
+                offered_rps=kwargs["offered_rps"], completed=len(prompts), rejected=0,
+                throughput_tps=1.0, ttft_ms=latency, latency_ms=latency, to_dict=dict,
+            )
+
+        def gate(engine, config, prompts, max_batch, **kwargs):
+            calls["gate"] = config, prompts, max_batch
+            return len(prompts)
+
+        prompts = [PromptSpec("gsm8k", (5, 6), 9), PromptSpec("wmt16", (7,), 30)]
+        monkeypatch.setattr(repro.harness.context, "ExperimentContext", Context)
+        monkeypatch.setattr(repro.serve, "InferenceServer", Server)
+        monkeypatch.setattr(repro.serve.loadgen, "run_load", run_load)
+        monkeypatch.setattr(repro.serve.loadgen, "equivalence_gate", gate)
+        monkeypatch.setattr(
+            repro.serve.loadgen, "mixed_task_prompts", lambda **kwargs: prompts
+        )
+        return calls
+
+    def test_serve_max_batch_reaches_the_server_and_the_gate(self, served, capsys):
+        assert main(["serve", "qwenlike-tiny", "--max-batch", "3"]) == 0
+        assert served["server"]["max_batch"] == 3
+        assert served["gate"][2] == 3
+        assert "equivalence gate: 2 prompts" in capsys.readouterr().out
+
+    def test_serve_max_new_tokens_sets_every_prompts_budget(self, served):
+        assert main(["serve", "qwenlike-tiny"]) == 0
+        assert [p.max_new for p in served["load"]] == [9, 30]
+        assert main(["serve", "qwenlike-tiny", "--max-new-tokens", "4"]) == 0
+        assert [p.max_new for p in served["load"]] == [4, 4]
+        config, gated, _ = served["gate"]
+        assert [p.max_new for p in gated] == [4, 4] and config.max_new_tokens == 4
+
+    @pytest.fixture
+    def watched(self, monkeypatch):
+        """The keyword arguments ``repro obs watch`` called ``watch`` with."""
+        calls = {}
+
+        def watch(path, **kwargs):
+            calls[path] = kwargs
+            return 0
+
+        # ``repro.obs.watch`` names the function re-exported there.
+        monkeypatch.setattr(importlib.import_module("repro.obs.watch"), "watch", watch)
+        return calls
+
+    def test_watch_interval_reaches_watch(self, watched):
+        assert main(["obs", "watch", "run.jsonl", "--interval", "0.25"]) == 0
+        assert watched["run.jsonl"]["interval"] == 0.25
+
+    def test_watch_total_reaches_watch(self, watched):
+        assert main(["obs", "watch", "run.jsonl"]) == 0
+        assert watched["run.jsonl"]["total"] is None
+        assert main(["obs", "watch", "run.jsonl", "--total", "7"]) == 0
+        assert watched["run.jsonl"]["total"] == 7

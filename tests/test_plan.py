@@ -184,14 +184,25 @@ class TestRowsOfTwoCells:
             assert_records_equal(records, reference.trials, "shared option wave", "serial")
 
 
-def test_no_campaign_function_is_longer_than_sixty_code_lines():
+_LONG_ALLOWED = {
+    "inference/engine.py": {"InferenceEngine._attention"},
+    "generation/decode.py": {"beam_search_decode"},
+}
+"""The named exceptions to the sixty-line bound, each still over it."""
+
+
+def test_no_inference_fi_or_generation_function_is_longer_than_sixty_code_lines():
     """``scripts/code_lines.py``'s count: non-blank, non-comment lines
     from a function's ``def`` to its end, docstring and nested
-    functions included."""
+    functions included.  Every module of ``repro.inference``,
+    ``repro.fi`` and ``repro.generation``; a named exception that is no
+    longer over sixty fails too, so it is struck from the list."""
     spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
     code_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(code_lines)
-    for module in ("campaign", "plan", "options"):
-        path = ROOT / "src" / "repro" / "fi" / f"{module}.py"
-        long = [(name, n) for name, n in code_lines.functions(path) if n > 60]
-        assert long == [], path
+    src = ROOT / "src" / "repro"
+    for package in ("inference", "fi", "generation"):
+        for path in sorted((src / package).glob("*.py")):
+            allowed = _LONG_ALLOWED.get(path.relative_to(src).as_posix(), set())
+            long = {name for name, n in code_lines.functions(path) if n > 60}
+            assert long == allowed, path

@@ -940,35 +940,42 @@ _DEAD_SCORE_ROWS: list[bool] = []
 ``-inf`` (a planted dead head)."""
 
 
-def _per_row_attention(self, x, layers, plan, iteration, rows):
-    """The reference attention core: the per-row loop the one core
-    replaced, kept verbatim here and nowhere else — each row appends,
-    lets a KV fault latch, and runs its own softmax over exactly its own
-    cache.  Of the forward's plan it reads the rows' caches, RoPE tables
-    and whether linears are armed; its mask, K/V write and lengths are
-    ignored: each row writes by slice, and its causal mask is rebuilt
-    from its cache length the way the loop's caller built it."""
+def _per_member_rotated(self, h, layers, plan):
+    """The reference q, k and v: three ``_linear`` products, q and k
+    rotated apart (the engine's ``_rotated`` runs one shared product and
+    one RoPE call)."""
     cfg = self.config
-    heads, hd = cfg.n_heads, cfg.head_dim
-    cos, sin, block = plan.cos, plan.sin, layers.index
+    half, cos, sin = cfg.head_dim // 2, plan.cos, plan.sin
     batch, t = cos.shape[0], cos.shape[2]
-    half = hd // 2
 
     def rot(a: np.ndarray) -> np.ndarray:
         rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
         return a * cos + rotated * sin
 
     # (B*t, D) -> (B, heads, t, hd)
-    split = (batch, t, heads, hd)
-    q_proj, k_proj, v_proj, out_proj = layers.attn
-    q = self._linear(x, q_proj, plan.armed, iteration, rows, t)
-    k = self._linear(x, k_proj, plan.armed, iteration, rows, t)
-    v = self._linear(x, v_proj, plan.armed, iteration, rows, t)
-    q = rot(q.reshape(split).swapaxes(1, 2))
-    k = rot(k.reshape(split).swapaxes(1, 2))
-    v = v.reshape(split).swapaxes(1, 2)
+    split = (batch, t, cfg.n_heads, cfg.head_dim)
+    q, k, v = (
+        self._linear(h, layer, plan.armed, plan.iteration, plan.rows, t)
+        .reshape(split).swapaxes(1, 2)
+        for layer in layers.attn[:3]
+    )
+    return rot(q), rot(k), v
+
+
+def _per_row_attention(self, q, k, v, layers, plan):
+    """The reference attention core: the per-row loop the one core
+    replaced, kept here and nowhere else — each row appends, lets a KV
+    fault latch, and runs its own softmax over exactly its own cache.
+    Of the forward's plan it reads the rows' caches, ids and iterations;
+    its mask, K/V write and lengths are ignored: each row writes by
+    slice, and its causal mask is rebuilt from its cache length the way
+    the loop's caller built it."""
+    cfg = self.config
+    hd, block = cfg.head_dim, layers.index
+    batch, t = q.shape[0], q.shape[2]
+    iteration, rows = plan.iteration, plan.rows
     scale = np.float32(hd**-0.5)
-    ctx = np.empty(split, dtype=np.float32)
+    ctx = np.empty((batch, t, cfg.n_heads, hd), dtype=np.float32)
     for i in range(batch):
         cache = plan.row_caches[i][block]
         p = cache.length
@@ -990,9 +997,7 @@ def _per_row_attention(self, x, layers, plan, iteration, rows):
         _DEAD_SCORE_ROWS.append(bool(np.isneginf(scores).all(axis=-1).any()))
         attn = softmax_np(scores, axis=-1)
         ctx[i] = (attn @ values).swapaxes(0, 1)
-    return self._linear(
-        ctx.reshape(batch * t, cfg.d_model), out_proj, plan.armed, iteration, rows, t
-    )
+    return ctx.reshape(batch * t, cfg.d_model)
 
 
 _planted = st.sampled_from([float("nan"), float("inf"), float("-inf"), 3e38, -3e38])
@@ -1075,7 +1080,7 @@ def _core_against_the_loop(engine, prompts, tokens, plants, site=None) -> bool:
     written into row ``i``'s output of a layer, ``(layer, i) ->
     [(token fraction or "all", column, value)]``) and, given a ``site``,
     a KV fault: once on the engine's core and once on
-    :func:`_per_row_attention`.  Asserts ``array_equal`` logits and K/V
+    :func:`_per_member_rotated` and :func:`_per_row_attention`.  Asserts ``array_equal`` logits and K/V
     (NaNs compare equal) and the same ``fired``; returns whether the
     reference met a query whose every score was ``-inf``."""
     batch = len(prompts)
@@ -1115,11 +1120,12 @@ def _core_against_the_loop(engine, prompts, tokens, plants, site=None) -> bool:
 
     got, kv, fired = run()
     _DEAD_SCORE_ROWS.clear()
+    engine._rotated = types.MethodType(_per_member_rotated, engine)
     engine._attention = types.MethodType(_per_row_attention, engine)
     try:
         want, kv_want, fired_want = run()
     finally:
-        del engine._attention
+        del engine._rotated, engine._attention
     assert fired == fired_want
     np.testing.assert_array_equal(got, want)
     for own, ref in zip(kv, kv_want):
