@@ -29,6 +29,9 @@ trains the model first, minutes):
 * ``step1`` .. ``step16`` — one ``forward_step_batch`` decode step at
   width 1, 2, 4, 8 and 16, each row over its own cached prefix (20, 23,
   26, ... tokens), rewound before every step so every step is the same;
+  ``same8`` — that step at width 8 with every prefix 20 tokens (one
+  attention group), ``pairs8`` — with the prefixes 20, 20, 23, 23, 26,
+  26, 29, 29 (four groups of two);
 * ``prompt32`` — a 32-token 1-D ``forward`` into one row's caches;
 * ``chunk4`` — a cache-less 4-row, 30-token ``forward_chunk_batch``
   with a 4-position read window (option scoring's shape);
@@ -84,9 +87,15 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBES = (
-    "step1", "step2", "step4", "step8", "step16", "prompt32", "chunk4",
-    "options", "wave",
+    "step1", "step2", "step4", "step8", "step16", "same8", "pairs8", "prompt32",
+    "chunk4", "options", "wave",
 )
+STEPS = {
+    **{f"step{w}": [20 + 3 * i for i in range(w)] for w in (1, 2, 4, 8, 16)},
+    "same8": [20] * 8,
+    "pairs8": [20 + 3 * (i // 2) for i in range(8)],
+}
+"""Per decode-step probe, each row's cached prefix length."""
 TREES = ("base", "change", "control")
 CELLS = {"options": ("mmlu", "2bits-mem"), "wave": ("wmt16", "1bit-comp")}
 """Per campaign probe, the ``(task, fault model)`` of its cell."""
@@ -147,11 +156,11 @@ def setting(probe: str, tree: SimpleNamespace, engine, tokenizer=None, world=Non
     def ids(n: int, offset: int = 0) -> list[int]:
         return [1 + (offset + i) % (cfg.vocab_size - 1) for i in range(n)]
 
-    if probe.startswith("step"):
-        width = int(probe[len("step"):])
+    if probe in STEPS:
+        width = len(STEPS[probe])
         pool = engine.new_pool(width)
         rows = [pool.caches(pool.acquire()) for _ in range(width)]
-        lengths = [min(20 + 3 * i, cfg.max_seq - 1) for i in range(width)]
+        lengths = [min(n, cfg.max_seq - 1) for n in STEPS[probe]]
         for caches, n in zip(rows, lengths):
             engine.forward(ids(n), caches, 0, 0)
         tokens, iterations = [3] * width, [1] * width

@@ -238,7 +238,8 @@ class _Plan:
 
     * *Row-exact bits.*  On the batched entries every product is issued
       per sequence (:func:`_product`; the attention core's GEMMs and
-      softmax sum per row, :meth:`InferenceEngine._attention`), so each
+      softmax sum per group of equal-length rows,
+      :meth:`InferenceEngine._attention`), so each
       row's logits and K/V are bit-identical to its own serial forward
       (its ``Session.step``, its 1-D chunk) at any width, and so is
       what a hook or a fault keyed to its id sees (per row:
@@ -277,7 +278,8 @@ class _Plan:
     output (a hook, an accumulator fault, a row-keyed weight copy), so
     that :meth:`InferenceEngine._surfaces` must run; ``kv``: whether a
     KV fault waits on the appends.  The rest is the rows a block
-    computes (:meth:`take`) and ``n``, the positions per row the hidden
+    computes (:meth:`take`: their tables, K/V write, lengths and
+    attention ``groups``) and ``n``, the positions per row the hidden
     state holds (``t``, or the window's once :meth:`window` cut it).
     No field holds a block's hidden state.
     """
@@ -285,7 +287,7 @@ class _Plan:
     __slots__ = (
         "armed", "kv", "t", "n", "m", "ids", "enter", "starts", "order",
         "read_from", "window_block", "iteration", "rows", "row_caches",
-        "cos", "sin", "hide", "write", "lengths", "width", "ragged", "fresh",
+        "cos", "sin", "hide", "write", "lengths", "width", "groups",
         "_caches", "_positions", "_iteration", "_rows", "_cos", "_sin", "_hide",
     )
 
@@ -419,12 +421,32 @@ class _Plan:
                 self.row_caches = self._caches[:m]
         if self.row_caches is None:
             self.write, self.lengths = None, [t] * m
+            self.groups = [_group(0, m, t, None)]
         else:
-            self.write = KVWrite([own[block] for own in self.row_caches], t)
+            views = [own[block] for own in self.row_caches]
+            self.write = KVWrite(views, t)
             self.lengths = self.write.ends
+            self.groups = self._runs(views)
         self.width = max(self.lengths)
-        self.ragged = min(self.lengths) != self.width
-        self.fresh = self.width == t and (self.row_caches is None or not self.kv)
+
+    def _runs(self, views: list[KVCache]) -> list[tuple]:
+        """The attention groups: runs of adjacent rows of one length
+        whose keys sit in one place (:func:`_group`); ``slots`` is
+        ``None`` where the keys are all the forward's own ``k`` (caches
+        empty before the append, no KV fault waiting)."""
+        t, runs = self.t, []
+        for i, (view, length) in enumerate(zip(views, self.lengths)):
+            home = None if length == t and not self.kv else id(view.arena)
+            if runs and runs[-1][0] == (length, home):
+                runs[-1][1].append(view.slot)
+            else:
+                runs.append(((length, home), [view.slot], i))
+        return [
+            _group(lo, lo + len(slots), length, None if home is None else (
+                slots[0] if len(slots) == 1 else np.array(slots)
+            ))
+            for (length, home), slots, lo in runs
+        ]
 
     def window(self, x: np.ndarray) -> np.ndarray:
         """``x`` cut to the read window, and from here on ``n``, the
@@ -446,6 +468,14 @@ class _Plan:
             return logits
         per_row = logits.reshape(len(self.order), -1, logits.shape[1])
         return per_row[np.argsort(self.order)].reshape(len(logits), -1)
+
+
+def _group(lo: int, hi: int, length: int, slots) -> tuple:
+    """One attention group, ``(rows, at, slots)``: its rows, their part
+    of the score block (every head and query, the group's length) and
+    where its keys are — a slot (a group of one), slots, or ``None``."""
+    rows = slice(lo, hi)
+    return rows, (rows, Ellipsis, slice(None, length)), slots
 
 
 def _row_ids(row_ids, batch: int) -> np.ndarray:
@@ -710,115 +740,76 @@ class InferenceEngine:
         layers: _Block,
         plan: _Plan,
     ) -> np.ndarray:
-        """The attention core of one block: ``(B, heads, n, hd)`` queries
-        and ``(B, heads, t, hd)`` keys and values (:meth:`_rotated`) of
-        the ``B`` rows the ``plan`` has taken, whose mask, K/V write and
-        lengths it holds; returns the flat ``(B*n, D)`` context
-        ``out_proj`` takes.
+        """The attention core of one block over the rows the ``plan``
+        has taken: ``(B, heads, n, hd)`` queries (``n < t``: the read
+        window's, :meth:`_Plan.window`), ``(B, heads, t, hd)`` keys and
+        values (:meth:`_rotated`); returns the flat ``(B*n, D)`` context.
 
-        The block's new K/V lands in every row's
-        ``plan.row_caches[i][block]`` at that view's own length, by the
-        plan's :class:`~repro.inference.kvcache.KVWrite` (a basic slice
-        for a row alone in its arena, one fancy-index assignment per
-        plane per arena group); then, in row order, a KV fault keyed to
-        a row latches.  No caches (``plan.row_caches`` ``None``) writes
-        nothing (a forward from position 0 that no step continues), and
-        such a fault strikes the row's fresh K/V.  The core is then one
-        ``(B, heads, n, W)`` score block, ``W`` the longest row's length
-        after the write: positions at or past a row's own length ``L_i``
-        are ``-inf`` (filled only when rows are ragged), and
-        ``plan.hide`` (``(B, 1, n, W)``, ``None`` when ``t == 1``) marks
-        the in-row causal mask, written as ``-1e9``.
-
-        Only three things run per row, because padding them would change
-        a row's bits: ``q[i] @ keysᵀ`` into the row's slice of the block,
-        the softmax sum over exactly its ``L_i`` positions, and
-        ``attn[i, ..., :L_i] @ values``.  Scale, mask, max, subtract,
-        ``exp`` and divide run once over the block: each is elementwise
-        or (the max) exact in any order, and a ``-inf`` pad cannot change
-        a row's max — NaN still propagates, and a row whose every score
-        is ``-inf`` still yields NaN.  Each row's GEMMs read its own keys
-        and values with the strides of a single-sequence forward, so
-        every row is bit-identical to it.
-
-        The body has three issue modes.  Rows whose keys are all their
-        fresh ``k`` (every cache was empty before the append and no KV
-        fault is armed, or there is no cache) run both GEMMs as one stacked
-        product over ``(B, heads, t, t)``: NumPy issues the per-(row,
-        head) GEMM the row's own forward issues, with the same shapes.
-        Equal lengths need no pad and sum in one reduction along the same
-        contiguous axis; a lone row issues its two products straight, with
-        no score block to fill.  Ragged rows issue their GEMMs and sums
-        per row: a padded sum regroups (it differed in 173 of 300 random
-        shapes), and so do padded GEMMs.
-
-        ``n < t`` is the read window (:meth:`_Plan.window`): queries from
-        its positions alone, rows ``t - n ..`` of every product, which are
-        the full forward's bits when at least two remain.
+        The new K/V lands first (the plan's
+        :class:`~repro.inference.kvcache.KVWrite`), then the KV faults
+        latch (:meth:`_latch`).  Only three things run per group of
+        ``plan.groups``, because padding them changes a row's bits:
+        ``q @ keysᵀ``, the softmax sum over exactly the group's length
+        and ``attn @ values``, over keys of the strides a single
+        sequence's forward reads.  Scale, mask (``plan.hide``, written as
+        ``-1e9``), max, ``exp`` and divide run once over the ``(B, heads,
+        n, W)`` block: they are elementwise or exact in any order, and the
+        ``-inf`` pad past a shorter row's length lifts no max (a row
+        whose every score is ``-inf`` still yields NaN).
         """
-        cfg = self.config
-        heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-        block, n, hide = layers.index, plan.n, plan.hide
-        lengths, width = plan.lengths, plan.width
-        batch = len(lengths)
+        block, n, groups = layers.index, plan.n, plan.groups
         caches = None
         if plan.write is not None:
             caches = [own[block] for own in plan.row_caches]
             plan.write(caches, k, v)
-        kv_faults, iteration, rows = self.kv_faults, plan.iteration, plan.rows
-        for i in range(batch if plan.kv else 0):
-            # The row's own fault and the unpinned one; the 1-D entry
-            # carries no row id (``row`` None): the unpinned.
+        if plan.kv:
+            self._latch(k, v, caches, block, plan)
+        batch, heads, _, hd = q.shape
+        shape, parts = (batch, heads, n, plan.width), []
+        scores = (
+            np.full(shape, -np.inf, np.float32) if min(plan.lengths) < plan.width
+            else np.empty(shape, np.float32)
+        )
+        for rows, at, slots in groups:
+            if slots is None:
+                keys, vals = k[rows], v[rows]
+            else:  # a slot's basic slice, or one gather per plane
+                arena_k, arena_v = caches[rows.start].arena
+                keys, vals = arena_k[slots, :, at[2]], arena_v[slots, :, at[2]]
+            part = scores[at]  # the group's rows, every head and query, :L
+            np.matmul(q[rows], keys.swapaxes(-1, -2), out=part)
+            parts.append((rows, part, vals))
+        scores *= np.float32(hd**-0.5)
+        if plan.hide is not None:
+            np.copyto(scores, np.float32(-1e9), where=plan.hide)
+        total = np.empty((batch, heads, n, 1), np.float32)  # the max, then the sum
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True, out=total)
+        np.exp(scores, out=scores)
+        for rows, part, _ in parts:
+            np.add.reduce(part, axis=-1, keepdims=True, out=total[rows])
+        scores /= total
+        ctx = np.empty((batch, n, heads, hd), np.float32)  # out_proj's layout
+        heads_first = ctx.swapaxes(1, 2)
+        for rows, part, vals in parts:
+            np.matmul(part, vals, out=heads_first[rows])
+        return ctx.reshape(batch * n, heads * hd)
+
+    def _latch(self, k, v, caches: list | None, block: int, plan: _Plan) -> None:
+        """Hand each row's appends in ``block`` to the KV faults keyed to
+        it, in row order: its own and the unpinned one (the 1-D entry
+        carries no row id, so only the unpinned).  Without caches a
+        fault strikes the row's fresh K/V."""
+        kv_faults, rows, n = self.kv_faults, plan.rows, plan.n
+        for i in range(len(plan.lengths)):
             row = None if rows is None else int(rows[i * n])
             armed_kv = [
                 kv_faults[key] for key in dict.fromkeys((row, None)) if key in kv_faults
             ]
             if armed_kv:
-                # Without caches, the row's fresh K/V is what is struck.
                 own = KVCache((k, v), i, plan.t) if caches is None else caches[i]
-                it = iteration if rows is None else int(iteration[i * n])
+                it = plan.iteration if rows is None else int(plan.iteration[i * n])
                 for fault in armed_kv:
                     fault.on_append(block, own, it)
-        if plan.fresh:
-            scores = q @ k.swapaxes(-1, -2)
-        elif batch == 1:
-            # A lone row: its two products straight, nothing to pad.
-            keys, values = caches[0].k[:, :width], caches[0].v[:, :width]
-            scores = q @ keys.swapaxes(-1, -2)
-        else:
-            shape = (batch, heads, n, width)
-            scores = (
-                np.full(shape, -np.inf, dtype=np.float32) if plan.ragged
-                else np.empty(shape, dtype=np.float32)
-            )
-            for i, (cache, length) in enumerate(zip(caches, lengths)):
-                np.matmul(
-                    q[i], cache.k[:, :length].swapaxes(-1, -2),
-                    out=scores[i, :, :, :length],
-                )
-        scores *= np.float32(hd**-0.5)
-        if hide is not None:
-            np.copyto(scores, np.float32(-1e9), where=hide)
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        if plan.ragged:
-            total = np.empty((batch, heads, n, 1), dtype=np.float32)
-            for i, length in enumerate(lengths):
-                np.add.reduce(
-                    scores[i, :, :, :length], axis=-1, keepdims=True, out=total[i]
-                )
-        else:
-            total = np.add.reduce(scores, axis=-1, keepdims=True)
-        scores /= total
-        if plan.fresh:
-            ctx = scores @ v
-        elif batch == 1:
-            ctx = scores @ values
-        else:
-            ctx = np.empty((batch, heads, n, hd), dtype=np.float32)
-            for i, (cache, length) in enumerate(zip(caches, lengths)):
-                np.matmul(scores[i, :, :, :length], cache.v[:, :length], out=ctx[i])
-        return ctx.swapaxes(1, 2).reshape(batch * n, d)
 
     def _mlp(
         self,

@@ -39,6 +39,13 @@ def test_head_against_head_runs_every_probe_on_trees_of_its_own(tokenizer, world
     # Both loads of each tree were timed, each in every role it can play.
     assert result["played"] == {role: [2, 2] for role in ab.TREES}
     assert set(result["probes"]) == set(ab.PROBES)
+    # The width-8 steps whose rows share lengths, beside step8's distinct
+    # ones: one length, and four lengths each held by two adjacent rows.
+    assert {"same8", "pairs8"} <= set(ab.PROBES)
+    assert len(ab.STEPS["same8"]) == 8 and len(set(ab.STEPS["same8"])) == 1
+    pairs = ab.STEPS["pairs8"]
+    assert len(set(pairs)) == 4 and pairs[::2] == pairs[1::2]
+    assert len(set(ab.STEPS["step8"])) == 8
     for probe, row in result["probes"].items():
         assert set(row) == {"us", "ratio", "aa", "aa_spread", "faster", "resolved"}
         assert set(row["us"]) == {"base", "change", "control"}

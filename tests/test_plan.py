@@ -185,7 +185,6 @@ class TestRowsOfTwoCells:
 
 
 _LONG_ALLOWED = {
-    "inference/engine.py": {"InferenceEngine._attention"},
     "generation/decode.py": {"beam_search_decode"},
 }
 """The named exceptions to the sixty-line bound, each still over it."""

@@ -347,7 +347,13 @@ def test_property_one_forward_writes_every_row_into_its_own_slot(
     of its own forward alone, bit for bit, and no other byte of any
     arena moves — not a free slot's, not a sibling's, not a row's own
     positions outside the ones it wrote, nor its blocks below its
-    entry — so a write into the wrong arena, slot or offset shows."""
+    entry — so a write into the wrong arena, slot or offset shows.
+
+    The grouping leg draws every length from two values, so rows of
+    one length sit both adjacent and apart, in one pool and across
+    arenas (the attention core's groups, ``_Plan._runs``), and may arm
+    a KV fault on a row whose caches were empty: its group reads the
+    struck cache, not the forward's own keys."""
     engine = _row_exact_engine(False, n_blocks=3)
     cfg = engine.config
     t = 1 if entry == "step" else data.draw(st.integers(1, 3))
@@ -356,7 +362,33 @@ def test_property_one_forward_writes_every_row_into_its_own_slot(
     def draw(values):
         return data.draw(st.lists(values, min_size=batch, max_size=batch))
 
-    lengths = draw(st.integers(0, 10))
+    leg = data.draw(st.sampled_from(["drawn", "grouped", "grouped, kv"]))
+    values = st.integers(0, 10)
+    if leg != "drawn":
+        first = 0 if leg == "grouped, kv" else data.draw(values)
+        values = st.sampled_from([first, data.draw(values)])
+    lengths = draw(values)
+    struck, site = None, None
+    if leg == "grouped, kv":
+        struck = data.draw(st.integers(0, batch - 1))
+        lengths[struck] = 0
+        site = FaultSite(
+            FaultModel.KV_2BIT,
+            f"blocks.{data.draw(st.integers(0, cfg.n_blocks - 1))}.kv",
+            data.draw(st.integers(0, cfg.n_heads - 1)),
+            data.draw(st.integers(0, cfg.head_dim - 1)),
+            bits=(30, 22),
+            iteration=0,
+            row_frac=data.draw(st.floats(0, 0.99)),
+            plane=data.draw(st.sampled_from(["k", "v"])),
+        )
+
+    def fault(row):
+        """The KV fault keyed to ``row``, armed for one forward."""
+        if site is None or row != struck:
+            return contextlib.nullcontext()
+        return KVFaultInjector(engine, site, batch_row=row)
+
     homes = draw(st.sampled_from(["wide", "short", "own"]))
     blocks = draw(st.integers(0, cfg.n_blocks - 1))
     prefixes = [rng.integers(0, VOCAB, size=n).tolist() for n in lengths]
@@ -380,10 +412,11 @@ def test_property_one_forward_writes_every_row_into_its_own_slot(
         if prefix:
             engine.forward(prefix, caches, 0, 0)
         inputs: list[np.ndarray] = []
-        solo.append(forward(
-            tokens[i : i + 1], [caches], lengths[i : i + 1],
-            iterations[i : i + 1], block_inputs=inputs,
-        )[0])
+        with fault(i):
+            solo.append(forward(
+                tokens[i : i + 1], [caches], lengths[i : i + 1],
+                iterations[i : i + 1], row_ids=[i], block_inputs=inputs,
+            )[0])
         solo_rows.append(caches)
         enter.append(None if blocks[i] == 0 else (blocks[i], inputs[blocks[i]]))
 
@@ -408,7 +441,8 @@ def test_property_one_forward_writes_every_row_into_its_own_slot(
         rows.append(caches)
     before = [(view, view.k.copy(), view.v.copy(), view.length) for view in views]
 
-    got = forward(tokens, rows, lengths, iterations, enter=enter)
+    with fault(struck):
+        got = forward(tokens, rows, lengths, iterations, enter=enter)
     written = {}
     for i, (caches, b, n) in enumerate(zip(rows, blocks, lengths)):
         np.testing.assert_array_equal(got[i], solo[i])
@@ -1016,7 +1050,7 @@ def test_property_stacked_attention_is_the_per_row_loop(
     moe, batch, t, prefixes, armed, data
 ):
     """The one attention core — one softmax over a padded score block,
-    GEMMs and sums per row or stacked — gives ``array_equal`` logits and
+    GEMMs and sums per group of equal-length rows — gives ``array_equal`` logits and
     K/V to the per-row loop it replaced (:func:`_per_row_attention`):
     widths 1-8, chunks of 1-4 tokens over prefixes of 0-40 positions
     (all empty, equal, ragged), dense and MoE, with nan, ±inf and 3e38
