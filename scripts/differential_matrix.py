@@ -12,7 +12,7 @@ per process, dense and MoE, so no zoo cache is read or written.
 
 The whole matrix is 7 fault models x fp32/fp16/bf16/int8/int4 x dense
 and MoE x two tasks x workers {0, 2}: 280 auto campaigns of
-``--trials`` trials each (default 48).  ``--sample N --seed S`` runs N
+``TRIALS`` (48) trials each.  ``--sample N --seed S`` runs N
 cases drawn by ``S`` instead.  Each case prints one line; the exit
 status is 1 if any case differed, with every differing case named.
 
@@ -49,6 +49,7 @@ POLICIES = ("fp32", "fp16", "bf16", "int8", "int4")
 TASKS = (TranslationTask, MMLUTask)
 WORKERS = (0, 2)
 EXAMPLES = 4
+TRIALS = 48
 
 
 def cases() -> list[tuple]:
@@ -103,16 +104,15 @@ def campaign(fault: FaultModel, policy: str, moe: bool, task_cls, strategy: str)
 
 
 @functools.cache
-def reference(fault, policy, moe, task_cls, trials):
+def reference(fault, policy, moe, task_cls):
     """The serial records of a cell, run once for both worker counts."""
-    return campaign(fault, policy, moe, task_cls, "serial").run(trials).trials
+    return campaign(fault, policy, moe, task_cls, "serial").run(TRIALS).trials
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sample", type=int, default=None, help="run N drawn cases")
     parser.add_argument("--seed", type=int, default=0, help="seed of the draw")
-    parser.add_argument("--trials", type=int, default=48, help="trials per campaign")
     args = parser.parse_args(argv)
     todo = cases()
     if args.sample is not None:
@@ -127,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{fault.value} {policy} {'moe' if moe else 'dense'} {task_cls.name}"
             f" workers={workers}"
         )
-        want = reference(fault, policy, moe, task_cls, args.trials)
-        got = campaign(fault, policy, moe, task_cls, "auto").run(args.trials, workers)
+        want = reference(fault, policy, moe, task_cls)
+        got = campaign(fault, policy, moe, task_cls, "auto").run(TRIALS, workers)
         try:
             assert_records_equal(got.trials, want, "auto", "serial")
         except AssertionError as exc:

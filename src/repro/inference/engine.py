@@ -287,7 +287,7 @@ class _Plan:
     __slots__ = (
         "armed", "kv", "t", "n", "m", "ids", "enter", "starts", "order",
         "read_from", "window_block", "iteration", "rows", "row_caches",
-        "cos", "sin", "hide", "write", "lengths", "width", "groups",
+        "cos", "sin", "hide", "write", "lengths", "width", "pad", "groups",
         "_caches", "_positions", "_iteration", "_rows", "_cos", "_sin", "_hide",
     )
 
@@ -317,7 +317,7 @@ class _Plan:
                 enter = [enter[i] for i in order]
                 starts = [starts[i] for i in order]
         if rows is not None:
-            iteration, rows = np.repeat(iteration, t), np.repeat(rows, t)
+            iteration, rows = np.asarray(iteration).repeat(t), rows.repeat(t)
         self.ids, self.enter, self.starts, self.order = ids, enter, starts, order
         self._caches, self._positions = row_caches, positions
         self._iteration, self._rows = iteration, rows
@@ -386,8 +386,8 @@ class _Plan:
         """Every row's RoPE tables and in-row causal mask."""
         # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
         gather = positions[:, None] + np.arange(t)
-        self._cos = engine._cos[gather][:, None]  # (B, 1, t, hd)
-        self._sin = engine._sin[gather][:, None]
+        self._cos = engine._cos.take(gather, 0)[:, None]  # (B, 1, t, hd)
+        self._sin = engine._sin.take(gather, 0)[:, None]
         # The in-row causal mask only depends on (positions, t): over the
         # score block's W = max(positions) + t columns, row i hides from
         # chunk token r the positions past positions[i] + r that its own
@@ -421,32 +421,39 @@ class _Plan:
                 self.row_caches = self._caches[:m]
         if self.row_caches is None:
             self.write, self.lengths = None, [t] * m
-            self.groups = [_group(0, m, t, None)]
+            self.groups = [(slice(0, m), slice(None, t), None)]
         else:
             views = [own[block] for own in self.row_caches]
             self.write = KVWrite(views, t)
             self.lengths = self.write.ends
             self.groups = self._runs(views)
         self.width = max(self.lengths)
+        self.pad = min(self.lengths) < self.width
 
     def _runs(self, views: list[KVCache]) -> list[tuple]:
-        """The attention groups: runs of adjacent rows of one length
-        whose keys sit in one place (:func:`_group`); ``slots`` is
-        ``None`` where the keys are all the forward's own ``k`` (caches
-        empty before the append, no KV fault waiting)."""
-        t, runs = self.t, []
-        for i, (view, length) in enumerate(zip(views, self.lengths)):
-            home = None if length == t and not self.kv else id(view.arena)
-            if runs and runs[-1][0] == (length, home):
-                runs[-1][1].append(view.slot)
-            else:
-                runs.append(((length, home), [view.slot], i))
-        return [
-            _group(lo, lo + len(slots), length, None if home is None else (
-                slots[0] if len(slots) == 1 else np.array(slots)
-            ))
-            for (length, home), slots, lo in runs
+        """The attention groups, ``(rows, cols, slots)``: runs of adjacent
+        rows of one length whose keys sit in one place, as their slice of
+        the batch, of the score block's columns (``:L``), and where their
+        keys are — a slot (a group of one), slots, or ``None`` where they
+        are all the forward's own ``k`` (caches empty before the append,
+        no KV fault waiting)."""
+        t, kv = self.t, self.kv
+        keys = [
+            (length, None if length == t and not kv else id(view.arena))
+            for view, length in zip(views, self.lengths)
         ]
+        groups, lo = [], 0
+        for hi in range(1, len(keys) + 1):
+            if hi < len(keys) and keys[hi] == keys[lo]:
+                continue
+            (length, home), slots = keys[lo], None
+            if home is not None:
+                slots = views[lo].slot if hi - lo == 1 else np.array(
+                    [view.slot for view in views[lo:hi]]
+                )
+            groups.append((slice(lo, hi), slice(None, length), slots))
+            lo = hi
+        return groups
 
     def window(self, x: np.ndarray) -> np.ndarray:
         """``x`` cut to the read window, and from here on ``n``, the
@@ -468,14 +475,6 @@ class _Plan:
             return logits
         per_row = logits.reshape(len(self.order), -1, logits.shape[1])
         return per_row[np.argsort(self.order)].reshape(len(logits), -1)
-
-
-def _group(lo: int, hi: int, length: int, slots) -> tuple:
-    """One attention group, ``(rows, at, slots)``: its rows, their part
-    of the score block (every head and query, the group's length) and
-    where its keys are — a slot (a group of one), slots, or ``None``."""
-    rows = slice(lo, hi)
-    return rows, (rows, Ellipsis, slice(None, length)), slots
 
 
 def _row_ids(row_ids, batch: int) -> np.ndarray:
@@ -757,7 +756,7 @@ class InferenceEngine:
         ``-inf`` pad past a shorter row's length lifts no max (a row
         whose every score is ``-inf`` still yields NaN).
         """
-        block, n, groups = layers.index, plan.n, plan.groups
+        block, n = layers.index, plan.n
         caches = None
         if plan.write is not None:
             caches = [own[block] for own in plan.row_caches]
@@ -767,23 +766,23 @@ class InferenceEngine:
         batch, heads, _, hd = q.shape
         shape, parts = (batch, heads, n, plan.width), []
         scores = (
-            np.full(shape, -np.inf, np.float32) if min(plan.lengths) < plan.width
+            np.full(shape, -np.inf, np.float32) if plan.pad
             else np.empty(shape, np.float32)
         )
-        for rows, at, slots in groups:
+        for rows, cols, slots in plan.groups:
             if slots is None:
                 keys, vals = k[rows], v[rows]
             else:  # a slot's basic slice, or one gather per plane
                 arena_k, arena_v = caches[rows.start].arena
-                keys, vals = arena_k[slots, :, at[2]], arena_v[slots, :, at[2]]
-            part = scores[at]  # the group's rows, every head and query, :L
+                keys, vals = arena_k[slots, :, cols], arena_v[slots, :, cols]
+            part = scores[rows, ..., cols]  # every head and query, :L
             np.matmul(q[rows], keys.swapaxes(-1, -2), out=part)
             parts.append((rows, part, vals))
         scores *= np.float32(hd**-0.5)
         if plan.hide is not None:
             np.copyto(scores, np.float32(-1e9), where=plan.hide)
-        total = np.empty((batch, heads, n, 1), np.float32)  # the max, then the sum
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True, out=total)
+        total = np.maximum.reduce(scores, axis=-1, keepdims=True)  # then the sum
+        scores -= total
         np.exp(scores, out=scores)
         for rows, part, _ in parts:
             np.add.reduce(part, axis=-1, keepdims=True, out=total[rows])
