@@ -278,9 +278,10 @@ class _Plan:
     output (a hook, an accumulator fault, a row-keyed weight copy), so
     that :meth:`InferenceEngine._surfaces` must run; ``kv``: whether a
     KV fault waits on the appends.  The rest is the rows a block
-    computes (:meth:`take`: their tables, K/V write, lengths and
-    attention ``groups``) and ``n``, the positions per row the hidden
-    state holds (``t``, or the window's once :meth:`window` cut it).
+    computes (:meth:`take`: their tables, K/V write, lengths, attention
+    ``groups`` and whether the score block needs its ``-inf`` ``pad``)
+    and ``n``, the positions per row the hidden state holds (``t``, or
+    the window's once :meth:`window` cut it).
     No field holds a block's hidden state.
     """
 
